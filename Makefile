@@ -43,7 +43,6 @@ bench-all:
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadMultiCSV -fuzztime=10s ./internal/trace/
-	$(GO) test -fuzz=FuzzReadMessage -fuzztime=10s ./internal/signal/
 	$(GO) test -fuzz=FuzzHandleMessage -fuzztime=10s ./internal/gateway/
 
 # Wall-clock load test of the live path (also: go run ./cmd/bwload -h).
@@ -59,7 +58,6 @@ examples:
 	$(GO) run ./examples/videostream
 	$(GO) run ./examples/ispgateway
 	$(GO) run ./examples/billing
-	$(GO) run ./examples/endtoend
 
 cover:
 	$(GO) test -cover ./internal/...

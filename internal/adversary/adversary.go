@@ -12,7 +12,6 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
-	"dynbw/internal/queue"
 	"dynbw/internal/sim"
 	"dynbw/internal/trace"
 )
@@ -34,11 +33,11 @@ type Result struct {
 }
 
 // Duel runs the allocator against the adversary for n ticks plus a drain
-// period, mirroring sim.Run's per-tick semantics.
+// period. Each tick is sim.Run's own step (sim.Session.Step), so a duel
+// and a replay of its realized trace agree by construction.
 func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Result, error) {
 	var (
-		q        queue.FIFO
-		sched    bw.Schedule
+		s        sim.Session
 		arrivals []bw.Bits
 		prev     bw.Rate
 	)
@@ -54,35 +53,23 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 				return nil, fmt.Errorf("adversary: negative arrivals %d at tick %d", arrived, t)
 			}
 			arrivals = append(arrivals, arrived)
-		} else if q.Empty() {
+		} else if s.Queued() == 0 {
 			break
 		}
-		q.Push(t, arrived)
-		r := alloc.Rate(t, arrived, q.Bits())
-		if r < 0 {
-			return nil, fmt.Errorf("adversary: allocator returned negative rate %d at tick %d", r, t)
+		r, err := s.Step(t, arrived, alloc)
+		if err != nil {
+			return nil, fmt.Errorf("adversary: %w", err)
 		}
-		sched.Set(t, r)
-		q.Serve(t, r)
 		prev = r
 	}
-	if !q.Empty() {
-		return nil, fmt.Errorf("adversary: %d bits left after %d ticks", q.Bits(), limit)
+	if left := s.Queued(); left > 0 {
+		return nil, fmt.Errorf("adversary: %d bits left after %d ticks", left, limit)
 	}
 	tr, err := trace.New(arrivals)
 	if err != nil {
 		return nil, fmt.Errorf("adversary: %w", err)
 	}
-	return &Result{
-		Trace:    tr,
-		Schedule: &sched,
-		Delay: metrics.DelayStats{
-			Max:    q.MaxDelay(),
-			P50:    q.DelayQuantile(0.50),
-			P99:    q.DelayQuantile(0.99),
-			Served: q.Served(),
-		},
-	}, nil
+	return &Result{Trace: tr, Schedule: s.Schedule(), Delay: s.Delay()}, nil
 }
 
 // DropSpiker is the slack-busting adversary sketched in the paper's

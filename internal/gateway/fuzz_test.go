@@ -27,9 +27,9 @@ func fuzzSeed(typ byte, fields ...uint64) []byte {
 }
 
 // FuzzHandleMessage asserts the gateway's wire-facing surface never
-// panics on arbitrary byte streams (mirroring internal/signal's
-// FuzzReadMessage) and that slot accounting stays consistent with the
-// connection's owned-session set no matter how the stream is mangled.
+// panics on arbitrary byte streams and that slot accounting stays
+// consistent with the connection's owned-session set no matter how the
+// stream is mangled.
 func FuzzHandleMessage(f *testing.F) {
 	f.Add(fuzzSeed(typeOpen))
 	f.Add(fuzzSeed(typeData, 0, 64))

@@ -1,11 +1,21 @@
 // Package gateway is the paper's multi-session scenario as a running
 // service: an IP provider accepting client sessions over TCP, queueing
 // their traffic, and dividing a shared bandwidth pool among them with one
-// of the Section 3/4 algorithms, tick by tick. It composes the live
-// runtime model of internal/runtime with the multi-session allocators of
-// internal/core, and exposes the same accounting the simulator reports —
-// per-session delays and allocation changes — for a system that is
-// actually serving clients.
+// of the Section 3/4 algorithms, tick by tick. Each tick it runs the
+// step kernel the simulator runs (sim.Slots.Step: drain arrivals into
+// the queues, ask the allocator for rates, validate them, serve, count
+// changes), so the round that serves clients is the round Theorems 14/17
+// are verified on, and it reports the simulator's accounting —
+// per-session served bits, delays and allocation changes — for a system
+// that is actually serving clients.
+//
+// A slot holds what a service reads and nothing that grows with uptime:
+// its FIFO queue (chunks in flight, served and max-delay counters, no
+// delay histogram), the last rate applied and a change counter — plus
+// the gateway's own pending-arrivals cell and occupancy bit. The full
+// allocation history (bw.Schedule) is analysis state and lives only in
+// the simulator; the peak total bandwidth is a running maximum folded
+// once per round.
 //
 // Wire protocol (big endian over TCP):
 //
@@ -243,10 +253,17 @@ type Gateway struct {
 	spans      *obs.SpanRing // sampled wire-path spans (nil disables)
 	sampler    *obs.Sampler  // 1-in-N span decisions, striped per shard
 	tickBudget time.Duration
-	roundDur   []int64 // per-shard duration of the current round, ns; written
-	// by the shard's tick worker, read by the tick loop after the join
-	// (the WaitGroup orders the accesses)
+	// roundDur and roundRate are the current round's per-shard duration
+	// (ns) and allotted bandwidth; written by the shard's tick worker,
+	// read by the tick loop after the join (the WaitGroup orders the
+	// accesses).
+	roundDur  []int64
+	roundRate []bw.Rate
 	imbalEwma int64 // tick-loop only: EWMA of max/mean shard duration, permille
+	// maxTotalRate is the running peak of the per-round bandwidth summed
+	// over shards; tick-loop only until the loop exits, then read by
+	// Shutdown.
+	maxTotalRate bw.Rate
 
 	now      atomic.Int64 // completed allocation rounds
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
@@ -412,6 +429,7 @@ func newGateway(k, nshards int) *Gateway {
 		g.shards[i] = newShard(g, i, i*g.spp, g.spp)
 	}
 	g.roundDur = make([]int64, nshards)
+	g.roundRate = make([]bw.Rate, nshards)
 	return g
 }
 

@@ -3,8 +3,11 @@ package gateway
 import (
 	"encoding/binary"
 	"errors"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +196,109 @@ func TestStatsReportsLiveChanges(t *testing.T) {
 	}
 	if st.Changes == 0 {
 		t.Error("no renegotiations reported after serving a burst")
+	}
+}
+
+// brokenAlloc breaks the MultiAllocator contract in the way its mode
+// says until healed, then serves every queue in full.
+type brokenAlloc struct {
+	mode   string
+	healed atomic.Bool
+}
+
+func (a *brokenAlloc) Rates(_ bw.Tick, _, queued []bw.Bits) []bw.Rate {
+	rates := make([]bw.Rate, len(queued))
+	for i, q := range queued {
+		rates[i] = bw.Rate(q)
+	}
+	if a.healed.Load() {
+		return rates
+	}
+	if a.mode == "negative" {
+		rates[len(rates)-1] = -1
+		return rates
+	}
+	return rates[:len(rates)-1]
+}
+
+// lockedBuffer is a log sink the tick goroutine writes and the test reads.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestAllocatorContractViolationServesNothing: an allocator returning a
+// negative rate or the wrong number of rates must not crash the tick
+// goroutine (queue.Serve panics on a negative rate) or be silently
+// clamped. The round serves nothing — not even the slots whose rates
+// were fine — the arrivals stay queued, the violation is logged, and
+// service resumes once the allocator behaves.
+func TestAllocatorContractViolationServesNothing(t *testing.T) {
+	for _, mode := range []string{"negative", "short"} {
+		t.Run(mode, func(t *testing.T) {
+			alloc := &brokenAlloc{mode: mode}
+			ticks := newManualTicks()
+			var logged lockedBuffer
+			g, err := NewWithConfig(Config{
+				Addr:  "127.0.0.1:0",
+				Slots: 2,
+				Alloc: alloc,
+				Ticks: ticks.ch,
+				Log:   slog.New(slog.NewTextHandler(&logged, nil)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := DialSession(g.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Send(64); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Stats(); err != nil { // sync the DATA message
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				ticks.tick()
+			}
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Served != 0 || st.Queued != 64 || st.Changes != 0 {
+				t.Errorf("broken allocator: served %d queued %d changes %d, want 0/64/0", st.Served, st.Queued, st.Changes)
+			}
+			if out := logged.String(); !strings.Contains(out, "allocator broke its contract") || !strings.Contains(out, "link 0") {
+				t.Errorf("violation not logged: %q", out)
+			}
+
+			alloc.healed.Store(true)
+			ticks.tick()
+			ticks.tick()
+			if st, err = c.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			if st.Served != 64 || st.Queued != 0 {
+				t.Errorf("healed allocator: served %d queued %d, want 64/0", st.Served, st.Queued)
+			}
+			if final := g.Close(); final.Served != 64 || final.MaxTotalRate != 64 {
+				t.Errorf("final stats %+v, want served 64 at peak total rate 64", final)
+			}
+		})
 	}
 }
 

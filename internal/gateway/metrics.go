@@ -18,7 +18,9 @@ import (
 type gwMetrics struct {
 	accepts      *obs.Counter
 	acceptErrors *obs.Counter
-	messages     map[byte]*obs.Striped
+	// messages is indexed by the wire type byte; index 0 is the "unknown"
+	// series, which every type without a label shares.
+	messages     [typeBatch + 1]*obs.Striped
 	errors       map[string]*obs.Counter
 	openFails    *obs.Counter
 	sessions     *obs.Gauge
@@ -70,19 +72,21 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	}
 	m.accepts = reg.Counter("dynbw_gateway_accepts_total", "Connections accepted.")
 	m.acceptErrors = reg.Counter("dynbw_gateway_accept_errors_total", "Accept failures (each backs off the accept loop).")
-	m.messages = make(map[byte]*obs.Striped, 7)
-	for typ, label := range map[byte]string{
-		typeOpen:  "open",
-		typeData:  "data",
-		typeStats: "stats",
-		typeClose: "close",
-		typeTrace: "trace",
-		typeBatch: "batch",
-		0:         "unknown",
+	for _, mt := range []struct {
+		typ   byte
+		label string
+	}{
+		{typeOpen, "open"},
+		{typeData, "data"},
+		{typeStats, "stats"},
+		{typeClose, "close"},
+		{typeTrace, "trace"},
+		{typeBatch, "batch"},
+		{0, "unknown"},
 	} {
 		s := obs.NewStriped(m.connStripes)
-		reg.CounterFunc("dynbw_gateway_messages_total", "Wire messages handled, by type.", s.Value, obs.L("type", label))
-		m.messages[typ] = s
+		reg.CounterFunc("dynbw_gateway_messages_total", "Wire messages handled, by type.", s.Value, obs.L("type", mt.label))
+		m.messages[mt.typ] = s
 	}
 	m.errors = map[string]*obs.Counter{}
 	for _, class := range []string{errClassEOF, errClassTimeout, errClassProtocol, errClassIO} {
@@ -130,11 +134,12 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	return m
 }
 
-// message returns the striped counter for a wire message type (the zero
-// key is the "unknown" series).
+// message returns the striped counter for a wire message type — the
+// "unknown" series for a byte without one of its own; nil (a no-op) with
+// no registry attached.
 func (m *gwMetrics) message(t byte) *obs.Striped {
-	if c, ok := m.messages[t]; ok {
-		return c
+	if int(t) < len(m.messages) && m.messages[t] != nil {
+		return m.messages[t]
 	}
 	return m.messages[0]
 }

@@ -161,7 +161,7 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 		Router:         router,
 		LinkAllocs:     linkAllocs(t, links, m),
 		Ticks:          ticks.ch,
-		RebalanceEvery: 1,
+		RebalanceEvery: 8,
 		RebalanceLimit: 4,
 	})
 	if err != nil {
@@ -191,28 +191,50 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 			router.SessionsOf(0), router.SessionsOf(1))
 	}
 
-	// Queue some bits on session 0 so the migration has state to carry.
+	// Give session 0 state for the migration to carry: a history of rate
+	// changes longer than any idle slot's, then a fresh burst.
+	if err := clients[0].Send(512); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clients[0].Stats(); err != nil { // barrier: DATA processed
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ { // t=0..6 complete, t=7 at worst in progress: no rebalance yet
+		ticks.tick()
+	}
+	before, err := clients[0].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if router.Where(0) != 0 {
+		t.Fatalf("session 0 already on link %d before the rebalance tick", router.Where(0))
+	}
+	if before.Changes < 2 {
+		t.Fatalf("setup: session 0 has %d changes before the move, want a history", before.Changes)
+	}
 	if err := clients[0].Send(64); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clients[0].Stats(); err != nil { // barrier: DATA processed
 		t.Fatal(err)
 	}
-	ticks.tick() // t=0: no rebalance
-	ticks.tick() // t=1: rebalance fires
-	ticks.tick() // barrier: t=1 fully applied
+	ticks.tick() // t=8: rebalance fires
+	ticks.tick() // barrier: t=8 fully applied
 
 	if router.Where(0) != 1 {
 		t.Fatalf("session 0 on link %d after rebalance, want 1", router.Where(0))
 	}
 	// The wire session keeps working from its new slot, with its queue
-	// accounting intact.
+	// accounting and its change history intact.
 	st, err := clients[0].Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Served+st.Queued != 64 {
-		t.Fatalf("after migration: served %d + queued %d != 64", st.Served, st.Queued)
+	if st.Served+st.Queued != 512+64 {
+		t.Fatalf("after migration: served %d + queued %d != %d", st.Served, st.Queued, 512+64)
+	}
+	if st.Changes < before.Changes {
+		t.Fatalf("changes went backwards across the migration: %d before, %d after", before.Changes, st.Changes)
 	}
 	found := false
 	for _, s := range g.Sessions() {
@@ -220,6 +242,9 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 			found = true
 			if s.Link != 1 {
 				t.Fatalf("session 0 reported on link %d, want 1", s.Link)
+			}
+			if int64(s.Changes) < before.Changes {
+				t.Fatalf("/sessions changes went backwards across the migration: %d before, %d now", before.Changes, s.Changes)
 			}
 		}
 	}

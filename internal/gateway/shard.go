@@ -6,16 +6,16 @@ import (
 	"sync"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/queue"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
 // shard owns a contiguous range of the gateway's slot table behind its
-// own mutex: the per-slot queueing state, the allocator(s) serving that
-// range, and the set of connections striped onto it. A single-shard
-// gateway is exactly the classic design; sharding only splits the lock
-// and the allocator's input, never the wire protocol or the accounting.
+// own mutex: the per-slot state of the step kernel (sim.Slots: queue,
+// last rate, change count), the allocator(s) serving that range, and the
+// set of connections striped onto it. A single-shard gateway is exactly
+// the classic design; sharding only splits the lock and the allocator's
+// input, never the wire protocol or the accounting.
 type shard struct {
 	g    *Gateway
 	idx  int // shard index (metrics stripe, ring stripe)
@@ -26,46 +26,32 @@ type shard struct {
 	// single-link gateways have exactly one.
 	allocs []sim.MultiAllocator
 
-	mu        sync.Mutex
-	pending   []bw.Bits             // guarded by shard.mu; arrivals accumulated since the last tick
-	used      []bool                // guarded by shard.mu; slot taken by an open session
-	queues    []queue.FIFO          // guarded by shard.mu
-	scheds    []*bw.Schedule        // guarded by shard.mu
-	lastRates []bw.Rate             // guarded by shard.mu; rates applied on the most recent tick
-	inUse     int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
-	conns     map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
-	nextExt   int                   // guarded by shard.mu; next external session ID (multi-link)
-	extSlot   map[int]int           // guarded by shard.mu; external ID -> slot (multi-link)
-	slotExt   []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link)
-
-	// Tick-only scratch: touched exclusively by the one tick worker
-	// processing this shard in a given round, never concurrently.
-	arrived []bw.Bits // confined to shard.tick
-	queued  []bw.Bits // confined to shard.tick
+	mu      sync.Mutex
+	pending []bw.Bits             // guarded by shard.mu; arrivals accumulated since the last tick
+	used    []bool                // guarded by shard.mu; slot taken by an open session
+	slots   sim.Slots             // guarded by shard.mu; what the kernel keeps per slot
+	inUse   int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
+	conns   map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
+	nextExt int                   // guarded by shard.mu; next external session ID (multi-link)
+	extSlot map[int]int           // guarded by shard.mu; external ID -> slot (multi-link)
+	slotExt []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link)
 }
 
 // newShard builds the slot state for n slots starting at global index
 // base. The allocators are filled in by the caller (mode-dependent).
 func newShard(g *Gateway, idx, base, n int) *shard {
 	sh := &shard{
-		g:         g,
-		idx:       idx,
-		base:      base,
-		n:         n,
-		lm:        n,
-		pending:   make([]bw.Bits, n),
-		used:      make([]bool, n),
-		queues:    make([]queue.FIFO, n),
-		scheds:    make([]*bw.Schedule, n),
-		lastRates: make([]bw.Rate, n),
-		conns:     make(map[net.Conn]struct{}),
-		extSlot:   make(map[int]int),
-		slotExt:   make([]int, n),
-		arrived:   make([]bw.Bits, n),
-		queued:    make([]bw.Bits, n),
-	}
-	for i := range sh.scheds {
-		sh.scheds[i] = &bw.Schedule{}
+		g:       g,
+		idx:     idx,
+		base:    base,
+		n:       n,
+		lm:      n,
+		pending: make([]bw.Bits, n),
+		used:    make([]bool, n),
+		slots:   sim.NewSlots(n),
+		conns:   make(map[net.Conn]struct{}),
+		extSlot: make(map[int]int),
+		slotExt: make([]int, n),
 	}
 	for i := range sh.slotExt {
 		sh.slotExt[i] = -1
@@ -160,10 +146,10 @@ func (sh *shard) openCount() int64 {
 }
 
 // rebalance asks the router for load-evening moves and migrates each
-// moved session's slot state — queue, pending bits, occupancy — to a
-// free slot on the destination link. The external session ID is stable
-// across the move, so clients notice nothing. Callers must hold sh.mu
-// (the tick worker does).
+// moved session's slot state — queue, change count, pending bits,
+// occupancy — to a free slot on the destination link. The external
+// session ID is stable across the move, so clients notice nothing.
+// Callers must hold sh.mu (the tick worker does).
 func (sh *shard) rebalance() {
 	rb, ok := sh.g.router.(route.Rebalancer)
 	if !ok {
@@ -188,8 +174,7 @@ func (sh *shard) rebalance() {
 				"session", mv.Session, "to", int(mv.To)) // bwlint:allocok cold: router/shard divergence, rate-limited warn
 			continue
 		}
-		sh.queues[dst] = sh.queues[src]
-		sh.queues[src] = queue.FIFO{}
+		sh.slots.Move(dst, src)
 		sh.pending[dst] = sh.pending[src]
 		sh.pending[src] = 0
 		sh.used[src], sh.used[dst] = false, true

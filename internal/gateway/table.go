@@ -16,8 +16,10 @@ type Stats struct {
 	Served         bw.Bits
 	Queued         bw.Bits
 	SessionChanges int
-	MaxTotalRate   bw.Rate
-	MaxDelay       bw.Tick
+	// MaxTotalRate is the running maximum, over completed rounds, of the
+	// bandwidth allotted across all slots in one round.
+	MaxTotalRate bw.Rate
+	MaxDelay     bw.Tick
 }
 
 // Close stops serving immediately — Shutdown with no grace period.
@@ -59,23 +61,26 @@ func (g *Gateway) Shutdown(grace time.Duration) Stats {
 		<-g.done
 	})
 
-	var st Stats
-	st.Ticks = bw.Tick(g.now.Load())
-	scheds := make([]*bw.Schedule, 0, g.k)
+	return g.stats()
+}
+
+// stats merges the shards' accounting. Callers run it once the tick
+// loop has exited (or was never started), so maxTotalRate is final.
+func (g *Gateway) stats() Stats {
+	st := Stats{Ticks: bw.Tick(g.now.Load()), MaxTotalRate: g.maxTotalRate}
 	for _, sh := range g.shards {
 		sh.mu.Lock()
 		for i := 0; i < sh.n; i++ {
-			st.Served += sh.queues[i].Served()
-			st.Queued += sh.queues[i].Bits()
-			st.SessionChanges += sh.scheds[i].Changes()
-			if d := sh.queues[i].MaxDelay(); d > st.MaxDelay {
+			q := sh.slots.Queue(i)
+			st.Served += q.Served()
+			st.Queued += q.Bits()
+			st.SessionChanges += sh.slots.Changes(i)
+			if d := q.MaxDelay(); d > st.MaxDelay {
 				st.MaxDelay = d
 			}
 		}
-		scheds = append(scheds, sh.scheds...)
 		sh.mu.Unlock()
 	}
-	st.MaxTotalRate = bw.Sum(scheds...).MaxRate()
 	return st
 }
 
@@ -114,17 +119,18 @@ func (g *Gateway) Sessions() []SessionInfo {
 			} else if !sh.used[i] {
 				ext = -1
 			}
+			q := sh.slots.Queue(i)
 			out = append(out, SessionInfo{
 				Slot:     slot,
 				Shard:    sh.idx,
 				Link:     slot / g.lm,
 				Open:     sh.used[i],
 				Ext:      ext,
-				Rate:     sh.lastRates[i],
-				Queued:   sh.queues[i].Bits(),
-				Served:   sh.queues[i].Served(),
-				Changes:  sh.scheds[i].Changes(),
-				MaxDelay: sh.queues[i].MaxDelay(),
+				Rate:     sh.slots.Rate(i),
+				Queued:   q.Bits(),
+				Served:   q.Served(),
+				Changes:  sh.slots.Changes(i),
+				MaxDelay: q.MaxDelay(),
 			})
 		}
 		sh.mu.Unlock()

@@ -2,21 +2,20 @@ package gateway
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/sim"
 )
 
-// tickLoop owns the gateway clock. Each received tick runs one
-// allocation round: single-shard gateways run it inline, sharded
-// gateways fan the round out to the tick workers and join before
-// advancing now — so every shard computes rates for the same tick t and
-// the cost measure is identical to the single-lock gateway's. The loop
-// also profiles each round: whole-round and per-shard durations, the
-// join wait (slowest minus fastest shard — straggler cost), a shard
-// imbalance EWMA, and overruns of the configured tick budget.
+// tickLoop owns the gateway clock: each received tick runs one
+// allocation round and then advances now, so every shard computes rates
+// for the same tick t and the cost measure is identical to the
+// single-lock gateway's.
 func (g *Gateway) tickLoop() {
 	defer close(g.done)
 	if g.tickCh != nil {
@@ -29,28 +28,47 @@ func (g *Gateway) tickLoop() {
 		case <-g.closing:
 			return
 		case <-g.ticks:
-			t := bw.Tick(g.now.Load())
-			start := time.Now()
-			if g.tickCh == nil {
-				g.shardRound(g.shards[0], t)
-			} else {
-				g.tickWG.Add(len(g.shards))
-				for i := range g.shards {
-					g.tickCh <- i
-				}
-				g.tickWG.Wait()
-			}
-			round := time.Since(start)
-			g.m.tickRound.Observe(int64(round))
-			if len(g.shards) > 1 {
-				g.observeRoundSpread()
-			}
-			if g.tickBudget > 0 && round > g.tickBudget {
-				g.m.tickOverruns.Inc()
-			}
+			g.round(bw.Tick(g.now.Load()))
 			g.now.Add(1)
 			g.m.ticks.Inc()
 		}
+	}
+}
+
+// round runs the allocation round for tick t on every shard — inline
+// without tick workers (the single-shard gateway), else fanned out and
+// joined — then folds the joined result: the shards' allotted bandwidth
+// summed into the running peak Shutdown reports, and the round profile
+// (whole-round and per-shard durations, the join wait — slowest minus
+// fastest shard, the straggler cost — a shard imbalance EWMA, and
+// overruns of the configured tick budget).
+func (g *Gateway) round(t bw.Tick) {
+	start := time.Now()
+	if g.tickCh == nil {
+		for _, sh := range g.shards {
+			g.shardRound(sh, t)
+		}
+	} else {
+		g.tickWG.Add(len(g.shards))
+		for i := range g.shards {
+			g.tickCh <- i
+		}
+		g.tickWG.Wait()
+	}
+	round := time.Since(start)
+	var total bw.Rate
+	for _, r := range g.roundRate {
+		total += r
+	}
+	if total > g.maxTotalRate {
+		g.maxTotalRate = total
+	}
+	g.m.tickRound.Observe(int64(round))
+	if len(g.shards) > 1 {
+		g.observeRoundSpread()
+	}
+	if g.tickBudget > 0 && round > g.tickBudget {
+		g.m.tickOverruns.Inc()
 	}
 }
 
@@ -97,57 +115,54 @@ func (g *Gateway) tickWorker(w int) {
 
 // shardRound runs one allocation round on one shard, folds the result
 // into the shard's stripe of the gateway counters, and records the
-// shard's round duration (its tick histogram stripe, and roundDur for
-// the join-spread profile — the WaitGroup join orders that write before
-// the tick loop's read).
+// shard's round duration and allotted bandwidth (its tick histogram
+// stripe; roundDur and roundRate for round's fold — the WaitGroup join
+// orders those writes before the reads).
 func (g *Gateway) shardRound(sh *shard, t bw.Tick) {
 	start := time.Now()
-	arrivedBits, servedBits, changes := sh.tick(t)
-	g.m.arrivedBits.Add(sh.idx, int64(arrivedBits))
-	g.m.servedBits.Add(sh.idx, int64(servedBits))
-	g.m.allocChanges.Add(sh.idx, changes)
+	r, err := sh.tick(t)
+	if err != nil {
+		g.log.Log(slog.LevelError, "alloc", "gateway: allocator broke its contract; link not served this round",
+			"shard", sh.idx, "err", err)
+	}
+	g.m.arrivedBits.Add(sh.idx, int64(r.Arrived))
+	g.m.servedBits.Add(sh.idx, int64(r.Served))
+	g.m.allocChanges.Add(sh.idx, int64(r.Changes))
 	d := int64(time.Since(start))
 	g.m.tickShard.Observe(sh.idx, d)
 	g.roundDur[sh.idx] = d
+	g.roundRate[sh.idx] = r.Total
 }
 
-// tick runs one allocation round over this shard's slots: drain pending
-// arrivals into the queues, ask each link's allocator for rates, extend
-// the schedules, serve the queues, and count allocation changes — the
-// paper's cost measure. In multi-link mode (one shard, several links)
-// each allocator sees only its own slot range, and every rebalEvery
-// ticks a rebalance pass may migrate sessions between links.
+// tick runs one allocation round over this shard's slots: one kernel
+// step (sim.Slots.Step — the round the simulator verifies the theorems
+// on) per link, each link's allocator seeing only its own slot range,
+// summed into one Round. In multi-link mode (one shard, several links)
+// every rebalEvery ticks a rebalance pass may then migrate sessions
+// between links.
+//
+// A link whose allocator breaks its contract (wrong rate count, negative
+// rate) is served nothing this round — its arrivals stay queued and its
+// rates stand — and the first such violation is returned for the caller
+// to log outside the lock.
 //
 // bwlint:hotpath
-func (sh *shard) tick(t bw.Tick) (arrivedBits, servedBits bw.Bits, changes int64) {
+func (sh *shard) tick(t bw.Tick) (sum sim.Round, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 0; i < sh.n; i++ {
-		sh.arrived[i] = sh.pending[i]
-		sh.pending[i] = 0
-		sh.queues[i].Push(t, sh.arrived[i])
-		sh.queued[i] = sh.queues[i].Bits()
-		arrivedBits += sh.arrived[i]
-	}
-	for l := 0; l < len(sh.allocs); l++ {
+	for l, alloc := range sh.allocs {
 		lo, hi := l*sh.lm, (l+1)*sh.lm
-		rates := sh.allocs[l].Rates(t, sh.arrived[lo:hi], sh.queued[lo:hi])
-		for i := 0; i < sh.lm && i < len(rates); i++ {
-			s := lo + i
-			r := rates[i]
-			if r < 0 {
-				r = 0
-			}
-			sh.scheds[s].Set(t, r)
-			servedBits += sh.queues[s].Serve(t, r)
-			if r != sh.lastRates[s] {
-				changes++
-				sh.lastRates[s] = r
-			}
+		r, lerr := sh.slots.Slice(lo, hi).Step(t, alloc, sh.pending[lo:hi])
+		if lerr != nil && err == nil {
+			err = fmt.Errorf("link %d: %w", l, lerr) // bwlint:allocok cold: allocator contract violation
 		}
+		sum.Arrived += r.Arrived
+		sum.Served += r.Served
+		sum.Total += r.Total
+		sum.Changes += r.Changes
 	}
 	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 && sh.g.router != nil {
 		sh.rebalance()
 	}
-	return arrivedBits, servedBits, changes
+	return sum, err
 }

@@ -496,10 +496,11 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		sh.mu.Lock()
 		g.spanMark(cs, stageDispatch)
 		slot := sh.slot(id)
-		served := sh.queues[slot].Served()
-		queued := sh.queues[slot].Bits()
-		maxDelay := sh.queues[slot].MaxDelay()
-		changes := sh.scheds[slot].Changes()
+		q := sh.slots.Queue(slot)
+		served := q.Served()
+		queued := q.Bits()
+		maxDelay := q.MaxDelay()
+		changes := sh.slots.Changes(slot)
 		sh.mu.Unlock()
 		g.spanMark(cs, stageApply)
 		cs.scratch[0] = typeStatsR

@@ -47,12 +47,15 @@ type Hotpath struct {
 }
 
 // NewHotpath returns the check with the repo's required roots: the
-// sim.Runner/MultiRunner step paths, the FIFO queue, the schedule
+// sim.Runner/MultiRunner loops and the step kernel under them (which
+// the gateway's shard.tick runs too), the FIFO queue, the schedule
 // cursor/append path, and the gateway read/dispatch/apply/write path.
 func NewHotpath() *Hotpath {
 	return &Hotpath{Required: []string{
 		"dynbw/internal/sim.Runner.Run",
 		"dynbw/internal/sim.MultiRunner.Run",
+		"dynbw/internal/sim.Slots.Step",
+		"dynbw/internal/sim.Session.Step",
 		"dynbw/internal/queue.FIFO.Push",
 		"dynbw/internal/queue.FIFO.Serve",
 		"dynbw/internal/bw.Schedule.Set",

@@ -27,20 +27,12 @@ type FIFO struct {
 	maxDelay bw.Tick
 	// served is the total number of bits served.
 	served bw.Bits
-	// delayHist[d] counts bits served with delay d (capped at histCap-1;
-	// the last bucket accumulates everything at or beyond it). It grows
-	// geometrically with the largest delay observed, so short runs — and
-	// the typical run, whose delays stay within the 2*D_O guarantee —
-	// never pay for the full histCap range.
-	delayHist []bw.Bits
+	// hist, when attached (DelayHist.Attach), receives the delay of every
+	// served bit. A live service slot attaches none: it reads only
+	// maxDelay and served, so it pays for neither the buckets nor the
+	// per-chunk record.
+	hist *DelayHist
 }
-
-const (
-	histCap = 4096
-	// histMin is the first allocation size of delayHist; doubled until
-	// the observed delay fits, up to histCap.
-	histMin = 64
-)
 
 // Push adds bits arriving at tick t. Pushes must have nondecreasing ticks.
 //
@@ -91,32 +83,9 @@ func (q *FIFO) recordServed(delay bw.Tick, bits bw.Bits) {
 	if delay > q.maxDelay {
 		q.maxDelay = delay
 	}
-	idx := delay
-	if idx >= histCap {
-		idx = histCap - 1
+	if q.hist != nil {
+		q.hist.record(delay, bits)
 	}
-	if int(idx) >= len(q.delayHist) {
-		q.growHist(idx)
-	}
-	q.delayHist[idx] += bits
-}
-
-// growHist extends delayHist to cover idx, doubling from histMin up to
-// histCap. Growth reuses the existing prefix, so counts are preserved.
-func (q *FIFO) growHist(idx bw.Tick) {
-	n := len(q.delayHist)
-	if n == 0 {
-		n = histMin
-	}
-	for n <= int(idx) {
-		n *= 2
-	}
-	if n > histCap {
-		n = histCap
-	}
-	grown := make([]bw.Bits, n) // bwlint:allocok doubling growth, capped at histCap
-	copy(grown, q.delayHist)
-	q.delayHist = grown
 }
 
 // compact drops fully-served chunks from the front once they dominate the
@@ -129,88 +98,23 @@ func (q *FIFO) compact() {
 	}
 }
 
-// Reset returns the queue to its zero state while keeping the chunk and
-// histogram storage, so a queue reused across simulation runs
-// (sim.Runner) reaches a steady state of zero allocations per run.
+// Reset empties the queue and zeroes its counters while keeping the
+// chunk storage and any attached histogram (which its owner resets), so
+// a queue reused across simulation runs reaches a steady state of zero
+// allocations per run.
 func (q *FIFO) Reset() {
 	q.chunks = q.chunks[:0]
 	q.head = 0
 	q.bits = 0
 	q.maxDelay = 0
 	q.served = 0
-	clear(q.delayHist)
 }
 
 // Bits returns the number of bits currently queued.
 func (q *FIFO) Bits() bw.Bits { return q.bits }
-
-// Empty reports whether the queue holds no bits.
-func (q *FIFO) Empty() bool { return q.bits == 0 }
-
-// OldestArrival returns the arrival tick of the oldest queued bit and true,
-// or (0, false) when the queue is empty.
-func (q *FIFO) OldestArrival() (bw.Tick, bool) {
-	if q.Empty() {
-		return 0, false
-	}
-	return q.chunks[q.head].arrived, true
-}
 
 // MaxDelay returns the largest delay of any bit served so far.
 func (q *FIFO) MaxDelay() bw.Tick { return q.maxDelay }
 
 // Served returns the total number of bits served so far.
 func (q *FIFO) Served() bw.Bits { return q.served }
-
-// DelayQuantile returns the smallest delay d such that at least fraction p
-// of all served bits had delay <= d. It returns 0 when nothing was served.
-func (q *FIFO) DelayQuantile(p float64) bw.Tick {
-	if q.served == 0 || q.delayHist == nil {
-		return 0
-	}
-	target := bw.Bits(p * float64(q.served))
-	if target < 1 {
-		target = 1
-	}
-	var cum bw.Bits
-	for d, c := range q.delayHist {
-		cum += c
-		if cum >= target {
-			return bw.Tick(d)
-		}
-	}
-	return q.maxDelay
-}
-
-// DrainAll removes every queued bit at tick t (used by tests and by
-// teardown paths); delays are recorded as usual.
-func (q *FIFO) DrainAll(t bw.Tick) bw.Bits {
-	return q.Serve(t, bw.RateOver(q.bits, 1))
-}
-
-// TransferTo moves all queued bits to dst, preserving their original
-// arrival ticks and FIFO order. This implements the paper's "move the
-// content of the regular queue to the overflow queue" operation, where the
-// bits keep their identity (and hence their deadlines).
-func (q *FIFO) TransferTo(dst *FIFO) {
-	for i := q.head; i < len(q.chunks); i++ {
-		c := q.chunks[i]
-		if c.bits == 0 {
-			continue
-		}
-		if n := len(dst.chunks); n > dst.head && dst.chunks[n-1].arrived > c.arrived {
-			// The destination already holds newer bits; merge by arrival
-			// order is not needed for correctness of bit accounting, but
-			// FIFO delay accounting requires nondecreasing order. In the
-			// paper's algorithms the destination overflow queue is always
-			// emptied before the regular queue refills, so this cannot
-			// happen; guard anyway.
-			panic("queue: TransferTo would break FIFO order")
-		}
-		dst.chunks = append(dst.chunks, c)
-		dst.bits += c.bits
-	}
-	q.chunks = q.chunks[:0]
-	q.head = 0
-	q.bits = 0
-}

@@ -9,11 +9,8 @@ import (
 
 func TestEmptyQueue(t *testing.T) {
 	var q FIFO
-	if !q.Empty() || q.Bits() != 0 {
+	if q.Bits() != 0 {
 		t.Error("zero value should be empty")
-	}
-	if _, ok := q.OldestArrival(); ok {
-		t.Error("OldestArrival on empty queue should report false")
 	}
 	if got := q.Serve(5, 10); got != 0 {
 		t.Errorf("Serve on empty = %d", got)
@@ -21,8 +18,8 @@ func TestEmptyQueue(t *testing.T) {
 	if q.MaxDelay() != 0 || q.Served() != 0 {
 		t.Error("empty queue stats should be zero")
 	}
-	if q.DelayQuantile(0.5) != 0 {
-		t.Error("DelayQuantile on empty should be 0")
+	if new(DelayHist).Quantile(0.5) != 0 {
+		t.Error("Quantile on an empty histogram should be 0")
 	}
 }
 
@@ -67,7 +64,7 @@ func TestSameTickServiceHasZeroDelay(t *testing.T) {
 func TestPushZeroIsNoop(t *testing.T) {
 	var q FIFO
 	q.Push(3, 0)
-	if !q.Empty() {
+	if q.Bits() != 0 || len(q.chunks) != 0 {
 		t.Error("Push(_, 0) should not enqueue")
 	}
 }
@@ -103,77 +100,48 @@ func TestServeNegativePanics(t *testing.T) {
 	q.Serve(0, -2)
 }
 
-func TestOldestArrival(t *testing.T) {
-	var q FIFO
-	q.Push(2, 3)
-	q.Push(5, 3)
-	if at, ok := q.OldestArrival(); !ok || at != 2 {
-		t.Errorf("OldestArrival = %d, %v", at, ok)
-	}
-	q.Serve(6, 3)
-	if at, ok := q.OldestArrival(); !ok || at != 5 {
-		t.Errorf("OldestArrival after serve = %d, %v", at, ok)
-	}
+// histQueue returns a queue recording its served delays into a fresh
+// histogram, as sim.Session wires them.
+func histQueue() (*FIFO, *DelayHist) {
+	q, h := &FIFO{}, &DelayHist{}
+	h.Attach(q)
+	return q, h
 }
 
 func TestDelayQuantile(t *testing.T) {
-	var q FIFO
+	q, h := histQueue()
 	q.Push(0, 90) // will be served with delay 0
 	q.Serve(0, 90)
 	q.Push(1, 10) // served with delay 9
 	q.Serve(10, 10)
-	if got := q.DelayQuantile(0.5); got != 0 {
+	if got := h.Quantile(0); got != 0 {
+		t.Errorf("p0 = %d, want 0", got)
+	}
+	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("p50 = %d, want 0", got)
 	}
-	if got := q.DelayQuantile(0.95); got != 9 {
+	if got := h.Quantile(0.9); got != 0 {
+		t.Errorf("p90 = %d, want 0 (exactly 90 of 100 bits had delay 0)", got)
+	}
+	if got := h.Quantile(0.95); got != 9 {
 		t.Errorf("p95 = %d, want 9", got)
 	}
-	if got := q.DelayQuantile(1.0); got != 9 {
+	if got := h.Quantile(1.0); got != 9 {
 		t.Errorf("p100 = %d, want 9", got)
 	}
 }
 
-func TestDrainAll(t *testing.T) {
+// TestNoHistogramUnlessAttached: a bare FIFO — a gateway slot — keeps
+// its counters but never allocates histogram buckets.
+func TestNoHistogramUnlessAttached(t *testing.T) {
 	var q FIFO
-	q.Push(0, 5)
-	q.Push(1, 5)
-	if got := q.DrainAll(3); got != 10 {
-		t.Errorf("DrainAll = %d", got)
+	q.Push(0, 4)
+	q.Serve(700, 4)
+	if q.hist != nil {
+		t.Fatal("bare FIFO grew a histogram")
 	}
-	if !q.Empty() {
-		t.Error("queue not empty after DrainAll")
-	}
-	if q.MaxDelay() != 3 {
-		t.Errorf("MaxDelay = %d, want 3", q.MaxDelay())
-	}
-}
-
-func TestTransferTo(t *testing.T) {
-	var src, dst FIFO
-	src.Push(0, 4)
-	src.Push(2, 6)
-	src.TransferTo(&dst)
-	if !src.Empty() {
-		t.Error("source not empty after transfer")
-	}
-	if dst.Bits() != 10 {
-		t.Fatalf("dst Bits = %d", dst.Bits())
-	}
-	// Original arrival ticks must be preserved: serving at tick 5 yields
-	// max delay 5 (the tick-0 bits).
-	dst.Serve(5, 10)
-	if dst.MaxDelay() != 5 {
-		t.Errorf("dst MaxDelay = %d, want 5", dst.MaxDelay())
-	}
-}
-
-func TestTransferPreservesFIFOWithExistingContent(t *testing.T) {
-	var src, dst FIFO
-	dst.Push(0, 1)
-	src.Push(3, 1)
-	src.TransferTo(&dst) // dst newest (0) <= src oldest (3): fine
-	if dst.Bits() != 2 {
-		t.Fatalf("dst Bits = %d", dst.Bits())
+	if q.MaxDelay() != 700 || q.Served() != 4 {
+		t.Errorf("MaxDelay/Served = %d/%d, want 700/4", q.MaxDelay(), q.Served())
 	}
 }
 
@@ -219,6 +187,15 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
+// oldestArrival is the arrival tick of the oldest queued bit, false when
+// the queue is empty.
+func oldestArrival(q *FIFO) (bw.Tick, bool) {
+	if q.Bits() == 0 {
+		return 0, false
+	}
+	return q.chunks[q.head].arrived, true
+}
+
 // Property: FIFO order — with strictly increasing service ticks, the delay
 // sequence of served chunks never violates first-come-first-served (an
 // earlier-arriving bit is never served after a later-arriving one).
@@ -229,10 +206,10 @@ func TestFIFOOrderProperty(t *testing.T) {
 		now := bw.Tick(0)
 		for _, v := range raw {
 			q.Push(now, bw.Bits(v%16))
-			// Serve a prefix and verify ordering via OldestArrival.
-			before, okBefore := q.OldestArrival()
+			// Serve a prefix and verify ordering via the head chunk.
+			before, okBefore := oldestArrival(&q)
 			q.Serve(now, bw.Rate(v%8))
-			after, okAfter := q.OldestArrival()
+			after, okAfter := oldestArrival(&q)
 			if okBefore && okAfter && after < before {
 				return false
 			}
@@ -262,14 +239,16 @@ func BenchmarkPushServe(b *testing.B) {
 }
 
 func TestResetMatchesFresh(t *testing.T) {
-	// A used-then-Reset queue must behave exactly like a zero-value one.
-	used := &FIFO{}
+	// A used-then-Reset queue and histogram must behave exactly like
+	// zero-value ones.
+	used, usedHist := histQueue()
 	used.Push(0, 100)
 	used.Serve(3, 40)
 	used.Serve(9, 1000)
 	used.Reset()
+	usedHist.Reset()
 
-	fresh := &FIFO{}
+	fresh, freshHist := histQueue()
 	for _, q := range []*FIFO{used, fresh} {
 		q.Push(0, 8)
 		q.Push(2, 4)
@@ -283,56 +262,68 @@ func TestResetMatchesFresh(t *testing.T) {
 			used.MaxDelay(), fresh.MaxDelay())
 	}
 	for _, p := range []float64{0.01, 0.5, 0.99, 1} {
-		if used.DelayQuantile(p) != fresh.DelayQuantile(p) {
-			t.Errorf("DelayQuantile(%v) = %d, want %d", p, used.DelayQuantile(p), fresh.DelayQuantile(p))
+		if usedHist.Quantile(p) != freshHist.Quantile(p) {
+			t.Errorf("Quantile(%v) = %d, want %d", p, usedHist.Quantile(p), freshHist.Quantile(p))
 		}
 	}
 }
 
 func TestResetKeepsHistogramStorage(t *testing.T) {
-	q := &FIFO{}
+	q, h := histQueue()
 	q.Push(0, 1)
 	q.Serve(100, 1) // forces the histogram past histMin
-	grown := len(q.delayHist)
+	grown := len(h.counts)
 	if grown < 128 {
 		t.Fatalf("histogram did not grow: len %d", grown)
 	}
 	q.Reset()
-	if len(q.delayHist) != grown {
-		t.Fatalf("Reset shrank histogram: len %d, want %d", len(q.delayHist), grown)
+	h.Reset()
+	if len(h.counts) != grown {
+		t.Fatalf("Reset shrank histogram: len %d, want %d", len(h.counts), grown)
 	}
-	for i, c := range q.delayHist {
+	for i, c := range h.counts {
 		if c != 0 {
 			t.Fatalf("Reset left count %d at delay %d", c, i)
 		}
 	}
+	if h.Quantile(1) != 0 {
+		t.Fatalf("Quantile(1) = %d after Reset, want 0", h.Quantile(1))
+	}
 }
 
 func TestDelayHistGrowsGeometrically(t *testing.T) {
-	q := &FIFO{}
+	q, h := histQueue()
 	q.Push(0, 1)
 	q.Serve(0, 1)
-	if len(q.delayHist) != histMin {
-		t.Fatalf("first record allocated %d buckets, want %d", len(q.delayHist), histMin)
+	if len(h.counts) != histMin {
+		t.Fatalf("first record allocated %d buckets, want %d", len(h.counts), histMin)
 	}
 	q.Push(1, 1)
-	q.Serve(1 + 500, 1)
-	if len(q.delayHist) != 512 {
-		t.Fatalf("delay 500 grew histogram to %d, want 512", len(q.delayHist))
+	q.Serve(1+histMin, 1) // one past the first allocation: a single doubling
+	if len(h.counts) != 2*histMin {
+		t.Fatalf("delay %d grew histogram to %d, want %d", histMin, len(h.counts), 2*histMin)
 	}
-	if got := q.DelayQuantile(1); got != 500 {
-		t.Fatalf("DelayQuantile(1) = %d, want 500", got)
+	q.Push(100, 1)
+	q.Serve(100+500, 1)
+	if len(h.counts) != 512 {
+		t.Fatalf("delay 500 grew histogram to %d, want 512", len(h.counts))
+	}
+	if h.counts[0] != 1 || h.counts[histMin] != 1 {
+		t.Fatalf("growth lost earlier counts: [0]=%d [%d]=%d", h.counts[0], histMin, h.counts[histMin])
+	}
+	if got := h.Quantile(1); got != 500 {
+		t.Fatalf("Quantile(1) = %d, want 500", got)
 	}
 }
 
 func TestDelayHistCapStillAccumulates(t *testing.T) {
-	q := &FIFO{}
+	q, h := histQueue()
 	q.Push(0, 2)
 	q.Serve(histCap+100, 2) // beyond the cap: lands in the last bucket
-	if len(q.delayHist) != histCap {
-		t.Fatalf("histogram len %d, want cap %d", len(q.delayHist), histCap)
+	if len(h.counts) != histCap {
+		t.Fatalf("histogram len %d, want cap %d", len(h.counts), histCap)
 	}
-	if got := q.DelayQuantile(0.5); got != histCap-1 {
+	if got := h.Quantile(0.5); got != histCap-1 {
 		t.Fatalf("capped quantile = %d, want %d", got, histCap-1)
 	}
 	if q.MaxDelay() != histCap+100 {
@@ -340,34 +331,34 @@ func TestDelayHistCapStillAccumulates(t *testing.T) {
 	}
 }
 
-// BenchmarkServeTypicalDelays is the before/after benchmark for the
-// geometric histogram: delays stay within a 2*D_O-style bound, so only
-// the first histMin buckets are ever touched. Before this change every
-// first recordServed allocated all histCap buckets (32 KiB).
+// BenchmarkServeTypicalDelays: delays stay within a 2*D_O-style bound,
+// so only the first histMin buckets of the attached histogram are ever
+// touched.
 func BenchmarkServeTypicalDelays(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := &FIFO{}
+		q, _ := histQueue()
 		for t := bw.Tick(0); t < 64; t++ {
 			q.Push(t, 16)
 			q.Serve(t, 12)
 		}
-		q.DrainAll(64)
+		q.Serve(64, bw.Rate(q.Bits()))
 	}
 }
 
 // BenchmarkReuse measures the steady state of a Reset-reused queue:
 // zero allocations per run once chunk and histogram storage are warm.
 func BenchmarkReuse(b *testing.B) {
-	q := &FIFO{}
+	q, h := histQueue()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Reset()
+		h.Reset()
 		for t := bw.Tick(0); t < 64; t++ {
 			q.Push(t, 16)
 			q.Serve(t, 12)
 		}
-		q.DrainAll(64)
+		q.Serve(64, bw.Rate(q.Bits()))
 	}
 }

@@ -5,19 +5,8 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
-	"dynbw/internal/queue"
 	"dynbw/internal/trace"
 )
-
-// Resetter is implemented by allocators that can return to their
-// just-constructed state while keeping internal storage (the session
-// policies in internal/core all do). A Runner does not reset allocators
-// itself — constructing or resetting the policy stays the caller's
-// decision — but sweep drivers use this interface to reuse one policy
-// across runs.
-type Resetter interface {
-	Reset()
-}
 
 // Runner runs single-session simulations while amortizing the per-run
 // allocations across calls: the FIFO chunk storage, the delay histogram,
@@ -30,9 +19,8 @@ type Resetter interface {
 // need the schedule beyond that must copy it. The zero value is ready to
 // use; a Runner must not be used from multiple goroutines at once.
 type Runner struct {
-	q     queue.FIFO
-	sched bw.Schedule
-	res   Result
+	s   Session
+	res Result
 }
 
 // NewRunner returns an empty Runner. The zero value works too; the
@@ -43,8 +31,7 @@ func NewRunner() *Runner { return &Runner{} }
 // it implicitly; it is exported so a Runner holding a large schedule can
 // be scrubbed between unrelated experiments.
 func (r *Runner) Reset() {
-	r.q.Reset()
-	r.sched.Reset()
+	r.s.Reset()
 	r.res = Result{}
 }
 
@@ -64,61 +51,50 @@ func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, e
 	t := bw.Tick(0)
 	for ; t < limit; t++ {
 		arrived := tr.At(t)
-		if t >= n && r.q.Empty() {
+		if t >= n && r.s.Queued() == 0 {
 			break
 		}
 		if opts.QueueCap > 0 {
-			if room := opts.QueueCap - r.q.Bits(); arrived > room {
+			if room := opts.QueueCap - r.s.Queued(); arrived > room {
 				dropped += arrived - room
 				arrived = room
 			}
 		}
-		r.q.Push(t, arrived)
-		if r.q.Bits() > peakQueue {
-			peakQueue = r.q.Bits()
+		if q := r.s.Queued() + arrived; q > peakQueue {
+			peakQueue = q
 		}
-		rate := alloc.Rate(t, arrived, r.q.Bits())
-		if rate < 0 {
-			// bwlint:allocok cold: allocator contract violation aborts the run
-			return nil, fmt.Errorf("sim: allocator returned negative rate %d at tick %d", rate, t)
+		if _, err := r.s.Step(t, arrived, alloc); err != nil {
+			return nil, err
 		}
-		r.sched.Set(t, rate)
-		r.q.Serve(t, rate)
 	}
-	if !r.q.Empty() {
+	if left := r.s.Queued(); left > 0 {
 		// bwlint:allocok cold: drain failure aborts the run
-		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, r.q.Bits(), limit)
+		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, left, limit)
 	}
-	delay := metrics.DelayStats{
-		Max:    r.q.MaxDelay(),
-		P50:    r.q.DelayQuantile(0.50),
-		P99:    r.q.DelayQuantile(0.99),
-		Served: r.q.Served(),
-	}
+	delay := r.s.Delay()
 	r.res = Result{
-		Schedule:  &r.sched,
+		Schedule:  r.s.Schedule(),
 		Delay:     delay,
-		Report:    metrics.BuildReport(tr, &r.sched, delay),
+		Report:    metrics.BuildReport(tr, r.s.Schedule(), delay),
 		Dropped:   dropped,
 		PeakQueue: peakQueue,
 	}
 	return &r.res, nil
 }
 
-// MultiRunner is the k-session counterpart of Runner: the per-session
-// queues, schedules, scratch slices, and the aggregate schedule are all
-// reused across Run calls. The session count may change between runs;
-// storage grows to the largest k seen.
+// MultiRunner is the k-session counterpart of Runner: the slots, the
+// per-session schedules, scratch slices, and the aggregate schedule are
+// all reused across Run calls. The session count may change between
+// runs; storage grows to the largest k seen.
 //
 // The returned MultiResult and every schedule it references are owned by
 // the MultiRunner and valid only until the next Run. The zero value is
 // ready to use; not safe for concurrent use.
 type MultiRunner struct {
-	queues     []queue.FIFO
+	slots      Slots // grown to the largest k seen
 	schedStore []bw.Schedule
 	scheds     []*bw.Schedule
-	arrived    []bw.Bits
-	queued     []bw.Bits
+	pending    []bw.Bits
 	delays     []bw.Tick
 	total      bw.Schedule
 	res        MultiResult
@@ -128,69 +104,57 @@ type MultiRunner struct {
 func NewMultiRunner() *MultiRunner { return &MultiRunner{} }
 
 // size readies the per-session storage for k sessions, growing if needed
-// and resetting whatever is reused.
-func (r *MultiRunner) size(k int) {
+// and resetting whatever is reused, and returns the k slots to run on.
+func (r *MultiRunner) size(k int) Slots {
 	if cap(r.schedStore) < k {
-		r.queues = make([]queue.FIFO, k)      // bwlint:allocok once per k growth, reused across runs
+		r.slots = NewSlots(k)
 		r.schedStore = make([]bw.Schedule, k) // bwlint:allocok once per k growth, reused across runs
 		r.scheds = make([]*bw.Schedule, k)    // bwlint:allocok once per k growth, reused across runs
-		r.arrived = make([]bw.Bits, k)        // bwlint:allocok once per k growth, reused across runs
-		r.queued = make([]bw.Bits, k)         // bwlint:allocok once per k growth, reused across runs
+		r.pending = make([]bw.Bits, k)        // bwlint:allocok once per k growth, reused across runs
 		r.delays = make([]bw.Tick, k)         // bwlint:allocok once per k growth, reused across runs
 	}
-	r.queues = r.queues[:k]
+	slots := r.slots.Slice(0, k)
+	slots.Reset()
 	r.schedStore = r.schedStore[:k]
 	r.scheds = r.scheds[:k]
-	r.arrived = r.arrived[:k]
-	r.queued = r.queued[:k]
+	r.pending = r.pending[:k]
 	r.delays = r.delays[:k]
 	for i := 0; i < k; i++ {
-		r.queues[i].Reset()
 		r.schedStore[i].Reset()
 		r.scheds[i] = &r.schedStore[i]
 	}
 	r.total.Reset()
+	return slots
 }
 
 // Run simulates the allocator on k parallel sessions, exactly like the
-// package function RunMulti but reusing the MultiRunner's storage.
+// package function RunMulti but reusing the MultiRunner's storage. Each
+// tick is one Slots.Step — the round the live gateway runs — with the
+// per-session schedules recorded from the rates it returns.
 //
 // bwlint:hotpath
 func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*MultiResult, error) {
 	k := m.K()
 	n := m.Len()
 	limit := n + opts.drainBudget(n)
-	r.size(k)
+	slots := r.size(k)
 
-	t := bw.Tick(0)
-	for ; t < limit; t++ {
-		var pending bw.Bits
-		for i := 0; i < k; i++ {
-			r.arrived[i] = m.Session(i).At(t)
-			r.queues[i].Push(t, r.arrived[i])
-			r.queued[i] = r.queues[i].Bits()
-			pending += r.queued[i]
-		}
-		if t >= n && pending == 0 {
+	var left bw.Bits // queued across all sessions after the last step
+	for t := bw.Tick(0); t < limit; t++ {
+		if t >= n && left == 0 {
 			break
 		}
-		rates := alloc.Rates(t, r.arrived, r.queued)
-		if len(rates) != k {
-			// bwlint:allocok cold: allocator contract violation aborts the run
-			return nil, fmt.Errorf("sim: allocator returned %d rates, want %d", len(rates), k)
+		for i := 0; i < k; i++ {
+			r.pending[i] = m.Session(i).At(t)
 		}
-		for i, rate := range rates {
-			if rate < 0 {
-				// bwlint:allocok cold: allocator contract violation aborts the run
-				return nil, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rate, t)
-			}
+		round, err := slots.Step(t, alloc, r.pending)
+		if err != nil {
+			return nil, err
+		}
+		for i, rate := range round.Rates {
 			r.scheds[i].Set(t, rate)
-			r.queues[i].Serve(t, rate)
 		}
-	}
-	var left bw.Bits
-	for i := range r.queues {
-		left += r.queues[i].Bits()
+		left += round.Arrived - round.Served
 	}
 	if left > 0 {
 		// bwlint:allocok cold: drain failure aborts the run
@@ -201,12 +165,13 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 		maxDelay bw.Tick
 		served   bw.Bits
 	)
-	for i := range r.queues {
-		r.delays[i] = r.queues[i].MaxDelay()
+	for i := 0; i < k; i++ {
+		q := slots.Queue(i)
+		r.delays[i] = q.MaxDelay()
 		if r.delays[i] > maxDelay {
 			maxDelay = r.delays[i]
 		}
-		served += r.queues[i].Served()
+		served += q.Served()
 	}
 	bw.SumInto(&r.total, r.scheds...)
 	agg := m.Aggregate()
