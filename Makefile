@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-compare bench-all fuzz load experiments examples cover clean
+.PHONY: all build test lint race bench bench-all dynbench fuzz load experiments examples cover clean
 
 all: build lint test
 
@@ -21,19 +21,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the root benchmark suite at a fixed benchtime and record parsed
-# ns/op, B/op, allocs/op and rows/op in BENCH_<PR>.json for regression
-# tracking across PRs. BENCH_PR picks the artifact suffix; -short keeps
-# the wall-clock TCP soak out of the tracked numbers.
-BENCH_PR ?= 10
+# Run the root benchmark suite at a fixed benchtime and write the parsed
+# ns/op, B/op, allocs/op and rows/op to bench.json (not committed; two
+# such files from one box compare with bwbench -compare). -short keeps the
+# wall-clock TCP soak out of the numbers. Performance claims rest on the
+# repository benchmark (benchmarks/README.md), not on this suite.
 bench:
-	$(GO) run ./cmd/bwbench -benchjson BENCH_$(BENCH_PR).json -benchtime 200ms -short
+	$(GO) run ./cmd/bwbench -benchjson bench.json -benchtime 200ms -short
 
-# Diff the current PR's artifact against the previous one; exits
-# non-zero on >10% ns/op or any allocs/op regression (see
-# bwbench -compare for cross-machine tolerance flags).
-bench-compare:
-	$(GO) run ./cmd/bwbench -compare BENCH_8.json BENCH_$(BENCH_PR).json
+# One short untraced pass of the repository benchmark's sparse 100k-slot
+# workload. It is a correctness run, not a measurement: the pass fails
+# unless every bit sent was served, nothing is left queued, Close() agrees
+# with the per-session sweep, and MaxDelay <= 2*D_O.
+dynbench:
+	$(GO) run ./benchmarks/dynbench -workload sparse-100k -seconds 2 -trace 0
 
 # The old behaviour (every package's benchmarks, no artifact).
 bench-all:

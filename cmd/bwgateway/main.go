@@ -297,8 +297,9 @@ func run(args []string, out, errw io.Writer) error {
 }
 
 // printProfile renders the gateway's latency profile for the shutdown
-// summary: per-stage wire-path p50/p99, whole-exchange p50/p99, and the
-// per-shard allocation-tick p99s.
+// summary: per-stage wire-path p50/p99, whole-exchange p50/p99, the
+// per-shard allocation-tick p99s, and how many slots the last round had
+// work for.
 func printProfile(out io.Writer, p gateway.Profile) {
 	if p.Exchange.Count() > 0 {
 		fmt.Fprintf(out, "exchange p50/p99: %v / %v (%d messages)\n",
@@ -318,6 +319,9 @@ func printProfile(out io.Writer, p gateway.Profile) {
 		}
 		fmt.Fprintf(out, "shard %d tick p50/p99: %v / %v (%d rounds)\n",
 			i, time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)), h.Count())
+	}
+	if p.TickRound.Count() > 0 {
+		fmt.Fprintf(out, "active slots in the last round: %d\n", p.ActiveSlots)
 	}
 }
 

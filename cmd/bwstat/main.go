@@ -273,14 +273,16 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 		rate("dynbw_gateway_arrived_bits_total"),
 		rate("dynbw_gateway_served_bits_total"),
 		scanRate(prev, cur, window, "dynbw_gateway_allocation_changes_total"))
-	fmt.Fprintf(w, "sessions    %d open  %d conns\n",
-		cur.scalars["dynbw_gateway_active_sessions"], cur.scalars["dynbw_gateway_active_conns"])
+	fmt.Fprintf(w, "sessions    %d open  %d with work in the last round  %d conns\n",
+		cur.scalars["dynbw_gateway_active_sessions"], cur.scalars["dynbw_gateway_active_slots"],
+		cur.scalars["dynbw_gateway_active_conns"])
 	fmt.Fprintf(w, "ticks/s     %.0f  overruns +%d  imbalance %d permille\n",
 		rate("dynbw_gateway_ticks_total"),
 		cur.scalars["dynbw_gateway_tick_overruns_total"]-prev.scalars["dynbw_gateway_tick_overruns_total"],
 		cur.scalars["dynbw_gateway_tick_imbalance_permille"])
-	fmt.Fprintf(w, "anomalies   openfails +%d  events dropped +%d  spans %d (+%d dropped)\n",
+	fmt.Fprintf(w, "anomalies   openfails +%d  policed bits +%d  events dropped +%d  spans %d (+%d dropped)\n",
 		cur.scalars["dynbw_gateway_open_fails_total"]-prev.scalars["dynbw_gateway_open_fails_total"],
+		cur.scalars["dynbw_gateway_policed_bits_total"]-prev.scalars["dynbw_gateway_policed_bits_total"],
 		cur.scalars["dynbw_events_dropped_total"]-prev.scalars["dynbw_events_dropped_total"],
 		cur.scalars["dynbw_spans_total"],
 		cur.scalars["dynbw_spans_dropped_total"]-prev.scalars["dynbw_spans_dropped_total"])

@@ -37,6 +37,7 @@ dynbw_gateway_shard_tick_ns_count{shard="0"} 1000
 const promB = `dynbw_gateway_messages_total{type="data"} 1100
 dynbw_gateway_messages_total{type="open"} 10
 dynbw_gateway_active_sessions 12
+dynbw_gateway_active_slots 3
 dynbw_gateway_ticks_total 1200
 dynbw_gateway_arrived_bits_total 6000
 dynbw_gateway_allocation_changes_total{policy="phased"} 60
@@ -140,12 +141,12 @@ func TestDashboard(t *testing.T) {
 	dashboard(&sb, "test:1", 2*time.Second, a, b)
 	out := sb.String()
 	for _, want := range []string{
-		"messages/s  50  data 50",   // 100 DATA over 2s
-		"bits/s      arrived 500",   // 1000 bits over 2s
-		"alloc changes/s 10",        // 20 over 2s, via the policy label scan
-		"sessions    12 open",       // gauge from the second scrape
-		"ticks/s     100",           // 200 over 2s
-		"read",                      // stage percentile line present
+		"messages/s  50  data 50",                            // 100 DATA over 2s
+		"bits/s      arrived 500",                            // 1000 bits over 2s
+		"alloc changes/s 10",                                 // 20 over 2s, via the policy label scan
+		"sessions    12 open  3 with work in the last round", // gauges from the second scrape
+		"ticks/s     100",                                    // 200 over 2s
+		"read",                                               // stage percentile line present
 		"shard tick p99 over window",
 		"shard 0",
 	} {

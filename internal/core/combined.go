@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
 	"dynbw/internal/obs"
 	"dynbw/internal/sim"
@@ -87,25 +88,24 @@ type Combined struct {
 
 	// Inner multi-session state (B_O = bon), shared by both variants.
 	localResetTick bw.Tick
-	bir            []bw.Rate
-	bio            []bw.Rate
-	qr             []bw.Bits
-	qo             []bw.Bits
+	ch             channels
 
 	// Global overflow channel: per-session flushed queues and the
-	// temporary rates draining them.
-	gq     []bw.Bits
-	gqRate []bw.Rate
-
-	// reductions holds the continuous inner algorithm's pending REDUCE
-	// operations per session: tick -> overflow rate to withdraw.
-	reductions []map[bw.Tick]bw.Rate
+	// temporary rates draining them. draining holds the sessions with
+	// gq > 0, the only ones the channel has work for.
+	gq       []bw.Bits
+	gqRate   []bw.Rate
+	draining bitset.Set
+	drainers []int32 // draining, listed for one pass
 
 	o     obs.Observer
 	stats CombinedStats
 }
 
-var _ sim.MultiAllocator = (*Combined)(nil)
+var (
+	_ sim.MultiAllocator  = (*Combined)(nil)
+	_ sim.SparseAllocator = (*Combined)(nil)
+)
 
 // NewCombined returns the combined algorithm configured by p.
 func NewCombined(p CombinedParams) (*Combined, error) {
@@ -113,17 +113,13 @@ func NewCombined(p CombinedParams) (*Combined, error) {
 		return nil, fmt.Errorf("combined: %w", err)
 	}
 	c := &Combined{
-		p:          p,
-		bir:        make([]bw.Rate, p.K),
-		bio:        make([]bw.Rate, p.K),
-		qr:         make([]bw.Bits, p.K),
-		qo:         make([]bw.Bits, p.K),
-		gq:         make([]bw.Bits, p.K),
-		gqRate:     make([]bw.Rate, p.K),
-		reductions: make([]map[bw.Tick]bw.Rate, p.K),
-	}
-	for i := range c.reductions {
-		c.reductions[i] = make(map[bw.Tick]bw.Rate)
+		p:        p,
+		ch:       newChannels(p.K, p.DO),
+		gq:       make([]bw.Bits, p.K),
+		gqRate:   make([]bw.Rate, p.K),
+		draining: bitset.New(p.K),
+		glow:     NewLowTracker(p.DO),
+		ghigh:    NewHighTracker(p.W, p.UO, p.BA),
 	}
 	c.startGlobalStage(0)
 	return c, nil
@@ -164,8 +160,8 @@ func MustNewCombined(p CombinedParams) *Combined {
 func (c *Combined) SetObserver(o obs.Observer) { c.o = o }
 
 func (c *Combined) startGlobalStage(t bw.Tick) {
-	c.glow = NewLowTracker(c.p.DO)
-	c.ghigh = NewHighTracker(c.p.W, c.p.UO, c.p.BA)
+	c.glow.Reset()
+	c.ghigh.Reset()
 	c.bon = 0
 	c.stats.GlobalStages++
 	// The event is emitted here, on the same path as the allocation
@@ -179,12 +175,9 @@ func (c *Combined) startGlobalStage(t bw.Tick) {
 }
 
 func (c *Combined) startLocalStage(t bw.Tick) {
-	share := c.share()
-	for i := range c.bir {
-		c.bir[i] = share
-		if !c.continuousInner {
-			c.bio[i] = 0
-		}
+	c.ch.setShares(c.share())
+	if !c.continuousInner {
+		clear(c.ch.bio)
 	}
 	c.localResetTick = t
 	c.stats.LocalStages++
@@ -199,20 +192,31 @@ func (c *Combined) share() bw.Rate {
 	return bw.CeilDiv(c.bon, int64(c.p.K))
 }
 
-// Rates implements sim.MultiAllocator.
+// Rates implements sim.MultiAllocator: the dense entry to RatesActive.
+// The returned slice is the policy's own and valid until the next call.
 func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	k := c.p.K
-	do := c.p.DO
+	active, arr, q := c.ch.in.Collect(arrived, queued)
+	rates, _ := c.RatesActive(t, active, arr, q)
+	return rates
+}
+
+// RatesActive implements sim.SparseAllocator. The global overflow channel
+// drains over the sessions it holds, the inner algorithm runs over its
+// live sessions; a global reset, a grown estimate and the end of a local
+// stage walk all k.
+//
+// bwlint:hotpath
+func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+	ch := &c.ch
 
 	// Drain the global overflow channel.
-	for i := 0; i < k; i++ {
-		if c.gq[i] == 0 {
-			c.gqRate[i] = 0
-			continue
-		}
+	c.drainers = c.draining.AppendTo(c.drainers[:0], 0, c.p.K)
+	for _, i := range c.drainers {
 		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
 			c.gqRate[i] = 0
+			ch.touch(i)
+			c.draining.Remove(int(i))
 		}
 	}
 
@@ -227,11 +231,12 @@ func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 		// GLOBAL RESET: flush every session queue to the global overflow
 		// channel (drained within DO) and start a fresh global stage
 		// immediately.
-		for i := 0; i < k; i++ {
-			c.gq[i] += c.qr[i] + c.qo[i]
-			c.qr[i], c.qo[i] = 0, 0
+		for i := range c.gq {
+			c.gq[i] += ch.qr[i] + ch.qo[i]
+			ch.qr[i], ch.qo[i] = 0, 0
 			if c.gq[i] > 0 {
-				c.gqRate[i] = bw.RateOver(c.gq[i], do)
+				c.gqRate[i] = bw.RateOver(c.gq[i], c.p.DO)
+				c.draining.Add(i)
 			}
 		}
 		c.stats.GlobalResets++
@@ -255,144 +260,51 @@ func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	}
 
 	if c.continuousInner {
-		c.innerContinuous(t, arrived)
+		c.innerContinuous(t, active, arrived)
 	} else {
 		c.innerPhased(t)
+		ch.arrive(active, arrived)
 	}
-
-	out := make([]bw.Rate, k)
-	for i := 0; i < k; i++ {
-		if !c.continuousInner {
-			c.qr[i] += arrived[i]
-		}
-		out[i] = c.bir[i] + c.bio[i] + c.gqRate[i]
-	}
-	// Advance the virtual queues.
-	for i := 0; i < k; i++ {
-		c.qo[i] -= bw.Min(c.qo[i], c.bio[i])
-		c.qr[i] -= bw.Min(c.qr[i], c.bir[i])
-	}
-	return out
+	ch.advance()
+	return ch.finish(c.gqRate)
 }
 
 // innerPhased is the Figure 4 inner algorithm with B_O = bon.
 func (c *Combined) innerPhased(t bw.Tick) {
-	k := c.p.K
-	do := c.p.DO
-	if c.bon > 0 && t > c.localResetTick && (t-c.localResetTick)%do == 0 {
-		var totalRegular bw.Rate
-		for i := 0; i < k; i++ {
-			old := c.bir[i] + c.bio[i]
-			if c.qr[i] <= bw.Volume(c.bir[i], do) {
-				c.bio[i] = 0
-				if c.o != nil && old > c.bir[i] {
-					c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,
-						OldRate: old, NewRate: c.bir[i], Rule: "phase-drain"})
-				}
-			} else {
-				hadOverflow := c.bio[i] > 0
-				c.bir[i] += c.share()
-				c.qo[i] += c.qr[i]
-				c.qr[i] = 0
-				c.bio[i] = bw.RateOver(c.qo[i], do)
-				if c.o != nil {
-					c.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-						OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "phase-raise"})
-					if !hadOverflow && c.bio[i] > 0 {
-						c.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-							NewRate: c.bio[i], Rule: "phase-spill"})
-					}
-				}
-			}
-			totalRegular += c.bir[i]
-		}
-		if totalRegular > 2*c.bon {
-			for i := 0; i < k; i++ {
-				c.qo[i] += c.qr[i]
-				c.qr[i] = 0
-				c.bio[i] = bw.RateOver(c.qo[i], do)
-			}
-			c.startLocalStage(t)
-			if c.o != nil {
-				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-					Rule: "local-reset"})
-			}
+	ch := &c.ch
+	if c.bon == 0 || t <= c.localResetTick || (t-c.localResetTick)%c.p.DO != 0 {
+		return
+	}
+	ch.phase(t, c.share(), c.o)
+	if ch.sumBir > 2*c.bon {
+		ch.flush()
+		c.startLocalStage(t)
+		if c.o != nil {
+			c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
+				Rule: "local-reset"})
 		}
 	}
 }
 
 // innerContinuous is the Figure 5 inner algorithm with B_O = bon: spill a
 // session's regular queue on demand and withdraw the overflow grant D_O
-// ticks later.
-func (c *Combined) innerContinuous(t bw.Tick, arrived []bw.Bits) {
-	k := c.p.K
-	do := c.p.DO
-	for i := 0; i < k; i++ {
-		if amt, ok := c.reductions[i][t]; ok {
-			old := c.bir[i] + c.bio[i]
-			c.bio[i] -= amt
-			if c.bio[i] < 0 {
-				c.bio[i] = 0
-			}
-			delete(c.reductions[i], t)
-			if c.o != nil {
-				c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,
-					OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "reduce"})
-			}
-		}
-	}
-	grew := false
-	for i := 0; i < k; i++ {
-		c.qr[i] += arrived[i]
-		if arrived[i] == 0 || c.bon == 0 {
-			continue
-		}
-		if c.qr[i] > bw.Volume(c.bir[i], do) {
-			old := c.bir[i] + c.bio[i]
-			hadOverflow := c.bio[i] > 0
-			c.bir[i] += c.share()
-			c.spillContinuous(i, t)
-			grew = true
-			if c.o != nil {
-				c.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-					OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "test-spill"})
-				if !hadOverflow && c.bio[i] > 0 {
-					c.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-						NewRate: c.bio[i], Rule: "test-spill"})
-				}
-			}
-		}
-	}
-	if grew {
-		var totalRegular bw.Rate
-		for i := 0; i < k; i++ {
-			totalRegular += c.bir[i]
-		}
-		if totalRegular > 2*c.bon {
-			for i := 0; i < k; i++ {
-				c.spillContinuous(i, t)
-			}
-			c.startLocalStage(t)
-			if c.o != nil {
-				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-					Rule: "local-reset"})
-			}
-		}
-	}
-}
-
-// spillContinuous moves session i's regular queue to the overflow channel
-// with a temporary grant withdrawn D_O ticks later.
-func (c *Combined) spillContinuous(i int, t bw.Tick) {
-	q := c.qr[i]
-	if q == 0 {
+// ticks later. Until there is an estimate to share out, arrivals only
+// queue.
+func (c *Combined) innerContinuous(t bw.Tick, active []int32, arrived []bw.Bits) {
+	ch := &c.ch
+	ch.withdraw(t, c.o)
+	if c.bon == 0 {
+		ch.arrive(active, arrived)
 		return
 	}
-	c.qo[i] += q
-	c.qr[i] = 0
-	grant := bw.RateOver(q, c.p.DO)
-	c.bio[i] += grant
-	c.reductions[i][t+c.p.DO] += grant
+	if ch.test(t, c.share(), active, arrived, c.o) && ch.sumBir > 2*c.bon {
+		ch.spillAll(t)
+		c.startLocalStage(t)
+		if c.o != nil {
+			c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
+				Rule: "local-reset"})
+		}
+	}
 }
 
 // Stats returns the structural counters accumulated so far.

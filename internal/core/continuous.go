@@ -23,41 +23,24 @@ import (
 // B_A = 5*B_O and D_A = 2*D_O. Virtual queue accounting follows the same
 // FIFO "renaming" convention as Phased.
 type Continuous struct {
-	p MultiParams
-
-	bir   []bw.Rate
-	bio   []bw.Rate
-	qr    []bw.Bits
-	qo    []bw.Bits
-	rates []bw.Rate
-
-	// reductions[i] holds pending REDUCE operations for session i as
-	// (tick, amount) pairs: at `tick`, bio[i] -= amount.
-	reductions []map[bw.Tick]bw.Rate
+	p  MultiParams
+	ch channels
 
 	o     obs.Observer
 	stats MultiStats
 }
 
-var _ sim.MultiAllocator = (*Continuous)(nil)
+var (
+	_ sim.MultiAllocator  = (*Continuous)(nil)
+	_ sim.SparseAllocator = (*Continuous)(nil)
+)
 
 // NewContinuous returns the continuous algorithm configured by p.
 func NewContinuous(p MultiParams) (*Continuous, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("continuous: %w", err)
 	}
-	a := &Continuous{
-		p:          p,
-		bir:        make([]bw.Rate, p.K),
-		bio:        make([]bw.Rate, p.K),
-		qr:         make([]bw.Bits, p.K),
-		qo:         make([]bw.Bits, p.K),
-		rates:      make([]bw.Rate, p.K),
-		reductions: make([]map[bw.Tick]bw.Rate, p.K),
-	}
-	for i := range a.reductions {
-		a.reductions[i] = make(map[bw.Tick]bw.Rate)
-	}
+	a := &Continuous{p: p, ch: newChannels(p.K, p.DO)}
 	a.reset()
 	return a, nil
 }
@@ -76,100 +59,41 @@ func MustNewContinuous(p MultiParams) *Continuous {
 func (a *Continuous) SetObserver(o obs.Observer) { a.o = o }
 
 func (a *Continuous) reset() {
-	share := a.p.Share()
-	for i := range a.bir {
-		a.bir[i] = share
-	}
+	a.ch.setShares(a.p.Share())
 	a.stats.Stages++
 }
 
-// spill moves session i's regular queue to the overflow channel and
-// grants a temporary overflow allocation that is withdrawn DO ticks later.
-func (a *Continuous) spill(i int, t bw.Tick) {
-	q := a.qr[i]
-	if q == 0 {
-		return
-	}
-	a.qo[i] += q
-	a.qr[i] = 0
-	grant := bw.RateOver(q, a.p.DO)
-	a.bio[i] += grant
-	a.reductions[i][t+a.p.DO] += grant
+// Rates implements sim.MultiAllocator: the dense entry to RatesActive.
+// The returned slice is the policy's own and valid until the next call.
+func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
+	active, arr, q := a.ch.in.Collect(arrived, queued)
+	rates, _ := a.RatesActive(t, active, arr, q)
+	return rates
 }
 
-// Rates implements sim.MultiAllocator.
-func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	k := a.p.K
-	do := a.p.DO
+// RatesActive implements sim.SparseAllocator. REDUCEs come off the wheel,
+// TEST runs on the sessions with arrivals, the queue accounting on the
+// live ones; only the end of a stage walks all k sessions.
+//
+// bwlint:hotpath
+func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+	c := &a.ch
 
-	// Apply matured REDUCE operations first.
-	for i := 0; i < k; i++ {
-		if amt, ok := a.reductions[i][t]; ok {
-			old := a.bir[i] + a.bio[i]
-			a.bio[i] -= amt
-			if a.bio[i] < 0 {
-				a.bio[i] = 0
-			}
-			delete(a.reductions[i], t)
-			if a.o != nil {
-				a.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,
-					OldRate: old, NewRate: a.bir[i] + a.bio[i], Rule: "reduce"})
-			}
-		}
-	}
-
-	// TEST(i) on every arrival batch.
-	grew := false
-	for i := 0; i < k; i++ {
-		if arrived[i] == 0 {
-			continue
-		}
-		a.qr[i] += arrived[i]
-		if a.qr[i] > bw.Volume(a.bir[i], do) {
-			old := a.bir[i] + a.bio[i]
-			hadOverflow := a.bio[i] > 0
-			a.bir[i] += a.p.Share()
-			a.spill(i, t)
-			grew = true
-			if a.o != nil {
-				a.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-					OldRate: old, NewRate: a.bir[i] + a.bio[i], Rule: "test-spill"})
-				if !hadOverflow && a.bio[i] > 0 {
-					a.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-						NewRate: a.bio[i], Rule: "test-spill"})
-				}
-			}
-		}
-	}
-	if grew {
-		var totalRegular bw.Rate
-		for i := 0; i < k; i++ {
-			totalRegular += a.bir[i]
-		}
-		if totalRegular > 2*a.p.BO {
-			for i := 0; i < k; i++ {
-				a.spill(i, t)
-			}
-			a.stats.Resets++
-			a.reset()
-			if a.o != nil {
-				a.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-					Rule: "stage-reset"})
-			}
+	// Apply matured REDUCE operations first, then TEST(i) on every
+	// arrival batch.
+	c.withdraw(t, a.o)
+	if c.test(t, a.p.Share(), active, arrived, a.o) && c.sumBir > 2*a.p.BO {
+		c.spillAll(t)
+		a.stats.Resets++
+		a.reset()
+		if a.o != nil {
+			a.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
+				Rule: "stage-reset"})
 		}
 	}
 
-	for i := 0; i < k; i++ {
-		a.rates[i] = a.bir[i] + a.bio[i]
-	}
-	// Advance the virtual queues: each channel serves its own queue.
-	for i := 0; i < k; i++ {
-		a.qo[i] -= bw.Min(a.qo[i], a.bio[i])
-		a.qr[i] -= bw.Min(a.qr[i], a.bir[i])
-	}
-	out := make([]bw.Rate, k)
-	copy(out, a.rates)
-	return out
+	c.advance()
+	return c.finish(nil)
 }
 
 // Stats returns the structural counters accumulated so far.

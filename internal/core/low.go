@@ -59,7 +59,7 @@ func (lt *LowTracker) Observe(arrived bw.Bits) bw.Rate {
 	// The previous cumulative point becomes a usable window start.
 	lt.pushHull(int32(len(lt.cum) - 1))
 	m := bw.Tick(len(lt.cum))
-	lt.cum = append(lt.cum, lt.cum[m-1]+arrived)
+	lt.cum = append(lt.cum, lt.cum[m-1]+arrived) // bwlint:allocok amortized: one point per tick of the stage, storage kept across Reset
 
 	// Query: maximize (C(m) - C(j)) / (m + d - j) over hull points j.
 	qx := m + lt.d
@@ -92,7 +92,7 @@ func (lt *LowTracker) pushHull(j int32) {
 		}
 		break
 	}
-	lt.hull = append(lt.hull, j)
+	lt.hull = append(lt.hull, j) // bwlint:allocok amortized with cum
 }
 
 type hullPoint struct {

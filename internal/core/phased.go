@@ -32,11 +32,7 @@ type Phased struct {
 	p MultiParams
 
 	resetTick bw.Tick // tick of the most recent RESET
-	bir       []bw.Rate
-	bio       []bw.Rate
-	qr        []bw.Bits // virtual regular queues
-	qo        []bw.Bits // virtual overflow queues
-	rates     []bw.Rate
+	ch        channels
 
 	o     obs.Observer
 	stats MultiStats
@@ -55,21 +51,17 @@ type MultiStats struct {
 	OverflowViolations int
 }
 
-var _ sim.MultiAllocator = (*Phased)(nil)
+var (
+	_ sim.MultiAllocator  = (*Phased)(nil)
+	_ sim.SparseAllocator = (*Phased)(nil)
+)
 
 // NewPhased returns the phased algorithm configured by p.
 func NewPhased(p MultiParams) (*Phased, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("phased: %w", err)
 	}
-	a := &Phased{
-		p:     p,
-		bir:   make([]bw.Rate, p.K),
-		bio:   make([]bw.Rate, p.K),
-		qr:    make([]bw.Bits, p.K),
-		qo:    make([]bw.Bits, p.K),
-		rates: make([]bw.Rate, p.K),
-	}
+	a := &Phased{p: p, ch: newChannels(p.K, p.DO)}
 	a.reset(0)
 	return a, nil
 }
@@ -91,61 +83,35 @@ func (a *Phased) SetObserver(o obs.Observer) { a.o = o }
 // reset starts a new stage at tick t: every session gets the base regular
 // share and phases restart.
 func (a *Phased) reset(t bw.Tick) {
-	share := a.p.Share()
-	for i := range a.bir {
-		a.bir[i] = share
-	}
+	a.ch.setShares(a.p.Share())
 	a.resetTick = t
 	a.stats.Stages++
 }
 
-// Rates implements sim.MultiAllocator.
+// Rates implements sim.MultiAllocator: the dense entry to RatesActive.
+// The returned slice is the policy's own and valid until the next call.
 func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	k := a.p.K
-	do := a.p.DO
+	active, arr, q := a.ch.in.Collect(arrived, queued)
+	rates, _ := a.RatesActive(t, active, arr, q)
+	return rates
+}
+
+// RatesActive implements sim.SparseAllocator. Only a RESET walks all k
+// sessions; a phase boundary and the per-tick queue accounting walk the
+// live ones.
+//
+// bwlint:hotpath
+func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+	c := &a.ch
 
 	// PHASE boundary: every DO ticks starting DO after the RESET, decided
 	// on the queue state at the end of the previous phase (before this
 	// tick's arrivals).
-	if t > a.resetTick && (t-a.resetTick)%do == 0 {
-		var totalRegular bw.Rate
-		for i := 0; i < k; i++ {
-			old := a.bir[i] + a.bio[i]
-			if a.qr[i] <= bw.Volume(a.bir[i], do) {
-				// The regular channel can drain this queue in one phase;
-				// the analysis (Claim 8) says the overflow queue is empty.
-				if a.qo[i] > 0 {
-					a.stats.OverflowViolations++
-				}
-				a.bio[i] = 0
-				if a.o != nil && old > a.bir[i] {
-					a.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,
-						OldRate: old, NewRate: a.bir[i], Rule: "phase-drain"})
-				}
-			} else {
-				hadOverflow := a.bio[i] > 0
-				a.bir[i] += a.p.Share()
-				a.qo[i] += a.qr[i]
-				a.qr[i] = 0
-				a.bio[i] = bw.RateOver(a.qo[i], do)
-				if a.o != nil {
-					a.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-						OldRate: old, NewRate: a.bir[i] + a.bio[i], Rule: "phase-raise"})
-					if !hadOverflow && a.bio[i] > 0 {
-						a.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-							NewRate: a.bio[i], Rule: "phase-spill"})
-					}
-				}
-			}
-			totalRegular += a.bir[i]
-		}
-		if totalRegular > 2*a.p.BO {
+	if t > a.resetTick && (t-a.resetTick)%a.p.DO == 0 {
+		a.stats.OverflowViolations += c.phase(t, a.p.Share(), a.o)
+		if c.sumBir > 2*a.p.BO {
 			// Stage ends: flush every regular queue to overflow and RESET.
-			for i := 0; i < k; i++ {
-				a.qo[i] += a.qr[i]
-				a.qr[i] = 0
-				a.bio[i] = bw.RateOver(a.qo[i], do)
-			}
+			c.flush()
 			a.stats.Resets++
 			a.reset(t)
 			if a.o != nil {
@@ -155,18 +121,9 @@ func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 		}
 	}
 
-	for i := 0; i < k; i++ {
-		a.qr[i] += arrived[i]
-		a.rates[i] = a.bir[i] + a.bio[i]
-	}
-	// Advance the virtual queues: each channel serves its own queue.
-	for i := 0; i < k; i++ {
-		a.qo[i] -= bw.Min(a.qo[i], a.bio[i])
-		a.qr[i] -= bw.Min(a.qr[i], a.bir[i])
-	}
-	out := make([]bw.Rate, k)
-	copy(out, a.rates)
-	return out
+	c.arrive(active, arrived)
+	c.advance()
+	return c.finish(nil)
 }
 
 // Stats returns the structural counters accumulated so far.

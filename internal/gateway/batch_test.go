@@ -172,7 +172,7 @@ func TestSendBatchChunksAboveMaxBatch(t *testing.T) {
 	_ = st
 	sh := g.shards[0]
 	sh.mu.Lock()
-	pending := sh.pending[sh.slot(int(id))]
+	pending := sh.slots.Pending(sh.slot(int(id)))
 	sh.mu.Unlock()
 	if pending != bw.Bits(len(items)) {
 		t.Errorf("pending = %d, want %d", pending, len(items))
@@ -237,7 +237,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 			t.Fatal("OPEN inside batch did not register session 0")
 		}
 		sh := g.shards[0]
-		if got := sh.pending[0]; got != 128 {
+		if got := sh.slots.Pending(0); got != 128 {
 			t.Errorf("pending[0] = %d, want 128 (two batched DATA)", got)
 		}
 		if w.Len() != 5 || w.Bytes()[0] != typeOpened {
@@ -261,7 +261,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if sh.inUse != 0 {
 			t.Errorf("inUse = %d after CLOSE", sh.inUse)
 		}
-		if got := sh.pending[0]; got != 64 {
+		if got := sh.slots.Pending(0); got != 64 {
 			t.Errorf("pending[0] = %d, want 64 applied before release", got)
 		}
 	})
@@ -283,8 +283,8 @@ func TestBatchWireEdgeCases(t *testing.T) {
 				t.Errorf("recycled connState carries %d pending adds for shard %d", len(grp), i)
 			}
 		}
-		if g.shards[0].pending[0] != 0 {
-			t.Errorf("aborted batch leaked pending = %d", g.shards[0].pending[0])
+		if got := g.shards[0].slots.Pending(0); got != 0 {
+			t.Errorf("aborted batch leaked pending = %d", got)
 		}
 	})
 }
@@ -329,7 +329,7 @@ func TestBatchTraceEnvelope(t *testing.T) {
 	}
 	sh := g.shards[0]
 	sh.mu.Lock()
-	pending := sh.pending[sh.slot(int(id))]
+	pending := sh.slots.Pending(sh.slot(int(id)))
 	sh.mu.Unlock()
 	if pending != 6 {
 		t.Errorf("pending = %d, want 6", pending)
@@ -357,7 +357,7 @@ func TestHandleBatchDataZeroAlloc(t *testing.T) {
 	measure := func(g *Gateway) float64 {
 		cs := g.getConnState(0, 0)
 		cs.owned[0] = struct{}{}
-		g.shards[0].used[0] = true
+		g.shards[0].used.Add(0)
 		g.shards[0].inUse = 1
 		r := bytes.NewReader(nil)
 		return testing.AllocsPerRun(512, func() {

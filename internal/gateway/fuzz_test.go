@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"dynbw/internal/bw"
+	"dynbw/internal/core"
+	"dynbw/internal/sim"
 )
 
 // fuzzSeed assembles a request message for the corpus: the type byte, a
@@ -56,10 +60,17 @@ func FuzzHandleMessage(f *testing.F) {
 	f.Add(batchFrame(2, fuzzSeed(typeOpen), append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...)))
 	f.Add(append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, batchFrame(0)...))
 	f.Add(batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeClose, 0)))
+	// Two volumes whose sum overflows an int64, unbatched and batched:
+	// the arrivals a slot holds must saturate, or the round that enqueues
+	// them panics.
+	huge := fuzzSeed(typeData, 0, 1<<62)
+	f.Add(append(fuzzSeed(typeOpen), append(huge, huge...)...))
+	f.Add(batchFrame(3, fuzzSeed(typeOpen), huge, huge))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const k = 4
 		g := newBare(k)
+		g.shards[0].serve(core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 2}))
 		cs := &connState{owned: make(map[int]struct{})}
 		r := bytes.NewReader(in)
 		for {
@@ -73,11 +84,9 @@ func FuzzHandleMessage(f *testing.F) {
 			}
 		}
 		sh := g.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
 		inUse := 0
-		for _, u := range sh.used {
-			if u {
+		for i := 0; i < k; i++ {
+			if sh.used.Has(i) {
 				inUse++
 			}
 		}
@@ -90,16 +99,28 @@ func FuzzHandleMessage(f *testing.F) {
 			t.Fatalf("shard inUse = %d, counted %d", sh.inUse, inUse)
 		}
 		for id := range cs.owned {
-			if !sh.used[id] {
+			if !sh.used.Has(id) {
 				t.Fatalf("owned session %d not marked used", id)
 			}
 		}
 		// DATA must never have landed on a slot the stream did not own:
 		// every pending entry outside the owned set must be zero.
-		for i, p := range sh.pending {
+		for i := 0; i < k; i++ {
 			_, owned := cs.owned[i]
-			if p < 0 || (!owned && p != 0) {
+			if p := sh.slots.Pending(i); p < 0 || (!owned && p != 0) {
 				t.Fatalf("pending[%d] = %d, owned = %v", i, p, owned)
+			}
+		}
+		// Whatever the stream left pending must survive allocation rounds:
+		// the tick goroutine has no recover, so a panic there is an outage.
+		// They move every pending bit into its queue, and no slot ends up
+		// holding more than the cap.
+		for tick := bw.Tick(0); tick < 3; tick++ {
+			g.round(tick)
+		}
+		for i := 0; i < k; i++ {
+			if p, q := sh.slots.Pending(i), sh.slots.Queue(i).Bits(); p != 0 || q < 0 || q > sim.MaxBacklog {
+				t.Fatalf("slot %d: %d bits pending, %d queued after the rounds", i, p, q)
 			}
 		}
 	})

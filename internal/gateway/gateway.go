@@ -2,17 +2,21 @@
 // service: an IP provider accepting client sessions over TCP, queueing
 // their traffic, and dividing a shared bandwidth pool among them with one
 // of the Section 3/4 algorithms, tick by tick. Each tick it runs the
-// step kernel the simulator runs (sim.Slots.Step: drain arrivals into
-// the queues, ask the allocator for rates, validate them, serve, count
-// changes), so the round that serves clients is the round Theorems 14/17
-// are verified on, and it reports the simulator's accounting —
-// per-session served bits, delays and allocation changes — for a system
-// that is actually serving clients.
+// step kernel the simulator runs (sim.Slots.Step: over the slots with
+// pending or queued bits, drain arrivals into the queues, ask the
+// allocator for rates, validate them, serve, count changes), so the
+// round that serves clients is the round Theorems 14/17 are verified on,
+// and it reports the simulator's accounting — per-session served bits,
+// delays and allocation changes — for a system that is actually serving
+// clients. A round costs what the sessions with work cost, not what the
+// table holds.
 //
 // A slot holds what a service reads and nothing that grows with uptime:
 // its FIFO queue (chunks in flight, served and max-delay counters, no
-// delay histogram), the last rate applied and a change counter — plus
-// the gateway's own pending-arrivals cell and occupancy bit. The full
+// delay histogram), the arrivals pending for the next round (capped at
+// sim.MaxBacklog, as the queue is: a client cannot declare its way past
+// an int64), the last rate applied and a change counter — plus a bit in
+// the kernel's active set and the gateway's occupancy bit. The full
 // allocation history (bw.Schedule) is analysis state and lives only in
 // the simulator; the peak total bandwidth is a running maximum folded
 // once per round.
@@ -362,14 +366,13 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	switch {
 	case nshards > 1:
 		for i, sh := range g.shards {
-			sh.allocs = []sim.MultiAllocator{cfg.ShardAllocs[i]}
+			sh.serve(cfg.ShardAllocs[i])
 		}
-	case links > 1:
-		sh := g.shards[0]
-		sh.lm = g.lm
-		sh.allocs = append([]sim.MultiAllocator(nil), cfg.LinkAllocs...)
+	case g.router != nil:
+		g.shards[0].serve(cfg.LinkAllocs...)
+		g.shards[0].routed()
 	default:
-		g.shards[0].allocs = []sim.MultiAllocator{cfg.Alloc}
+		g.shards[0].serve(cfg.Alloc)
 	}
 	g.ticks = cfg.Ticks
 	g.idleTimeout = cfg.IdleTimeout

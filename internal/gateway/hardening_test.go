@@ -13,6 +13,9 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
+	"dynbw/internal/obs"
+	"dynbw/internal/rng"
+	"dynbw/internal/sim"
 )
 
 func startGatewayWithConfig(t *testing.T, k int, idle time.Duration) (*Gateway, *manualTicks) {
@@ -410,5 +413,147 @@ func TestActiveClientOutlivesIdleTimeout(t *testing.T) {
 			t.Fatalf("active client dropped: %v", err)
 		}
 		time.Sleep(idle / 6)
+	}
+}
+
+// TestOverflowingDataNoPanic: two DATA messages whose declared volumes
+// sum past an int64 used to overflow the slot's pending cell; the next
+// round pushed a negative volume into the queue and the panic, in the
+// tick goroutine, took the process and every session down. A slot's
+// backlog now saturates at sim.MaxBacklog, the excess is dropped and
+// counted, rounds keep running, and the slot's neighbour is served in
+// full. A panic here would kill the test binary, which is the regression
+// signal; the assertions check the policing on top.
+func TestOverflowingDataNoPanic(t *testing.T) {
+	const huge = bw.Bits(1) << 62
+	for _, batched := range []bool{false, true} {
+		name := "unbatched"
+		if batched {
+			name = "batched"
+		}
+		t.Run(name, func(t *testing.T) {
+			ticks := newManualTicks()
+			reg := obs.NewRegistry()
+			g, err := NewWithConfig(Config{
+				Addr:    "127.0.0.1:0",
+				Slots:   2,
+				Alloc:   core.MustNewPhased(core.MultiParams{K: 2, BO: 32, DO: 4}),
+				Ticks:   ticks.ch,
+				Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+
+			hostile, err := DialMux(g.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hostile.Close()
+			id, err := hostile.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim, err := DialSession(g.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer victim.Close()
+
+			if batched {
+				err = hostile.SendBatch([]BatchItem{{Session: id, Bits: huge}, {Session: id, Bits: huge}})
+			} else if err = hostile.Send(id, huge); err == nil {
+				err = hostile.Send(id, huge)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := hostile.Stats(id); err != nil { // barrier: both DATA applied
+				t.Fatal(err)
+			}
+			if got, want := reg.Snapshot()["dynbw_gateway_policed_bits_total"], int64(huge+(huge-sim.MaxBacklog)); got != want {
+				t.Errorf("policed %d bits, want %d", got, want)
+			}
+			if err := victim.Send(100); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := victim.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			// Keep topping the full slot up while rounds run: the slower
+			// way to the same overflow, through the queue's own counter.
+			for i := 0; i < 24; i++ {
+				ticks.tick()
+				if err := hostile.Send(id, huge); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ticks.tick() // barrier: the previous round is complete
+
+			st, err := victim.Stats()
+			if err != nil {
+				t.Fatalf("gateway stopped answering: %v", err)
+			}
+			if st.Served != 100 || st.Queued != 0 {
+				t.Errorf("neighbour served %d queued %d, want 100/0", st.Served, st.Queued)
+			}
+			hs, err := hostile.Stats(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hs.Queued < 0 || hs.Queued > sim.MaxBacklog || hs.Served <= 0 {
+				t.Errorf("hostile session: served %d queued %d (cap %d)", hs.Served, hs.Queued, sim.MaxBacklog)
+			}
+		})
+	}
+}
+
+// TestOpenIsFirstFit: OPEN hands out the lowest free slot, as a scan from
+// slot 0 would, while starting its scan at the shard's free-slot hint —
+// through a ramp, scattered releases, and refills.
+func TestOpenIsFirstFit(t *testing.T) {
+	const k = 300
+	g := newBare(k)
+	sh := g.shards[0]
+	open := make(map[int]bool)
+	lowestFree := func() int {
+		for i := 0; i < k; i++ {
+			if !open[i] {
+				return i
+			}
+		}
+		return -1
+	}
+	mustOpen := func() {
+		t.Helper()
+		want := lowestFree()
+		id, ok := sh.open()
+		if !ok || id != want {
+			t.Fatalf("open() = %d, %v; first fit is %d", id, ok, want)
+		}
+		open[id] = true
+	}
+	for i := 0; i < k; i++ {
+		mustOpen()
+	}
+	if _, ok := sh.open(); ok {
+		t.Fatal("open on a full table succeeded")
+	}
+	src := rng.New(5)
+	for round := 0; round < 50; round++ {
+		for n := 1 + src.Intn(40); n > 0; n-- {
+			id := src.Intn(k)
+			if open[id] {
+				sh.release(id)
+				delete(open, id)
+			}
+		}
+		for n := src.Intn(40); n > 0 && len(open) < k; n-- {
+			mustOpen()
+		}
+		if sh.inUse != len(open) {
+			t.Fatalf("inUse = %d, %d sessions open", sh.inUse, len(open))
+		}
 	}
 }

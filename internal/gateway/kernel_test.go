@@ -3,10 +3,13 @@ package gateway
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
+	"dynbw/internal/rng"
+	"dynbw/internal/route"
 	"dynbw/internal/sim"
 	"dynbw/internal/trace"
 	"dynbw/internal/traffic"
@@ -52,6 +55,18 @@ func (p *partitioned) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	return p.rates
 }
 
+// feed hands slot i of a bare gateway the bits that arrived for it, as a
+// DATA message would.
+func feed(g *Gateway, id int, bits bw.Bits) {
+	if bits == 0 {
+		return
+	}
+	sh := g.shardOf(id)
+	sh.mu.Lock()
+	sh.slots.Add(sh.slot(id), bits)
+	sh.mu.Unlock()
+}
+
 // TestGatewayMatchesSimulator is the differential test the shared kernel
 // makes cheap: one seeded multi-session trace goes tick by tick into a
 // bare gateway's slot table and, whole, into sim.RunMulti with an
@@ -59,84 +74,215 @@ func (p *partitioned) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // read and every total Close() reports must equal the simulator's —
 // unsharded, and with the table split over four shards (each session's
 // trace is clamped to its own share, so every partition is balanced).
+//
+// Two traces: on/off sources on every session of a small table, and a
+// table of 400 where each D_O cycle a rotating 1 % of the sessions
+// bursts and the rest idle — the regime the active set exists for, in
+// which a slot the round skipped must come out exactly as if visited.
 func TestGatewayMatchesSimulator(t *testing.T) {
 	const (
-		k     = 16
 		share = bw.Rate(16)
 		do    = bw.Tick(4)
-		n     = bw.Tick(300)
 	)
-	sessions := make([]*trace.Trace, k)
-	for i := range sessions {
-		src := traffic.OnOff{Seed: uint64(100 + i), PeakRate: 3 * share, MeanOn: 3, MeanOff: 9}
-		sessions[i] = traffic.ClampTrace(src.Generate(n), share, do)
-	}
-	m := trace.MustNewMulti(sessions)
-
-	for _, policy := range []string{"phased", "continuous", "combined"} {
-		for _, nshards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, nshards), func(t *testing.T) {
-				per := k / nshards
-				build := func() []sim.MultiAllocator {
-					allocs := make([]sim.MultiAllocator, nshards)
-					for i := range allocs {
-						allocs[i] = newPolicy(t, policy, per, bw.Rate(per)*share, do)
-					}
-					return allocs
-				}
-				res, err := sim.RunMulti(m, &partitioned{parts: build()}, sim.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				g := newGateway(k, nshards)
-				for i, a := range build() {
-					g.shards[i].allocs = []sim.MultiAllocator{a}
-				}
-				// Exactly as many rounds as the simulator ran: it stops at
-				// the first tick past the trace that finds every queue empty.
-				for tick := bw.Tick(0); tick < res.Total.Len(); tick++ {
-					for i := 0; i < k; i++ {
-						sh := g.shardOf(i)
-						sh.mu.Lock()
-						sh.pending[sh.slot(i)] += m.Session(i).At(tick)
-						sh.mu.Unlock()
-					}
-					g.round(tick)
-					g.now.Add(1)
-				}
-
-				for _, s := range g.Sessions() {
-					i := s.Slot
-					if want := m.Session(i).Total(); s.Served != want || s.Queued != 0 {
-						t.Errorf("session %d: served %d queued %d, want %d/0", i, s.Served, s.Queued, want)
-					}
-					if want := res.Sessions[i].Changes(); s.Changes != want {
-						t.Errorf("session %d: %d changes, simulator %d", i, s.Changes, want)
-					}
-					if want := res.SessionDelays[i]; s.MaxDelay != want {
-						t.Errorf("session %d: max delay %d, simulator %d", i, s.MaxDelay, want)
-					}
-					if want := res.Sessions[i].At(res.Total.Len() - 1); s.Rate != want {
-						t.Errorf("session %d: last rate %d, simulator %d", i, s.Rate, want)
-					}
-				}
-				st := g.stats()
-				want := Stats{
-					Ticks:          res.Total.Len(),
-					Served:         res.Delay.Served,
-					SessionChanges: res.SessionChanges(),
-					MaxTotalRate:   res.MaxTotalRate(),
-					MaxDelay:       res.Delay.Max,
-				}
-				if st != want {
-					t.Errorf("gateway stats %+v\nsimulator     %+v", st, want)
-				}
-				if st.SessionChanges == 0 || st.MaxDelay == 0 {
-					t.Errorf("degenerate run, nothing compared: %+v", st)
-				}
-			})
+	onOff := func() *trace.Multi {
+		sessions := make([]*trace.Trace, 16)
+		for i := range sessions {
+			src := traffic.OnOff{Seed: uint64(100 + i), PeakRate: 3 * share, MeanOn: 3, MeanOff: 9}
+			sessions[i] = traffic.ClampTrace(src.Generate(300), share, do)
 		}
+		return trace.MustNewMulti(sessions)
+	}
+	rotating := func() *trace.Multi {
+		const k, cycles = 400, 250
+		src := rng.New(9)
+		arrivals := make([][]bw.Bits, k)
+		for i := range arrivals {
+			arrivals[i] = make([]bw.Bits, cycles*do)
+		}
+		for c := 0; c < cycles; c++ {
+			for i := c % 100; i < k; i += 100 {
+				// Up to three phases' worth of the share: some bursts a
+				// share drains in time, some force a raise.
+				arrivals[i][bw.Tick(c)*do] = 1 + src.Int64n(3*bw.Volume(share, do))
+			}
+		}
+		sessions := make([]*trace.Trace, k)
+		for i := range sessions {
+			sessions[i] = trace.MustNew(arrivals[i])
+		}
+		return trace.MustNewMulti(sessions)
+	}
+
+	for _, tc := range []struct {
+		suffix string
+		m      *trace.Multi
+	}{{"", onOff()}, {"-rotating-1pct", rotating()}} {
+		m, k := tc.m, tc.m.K()
+		for _, policy := range []string{"phased", "continuous", "combined"} {
+			for _, nshards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s%s/shards=%d", policy, tc.suffix, nshards), func(t *testing.T) {
+					per := k / nshards
+					build := func() []sim.MultiAllocator {
+						allocs := make([]sim.MultiAllocator, nshards)
+						for i := range allocs {
+							allocs[i] = newPolicy(t, policy, per, bw.Rate(per)*share, do)
+						}
+						return allocs
+					}
+					res, err := sim.RunMulti(m, &partitioned{parts: build()}, sim.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					g := newGateway(k, nshards)
+					for i, a := range build() {
+						g.shards[i].serve(a)
+					}
+					// Exactly as many rounds as the simulator ran: it stops at
+					// the first tick past the trace that finds every queue empty.
+					for tick := bw.Tick(0); tick < res.Total.Len(); tick++ {
+						for i := 0; i < k; i++ {
+							feed(g, i, m.Session(i).At(tick))
+						}
+						g.round(tick)
+						g.now.Add(1)
+					}
+
+					for _, s := range g.Sessions() {
+						i := s.Slot
+						if want := m.Session(i).Total(); s.Served != want || s.Queued != 0 {
+							t.Errorf("session %d: served %d queued %d, want %d/0", i, s.Served, s.Queued, want)
+						}
+						if want := res.Sessions[i].Changes(); s.Changes != want {
+							t.Errorf("session %d: %d changes, simulator %d", i, s.Changes, want)
+						}
+						if want := res.SessionDelays[i]; s.MaxDelay != want {
+							t.Errorf("session %d: max delay %d, simulator %d", i, s.MaxDelay, want)
+						}
+						if want := res.Sessions[i].At(res.Total.Len() - 1); s.Rate != want {
+							t.Errorf("session %d: last rate %d, simulator %d", i, s.Rate, want)
+						}
+					}
+					st := g.stats()
+					want := Stats{
+						Ticks:          res.Total.Len(),
+						Served:         res.Delay.Served,
+						SessionChanges: res.SessionChanges(),
+						MaxTotalRate:   res.MaxTotalRate(),
+						MaxDelay:       res.Delay.Max,
+					}
+					if st != want {
+						t.Errorf("gateway stats %+v\nsimulator     %+v", st, want)
+					}
+					if st.SessionChanges == 0 || st.MaxDelay == 0 {
+						t.Errorf("degenerate run, nothing compared: %+v", st)
+					}
+				})
+			}
+		}
+	}
+}
+
+// denseOnly hides a policy's sparse form, so the gateway runs it through
+// sim.Sparse's diffing adapter as it would a foreign allocator.
+type denseOnly struct{ sim.MultiAllocator }
+
+// TestRebalancedGatewayConservesSessions drives a two-link gateway whose
+// rebalance pass migrates backlogged sessions between links while a
+// seeded trace runs. The simulator has no image of a migration, so the
+// reference is twofold: conservation — every session, under its stable
+// wire ID, is served exactly what it sent — and the same run with each
+// policy behind the dense adapter, which must agree on every number. A
+// Move that lost a session's pending bits or its place in the active set
+// would strand bits in a slot no round visits.
+func TestRebalancedGatewayConservesSessions(t *testing.T) {
+	const (
+		links = 2
+		m     = 100 // slots per link: link 1 starts inside a word of the active set
+		share = bw.Rate(16)
+		do    = bw.Tick(4)
+		n     = bw.Tick(400)
+	)
+	run := func(wrap func(sim.MultiAllocator) sim.MultiAllocator) (Stats, []SessionInfo, []bw.Bits, int) {
+		router := route.NewGreedy(route.Uniform(links, m))
+		g := newGateway(links*m, 1)
+		g.router, g.links, g.lm = router, links, m
+		g.rebalEvery, g.rebalLimit = 8, 4
+		allocs := make([]sim.MultiAllocator, links)
+		for l := range allocs {
+			allocs[l] = wrap(newPolicy(t, "phased", m, bw.Rate(m)*share, do))
+		}
+		g.shards[0].serve(allocs...)
+		g.shards[0].routed()
+
+		// Greedy alternates links; closing every session that landed on
+		// link 1 but a few leaves link 0 full and link 1 nearly empty, so
+		// every rebalance pass has moves to make.
+		var ids []int
+		for i := 0; i < links*m; i++ {
+			if _, err := g.openSession(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := 0; id < links*m; id++ {
+			if router.Where(id) == 1 && id > 10 {
+				g.releaseSession(id)
+				continue
+			}
+			ids = append(ids, id)
+		}
+		sent := make([]bw.Bits, links*m)
+		src := rng.New(3)
+		for tick := bw.Tick(0); tick < n+8*do; tick++ {
+			if tick < n {
+				for _, id := range ids {
+					if id > 10 && router.Where(id) == 1 {
+						// Migrated: nothing more arrives, so only the
+						// active bit Move carried gets its backlog served.
+						continue
+					}
+					if src.Intn(3) == 0 {
+						bits := 1 + src.Int64n(2*bw.Volume(share, do))
+						feed(g, id, bits)
+						sent[id] += bits
+					}
+				}
+			}
+			g.round(tick)
+			g.now.Add(1)
+		}
+		moved := 0
+		for _, id := range ids {
+			if router.Where(id) == 1 && id > 10 {
+				moved++
+			}
+		}
+		return g.stats(), g.Sessions(), sent, moved
+	}
+
+	st, sessions, sent, moved := run(func(a sim.MultiAllocator) sim.MultiAllocator { return a })
+	if moved < 20 {
+		t.Fatalf("only %d sessions migrated; the run does not exercise Move", moved)
+	}
+	var total bw.Bits
+	for _, s := range sessions {
+		if !s.Open {
+			continue
+		}
+		if s.Served != sent[s.Ext] || s.Queued != 0 {
+			t.Errorf("session %d (slot %d): served %d queued %d, sent %d", s.Ext, s.Slot, s.Served, s.Queued, sent[s.Ext])
+		}
+		total += s.Served
+	}
+	if st.Served != total || st.Queued != 0 || st.SessionChanges == 0 {
+		t.Errorf("stats %+v, open sessions were served %d", st, total)
+	}
+	dst, dsessions, _, _ := run(func(a sim.MultiAllocator) sim.MultiAllocator { return denseOnly{a} })
+	if dst != st {
+		t.Errorf("behind the dense adapter: stats %+v\nsparse form:              %+v", dst, st)
+	}
+	if !slices.Equal(dsessions, sessions) {
+		t.Error("behind the dense adapter the per-slot snapshot differs")
 	}
 }
 
@@ -160,11 +306,11 @@ func TestTickBoundedLiveState(t *testing.T) {
 	const k = 64
 	g := newGateway(k, 1)
 	sh := g.shards[0]
-	sh.allocs = []sim.MultiAllocator{&flipAlloc{rates: make([]bw.Rate, k)}}
+	sh.serve(&flipAlloc{rates: make([]bw.Rate, k)})
 	tick := bw.Tick(0)
 	round := func() {
-		for i := range sh.pending {
-			sh.pending[i]++
+		for i := 0; i < k; i++ {
+			sh.slots.Add(i, 1)
 		}
 		sh.tick(tick)
 		tick++

@@ -29,7 +29,14 @@ type gwMetrics struct {
 	arrivedBits  *obs.Striped
 	servedBits   *obs.Striped
 	allocChanges *obs.Striped
-	exchange     *obs.StripedHistogram
+	// policedBits counts arrivals dropped because a slot's pending cell
+	// (handlers, on their connection stripe) or queue (the round, on its
+	// shard stripe) stood at sim.MaxBacklog.
+	policedBits *obs.Striped
+	// activeSlots is the number of slots the last round visited, one
+	// level per shard: the k that actually has work.
+	activeSlots *obs.StripedGauge
+	exchange    *obs.StripedHistogram
 	// stages times the wire-path pipeline for every message, by stage
 	// (read/dispatch/apply/write), striped per shard.
 	stages [numStages]*obs.StripedHistogram
@@ -104,6 +111,14 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	reg.CounterFunc("dynbw_gateway_allocation_changes_total",
 		"Per-session bandwidth allocation changes — the paper's cost measure, live.",
 		m.allocChanges.Value, obs.L("policy", policy))
+	m.policedBits = obs.NewStriped(m.connStripes)
+	reg.CounterFunc("dynbw_gateway_policed_bits_total",
+		"Arrived bits dropped because the session's backlog stood at the per-slot cap.",
+		m.policedBits.Value)
+	m.activeSlots = obs.NewStripedGauge(stripes)
+	reg.GaugeFunc("dynbw_gateway_active_slots",
+		"Slots the last allocation round visited: those with arrivals or queued bits.",
+		m.activeSlots.Value)
 	m.exchange = obs.NewStripedHistogram(m.connStripes)
 	reg.HistogramFunc("dynbw_gateway_exchange_latency_ns",
 		"Per-message handling latency (first byte read to reply written), nanoseconds.",

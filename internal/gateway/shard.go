@@ -5,58 +5,122 @@ import (
 	"net"
 	"sync"
 
-	"dynbw/internal/bw"
+	"dynbw/internal/bitset"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
 // shard owns a contiguous range of the gateway's slot table behind its
 // own mutex: the per-slot state of the step kernel (sim.Slots: queue,
-// last rate, change count), the allocator(s) serving that range, and the
-// set of connections striped onto it. A single-shard gateway is exactly
-// the classic design; sharding only splits the lock and the allocator's
-// input, never the wire protocol or the accounting.
+// pending arrivals, last rate, change count, and the set of slots with
+// work), the allocator(s) serving that range, and the set of connections
+// striped onto it. A single-shard gateway is exactly the classic design;
+// sharding only splits the lock and the allocator's input, never the
+// wire protocol or the accounting.
 type shard struct {
 	g    *Gateway
 	idx  int // shard index (metrics stripe, ring stripe)
 	base int // first global slot owned by this shard
 	n    int // slots owned
 	lm   int // slots per link within the shard (n unless multi-link)
-	// allocs holds one allocator per link; sharded and classic
-	// single-link gateways have exactly one.
-	allocs []sim.MultiAllocator
+	// allocs holds one allocator per link, in the form the kernel steps;
+	// sharded and classic single-link gateways have exactly one.
+	allocs []sim.SparseAllocator
 
-	mu      sync.Mutex
-	pending []bw.Bits             // guarded by shard.mu; arrivals accumulated since the last tick
-	used    []bool                // guarded by shard.mu; slot taken by an open session
-	slots   sim.Slots             // guarded by shard.mu; what the kernel keeps per slot
+	mu    sync.Mutex
+	slots sim.Slots   // guarded by shard.mu; what the kernel keeps per slot
+	links []sim.Slots // guarded by shard.mu; each link's view of slots, stepped by its allocator
+	used  bitset.Set  // guarded by shard.mu; slots taken by an open session
+	// free[l] is a slot of link l below which every slot of the link is
+	// taken: the first-fit scan starts there instead of at the link's
+	// first slot, and a release below it lowers it.
+	free    []int                 // guarded by shard.mu
 	inUse   int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
 	conns   map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
 	nextExt int                   // guarded by shard.mu; next external session ID (multi-link)
-	extSlot map[int]int           // guarded by shard.mu; external ID -> slot (multi-link)
-	slotExt []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link)
+	extSlot map[int]int           // guarded by shard.mu; external ID -> slot (multi-link only)
+	slotExt []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link only)
 }
 
 // newShard builds the slot state for n slots starting at global index
-// base. The allocators are filled in by the caller (mode-dependent).
+// base, as one link. The allocators are filled in by the caller
+// (mode-dependent), through serve.
 func newShard(g *Gateway, idx, base, n int) *shard {
 	sh := &shard{
-		g:       g,
-		idx:     idx,
-		base:    base,
-		n:       n,
-		lm:      n,
-		pending: make([]bw.Bits, n),
-		used:    make([]bool, n),
-		slots:   sim.NewSlots(n),
-		conns:   make(map[net.Conn]struct{}),
-		extSlot: make(map[int]int),
-		slotExt: make([]int, n),
+		g:     g,
+		idx:   idx,
+		base:  base,
+		n:     n,
+		slots: sim.NewSlots(n),
+		used:  bitset.New(n),
+		conns: make(map[net.Conn]struct{}),
 	}
+	sh.split(1)
+	return sh
+}
+
+// split divides the shard's slots evenly into links. Callers must hold
+// sh.mu, or not have shared the shard yet.
+func (sh *shard) split(links int) {
+	sh.lm = sh.n / links
+	sh.links = make([]sim.Slots, links)
+	sh.free = make([]int, links)
+	for l := range sh.links {
+		sh.links[l] = sh.slots.Slice(l*sh.lm, (l+1)*sh.lm)
+		sh.free[l] = l * sh.lm
+	}
+}
+
+// serve splits the shard's slots evenly over the given allocators, one
+// link each. A policy that is not a sim.SparseAllocator is wrapped here,
+// once, so that the round has a single form to run.
+func (sh *shard) serve(allocs ...sim.MultiAllocator) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(allocs) != len(sh.links) {
+		sh.split(len(allocs))
+	}
+	sh.allocs = make([]sim.SparseAllocator, len(allocs))
+	for l, a := range allocs {
+		sh.allocs[l] = sim.Sparse(a, sh.lm)
+	}
+}
+
+// routed readies the shard for multi-link mode, where wire session IDs
+// are minted per OPEN and mapped to slots.
+func (sh *shard) routed() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.extSlot = make(map[int]int)
+	sh.slotExt = make([]int, sh.n)
 	for i := range sh.slotExt {
 		sh.slotExt[i] = -1
 	}
-	return sh
+}
+
+// claim takes the lowest free slot of link l — exactly the slot a scan
+// from the link's first slot would find — or returns -1 when the link is
+// full. Callers must hold sh.mu.
+func (sh *shard) claim(l int) int {
+	end := (l + 1) * sh.lm
+	slot := sh.used.NextClear(sh.free[l], end)
+	if slot < 0 {
+		sh.free[l] = end
+		return -1
+	}
+	sh.used.Add(slot)
+	sh.free[l] = slot + 1
+	sh.inUse++
+	return slot
+}
+
+// unclaim frees a slot. Callers must hold sh.mu.
+func (sh *shard) unclaim(slot int) {
+	sh.used.Remove(slot)
+	sh.inUse--
+	if l := slot / sh.lm; slot < sh.free[l] {
+		sh.free[l] = slot
+	}
 }
 
 // open claims a free slot first-fit and returns the wire session ID
@@ -67,14 +131,11 @@ func (sh *shard) open() (int, bool) {
 	if sh.inUse == sh.n {
 		return 0, false
 	}
-	for i := 0; i < sh.n; i++ {
-		if !sh.used[i] {
-			sh.used[i] = true
-			sh.inUse++
-			return sh.base + i, true
-		}
+	slot := sh.claim(0)
+	if slot < 0 {
+		return 0, false
 	}
-	return 0, false
+	return sh.base + slot, true
 }
 
 // openRouted claims a slot in multi-link mode: ask the router for a
@@ -88,13 +149,7 @@ func (sh *shard) openRouted() (int, error) {
 	if l == route.Blocked {
 		return 0, ErrSessionLimit
 	}
-	slot := -1
-	for s := int(l) * sh.lm; s < (int(l)+1)*sh.lm; s++ {
-		if !sh.used[s] {
-			slot = s
-			break
-		}
-	}
+	slot := sh.claim(int(l))
 	if slot < 0 {
 		// Router and gateway occupancy are updated in lockstep under mu,
 		// so an admitted link always has a free slot; recover anyway.
@@ -102,8 +157,6 @@ func (sh *shard) openRouted() (int, error) {
 		return 0, ErrSessionLimit
 	}
 	sh.nextExt++
-	sh.used[slot] = true
-	sh.inUse++
 	sh.slotExt[slot] = ext
 	sh.extSlot[ext] = slot // bwlint:allocok OPEN only, bounded by the slot limit
 	return ext, nil
@@ -114,15 +167,13 @@ func (sh *shard) release(id int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.g.router == nil {
-		if i := id - sh.base; sh.used[i] {
-			sh.used[i] = false
-			sh.inUse--
+		if i := id - sh.base; sh.used.Has(i) {
+			sh.unclaim(i)
 		}
 		return
 	}
 	if slot, ok := sh.extSlot[id]; ok {
-		sh.used[slot] = false
-		sh.inUse--
+		sh.unclaim(slot)
 		sh.slotExt[slot] = -1
 		delete(sh.extSlot, id)
 		sh.g.router.Release(id)
@@ -146,10 +197,11 @@ func (sh *shard) openCount() int64 {
 }
 
 // rebalance asks the router for load-evening moves and migrates each
-// moved session's slot state — queue, change count, pending bits,
-// occupancy — to a free slot on the destination link. The external
-// session ID is stable across the move, so clients notice nothing.
-// Callers must hold sh.mu (the tick worker does).
+// moved session's slot state — queue, pending bits, change count, its
+// place in the kernel's active set, occupancy — to the lowest free slot
+// on the destination link. The external session ID is stable across the
+// move, so clients notice nothing. Callers must hold sh.mu (the tick
+// worker does).
 func (sh *shard) rebalance() {
 	rb, ok := sh.g.router.(route.Rebalancer)
 	if !ok {
@@ -160,13 +212,7 @@ func (sh *shard) rebalance() {
 		if !ok {
 			continue
 		}
-		dst := -1
-		for s := int(mv.To) * sh.lm; s < (int(mv.To)+1)*sh.lm; s++ {
-			if !sh.used[s] {
-				dst = s
-				break
-			}
-		}
+		dst := sh.claim(int(mv.To))
 		if dst < 0 {
 			// The router admitted the move, so its slot accounting says
 			// there is room; a full link here means the two views diverged.
@@ -175,9 +221,7 @@ func (sh *shard) rebalance() {
 			continue
 		}
 		sh.slots.Move(dst, src)
-		sh.pending[dst] = sh.pending[src]
-		sh.pending[src] = 0
-		sh.used[src], sh.used[dst] = false, true
+		sh.unclaim(src)
 		sh.slotExt[src], sh.slotExt[dst] = -1, mv.Session
 		sh.extSlot[mv.Session] = dst // bwlint:allocok key already present, no table growth
 	}

@@ -116,7 +116,7 @@ func (g *Gateway) Sessions() []SessionInfo {
 			ext := slot
 			if g.router != nil {
 				ext = sh.slotExt[i]
-			} else if !sh.used[i] {
+			} else if !sh.used.Has(i) {
 				ext = -1
 			}
 			q := sh.slots.Queue(i)
@@ -124,7 +124,7 @@ func (g *Gateway) Sessions() []SessionInfo {
 				Slot:     slot,
 				Shard:    sh.idx,
 				Link:     slot / g.lm,
-				Open:     sh.used[i],
+				Open:     sh.used.Has(i),
 				Ext:      ext,
 				Rate:     sh.slots.Rate(i),
 				Queued:   q.Bits(),

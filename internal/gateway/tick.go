@@ -128,6 +128,8 @@ func (g *Gateway) shardRound(sh *shard, t bw.Tick) {
 	g.m.arrivedBits.Add(sh.idx, int64(r.Arrived))
 	g.m.servedBits.Add(sh.idx, int64(r.Served))
 	g.m.allocChanges.Add(sh.idx, int64(r.Changes))
+	g.m.policedBits.Add(sh.idx, int64(r.Policed))
+	g.m.activeSlots.Set(sh.idx, int64(r.Active))
 	d := int64(time.Since(start))
 	g.m.tickShard.Observe(sh.idx, d)
 	g.roundDur[sh.idx] = d
@@ -137,7 +139,9 @@ func (g *Gateway) shardRound(sh *shard, t bw.Tick) {
 // tick runs one allocation round over this shard's slots: one kernel
 // step (sim.Slots.Step — the round the simulator verifies the theorems
 // on) per link, each link's allocator seeing only its own slot range,
-// summed into one Round. In multi-link mode (one shard, several links)
+// summed into one Round. The step visits the slots with pending or
+// queued bits and no others, so the lock is held for as long as the busy
+// sessions take. In multi-link mode (one shard, several links)
 // every rebalEvery ticks a rebalance pass may then migrate sessions
 // between links.
 //
@@ -151,15 +155,16 @@ func (sh *shard) tick(t bw.Tick) (sum sim.Round, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for l, alloc := range sh.allocs {
-		lo, hi := l*sh.lm, (l+1)*sh.lm
-		r, lerr := sh.slots.Slice(lo, hi).Step(t, alloc, sh.pending[lo:hi])
+		r, lerr := sh.links[l].Step(t, alloc)
 		if lerr != nil && err == nil {
 			err = fmt.Errorf("link %d: %w", l, lerr) // bwlint:allocok cold: allocator contract violation
 		}
 		sum.Arrived += r.Arrived
 		sum.Served += r.Served
+		sum.Policed += r.Policed
 		sum.Total += r.Total
 		sum.Changes += r.Changes
+		sum.Active += r.Active
 	}
 	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 && sh.g.router != nil {
 		sh.rebalance()

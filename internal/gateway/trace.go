@@ -163,7 +163,8 @@ func kindName(t byte) string {
 // wire-path histograms (in StageNames order), the whole-exchange
 // histogram, per-shard tick histograms, and the round-level tick
 // profile. All values are merged snapshots in nanoseconds; with no
-// metrics registry attached every histogram is empty.
+// metrics registry attached every histogram is empty and ActiveSlots is
+// zero.
 type Profile struct {
 	StageNames []string
 	Stages     []metrics.Histogram
@@ -171,6 +172,9 @@ type Profile struct {
 	ShardTicks []metrics.Histogram
 	TickRound  metrics.Histogram
 	JoinWait   metrics.Histogram
+	// ActiveSlots is how many slots the last round visited, summed over
+	// the shards.
+	ActiveSlots int64
 }
 
 // Profile snapshots the gateway's latency profile — the data behind the
@@ -183,6 +187,8 @@ func (g *Gateway) Profile() Profile {
 		ShardTicks: make([]metrics.Histogram, len(g.shards)),
 		TickRound:  g.m.tickRound.Snapshot(),
 		JoinWait:   g.m.joinWait.Snapshot(),
+
+		ActiveSlots: g.m.activeSlots.Value(),
 	}
 	for i := 0; i < numStages; i++ {
 		p.Stages[i] = g.m.stages[i].Snapshot()

@@ -242,19 +242,35 @@ func TestTickProfilingMetrics(t *testing.T) {
 }
 
 func TestProfileSnapshot(t *testing.T) {
-	g, ticks, _, _ := startTraced(t, 4, 2, 1)
+	g, ticks, reg, _ := startTraced(t, 4, 2, 1)
 	defer g.Close()
 	m, err := DialMux(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Open(); err != nil {
+	// One backlogged session on each shard (perSlotAlloc serves 16 a
+	// tick): the active-slots gauge is the shards' levels summed.
+	for i := 0; i < 4; i++ {
+		id, err := m.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == 0 || id == 2 {
+			if err := m.Send(id, 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := m.Stats(0); err != nil { // barrier: the DATA is applied
 		t.Fatal(err)
 	}
 	ticks.tick()
 	ticks.tick()
 	p := g.Profile()
+	if got := reg.Snapshot()["dynbw_gateway_active_slots"]; p.ActiveSlots != 2 || got != 2 {
+		t.Errorf("active slots: profile %d, gauge %d, want 2 (one backlogged session per shard)", p.ActiveSlots, got)
+	}
 	if len(p.StageNames) != numStages || len(p.Stages) != numStages {
 		t.Fatalf("profile stages: %d names, %d histograms", len(p.StageNames), len(p.Stages))
 	}
@@ -287,7 +303,7 @@ func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
 	data := fuzzSeed(typeData, 0, 64)
 	measure := func(g *Gateway) float64 {
 		cs := &connState{owned: map[int]struct{}{0: {}}}
-		g.shards[0].used[0] = true
+		g.shards[0].used.Add(0)
 		g.shards[0].inUse = 1
 		r := bytes.NewReader(nil)
 		return testing.AllocsPerRun(512, func() {

@@ -420,11 +420,13 @@ func (g *Gateway) flushBatchData(cs *connState) {
 		if g.m.exchange != nil {
 			start = time.Now()
 		}
+		var policed bw.Bits
 		sh.mu.Lock()
 		for _, a := range grp {
-			sh.pending[sh.slot(int(a.id))] += bw.Bits(a.bits)
+			policed += sh.slots.Add(sh.slot(int(a.id)), a.bits)
 		}
 		sh.mu.Unlock()
+		g.m.policedBits.Add(cs.mstripe, policed)
 		if g.m.exchange != nil {
 			g.m.stages[stageApply].Observe(cs.mstripe, int64(time.Since(start)))
 		}
@@ -478,8 +480,9 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		sh := g.shardOf(id)
 		sh.mu.Lock()
 		g.spanMark(cs, stageDispatch)
-		sh.pending[sh.slot(id)] += bits
+		policed := sh.slots.Add(sh.slot(id), bits)
 		sh.mu.Unlock()
+		g.m.policedBits.Add(cs.mstripe, policed)
 		g.spanMark(cs, stageApply)
 	case typeStats:
 		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {

@@ -48,14 +48,21 @@ type Hotpath struct {
 
 // NewHotpath returns the check with the repo's required roots: the
 // sim.Runner/MultiRunner loops and the step kernel under them (which
-// the gateway's shard.tick runs too), the FIFO queue, the schedule
-// cursor/append path, and the gateway read/dispatch/apply/write path.
+// the gateway's shard.tick runs too), the three policies' round methods
+// (the kernel reaches them through the sim.SparseAllocator interface,
+// which the call graph does not follow, so they are roots of their own),
+// the FIFO queue, the schedule cursor/append path, and the gateway
+// read/dispatch/apply/write path.
 func NewHotpath() *Hotpath {
 	return &Hotpath{Required: []string{
 		"dynbw/internal/sim.Runner.Run",
 		"dynbw/internal/sim.MultiRunner.Run",
 		"dynbw/internal/sim.Slots.Step",
+		"dynbw/internal/sim.Slots.Add",
 		"dynbw/internal/sim.Session.Step",
+		"dynbw/internal/core.Phased.RatesActive",
+		"dynbw/internal/core.Continuous.RatesActive",
+		"dynbw/internal/core.Combined.RatesActive",
 		"dynbw/internal/queue.FIFO.Push",
 		"dynbw/internal/queue.FIFO.Serve",
 		"dynbw/internal/bw.Schedule.Set",

@@ -72,6 +72,42 @@ func (s *Striped) Stripes() int {
 	return len(s.stripes)
 }
 
+// StripedGauge is a gauge that is the sum of per-stripe levels: each
+// writer stores its own stripe's current level with Set (one atomic
+// store, no cross-stripe traffic), and Value adds the stripes up. The nil
+// *StripedGauge is a valid no-op.
+type StripedGauge struct {
+	stripes []stripe64
+}
+
+// NewStripedGauge returns a gauge with n stripes (minimum 1).
+func NewStripedGauge(n int) *StripedGauge {
+	if n < 1 {
+		n = 1
+	}
+	return &StripedGauge{stripes: make([]stripe64, n)}
+}
+
+// Set stores v as the given stripe's level.
+func (s *StripedGauge) Set(stripe int, v int64) {
+	if s == nil {
+		return
+	}
+	s.stripes[uint(stripe)%uint(len(s.stripes))].v.Store(v)
+}
+
+// Value sums the stripes' levels.
+func (s *StripedGauge) Value() int64 {
+	if s == nil {
+		return 0
+	}
+	var total int64
+	for i := range s.stripes {
+		total += s.stripes[i].v.Load()
+	}
+	return total
+}
+
 // StripedHistogram is a lock-striped LiveHistogram: Observe contends
 // only on the caller's stripe, Snapshot merges all stripes into one
 // histogram. The nil *StripedHistogram is a valid no-op.

@@ -9,10 +9,17 @@ import (
 // MultiAllocator is a bandwidth allocation policy for k sessions sharing a
 // channel (Section 3 of the paper). Rates is called once per tick, after
 // arrivals have been enqueued, and returns the per-session allocations.
+// The paper's policies also implement SparseAllocator, the form the step
+// kernel runs; any other MultiAllocator is run through Sparse's adapter.
 type MultiAllocator interface {
 	// Rates returns the per-session allocations at tick t. arrived[i] and
 	// queued[i] describe session i. The returned slice must have length k
-	// and non-negative entries; the simulator does not retain it.
+	// and non-negative entries.
+	//
+	// The slice may be one the allocator retains and rewrites on its next
+	// call, as the paper's policies do to keep a round free of garbage: it
+	// is valid until the next call, must not be written, and a caller
+	// that wants a tick's rates later copies them.
 	Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate
 }
 

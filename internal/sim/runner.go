@@ -92,9 +92,9 @@ func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, e
 // ready to use; not safe for concurrent use.
 type MultiRunner struct {
 	slots      Slots // grown to the largest k seen
+	view       Slots // the first k of slots, for the k of the last run
 	schedStore []bw.Schedule
 	scheds     []*bw.Schedule
-	pending    []bw.Bits
 	delays     []bw.Tick
 	total      bw.Schedule
 	res        MultiResult
@@ -108,16 +108,18 @@ func NewMultiRunner() *MultiRunner { return &MultiRunner{} }
 func (r *MultiRunner) size(k int) Slots {
 	if cap(r.schedStore) < k {
 		r.slots = NewSlots(k)
+		r.view = r.slots
 		r.schedStore = make([]bw.Schedule, k) // bwlint:allocok once per k growth, reused across runs
 		r.scheds = make([]*bw.Schedule, k)    // bwlint:allocok once per k growth, reused across runs
-		r.pending = make([]bw.Bits, k)        // bwlint:allocok once per k growth, reused across runs
 		r.delays = make([]bw.Tick, k)         // bwlint:allocok once per k growth, reused across runs
 	}
-	slots := r.slots.Slice(0, k)
+	if r.view.Len() != k {
+		r.view = r.slots.Slice(0, k)
+	}
+	slots := r.view
 	slots.Reset()
 	r.schedStore = r.schedStore[:k]
 	r.scheds = r.scheds[:k]
-	r.pending = r.pending[:k]
 	r.delays = r.delays[:k]
 	for i := 0; i < k; i++ {
 		r.schedStore[i].Reset()
@@ -130,7 +132,8 @@ func (r *MultiRunner) size(k int) Slots {
 // Run simulates the allocator on k parallel sessions, exactly like the
 // package function RunMulti but reusing the MultiRunner's storage. Each
 // tick is one Slots.Step — the round the live gateway runs — with the
-// per-session schedules recorded from the rates it returns.
+// per-session schedules recorded from the rates it returns. A policy
+// that is not a SparseAllocator runs behind Sparse's adapter.
 //
 // bwlint:hotpath
 func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*MultiResult, error) {
@@ -138,18 +141,28 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 	n := m.Len()
 	limit := n + opts.drainBudget(n)
 	slots := r.size(k)
+	sparse := Sparse(alloc, k)
 
 	var left bw.Bits // queued across all sessions after the last step
 	for t := bw.Tick(0); t < limit; t++ {
 		if t >= n && left == 0 {
 			break
 		}
-		for i := 0; i < k; i++ {
-			r.pending[i] = m.Session(i).At(t)
+		var dropped bw.Bits
+		if t < n {
+			for i := 0; i < k; i++ {
+				if a := m.Session(i).At(t); a > 0 {
+					dropped += slots.Add(i, a)
+				}
+			}
 		}
-		round, err := slots.Step(t, alloc, r.pending)
+		round, err := slots.Step(t, sparse)
 		if err != nil {
 			return nil, err
+		}
+		if dropped+round.Policed > 0 {
+			// bwlint:allocok cold: infeasible input aborts the run
+			return nil, fmt.Errorf("sim: a session's backlog exceeds %d bits at tick %d", MaxBacklog, t)
 		}
 		for i, rate := range round.Rates {
 			r.scheds[i].Set(t, rate)

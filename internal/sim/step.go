@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
 	"dynbw/internal/queue"
@@ -10,18 +11,33 @@ import (
 
 // This file is the step kernel: the paper's per-tick round — arrivals
 // join the FIFO queue, the allocator picks rates, the queue is served,
-// rate changes are counted — written once for k sessions (Slots.Step)
-// and once for a single session (Session.Step). MultiRunner and the live
-// gateway's shards both run Slots.Step; Runner and adversary.Duel both
-// run Session.Step. Nothing else pushes into or serves a queue.
+// rate changes are counted — written once for k sessions (Slots.Step,
+// over the sessions that have work) and once for a single session
+// (Session.Step). MultiRunner and the live gateway's shards both run
+// Slots.Step; Runner and adversary.Duel both run Session.Step. Nothing
+// else pushes into or serves a queue.
+
+// MaxBacklog caps the bits a slot's queue may hold, and likewise the
+// arrivals that may wait for the next round. Arrival volumes are
+// client-declared int64s; without a cap two of them overflow a slot's
+// counters. A million slots at the cap, queue and waiting arrivals both,
+// still sum below 2^63, so no total the kernel, the policies or the
+// gateway keep can overflow either.
+const MaxBacklog bw.Bits = 1 << 40
 
 // Slots is the state the k-session round keeps per session: the FIFO
-// queue, the rate applied on the most recent round, and a count of rate
-// changes — identical by construction to bw.Schedule.Changes() over the
-// same rates, since both start from rate 0 and count every transition.
-// That is all a live service reads, so it is all a slot holds; the
-// simulator layers its analysis state (full schedules, the aggregate)
-// on the rates Step returns.
+// queue, the arrivals waiting for the next round, the rate applied on
+// the most recent round, and a count of rate changes — identical by
+// construction to bw.Schedule.Changes() over the same rates, since both
+// start from rate 0 and count every transition. That is all a live
+// service reads, so it is all a slot holds; the simulator layers its
+// analysis state (full schedules, the aggregate) on the rates Step
+// returns.
+//
+// Beside the per-slot state sits the active set: one bit per slot, set
+// while the slot has pending arrivals or a non-empty queue. Step visits
+// the active slots and nothing else, so a round costs what its busy
+// sessions cost, whatever the size of the table.
 //
 // A Slots value is a view: copies and Slice results share storage. It is
 // not safe for concurrent use.
@@ -29,9 +45,19 @@ type Slots struct {
 	queues  []queue.FIFO
 	rates   []bw.Rate
 	changes []int
-	// Per-round scratch handed to the allocator.
-	arrived []bw.Bits
-	queued  []bw.Bits
+	pending []bw.Bits
+	// active is the whole table's set; this view's slot i is bit lo+i.
+	active bitset.Set
+	lo     int
+	run    *running
+}
+
+// running is what a view carries from round to round besides the slots.
+type running struct {
+	// total is the sum of the view's applied rates, kept on every change.
+	total bw.Rate
+	// in is the round's compact input to the allocator.
+	in Compact
 }
 
 // NewSlots returns k empty slots.
@@ -40,31 +66,65 @@ func NewSlots(k int) Slots {
 		queues:  make([]queue.FIFO, k), // bwlint:allocok constructor: once per table (MultiRunner: per k growth)
 		rates:   make([]bw.Rate, k),    // bwlint:allocok constructor
 		changes: make([]int, k),        // bwlint:allocok constructor
-		arrived: make([]bw.Bits, k),    // bwlint:allocok constructor
-		queued:  make([]bw.Bits, k),    // bwlint:allocok constructor
+		pending: make([]bw.Bits, k),    // bwlint:allocok constructor
+		active:  bitset.New(k),         // bwlint:allocok constructor
+		run:     &running{},            // bwlint:allocok constructor
 	}
 }
 
+// Len returns the number of slots in the view.
+func (s Slots) Len() int { return len(s.queues) }
+
 // Slice returns the view of slots [lo, hi): one link's share of a table
-// whose links are each served by their own allocator.
+// whose links are each served by their own allocator. The view keeps its
+// own running total, so take it once and step it every round; stepping a
+// table through both a view and its parent is not supported.
 func (s Slots) Slice(lo, hi int) Slots {
-	return Slots{
+	v := Slots{
 		queues:  s.queues[lo:hi],
 		rates:   s.rates[lo:hi],
 		changes: s.changes[lo:hi],
-		arrived: s.arrived[lo:hi],
-		queued:  s.queued[lo:hi],
+		pending: s.pending[lo:hi],
+		active:  s.active,
+		lo:      s.lo + lo,
+		run:     &running{}, // bwlint:allocok constructor: once per view
 	}
+	for _, r := range v.rates {
+		v.run.total += r
+	}
+	return v
 }
 
 // Queue returns slot i's queue, for reading its counters.
 func (s Slots) Queue(i int) *queue.FIFO { return &s.queues[i] }
+
+// Pending returns the bits slot i was handed since the last round.
+func (s Slots) Pending(i int) bw.Bits { return s.pending[i] }
 
 // Rate returns the rate applied to slot i on the most recent round.
 func (s Slots) Rate(i int) bw.Rate { return s.rates[i] }
 
 // Changes returns how many times slot i's rate has changed.
 func (s Slots) Changes(i int) int { return s.changes[i] }
+
+// Add hands slot i bits that arrived since the last round; the next Step
+// moves them into its queue. At most MaxBacklog bits wait for a round:
+// what does not fit is dropped, and Add returns how much that was. (Step
+// polices the queue itself against the same cap, so that Add, which runs
+// for every DATA message, reads nothing but the pending cell.)
+//
+// bwlint:hotpath
+func (s Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
+	if room := MaxBacklog - s.pending[i]; bits > room {
+		dropped = bits - room
+		bits = room
+	}
+	if bits > 0 {
+		s.pending[i] += bits
+		s.active.Add(s.lo + i)
+	}
+	return dropped
+}
 
 // Reset empties every slot while keeping the queues' storage.
 func (s Slots) Reset() {
@@ -73,76 +133,112 @@ func (s Slots) Reset() {
 	}
 	clear(s.rates)
 	clear(s.changes)
+	clear(s.pending)
+	s.active.ClearRange(s.lo, s.lo+len(s.queues))
+	s.run.total = 0
 }
 
 // Move migrates the session in slot src to slot dst, which must be free:
-// the queue and the session's change count travel with it, so a client
-// polling its count never sees it go backwards. The count dst had
-// accumulated is left in src rather than dropped, which keeps the sum
-// over all slots equal to the number of changes ever applied. The
-// last-applied rates stay put: each is the allocator's output for that
-// slot, not a property of the session.
+// the queue, the pending arrivals, the place in the active set and the
+// session's change count travel with it, so a client polling its count
+// never sees it go backwards. The count dst had accumulated is left in
+// src rather than dropped, which keeps the sum over all slots equal to
+// the number of changes ever applied. The last-applied rates stay put:
+// each is the allocator's output for that slot, not a property of the
+// session.
 func (s Slots) Move(dst, src int) {
 	s.queues[dst] = s.queues[src]
 	s.queues[src] = queue.FIFO{}
+	s.pending[dst], s.pending[src] = s.pending[src], 0
 	s.changes[dst], s.changes[src] = s.changes[src], s.changes[dst]
+	s.active.Remove(s.lo + dst)
+	if s.active.Has(s.lo + src) {
+		s.active.Remove(s.lo + src)
+		s.active.Add(s.lo + dst)
+	}
 }
 
 // Round is what one Step did, summed over the slots.
 type Round struct {
-	// Rates is the allocator's output, one rate per slot. It is the
-	// allocator's slice and is only valid until its next Rates call.
+	// Rates is the rate applied to each slot. It is the kernel's own
+	// vector, valid until the next Step.
 	Rates []bw.Rate
-	// Arrived and Served are the bits enqueued and transmitted.
-	Arrived, Served bw.Bits
+	// Arrived and Served are the bits enqueued and transmitted; Policed
+	// the pending bits dropped, not enqueued, because the slot's queue
+	// stood at MaxBacklog.
+	Arrived, Served, Policed bw.Bits
 	// Total is the bandwidth allotted this round, the sum of Rates.
 	Total bw.Rate
 	// Changes is the number of slots whose rate changed.
 	Changes int
+	// Active is the number of slots the round visited: those with
+	// arrivals since the last round or bits queued from before it.
+	Active int
 }
 
-// Step runs the round for tick t: pending[i], the bits that arrived for
-// slot i since the last round, is moved into slot i's queue and zeroed;
-// alloc picks the rates; every queue is served at its rate; changes are
-// counted. Ticks must be nondecreasing across calls.
+// Step runs the round for tick t over the active slots: each one's
+// pending arrivals move into its queue, as far as MaxBacklog lets them;
+// alloc, told of those slots only, picks the rates; the rates that
+// changed are applied and counted; each active queue is served at its
+// rate, and a slot whose queue empties leaves the active set. Ticks must
+// be nondecreasing across calls.
 //
-// An allocator that breaks its contract — a rate slice of the wrong
+// An allocator that breaks its contract — a rate vector of the wrong
 // length, or a negative rate — is reported as an error before any queue
 // is served: the round's arrivals are enqueued (and reported in
 // Round.Arrived), and every slot keeps its previous rate and count.
 //
 // bwlint:hotpath
-func (s Slots) Step(t bw.Tick, alloc MultiAllocator, pending []bw.Bits) (Round, error) {
-	var r Round
-	for i := range s.queues {
-		a := pending[i]
-		pending[i] = 0
-		s.arrived[i] = a
+func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
+	in := &s.run.in
+	in.reset()
+	in.idx = s.active.AppendTo(in.idx, s.lo, s.lo+len(s.queues))
+	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx)}
+	for j, g := range in.idx {
+		i := int(g) - s.lo
+		in.idx[j] = int32(i)
+		a := s.pending[i]
+		s.pending[i] = 0
+		if room := MaxBacklog - s.queues[i].Bits(); a > room {
+			r.Policed += a - room
+			a = room
+		}
 		s.queues[i].Push(t, a)
-		s.queued[i] = s.queues[i].Bits()
+		in.arrived = append(in.arrived, a)                // bwlint:allocok amortized: grows to the peak active count
+		in.queued = append(in.queued, s.queues[i].Bits()) // bwlint:allocok amortized with arrived
 		r.Arrived += a
 	}
-	rates := alloc.Rates(t, s.arrived, s.queued)
+	rates, changed := alloc.RatesActive(t, in.idx, in.arrived, in.queued)
 	if len(rates) != len(s.queues) {
 		// bwlint:allocok cold: allocator contract violation
 		return r, fmt.Errorf("sim: allocator returned %d rates, want %d", len(rates), len(s.queues))
 	}
-	for i, rate := range rates {
-		if rate < 0 {
+	for _, i := range changed {
+		if uint(i) >= uint(len(rates)) {
 			// bwlint:allocok cold: allocator contract violation
-			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rate, t)
+			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(rates), t)
+		}
+		if rates[i] < 0 {
+			// bwlint:allocok cold: allocator contract violation
+			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[i], t)
 		}
 	}
-	for i, rate := range rates {
-		r.Served += s.queues[i].Serve(t, rate)
-		r.Total += rate
-		if rate != s.rates[i] {
+	for _, i := range changed {
+		if rate := rates[i]; rate != s.rates[i] {
+			s.run.total += rate - s.rates[i]
 			s.rates[i] = rate
 			s.changes[i]++
 			r.Changes++
 		}
 	}
-	r.Rates = rates
+	r.Total = s.run.total
+	for _, i := range in.idx {
+		q := &s.queues[i]
+		r.Served += q.Serve(t, s.rates[i])
+		if q.Bits() == 0 {
+			s.active.Remove(s.lo + int(i))
+		}
+	}
 	return r, nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"dynbw/internal/bw"
@@ -35,32 +36,45 @@ func TestSlotsChangesEqualScheduleChanges(t *testing.T) {
 
 func TestSlotsStepRound(t *testing.T) {
 	s := NewSlots(2)
-	pending := []bw.Bits{10, 0}
-	alloc := multiAllocFunc(func(_ bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
+	if dropped := s.Add(0, 10); dropped != 0 {
+		t.Fatalf("Add dropped %d bits", dropped)
+	}
+	alloc := Sparse(multiAllocFunc(func(_ bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 		if arrived[0] != 10 || queued[0] != 10 || arrived[1] != 0 {
 			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
 		}
 		return []bw.Rate{4, 3}
-	})
-	r, err := s.Step(0, alloc, pending)
+	}), 2)
+	r, err := s.Step(0, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pending[0] != 0 {
-		t.Errorf("pending not drained: %v", pending)
-	}
-	if r.Arrived != 10 || r.Served != 4 || r.Total != 7 || r.Changes != 2 || len(r.Rates) != 2 {
+	if r.Arrived != 10 || r.Served != 4 || r.Total != 7 || r.Changes != 2 || r.Active != 1 || len(r.Rates) != 2 {
 		t.Errorf("round = %+v", r)
 	}
 	if s.Queue(0).Bits() != 6 || s.Rate(0) != 4 || s.Rate(1) != 3 || s.Changes(0) != 1 || s.Changes(1) != 1 {
 		t.Errorf("slot state: queued %d rates %d/%d changes %d/%d",
 			s.Queue(0).Bits(), s.Rate(0), s.Rate(1), s.Changes(0), s.Changes(1))
 	}
+	// The second round finds nothing pending: slot 0 is visited for its
+	// backlog alone, and the total carries over unchanged.
+	alloc = Sparse(multiAllocFunc(func(_ bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
+		if arrived[0] != 0 || queued[0] != 6 {
+			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
+		}
+		return []bw.Rate{4, 3}
+	}), 2)
+	// A fresh adapter diffs against zero rates; the kernel must still
+	// count no change, since it compares with what it applied.
+	if r, err = s.Step(1, alloc); err != nil || r.Arrived != 0 || r.Served != 4 || r.Total != 7 || r.Changes != 0 || r.Active != 1 {
+		t.Errorf("second round = %+v, %v", r, err)
+	}
 }
 
 // TestSlotsStepContractViolation: a bad rate vector is an error, the
 // arrivals are still enqueued, and nothing is served or recounted — not
-// even the slots ahead of the offending one.
+// even the slots ahead of the offending one. The next round, with the
+// allocator mended, serves them.
 func TestSlotsStepContractViolation(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -71,71 +85,216 @@ func TestSlotsStepContractViolation(t *testing.T) {
 		{"negative", []bw.Rate{5, -1}},
 	} {
 		s := NewSlots(2)
-		pending := []bw.Bits{8, 8}
-		r, err := s.Step(0, multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
-			return tc.rates
-		}), pending)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if r.Arrived != 16 || r.Served != 0 || r.Changes != 0 || r.Total != 0 {
-			t.Errorf("%s: round = %+v", tc.name, r)
-		}
-		for i := 0; i < 2; i++ {
-			if s.Queue(i).Bits() != 8 || s.Queue(i).Served() != 0 || s.Rate(i) != 0 || s.Changes(i) != 0 {
-				t.Errorf("%s: slot %d touched: queued %d served %d rate %d changes %d", tc.name, i,
-					s.Queue(i).Bits(), s.Queue(i).Served(), s.Rate(i), s.Changes(i))
+		s.Add(0, 8)
+		s.Add(1, 8)
+		rates := tc.rates
+		alloc := Sparse(multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate { return rates }), 2)
+		for tick := bw.Tick(0); tick < 2; tick++ { // a standing violation is reported every round
+			r, err := s.Step(tick, alloc)
+			if err == nil {
+				t.Errorf("%s: accepted at tick %d", tc.name, tick)
+				continue
 			}
+			if want := 16 * (1 - tick); r.Arrived != want || r.Served != 0 || r.Changes != 0 || r.Total != 0 {
+				t.Errorf("%s: round %d = %+v", tc.name, tick, r)
+			}
+			for i := 0; i < 2; i++ {
+				if s.Queue(i).Bits() != 8 || s.Queue(i).Served() != 0 || s.Rate(i) != 0 || s.Changes(i) != 0 {
+					t.Errorf("%s: slot %d touched: queued %d served %d rate %d changes %d", tc.name, i,
+						s.Queue(i).Bits(), s.Queue(i).Served(), s.Rate(i), s.Changes(i))
+				}
+			}
+		}
+		rates = []bw.Rate{5, 5}
+		if r, err := s.Step(2, alloc); err != nil || r.Served != 10 || r.Changes != 2 || r.Total != 10 {
+			t.Errorf("%s: mended round = %+v, %v", tc.name, r, err)
 		}
 	}
 }
 
 // TestSlotsSliceAndMove: a Slice steps only its own range of the shared
-// table, and Move carries queue and change count while rates stay put
-// and the table-wide change total is conserved.
+// table — with bounds that fall inside a word of the active set — and
+// Move carries queue, pending bits, active-set membership and change
+// count while rates stay put and the table-wide change total is
+// conserved.
 func TestSlotsSliceAndMove(t *testing.T) {
-	s := NewSlots(4)
-	pending := []bw.Bits{0, 0, 20, 0}
-	// Link 0 (slots 0-1) changes once; link 1 (slots 2-3) raises slot 2's
-	// rate every tick.
-	if _, err := s.Slice(0, 2).Step(0, multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
-		return []bw.Rate{2, 2}
-	}), pending[0:2]); err != nil {
-		t.Fatal(err)
+	const k = 200 // links of 100 slots: the boundary splits word 1 of the set
+	s := NewSlots(k)
+	lo, hi := s.Slice(0, 100), s.Slice(100, 200)
+	constant := func(rate func(bw.Tick) bw.Rate) SparseAllocator {
+		return Sparse(multiAllocFunc(func(tk bw.Tick, _, _ []bw.Bits) []bw.Rate {
+			out := make([]bw.Rate, 100)
+			for i := range out {
+				out[i] = rate(tk)
+			}
+			return out
+		}), 100)
 	}
-	hi := s.Slice(2, 4)
+	loAlloc := constant(func(bw.Tick) bw.Rate { return 2 })
+	hiAlloc := constant(func(tk bw.Tick) bw.Rate { return 5 + tk }) // changes every tick
+	s.Add(99, 3)                                                    // last slot of the low link
+	s.Add(100, 20)                                                  // first slot of the high link
+	s.Add(163, 1)
+	if r, err := lo.Step(0, loAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 {
+		t.Fatalf("low link round = %+v, %v", r, err)
+	}
 	for tick := bw.Tick(0); tick < 2; tick++ {
-		if _, err := hi.Step(tick, multiAllocFunc(func(tk bw.Tick, _, _ []bw.Bits) []bw.Rate {
-			return []bw.Rate{5 + tk, 1}
-		}), pending[2:4]); err != nil {
+		r, err := hi.Step(tick, hiAlloc)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	changes := func() (c [4]int, sum int) {
-		for i := range c {
-			c[i] = s.Changes(i)
-			sum += c[i]
+		if want := 2 - int(tick); r.Active != want || r.Total != 100*(5+tick) {
+			t.Fatalf("high link tick %d: round = %+v, want %d active", tick, r, want)
 		}
-		return c, sum
 	}
-	before, total := changes()
-	if before != [4]int{1, 1, 2, 1} || s.Queue(2).Bits() != 9 {
-		t.Fatalf("after slice steps: changes %v, slot 2 queued %d", before, s.Queue(2).Bits())
+	if s.Queue(99).Bits() != 1 || s.Queue(100).Bits() != 9 || s.Queue(163).Bits() != 0 {
+		t.Fatalf("after slice steps: queued %d/%d/%d", s.Queue(99).Bits(), s.Queue(100).Bits(), s.Queue(163).Bits())
 	}
-	s.Move(0, 2)
-	if s.Queue(0).Bits() != 9 || s.Queue(0).Served() != 11 || s.Queue(2).Bits() != 0 || s.Queue(2).Served() != 0 {
+	changes := func() (sum int) {
+		for i := 0; i < k; i++ {
+			sum += s.Changes(i)
+		}
+		return sum
+	}
+	total := changes()
+	if s.Changes(100) != 2 || s.Changes(7) != 1 {
+		t.Fatalf("changes: slot 100 has %d, slot 7 has %d", s.Changes(100), s.Changes(7))
+	}
+
+	// Slot 100's session, backlogged and with arrivals pending, moves to
+	// the low link.
+	s.Add(100, 4)
+	s.Move(7, 100)
+	if s.Queue(7).Bits() != 9 || s.Queue(7).Served() != 11 || s.Queue(100).Bits() != 0 || s.Queue(100).Served() != 0 {
 		t.Errorf("queue did not move: dst %d/%d src %d/%d",
-			s.Queue(0).Bits(), s.Queue(0).Served(), s.Queue(2).Bits(), s.Queue(2).Served())
+			s.Queue(7).Bits(), s.Queue(7).Served(), s.Queue(100).Bits(), s.Queue(100).Served())
 	}
-	after, totalAfter := changes()
-	if after[0] != before[2] {
-		t.Errorf("session's change count %d did not travel: dst has %d", before[2], after[0])
+	if s.Changes(7) != 2 {
+		t.Errorf("session's change count 2 did not travel: dst has %d", s.Changes(7))
 	}
-	if totalAfter != total {
-		t.Errorf("table-wide changes %d -> %d across a move", total, totalAfter)
+	if got := changes(); got != total {
+		t.Errorf("table-wide changes %d -> %d across a move", total, got)
 	}
-	if s.Rate(0) != 2 || s.Rate(2) != 6 {
-		t.Errorf("rates moved with the session: dst %d src %d, want 2/6", s.Rate(0), s.Rate(2))
+	if s.Rate(7) != 2 || s.Rate(100) != 6 {
+		t.Errorf("rates moved with the session: dst %d src %d, want 2/6", s.Rate(7), s.Rate(100))
+	}
+	// The low link now serves the session — pending bits first in, and
+	// two slots visited — while the high link has nothing left to visit.
+	if r, err := lo.Step(2, loAlloc); err != nil || r.Active != 2 || r.Arrived != 4 || r.Served != 3 {
+		t.Errorf("low link after the move: round = %+v, %v", r, err)
+	}
+	if r, err := hi.Step(2, hiAlloc); err != nil || r.Active != 0 || r.Served != 0 {
+		t.Errorf("high link after the move: round = %+v, %v", r, err)
+	}
+	if s.Queue(7).Bits() != 11 {
+		t.Errorf("moved session has %d bits queued, want 11", s.Queue(7).Bits())
+	}
+}
+
+// spy is a sparse allocator that records what the kernel told it.
+type spy struct {
+	rates  []bw.Rate
+	active []int32
+}
+
+func (a *spy) RatesActive(_ bw.Tick, active []int32, _, _ []bw.Bits) ([]bw.Rate, []int32) {
+	a.active = append(a.active[:0], active...)
+	return a.rates, nil
+}
+
+// TestSlotsActiveSet: Round.Active is the number of slots with arrivals
+// or a backlog, the allocator is told of exactly those, and a round over
+// an idle table — whatever its size — visits nothing and allocates
+// nothing.
+func TestSlotsActiveSet(t *testing.T) {
+	const k = 100_000
+	s := NewSlots(k)
+	a := &spy{rates: make([]bw.Rate, k)}
+	idle := func() {
+		r, err := s.Step(0, a)
+		if err != nil || r.Active != 0 || len(a.active) != 0 {
+			t.Fatalf("idle round = %+v, %v; allocator told of %v", r, err, a.active)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, idle); avg != 0 {
+		t.Errorf("idle round over %d slots allocates %.1f objects", k, avg)
+	}
+
+	// Rate 0 everywhere: what arrives stays queued, so the backlogged
+	// slots are exactly the ones that ever received bits.
+	want := []int32{0, 63, 64, 4097, k - 1}
+	for _, i := range want {
+		s.Add(int(i), 5)
+	}
+	for tick := bw.Tick(1); tick < 4; tick++ {
+		r, err := s.Step(tick, a)
+		if err != nil || r.Active != len(want) || !slices.Equal(a.active, want) {
+			t.Fatalf("tick %d: round = %+v, %v; allocator told of %v, want %v", tick, r, err, a.active, want)
+		}
+	}
+	// Serve slot 64 dry: it leaves the set, the others stay.
+	a.rates[64] = 5
+	if _, err := s.Step(4, rateChange{a, 64}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Step(5, a)
+	if want := []int32{0, 63, 4097, k - 1}; err != nil || r.Active != 4 || !slices.Equal(a.active, want) {
+		t.Errorf("after slot 64 drained: round = %+v, %v; allocator told of %v", r, err, a.active)
+	}
+	backlogged := 0
+	for i := 0; i < k; i++ {
+		if s.Queue(i).Bits() > 0 {
+			backlogged++
+		}
+	}
+	if r.Active != backlogged {
+		t.Errorf("Round.Active = %d, %d slots are backlogged", r.Active, backlogged)
+	}
+}
+
+// rateChange reports one session as changed on top of the spy's answer.
+type rateChange struct {
+	*spy
+	session int32
+}
+
+func (a rateChange) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
+	rates, _ := a.spy.RatesActive(t, active, arrived, queued)
+	return rates, []int32{a.session}
+}
+
+// TestSlotsAddSaturates: neither the arrivals waiting for a round nor a
+// slot's queue ever exceed MaxBacklog; Add and Step report what they
+// dropped, and volumes that would overflow an int64 do no harm.
+func TestSlotsAddSaturates(t *testing.T) {
+	s := NewSlots(2)
+	const huge = bw.Bits(1) << 62
+	if d := s.Add(0, huge); d != huge-MaxBacklog {
+		t.Errorf("first Add dropped %d, want %d", d, huge-MaxBacklog)
+	}
+	if d := s.Add(0, huge); d != huge {
+		t.Errorf("Add to a full pending cell dropped %d, want all %d", d, huge)
+	}
+	a := &spy{rates: []bw.Rate{0, 0}}
+	r, err := s.Step(0, a)
+	if err != nil || r.Arrived != MaxBacklog || r.Policed != 0 || s.Queue(0).Bits() != MaxBacklog {
+		t.Fatalf("round = %+v, %v; queued %d", r, err, s.Queue(0).Bits())
+	}
+	// The slow variant of the overflow: a full queue topped up every
+	// tick. The pending cell takes a capful, the round drops it whole.
+	for tick := bw.Tick(1); tick < 4; tick++ {
+		if d := s.Add(0, huge); d != huge-MaxBacklog {
+			t.Errorf("tick %d: Add dropped %d, want %d", tick, d, huge-MaxBacklog)
+		}
+		r, err := s.Step(tick, a)
+		if err != nil || r.Arrived != 0 || r.Policed != MaxBacklog {
+			t.Fatalf("tick %d: round = %+v, %v", tick, r, err)
+		}
+	}
+	if s.Queue(0).Bits() != MaxBacklog || s.Pending(0) != 0 {
+		t.Errorf("queue holds %d bits, %d pending; cap is %d", s.Queue(0).Bits(), s.Pending(0), MaxBacklog)
+	}
+	if d := s.Add(1, 7); d != 0 {
+		t.Errorf("the neighbour's Add dropped %d", d)
 	}
 }
