@@ -29,12 +29,15 @@ race:
 bench:
 	$(GO) run ./cmd/bwbench -benchjson bench.json -benchtime 200ms -short
 
-# One short untraced pass of the repository benchmark's sparse 100k-slot
-# workload. It is a correctness run, not a measurement: the pass fails
-# unless every bit sent was served, nothing is left queued, Close() agrees
-# with the per-session sweep, and MaxDelay <= 2*D_O.
+# One short untraced pass each of the repository benchmark's sparse
+# 100k-slot workload (the round path) and its batch-1k workload (the
+# batched wire path under a running clock). They are correctness runs, not
+# measurements: a pass fails unless every bit sent was served, nothing is
+# left queued, Close() agrees with the per-session sweep, and (manual
+# clock) MaxDelay <= 2*D_O.
 dynbench:
 	$(GO) run ./benchmarks/dynbench -workload sparse-100k -seconds 2 -trace 0
+	$(GO) run ./benchmarks/dynbench -workload batch-1k -seconds 2 -trace 0
 
 # The old behaviour (every package's benchmarks, no artifact).
 bench-all:

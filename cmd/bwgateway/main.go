@@ -14,11 +14,17 @@
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, live
 // sessions get -grace to drain, the event ring and recorder window are
 // flushed to stderr as JSONL, and the summary includes per-stage
-// p50/p99 wire latencies and per-shard tick p99s.
+// p50/p99 wire latencies over the timed messages and per-shard tick
+// p99s.
 //
-// Every message's wire-path stages (read/dispatch/apply/write) feed
-// the dynbw_gateway_stage_ns histograms; 1 in -sample messages also
-// records a full span into a ring of -spans entries. The flight
+// The gateway times 1 in -sample messages per connection stripe, plus
+// every message a client sends behind a TRACE envelope: a timed
+// message's wire-path stages (read/dispatch/apply/write) feed the
+// dynbw_gateway_stage_ns histograms and its span goes into a ring of
+// -spans entries. The other messages read no clock; the
+// dynbw_gateway_messages_total counters count all of them, so the
+// histograms' _count is messages timed, not messages handled, and
+// -sample 1 times everything at roughly 0.6 µs a message. The flight
 // recorder snapshots the whole registry every -record interval and
 // freezes the window when OPENFAILs, dropped events, or tick-budget
 // overruns start growing.
@@ -94,8 +100,8 @@ func run(args []string, out, errw io.Writer) error {
 		reserve   = fs.Int64("reserve", 1, "DAR trunk reservation in slot units")
 		rebalance = fs.Int64("rebalance", 0, "migrate sessions between links every this many ticks (0: never)")
 		shards    = fs.Int("shards", 1, "lock-stripe the slot table across this many shards (single-link only)")
-		spans     = fs.Int("spans", obs.DefaultSpanRingSize, "wire-path span ring capacity (0: span sampling disabled)")
-		sample    = fs.Int("sample", obs.DefaultSampleEvery, "sample one wire-path span per this many messages per stripe")
+		spans     = fs.Int("spans", obs.DefaultSpanRingSize, "wire-path span ring capacity (0: no span ring; timed messages still feed the latency histograms)")
+		sample    = fs.Int("sample", obs.DefaultSampleEvery, "time one message in this many per connection stripe: it feeds the stage/exchange latency histograms and the span ring (1: every message)")
 		record    = fs.Duration("record", 500*time.Millisecond, "flight-recorder snapshot interval (0: recorder disabled)")
 		batch     = fs.Int("batch", 0, "synthetic clients coalesce this many bursts into one BATCH wire frame before writing (0/1: one DATA per burst)")
 	)
@@ -297,20 +303,21 @@ func run(args []string, out, errw io.Writer) error {
 }
 
 // printProfile renders the gateway's latency profile for the shutdown
-// summary: per-stage wire-path p50/p99, whole-exchange p50/p99, the
+// summary: per-stage wire-path p50/p99 and whole-exchange p50/p99 over
+// the timed messages (stage lines carry their own count), the
 // per-shard allocation-tick p99s, and how many slots the last round had
 // work for.
 func printProfile(out io.Writer, p gateway.Profile) {
 	if p.Exchange.Count() > 0 {
-		fmt.Fprintf(out, "exchange p50/p99: %v / %v (%d messages)\n",
+		fmt.Fprintf(out, "exchange p50/p99: %v / %v (%d timed messages)\n",
 			time.Duration(p.Exchange.Quantile(0.50)), time.Duration(p.Exchange.Quantile(0.99)), p.Exchange.Count())
 		for i, name := range p.StageNames {
 			h := p.Stages[i]
 			if h.Count() == 0 {
 				continue
 			}
-			fmt.Fprintf(out, "  stage %-8s p50/p99: %v / %v\n",
-				name, time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)))
+			fmt.Fprintf(out, "  stage %-8s p50/p99: %v / %v (%d timed)\n",
+				name, time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)), h.Count())
 		}
 	}
 	for i, h := range p.ShardTicks {

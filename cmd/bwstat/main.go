@@ -2,7 +2,9 @@
 // it scrapes the admin /metrics endpoint twice, -interval apart, and
 // prints per-second rates from the counter deltas alongside wire-path
 // stage and shard-tick percentiles computed from the histogram buckets
-// over the same window. With -watch it keeps scraping and reprints the
+// over the same window. The stage histograms hold the messages the
+// gateway timed (1 in its -sample period, plus client-traced ones), so
+// the count beside each stage is messages timed; messages/s is exact. With -watch it keeps scraping and reprints the
 // dashboard every interval until interrupted.
 //
 // Usage examples:
@@ -287,18 +289,18 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 		cur.scalars["dynbw_spans_total"],
 		cur.scalars["dynbw_spans_dropped_total"]-prev.scalars["dynbw_spans_dropped_total"])
 
-	fmt.Fprintf(w, "stage p50/p99 over window\n")
+	fmt.Fprintf(w, "stage p50/p99 over window (timed messages: 1 in the gateway's -sample period, plus client-traced)\n")
 	for _, stage := range []string{"read", "dispatch", "apply", "write"} {
 		key := `dynbw_gateway_stage_ns{stage="` + stage + `"}`
 		d := delta(prev.hists[key], cur.hists[key])
 		if d == nil || d.count <= 0 {
 			continue
 		}
-		fmt.Fprintf(w, "  %-10s %v / %v  (%d msgs)\n",
+		fmt.Fprintf(w, "  %-10s %v / %v  (%d timed)\n",
 			stage, time.Duration(d.quantile(0.50)), time.Duration(d.quantile(0.99)), d.count)
 	}
 	if d := delta(prev.hists["dynbw_gateway_exchange_latency_ns"], cur.hists["dynbw_gateway_exchange_latency_ns"]); d != nil && d.count > 0 {
-		fmt.Fprintf(w, "  %-10s %v / %v  (%d msgs)\n",
+		fmt.Fprintf(w, "  %-10s %v / %v  (%d timed)\n",
 			"exchange", time.Duration(d.quantile(0.50)), time.Duration(d.quantile(0.99)), d.count)
 	}
 

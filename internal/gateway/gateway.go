@@ -201,16 +201,21 @@ type Config struct {
 	// emitted by the allocator itself (obs.Observable).
 	Observer obs.Observer
 	// Metrics, when non-nil, registers the gateway's counters, gauges
-	// and the per-exchange latency histogram. Hot-path counters are
-	// lock-striped per shard and merged at scrape time.
+	// and latency histograms. Hot-path counters are lock-striped and
+	// merged at scrape time; they count every message. The exchange and
+	// stage latency histograms hold the timed messages only (see
+	// SpanSampleEvery).
 	Metrics *obs.Registry
-	// Spans, when non-nil, receives 1-in-SpanSampleEvery sampled
-	// wire-path spans (and every client-requested TRACE exchange). Build
-	// it with obs.NewSpanRing(n, gateway.StageNames()).
+	// Spans, when non-nil, receives one wire-path span per timed
+	// message. Build it with obs.NewSpanRing(n, gateway.StageNames()).
 	Spans *obs.SpanRing
-	// SpanSampleEvery is the sampling period for locally sampled spans;
-	// non-positive means obs.DefaultSampleEvery, 1 samples everything.
-	// Ignored when Spans is nil.
+	// SpanSampleEvery is the period of the one sampler behind both the
+	// latency histograms and the span ring: 1 message in this many, per
+	// connection stripe, is timed — its stages go to the histograms and,
+	// with Spans attached, a span to the ring. Messages a client sends
+	// behind a TRACE envelope are always timed. Non-positive means
+	// obs.DefaultSampleEvery; 1 times every message. Ignored when both
+	// Metrics and Spans are nil: nothing is timed then.
 	SpanSampleEvery int
 	// TickBudget, when positive, counts allocation rounds that take
 	// longer than this as tick overruns (dynbw_gateway_tick_overruns_total
@@ -254,8 +259,8 @@ type Gateway struct {
 	m        *gwMetrics
 	log      *obs.RateLimited
 
-	spans      *obs.SpanRing // sampled wire-path spans (nil disables)
-	sampler    *obs.Sampler  // 1-in-N span decisions, striped per shard
+	spans      *obs.SpanRing // spans of timed messages (nil disables)
+	sampler    *obs.Sampler  // 1-in-N timing decisions, striped like gwMetrics.connStripes
 	tickBudget time.Duration
 	// roundDur and roundRate are the current round's per-shard duration
 	// (ns) and allotted bandwidth; written by the shard's tick worker,
@@ -385,8 +390,8 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	}
 	g.m = newGWMetrics(cfg.Metrics, cfg.Policy, len(g.shards))
 	g.spans = cfg.Spans
-	if g.spans != nil {
-		g.sampler = obs.NewSampler(uint64(max(cfg.SpanSampleEvery, 0)), len(g.shards))
+	if cfg.Metrics != nil || g.spans != nil {
+		g.sampler = obs.NewSampler(uint64(max(cfg.SpanSampleEvery, 0)), g.m.connStripes)
 	}
 	g.tickBudget = cfg.TickBudget
 	if cfg.Metrics != nil {

@@ -36,10 +36,15 @@ type gwMetrics struct {
 	// activeSlots is the number of slots the last round visited, one
 	// level per shard: the k that actually has work.
 	activeSlots *obs.StripedGauge
-	exchange    *obs.StripedHistogram
-	// stages times the wire-path pipeline for every message, by stage
-	// (read/dispatch/apply/write), striped per shard.
-	stages [numStages]*obs.StripedHistogram
+	// exchange and stages hold the timed messages only — 1 in
+	// Config.SpanSampleEvery per connection stripe plus every
+	// client-traced one (trace.go) — so their counts are messages timed;
+	// messages counts the messages handled. exchange is the whole
+	// message, stages the wire-path pipeline by stage
+	// (read/dispatch/apply/write); the apply stage also takes one
+	// observation per batched-DATA shard group (flushBatchData).
+	exchange *obs.StripedHistogram
+	stages   [numStages]*obs.StripedHistogram
 	// tickShard times each shard's allocation round; its stripes double
 	// as the per-shard dynbw_gateway_shard_tick_ns series.
 	tickShard    *obs.StripedHistogram
@@ -48,9 +53,9 @@ type gwMetrics struct {
 	imbalance    *obs.Gauge         // EWMA max/mean shard duration, permille
 	tickOverruns *obs.Counter       // rounds exceeding Config.TickBudget
 	// connStripes is the stripe count of the connection-keyed instruments
-	// (messages, exchange, stages) — at least the shard count, but padded
-	// up to the core count so a single-shard gateway's connections do not
-	// all contend on one stripe mutex.
+	// (messages, exchange, stages, the sampler) — at least the shard
+	// count, but padded up to the core count so a single-shard gateway's
+	// connections do not all contend on one stripe.
 	connStripes int
 }
 
@@ -121,12 +126,12 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 		m.activeSlots.Value)
 	m.exchange = obs.NewStripedHistogram(m.connStripes)
 	reg.HistogramFunc("dynbw_gateway_exchange_latency_ns",
-		"Per-message handling latency (first byte read to reply written), nanoseconds.",
+		"Handling latency of the timed messages (1 in the sampling period, plus client-traced ones), first byte read to reply written, nanoseconds.",
 		m.exchange.Snapshot)
 	for i := 0; i < numStages; i++ {
 		h := obs.NewStripedHistogram(m.connStripes)
 		reg.HistogramFunc("dynbw_gateway_stage_ns",
-			"Wire-path stage latency, nanoseconds, by pipeline stage.",
+			"Wire-path stage latency of the timed messages, nanoseconds, by pipeline stage.",
 			h.Snapshot, obs.L("stage", stageNames[i]))
 		m.stages[i] = h
 	}

@@ -3,7 +3,6 @@ package gateway
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,13 +16,15 @@ import (
 // descriptor, which is what lets a 100k-session soak fit inside an
 // ordinary fd limit. It is safe for concurrent use: a mutex serializes
 // every request/reply exchange on the shared connection, so goroutines
-// driving different sessions can share one Mux.
+// driving different sessions can share one Mux. Replies are read through
+// one buffered reader, so a StatsBatch pays a read or two for the whole
+// batch's replies. A failed exchange ends the Mux's useful life: every
+// later call returns that failure (Close still closes).
 type Mux struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
-	open    map[uint32]struct{} // guarded by mu; sessions this conn holds
-	closed  bool                // guarded by mu
+	mu     sync.Mutex
+	cc     clientConn          // guarded by mu
+	open   map[uint32]struct{} // guarded by mu; sessions this conn holds
+	closed bool                // guarded by mu
 
 	traceEvery uint64   // guarded by mu; 0 disables client-side tracing
 	exchanges  uint64   // guarded by mu; requests sent since TraceEvery was set
@@ -46,19 +47,12 @@ func DialMux(addr string, timeout time.Duration) (*Mux, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: dial: %w", err)
 	}
-	return &Mux{conn: conn, timeout: timeout, open: make(map[uint32]struct{})}, nil
+	return newMux(conn, timeout), nil
 }
 
-func (m *Mux) armDeadline() {
-	if m.timeout > 0 {
-		m.conn.SetDeadline(time.Now().Add(m.timeout))
-	}
-}
-
-func (m *Mux) disarmDeadline() {
-	if m.timeout > 0 {
-		m.conn.SetDeadline(time.Time{})
-	}
+// newMux wraps an established connection.
+func newMux(conn net.Conn, timeout time.Duration) *Mux {
+	return &Mux{cc: newClientConn(conn, timeout, muxReadBufSize), open: make(map[uint32]struct{})}
 }
 
 // TraceEvery asks the gateway to trace every n-th request sent through
@@ -80,20 +74,17 @@ func (m *Mux) TraceEvery(n int) {
 // writeMsg sends one request, prefixing a TRACE envelope on every
 // traceEvery-th request — assembled into the scratch buffer so envelope
 // and request leave in a single Write. Callers hold m.mu.
-func (m *Mux) writeMsg(msg []byte) error {
+func (m *Mux) writeMsg(op string, msg []byte) error {
 	if m.traceEvery > 0 {
 		if m.exchanges++; m.exchanges%m.traceEvery == 0 {
 			m.nextTrace++
 			buf := m.scratch[:0]
 			buf = append(buf, typeTrace)
 			buf = binary.BigEndian.AppendUint64(buf, 1<<63|m.nextTrace)
-			buf = append(buf, msg...)
-			_, err := m.conn.Write(buf)
-			return err
+			msg = append(buf, msg...)
 		}
 	}
-	_, err := m.conn.Write(msg)
-	return err
+	return m.cc.write(op, msg)
 }
 
 // Open performs an OPEN/OPENED exchange and returns the new session ID.
@@ -104,29 +95,19 @@ func (m *Mux) Open() (uint32, error) {
 	if m.closed {
 		return 0, fmt.Errorf("gateway: open on closed mux")
 	}
-	m.armDeadline()
-	defer m.disarmDeadline()
-	if err := m.writeMsg([]byte{typeOpen}); err != nil {
-		return 0, fmt.Errorf("gateway: open: %w", err)
+	if err := m.cc.begin(); err != nil {
+		return 0, err
 	}
-	var typ [1]byte
-	if _, err := io.ReadFull(m.conn, typ[:]); err != nil {
-		return 0, fmt.Errorf("gateway: open reply: %w", err)
+	defer m.cc.end()
+	if err := m.writeMsg("open", []byte{typeOpen}); err != nil {
+		return 0, err
 	}
-	switch typ[0] {
-	case typeOpened:
-		var body [4]byte
-		if _, err := io.ReadFull(m.conn, body[:]); err != nil {
-			return 0, fmt.Errorf("gateway: open reply: %w", err)
-		}
-		id := binary.BigEndian.Uint32(body[:])
-		m.open[id] = struct{}{}
-		return id, nil
-	case typeOpenFail:
-		return 0, ErrSessionLimit
-	default:
-		return 0, fmt.Errorf("gateway: unexpected open reply type %d", typ[0])
+	id, err := m.cc.readOpened()
+	if err != nil {
+		return 0, err
 	}
+	m.open[id] = struct{}{}
+	return id, nil
 }
 
 // Send submits bits to one of the mux's sessions (no reply).
@@ -143,12 +124,11 @@ func (m *Mux) Send(session uint32, bits bw.Bits) error {
 	msg[0] = typeData
 	binary.BigEndian.PutUint32(msg[1:], session)
 	binary.BigEndian.PutUint64(msg[5:], uint64(bits))
-	m.armDeadline()
-	defer m.disarmDeadline()
-	if err := m.writeMsg(msg[:]); err != nil {
-		return fmt.Errorf("gateway: send: %w", err)
+	if err := m.cc.begin(); err != nil {
+		return err
 	}
-	return nil
+	defer m.cc.end()
+	return m.writeMsg("send", msg[:])
 }
 
 // SendBatch submits DATA to many of the mux's sessions as BATCH frames
@@ -169,8 +149,10 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 			return fmt.Errorf("gateway: send on unowned session %d", it.Session)
 		}
 	}
-	m.armDeadline()
-	defer m.disarmDeadline()
+	if err := m.cc.begin(); err != nil {
+		return err
+	}
+	defer m.cc.end()
 	for len(items) > 0 {
 		n := len(items)
 		if n > MaxBatch {
@@ -192,8 +174,8 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(it.Bits))
 		}
 		m.batch = buf // keep the grown capacity for the next call
-		if _, err := m.conn.Write(buf); err != nil {
-			return fmt.Errorf("gateway: send batch: %w", err)
+		if err := m.cc.write("send batch", buf); err != nil {
+			return err
 		}
 		items = items[n:]
 	}
@@ -203,8 +185,9 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 // StatsBatch fetches several sessions' accounting in one pipelined
 // round trip per up-to-MaxBatch sessions: one BATCH frame of STATS
 // requests goes out in a single write, the gateway coalesces the
-// replies, and they are read back in request order. The result is
-// indexed like sessions.
+// replies, and they are read back in request order through the mux's
+// buffered reader — a read or two per frame, not one per reply. The
+// result is indexed like sessions.
 func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -213,9 +196,11 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 			return nil, fmt.Errorf("gateway: stats on unowned session %d", s)
 		}
 	}
+	if err := m.cc.begin(); err != nil {
+		return nil, err
+	}
+	defer m.cc.end()
 	out := make([]SessionStats, 0, len(sessions))
-	m.armDeadline()
-	defer m.disarmDeadline()
 	for len(sessions) > 0 {
 		n := len(sessions)
 		if n > MaxBatch {
@@ -229,23 +214,15 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 			buf = binary.BigEndian.AppendUint32(buf, s)
 		}
 		m.batch = buf
-		if _, err := m.conn.Write(buf); err != nil {
-			return nil, fmt.Errorf("gateway: stats batch: %w", err)
+		if err := m.cc.write("stats batch", buf); err != nil {
+			return nil, err
 		}
-		var reply [statsReplyLen]byte
 		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(m.conn, reply[:]); err != nil {
-				return nil, fmt.Errorf("gateway: stats batch reply %d: %w", i, err)
+			st, err := m.cc.readStats()
+			if err != nil {
+				return nil, fmt.Errorf("gateway: stats batch, reply %d: %w", i, err)
 			}
-			if reply[0] != typeStatsR {
-				return nil, fmt.Errorf("gateway: unexpected stats reply type %d", reply[0])
-			}
-			out = append(out, SessionStats{
-				Served:   bw.Bits(binary.BigEndian.Uint64(reply[1:])),
-				Queued:   bw.Bits(binary.BigEndian.Uint64(reply[9:])),
-				MaxDelay: bw.Tick(binary.BigEndian.Uint64(reply[17:])),
-				Changes:  int64(binary.BigEndian.Uint64(reply[25:])),
-			})
+			out = append(out, st)
 		}
 		sessions = sessions[n:]
 	}
@@ -262,24 +239,14 @@ func (m *Mux) Stats(session uint32) (SessionStats, error) {
 	var req [5]byte
 	req[0] = typeStats
 	binary.BigEndian.PutUint32(req[1:], session)
-	m.armDeadline()
-	defer m.disarmDeadline()
-	if err := m.writeMsg(req[:]); err != nil {
-		return SessionStats{}, fmt.Errorf("gateway: stats: %w", err)
+	if err := m.cc.begin(); err != nil {
+		return SessionStats{}, err
 	}
-	var reply [statsReplyLen]byte
-	if _, err := io.ReadFull(m.conn, reply[:]); err != nil {
-		return SessionStats{}, fmt.Errorf("gateway: stats reply: %w", err)
+	defer m.cc.end()
+	if err := m.writeMsg("stats", req[:]); err != nil {
+		return SessionStats{}, err
 	}
-	if reply[0] != typeStatsR {
-		return SessionStats{}, fmt.Errorf("gateway: unexpected stats reply type %d", reply[0])
-	}
-	return SessionStats{
-		Served:   bw.Bits(binary.BigEndian.Uint64(reply[1:])),
-		Queued:   bw.Bits(binary.BigEndian.Uint64(reply[9:])),
-		MaxDelay: bw.Tick(binary.BigEndian.Uint64(reply[17:])),
-		Changes:  int64(binary.BigEndian.Uint64(reply[25:])),
-	}, nil
+	return m.cc.readStats()
 }
 
 // CloseSession returns one session's slot to the gateway with an
@@ -294,17 +261,15 @@ func (m *Mux) CloseSession(session uint32) error {
 	var req [5]byte
 	req[0] = typeClose
 	binary.BigEndian.PutUint32(req[1:], session)
-	m.armDeadline()
-	defer m.disarmDeadline()
-	if err := m.writeMsg(req[:]); err != nil {
-		return fmt.Errorf("gateway: close: %w", err)
+	if err := m.cc.begin(); err != nil {
+		return err
 	}
-	var reply [1]byte
-	if _, err := io.ReadFull(m.conn, reply[:]); err != nil {
-		return fmt.Errorf("gateway: close reply: %w", err)
+	defer m.cc.end()
+	if err := m.writeMsg("close", req[:]); err != nil {
+		return err
 	}
-	if reply[0] != typeClosed {
-		return fmt.Errorf("gateway: unexpected close reply type %d", reply[0])
+	if err := m.cc.readClosed(); err != nil {
+		return err
 	}
 	delete(m.open, session)
 	return nil
@@ -325,5 +290,5 @@ func (m *Mux) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	return m.conn.Close()
+	return m.cc.conn.Close()
 }

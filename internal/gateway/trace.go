@@ -7,14 +7,18 @@ import (
 	"dynbw/internal/obs"
 )
 
-// trace.go is the gateway's wire-path instrumentation: per-message stage
-// timers feeding the dynbw_gateway_stage_ns histograms on every message,
-// and 1-in-N sampled spans carrying a trace ID into the span ring. The
-// stage clock runs only when a metrics registry or a sampled span wants
-// it (span.on), so a bare gateway pays a single bool check per stage
-// boundary; the instrumented unsampled path pays one time.Now per stage
-// and no allocation — the scratch state lives inside connState, which is
-// allocated once per connection.
+// trace.go is the gateway's wire-path instrumentation: one stage clock,
+// run for timed messages only. A message is timed when the 1-in-N
+// sampler (Config.SpanSampleEvery) picks it or when the client sent it
+// behind a TRACE envelope; a timed message feeds the
+// dynbw_gateway_exchange_latency_ns and dynbw_gateway_stage_ns
+// histograms and, with a span ring attached, pushes one span — the same
+// decision serves both. An untimed message reads no clock and takes no
+// histogram mutex: it pays the sampler's striped atomic add and one bool
+// check per stage boundary, and nothing is allocated either way — the
+// scratch state lives inside connState, allocated once per connection.
+// The per-type message counters are not part of this: they count every
+// message.
 
 // Wire-path stages, in pipeline order. Every message visits a subset:
 // read (body bytes off the wire), dispatch (session validation, shard
@@ -41,14 +45,13 @@ func StageNames() []string {
 }
 
 // spanScratch is the per-connection stage clock and span under
-// construction. It is embedded in connState so arming a span never
+// construction. It is embedded in connState so arming it never
 // allocates; one scratch is live per connection because handleMessage
 // exchanges are serialized per connection.
 type spanScratch struct {
-	on      bool   // stage clock armed for the current message
-	sampled bool   // push a Span at spanEnd
+	sampled bool   // current message is timed: stage clock armed
 	client  bool   // trace ID arrived in a TRACE envelope
-	trace   uint64 // span identity (sampled only)
+	trace   uint64 // span identity
 	kind    byte   // wire type of the current message
 	sess    int    // session the message named, -1 when none
 	start   time.Time
@@ -66,22 +69,23 @@ type pendingTrace struct {
 	set bool
 }
 
-// spanBegin arms the stage clock for one message: always when metrics
-// are attached (the stage histograms see every message), and with a span
-// to push when the local sampler fires or the client sent a TRACE
-// envelope. Client traces bypass the sampler — the peer asked.
+// spanBegin decides whether the message is timed and, if so, arms the
+// stage clock: when the local sampler fires, or when the client sent a
+// TRACE envelope (the peer asked, so it bypasses the sampler). With
+// neither metrics nor a span ring attached there is no sampler and
+// nothing is ever timed.
 func (g *Gateway) spanBegin(cs *connState, typ byte) {
 	sp := &cs.span
-	sp.sampled, sp.client, sp.trace = false, false, 0
-	if cs.pending.set {
-		sp.trace, sp.client, sp.sampled = cs.pending.id, true, g.spans != nil
+	switch {
+	case cs.pending.set:
+		sp.trace, sp.client, sp.sampled = cs.pending.id, true, g.sampler != nil
 		cs.pending = pendingTrace{}
-	} else if g.sampler.Hit(cs.mstripe) {
-		sp.trace = g.spans.NextTrace(cs.mstripe)
-		sp.sampled = true
+	case g.sampler.Hit(cs.mstripe):
+		sp.trace, sp.client, sp.sampled = g.spans.NextTrace(cs.mstripe), false, true
+	default:
+		sp.sampled = false
 	}
-	sp.on = g.m.exchange != nil || sp.sampled
-	if !sp.on {
+	if !sp.sampled {
 		return
 	}
 	sp.kind = typ
@@ -91,12 +95,13 @@ func (g *Gateway) spanBegin(cs *connState, typ byte) {
 	sp.last = sp.start
 }
 
-// spanMark closes one stage: the time since the previous boundary is
-// attributed to it. Stages may be marked more than once (the time
-// accumulates) and in any order; unmarked stages report zero.
+// spanMark closes one stage of a timed message: the time since the
+// previous boundary is attributed to it. Stages may be marked more than
+// once (the time accumulates) and in any order; unmarked stages report
+// zero.
 func (g *Gateway) spanMark(cs *connState, stage int) {
 	sp := &cs.span
-	if !sp.on {
+	if !sp.sampled {
 		return
 	}
 	now := time.Now()
@@ -104,16 +109,15 @@ func (g *Gateway) spanMark(cs *connState, stage int) {
 	sp.last = now
 }
 
-// spanEnd closes the message: total latency goes to the exchange
+// spanEnd closes a timed message: total latency goes to the exchange
 // histogram, each marked stage to its stage histogram (all on the
-// connection's stripe), and — when sampled — the assembled Span into the
-// ring, attributed to the shard of the session it touched.
+// connection's stripe), and — with a span ring attached — the assembled
+// Span into the ring, attributed to the shard of the session it touched.
 func (g *Gateway) spanEnd(cs *connState, err error) {
 	sp := &cs.span
-	if !sp.on {
+	if !sp.sampled {
 		return
 	}
-	sp.on = false
 	total := int64(time.Since(sp.start))
 	g.m.exchange.Observe(cs.mstripe, total)
 	for i := 0; i < numStages; i++ {
@@ -121,7 +125,7 @@ func (g *Gateway) spanEnd(cs *connState, err error) {
 			g.m.stages[i].Observe(cs.mstripe, sp.stages[i])
 		}
 	}
-	if !sp.sampled {
+	if g.spans == nil {
 		return
 	}
 	shard := cs.stripe
@@ -162,9 +166,12 @@ func kindName(t byte) string {
 // Profile is a point-in-time latency profile of the gateway: per-stage
 // wire-path histograms (in StageNames order), the whole-exchange
 // histogram, per-shard tick histograms, and the round-level tick
-// profile. All values are merged snapshots in nanoseconds; with no
-// metrics registry attached every histogram is empty and ActiveSlots is
-// zero.
+// profile. Stages and Exchange hold the timed messages only (1 in
+// Config.SpanSampleEvery per connection stripe, plus every
+// client-traced one), so their counts are messages timed, not messages
+// handled; the tick histograms see every round. All values are merged
+// snapshots in nanoseconds; with no metrics registry attached every
+// histogram is empty and ActiveSlots is zero.
 type Profile struct {
 	StageNames []string
 	Stages     []metrics.Histogram

@@ -19,6 +19,7 @@ func startTraced(t *testing.T, k, nshards, sampleEvery int) (*Gateway, *manualTi
 	ticks := newManualTicks()
 	reg := obs.NewRegistry()
 	ring := obs.NewSpanRing(256, StageNames())
+	ring.Instrument(reg)
 	cfg := Config{
 		Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch,
 		Metrics: reg, Spans: ring, SpanSampleEvery: sampleEvery,
@@ -140,6 +141,95 @@ func TestSpanSamplingRate(t *testing.T) {
 	}
 	if got := ring.Total(); got != 4 { // 33 messages / 8
 		t.Errorf("sampled %d spans over 33 messages at 1-in-8, want 4", got)
+	}
+}
+
+// TestTimedVersusCounted pins what the two kinds of instrument hold: the
+// per-type message counters count every message, the latency histograms
+// and the span ring hold the timed ones — 1 in SpanSampleEvery on the
+// connection's stripe plus every client-traced message — and one sampler
+// decision feeds both.
+func TestTimedVersusCounted(t *testing.T) {
+	const n = 64
+	// exchange drives n batched DATA then n batched STATS over one
+	// connection and returns what moved, then what one more STATS behind
+	// a TRACE envelope moved.
+	exchange := func(t *testing.T, sampleEvery int) (batch, traced map[string]int64) {
+		g, _, reg, _ := startTraced(t, n, 1, sampleEvery)
+		defer g.Close()
+		m, err := DialMux(g.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		ids := make([]uint32, n)
+		items := make([]BatchItem, n)
+		for i := range ids {
+			if ids[i], err = m.Open(); err != nil {
+				t.Fatal(err)
+			}
+			items[i] = BatchItem{Session: ids[i], Bits: 8}
+		}
+		moved := func(before map[string]int64) map[string]int64 {
+			d := reg.Snapshot()
+			for k, v := range before {
+				d[k] -= v
+			}
+			return d
+		}
+		before := reg.Snapshot()
+		if err := m.SendBatch(items); err != nil {
+			t.Fatal(err)
+		}
+		// The replies are flushed after the frame's last message is
+		// handled, so once they are read every message has been counted.
+		if _, err := m.StatsBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+		batch = moved(before)
+		before = reg.Snapshot()
+		m.TraceEvery(1)
+		if _, err := m.Stats(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		return batch, moved(before)
+	}
+	stageCount := func(stage string) string {
+		return `dynbw_gateway_stage_ns{stage="` + stage + `"}:count`
+	}
+	const (
+		dataMsgs  = `dynbw_gateway_messages_total{type="data"}`
+		statsMsgs = `dynbw_gateway_messages_total{type="stats"}`
+		traceMsgs = `dynbw_gateway_messages_total{type="trace"}`
+		timed     = "dynbw_gateway_exchange_latency_ns:count"
+		spans     = "dynbw_spans_total"
+	)
+
+	batch, traced := exchange(t, 4)
+	for key, want := range map[string]int64{dataMsgs: n, statsMsgs: n, traceMsgs: 0, timed: 2 * n / 4, spans: 2 * n / 4} {
+		if batch[key] != want {
+			t.Errorf("1-in-4, %d DATA + %d STATS: %s moved by %d, want %d", n, n, key, batch[key], want)
+		}
+	}
+	// A stage histogram holds at most the timed messages. Apply is also
+	// where flushBatchData records the frame's one shard group (the 48
+	// untimed DATA, applied under one lock).
+	for stage, limit := range map[string]int64{"read": 2 * n / 4, "dispatch": 2 * n / 4, "apply": 2*n/4 + 1, "write": 2 * n / 4} {
+		if got := batch[stageCount(stage)]; got < 1 || got > limit {
+			t.Errorf("1-in-4: stage %s gained %d observations, want 1..%d", stage, got, limit)
+		}
+	}
+	for key, want := range map[string]int64{dataMsgs: 0, statsMsgs: 1, traceMsgs: 1, timed: 1, spans: 1} {
+		if traced[key] != want {
+			t.Errorf("one client-traced STATS: %s moved by %d, want %d", key, traced[key], want)
+		}
+	}
+
+	batch, _ = exchange(t, 1)
+	for key, want := range map[string]int64{dataMsgs: n, statsMsgs: n, timed: 2 * n, spans: 2 * n} {
+		if batch[key] != want {
+			t.Errorf("1-in-1, %d DATA + %d STATS: %s moved by %d, want %d", n, n, key, batch[key], want)
+		}
 	}
 }
 

@@ -33,8 +33,9 @@ type connState struct {
 	stripe  int // shard stripe: home shard, event-ring stripe
 	mstripe int // metrics stripe: striped counters/histograms, sampler
 	owned   map[int]struct{}
-	// span is the per-connection stage clock; pending carries a
-	// client-sent TRACE envelope to the message that follows it.
+	// span is the per-connection stage clock, armed for timed messages
+	// only; pending carries a client-sent TRACE envelope to the message
+	// that follows it.
 	span    spanScratch
 	pending pendingTrace
 	// rd and wr are the connection's pooled buffered endpoints; replies
@@ -287,10 +288,11 @@ func (g *Gateway) handleMessage(r io.Reader, w io.Writer, cs *connState) error {
 // unwrapping a TRACE envelope if present. Inside a BATCH frame
 // (inBatch) a plain DATA message is not applied immediately: it is
 // accumulated into the per-shard groups and applied by the next
-// flushBatchData call, so one batch takes each shard lock once.
-// Sampled/client-traced DATA skips the group (its span wants real
-// dispatch/apply stages); that is safe because DATA updates commute —
-// ordering only matters against non-DATA messages, which flush first.
+// flushBatchData call, so one batch takes each shard lock once. A timed
+// DATA (sampled or client-traced) skips the group, so its stage
+// observations and span show a real dispatch and apply; that is safe
+// because DATA updates commute — ordering only matters against non-DATA
+// messages, which flush first.
 //
 // bwlint:hotpath
 func (g *Gateway) handleOne(r io.Reader, w io.Writer, cs *connState, typ byte, inBatch bool) error {
@@ -406,7 +408,8 @@ func (g *Gateway) batchData(r io.Reader, cs *connState) error {
 // under the lock so a concurrent rebalance cannot stale them. The
 // per-group apply duration lands in the apply-stage histogram once per
 // group — batched messages share the lock round, so they share its
-// stage sample.
+// stage sample, and two clock reads per group (not per message) keep the
+// lock wait of the untimed majority visible.
 //
 // bwlint:hotpath
 func (g *Gateway) flushBatchData(cs *connState) {
@@ -435,7 +438,8 @@ func (g *Gateway) flushBatchData(cs *connState) {
 }
 
 // applyMessage dispatches one message whose type byte has been read,
-// marking the wire-path stages on cs's span clock as it goes.
+// marking the wire-path stages on cs's span clock as it goes (no-ops
+// unless the message is timed).
 //
 // bwlint:hotpath
 func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte) error {

@@ -3,19 +3,21 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // span.go is the wire-path tracing half of the second observability
-// layer: a Sampler decides (at striped-atomic cost) which messages get a
-// full span, and a SpanRing retains the sampled spans for the admin
+// layer: a Sampler decides (at striped-atomic cost) which messages are
+// timed, and a SpanRing retains the timed messages' spans for the admin
 // /spans endpoint. The unsampled path pays one striped counter add and
-// nothing else; stage latency structure for *every* message lives in
-// StripedHistograms owned by the instrumented component (the gateway's
-// dynbw_gateway_stage_ns), so sampling loses no aggregate information —
-// only the per-message join between stages that a span provides.
+// nothing else — no clock read. The instrumented component feeds its
+// latency histograms (the gateway's dynbw_gateway_stage_ns) from the
+// same sampled messages, so those hold a uniform 1-in-N sample per
+// stripe: quantiles stay per-message estimates, the histogram count is
+// messages timed, and exact per-message totals live in plain counters.
 
 // MaxSpanStages bounds the per-span stage vector so a Span is a flat
 // value type: recording a span never allocates, it copies one struct
@@ -218,11 +220,16 @@ func (r *SpanRing) Instrument(reg *Registry) {
 		func() int64 { return int64(r.Dropped()) })
 }
 
-// Sampler is a 1-in-N decision maker for span tracing: Hit increments a
-// lock-striped counter and reports true on every N-th call per stripe,
-// so the unsampled path costs one uncontended atomic add and the
-// decision needs no randomness (deterministic under test). The nil
-// *Sampler is a valid no-op that never samples.
+// Sampler is a 1-in-N decision maker for message timing: Hit increments a
+// lock-striped counter and reports true for exactly one call in every
+// block of N consecutive calls on a stripe, so the unsampled path costs
+// one uncontended atomic add and the decision needs no randomness
+// (deterministic under test). The position of the sampled call moves from
+// block to block (see Hit), so traffic that repeats with a period
+// dividing N — a client looping over 64 DATA then 64 STATS against the
+// default 1024 — has every part of its cycle sampled in turn, not one
+// message of it every time. The nil *Sampler is a valid no-op that never
+// samples.
 type Sampler struct {
 	every   uint64
 	stripes []stripe64
@@ -232,7 +239,7 @@ type Sampler struct {
 // given a non-positive period.
 const DefaultSampleEvery = 1024
 
-// NewSampler returns a sampler firing every n-th Hit per stripe
+// NewSampler returns a sampler firing once per n Hits per stripe
 // (minimum 1 stripe; a non-positive n uses DefaultSampleEvery, and
 // n == 1 samples everything).
 func NewSampler(n uint64, stripes int) *Sampler {
@@ -246,13 +253,18 @@ func NewSampler(n uint64, stripes int) *Sampler {
 }
 
 // Hit counts one event on the given stripe (reduced modulo the stripe
-// count) and reports whether it should be sampled.
+// count) and reports whether it should be sampled: the stripe's calls are
+// cut into consecutive blocks of N, and block b samples its call number
+// N-1-offset(b), where offset is a Fibonacci hash of b scaled into
+// [0, N). Block 0 has offset 0, so the first sample is the N-th call.
 func (s *Sampler) Hit(stripe int) bool {
 	if s == nil {
 		return false
 	}
-	n := s.stripes[uint(stripe)%uint(len(s.stripes))].v.Add(1)
-	return uint64(n)%s.every == 0
+	n := uint64(s.stripes[uint(stripe)%uint(len(s.stripes))].v.Add(1)) - 1
+	block, pos := n/s.every, n%s.every
+	offset, _ := bits.Mul64(block*0x9E3779B97F4A7C15, s.every)
+	return pos == s.every-1-offset
 }
 
 // Every returns the sampling period (0 for the nil no-op sampler).

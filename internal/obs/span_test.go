@@ -210,6 +210,44 @@ func TestSamplerHitsEveryN(t *testing.T) {
 	}
 }
 
+// TestSamplerCoversPeriodicTraffic: a client that repeats a 128-message
+// cycle (64 DATA then 64 STATS) against a period of 1024 must not have the
+// same message of its cycle sampled every time — the sampled position
+// moves from block to block — while every block of 1024 still samples
+// exactly one.
+func TestSamplerCoversPeriodicTraffic(t *testing.T) {
+	const every, cycle, blocks = 1024, 128, 512
+	s := NewSampler(every, 1)
+	var seen [cycle]int
+	for b := 0; b < blocks; b++ {
+		hits := 0
+		for i := 0; i < every; i++ {
+			if s.Hit(0) {
+				hits++
+				seen[(b*every+i)%cycle]++
+			}
+		}
+		if hits != 1 {
+			t.Fatalf("block %d sampled %d of %d calls, want exactly 1", b, hits, every)
+		}
+	}
+	positions, firstHalf := 0, 0
+	for pos, n := range seen {
+		if n > 0 {
+			positions++
+		}
+		if pos < cycle/2 {
+			firstHalf += n
+		}
+	}
+	if positions < cycle*3/4 {
+		t.Errorf("%d samples landed on %d of the cycle's %d positions, want most of them", blocks, positions, cycle)
+	}
+	if firstHalf < blocks/3 || firstHalf > blocks*2/3 {
+		t.Errorf("%d of %d samples fell in the first half of the cycle, want about half", firstHalf, blocks)
+	}
+}
+
 func TestSamplerEveryOneSamplesAll(t *testing.T) {
 	s := NewSampler(1, 1)
 	for i := 0; i < 5; i++ {
