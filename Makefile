@@ -21,13 +21,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the root benchmark suite at a fixed benchtime and write the parsed
-# ns/op, B/op, allocs/op and rows/op to bench.json (not committed; two
-# such files from one box compare with bwbench -compare). -short keeps the
-# wall-clock TCP soak out of the numbers. Performance claims rest on the
+# The root micro-benchmarks of the building blocks (bench_test.go), for
+# use while working on one of them. Performance claims rest on the
 # repository benchmark (benchmarks/README.md), not on this suite.
 bench:
-	$(GO) run ./cmd/bwbench -benchjson bench.json -benchtime 200ms -short
+	$(GO) test -run '^$$' -bench . -benchmem .
 
 # One short untraced pass each of the repository benchmark's sparse
 # 100k-slot workload (the round path) and its batch-1k workload (the
@@ -39,7 +37,7 @@ dynbench:
 	$(GO) run ./benchmarks/dynbench -workload sparse-100k -seconds 2 -trace 0
 	$(GO) run ./benchmarks/dynbench -workload batch-1k -seconds 2 -trace 0
 
-# The old behaviour (every package's benchmarks, no artifact).
+# Every package's benchmarks.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 

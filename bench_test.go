@@ -1,85 +1,24 @@
-// Package dynbw's root benchmarks regenerate every table and figure of
-// the reproduction (DESIGN.md §4): one testing.B target per experiment,
-// plus micro-benchmarks of the core data structures. Run them all with
+// Package dynbw's root benchmarks are micro-benchmarks of the building
+// blocks: the per-tick cost of the paper's algorithms, the offline greedy,
+// a whole simulated run, and the schedule scan. Run them with
 //
 //	go test -bench=. -benchmem
 //
-// Each experiment benchmark reports rows/op so a disappearing table shows
-// up as a regression, and validates the experiment still succeeds.
+// They are for use while working on one of those layers. Performance
+// claims rest on the repository benchmark (benchmarks/README.md), which
+// drives a running gateway; the experiment tables are pinned by the
+// results/ goldens (cmd/bwbench's TestGoldenResults).
 package dynbw
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
-	"dynbw/internal/gateway"
-	"dynbw/internal/harness"
-	"dynbw/internal/obs"
 	"dynbw/internal/offline"
 	"dynbw/internal/sim"
 	"dynbw/internal/traffic"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb, err := e.Run()
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
-		b.ReportMetric(float64(len(tb.Rows)), "rows/op")
-	}
-}
-
-func BenchmarkFig1Demand(b *testing.B)               { benchExperiment(b, "FIG1") }
-func BenchmarkFig2Strategies(b *testing.B)           { benchExperiment(b, "FIG2") }
-func BenchmarkThm6SweepB(b *testing.B)               { benchExperiment(b, "E3") }
-func BenchmarkThm6Stages(b *testing.B)               { benchExperiment(b, "E4") }
-func BenchmarkThm7SweepU(b *testing.B)               { benchExperiment(b, "E5") }
-func BenchmarkGuarantees(b *testing.B)               { benchExperiment(b, "E6") }
-func BenchmarkThm14SweepK(b *testing.B)              { benchExperiment(b, "E7") }
-func BenchmarkThm17SweepK(b *testing.B)              { benchExperiment(b, "E8") }
-func BenchmarkPhasedVsContinuous(b *testing.B)       { benchExperiment(b, "E9") }
-func BenchmarkCombined(b *testing.B)                 { benchExperiment(b, "E10") }
-func BenchmarkNoSlackAdversary(b *testing.B)         { benchExperiment(b, "E11") }
-func BenchmarkLogBLowerBound(b *testing.B)           { benchExperiment(b, "E12") }
-func BenchmarkHeuristics(b *testing.B)               { benchExperiment(b, "E13") }
-func BenchmarkGlobalVsLocalUtil(b *testing.B)        { benchExperiment(b, "E14") }
-func BenchmarkQuantizationAblation(b *testing.B)     { benchExperiment(b, "E15") }
-func BenchmarkAdaptiveAdversary(b *testing.B)        { benchExperiment(b, "E16") }
-func BenchmarkBufferSizing(b *testing.B)             { benchExperiment(b, "E17") }
-func BenchmarkWorkloadCharacterization(b *testing.B) { benchExperiment(b, "E18") }
-func BenchmarkWindowSweep(b *testing.B)              { benchExperiment(b, "E19") }
-func BenchmarkSlackSweep(b *testing.B)               { benchExperiment(b, "E20") }
-func BenchmarkRoutingBlocking(b *testing.B)          { benchExperiment(b, "E23") }
-func BenchmarkRoutingBalance(b *testing.B)           { benchExperiment(b, "E24") }
-func BenchmarkRoutingCost(b *testing.B)              { benchExperiment(b, "E25") }
-
-// BenchmarkSoakGateway drives the live-path soak (E21): real gateways,
-// real TCP clients, wall-clock ticks. Unlike the experiments above its
-// rows are timing-dependent; the benchmark pins down throughput of the
-// whole serving stack rather than of a simulation. It is skipped under
-// -short so CI's benchmark smoke job stays off the network and fast.
-func BenchmarkSoakGateway(b *testing.B) {
-	if testing.Short() {
-		b.Skip("wall-clock TCP soak; skipped under -short")
-	}
-	benchExperiment(b, "E21")
-}
-
-// --- micro-benchmarks of the building blocks ---
 
 // BenchmarkSingleSessionTick measures the per-tick cost of the paper's
 // single-session algorithm (tracker updates + quantization).
@@ -192,162 +131,6 @@ func BenchmarkScheduleScan(b *testing.B) {
 		}
 		if acc == 0 {
 			b.Fatal("scan accumulated nothing")
-		}
-	}
-}
-
-// BenchmarkGatewayMessages measures the gateway's message path —
-// DATA submit plus STATS round-trip over real TCP — with the tick loop
-// parked (a never-firing tick channel), so only wire handling and slot
-// bookkeeping are on the clock. The shards=1 case is the classic
-// single-mutex table; shards=8 lock-stripes it. On a single-core box
-// the two are expected to be close (striping buys nothing without
-// parallel hardware); the win shows up as core count grows.
-// The batch=64 variants send the same DATA traffic coalesced into
-// BATCH wire frames (Mux.SendBatch, 64 messages per write) with one
-// STATS round trip per frame to keep the pipeline honest; msg/s counts
-// logical messages, so the batched win over the per-message rows is the
-// tentpole number recorded in BENCH_10.json.
-func BenchmarkGatewayMessages(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchGatewayMessages(b, shards, 0)
-		})
-		b.Run(fmt.Sprintf("shards=%d/batch=64", shards), func(b *testing.B) {
-			benchGatewayMessages(b, shards, 64)
-		})
-	}
-}
-
-func benchGatewayMessages(b *testing.B, shards, batch int) {
-	const k, conns = 256, 8
-	// The benchmark measures the instrumented wire path — metrics
-	// registry attached and span sampling at the default 1-in-1024 rate —
-	// because that is how the gateway actually runs; the unsampled
-	// per-message overhead contract is asserted by
-	// gateway.TestHandleMessageUnsampledZeroAlloc.
-	cfg := gateway.Config{
-		Addr:    "127.0.0.1:0",
-		Slots:   k,
-		Ticks:   make(chan time.Time), // never fires: message path only
-		Metrics: obs.NewRegistry(),
-		Spans:   obs.NewSpanRing(obs.DefaultSpanRingSize, gateway.StageNames()),
-		Policy:  "phased",
-	}
-	if shards > 1 {
-		cfg.Shards = shards
-		allocs := make([]sim.MultiAllocator, shards)
-		for i := range allocs {
-			allocs[i] = core.MustNewPhased(core.MultiParams{
-				K: k / shards, BO: bw.Rate(16 * k / shards), DO: 8,
-			})
-		}
-		cfg.ShardAllocs = allocs
-	} else {
-		cfg.Alloc = core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 8})
-	}
-	gw, err := gateway.NewWithConfig(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gw.Close()
-
-	// Pre-dial the muxes and open one session each; conn stripes are
-	// assigned round-robin, so the sessions land on distinct shards.
-	muxes := make([]*gateway.Mux, conns)
-	ids := make([]uint32, conns)
-	for i := range muxes {
-		m, err := gateway.DialMux(gw.Addr(), 5*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		muxes[i] = m
-		if ids[i], err = m.Open(); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.SetParallelism(conns)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(next.Add(1)-1) % conns
-		m, id := muxes[i], ids[i]
-		if batch > 1 {
-			items := make([]gateway.BatchItem, batch)
-			for j := range items {
-				items[j] = gateway.BatchItem{Session: id, Bits: 8}
-			}
-			for pb.Next() {
-				if err := m.SendBatch(items); err != nil {
-					b.Error(err)
-					return
-				}
-				if _, err := m.Stats(id); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			return
-		}
-		for pb.Next() {
-			if err := m.Send(id, 8); err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := m.Stats(id); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	perIter := 2
-	if batch > 1 {
-		perIter = batch + 1
-	}
-	b.ReportMetric(float64(perIter*b.N)/b.Elapsed().Seconds(), "msg/s")
-}
-
-// BenchmarkGatewayConnChurn measures accept/open/close/disconnect churn:
-// each iteration dials a fresh connection, opens and closes a session,
-// and tears the connection down. The pooled per-connection state
-// (connState, read/write buffers) keeps the gateway-side cost flat; the
-// allocs/op reported here are dominated by the client and the kernel
-// socket, so the benchmark guards against regressions rather than
-// asserting zero.
-func BenchmarkGatewayConnChurn(b *testing.B) {
-	cfg := gateway.Config{
-		Addr:    "127.0.0.1:0",
-		Slots:   16,
-		Ticks:   make(chan time.Time), // never fires: churn path only
-		Alloc:   core.MustNewPhased(core.MultiParams{K: 16, BO: 256, DO: 8}),
-		Metrics: obs.NewRegistry(),
-		Policy:  "phased",
-	}
-	gw, err := gateway.NewWithConfig(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gw.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := gateway.DialMux(gw.Addr(), 5*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		id, err := m.Open()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.CloseSession(id); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Close(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -11,8 +11,6 @@
 //	bwbench -list            # list the experiment registry
 //	bwbench -out results/    # also write results/<ID>.md and .csv
 //	bwbench -j 4             # fan sweep points across 4 workers (same output bytes)
-//	bwbench -benchjson BENCH.json   # run root benchmarks, write parsed JSON
-//	bwbench -compare BENCH_5.json BENCH_6.json   # fail on perf/alloc regressions
 package main
 
 import (
@@ -45,30 +43,11 @@ func run(args []string, out io.Writer) error {
 		parallel = fs.Bool("parallel", false, "run experiments concurrently (output stays ordered)")
 		live     = fs.Bool("live", false, "also include the wall-clock experiments (E21); their tables vary run to run")
 		workers  = fs.Int("j", 0, "worker goroutines per sweep (0 = GOMAXPROCS); output is identical for every value")
-
-		benchJSON = fs.String("benchjson", "", "run the root benchmark suite and write parsed results to this JSON file")
-		benchTime = fs.String("benchtime", "200ms", "benchtime for -benchjson")
-		benchRe   = fs.String("benchmatch", ".", "benchmark name pattern for -benchjson")
-		short     = fs.Bool("short", false, "pass -short to -benchjson runs (skips the wall-clock soak benchmark)")
-
-		compare   = fs.Bool("compare", false, "diff two BENCH_<n>.json artifacts (old new); exit nonzero on regression")
-		nsTol     = fs.Float64("ns-tol", 0.10, "ns/op regression tolerance for -compare, as a fraction (0.10 = +10%)")
-		allocsTol = fs.Float64("allocs-tol", 0, "allocs/op regression tolerance for -compare, absolute")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	harness.SetParallelism(*workers)
-
-	if *compare {
-		if fs.NArg() != 2 {
-			return fmt.Errorf("-compare takes exactly two BENCH json files, got %d", fs.NArg())
-		}
-		return runCompare(out, fs.Arg(0), fs.Arg(1), *nsTol, *allocsTol)
-	}
-	if *benchJSON != "" {
-		return runBenchJSON(out, *benchJSON, *benchTime, *benchRe, *short)
-	}
 
 	all := harness.All()
 	if *live {

@@ -289,7 +289,7 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "ticks:           %d\n", stats.Ticks)
-	fmt.Fprintf(out, "bits served:     %d (%d still queued)\n", stats.Served, stats.Queued)
+	fmt.Fprintf(out, "bits served:     %d (%d still queued, %d dropped with their sessions)\n", stats.Served, stats.Queued, stats.Closed)
 	fmt.Fprintf(out, "session changes: %d\n", stats.SessionChanges)
 	fmt.Fprintf(out, "peak total bw:   %d\n", stats.MaxTotalRate)
 	fmt.Fprintf(out, "max delay:       %d ticks (2*D_O guarantee: %d, +arrival alignment)\n",

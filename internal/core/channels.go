@@ -101,6 +101,15 @@ func (c *channels) arrive(active []int32, arrived []bw.Bits) {
 	}
 }
 
+// leave empties session i's virtual queues: the session ended and the
+// bits they stood for were dropped with it. What was allotted for those
+// bits is withdrawn by the algorithm's own next step — the PHASE that
+// finds the queue drained, the REDUCE already on the wheel — exactly as if
+// they had been served, so a session's departure is not a stage event.
+func (c *channels) leave(i int) {
+	c.qr[i], c.qo[i] = 0, 0
+}
+
 // phase is the PHASE step of Figure 4 over the live sessions, decided on
 // the queues as the previous phase left them: a session whose regular
 // allocation drains its regular queue within D_O gives up its overflow

@@ -307,6 +307,14 @@ func (c *Combined) innerContinuous(t bw.Tick, active []int32, arrived []bw.Bits)
 	}
 }
 
+// Leave tells the policy that session i ended with bits undelivered: no
+// later round reserves bandwidth for them, on the inner channels or the
+// global overflow channel.
+func (c *Combined) Leave(i int) {
+	c.ch.leave(i)
+	c.gq[i] = 0
+}
+
 // Stats returns the structural counters accumulated so far.
 func (c *Combined) Stats() CombinedStats { return c.stats }
 

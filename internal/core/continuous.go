@@ -96,6 +96,10 @@ func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits
 	return c.finish(nil)
 }
 
+// Leave tells the policy that session i ended with bits undelivered: no
+// later round reserves bandwidth for them.
+func (a *Continuous) Leave(i int) { a.ch.leave(i) }
+
 // Stats returns the structural counters accumulated so far.
 func (a *Continuous) Stats() MultiStats { return a.stats }
 

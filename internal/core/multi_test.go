@@ -198,3 +198,74 @@ func TestPhasedStageAccounting(t *testing.T) {
 		t.Errorf("Stages = %d, Resets = %d, want Stages = Resets+1", st.Stages, st.Resets)
 	}
 }
+
+// TestLeaveForgetsTheDepartedSessionsBits: a session that ends takes its
+// virtual queues with it. Session 0 receives a burst at tick 0 and ends
+// before tick 1, when its slot's next tenant sends a few bits. A policy
+// told of the departure never allots more than one left to believe the
+// burst is still queued, and at some tick allots less: the phased
+// algorithms would go on sizing an overflow allocation for the phantom
+// backlog phase after phase, the continuous one would count the phantom
+// bits towards the newcomer's TEST and spill it.
+func TestLeaveForgetsTheDepartedSessionsBits(t *testing.T) {
+	const (
+		k  = 4
+		bo = bw.Rate(64)
+		do = bw.Tick(4)
+	)
+	type policy interface {
+		Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate
+		Leave(i int)
+	}
+	drains := bw.Volume(bo/k, do) // what the base share drains in D_O
+	for _, tc := range []struct {
+		name  string
+		burst bw.Bits
+		build func() policy
+	}{
+		{"phased", 10 * drains, func() policy { return MustNewPhased(MultiParams{K: k, BO: bo, DO: do}) }},
+		// Exactly what TEST lets pass: one more bit on top spills.
+		{"continuous", drains, func() policy { return MustNewContinuous(MultiParams{K: k, BO: bo, DO: do}) }},
+		{"combined", 10 * drains, func() policy {
+			return MustNewCombined(CombinedParams{K: k, BA: bw.NextPow2(8 * bo), DO: do, UO: 0.5, W: 2 * do})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The policies never read queued, so none is passed.
+			run := func(told bool) []bw.Rate {
+				a := tc.build()
+				arrived, queued := make([]bw.Bits, k), make([]bw.Bits, k)
+				var total []bw.Rate
+				for tick := bw.Tick(0); tick < 6*do; tick++ {
+					arrived[0] = 0
+					switch tick {
+					case 0:
+						arrived[0] = tc.burst
+					case 1:
+						if told {
+							a.Leave(0)
+						}
+						arrived[0] = bo/k + 1
+					}
+					var sum bw.Rate
+					for _, r := range a.Rates(tick, arrived, queued) {
+						sum += r
+					}
+					total = append(total, sum)
+				}
+				return total
+			}
+			told, untold := run(true), run(false)
+			less := false
+			for tick := range told {
+				if told[tick] > untold[tick] {
+					t.Errorf("tick %d: %d allotted with the departure told, %d without", tick, told[tick], untold[tick])
+				}
+				less = less || told[tick] < untold[tick]
+			}
+			if !less {
+				t.Errorf("telling the policy changed nothing: %v", told)
+			}
+		})
+	}
+}

@@ -126,6 +126,10 @@ func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([
 	return c.finish(nil)
 }
 
+// Leave tells the policy that session i ended with bits undelivered: no
+// later round reserves bandwidth for them.
+func (a *Phased) Leave(i int) { a.ch.leave(i) }
+
 // Stats returns the structural counters accumulated so far.
 func (a *Phased) Stats() MultiStats { return a.stats }
 

@@ -187,14 +187,14 @@ func TestBatchWireEdgeCases(t *testing.T) {
 
 	t.Run("empty batch is a no-op", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		if err := g.handleMessage(bytes.NewReader(batchFrame(0)), io.Discard, cs); err != nil {
 			t.Fatalf("empty batch: %v", err)
 		}
 	})
 	t.Run("truncated count is a read error", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0}), io.Discard, cs)
 		if err == nil || errors.Is(err, errProtocol) {
 			t.Fatalf("truncated count: got %v, want plain read error", err)
@@ -202,7 +202,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	})
 	t.Run("oversized count is a protocol violation", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0xff, 0xff}), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("count 0xffff: got %v, want errProtocol", err)
@@ -210,7 +210,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	})
 	t.Run("nested batch is a protocol violation", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		err := g.handleMessage(bytes.NewReader(batchFrame(1, batchFrame(0))), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("nested batch: got %v, want errProtocol", err)
@@ -218,7 +218,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	})
 	t.Run("trace wrapping batch is a protocol violation", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		in := append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 1}, batchFrame(0)...)
 		err := g.handleMessage(bytes.NewReader(in), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
@@ -227,7 +227,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	})
 	t.Run("mixed open and data applies", func(t *testing.T) {
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		var w bytes.Buffer
 		in := batchFrame(3, open, data, data)
 		if err := g.handleMessage(bytes.NewReader(in), &w, cs); err != nil {
@@ -249,7 +249,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		// group before releasing the slot, or the DATA would land on a
 		// freed (or worse, re-opened) slot.
 		g := newBare(4)
-		cs := &connState{owned: make(map[int]struct{})}
+		cs := g.getConnState(0, 0)
 		in := batchFrame(3, open, data, fuzzSeed(typeClose, 0))
 		if err := g.handleMessage(bytes.NewReader(in), io.Discard, cs); err != nil {
 			t.Fatal(err)
@@ -261,8 +261,11 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if sh.inUse != 0 {
 			t.Errorf("inUse = %d after CLOSE", sh.inUse)
 		}
-		if got := sh.slots.Pending(0); got != 64 {
-			t.Errorf("pending[0] = %d, want 64 applied before release", got)
+		if got := sh.past.Dropped; got != 64 {
+			t.Errorf("CLOSE dropped %d bits, want the 64 applied before release", got)
+		}
+		if got := sh.slots.Pending(0); got != 0 {
+			t.Errorf("pending[0] = %d on a free slot", got)
 		}
 	})
 	t.Run("mid-batch error discards unapplied groups", func(t *testing.T) {

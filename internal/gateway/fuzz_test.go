@@ -3,13 +3,23 @@ package gateway
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"errors"
+	"math"
 	"testing"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
 	"dynbw/internal/sim"
 )
+
+// newBare builds the slot state of a k-slot single-shard gateway with no
+// listener and no loops, for driving handleMessage without a network. It
+// is served by a stateless policy until the test serves it another.
+func newBare(k int) *Gateway {
+	g := newGateway(k, 1)
+	g.shards[0].serve(perSlotAlloc{cap: 4})
+	return g
+}
 
 // fuzzSeed assembles a request message for the corpus: the type byte, a
 // uint32 session id as first field, and uint64s for the rest.
@@ -30,10 +40,106 @@ func fuzzSeed(typ byte, fields ...uint64) []byte {
 	return b.Bytes()
 }
 
-// FuzzHandleMessage asserts the gateway's wire-facing surface never
-// panics on arbitrary byte streams and that slot accounting stays
-// consistent with the connection's owned-session set no matter how the
-// stream is mangled.
+// Harness-only bytes. Where a wire unit would start, one of these is
+// taken by the fuzz harness instead of handleMessage; every other byte —
+// 0xff included, which stays the corpus's unknown message type — starts a
+// wire unit.
+const (
+	fuzzRounds byte = 0xa0 // 0xa0..0xa3: run 1..4 allocation rounds
+	fuzzSwitch byte = 0xb0 // the stream continues on the other connection
+	fuzzHangUp byte = 0xb1 // the current connection dies without a CLOSE
+)
+
+// fuzzSession is the reference model's whole knowledge of a live session.
+type fuzzSession struct {
+	conn int     // the connection that opened it
+	sent bw.Bits // bits it was sent since OPEN, saturating
+}
+
+// fuzzModel is the reference the gateway is compared with after every
+// step: the live sessions by wire ID, and bounds on the bits that ended
+// sessions must have dropped (equal, until a session the cap policed or
+// a rejected unit makes the exact figure unknowable from outside).
+type fuzzModel struct {
+	live               map[int]*fuzzSession
+	closedLo, closedHi bw.Bits
+}
+
+// end takes a session that had been served so far out of the model and
+// accounts for what its end dropped.
+func (m *fuzzModel) end(id int, served bw.Bits) {
+	s := m.live[id]
+	if s.sent <= sim.MaxBacklog {
+		m.closedLo += s.sent - served
+	}
+	m.closedHi += s.sent - served
+	delete(m.live, id)
+}
+
+// accepted folds one wire unit the gateway took whole into the model,
+// reading the gateway's replies for what only it decides (the ID an OPEN
+// was given), and fails the test if the unit should not have been taken:
+// it named a session the connection does not own. served holds each
+// session's served count from before the unit (no round runs inside one).
+func (m *fuzzModel) accepted(t *testing.T, conn int, u, reply []byte, served map[int]bw.Bits) {
+	if u[0] == typeBatch {
+		u = u[3:]
+	}
+	owned := func(what string, id int) *fuzzSession {
+		s := m.live[id]
+		if s == nil || s.conn != conn {
+			t.Fatalf("connection %d: %s accepted for session %#x, which it does not own", conn, what, id)
+		}
+		return s
+	}
+	for len(u) > 0 {
+		if u[0] == typeTrace {
+			u = u[9:]
+		}
+		typ := u[0]
+		u = u[1:]
+		switch typ {
+		case typeOpen:
+			if reply[0] == typeOpenFail {
+				reply = reply[1:]
+				break
+			}
+			id := int(binary.BigEndian.Uint32(reply[1:]))
+			reply = reply[5:]
+			if m.live[id] != nil {
+				t.Fatalf("OPEN handed out %#x, the ID of a live session", id)
+			}
+			m.live[id] = &fuzzSession{conn: conn}
+		case typeData:
+			s := owned("DATA", int(binary.BigEndian.Uint32(u)))
+			if s.sent += bw.Bits(binary.BigEndian.Uint64(u[4:])); s.sent < 0 {
+				s.sent = math.MaxInt64
+			}
+			u = u[12:]
+		case typeStats:
+			id := int(binary.BigEndian.Uint32(u))
+			s := owned("STATS", id)
+			got := bw.Bits(binary.BigEndian.Uint64(reply[1:]) + binary.BigEndian.Uint64(reply[9:]))
+			if got < 0 || got > s.sent {
+				t.Fatalf("session %#x was sent %d bits; STATS reports %d served or queued", id, s.sent, got)
+			}
+			u, reply = u[4:], reply[statsReplyLen:]
+		case typeClose:
+			id := int(binary.BigEndian.Uint32(u))
+			owned("CLOSE", id)
+			m.end(id, served[id])
+			u, reply = u[4:], reply[1:]
+		}
+	}
+}
+
+// FuzzHandleMessage drives the gateway's wire-facing surface with an
+// arbitrary byte stream — wire units on two connections sharing one
+// table, allocation rounds between them, connections dying — and checks
+// the table against the reference model after every step: nothing
+// panics, each live session accounts for exactly the bits it was sent,
+// no bit is ever found on a free slot, and no connection reaches a
+// session that is not its own.
 func FuzzHandleMessage(f *testing.F) {
 	f.Add(fuzzSeed(typeOpen))
 	f.Add(fuzzSeed(typeData, 0, 64))
@@ -66,58 +172,131 @@ func FuzzHandleMessage(f *testing.F) {
 	huge := fuzzSeed(typeData, 0, 1<<62)
 	f.Add(append(fuzzSeed(typeOpen), append(huge, huge...)...))
 	f.Add(batchFrame(3, fuzzSeed(typeOpen), huge, huge))
+	// The crasher a 10 s run found while CLOSE only cleared the occupancy
+	// bit: bits still pending when their session ends stayed on the free
+	// slot, for its next tenant to inherit.
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1<<40), fuzzSeed(typeClose, 0)))
+	// Lifecycles: a backlog queued by a round, then CLOSE, then the next
+	// tenant of the slot (ID 1<<2, tag 1 over index 0) reading its own
+	// counters; the first tenant's ID used after its CLOSE; a connection
+	// hanging up with bits in flight; the other connection naming a
+	// session that is not its own.
+	const second = 1 << 2
+	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1000), []byte{fuzzRounds + 1}, fuzzSeed(typeClose, 0),
+		fuzzSeed(typeOpen), fuzzSeed(typeData, second, 8), []byte{fuzzRounds}, fuzzSeed(typeStats, second)))
+	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeClose, 0), fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)))
+	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeOpen), fuzzSeed(typeData, 1, 500), []byte{fuzzRounds, fuzzHangUp, fuzzRounds + 3}))
+	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), []byte{fuzzSwitch}, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 8)))
+	f.Add(join(fuzzSeed(typeOpen), []byte{fuzzSwitch}, batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeStats, 0))))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const k = 4
 		g := newBare(k)
-		g.shards[0].serve(core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 2}))
-		cs := &connState{owned: make(map[int]struct{})}
-		r := bytes.NewReader(in)
-		for {
-			if err := g.handleMessage(r, io.Discard, cs); err != nil {
-				break
-			}
-		}
-		for id := range cs.owned {
-			if id < 0 || id >= k {
-				t.Fatalf("owned session %d out of range", id)
-			}
-		}
 		sh := g.shards[0]
-		inUse := 0
-		for i := 0; i < k; i++ {
-			if sh.used.Has(i) {
-				inUse++
+		sh.serve(core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 2}))
+		conns := [2]*connState{g.getConnState(0, 0), g.getConnState(0, 0)}
+		model := fuzzModel{live: make(map[int]*fuzzSession)}
+		var tick bw.Tick
+		rounds := func(n int) {
+			for ; n > 0; n-- {
+				g.round(tick)
+				tick++
 			}
 		}
-		// A single connection's stream can only have opened the slots it
-		// still owns; every used slot must be owned and vice versa.
-		if inUse != len(cs.owned) {
-			t.Fatalf("%d slots in use but connection owns %d sessions", inUse, len(cs.owned))
-		}
-		if inUse != sh.inUse {
-			t.Fatalf("shard inUse = %d, counted %d", sh.inUse, inUse)
-		}
-		for id := range cs.owned {
-			if !sh.used.Has(id) {
-				t.Fatalf("owned session %d not marked used", id)
+		served := make(map[int]bw.Bits)
+		// hangUp is the current connection's death, clean or over a
+		// rejected unit. What a rejected unit applied before it failed
+		// (an OPEN, batched DATA) is not the model's to know, so the
+		// dropped-bits bounds start over from the gateway's count.
+		hangUp := func(cur int, rejected bool) {
+			g.releaseAll(conns[cur])
+			for id, s := range model.live {
+				if s.conn == cur {
+					model.end(id, served[id])
+				}
+			}
+			if rejected {
+				model.closedLo, model.closedHi = sh.past.Dropped, sh.past.Dropped
 			}
 		}
-		// DATA must never have landed on a slot the stream did not own:
-		// every pending entry outside the owned set must be zero.
-		for i := 0; i < k; i++ {
-			_, owned := cs.owned[i]
-			if p := sh.slots.Pending(i); p < 0 || (!owned && p != 0) {
-				t.Fatalf("pending[%d] = %d, owned = %v", i, p, owned)
+		check := func(step string) {
+			t.Helper()
+			if sh.inUse != len(model.live) || len(conns[0].owned)+len(conns[1].owned) != len(model.live) {
+				t.Fatalf("after %s: %d slots in use, connections own %d+%d sessions, model has %d live",
+					step, sh.inUse, len(conns[0].owned), len(conns[1].owned), len(model.live))
+			}
+			taken := make(map[int]bool)
+			for id, s := range model.live {
+				if _, ok := conns[s.conn].owned[id]; !ok {
+					t.Fatalf("after %s: session %#x missing from connection %d's owned set", step, id, s.conn)
+				}
+				slot := sh.slot(id)
+				if taken[slot] || !sh.used.Has(slot) {
+					t.Fatalf("after %s: session %#x on slot %d, which is free or shared", step, id, slot)
+				}
+				taken[slot] = true
+				q := sh.slots.Queue(slot)
+				got := q.Served() + q.Bits() + sh.slots.Pending(slot)
+				if got > s.sent || (got < s.sent && s.sent <= sim.MaxBacklog) {
+					t.Fatalf("after %s: session %#x was sent %d bits; served %d + queued %d + pending %d",
+						step, id, s.sent, q.Served(), q.Bits(), sh.slots.Pending(slot))
+				}
+			}
+			for slot := 0; slot < k; slot++ {
+				if p, q := sh.slots.Pending(slot), sh.slots.Queue(slot); !taken[slot] && (p != 0 || q.Bits() != 0 || q.Served() != 0) {
+					t.Fatalf("after %s: free slot %d holds %d pending, %d queued, %d served", step, slot, p, q.Bits(), q.Served())
+				}
+			}
+			if d := sh.past.Dropped; d < model.closedLo || d > model.closedHi {
+				t.Fatalf("after %s: ended sessions dropped %d bits, the model says %d..%d", step, d, model.closedLo, model.closedHi)
 			}
 		}
+
+		r := bytes.NewReader(in)
+		var reply bytes.Buffer
+		cur := 0
+		for r.Len() > 0 {
+			clear(served)
+			for id := range model.live {
+				served[id] = sh.slots.Queue(sh.slot(id)).Served()
+			}
+			at := len(in) - r.Len()
+			switch op := in[at]; {
+			case op >= fuzzRounds && op < fuzzRounds+4:
+				r.ReadByte()
+				rounds(int(op-fuzzRounds) + 1)
+				check("rounds")
+				continue
+			case op == fuzzSwitch:
+				r.ReadByte()
+				cur = 1 - cur
+				continue
+			case op == fuzzHangUp:
+				r.ReadByte()
+				hangUp(cur, false)
+				check("a hang-up")
+				continue
+			}
+			reply.Reset()
+			if err := g.handleMessage(r, &reply, conns[cur]); err != nil {
+				hangUp(cur, true)
+				check("a rejected unit")
+				if !errors.Is(err, errProtocol) {
+					break // the stream ran out mid-unit
+				}
+				continue
+			}
+			model.accepted(t, cur, in[at:len(in)-r.Len()], reply.Bytes(), served)
+			check("an accepted unit")
+		}
+
 		// Whatever the stream left pending must survive allocation rounds:
 		// the tick goroutine has no recover, so a panic there is an outage.
 		// They move every pending bit into its queue, and no slot ends up
 		// holding more than the cap.
-		for tick := bw.Tick(0); tick < 3; tick++ {
-			g.round(tick)
-		}
+		rounds(3)
+		check("the final rounds")
 		for i := 0; i < k; i++ {
 			if p, q := sh.slots.Pending(i), sh.slots.Queue(i).Bits(); p != 0 || q < 0 || q > sim.MaxBacklog {
 				t.Fatalf("slot %d: %d bits pending, %d queued after the rounds", i, p, q)

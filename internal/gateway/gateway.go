@@ -46,11 +46,22 @@
 //	                                        coalesced into as few writes as
 //	                                        possible)
 //
+// A session is a tenant of a slot, not the slot: it begins at OPEN with
+// nothing queued and its counters at zero, and ends at CLOSE or with its
+// connection, when bits still pending or queued are dropped, not
+// delivered (Stats.Closed, dynbw_gateway_closed_bits_total). Its ID is
+// opaque: tag << w | index, w the width of Slots-1, index the session's
+// for life (its global slot, until a multi-link rebalance moves both),
+// tag its shard's count of ended sessions at the OPEN, wrapping. A slot
+// is re-let only after a release, so successive tenants never share an
+// ID; until the first CLOSE an ID is the slot number (DESIGN.md §10).
+//
 // A connection may OPEN any number of sessions and multiplex them (the
 // Mux client; one TCP connection per session would exhaust descriptors
 // long before the slot table does). DATA, STATS and CLOSE must name a
-// session the connection itself opened; anything else is a protocol
-// violation and drops the connection, releasing every session it owned.
+// live session the connection itself opened; anything else — another
+// connection's, its own from before a CLOSE — is a protocol violation
+// and drops the connection, ending every session it owned.
 //
 // The gateway pipelines: it keeps handling buffered input before
 // flushing buffered replies, so a client that writes many requests
@@ -67,8 +78,8 @@
 // With Config.Shards > 1 the slot table is split into shards, each
 // owning a contiguous slot range behind its own mutex, its own
 // allocator over its own bandwidth share, and its own observability
-// stripe. Wire session IDs are global slot indices, so a session's
-// shard is ID/(Slots/Shards) — exchanges touching different shards
+// stripe. A session ID's index is a global slot number, so a session's
+// shard is index/(Slots/Shards) — exchanges touching different shards
 // never contend. The tick loop fans one allocation round out to every
 // shard and joins before advancing the clock, so the cost measure and
 // per-slot accounting are exactly the single-shard gateway's; /metrics,
@@ -79,6 +90,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"net"
 	"runtime"
 	"strconv"
@@ -235,20 +247,14 @@ type Config struct {
 // links, each with its own allocator, with a routing policy choosing
 // the link at OPEN time; or, in sharded mode, k slots partitioned
 // across independently locked shards, each with its own allocator.
-//
-// In multi-link mode wire session IDs are decoupled from slot indices:
-// each OPEN mints a fresh external ID and the slot behind it may change
-// when a rebalance pass migrates the session (queue, pending bits and
-// all) to another link. Single-link mode (sharded or not) keeps the
-// classic ID == slot behavior.
 type Gateway struct {
 	ln          net.Listener
 	k           int // total slots
-	links       int // number of links (1 = classic)
-	lm          int // slots per link (k/links)
 	spp         int // slots per shard (k/len(shards))
+	indexBits   int // a wire session ID is tag<<indexBits | index: the width of k-1
+	indexMask   int // selects the index of a wire session ID
 	shards      []*shard
-	router      route.Router // nil in single-link mode
+	router      route.Router // places an OPEN on a link; route.OneLink unless Config.Router is set
 	rebalEvery  bw.Tick
 	rebalLimit  int
 	ticks       <-chan time.Time
@@ -360,9 +366,9 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	}
 	g := newGateway(cfg.Slots, nshards)
 	g.ln = ln
-	g.links = links
-	g.lm = cfg.Slots / links
-	g.router = cfg.Router
+	if cfg.Router != nil {
+		g.router = cfg.Router
+	}
 	g.rebalEvery = cfg.RebalanceEvery
 	g.rebalLimit = cfg.RebalanceLimit
 	if g.rebalLimit < 1 {
@@ -373,9 +379,8 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 		for i, sh := range g.shards {
 			sh.serve(cfg.ShardAllocs[i])
 		}
-	case g.router != nil:
+	case cfg.Router != nil:
 		g.shards[0].serve(cfg.LinkAllocs...)
-		g.shards[0].routed()
 	default:
 		g.shards[0].serve(cfg.Alloc)
 	}
@@ -424,14 +429,15 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 func newGateway(k, nshards int) *Gateway {
 	g := &Gateway{
 		k:          k,
-		links:      1,
-		lm:         k,
 		spp:        k / nshards,
+		indexBits:  bits.Len(uint(k - 1)),
+		router:     route.OneLink{},
 		acceptStop: make(chan struct{}),
 		closing:    make(chan struct{}),
 		done:       make(chan struct{}),
 		m:          &gwMetrics{},
 	}
+	g.indexMask = 1<<g.indexBits - 1
 	g.shards = make([]*shard, nshards)
 	for i := range g.shards {
 		g.shards[i] = newShard(g, i, i*g.spp, g.spp)
@@ -441,26 +447,18 @@ func newGateway(k, nshards int) *Gateway {
 	return g
 }
 
-// newBare builds the slot state of a k-slot single-shard gateway with no
-// listener and no loops. It backs the FuzzHandleMessage harness, which
-// exercises handleMessage without a network.
-func newBare(k int) *Gateway {
-	return newGateway(k, 1)
-}
-
 // Addr returns the gateway's listen address.
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
-// shardOf maps a wire session ID to its owning shard: IDs are global
-// slot indices in single-link mode, so the shard is ID / (k/shards).
-// Multi-link mode routes everything to the one shard that owns the
-// whole table. Callers must have validated the ID (it is one of the
+// shardOf maps a wire session ID to its owning shard: the ID's index is
+// a global slot number on a sharded gateway, so the shard is index /
+// (k/shards). Callers must have validated the ID (it is one of the
 // connection's owned sessions).
 func (g *Gateway) shardOf(id int) *shard {
 	if len(g.shards) == 1 {
 		return g.shards[0]
 	}
-	return g.shards[id/g.spp]
+	return g.shards[(id&g.indexMask)/g.spp]
 }
 
 // emit forwards an event to the observer, if any.

@@ -22,6 +22,16 @@ func newManualTicks() *manualTicks { return &manualTicks{ch: make(chan time.Time
 
 func (m *manualTicks) tick() { m.ch <- time.Time{} }
 
+// waitRounds blocks until the gateway has completed n rounds. A tick()
+// only says the round before it has; where the test goes on to CLOSE
+// sessions with bits queued, whether the last round served them or the
+// CLOSE dropped them must not be left to the scheduler.
+func waitRounds(g *Gateway, n int64) {
+	for g.now.Load() < n {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 func startGateway(t *testing.T, k int) (*Gateway, *manualTicks) {
 	t.Helper()
 	p := core.MultiParams{K: k, BO: bw.Rate(16 * k), DO: 4}
@@ -75,7 +85,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	c.Close()
 	stats := g.Close()
-	if stats.Served+stats.Queued != 64 {
+	if stats.Served+stats.Queued+stats.Closed != 64 {
 		t.Errorf("gateway accounting: %+v", stats)
 	}
 	if stats.Ticks != 40 {

@@ -516,10 +516,10 @@ func TestOpenIsFirstFit(t *testing.T) {
 	const k = 300
 	g := newBare(k)
 	sh := g.shards[0]
-	open := make(map[int]bool)
+	open := make(map[int]int) // slot -> wire ID of the session in it
 	lowestFree := func() int {
 		for i := 0; i < k; i++ {
-			if !open[i] {
+			if _, taken := open[i]; !taken {
 				return i
 			}
 		}
@@ -529,10 +529,10 @@ func TestOpenIsFirstFit(t *testing.T) {
 		t.Helper()
 		want := lowestFree()
 		id, ok := sh.open()
-		if !ok || id != want {
-			t.Fatalf("open() = %d, %v; first fit is %d", id, ok, want)
+		if !ok || id&g.indexMask != want {
+			t.Fatalf("open() = %#x, %v; first fit is slot %d", id, ok, want)
 		}
-		open[id] = true
+		open[want] = id
 	}
 	for i := 0; i < k; i++ {
 		mustOpen()
@@ -543,10 +543,10 @@ func TestOpenIsFirstFit(t *testing.T) {
 	src := rng.New(5)
 	for round := 0; round < 50; round++ {
 		for n := 1 + src.Intn(40); n > 0; n-- {
-			id := src.Intn(k)
-			if open[id] {
+			slot := src.Intn(k)
+			if id, taken := open[slot]; taken {
 				sh.release(id)
-				delete(open, id)
+				delete(open, slot)
 			}
 		}
 		for n := src.Intn(40); n > 0 && len(open) < k; n-- {

@@ -206,14 +206,13 @@ func TestRebalancedGatewayConservesSessions(t *testing.T) {
 	run := func(wrap func(sim.MultiAllocator) sim.MultiAllocator) (Stats, []SessionInfo, []bw.Bits, int) {
 		router := route.NewGreedy(route.Uniform(links, m))
 		g := newGateway(links*m, 1)
-		g.router, g.links, g.lm = router, links, m
+		g.router = router
 		g.rebalEvery, g.rebalLimit = 8, 4
 		allocs := make([]sim.MultiAllocator, links)
 		for l := range allocs {
 			allocs[l] = wrap(newPolicy(t, "phased", m, bw.Rate(m)*share, do))
 		}
 		g.shards[0].serve(allocs...)
-		g.shards[0].routed()
 
 		// Greedy alternates links; closing every session that landed on
 		// link 1 but a few leaves link 0 full and link 1 nearly empty, so

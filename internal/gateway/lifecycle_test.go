@@ -1,0 +1,331 @@
+package gateway
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+	"time"
+
+	"dynbw/internal/bw"
+	"dynbw/internal/core"
+	"dynbw/internal/route"
+	"dynbw/internal/sim"
+)
+
+// TestWireRejectsIDsThatAreNotYours is the wire conformance table for
+// session IDs: every way a connection can name a session that is not a
+// live one of its own, in each message that names one. Each is a protocol
+// violation that lands no bit anywhere and costs the connection its
+// sessions, and nobody else theirs.
+func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
+	// Five slots take three index bits, so indexes 5..7 name no slot.
+	const k = 5
+	// The fixture: another connection holds a session on slot 0; this
+	// one holds live on slot 1 and stays on slot 2, and may churn live
+	// before it sends the bad ID.
+	type fixture struct {
+		g                *Gateway
+		me               *connState
+		other, live, own int
+	}
+	send := func(t *testing.T, g *Gateway, cs *connState, msg []byte) ([]byte, error) {
+		t.Helper()
+		var reply bytes.Buffer
+		err := g.handleMessage(bytes.NewReader(msg), &reply, cs)
+		return reply.Bytes(), err
+	}
+	open := func(t *testing.T, g *Gateway, cs *connState) int {
+		t.Helper()
+		reply, err := send(t, g, cs, fuzzSeed(typeOpen))
+		if err != nil || len(reply) != 5 || reply[0] != typeOpened {
+			t.Fatalf("OPEN: reply %x, err %v", reply, err)
+		}
+		return int(binary.BigEndian.Uint32(reply[1:]))
+	}
+	closeLive := func(t *testing.T, f *fixture) {
+		t.Helper()
+		if _, err := send(t, f.g, f.me, fuzzSeed(typeClose, uint64(f.live))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ids := []struct {
+		name string
+		bad  func(t *testing.T, f *fixture) int
+	}{
+		{"never opened", func(t *testing.T, f *fixture) int { return 3 }},
+		{"another connection's live session", func(t *testing.T, f *fixture) int { return f.other }},
+		{"own session after its CLOSE", func(t *testing.T, f *fixture) int {
+			closeLive(t, f)
+			return f.live
+		}},
+		{"own session after its CLOSE and a re-OPEN on the same slot", func(t *testing.T, f *fixture) int {
+			closeLive(t, f)
+			if again := open(t, f.g, f.me); again == f.live || again&f.g.indexMask != f.live&f.g.indexMask {
+				t.Fatalf("re-OPEN after closing %#x gave %#x: want the same slot under a new ID", f.live, again)
+			}
+			return f.live
+		}},
+		{"a live slot under a foreign tag", func(t *testing.T, f *fixture) int { return f.own | 5<<f.g.indexBits }},
+		{"an index past the last slot", func(t *testing.T, f *fixture) int { return 6 }},
+	}
+	msgs := []struct {
+		name string
+		msg  func(id int) []byte
+	}{
+		{"DATA", func(id int) []byte { return fuzzSeed(typeData, uint64(id), 64) }},
+		{"batched DATA", func(id int) []byte { return batchFrame(1, fuzzSeed(typeData, uint64(id), 64)) }},
+		{"STATS", func(id int) []byte { return fuzzSeed(typeStats, uint64(id)) }},
+		{"CLOSE", func(id int) []byte { return fuzzSeed(typeClose, uint64(id)) }},
+	}
+	for _, id := range ids {
+		for _, m := range msgs {
+			t.Run(id.name+"/"+m.name, func(t *testing.T) {
+				g := newBare(k)
+				sh := g.shards[0]
+				them := g.getConnState(0, 0)
+				f := &fixture{g: g, me: g.getConnState(0, 0)}
+				f.other = open(t, g, them)
+				f.live = open(t, g, f.me)
+				f.own = open(t, g, f.me)
+				bad := id.bad(t, f)
+
+				reply, err := send(t, g, f.me, m.msg(bad))
+				if !errors.Is(err, errProtocol) {
+					t.Fatalf("%s naming %#x: reply %x, err %v; want errProtocol", m.name, bad, reply, err)
+				}
+				if len(reply) != 0 {
+					t.Errorf("%s naming %#x was answered: %x", m.name, bad, reply)
+				}
+				for slot := 0; slot < k; slot++ {
+					if p, q := sh.slots.Pending(slot), sh.slots.Queue(slot).Bits(); p != 0 || q != 0 {
+						t.Errorf("slot %d holds %d pending and %d queued bits; nothing valid was sent", slot, p, q)
+					}
+				}
+				g.releaseAll(f.me) // what Gateway.handle does with the error
+				if _, ok := them.owned[f.other]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
+					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.inUse, them.owned)
+				}
+				if _, err := send(t, g, them, fuzzSeed(typeStats, uint64(f.other))); err != nil {
+					t.Errorf("bystander's STATS: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// startLinked launches a two-link gateway of k slots under a greedy
+// router, perSlotAlloc on each link, rebalancing every 4 ticks.
+func startLinked(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTicks, *route.Policy) {
+	t.Helper()
+	const links = 2
+	router := route.NewGreedy(route.Uniform(links, bw.Rate(k/links)))
+	ticks := newManualTicks()
+	g, err := NewWithConfig(Config{
+		Addr:           "127.0.0.1:0",
+		Slots:          k,
+		Links:          links,
+		Router:         router,
+		LinkAllocs:     []sim.MultiAllocator{perSlotAlloc{cap: perSlotCap}, perSlotAlloc{cap: perSlotCap}},
+		Ticks:          ticks.ch,
+		RebalanceEvery: 4,
+		RebalanceLimit: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, ticks, router
+}
+
+// burst is bits for one session ahead of one round.
+type burst struct {
+	m    *Mux
+	id   uint32
+	bits bw.Bits
+}
+
+// roundWith delivers the bursts, then runs one round to completion.
+func roundWith(t *testing.T, g *Gateway, ticks *manualTicks, bursts ...burst) {
+	t.Helper()
+	for _, b := range bursts {
+		if b.bits == 0 {
+			continue
+		}
+		if err := b.m.Send(b.id, b.bits); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.m.Stats(b.id); err != nil { // barrier: DATA applied
+			t.Fatal(err)
+		}
+	}
+	n := g.now.Load()
+	ticks.tick()
+	waitRounds(g, n+1)
+}
+
+// TestTenantIsolation: a session that CLOSEs with a backlog leaves
+// nothing of itself behind. Its successor on the slot reads exactly what
+// the first session of a never-used gateway reads under the same
+// arrivals — its first bit is served at once, not behind the stranger's
+// queue — and a neighbour sending throughout is served in full and on
+// time. perSlotAlloc keeps no state and looks at nothing but a slot's own
+// queue, so any difference is the table's doing. On two links a rebalance
+// moves the neighbour into the slot the backlog was dropped from, between
+// the two tenants.
+func TestTenantIsolation(t *testing.T) {
+	const (
+		k       = 8
+		slotCap = bw.Rate(4)
+		steady  = bw.Bits(4)  // the neighbour's bits per round: what one round serves
+		backlog = bw.Bits(96) // the first tenant's: 24 rounds' worth
+	)
+	// The second tenant's arrivals, by round since its OPEN.
+	arrivals := []bw.Bits{40, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) (*Gateway, *manualTicks, *route.Policy)
+	}{
+		{"one shard", func(t *testing.T) (*Gateway, *manualTicks, *route.Policy) {
+			g, ticks := startSharded(t, k, 1, slotCap)
+			return g, ticks, nil
+		}},
+		{"four shards", func(t *testing.T) (*Gateway, *manualTicks, *route.Policy) {
+			g, ticks := startSharded(t, k, 4, slotCap)
+			return g, ticks, nil
+		}},
+		{"two links, rebalanced", func(t *testing.T) (*Gateway, *manualTicks, *route.Policy) {
+			return startLinked(t, 4, slotCap)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dial := func(g *Gateway) *Mux {
+				m, err := DialMux(g.Addr(), 2*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { m.Close() })
+				return m
+			}
+			mustOpen := func(m *Mux) uint32 {
+				id, err := m.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			}
+			mustStats := func(m *Mux, id uint32) SessionStats {
+				st, err := m.Stats(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+
+			// The reference: the first session a gateway of this shape
+			// ever had.
+			ref, refTicks, _ := tc.start(t)
+			defer ref.Close()
+			rm := dial(ref)
+			first := mustOpen(rm)
+			for _, bits := range arrivals {
+				roundWith(t, ref, refTicks, burst{rm, first, bits})
+			}
+			want := mustStats(rm, first)
+			if want.Served != 52 || want.Queued != 0 || want.MaxDelay == 0 || want.Changes == 0 {
+				t.Fatalf("reference run is degenerate: %+v", want)
+			}
+
+			g, ticks, router := tc.start(t)
+			// The neighbour on one connection; the tenants on a second,
+			// whose home shard is the next one.
+			nm, tm := dial(g), dial(g)
+			neighbour := mustOpen(nm)
+			a := mustOpen(tm)
+			if router != nil {
+				mustOpen(tm) // a third session, on the neighbour's link: A's leaving tips the balance
+			}
+			var sent bw.Bits
+			busy := func() burst {
+				sent += steady
+				return burst{nm, neighbour, steady}
+			}
+			roundWith(t, g, ticks, busy(), burst{tm, a, backlog})
+			roundWith(t, g, ticks, busy())
+			roundWith(t, g, ticks, busy())
+			if st := mustStats(tm, a); st.Queued == 0 || st.Served == 0 {
+				t.Fatalf("first tenant is not mid-queue at its CLOSE: %+v", st)
+			}
+			if err := tm.CloseSession(a); err != nil {
+				t.Fatal(err)
+			}
+			// Three rounds with the slot free. On two links round 4
+			// rebalances; the round after a slot is left returns its rate —
+			// the allocator's last answer for it, which stays with the slot
+			// — to the zero a never-used slot starts from.
+			roundWith(t, g, ticks, busy())
+			roundWith(t, g, ticks, busy())
+			roundWith(t, g, ticks, busy())
+			if router != nil {
+				if l := router.Where(int(neighbour)); l != 1 {
+					t.Fatalf("neighbour on link %d after the rebalance round, want 1", l)
+				}
+				for _, s := range g.Sessions() {
+					if s.Ext == int(neighbour) && s.Slot != 2 {
+						t.Fatalf("neighbour moved to slot %d, want the first tenant's slot 2", s.Slot)
+					}
+				}
+			}
+
+			b := mustOpen(tm)
+			if mask := uint32(g.indexMask); b == a || b&mask != a&mask {
+				t.Fatalf("second tenant got ID %#x after %#x: want the same index under a new tag", b, a)
+			}
+			for _, bits := range arrivals {
+				roundWith(t, g, ticks, busy(), burst{tm, b, bits})
+			}
+			if got := mustStats(tm, b); got != want {
+				t.Errorf("second tenant reads %+v\nfirst session of a fresh gateway reads %+v", got, want)
+			}
+			if got := mustStats(nm, neighbour); got.Served != sent || got.Queued != 0 || got.MaxDelay > 1 {
+				t.Errorf("neighbour sent %d bits at one round's worth a round: %+v", sent, got)
+			}
+			nm.Close()
+			tm.Close()
+			if st := g.Close(); st.Closed == 0 || st.Served+st.Closed != sent+backlog+52 {
+				t.Errorf("Close() = %+v: want the dropped backlog in Closed, and every bit sent in Served + Closed", st)
+			}
+		})
+	}
+}
+
+// TestFreeSlotStageStartIsNotTheNextTenants: a stage start rewrites every
+// slot's rate, open or not. What that costs a free slot is the gateway's
+// to report, not the next tenant's.
+func TestFreeSlotStageStartIsNotTheNextTenants(t *testing.T) {
+	const k = 2
+	ticks := newManualTicks()
+	g, err := New("127.0.0.1:0", k, core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 4}), ticks.ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundWith(t, g, ticks) // the first stage starts: both slots go from 0 to B_O/k
+	c, err := DialSession(g.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Changes != 0 {
+		t.Errorf("a session that has sent nothing reads %d changes", st.Changes)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if total := g.Close(); total.SessionChanges != k {
+		t.Errorf("Close() counts %d changes, want the stage start's %d", total.SessionChanges, k)
+	}
+}

@@ -33,6 +33,8 @@ type gwMetrics struct {
 	// (handlers, on their connection stripe) or queue (the round, on its
 	// shard stripe) stood at sim.MaxBacklog.
 	policedBits *obs.Striped
+	// closedBits counts bits dropped by sessions ending, by shard stripe.
+	closedBits *obs.Striped
 	// activeSlots is the number of slots the last round visited, one
 	// level per shard: the k that actually has work.
 	activeSlots *obs.StripedGauge
@@ -120,6 +122,10 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	reg.CounterFunc("dynbw_gateway_policed_bits_total",
 		"Arrived bits dropped because the session's backlog stood at the per-slot cap.",
 		m.policedBits.Value)
+	m.closedBits = obs.NewStriped(stripes)
+	reg.CounterFunc("dynbw_gateway_closed_bits_total",
+		"Bits dropped undelivered because their session ended (CLOSE or connection death) with them pending or queued.",
+		m.closedBits.Value)
 	m.activeSlots = obs.NewStripedGauge(stripes)
 	reg.GaugeFunc("dynbw_gateway_active_slots",
 		"Slots the last allocation round visited: those with arrivals or queued bits.",

@@ -82,15 +82,17 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	defer g.Close()
 
 	clients := make([]*Client, links*m)
+	live := make(map[uint32]int)
 	for i := range clients {
 		c, err := DialSession(g.Addr(), time.Second)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 		clients[i] = c
-		if got := int(c.Session()); got != i {
-			t.Fatalf("session %d: wire ID %d (multi-link IDs are monotone)", i, got)
+		if j, dup := live[c.Session()]; dup {
+			t.Fatalf("sessions %d and %d are both live under wire ID %#x", j, i, c.Session())
 		}
+		live[c.Session()] = i
 	}
 	// Greedy spreads unit sessions evenly.
 	for l := route.LinkID(0); l < links; l++ {
@@ -121,8 +123,9 @@ func TestMultiLinkLifecycle(t *testing.T) {
 		t.Fatalf("served %d + queued %d != 48", st.Served, st.Queued)
 	}
 
-	// Closing frees both the slot and the router reservation; a new
-	// session gets a fresh wire ID, not the recycled slot index.
+	// Closing frees both the slot and the router reservation; the session
+	// that takes them gets an ID no session before it had, the closed one
+	// included.
 	if err := clients[0].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +133,8 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(c.Session()); got != links*m {
-		t.Fatalf("reopened session got wire ID %d, want %d", got, links*m)
+	if j, used := live[c.Session()]; used {
+		t.Fatalf("reopened session got wire ID %#x, which session %d had", c.Session(), j)
 	}
 	c.Close()
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dynbw/internal/bitset"
+	"dynbw/internal/bw"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
@@ -34,12 +35,17 @@ type shard struct {
 	// free[l] is a slot of link l below which every slot of the link is
 	// taken: the first-fit scan starts there instead of at the link's
 	// first slot, and a release below it lowers it.
-	free    []int                 // guarded by shard.mu
-	inUse   int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
-	conns   map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
-	nextExt int                   // guarded by shard.mu; next external session ID (multi-link)
-	extSlot map[int]int           // guarded by shard.mu; external ID -> slot (multi-link only)
-	slotExt []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link only)
+	free  []int                 // guarded by shard.mu
+	inUse int                   // guarded by shard.mu; open-slot count
+	conns map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
+	// released counts the sessions ended and tags the next IDs: a slot is
+	// re-let only after a release, so its tenants never share an ID.
+	released uint32      // guarded by shard.mu
+	past     sim.Tenancy // guarded by shard.mu; what ended tenancies, and the gaps between, add up to
+	// slotAt and indexAt map a session's index (its wire ID less the tag)
+	// to its slot and back. Only a rebalance parts the two, so a one-link
+	// shard keeps both nil.
+	slotAt, indexAt []int32 // guarded by shard.mu
 }
 
 // newShard builds the slot state for n slots starting at global index
@@ -60,7 +66,7 @@ func newShard(g *Gateway, idx, base, n int) *shard {
 }
 
 // split divides the shard's slots evenly into links. Callers must hold
-// sh.mu, or not have shared the shard yet.
+// sh.mu, or not have shared the shard yet, and no session may be open.
 func (sh *shard) split(links int) {
 	sh.lm = sh.n / links
 	sh.links = make([]sim.Slots, links)
@@ -68,6 +74,13 @@ func (sh *shard) split(links int) {
 	for l := range sh.links {
 		sh.links[l] = sh.slots.Slice(l*sh.lm, (l+1)*sh.lm)
 		sh.free[l] = l * sh.lm
+	}
+	if links > 1 {
+		sh.slotAt = make([]int32, sh.n)
+		sh.indexAt = make([]int32, sh.n)
+		for i := range sh.slotAt {
+			sh.slotAt[i], sh.indexAt[i] = int32(i), int32(i)
+		}
 	}
 }
 
@@ -86,31 +99,25 @@ func (sh *shard) serve(allocs ...sim.MultiAllocator) {
 	}
 }
 
-// routed readies the shard for multi-link mode, where wire session IDs
-// are minted per OPEN and mapped to slots.
-func (sh *shard) routed() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.extSlot = make(map[int]int)
-	sh.slotExt = make([]int, sh.n)
-	for i := range sh.slotExt {
-		sh.slotExt[i] = -1
-	}
-}
-
-// claim takes the lowest free slot of link l — exactly the slot a scan
-// from the link's first slot would find — or returns -1 when the link is
-// full. Callers must hold sh.mu.
-func (sh *shard) claim(l int) int {
+// next returns link l's lowest free slot — the one a scan from the link's
+// first slot would find — or -1 when it is full. Callers must hold sh.mu.
+func (sh *shard) next(l int) int {
 	end := (l + 1) * sh.lm
 	slot := sh.used.NextClear(sh.free[l], end)
+	sh.free[l] = slot
 	if slot < 0 {
 		sh.free[l] = end
-		return -1
 	}
-	sh.used.Add(slot)
-	sh.free[l] = slot + 1
-	sh.inUse++
+	return slot
+}
+
+// claim takes link l's lowest free slot, if any. Callers must hold sh.mu.
+func (sh *shard) claim(l int) int {
+	slot := sh.next(l)
+	if slot >= 0 {
+		sh.used.Add(slot)
+		sh.inUse++
+	}
 	return slot
 }
 
@@ -123,70 +130,81 @@ func (sh *shard) unclaim(slot int) {
 	}
 }
 
-// open claims a free slot first-fit and returns the wire session ID
-// (single-link mode: the global slot index, base + local offset).
-func (sh *shard) open() (int, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.inUse == sh.n {
-		return 0, false
+// slot maps a wire session ID that names one of this shard's live
+// sessions to the local slot it occupies. Callers must hold sh.mu.
+func (sh *shard) slot(id int) int {
+	i := id&sh.g.indexMask - sh.base
+	if sh.slotAt != nil {
+		return int(sh.slotAt[i])
 	}
-	slot := sh.claim(0)
-	if slot < 0 {
-		return 0, false
-	}
-	return sh.base + slot, true
+	return i
 }
 
-// openRouted claims a slot in multi-link mode: ask the router for a
-// link, mint a fresh external ID, and bind it to a free slot on that
-// link. Only the single shard of a multi-link gateway calls this.
-func (sh *shard) openRouted() (int, error) {
+// index is the inverse of slot, less the tag: the global session index
+// bound to a local slot. Callers must hold sh.mu.
+func (sh *shard) index(slot int) int {
+	if sh.indexAt != nil {
+		slot = int(sh.indexAt[slot])
+	}
+	return sh.base + slot
+}
+
+// swapIndexes exchanges two slots' indexes. Callers must hold sh.mu.
+func (sh *shard) swapIndexes(a, b int) {
+	sh.indexAt[a], sh.indexAt[b] = sh.indexAt[b], sh.indexAt[a]
+	sh.slotAt[sh.indexAt[a]], sh.slotAt[sh.indexAt[b]] = int32(a), int32(b)
+}
+
+// open begins a session and returns its wire ID. The router, keyed by the
+// session's index, picks the link, so the index comes first: that of the
+// shard's lowest free slot. The session takes the chosen link's lowest
+// free slot and the two trade indexes (on one link they are one slot).
+// Rate changes the slot collected while free go to past, not the session.
+func (sh *shard) open() (id int, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ext := sh.nextExt
-	l := sh.g.router.Place(route.Session{ID: ext, Rate: 1})
+	low, index := -1, -1 // a full shard asks the router all the same, so that it counts the block
+	for l := 0; l < len(sh.free) && low < 0; l++ {
+		low = sh.next(l)
+	}
+	if low >= 0 {
+		index = sh.index(low)
+	}
+	l := sh.g.router.Place(route.Session{ID: index, Rate: 1})
 	if l == route.Blocked {
-		return 0, ErrSessionLimit
+		return 0, false
 	}
 	slot := sh.claim(int(l))
 	if slot < 0 {
-		// Router and gateway occupancy are updated in lockstep under mu,
-		// so an admitted link always has a free slot; recover anyway.
-		sh.g.router.Release(ext)
-		return 0, ErrSessionLimit
+		// The router's books move in lockstep with used, under mu: an
+		// admitted link has a free slot unless the whole shard is full.
+		sh.g.router.Release(index)
+		return 0, false
 	}
-	sh.nextExt++
-	sh.slotExt[slot] = ext
-	sh.extSlot[ext] = slot // bwlint:allocok OPEN only, bounded by the slot limit
-	return ext, nil
+	if slot != low {
+		sh.swapIndexes(low, slot)
+	}
+	sh.past.Add(sh.slots.Vacate(slot))
+	return int(sh.released<<sh.g.indexBits) | index, true
 }
 
-// release frees the slot behind a wire session ID.
-func (sh *shard) release(id int) {
+// release ends the live session a wire ID names and frees its slot: bits
+// still pending or queued are dropped (and returned, to be counted), the
+// link's policy is told, and what the session was served joins past.
+func (sh *shard) release(id int) (dropped bw.Bits) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.g.router == nil {
-		if i := id - sh.base; sh.used.Has(i) {
-			sh.unclaim(i)
-		}
-		return
+	slot := sh.slot(id)
+	sh.unclaim(slot)
+	sh.g.router.Release(id & sh.g.indexMask)
+	sh.released++
+	l := slot / sh.lm
+	if p, ok := sh.allocs[l].(interface{ Leave(i int) }); ok {
+		p.Leave(slot - l*sh.lm) // a policy with per-session state is told
 	}
-	if slot, ok := sh.extSlot[id]; ok {
-		sh.unclaim(slot)
-		sh.slotExt[slot] = -1
-		delete(sh.extSlot, id)
-		sh.g.router.Release(id)
-	}
-}
-
-// slot maps a validated wire session ID to this shard's local slot
-// index. Callers must hold sh.mu.
-func (sh *shard) slot(id int) int {
-	if sh.g.router != nil {
-		return sh.extSlot[id] // the router shard owns the whole table: local == global
-	}
-	return id - sh.base
+	t := sh.slots.Vacate(slot)
+	sh.past.Add(t)
+	return t.Dropped
 }
 
 // openCount reports the open-slot count (the per-shard sessions gauge).
@@ -199,19 +217,15 @@ func (sh *shard) openCount() int64 {
 // rebalance asks the router for load-evening moves and migrates each
 // moved session's slot state — queue, pending bits, change count, its
 // place in the kernel's active set, occupancy — to the lowest free slot
-// on the destination link. The external session ID is stable across the
-// move, so clients notice nothing. Callers must hold sh.mu (the tick
-// worker does).
+// on the destination link. Its index moves with it, so clients notice
+// nothing. Callers must hold sh.mu (the tick worker does).
 func (sh *shard) rebalance() {
 	rb, ok := sh.g.router.(route.Rebalancer)
 	if !ok {
 		return
 	}
 	for _, mv := range rb.Rebalance(sh.g.rebalLimit) {
-		src, ok := sh.extSlot[mv.Session]
-		if !ok {
-			continue
-		}
+		src := sh.slot(mv.Session)
 		dst := sh.claim(int(mv.To))
 		if dst < 0 {
 			// The router admitted the move, so its slot accounting says
@@ -222,7 +236,6 @@ func (sh *shard) rebalance() {
 		}
 		sh.slots.Move(dst, src)
 		sh.unclaim(src)
-		sh.slotExt[src], sh.slotExt[dst] = -1, mv.Session
-		sh.extSlot[mv.Session] = dst // bwlint:allocok key already present, no table growth
+		sh.swapIndexes(src, dst)
 	}
 }

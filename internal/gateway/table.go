@@ -4,10 +4,12 @@ import (
 	"time"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/sim"
 )
 
-// Stats is the gateway-wide accounting snapshot returned by Close. On a
-// sharded gateway it is the merge of every shard's slice of the table;
+// Stats is the gateway-wide accounting snapshot returned by Close: totals
+// over the gateway's life, whichever sessions they belonged to, except
+// Queued, which is what sits in the queues now. On a sharded gateway it is the merge of every shard's slice of the table;
 // the per-slot bookkeeping is identical either way, so a sharded and an
 // unsharded gateway fed the same deterministic trace report the same
 // totals.
@@ -15,6 +17,7 @@ type Stats struct {
 	Ticks          bw.Tick
 	Served         bw.Bits
 	Queued         bw.Bits
+	Closed         bw.Bits // dropped: still pending or queued when their session ended
 	SessionChanges int
 	// MaxTotalRate is the running maximum, over completed rounds, of the
 	// bandwidth allotted across all slots in one round.
@@ -64,23 +67,23 @@ func (g *Gateway) Shutdown(grace time.Duration) Stats {
 	return g.stats()
 }
 
-// stats merges the shards' accounting. Callers run it once the tick
-// loop has exited (or was never started), so maxTotalRate is final.
+// stats merges the shards' accounting: what ended tenancies left plus
+// what every slot holds now. Callers run it once the tick loop has
+// exited (or was never started), so maxTotalRate is final.
 func (g *Gateway) stats() Stats {
 	st := Stats{Ticks: bw.Tick(g.now.Load()), MaxTotalRate: g.maxTotalRate}
+	var life sim.Tenancy
 	for _, sh := range g.shards {
 		sh.mu.Lock()
+		life.Add(sh.past)
 		for i := 0; i < sh.n; i++ {
 			q := sh.slots.Queue(i)
-			st.Served += q.Served()
+			life.Add(sim.Tenancy{Served: q.Served(), MaxDelay: q.MaxDelay(), Changes: sh.slots.Changes(i)})
 			st.Queued += q.Bits()
-			st.SessionChanges += sh.slots.Changes(i)
-			if d := q.MaxDelay(); d > st.MaxDelay {
-				st.MaxDelay = d
-			}
 		}
 		sh.mu.Unlock()
 	}
+	st.Served, st.Closed, st.SessionChanges, st.MaxDelay = life.Served, life.Dropped, life.Changes, life.MaxDelay
 	return st
 }
 
@@ -93,8 +96,8 @@ type SessionInfo struct {
 	// Link is the backend link owning this slot (always 0 single-link).
 	Link int  `json:"link"`
 	Open bool `json:"open"`
-	// Ext is the wire session ID bound to the slot, -1 when free (equal
-	// to Slot in single-link mode).
+	// Ext is the index (wire ID less its tag) of the session in the slot,
+	// -1 when free: Slot, unless a rebalance has moved the session.
 	Ext      int     `json:"ext"`
 	Rate     bw.Rate `json:"rate"`
 	Queued   bw.Bits `json:"queued"`
@@ -113,17 +116,15 @@ func (g *Gateway) Sessions() []SessionInfo {
 		sh.mu.Lock()
 		for i := 0; i < sh.n; i++ {
 			slot := sh.base + i
-			ext := slot
-			if g.router != nil {
-				ext = sh.slotExt[i]
-			} else if !sh.used.Has(i) {
-				ext = -1
+			ext := -1
+			if sh.used.Has(i) {
+				ext = sh.index(i)
 			}
 			q := sh.slots.Queue(i)
 			out = append(out, SessionInfo{
 				Slot:     slot,
 				Shard:    sh.idx,
-				Link:     slot / g.lm,
+				Link:     i / sh.lm,
 				Open:     sh.used.Has(i),
 				Ext:      ext,
 				Rate:     sh.slots.Rate(i),

@@ -166,7 +166,7 @@ func (sh *shard) tick(t bw.Tick) (sum sim.Round, err error) {
 		sum.Changes += r.Changes
 		sum.Active += r.Active
 	}
-	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 && sh.g.router != nil {
+	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 {
 		sh.rebalance()
 	}
 	return sum, err

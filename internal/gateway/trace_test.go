@@ -276,7 +276,7 @@ func TestClientTraceEnvelope(t *testing.T) {
 
 func TestNestedTraceEnvelopeIsProtocolViolation(t *testing.T) {
 	g := newBare(4)
-	cs := &connState{owned: make(map[int]struct{})}
+	cs := g.getConnState(0, 0)
 	var in bytes.Buffer
 	in.WriteByte(typeTrace)
 	var tb [8]byte
@@ -392,7 +392,8 @@ func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
 
 	data := fuzzSeed(typeData, 0, 64)
 	measure := func(g *Gateway) float64 {
-		cs := &connState{owned: map[int]struct{}{0: {}}}
+		cs := g.getConnState(0, 0)
+		cs.owned[0] = struct{}{}
 		g.shards[0].used.Add(0)
 		g.shards[0].inUse = 1
 		r := bytes.NewReader(nil)

@@ -61,7 +61,7 @@ type connState struct {
 
 // pendingAdd is one batched DATA update awaiting its shard-group apply.
 type pendingAdd struct {
-	id   int32 // wire session ID; resolved to a slot under the shard lock
+	id   uint32 // wire session ID; resolved to a slot under the shard lock
 	bits int64
 }
 
@@ -164,9 +164,7 @@ func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 	cs := g.getConnState(stripe, mstripe)
 	home := g.shards[stripe]
 	defer func() {
-		for id := range cs.owned {
-			g.releaseSession(id)
-		}
+		g.releaseAll(cs)
 		home.mu.Lock()
 		delete(home.conns, conn)
 		home.mu.Unlock()
@@ -235,20 +233,10 @@ func (g *Gateway) observeDisconnect(conn net.Conn, err error, cs *connState) {
 	}
 }
 
-// openSession claims a slot and returns the session ID handed to the
-// client. Single-link mode probes the shards round-robin starting at
-// the connection's home stripe (first-fit within each shard, so the
-// single-shard gateway scans exactly as before); multi-link mode asks
-// the router for a link and mints a fresh external ID.
+// openSession begins a session and returns the ID handed to the client,
+// probing the shards round-robin from the connection's home stripe
+// (first-fit within each shard).
 func (g *Gateway) openSession(start int) (int, error) {
-	if g.router != nil {
-		id, err := g.shards[0].openRouted()
-		if err != nil {
-			return 0, err
-		}
-		g.m.sessions.Add(1)
-		return id, nil
-	}
 	for p := 0; p < len(g.shards); p++ {
 		if id, ok := g.shards[(start+p)%len(g.shards)].open(); ok {
 			g.m.sessions.Add(1)
@@ -258,10 +246,20 @@ func (g *Gateway) openSession(start int) (int, error) {
 	return 0, ErrSessionLimit
 }
 
-// releaseSession frees the slot behind a validated session ID.
+// releaseSession ends the session behind a validated session ID — on
+// CLOSE, or when its connection dies — and counts the bits that dropped.
 func (g *Gateway) releaseSession(id int) {
-	g.shardOf(id).release(id)
+	sh := g.shardOf(id)
+	g.m.closedBits.Add(sh.idx, int64(sh.release(id)))
 	g.m.sessions.Add(-1)
+}
+
+// releaseAll is a connection's death: every session it owns ends.
+func (g *Gateway) releaseAll(cs *connState) {
+	for id := range cs.owned {
+		g.releaseSession(id)
+	}
+	clear(cs.owned)
 }
 
 // handleMessage reads exactly one wire unit from r — a single message,
@@ -356,11 +354,6 @@ func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
 		return fmt.Errorf("%w: BATCH count %d exceeds %d", errProtocol, n, MaxBatch)
 	}
 	g.m.message(typeBatch).Inc(cs.mstripe)
-	if cs.groups == nil {
-		// Pooled connStates arrive sized; this covers bare (fuzz/test)
-		// ones. bwlint:allocok once per connState, reused afterwards
-		cs.groups = make([][]pendingAdd, len(g.shards))
-	}
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, cs.scratch[:1]); err != nil {
 			return err
@@ -398,7 +391,7 @@ func (g *Gateway) batchData(r io.Reader, cs *connState) error {
 	cs.span.sess = id
 	si := g.shardOf(id).idx
 	// bwlint:allocok amortized: group capacity grows to the largest batch seen, then sticks (pooled)
-	cs.groups[si] = append(cs.groups[si], pendingAdd{id: int32(id), bits: bits})
+	cs.groups[si] = append(cs.groups[si], pendingAdd{id: uint32(id), bits: bits})
 	g.spanMark(cs, stageDispatch)
 	return nil
 }

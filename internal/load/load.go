@@ -206,7 +206,8 @@ func (c Config) withDefaults() Config {
 
 // SessionResult is one session's accounting.
 type SessionResult struct {
-	// ID is the swarm-local session index; Slot is the gateway slot.
+	// ID is the swarm-local session index; Slot is the wire session ID
+	// the gateway handed out.
 	ID   int
 	Slot uint32
 	// Err is the first fatal error (nil for a clean run).
@@ -215,17 +216,16 @@ type SessionResult struct {
 	// were observed fully served before the drain deadline.
 	Bursts    int
 	Delivered int
-	// BitsSent / BitsServed are this session's volume (served measured
-	// against the slot's baseline, so slot recycling cannot leak a
-	// previous tenant's bits into the count).
+	// BitsSent / BitsServed are this session's volume, as the client
+	// counted it and as the gateway reported it at teardown.
 	BitsSent   bw.Bits
 	BitsServed bw.Bits
 	// FinalQueued is what remained unserved at teardown; MaxQueued the
 	// deepest queue observed by any stats poll.
 	FinalQueued bw.Bits
 	MaxQueued   bw.Bits
-	// Changes is the slot's renegotiation count over the session's
-	// lifetime (the paper's cost measure, live).
+	// Changes is the session's renegotiation count (the paper's cost
+	// measure, live).
 	Changes int64
 	// MaxDelayTicks is the gateway-side per-bit delay bound observed.
 	MaxDelayTicks bw.Tick

@@ -136,6 +136,7 @@ func TestSlotRecycling(t *testing.T) {
 	const slots = 16
 	h := startHost(t, "phased", slots, 500*time.Microsecond)
 	defer h.Close()
+	var charged int64
 	for round := 0; round < 2; round++ {
 		res, err := Run(Config{
 			Addr:     h.Addr(),
@@ -154,6 +155,22 @@ func TestSlotRecycling(t *testing.T) {
 			t.Fatalf("round %d: opened %d, released %d of %d",
 				round, res.Opened, res.Released, slots)
 		}
+		// A session reads its own counters from zero, whoever held the
+		// slot before it.
+		for _, s := range res.PerSession {
+			if s.FinalQueued == 0 && s.BitsServed != s.BitsSent {
+				t.Errorf("round %d session %d (ID %#x): sent %d, gateway reports %d served",
+					round, s.ID, s.Slot, s.BitsSent, s.BitsServed)
+			}
+		}
+		charged += res.Changes
+	}
+	// Each rate change the gateway made is charged to at most one session
+	// (none, on a free slot), so the sessions' counts cannot add up to
+	// more than it made — as they did when a tenant's count started at
+	// its predecessor's.
+	if made := int64(h.Close().SessionChanges); charged > made || charged == 0 {
+		t.Errorf("sessions were charged %d rate changes in all; the gateway made %d", charged, made)
 	}
 }
 

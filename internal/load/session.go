@@ -17,8 +17,8 @@ import (
 // pendingBurst tracks one sent burst until the gateway's cumulative
 // served counter covers it.
 type pendingBurst struct {
-	// threshold is baseline-served + cumulative bits sent including this
-	// burst: once Stats.Served reaches it, the burst is fully delivered.
+	// threshold is the cumulative bits sent including this burst: once
+	// Stats.Served reaches it, the burst is fully delivered.
 	threshold bw.Bits
 	sent      time.Time
 }
@@ -50,14 +50,6 @@ func runSession(cfg Config, id int, res *SessionResult) {
 	res.Slot = c.Session()
 	s.emit(obs.Event{Type: obs.EventSessionOpen, Session: int(c.Session()), Rule: "swarm"})
 
-	// Baseline: a recycled slot keeps its queue accounting across
-	// tenants, so all served/changes figures are deltas from here.
-	base, err := c.Stats()
-	if err != nil {
-		res.Err = fmt.Errorf("baseline stats: %w", err)
-		return
-	}
-
 	// Pre-generate the arrival schedule: one entry per wall-clock tick.
 	ticks := bw.Tick(cfg.Duration / cfg.Tick)
 	if ticks < 1 {
@@ -67,9 +59,9 @@ func runSession(cfg Config, id int, res *SessionResult) {
 
 	switch cfg.Mode {
 	case ClosedLoop:
-		err = closedLoop(cfg, c, tr, base.Served, res)
+		err = closedLoop(cfg, c, tr, res)
 	default:
-		err = openLoop(cfg, c, tr, base.Served, res)
+		err = openLoop(cfg, c, tr, res)
 	}
 	if err != nil {
 		res.Err = err
@@ -83,9 +75,9 @@ func runSession(cfg Config, id int, res *SessionResult) {
 		res.Err = fmt.Errorf("final stats: %w", err)
 		return
 	}
-	res.BitsServed = st.Served - base.Served
+	res.BitsServed = st.Served
 	res.FinalQueued = st.Queued
-	res.Changes = st.Changes - base.Changes
+	res.Changes = st.Changes
 	res.MaxDelayTicks = st.MaxDelay
 	if err := c.Release(); err != nil {
 		res.Err = fmt.Errorf("release: %w", err)
@@ -175,12 +167,11 @@ func poll(c *gateway.Client, s *swarmObs, res *SessionResult, pending []pendingB
 
 // openLoop sends tr on a fixed wall-clock schedule — one trace tick per
 // cfg.Tick — polling stats each tick, then drains.
-func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
+func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, res *SessionResult) error {
 	ticker := time.NewTicker(cfg.Tick)
 	defer ticker.Stop()
 	var (
 		pending []pendingBurst
-		cum     bw.Bits
 		err     error
 	)
 	for t := bw.Tick(0); t < tr.Len(); t++ {
@@ -189,11 +180,10 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 			if serr := c.Send(burst); serr != nil {
 				return fmt.Errorf("send tick %d: %w", t, serr)
 			}
-			cum += burst
 			res.Bursts++
-			res.BitsSent = cum
+			res.BitsSent += burst
 			cfg.swarm.sent(burst)
-			pending = append(pending, pendingBurst{threshold: baseServed + cum, sent: time.Now()})
+			pending = append(pending, pendingBurst{threshold: res.BitsSent, sent: time.Now()})
 		}
 		if pending, err = poll(c, cfg.swarm, res, pending); err != nil {
 			return err
@@ -215,13 +205,12 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 // closedLoop sends each nonzero burst of tr only after the previous one
 // has been served, measuring the gateway's service ceiling. The sending
 // window still ends after cfg.Duration of wall-clock time.
-func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
+func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, res *SessionResult) error {
 	ticker := time.NewTicker(cfg.Tick)
 	defer ticker.Stop()
 	stop := time.Now().Add(cfg.Duration)
 	var (
 		pending []pendingBurst
-		cum     bw.Bits
 		err     error
 	)
 	for t := bw.Tick(0); t < tr.Len() && time.Now().Before(stop); t++ {
@@ -232,11 +221,10 @@ func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bi
 		if serr := c.Send(burst); serr != nil {
 			return fmt.Errorf("send burst %d: %w", res.Bursts, serr)
 		}
-		cum += burst
 		res.Bursts++
-		res.BitsSent = cum
+		res.BitsSent += burst
 		cfg.swarm.sent(burst)
-		pending = append(pending, pendingBurst{threshold: baseServed + cum, sent: time.Now()})
+		pending = append(pending, pendingBurst{threshold: res.BitsSent, sent: time.Now()})
 		deadline := time.Now().Add(cfg.DrainTimeout)
 		for len(pending) > 0 {
 			if time.Now().After(deadline) {

@@ -67,6 +67,15 @@ type Router interface {
 	Release(id int)
 }
 
+// OneLink is the router of a system with a single link: there is nothing
+// to choose and nothing to keep.
+type OneLink struct{}
+
+func (OneLink) Name() string         { return "one-link" }
+func (OneLink) K() int               { return 1 }
+func (OneLink) Place(Session) LinkID { return 0 }
+func (OneLink) Release(int)          {}
+
 // Rebalancer is implemented by routers that can migrate live sessions to
 // even out link loads. Each returned Move has already been applied to
 // the router's own bookkeeping; the caller must mirror it in whatever

@@ -138,6 +138,47 @@ func (s Slots) Reset() {
 	s.run.total = 0
 }
 
+// Tenancy is what a slot accrued since it was last vacated: under one
+// session, or — rate changes only, since a stage start rewrites every
+// slot's rate — while it stood free.
+type Tenancy struct {
+	// Served is the bits transmitted; Dropped the bits still pending or
+	// queued when the slot was vacated, which no round will serve.
+	Served, Dropped bw.Bits
+	MaxDelay        bw.Tick
+	Changes         int
+}
+
+// Add folds u into t.
+func (t *Tenancy) Add(u Tenancy) {
+	t.Served += u.Served
+	t.Dropped += u.Dropped
+	t.Changes += u.Changes
+	if u.MaxDelay > t.MaxDelay {
+		t.MaxDelay = u.MaxDelay
+	}
+}
+
+// Vacate ends slot i's tenancy and returns what it amounted to: the bits
+// still pending or queued are dropped, the served, max-delay and change
+// counters return to zero and the slot leaves the active set, so the next
+// session to take the slot starts with nothing of this one's. The
+// last-applied rate stays, as in Move. Only a service calls it: a
+// simulated session lasts the whole run.
+func (s Slots) Vacate(i int) Tenancy {
+	q := &s.queues[i]
+	t := Tenancy{
+		Served:   q.Served(),
+		Dropped:  s.pending[i] + q.Bits(),
+		MaxDelay: q.MaxDelay(),
+		Changes:  s.changes[i],
+	}
+	q.Reset()
+	s.pending[i], s.changes[i] = 0, 0
+	s.active.Remove(s.lo + i)
+	return t
+}
+
 // Move migrates the session in slot src to slot dst, which must be free:
 // the queue, the pending arrivals, the place in the active set and the
 // session's change count travel with it, so a client polling its count

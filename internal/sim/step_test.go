@@ -298,3 +298,49 @@ func TestSlotsAddSaturates(t *testing.T) {
 		t.Errorf("the neighbour's Add dropped %d", d)
 	}
 }
+
+// TestSlotsVacate: ending a tenancy returns what it amounted to and
+// leaves the slot as a new table has it, but for the rate, which is the
+// allocator's: nothing pending or queued, counters at zero, out of the
+// active set. A neighbour is untouched.
+func TestSlotsVacate(t *testing.T) {
+	s := NewSlots(3)
+	a := &spy{rates: []bw.Rate{4, 4, 0}}
+	s.Add(0, 30)
+	s.Add(1, 30)
+	for tick := bw.Tick(0); tick < 3; tick++ {
+		if _, err := s.Step(tick, rateChange{a, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Add(0, 7) // pending at the end, on top of 18 queued
+	if got, want := s.Vacate(0), (Tenancy{Served: 12, Dropped: 25, MaxDelay: 2, Changes: 1}); got != want {
+		t.Errorf("Vacate = %+v, want %+v", got, want)
+	}
+	if q := s.Queue(0); s.Pending(0) != 0 || q.Bits() != 0 || q.Served() != 0 || q.MaxDelay() != 0 || s.Changes(0) != 0 || s.Rate(0) != 4 {
+		t.Errorf("vacated slot: pending %d queued %d served %d max delay %d changes %d rate %d",
+			s.Pending(0), q.Bits(), q.Served(), q.MaxDelay(), s.Changes(0), s.Rate(0))
+	}
+	if got := s.Vacate(0); got != (Tenancy{}) {
+		t.Errorf("a second Vacate finds %+v", got)
+	}
+	r, err := s.Step(3, a)
+	if want := []int32{1}; err != nil || r.Active != 1 || !slices.Equal(a.active, want) {
+		t.Errorf("round after Vacate = %+v, %v; allocator told of %v, want %v", r, err, a.active, want)
+	}
+	// The next tenant's first bit is served on arrival.
+	s.Add(0, 3)
+	if _, err := s.Step(4, a); err != nil {
+		t.Fatal(err)
+	}
+	if q := s.Queue(0); q.Served() != 3 || q.MaxDelay() != 0 {
+		t.Errorf("next tenant: served %d, max delay %d", q.Served(), q.MaxDelay())
+	}
+
+	var sum Tenancy
+	sum.Add(Tenancy{Served: 5, Dropped: 1, MaxDelay: 7, Changes: 2})
+	sum.Add(Tenancy{Served: 3, MaxDelay: 4, Changes: 1})
+	if want := (Tenancy{Served: 8, Dropped: 1, MaxDelay: 7, Changes: 3}); sum != want {
+		t.Errorf("Tenancy.Add = %+v, want %+v", sum, want)
+	}
+}
