@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-all dynbench fuzz load experiments examples cover clean
+.PHONY: all build test lint race bench bench-all dynbench fuzz load loc experiments examples cover clean
 
 all: build lint test
 
@@ -50,6 +50,18 @@ fuzz:
 # Wall-clock load test of the live path (also: go run ./cmd/bwload -h).
 load:
 	$(GO) run ./cmd/bwload -sessions 256 -duration 2s -policy phased,continuous,combined
+
+# Non-test Go lines per package (testdata and sub-packages counted with
+# their parent), largest first, then the total: the table ROADMAP's
+# baseline and the "lines fall" criteria of simplicity PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | awk ' \
+		$$2 != "total" { \
+			n = split($$2, p, "/"); key = n > 2 ? p[2] : "."; \
+			if (n > 3 && (key == "internal" || key == "cmd" || key == "examples")) key = key "/" p[3]; \
+			sum[key] += $$1; total += $$1 } \
+		END { for (k in sum) printf "%6d  %s\n", sum[k], k | "sort -rn"; close("sort -rn"); \
+			printf "%6d  total\n", total }'
 
 # Regenerate every table/figure into results/.
 experiments:

@@ -66,8 +66,8 @@ import (
 	"time"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/core"
 	"dynbw/internal/gateway"
+	"dynbw/internal/load"
 	"dynbw/internal/obs"
 	"dynbw/internal/rng"
 	"dynbw/internal/route"
@@ -117,14 +117,7 @@ func run(args []string, out, errw io.Writer) error {
 
 	reg := obs.NewRegistry()
 	obs.RegisterGoRuntime(reg)
-	var ring obs.EventSource
-	var shardRing *obs.ShardedRing
-	if *shards > 1 {
-		shardRing = obs.NewShardedRing(*events, *shards)
-		ring = shardRing
-	} else {
-		ring = obs.NewRing(*events)
-	}
+	ring := obs.NewShardedRing(*events, *shards)
 	ring.Instrument(reg)
 	var spanRing *obs.SpanRing
 	if *spans > 0 {
@@ -143,60 +136,36 @@ func run(args []string, out, errw io.Writer) error {
 		TickBudget:      *tick,
 		Log:             slog.New(slog.NewTextHandler(errw, nil)),
 	}
-	if *links > 1 {
-		if *k%*links != 0 {
-			return fmt.Errorf("-k %d does not divide across -links %d", *k, *links)
+	// One allocator per shard or per link (one of the two counts is 1),
+	// each over an equal share of slots and bandwidth, each emitting
+	// through its shard's ring stripe.
+	n := max(*shards, *links, 1)
+	if *k%n != 0 {
+		return fmt.Errorf("-k %d does not divide across -shards %d / -links %d", *k, *shards, *links)
+	}
+	allocs := make([]sim.MultiAllocator, n)
+	for i := range allocs {
+		a, err := load.NewPolicy(*policy, *k/n, *bo/int64(n), *do)
+		if err != nil {
+			return err
 		}
-		m := *k / *links
-		router, err := makeRouter(*routeName, *links, m, *reserve, *seed)
+		if o, ok := a.(obs.Observable); ok {
+			o.SetObserver(ring.Stripe(i))
+		}
+		allocs[i] = a
+	}
+	if *links <= 1 {
+		cfg.Shards, cfg.ShardAllocs = *shards, allocs
+	} else {
+		router, err := makeRouter(*routeName, *links, *k/n, *reserve, *seed)
 		if err != nil {
 			return err
 		}
 		router.SetObserver(ring)
 		router.Instrument(reg)
-		allocs := make([]sim.MultiAllocator, *links)
-		for i := range allocs {
-			a, err := makePolicy(*policy, m, *bo/int64(*links), *do)
-			if err != nil {
-				return err
-			}
-			if o, ok := a.(obs.Observable); ok {
-				o.SetObserver(ring)
-			}
-			allocs[i] = a
-		}
-		cfg.Links = *links
-		cfg.Router = router
-		cfg.LinkAllocs = allocs
+		cfg.Links, cfg.Router, cfg.LinkAllocs = *links, router, allocs
 		cfg.RebalanceEvery = bw.Tick(*rebalance)
-		cfg.RebalanceLimit = m
-	} else if *shards > 1 {
-		if *k%*shards != 0 {
-			return fmt.Errorf("-k %d does not divide across -shards %d", *k, *shards)
-		}
-		m := *k / *shards
-		allocs := make([]sim.MultiAllocator, *shards)
-		for i := range allocs {
-			a, err := makePolicy(*policy, m, *bo/int64(*shards), *do)
-			if err != nil {
-				return err
-			}
-			if o, ok := a.(obs.Observable); ok {
-				o.SetObserver(shardRing.Stripe(i))
-			}
-			allocs[i] = a
-		}
-		cfg.Shards = *shards
-		cfg.ShardAllocs = allocs
-	} else {
-		alloc, err := makePolicy(*policy, *k, *bo, *do)
-		if err != nil {
-			return err
-		}
-		if o, ok := alloc.(obs.Observable); ok {
-			o.SetObserver(ring)
-		}
-		cfg.Alloc = alloc
+		cfg.RebalanceLimit = *k / n
 	}
 	ticker := time.NewTicker(*tick)
 	defer ticker.Stop()
@@ -387,19 +356,5 @@ func makeRouter(name string, links, m int, reserve int64, seed uint64) (*route.P
 		return route.NewP2C(caps, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown route policy %q", name)
-	}
-}
-
-func makePolicy(name string, k int, bo, do int64) (sim.MultiAllocator, error) {
-	switch name {
-	case "phased":
-		return core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do})
-	case "continuous":
-		return core.NewContinuous(core.MultiParams{K: k, BO: bo, DO: do})
-	case "combined":
-		ba := bw.NextPow2(8 * bo)
-		return core.NewCombined(core.CombinedParams{K: k, BA: ba, DO: do, UO: 0.5, W: 2 * do})
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
 	}
 }

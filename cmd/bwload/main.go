@@ -54,6 +54,10 @@ func main() {
 	}
 }
 
+// startHost is load.StartHost; tests wrap it to see the HostConfig a
+// flag set produces.
+var startHost = load.StartHost
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bwload", flag.ContinueOnError)
 	var (
@@ -106,12 +110,13 @@ func run(args []string, out io.Writer) error {
 	// of the soak. The /sessions snapshot tracks the current host.
 	var (
 		reg     *obs.Registry
-		ring    *obs.Ring
+		events  obs.Observer // nil without -admin: nothing builds events for no reader
 		curHost atomic.Pointer[load.Host]
 	)
 	if *admin != "" {
 		reg = obs.NewRegistry()
-		ring = obs.NewRing(0)
+		ring := obs.NewShardedRing(0, *shards)
+		events = ring
 		adm, err := obs.StartAdmin(*admin, &obs.Admin{
 			Registry: reg,
 			Ring:     ring,
@@ -135,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		target := *addr
 		var host *load.Host
 		if target == "" {
-			host, err = load.StartHost(load.HostConfig{
+			host, err = startHost(load.HostConfig{
 				Policy:   name,
 				Slots:    *sessions,
 				Shards:   *shards,
@@ -143,7 +148,7 @@ func run(args []string, out io.Writer) error {
 				DO:       *do,
 				Tick:     *gwTick,
 				Registry: reg,
-				Observer: ring,
+				Observer: events,
 				Log:      slog.New(slog.NewTextHandler(os.Stderr, nil)),
 			})
 			if err != nil {
@@ -152,10 +157,6 @@ func run(args []string, out io.Writer) error {
 			target = host.Addr()
 			curHost.Store(host)
 			fmt.Fprintf(out, "gateway %s: %d slots, policy %s, tick %v\n", target, *sessions, name, *gwTick)
-		}
-		var swarmObs obs.Observer
-		if ring != nil {
-			swarmObs = ring
 		}
 		res, err := load.Run(load.Config{
 			Addr:         target,
@@ -168,7 +169,7 @@ func run(args []string, out io.Writer) error {
 			MeanRate:     *mean,
 			Registry:     reg,
 			MetricsLabel: name,
-			Observer:     swarmObs,
+			Observer:     events,
 		})
 		if host != nil {
 			host.Close()
@@ -228,12 +229,7 @@ type soakOpts struct {
 // metrics scrape.
 func runSoak(out io.Writer, opts soakOpts) error {
 	reg := obs.NewRegistry()
-	var ring obs.EventSource
-	if opts.shards > 1 {
-		ring = obs.NewShardedRing(0, opts.shards)
-	} else {
-		ring = obs.NewRing(0)
-	}
+	ring := obs.NewShardedRing(0, opts.shards)
 	ring.Instrument(reg)
 	spanRing := obs.NewSpanRing(0, gateway.StageNames())
 	spanRing.Instrument(reg)
@@ -242,7 +238,7 @@ func runSoak(out io.Writer, opts soakOpts) error {
 	var host *load.Host
 	if target == "" {
 		var err error
-		host, err = load.StartHost(load.HostConfig{
+		host, err = startHost(load.HostConfig{
 			Policy:   opts.policy,
 			Slots:    opts.sessions,
 			Shards:   opts.shards,

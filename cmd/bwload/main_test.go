@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynbw/internal/load"
+	"dynbw/internal/obs"
 )
 
 func TestRunSmallSwarm(t *testing.T) {
@@ -218,6 +219,46 @@ func TestRunAdminLiveScrape(t *testing.T) {
 
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+}
+
+// TestSwarmHostObserver pins what swarm mode hands the hosted gateway as
+// its event observer: a nil interface without -admin (not a typed-nil
+// ring, which reads as "attached" and has gateway and policies build
+// events for no reader), and with -admin -shards N a ring of N stripes.
+func TestSwarmHostObserver(t *testing.T) {
+	var got load.HostConfig
+	startHost = func(cfg load.HostConfig) (*load.Host, error) {
+		got = cfg
+		return load.StartHost(cfg)
+	}
+	defer func() { startHost = load.StartHost }()
+	swarm := []string{"-sessions", "8", "-shards", "4", "-duration", "30ms", "-tick", "2ms", "-rate", "8"}
+
+	var out strings.Builder
+	if err := run(swarm, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if got.Observer != nil {
+		t.Errorf("without -admin the host got observer %T(%v), want a nil interface", got.Observer, got.Observer)
+	}
+
+	out.Reset()
+	if err := run(append(swarm, "-admin", "127.0.0.1:0"), &out); err != nil {
+		t.Fatalf("run -admin: %v\n%s", err, out.String())
+	}
+	ring, ok := got.Observer.(*obs.Ring)
+	if !ok || ring == nil {
+		t.Fatalf("with -admin the host got observer %T, want a *obs.Ring", got.Observer)
+	}
+	// A stripe holds DefaultRingSize/stripes events: one stripe's worth
+	// more than that on stripe 0 overwrites on a 4-stripe ring only.
+	before := ring.Dropped()
+	for i := 0; i < obs.DefaultRingSize/2; i++ {
+		ring.Stripe(0).Event(obs.Event{Type: obs.EventOverflow})
+	}
+	if d := ring.Dropped() - before; d < obs.DefaultRingSize/4 {
+		t.Errorf("%d events on stripe 0 dropped %d: the -shards 4 host got a ring of fewer than 4 stripes", obs.DefaultRingSize/2, d)
 	}
 }
 

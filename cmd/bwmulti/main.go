@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 			multi = pl.Multi
 			offlineChanges = pl.LocalChanges()
 		}
-		alloc, bwBound, err := makePolicy(name, *k, *bo, *do, *ba, *uo, *w)
+		alloc, bwBound, err := multiPolicy(name, *k, *bo, *do, *ba, *uo, *w)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func report(out io.Writer, policy string, k int, do int64, bwBound bw.Rate, mult
 	}
 }
 
-func makePolicy(name string, k int, bo, do, ba int64, uo float64, w int64) (sim.MultiAllocator, bw.Rate, error) {
+func multiPolicy(name string, k int, bo, do, ba int64, uo float64, w int64) (sim.MultiAllocator, bw.Rate, error) {
 	switch name {
 	case "phased":
 		a, err := core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do})

@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	alloc, err := makePolicy(*policy, p, tr)
+	alloc, err := singlePolicy(*policy, p, tr)
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func makeGenerator(name string, seed uint64, p core.SingleParams) (traffic.Gener
 	}
 }
 
-func makePolicy(name string, p core.SingleParams, tr *trace.Trace) (sim.Allocator, error) {
+func singlePolicy(name string, p core.SingleParams, tr *trace.Trace) (sim.Allocator, error) {
 	switch name {
 	case "single":
 		return core.NewSingleSession(p)

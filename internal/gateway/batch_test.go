@@ -67,6 +67,35 @@ func TestClientSendNRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClientSendNSplitsFrames: MaxBatch+1 payloads do not fit one BATCH
+// frame; the split (Mux.SendBatch's) must land every bit.
+func TestClientSendNSplitsFrames(t *testing.T) {
+	g, _ := startGateway(t, 2)
+	defer g.Close()
+	c, err := DialSession(g.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bits := make([]bw.Bits, MaxBatch+1)
+	for i := range bits {
+		bits[i] = 3
+	}
+	if err := c.SendN(bits); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(); err != nil { // sync: both frames applied
+		t.Fatal(err)
+	}
+	if err := c.Release(); err != nil {
+		t.Fatal(err)
+	}
+	// No round ran: CLOSE dropped exactly what the two frames delivered.
+	if got, want := g.Close().Closed, bw.Bits(3*(MaxBatch+1)); got != want {
+		t.Errorf("gateway accepted %d bits, want %d", got, want)
+	}
+}
+
 // TestMuxSendBatchRoundTrip: one BATCH frame fans DATA out across
 // sessions living on different shards, and StatsBatch reads the same
 // accounting back that per-session Stats reports.

@@ -75,7 +75,8 @@
 //
 // # Sharding
 //
-// With Config.Shards > 1 the slot table is split into shards, each
+// The slot table is split into Config.Shards shards (one unless said
+// otherwise — the same code with a count of one, not another mode), each
 // owning a contiguous slot range behind its own mutex, its own
 // allocator over its own bandwidth share, and its own observability
 // stripe. A session ID's index is a global slot number, so a session's
@@ -124,9 +125,9 @@ const (
 )
 
 // MaxBatch is the maximum number of logical messages one BATCH frame may
-// carry; a larger wire count is a protocol violation. Client batch
-// helpers (Client.SendN, Mux.SendBatch, Mux.StatsBatch) split longer
-// inputs into multiple frames transparently.
+// carry; a larger wire count is a protocol violation. The client's batch
+// calls (Mux.SendBatch, Mux.StatsBatch) split longer inputs into multiple
+// frames transparently.
 const MaxBatch = 4096
 
 // Buffered-endpoint sizes for the per-connection pooled reader/writer.
@@ -161,17 +162,18 @@ type Config struct {
 	Addr string
 	// Slots is the number of session slots k served by the allocator.
 	Slots int
-	// Alloc divides the shared pool among the slots once per tick
-	// (single-link, single-shard mode; ignored when Links or Shards > 1).
+	// Alloc divides the shared pool among the slots once per tick. It is
+	// shorthand for a one-element list: the gateway runs one allocator
+	// list, one entry per shard or per link, read from ShardAllocs, else
+	// LinkAllocs, else Alloc alone.
 	Alloc sim.MultiAllocator
-	// Shards, when > 1, splits the slot table into that many
-	// independently locked shards (Slots must divide evenly), each
-	// served by its own allocator from ShardAllocs over Slots/Shards
-	// slots. Sharding is single-link only: Links must be <= 1.
+	// Shards splits the slot table into that many independently locked
+	// shards (Slots must divide evenly; zero means one), each served by
+	// its own allocator from ShardAllocs over Slots/Shards slots. Sharding
+	// is single-link only: Links must be <= 1.
 	Shards int
-	// ShardAllocs holds one allocator per shard; required when
-	// Shards > 1. Each divides its shard's bandwidth share among
-	// Slots/Shards slots.
+	// ShardAllocs holds one allocator per shard. Each divides its shard's
+	// bandwidth share among Slots/Shards slots.
 	ShardAllocs []sim.MultiAllocator
 	// Links, when > 1, partitions the Slots evenly across that many
 	// backend links (Slots must divide evenly): sessions are placed onto
@@ -184,7 +186,7 @@ type Config struct {
 	// per link). Attach observers/metrics to it before starting.
 	Router route.Router
 	// LinkAllocs holds one allocator per link, each dividing that link's
-	// bandwidth among Slots/Links slots; required when Links > 1.
+	// bandwidth among Slots/Links slots.
 	LinkAllocs []sim.MultiAllocator
 	// RebalanceEvery, when positive (and Router implements
 	// route.Rebalancer), migrates up to RebalanceLimit live sessions
@@ -208,8 +210,8 @@ type Config struct {
 	// silence.
 	IdleTimeout time.Duration
 	// Observer receives session lifecycle and idle-disconnect events
-	// (nil disables). When it is a *obs.ShardedRing, each shard emits
-	// through its own ring stripe. Policy-level renegotiation events are
+	// (nil disables). When it is an *obs.Ring, each shard emits through
+	// its own ring stripe. Policy-level renegotiation events are
 	// emitted by the allocator itself (obs.Observable).
 	Observer obs.Observer
 	// Metrics, when non-nil, registers the gateway's counters, gauges
@@ -242,11 +244,11 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Gateway serves k session slots with a multi-session allocator — or,
-// in multi-link mode, k slots statically partitioned across several
-// links, each with its own allocator, with a routing policy choosing
-// the link at OPEN time; or, in sharded mode, k slots partitioned
-// across independently locked shards, each with its own allocator.
+// Gateway serves k session slots partitioned across independently locked
+// shards, a shard's slots across links, each link's slots by one
+// multi-session allocator of the list — one shard of one link unless
+// configured otherwise; with several links a routing policy chooses the
+// link at OPEN time.
 type Gateway struct {
 	ln          net.Listener
 	k           int // total slots
@@ -260,8 +262,7 @@ type Gateway struct {
 	ticks       <-chan time.Time
 	idleTimeout time.Duration
 
-	o        obs.Observer
-	shardObs []obs.Observer // per-shard emission handles (ring stripes when sharded)
+	shardObs []obs.Observer // per-shard emission handles: Config.Observer, or its stripes when it is an *obs.Ring
 	m        *gwMetrics
 	log      *obs.RateLimited
 
@@ -313,51 +314,34 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	if cfg.Ticks == nil {
 		return nil, fmt.Errorf("gateway: nil tick source")
 	}
-	links := cfg.Links
-	if links < 1 {
-		links = 1
-	}
-	nshards := cfg.Shards
-	if nshards < 1 {
-		nshards = 1
+	links, nshards := max(cfg.Links, 1), max(cfg.Shards, 1)
+	if nshards > 1 && (links > 1 || cfg.Router != nil) {
+		return nil, fmt.Errorf("gateway: sharding is single-link only (%d shards, %d links)", nshards, links)
 	}
 	switch {
-	case nshards > 1:
-		if links > 1 || cfg.Router != nil {
-			return nil, fmt.Errorf("gateway: sharding is single-link only (%d shards, %d links)", nshards, links)
-		}
-		if cfg.Slots%nshards != 0 {
-			return nil, fmt.Errorf("gateway: %d slots do not divide across %d shards", cfg.Slots, nshards)
-		}
-		if len(cfg.ShardAllocs) != nshards {
-			return nil, fmt.Errorf("gateway: %d shard allocators for %d shards", len(cfg.ShardAllocs), nshards)
-		}
-		for i, a := range cfg.ShardAllocs {
-			if a == nil {
-				return nil, fmt.Errorf("gateway: nil allocator for shard %d", i)
-			}
-		}
-	case links == 1 && cfg.Router == nil:
-		if cfg.Alloc == nil {
-			return nil, fmt.Errorf("gateway: nil allocator")
-		}
-	default:
-		if cfg.Slots%links != 0 {
-			return nil, fmt.Errorf("gateway: %d slots do not divide across %d links", cfg.Slots, links)
-		}
-		if cfg.Router == nil {
-			return nil, fmt.Errorf("gateway: %d links but no router", links)
-		}
-		if cfg.Router.K() != links {
-			return nil, fmt.Errorf("gateway: router spans %d links, config says %d", cfg.Router.K(), links)
-		}
-		if len(cfg.LinkAllocs) != links {
-			return nil, fmt.Errorf("gateway: %d link allocators for %d links", len(cfg.LinkAllocs), links)
-		}
-		for i, a := range cfg.LinkAllocs {
-			if a == nil {
-				return nil, fmt.Errorf("gateway: nil allocator for link %d", i)
-			}
+	case cfg.Router == nil && links > 1:
+		return nil, fmt.Errorf("gateway: %d links but no router", links)
+	case cfg.Router != nil && cfg.Router.K() != links:
+		return nil, fmt.Errorf("gateway: router spans %d links, config says %d", cfg.Router.K(), links)
+	}
+	// One allocator list, one entry per link of every shard, under
+	// whichever of the three field names it arrived.
+	n, allocs := nshards*links, cfg.ShardAllocs
+	if len(allocs) == 0 {
+		allocs = cfg.LinkAllocs
+	}
+	if len(allocs) == 0 && cfg.Alloc != nil {
+		allocs = []sim.MultiAllocator{cfg.Alloc}
+	}
+	if cfg.Slots%n != 0 {
+		return nil, fmt.Errorf("gateway: %d slots do not divide across %d shards x %d links", cfg.Slots, nshards, links)
+	}
+	if len(allocs) != n {
+		return nil, fmt.Errorf("gateway: %d allocators for %d shards x %d links", len(allocs), nshards, links)
+	}
+	for i, a := range allocs {
+		if a == nil {
+			return nil, fmt.Errorf("gateway: allocator %d of %d is nil", i, n)
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -374,25 +358,12 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	if g.rebalLimit < 1 {
 		g.rebalLimit = 1
 	}
-	switch {
-	case nshards > 1:
-		for i, sh := range g.shards {
-			sh.serve(cfg.ShardAllocs[i])
-		}
-	case cfg.Router != nil:
-		g.shards[0].serve(cfg.LinkAllocs...)
-	default:
-		g.shards[0].serve(cfg.Alloc)
+	for i, sh := range g.shards {
+		sh.serve(allocs[i*links : (i+1)*links]...)
+		g.shardObs[i] = obs.StripeOf(cfg.Observer, i)
 	}
 	g.ticks = cfg.Ticks
 	g.idleTimeout = cfg.IdleTimeout
-	g.o = cfg.Observer
-	if sr, ok := cfg.Observer.(*obs.ShardedRing); ok {
-		g.shardObs = make([]obs.Observer, len(g.shards))
-		for i := range g.shardObs {
-			g.shardObs[i] = sr.Stripe(i)
-		}
-	}
 	g.m = newGWMetrics(cfg.Metrics, cfg.Policy, len(g.shards))
 	g.spans = cfg.Spans
 	if cfg.Metrics != nil || g.spans != nil {
@@ -442,6 +413,7 @@ func newGateway(k, nshards int) *Gateway {
 	for i := range g.shards {
 		g.shards[i] = newShard(g, i, i*g.spp, g.spp)
 	}
+	g.shardObs = make([]obs.Observer, nshards)
 	g.roundDur = make([]int64, nshards)
 	g.roundRate = make([]bw.Rate, nshards)
 	return g
@@ -461,22 +433,10 @@ func (g *Gateway) shardOf(id int) *shard {
 	return g.shards[(id&g.indexMask)/g.spp]
 }
 
-// emit forwards an event to the observer, if any.
-func (g *Gateway) emit(e obs.Event) {
-	if g.o != nil {
-		g.o.Event(e)
-	}
-}
-
-// emitAt forwards an event through the given shard's emission handle —
-// its ring stripe when a ShardedRing is attached, else the plain
-// observer.
+// emitAt forwards an event through the given shard's emission handle,
+// if an observer is attached.
 func (g *Gateway) emitAt(shard int, e obs.Event) {
-	if len(g.shardObs) > 0 {
-		if o := g.shardObs[shard%len(g.shardObs)]; o != nil {
-			o.Event(e)
-			return
-		}
+	if o := g.shardObs[shard]; o != nil {
+		o.Event(e)
 	}
-	g.emit(e)
 }

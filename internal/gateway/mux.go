@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -10,11 +12,11 @@ import (
 	"dynbw/internal/bw"
 )
 
-// Mux multiplexes many sessions over one TCP connection. A Client holds
-// one connection per session, which exhausts file descriptors around a
-// few thousand sessions; a Mux holds hundreds of sessions on a single
-// descriptor, which is what lets a 100k-session soak fit inside an
-// ordinary fd limit. It is safe for concurrent use: a mutex serializes
+// Mux is the gateway's client: any number of sessions over one TCP
+// connection, and the one place the wire format is encoded client-side.
+// Hundreds of sessions on a single descriptor is what lets a 100k-session
+// soak fit inside an ordinary fd limit; a Client is the one-session case
+// on a Mux of its own. It is safe for concurrent use: a mutex serializes
 // every request/reply exchange on the shared connection, so goroutines
 // driving different sessions can share one Mux. Replies are read through
 // one buffered reader, so a StatsBatch pays a read or two for the whole
@@ -52,7 +54,7 @@ func DialMux(addr string, timeout time.Duration) (*Mux, error) {
 
 // newMux wraps an established connection.
 func newMux(conn net.Conn, timeout time.Duration) *Mux {
-	return &Mux{cc: newClientConn(conn, timeout, muxReadBufSize), open: make(map[uint32]struct{})}
+	return &Mux{cc: newClientConn(conn, timeout), open: make(map[uint32]struct{})}
 }
 
 // TraceEvery asks the gateway to trace every n-th request sent through
@@ -291,4 +293,121 @@ func (m *Mux) Close() error {
 	defer m.mu.Unlock()
 	m.closed = true
 	return m.cc.conn.Close()
+}
+
+// clientConn is the client side of one gateway connection: the socket,
+// the one buffered reader every reply is read through (so replies the
+// gateway wrote together cost one read, not one each — its size matches
+// what the gateway writes in one go), the exchange deadline, and the
+// failure that ended the connection's useful life. The Mux serializes
+// access (Mux.mu).
+//
+// Replies carry no request ID: they are matched to requests by stream
+// order alone. So once an exchange fails after its request may have been
+// written — a timeout, a short read, a reply of the wrong type — a reply
+// still in flight would be taken for the answer to the next request.
+// The first such failure therefore poisons the connection: every later
+// exchange fails with it, and only closing remains.
+type clientConn struct {
+	conn    net.Conn
+	rd      *bufio.Reader
+	timeout time.Duration
+	broken  error // first failed exchange; sticky
+	reply   [statsReplyLen]byte
+}
+
+func newClientConn(conn net.Conn, timeout time.Duration) clientConn {
+	return clientConn{conn: conn, rd: bufio.NewReaderSize(conn, connWriteBufSize), timeout: timeout}
+}
+
+// begin opens one exchange: it reports the failure that poisoned the
+// connection, if any, and otherwise arms the deadline bounding the
+// exchange. Every begin that returns nil is paired with an end.
+func (c *clientConn) begin() error {
+	if c.broken != nil {
+		return fmt.Errorf("gateway: connection unusable after a failed exchange: %w", c.broken)
+	}
+	if c.timeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	}
+	return nil
+}
+
+// end clears the exchange deadline.
+func (c *clientConn) end() {
+	if c.timeout > 0 {
+		c.conn.SetDeadline(time.Time{})
+	}
+}
+
+// fail poisons the connection with err (the first failure wins) and
+// returns err.
+func (c *clientConn) fail(err error) error {
+	if c.broken == nil {
+		c.broken = err
+	}
+	return err
+}
+
+// write sends one request or frame in a single conn write.
+func (c *clientConn) write(op string, b []byte) error {
+	if _, err := c.conn.Write(b); err != nil {
+		return c.fail(fmt.Errorf("gateway: %s: %w", op, err))
+	}
+	return nil
+}
+
+// read fills c.reply[:n] with the next n reply bytes.
+func (c *clientConn) read(op string, n int) error {
+	if _, err := io.ReadFull(c.rd, c.reply[:n]); err != nil {
+		return c.fail(fmt.Errorf("gateway: %s reply: %w", op, err))
+	}
+	return nil
+}
+
+// readOpened reads the reply to an OPEN: the new session ID, or
+// ErrSessionLimit on OPENFAIL (a valid reply — the connection stays
+// usable).
+func (c *clientConn) readOpened() (uint32, error) {
+	if err := c.read("open", 1); err != nil {
+		return 0, err
+	}
+	switch typ := c.reply[0]; typ {
+	case typeOpened:
+		if err := c.read("open", 4); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(c.reply[:4]), nil
+	case typeOpenFail:
+		return 0, ErrSessionLimit
+	default:
+		return 0, c.fail(fmt.Errorf("gateway: unexpected open reply type %d", typ))
+	}
+}
+
+// readStats reads one STATSR reply.
+func (c *clientConn) readStats() (SessionStats, error) {
+	if err := c.read("stats", statsReplyLen); err != nil {
+		return SessionStats{}, err
+	}
+	if c.reply[0] != typeStatsR {
+		return SessionStats{}, c.fail(fmt.Errorf("gateway: unexpected stats reply type %d", c.reply[0]))
+	}
+	return SessionStats{
+		Served:   bw.Bits(binary.BigEndian.Uint64(c.reply[1:])),
+		Queued:   bw.Bits(binary.BigEndian.Uint64(c.reply[9:])),
+		MaxDelay: bw.Tick(binary.BigEndian.Uint64(c.reply[17:])),
+		Changes:  int64(binary.BigEndian.Uint64(c.reply[25:])),
+	}, nil
+}
+
+// readClosed reads the reply to a CLOSE.
+func (c *clientConn) readClosed() error {
+	if err := c.read("close", 1); err != nil {
+		return err
+	}
+	if c.reply[0] != typeClosed {
+		return c.fail(fmt.Errorf("gateway: unexpected close reply type %d", c.reply[0]))
+	}
+	return nil
 }

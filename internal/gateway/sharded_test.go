@@ -8,6 +8,7 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
+	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
@@ -31,22 +32,25 @@ func (a perSlotAlloc) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	return rates
 }
 
-// startSharded launches a gateway with k slots over nshards shards (1
-// means the classic unsharded config) using perSlotAlloc everywhere.
+// perSlotAllocs is an allocator list of n perSlotAllocs.
+func perSlotAllocs(n int, perSlotCap bw.Rate) []sim.MultiAllocator {
+	allocs := make([]sim.MultiAllocator, n)
+	for i := range allocs {
+		allocs[i] = perSlotAlloc{cap: perSlotCap}
+	}
+	return allocs
+}
+
+// startSharded launches a gateway with k slots over nshards shards (one
+// shard is a one-element list, not another config) using perSlotAlloc
+// everywhere.
 func startSharded(t *testing.T, k, nshards int, perSlotCap bw.Rate) (*Gateway, *manualTicks) {
 	t.Helper()
 	ticks := newManualTicks()
-	cfg := Config{Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch}
-	if nshards > 1 {
-		cfg.Shards = nshards
-		cfg.ShardAllocs = make([]sim.MultiAllocator, nshards)
-		for i := range cfg.ShardAllocs {
-			cfg.ShardAllocs[i] = perSlotAlloc{cap: perSlotCap}
-		}
-	} else {
-		cfg.Alloc = perSlotAlloc{cap: perSlotCap}
-	}
-	g, err := NewWithConfig(cfg)
+	g, err := NewWithConfig(Config{
+		Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch,
+		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, perSlotCap),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +89,37 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("sharded multi-link accepted")
 	}
+	cfg = base
+	if _, err := NewWithConfig(cfg); err == nil {
+		t.Error("no allocator under any of the three names accepted")
+	}
+	cfg = base
+	cfg.Alloc = alloc
+	cfg.Shards = 2
+	if _, err := NewWithConfig(cfg); err == nil {
+		t.Error("Alloc alone accepted for 2 shards")
+	}
+
+	// One is a count: a one-element list under either list name is the
+	// gateway Alloc builds.
+	accepted := map[string]Config{
+		"Shards 0, one ShardAlloc": {ShardAllocs: []sim.MultiAllocator{alloc}},
+		"Shards 1, one ShardAlloc": {Shards: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
+		"Links 1, one LinkAlloc":   {Links: 1, LinkAllocs: []sim.MultiAllocator{alloc}},
+		"Links 1, router, Alloc":   {Links: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc},
+	}
+	for name, c := range accepted {
+		c.Addr, c.Slots, c.Ticks = base.Addr, base.Slots, base.Ticks
+		g, err := NewWithConfig(c)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if len(g.shards) != 1 || len(g.shards[0].allocs) != 1 {
+			t.Errorf("%s: %d shards, %d allocators on the first", name, len(g.shards), len(g.shards[0].allocs))
+		}
+		g.Close()
+	}
 }
 
 // runShardedTrace drives one deterministic workload — fill every slot,
@@ -92,8 +127,15 @@ func TestShardedConfigValidation(t *testing.T) {
 // returns the final accounting.
 func runShardedTrace(t *testing.T, nshards int) Stats {
 	t.Helper()
+	g, ticks := startSharded(t, 8, nshards, 4)
+	return driveShardedTrace(t, g, ticks)
+}
+
+// driveShardedTrace is runShardedTrace's workload on a given 8-slot
+// gateway; it closes the gateway.
+func driveShardedTrace(t *testing.T, g *Gateway, ticks *manualTicks) Stats {
+	t.Helper()
 	const k = 8
-	g, ticks := startSharded(t, k, nshards, 4)
 	m, err := DialMux(g.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +183,21 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 	sharded := runShardedTrace(t, 4)
 	if single != sharded {
 		t.Errorf("sharded accounting diverged:\n 1 shard: %+v\n4 shards: %+v", single, sharded)
+	}
+}
+
+// TestOneShardThroughListMatchesAlloc: Alloc is shorthand for a
+// one-element list, so a gateway built through either reports the same
+// accounting on the same trace.
+func TestOneShardThroughListMatchesAlloc(t *testing.T) {
+	ticks := newManualTicks()
+	g, err := New("127.0.0.1:0", 8, perSlotAlloc{cap: 4}, ticks.ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := driveShardedTrace(t, g, ticks)
+	if list := runShardedTrace(t, 1); list != short {
+		t.Errorf("one shard diverged by config spelling:\n      Alloc: %+v\nShardAllocs: %+v", short, list)
 	}
 }
 

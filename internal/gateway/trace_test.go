@@ -23,15 +23,7 @@ func startTraced(t *testing.T, k, nshards, sampleEvery int) (*Gateway, *manualTi
 	cfg := Config{
 		Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch,
 		Metrics: reg, Spans: ring, SpanSampleEvery: sampleEvery,
-	}
-	if nshards > 1 {
-		cfg.Shards = nshards
-		cfg.ShardAllocs = make([]sim.MultiAllocator, nshards)
-		for i := range cfg.ShardAllocs {
-			cfg.ShardAllocs[i] = perSlotAlloc{cap: 16}
-		}
-	} else {
-		cfg.Alloc = perSlotAlloc{cap: 16}
+		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, 16),
 	}
 	g, err := NewWithConfig(cfg)
 	if err != nil {

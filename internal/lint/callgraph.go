@@ -255,7 +255,9 @@ func (g *CallGraph) resolveCallee(pkg *Package, call *ast.CallExpr) *FuncNode {
 	if !ok {
 		return nil
 	}
-	return g.byObj[fn]
+	// A method of an instantiated generic type (ring[Span].push) is not
+	// the object its declaration defined; Origin is.
+	return g.byObj[fn.Origin()]
 }
 
 func recvIsInterface(t types.Type) bool {

@@ -36,9 +36,9 @@ type HostConfig struct {
 	Policy string
 	// Slots is the session slot count k.
 	Slots int
-	// Shards, when > 1, shards the hosted gateway's slot table: Slots
-	// must divide evenly and each shard gets its own Policy allocator
-	// over Slots/Shards slots with BO/Shards bandwidth.
+	// Shards shards the hosted gateway's slot table (zero means one):
+	// Slots must divide evenly and each shard gets its own Policy
+	// allocator over Slots/Shards slots with BO/Shards bandwidth.
 	Shards int
 	// BO is the offline bandwidth pool (default 16*Slots); DO the
 	// offline delay bound in ticks (default 8).
@@ -50,7 +50,8 @@ type HostConfig struct {
 	IdleTimeout time.Duration
 	// Registry, when non-nil, receives the gateway's live metrics
 	// (labeled with Policy); Observer receives allocation events from
-	// both the policy and the gateway.
+	// both the policies and the gateway — an *obs.Ring with one stripe
+	// per shard keeps each shard's emission on its own stripe.
 	Registry *obs.Registry
 	Observer obs.Observer
 	// Spans, when non-nil, receives the gateway's sampled wire-path
@@ -107,39 +108,23 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		TickBudget:      cfg.Tick,
 		Log:             cfg.Log,
 	}
-	if cfg.Shards > 1 {
-		if cfg.Slots%cfg.Shards != 0 {
-			return nil, fmt.Errorf("load: %d slots do not divide across %d shards", cfg.Slots, cfg.Shards)
-		}
-		gwCfg.Shards = cfg.Shards
-		gwCfg.ShardAllocs = make([]sim.MultiAllocator, cfg.Shards)
-		sr, _ := cfg.Observer.(*obs.ShardedRing)
-		for i := range gwCfg.ShardAllocs {
-			alloc, err := NewPolicy(cfg.Policy, cfg.Slots/cfg.Shards, cfg.BO/bw.Rate(cfg.Shards), cfg.DO)
-			if err != nil {
-				return nil, err
-			}
-			if o, ok := alloc.(obs.Observable); ok && cfg.Observer != nil {
-				// Each shard's allocator runs on that shard's tick worker;
-				// give it the shard's ring stripe so emission never crosses
-				// lock domains.
-				if sr != nil {
-					o.SetObserver(sr.Stripe(i))
-				} else {
-					o.SetObserver(cfg.Observer)
-				}
-			}
-			gwCfg.ShardAllocs[i] = alloc
-		}
-	} else {
-		alloc, err := NewPolicy(cfg.Policy, cfg.Slots, cfg.BO, cfg.DO)
+	n := max(cfg.Shards, 1)
+	if cfg.Slots%n != 0 {
+		return nil, fmt.Errorf("load: %d slots do not divide across %d shards", cfg.Slots, n)
+	}
+	gwCfg.Shards = n
+	gwCfg.ShardAllocs = make([]sim.MultiAllocator, n)
+	for i := range gwCfg.ShardAllocs {
+		alloc, err := NewPolicy(cfg.Policy, cfg.Slots/n, cfg.BO/bw.Rate(n), cfg.DO)
 		if err != nil {
 			return nil, err
 		}
+		// Each shard's allocator runs on that shard's tick worker; give it
+		// the shard's ring stripe so emission never crosses lock domains.
 		if o, ok := alloc.(obs.Observable); ok && cfg.Observer != nil {
-			o.SetObserver(cfg.Observer)
+			o.SetObserver(obs.StripeOf(cfg.Observer, i))
 		}
-		gwCfg.Alloc = alloc
+		gwCfg.ShardAllocs[i] = alloc
 	}
 	ticker := time.NewTicker(cfg.Tick)
 	gwCfg.Ticks = ticker.C

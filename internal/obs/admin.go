@@ -16,9 +16,8 @@ type Admin struct {
 	// Registry backs /metrics (Prometheus text exposition format).
 	Registry *Registry
 	// Ring backs /events (JSONL dump: a ring_meta header with
-	// total/retained/dropped counts, then the events oldest first). Any
-	// EventSource works — a *Ring, or a *ShardedRing merged at dump time.
-	Ring EventSource
+	// total/retained/dropped counts, then the events in Seq order).
+	Ring *Ring
 	// Sessions backs /sessions: a JSON-marshalable snapshot (typically
 	// []gateway.SessionInfo, kept as a closure so obs does not import
 	// the packages it observes).
@@ -66,9 +65,7 @@ func (a *Admin) Handler() http.Handler {
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if a.Ring != nil {
-			a.Ring.WriteJSONL(w)
-		}
+		a.Ring.WriteJSONL(w)
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")

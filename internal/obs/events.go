@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynbw/internal/bw"
@@ -121,67 +123,109 @@ type Observable interface {
 	SetObserver(Observer)
 }
 
-// EventSource is the read side of an event buffer — everything the
-// admin /events endpoint, a shutdown flush, and metric export need.
-// *Ring and *ShardedRing implement it; the nil pointers of both are
-// valid no-ops.
-type EventSource interface {
-	Observer
-	// Total is how many events were ever appended; Dropped how many
-	// were overwritten before any dump retained them.
-	Total() uint64
-	Dropped() uint64
-	// Snapshot returns the retained events in Seq order.
-	Snapshot() []Event
-	// WriteJSONL dumps a ring_meta header line (total/retained/dropped)
-	// followed by the retained events, one JSON object per line.
-	WriteJSONL(io.Writer) error
-	// Instrument exports dynbw_events_total and
-	// dynbw_events_dropped_total on the registry.
-	Instrument(*Registry)
-}
-
-// Ring is a fixed-size ring buffer of events — the standard Observer.
-// When full, the oldest events are overwritten; Seq stays globally
-// monotone so a dump shows how many were dropped. The nil *Ring is a
-// valid no-op, so tracing can be left unconfigured.
+// Ring is the event ring — the standard Observer: a fixed number of
+// retained events split evenly over independently locked stripes, so
+// emitters on different gateway shards never contend on one mutex. One
+// stripe is the plain case (NewRing), not a different type. When a stripe
+// is full its oldest event is overwritten and counted as dropped. Seq is
+// globally monotone (one atomic, claimed under the stripe's lock, so each
+// stripe holds its events in Seq order) and Snapshot merges the stripes
+// back into Seq order, so a dump reads the same whatever the stripe
+// count. The nil *Ring is a valid no-op, so tracing can be left
+// unconfigured.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event // guarded by mu
-	total uint64  // guarded by mu
+	seq     atomic.Uint64
+	stripes []ringStripe
 }
 
-// DefaultRingSize is the event capacity used when NewRing is given a
+// ShardedRing is Ring, for callers that name the striped ring.
+type ShardedRing = Ring
+
+// ringStripe is one independently locked share of the ring. The padding
+// keeps adjacent stripes' mutexes off a shared cache line.
+type ringStripe struct {
+	mu sync.Mutex
+	q  ring[Event] // guarded by mu
+	_  [64]byte
+}
+
+// DefaultRingSize is the event capacity used when a ring is built with a
 // non-positive size.
 const DefaultRingSize = 4096
 
-// NewRing returns a ring holding the last n events.
-func NewRing(n int) *Ring {
+// NewRing returns a one-stripe ring holding the last n events.
+func NewRing(n int) *Ring { return NewShardedRing(n, 1) }
+
+// NewShardedRing returns a ring retaining about n events in total,
+// split evenly across the given number of stripes (both minimums 1; a
+// non-positive n uses DefaultRingSize). The stripes are unshared until
+// the ring is returned (bwlint:holds mu).
+func NewShardedRing(n, stripes int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &Ring{buf: make([]Event, 0, n)}
+	if stripes < 1 {
+		stripes = 1
+	}
+	per := (n + stripes - 1) / stripes
+	r := &Ring{stripes: make([]ringStripe, stripes)}
+	for i := range r.stripes {
+		r.stripes[i].q = newRing[Event](per)
+	}
+	return r
 }
 
-// Event implements Observer: it stamps the sequence number (and the
-// wall-clock time, when unset) and appends, overwriting the oldest
-// entry once the ring is full.
+// Event implements Observer, routing by the event's session (session-
+// tagged events from different sessions spread across stripes; untagged
+// events land on stripe 0). Emitters that know their shard should use a
+// Stripe handle instead, which guarantees the stripe choice matches the
+// shard's lock domain.
 func (r *Ring) Event(e Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	e.Seq = r.total
-	r.total++
+	r.eventAt(max(e.Session, 0), e)
+}
+
+// Stripe returns an Observer that appends onto stripe i (reduced modulo
+// the stripe count) — the per-shard emission handle.
+func (r *Ring) Stripe(i int) Observer {
+	if r == nil {
+		return nil
+	}
+	return stripeHandle{r: r, idx: i}
+}
+
+// StripeOf returns the observer shard i of a sharded emitter emits
+// through: o's stripe i when o is a Ring, so that emission stays inside
+// the shard's lock domain, and o itself otherwise.
+func StripeOf(o Observer, i int) Observer {
+	if r, ok := o.(*Ring); ok {
+		return r.Stripe(i)
+	}
+	return o
+}
+
+// stripeHandle pins an emitter to one stripe.
+type stripeHandle struct {
+	r   *Ring
+	idx int
+}
+
+// Event implements Observer.
+func (h stripeHandle) Event(e Event) { h.r.eventAt(h.idx, e) }
+
+// eventAt stamps the wall-clock time (when unset) and the global
+// sequence number and appends onto one stripe.
+func (r *Ring) eventAt(idx int, e Event) {
+	s := &r.stripes[uint(idx)%uint(len(r.stripes))]
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[e.Seq%uint64(cap(r.buf))] = e
-	}
-	r.mu.Unlock()
+	s.mu.Lock()
+	e.Seq = r.seq.Add(1) - 1
+	s.q.push(e)
+	s.mu.Unlock()
 }
 
 // Total returns how many events have ever been appended.
@@ -189,47 +233,61 @@ func (r *Ring) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.seq.Load()
 }
 
 // Dropped returns how many events were overwritten before any dump
-// could retain them — zero until the ring wraps, then the overwrite
-// count. A nonzero value under load is the signal that the ring (or
-// the scrape cadence) is undersized.
+// could retain them, summed across stripes — zero until a stripe wraps.
+// A nonzero value under load is the signal that the ring (or the scrape
+// cadence) is undersized.
 func (r *Ring) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total - uint64(len(r.buf))
+	var total uint64
+	for i := range r.stripes {
+		s := &r.stripes[i]
+		s.mu.Lock()
+		total += s.q.dropped
+		s.mu.Unlock()
+	}
+	return total
 }
 
-// Snapshot returns the retained events, oldest first.
+// Snapshot returns the retained events of every stripe, ordered by Seq.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf...)
+	var out []Event
+	for i := range r.stripes {
+		s := &r.stripes[i]
+		s.mu.Lock()
+		out = s.q.appendTo(out)
+		s.mu.Unlock()
 	}
-	start := r.total % uint64(cap(r.buf))
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:start]...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
 }
 
-// WriteJSONL dumps a ring_meta header line followed by the retained
-// events, oldest first, one JSON object per line.
+// WriteJSONL dumps a ring_meta header line (total/retained/dropped)
+// followed by the retained events in Seq order, one JSON object per
+// line.
 func (r *Ring) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	return writeEventsJSONL(w, r.Total(), r.Dropped(), r.Snapshot())
+	events := r.Snapshot()
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(ringMeta{RingMeta: true, Total: r.Total(), Retained: len(events), Dropped: r.Dropped()}); err != nil {
+		return err
+	}
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Instrument exports the ring's totals on reg: dynbw_events_total and
@@ -253,19 +311,4 @@ type ringMeta struct {
 	Total    uint64 `json:"total"`
 	Retained int    `json:"retained"`
 	Dropped  uint64 `json:"dropped"`
-}
-
-// writeEventsJSONL renders the shared JSONL dump format of Ring and
-// ShardedRing: the ring_meta header, then the events.
-func writeEventsJSONL(w io.Writer, total, dropped uint64, events []Event) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(ringMeta{RingMeta: true, Total: total, Retained: len(events), Dropped: dropped}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

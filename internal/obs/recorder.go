@@ -137,14 +137,12 @@ type Recorder struct {
 	interval time.Duration
 	triggers []Trigger
 
-	buf   []RegSnapshot // guarded by mu; insertion-ordered, wraps at cap
-	next  int           // guarded by mu
-	total uint64        // guarded by mu
+	q ring[RegSnapshot] // guarded by mu
 
 	frozen       []RegSnapshot // guarded by mu; window captured at the last trigger
 	frozenReason string        // guarded by mu
 	frozenAt     time.Time     // guarded by mu
-	rearmAt      uint64        // guarded by mu; suppress triggers until total reaches this
+	rearmAt      uint64        // guarded by mu; suppress triggers until q.total reaches this
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -164,7 +162,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		reg:      cfg.Registry,
 		interval: cfg.Interval,
 		triggers: cfg.Triggers,
-		buf:      make([]RegSnapshot, 0, cfg.Capacity),
+		q:        newRing[RegSnapshot](cfg.Capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -213,27 +211,12 @@ func (rec *Recorder) Record() {
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	snap.Seq = rec.total
-	rec.total++
-	// Grab the previous snapshot's values before the insert can
-	// overwrite its slot (cap-1 rings).
-	var prev map[string]int64
-	if len(rec.buf) > 0 {
-		i := len(rec.buf) - 1
-		if len(rec.buf) == cap(rec.buf) {
-			if i = rec.next - 1; i < 0 {
-				i = len(rec.buf) - 1
-			}
-		}
-		prev = rec.buf[i].Values
-	}
-	if len(rec.buf) < cap(rec.buf) {
-		rec.buf = append(rec.buf, snap)
-	} else {
-		rec.buf[rec.next] = snap
-		rec.next = (rec.next + 1) % cap(rec.buf)
-	}
-	if prev == nil || rec.total <= rec.rearmAt {
+	snap.Seq = rec.q.total
+	// Grab the previous snapshot's values before the push can overwrite
+	// its slot (cap-1 rings).
+	prev := rec.q.last().Values
+	rec.q.push(snap)
+	if prev == nil || rec.q.total <= rec.rearmAt {
 		return
 	}
 	for _, tr := range rec.triggers {
@@ -261,12 +244,10 @@ func (rec *Recorder) Freeze(reason string) {
 // freezeLocked copies the ring (oldest first) into the frozen window
 // and re-arms triggers one full ring later. Callers must hold rec.mu.
 func (rec *Recorder) freezeLocked(reason string, at time.Time) {
-	rec.frozen = rec.frozen[:0]
-	rec.frozen = append(rec.frozen, rec.buf[rec.next:]...)
-	rec.frozen = append(rec.frozen, rec.buf[:rec.next]...)
+	rec.frozen = rec.q.appendTo(rec.frozen[:0])
 	rec.frozenReason = reason
 	rec.frozenAt = at
-	rec.rearmAt = rec.total + uint64(cap(rec.buf))
+	rec.rearmAt = rec.q.total + uint64(cap(rec.q.buf))
 }
 
 // Frozen returns the frozen window (oldest first) and its reason, or
@@ -287,7 +268,7 @@ func (rec *Recorder) Total() uint64 {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return rec.total
+	return rec.q.total
 }
 
 // recorderMeta is the header line of a JSONL snapshot dump.
@@ -315,12 +296,10 @@ func (rec *Recorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	rec.mu.Lock()
-	live := make([]RegSnapshot, 0, len(rec.buf))
-	live = append(live, rec.buf[rec.next:]...)
-	live = append(live, rec.buf[:rec.next]...)
+	live := rec.q.appendTo(nil)
 	frozen := append([]RegSnapshot(nil), rec.frozen...)
 	meta := recorderMeta{
-		RecorderMeta: true, Total: rec.total, Retained: len(live),
+		RecorderMeta: true, Total: rec.q.total, Retained: len(live),
 		IntervalNs: int64(rec.interval), Frozen: len(frozen),
 		Reason: rec.frozenReason, FrozenAt: rec.frozenAt,
 	}

@@ -49,13 +49,10 @@ type Span struct {
 // counted as dropped. The nil *SpanRing is a valid no-op, so span
 // recording can be left unconfigured.
 type SpanRing struct {
-	mu      sync.Mutex
-	names   []string
-	buf     []Span // guarded by mu; insertion-ordered, wraps at cap
-	next    int    // guarded by mu; overwrite cursor once full
-	total   uint64 // guarded by mu
-	dropped uint64 // guarded by mu; spans overwritten before any dump or drain
-	traces  atomic.Uint64
+	mu     sync.Mutex
+	names  []string
+	q      ring[Span] // guarded by mu; dropped counts spans overwritten before any dump or drain
+	traces atomic.Uint64
 }
 
 // DefaultSpanRingSize is the span capacity used when NewSpanRing is
@@ -73,7 +70,7 @@ func NewSpanRing(n int, stageNames []string) *SpanRing {
 	}
 	return &SpanRing{
 		names: append([]string(nil), stageNames...),
-		buf:   make([]Span, 0, n),
+		q:     newRing[Span](n),
 	}
 }
 
@@ -105,14 +102,7 @@ func (r *SpanRing) Push(s Span) {
 		s.Time = time.Now()
 	}
 	r.mu.Lock()
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s) // bwlint:allocok capacity preallocated; append never grows past cap
-	} else {
-		r.buf[r.next] = s
-		r.next = (r.next + 1) % cap(r.buf)
-		r.dropped++
-	}
+	r.q.push(s)
 	r.mu.Unlock()
 }
 
@@ -123,7 +113,7 @@ func (r *SpanRing) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.q.total
 }
 
 // Dropped returns how many spans were overwritten before any dump or
@@ -134,7 +124,7 @@ func (r *SpanRing) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.q.dropped
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -144,9 +134,7 @@ func (r *SpanRing) Snapshot() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return r.q.appendTo(nil)
 }
 
 // Drain returns the retained spans, oldest first, and empties the ring
@@ -158,11 +146,8 @@ func (r *SpanRing) Drain() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	r.buf = r.buf[:0]
-	r.next = 0
+	out := r.q.appendTo(nil)
+	r.q.reset()
 	return out
 }
 
