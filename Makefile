@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-all dynbench fuzz load loc experiments examples cover clean
+.PHONY: all build test lint race bench bench-round bench-all dynbench fuzz load loc experiments examples cover clean
 
 all: build lint test
 
@@ -26,6 +26,15 @@ race:
 # repository benchmark (benchmarks/README.md), not on this suite.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# One allocation round of a 100k-slot, 8-shard gateway, called directly
+# (no tick channel, no sockets), idle and with 40, 1000 and 100 000 slots
+# active: the place to bisect a change in what a round costs. ns/round
+# leaves out the feeding; idle and 40 run on the tick loop, the other two
+# fan out to the tick workers. The dense case's queues grow to ~200 MB
+# over a full run; -benchtime=1x (CI) stays small.
+bench-round:
+	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 
 # One short untraced pass each of the repository benchmark's sparse
 # 100k-slot workload (the round path) and its batch-1k workload (the

@@ -26,8 +26,12 @@
 // histograms' _count is messages timed, not messages handled, and
 // -sample 1 times everything at roughly 0.6 µs a message. The flight
 // recorder snapshots the whole registry every -record interval and
-// freezes the window when OPENFAILs, dropped events, or tick-budget
-// overruns start growing.
+// freezes the window when OPENFAILs, dropped events, tick-budget
+// overruns or contained panics start growing. A panic under an
+// allocation round costs that shard the round, one in a connection
+// handler costs the connection; both are counted
+// (dynbw_gateway_panics_total) and logged with their stack, and the
+// gateway goes on.
 //
 // With -links > 1 the slot pool is partitioned across that many backend
 // links, each running its own allocator over an equal share of the
@@ -183,6 +187,8 @@ func run(args []string, out, errw io.Writer) error {
 				obs.GrowthTrigger("openfail-spike", "dynbw_gateway_open_fails_total", 1),
 				obs.GrowthTrigger("events-dropped", "dynbw_events_dropped_total", 1),
 				obs.GrowthTrigger("tick-overrun", "dynbw_gateway_tick_overruns_total", 1),
+				obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1),
+				obs.GrowthTrigger("handler-panic", `dynbw_gateway_panics_total{where="handler"}`, 1),
 			},
 		})
 		rec.Start()

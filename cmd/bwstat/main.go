@@ -278,8 +278,9 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 	fmt.Fprintf(w, "sessions    %d open  %d with work in the last round  %d conns\n",
 		cur.scalars["dynbw_gateway_active_sessions"], cur.scalars["dynbw_gateway_active_slots"],
 		cur.scalars["dynbw_gateway_active_conns"])
-	fmt.Fprintf(w, "ticks/s     %.0f  overruns +%d  imbalance %d permille\n",
+	fmt.Fprintf(w, "ticks/s     %.0f  %s  overruns +%d  imbalance %d permille\n",
 		rate("dynbw_gateway_ticks_total"),
+		inlineShare(prev, cur),
 		cur.scalars["dynbw_gateway_tick_overruns_total"]-prev.scalars["dynbw_gateway_tick_overruns_total"],
 		cur.scalars["dynbw_gateway_tick_imbalance_permille"])
 	fmt.Fprintf(w, "anomalies   openfails +%d  policed bits +%d  events dropped +%d  spans %d (+%d dropped)\n",
@@ -327,6 +328,20 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 			g, byteSize(cur.scalars["dynbw_go_heap_bytes"]),
 			time.Duration(cur.hists["dynbw_go_gc_pause_ns"].quantile(0.99)))
 	}
+}
+
+// inlineShare renders the share of the window's allocation rounds that
+// the tick loop ran itself rather than fan out to the tick workers: the
+// rounds too small to pay for a wake-up, and every round of a one-shard
+// gateway.
+func inlineShare(prev, cur *scrape) string {
+	const inline, fanout = `dynbw_gateway_tick_rounds_total{path="inline"}`, `dynbw_gateway_tick_rounds_total{path="fanout"}`
+	in := cur.scalars[inline] - prev.scalars[inline]
+	all := in + cur.scalars[fanout] - prev.scalars[fanout]
+	if all <= 0 {
+		return "inline -"
+	}
+	return fmt.Sprintf("inline %d%%", (100*in+all/2)/all)
 }
 
 // scanRate sums the window rate across every series of a family — the

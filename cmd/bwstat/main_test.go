@@ -156,6 +156,76 @@ func TestDashboard(t *testing.T) {
 	}
 }
 
+// TestTicksLine pins the rendering of the ticks line, the inline share in
+// particular: the share of the window's rounds the tick loop ran itself,
+// from the two path counters' deltas, rounded; "-" when the window holds
+// no round, or the gateway predates the counters.
+func TestTicksLine(t *testing.T) {
+	const (
+		ticks  = "dynbw_gateway_ticks_total"
+		inline = `dynbw_gateway_tick_rounds_total{path="inline"}`
+		fanout = `dynbw_gateway_tick_rounds_total{path="fanout"}`
+	)
+	for _, tc := range []struct {
+		name      string
+		prev, cur map[string]int64
+		want      string
+	}{
+		{
+			name: "mixed",
+			prev: map[string]int64{ticks: 1000, inline: 900, fanout: 100},
+			cur:  map[string]int64{ticks: 1200, inline: 1050, fanout: 150, "dynbw_gateway_tick_imbalance_permille": 1310},
+			want: "ticks/s     100  inline 75%  overruns +0  imbalance 1310 permille\n",
+		},
+		{
+			name: "idle gateway: every round inline",
+			prev: map[string]int64{ticks: 10, inline: 10},
+			cur:  map[string]int64{ticks: 2010, inline: 2010, fanout: 0},
+			want: "ticks/s     1000  inline 100%  overruns +0  imbalance 0 permille\n",
+		},
+		{
+			name: "saturated: every round fanned out, some over budget",
+			prev: map[string]int64{ticks: 50, inline: 40, fanout: 10, "dynbw_gateway_tick_overruns_total": 1},
+			cur:  map[string]int64{ticks: 450, inline: 40, fanout: 410, "dynbw_gateway_tick_overruns_total": 8},
+			want: "ticks/s     200  inline 0%  overruns +7  imbalance 0 permille\n",
+		},
+		{
+			name: "rounds to the nearest percent",
+			prev: map[string]int64{},
+			cur:  map[string]int64{ticks: 3, inline: 2, fanout: 1},
+			want: "ticks/s     2  inline 67%  overruns +0  imbalance 0 permille\n",
+		},
+		{
+			name: "clock stopped",
+			prev: map[string]int64{ticks: 77, inline: 70, fanout: 7},
+			cur:  map[string]int64{ticks: 77, inline: 70, fanout: 7},
+			want: "ticks/s     0  inline -  overruns +0  imbalance 0 permille\n",
+		},
+		{
+			name: "a gateway without the path counters",
+			prev: map[string]int64{ticks: 1000},
+			cur:  map[string]int64{ticks: 1200},
+			want: "ticks/s     100  inline -  overruns +0  imbalance 0 permille\n",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := &scrape{scalars: tc.prev, hists: map[string]*hist{}}
+			cur := &scrape{scalars: tc.cur, hists: map[string]*hist{}}
+			var sb strings.Builder
+			dashboard(&sb, "test:1", 2*time.Second, prev, cur)
+			var got string
+			for _, line := range strings.SplitAfter(sb.String(), "\n") {
+				if strings.HasPrefix(line, "ticks/s") {
+					got = line
+				}
+			}
+			if got != tc.want {
+				t.Errorf("ticks line:\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestRunScrapesTwice drives run against a canned /metrics server: the
 // first scrape sees promA, every later one promB.
 func TestRunScrapesTwice(t *testing.T) {

@@ -7,22 +7,49 @@ import (
 	"dynbw/internal/rng"
 )
 
+// checkSummary fails unless every summary bit says exactly whether its
+// word is non-zero, and no summary bit lies past the last word.
+func checkSummary(t *testing.T, s Set, after string) {
+	t.Helper()
+	for w, word := range s.words {
+		if got := s.sum[w>>6]&(1<<(uint(w)&63)) != 0; got != (word != 0) {
+			t.Fatalf("after %s: summary bit %d = %v, word = %#x", after, w, got, word)
+		}
+	}
+	if tail := len(s.words) & 63; tail != 0 && s.sum[len(s.sum)-1]>>uint(tail) != 0 {
+		t.Fatalf("after %s: summary bits set past word %d", after, len(s.words))
+	}
+}
+
 // TestAgainstMap checks every operation against a map[int]bool over
-// random members and random, mostly unaligned, ranges.
+// random members and random, mostly unaligned, ranges, on a set wide
+// enough for three summary words — so ranges start, end and sit inside
+// summary words as they do member words — and checks after every write
+// that the summary level holds exactly the non-zero words.
 func TestAgainstMap(t *testing.T) {
-	const n = 333 // not a multiple of 64: the last word is partial
+	const n = 2*64*64 + 333 // neither level ends on a word boundary
 	src := rng.New(11)
 	s := New(n)
 	ref := map[int]bool{}
-	for step := 0; step < 2000; step++ {
-		i := src.Intn(n)
+	// Members cluster in a few stretches, so that most words — and some
+	// whole summary words — stay empty, as in a table that is mostly idle.
+	member := func() int {
+		if src.Intn(4) == 0 {
+			return src.Intn(n)
+		}
+		return (src.Intn(3)*(64*64+700) + src.Intn(200)) % n
+	}
+	for step := 0; step < 6000; step++ {
+		i := member()
 		switch src.Intn(3) {
 		case 0:
 			s.Remove(i)
 			delete(ref, i)
+			checkSummary(t, s, "Remove")
 		default:
 			s.Add(i)
 			ref[i] = true
+			checkSummary(t, s, "Add")
 		}
 		if s.Has(i) != ref[i] {
 			t.Fatalf("step %d: Has(%d) = %v, want %v", step, i, s.Has(i), ref[i])
@@ -33,6 +60,9 @@ func TestAgainstMap(t *testing.T) {
 		lo, hi := src.Intn(n+1), src.Intn(n+1)
 		if lo > hi {
 			lo, hi = hi, lo
+		}
+		if step%40 == 0 {
+			hi = min(n, lo+src.Intn(300)) // a short range, inside one summary word or just across two
 		}
 		var want []int32
 		firstClear := -1
@@ -54,10 +84,28 @@ func TestAgainstMap(t *testing.T) {
 			for j := lo; j < hi; j++ {
 				delete(ref, j)
 			}
+			checkSummary(t, s, "ClearRange")
 			if got := s.AppendTo(nil, 0, n); len(got) != len(ref) {
 				t.Fatalf("after ClearRange [%d,%d): %d members, want %d", lo, hi, len(got), len(ref))
 			}
 		}
+	}
+}
+
+// TestAppendToWarmZeroAlloc: listing into a slice that has held the
+// members before allocates nothing, whatever the range.
+func TestAppendToWarmZeroAlloc(t *testing.T) {
+	const n = 100_000
+	s := New(n)
+	for i := 0; i < n; i += 97 {
+		s.Add(i)
+	}
+	dst := s.AppendTo(nil, 0, n)
+	if avg := testing.AllocsPerRun(100, func() {
+		dst = s.AppendTo(dst[:0], 0, n)
+		dst = s.AppendTo(dst[:0], 12_500, 25_000)
+	}); avg != 0 {
+		t.Errorf("AppendTo into a warm dst allocates %.2f objects, want 0", avg)
 	}
 }
 

@@ -24,31 +24,41 @@ import (
 // The naive evaluation is O(stage length) per tick. This tracker instead
 // maintains the lower convex hull of the cumulative-arrival points
 // (j, C(j)) and finds the maximizing window with a binary search for the
-// tangent from the query point, giving O(log stage) per tick. The hull
+// tangent from the query point, giving O(log hull) per tick. The hull
 // and a brute-force reference are cross-checked by property tests.
+//
+// The tracker keeps the hull and nothing else of the stage: the points
+// themselves, a tick count and the running total. A point on or above
+// the segment between its neighbours is popped as the next one arrives,
+// so a stage that idles, or receives at a constant rate, holds two or
+// three points however long it lasts — a gateway's stage may never end.
+// Memory follows the hull, not the clock; an arrival curve that stays
+// strictly convex (a rate that keeps increasing) still adds a point a
+// tick.
 type LowTracker struct {
 	d bw.Tick
-	// cum[i] = arrivals observed in the first i ticks of the stage.
-	cum []bw.Bits
-	// hull holds indices j into cum forming the lower convex hull of the
-	// points (j, cum[j]).
-	hull []int32
+	// n ticks of the stage have been observed and total bits arrived in
+	// them: (n, total) is the newest cumulative point.
+	n     bw.Tick
+	total bw.Bits
+	// hull is the lower convex hull of the cumulative points (j, C(j)),
+	// j < n: the window starts still worth considering.
+	hull []hullPoint
 	low  bw.Rate
 }
 
 // NewLowTracker returns a tracker for a stage with offline delay bound d.
 func NewLowTracker(d bw.Tick) *LowTracker {
-	return &LowTracker{d: d, cum: []bw.Bits{0}}
+	return &LowTracker{d: d}
 }
 
 // Reset re-arms the tracker for a fresh stage with the same delay bound,
-// keeping the cumulative-arrival and hull storage. A reset tracker is
-// indistinguishable from a newly constructed one; reusing it across
-// stages removes the per-stage allocations the simulator hot path
-// otherwise pays (profiling showed them dominating sim.Run).
+// keeping the hull storage. A reset tracker is indistinguishable from a
+// newly constructed one; reusing it across stages removes the per-stage
+// allocations the simulator hot path otherwise pays (profiling showed
+// them dominating sim.Run).
 func (lt *LowTracker) Reset() {
-	lt.cum = lt.cum[:1]
-	lt.cum[0] = 0
+	lt.n, lt.total = 0, 0
 	lt.hull = lt.hull[:0]
 	lt.low = 0
 }
@@ -57,17 +67,14 @@ func (lt *LowTracker) Reset() {
 // the updated low value.
 func (lt *LowTracker) Observe(arrived bw.Bits) bw.Rate {
 	// The previous cumulative point becomes a usable window start.
-	lt.pushHull(int32(len(lt.cum) - 1))
-	m := bw.Tick(len(lt.cum))
-	lt.cum = append(lt.cum, lt.cum[m-1]+arrived) // bwlint:allocok amortized: one point per tick of the stage, storage kept across Reset
+	lt.pushHull(hullPoint{x: lt.n, y: lt.total})
+	lt.n++
+	lt.total += arrived
 
-	// Query: maximize (C(m) - C(j)) / (m + d - j) over hull points j.
-	qx := m + lt.d
-	qy := lt.cum[m]
-	j := lt.bestStart(qx, qy)
-	num := qy - lt.cum[j]
-	den := qx - bw.Tick(j)
-	if cand := bw.RateOver(num, den); cand > lt.low {
+	// Query: maximize (C(n) - C(j)) / (n + d - j) over hull points j.
+	q := hullPoint{x: lt.n + lt.d, y: lt.total}
+	j := lt.bestStart(q)
+	if cand := bw.RateOver(q.y-j.y, q.x-j.x); cand > lt.low {
 		lt.low = cand
 	}
 	return lt.low
@@ -77,31 +84,28 @@ func (lt *LowTracker) Observe(arrived bw.Bits) bw.Rate {
 func (lt *LowTracker) Low() bw.Rate { return lt.low }
 
 // Ticks returns how many ticks have been observed.
-func (lt *LowTracker) Ticks() bw.Tick { return bw.Tick(len(lt.cum) - 1) }
+func (lt *LowTracker) Ticks() bw.Tick { return lt.n }
 
-// pushHull adds point (j, cum[j]) to the lower hull.
-func (lt *LowTracker) pushHull(j int32) {
+// pushHull adds point p, to the right of every point held, to the lower
+// hull.
+func (lt *LowTracker) pushHull(p hullPoint) {
 	for len(lt.hull) >= 2 {
 		a := lt.hull[len(lt.hull)-2]
 		b := lt.hull[len(lt.hull)-1]
-		// Pop b if a->b->j is a non-left turn (b is on or above the
-		// segment a->j), i.e. slope(a,b) >= slope(b,j).
-		if !slopeLess(lt.point(a), lt.point(b), lt.point(b), lt.point(int32(j))) {
+		// Pop b if a->b->p is a non-left turn (b is on or above the
+		// segment a->p), i.e. slope(a,b) >= slope(b,p).
+		if !slopeLess(a, b, b, p) {
 			lt.hull = lt.hull[:len(lt.hull)-1]
 			continue
 		}
 		break
 	}
-	lt.hull = append(lt.hull, j) // bwlint:allocok amortized with cum
+	lt.hull = append(lt.hull, p) // bwlint:allocok amortized: grows to the stage's peak hull size, storage kept across Reset
 }
 
 type hullPoint struct {
 	x bw.Tick
 	y bw.Bits
-}
-
-func (lt *LowTracker) point(j int32) hullPoint {
-	return hullPoint{x: bw.Tick(j), y: lt.cum[j]}
 }
 
 // slopeLess reports whether slope(p1, p2) < slope(p3, p4), comparing
@@ -147,35 +151,34 @@ func cmp128(a, b, c, d int64) int {
 	return cmp
 }
 
-// bestStart returns the hull index j maximizing (qy - cum[j]) / (qx - j).
-// The slope from the external query point (qx, qy), with qx greater than
-// every hull x, is unimodal along the lower hull, so a binary search on
-// the discrete derivative finds the peak.
-func (lt *LowTracker) bestStart(qx bw.Tick, qy bw.Bits) int32 {
+// bestStart returns the hull point j maximizing (q.y - j.y) / (q.x - j.x).
+// The slope from the external query point q, with q.x greater than every
+// hull x, is unimodal along the lower hull, so a binary search on the
+// discrete derivative finds the peak.
+func (lt *LowTracker) bestStart(q hullPoint) hullPoint {
 	lo, hi := 0, len(lt.hull)-1
 	for hi-lo >= 2 {
 		mid := (lo + hi) / 2
-		if lt.slopeToQ(lt.hull[mid], qx, qy, lt.hull[mid+1]) {
+		if betterStart(lt.hull[mid], lt.hull[mid+1], q) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	best := lt.hull[lo]
-	for i := lo + 1; i <= hi; i++ {
-		j := lt.hull[i]
-		if lt.slopeToQ(best, qx, qy, j) {
-			best = j
+	for _, p := range lt.hull[lo+1 : hi+1] {
+		if betterStart(best, p, q) {
+			best = p
 		}
 	}
 	return best
 }
 
-// slopeToQ reports whether slope(point b, Q) > slope(point a, Q), i.e.
-// whether b is a strictly better window start than a.
-func (lt *LowTracker) slopeToQ(a int32, qx bw.Tick, qy bw.Bits, b int32) bool {
-	// (qy-cum[b])/(qx-b) > (qy-cum[a])/(qx-a)
-	return cmp128(qy-lt.cum[b], qx-bw.Tick(a), qy-lt.cum[a], qx-bw.Tick(b)) > 0
+// betterStart reports whether slope(b, q) > slope(a, q), i.e. whether b
+// is a strictly better window start than a.
+func betterStart(a, b, q hullPoint) bool {
+	// (q.y-b.y)/(q.x-b.x) > (q.y-a.y)/(q.x-a.x)
+	return cmp128(q.y-b.y, q.x-a.x, q.y-a.y, q.x-b.x) > 0
 }
 
 // naiveLow is the O(n) reference implementation used by tests: the maximum

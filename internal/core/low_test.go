@@ -138,6 +138,54 @@ func TestLowTrackerTicks(t *testing.T) {
 	}
 }
 
+// TestLowTrackerFollowsItsHull: the tracker holds the stage's hull, not
+// its history. A stage of a million idle ticks, and one of a million
+// ticks at a constant rate, each followed by a burst, retain a handful of
+// points and allocate nothing once the first few are in place — a
+// gateway's stage may never end, and one point a tick forever is a leak
+// — while low stays what the definition says. A Reset keeps the storage.
+func TestLowTrackerFollowsItsHull(t *testing.T) {
+	const d, n = bw.Tick(8), 1_000_000
+	for _, tc := range []struct {
+		name        string
+		rate, burst bw.Bits
+		want        bw.Rate
+	}{
+		// An idle stage: the burst's own tick is the best window.
+		{"idle", 0, 900, 100}, // ceil(900 / (1+8))
+		// A steady stage: low has crept up to the rate itself, which the
+		// burst's one-tick window (7+56 over 1+8 ticks) only equals.
+		{"constant", 7, 56, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lt := NewLowTracker(d)
+			for i := 0; i < 16; i++ {
+				lt.Observe(tc.rate)
+			}
+			if avg := testing.AllocsPerRun(1, func() {
+				for i := 0; i < n; i++ {
+					lt.Observe(tc.rate)
+				}
+			}); avg != 0 {
+				t.Errorf("a million more ticks of the stage allocate %.0f times; the tracker is following the clock", avg)
+			}
+			if got := lt.Observe(tc.rate + tc.burst); got != tc.want {
+				t.Errorf("low after the burst = %d, want %d", got, tc.want)
+			}
+			if len(lt.hull) > 4 || cap(lt.hull) > 16 {
+				t.Errorf("%d hull points retained (cap %d) after %d ticks, want at most 4", len(lt.hull), cap(lt.hull), lt.Ticks())
+			}
+			if avg := testing.AllocsPerRun(10, func() {
+				lt.Reset()
+				lt.Observe(5)
+				lt.Observe(0)
+			}); avg != 0 || lt.Low() != 1 || lt.Ticks() != 2 {
+				t.Errorf("Reset and two ticks: %.1f allocations, low %d after %d ticks; want 0, 1, 2", avg, lt.Low(), lt.Ticks())
+			}
+		})
+	}
+}
+
 func BenchmarkLowTrackerObserve(b *testing.B) {
 	lt := NewLowTracker(16)
 	b.ReportAllocs()

@@ -9,6 +9,7 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
+	"dynbw/internal/obs"
 	"dynbw/internal/sim"
 )
 
@@ -18,6 +19,8 @@ import (
 func newBare(k int) *Gateway {
 	g := newGateway(k, 1)
 	g.shards[0].serve(perSlotAlloc{cap: 4})
+	// Panics are contained; count them where a test can see.
+	g.m.roundPanics, g.m.handlerPanics = new(obs.Counter), new(obs.Counter)
 	return g
 }
 
@@ -133,6 +136,61 @@ func (m *fuzzModel) accepted(t *testing.T, conn int, u, reply []byte, served map
 	}
 }
 
+// fuzzCorpus is FuzzHandleMessage's seed corpus: byte streams of wire
+// units with the harness-only bytes above between them.
+func fuzzCorpus() (seeds [][]byte) {
+	add := func(b []byte) { seeds = append(seeds, b) }
+	add(fuzzSeed(typeOpen))
+	add(fuzzSeed(typeData, 0, 64))
+	add(append(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)...))
+	add(append(fuzzSeed(typeOpen), fuzzSeed(typeStats, 0)...))
+	add(append(fuzzSeed(typeOpen), fuzzSeed(typeClose, 0)...))
+	add(append(fuzzSeed(typeOpen), fuzzSeed(typeOpen)...))
+	add(fuzzSeed(typeStats, 3))
+	add(fuzzSeed(typeClose, 1<<31))
+	add(fuzzSeed(typeData, 7, 1<<63))
+	add(append(fuzzSeed(typeOpen), append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...)...))
+	add([]byte{typeTrace, 1, 2, 3, 4, 5, 6, 7, 8, typeTrace})
+	add([]byte{0xff, 0x00})
+	add([]byte{})
+	// BATCH frames: empty, truncated count, oversized count, a clean
+	// OPEN+DATA+DATA batch, a short count (extra message spills out of
+	// the frame), nested BATCH, TRACE inside and wrapping a batch.
+	add([]byte{typeBatch, 0, 0})
+	add([]byte{typeBatch, 0})
+	add([]byte{typeBatch, 0xff, 0xff})
+	add(batchFrame(3, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), fuzzSeed(typeData, 0, 8)))
+	add(batchFrame(1, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)))
+	add(batchFrame(1, batchFrame(0)))
+	add(batchFrame(2, fuzzSeed(typeOpen), append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...)))
+	add(append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, batchFrame(0)...))
+	add(batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeClose, 0)))
+	// Two volumes whose sum overflows an int64, unbatched and batched:
+	// the arrivals a slot holds must saturate, or the round that enqueues
+	// them panics.
+	huge := fuzzSeed(typeData, 0, 1<<62)
+	add(append(fuzzSeed(typeOpen), append(huge, huge...)...))
+	add(batchFrame(3, fuzzSeed(typeOpen), huge, huge))
+	// The crasher a 10 s run found while CLOSE only cleared the occupancy
+	// bit: bits still pending when their session ends stayed on the free
+	// slot, for its next tenant to inherit.
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1<<40), fuzzSeed(typeClose, 0)))
+	// Lifecycles: a backlog queued by a round, then CLOSE, then the next
+	// tenant of the slot (ID 1<<2, tag 1 over index 0) reading its own
+	// counters; the first tenant's ID used after its CLOSE; a connection
+	// hanging up with bits in flight; the other connection naming a
+	// session that is not its own.
+	const second = 1 << 2
+	add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1000), []byte{fuzzRounds + 1}, fuzzSeed(typeClose, 0),
+		fuzzSeed(typeOpen), fuzzSeed(typeData, second, 8), []byte{fuzzRounds}, fuzzSeed(typeStats, second)))
+	add(join(fuzzSeed(typeOpen), fuzzSeed(typeClose, 0), fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)))
+	add(join(fuzzSeed(typeOpen), fuzzSeed(typeOpen), fuzzSeed(typeData, 1, 500), []byte{fuzzRounds, fuzzHangUp, fuzzRounds + 3}))
+	add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), []byte{fuzzSwitch}, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 8)))
+	add(join(fuzzSeed(typeOpen), []byte{fuzzSwitch}, batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeStats, 0))))
+	return seeds
+}
+
 // FuzzHandleMessage drives the gateway's wire-facing surface with an
 // arbitrary byte stream — wire units on two connections sharing one
 // table, allocation rounds between them, connections dying — and checks
@@ -141,54 +199,9 @@ func (m *fuzzModel) accepted(t *testing.T, conn int, u, reply []byte, served map
 // no bit is ever found on a free slot, and no connection reaches a
 // session that is not its own.
 func FuzzHandleMessage(f *testing.F) {
-	f.Add(fuzzSeed(typeOpen))
-	f.Add(fuzzSeed(typeData, 0, 64))
-	f.Add(append(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)...))
-	f.Add(append(fuzzSeed(typeOpen), fuzzSeed(typeStats, 0)...))
-	f.Add(append(fuzzSeed(typeOpen), fuzzSeed(typeClose, 0)...))
-	f.Add(append(fuzzSeed(typeOpen), fuzzSeed(typeOpen)...))
-	f.Add(fuzzSeed(typeStats, 3))
-	f.Add(fuzzSeed(typeClose, 1<<31))
-	f.Add(fuzzSeed(typeData, 7, 1<<63))
-	f.Add(append(fuzzSeed(typeOpen), append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...)...))
-	f.Add([]byte{typeTrace, 1, 2, 3, 4, 5, 6, 7, 8, typeTrace})
-	f.Add([]byte{0xff, 0x00})
-	f.Add([]byte{})
-	// BATCH frames: empty, truncated count, oversized count, a clean
-	// OPEN+DATA+DATA batch, a short count (extra message spills out of
-	// the frame), nested BATCH, TRACE inside and wrapping a batch.
-	f.Add([]byte{typeBatch, 0, 0})
-	f.Add([]byte{typeBatch, 0})
-	f.Add([]byte{typeBatch, 0xff, 0xff})
-	f.Add(batchFrame(3, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), fuzzSeed(typeData, 0, 8)))
-	f.Add(batchFrame(1, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)))
-	f.Add(batchFrame(1, batchFrame(0)))
-	f.Add(batchFrame(2, fuzzSeed(typeOpen), append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...)))
-	f.Add(append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, batchFrame(0)...))
-	f.Add(batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeClose, 0)))
-	// Two volumes whose sum overflows an int64, unbatched and batched:
-	// the arrivals a slot holds must saturate, or the round that enqueues
-	// them panics.
-	huge := fuzzSeed(typeData, 0, 1<<62)
-	f.Add(append(fuzzSeed(typeOpen), append(huge, huge...)...))
-	f.Add(batchFrame(3, fuzzSeed(typeOpen), huge, huge))
-	// The crasher a 10 s run found while CLOSE only cleared the occupancy
-	// bit: bits still pending when their session ends stayed on the free
-	// slot, for its next tenant to inherit.
-	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1<<40), fuzzSeed(typeClose, 0)))
-	// Lifecycles: a backlog queued by a round, then CLOSE, then the next
-	// tenant of the slot (ID 1<<2, tag 1 over index 0) reading its own
-	// counters; the first tenant's ID used after its CLOSE; a connection
-	// hanging up with bits in flight; the other connection naming a
-	// session that is not its own.
-	const second = 1 << 2
-	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 1000), []byte{fuzzRounds + 1}, fuzzSeed(typeClose, 0),
-		fuzzSeed(typeOpen), fuzzSeed(typeData, second, 8), []byte{fuzzRounds}, fuzzSeed(typeStats, second)))
-	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeClose, 0), fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64)))
-	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeOpen), fuzzSeed(typeData, 1, 500), []byte{fuzzRounds, fuzzHangUp, fuzzRounds + 3}))
-	f.Add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), []byte{fuzzSwitch}, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 8)))
-	f.Add(join(fuzzSeed(typeOpen), []byte{fuzzSwitch}, batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeStats, 0))))
+	for _, seed := range fuzzCorpus() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const k = 4
@@ -202,6 +215,9 @@ func FuzzHandleMessage(f *testing.F) {
 			for ; n > 0; n-- {
 				g.round(tick)
 				tick++
+			}
+			if n := g.m.roundPanics.Value(); n != 0 {
+				t.Fatalf("%d allocation rounds panicked (contained, so the gateway lives; a failure all the same)", n)
 			}
 		}
 		served := make(map[int]bw.Bits)
@@ -291,8 +307,8 @@ func FuzzHandleMessage(f *testing.F) {
 			check("an accepted unit")
 		}
 
-		// Whatever the stream left pending must survive allocation rounds:
-		// the tick goroutine has no recover, so a panic there is an outage.
+		// Whatever the stream left pending must survive allocation rounds: a
+		// panic there is contained, and still costs the shard its round.
 		// They move every pending bit into its queue, and no slot ends up
 		// holding more than the cap.
 		rounds(3)

@@ -81,8 +81,9 @@
 // allocator over its own bandwidth share, and its own observability
 // stripe. A session ID's index is a global slot number, so a session's
 // shard is index/(Slots/Shards) — exchanges touching different shards
-// never contend. The tick loop fans one allocation round out to every
-// shard and joins before advancing the clock, so the cost measure and
+// never contend. The tick loop runs one allocation round on every shard
+// — itself when the round is small, else fanned out to the tick workers
+// and joined — before advancing the clock, so the cost measure and
 // per-slot accounting are exactly the single-shard gateway's; /metrics,
 // /sessions and Close() merge the shards back at read time.
 package gateway
@@ -93,7 +94,6 @@ import (
 	"log/slog"
 	"math/bits"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -270,9 +270,9 @@ type Gateway struct {
 	sampler    *obs.Sampler  // 1-in-N timing decisions, striped like gwMetrics.connStripes
 	tickBudget time.Duration
 	// roundDur and roundRate are the current round's per-shard duration
-	// (ns) and allotted bandwidth; written by the shard's tick worker,
-	// read by the tick loop after the join (the WaitGroup orders the
-	// accesses).
+	// (ns) and allotted bandwidth; written by whoever runs the shard's
+	// round — the tick loop, or a tick worker — and read by the tick loop
+	// after the join (the WaitGroup orders a worker's accesses).
 	roundDur  []int64
 	roundRate []bw.Rate
 	imbalEwma int64 // tick-loop only: EWMA of max/mean shard duration, permille
@@ -289,7 +289,7 @@ type Gateway struct {
 	// soak stop allocating per-connection state.
 	csPool sync.Pool
 
-	tickCh chan int       // shard indices fanned out to the tick workers (nil when 1 shard)
+	tickCh chan int       // shard indices fanned out to the tick workers (nil without workers: 1 shard)
 	tickWG sync.WaitGroup // joins one allocation round across shards
 
 	wg         sync.WaitGroup
@@ -379,16 +379,7 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 		}
 	}
 	g.log = obs.NewRateLimited(cfg.Log, time.Second)
-	if len(g.shards) > 1 {
-		g.tickCh = make(chan int, len(g.shards))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(g.shards) {
-			workers = len(g.shards)
-		}
-		for w := 0; w < workers; w++ {
-			go g.tickWorker(w)
-		}
-	}
+	g.startTickWorkers()
 	g.wg.Add(1)
 	go g.acceptLoop()
 	go g.tickLoop()

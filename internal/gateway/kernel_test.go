@@ -17,7 +17,7 @@ import (
 
 // newPolicy builds one of the paper's multi-session policies the way
 // load.NewPolicy does (which this package cannot import).
-func newPolicy(t *testing.T, name string, k int, bo bw.Rate, do bw.Tick) sim.MultiAllocator {
+func newPolicy(t testing.TB, name string, k int, bo bw.Rate, do bw.Tick) sim.MultiAllocator {
 	t.Helper()
 	var (
 		a   sim.MultiAllocator
@@ -64,6 +64,7 @@ func feed(g *Gateway, id int, bits bw.Bits) {
 	sh := g.shardOf(id)
 	sh.mu.Lock()
 	sh.slots.Add(sh.slot(id), bits)
+	sh.work.Add(1)
 	sh.mu.Unlock()
 }
 
@@ -75,10 +76,21 @@ func feed(g *Gateway, id int, bits bw.Bits) {
 // unsharded, and with the table split over four shards (each session's
 // trace is clamped to its own share, so every partition is balanced).
 //
-// Two traces: on/off sources on every session of a small table, and a
+// Three traces: on/off sources on every session of a small table; a
 // table of 400 where each D_O cycle a rotating 1 % of the sessions
 // bursts and the rest idle — the regime the active set exists for, in
-// which a slot the round skipped must come out exactly as if visited.
+// which a slot the round skipped must come out exactly as if visited;
+// and a table of 1600 whose rounds cross the inline threshold both ways,
+// twice: every session bursts at once, the backlog drains, a trickle
+// follows, and then the same again. On four shards the first rounds after
+// a burst fan out to the tick workers and the trickle's run on the tick
+// loop — the path counters must show both — and the numbers must not
+// know which path served them. Before every round of that trace each
+// shard's work estimate is checked against a walk over its slots: it may
+// never be below the number of slots the round is about to visit. That
+// holds across a CLOSE too: session 0, drained, is handed a few more bits
+// and closed before any round sees them, which takes a slot out of the
+// active set that the estimate has already counted.
 func TestGatewayMatchesSimulator(t *testing.T) {
 	const (
 		share = bw.Rate(16)
@@ -113,10 +125,37 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 		return trace.MustNewMulti(sessions)
 	}
 
+	const closeAt, closeDrops = 20 * do, bw.Bits(5) // the crossing trace's CLOSE: mid-trickle, bits pending
+	crossing := func() *trace.Multi {
+		const k, cycles = 1600, 64
+		src := rng.New(21)
+		arrivals := make([][]bw.Bits, k)
+		for i := range arrivals {
+			arrivals[i] = make([]bw.Bits, cycles*do)
+		}
+		for _, burst := range []int{0, 32} {
+			for i := range arrivals {
+				arrivals[i][bw.Tick(burst)*do] = 1 + src.Int64n(3*bw.Volume(share, do))
+			}
+			for c := burst + 8; c < burst+32; c++ {
+				for i := c % 100; i < k; i += 100 {
+					arrivals[i][bw.Tick(c)*do] = 1 + src.Int64n(2*bw.Volume(share, do))
+				}
+			}
+		}
+		clear(arrivals[0][1:]) // session 0 ends at closeAt, long drained
+		sessions := make([]*trace.Trace, k)
+		for i := range sessions {
+			sessions[i] = trace.MustNew(arrivals[i])
+		}
+		return trace.MustNewMulti(sessions)
+	}
+
 	for _, tc := range []struct {
-		suffix string
-		m      *trace.Multi
-	}{{"", onOff()}, {"-rotating-1pct", rotating()}} {
+		suffix   string
+		m        *trace.Multi
+		crossing bool
+	}{{"", onOff(), false}, {"-rotating-1pct", rotating(), false}, {"-crossing", crossing(), true}} {
 		m, k := tc.m, tc.m.K()
 		for _, policy := range []string{"phased", "continuous", "combined"} {
 			for _, nshards := range []int{1, 4} {
@@ -134,9 +173,13 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					g := newGateway(k, nshards)
-					for i, a := range build() {
-						g.shards[i].serve(a)
+					g := newRounds(t, policy, k, nshards, do) // the same policies as build()'s
+					closing := -1
+					if tc.crossing {
+						var err error
+						if closing, err = g.openSession(0); err != nil || closing != 0 {
+							t.Fatalf("OPEN on an empty table = %d, %v", closing, err)
+						}
 					}
 					// Exactly as many rounds as the simulator ran: it stops at
 					// the first tick past the trace that finds every queue empty.
@@ -144,12 +187,39 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 						for i := 0; i < k; i++ {
 							feed(g, i, m.Session(i).At(tick))
 						}
+						if tc.crossing && tick == closeAt {
+							feed(g, closing, closeDrops)
+							g.releaseSession(closing)
+						}
+						for _, sh := range g.shards {
+							if !tc.crossing {
+								break
+							}
+							visits := int64(0)
+							for i := 0; i < sh.n; i++ {
+								if sh.slots.Pending(i) > 0 || sh.slots.Queue(i).Bits() > 0 {
+									visits++
+								}
+							}
+							if est := sh.work.Load(); est < visits {
+								t.Fatalf("tick %d, shard %d: work estimate %d, the round will visit %d slots", tick, sh.idx, est, visits)
+							}
+						}
 						g.round(tick)
 						g.now.Add(1)
+					}
+					if in, out := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); tc.crossing && nshards > 1 && (in == 0 || out == 0) {
+						t.Errorf("%d rounds ran inline and %d fanned out; the trace is to cross the threshold", in, out)
 					}
 
 					for _, s := range g.Sessions() {
 						i := s.Slot
+						if i == closing {
+							if past := g.shards[0].past; past.Served != m.Session(i).Total() || past.Dropped != closeDrops || s.Served != 0 || s.Queued != 0 {
+								t.Errorf("closed session: %+v on the shard's books, slot %+v", past, s)
+							}
+							continue
+						}
 						if want := m.Session(i).Total(); s.Served != want || s.Queued != 0 {
 							t.Errorf("session %d: served %d queued %d, want %d/0", i, s.Served, s.Queued, want)
 						}
@@ -166,6 +236,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 					st := g.stats()
 					want := Stats{
 						Ticks:          res.Total.Len(),
+						Closed:         st.Closed, // checked above, against closeDrops
 						Served:         res.Delay.Served,
 						SessionChanges: res.SessionChanges(),
 						MaxTotalRate:   res.MaxTotalRate(),

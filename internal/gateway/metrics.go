@@ -54,6 +54,12 @@ type gwMetrics struct {
 	joinWait     *obs.LiveHistogram // slowest minus fastest shard per round
 	imbalance    *obs.Gauge         // EWMA max/mean shard duration, permille
 	tickOverruns *obs.Counter       // rounds exceeding Config.TickBudget
+	// roundsInline and roundsFanout count the rounds by the path they
+	// took (Gateway.round); tick-loop only, and they sum to ticks.
+	roundsInline, roundsFanout *obs.Counter
+	// roundPanics and handlerPanics count the panics contained: under a
+	// shard's allocation round, and in a connection handler.
+	roundPanics, handlerPanics *obs.Counter
 	// connStripes is the stripe count of the connection-keyed instruments
 	// (messages, exchange, stages, the sampler) — at least the shard
 	// count, but padded up to the core count so a single-shard gateway's
@@ -157,6 +163,12 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 		"EWMA of slowest-shard round duration over the mean, permille (1000 = balanced).")
 	m.tickOverruns = reg.Counter("dynbw_gateway_tick_overruns_total",
 		"Allocation rounds that exceeded the configured tick budget.")
+	const roundsHelp = "Allocation rounds by the path they took: run by the tick loop itself (a small round, or a one-shard gateway), or fanned out to the tick workers."
+	m.roundsInline = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, obs.L("path", "inline"))
+	m.roundsFanout = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, obs.L("path", "fanout"))
+	const panicsHelp = "Panics contained: under a shard's allocation round (that shard's round is abandoned) or in a connection handler (the connection is dropped)."
+	m.roundPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, obs.L("where", "round"))
+	m.handlerPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, obs.L("where", "handler"))
 	return m
 }
 

@@ -1,0 +1,235 @@
+package gateway
+
+import (
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"dynbw/internal/bw"
+	"dynbw/internal/obs"
+	"dynbw/internal/sim"
+)
+
+// newRounds builds a bare gateway — slot state, allocators, no listener —
+// in the shape NewWithConfig gives a served one where rounds are
+// concerned: a registry behind the counters and, with more than one
+// shard, the tick workers running, so that a round takes whichever path
+// its known work selects. Policies are the paper's, B_O = 16 a slot.
+func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gateway {
+	tb.Helper()
+	g := newGateway(k, nshards)
+	g.m = newGWMetrics(obs.NewRegistry(), policy, nshards)
+	for _, sh := range g.shards {
+		sh.serve(newPolicy(tb, policy, sh.n, bw.Rate(sh.n)*16, do))
+	}
+	g.startTickWorkers()
+	tb.Cleanup(func() { // stop the workers, unless a tick loop the test ran has
+		select {
+		case <-g.done:
+		default:
+			if g.tickCh != nil {
+				close(g.tickCh)
+			}
+		}
+	})
+	return g
+}
+
+// BenchmarkRound times Gateway.round alone — called directly, with none
+// of the tick channel's ping-pong — on the table the benchmark's 100k
+// workloads use: 100 000 slots over 8 shards, policy phased, registry
+// attached. Before each round `active` sessions, spread evenly over the
+// shards, receive a share's worth of bits, which the round serves whole:
+// every round visits exactly that many slots and leaves none backlogged,
+// so idle and active=40 run on the tick loop and the other two fan out.
+// The feeding is outside the ns/round figure and inside allocs/op, which
+// is 0 once a fed slot's queue has been round its chunk array once (66
+// pushes, 2 KiB a slot). The dense case is not warmed that far — it would
+// hold 200 MB before the first timed round — and shows the queues'
+// amortized growth instead, which ends after 66 rounds there too.
+func BenchmarkRound(b *testing.B) {
+	const k, nshards = 100_000, 8
+	for _, active := range []int{0, 40, 1000, 100_000} {
+		name := fmt.Sprintf("active=%d", active)
+		if active == 0 {
+			name = "idle"
+		}
+		b.Run(name, func(b *testing.B) {
+			g := newRounds(b, "phased", k, nshards, 32)
+			var tick bw.Tick
+			var spent time.Duration
+			step := func() {
+				for j := 0; j < active; j++ {
+					feed(g, j*(k/active), 16)
+				}
+				start := time.Now()
+				g.round(tick)
+				spent += time.Since(start)
+				g.now.Add(1)
+				tick++
+			}
+			warm := bw.Tick(80)
+			if active == k {
+				warm = 10
+			}
+			for tick < warm {
+				step()
+			}
+			spent = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
+			if got := g.m.activeSlots.Value(); got != int64(active) {
+				b.Errorf("the last round visited %d slots, want %d", got, active)
+			}
+			wantFanout := active >= inlineBelow
+			if fanned := g.m.roundsFanout.Value() > 0; fanned != wantFanout || (g.m.roundsInline.Value() > 0) == wantFanout {
+				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v",
+					g.m.roundsInline.Value(), g.m.roundsFanout.Value(), wantFanout)
+			}
+		})
+	}
+}
+
+// panicsOn is an allocator that panics in place of its answer for the
+// rounds [from, from+3), leaving the policy behind it untouched.
+type panicsOn struct {
+	sim.SparseAllocator
+	from bw.Tick
+}
+
+func (a panicsOn) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
+	if t >= a.from && t < a.from+3 {
+		panic(fmt.Sprintf("allocator bug at tick %d", t))
+	}
+	return a.SparseAllocator.RatesActive(t, active, arrived, queued)
+}
+
+// TestRoundNoPanic: an allocator that panics costs its shard the rounds
+// it panics in and nothing else. The real tick loop drives a gateway of
+// one and of four shards, with a round's work below the inline threshold
+// (the allocator runs on the clock's own goroutine) and above it (on a
+// tick worker, four shards); shard 0's allocator panics three rounds
+// running while bits are queued everywhere. The clock advances through
+// all of it, the panics are counted and freeze the flight recorder, the
+// shard is left unlocked, every
+// other shard's sessions are served exactly what they sent — and so are
+// shard 0's, once its allocator answers again, since an abandoned round
+// keeps what the kernel had enqueued.
+func TestRoundNoPanic(t *testing.T) {
+	const (
+		per    = 400 // slots a shard
+		do     = bw.Tick(4)
+		badAt  = bw.Tick(2)
+		rounds = 12 * do
+	)
+	for _, nshards := range []int{1, 4} {
+		for _, busy := range []int{40, per} { // sessions a shard that send: 40 or 160 a round, or 400 or 1600
+			k := per * nshards
+			fanned := nshards > 1 && busy*nshards >= inlineBelow
+			t.Run(fmt.Sprintf("shards=%d/busy=%d", nshards, busy), func(t *testing.T) {
+				g := newRounds(t, "phased", k, nshards, do)
+				// The flight recorder as cmd/bwgateway arms it.
+				reg := obs.NewRegistry()
+				g.m = newGWMetrics(reg, "phased", nshards)
+				rec := obs.NewRecorder(obs.RecorderConfig{Registry: reg, Triggers: []obs.Trigger{
+					obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1)}})
+				rec.Record()
+				sh0 := g.shards[0]
+				sh0.allocs[0] = panicsOn{sh0.allocs[0], badAt}
+				ticks := make(chan time.Time)
+				g.ticks = ticks
+				go g.tickLoop()
+				sent := make([]bw.Bits, k)
+				for tick := bw.Tick(0); tick < rounds; tick++ {
+					if tick < 3*do {
+						for _, sh := range g.shards {
+							for i := 0; i < busy; i++ {
+								feed(g, sh.base+i, 24)
+								sent[sh.base+i] += 24
+							}
+						}
+					}
+					ticks <- time.Time{}
+					for g.now.Load() != int64(tick)+1 { // the round is over: the next feed is the next round's
+						runtime.Gosched()
+					}
+				}
+				close(g.closing)
+				<-g.done
+
+				if got := g.m.roundPanics.Value(); got != 3 {
+					t.Errorf("%d round panics counted, want 3", got)
+				}
+				rec.Record()
+				if window, reason := rec.Frozen(); len(window) == 0 {
+					t.Errorf("the flight recorder did not freeze on the panics (reason %q)", reason)
+				}
+				if in, out := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); in+out != int64(rounds) || (out > 0) != fanned {
+					t.Errorf("%d rounds inline, %d fanned out; want %d in all, fan-out = %v", in, out, rounds, fanned)
+				}
+				for _, s := range g.Sessions() { // takes every shard's lock
+					if s.Served != sent[s.Slot] || s.Queued != 0 {
+						t.Errorf("shard %d slot %d: served %d, queued %d, sent %d", s.Shard, s.Slot, s.Served, s.Queued, sent[s.Slot])
+					}
+				}
+			})
+		}
+	}
+}
+
+// panicObserver is an Observer with a bug.
+type panicObserver struct{}
+
+func (panicObserver) Event(e obs.Event) { panic("observer bug on " + e.Type.String()) }
+
+// TestHandlerNoPanic: a panic in a connection handler costs that
+// connection and nothing else. Every seed of the fuzz corpus goes down
+// its own connection to a gateway whose observer panics on any event, so
+// each accepted OPEN and CLOSE brings its handler down: the process
+// lives, the panics are counted, the handler's deferred exit has released
+// the sessions the connection held and taken it off its shard's books,
+// and the next connection is served.
+func TestHandlerNoPanic(t *testing.T) {
+	g := newBare(4)
+	g.shardObs[0] = panicObserver{}
+	sh := g.shards[0]
+	for n, seed := range fuzzCorpus() {
+		client, server := net.Pipe()
+		drained := make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, client) // replies, until the handler hangs up
+			close(drained)
+		}()
+		before := g.m.handlerPanics.Value()
+		sh.mu.Lock()
+		sh.conns[server] = struct{}{} // as acceptLoop does
+		sh.mu.Unlock()
+		g.wg.Add(1)
+		go g.handle(server, 0, 0)
+		client.Write(seed) // fails halfway when the handler is already gone
+		client.Close()
+		g.wg.Wait()
+		<-drained
+
+		sh.mu.Lock()
+		inUse, conns := sh.inUse, len(sh.conns)
+		sh.mu.Unlock()
+		if inUse != 0 || conns != 0 {
+			t.Fatalf("seed %d: the handler left %d slots in use and %d connections on the shard", n, inUse, conns)
+		}
+		if opens := len(seed) > 0 && seed[0] == typeOpen; opens && g.m.handlerPanics.Value() != before+1 {
+			t.Errorf("seed %d starts with an OPEN the observer panics on: %d handler panics counted, want 1",
+				n, g.m.handlerPanics.Value()-before)
+		}
+	}
+	if g.m.handlerPanics.Value() == 0 {
+		t.Error("no handler panicked; the test exercised nothing")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
@@ -27,6 +28,12 @@ type shard struct {
 	// allocs holds one allocator per link, in the form the kernel steps;
 	// sharded and classic single-link gateways have exactly one.
 	allocs []sim.SparseAllocator
+	// work is an upper bound on the slots the next round will visit: the
+	// slots the last round left backlogged plus one for every DATA applied
+	// since. It is written with mu held — tick stores, the DATA paths add,
+	// inside the critical sections they have anyway — and read by the tick
+	// loop without it, to decide whether the round is worth a fan-out.
+	work atomic.Int64
 
 	mu    sync.Mutex
 	slots sim.Slots   // guarded by shard.mu; what the kernel keeps per slot

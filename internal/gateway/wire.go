@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"time"
 
 	"dynbw/internal/bw"
@@ -157,13 +158,20 @@ func (g *Gateway) acceptLoop() {
 // in the connection's write buffer and are flushed only when the read
 // side would block (no complete pipelined input left), so a burst of
 // requests — or a BATCH frame — costs one reply write instead of one per
-// message. On exit every session the connection still owns is released.
+// message. On exit every session the connection still owns is released
+// — also when the exit is a panic in the handler, which costs this
+// connection and nothing else.
 func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 	defer g.wg.Done()
 	defer conn.Close()
 	cs := g.getConnState(stripe, mstripe)
 	home := g.shards[stripe]
 	defer func() {
+		if p := recover(); p != nil {
+			g.m.handlerPanics.Inc()
+			g.log.Log(slog.LevelError, "panic-handler", "gateway: connection handler panicked; connection dropped",
+				"remote", conn.RemoteAddr().String(), "sessions", len(cs.owned), "panic", p, "stack", string(debug.Stack()))
+		}
 		g.releaseAll(cs)
 		home.mu.Lock()
 		delete(home.conns, conn)
@@ -421,6 +429,7 @@ func (g *Gateway) flushBatchData(cs *connState) {
 		for _, a := range grp {
 			policed += sh.slots.Add(sh.slot(int(a.id)), a.bits)
 		}
+		sh.work.Add(int64(len(grp)))
 		sh.mu.Unlock()
 		g.m.policedBits.Add(cs.mstripe, policed)
 		if g.m.exchange != nil {
@@ -478,6 +487,7 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		sh.mu.Lock()
 		g.spanMark(cs, stageDispatch)
 		policed := sh.slots.Add(sh.slot(id), bits)
+		sh.work.Add(1)
 		sh.mu.Unlock()
 		g.m.policedBits.Add(cs.mstripe, policed)
 		g.spanMark(cs, stageApply)

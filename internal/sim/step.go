@@ -36,8 +36,9 @@ const MaxBacklog bw.Bits = 1 << 40
 //
 // Beside the per-slot state sits the active set: one bit per slot, set
 // while the slot has pending arrivals or a non-empty queue. Step visits
-// the active slots and nothing else, so a round costs what its busy
-// sessions cost, whatever the size of the table.
+// the active slots and nothing else, and finds them through the set's
+// summary level, so a round costs what its busy sessions cost, whatever
+// the size of the table, and a round with none costs a few word reads.
 //
 // A Slots value is a view: copies and Slice results share storage. It is
 // not safe for concurrent use.
@@ -215,6 +216,9 @@ type Round struct {
 	// Active is the number of slots the round visited: those with
 	// arrivals since the last round or bits queued from before it.
 	Active int
+	// Backlogged is how many of them the round left with bits queued:
+	// the slots the next round visits whatever arrives before it.
+	Backlogged int
 }
 
 // Step runs the round for tick t over the active slots: each one's
@@ -227,14 +231,15 @@ type Round struct {
 // An allocator that breaks its contract — a rate vector of the wrong
 // length, or a negative rate — is reported as an error before any queue
 // is served: the round's arrivals are enqueued (and reported in
-// Round.Arrived), and every slot keeps its previous rate and count.
+// Round.Arrived), every slot keeps its previous rate and count, and every
+// visited slot stays backlogged.
 //
 // bwlint:hotpath
 func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
 	in.idx = s.active.AppendTo(in.idx, s.lo, s.lo+len(s.queues))
-	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx)}
+	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx), Backlogged: len(in.idx)}
 	for j, g := range in.idx {
 		i := int(g) - s.lo
 		in.idx[j] = int32(i)
@@ -278,6 +283,7 @@ func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		r.Served += q.Serve(t, s.rates[i])
 		if q.Bits() == 0 {
 			s.active.Remove(s.lo + int(i))
+			r.Backlogged--
 		}
 	}
 	return r, nil

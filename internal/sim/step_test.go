@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/rng"
 	"dynbw/internal/trace"
 )
 
@@ -95,7 +96,7 @@ func TestSlotsStepContractViolation(t *testing.T) {
 				t.Errorf("%s: accepted at tick %d", tc.name, tick)
 				continue
 			}
-			if want := 16 * (1 - tick); r.Arrived != want || r.Served != 0 || r.Changes != 0 || r.Total != 0 {
+			if want := 16 * (1 - tick); r.Arrived != want || r.Served != 0 || r.Changes != 0 || r.Total != 0 || r.Active != 2 || r.Backlogged != 2 {
 				t.Errorf("%s: round %d = %+v", tc.name, tick, r)
 			}
 			for i := 0; i < 2; i++ {
@@ -249,6 +250,117 @@ func TestSlotsActiveSet(t *testing.T) {
 	}
 	if r.Active != backlogged {
 		t.Errorf("Round.Active = %d, %d slots are backlogged", r.Active, backlogged)
+	}
+}
+
+// everyRate serves every session of a view at one rate and reports them
+// all as changed on every call, so the kernel applies the rate whatever a
+// Reset did to its own vector.
+type everyRate struct {
+	spy
+	all []int32
+}
+
+func newEveryRate(n int, rate bw.Rate) *everyRate {
+	a := &everyRate{spy: spy{rates: make([]bw.Rate, n)}, all: make([]int32, n)}
+	for i := range a.all {
+		a.rates[i], a.all[i] = rate, int32(i)
+	}
+	return a
+}
+
+func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
+	rates, _ := a.spy.RatesActive(t, active, arrived, queued)
+	return rates, a.all
+}
+
+// TestSlotsViewsShareTheActiveSet: a Slice view is the table's own active
+// set read at an offset, through both of the set's levels. On a table
+// wide enough for three summary words, cut into three links whose edges
+// fall inside member words and whose ranges straddle summary words,
+// random Adds (through the table and through a view), Vacates, Moves
+// across links, a link's Reset and rounds that drain slots leave every
+// link's round visiting exactly the slots that hold bits — the reference
+// is a walk over all of them — and reporting how many it left backlogged.
+// (That a summary bit is set exactly while its word is non-zero is
+// bitset's own test; the kernel writes the set through Add, Remove and
+// ClearRange alone. A summary bit cleared too early would hide a slot
+// with work from its link here.)
+func TestSlotsViewsShareTheActiveSet(t *testing.T) {
+	const k = 2*64*64 + 500
+	cuts := []int{0, 3000, 6000, k}
+	s := NewSlots(k)
+	var views []Slots
+	var allocs []*everyRate
+	for l := 0; l+1 < len(cuts); l++ {
+		views = append(views, s.Slice(cuts[l], cuts[l+1]))
+		allocs = append(allocs, newEveryRate(cuts[l+1]-cuts[l], 3))
+	}
+	linkOf := func(i int) int {
+		l := 0
+		for i >= cuts[l+1] {
+			l++
+		}
+		return l
+	}
+	hasWork := func(i int) bool { return s.Pending(i) > 0 || s.Queue(i).Bits() > 0 }
+	src := rng.New(5)
+	// Busy slots cluster around the links' edges and the summary words'
+	// (slots 4096 and 8192), so most words of the set stay empty.
+	slot := func() int {
+		edges := []int{0, 2990, 4090, 5990, 8185, k - 10}
+		return min(k-1, edges[src.Intn(len(edges))]+src.Intn(20))
+	}
+	var tick bw.Tick
+	rounds, moves := 0, 0
+	for step := 0; step < 4000; step++ {
+		switch op := src.Intn(10); {
+		case op < 4:
+			i, bits := slot(), 1+src.Int64n(12)
+			if l := linkOf(i); src.Intn(2) == 0 {
+				views[l].Add(i-cuts[l], bits)
+			} else {
+				s.Add(i, bits)
+			}
+		case op == 4:
+			s.Vacate(slot())
+		case op == 5:
+			from, to := slot(), slot()
+			if hasWork(from) && !hasWork(to) {
+				s.Move(to, from)
+				moves++
+			}
+		case op == 6 && step%97 == 0:
+			views[src.Intn(len(views))].Reset()
+		default:
+			l := src.Intn(len(views))
+			var want []int32
+			for i := cuts[l]; i < cuts[l+1]; i++ {
+				if hasWork(i) {
+					want = append(want, int32(i-cuts[l]))
+				}
+			}
+			r, err := views[l].Step(tick, allocs[l])
+			tick++
+			if err != nil || r.Active != len(want) || !slices.Equal(allocs[l].active, want) {
+				t.Fatalf("step %d, link %d: round = %+v, %v; allocator told of %v, want %v", step, l, r, err, allocs[l].active, want)
+			}
+			left := 0
+			for i := cuts[l]; i < cuts[l+1]; i++ {
+				if hasWork(i) {
+					left++
+				}
+			}
+			if r.Backlogged != left {
+				t.Fatalf("step %d, link %d: Round.Backlogged = %d, %d slots hold bits", step, l, r.Backlogged, left)
+			}
+			if len(want) > 0 {
+				rounds++
+			}
+		}
+	}
+	if rounds < 500 || moves < 20 {
+		t.Errorf("only %d rounds with work and %d moves; the run compares too little", rounds, moves)
 	}
 }
 
