@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-round bench-all dynbench fuzz load loc experiments examples cover clean
+.PHONY: all build test lint race zeroalloc bench bench-round bench-all dynbench fuzz load loc experiments examples cover clean
 
 all: build lint test
 
@@ -20,6 +20,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The hot paths' zero-allocation discipline, checked by running them:
+# every testing.AllocsPerRun assertion, by name, without -race (its
+# instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
+# new one joins that table and, if its name is new, this pattern.
+zeroalloc:
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the
@@ -62,7 +69,9 @@ load:
 
 # Non-test Go lines per package (testdata and sub-packages counted with
 # their parent), largest first, then the total: the table ROADMAP's
-# baseline and the "lines fall" criteria of simplicity PRs quote.
+# baseline and the "lines fall" criteria of simplicity PRs quote. PR 22
+# (bwlint's diet) set the standing targets: internal/lint <= 2,500 and
+# the total <= 22,000.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | awk ' \
 		$$2 != "total" { \

@@ -4,17 +4,16 @@
 //
 // Usage:
 //
-//	bwlint [-checks list] [-json] [-sarif] [-github] [-list] [-v] [patterns ...]
+//	bwlint [-checks list] [-json] [-github] [-list] [-v] [patterns ...]
 //
 // Patterns are package directories relative to the module root, with
 // "./..." expansion; the default is the whole module. Output is text
-// (file:line:col), -json (a findings array), -sarif (a SARIF 2.1.0 log
-// for code-scanning upload), or -github (::error workflow-command
-// annotations so findings surface inline on pull requests). -v prints
-// load/analysis timing and each check's escape-hatch statistics to
-// stderr. The exit code is 0 when clean, 1 when findings were
-// reported, 2 on usage or load errors — so CI can gate merges on
-// `go run ./cmd/bwlint ./...`.
+// (file:line:col), -json (a findings array), or -github (::error
+// workflow-command annotations so findings surface inline on pull
+// requests). -v prints load/analysis timing and each check's
+// escape-hatch statistics to stderr. The exit code is 0 when clean, 1
+// when findings were reported, 2 on usage or load errors — so CI can
+// gate merges on `go run ./cmd/bwlint ./...`.
 package main
 
 import (
@@ -23,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -40,20 +40,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		checksFlag = fs.String("checks", "", "comma-separated check names to run (default: all)")
 		jsonFlag   = fs.Bool("json", false, "emit findings as a JSON array instead of text")
-		sarifFlag  = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of text")
 		githubFlag = fs.Bool("github", false, "emit findings as GitHub ::error workflow commands instead of text")
 		listFlag   = fs.Bool("list", false, "list available checks and exit")
 		verbose    = fs.Bool("v", false, "print timing and check statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bwlint [-checks list] [-json] [-sarif] [-github] [-list] [-v] [patterns ...]\n")
+		fmt.Fprintf(stderr, "usage: bwlint [-checks list] [-json] [-github] [-list] [-v] [patterns ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if nOut := countTrue(*jsonFlag, *sarifFlag, *githubFlag); nOut > 1 {
-		fmt.Fprintln(stderr, "bwlint: -json, -sarif and -github are mutually exclusive")
+	if *jsonFlag && *githubFlag {
+		fmt.Fprintln(stderr, "bwlint: -json and -github are mutually exclusive")
 		return 2
 	}
 
@@ -116,15 +115,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bwlint:", err)
 			return 2
 		}
-	case *sarifFlag:
-		if err := lint.WriteSARIF(stdout, root, checks, findings); err != nil {
-			fmt.Fprintln(stderr, "bwlint:", err)
-			return 2
-		}
 	case *githubFlag:
 		for _, f := range findings {
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d::[%s] %s\n",
-				lint.RelPath(root, f.File), f.Line, f.Col, f.Check, githubEscape(f.Message))
+				relPath(root, f.File), f.Line, f.Col, f.Check, githubEscape(f.Message))
 		}
 	default:
 		for _, f := range findings {
@@ -137,14 +131,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func countTrue(bs ...bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
+// relPath renders a finding's file path relative to the module root,
+// slash-separated, as the workflow-command parser expects; a path
+// outside the root is returned unchanged.
+func relPath(root, file string) string {
+	rel, err := filepath.Rel(root, file)
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return file
 	}
-	return n
+	return filepath.ToSlash(rel)
 }
 
 // githubEscaper encodes the characters the workflow-command parser

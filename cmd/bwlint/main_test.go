@@ -15,10 +15,13 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"emit-on-change", "guarded-by", "nil-safe", "unit-hygiene"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %q:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := "determinism emit-on-change guarded-by nil-safe unit-hygiene"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("-list names = %q, want exactly %q", got, want)
 	}
 }
 
@@ -70,73 +73,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestSARIFOutput(t *testing.T) {
-	dir := filepath.Join("internal", "lint", "testdata", "src", "units")
-	var out, errOut strings.Builder
-	code := run([]string{"-sarif", "-checks", "unit-hygiene", dir}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exited %d, want 1; stderr: %s", code, errOut.String())
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-		t.Fatalf("output is not a SARIF log: %v\n%s", err, out.String())
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("SARIF version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("SARIF log has %d runs, want 1", len(log.Runs))
-	}
-	sr := log.Runs[0]
-	if sr.Tool.Driver.Name != "bwlint" {
-		t.Errorf("driver name = %q, want bwlint", sr.Tool.Driver.Name)
-	}
-	if len(sr.Tool.Driver.Rules) != 1 || sr.Tool.Driver.Rules[0].ID != "unit-hygiene" {
-		t.Errorf("rules = %+v, want exactly unit-hygiene", sr.Tool.Driver.Rules)
-	}
-	if len(sr.Results) == 0 {
-		t.Fatal("SARIF log has no results")
-	}
-	for _, r := range sr.Results {
-		if r.RuleID != "unit-hygiene" || r.Level != "error" {
-			t.Errorf("malformed result: %+v", r)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if filepath.IsAbs(loc.ArtifactLocation.URI) || strings.Contains(loc.ArtifactLocation.URI, "\\") {
-			t.Errorf("artifact URI not root-relative slash form: %q", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine == 0 {
-			t.Errorf("result missing startLine: %+v", r)
-		}
-	}
-}
-
 func TestGitHubOutput(t *testing.T) {
 	dir := filepath.Join("internal", "lint", "testdata", "src", "units")
 	var out, errOut strings.Builder
@@ -155,8 +91,8 @@ func TestGitHubOutput(t *testing.T) {
 
 func TestExclusiveOutputFlags(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-json", "-sarif"}, &out, &errOut); code != 2 {
-		t.Errorf("-json -sarif exited %d, want 2", code)
+	if code := run([]string{"-json", "-github"}, &out, &errOut); code != 2 {
+		t.Errorf("-json -github exited %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "mutually exclusive") {
 		t.Errorf("stderr missing diagnosis: %s", errOut.String())
@@ -164,17 +100,17 @@ func TestExclusiveOutputFlags(t *testing.T) {
 }
 
 func TestVerboseTiming(t *testing.T) {
-	dir := filepath.Join("internal", "lint", "testdata", "src", "hotpath")
+	dir := filepath.Join("internal", "lint", "testdata", "src", "determ")
 	var out, errOut strings.Builder
-	code := run([]string{"-v", "-checks", "hotpath", dir}, &out, &errOut)
+	code := run([]string{"-v", "-checks", "determinism", dir}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exited %d, want 1; stderr: %s", code, errOut.String())
 	}
 	if !regexp.MustCompile(`bwlint: loaded \d+ packages in .+, ran 1 checks in .+: \d+ finding\(s\)`).MatchString(errOut.String()) {
 		t.Errorf("stderr missing timing line:\n%s", errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "bwlint:allocok escape(s) in effect") {
-		t.Errorf("stderr missing hotpath Stats line:\n%s", errOut.String())
+	if !strings.Contains(errOut.String(), "bwlint:detok escape(s) in effect") {
+		t.Errorf("stderr missing determinism Stats line:\n%s", errOut.String())
 	}
 }
 

@@ -31,7 +31,7 @@ type Set struct {
 // New returns an empty set over [0, n).
 func New(n int) Set {
 	nw := (n + 63) / 64
-	buf := make([]uint64, nw+(nw+63)/64) // bwlint:allocok constructor
+	buf := make([]uint64, nw+(nw+63)/64)
 	return Set{words: buf[:nw:nw], sum: buf[nw:]}
 }
 
@@ -75,8 +75,6 @@ func span(w, lo, hi int) uint64 {
 // AppendTo appends the members in [lo, hi) to dst in ascending order.
 // Callers iterate the returned list, so they may add and remove members
 // as they go.
-//
-// bwlint:hotpath
 func (s Set) AppendTo(dst []int32, lo, hi int) []int32 {
 	if lo >= hi {
 		return dst
@@ -86,7 +84,6 @@ func (s Set) AppendTo(dst []int32, lo, hi int) []int32 {
 		for live := s.sum[sw] & span(sw, wlo, whi); live != 0; live &= live - 1 {
 			w := sw<<6 + bits.TrailingZeros64(live)
 			for word := s.words[w] & span(w, lo, hi); word != 0; word &= word - 1 {
-				// bwlint:allocok amortized: the list grows to the peak member count, then sticks
 				dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
 			}
 		}

@@ -34,8 +34,6 @@ type Segment struct {
 // Set records that the allocation at tick t is r. Ticks must be recorded in
 // nondecreasing order; re-setting the current tick overwrites it only if no
 // later tick has been recorded. Gaps are not allowed: t must equal Len().
-//
-// bwlint:hotpath
 func (s *Schedule) Set(t Tick, r Rate) {
 	if t != s.end {
 		panic(fmt.Sprintf("bw: Schedule.Set(%d) out of order, want %d", t, s.end))
@@ -46,9 +44,8 @@ func (s *Schedule) Set(t Tick, r Rate) {
 			return // implicit leading zero segment
 		}
 		if t > 0 {
-			// bwlint:allocok amortized: segments append at most once per rate change
 			s.segs = append(s.segs, Segment{Start: 0, Rate: 0})
-			s.cum = append(s.cum, 0) // bwlint:allocok amortized with segs
+			s.cum = append(s.cum, 0)
 		}
 		s.appendSeg(t, r)
 		return
@@ -66,9 +63,8 @@ func (s *Schedule) appendSeg(t Tick, r Rate) {
 		prev := s.segs[n-1]
 		c = s.cum[n-1] + prev.Rate*(t-prev.Start)
 	}
-	// bwlint:allocok amortized: one append per rate change, capacity doubles
 	s.segs = append(s.segs, Segment{Start: t, Rate: r})
-	s.cum = append(s.cum, c) // bwlint:allocok amortized with segs
+	s.cum = append(s.cum, c)
 }
 
 // Len returns the number of ticks recorded.
@@ -127,8 +123,6 @@ func (c *Cursor) seek(t Tick) {
 }
 
 // At returns the rate recorded at tick t, like Schedule.At.
-//
-// bwlint:hotpath
 func (c *Cursor) At(t Tick) Rate {
 	if t < 0 || t >= c.s.end || len(c.s.segs) == 0 {
 		return 0
@@ -159,8 +153,6 @@ func (c *Cursor) Prefix(t Tick) Bits {
 
 // Integral returns the total allocation over ticks [a, b), like
 // Schedule.Integral.
-//
-// bwlint:hotpath
 func (c *Cursor) Integral(a, b Tick) Bits {
 	if a < 0 {
 		a = 0
@@ -231,7 +223,6 @@ func (s *Schedule) prefix(t Tick) Bits {
 	if t <= 0 || len(s.segs) == 0 {
 		return 0
 	}
-	// bwlint:allocok closure captures only s and t, does not escape
 	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].Start >= t }) - 1
 	if i < 0 {
 		return 0
@@ -286,7 +277,7 @@ func SumInto(dst *Schedule, scheds ...*Schedule) {
 			n = sc.Len()
 		}
 	}
-	curs := make([]Cursor, len(scheds)) // bwlint:allocok once per report build, not per tick
+	curs := make([]Cursor, len(scheds))
 	for i, sc := range scheds {
 		curs[i] = sc.Cursor()
 	}

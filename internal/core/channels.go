@@ -81,7 +81,7 @@ func (c *channels) raise(i int32, share bw.Rate) {
 
 // touch notes that session i's allocation was written this tick.
 func (c *channels) touch(i int32) {
-	c.touched = append(c.touched, i) // bwlint:allocok amortized: grows to the peak per-tick write count
+	c.touched = append(c.touched, i)
 }
 
 // list returns the live sessions in ascending order; the list is valid
@@ -274,7 +274,7 @@ func (c *channels) settle(i int32, extra []bw.Rate) {
 	}
 	if r != c.rates[i] {
 		c.rates[i] = r
-		c.changed = append(c.changed, i) // bwlint:allocok amortized: grows to k at the first stage event
+		c.changed = append(c.changed, i)
 	}
 }
 
@@ -303,7 +303,7 @@ func newReduceWheel(do bw.Tick) reduceWheel {
 // add schedules a REDUCE of session i by amt at tick due.
 func (w *reduceWheel) add(i int32, amt bw.Rate, due bw.Tick) {
 	b := &w.buckets[due%bw.Tick(len(w.buckets))]
-	*b = append(*b, reduction{session: i, amt: amt}) // bwlint:allocok amortized: buckets grow to the peak spills per tick
+	*b = append(*b, reduction{session: i, amt: amt})
 }
 
 // take empties tick t's bucket and returns its REDUCEs in session order,

@@ -204,8 +204,6 @@ func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // drains over the sessions it holds, the inner algorithm runs over its
 // live sessions; a global reset, a grown estimate and the end of a local
 // stage walk all k.
-//
-// bwlint:hotpath
 func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
 	ch := &c.ch
 

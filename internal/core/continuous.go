@@ -74,8 +74,6 @@ func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // RatesActive implements sim.SparseAllocator. REDUCEs come off the wheel,
 // TEST runs on the sessions with arrivals, the queue accounting on the
 // live ones; only the end of a stage walks all k sessions.
-//
-// bwlint:hotpath
 func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
 	c := &a.ch
 

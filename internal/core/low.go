@@ -100,7 +100,7 @@ func (lt *LowTracker) pushHull(p hullPoint) {
 		}
 		break
 	}
-	lt.hull = append(lt.hull, p) // bwlint:allocok amortized: grows to the stage's peak hull size, storage kept across Reset
+	lt.hull = append(lt.hull, p)
 }
 
 type hullPoint struct {

@@ -99,8 +99,6 @@ func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // RatesActive implements sim.SparseAllocator. Only a RESET walks all k
 // sessions; a phase boundary and the per-tick queue accounting walk the
 // live ones.
-//
-// bwlint:hotpath
 func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
 	c := &a.ch
 

@@ -231,34 +231,49 @@ func firstDiff(a, b []obs.Event) int {
 }
 
 // TestRatesActiveAllocatesNothing: once its scratch has grown, a round of
-// any of the three policies makes no garbage — through either entry.
+// any of the three policies makes no garbage — called through Rates with
+// the caller keeping the queues, and called the way the simulator and the
+// gateway call it: by sim.Slots.Step, through the sim.SparseAllocator
+// interface, on the kernel's own lists and queues.
 func TestRatesActiveAllocatesNothing(t *testing.T) {
 	const (
 		k  = 256
 		do = bw.Tick(8)
 	)
 	for _, oc := range oracleCases(do) {
-		p := oc.build(k, false)
-		p.alloc.(obs.Observable).SetObserver(nil)
-		src := rng.New(7)
-		arrived := make([]bw.Bits, k)
-		queued := make([]bw.Bits, k)
-		tick := bw.Tick(0)
-		round := func() {
-			oracleTrace("bursty", src, arrived, tick, do, 16)
-			for i, a := range arrived {
-				queued[i] += a
+		for _, entry := range []string{"Rates", "Slots.Step"} {
+			p := oc.build(k, false)
+			p.alloc.(obs.Observable).SetObserver(nil)
+			src := rng.New(7)
+			arrived := make([]bw.Bits, k)
+			queued := make([]bw.Bits, k)
+			slots := sim.NewSlots(k)
+			tick := bw.Tick(0)
+			round := func() {
+				oracleTrace("bursty", src, arrived, tick, do, 16)
+				if entry == "Rates" {
+					for i, a := range arrived {
+						queued[i] += a
+					}
+					for i, r := range p.alloc.Rates(tick, arrived, queued) {
+						queued[i] -= bw.Min(queued[i], r)
+					}
+				} else {
+					for i, a := range arrived {
+						slots.Add(i, a)
+					}
+					if _, err := slots.Step(tick, p.alloc.(sim.SparseAllocator)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tick++
 			}
-			for i, r := range p.alloc.Rates(tick, arrived, queued) {
-				queued[i] -= bw.Min(queued[i], r)
+			for tick < 400*do { // long enough for every slot's queue to have been round its chunk array
+				round()
 			}
-			tick++
-		}
-		for tick < 40*do {
-			round()
-		}
-		if avg := testing.AllocsPerRun(int(12*do), round); avg != 0 {
-			t.Errorf("%s: %.2f allocations per round on warmed scratch, want 0", oc.name, avg)
+			if avg := testing.AllocsPerRun(int(12*do), round); avg != 0 {
+				t.Errorf("%s through %s: %.2f allocations per round on warmed scratch, want 0", oc.name, entry, avg)
+			}
 		}
 	}
 }

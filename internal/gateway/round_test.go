@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"runtime"
 	"testing"
@@ -231,5 +233,104 @@ func TestHandlerNoPanic(t *testing.T) {
 	}
 	if g.m.handlerPanics.Value() == 0 {
 		t.Error("no handler panicked; the test exercised nothing")
+	}
+}
+
+// healsOnWrite is a log sink that undoes TestHandlerLockedNoPanic's
+// corruption: the handler's recover logs before it releases, and the
+// release looks the slot up again.
+type healsOnWrite struct{ sh *shard }
+
+func (h healsOnWrite) Write(p []byte) (int, error) {
+	h.sh.mu.Lock()
+	h.sh.slotAt = nil
+	h.sh.mu.Unlock()
+	return len(p), nil
+}
+
+// TestHandlerLockedNoPanic: a handler that panics while it holds a shard
+// lock gives the lock back. A corrupt slot map makes the slot lookup —
+// which DATA, a BATCH's DATA and STATS each do under the lock — panic;
+// the panic is counted, the handler's deferred exit (which takes the
+// same lock) releases the connection's session, and the shard's next
+// round and a second connection's exchange go through. Anything that
+// would wait on a lock left held fails on the timeout instead.
+func TestHandlerLockedNoPanic(t *testing.T) {
+	within := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			f()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not finish: the shard lock was left held", what)
+		}
+	}
+	// serve runs a handler on one end of a pipe and opens a session from
+	// the other.
+	serve := func(t *testing.T, g *Gateway) (client net.Conn, id uint64) {
+		t.Helper()
+		client, server := net.Pipe()
+		sh := g.shards[0]
+		sh.mu.Lock()
+		sh.conns[server] = struct{}{} // as acceptLoop does
+		sh.mu.Unlock()
+		g.wg.Add(1)
+		go g.handle(server, 0, 0)
+		var opened [5]byte
+		client.Write([]byte{typeOpen})
+		if _, err := io.ReadFull(client, opened[:]); err != nil || opened[0] != typeOpened {
+			t.Fatalf("OPEN: reply % x, err %v", opened, err)
+		}
+		return client, uint64(binary.BigEndian.Uint32(opened[1:]))
+	}
+	for _, tc := range []struct {
+		name string
+		msg  func(id uint64) []byte
+	}{
+		{"data", func(id uint64) []byte { return fuzzSeed(typeData, id, 8) }},
+		{"batched-data", func(id uint64) []byte { return append([]byte{typeBatch, 0, 1}, fuzzSeed(typeData, id, 8)...) }},
+		{"stats", func(id uint64) []byte { return fuzzSeed(typeStats, id) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newBare(4)
+			sh := g.shards[0]
+			g.log = obs.NewRateLimited(slog.New(slog.NewTextHandler(healsOnWrite{sh}, nil)), 0)
+
+			client, id := serve(t, g)
+			sh.mu.Lock()
+			sh.slotAt = []int32{} // every lookup is out of range
+			sh.mu.Unlock()
+			within(t, "the panicking handler", func() {
+				client.Write(tc.msg(id))
+				io.Copy(io.Discard, client) // until the handler hangs up
+				g.wg.Wait()
+			})
+			client.Close()
+			if got := g.m.handlerPanics.Value(); got != 1 {
+				t.Errorf("%d handler panics counted, want 1", got)
+			}
+			within(t, "the shard's next round", func() { sh.tick(0) })
+			sh.mu.Lock()
+			inUse, conns := sh.inUse, len(sh.conns)
+			sh.mu.Unlock()
+			if inUse != 0 || conns != 0 {
+				t.Errorf("the handler left %d slots in use and %d connections on the shard", inUse, conns)
+			}
+
+			client, id = serve(t, g)
+			within(t, "a second connection's exchange", func() {
+				var reply [statsReplyLen]byte
+				client.Write(append(fuzzSeed(typeData, id, 8), fuzzSeed(typeStats, id)...))
+				if _, err := io.ReadFull(client, reply[:]); err != nil || reply[0] != typeStatsR {
+					t.Errorf("STATS: reply % x, err %v", reply, err)
+				}
+				client.Close()
+				g.wg.Wait()
+			})
+		})
 	}
 }

@@ -214,6 +214,44 @@ func (sh *shard) release(id int) (dropped bw.Bits) {
 	return t.Dropped
 }
 
+// add applies one DATA message for the live session a wire ID names and
+// returns the bits the kernel policed away. The lock wait is the timed
+// message's dispatch stage. add, addGroup and stats release the lock on
+// every way out: a panic under it must leave the handler's deferred
+// release, and the shard's rounds, a lock they can take.
+func (sh *shard) add(cs *connState, id int, bits bw.Bits) (policed bw.Bits) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.g.spanMark(cs, stageDispatch)
+	policed = sh.slots.Add(sh.slot(id), bits)
+	sh.work.Add(1)
+	return policed
+}
+
+// addGroup applies a BATCH frame's DATA for this shard under one lock
+// acquisition. Slots are resolved here, under the lock, so a concurrent
+// rebalance cannot stale them.
+func (sh *shard) addGroup(grp []pendingAdd) (policed bw.Bits) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, a := range grp {
+		policed += sh.slots.Add(sh.slot(int(a.id)), a.bits)
+	}
+	sh.work.Add(int64(len(grp)))
+	return policed
+}
+
+// stats reads what a STATS reply carries for the live session a wire ID
+// names.
+func (sh *shard) stats(cs *connState, id int) (served, queued bw.Bits, maxDelay bw.Tick, changes int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.g.spanMark(cs, stageDispatch)
+	slot := sh.slot(id)
+	q := sh.slots.Queue(slot)
+	return q.Served(), q.Bits(), q.MaxDelay(), sh.slots.Changes(slot)
+}
+
 // openCount reports the open-slot count (the per-shard sessions gauge).
 func (sh *shard) openCount() int64 {
 	sh.mu.Lock()
@@ -238,7 +276,7 @@ func (sh *shard) rebalance() {
 			// The router admitted the move, so its slot accounting says
 			// there is room; a full link here means the two views diverged.
 			sh.g.log.Log(slog.LevelWarn, "rebalance", "gateway: no free slot on rebalance target",
-				"session", mv.Session, "to", int(mv.To)) // bwlint:allocok cold: router/shard divergence, rate-limited warn
+				"session", mv.Session, "to", int(mv.To))
 			continue
 		}
 		sh.slots.Move(dst, src)

@@ -224,15 +224,13 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (r sim.Round, err error) {
 // left backlogged; the DATA applied from here to the next round adds to
 // it. A round that panics stores nothing, and the estimate it started
 // with still bounds the slots it leaves active.
-//
-// bwlint:hotpath
 func (sh *shard) tick(t bw.Tick) (sum sim.Round, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for l, alloc := range sh.allocs {
 		r, lerr := sh.links[l].Step(t, alloc)
 		if lerr != nil && err == nil {
-			err = fmt.Errorf("link %d: %w", l, lerr) // bwlint:allocok cold: allocator contract violation
+			err = fmt.Errorf("link %d: %w", l, lerr)
 		}
 		sum.Arrived += r.Arrived
 		sum.Served += r.Served

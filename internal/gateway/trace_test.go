@@ -371,9 +371,9 @@ func TestProfileSnapshot(t *testing.T) {
 }
 
 // TestHandleMessageUnsampledZeroAlloc is the overhead contract of the
-// wire-path instrumentation: with metrics and a default-rate sampler
-// attached, a DATA message that does not get sampled must not allocate
-// at all relative to the uninstrumented gateway — the span scratch lives
+// wire path: an unbatched DATA and a STATS exchange allocate nothing on a
+// bare gateway, and nothing with metrics and a default-rate sampler
+// attached when the message does not get sampled — the span scratch lives
 // in connState and the stage clock is plain time arithmetic.
 func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
 	bare := newBare(4)
@@ -382,23 +382,22 @@ func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
 	instr.spans = obs.NewSpanRing(64, StageNames())
 	instr.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)
 
-	data := fuzzSeed(typeData, 0, 64)
-	measure := func(g *Gateway) float64 {
-		cs := g.getConnState(0, 0)
-		cs.owned[0] = struct{}{}
-		g.shards[0].used.Add(0)
-		g.shards[0].inUse = 1
-		r := bytes.NewReader(nil)
-		return testing.AllocsPerRun(512, func() {
-			r.Reset(data)
-			if err := g.handleMessage(r, io.Discard, cs); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	base := measure(bare)
-	got := measure(instr)
-	if got > base {
-		t.Errorf("instrumented DATA allocates %.2f/op vs %.2f/op bare; instrumentation must add 0", got, base)
+	for _, msg := range [][]byte{fuzzSeed(typeData, 0, 64), fuzzSeed(typeStats, 0)} {
+		measure := func(g *Gateway) float64 {
+			cs := g.getConnState(0, 0)
+			cs.owned[0] = struct{}{}
+			g.shards[0].used.Add(0)
+			g.shards[0].inUse = 1
+			r := bytes.NewReader(nil)
+			return testing.AllocsPerRun(512, func() {
+				r.Reset(msg)
+				if err := g.handleMessage(r, io.Discard, cs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if base, got := measure(bare), measure(instr); base != 0 || got != 0 {
+			t.Errorf("message type %d allocates %.2f/op bare and %.2f/op instrumented, want 0 and 0", msg[0], base, got)
+		}
 	}
 }

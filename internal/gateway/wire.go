@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"dynbw/internal/bw"
 	"dynbw/internal/obs"
 )
 
@@ -277,8 +276,6 @@ func (g *Gateway) releaseAll(cs *connState) {
 // violation) means the connection must be dropped. The function is the
 // entire wire-facing surface of the gateway and is fuzzed by
 // FuzzHandleMessage.
-//
-// bwlint:hotpath
 func (g *Gateway) handleMessage(r io.Reader, w io.Writer, cs *connState) error {
 	if _, err := io.ReadFull(r, cs.scratch[:1]); err != nil {
 		return err
@@ -299,8 +296,6 @@ func (g *Gateway) handleMessage(r io.Reader, w io.Writer, cs *connState) error {
 // observations and span show a real dispatch and apply; that is safe
 // because DATA updates commute — ordering only matters against non-DATA
 // messages, which flush first.
-//
-// bwlint:hotpath
 func (g *Gateway) handleOne(r io.Reader, w io.Writer, cs *connState, typ byte, inBatch bool) error {
 	if typ == typeTrace {
 		// A TRACE envelope is not a message: read the trace ID, then
@@ -315,11 +310,9 @@ func (g *Gateway) handleOne(r io.Reader, w io.Writer, cs *connState, typ byte, i
 			return err
 		}
 		if cs.scratch[0] == typeTrace {
-			// bwlint:allocok cold: protocol violation drops the connection
 			return fmt.Errorf("%w: nested TRACE envelope", errProtocol)
 		}
 		if cs.scratch[0] == typeBatch {
-			// bwlint:allocok cold: protocol violation drops the connection
 			return fmt.Errorf("%w: TRACE envelope wrapping a BATCH frame", errProtocol)
 		}
 		typ = cs.scratch[0]
@@ -350,15 +343,12 @@ func (g *Gateway) handleOne(r io.Reader, w io.Writer, cs *connState, typ byte, i
 // above MaxBatch or a nested BATCH is a protocol violation. On a
 // mid-batch error the unapplied groups are discarded — the connection
 // is dropped, voiding the rest of the batch.
-//
-// bwlint:hotpath
 func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
 	if _, err := io.ReadFull(r, cs.scratch[:2]); err != nil {
 		return err
 	}
 	n := int(binary.BigEndian.Uint16(cs.scratch[:2]))
 	if n > MaxBatch {
-		// bwlint:allocok cold: protocol violation drops the connection
 		return fmt.Errorf("%w: BATCH count %d exceeds %d", errProtocol, n, MaxBatch)
 	}
 	g.m.message(typeBatch).Inc(cs.mstripe)
@@ -368,7 +358,6 @@ func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
 		}
 		typ := cs.scratch[0]
 		if typ == typeBatch {
-			// bwlint:allocok cold: protocol violation drops the connection
 			return fmt.Errorf("%w: nested BATCH frame", errProtocol)
 		}
 		if err := g.handleOne(r, w, cs, typ, true); err != nil {
@@ -381,57 +370,53 @@ func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
 
 // batchData parses one DATA message inside a BATCH frame and appends it
 // to its shard's group, deferring the shard-lock acquisition to the next
-// flushBatchData call. Validation (ownership, sign) happens here, at
-// parse time, exactly as on the unbatched path.
-//
-// bwlint:hotpath
+// flushBatchData call. Validation happens here, at parse time, by the
+// parser the unbatched path uses.
 func (g *Gateway) batchData(r io.Reader, cs *connState) error {
-	if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+	id, bits, err := g.readData(r, cs)
+	if err != nil {
 		return err
 	}
-	g.spanMark(cs, stageRead)
-	id := int(binary.BigEndian.Uint32(cs.scratch[0:]))
-	bits := int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
-	if _, ok := cs.owned[id]; !ok || bits < 0 {
-		// bwlint:allocok cold: protocol violation drops the connection
-		return fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
-	}
-	cs.span.sess = id
 	si := g.shardOf(id).idx
-	// bwlint:allocok amortized: group capacity grows to the largest batch seen, then sticks (pooled)
 	cs.groups[si] = append(cs.groups[si], pendingAdd{id: uint32(id), bits: bits})
 	g.spanMark(cs, stageDispatch)
 	return nil
 }
 
+// readData reads the body of one DATA message and validates it: the
+// session must be one this connection owns and the bit count may not be
+// negative. Batched and unbatched DATA both come through here.
+func (g *Gateway) readData(r io.Reader, cs *connState) (id int, bits int64, err error) {
+	if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+		return 0, 0, err
+	}
+	g.spanMark(cs, stageRead)
+	id = int(binary.BigEndian.Uint32(cs.scratch[0:]))
+	bits = int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
+	if _, ok := cs.owned[id]; !ok || bits < 0 {
+		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
+	}
+	cs.span.sess = id
+	return id, bits, nil
+}
+
 // flushBatchData applies every accumulated batched-DATA group, one
-// shard-lock acquisition per shard with entries. Slots are resolved
-// under the lock so a concurrent rebalance cannot stale them. The
+// shard-lock acquisition per shard with entries (shard.addGroup). The
 // per-group apply duration lands in the apply-stage histogram once per
 // group — batched messages share the lock round, so they share its
 // stage sample, and two clock reads per group (not per message) keep the
 // lock wait of the untimed majority visible.
-//
-// bwlint:hotpath
 func (g *Gateway) flushBatchData(cs *connState) {
 	for si := range cs.groups {
 		grp := cs.groups[si]
 		if len(grp) == 0 {
 			continue
 		}
-		sh := g.shards[si]
 		var start time.Time
 		if g.m.exchange != nil {
 			start = time.Now()
 		}
-		var policed bw.Bits
-		sh.mu.Lock()
-		for _, a := range grp {
-			policed += sh.slots.Add(sh.slot(int(a.id)), a.bits)
-		}
-		sh.work.Add(int64(len(grp)))
-		sh.mu.Unlock()
-		g.m.policedBits.Add(cs.mstripe, policed)
+		g.m.policedBits.Add(cs.mstripe, g.shards[si].addGroup(grp))
 		if g.m.exchange != nil {
 			g.m.stages[stageApply].Observe(cs.mstripe, int64(time.Since(start)))
 		}
@@ -442,8 +427,6 @@ func (g *Gateway) flushBatchData(cs *connState) {
 // applyMessage dispatches one message whose type byte has been read,
 // marking the wire-path stages on cs's span clock as it goes (no-ops
 // unless the message is timed).
-//
-// bwlint:hotpath
 func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte) error {
 	switch typ {
 	case typeOpen:
@@ -455,14 +438,13 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 			// connection so it can retry after backoff.
 			g.m.openFails.Inc()
 			g.emitAt(cs.stripe, obs.Event{Type: obs.EventOpenFail, Session: -1})
-			// bwlint:allocok cold: open-fail reply, off the steady-state DATA path
 			if _, werr := w.Write([]byte{typeOpenFail}); werr != nil {
 				return werr
 			}
 			g.spanMark(cs, stageWrite)
 			return nil
 		}
-		cs.owned[id] = struct{}{} // bwlint:allocok OPEN only, bounded by the slot limit
+		cs.owned[id] = struct{}{}
 		cs.span.sess = id
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionOpen, Session: id})
 		cs.scratch[0] = typeOpened
@@ -472,24 +454,11 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		}
 		g.spanMark(cs, stageWrite)
 	case typeData:
-		if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+		id, bits, err := g.readData(r, cs)
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[0:]))
-		bits := int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
-		if _, ok := cs.owned[id]; !ok || bits < 0 {
-			// bwlint:allocok cold: protocol violation drops the connection
-			return fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
-		}
-		cs.span.sess = id
-		sh := g.shardOf(id)
-		sh.mu.Lock()
-		g.spanMark(cs, stageDispatch)
-		policed := sh.slots.Add(sh.slot(id), bits)
-		sh.work.Add(1)
-		sh.mu.Unlock()
-		g.m.policedBits.Add(cs.mstripe, policed)
+		g.m.policedBits.Add(cs.mstripe, g.shardOf(id).add(cs, id, bits))
 		g.spanMark(cs, stageApply)
 	case typeStats:
 		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {
@@ -498,20 +467,10 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		g.spanMark(cs, stageRead)
 		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
 		if _, ok := cs.owned[id]; !ok {
-			// bwlint:allocok cold: protocol violation drops the connection
 			return fmt.Errorf("%w: STATS session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
 		}
 		cs.span.sess = id
-		sh := g.shardOf(id)
-		sh.mu.Lock()
-		g.spanMark(cs, stageDispatch)
-		slot := sh.slot(id)
-		q := sh.slots.Queue(slot)
-		served := q.Served()
-		queued := q.Bits()
-		maxDelay := q.MaxDelay()
-		changes := sh.slots.Changes(slot)
-		sh.mu.Unlock()
+		served, queued, maxDelay, changes := g.shardOf(id).stats(cs, id)
 		g.spanMark(cs, stageApply)
 		cs.scratch[0] = typeStatsR
 		binary.BigEndian.PutUint64(cs.scratch[1:], uint64(served))
@@ -529,7 +488,6 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		g.spanMark(cs, stageRead)
 		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
 		if _, ok := cs.owned[id]; !ok {
-			// bwlint:allocok cold: protocol violation drops the connection
 			return fmt.Errorf("%w: CLOSE session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
 		}
 		cs.span.sess = id
@@ -539,13 +497,11 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		delete(cs.owned, id)
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionClose, Session: id})
 		g.spanMark(cs, stageApply)
-		// bwlint:allocok cold: CLOSE reply, once per session lifetime
 		if _, err := w.Write([]byte{typeClosed}); err != nil {
 			return err
 		}
 		g.spanMark(cs, stageWrite)
 	default:
-		// bwlint:allocok cold: protocol violation drops the connection
 		return fmt.Errorf("%w: unknown message type %d", errProtocol, typ)
 	}
 	return nil

@@ -3,8 +3,10 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
+	"strings"
 )
 
 // Determinism protects the byte-identical-goldens contract: every
@@ -196,4 +198,35 @@ func keyCollectLoop(st *ast.RangeStmt) bool {
 	}
 	arg, ok := call.Args[1].(*ast.Ident)
 	return ok && arg.Name == key.Name
+}
+
+func isMapExpr(pkg *Package, e ast.Expr) bool {
+	tv, ok := pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}
+
+// lineDirectives collects per-line "bwlint:<name> <reason>" escapes from
+// every comment in a file: a directive applies to its own line and the
+// line directly below it (so it can ride an end-of-line comment or sit
+// above the construct).
+func lineDirectives(fset *token.FileSet, f *ast.File, directive string) map[int]string {
+	re := regexp.MustCompile(regexp.QuoteMeta(directive) + `\s+(\S.*)`)
+	out := map[int]string{}
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			m := re.FindStringSubmatch(c.Text)
+			if m == nil {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			reason := strings.TrimSpace(m[1])
+			out[line] = reason
+			out[line+1] = reason
+		}
+	}
+	return out
 }

@@ -17,20 +17,14 @@
 //   - unit-hygiene: bw.Rate, bw.Bits and bw.Tick are int64 aliases the
 //     compiler cannot tell apart; crossings (rate x ticks, bits /
 //     ticks, mixed comparisons) must go through the units.go helpers.
-//
-// Layer 2 adds call-graph checks built on shared per-function summaries
-// (callees, spawn points, lock operations, allocation sites):
-//
-//   - hotpath: functions annotated bwlint:hotpath must be transitively
-//     free of heap-allocating constructs; bwlint:allocok escapes are
-//     counted, and the load-bearing roots are required so the
-//     annotation cannot silently disappear.
-//   - shard-confinement: fields annotated "confined to <entry>" may
-//     only be touched inside the entry's spawn-free call closure,
-//     constructors, or under the owner's exclusive lock.
 //   - determinism: golden-producing packages marked
 //     bwlint:deterministic must not call time.Now, use the global
 //     math/rand source, or range over maps unordered.
+//
+// Every check walks one package's syntax and types at a time; there is
+// no whole-program call graph. The zero-allocation discipline of the
+// hot paths is not a lint: the testing.AllocsPerRun assertions run the
+// code (`make zeroalloc`; DESIGN §7 has the table of what runs where).
 //
 // Each finding is reported as "file:line:col: [check] message"; any
 // finding makes the driver exit non-zero, which is how CI enforces the
@@ -85,9 +79,7 @@ func Checks() []Check {
 		NewDeterminism(),
 		NewEmitOnChange(),
 		NewGuardedBy(),
-		NewHotpath(),
 		NewNilSafe(),
-		NewShardConfinement(),
 		NewUnitHygiene(),
 	}
 }

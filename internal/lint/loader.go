@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed and type-checked module package.
@@ -34,8 +33,7 @@ type Package struct {
 }
 
 // Program is the full load result handed to checks. One Program is
-// loaded per run and shared by every selected check; derived whole-
-// program state (the call-graph summaries) is built lazily, once.
+// loaded per run and shared by every selected check.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs are the listed packages, in deterministic import-path order.
@@ -48,10 +46,6 @@ type Program struct {
 	// misses) while building this program — the single-load regression
 	// test pins it.
 	Loads int
-
-	cgOnce   sync.Once
-	cg       *CallGraph
-	cgBuilds int
 }
 
 // Loader parses and type-checks module packages using only the standard

@@ -8,8 +8,6 @@ import (
 	"dynbw/internal/lint"
 )
 
-const fixtureImport = "dynbw/internal/lint/testdata/src"
-
 func loadFixture(t *testing.T, dirs ...string) *lint.Program {
 	t.Helper()
 	root, err := lint.FindModuleRoot(".")
@@ -27,53 +25,13 @@ func loadFixture(t *testing.T, dirs ...string) *lint.Program {
 	return prog
 }
 
-// TestHotpathRequiredRoots pins the acceptance gate: a required root
-// that lost its bwlint:hotpath annotation, or no longer exists, is
-// itself a finding.
-func TestHotpathRequiredRoots(t *testing.T) {
-	check := &lint.Hotpath{Required: []string{
-		fixtureImport + "/hotpath.buf.step", // annotated: no finding
-		fixtureImport + "/hotpath.cold",     // exists, annotation missing
-		fixtureImport + "/hotpath.vanished", // does not exist
-	}}
-	prog := loadFixture(t, "hotpath")
-	findings := lint.RunProgram(prog, []lint.Check{check})
-
-	var missing, gone int
-	for _, f := range findings {
-		switch {
-		case strings.Contains(f.Message, "missing its // bwlint:hotpath annotation"):
-			missing++
-			if !strings.Contains(f.Message, "cold") {
-				t.Errorf("missing-annotation finding names the wrong function: %s", f)
-			}
-		case strings.Contains(f.Message, "no longer exists"):
-			gone++
-			if !strings.Contains(f.Message, "vanished") {
-				t.Errorf("missing-function finding names the wrong function: %s", f)
-			}
-		}
-		if strings.Contains(f.Message, "step is a required") {
-			t.Errorf("annotated root reported as unannotated: %s", f)
-		}
-	}
-	if missing != 1 || gone != 1 {
-		t.Errorf("required-root findings: missing=%d gone=%d, want 1 and 1", missing, gone)
-	}
-}
-
 // TestProgramSharedAcrossChecks is the single-load regression test: one
-// Program serves every check, each package is parsed exactly once, and
-// the call graph is built exactly once no matter how many checks
-// consume it.
+// Program serves every check and each package is parsed exactly once,
+// shared dependencies included.
 func TestProgramSharedAcrossChecks(t *testing.T) {
-	prog := loadFixture(t, "hotpath", "confined", "determ")
+	prog := loadFixture(t, "units", "guarded", "determ")
 	if prog.Loads != len(prog.All) {
 		t.Errorf("Loads = %d, want one parse per package (%d)", prog.Loads, len(prog.All))
-	}
-	lint.RunProgram(prog, lint.Checks())
-	if got := prog.CallGraphBuilds(); got != 1 {
-		t.Errorf("call graph built %d times across the run, want exactly 1", got)
 	}
 }
 
@@ -116,14 +74,14 @@ func TestLoaderSkipsTestOnlyPackages(t *testing.T) {
 			t.Errorf("test-only package was listed: %s", pkg.ImportPath)
 		}
 	}
-	var sawHotpath bool
+	var sawDeterm bool
 	for _, pkg := range prog.Pkgs {
-		if strings.HasSuffix(pkg.ImportPath, "/hotpath") {
-			sawHotpath = true
+		if strings.HasSuffix(pkg.ImportPath, "/determ") {
+			sawDeterm = true
 		}
 	}
-	if !sawHotpath {
-		t.Error("recursive fixture load missed the hotpath package")
+	if !sawDeterm {
+		t.Error("recursive fixture load missed the determ package")
 	}
 	if _, err := lint.LoadProgram(root, []string{filepath.Join("internal", "lint", "testdata", "src", "testonly")}); err == nil {
 		t.Error("directly naming a test-only package did not error")
@@ -137,26 +95,18 @@ func TestSelectUnknownListsAvailable(t *testing.T) {
 	if err == nil {
 		t.Fatal("Select accepted an unknown check name")
 	}
-	for _, name := range []string{"hotpath", "shard-confinement", "determinism", "guarded-by"} {
+	for _, name := range []string{"determinism", "emit-on-change", "guarded-by", "nil-safe", "unit-hygiene"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("Select error %q does not list available check %s", err, name)
 		}
 	}
 }
 
-// TestCheckStats: the escape-counting checks summarize their last run.
+// TestCheckStats: the escape-counting check summarizes its last run.
 func TestCheckStats(t *testing.T) {
-	hp := lint.NewHotpath()
-	hp.Required = nil
-	prog := loadFixture(t, "hotpath")
-	lint.RunProgram(prog, []lint.Check{hp})
-	if s := hp.Stats(); !strings.Contains(s, "1 bwlint:allocok") {
-		t.Errorf("hotpath Stats = %q, want 1 escape in effect", s)
-	}
-
 	det := lint.NewDeterminism()
 	det.Required = nil
-	prog = loadFixture(t, "determ")
+	prog := loadFixture(t, "determ")
 	lint.RunProgram(prog, []lint.Check{det})
 	if s := det.Stats(); !strings.Contains(s, "1 bwlint:detok") {
 		t.Errorf("determinism Stats = %q, want 1 escape in effect", s)

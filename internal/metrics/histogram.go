@@ -65,7 +65,7 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	if h.counts == nil {
-		h.counts = make([]uint64, numHistBuckets) // bwlint:allocok once per histogram, lazy first touch
+		h.counts = make([]uint64, numHistBuckets)
 	}
 	h.counts[histBucket(v)]++
 	h.count++

@@ -53,11 +53,10 @@ func (r *RateLimited) Log(level slog.Level, key, msg string, args ...any) {
 		return
 	}
 	n := r.suppressed[key]
-	r.suppressed[key] = 0 // bwlint:allocok rate-limited: at most one emit per key per window
-	r.last[key] = now     // bwlint:allocok rate-limited: at most one emit per key per window
+	r.suppressed[key] = 0
+	r.last[key] = now
 	r.mu.Unlock()
 	if n > 0 {
-		// bwlint:allocok rate-limited: at most one emit per key per window
 		args = append(args, "suppressed", n)
 	}
 	r.log.Log(context.Background(), level, msg, args...)

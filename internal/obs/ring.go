@@ -20,7 +20,7 @@ func newRing[T any](n int) ring[T] { return ring[T]{buf: make([]T, 0, n)} }
 func (r *ring[T]) push(v T) {
 	r.total++
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, v) // bwlint:allocok capacity preallocated; append never grows past cap
+		r.buf = append(r.buf, v)
 		return
 	}
 	r.buf[r.next] = v

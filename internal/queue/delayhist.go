@@ -53,7 +53,7 @@ func (h *DelayHist) grow(idx bw.Tick) {
 	if n > histCap {
 		n = histCap
 	}
-	grown := make([]bw.Bits, n) // bwlint:allocok doubling growth, capped at histCap
+	grown := make([]bw.Bits, n)
 	copy(grown, h.counts)
 	h.counts = grown
 }

@@ -35,8 +35,6 @@ type FIFO struct {
 }
 
 // Push adds bits arriving at tick t. Pushes must have nondecreasing ticks.
-//
-// bwlint:hotpath
 func (q *FIFO) Push(t bw.Tick, bits bw.Bits) {
 	if bits < 0 {
 		panic(fmt.Sprintf("queue: Push negative bits %d", bits))
@@ -47,7 +45,6 @@ func (q *FIFO) Push(t bw.Tick, bits bw.Bits) {
 	if n := len(q.chunks); n > q.head && q.chunks[n-1].arrived > t {
 		panic(fmt.Sprintf("queue: Push tick %d before last %d", t, q.chunks[n-1].arrived))
 	}
-	// bwlint:allocok amortized: compact() recycles the backing array in steady state
 	q.chunks = append(q.chunks, chunk{arrived: t, bits: bits})
 	q.bits += bits
 	q.compact()
@@ -56,8 +53,6 @@ func (q *FIFO) Push(t bw.Tick, bits bw.Bits) {
 // Serve removes up to rate bits at tick t in FIFO order and returns the
 // number served. Delay of a bit served at tick t is t minus its arrival
 // tick (a bit served in its arrival tick has delay 0).
-//
-// bwlint:hotpath
 func (q *FIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
 	if rate < 0 {
 		panic(fmt.Sprintf("queue: Serve negative rate %d", rate))

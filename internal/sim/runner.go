@@ -38,8 +38,6 @@ func (r *Runner) Reset() {
 // Run simulates the allocator on the trace, exactly like the package
 // function Run but reusing the Runner's storage. See Run for the tick
 // semantics and error conditions.
-//
-// bwlint:hotpath
 func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, error) {
 	r.Reset()
 	var (
@@ -68,7 +66,6 @@ func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, e
 		}
 	}
 	if left := r.s.Queued(); left > 0 {
-		// bwlint:allocok cold: drain failure aborts the run
 		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, left, limit)
 	}
 	delay := r.s.Delay()
@@ -109,9 +106,9 @@ func (r *MultiRunner) size(k int) Slots {
 	if cap(r.schedStore) < k {
 		r.slots = NewSlots(k)
 		r.view = r.slots
-		r.schedStore = make([]bw.Schedule, k) // bwlint:allocok once per k growth, reused across runs
-		r.scheds = make([]*bw.Schedule, k)    // bwlint:allocok once per k growth, reused across runs
-		r.delays = make([]bw.Tick, k)         // bwlint:allocok once per k growth, reused across runs
+		r.schedStore = make([]bw.Schedule, k)
+		r.scheds = make([]*bw.Schedule, k)
+		r.delays = make([]bw.Tick, k)
 	}
 	if r.view.Len() != k {
 		r.view = r.slots.Slice(0, k)
@@ -134,8 +131,6 @@ func (r *MultiRunner) size(k int) Slots {
 // tick is one Slots.Step — the round the live gateway runs — with the
 // per-session schedules recorded from the rates it returns. A policy
 // that is not a SparseAllocator runs behind Sparse's adapter.
-//
-// bwlint:hotpath
 func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*MultiResult, error) {
 	k := m.K()
 	n := m.Len()
@@ -161,7 +156,6 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 			return nil, err
 		}
 		if dropped+round.Policed > 0 {
-			// bwlint:allocok cold: infeasible input aborts the run
 			return nil, fmt.Errorf("sim: a session's backlog exceeds %d bits at tick %d", MaxBacklog, t)
 		}
 		for i, rate := range round.Rates {
@@ -170,7 +164,6 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 		left += round.Arrived - round.Served
 	}
 	if left > 0 {
-		// bwlint:allocok cold: drain failure aborts the run
 		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, left, limit)
 	}
 

@@ -62,8 +62,13 @@ func TestRunnerMatchesRunAcrossReuse(t *testing.T) {
 	}
 }
 
-// TestRunnerSteadyStateZeroAllocs is the tentpole's headline property:
-// once the Runner's storage is warm, a run performs no heap allocations.
+// TestRunnerSteadyStateZeroAllocs: once a Runner's storage is warm, a run
+// — and reading its schedule back through a cursor — performs no heap
+// allocations. A MultiRunner builds its report once per run (the
+// aggregate trace, the cursors that sum the schedules, the adapter in
+// front of a dense policy: a fixed handful of objects); its tick loop
+// allocates nothing, so a run of eight times the ticks allocates exactly
+// as often.
 func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 	tr := runnerTrace(9, 512)
 	alloc := thresholdAlloc(256)
@@ -72,12 +77,38 @@ func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := r.Run(tr, alloc, Options{}); err != nil {
+		res, err := r.Run(tr, alloc, Options{})
+		if err != nil {
 			t.Error(err)
+			return
+		}
+		cur := res.Schedule.Cursor()
+		var sum bw.Bits
+		for tick := bw.Tick(0); tick < res.Schedule.Len(); tick++ {
+			sum += cur.At(tick)
+		}
+		if whole := cur.Integral(0, res.Schedule.Len()); sum != whole || whole != res.Report.TotalAllocated {
+			t.Errorf("cursor scan sums to %d, Integral to %d, the report to %d", sum, whole, res.Report.TotalAllocated)
 		}
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Runner.Run allocates %.1f objects per run, want 0", avg)
+	}
+
+	mr := NewMultiRunner()
+	perRun := func(n bw.Tick) float64 {
+		m := trace.MustNewMulti([]*trace.Trace{runnerTrace(1, n), runnerTrace(2, n), runnerTrace(3, n)})
+		malloc := &perSessionAlloc{cap: 256}
+		run := func() {
+			if _, err := mr.Run(m, malloc, Options{}); err != nil {
+				t.Error(err)
+			}
+		}
+		run() // warm-up
+		return testing.AllocsPerRun(10, run)
+	}
+	if long, short := perRun(4096), perRun(512); long != short {
+		t.Errorf("MultiRunner.Run allocates %.0f objects over 4096 ticks and %.0f over 512; its tick loop must add 0", long, short)
 	}
 }
 

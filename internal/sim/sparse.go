@@ -35,17 +35,14 @@ func (c *Compact) reset() {
 }
 
 func (c *Compact) add(i int32, arrived, queued bw.Bits) {
-	// bwlint:allocok amortized: grows to the peak busy-session count, then sticks
 	c.idx = append(c.idx, i)
-	c.arrived = append(c.arrived, arrived) // bwlint:allocok amortized with idx
-	c.queued = append(c.queued, queued)    // bwlint:allocok amortized with idx
+	c.arrived = append(c.arrived, arrived)
+	c.queued = append(c.queued, queued)
 }
 
 // Collect lists the sessions of the dense vectors that have arrivals or
 // bits queued, in the form RatesActive takes. The result is valid until
 // the next Collect.
-//
-// bwlint:hotpath
 func (c *Compact) Collect(arrived, queued []bw.Bits) (active []int32, a, q []bw.Bits) {
 	c.reset()
 	for i, bits := range arrived {
@@ -65,12 +62,11 @@ func Sparse(alloc MultiAllocator, k int) SparseAllocator {
 	if s, ok := alloc.(SparseAllocator); ok {
 		return s
 	}
-	// bwlint:allocok constructor: once per run or gateway, and only for a policy without a sparse form
 	return &denseAdapter{
 		alloc:   alloc,
-		arrived: make([]bw.Bits, k), // bwlint:allocok constructor
-		queued:  make([]bw.Bits, k), // bwlint:allocok constructor
-		rates:   make([]bw.Rate, k), // bwlint:allocok constructor
+		arrived: make([]bw.Bits, k),
+		queued:  make([]bw.Bits, k),
+		rates:   make([]bw.Rate, k),
 	}
 }
 

@@ -64,12 +64,12 @@ type running struct {
 // NewSlots returns k empty slots.
 func NewSlots(k int) Slots {
 	return Slots{
-		queues:  make([]queue.FIFO, k), // bwlint:allocok constructor: once per table (MultiRunner: per k growth)
-		rates:   make([]bw.Rate, k),    // bwlint:allocok constructor
-		changes: make([]int, k),        // bwlint:allocok constructor
-		pending: make([]bw.Bits, k),    // bwlint:allocok constructor
-		active:  bitset.New(k),         // bwlint:allocok constructor
-		run:     &running{},            // bwlint:allocok constructor
+		queues:  make([]queue.FIFO, k),
+		rates:   make([]bw.Rate, k),
+		changes: make([]int, k),
+		pending: make([]bw.Bits, k),
+		active:  bitset.New(k),
+		run:     &running{},
 	}
 }
 
@@ -88,7 +88,7 @@ func (s Slots) Slice(lo, hi int) Slots {
 		pending: s.pending[lo:hi],
 		active:  s.active,
 		lo:      s.lo + lo,
-		run:     &running{}, // bwlint:allocok constructor: once per view
+		run:     &running{},
 	}
 	for _, r := range v.rates {
 		v.run.total += r
@@ -113,8 +113,6 @@ func (s Slots) Changes(i int) int { return s.changes[i] }
 // what does not fit is dropped, and Add returns how much that was. (Step
 // polices the queue itself against the same cap, so that Add, which runs
 // for every DATA message, reads nothing but the pending cell.)
-//
-// bwlint:hotpath
 func (s Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 	if room := MaxBacklog - s.pending[i]; bits > room {
 		dropped = bits - room
@@ -233,8 +231,6 @@ type Round struct {
 // is served: the round's arrivals are enqueued (and reported in
 // Round.Arrived), every slot keeps its previous rate and count, and every
 // visited slot stays backlogged.
-//
-// bwlint:hotpath
 func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
@@ -250,22 +246,19 @@ func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 			a = room
 		}
 		s.queues[i].Push(t, a)
-		in.arrived = append(in.arrived, a)                // bwlint:allocok amortized: grows to the peak active count
-		in.queued = append(in.queued, s.queues[i].Bits()) // bwlint:allocok amortized with arrived
+		in.arrived = append(in.arrived, a)
+		in.queued = append(in.queued, s.queues[i].Bits())
 		r.Arrived += a
 	}
 	rates, changed := alloc.RatesActive(t, in.idx, in.arrived, in.queued)
 	if len(rates) != len(s.queues) {
-		// bwlint:allocok cold: allocator contract violation
 		return r, fmt.Errorf("sim: allocator returned %d rates, want %d", len(rates), len(s.queues))
 	}
 	for _, i := range changed {
 		if uint(i) >= uint(len(rates)) {
-			// bwlint:allocok cold: allocator contract violation
 			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(rates), t)
 		}
 		if rates[i] < 0 {
-			// bwlint:allocok cold: allocator contract violation
 			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[i], t)
 		}
 	}
@@ -310,14 +303,11 @@ func (s *Session) Reset() {
 // alloc picks the rate, the schedule records it and the queue is served.
 // Ticks must be consecutive from 0. A negative rate is an error and
 // leaves the tick unserved.
-//
-// bwlint:hotpath
 func (s *Session) Step(t bw.Tick, arrived bw.Bits, alloc Allocator) (bw.Rate, error) {
 	s.hist.Attach(&s.q) // idempotent; keeps the zero value usable
 	s.q.Push(t, arrived)
 	rate := alloc.Rate(t, arrived, s.q.Bits())
 	if rate < 0 {
-		// bwlint:allocok cold: allocator contract violation aborts the run
 		return 0, fmt.Errorf("sim: allocator returned negative rate %d at tick %d", rate, t)
 	}
 	s.sched.Set(t, rate)

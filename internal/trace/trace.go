@@ -27,14 +27,12 @@ var ErrNegativeArrival = errors.New("trace: negative arrival count")
 func New(arrivals []bw.Bits) (*Trace, error) {
 	for i, a := range arrivals {
 		if a < 0 {
-			// bwlint:allocok cold: invalid input aborts construction
 			return nil, fmt.Errorf("tick %d: %w", i, ErrNegativeArrival)
 		}
 	}
-	// bwlint:allocok trace construction happens once per workload, not per tick
 	tr := &Trace{
-		arrivals: make([]bw.Bits, len(arrivals)),   // bwlint:allocok once per workload
-		cum:      make([]bw.Bits, len(arrivals)+1), // bwlint:allocok once per workload
+		arrivals: make([]bw.Bits, len(arrivals)),
+		cum:      make([]bw.Bits, len(arrivals)+1),
 	}
 	copy(tr.arrivals, arrivals)
 	for i, a := range tr.arrivals {
@@ -160,7 +158,7 @@ func Sum(traces ...*Trace) *Trace {
 			n = t.Len()
 		}
 	}
-	all := make([]bw.Bits, n) // bwlint:allocok once per aggregate report, not per tick
+	all := make([]bw.Bits, n)
 	for _, t := range traces {
 		for i, a := range t.arrivals {
 			all[i] += a
