@@ -1,9 +1,9 @@
 // Command bwgateway runs the paper's IP-provider scenario as a live
 // system: a TCP gateway divides a shared bandwidth pool among client
-// sessions with one of the multi-session algorithms, while synthetic
-// clients stream bursty traffic at it in real time — or, with
-// -duration 0, it serves external clients (e.g. a bwload swarm) until
-// interrupted.
+// sessions with one of the multi-session algorithms, while -k synthetic
+// clients (an internal/load run, a connection each) stream bursty
+// traffic at it in real time for -duration — or, with -duration 0, it
+// serves external clients (e.g. a bwload swarm) until interrupted.
 //
 // With -admin the gateway exposes a live observability endpoint:
 // Prometheus /metrics (including the allocation-changes counter, the
@@ -59,13 +59,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -73,9 +73,7 @@ import (
 	"dynbw/internal/gateway"
 	"dynbw/internal/load"
 	"dynbw/internal/obs"
-	"dynbw/internal/rng"
 	"dynbw/internal/route"
-	"dynbw/internal/sim"
 )
 
 func main() {
@@ -107,7 +105,6 @@ func run(args []string, out, errw io.Writer) error {
 		spans     = fs.Int("spans", obs.DefaultSpanRingSize, "wire-path span ring capacity (0: no span ring; timed messages still feed the latency histograms)")
 		sample    = fs.Int("sample", obs.DefaultSampleEvery, "time one message in this many per connection stripe: it feeds the stage/exchange latency histograms and the span ring (1: every message)")
 		record    = fs.Duration("record", 500*time.Millisecond, "flight-recorder snapshot interval (0: recorder disabled)")
-		batch     = fs.Int("batch", 0, "synthetic clients coalesce this many bursts into one BATCH wire frame before writing (0/1: one DATA per burst)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,19 +141,9 @@ func run(args []string, out, errw io.Writer) error {
 	// each over an equal share of slots and bandwidth, each emitting
 	// through its shard's ring stripe.
 	n := max(*shards, *links, 1)
-	if *k%n != 0 {
-		return fmt.Errorf("-k %d does not divide across -shards %d / -links %d", *k, *shards, *links)
-	}
-	allocs := make([]sim.MultiAllocator, n)
-	for i := range allocs {
-		a, err := load.NewPolicy(*policy, *k/n, *bo/int64(n), *do)
-		if err != nil {
-			return err
-		}
-		if o, ok := a.(obs.Observable); ok {
-			o.SetObserver(ring.Stripe(i))
-		}
-		allocs[i] = a
+	allocs, err := load.NewPolicies(*policy, n, *k, *bo, *do, ring)
+	if err != nil {
+		return err
 	}
 	if *links <= 1 {
 		cfg.Shards, cfg.ShardAllocs = *shards, allocs
@@ -224,29 +211,28 @@ func run(args []string, out, errw io.Writer) error {
 	defer stop()
 
 	if *duration > 0 {
-		// Synthetic clients: each streams on/off bursts for the duration.
-		var wg sync.WaitGroup
-		errs := make(chan error, *k)
-		for i := 0; i < *k; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				errs <- streamClient(ctx, gw.Addr(), *seed+uint64(id), *bo/int64(*k), *tick, *duration, *batch)
-			}(i)
+		// Synthetic clients: each streams on/off bursts, 40% of its share
+		// of B_O on average, for the duration or until a signal cuts the
+		// run short, then waits out the grace window for its last bursts.
+		res, err := load.Run(ctx, load.Config{
+			Addr:         gw.Addr(),
+			Sessions:     *k,
+			Tick:         *tick,
+			Duration:     *duration,
+			Seed:         *seed,
+			MeanRate:     max(*bo*2/(5*int64(*k)), 1),
+			DrainTimeout: *grace,
+		})
+		if err == nil {
+			err = errors.Join(res.Errs()...)
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				gw.Close()
-				return err
-			}
+		if err != nil {
+			gw.Close()
+			return err
 		}
-		// Drain unless a signal cut the run short.
-		select {
-		case <-ctx.Done():
-		case <-time.After(10 * *tick):
-		}
+		del := res.Delivery.Latency()
+		fmt.Fprintf(out, "clients:         %d bursts sent, %d delivered (p50/p99 %v / %v)\n",
+			res.Bursts, res.Delivered, del.P50, del.P99)
 	} else {
 		fmt.Fprintln(out, "serving until SIGINT/SIGTERM")
 		<-ctx.Done()
@@ -305,48 +291,6 @@ func printProfile(out io.Writer, p gateway.Profile) {
 	if p.TickRound.Count() > 0 {
 		fmt.Fprintf(out, "active slots in the last round: %d\n", p.ActiveSlots)
 	}
-}
-
-// streamClient opens a session and submits bursty traffic until the
-// duration elapses or ctx is canceled. With batch > 1 bursts are
-// accumulated and shipped batch-at-a-time as one BATCH wire frame
-// (Client.SendN); the tail is flushed before the client exits.
-func streamClient(ctx context.Context, addr string, seed uint64, rate int64, tick, duration time.Duration, batch int) error {
-	c, err := gateway.DialSession(addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	src := rng.New(seed)
-	var pending []bw.Bits
-	deadline := time.Now().Add(duration)
-	for time.Now().Before(deadline) {
-		if src.Bool(0.4) {
-			burst := bw.Bits(src.Int64n(bw.Max(2*rate, 2)))
-			if batch > 1 {
-				pending = append(pending, burst)
-				if len(pending) >= batch {
-					if err := c.SendN(pending); err != nil {
-						return err
-					}
-					pending = pending[:0]
-				}
-			} else if err := c.Send(burst); err != nil {
-				return err
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(tick):
-		}
-	}
-	if len(pending) > 0 {
-		if err := c.SendN(pending); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // makeRouter builds the multi-link placement policy over `links` links

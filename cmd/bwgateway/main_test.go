@@ -70,13 +70,21 @@ func TestRunShortDeadline(t *testing.T) {
 	}
 }
 
-// TestRunBatchedClients: the synthetic clients stream through the
-// batched wire path (-batch coalesces bursts into BATCH frames) and the
-// demo still drains cleanly.
+// TestRunBatchedClients: the synthetic clients are an internal/load run,
+// whose every tick is a BATCH frame, so there is no flag to ask for
+// frames: the demo reports its deliveries, and -batch is gone.
 func TestRunBatchedClients(t *testing.T) {
 	var buf, errBuf strings.Builder
-	if err := run([]string{"-k", "2", "-tick", "1ms", "-duration", "60ms", "-grace", "100ms", "-batch", "4"}, &buf, &errBuf); err != nil {
+	if err := run([]string{"-k", "2", "-tick", "1ms", "-duration", "60ms", "-grace", "100ms"}, &buf, &errBuf); err != nil {
 		t.Fatal(err)
+	}
+	var sent, delivered int
+	_, line, _ := strings.Cut(buf.String(), "clients:")
+	if _, err := fmt.Sscanf(strings.TrimSpace(line), "%d bursts sent, %d delivered", &sent, &delivered); err != nil || sent == 0 || delivered != sent {
+		t.Errorf("demo clients sent %d bursts and saw %d delivered (%v):\n%s", sent, delivered, err, buf.String())
+	}
+	if err := run([]string{"-k", "2", "-duration", "10ms", "-batch", "4"}, &buf, &errBuf); err == nil {
+		t.Error("-batch accepted")
 	}
 }
 

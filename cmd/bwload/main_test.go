@@ -30,40 +30,46 @@ func TestRunSmallSwarm(t *testing.T) {
 	}
 }
 
+// TestRunSoakShardedWritesScrape is the session-scale soak's spelling in
+// the one flag set — many sessions a connection, held with the keep-warm
+// workload on a sharded host — writing the report and the mid-run scrape.
 func TestRunSoakShardedWritesScrape(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	err := run([]string{
-		"-soak", "128", "-shards", "4", "-perconn", "32",
-		"-hold", "200ms", "-gwtick", "2ms", "-batch", "8", "-out", dir,
+		"-sessions", "128", "-shards", "4", "-perconn", "32", "-mode", "hold", "-rate", "1",
+		"-tick", "5ms", "-duration", "200ms", "-gwtick", "2ms", "-trace", "2", "-out", dir,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	for _, want := range []string{"128 slots over 4 shards", "| sessions held | 128 |", "| open fails | 0 |"} {
+	for _, want := range []string{
+		"128 slots over 4 shards", "128 sessions over 4 connections",
+		"| sessions opened / failed         | 128 / 0 |", "| open fails (retried)             | 0 |",
+	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	scrape, err := os.ReadFile(filepath.Join(dir, "bwload_soak_scrape.prom"))
+	scrape, err := os.ReadFile(filepath.Join(dir, "bwload_scrape.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"dynbw_gateway_active_sessions 128",
-		`dynbw_gateway_shard_sessions{shard="3"} 32`,
+		"dynbw_gateway_active_sessions 128\n",
+		"dynbw_gateway_shard_sessions{shard=\"3\"} 32\n",
 		"dynbw_gateway_allocation_changes_total",
 		`dynbw_gateway_messages_total{type="batch"}`,
+		`dynbw_load_sessions_active{policy="phased"} 128`,
 	} {
 		if !strings.Contains(string(scrape), want) {
-			t.Errorf("mid-plateau scrape missing %q", want)
+			t.Errorf("mid-run scrape missing %q", want)
 		}
 	}
-	if _, err := os.ReadFile(filepath.Join(dir, "bwload_soak.md")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-soak", "8", "-policy", "phased,continuous"}, &out); err == nil {
-		t.Error("-soak with multiple policies accepted")
+	for _, name := range []string{"bwload.md", "bwload.csv"} {
+		if _, err := os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -92,8 +98,8 @@ func TestRunMultiPolicyWritesReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
-	// Header + (2 sessions + 1 aggregate) per policy.
-	if want := 1 + 2*3; len(lines) != want {
+	// Header + 2 sessions per policy.
+	if want := 1 + 2*2; len(lines) != want {
 		t.Errorf("bwload.csv has %d lines, want %d:\n%s", len(lines), want, csv)
 	}
 	if !strings.HasPrefix(lines[0], "label,session,") {
@@ -147,7 +153,7 @@ func TestRunAdminLiveScrape(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-sessions", "4", "-duration", "2s", "-policy", "phased",
-			"-admin", "127.0.0.1:0",
+			"-admin", "127.0.0.1:0", "-trace", "2",
 		}, &out)
 	}()
 
@@ -216,6 +222,14 @@ func TestRunAdminLiveScrape(t *testing.T) {
 	if events := get("/events"); !strings.Contains(events, `"type":"session_open"`) {
 		t.Errorf("/events missing session_open JSONL:\n%.400s", events)
 	}
+	// Whatever the run's shape, the admin endpoint serves the instrumented
+	// event ring and the span ring.
+	if !strings.Contains(metrics, "dynbw_events_dropped_total") {
+		t.Error("event ring not instrumented on /metrics")
+	}
+	if spans := get("/spans"); !strings.Contains(spans, `"client":true`) {
+		t.Errorf("/spans has no client-traced span:\n%.400s", spans)
+	}
 
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -265,6 +279,12 @@ func TestSwarmHostObserver(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "sideways"},
+		{"-sessions", "100", "-perconn", "16", "-mode", "sideways", "-ramp", "10s", "-rate", "99999"},
+		{"-sessions", "8", "-perconn", "0", "-duration", "20ms"},
+		// The soak's own flags are gone, not aliased.
+		{"-soak", "16"},
+		{"-sessions", "8", "-hold", "1h"},
+		{"-sessions", "8", "-batch", "8"},
 		{"-policy", "tokenring", "-sessions", "2", "-duration", "20ms"},
 		{"-addr", "127.0.0.1:1", "-policy", "a,b"},
 	}

@@ -26,6 +26,16 @@ func batchFrame(count int, payload ...[]byte) []byte {
 	return b.Bytes()
 }
 
+// sendN submits a sequence of payloads to c's session through its Mux's
+// SendBatch, as BATCH frames of DATA messages.
+func sendN(c *Client, bits []bw.Bits) error {
+	items := make([]BatchItem, len(bits))
+	for i, b := range bits {
+		items[i] = BatchItem{Session: c.session, Bits: b}
+	}
+	return c.m.SendBatch(items)
+}
+
 // TestClientSendNRoundTrip: a batched single-session sender's bits land
 // on the gateway exactly like the same bits sent one DATA at a time.
 func TestClientSendNRoundTrip(t *testing.T) {
@@ -42,7 +52,7 @@ func TestClientSendNRoundTrip(t *testing.T) {
 		bits[i] = bw.Bits(i + 1)
 		want += bits[i]
 	}
-	if err := c.SendN(bits); err != nil {
+	if err := sendN(c, bits); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stats(); err != nil { // sync: batch fully applied
@@ -59,10 +69,10 @@ func TestClientSendNRoundTrip(t *testing.T) {
 		t.Errorf("served %d + queued %d != %d", st.Served, st.Queued, want)
 	}
 
-	if err := c.SendN(nil); err != nil {
-		t.Errorf("empty SendN: %v", err)
+	if err := sendN(c, nil); err != nil {
+		t.Errorf("empty SendBatch: %v", err)
 	}
-	if err := c.SendN([]bw.Bits{1, -1}); err == nil {
+	if err := sendN(c, []bw.Bits{1, -1}); err == nil {
 		t.Error("negative payload accepted")
 	}
 }
@@ -81,7 +91,7 @@ func TestClientSendNSplitsFrames(t *testing.T) {
 	for i := range bits {
 		bits[i] = 3
 	}
-	if err := c.SendN(bits); err != nil {
+	if err := sendN(c, bits); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stats(); err != nil { // sync: both frames applied

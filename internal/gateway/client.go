@@ -48,16 +48,6 @@ func (c *Client) Session() uint32 { return c.session }
 // Send submits bits to the session's queue.
 func (c *Client) Send(bits bw.Bits) error { return c.m.Send(c.session, bits) }
 
-// SendN submits a sequence of payloads to the session's queue as BATCH
-// frames of DATA messages (Mux.SendBatch).
-func (c *Client) SendN(bits []bw.Bits) error {
-	items := make([]BatchItem, len(bits))
-	for i, b := range bits {
-		items[i] = BatchItem{Session: c.session, Bits: b}
-	}
-	return c.m.SendBatch(items)
-}
-
 // Stats fetches the session's accounting from the gateway.
 func (c *Client) Stats() (SessionStats, error) { return c.m.Stats(c.session) }
 

@@ -557,3 +557,44 @@ func TestOpenIsFirstFit(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownIsNotAClientError: Close force-closes the connections that
+// are still live, and the handler parked in a read on one of them wakes
+// with net.ErrClosed. That is the gateway's own doing, not a client I/O
+// error: the io class stays at zero and nothing is logged.
+func TestShutdownIsNotAClientError(t *testing.T) {
+	var logged lockedBuffer
+	ticks := newManualTicks()
+	g, err := NewWithConfig(Config{
+		Addr:    "127.0.0.1:0",
+		Slots:   2,
+		Alloc:   core.MustNewPhased(core.MultiParams{K: 2, BO: 32, DO: 4}),
+		Ticks:   ticks.ch,
+		Metrics: obs.NewRegistry(),
+		Log:     slog.New(slog.NewTextHandler(&logged, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DialMux(g.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	id, err := m.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Stats(id); err != nil { // the handler is now parked between exchanges
+		t.Fatal(err)
+	}
+	g.Close()
+	for class, c := range g.m.errors {
+		if c.Value() != 0 {
+			t.Errorf("dynbw_gateway_errors_total{class=%q} = %d after a clean shutdown", class, c.Value())
+		}
+	}
+	if out := logged.String(); out != "" {
+		t.Errorf("clean shutdown logged: %s", out)
+	}
+}

@@ -218,10 +218,13 @@ func deadlineStale(armedAt, now time.Time, idleTimeout time.Duration) bool {
 // observeDisconnect classifies why a connection handler is exiting and
 // routes it through the error counters, the rate-limited log, and (for
 // idle disconnects) the event ring. A bare EOF is a client hanging up
-// without CLOSE — counted, but not log-worthy.
+// without CLOSE — counted, but not log-worthy. A connection the gateway
+// closed itself (Shutdown force-closing what is still live) is no
+// client's error: neither counted nor logged.
 func (g *Gateway) observeDisconnect(conn net.Conn, err error, cs *connState) {
 	var nerr net.Error
 	switch {
+	case errors.Is(err, net.ErrClosed):
 	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 		g.m.errors[errClassEOF].Inc()
 	case errors.As(err, &nerr) && nerr.Timeout():

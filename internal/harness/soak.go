@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -57,7 +58,7 @@ func soak(cfg soakConfig) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E21 %s: host: %w", policy, err)
 		}
-		res, err := load.Run(load.Config{
+		res, err := load.Run(context.Background(), load.Config{
 			Addr:     host.Addr(),
 			Sessions: cfg.Sessions,
 			Mode:     load.OpenLoop,

@@ -30,6 +30,29 @@ func NewPolicy(name string, k int, bo bw.Rate, do bw.Tick) (sim.MultiAllocator, 
 	}
 }
 
+// NewPolicies builds the allocators of a gateway split n ways, across
+// shards or across links: n NewPolicy allocators, each over k/n slots
+// and bo/n bandwidth. The i-th runs on its own tick worker, so it emits
+// through o's stripe i (obs.StripeOf) and emission never crosses lock
+// domains; a nil o leaves the allocators silent.
+func NewPolicies(name string, n, k int, bo bw.Rate, do bw.Tick, o obs.Observer) ([]sim.MultiAllocator, error) {
+	if n < 1 || k%n != 0 {
+		return nil, fmt.Errorf("load: %d slots do not divide %d ways", k, n)
+	}
+	allocs := make([]sim.MultiAllocator, n)
+	for i := range allocs {
+		alloc, err := NewPolicy(name, k/n, bo/bw.Rate(n), do)
+		if err != nil {
+			return nil, err
+		}
+		if a, ok := alloc.(obs.Observable); ok && o != nil {
+			a.SetObserver(obs.StripeOf(o, i))
+		}
+		allocs[i] = alloc
+	}
+	return allocs, nil
+}
+
 // HostConfig parameterizes a self-hosted gateway for a swarm run.
 type HostConfig struct {
 	// Policy is phased|continuous|combined.
@@ -66,11 +89,8 @@ type HostConfig struct {
 // Host is a self-hosted gateway plus its tick source — the "no external
 // gateway" mode of cmd/bwload and experiment E21.
 type Host struct {
-	GW     *gateway.Gateway
-	ticker *time.Ticker
-
-	closeOnce sync.Once
-	stats     gateway.Stats
+	GW    *gateway.Gateway
+	close func() gateway.Stats
 }
 
 // StartHost listens on 127.0.0.1:0 with a real wall-clock ticker.
@@ -78,27 +98,28 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	if cfg.Slots < 1 {
 		return nil, fmt.Errorf("load: host slots = %d", cfg.Slots)
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = "phased"
-	}
-	if cfg.BO <= 0 {
-		cfg.BO = bw.Rate(16 * cfg.Slots)
-	}
-	if cfg.DO <= 0 {
-		cfg.DO = 8
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
+	orDefault(&cfg.Policy, "phased")
+	orDefault(&cfg.BO, bw.Rate(16*cfg.Slots))
+	orDefault(&cfg.DO, 8)
+	orDefault(&cfg.Tick, time.Millisecond)
 	switch {
 	case cfg.IdleTimeout == 0:
 		cfg.IdleTimeout = 30 * time.Second
 	case cfg.IdleTimeout < 0:
 		cfg.IdleTimeout = 0
 	}
-	gwCfg := gateway.Config{
+	shards := max(cfg.Shards, 1)
+	allocs, err := NewPolicies(cfg.Policy, shards, cfg.Slots, cfg.BO, cfg.DO, cfg.Observer)
+	if err != nil {
+		return nil, err
+	}
+	ticker := time.NewTicker(cfg.Tick)
+	gw, err := gateway.NewWithConfig(gateway.Config{
 		Addr:            "127.0.0.1:0",
 		Slots:           cfg.Slots,
+		Shards:          shards,
+		ShardAllocs:     allocs,
+		Ticks:           ticker.C,
 		IdleTimeout:     cfg.IdleTimeout,
 		Observer:        cfg.Observer,
 		Metrics:         cfg.Registry,
@@ -107,44 +128,21 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		SpanSampleEvery: cfg.SpanSampleEvery,
 		TickBudget:      cfg.Tick,
 		Log:             cfg.Log,
-	}
-	n := max(cfg.Shards, 1)
-	if cfg.Slots%n != 0 {
-		return nil, fmt.Errorf("load: %d slots do not divide across %d shards", cfg.Slots, n)
-	}
-	gwCfg.Shards = n
-	gwCfg.ShardAllocs = make([]sim.MultiAllocator, n)
-	for i := range gwCfg.ShardAllocs {
-		alloc, err := NewPolicy(cfg.Policy, cfg.Slots/n, cfg.BO/bw.Rate(n), cfg.DO)
-		if err != nil {
-			return nil, err
-		}
-		// Each shard's allocator runs on that shard's tick worker; give it
-		// the shard's ring stripe so emission never crosses lock domains.
-		if o, ok := alloc.(obs.Observable); ok && cfg.Observer != nil {
-			o.SetObserver(obs.StripeOf(cfg.Observer, i))
-		}
-		gwCfg.ShardAllocs[i] = alloc
-	}
-	ticker := time.NewTicker(cfg.Tick)
-	gwCfg.Ticks = ticker.C
-	gw, err := gateway.NewWithConfig(gwCfg)
+	})
 	if err != nil {
 		ticker.Stop()
 		return nil, err
 	}
-	return &Host{GW: gw, ticker: ticker}, nil
+	return &Host{GW: gw, close: sync.OnceValue(func() gateway.Stats {
+		defer ticker.Stop()
+		return gw.Close()
+	})}, nil
 }
 
 // Addr returns the hosted gateway's address.
 func (h *Host) Addr() string { return h.GW.Addr() }
 
-// Close stops the ticker and the gateway, returning its final stats. It
-// is idempotent; repeated calls return the first call's snapshot.
-func (h *Host) Close() gateway.Stats {
-	h.closeOnce.Do(func() {
-		h.stats = h.GW.Close()
-		h.ticker.Stop()
-	})
-	return h.stats
-}
+// Close stops the gateway and its ticker, returning the gateway's final
+// stats. It is idempotent; repeated calls return the first call's
+// snapshot.
+func (h *Host) Close() gateway.Stats { return h.close() }

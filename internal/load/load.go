@@ -1,105 +1,106 @@
-// Package load is the load-generation and soak-testing subsystem: a
-// concurrent client swarm that dials a gateway.Gateway over its real TCP
-// wire protocol and drives every session with an internal/traffic
-// generator, in open-loop (fixed wall-clock send schedule, the
-// steady-state regime of [AKU] in PAPERS.md) or closed-loop (next burst
-// only after the previous one is delivered, the achievable-throughput
-// shape of [CFS]) mode.
+// Package load is the load-generation and soak-testing subsystem: one
+// engine, Run, drives Config.Sessions sessions against a gateway.Gateway
+// over its real TCP wire protocol, Config.PerConn of them to a
+// gateway.Mux connection. One session per connection is the concurrent
+// client swarm; 256 per connection with the KeepWarm workload is the
+// soak that holds 100k sessions inside an ordinary fd limit. The
+// difference is that count and nothing else.
 //
-// Each session records delivery latency (send until the gateway reports
-// the burst fully served), stats round-trip time, queue depth, and the
-// session's live renegotiation count into log-bucketed histograms
-// (internal/metrics.Histogram); Run merges them into a swarm-wide Result
-// with p50/p90/p99/max and aggregate throughput. This is the measurement
-// rig every scaling change to the live path is judged against
-// (experiment E21, cmd/bwload).
+// Every session replays an internal/traffic generator's trace, in
+// open-loop (fixed wall-clock send schedule, the steady-state regime of
+// [AKU] in PAPERS.md) or closed-loop (next burst only after the previous
+// one is delivered, the achievable-throughput shape of [CFS]) mode. A
+// connection is one goroutine on one ticker: a tick's bursts leave as one
+// Mux.SendBatch, and one Mux.StatsBatch polls exactly the sessions with a
+// burst undelivered — a poll crosses a shard lock, and a session with
+// nothing outstanding has nothing to learn from one.
+//
+// The Result reports delivery latency (send until the gateway reports
+// the burst fully served), stats and OPEN round-trip times, queue depth,
+// live renegotiation counts and aggregate throughput. This is the rig
+// every scaling change to the live path is judged against (experiment
+// E21, cmd/bwload, cmd/bwgateway's demo).
 package load
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
 	"dynbw/internal/obs"
+	"dynbw/internal/trace"
 	"dynbw/internal/traffic"
 )
 
-// Mode selects how the swarm paces its traffic.
-type Mode int
+// Mode selects how sessions pace their traffic; its values are the CLI
+// spellings, and the zero value is OpenLoop.
+type Mode string
 
 const (
 	// OpenLoop sends on a fixed wall-clock schedule regardless of how
 	// fast the gateway serves — arrival pressure is independent of
 	// service, as in steady-state soak testing.
-	OpenLoop Mode = iota
-	// ClosedLoop sends the next burst only once the previous burst has
-	// been fully served — the swarm measures the service ceiling.
-	ClosedLoop
+	OpenLoop Mode = "open"
+	// ClosedLoop offers a session's next burst only once its previous
+	// one has been fully served — the run measures the service ceiling.
+	ClosedLoop Mode = "closed"
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case OpenLoop:
-		return "open"
-	case ClosedLoop:
-		return "closed"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // ParseMode converts the CLI spelling ("open", "closed") to a Mode.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "open":
-		return OpenLoop, nil
-	case "closed":
-		return ClosedLoop, nil
-	default:
-		return 0, fmt.Errorf("load: unknown mode %q (want open|closed)", s)
+	if m := Mode(s); m == OpenLoop || m == ClosedLoop {
+		return m, nil
 	}
+	return "", fmt.Errorf("load: unknown mode %q (want open|closed)", s)
 }
 
-// Config parameterizes a swarm run.
+// Config parameterizes a run.
 type Config struct {
 	// Addr is the gateway to attack.
 	Addr string
 	// Sessions is the number of concurrent client sessions.
 	Sessions int
-	// Mode is open- or closed-loop pacing.
+	// PerConn is how many sessions share one multiplexed connection
+	// (default 1; the run dials ceil(Sessions/PerConn) connections).
+	PerConn int
+	// Mode is open- or closed-loop pacing (default OpenLoop).
 	Mode Mode
 	// Tick is the wall-clock send/poll cadence (default 1ms).
 	Tick time.Duration
-	// Duration is each session's sending window (default 1s).
+	// Duration is each connection's sending window, Duration/Tick ticks
+	// (default 1s).
 	Duration time.Duration
-	// Ramp spreads session starts uniformly over this long, so the
+	// Ramp spreads session opens uniformly over this long, so the
 	// gateway sees a realistic arrival ramp instead of a thundering herd
-	// (default 0: all at once).
+	// (default 0). A connection's window starts once its sessions are open.
 	Ramp time.Duration
 	// Seed derives each session's generator seed (Seed + session id).
 	Seed uint64
-	// Gen builds session id's traffic generator. Default: seeded on/off
-	// bursts with mean rate MeanRate, rate-scaled via traffic.Scaled
-	// when replaying simulation-scale generators at wall-clock ticks.
+	// Gen builds session id's traffic generator; the session replays
+	// Gen(id).Generate(Duration/Tick), a trace it may share (KeepWarm).
+	// Default: seeded on/off bursts with mean rate MeanRate;
+	// traffic.Scaled replays simulation-scale generators at wall-clock ticks.
 	Gen func(id int) traffic.Generator
 	// MeanRate is the default generator's mean bits per tick (default 32).
 	MeanRate bw.Rate
 	// DialTimeout bounds the dial and every request/reply exchange
 	// (default 5s).
 	DialTimeout time.Duration
-	// DialRetries is how many times a session retries dialing or
-	// reopening after ErrSessionLimit, with exponential backoff
-	// (default 10).
+	// DialRetries is how many times a session's open is retried — a
+	// redial after a transient network failure, a new OPEN after
+	// ErrSessionLimit — with exponential backoff (default 10).
 	DialRetries int
-	// DrainTimeout bounds how long a session waits after its sending
+	// DrainTimeout bounds how long a connection waits after its sending
 	// window for the gateway to serve everything it sent (default 5s).
 	DrainTimeout time.Duration
-	// Registry, when non-nil, receives the swarm's live metrics
-	// (bursts, bits, active sessions, delivery/RTT histograms) so an
-	// in-flight soak can be scraped from an admin endpoint.
+	// Registry, when non-nil, receives the run's live metrics (bursts,
+	// bits, active sessions, delivery/RTT histograms) for an admin endpoint
+	// to serve in flight, and is snapshotted into Result.MidScrape mid-window.
 	Registry *obs.Registry
 	// MetricsLabel is the policy label on the exported series (default
 	// "swarm").
@@ -107,14 +108,72 @@ type Config struct {
 	// Observer, when non-nil, receives client-side session lifecycle
 	// events (open, close, open-fail retries).
 	Observer obs.Observer
-
-	// swarm is the shared live-export state, built by Run.
-	swarm *swarmObs
+	// TraceEvery, when positive, wraps every TraceEvery-th request on
+	// each connection in a TRACE envelope, forcing the gateway to record
+	// a client-tagged span for it (0: no envelopes).
+	TraceEvery int
 }
 
-// swarmObs aggregates live swarm telemetry across sessions. All fields
-// are concurrency-safe; a nil *swarmObs (no registry, no observer)
-// disables export entirely.
+// orDefault sets *v to d unless it already holds a positive value.
+func orDefault[T cmp.Ordered](v *T, d T) {
+	var zero T
+	if *v <= zero {
+		*v = d
+	}
+}
+
+func (c Config) withDefaults() Config {
+	orDefault(&c.PerConn, 1)
+	orDefault(&c.Mode, OpenLoop)
+	orDefault(&c.Tick, time.Millisecond)
+	orDefault(&c.Duration, time.Second)
+	orDefault(&c.MeanRate, 32)
+	orDefault(&c.DialTimeout, 5*time.Second)
+	orDefault(&c.DialRetries, 10)
+	orDefault(&c.DrainTimeout, 5*time.Second)
+	orDefault(&c.MetricsLabel, "swarm")
+	if c.Gen == nil {
+		c.Gen = func(id int) traffic.Generator {
+			return traffic.OnOff{Seed: c.Seed + uint64(id) + 1, PeakRate: 3 * c.MeanRate, MeanOn: 8, MeanOff: 16}
+		}
+	}
+	return c
+}
+
+// ticks is the length of the sending window, and of every session's trace.
+func (c *Config) ticks() bw.Tick { return max(bw.Tick(c.Duration/c.Tick), 1) }
+
+// KeepWarm is the soak's workload as a Config.Gen: session id offers
+// bits once every `every` ticks, on the ticks congruent to id modulo
+// every, so a tick touches one session in `every` — enough to exercise
+// every shard without turning a soak into a throughput test. Sessions of
+// equal id modulo every replay one realized trace: 100k sessions hold
+// `every` traces, where a 300-tick trace each (16 bytes a tick) is 480 MB.
+func KeepWarm(bits bw.Bits, every int) func(id int) traffic.Generator {
+	var mu sync.Mutex
+	traces := make([]*trace.Trace, every) // guarded by mu; the last realized, by phase
+	return func(id int) traffic.Generator {
+		phase := id % every
+		return traffic.GeneratorFunc(func(n bw.Tick) *trace.Trace {
+			mu.Lock()
+			defer mu.Unlock()
+			if tr := traces[phase]; tr == nil || tr.Len() != n {
+				arrivals := make([]bw.Bits, n)
+				for t := phase; t < len(arrivals); t += every {
+					arrivals[t] = bits
+				}
+				traces[phase] = trace.MustNew(arrivals)
+			}
+			return traces[phase]
+		})
+	}
+}
+
+// swarmObs is the run's telemetry, shared by every connection and
+// concurrency-safe. The pointers are a registry's live series, nil (and
+// so no-ops) without one; they outlive the run and a later run with the
+// same label shares them, so what the Result reports is tallied beside
+// them — once for the run, because a latency histogram is 8 KB.
 type swarmObs struct {
 	o         obs.Observer
 	active    *obs.Gauge
@@ -125,15 +184,12 @@ type swarmObs struct {
 	openFails *obs.Counter
 	delivery  *obs.LiveHistogram
 	rtt       *obs.LiveHistogram
+
+	openFailed              obs.Counter
+	deliveries, rtts, opens obs.LiveHistogram
 }
 
 func newSwarmObs(reg *obs.Registry, label string, o obs.Observer) *swarmObs {
-	if reg == nil && o == nil {
-		return nil
-	}
-	if label == "" {
-		label = "swarm"
-	}
 	l := obs.L("policy", label)
 	return &swarmObs{
 		o:         o,
@@ -148,69 +204,26 @@ func newSwarmObs(reg *obs.Registry, label string, o obs.Observer) *swarmObs {
 	}
 }
 
-// emit forwards an event to the swarm observer, if any.
-func (s *swarmObs) emit(e obs.Event) {
-	if s != nil && s.o != nil {
-		s.o.Event(e)
+// emit forwards a client-side lifecycle event to the observer, if any.
+func (s *swarmObs) emit(typ obs.EventType, session int) {
+	if s.o != nil {
+		s.o.Event(obs.Event{Type: typ, Session: session, Rule: "swarm"})
 	}
 }
 
-// openFailInc bumps the OPENFAIL-retry counter (nil-safe).
-func (s *swarmObs) openFailInc() {
-	if s != nil {
-		s.openFails.Inc()
-	}
-}
-
-// sent records one burst leaving a session (nil-safe).
-func (s *swarmObs) sent(bits bw.Bits) {
-	if s != nil {
-		s.bursts.Inc()
-		s.bitsSent.Add(int64(bits))
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
-	if c.MeanRate <= 0 {
-		c.MeanRate = 32
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.DialRetries <= 0 {
-		c.DialRetries = 10
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.Gen == nil {
-		mean := c.MeanRate
-		seed := c.Seed
-		c.Gen = func(id int) traffic.Generator {
-			return traffic.OnOff{
-				Seed:     seed + uint64(id) + 1,
-				PeakRate: 3 * mean,
-				MeanOn:   8,
-				MeanOff:  16,
-			}
-		}
-	}
-	return c
-}
-
-// SessionResult is one session's accounting.
+// SessionResult is one session's accounting. It is scalars only: a run
+// holds one per session, and at the 100k sessions the soak exists for an
+// 8 KB latency histogram in each of two would be 1.6 GB. Latency
+// distributions are kept once, for the whole run.
 type SessionResult struct {
-	// ID is the swarm-local session index; Slot is the wire session ID
-	// the gateway handed out.
-	ID   int
+	// Slot is the wire session ID the gateway handed out.
 	Slot uint32
-	// Err is the first fatal error (nil for a clean run).
+	// Released reports whether the slot was handed back with an explicit
+	// CLOSE/CLOSED exchange.
+	Released bool
+	// Err is the first fatal error (nil for a clean run): the session's
+	// own failure to open, or the failed exchange that ended its
+	// connection.
 	Err error
 	// Bursts is how many nonzero bursts were sent; Delivered how many
 	// were observed fully served before the drain deadline.
@@ -220,8 +233,9 @@ type SessionResult struct {
 	// counted it and as the gateway reported it at teardown.
 	BitsSent   bw.Bits
 	BitsServed bw.Bits
-	// FinalQueued is what remained unserved at teardown; MaxQueued the
-	// deepest queue observed by any stats poll.
+	// FinalQueued is what remained unserved at the session's last poll
+	// (teardown polls every session); MaxQueued the deepest queue any
+	// poll observed.
 	FinalQueued bw.Bits
 	MaxQueued   bw.Bits
 	// Changes is the session's renegotiation count (the paper's cost
@@ -229,26 +243,25 @@ type SessionResult struct {
 	Changes int64
 	// MaxDelayTicks is the gateway-side per-bit delay bound observed.
 	MaxDelayTicks bw.Tick
-	// Delivery holds end-to-end burst delivery latencies (ns): send
-	// until the cumulative served volume covers the burst.
-	Delivery metrics.Histogram
-	// RTT holds STATS request/reply round-trip times (ns).
-	RTT metrics.Histogram
-	// Released reports whether the slot was handed back with an explicit
-	// CLOSE/CLOSED exchange.
-	Released bool
+	// MaxDelivery is the session's worst end-to-end burst delivery
+	// latency: send until the cumulative served volume covers the burst.
+	MaxDelivery time.Duration
 }
 
-// Result is the swarm-wide aggregate.
+// Result is the run-wide aggregate.
 type Result struct {
-	// Sessions echoes Config.Sessions; Opened/Failed partition it.
+	// Sessions echoes Config.Sessions; Opened/Failed partition it. Conns
+	// is how many connections carried them.
 	Sessions int
+	Conns    int
 	Opened   int
 	Failed   int
-	Mode     Mode
-	Tick     time.Duration
-	Duration time.Duration
-	Elapsed  time.Duration
+	// OpenFails counts OPENFAIL replies met (and retried) while opening.
+	OpenFails int
+	Mode      Mode
+	Tick      time.Duration
+	Duration  time.Duration
+	Elapsed   time.Duration
 
 	Bursts     int
 	Delivered  int
@@ -257,17 +270,27 @@ type Result struct {
 	// Throughput is served volume over wall-clock time, bits/second.
 	Throughput float64
 	// Changes sums per-session renegotiation counts; MaxDelayTicks and
-	// MaxQueued are swarm-wide maxima.
+	// MaxQueued are run-wide maxima.
 	Changes       int64
 	MaxDelayTicks bw.Tick
 	MaxQueued     bw.Bits
 	Released      int
 
-	// Delivery and RTT are the merged latency histograms (ns samples).
+	// Delivery, RTT and Open are the run's latency histograms (ns
+	// samples): burst delivery, one per delivered burst; STATS round
+	// trips, one per batched poll — each crosses a shard lock, so this is
+	// the live contention measure; OPEN round trips, one per session.
 	Delivery metrics.Histogram
 	RTT      metrics.Histogram
+	Open     metrics.Histogram
 
-	// PerSession holds the individual session results, indexed by ID.
+	// MidScrape is Config.Registry's Prometheus exposition halfway
+	// through the sending window, every session open (empty without a
+	// Registry).
+	MidScrape string
+
+	// PerSession holds the individual session results, indexed by the
+	// run-local session ID that Config.Gen and the ramp see.
 	PerSession []SessionResult
 }
 
@@ -294,65 +317,70 @@ func (r *Result) Errs() []error {
 	return errs
 }
 
-// Run launches the swarm against cfg.Addr and blocks until every session
-// has finished its sending window, drained, and released its slot.
-func Run(cfg Config) (*Result, error) {
+// Run drives cfg.Sessions sessions against cfg.Addr over
+// ceil(Sessions/PerConn) connections and blocks until every connection
+// has opened its sessions, run its sending window, drained, taken final
+// accounting and released its slots. Cancelling ctx cuts windows and
+// drains short; accounting and release still run.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Sessions < 1 {
-		return nil, fmt.Errorf("load: sessions = %d", cfg.Sessions)
+	if cfg.Sessions < 1 || cfg.Addr == "" {
+		return nil, fmt.Errorf("load: %d sessions to gateway %q", cfg.Sessions, cfg.Addr)
 	}
-	if cfg.Addr == "" {
-		return nil, fmt.Errorf("load: empty gateway address")
-	}
-	cfg.swarm = newSwarmObs(cfg.Registry, cfg.MetricsLabel, cfg.Observer)
-
-	perSession := make([]SessionResult, cfg.Sessions)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sessions; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			runSession(cfg, id, &perSession[id])
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
 	res := &Result{
 		Sessions:   cfg.Sessions,
+		Conns:      (cfg.Sessions + cfg.PerConn - 1) / cfg.PerConn,
 		Mode:       cfg.Mode,
 		Tick:       cfg.Tick,
 		Duration:   cfg.Duration,
-		Elapsed:    elapsed,
-		PerSession: perSession,
+		PerSession: make([]SessionResult, cfg.Sessions),
 	}
-	for i := range perSession {
-		s := &perSession[i]
+	swarm := newSwarmObs(cfg.Registry, cfg.MetricsLabel, cfg.Observer)
+	start := time.Now()
+	var opened, done sync.WaitGroup
+	for first := 0; first < cfg.Sessions; first += cfg.PerConn {
+		c := &conn{cfg: &cfg, swarm: swarm, first: first,
+			sess: res.PerSession[first:min(first+cfg.PerConn, cfg.Sessions)]}
+		opened.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			c.run(ctx, start, &opened)
+		}()
+	}
+	if cfg.Registry != nil {
+		// The last connection to finish opening is half a window from its
+		// middle; with no ramp to speak of, so is every other one.
+		opened.Wait()
+		await(ctx, time.After(cfg.Duration/2))
+		var b strings.Builder
+		if err := cfg.Registry.WritePrometheus(&b); err == nil {
+			res.MidScrape = b.String()
+		}
+	}
+	done.Wait()
+	res.Elapsed = time.Since(start)
+
+	res.OpenFails = int(swarm.openFailed.Value())
+	res.Delivery, res.RTT, res.Open = swarm.deliveries.Snapshot(), swarm.rtts.Snapshot(), swarm.opens.Snapshot()
+	for i := range res.PerSession {
+		s := &res.PerSession[i]
 		if s.Err != nil {
 			res.Failed++
-		} else {
-			res.Opened++
+			swarm.errors.Inc()
+		}
+		if s.Released {
+			res.Released++
 		}
 		res.Bursts += s.Bursts
 		res.Delivered += s.Delivered
 		res.BitsSent += s.BitsSent
 		res.BitsServed += s.BitsServed
 		res.Changes += s.Changes
-		if s.MaxDelayTicks > res.MaxDelayTicks {
-			res.MaxDelayTicks = s.MaxDelayTicks
-		}
-		if s.MaxQueued > res.MaxQueued {
-			res.MaxQueued = s.MaxQueued
-		}
-		if s.Released {
-			res.Released++
-		}
-		res.Delivery.Merge(&s.Delivery)
-		res.RTT.Merge(&s.RTT)
+		res.MaxDelayTicks = max(res.MaxDelayTicks, s.MaxDelayTicks)
+		res.MaxQueued = max(res.MaxQueued, s.MaxQueued)
 	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		res.Throughput = float64(res.BitsServed) / sec
-	}
+	res.Opened = res.Sessions - res.Failed
+	res.Throughput = float64(res.BitsServed) / res.Elapsed.Seconds()
 	return res, nil
 }

@@ -1,9 +1,13 @@
 package load
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"strings"
 	"time"
+
+	"dynbw/internal/metrics"
 )
 
 // ms renders a nanosecond duration as milliseconds with 3 decimals.
@@ -11,80 +15,61 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond))
 }
 
-// Markdown renders the swarm-wide report: a run header, the aggregate
+// Markdown renders the run-wide report: a run header, the aggregate
 // table, and the latency percentile table. label names the run (e.g. the
 // policy under test).
 func (r *Result) Markdown(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## bwload: %s\n\n", label)
-	fmt.Fprintf(&b, "%d sessions, mode %s, tick %v, send window %v, wall clock %v\n\n",
-		r.Sessions, r.Mode, r.Tick, r.Duration, r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "%d sessions over %d connections, mode %s, tick %v, send window %v, wall clock %v\n\n",
+		r.Sessions, r.Conns, r.Mode, r.Tick, r.Duration, r.Elapsed.Round(time.Millisecond))
 
-	del := r.Delivery.Latency()
-	rtt := r.RTT.Latency()
-	rows := [][2]string{
-		{"sessions opened / failed", fmt.Sprintf("%d / %d", r.Opened, r.Failed)},
-		{"sessions released", fmt.Sprintf("%d", r.Released)},
-		{"bursts sent / delivered", fmt.Sprintf("%d / %d", r.Bursts, r.Delivered)},
-		{"bits sent / served", fmt.Sprintf("%d / %d", r.BitsSent, r.BitsServed)},
-		{"drained", fmt.Sprintf("%v", r.Drained())},
-		{"throughput (bits/s)", fmt.Sprintf("%.0f", r.Throughput)},
-		{"session changes (renegotiations)", fmt.Sprintf("%d", r.Changes)},
-		{"max queue depth (bits)", fmt.Sprintf("%d", r.MaxQueued)},
-		{"max gateway delay (ticks)", fmt.Sprintf("%d", r.MaxDelayTicks)},
-	}
-	w := 0
-	for _, row := range rows {
-		if len(row[0]) > w {
-			w = len(row[0])
-		}
-	}
-	fmt.Fprintf(&b, "| %-*s | value |\n", w, "metric")
-	fmt.Fprintf(&b, "|%s|-------|\n", strings.Repeat("-", w+2))
-	for _, row := range rows {
-		fmt.Fprintf(&b, "| %-*s | %s |\n", w, row[0], row[1])
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, `| metric                           | value |
+|----------------------------------|-------|
+| sessions opened / failed         | %d / %d |
+| open fails (retried)             | %d |
+| sessions released                | %d |
+| bursts sent / delivered          | %d / %d |
+| bits sent / served               | %d / %d |
+| drained                          | %v |
+| throughput (bits/s)              | %.0f |
+| session changes (renegotiations) | %d |
+| max queue depth (bits)           | %d |
+| max gateway delay (ticks)        | %d |
 
+`, r.Opened, r.Failed, r.OpenFails, r.Released, r.Bursts, r.Delivered, r.BitsSent, r.BitsServed,
+		r.Drained(), r.Throughput, r.Changes, r.MaxQueued, r.MaxDelayTicks)
 	fmt.Fprintf(&b, "| latency (ms)    | count | p50 | p90 | p99 | max |\n")
 	fmt.Fprintf(&b, "|-----------------|-------|-----|-----|-----|-----|\n")
-	fmt.Fprintf(&b, "| burst delivery  | %d | %s | %s | %s | %s |\n",
-		del.Count, ms(del.P50), ms(del.P90), ms(del.P99), ms(del.Max))
-	fmt.Fprintf(&b, "| stats roundtrip | %d | %s | %s | %s | %s |\n",
-		rtt.Count, ms(rtt.P50), ms(rtt.P90), ms(rtt.P99), ms(rtt.Max))
+	for _, row := range []struct {
+		name string
+		h    *metrics.Histogram
+	}{{"session open   ", &r.Open}, {"burst delivery ", &r.Delivery}, {"stats roundtrip", &r.RTT}} {
+		l := row.h.Latency()
+		fmt.Fprintf(&b, "| %s | %d | %s | %s | %s | %s |\n",
+			row.name, l.Count, ms(l.P50), ms(l.P90), ms(l.P99), ms(l.Max))
+	}
 	return b.String()
 }
 
 // csvHeader is the per-session CSV schema emitted by CSV.
 const csvHeader = "label,session,slot,ok,released,bursts,delivered,bits_sent,bits_served," +
-	"final_queued,max_queued,changes,max_delay_ticks,p50_ms,p90_ms,p99_ms,max_ms\n"
+	"final_queued,max_queued,changes,max_delay_ticks,max_delivery_ms\n"
 
-// CSV renders one row per session plus an "all" aggregate row. Passing
+// CSV writes one row per session (the aggregate is Markdown's), streamed
+// so that a 100k-session run does not hold its 6 MB in memory. Passing
 // header=false lets callers concatenate runs into one file.
-func (r *Result) CSV(label string, header bool) string {
-	var b strings.Builder
+func (r *Result) CSV(w io.Writer, label string, header bool) error {
+	b := bufio.NewWriter(w)
 	if header {
 		b.WriteString(csvHeader)
 	}
-	row := func(name string, s *SessionResult) {
-		l := s.Delivery.Latency()
-		fmt.Fprintf(&b, "%s,%s,%d,%t,%t,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s\n",
-			label, name, s.Slot, s.Err == nil, s.Released,
-			s.Bursts, s.Delivered, s.BitsSent, s.BitsServed,
-			s.FinalQueued, s.MaxQueued, s.Changes, s.MaxDelayTicks,
-			ms(l.P50), ms(l.P90), ms(l.P99), ms(l.Max))
-	}
 	for i := range r.PerSession {
 		s := &r.PerSession[i]
-		row(fmt.Sprintf("%d", s.ID), s)
+		fmt.Fprintf(b, "%s,%d,%d,%t,%t,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
+			label, i, s.Slot, s.Err == nil, s.Released,
+			s.Bursts, s.Delivered, s.BitsSent, s.BitsServed,
+			s.FinalQueued, s.MaxQueued, s.Changes, s.MaxDelayTicks, ms(s.MaxDelivery))
 	}
-	agg := SessionResult{
-		Bursts: r.Bursts, Delivered: r.Delivered,
-		BitsSent: r.BitsSent, BitsServed: r.BitsServed,
-		MaxQueued: r.MaxQueued, Changes: r.Changes, MaxDelayTicks: r.MaxDelayTicks,
-		Delivery: r.Delivery,
-	}
-	agg.Released = r.Released == r.Sessions
-	row("all", &agg)
-	return b.String()
+	return b.Flush()
 }
