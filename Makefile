@@ -24,9 +24,10 @@ race:
 # The hot paths' zero-allocation discipline, checked by running them:
 # every testing.AllocsPerRun assertion, by name, without -race (its
 # instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
-# new one joins that table and, if its name is new, this pattern.
+# new one joins that table and, if its name is new, this pattern. Beside
+# them runs the per-slot byte budget of a 100k-slot table (DESIGN §8).
 zeroalloc:
-	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull' ./internal/...
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the
@@ -38,8 +39,9 @@ bench:
 # (no tick channel, no sockets), idle and with 40, 1000 and 100 000 slots
 # active: the place to bisect a change in what a round costs. ns/round
 # leaves out the feeding; idle and 40 run on the tick loop, the other two
-# fan out to the tick workers. The dense case's queues grow to ~200 MB
-# over a full run; -benchtime=1x (CI) stays small.
+# fan out to the tick workers. live_B/slot is the table's live heap after
+# the run: about 125 B a slot, 155 B in the dense case, whose round
+# scratch has grown to every slot (2 vCPU Xeon, go1.24).
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 

@@ -10,11 +10,11 @@ import (
 )
 
 // channels is the per-session state the three multi-session policies
-// share: each session's regular and overflow allocation, the virtual
-// queue on each, and the rate vector the policy hands out — and with it
-// the steps of Figures 4 and 5 that work on that state (PHASE, TEST,
-// REDUCE, the spill), which Phased and Continuous run with B_O fixed and
-// Combined runs inside each global stage with B_O = Bon.
+// share: each session's regular and overflow allocation and the virtual
+// queue on each — and with it the steps of Figures 4 and 5 that work on
+// that state (PHASE, TEST, REDUCE, the spill), which Phased and
+// Continuous run with B_O fixed and Combined runs inside each global
+// stage with B_O = Bon.
 //
 // Between stage events (RESET, global reset, bon-grow — the rare events
 // the theorems count, which rewrite every session and stay O(k)) only a
@@ -22,28 +22,34 @@ import (
 // overflow allocation still to withdraw. The policies do their per-tick
 // and per-phase work over the live set alone, keep Σ bir as a running sum
 // rather than re-adding it, and report which rates moved, so a round costs
-// what its live sessions cost. The set is a bitset because it is walked
-// in session order: observer events come out exactly as they did when
-// every loop ran over all k sessions.
+// what its live sessions cost. The rates in force are the caller's: the
+// kernel passes its vector in, and only the dense Rates entry keeps one
+// of its own. The set is a bitset because it is walked in session order:
+// observer events come out exactly as they did when every loop ran over
+// all k sessions.
 type channels struct {
 	do       bw.Tick
 	bir, bio []bw.Rate
 	qr, qo   []bw.Bits
 	// sumBir is Σ bir, kept on every write.
 	sumBir bw.Rate
-	// rates is the vector RatesActive returns, retained across calls.
-	rates []bw.Rate
 	// live holds every session with qr, qo or bio above zero. Sessions
 	// join when bits arrive and leave in advance; one a stage event
 	// zeroed stays until then, which is harmless — every branch below is
 	// a no-op on an all-zero session.
 	live    bitset.Set
 	members []int32 // live, listed for one pass
-	// touched lists the sessions whose allocation was written this tick
-	// (repeats allowed); stale says a stage event rewrote all of them.
-	touched []int32
+	// touched holds the sessions whose allocation was written this tick;
+	// stale says a stage event rewrote all of them.
+	touched bitset.Set
 	stale   bool
+	// changed and moved are the answer finish builds: the sessions whose
+	// rate moved and their new rates.
 	changed []int32
+	moved   []bw.Rate
+	// out is the vector the dense Rates entry returns, allocated on its
+	// first call.
+	out []bw.Rate
 	// reduce holds the pending REDUCEs of the continuous algorithm.
 	reduce reduceWheel
 	// in backs the dense Rates entry.
@@ -52,14 +58,14 @@ type channels struct {
 
 func newChannels(k int, do bw.Tick) channels {
 	return channels{
-		do:     do,
-		bir:    make([]bw.Rate, k),
-		bio:    make([]bw.Rate, k),
-		qr:     make([]bw.Bits, k),
-		qo:     make([]bw.Bits, k),
-		rates:  make([]bw.Rate, k),
-		live:   bitset.New(k),
-		reduce: newReduceWheel(do),
+		do:      do,
+		bir:     make([]bw.Rate, k),
+		bio:     make([]bw.Rate, k),
+		qr:      make([]bw.Bits, k),
+		qo:      make([]bw.Bits, k),
+		live:    bitset.New(k),
+		touched: bitset.New(k),
+		reduce:  newReduceWheel(do),
 	}
 }
 
@@ -81,7 +87,7 @@ func (c *channels) raise(i int32, share bw.Rate) {
 
 // touch notes that session i's allocation was written this tick.
 func (c *channels) touch(i int32) {
-	c.touched = append(c.touched, i)
+	c.touched.Add(int(i))
 }
 
 // list returns the live sessions in ascending order; the list is valid
@@ -248,34 +254,54 @@ func (c *channels) advance() {
 	}
 }
 
-// finish brings rates up to date — session i's is bir[i] + bio[i], plus
-// extra[i] when extra is given — and returns it with the sessions whose
-// rate moved since the last call.
-func (c *channels) finish(extra []bw.Rate) ([]bw.Rate, []int32) {
-	c.changed = c.changed[:0]
+// finish returns the sessions whose rate — bir[i] + bio[i], plus
+// extra[i] when extra is given — differs from applied[i], with their new
+// rates. Only the sessions written this tick can have moved, unless a
+// stage event rewrote them all.
+func (c *channels) finish(extra, applied []bw.Rate) ([]int32, []bw.Rate) {
+	c.changed, c.moved = c.changed[:0], c.moved[:0]
 	if c.stale {
-		for i := range c.rates {
-			c.settle(int32(i), extra)
+		for i := range c.bir {
+			c.settle(int32(i), extra, applied)
 		}
+		c.touched.ClearRange(0, len(c.bir))
 		c.stale = false
-	} else {
-		for _, i := range c.touched {
-			c.settle(i, extra)
-		}
+		return c.changed, c.moved
 	}
-	c.touched = c.touched[:0]
-	return c.rates, c.changed
+	c.members = c.touched.AppendTo(c.members[:0], 0, len(c.bir))
+	for _, i := range c.members {
+		c.touched.Remove(int(i))
+		c.settle(i, extra, applied)
+	}
+	return c.changed, c.moved
 }
 
-func (c *channels) settle(i int32, extra []bw.Rate) {
+func (c *channels) settle(i int32, extra, applied []bw.Rate) {
 	r := c.bir[i] + c.bio[i]
 	if extra != nil {
 		r += extra[i]
 	}
-	if r != c.rates[i] {
-		c.rates[i] = r
+	if r != applied[i] {
 		c.changed = append(c.changed, i)
+		c.moved = append(c.moved, r)
 	}
+}
+
+// dense returns the vector the dense Rates entry keeps in place of the
+// kernel's, allocating it on the first call.
+func (c *channels) dense() []bw.Rate {
+	if c.out == nil {
+		c.out = make([]bw.Rate, len(c.bir))
+	}
+	return c.out
+}
+
+// fold applies a round's changes to the dense vector and returns it.
+func (c *channels) fold(changed []int32, rates []bw.Rate) []bw.Rate {
+	for j, i := range changed {
+		c.out[i] = rates[j]
+	}
+	return c.out
 }
 
 // reduction withdraws amt of a session's overflow allocation.

@@ -196,15 +196,14 @@ func (c *Combined) share() bw.Rate {
 // The returned slice is the policy's own and valid until the next call.
 func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	active, arr, q := c.ch.in.Collect(arrived, queued)
-	rates, _ := c.RatesActive(t, active, arr, q)
-	return rates
+	return c.ch.fold(c.RatesActive(t, active, arr, q, c.ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. The global overflow channel
 // drains over the sessions it holds, the inner algorithm runs over its
 // live sessions; a global reset, a grown estimate and the end of a local
 // stage walk all k.
-func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	ch := &c.ch
 
 	// Drain the global overflow channel.
@@ -264,7 +263,7 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) 
 		ch.arrive(active, arrived)
 	}
 	ch.advance()
-	return ch.finish(c.gqRate)
+	return ch.finish(c.gqRate, applied)
 }
 
 // innerPhased is the Figure 4 inner algorithm with B_O = bon.

@@ -67,14 +67,13 @@ func (a *Continuous) reset() {
 // The returned slice is the policy's own and valid until the next call.
 func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	active, arr, q := a.ch.in.Collect(arrived, queued)
-	rates, _ := a.RatesActive(t, active, arr, q)
-	return rates
+	return a.ch.fold(a.RatesActive(t, active, arr, q, a.ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. REDUCEs come off the wheel,
 // TEST runs on the sessions with arrivals, the queue accounting on the
 // live ones; only the end of a stage walks all k sessions.
-func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	c := &a.ch
 
 	// Apply matured REDUCE operations first, then TEST(i) on every
@@ -91,7 +90,7 @@ func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits
 	}
 
 	c.advance()
-	return c.finish(nil)
+	return c.finish(nil, applied)
 }
 
 // Leave tells the policy that session i ended with bits undelivered: no

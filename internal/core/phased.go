@@ -92,14 +92,13 @@ func (a *Phased) reset(t bw.Tick) {
 // The returned slice is the policy's own and valid until the next call.
 func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	active, arr, q := a.ch.in.Collect(arrived, queued)
-	rates, _ := a.RatesActive(t, active, arr, q)
-	return rates
+	return a.ch.fold(a.RatesActive(t, active, arr, q, a.ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. Only a RESET walks all k
 // sessions; a phase boundary and the per-tick queue accounting walk the
 // live ones.
-func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([]bw.Rate, []int32) {
+func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	c := &a.ch
 
 	// PHASE boundary: every DO ticks starting DO after the RESET, decided
@@ -121,7 +120,7 @@ func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits) ([
 
 	c.arrive(active, arrived)
 	c.advance()
-	return c.finish(nil)
+	return c.finish(nil, applied)
 }
 
 // Leave tells the policy that session i ended with bits undelivered: no

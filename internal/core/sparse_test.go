@@ -137,8 +137,9 @@ func oracleTrace(shape string, src *rng.Source, arrived []bw.Bits, t, do bw.Tick
 // hand out the rates the dense reference (oracle_test.go) hands out on
 // every tick, end with the same stats and have emitted the same events in
 // the same order — through the dense Rates entry, and through RatesActive
-// driven the way the step kernel drives it, whose changed list must be
-// exactly the sessions whose rate moved.
+// driven the way the step kernel drives it: against the applied vector,
+// reporting exactly the sessions whose rate moved, each once, with the
+// rates that bring that vector to the reference's.
 func TestSparseMatchesDense(t *testing.T) {
 	const do = bw.Tick(8)
 	for _, oc := range oracleCases(do) {
@@ -158,8 +159,8 @@ func TestSparseMatchesDense(t *testing.T) {
 
 					src := rng.New(uint64(k)*31 + uint64(len(shape)))
 					arrived := make([]bw.Bits, k)
-					queued := make([]bw.Bits, k) // the real FIFO queues, as the kernel keeps them
-					prev := make([]bw.Rate, k)
+					queued := make([]bw.Bits, k)  // the real FIFO queues, as the kernel keeps them
+					applied := make([]bw.Rate, k) // the kernel's vector, written only here
 					var in sim.Compact
 					for tick := bw.Tick(0); tick < ticks; tick++ {
 						oracleTrace(shape, src, arrived, tick, do, 16)
@@ -171,13 +172,10 @@ func TestSparseMatchesDense(t *testing.T) {
 							t.Fatalf("tick %d: Rates differs from the reference\n got %v\nwant %v", tick, got, want)
 						}
 						active, a, q := in.Collect(arrived, queued)
-						got, changed := sparse.RatesActive(tick, active, a, q)
-						if !slices.Equal(got, want) {
-							t.Fatalf("tick %d: RatesActive differs from the reference\n got %v\nwant %v", tick, got, want)
-						}
+						changed, rates := sparse.RatesActive(tick, active, a, q, applied)
 						var moved []int32
 						for i, r := range want {
-							if r != prev[i] {
+							if r != applied[i] {
 								moved = append(moved, int32(i))
 							}
 						}
@@ -186,7 +184,12 @@ func TestSparseMatchesDense(t *testing.T) {
 						if !slices.Equal(sorted, moved) {
 							t.Fatalf("tick %d: changed = %v, rates moved for %v", tick, sorted, moved)
 						}
-						copy(prev, want)
+						for j, i := range changed {
+							applied[i] = rates[j]
+						}
+						if !slices.Equal(applied, want) {
+							t.Fatalf("tick %d: RatesActive's changes differ from the reference\n got %v\nwant %v", tick, applied, want)
+						}
 						for i, r := range want {
 							queued[i] -= bw.Min(queued[i], r)
 						}
@@ -232,33 +235,50 @@ func firstDiff(a, b []obs.Event) int {
 
 // TestRatesActiveAllocatesNothing: once its scratch has grown, a round of
 // any of the three policies makes no garbage — called through Rates with
-// the caller keeping the queues, and called the way the simulator and the
-// gateway call it: by sim.Slots.Step, through the sim.SparseAllocator
-// interface, on the kernel's own lists and queues.
+// the caller keeping the queues, called through RatesActive with the
+// caller keeping the applied vector too, and called the way the
+// simulator and the gateway call it: by sim.Slots.Step, through the
+// sim.SparseAllocator interface, on the kernel's own lists, queues and
+// rates.
 func TestRatesActiveAllocatesNothing(t *testing.T) {
 	const (
 		k  = 256
 		do = bw.Tick(8)
 	)
 	for _, oc := range oracleCases(do) {
-		for _, entry := range []string{"Rates", "Slots.Step"} {
+		for _, entry := range []string{"Rates", "RatesActive", "Slots.Step"} {
 			p := oc.build(k, false)
 			p.alloc.(obs.Observable).SetObserver(nil)
 			src := rng.New(7)
 			arrived := make([]bw.Bits, k)
 			queued := make([]bw.Bits, k)
+			applied := make([]bw.Rate, k)
+			var in sim.Compact
 			slots := sim.NewSlots(k)
 			tick := bw.Tick(0)
 			round := func() {
 				oracleTrace("bursty", src, arrived, tick, do, 16)
-				if entry == "Rates" {
+				switch entry {
+				case "Rates":
 					for i, a := range arrived {
 						queued[i] += a
 					}
 					for i, r := range p.alloc.Rates(tick, arrived, queued) {
 						queued[i] -= bw.Min(queued[i], r)
 					}
-				} else {
+				case "RatesActive":
+					for i, a := range arrived {
+						queued[i] += a
+					}
+					active, a, q := in.Collect(arrived, queued)
+					changed, rates := p.alloc.(sim.SparseAllocator).RatesActive(tick, active, a, q, applied)
+					for j, i := range changed {
+						applied[i] = rates[j]
+					}
+					for i, r := range applied {
+						queued[i] -= bw.Min(queued[i], r)
+					}
+				default:
 					for i, a := range arrived {
 						slots.Add(i, a)
 					}
@@ -268,7 +288,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 				}
 				tick++
 			}
-			for tick < 400*do { // long enough for every slot's queue to have been round its chunk array
+			for tick < 400*do { // long enough for every scratch list, and every queue's ring, to reach its peak
 				round()
 			}
 			if avg := testing.AllocsPerRun(int(12*do), round); avg != 0 {

@@ -244,7 +244,7 @@ func FuzzHandleMessage(f *testing.F) {
 			}
 			taken := make(map[int]bool)
 			for id, s := range model.live {
-				if _, ok := conns[s.conn].owned[id]; !ok {
+				if _, ok := conns[s.conn].owned[uint32(id)]; !ok {
 					t.Fatalf("after %s: session %#x missing from connection %d's owned set", step, id, s.conn)
 				}
 				slot := sh.slot(id)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -104,7 +106,7 @@ func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
 					}
 				}
 				g.releaseAll(f.me) // what Gateway.handle does with the error
-				if _, ok := them.owned[f.other]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
+				if _, ok := them.owned[uint32(f.other)]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
 					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.inUse, them.owned)
 				}
 				if _, err := send(t, g, them, fuzzSeed(typeStats, uint64(f.other))); err != nil {
@@ -327,5 +329,34 @@ func TestFreeSlotStageStartIsNotTheNextTenants(t *testing.T) {
 	}
 	if total := g.Close(); total.SessionChanges != k {
 		t.Errorf("Close() counts %d changes, want the stage start's %d", total.SessionChanges, k)
+	}
+}
+
+// TestPooledConnStateShedsAGrownMap: a Go map never shrinks, so the
+// ownership map of a connection that held more than pooledOwnedMax
+// sessions at once is replaced, not cleared, when its state goes back to
+// the pool; a smaller one is kept. Either way the state comes back empty.
+func TestPooledConnStateShedsAGrownMap(t *testing.T) {
+	for _, n := range []int{pooledOwnedMax, pooledOwnedMax + 1} {
+		g := newBare(n)
+		cs := g.getConnState(0, 0)
+		r := bytes.NewReader(bytes.Repeat(fuzzSeed(typeOpen), n))
+		for r.Len() > 0 {
+			if err := g.handleMessage(r, io.Discard, cs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(cs.owned) != n || cs.peak != n {
+			t.Fatalf("%d OPENs: the connection owns %d sessions, peak %d", n, len(cs.owned), cs.peak)
+		}
+		g.releaseAll(cs) // as the handler's exit does
+		held := reflect.ValueOf(cs.owned).UnsafePointer()
+		g.putConnState(cs)
+		if kept := reflect.ValueOf(cs.owned).UnsafePointer() == held; kept != (n <= pooledOwnedMax) {
+			t.Errorf("peak of %d sessions: map kept = %v", n, kept)
+		}
+		if len(cs.owned) != 0 || cs.peak != 0 {
+			t.Errorf("peak of %d sessions: the pooled state owns %d sessions, peak %d", n, len(cs.owned), cs.peak)
+		}
 	}
 }

@@ -48,10 +48,9 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // every round visits exactly that many slots and leaves none backlogged,
 // so idle and active=40 run on the tick loop and the other two fan out.
 // The feeding is outside the ns/round figure and inside allocs/op, which
-// is 0 once a fed slot's queue has been round its chunk array once (66
-// pushes, 2 KiB a slot). The dense case is not warmed that far — it would
-// hold 200 MB before the first timed round — and shows the queues'
-// amortized growth instead, which ends after 66 rounds there too.
+// is 0 once the round's scratch lists have grown to the active count.
+// live_B/slot is the table's live heap after the run, a slot's share: the
+// slot state, the policies' and the round's scratch.
 func BenchmarkRound(b *testing.B) {
 	const k, nshards = 100_000, 8
 	for _, active := range []int{0, 40, 1000, 100_000} {
@@ -60,6 +59,7 @@ func BenchmarkRound(b *testing.B) {
 			name = "idle"
 		}
 		b.Run(name, func(b *testing.B) {
+			base := liveHeap()
 			g := newRounds(b, "phased", k, nshards, 32)
 			var tick bw.Tick
 			var spent time.Duration
@@ -73,11 +73,7 @@ func BenchmarkRound(b *testing.B) {
 				g.now.Add(1)
 				tick++
 			}
-			warm := bw.Tick(80)
-			if active == k {
-				warm = 10
-			}
-			for tick < warm {
+			for tick < 80 {
 				step()
 			}
 			spent = 0
@@ -86,7 +82,9 @@ func BenchmarkRound(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step()
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
+			b.ReportMetric((float64(liveHeap())-float64(base))/k, "live_B/slot")
 			if got := g.m.activeSlots.Value(); got != int64(active) {
 				b.Errorf("the last round visited %d slots, want %d", got, active)
 			}
@@ -106,11 +104,11 @@ type panicsOn struct {
 	from bw.Tick
 }
 
-func (a panicsOn) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
+func (a panicsOn) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	if t >= a.from && t < a.from+3 {
 		panic(fmt.Sprintf("allocator bug at tick %d", t))
 	}
-	return a.SparseAllocator.RatesActive(t, active, arrived, queued)
+	return a.SparseAllocator.RatesActive(t, active, arrived, queued, applied)
 }
 
 // TestRoundNoPanic: an allocator that panics costs its shard the rounds

@@ -32,7 +32,10 @@ const (
 type connState struct {
 	stripe  int // shard stripe: home shard, event-ring stripe
 	mstripe int // metrics stripe: striped counters/histograms, sampler
-	owned   map[int]struct{}
+	// owned is keyed by the wire ID, whose width it shares; peak is the
+	// most sessions it has held at once since the state left the pool.
+	owned map[uint32]struct{}
+	peak  int
 	// span is the per-connection stage clock, armed for timed messages
 	// only; pending carries a client-sent TRACE envelope to the message
 	// that follows it.
@@ -71,7 +74,7 @@ func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 	cs, _ := g.csPool.Get().(*connState)
 	if cs == nil {
 		cs = &connState{
-			owned:  make(map[int]struct{}),
+			owned:  make(map[uint32]struct{}),
 			rd:     bufio.NewReaderSize(nil, connReadBufSize),
 			wr:     bufio.NewWriterSize(nil, connWriteBufSize),
 			groups: make([][]pendingAdd, len(g.shards)),
@@ -81,10 +84,22 @@ func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 	return cs
 }
 
+// pooledOwnedMax is the most sessions a pooled connState's ownership map
+// may have held and still be kept: a Go map never shrinks, so one that
+// served a connection of 50 000 sessions would otherwise park about 0.6 MB
+// in the pool for whichever connection comes next.
+const pooledOwnedMax = 1024
+
 // putConnState scrubs per-connection state and returns it to the pool.
-// The buffered endpoints keep their storage but drop the conn reference.
+// The buffered endpoints keep their storage but drop the conn reference;
+// the ownership map is kept unless it grew past pooledOwnedMax.
 func (g *Gateway) putConnState(cs *connState) {
-	clear(cs.owned)
+	if cs.peak > pooledOwnedMax {
+		cs.owned = make(map[uint32]struct{})
+	} else {
+		clear(cs.owned)
+	}
+	cs.peak = 0
 	cs.span = spanScratch{}
 	cs.pending = pendingTrace{}
 	cs.armedAt = time.Time{}
@@ -102,7 +117,7 @@ func (g *Gateway) putConnState(cs *connState) {
 func (cs *connState) logSession() int {
 	if len(cs.owned) == 1 {
 		for id := range cs.owned {
-			return id
+			return int(id)
 		}
 	}
 	return -1
@@ -267,7 +282,7 @@ func (g *Gateway) releaseSession(id int) {
 // releaseAll is a connection's death: every session it owns ends.
 func (g *Gateway) releaseAll(cs *connState) {
 	for id := range cs.owned {
-		g.releaseSession(id)
+		g.releaseSession(int(id))
 	}
 	clear(cs.owned)
 }
@@ -394,9 +409,10 @@ func (g *Gateway) readData(r io.Reader, cs *connState) (id int, bits int64, err 
 		return 0, 0, err
 	}
 	g.spanMark(cs, stageRead)
-	id = int(binary.BigEndian.Uint32(cs.scratch[0:]))
+	wire := binary.BigEndian.Uint32(cs.scratch[0:])
+	id = int(wire)
 	bits = int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
-	if _, ok := cs.owned[id]; !ok || bits < 0 {
+	if _, ok := cs.owned[wire]; !ok || bits < 0 {
 		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
 	}
 	cs.span.sess = id
@@ -447,7 +463,8 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 			g.spanMark(cs, stageWrite)
 			return nil
 		}
-		cs.owned[id] = struct{}{}
+		cs.owned[uint32(id)] = struct{}{}
+		cs.peak = max(cs.peak, len(cs.owned))
 		cs.span.sess = id
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionOpen, Session: id})
 		cs.scratch[0] = typeOpened
@@ -468,8 +485,9 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 			return err
 		}
 		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
-		if _, ok := cs.owned[id]; !ok {
+		wire := binary.BigEndian.Uint32(cs.scratch[:4])
+		id := int(wire)
+		if _, ok := cs.owned[wire]; !ok {
 			return fmt.Errorf("%w: STATS session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
 		}
 		cs.span.sess = id
@@ -489,15 +507,16 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 			return err
 		}
 		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
-		if _, ok := cs.owned[id]; !ok {
+		wire := binary.BigEndian.Uint32(cs.scratch[:4])
+		id := int(wire)
+		if _, ok := cs.owned[wire]; !ok {
 			return fmt.Errorf("%w: CLOSE session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
 		}
 		cs.span.sess = id
 		// Release before replying: a client that has read CLOSED may dial
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)
-		delete(cs.owned, id)
+		delete(cs.owned, wire)
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionClose, Session: id})
 		g.spanMark(cs, stageApply)
 		if _, err := w.Write([]byte{typeClosed}); err != nil {

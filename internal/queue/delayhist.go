@@ -26,7 +26,7 @@ type DelayHist struct {
 // Attach makes q record the delay of every bit it serves into h, until
 // another histogram is attached. A histogram may collect from several
 // queues.
-func (h *DelayHist) Attach(q *FIFO) { q.hist = h }
+func (h *DelayHist) Attach(q *FIFO) { q.behind().hist = h }
 
 func (h *DelayHist) record(delay bw.Tick, bits bw.Bits) {
 	idx := delay

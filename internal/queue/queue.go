@@ -18,15 +18,36 @@ type chunk struct {
 
 // FIFO is a first-in-first-out fluid queue with per-bit arrival times.
 // The zero value is an empty queue.
+//
+// The oldest chunk lives in the FIFO itself. Between rounds a live slot
+// holds one arrival tick's bits or none, so that is all most queues ever
+// need; the chunks behind it, and an attached histogram, live in a side
+// struct allocated on first need.
 type FIFO struct {
-	chunks []chunk
-	head   int
-	bits   bw.Bits
+	// head is the oldest queued chunk; head.bits is 0 exactly when the
+	// queue is empty.
+	head chunk
+	bits bw.Bits
 
 	// maxDelay is the largest delay of any bit served so far.
 	maxDelay bw.Tick
 	// served is the total number of bits served.
 	served bw.Bits
+	// more is nil until the queue first holds two arrival ticks at once
+	// or a histogram is attached.
+	more *backlog
+}
+
+// backlog is the part of a FIFO that a queue holding one arrival tick
+// does without.
+type backlog struct {
+	// ring holds the chunks queued behind head, n of them from ring[start]
+	// on, in arrival order. Its length is zero or a power of two. start
+	// returns to 0 whenever the ring empties, and the ring grows only when
+	// full, so its length is bounded by the most arrival ticks ever queued
+	// at once, not by how many have passed through.
+	ring     []chunk
+	start, n int
 	// hist, when attached (DelayHist.Attach), receives the delay of every
 	// served bit. A live service slot attaches none: it reads only
 	// maxDelay and served, so it pays for neither the buckets nor the
@@ -42,12 +63,44 @@ func (q *FIFO) Push(t bw.Tick, bits bw.Bits) {
 	if bits == 0 {
 		return
 	}
-	if n := len(q.chunks); n > q.head && q.chunks[n-1].arrived > t {
-		panic(fmt.Sprintf("queue: Push tick %d before last %d", t, q.chunks[n-1].arrived))
+	if q.head.bits == 0 {
+		q.head = chunk{arrived: t, bits: bits}
+		q.bits = bits
+		return
 	}
-	q.chunks = append(q.chunks, chunk{arrived: t, bits: bits})
+	last := &q.head
+	if m := q.more; m != nil && m.n > 0 {
+		last = &m.ring[(m.start+m.n-1)&(len(m.ring)-1)]
+	}
+	if last.arrived > t {
+		panic(fmt.Sprintf("queue: Push tick %d before last %d", t, last.arrived))
+	}
 	q.bits += bits
-	q.compact()
+	if last.arrived == t {
+		last.bits += bits // bits of one tick share their delays
+		return
+	}
+	q.behind().append(chunk{arrived: t, bits: bits})
+}
+
+// behind returns the side struct, allocating it on first need.
+func (q *FIFO) behind() *backlog {
+	if q.more == nil {
+		q.more = &backlog{}
+	}
+	return q.more
+}
+
+// append queues c at the back of the ring, doubling a full ring.
+func (m *backlog) append(c chunk) {
+	if m.n == len(m.ring) {
+		grown := make([]chunk, max(2, 2*len(m.ring)))
+		k := copy(grown, m.ring[m.start:])
+		copy(grown[k:], m.ring[:m.start])
+		m.ring, m.start = grown, 0
+	}
+	m.ring[(m.start+m.n)&(len(m.ring)-1)] = c
+	m.n++
 }
 
 // Serve removes up to rate bits at tick t in FIFO order and returns the
@@ -60,13 +113,12 @@ func (q *FIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
 	budget := bw.Min(rate, q.bits)
 	servedNow := budget
 	for budget > 0 {
-		c := &q.chunks[q.head]
-		took := bw.Min(budget, c.bits)
-		c.bits -= took
+		took := bw.Min(budget, q.head.bits)
+		q.head.bits -= took
 		budget -= took
-		q.recordServed(t-c.arrived, took)
-		if c.bits == 0 {
-			q.head++
+		q.recordServed(t-q.head.arrived, took)
+		if q.head.bits == 0 {
+			q.advance()
 		}
 	}
 	q.bits -= servedNow
@@ -74,22 +126,26 @@ func (q *FIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
 	return servedNow
 }
 
+// advance replaces the drained head with the next chunk, if any.
+func (q *FIFO) advance() {
+	m := q.more
+	if m == nil || m.n == 0 {
+		return
+	}
+	q.head = m.ring[m.start]
+	m.start = (m.start + 1) & (len(m.ring) - 1)
+	m.n--
+	if m.n == 0 {
+		m.start = 0
+	}
+}
+
 func (q *FIFO) recordServed(delay bw.Tick, bits bw.Bits) {
 	if delay > q.maxDelay {
 		q.maxDelay = delay
 	}
-	if q.hist != nil {
-		q.hist.record(delay, bits)
-	}
-}
-
-// compact drops fully-served chunks from the front once they dominate the
-// slice, keeping Push/Serve amortized O(1).
-func (q *FIFO) compact() {
-	if q.head > 64 && q.head*2 >= len(q.chunks) {
-		n := copy(q.chunks, q.chunks[q.head:])
-		q.chunks = q.chunks[:n]
-		q.head = 0
+	if q.more != nil && q.more.hist != nil {
+		q.more.hist.record(delay, bits)
 	}
 }
 
@@ -98,11 +154,13 @@ func (q *FIFO) compact() {
 // a queue reused across simulation runs reaches a steady state of zero
 // allocations per run.
 func (q *FIFO) Reset() {
-	q.chunks = q.chunks[:0]
-	q.head = 0
+	q.head = chunk{}
 	q.bits = 0
 	q.maxDelay = 0
 	q.served = 0
+	if q.more != nil {
+		q.more.start, q.more.n = 0, 0
+	}
 }
 
 // Bits returns the number of bits currently queued.

@@ -1,10 +1,13 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/rng"
 )
 
 func TestEmptyQueue(t *testing.T) {
@@ -64,7 +67,7 @@ func TestSameTickServiceHasZeroDelay(t *testing.T) {
 func TestPushZeroIsNoop(t *testing.T) {
 	var q FIFO
 	q.Push(3, 0)
-	if q.Bits() != 0 || len(q.chunks) != 0 {
+	if q.Bits() != 0 || q.head != (chunk{}) || q.more != nil {
 		t.Error("Push(_, 0) should not enqueue")
 	}
 }
@@ -137,26 +140,65 @@ func TestNoHistogramUnlessAttached(t *testing.T) {
 	var q FIFO
 	q.Push(0, 4)
 	q.Serve(700, 4)
-	if q.hist != nil {
-		t.Fatal("bare FIFO grew a histogram")
+	if q.more != nil {
+		t.Fatal("bare FIFO holding one chunk grew a side struct")
 	}
 	if q.MaxDelay() != 700 || q.Served() != 4 {
 		t.Errorf("MaxDelay/Served = %d/%d, want 700/4", q.MaxDelay(), q.Served())
 	}
 }
 
-func TestCompaction(t *testing.T) {
+// TestDrainedChunksAreForgotten: the chunk storage is bounded by the most
+// arrival ticks ever queued at once, not by how many have passed through.
+// A queue served within its arrival tick needs no side struct at all; one
+// that holds three ticks at a time keeps a ring of two behind its head,
+// however long it runs.
+func TestDrainedChunksAreForgotten(t *testing.T) {
 	var q FIFO
-	// Many push/serve cycles must not grow the chunk slice without bound.
 	for t2 := bw.Tick(0); t2 < 10000; t2++ {
 		q.Push(t2, 3)
 		q.Serve(t2, 3)
 	}
-	if len(q.chunks) > 4096 {
-		t.Errorf("chunk slice grew to %d entries", len(q.chunks))
+	if q.more != nil {
+		t.Errorf("a queue that never held two ticks allocated a ring of %d", len(q.more.ring))
 	}
 	if q.Served() != 30000 {
 		t.Errorf("Served = %d", q.Served())
+	}
+	for t2 := bw.Tick(10000); t2 < 20000; t2++ {
+		q.Push(t2, 3)
+		if t2%3 == 2 {
+			q.Serve(t2, 9)
+		}
+	}
+	if q.more == nil || len(q.more.ring) != 2 {
+		t.Errorf("three ticks queued at a time: ring of %v, want 2", q.more)
+	}
+	if q.Bits() != 6 || q.MaxDelay() != 2 { // the last two ticks are still queued
+		t.Errorf("Bits/MaxDelay = %d/%d, want 6/2", q.Bits(), q.MaxDelay())
+	}
+}
+
+func TestSameTickPushesShareAChunk(t *testing.T) {
+	var q FIFO
+	q.Push(0, 1)
+	for i := 0; i < 100; i++ {
+		q.Push(5, 2)
+	}
+	if q.more == nil || q.more.n != 1 || q.more.ring[0] != (chunk{arrived: 5, bits: 200}) {
+		t.Fatalf("100 pushes at one tick behind the head: %+v", q.more)
+	}
+	q.Serve(7, 201)
+	if q.Bits() != 0 || q.MaxDelay() != 7 || q.Served() != 201 {
+		t.Errorf("Bits/MaxDelay/Served = %d/%d/%d", q.Bits(), q.MaxDelay(), q.Served())
+	}
+}
+
+// TestFIFOSize pins the slot's share of the layout: the oldest chunk
+// inline, the counters, one pointer.
+func TestFIFOSize(t *testing.T) {
+	if got := unsafe.Sizeof(FIFO{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(FIFO{}) = %d B, want <= 48", got)
 	}
 }
 
@@ -193,7 +235,7 @@ func oldestArrival(q *FIFO) (bw.Tick, bool) {
 	if q.Bits() == 0 {
 		return 0, false
 	}
-	return q.chunks[q.head].arrived, true
+	return q.head.arrived, true
 }
 
 // Property: FIFO order — with strictly increasing service ticks, the delay
@@ -360,5 +402,173 @@ func BenchmarkReuse(b *testing.B) {
 			q.Serve(t, 12)
 		}
 		q.Serve(64, bw.Rate(q.Bits()))
+	}
+}
+
+// sliceFIFO is the reference model of FIFO: every chunk in one slice
+// behind a read index, compacted once the drained prefix dominates, and
+// a histogram pointer beside it. It is the layout FIFO had before its
+// oldest chunk moved inline, kept to check the new one against.
+type sliceFIFO struct {
+	chunks   []chunk
+	head     int
+	bits     bw.Bits
+	maxDelay bw.Tick
+	served   bw.Bits
+	hist     *DelayHist
+}
+
+func (q *sliceFIFO) Push(t bw.Tick, bits bw.Bits) {
+	if bits == 0 {
+		return
+	}
+	q.chunks = append(q.chunks, chunk{arrived: t, bits: bits})
+	q.bits += bits
+	if q.head > 64 && q.head*2 >= len(q.chunks) {
+		n := copy(q.chunks, q.chunks[q.head:])
+		q.chunks = q.chunks[:n]
+		q.head = 0
+	}
+}
+
+func (q *sliceFIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
+	budget := bw.Min(rate, q.bits)
+	servedNow := budget
+	for budget > 0 {
+		c := &q.chunks[q.head]
+		took := bw.Min(budget, c.bits)
+		c.bits -= took
+		budget -= took
+		if delay := t - c.arrived; delay > q.maxDelay {
+			q.maxDelay = delay
+		}
+		if q.hist != nil {
+			q.hist.record(t-c.arrived, took)
+		}
+		if c.bits == 0 {
+			q.head++
+		}
+	}
+	q.bits -= servedNow
+	q.served += servedNow
+	return servedNow
+}
+
+func (q *sliceFIFO) Reset() {
+	q.chunks, q.head, q.bits, q.maxDelay, q.served = q.chunks[:0], 0, 0, 0, 0
+}
+
+// TestFIFOMatchesSliceModel drives FIFO and the reference model through
+// the same seeded sequences of Push (several at one tick, some empty),
+// Serve, Reset and Attach, and after every step compares the counters
+// and, while a histogram is attached, its quantiles.
+func TestFIFOMatchesSliceModel(t *testing.T) {
+	tests := []struct {
+		name    string
+		seed    uint64
+		steps   int
+		maxBits int64 // a push carries [0, maxBits) bits
+		maxRate int64 // a serve offers [0, maxRate) bits
+		attach  bool  // histograms from the first step
+		resets  int   // one step in resets is a Reset (0: never)
+	}{
+		{name: "drained every tick", seed: 1, steps: 2000, maxBits: 8, maxRate: 64},
+		{name: "standing backlog", seed: 2, steps: 4000, maxBits: 64, maxRate: 40, attach: true},
+		{name: "backlog outgrows the old compaction", seed: 3, steps: 6000, maxBits: 100, maxRate: 30, attach: true},
+		{name: "starved then flushed", seed: 4, steps: 3000, maxBits: 16, maxRate: 3},
+		{name: "resets and late attaches", seed: 5, steps: 4000, maxBits: 32, maxRate: 48, resets: 200},
+		{name: "single bits", seed: 6, steps: 3000, maxBits: 2, maxRate: 2, attach: true, resets: 500},
+	}
+	quantiles := []float64{0.01, 0.5, 0.9, 0.99, 1}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			src := rng.New(tt.seed)
+			var got FIFO
+			var want sliceFIFO
+			var gotHist, wantHist *DelayHist
+			attach := func() {
+				gotHist, wantHist = &DelayHist{}, &DelayHist{}
+				gotHist.Attach(&got)
+				want.hist = wantHist
+			}
+			if tt.attach {
+				attach()
+			}
+			now := bw.Tick(0)
+			for step := 0; step < tt.steps; step++ {
+				var op string
+				switch r := src.Intn(100); {
+				case tt.resets > 0 && src.Intn(tt.resets) == 0:
+					op = "reset"
+					got.Reset()
+					want.Reset()
+					if gotHist != nil {
+						gotHist.Reset()
+						wantHist.Reset()
+					}
+				case tt.resets > 0 && gotHist == nil && r == 0:
+					op = "attach"
+					attach()
+				case r < 45:
+					bits := src.Int64n(tt.maxBits)
+					op = fmt.Sprintf("push(%d, %d)", now, bits)
+					got.Push(now, bits)
+					want.Push(now, bits)
+				case r < 90:
+					rate := src.Int64n(tt.maxRate)
+					op = fmt.Sprintf("serve(%d, %d)", now, rate)
+					if g, w := got.Serve(now, rate), want.Serve(now, rate); g != w {
+						t.Fatalf("step %d %s: served %d, model %d", step, op, g, w)
+					}
+				default:
+					op = "tick"
+					now += 1 + bw.Tick(src.Intn(3))
+				}
+				if got.Bits() != want.bits || got.Served() != want.served || got.MaxDelay() != want.maxDelay {
+					t.Fatalf("step %d %s: bits/served/maxDelay %d/%d/%d, model %d/%d/%d", step, op,
+						got.Bits(), got.Served(), got.MaxDelay(), want.bits, want.served, want.maxDelay)
+				}
+				if gotHist == nil {
+					continue
+				}
+				for _, p := range quantiles {
+					if g, w := gotHist.Quantile(p), wantHist.Quantile(p); g != w {
+						t.Fatalf("step %d %s: Quantile(%v) = %d, model %d", step, op, p, g, w)
+					}
+				}
+			}
+			if got.Served() == 0 {
+				t.Error("the sequence served nothing")
+			}
+		})
+	}
+}
+
+// TestFIFOZeroAllocs: a warm queue, bare or with a histogram attached,
+// that builds a backlog of up to 2·D_O arrival ticks and drains it again
+// allocates nothing.
+func TestFIFOZeroAllocs(t *testing.T) {
+	const do = 8
+	for _, attached := range []bool{false, true} {
+		q := &FIFO{}
+		if attached {
+			new(DelayHist).Attach(q)
+		}
+		now := bw.Tick(0)
+		cycle := func() {
+			for i := 0; i < 2*do; i++ {
+				q.Push(now, 5)
+				q.Serve(now, 1)
+				now++
+			}
+			for q.Bits() > 0 {
+				q.Serve(now, 7)
+				now++
+			}
+		}
+		cycle()
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("attached=%v: %.2f allocations per backlog cycle on a warm queue, want 0", attached, avg)
+		}
 	}
 }

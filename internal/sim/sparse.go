@@ -7,17 +7,18 @@ import "dynbw/internal/bw"
 // do, and the answer says which rates moved, so a round over a table
 // whose sessions are mostly idle costs what the busy ones cost.
 type SparseAllocator interface {
-	// RatesActive returns the allocations at tick t. active lists, in
+	// RatesActive returns the rate changes at tick t. active lists, in
 	// ascending order, every session with arrivals this tick or bits
 	// queued; arrived[j] and queued[j] describe session active[j].
 	// Sessions not listed arrived nothing and have nothing queued.
 	//
-	// rates has one non-negative entry per session and is retained by the
-	// allocator: it is valid until the next call and must not be written.
-	// changed lists the sessions whose rate differs from what the
-	// previous call returned (every non-zero rate on the first call), in
-	// any order; it too is valid until the next call.
-	RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) (rates []bw.Rate, changed []int32)
+	// applied is the caller's vector of the rates in force, one entry per
+	// session; the allocator reads it and must not write it. The answer
+	// lists the sessions whose rate now differs from applied, in any
+	// order, each once: session changed[j] moves to rates[j], and every
+	// other session keeps its applied rate. Both slices are retained by
+	// the allocator and valid until the next call.
+	RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) (changed []int32, rates []bw.Rate)
 }
 
 // Compact is the scratch that holds one round's sparse inputs: the step
@@ -56,8 +57,9 @@ func (c *Compact) Collect(arrived, queued []bw.Bits) (active []int32, a, q []bw.
 // Sparse returns the form of alloc the kernel steps k slots with: alloc
 // itself when it implements SparseAllocator, as the paper's policies do,
 // and otherwise an adapter that spreads the round's inputs over
-// full-length vectors, calls Rates and diffs the answer against the last
-// one — O(k) per round, which is what a dense policy costs anyway.
+// full-length vectors, calls Rates and diffs the answer against the
+// applied rates — O(k) per round, which is what a dense policy costs
+// anyway.
 func Sparse(alloc MultiAllocator, k int) SparseAllocator {
 	if s, ok := alloc.(SparseAllocator); ok {
 		return s
@@ -66,18 +68,17 @@ func Sparse(alloc MultiAllocator, k int) SparseAllocator {
 		alloc:   alloc,
 		arrived: make([]bw.Bits, k),
 		queued:  make([]bw.Bits, k),
-		rates:   make([]bw.Rate, k),
 	}
 }
 
 type denseAdapter struct {
 	alloc           MultiAllocator
 	arrived, queued []bw.Bits // all zero between calls
-	rates           []bw.Rate // the last answer taken over
 	changed         []int32
+	moved           []bw.Rate // the new rates of the changed sessions
 }
 
-func (d *denseAdapter) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
+func (d *denseAdapter) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	for j, i := range active {
 		d.arrived[i], d.queued[i] = arrived[j], queued[j]
 	}
@@ -85,22 +86,17 @@ func (d *denseAdapter) RatesActive(t bw.Tick, active []int32, arrived, queued []
 	for _, i := range active {
 		d.arrived[i], d.queued[i] = 0, 0
 	}
-	d.changed = d.changed[:0]
-	if len(out) != len(d.rates) {
-		return out, nil // the kernel rejects the length
+	d.changed, d.moved = d.changed[:0], d.moved[:0]
+	if len(out) != len(applied) {
+		// Report a session the table does not have: the kernel rejects
+		// the round.
+		return append(d.changed, int32(max(len(out), len(applied)))), append(d.moved, 0)
 	}
 	for i, r := range out {
-		if r < 0 {
-			// Hand the kernel the offending vector untouched, so that it
-			// rejects this round and d.rates still mirrors what it applied.
-			return out, append(d.changed, int32(i))
-		}
-	}
-	for i, r := range out {
-		if r != d.rates[i] {
-			d.rates[i] = r
+		if r != applied[i] { // a negative rate too, which the kernel rejects
 			d.changed = append(d.changed, int32(i))
+			d.moved = append(d.moved, r)
 		}
 	}
-	return d.rates, d.changed
+	return d.changed, d.moved
 }

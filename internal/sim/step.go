@@ -226,11 +226,13 @@ type Round struct {
 // rate, and a slot whose queue empties leaves the active set. Ticks must
 // be nondecreasing across calls.
 //
-// An allocator that breaks its contract — a rate vector of the wrong
-// length, or a negative rate — is reported as an error before any queue
-// is served: the round's arrivals are enqueued (and reported in
-// Round.Arrived), every slot keeps its previous rate and count, and every
-// visited slot stays backlogged.
+// An allocator that breaks its contract — a change of a session the
+// view does not have, a negative rate, or a different number of
+// sessions and rates — is reported as an error before any queue is
+// served. Every reported change is checked before any is applied, so
+// the round's arrivals are enqueued (and reported in Round.Arrived),
+// every slot keeps its previous rate and count, and every visited slot
+// stays backlogged.
 func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
@@ -250,20 +252,20 @@ func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		in.queued = append(in.queued, s.queues[i].Bits())
 		r.Arrived += a
 	}
-	rates, changed := alloc.RatesActive(t, in.idx, in.arrived, in.queued)
-	if len(rates) != len(s.queues) {
-		return r, fmt.Errorf("sim: allocator returned %d rates, want %d", len(rates), len(s.queues))
+	changed, rates := alloc.RatesActive(t, in.idx, in.arrived, in.queued, s.rates)
+	if len(rates) != len(changed) {
+		return r, fmt.Errorf("sim: allocator reports %d rates for %d changed sessions at tick %d", len(rates), len(changed), t)
 	}
-	for _, i := range changed {
-		if uint(i) >= uint(len(rates)) {
-			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(rates), t)
+	for j, i := range changed {
+		if uint(i) >= uint(len(s.rates)) {
+			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(s.rates), t)
 		}
-		if rates[i] < 0 {
-			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[i], t)
+		if rates[j] < 0 {
+			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[j], t)
 		}
 	}
-	for _, i := range changed {
-		if rate := rates[i]; rate != s.rates[i] {
+	for j, i := range changed {
+		if rate := rates[j]; rate != s.rates[i] {
 			s.run.total += rate - s.rates[i]
 			s.rates[i] = rate
 			s.changes[i]++

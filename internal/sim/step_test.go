@@ -113,6 +113,24 @@ func TestSlotsStepContractViolation(t *testing.T) {
 	}
 }
 
+// ragged reports more sessions than rates.
+type ragged struct{}
+
+func (ragged) RatesActive(bw.Tick, []int32, []bw.Bits, []bw.Bits, []bw.Rate) ([]int32, []bw.Rate) {
+	return []int32{0, 1}, []bw.Rate{5}
+}
+
+// TestSlotsStepRejectsRaggedAnswer: an answer whose two lists differ in
+// length is a contract violation like the others: an error, and nothing
+// applied or served.
+func TestSlotsStepRejectsRaggedAnswer(t *testing.T) {
+	s := NewSlots(2)
+	s.Add(0, 8)
+	if r, err := s.Step(0, ragged{}); err == nil || r.Served != 0 || r.Changes != 0 || s.Rate(0) != 0 {
+		t.Errorf("round = %+v, %v; slot 0 rate %d", r, err, s.Rate(0))
+	}
+}
+
 // TestSlotsSliceAndMove: a Slice steps only its own range of the shared
 // table — with bounds that fall inside a word of the active set — and
 // Move carries queue, pending bits, active-set membership and change
@@ -192,15 +210,16 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	}
 }
 
-// spy is a sparse allocator that records what the kernel told it.
+// spy is a sparse allocator that records what the kernel told it and
+// reports no change. rates is what the allocators built on it hand out.
 type spy struct {
 	rates  []bw.Rate
 	active []int32
 }
 
-func (a *spy) RatesActive(_ bw.Tick, active []int32, _, _ []bw.Bits) ([]bw.Rate, []int32) {
+func (a *spy) RatesActive(_ bw.Tick, active []int32, _, _ []bw.Bits, _ []bw.Rate) ([]int32, []bw.Rate) {
 	a.active = append(a.active[:0], active...)
-	return a.rates, nil
+	return nil, nil
 }
 
 // TestSlotsActiveSet: Round.Active is the number of slots with arrivals
@@ -253,25 +272,28 @@ func TestSlotsActiveSet(t *testing.T) {
 	}
 }
 
-// everyRate serves every session of a view at one rate and reports them
-// all as changed on every call, so the kernel applies the rate whatever a
-// Reset did to its own vector.
+// everyRate serves every session of a view at one rate, reporting each
+// session whose applied rate differs, so the kernel applies the rate
+// again whatever a Reset did to its own vector.
 type everyRate struct {
 	spy
-	all []int32
+	rate    bw.Rate
+	changed []int32
+	moved   []bw.Rate
 }
 
-func newEveryRate(n int, rate bw.Rate) *everyRate {
-	a := &everyRate{spy: spy{rates: make([]bw.Rate, n)}, all: make([]int32, n)}
-	for i := range a.all {
-		a.rates[i], a.all[i] = rate, int32(i)
+func newEveryRate(rate bw.Rate) *everyRate { return &everyRate{rate: rate} }
+
+func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.spy.RatesActive(t, active, arrived, queued, applied)
+	a.changed, a.moved = a.changed[:0], a.moved[:0]
+	for i, r := range applied {
+		if r != a.rate {
+			a.changed = append(a.changed, int32(i))
+			a.moved = append(a.moved, a.rate)
+		}
 	}
-	return a
-}
-
-func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
-	rates, _ := a.spy.RatesActive(t, active, arrived, queued)
-	return rates, a.all
+	return a.changed, a.moved
 }
 
 // TestSlotsViewsShareTheActiveSet: a Slice view is the table's own active
@@ -294,7 +316,7 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 	var allocs []*everyRate
 	for l := 0; l+1 < len(cuts); l++ {
 		views = append(views, s.Slice(cuts[l], cuts[l+1]))
-		allocs = append(allocs, newEveryRate(cuts[l+1]-cuts[l], 3))
+		allocs = append(allocs, newEveryRate(3))
 	}
 	linkOf := func(i int) int {
 		l := 0
@@ -364,15 +386,19 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 	}
 }
 
-// rateChange reports one session as changed on top of the spy's answer.
+// rateChange moves one session to the spy's rate for it, when that
+// differs from the applied one.
 type rateChange struct {
 	*spy
 	session int32
 }
 
-func (a rateChange) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits) ([]bw.Rate, []int32) {
-	rates, _ := a.spy.RatesActive(t, active, arrived, queued)
-	return rates, []int32{a.session}
+func (a rateChange) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.spy.RatesActive(t, active, arrived, queued, applied)
+	if r := a.rates[a.session]; r != applied[a.session] {
+		return []int32{a.session}, []bw.Rate{r}
+	}
+	return nil, nil
 }
 
 // TestSlotsAddSaturates: neither the arrivals waiting for a round nor a
