@@ -83,20 +83,19 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | awk ' \
 		$$2 != "total" { \
 			n = split($$2, p, "/"); key = n > 2 ? p[2] : "."; \
-			if (n > 3 && (key == "internal" || key == "cmd" || key == "examples")) key = key "/" p[3]; \
+			if (n > 3 && (key == "internal" || key == "cmd")) key = key "/" p[3]; \
 			sum[key] += $$1; total += $$1 } \
 		END { for (k in sum) printf "%6d  %s\n", sum[k], k | "sort -rn"; close("sort -rn"); \
 			printf "%6d  total\n", total }'
 
-# Regenerate every table/figure into results/.
+# Regenerate every table/figure into results/, the wall-clock E21 too
+# (a plain go test compares the deterministic ones with their goldens).
 experiments:
-	$(GO) run ./cmd/bwbench -parallel -out results
+	$(GO) test -count=1 ./internal/harness -run TestGoldenResults -update
 
+# The tested walk-through of the paper's three settings (example_test.go).
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/videostream
-	$(GO) run ./examples/ispgateway
-	$(GO) run ./examples/billing
+	$(GO) test -count=1 -run '^Example$$' -v .
 
 cover:
 	$(GO) test -cover ./internal/...

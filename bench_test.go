@@ -7,7 +7,7 @@
 // They are for use while working on one of those layers. Performance
 // claims rest on the repository benchmark (benchmarks/README.md), which
 // drives a running gateway; the experiment tables are pinned by the
-// results/ goldens (cmd/bwbench's TestGoldenResults).
+// results/ goldens (internal/harness's TestGoldenResults).
 package dynbw
 
 import (

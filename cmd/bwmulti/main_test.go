@@ -56,6 +56,25 @@ func TestRunErrors(t *testing.T) {
 		{"-trace", "/does/not/exist.csv"},
 		{"-policy", "combined", "-ba", "7"},
 		{"-k", "0"},
+		{"-policy", "phased,continuous", "-series", "x.csv"},
+	}
+	for _, args := range tests {
+		var buf strings.Builder
+		if err := run(args, &buf); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunSingleSessionErrors: one session served by a single-session
+// policy rejects the same bad input as the shared-channel policies.
+func TestRunSingleSessionErrors(t *testing.T) {
+	tests := [][]string{
+		{"-k", "1", "-policy", "nope"},
+		{"-k", "1", "-policy", "single", "-workload", "nope"},
+		{"-k", "1", "-policy", "single", "-trace", "/does/not/exist.csv"},
+		{"-k", "1", "-policy", "single", "-ba", "7"}, // not a power of two
+		{"-k", "1", "-policy", "peak", "-ba", "7"},   // a baseline runs under the same parameters
 	}
 	for _, args := range tests {
 		var buf strings.Builder
@@ -103,5 +122,132 @@ func TestRunBadPolicyInList(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-policy", "phased,nope"}, &buf); err == nil {
 		t.Error("unknown policy in list accepted")
+	}
+}
+
+// TestRunDefaults: with no flags, one phased run over a planted workload.
+func TestRunDefaults(t *testing.T) {
+	var buf strings.Builder
+	if err := run(nil, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{"policy:            phased", "changes:", "max delay:", "p50/p99 delay:", "global util:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunAllPolicies: every single-session policy serves one session
+// alone, the paper's own single-session setting; the paper's two claim
+// their guarantees.
+func TestRunAllPolicies(t *testing.T) {
+	for _, policy := range []string{"single", "modified", "peak", "mean", "pertick", "periodic", "ewma"} {
+		t.Run(policy, func(t *testing.T) {
+			var buf strings.Builder
+			args := []string{"-policy", policy, "-k", "1", "-workload", "onoff", "-ticks", "300"}
+			if err := run(args, &buf); err != nil {
+				t.Fatalf("run %s: %v", policy, err)
+			}
+			paper := policy == "single" || policy == "modified"
+			if got := strings.Contains(buf.String(), "(guarantee 16)"); got != paper {
+				t.Errorf("%s: delay guarantee shown %v, want %v:\n%s", policy, got, paper, buf.String())
+			}
+		})
+	}
+}
+
+// TestRunOneSessionPinned: at -k 1 a single-session policy reproduces
+// the single-session simulator's figures: a generated workload scaled to
+// B_A (pareto's bursts start at B_A, video's P frames are B_A/5) and a
+// tick,bits trace clamped to what B_A serves within D_O. The pinned
+// lines are that simulator's output, in this command's layout.
+func TestRunOneSessionPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spiky.csv")
+	if err := os.WriteFile(path, []byte("tick,bits\n0,5000\n1,0\n2,900\n3,12\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-policy", "single", "-workload", "pareto"}, []string{
+			"arrived bits:      76043\n", "allocated bits:    121644\n", "session changes:   236\n",
+			"max delay:         10 (guarantee 16)\n", "p50/p99 delay:     2 / 8\n",
+			"global util:       0.625\n", "flex-window util:  0.414 (guarantee 0.167)\n",
+		}},
+		{[]string{"-policy", "modified", "-workload", "video", "-ticks", "600"}, []string{
+			"arrived bits:      12504\n", "allocated bits:    18158\n", "session changes:   44\n",
+			"p50/p99 delay:     1 / 9\n", "global util:       0.689\n",
+		}},
+		{[]string{"-policy", "pertick", "-workload", "cbr", "-ticks", "300"}, []string{
+			"arrived bits:      19200\n", "session changes:   27\n", "peak total bw:     64\n", "p50/p99 delay:     8 / 8\n",
+		}},
+		{[]string{"-policy", "single", "-trace", path}, []string{ // 5000 and 900 bits clamp to 2304 and 512
+			"arrived bits:      2828\n", "allocated bits:    3072\n", "p50/p99 delay:     5 / 8\n", "global util:       0.921\n",
+		}},
+	}
+	for _, tc := range tests {
+		var buf strings.Builder
+		if err := run(append([]string{"-k", "1"}, tc.args...), &buf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%v: output missing %q:\n%s", tc.args, want, buf.String())
+			}
+		}
+	}
+}
+
+func TestRunAllWorkloads(t *testing.T) {
+	for _, w := range []string{"cbr", "onoff", "pareto", "video", "spike"} {
+		t.Run(w, func(t *testing.T) {
+			var buf strings.Builder
+			args := []string{"-policy", "single,phased", "-k", "2", "-workload", w, "-ticks", "300"}
+			if err := run(args, &buf); err != nil {
+				t.Fatalf("run %s: %v", w, err)
+			}
+		})
+	}
+}
+
+// TestRunTraceFile: a two-column CSV is one session's trace.
+func TestRunTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "demand.csv")
+	if err := os.WriteFile(path, []byte("tick,bits\n0,10\n1,0\n2,30\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := run([]string{"-policy", "single", "-trace", path}, &buf); err != nil {
+		t.Fatalf("run -trace: %v", err)
+	}
+	for _, want := range []string{"sessions:          1 over 3 ticks", "arrived bits:      40"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+func TestRunPlotAndSeries(t *testing.T) {
+	seriesPath := filepath.Join(t.TempDir(), "series.csv")
+	var buf strings.Builder
+	args := []string{"-policy", "single", "-k", "1", "-workload", "onoff", "-ticks", "400", "-plot", "-series", seriesPath}
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("run -plot: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{"demand", "allocation", "queue"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("plot output missing %q", want)
+		}
+	}
+	data, err := os.ReadFile(seriesPath)
+	if err != nil {
+		t.Fatalf("read series: %v", err)
+	}
+	if !strings.HasPrefix(string(data), "tick,demand,allocation,queue\n") {
+		t.Errorf("series header wrong: %q", string(data[:40]))
 	}
 }

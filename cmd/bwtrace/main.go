@@ -1,6 +1,6 @@
 // Command bwtrace generates synthetic arrival traces in the repository's
 // CSV interchange format (tick,bits), optionally clamped to a feasibility
-// envelope so they can be fed back into bwsim.
+// envelope so they can be fed back into bwmulti.
 //
 // Usage examples:
 //

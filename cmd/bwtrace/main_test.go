@@ -66,8 +66,8 @@ func TestUnknownWorkload(t *testing.T) {
 }
 
 func TestRoundTripThroughBwsimFormat(t *testing.T) {
-	// bwtrace output must be exactly what trace.ReadCSV (used by bwsim
-	// -trace) parses, including the header.
+	// bwtrace output must be exactly what trace.ReadCSV (used by bwmulti
+	// -trace for one session) parses, including the header.
 	var buf strings.Builder
 	if err := run([]string{"-workload", "square", "-ticks", "32"}, &buf); err != nil {
 		t.Fatal(err)

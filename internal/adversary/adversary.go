@@ -12,6 +12,7 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
+	"dynbw/internal/queue"
 	"dynbw/internal/sim"
 	"dynbw/internal/trace"
 )
@@ -33,43 +34,53 @@ type Result struct {
 }
 
 // Duel runs the allocator against the adversary for n ticks plus a drain
-// period. Each tick is sim.Run's own step (sim.Session.Step), so a duel
-// and a replay of its realized trace agree by construction.
+// period. Each tick is one step of a one-slot sim.Slots with the policy
+// behind sim.Separate, exactly as sim.Run steps it, so a duel and a
+// replay of its realized trace agree by construction.
 func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Result, error) {
 	var (
-		s        sim.Session
+		slots    = sim.NewSlots(1)
+		q        = slots.Queue(0)
+		step     = sim.Sparse(&sim.Separate{Allocs: []sim.Allocator{alloc}}, 1)
+		hist     queue.DelayHist
+		sched    bw.Schedule
 		arrivals []bw.Bits
-		prev     bw.Rate
 	)
+	hist.Attach(q)
 	limit := n + 4*n + 1024
 	if opts.DrainBudget > 0 {
 		limit = n + opts.DrainBudget
 	}
 	for t := bw.Tick(0); t < limit; t++ {
-		var arrived bw.Bits
+		var over bw.Bits
 		if t < n {
-			arrived = adv.Arrivals(t, prev)
+			arrived := adv.Arrivals(t, slots.Rate(0))
 			if arrived < 0 {
 				return nil, fmt.Errorf("adversary: negative arrivals %d at tick %d", arrived, t)
 			}
 			arrivals = append(arrivals, arrived)
-		} else if s.Queued() == 0 {
+			over = slots.Add(0, arrived)
+		} else if q.Bits() == 0 {
 			break
 		}
-		r, err := s.Step(t, arrived, alloc)
+		round, err := slots.Step(t, step)
 		if err != nil {
 			return nil, fmt.Errorf("adversary: %w", err)
 		}
-		prev = r
+		if over+round.Policed > 0 {
+			return nil, fmt.Errorf("adversary: backlog exceeds %d bits at tick %d", sim.MaxBacklog, t)
+		}
+		sched.Set(t, slots.Rate(0))
 	}
-	if left := s.Queued(); left > 0 {
+	if left := q.Bits(); left > 0 {
 		return nil, fmt.Errorf("adversary: %d bits left after %d ticks", left, limit)
 	}
 	tr, err := trace.New(arrivals)
 	if err != nil {
 		return nil, fmt.Errorf("adversary: %w", err)
 	}
-	return &Result{Trace: tr, Schedule: s.Schedule(), Delay: s.Delay()}, nil
+	delay := metrics.DelayStats{Max: q.MaxDelay(), P50: hist.Quantile(0.50), P99: hist.Quantile(0.99), Served: q.Served()}
+	return &Result{Trace: tr, Schedule: &sched, Delay: delay}, nil
 }
 
 // DropSpiker is the slack-busting adversary sketched in the paper's

@@ -200,3 +200,26 @@ func TestDuelSilentAgainstPaperAlgorithm(t *testing.T) {
 		}
 	}
 }
+
+// TestDuelMatchesReplay: a duel steps the same one-slot kernel as
+// sim.Run, so replaying its realized trace through a fresh copy of the
+// policy reproduces the duel's schedule and delays exactly.
+func TestDuelMatchesReplay(t *testing.T) {
+	p := core.SingleParams{BA: 256, DO: 8, UO: 0.5, W: 16}
+	adv := &DropSpiker{Spike: 128, Threshold: 0, MinGap: p.DO, MaxGap: p.W}
+	duel, err := Duel(core.MustNewSingleSession(p), adv, 1024, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := sim.Run(duel.Trace, core.MustNewSingleSession(p), sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !duel.Schedule.Equal(replay.Schedule) {
+		t.Errorf("duel made %d changes over %d ticks, its replay %d over %d",
+			duel.Schedule.Changes(), duel.Schedule.Len(), replay.Schedule.Changes(), replay.Schedule.Len())
+	}
+	if duel.Delay != replay.Delay {
+		t.Errorf("duel delays %+v, replay %+v", duel.Delay, replay.Delay)
+	}
+}

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,19 +60,42 @@ func TestRegistryCompleteness(t *testing.T) {
 	}
 }
 
+// update rewrites results/ from this run instead of comparing with it:
+//
+//	go test ./internal/harness -run TestGoldenResults -update
+//
+// regenerates every deterministic experiment's .md and .csv, and E21's
+// as well, the wall-clock soak whose table varies run to run.
+var update = flag.Bool("update", false, "rewrite the results/ goldens, E21 included")
+
+// ran memoizes each experiment's table, so the tests below that all want
+// every experiment pay for one run of each.
+var ran = map[string]*Table{}
+
+func runExperiment(t *testing.T, e Experiment) *Table {
+	t.Helper()
+	if tb, ok := ran[e.ID]; ok {
+		return tb
+	}
+	tb, err := e.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ran[e.ID] = tb
+	return tb
+}
+
 // TestAllExperimentsRun executes every experiment and checks the tables
-// are well-formed. This is the integration test for the whole repository:
-// it exercises every algorithm, generator, and comparator end to end.
+// are well-formed. This is the integration test for the whole
+// repository: it exercises every algorithm, generator, and comparator
+// end to end.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds total")
 	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			tb, err := e.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			tb := runExperiment(t, e)
 			if len(tb.Rows) == 0 {
 				t.Fatal("experiment produced no rows")
 			}
@@ -80,6 +106,43 @@ func TestAllExperimentsRun(t *testing.T) {
 				if len(row) != len(tb.Headers) {
 					t.Errorf("row %d has %d cells, want %d", i, len(row), len(tb.Headers))
 				}
+			}
+		})
+	}
+}
+
+// TestGoldenResults enforces the repository's determinism claim: every
+// experiment regenerates its committed results/ golden byte for byte.
+// When an experiment legitimately changes, regenerate the goldens with
+// -update.
+func TestGoldenResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	const goldenDir = "../../results"
+	exps := All()
+	if *update {
+		exps = append(exps, Live()...)
+	}
+	for _, e := range exps {
+		t.Run(e.ID, func(t *testing.T) {
+			tb := runExperiment(t, e)
+			golden := filepath.Join(goldenDir, strings.ToLower(e.ID))
+			if *update {
+				if err := os.WriteFile(golden+".md", []byte(tb.Markdown()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden+".csv", []byte(tb.CSV()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden + ".md")
+			if err != nil {
+				t.Fatalf("missing golden: %v (regenerate with -update)", err)
+			}
+			if tb.Markdown() != string(want) {
+				t.Errorf("%s drifted from %s.md; if intended, regenerate the goldens with -update", e.ID, golden)
 			}
 		})
 	}

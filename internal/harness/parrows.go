@@ -6,7 +6,7 @@ import (
 )
 
 // parConfig is the process-wide sweep parallelism setting, written by
-// bwbench's -j flag (and tests) and read by every ParRows call.
+// bwmulti's -j flag (and tests) and read by every ParRows call.
 type parConfig struct {
 	mu sync.Mutex
 	// n is the configured worker count; 0 means "use GOMAXPROCS".

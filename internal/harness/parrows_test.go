@@ -76,7 +76,7 @@ func TestParRowsFirstErrorInPointOrder(t *testing.T) {
 }
 
 // TestExperimentsByteIdenticalAcrossParallelism is the determinism
-// guarantee behind bwbench -j: every deterministic experiment must
+// guarantee behind SetParallelism: every deterministic experiment must
 // render byte-identical markdown and CSV whether its sweep runs on one
 // worker or eight. Run under -race in CI, this also shakes out data
 // races in the converted sweeps.

@@ -89,8 +89,8 @@ func soak(cfg soakConfig) (*Table, error) {
 
 // Live returns the wall-clock experiments: registered and runnable like
 // All(), but excluded from the golden-results determinism check because
-// their tables are timing-dependent. bwbench runs them only on request
-// (-run E21 or -live).
+// their tables are timing-dependent. TestGoldenResults runs them
+// only under -update, which rewrites their results/ tables too.
 func Live() []Experiment {
 	return []Experiment{
 		{ID: "E21", Title: "Live gateway soak", Reproduces: "E13 on the wire (live path)", Run: Soak},

@@ -1,9 +1,9 @@
 // Package harness defines and runs the reproduction experiments: the
 // paper's two illustrative figures and one validation experiment per
 // theorem, as indexed in DESIGN.md §4. Each experiment produces a Table
-// that the bwbench command renders as markdown/CSV and that bench_test.go
-// wraps in testing.B benchmarks. Tables are committed as goldens and
-// regenerated byte-for-byte in CI, so the package must stay
+// rendered as markdown/CSV. Tables are committed as goldens under
+// results/ (go test ./internal/harness -update rewrites them) and
+// regenerated byte-for-byte by every test run, so the package must stay
 // reproducible:
 //
 // bwlint:deterministic

@@ -48,13 +48,12 @@ type Determinism struct {
 
 // NewDeterminism returns the check with the repo's golden producers
 // required: the experiment harness, the simulator core, and the
-// experiment CLIs.
+// simulator CLI.
 func NewDeterminism() *Determinism {
 	return &Determinism{Required: []string{
 		"dynbw/internal/harness",
 		"dynbw/internal/sim",
 		"dynbw/cmd/bwmulti",
-		"dynbw/cmd/bwsim",
 	}}
 }
 

@@ -104,7 +104,7 @@ func TestServeNegativePanics(t *testing.T) {
 }
 
 // histQueue returns a queue recording its served delays into a fresh
-// histogram, as sim.Session wires them.
+// histogram, as a single-session sim.Runner wires its one slot.
 func histQueue() (*FIFO, *DelayHist) {
 	q, h := &FIFO{}, &DelayHist{}
 	h.Attach(q)

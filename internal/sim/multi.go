@@ -35,6 +35,11 @@ type MultiResult struct {
 	SessionDelays []bw.Tick
 	// Report aggregates metrics against the aggregate arrival stream.
 	Report metrics.Report
+	// Dropped is the number of bits lost to the finite buffers (zero
+	// unless Options.QueueCap is set).
+	Dropped bw.Bits
+	// PeakQueue is the largest queue length any session reached.
+	PeakQueue bw.Bits
 }
 
 // SessionChanges returns the total number of allocation changes summed over

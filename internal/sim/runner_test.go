@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/metrics"
+	"dynbw/internal/queue"
 	"dynbw/internal/trace"
 	"dynbw/internal/traffic"
 )
@@ -62,22 +65,152 @@ func TestRunnerMatchesRunAcrossReuse(t *testing.T) {
 	}
 }
 
-// TestRunnerSteadyStateZeroAllocs: once a Runner's storage is warm, a run
-// — and reading its schedule back through a cursor — performs no heap
-// allocations. A MultiRunner builds its report once per run (the
-// aggregate trace, the cursors that sum the schedules, the adapter in
-// front of a dense policy: a fixed handful of objects); its tick loop
-// allocates nothing, so a run of eight times the ticks allocates exactly
-// as often.
-func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
-	tr := runnerTrace(9, 512)
-	alloc := thresholdAlloc(256)
+// sessionModel is the single-session tick loop the simulator ran before a
+// single session became one slot of Slots: push, ask the policy, record,
+// serve, every tick until the trace ends and the queue drains. It is the
+// reference Run must agree with field for field.
+func sessionModel(tr *trace.Trace, alloc Allocator) (*Result, error) {
+	var (
+		q     queue.FIFO
+		hist  queue.DelayHist
+		sched bw.Schedule
+	)
+	hist.Attach(&q)
+	n := tr.Len()
+	limit := n + Options{}.drainBudget(n)
+	var peak bw.Bits
+	for t := bw.Tick(0); t < limit; t++ {
+		if t >= n && q.Bits() == 0 {
+			break
+		}
+		q.Push(t, tr.At(t))
+		peak = max(peak, q.Bits())
+		rate := alloc.Rate(t, tr.At(t), q.Bits())
+		if rate < 0 {
+			return nil, errors.New("negative rate")
+		}
+		sched.Set(t, rate)
+		q.Serve(t, rate)
+	}
+	if q.Bits() > 0 {
+		return nil, ErrQueueNeverDrained
+	}
+	delay := metrics.DelayStats{Max: q.MaxDelay(), P50: hist.Quantile(0.50), P99: hist.Quantile(0.99), Served: q.Served()}
+	return &Result{Schedule: &sched, Delay: delay, Report: metrics.BuildReport(tr, &sched, delay), PeakQueue: peak}, nil
+}
+
+// TestRunMatchesSessionModel: a single session run as one slot of Slots
+// is the old single-session loop, schedule, delays and report alike. The
+// policies include ones whose rate moves while the queue stands empty,
+// which only a policy asked on idle ticks can do.
+func TestRunMatchesSessionModel(t *testing.T) {
+	policies := map[string]func() Allocator{
+		"threshold": func() Allocator { return thresholdAlloc(256) },
+		"fixed":     func() Allocator { return fixedRate(40) },
+		"clock": func() Allocator { // a rate that cycles with the tick, idle or not
+			return AllocatorFunc(func(t bw.Tick, _, queued bw.Bits) bw.Rate { return bw.Rate(t%7)*16 + bw.Rate(queued)/4 })
+		},
+		"decay": func() Allocator { // falls by one a tick once its session is idle
+			var r bw.Rate
+			return AllocatorFunc(func(_ bw.Tick, arrived, queued bw.Bits) bw.Rate {
+				if arrived > 0 {
+					r = max(r, bw.Rate(queued))
+				} else if queued == 0 && r > 0 {
+					r--
+				}
+				return max(r, 1)
+			})
+		},
+	}
 	r := NewRunner()
-	if _, err := r.Run(tr, alloc, Options{}); err != nil { // warm-up
+	for name, mk := range policies {
+		for seed := uint64(1); seed <= 4; seed++ {
+			tr := runnerTrace(seed, 300)
+			want, err := sessionModel(tr, mk())
+			if err != nil {
+				t.Fatalf("%s seed %d: model: %v", name, seed, err)
+			}
+			got, err := r.Run(tr, mk(), Options{})
+			if err != nil {
+				t.Fatalf("%s seed %d: Run: %v", name, seed, err)
+			}
+			if got.Schedule.Len() != want.Schedule.Len() {
+				t.Fatalf("%s seed %d: %d ticks, want %d", name, seed, got.Schedule.Len(), want.Schedule.Len())
+			}
+			sameResult(t, got, want)
+		}
+	}
+}
+
+// TestMultiRunQuantiles: a k-session run reports the delay quantiles of
+// every bit it served, as a single-session run does, and a runner reused
+// across session counts starts each run's histogram empty.
+func TestMultiRunQuantiles(t *testing.T) {
+	a, b := runnerTrace(1, 200), runnerTrace(2, 200)
+	r := NewMultiRunner()
+	for _, sessions := range [][]*trace.Trace{{a, b}, {a}, {a, b}} {
+		res, err := r.Run(trace.MustNewMulti(sessions), &perSessionAlloc{cap: 64}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delay.P99 == 0 || res.Delay.P99 > res.Delay.Max || res.Delay.P50 > res.Delay.P99 {
+			t.Errorf("k=%d: P50 %d, P99 %d, Max %d", len(sessions), res.Delay.P50, res.Delay.P99, res.Delay.Max)
+		}
+		if len(sessions) == 1 {
+			alone, err := Run(a, AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate { return min(bw.Rate(queued), 64) }), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Delay != alone.Delay {
+				t.Errorf("one session: delay %+v, Run's %+v", res.Delay, alone.Delay)
+			}
+		}
+	}
+}
+
+// TestSeparateServesEachSessionAlone: k single-session policies side by
+// side are k single-session runs.
+func TestSeparateServesEachSessionAlone(t *testing.T) {
+	trs := []*trace.Trace{runnerTrace(3, 150), runnerTrace(4, 150), runnerTrace(5, 150)}
+	sep := &Separate{Allocs: []Allocator{thresholdAlloc(32), fixedRate(50), thresholdAlloc(300)}}
+	res, err := RunMulti(trace.MustNewMulti(trs), sep, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	for i, tr := range trs {
+		one, err := Run(tr, sep.Allocs[i], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Sessions[i]; got.Len() > one.Schedule.Len() || got.Changes() != one.Schedule.Changes() ||
+			got.Integral(0, one.Schedule.Len()) != one.Schedule.Integral(0, one.Schedule.Len()) {
+			t.Errorf("session %d: %d changes over %d ticks, alone %d over %d", i, got.Changes(), got.Len(), one.Schedule.Changes(), one.Schedule.Len())
+		}
+		if res.SessionDelays[i] != one.Delay.Max {
+			t.Errorf("session %d: max delay %d, alone %d", i, res.SessionDelays[i], one.Delay.Max)
+		}
+	}
+}
+
+// TestRunnerSteadyStateZeroAllocs: once a Runner's storage is warm, a run
+// — of whichever trace, and reading its schedule back through a cursor —
+// performs no heap allocations. A MultiRunner builds its report once per run (the
+// aggregate trace, the cursors that sum the schedules: a fixed handful of
+// objects); its tick loop allocates nothing, so a run of eight times the
+// ticks allocates exactly as often.
+func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
+	trs := []*trace.Trace{runnerTrace(9, 512), runnerTrace(10, 512)}
+	alloc := thresholdAlloc(256)
+	r := NewRunner()
+	for _, tr := range trs { // warm-up
+		if _, err := r.Run(tr, alloc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := 0
 	avg := testing.AllocsPerRun(10, func() {
-		res, err := r.Run(tr, alloc, Options{})
+		runs++
+		res, err := r.Run(trs[runs%2], alloc, Options{})
 		if err != nil {
 			t.Error(err)
 			return

@@ -72,9 +72,9 @@ type Options struct {
 	// simulator runs to let the allocator drain the queue. Zero means
 	// 4*len(trace) + 1024.
 	DrainBudget bw.Tick
-	// QueueCap, when positive, bounds the sending-end buffer: arrivals
-	// that would push the queue beyond the cap are dropped and counted
-	// in Result.Dropped. The paper assumes unbounded queues (Section 1,
+	// QueueCap, when positive, bounds each session's sending-end buffer:
+	// arrivals that would push its queue beyond the cap are dropped and
+	// counted in Dropped. The paper assumes unbounded queues (Section 1,
 	// "we assume that the size of the queues ... are large enough");
 	// this option quantifies how large is large enough — Claim 2 bounds
 	// the paper algorithm's queue by Bon*D_A <= B_A*2*D_O.
@@ -91,7 +91,8 @@ func (o Options) drainBudget(n bw.Tick) bw.Tick {
 // Run simulates the allocator on the trace and returns the recorded
 // schedule and metrics. After the trace ends the simulator keeps ticking
 // (with zero arrivals) until the queue drains, so every bit's delay is
-// accounted for.
+// accounted for. The allocator is asked every tick, its session busy or
+// idle.
 //
 // Run is a thin wrapper over a throwaway Runner; hot paths that simulate
 // repeatedly should hold a Runner and reuse it.

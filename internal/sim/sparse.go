@@ -64,11 +64,9 @@ func Sparse(alloc MultiAllocator, k int) SparseAllocator {
 	if s, ok := alloc.(SparseAllocator); ok {
 		return s
 	}
-	return &denseAdapter{
-		alloc:   alloc,
-		arrived: make([]bw.Bits, k),
-		queued:  make([]bw.Bits, k),
-	}
+	d := &denseAdapter{}
+	d.reset(alloc, k)
+	return d
 }
 
 type denseAdapter struct {
@@ -76,6 +74,15 @@ type denseAdapter struct {
 	arrived, queued []bw.Bits // all zero between calls
 	changed         []int32
 	moved           []bw.Rate // the new rates of the changed sessions
+}
+
+// reset puts alloc over k sessions behind the adapter, reusing its storage.
+func (d *denseAdapter) reset(alloc MultiAllocator, k int) {
+	d.alloc = alloc
+	if cap(d.arrived) < k {
+		d.arrived, d.queued = make([]bw.Bits, k), make([]bw.Bits, k)
+	}
+	d.arrived, d.queued = d.arrived[:k], d.queued[:k]
 }
 
 func (d *denseAdapter) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {

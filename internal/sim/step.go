@@ -5,17 +5,15 @@ import (
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
-	"dynbw/internal/metrics"
 	"dynbw/internal/queue"
 )
 
 // This file is the step kernel: the paper's per-tick round — arrivals
 // join the FIFO queue, the allocator picks rates, the queue is served,
-// rate changes are counted — written once for k sessions (Slots.Step,
-// over the sessions that have work) and once for a single session
-// (Session.Step). MultiRunner and the live gateway's shards both run
-// Slots.Step; Runner and adversary.Duel both run Session.Step. Nothing
-// else pushes into or serves a queue.
+// rate changes are counted — written once, for k sessions (Slots.Step,
+// over the sessions that have work). A single session is one slot. The
+// simulator's runners, adversary.Duel and the live gateway's shards all
+// run Slots.Step; nothing else pushes into or serves a queue.
 
 // MaxBacklog caps the bits a slot's queue may hold, and likewise the
 // arrivals that may wait for the next round. Arrival volumes are
@@ -282,54 +280,4 @@ func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		}
 	}
 	return r, nil
-}
-
-// Session is the single-session counterpart of Slots, carrying the
-// analysis state a simulated run reports: the full allocation schedule
-// and the per-bit delay histogram. The zero value is ready to use; a
-// Session must not be copied after its first Step.
-type Session struct {
-	q     queue.FIFO
-	hist  queue.DelayHist
-	sched bw.Schedule
-}
-
-// Reset clears the session while keeping all grown storage.
-func (s *Session) Reset() {
-	s.q.Reset()
-	s.hist.Reset()
-	s.sched.Reset()
-}
-
-// Step runs tick t for the session: the arrived bits join the queue,
-// alloc picks the rate, the schedule records it and the queue is served.
-// Ticks must be consecutive from 0. A negative rate is an error and
-// leaves the tick unserved.
-func (s *Session) Step(t bw.Tick, arrived bw.Bits, alloc Allocator) (bw.Rate, error) {
-	s.hist.Attach(&s.q) // idempotent; keeps the zero value usable
-	s.q.Push(t, arrived)
-	rate := alloc.Rate(t, arrived, s.q.Bits())
-	if rate < 0 {
-		return 0, fmt.Errorf("sim: allocator returned negative rate %d at tick %d", rate, t)
-	}
-	s.sched.Set(t, rate)
-	s.q.Serve(t, rate)
-	return rate, nil
-}
-
-// Queued returns the number of bits waiting in the session's queue.
-func (s *Session) Queued() bw.Bits { return s.q.Bits() }
-
-// Schedule returns the allocation recorded so far. It is owned by the
-// Session and invalidated by Reset.
-func (s *Session) Schedule() *bw.Schedule { return &s.sched }
-
-// Delay summarizes the delays of the bits served so far.
-func (s *Session) Delay() metrics.DelayStats {
-	return metrics.DelayStats{
-		Max:    s.q.MaxDelay(),
-		P50:    s.hist.Quantile(0.50),
-		P99:    s.hist.Quantile(0.99),
-		Served: s.q.Served(),
-	}
 }

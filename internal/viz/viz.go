@@ -1,6 +1,5 @@
-// Package viz renders time series as terminal sparklines, so bwsim and
-// the examples can show demand-vs-allocation shapes without leaving the
-// shell.
+// Package viz renders time series as terminal sparklines, so bwmulti
+// -plot can show demand-vs-allocation shapes without leaving the shell.
 package viz
 
 import (
