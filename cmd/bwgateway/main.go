@@ -145,8 +145,9 @@ func run(args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	cfg.ShardAllocs = allocs
 	if *links <= 1 {
-		cfg.Shards, cfg.ShardAllocs = *shards, allocs
+		cfg.Shards = *shards
 	} else {
 		router, err := makeRouter(*routeName, *links, *k/n, *reserve, *seed)
 		if err != nil {
@@ -154,7 +155,7 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		router.SetObserver(ring)
 		router.Instrument(reg)
-		cfg.Links, cfg.Router, cfg.LinkAllocs = *links, router, allocs
+		cfg.Links, cfg.Router = *links, router
 		cfg.RebalanceEvery = bw.Tick(*rebalance)
 		cfg.RebalanceLimit = *k / n
 	}

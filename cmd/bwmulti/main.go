@@ -4,7 +4,7 @@
 //
 // A multi-session policy (Sections 3 and 4: phased, continuous, combined)
 // shares one channel among the k sessions. A single-session policy
-// (Section 2's single and modified, or a baseline) serves each session
+// (Section 2's single, or a baseline) serves each session
 // alone; at -k 1 that is the paper's single-session setting. Each policy
 // gets its own simulation and report section, fanned across -j workers
 // through harness.ParRows, so the output is identical for every -j.
@@ -49,7 +49,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bwmulti", flag.ContinueOnError)
 	var (
-		policy    = fs.String("policy", "phased", "comma-separated list of phased|continuous|combined (one shared channel) or single|modified|peak|mean|pertick|periodic|ewma (one per session)")
+		policy    = fs.String("policy", "phased", "comma-separated list of phased|continuous|combined (one shared channel) or single|peak|mean|pertick|periodic|ewma (one per session)")
 		k         = fs.Int("k", 4, "number of sessions (ignored with -trace)")
 		bo        = fs.Int64("bo", 0, "offline total bandwidth B_O (default 16*k)")
 		do        = fs.Int64("do", 8, "offline delay bound D_O")
@@ -249,8 +249,6 @@ func makePolicy(name string, m *trace.Multi, bo, do int64, p core.SingleParams) 
 		switch name {
 		case "single":
 			sep.Allocs[i], err = core.NewSingleSession(p)
-		case "modified":
-			sep.Allocs[i], err = core.NewModifiedSingle(p)
 		case "peak":
 			sep.Allocs[i] = baseline.Static{R: tr.Peak()}
 		case "mean":
@@ -268,7 +266,7 @@ func makePolicy(name string, m *trace.Multi, bo, do int64, p core.SingleParams) 
 			return policy{}, err
 		}
 	}
-	if name == "single" || name == "modified" {
+	if name == "single" {
 		return policy{alloc: sep, peak: bw.Rate(k) * p.BA, paper: true, util: p.UA()}, nil
 	}
 	return policy{alloc: sep}, nil

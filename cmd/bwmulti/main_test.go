@@ -69,17 +69,24 @@ func TestRunErrors(t *testing.T) {
 // TestRunSingleSessionErrors: one session served by a single-session
 // policy rejects the same bad input as the shared-channel policies.
 func TestRunSingleSessionErrors(t *testing.T) {
-	tests := [][]string{
-		{"-k", "1", "-policy", "nope"},
-		{"-k", "1", "-policy", "single", "-workload", "nope"},
-		{"-k", "1", "-policy", "single", "-trace", "/does/not/exist.csv"},
-		{"-k", "1", "-policy", "single", "-ba", "7"}, // not a power of two
-		{"-k", "1", "-policy", "peak", "-ba", "7"},   // a baseline runs under the same parameters
+	tests := []struct {
+		args []string
+		want string // in the error
+	}{
+		{[]string{"-k", "1", "-policy", "nope"}, "unknown policy"},
+		{[]string{"-k", "1", "-policy=modified"}, "unknown policy"}, // Theorem 7's algorithm is not reproduced
+		{[]string{"-k", "1", "-policy", "single", "-workload", "nope"}, ""},
+		{[]string{"-k", "1", "-policy", "single", "-trace", "/does/not/exist.csv"}, ""},
+		{[]string{"-k", "1", "-policy", "single", "-ba", "7"}, ""}, // not a power of two
+		{[]string{"-k", "1", "-policy", "peak", "-ba", "7"}, ""},   // a baseline runs under the same parameters
 	}
-	for _, args := range tests {
+	for _, tc := range tests {
 		var buf strings.Builder
-		if err := run(args, &buf); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args, &buf)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q, want %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -143,14 +150,14 @@ func TestRunDefaults(t *testing.T) {
 // alone, the paper's own single-session setting; the paper's two claim
 // their guarantees.
 func TestRunAllPolicies(t *testing.T) {
-	for _, policy := range []string{"single", "modified", "peak", "mean", "pertick", "periodic", "ewma"} {
+	for _, policy := range []string{"single", "peak", "mean", "pertick", "periodic", "ewma"} {
 		t.Run(policy, func(t *testing.T) {
 			var buf strings.Builder
 			args := []string{"-policy", policy, "-k", "1", "-workload", "onoff", "-ticks", "300"}
 			if err := run(args, &buf); err != nil {
 				t.Fatalf("run %s: %v", policy, err)
 			}
-			paper := policy == "single" || policy == "modified"
+			paper := policy == "single"
 			if got := strings.Contains(buf.String(), "(guarantee 16)"); got != paper {
 				t.Errorf("%s: delay guarantee shown %v, want %v:\n%s", policy, got, paper, buf.String())
 			}
@@ -177,7 +184,7 @@ func TestRunOneSessionPinned(t *testing.T) {
 			"max delay:         10 (guarantee 16)\n", "p50/p99 delay:     2 / 8\n",
 			"global util:       0.625\n", "flex-window util:  0.414 (guarantee 0.167)\n",
 		}},
-		{[]string{"-policy", "modified", "-workload", "video", "-ticks", "600"}, []string{
+		{[]string{"-policy", "single", "-workload", "video", "-ticks", "600"}, []string{
 			"arrived bits:      12504\n", "allocated bits:    18158\n", "session changes:   44\n",
 			"p50/p99 delay:     1 / 9\n", "global util:       0.689\n",
 		}},

@@ -137,57 +137,6 @@ func TestCombinedIdle(t *testing.T) {
 	}
 }
 
-func TestModifiedSingleGuarantees(t *testing.T) {
-	p := singleParams()
-	for name, tr := range feasibleWorkloads(p, 800) {
-		t.Run(name, func(t *testing.T) {
-			s := MustNewModifiedSingle(p)
-			res, err := sim.Run(tr, s, sim.Options{})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if res.Delay.Max > p.DA() {
-				t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
-			}
-			got := metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)
-			// The anchored grid guarantees allocation < 2*low+2 instead
-			// of the paper's exact 2*low; keep the UA/2 envelope.
-			if got < p.UA()/2 {
-				t.Errorf("flexible utilization %v below UA/2 = %v", got, p.UA()/2)
-			}
-		})
-	}
-}
-
-func TestModifiedNoWorseThanStandard(t *testing.T) {
-	// The modified algorithm's effective high bound dominates the
-	// standard one, so stages never end earlier and the total number of
-	// changes should not exceed the standard algorithm's.
-	p := SingleParams{BA: 1 << 16, DO: 8, UO: 0.5, W: 16}
-	tr := traffic.ClampTrace(
-		traffic.OnOff{Seed: 3, PeakRate: 1 << 12, MeanOn: 24, MeanOff: 24}.Generate(2000),
-		p.BA, p.DO)
-
-	std := MustNewSingleSession(p)
-	stdRes, err := sim.Run(tr, std, sim.Options{})
-	if err != nil {
-		t.Fatalf("Run std: %v", err)
-	}
-	mod := MustNewModifiedSingle(p)
-	modRes, err := sim.Run(tr, mod, sim.Options{})
-	if err != nil {
-		t.Fatalf("Run mod: %v", err)
-	}
-	if mod.Stats().Resets > std.Stats().Resets {
-		t.Errorf("modified made more resets (%d) than standard (%d)",
-			mod.Stats().Resets, std.Stats().Resets)
-	}
-	if modRes.Report.Changes > stdRes.Report.Changes {
-		t.Errorf("modified made more changes (%d) than standard (%d)",
-			modRes.Report.Changes, stdRes.Report.Changes)
-	}
-}
-
 func TestCombinedContinuousGuarantees(t *testing.T) {
 	p := combinedParams()
 	pl := combinedWorkload(t, 5, p)

@@ -189,21 +189,14 @@ func TestSingleSessionEmitsEvents(t *testing.T) {
 	checkSingleEvents(t, c, alg.Stats().Resets)
 }
 
-func TestModifiedSingleEmitsEvents(t *testing.T) {
-	p := singleParams()
-	alg := MustNewModifiedSingle(p)
-	c, _ := runObservedSingle(t, alg, p)
-	checkSingleEvents(t, c, alg.Stats().Resets)
-}
-
 // TestSingleObserverNoBehaviorChange mirrors the multi-session overhead
 // test: attaching an observer must not alter the schedule.
 func TestSingleObserverNoBehaviorChange(t *testing.T) {
 	p := singleParams()
 	tr := feasibleWorkloads(p, 800)["pareto"]
 
-	plain := MustNewModifiedSingle(p)
-	observed := MustNewModifiedSingle(p)
+	plain := MustNewSingleSession(p)
+	observed := MustNewSingleSession(p)
 	observed.SetObserver(&collect{})
 
 	resA, err := sim.Run(tr, plain, sim.Options{})

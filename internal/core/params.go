@@ -3,12 +3,14 @@
 //
 //   - the single-session stage/RESET algorithm of Section 2 (Figure 3),
 //     which is O(log B_A)-competitive in the number of allocation changes
-//     (Theorem 6);
-//   - the modified single-session algorithm sketched around Theorem 7,
-//     which is O(log(1/U_O))-competitive;
+//     (Theorem 6), with its global-utilization and unquantized variants;
 //   - the phased and continuous multi-session algorithms of Section 3
 //     (Figures 4 and 5, Theorems 14 and 17), which are 3k-competitive;
 //   - the combined algorithm of Section 4.
+//
+// Theorem 7's O(log(1/U_O))-competitive modified algorithm is not
+// reproduced: the paper defers it to its full version (DESIGN.md §2,
+// deviation 3).
 //
 // All algorithms are pure online policies: they observe only the arrivals
 // delivered tick by tick and their own state, and plug into the simulator

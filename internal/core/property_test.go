@@ -36,7 +36,6 @@ func TestDelayGuaranteeProperty(t *testing.T) {
 	p := SingleParams{BA: 128, DO: 4, UO: 0.5, W: 8}
 	mk := map[string]func() sim.Allocator{
 		"single":     func() sim.Allocator { return MustNewSingleSession(p) },
-		"modified":   func() sim.Allocator { return MustNewModifiedSingle(p) },
 		"globalutil": func() sim.Allocator { return MustNewGlobalUtilSingle(p) },
 	}
 	for name, newAlloc := range mk {

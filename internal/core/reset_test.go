@@ -69,7 +69,6 @@ func TestSessionResetMatchesFresh(t *testing.T) {
 		"single":      func() resettable { return MustNewSingleSession(p) },
 		"unquantized": func() resettable { return MustNewUnquantizedSingle(p) },
 		"globalutil":  func() resettable { return MustNewGlobalUtilSingle(p) },
-		"modified":    func() resettable { return MustNewModifiedSingle(p) },
 	}
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {

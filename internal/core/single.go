@@ -35,15 +35,14 @@ type SingleSession struct {
 	// variant uses the identity, trading many more changes for slightly
 	// better utilization (see NewUnquantizedSingle).
 	quantize func(bw.Rate) bw.Rate
-	// globalUtil switches high(t) from the paper's local (sliding-window)
-	// utilization to the global definition discussed at the end of
-	// Section 2 (see NewGlobalUtilSingle).
-	globalUtil bool
+	// high computes high(t): the paper's local (sliding-window)
+	// utilization bound, a *HighTracker, or the global definition
+	// discussed at the end of Section 2, a *CumHighTracker (see
+	// NewGlobalUtilSingle).
+	high highBound
 
 	inReset bool
 	low     *LowTracker
-	high    *HighTracker
-	cum     *CumHighTracker
 	bon     bw.Rate
 
 	o    obs.Observer
@@ -68,6 +67,12 @@ type SingleStats struct {
 	InfeasibleTicks int
 }
 
+// highBound is a stage's utilization-driven upper bound high(t).
+type highBound interface {
+	Observe(arrived bw.Bits) bw.Rate
+	Reset()
+}
+
 var (
 	_ sim.Allocator  = (*SingleSession)(nil)
 	_ obs.Observable = (*SingleSession)(nil)
@@ -78,9 +83,15 @@ func NewSingleSession(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("single session: %w", err)
 	}
-	s := &SingleSession{p: p, quantize: bw.NextPow2}
+	return newSingle(p, bw.NextPow2, NewHighTracker(p.W, p.UO, p.BA)), nil
+}
+
+// newSingle assembles a session from validated parameters, its allocation
+// grid and its utilization bound.
+func newSingle(p SingleParams, quantize func(bw.Rate) bw.Rate, high highBound) *SingleSession {
+	s := &SingleSession{p: p, quantize: quantize, high: high, low: NewLowTracker(p.DO)}
 	s.startStage()
-	return s, nil
+	return s
 }
 
 // NewUnquantizedSingle returns the ablation variant that allocates exactly
@@ -95,9 +106,8 @@ func NewUnquantizedSingle(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("unquantized single session: %w", err)
 	}
-	s := &SingleSession{p: p, quantize: func(low bw.Rate) bw.Rate { return low }}
-	s.startStage()
-	return s, nil
+	identity := func(low bw.Rate) bw.Rate { return low }
+	return newSingle(p, identity, NewHighTracker(p.W, p.UO, p.BA)), nil
 }
 
 // NewGlobalUtilSingle returns the variant using the *global* utilization
@@ -111,9 +121,7 @@ func NewGlobalUtilSingle(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("global-util single session: %w", err)
 	}
-	s := &SingleSession{p: p, quantize: bw.NextPow2, globalUtil: true}
-	s.startStage()
-	return s, nil
+	return newSingle(p, bw.NextPow2, NewCumHighTracker(p.W, p.UO, p.BA)), nil
 }
 
 // MustNewGlobalUtilSingle is NewGlobalUtilSingle but panics on error.
@@ -145,24 +153,8 @@ func MustNewSingleSession(p SingleParams) *SingleSession {
 
 func (s *SingleSession) startStage() {
 	s.inReset = false
-	if s.low == nil {
-		s.low = NewLowTracker(s.p.DO)
-	} else {
-		s.low.Reset()
-	}
-	if s.globalUtil {
-		if s.cum == nil {
-			s.cum = NewCumHighTracker(s.p.W, s.p.UO, s.p.BA)
-		} else {
-			s.cum.Reset()
-		}
-	} else {
-		if s.high == nil {
-			s.high = NewHighTracker(s.p.W, s.p.UO, s.p.BA)
-		} else {
-			s.high.Reset()
-		}
-	}
+	s.low.Reset()
+	s.high.Reset()
 	s.bon = 0
 	s.stats.Stages++
 }
@@ -217,14 +209,6 @@ func (s *SingleSession) emitRate(t bw.Tick, r bw.Rate, rule string) bw.Rate {
 	return r
 }
 
-// observeHigh feeds the active utilization tracker.
-func (s *SingleSession) observeHigh(arrived bw.Bits) bw.Rate {
-	if s.globalUtil {
-		return s.cum.Observe(arrived)
-	}
-	return s.high.Observe(arrived)
-}
-
 // Rate implements sim.Allocator.
 func (s *SingleSession) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 	if s.inReset {
@@ -237,7 +221,7 @@ func (s *SingleSession) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 	}
 
 	low := s.low.Observe(arrived)
-	high := s.observeHigh(arrived)
+	high := s.high.Observe(arrived)
 	if high < low {
 		// The offline algorithm cannot have kept one allocation through
 		// this stage: end it.

@@ -165,29 +165,27 @@ type Config struct {
 	// Alloc divides the shared pool among the slots once per tick. It is
 	// shorthand for a one-element list: the gateway runs one allocator
 	// list, one entry per shard or per link, read from ShardAllocs, else
-	// LinkAllocs, else Alloc alone.
+	// Alloc alone.
 	Alloc sim.MultiAllocator
 	// Shards splits the slot table into that many independently locked
 	// shards (Slots must divide evenly; zero means one), each served by
 	// its own allocator from ShardAllocs over Slots/Shards slots. Sharding
 	// is single-link only: Links must be <= 1.
 	Shards int
-	// ShardAllocs holds one allocator per shard. Each divides its shard's
-	// bandwidth share among Slots/Shards slots.
+	// ShardAllocs holds one allocator per shard, or per link when Links >
+	// 1. Each divides its shard's (link's) bandwidth share among
+	// Slots/Shards (Slots/Links) slots.
 	ShardAllocs []sim.MultiAllocator
 	// Links, when > 1, partitions the Slots evenly across that many
 	// backend links (Slots must divide evenly): sessions are placed onto
 	// a link by Router at OPEN time and each link's slot range is served
-	// by its own allocator from LinkAllocs. Zero or one means the classic
+	// by its own allocator from ShardAllocs. Zero or one means the classic
 	// single-link gateway.
 	Links int
 	// Router places sessions onto links; required when Links > 1. Its K()
 	// must equal Links and its capacities are in slot units (Slots/Links
 	// per link). Attach observers/metrics to it before starting.
 	Router route.Router
-	// LinkAllocs holds one allocator per link, each dividing that link's
-	// bandwidth among Slots/Links slots.
-	LinkAllocs []sim.MultiAllocator
 	// RebalanceEvery, when positive (and Router implements
 	// route.Rebalancer), migrates up to RebalanceLimit live sessions
 	// between links every that many ticks to even out slot occupancy.
@@ -325,11 +323,8 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: router spans %d links, config says %d", cfg.Router.K(), links)
 	}
 	// One allocator list, one entry per link of every shard, under
-	// whichever of the three field names it arrived.
+	// whichever of the two field names it arrived.
 	n, allocs := nshards*links, cfg.ShardAllocs
-	if len(allocs) == 0 {
-		allocs = cfg.LinkAllocs
-	}
 	if len(allocs) == 0 && cfg.Alloc != nil {
 		allocs = []sim.MultiAllocator{cfg.Alloc}
 	}

@@ -129,7 +129,7 @@ func startLinked(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTick
 		Slots:          k,
 		Links:          links,
 		Router:         router,
-		LinkAllocs:     []sim.MultiAllocator{perSlotAlloc{cap: perSlotCap}, perSlotAlloc{cap: perSlotCap}},
+		ShardAllocs:    []sim.MultiAllocator{perSlotAlloc{cap: perSlotCap}, perSlotAlloc{cap: perSlotCap}},
 		Ticks:          ticks.ch,
 		RebalanceEvery: 4,
 		RebalanceLimit: 1,

@@ -26,12 +26,12 @@ func TestMultiLinkValidation(t *testing.T) {
 	ticks := newManualTicks()
 	base := func() Config {
 		return Config{
-			Addr:       "127.0.0.1:0",
-			Slots:      4,
-			Links:      2,
-			Router:     route.NewGreedy(route.Uniform(2, 2)),
-			LinkAllocs: linkAllocs(t, 2, 2),
-			Ticks:      ticks.ch,
+			Addr:        "127.0.0.1:0",
+			Slots:       4,
+			Links:       2,
+			Router:      route.NewGreedy(route.Uniform(2, 2)),
+			ShardAllocs: linkAllocs(t, 2, 2),
+			Ticks:       ticks.ch,
 		}
 	}
 	ok, err := NewWithConfig(base())
@@ -56,7 +56,7 @@ func TestMultiLinkValidation(t *testing.T) {
 		t.Error("router/links mismatch accepted")
 	}
 	cfg = base()
-	cfg.LinkAllocs = cfg.LinkAllocs[:1]
+	cfg.ShardAllocs = cfg.ShardAllocs[:1]
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("short allocator list accepted")
 	}
@@ -69,12 +69,12 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	router.Instrument(reg)
 	ticks := newManualTicks()
 	g, err := NewWithConfig(Config{
-		Addr:       "127.0.0.1:0",
-		Slots:      links * m,
-		Links:      links,
-		Router:     router,
-		LinkAllocs: linkAllocs(t, links, m),
-		Ticks:      ticks.ch,
+		Addr:        "127.0.0.1:0",
+		Slots:       links * m,
+		Links:       links,
+		Router:      router,
+		ShardAllocs: linkAllocs(t, links, m),
+		Ticks:       ticks.ch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 		Slots:          links * m,
 		Links:          links,
 		Router:         router,
-		LinkAllocs:     linkAllocs(t, links, m),
+		ShardAllocs:    linkAllocs(t, links, m),
 		Ticks:          ticks.ch,
 		RebalanceEvery: 8,
 		RebalanceLimit: 4,

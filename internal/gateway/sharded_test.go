@@ -84,14 +84,13 @@ func TestShardedConfigValidation(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Links = 2
 	p := core.MultiParams{K: 4, BO: 64, DO: 4}
-	cfg.LinkAllocs = []sim.MultiAllocator{core.MustNewPhased(p), core.MustNewPhased(p)}
-	cfg.ShardAllocs = []sim.MultiAllocator{alloc, alloc}
+	cfg.ShardAllocs = []sim.MultiAllocator{core.MustNewPhased(p), core.MustNewPhased(p), alloc, alloc}
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("sharded multi-link accepted")
 	}
 	cfg = base
 	if _, err := NewWithConfig(cfg); err == nil {
-		t.Error("no allocator under any of the three names accepted")
+		t.Error("no allocator under either name accepted")
 	}
 	cfg = base
 	cfg.Alloc = alloc
@@ -100,12 +99,12 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Error("Alloc alone accepted for 2 shards")
 	}
 
-	// One is a count: a one-element list under either list name is the
-	// gateway Alloc builds.
+	// One is a count: a one-element list, for one shard or one link, is
+	// the gateway Alloc builds.
 	accepted := map[string]Config{
 		"Shards 0, one ShardAlloc": {ShardAllocs: []sim.MultiAllocator{alloc}},
 		"Shards 1, one ShardAlloc": {Shards: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
-		"Links 1, one LinkAlloc":   {Links: 1, LinkAllocs: []sim.MultiAllocator{alloc}},
+		"Links 1, one ShardAlloc":  {Links: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
 		"Links 1, router, Alloc":   {Links: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc},
 	}
 	for name, c := range accepted {

@@ -39,7 +39,6 @@ func AdaptiveAdversary() (*Table, error) {
 		}{
 			{name: "no-slack (per-tick)", mk: func() sim.Allocator { return &baseline.PerTick{D: p.DO} }},
 			{name: "paper-single", mk: func() sim.Allocator { return core.MustNewSingleSession(p) }},
-			{name: "paper-modified", mk: func() sim.Allocator { return core.MustNewModifiedSingle(p) }},
 		}
 		for _, pol := range policies {
 			adv := &adversary.DropSpiker{Spike: 128, Threshold: 0, MinGap: p.DO, MaxGap: p.W}

@@ -148,6 +148,53 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
+// TestExperimentsDocMatchesGoldens keeps EXPERIMENTS.md from drifting:
+// the table under each deterministic experiment's "## <ID>:" heading must
+// equal the one in its results/ golden, line for line.
+func TestExperimentsDocMatchesGoldens(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range All() {
+		name := strings.ToLower(e.ID) + ".md"
+		golden, err := os.ReadFile(filepath.Join("../../results", name))
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		want, got := sectionTable(string(golden), e.ID), sectionTable(string(doc), e.ID)
+		if len(want) == 0 {
+			t.Errorf("results/%s has no table under ## %s:", name, e.ID)
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		if i < len(got) || i < len(want) {
+			t.Errorf("EXPERIMENTS.md's %s table differs from results/%s at table line %d; copy the golden's table over",
+				e.ID, name, i+1)
+		}
+	}
+}
+
+// sectionTable returns the first run of pipe-table lines under the
+// "## <id>:" heading of md.
+func sectionTable(md, id string) []string {
+	var rows []string
+	in := false
+	for _, line := range strings.Split(md, "\n") {
+		switch {
+		case len(rows) > 0 && !strings.HasPrefix(line, "|"):
+			return rows
+		case strings.HasPrefix(line, "## "):
+			in = strings.HasPrefix(line, "## "+id+":")
+		case in && strings.HasPrefix(line, "|"):
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
 // column returns the values of a named column as floats.
 func column(t *testing.T, tb *Table, name string) []float64 {
 	t.Helper()

@@ -12,7 +12,7 @@ import (
 // table across the allocation policies — the static and per-packet
 // extremes of Figure 2, the limited-renegotiation heuristics of the
 // experimental literature the paper builds on ([GKT95] RCBR, [ACHM96]),
-// and the paper's two online algorithms.
+// and the paper's single-session algorithm.
 func Heuristics() (*Table, error) {
 	p := core.SingleParams{BA: 256, DO: 8, UO: 0.5, W: 16}
 	t := &Table{
@@ -37,7 +37,6 @@ func Heuristics() (*Table, error) {
 			{name: "periodic-W", alloc: &baseline.Periodic{Period: p.W, D: p.DO}},
 			{name: "ewma-rcbr", alloc: mustEWMA(p)},
 			{name: "paper-single", alloc: core.MustNewSingleSession(p)},
-			{name: "paper-modified", alloc: core.MustNewModifiedSingle(p)},
 		}
 		for _, pol := range policies {
 			res, err := sim.Run(w.Trace, pol.alloc, sim.Options{})
@@ -69,7 +68,7 @@ func All() []Experiment {
 		{ID: "FIG2", Title: "Allocation strategies", Reproduces: "Figure 2", Run: Fig2},
 		{ID: "E3", Title: "Single-session ratio vs B_A", Reproduces: "Theorem 6", Run: Thm6SweepB},
 		{ID: "E4", Title: "Per-stage accounting", Reproduces: "Theorem 6 / Lemma 1", Run: Thm6Stages},
-		{ID: "E5", Title: "Modified algorithm vs 1/U_O", Reproduces: "Theorem 7", Run: Thm7SweepU},
+		{ID: "E5", Title: "Figure 3 vs 1/U_O", Reproduces: "Theorem 7's shape", Run: Thm7SweepU},
 		{ID: "E6", Title: "Delay & utilization guarantees", Reproduces: "Lemmas 3, 5", Run: Guarantees},
 		{ID: "E7", Title: "Phased multi-session vs k", Reproduces: "Theorem 14", Run: Thm14SweepK},
 		{ID: "E8", Title: "Continuous multi-session vs k", Reproduces: "Theorem 17", Run: Thm17SweepK},
