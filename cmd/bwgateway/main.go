@@ -33,28 +33,25 @@
 // (dynbw_gateway_panics_total) and logged with their stack, and the
 // gateway goes on.
 //
-// With -links > 1 the slot pool is partitioned across that many backend
-// links, each running its own allocator over an equal share of the
-// bandwidth; sessions are placed onto links at OPEN time by the -route
-// policy (greedy least-loaded, DAR with trunk reservation, or
-// power-of-two-choices) and -rebalance migrates sessions between links
-// to even out occupancy. Routing activity shows up on /metrics as
-// dynbw_route_placements_total, dynbw_route_blocked_total and
-// dynbw_route_reroutes_total.
-//
 // Usage examples:
 //
 //	bwgateway -policy phased -k 4 -duration 2s
 //	bwgateway -policy combined -k 8 -tick 2ms -duration 5s
 //	bwgateway -k 64 -duration 0 -admin 127.0.0.1:8080   # serve until ^C
-//	bwgateway -k 16 -links 4 -route p2c -rebalance 64 -duration 2s
 //	bwgateway -k 4096 -shards 8 -duration 0 -admin 127.0.0.1:8080
+//	bwgateway -k 16 -shards 8 -route p2c -duration 2s
 //
 // With -shards > 1 the slot table is lock-striped: each shard owns its
 // slot range, its own allocator over an equal bandwidth share, its own
 // event-ring stripe and its own counter stripes, so exchanges on
 // different shards never contend. /metrics merges the stripes at scrape
-// time and adds a per-shard dynbw_gateway_shard_sessions gauge.
+// time and adds a per-shard dynbw_gateway_shard_sessions gauge. An OPEN
+// lands on its connection's home shard, or the next one with a free
+// slot; with -route a placement policy chooses the shard instead
+// (greedy least-loaded, DAR with trunk reservation, or
+// power-of-two-choices), and routing activity shows up on /metrics as
+// dynbw_route_placements_total, dynbw_route_blocked_total and the
+// per-shard dynbw_route_link_load.
 package main
 
 import (
@@ -97,11 +94,9 @@ func run(args []string, out, errw io.Writer) error {
 		admin     = fs.String("admin", "", "admin HTTP address serving /metrics, /healthz, /sessions, /events, /debug/pprof (empty: disabled)")
 		events    = fs.Int("events", obs.DefaultRingSize, "allocation-event ring capacity")
 		grace     = fs.Duration("grace", 2*time.Second, "graceful-shutdown drain window for live sessions")
-		links     = fs.Int("links", 1, "backend links; >1 partitions the slots and routes sessions across them")
-		routeName = fs.String("route", "greedy", "multi-link placement policy: greedy|dar|p2c")
+		routeName = fs.String("route", "", "place each OPEN on a shard by this policy: greedy|dar|p2c (empty: the connection's home shard first)")
 		reserve   = fs.Int64("reserve", 1, "DAR trunk reservation in slot units")
-		rebalance = fs.Int64("rebalance", 0, "migrate sessions between links every this many ticks (0: never)")
-		shards    = fs.Int("shards", 1, "lock-stripe the slot table across this many shards (single-link only)")
+		shards    = fs.Int("shards", 1, "lock-stripe the slot table across this many shards, each with its own allocator")
 		spans     = fs.Int("spans", obs.DefaultSpanRingSize, "wire-path span ring capacity (0: no span ring; timed messages still feed the latency histograms)")
 		sample    = fs.Int("sample", obs.DefaultSampleEvery, "time one message in this many per connection stripe: it feeds the stage/exchange latency histograms and the span ring (1: every message)")
 		record    = fs.Duration("record", 500*time.Millisecond, "flight-recorder snapshot interval (0: recorder disabled)")
@@ -111,9 +106,6 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	if *bo == 0 {
 		*bo = int64(16 * *k)
-	}
-	if *shards > 1 && *links > 1 {
-		return fmt.Errorf("-shards %d is single-link only (got -links %d)", *shards, *links)
 	}
 
 	reg := obs.NewRegistry()
@@ -137,27 +129,27 @@ func run(args []string, out, errw io.Writer) error {
 		TickBudget:      *tick,
 		Log:             slog.New(slog.NewTextHandler(errw, nil)),
 	}
-	// One allocator per shard or per link (one of the two counts is 1),
-	// each over an equal share of slots and bandwidth, each emitting
-	// through its shard's ring stripe.
-	n := max(*shards, *links, 1)
+	// One allocator per shard, each over an equal share of slots and
+	// bandwidth, each emitting through its shard's ring stripe.
+	n := max(*shards, 1)
 	allocs, err := load.NewPolicies(*policy, n, *k, *bo, *do, ring)
 	if err != nil {
 		return err
 	}
-	cfg.ShardAllocs = allocs
-	if *links <= 1 {
-		cfg.Shards = *shards
-	} else {
-		router, err := makeRouter(*routeName, *links, *k/n, *reserve, *seed)
+	cfg.Shards, cfg.ShardAllocs = n, allocs
+	layout := fmt.Sprintf("%d slots", *k)
+	if n > 1 {
+		layout += fmt.Sprintf(" over %d shards", n)
+	}
+	if *routeName != "" {
+		router, err := makeRouter(*routeName, n, *k/n, *reserve, *seed)
 		if err != nil {
 			return err
 		}
 		router.SetObserver(ring)
 		router.Instrument(reg)
-		cfg.Links, cfg.Router = *links, router
-		cfg.RebalanceEvery = bw.Tick(*rebalance)
-		cfg.RebalanceLimit = *k / n
+		cfg.Router = router
+		layout += fmt.Sprintf(" (route %s)", *routeName)
 	}
 	ticker := time.NewTicker(*tick)
 	defer ticker.Stop()
@@ -181,16 +173,7 @@ func run(args []string, out, errw io.Writer) error {
 		})
 		rec.Start()
 	}
-	switch {
-	case *links > 1:
-		fmt.Fprintf(out, "gateway %s: %d slots over %d links (route %s), policy %s, tick %v\n",
-			gw.Addr(), *k, *links, *routeName, *policy, *tick)
-	case *shards > 1:
-		fmt.Fprintf(out, "gateway %s: %d slots over %d shards, policy %s, tick %v\n",
-			gw.Addr(), *k, *shards, *policy, *tick)
-	default:
-		fmt.Fprintf(out, "gateway %s: %d slots, policy %s, tick %v\n", gw.Addr(), *k, *policy, *tick)
-	}
+	fmt.Fprintf(out, "gateway %s: %s, policy %s, tick %v\n", gw.Addr(), layout, *policy, *tick)
 
 	if *admin != "" {
 		adm, err := obs.StartAdmin(*admin, &obs.Admin{
@@ -294,10 +277,9 @@ func printProfile(out io.Writer, p gateway.Profile) {
 	}
 }
 
-// makeRouter builds the multi-link placement policy over `links` links
-// of m slots each.
-func makeRouter(name string, links, m int, reserve int64, seed uint64) (*route.Policy, error) {
-	caps := route.Uniform(links, bw.Rate(m))
+// makeRouter builds the placement policy over n shards of m slots each.
+func makeRouter(name string, n, m int, reserve int64, seed uint64) (*route.Policy, error) {
+	caps := route.Uniform(n, bw.Rate(m))
 	switch name {
 	case "greedy":
 		return route.NewGreedy(caps), nil

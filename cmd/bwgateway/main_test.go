@@ -158,19 +158,20 @@ func TestRunAdminAndSignal(t *testing.T) {
 	}
 }
 
+// TestRunMultiLinkDemo: -route places each OPEN on one of the -shards.
 func TestRunMultiLinkDemo(t *testing.T) {
 	for _, policy := range []string{"greedy", "dar", "p2c"} {
 		t.Run(policy, func(t *testing.T) {
 			var buf, errBuf strings.Builder
 			args := []string{
-				"-k", "4", "-links", "2", "-route", policy,
-				"-rebalance", "8", "-tick", "500us", "-duration", "150ms",
+				"-k", "4", "-shards", "2", "-route", policy,
+				"-tick", "500us", "-duration", "150ms",
 			}
 			if err := run(args, &buf, &errBuf); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			out := buf.String()
-			for _, want := range []string{"over 2 links", "route " + policy, "bits served:"} {
+			for _, want := range []string{"over 2 shards", "route " + policy, "bits served:"} {
 				if !strings.Contains(out, want) {
 					t.Errorf("output missing %q:\n%s", want, out)
 				}
@@ -179,24 +180,47 @@ func TestRunMultiLinkDemo(t *testing.T) {
 	}
 }
 
-func TestRunMultiLinkValidation(t *testing.T) {
+// TestRunRoutedShards: a p2c router over eight shards serves the demo's
+// clients, every burst delivered.
+func TestRunRoutedShards(t *testing.T) {
 	var buf, errBuf strings.Builder
-	if err := run([]string{"-k", "5", "-links", "2", "-duration", "10ms"}, &buf, &errBuf); err == nil {
-		t.Fatal("indivisible -k/-links accepted")
+	if err := run([]string{"-k", "16", "-shards", "8", "-route", "p2c", "-duration", "1s"}, &buf, &errBuf); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if err := run([]string{"-k", "4", "-links", "2", "-route", "nope", "-duration", "10ms"}, &buf, &errBuf); err == nil {
-		t.Fatal("bad route policy accepted")
+	out := buf.String()
+	if !strings.Contains(out, "16 slots over 8 shards (route p2c)") {
+		t.Errorf("banner missing the routed layout:\n%s", out)
+	}
+	var sent, delivered int
+	_, line, _ := strings.Cut(out, "clients:")
+	if _, err := fmt.Sscanf(strings.TrimSpace(line), "%d bursts sent, %d delivered", &sent, &delivered); err != nil || sent == 0 || delivered != sent {
+		t.Errorf("clients sent %d bursts and saw %d delivered (%v):\n%s", sent, delivered, err, out)
 	}
 }
 
-// TestRunMultiLinkMetrics checks that a multi-link gateway exports the
+func TestRunMultiLinkValidation(t *testing.T) {
+	var buf, errBuf strings.Builder
+	if err := run([]string{"-k", "5", "-shards", "2", "-route", "p2c", "-duration", "10ms"}, &buf, &errBuf); err == nil {
+		t.Fatal("indivisible -k/-shards accepted")
+	}
+	if err := run([]string{"-k", "4", "-shards", "2", "-route", "nope", "-duration", "10ms"}, &buf, &errBuf); err == nil {
+		t.Fatal("bad route policy accepted")
+	}
+	for _, flag := range []string{"-links", "-rebalance"} {
+		if err := run([]string{"-k", "4", flag, "2", "-duration", "10ms"}, &buf, &errBuf); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
+	}
+}
+
+// TestRunMultiLinkMetrics checks that a routed gateway exports the
 // routing counters on /metrics from startup.
 func TestRunMultiLinkMetrics(t *testing.T) {
 	var buf, errBuf syncBuf
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-k", "4", "-links", "2", "-route", "p2c",
+			"-k", "4", "-shards", "2", "-route", "p2c",
 			"-tick", "500us", "-duration", "0",
 			"-admin", "127.0.0.1:0", "-grace", "200ms",
 		}, &buf, &errBuf)

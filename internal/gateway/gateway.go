@@ -51,10 +51,10 @@
 // connection, when bits still pending or queued are dropped, not
 // delivered (Stats.Closed, dynbw_gateway_closed_bits_total). Its ID is
 // opaque: tag << w | index, w the width of Slots-1, index the session's
-// for life (its global slot, until a multi-link rebalance moves both),
-// tag its shard's count of ended sessions at the OPEN, wrapping. A slot
-// is re-let only after a release, so successive tenants never share an
-// ID; until the first CLOSE an ID is the slot number (DESIGN.md §10).
+// global slot, for life, tag its shard's count of ended sessions at the
+// OPEN, wrapping. A slot is re-let only after a release, so successive
+// tenants never share an ID; until the first CLOSE an ID is the slot
+// number (DESIGN.md §10).
 //
 // A connection may OPEN any number of sessions and multiplex them (the
 // Mux client; one TCP connection per session would exhaust descriptors
@@ -81,7 +81,11 @@
 // allocator over its own bandwidth share, and its own observability
 // stripe. A session ID's index is a global slot number, so a session's
 // shard is index/(Slots/Shards) — exchanges touching different shards
-// never contend. The tick loop runs one allocation round on every shard
+// never contend. An OPEN takes the lowest free slot of its connection's
+// home shard, or of the next shard that has one; with Config.Router a
+// placement policy (internal/route: greedy, DAR, p2c) chooses the shard
+// instead. The shard is the only partition of the bandwidth. The tick
+// loop runs one allocation round on every shard
 // — itself when the round is small, else fanned out to the tick workers
 // and joined — before advancing the clock, so the cost measure and
 // per-slot accounting are exactly the single-shard gateway's; /metrics,
@@ -164,34 +168,20 @@ type Config struct {
 	Slots int
 	// Alloc divides the shared pool among the slots once per tick. It is
 	// shorthand for a one-element list: the gateway runs one allocator
-	// list, one entry per shard or per link, read from ShardAllocs, else
-	// Alloc alone.
+	// list, one entry per shard, read from ShardAllocs, else Alloc alone.
 	Alloc sim.MultiAllocator
 	// Shards splits the slot table into that many independently locked
 	// shards (Slots must divide evenly; zero means one), each served by
-	// its own allocator from ShardAllocs over Slots/Shards slots. Sharding
-	// is single-link only: Links must be <= 1.
+	// its own allocator from ShardAllocs over Slots/Shards slots.
 	Shards int
-	// ShardAllocs holds one allocator per shard, or per link when Links >
-	// 1. Each divides its shard's (link's) bandwidth share among
-	// Slots/Shards (Slots/Links) slots.
+	// ShardAllocs holds one allocator per shard. Each divides its shard's
+	// bandwidth share among Slots/Shards slots.
 	ShardAllocs []sim.MultiAllocator
-	// Links, when > 1, partitions the Slots evenly across that many
-	// backend links (Slots must divide evenly): sessions are placed onto
-	// a link by Router at OPEN time and each link's slot range is served
-	// by its own allocator from ShardAllocs. Zero or one means the classic
-	// single-link gateway.
-	Links int
-	// Router places sessions onto links; required when Links > 1. Its K()
-	// must equal Links and its capacities are in slot units (Slots/Links
-	// per link). Attach observers/metrics to it before starting.
+	// Router, when set, places each OPEN on a shard. Its K() must equal
+	// Shards and its capacities are in slot units (Slots/Shards a shard).
+	// Nil tries the connection's home shard first and spills over to the
+	// next. Attach observers/metrics to it before starting.
 	Router route.Router
-	// RebalanceEvery, when positive (and Router implements
-	// route.Rebalancer), migrates up to RebalanceLimit live sessions
-	// between links every that many ticks to even out slot occupancy.
-	RebalanceEvery bw.Tick
-	// RebalanceLimit bounds migrations per rebalance pass; zero means 1.
-	RebalanceLimit int
 	// Ticks advances the allocator: one allocation round per value.
 	Ticks <-chan time.Time
 	// IdleTimeout, when positive, bounds how long a connection may sit
@@ -243,10 +233,9 @@ type Config struct {
 }
 
 // Gateway serves k session slots partitioned across independently locked
-// shards, a shard's slots across links, each link's slots by one
-// multi-session allocator of the list — one shard of one link unless
-// configured otherwise; with several links a routing policy chooses the
-// link at OPEN time.
+// shards, each shard's slots by one multi-session allocator of the list —
+// one shard unless configured otherwise; with a router, a routing policy
+// chooses the shard at OPEN time.
 type Gateway struct {
 	ln          net.Listener
 	k           int // total slots
@@ -254,9 +243,7 @@ type Gateway struct {
 	indexBits   int // a wire session ID is tag<<indexBits | index: the width of k-1
 	indexMask   int // selects the index of a wire session ID
 	shards      []*shard
-	router      route.Router // places an OPEN on a link; route.OneLink unless Config.Router is set
-	rebalEvery  bw.Tick
-	rebalLimit  int
+	router      route.Router // places an OPEN on a shard; nil: home stripe first
 	ticks       <-chan time.Time
 	idleTimeout time.Duration
 
@@ -281,6 +268,7 @@ type Gateway struct {
 
 	now      atomic.Int64 // completed allocation rounds
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
+	routed   atomic.Int64 // routed OPENs begun: -routed is the next one's provisional router key
 
 	// csPool recycles connStates (owned map, buffered endpoints, batch
 	// group scratch) across connection churn, so accept/close cycles in a
@@ -312,31 +300,25 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	if cfg.Ticks == nil {
 		return nil, fmt.Errorf("gateway: nil tick source")
 	}
-	links, nshards := max(cfg.Links, 1), max(cfg.Shards, 1)
-	if nshards > 1 && (links > 1 || cfg.Router != nil) {
-		return nil, fmt.Errorf("gateway: sharding is single-link only (%d shards, %d links)", nshards, links)
+	nshards := max(cfg.Shards, 1)
+	if cfg.Router != nil && cfg.Router.K() != nshards {
+		return nil, fmt.Errorf("gateway: router spans %d links, config says %d shards", cfg.Router.K(), nshards)
 	}
-	switch {
-	case cfg.Router == nil && links > 1:
-		return nil, fmt.Errorf("gateway: %d links but no router", links)
-	case cfg.Router != nil && cfg.Router.K() != links:
-		return nil, fmt.Errorf("gateway: router spans %d links, config says %d", cfg.Router.K(), links)
-	}
-	// One allocator list, one entry per link of every shard, under
-	// whichever of the two field names it arrived.
-	n, allocs := nshards*links, cfg.ShardAllocs
+	// One allocator list, one entry per shard, under whichever of the two
+	// field names it arrived.
+	allocs := cfg.ShardAllocs
 	if len(allocs) == 0 && cfg.Alloc != nil {
 		allocs = []sim.MultiAllocator{cfg.Alloc}
 	}
-	if cfg.Slots%n != 0 {
-		return nil, fmt.Errorf("gateway: %d slots do not divide across %d shards x %d links", cfg.Slots, nshards, links)
+	if cfg.Slots%nshards != 0 {
+		return nil, fmt.Errorf("gateway: %d slots do not divide across %d shards", cfg.Slots, nshards)
 	}
-	if len(allocs) != n {
-		return nil, fmt.Errorf("gateway: %d allocators for %d shards x %d links", len(allocs), nshards, links)
+	if len(allocs) != nshards {
+		return nil, fmt.Errorf("gateway: %d allocators for %d shards", len(allocs), nshards)
 	}
 	for i, a := range allocs {
 		if a == nil {
-			return nil, fmt.Errorf("gateway: allocator %d of %d is nil", i, n)
+			return nil, fmt.Errorf("gateway: allocator %d of %d is nil", i, nshards)
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -345,16 +327,9 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	}
 	g := newGateway(cfg.Slots, nshards)
 	g.ln = ln
-	if cfg.Router != nil {
-		g.router = cfg.Router
-	}
-	g.rebalEvery = cfg.RebalanceEvery
-	g.rebalLimit = cfg.RebalanceLimit
-	if g.rebalLimit < 1 {
-		g.rebalLimit = 1
-	}
+	g.router = cfg.Router
 	for i, sh := range g.shards {
-		sh.serve(allocs[i*links : (i+1)*links]...)
+		sh.serve(allocs[i])
 		g.shardObs[i] = obs.StripeOf(cfg.Observer, i)
 	}
 	g.ticks = cfg.Ticks
@@ -388,7 +363,6 @@ func newGateway(k, nshards int) *Gateway {
 		k:          k,
 		spp:        k / nshards,
 		indexBits:  bits.Len(uint(k - 1)),
-		router:     route.OneLink{},
 		acceptStop: make(chan struct{}),
 		closing:    make(chan struct{}),
 		done:       make(chan struct{}),

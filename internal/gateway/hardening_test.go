@@ -285,7 +285,7 @@ func TestAllocatorContractViolationServesNothing(t *testing.T) {
 			if st.Served != 0 || st.Queued != 64 || st.Changes != 0 {
 				t.Errorf("broken allocator: served %d queued %d changes %d, want 0/64/0", st.Served, st.Queued, st.Changes)
 			}
-			if out := logged.String(); !strings.Contains(out, "allocator broke its contract") || !strings.Contains(out, "link 0") {
+			if out := logged.String(); !strings.Contains(out, "allocator broke its contract") || !strings.Contains(out, "shard=0") {
 				t.Errorf("violation not logged: %q", out)
 			}
 

@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"dynbw/internal/bw"
@@ -73,8 +72,11 @@ func feed(g *Gateway, id int, bits bw.Bits) {
 // bare gateway's slot table and, whole, into sim.RunMulti with an
 // identically constructed policy. Every per-session number a client can
 // read and every total Close() reports must equal the simulator's —
-// unsharded, and with the table split over four shards (each session's
-// trace is clamped to its own share, so every partition is balanced).
+// unsharded, with the table split over four shards, and on four shards
+// a p2c router placed the sessions on: three quarters of the slots are
+// opened through it, and the simulator runs the same partition with the
+// other slots silent. One more row runs each policy behind sim.Sparse's
+// dense adapter, which must agree on every number with the sparse form.
 //
 // Three traces: on/off sources on every session of a small table; a
 // table of 400 where each D_O cycle a rotating 1 % of the sessions
@@ -151,15 +153,32 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 		return trace.MustNewMulti(sessions)
 	}
 
+	// Every trace runs on one shard and on four. The on/off one also runs
+	// on four shards a p2c router places it on: its sessions are clamped
+	// to their shares, so whatever the placement, every shard's input is
+	// one its policy's B_O serves. The rotating one also runs on four
+	// shards whose policies the gateway runs behind the dense adapter.
+	type row struct {
+		nshards       int
+		variant       string
+		routed, dense bool
+	}
+	plain := []row{{nshards: 1}, {nshards: 4}}
 	for _, tc := range []struct {
 		suffix   string
 		m        *trace.Multi
 		crossing bool
-	}{{"", onOff(), false}, {"-rotating-1pct", rotating(), false}, {"-crossing", crossing(), true}} {
-		m, k := tc.m, tc.m.K()
+		rows     []row
+	}{
+		{"", onOff(), false, append(plain, row{4, "/p2c", true, false})},
+		{"-rotating-1pct", rotating(), false, append(plain, row{4, "/dense", false, true})},
+		{"-crossing", crossing(), true, plain},
+	} {
+		k := tc.m.K()
 		for _, policy := range []string{"phased", "continuous", "combined"} {
-			for _, nshards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s%s/shards=%d", policy, tc.suffix, nshards), func(t *testing.T) {
+			for _, r := range tc.rows {
+				nshards := r.nshards
+				t.Run(fmt.Sprintf("%s%s/shards=%d%s", policy, tc.suffix, nshards, r.variant), func(t *testing.T) {
 					per := k / nshards
 					build := func() []sim.MultiAllocator {
 						allocs := make([]sim.MultiAllocator, nshards)
@@ -168,12 +187,21 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 						}
 						return allocs
 					}
+					g := newRounds(t, policy, k, nshards, do) // the same policies as build()'s
+					if r.dense {
+						for i, a := range build() {
+							g.shards[i].serve(denseOnly{a})
+						}
+					}
+					m := tc.m
+					if r.routed {
+						m = routeSessions(t, g, m)
+					}
 					res, err := sim.RunMulti(m, &partitioned{parts: build()}, sim.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
 
-					g := newRounds(t, policy, k, nshards, do) // the same policies as build()'s
 					closing := -1
 					if tc.crossing {
 						var err error
@@ -258,102 +286,36 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 // sim.Sparse's diffing adapter as it would a foreign allocator.
 type denseOnly struct{ sim.MultiAllocator }
 
-// TestRebalancedGatewayConservesSessions drives a two-link gateway whose
-// rebalance pass migrates backlogged sessions between links while a
-// seeded trace runs. The simulator has no image of a migration, so the
-// reference is twofold: conservation — every session, under its stable
-// wire ID, is served exactly what it sent — and the same run with each
-// policy behind the dense adapter, which must agree on every number. A
-// Move that lost a session's pending bits or its place in the active set
-// would strand bits in a slot no round visits.
-func TestRebalancedGatewayConservesSessions(t *testing.T) {
-	const (
-		links = 2
-		m     = 100 // slots per link: link 1 starts inside a word of the active set
-		share = bw.Rate(16)
-		do    = bw.Tick(4)
-		n     = bw.Tick(400)
-	)
-	run := func(wrap func(sim.MultiAllocator) sim.MultiAllocator) (Stats, []SessionInfo, []bw.Bits, int) {
-		router := route.NewGreedy(route.Uniform(links, m))
-		g := newGateway(links*m, 1)
-		g.router = router
-		g.rebalEvery, g.rebalLimit = 8, 4
-		allocs := make([]sim.MultiAllocator, links)
-		for l := range allocs {
-			allocs[l] = wrap(newPolicy(t, "phased", m, bw.Rate(m)*share, do))
-		}
-		g.shards[0].serve(allocs...)
-
-		// Greedy alternates links; closing every session that landed on
-		// link 1 but a few leaves link 0 full and link 1 nearly empty, so
-		// every rebalance pass has moves to make.
-		var ids []int
-		for i := 0; i < links*m; i++ {
-			if _, err := g.openSession(0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for id := 0; id < links*m; id++ {
-			if router.Where(id) == 1 && id > 10 {
-				g.releaseSession(id)
-				continue
-			}
-			ids = append(ids, id)
-		}
-		sent := make([]bw.Bits, links*m)
-		src := rng.New(3)
-		for tick := bw.Tick(0); tick < n+8*do; tick++ {
-			if tick < n {
-				for _, id := range ids {
-					if id > 10 && router.Where(id) == 1 {
-						// Migrated: nothing more arrives, so only the
-						// active bit Move carried gets its backlog served.
-						continue
-					}
-					if src.Intn(3) == 0 {
-						bits := 1 + src.Int64n(2*bw.Volume(share, do))
-						feed(g, id, bits)
-						sent[id] += bits
-					}
-				}
-			}
-			g.round(tick)
-			g.now.Add(1)
-		}
-		moved := 0
-		for _, id := range ids {
-			if router.Where(id) == 1 && id > 10 {
-				moved++
-			}
-		}
-		return g.stats(), g.Sessions(), sent, moved
+// routeSessions opens three quarters of a bare gateway's slots through a
+// p2c router over its shards, the OPENs striped over the shards as
+// connections are, and returns the trace that gives the j-th session to
+// open m's session j, on whichever slot it landed; the other slots are
+// silent. The router, not the stripe, must have decided: stripe-first
+// would fill every shard to the same three quarters.
+func routeSessions(t *testing.T, g *Gateway, m *trace.Multi) *trace.Multi {
+	t.Helper()
+	n := len(g.shards)
+	g.router = route.NewP2C(route.Uniform(n, bw.Rate(g.spp)), 7)
+	silent := trace.MustNew(make([]bw.Bits, m.Session(0).Len()))
+	slots := make([]*trace.Trace, g.k)
+	for i := range slots {
+		slots[i] = silent
 	}
-
-	st, sessions, sent, moved := run(func(a sim.MultiAllocator) sim.MultiAllocator { return a })
-	if moved < 20 {
-		t.Fatalf("only %d sessions migrated; the run does not exercise Move", moved)
-	}
-	var total bw.Bits
-	for _, s := range sessions {
-		if !s.Open {
-			continue
+	for j := 0; j < g.k*3/4; j++ {
+		id, err := g.openSession(j % n)
+		if err != nil {
+			t.Fatalf("routed OPEN %d: %v", j, err)
 		}
-		if s.Served != sent[s.Ext] || s.Queued != 0 {
-			t.Errorf("session %d (slot %d): served %d queued %d, sent %d", s.Ext, s.Slot, s.Served, s.Queued, sent[s.Ext])
-		}
-		total += s.Served
+		slots[id&g.indexMask] = m.Session(j)
 	}
-	if st.Served != total || st.Queued != 0 || st.SessionChanges == 0 {
-		t.Errorf("stats %+v, open sessions were served %d", st, total)
+	even := true
+	for _, sh := range g.shards {
+		even = even && sh.openCount() == int64(g.spp*3/4)
 	}
-	dst, dsessions, _, _ := run(func(a sim.MultiAllocator) sim.MultiAllocator { return denseOnly{a} })
-	if dst != st {
-		t.Errorf("behind the dense adapter: stats %+v\nsparse form:              %+v", dst, st)
+	if even {
+		t.Fatal("every shard holds three quarters of its slots: the router placed as the stripe would")
 	}
-	if !slices.Equal(dsessions, sessions) {
-		t.Error("behind the dense adapter the per-slot snapshot differs")
-	}
+	return trace.MustNewMulti(slots)
 }
 
 // flipAlloc hands back one retained slice with every rate toggled each

@@ -12,7 +12,6 @@ import (
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
 	"dynbw/internal/route"
-	"dynbw/internal/sim"
 )
 
 // TestWireRejectsIDsThatAreNotYours is the wire conformance table for
@@ -117,22 +116,20 @@ func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
 	}
 }
 
-// startLinked launches a two-link gateway of k slots under a greedy
-// router, perSlotAlloc on each link, rebalancing every 4 ticks.
-func startLinked(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTicks, *route.Policy) {
+// startRouted launches a gateway of k slots over two shards whose OPENs
+// a greedy router places, perSlotAlloc on each shard.
+func startRouted(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTicks, *route.Policy) {
 	t.Helper()
-	const links = 2
-	router := route.NewGreedy(route.Uniform(links, bw.Rate(k/links)))
+	const shards = 2
+	router := route.NewGreedy(route.Uniform(shards, bw.Rate(k/shards)))
 	ticks := newManualTicks()
 	g, err := NewWithConfig(Config{
-		Addr:           "127.0.0.1:0",
-		Slots:          k,
-		Links:          links,
-		Router:         router,
-		ShardAllocs:    []sim.MultiAllocator{perSlotAlloc{cap: perSlotCap}, perSlotAlloc{cap: perSlotCap}},
-		Ticks:          ticks.ch,
-		RebalanceEvery: 4,
-		RebalanceLimit: 1,
+		Addr:        "127.0.0.1:0",
+		Slots:       k,
+		Shards:      shards,
+		Router:      router,
+		ShardAllocs: perSlotAllocs(shards, perSlotCap),
+		Ticks:       ticks.ch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +169,8 @@ func roundWith(t *testing.T, g *Gateway, ticks *manualTicks, bursts ...burst) {
 // arrivals — its first bit is served at once, not behind the stranger's
 // queue — and a neighbour sending throughout is served in full and on
 // time. perSlotAlloc keeps no state and looks at nothing but a slot's own
-// queue, so any difference is the table's doing. On two links a rebalance
-// moves the neighbour into the slot the backlog was dropped from, between
-// the two tenants.
+// queue, so any difference is the table's doing. On two routed shards
+// the router, not the connection's stripe, places every session.
 func TestTenantIsolation(t *testing.T) {
 	const (
 		k       = 8
@@ -197,8 +193,8 @@ func TestTenantIsolation(t *testing.T) {
 			g, ticks := startSharded(t, k, 4, slotCap)
 			return g, ticks, nil
 		}},
-		{"two links, rebalanced", func(t *testing.T) (*Gateway, *manualTicks, *route.Policy) {
-			return startLinked(t, 4, slotCap)
+		{"two routed shards", func(t *testing.T) (*Gateway, *manualTicks, *route.Policy) {
+			return startRouted(t, 4, slotCap)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -245,9 +241,6 @@ func TestTenantIsolation(t *testing.T) {
 			nm, tm := dial(g), dial(g)
 			neighbour := mustOpen(nm)
 			a := mustOpen(tm)
-			if router != nil {
-				mustOpen(tm) // a third session, on the neighbour's link: A's leaving tips the balance
-			}
 			var sent bw.Bits
 			busy := func() burst {
 				sent += steady
@@ -262,27 +255,21 @@ func TestTenantIsolation(t *testing.T) {
 			if err := tm.CloseSession(a); err != nil {
 				t.Fatal(err)
 			}
-			// Three rounds with the slot free. On two links round 4
-			// rebalances; the round after a slot is left returns its rate —
-			// the allocator's last answer for it, which stays with the slot
-			// — to the zero a never-used slot starts from.
+			// Three rounds with the slot free. The round after a slot is
+			// left returns its rate — the allocator's last answer for it,
+			// which stays with the slot — to the zero a never-used slot
+			// starts from.
 			roundWith(t, g, ticks, busy())
 			roundWith(t, g, ticks, busy())
 			roundWith(t, g, ticks, busy())
-			if router != nil {
-				if l := router.Where(int(neighbour)); l != 1 {
-					t.Fatalf("neighbour on link %d after the rebalance round, want 1", l)
-				}
-				for _, s := range g.Sessions() {
-					if s.Ext == int(neighbour) && s.Slot != 2 {
-						t.Fatalf("neighbour moved to slot %d, want the first tenant's slot 2", s.Slot)
-					}
-				}
-			}
 
 			b := mustOpen(tm)
 			if mask := uint32(g.indexMask); b == a || b&mask != a&mask {
 				t.Fatalf("second tenant got ID %#x after %#x: want the same index under a new tag", b, a)
+			}
+			if router != nil && (router.Where(int(b)&g.indexMask) != 1 || router.SessionsOf(0) != 1 || router.SessionsOf(1) != 1) {
+				t.Fatalf("second tenant's reservation on link %d, links hold %d/%d sessions; want it on 1, and 1/1",
+					router.Where(int(b)&g.indexMask), router.SessionsOf(0), router.SessionsOf(1))
 			}
 			for _, bits := range arrivals {
 				roundWith(t, g, ticks, busy(), burst{tm, b, bits})

@@ -49,17 +49,21 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // so idle and active=40 run on the tick loop and the other two fan out.
 // The feeding is outside the ns/round figure and inside allocs/op, which
 // is 0 once the round's scratch lists have grown to the active count.
-// live_B/slot is the table's live heap after the run, a slot's share: the
-// slot state, the policies' and the round's scratch.
+// live_B/slot is the table's live heap, a slot's share: the slot state,
+// the policies' and the round's scratch. It is measured once, on the
+// first run (b.N = 1), against a heap taken before any gateway was built,
+// and reported with every run: a later run's baseline would count a
+// gateway the run before left reachable.
 func BenchmarkRound(b *testing.B) {
 	const k, nshards = 100_000, 8
+	base := liveHeap()
 	for _, active := range []int{0, 40, 1000, 100_000} {
 		name := fmt.Sprintf("active=%d", active)
 		if active == 0 {
 			name = "idle"
 		}
+		var perSlot float64
 		b.Run(name, func(b *testing.B) {
-			base := liveHeap()
 			g := newRounds(b, "phased", k, nshards, 32)
 			var tick bw.Tick
 			var spent time.Duration
@@ -84,7 +88,10 @@ func BenchmarkRound(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
-			b.ReportMetric((float64(liveHeap())-float64(base))/k, "live_B/slot")
+			if b.N == 1 {
+				perSlot = (float64(liveHeap()) - float64(base)) / k
+			}
+			b.ReportMetric(perSlot, "live_B/slot")
 			if got := g.m.activeSlots.Value(); got != int64(active) {
 				b.Errorf("the last round visited %d slots, want %d", got, active)
 			}
@@ -142,7 +149,7 @@ func TestRoundNoPanic(t *testing.T) {
 					obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1)}})
 				rec.Record()
 				sh0 := g.shards[0]
-				sh0.allocs[0] = panicsOn{sh0.allocs[0], badAt}
+				sh0.alloc = panicsOn{sh0.alloc, badAt}
 				ticks := make(chan time.Time)
 				g.ticks = ticks
 				go g.tickLoop()
@@ -235,20 +242,24 @@ func TestHandlerNoPanic(t *testing.T) {
 }
 
 // healsOnWrite is a log sink that undoes TestHandlerLockedNoPanic's
-// corruption: the handler's recover logs before it releases, and the
-// release looks the slot up again.
-type healsOnWrite struct{ sh *shard }
+// corruption, putting the shard's slots back: the handler's recover logs
+// before it releases, and the release vacates the slot.
+type healsOnWrite struct {
+	sh    *shard
+	slots sim.Slots
+}
 
 func (h healsOnWrite) Write(p []byte) (int, error) {
 	h.sh.mu.Lock()
-	h.sh.slotAt = nil
+	h.sh.slots = h.slots
 	h.sh.mu.Unlock()
 	return len(p), nil
 }
 
 // TestHandlerLockedNoPanic: a handler that panics while it holds a shard
-// lock gives the lock back. A corrupt slot map makes the slot lookup —
-// which DATA, a BATCH's DATA and STATS each do under the lock — panic;
+// lock gives the lock back. A shard whose slots are swapped for an empty
+// table makes the slot access — which DATA, a BATCH's DATA and STATS each
+// do under the lock — panic;
 // the panic is counted, the handler's deferred exit (which takes the
 // same lock) releases the connection's session, and the shard's next
 // round and a second connection's exchange go through. Anything that
@@ -296,11 +307,11 @@ func TestHandlerLockedNoPanic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newBare(4)
 			sh := g.shards[0]
-			g.log = obs.NewRateLimited(slog.New(slog.NewTextHandler(healsOnWrite{sh}, nil)), 0)
+			g.log = obs.NewRateLimited(slog.New(slog.NewTextHandler(healsOnWrite{sh, sh.slots}, nil)), 0)
 
 			client, id := serve(t, g)
 			sh.mu.Lock()
-			sh.slotAt = []int32{} // every lookup is out of range
+			sh.slots = sim.Slots{} // every slot is out of range
 			sh.mu.Unlock()
 			within(t, "the panicking handler", func() {
 				client.Write(tc.msg(id))

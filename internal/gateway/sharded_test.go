@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/core"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
@@ -82,11 +81,10 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 	cfg = base
 	cfg.Shards = 2
-	cfg.Links = 2
-	p := core.MultiParams{K: 4, BO: 64, DO: 4}
-	cfg.ShardAllocs = []sim.MultiAllocator{core.MustNewPhased(p), core.MustNewPhased(p), alloc, alloc}
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc, alloc}
+	cfg.Router = route.NewP2C(route.Uniform(4, 2), 1)
 	if _, err := NewWithConfig(cfg); err == nil {
-		t.Error("sharded multi-link accepted")
+		t.Error("a router over 4 links accepted for 2 shards")
 	}
 	cfg = base
 	if _, err := NewWithConfig(cfg); err == nil {
@@ -99,13 +97,12 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Error("Alloc alone accepted for 2 shards")
 	}
 
-	// One is a count: a one-element list, for one shard or one link, is
-	// the gateway Alloc builds.
+	// One is a count: a one-element list, for one shard, routed or not,
+	// is the gateway Alloc builds.
 	accepted := map[string]Config{
 		"Shards 0, one ShardAlloc": {ShardAllocs: []sim.MultiAllocator{alloc}},
 		"Shards 1, one ShardAlloc": {Shards: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
-		"Links 1, one ShardAlloc":  {Links: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
-		"Links 1, router, Alloc":   {Links: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc},
+		"Shards 1, router, Alloc":  {Shards: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc},
 	}
 	for name, c := range accepted {
 		c.Addr, c.Slots, c.Ticks = base.Addr, base.Slots, base.Ticks
@@ -114,8 +111,8 @@ func TestShardedConfigValidation(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if len(g.shards) != 1 || len(g.shards[0].allocs) != 1 {
-			t.Errorf("%s: %d shards, %d allocators on the first", name, len(g.shards), len(g.shards[0].allocs))
+		if len(g.shards) != 1 || g.shards[0].alloc == nil {
+			t.Errorf("%s: %d shards, the first without an allocator", name, len(g.shards))
 		}
 		g.Close()
 	}

@@ -92,13 +92,8 @@ func (g *Gateway) stats() Stats {
 type SessionInfo struct {
 	Slot int `json:"slot"`
 	// Shard is the gateway shard owning this slot (always 0 unsharded).
-	Shard int `json:"shard"`
-	// Link is the backend link owning this slot (always 0 single-link).
-	Link int  `json:"link"`
-	Open bool `json:"open"`
-	// Ext is the index (wire ID less its tag) of the session in the slot,
-	// -1 when free: Slot, unless a rebalance has moved the session.
-	Ext      int     `json:"ext"`
+	Shard    int     `json:"shard"`
+	Open     bool    `json:"open"`
 	Rate     bw.Rate `json:"rate"`
 	Queued   bw.Bits `json:"queued"`
 	Served   bw.Bits `json:"served"`
@@ -115,18 +110,11 @@ func (g *Gateway) Sessions() []SessionInfo {
 	for _, sh := range g.shards {
 		sh.mu.Lock()
 		for i := 0; i < sh.n; i++ {
-			slot := sh.base + i
-			ext := -1
-			if sh.used.Has(i) {
-				ext = sh.index(i)
-			}
 			q := sh.slots.Queue(i)
 			out = append(out, SessionInfo{
-				Slot:     slot,
+				Slot:     sh.index(i),
 				Shard:    sh.idx,
-				Link:     i / sh.lm,
 				Open:     sh.used.Has(i),
-				Ext:      ext,
 				Rate:     sh.slots.Rate(i),
 				Queued:   q.Bits(),
 				Served:   q.Served(),

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"runtime"
 	"runtime/debug"
@@ -169,7 +168,7 @@ func (g *Gateway) tickWorker(w int) {
 func (g *Gateway) shardRound(sh *shard, t bw.Tick, start time.Time) time.Time {
 	r, err := g.tickContained(sh, t)
 	if err != nil {
-		g.log.Log(slog.LevelError, "alloc", "gateway: allocator broke its contract; link not served this round",
+		g.log.Log(slog.LevelError, "alloc", "gateway: allocator broke its contract; shard not served this round",
 			"shard", sh.idx, "err", err)
 	}
 	if r.Active != 0 {
@@ -208,41 +207,23 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (r sim.Round, err error) {
 
 // tick runs one allocation round over this shard's slots: one kernel
 // step (sim.Slots.Step — the round the simulator verifies the theorems
-// on) per link, each link's allocator seeing only its own slot range,
-// summed into one Round. The step visits the slots with pending or
-// queued bits and no others, so the lock is held for as long as the busy
-// sessions take. In multi-link mode (one shard, several links)
-// every rebalEvery ticks a rebalance pass may then migrate sessions
-// between links.
+// on) under the shard's allocator. The step visits the slots with
+// pending or queued bits and no others, so the lock is held for as long
+// as the busy sessions take.
 //
-// A link whose allocator breaks its contract (wrong rate count, negative
-// rate) is served nothing this round — its arrivals stay queued and its
-// rates stand — and the first such violation is returned for the caller
-// to log outside the lock.
+// An allocator that breaks its contract (wrong rate count, negative
+// rate) serves nothing this round — the arrivals stay queued and the
+// rates stand — and the violation is returned for the caller to log
+// outside the lock.
 //
 // On the way out the shard's work estimate becomes the slots the round
 // left backlogged; the DATA applied from here to the next round adds to
 // it. A round that panics stores nothing, and the estimate it started
 // with still bounds the slots it leaves active.
-func (sh *shard) tick(t bw.Tick) (sum sim.Round, err error) {
+func (sh *shard) tick(t bw.Tick) (sim.Round, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for l, alloc := range sh.allocs {
-		r, lerr := sh.links[l].Step(t, alloc)
-		if lerr != nil && err == nil {
-			err = fmt.Errorf("link %d: %w", l, lerr)
-		}
-		sum.Arrived += r.Arrived
-		sum.Served += r.Served
-		sum.Policed += r.Policed
-		sum.Total += r.Total
-		sum.Changes += r.Changes
-		sum.Active += r.Active
-		sum.Backlogged += r.Backlogged
-	}
-	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 {
-		sh.rebalance()
-	}
-	sh.work.Store(int64(sum.Backlogged))
-	return sum, err
+	r, err := sh.slots.Step(t, sh.alloc)
+	sh.work.Store(int64(r.Backlogged))
+	return r, err
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynbw/internal/obs"
+	"dynbw/internal/route"
 )
 
 // Error classes for the gateway_errors_total counter: how a connection
@@ -51,9 +52,7 @@ type connState struct {
 	// meaningful fraction of idleTimeout has passed.
 	armedAt time.Time
 	// groups accumulates batched DATA updates per shard, so one BATCH
-	// frame takes each shard lock once instead of once per message. Slots
-	// are resolved under the shard lock at flush time (a concurrent
-	// rebalance may move a session between parse and apply).
+	// frame takes each shard lock once instead of once per message.
 	groups [][]pendingAdd
 	// scratch backs every header/body read and reply assembly on the
 	// wire path. Reading into a function-local array through the
@@ -64,7 +63,7 @@ type connState struct {
 
 // pendingAdd is one batched DATA update awaiting its shard-group apply.
 type pendingAdd struct {
-	id   uint32 // wire session ID; resolved to a slot under the shard lock
+	id   uint32 // wire session ID
 	bits int64
 }
 
@@ -258,10 +257,13 @@ func (g *Gateway) observeDisconnect(conn net.Conn, err error, cs *connState) {
 	}
 }
 
-// openSession begins a session and returns the ID handed to the client,
-// probing the shards round-robin from the connection's home stripe
-// (first-fit within each shard).
+// openSession begins a session and returns the ID handed to the client.
+// Without a router it probes the shards round-robin from the
+// connection's home stripe (first-fit within each shard).
 func (g *Gateway) openSession(start int) (int, error) {
+	if g.router != nil {
+		return g.openRouted()
+	}
 	for p := 0; p < len(g.shards); p++ {
 		if id, ok := g.shards[(start+p)%len(g.shards)].open(); ok {
 			g.m.sessions.Add(1)
@@ -269,6 +271,31 @@ func (g *Gateway) openSession(start int) (int, error) {
 		}
 	}
 	return 0, ErrSessionLimit
+}
+
+// openRouted lets the router choose the shard. The router records a
+// session under an ID, but the session's index is its slot, which the
+// chosen shard picks only after the placement: the reservation is made
+// under a provisional key — negative, so no index can collide with it,
+// and unique to this OPEN — and filed under the index once the shard has
+// claimed a slot. That slot's last tenant released its reservation under
+// the same shard lock as the slot, so the index is free in the router's
+// books. A shard holds no more sessions than the router reserved on it,
+// so open fails only when the router admits more than a shard's slots.
+func (g *Gateway) openRouted() (int, error) {
+	key := -int(g.routed.Add(1))
+	l := g.router.Place(route.Session{ID: key, Rate: 1})
+	if l == route.Blocked {
+		return 0, ErrSessionLimit
+	}
+	id, ok := g.shards[l].open()
+	if !ok {
+		g.router.Release(key)
+		return 0, ErrSessionLimit
+	}
+	g.router.Rekey(key, id&g.indexMask)
+	g.m.sessions.Add(1)
+	return id, nil
 }
 
 // releaseSession ends the session behind a validated session ID — on

@@ -30,9 +30,8 @@ func NewPolicy(name string, k int, bo bw.Rate, do bw.Tick) (sim.MultiAllocator, 
 	}
 }
 
-// NewPolicies builds the allocators of a gateway split n ways, across
-// shards or across links: n NewPolicy allocators, each over k/n slots
-// and bo/n bandwidth. The i-th runs on its own tick worker, so it emits
+// NewPolicies builds the allocators of a gateway of n shards: n
+// NewPolicy allocators, each over k/n slots and bo/n bandwidth. The i-th runs on its own tick worker, so it emits
 // through o's stripe i (obs.StripeOf) and emission never crosses lock
 // domains; a nil o leaves the allocators silent.
 func NewPolicies(name string, n, k int, bo bw.Rate, do bw.Tick, o obs.Observer) ([]sim.MultiAllocator, error) {

@@ -42,11 +42,11 @@ type LinkID int
 // Blocked is returned by Place when no link can admit the session.
 const Blocked LinkID = -1
 
-// Session is a placement request: a session identifier (stable for the
-// session's lifetime; Release and Rebalance refer to it) and the nominal
-// rate the admission rule reserves on the chosen link. The live gateway
-// places slots with Rate 1 against slot-count capacities; the routing
-// simulation places declared bandwidths against link capacities.
+// Session is a placement request: a session identifier (Release and
+// Rebalance refer to it; Rekey changes it) and the nominal rate the
+// admission rule reserves on the chosen link. The live gateway places
+// slots with Rate 1 on its shards, against slot-count capacities; the
+// routing simulation places declared bandwidths against link capacities.
 type Session struct {
 	ID   int
 	Rate bw.Rate
@@ -65,16 +65,11 @@ type Router interface {
 	Place(s Session) LinkID
 	// Release frees the session's reservation. Unknown IDs are no-ops.
 	Release(id int)
+	// Rekey files the reservation placed under ID from under ID to, for a
+	// caller that learns a session's lasting ID only once it has placed
+	// it. Unknown from is a no-op; to must not be placed.
+	Rekey(from, to int)
 }
-
-// OneLink is the router of a system with a single link: there is nothing
-// to choose and nothing to keep.
-type OneLink struct{}
-
-func (OneLink) Name() string         { return "one-link" }
-func (OneLink) K() int               { return 1 }
-func (OneLink) Place(Session) LinkID { return 0 }
-func (OneLink) Release(int)          {}
 
 // Rebalancer is implemented by routers that can migrate live sessions to
 // even out link loads. Each returned Move has already been applied to
@@ -245,6 +240,21 @@ func (p *Policy) Release(id int) {
 	if ok {
 		p.emitRelease(id, pl.link)
 	}
+}
+
+// Rekey implements Router. It moves no load, so it emits nothing.
+func (p *Policy) Rekey(from, to int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pl, ok := p.wher[from]
+	if !ok {
+		return
+	}
+	if _, dup := p.wher[to]; dup {
+		panic(fmt.Sprintf("route: session %d rekeyed onto live session %d", from, to))
+	}
+	delete(p.wher, from)
+	p.wher[to] = pl
 }
 
 // Rebalance implements Rebalancer: while the spread between the most-

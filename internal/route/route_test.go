@@ -118,6 +118,36 @@ func TestReleaseUnknownIsNoop(t *testing.T) {
 	}
 }
 
+// TestRekey: a reservation placed under a provisional key is filed under
+// the session's lasting ID without moving load, the provisional key is
+// forgotten, an unknown key is a no-op, and rekeying onto a live session
+// panics.
+func TestRekey(t *testing.T) {
+	p := NewGreedy(Uniform(2, 10))
+	p.Place(Session{ID: 0, Rate: 3})
+	l := p.Place(Session{ID: -5, Rate: 4})
+	p.Rekey(-5, 7)
+	if p.Where(7) != l || p.Where(-5) != Blocked || p.LoadOf(l) != 4 || p.SessionsOf(l) != 1 {
+		t.Fatalf("after rekey: session 7 on %d, -5 on %d, link %d load %d with %d sessions; want %d, Blocked, 4, 1",
+			p.Where(7), p.Where(-5), l, p.LoadOf(l), p.SessionsOf(l), l)
+	}
+	p.Rekey(-6, 8) // never placed
+	if p.Where(8) != Blocked {
+		t.Fatal("rekeying an unknown key placed a session")
+	}
+	p.Release(7)
+	if p.LoadOf(l) != 0 {
+		t.Fatalf("release under the new key left load %d", p.LoadOf(l))
+	}
+	p.Place(Session{ID: -1, Rate: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("rekeying onto a live session did not panic")
+		}
+	}()
+	p.Rekey(-1, 0)
+}
+
 func TestRebalanceEvensLoad(t *testing.T) {
 	p := NewGreedy(Uniform(2, 100))
 	// Pile sessions onto link 0 by hand: place while link 1 is

@@ -114,7 +114,7 @@ func (r *MultiRunner) size(k int) Slots {
 		}
 	}
 	if r.view.Len() != k {
-		r.view = r.slots.Slice(0, k)
+		r.view = r.slots.prefix(k)
 	}
 	slots := r.view
 	slots.Reset()

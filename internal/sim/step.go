@@ -38,16 +38,15 @@ const MaxBacklog bw.Bits = 1 << 40
 // summary level, so a round costs what its busy sessions cost, whatever
 // the size of the table, and a round with none costs a few word reads.
 //
-// A Slots value is a view: copies and Slice results share storage. It is
+// A Slots value is a view: copies and prefix views share storage. It is
 // not safe for concurrent use.
 type Slots struct {
 	queues  []queue.FIFO
 	rates   []bw.Rate
 	changes []int
 	pending []bw.Bits
-	// active is the whole table's set; this view's slot i is bit lo+i.
+	// active is the whole table's set; slot i is bit i.
 	active bitset.Set
-	lo     int
 	run    *running
 }
 
@@ -74,18 +73,17 @@ func NewSlots(k int) Slots {
 // Len returns the number of slots in the view.
 func (s Slots) Len() int { return len(s.queues) }
 
-// Slice returns the view of slots [lo, hi): one link's share of a table
-// whose links are each served by their own allocator. The view keeps its
-// own running total, so take it once and step it every round; stepping a
+// prefix returns the view of the first k slots: a runner's table for a
+// run of fewer sessions than it has grown to. The view keeps its own
+// running total, so take it once and step it every round; stepping a
 // table through both a view and its parent is not supported.
-func (s Slots) Slice(lo, hi int) Slots {
+func (s Slots) prefix(k int) Slots {
 	v := Slots{
-		queues:  s.queues[lo:hi],
-		rates:   s.rates[lo:hi],
-		changes: s.changes[lo:hi],
-		pending: s.pending[lo:hi],
+		queues:  s.queues[:k],
+		rates:   s.rates[:k],
+		changes: s.changes[:k],
+		pending: s.pending[:k],
 		active:  s.active,
-		lo:      s.lo + lo,
 		run:     &running{},
 	}
 	for _, r := range v.rates {
@@ -118,7 +116,7 @@ func (s Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 	}
 	if bits > 0 {
 		s.pending[i] += bits
-		s.active.Add(s.lo + i)
+		s.active.Add(i)
 	}
 	return dropped
 }
@@ -131,7 +129,7 @@ func (s Slots) Reset() {
 	clear(s.rates)
 	clear(s.changes)
 	clear(s.pending)
-	s.active.ClearRange(s.lo, s.lo+len(s.queues))
+	s.active.ClearRange(0, len(s.queues))
 	s.run.total = 0
 }
 
@@ -160,8 +158,9 @@ func (t *Tenancy) Add(u Tenancy) {
 // still pending or queued are dropped, the served, max-delay and change
 // counters return to zero and the slot leaves the active set, so the next
 // session to take the slot starts with nothing of this one's. The
-// last-applied rate stays, as in Move. Only a service calls it: a
-// simulated session lasts the whole run.
+// last-applied rate stays: it is the allocator's output for the slot, not
+// a property of the session. Only a service calls it: a simulated session
+// lasts the whole run.
 func (s Slots) Vacate(i int) Tenancy {
 	q := &s.queues[i]
 	t := Tenancy{
@@ -172,28 +171,8 @@ func (s Slots) Vacate(i int) Tenancy {
 	}
 	q.Reset()
 	s.pending[i], s.changes[i] = 0, 0
-	s.active.Remove(s.lo + i)
+	s.active.Remove(i)
 	return t
-}
-
-// Move migrates the session in slot src to slot dst, which must be free:
-// the queue, the pending arrivals, the place in the active set and the
-// session's change count travel with it, so a client polling its count
-// never sees it go backwards. The count dst had accumulated is left in
-// src rather than dropped, which keeps the sum over all slots equal to
-// the number of changes ever applied. The last-applied rates stay put:
-// each is the allocator's output for that slot, not a property of the
-// session.
-func (s Slots) Move(dst, src int) {
-	s.queues[dst] = s.queues[src]
-	s.queues[src] = queue.FIFO{}
-	s.pending[dst], s.pending[src] = s.pending[src], 0
-	s.changes[dst], s.changes[src] = s.changes[src], s.changes[dst]
-	s.active.Remove(s.lo + dst)
-	if s.active.Has(s.lo + src) {
-		s.active.Remove(s.lo + src)
-		s.active.Add(s.lo + dst)
-	}
 }
 
 // Round is what one Step did, summed over the slots.
@@ -234,11 +213,9 @@ type Round struct {
 func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
-	in.idx = s.active.AppendTo(in.idx, s.lo, s.lo+len(s.queues))
+	in.idx = s.active.AppendTo(in.idx, 0, len(s.queues))
 	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx), Backlogged: len(in.idx)}
-	for j, g := range in.idx {
-		i := int(g) - s.lo
-		in.idx[j] = int32(i)
+	for _, i := range in.idx {
 		a := s.pending[i]
 		s.pending[i] = 0
 		if room := MaxBacklog - s.queues[i].Bits(); a > room {
@@ -275,7 +252,7 @@ func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		q := &s.queues[i]
 		r.Served += q.Serve(t, s.rates[i])
 		if q.Bits() == 0 {
-			s.active.Remove(s.lo + int(i))
+			s.active.Remove(int(i))
 			r.Backlogged--
 		}
 	}

@@ -131,82 +131,50 @@ func TestSlotsStepRejectsRaggedAnswer(t *testing.T) {
 	}
 }
 
-// TestSlotsSliceAndMove: a Slice steps only its own range of the shared
-// table — with bounds that fall inside a word of the active set — and
-// Move carries queue, pending bits, active-set membership and change
-// count while rates stay put and the table-wide change total is
-// conserved.
+// TestSlotsSliceAndMove: a prefix view steps only its own slots of the
+// shared table — with a bound that falls inside a word of the active set
+// — and leaves the rest as they were, bits pending and in the set, for a
+// wider view taken later, whose running total starts from the rates the
+// table holds.
 func TestSlotsSliceAndMove(t *testing.T) {
-	const k = 200 // links of 100 slots: the boundary splits word 1 of the set
+	const k = 200 // a view of 100 slots: its bound splits word 1 of the set
 	s := NewSlots(k)
-	lo, hi := s.Slice(0, 100), s.Slice(100, 200)
-	constant := func(rate func(bw.Tick) bw.Rate) SparseAllocator {
+	constant := func(n int, rate func(bw.Tick) bw.Rate) SparseAllocator {
 		return Sparse(multiAllocFunc(func(tk bw.Tick, _, _ []bw.Bits) []bw.Rate {
-			out := make([]bw.Rate, 100)
+			out := make([]bw.Rate, n)
 			for i := range out {
 				out[i] = rate(tk)
 			}
 			return out
-		}), 100)
+		}), n)
 	}
-	loAlloc := constant(func(bw.Tick) bw.Rate { return 2 })
-	hiAlloc := constant(func(tk bw.Tick) bw.Rate { return 5 + tk }) // changes every tick
-	s.Add(99, 3)                                                    // last slot of the low link
-	s.Add(100, 20)                                                  // first slot of the high link
+	s.Add(99, 3)   // the view's last slot
+	s.Add(100, 20) // the first one past it
 	s.Add(163, 1)
-	if r, err := lo.Step(0, loAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 {
-		t.Fatalf("low link round = %+v, %v", r, err)
+	low, lowAlloc := s.prefix(100), constant(100, func(bw.Tick) bw.Rate { return 2 })
+	if r, err := low.Step(0, lowAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 || r.Changes != 100 {
+		t.Fatalf("view tick 0: round = %+v, %v", r, err)
 	}
-	for tick := bw.Tick(0); tick < 2; tick++ {
-		r, err := hi.Step(tick, hiAlloc)
-		if err != nil {
-			t.Fatal(err)
+	if r, err := low.Step(1, lowAlloc); err != nil || r.Active != 1 || r.Served != 1 || r.Backlogged != 0 || r.Total != 200 {
+		t.Fatalf("view tick 1: round = %+v, %v", r, err)
+	}
+	for _, i := range []int{100, 163} {
+		if s.Pending(i) == 0 || s.Queue(i).Bits() != 0 || s.Rate(i) != 0 || s.Changes(i) != 0 {
+			t.Fatalf("slot %d past the view was touched: pending %d, queued %d, rate %d, %d changes",
+				i, s.Pending(i), s.Queue(i).Bits(), s.Rate(i), s.Changes(i))
 		}
-		if want := 2 - int(tick); r.Active != want || r.Total != 100*(5+tick) {
-			t.Fatalf("high link tick %d: round = %+v, want %d active", tick, r, want)
-		}
-	}
-	if s.Queue(99).Bits() != 1 || s.Queue(100).Bits() != 9 || s.Queue(163).Bits() != 0 {
-		t.Fatalf("after slice steps: queued %d/%d/%d", s.Queue(99).Bits(), s.Queue(100).Bits(), s.Queue(163).Bits())
-	}
-	changes := func() (sum int) {
-		for i := 0; i < k; i++ {
-			sum += s.Changes(i)
-		}
-		return sum
-	}
-	total := changes()
-	if s.Changes(100) != 2 || s.Changes(7) != 1 {
-		t.Fatalf("changes: slot 100 has %d, slot 7 has %d", s.Changes(100), s.Changes(7))
 	}
 
-	// Slot 100's session, backlogged and with arrivals pending, moves to
-	// the low link.
-	s.Add(100, 4)
-	s.Move(7, 100)
-	if s.Queue(7).Bits() != 9 || s.Queue(7).Served() != 11 || s.Queue(100).Bits() != 0 || s.Queue(100).Served() != 0 {
-		t.Errorf("queue did not move: dst %d/%d src %d/%d",
-			s.Queue(7).Bits(), s.Queue(7).Served(), s.Queue(100).Bits(), s.Queue(100).Served())
+	// The whole table: the slots past the old view are visited, and the
+	// round's total counts the 100 rates the view applied.
+	whole := s.prefix(k)
+	r, err := whole.Step(2, constant(k, func(tk bw.Tick) bw.Rate { return 5 + tk }))
+	if err != nil || r.Active != 2 || r.Arrived != 21 || r.Served != 8 || r.Backlogged != 1 || r.Total != 7*k || r.Changes != k {
+		t.Fatalf("whole table: round = %+v, %v", r, err)
 	}
-	if s.Changes(7) != 2 {
-		t.Errorf("session's change count 2 did not travel: dst has %d", s.Changes(7))
-	}
-	if got := changes(); got != total {
-		t.Errorf("table-wide changes %d -> %d across a move", total, got)
-	}
-	if s.Rate(7) != 2 || s.Rate(100) != 6 {
-		t.Errorf("rates moved with the session: dst %d src %d, want 2/6", s.Rate(7), s.Rate(100))
-	}
-	// The low link now serves the session — pending bits first in, and
-	// two slots visited — while the high link has nothing left to visit.
-	if r, err := lo.Step(2, loAlloc); err != nil || r.Active != 2 || r.Arrived != 4 || r.Served != 3 {
-		t.Errorf("low link after the move: round = %+v, %v", r, err)
-	}
-	if r, err := hi.Step(2, hiAlloc); err != nil || r.Active != 0 || r.Served != 0 {
-		t.Errorf("high link after the move: round = %+v, %v", r, err)
-	}
-	if s.Queue(7).Bits() != 11 {
-		t.Errorf("moved session has %d bits queued, want 11", s.Queue(7).Bits())
+	if s.Changes(99) != 2 || s.Changes(100) != 1 || s.Queue(100).Bits() != 13 || s.Queue(99).Served() != 3 {
+		t.Errorf("after both views: slot 99 %d changes, %d served; slot 100 %d changes, %d queued",
+			s.Changes(99), s.Queue(99).Served(), s.Changes(100), s.Queue(100).Bits())
 	}
 }
 
@@ -296,93 +264,85 @@ func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.
 	return a.changed, a.moved
 }
 
-// TestSlotsViewsShareTheActiveSet: a Slice view is the table's own active
-// set read at an offset, through both of the set's levels. On a table
-// wide enough for three summary words, cut into three links whose edges
-// fall inside member words and whose ranges straddle summary words,
-// random Adds (through the table and through a view), Vacates, Moves
-// across links, a link's Reset and rounds that drain slots leave every
-// link's round visiting exactly the slots that hold bits — the reference
-// is a walk over all of them — and reporting how many it left backlogged.
-// (That a summary bit is set exactly while its word is non-zero is
-// bitset's own test; the kernel writes the set through Add, Remove and
-// ClearRange alone. A summary bit cleared too early would hide a slot
-// with work from its link here.)
+// TestSlotsViewsShareTheActiveSet: a prefix view reads the table's own
+// active set, through both of the set's levels. On a table wide enough
+// for three summary words, views whose bounds fall inside member words
+// and straddle summary words are taken one after another, as a runner
+// takes one per run, in random order. Under each, random Adds (through
+// the table and through the view), Vacates, the view's Reset and rounds
+// that drain slots leave every round visiting exactly the view's slots
+// that hold bits — the reference is a walk over them — and reporting how
+// many it left backlogged. Slots past a view keep their bits and their
+// place in the set, and the next wider view visits them. (That a summary
+// bit is set exactly while its word is non-zero is bitset's own test; the
+// kernel writes the set through Add, Remove and ClearRange alone. A
+// summary bit cleared too early would hide a slot with work from a view
+// here.)
 func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 	const k = 2*64*64 + 500
-	cuts := []int{0, 3000, 6000, k}
+	cuts := []int{3000, 6000, k}
 	s := NewSlots(k)
-	var views []Slots
-	var allocs []*everyRate
-	for l := 0; l+1 < len(cuts); l++ {
-		views = append(views, s.Slice(cuts[l], cuts[l+1]))
-		allocs = append(allocs, newEveryRate(3))
-	}
-	linkOf := func(i int) int {
-		l := 0
-		for i >= cuts[l+1] {
-			l++
-		}
-		return l
-	}
 	hasWork := func(i int) bool { return s.Pending(i) > 0 || s.Queue(i).Bits() > 0 }
 	src := rng.New(5)
-	// Busy slots cluster around the links' edges and the summary words'
+	// Busy slots cluster around the views' bounds and the summary words'
 	// (slots 4096 and 8192), so most words of the set stay empty.
 	slot := func() int {
 		edges := []int{0, 2990, 4090, 5990, 8185, k - 10}
 		return min(k-1, edges[src.Intn(len(edges))]+src.Intn(20))
 	}
 	var tick bw.Tick
-	rounds, moves := 0, 0
-	for step := 0; step < 4000; step++ {
-		switch op := src.Intn(10); {
-		case op < 4:
-			i, bits := slot(), 1+src.Int64n(12)
-			if l := linkOf(i); src.Intn(2) == 0 {
-				views[l].Add(i-cuts[l], bits)
-			} else {
-				s.Add(i, bits)
+	rounds, carried, n := 0, 0, k
+	for phase := 0; phase < 12; phase++ {
+		last := n
+		n = cuts[src.Intn(len(cuts))]
+		for i := last; i < n; i++ {
+			if hasWork(i) {
+				carried++
 			}
-		case op == 4:
-			s.Vacate(slot())
-		case op == 5:
-			from, to := slot(), slot()
-			if hasWork(from) && !hasWork(to) {
-				s.Move(to, from)
-				moves++
-			}
-		case op == 6 && step%97 == 0:
-			views[src.Intn(len(views))].Reset()
-		default:
-			l := src.Intn(len(views))
-			var want []int32
-			for i := cuts[l]; i < cuts[l+1]; i++ {
-				if hasWork(i) {
-					want = append(want, int32(i-cuts[l]))
+		}
+		v, alloc := s.prefix(n), newEveryRate(3)
+		for step := 0; step < 400; step++ {
+			switch op := src.Intn(10); {
+			case op < 4:
+				i, bits := slot(), 1+src.Int64n(12)
+				if i < n && src.Intn(2) == 0 {
+					v.Add(i, bits)
+				} else {
+					s.Add(i, bits)
 				}
-			}
-			r, err := views[l].Step(tick, allocs[l])
-			tick++
-			if err != nil || r.Active != len(want) || !slices.Equal(allocs[l].active, want) {
-				t.Fatalf("step %d, link %d: round = %+v, %v; allocator told of %v, want %v", step, l, r, err, allocs[l].active, want)
-			}
-			left := 0
-			for i := cuts[l]; i < cuts[l+1]; i++ {
-				if hasWork(i) {
-					left++
+			case op == 4:
+				s.Vacate(slot())
+			case op == 5 && step%97 == 0:
+				v.Reset()
+			default:
+				var want []int32
+				for i := 0; i < n; i++ {
+					if hasWork(i) {
+						want = append(want, int32(i))
+					}
 				}
-			}
-			if r.Backlogged != left {
-				t.Fatalf("step %d, link %d: Round.Backlogged = %d, %d slots hold bits", step, l, r.Backlogged, left)
-			}
-			if len(want) > 0 {
-				rounds++
+				r, err := v.Step(tick, alloc)
+				tick++
+				if err != nil || r.Active != len(want) || !slices.Equal(alloc.active, want) {
+					t.Fatalf("phase %d, step %d, view of %d: round = %+v, %v; allocator told of %v, want %v", phase, step, n, r, err, alloc.active, want)
+				}
+				left := 0
+				for i := 0; i < n; i++ {
+					if hasWork(i) {
+						left++
+					}
+				}
+				if r.Backlogged != left {
+					t.Fatalf("phase %d, step %d, view of %d: Round.Backlogged = %d, %d slots hold bits", phase, step, n, r.Backlogged, left)
+				}
+				if len(want) > 0 {
+					rounds++
+				}
 			}
 		}
 	}
-	if rounds < 500 || moves < 20 {
-		t.Errorf("only %d rounds with work and %d moves; the run compares too little", rounds, moves)
+	if rounds < 500 || carried < 20 {
+		t.Errorf("only %d rounds with work and %d slots carried into a wider view; the run compares too little", rounds, carried)
 	}
 }
 
