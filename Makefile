@@ -10,8 +10,9 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis (cost-measure and concurrency
-# invariants); exits non-zero on any finding.
+# Project-specific static analysis (the concurrency, unit and
+# determinism invariants only a linter can check); exits non-zero on any
+# finding.
 lint:
 	$(GO) run ./cmd/bwlint ./...
 
@@ -77,7 +78,7 @@ load:
 # Non-test Go lines per package (testdata and sub-packages counted with
 # their parent), largest first, then the total: the table ROADMAP's
 # baseline and the "lines fall" criteria of simplicity PRs quote. Standing
-# targets: internal/lint <= 2,500 (PR 22, bwlint's diet); internal/load
+# targets: internal/lint <= 1,760 (bwlint keeps three checks); internal/load
 # <= 900, cmd/bwload <= 240, cmd/bwgateway <= 340 and the total <= 21,600
 # (PR 24, the one load engine); internal/core <= 1,650 (PR 30).
 # internal/gateway <= 2,360 (the shard is the only partition).

@@ -19,7 +19,7 @@ func TestList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "determinism emit-on-change guarded-by nil-safe unit-hygiene"
+	want := "determinism guarded-by unit-hygiene"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want exactly %q", got, want)
 	}
@@ -53,9 +53,9 @@ func TestFindingsExit1(t *testing.T) {
 }
 
 func TestJSONOutput(t *testing.T) {
-	dir := filepath.Join("internal", "lint", "testdata", "src", "nilsafe")
+	dir := filepath.Join("internal", "lint", "testdata", "src", "guarded")
 	var out, errOut strings.Builder
-	code := run([]string{"-json", "-checks", "nil-safe", dir}, &out, &errOut)
+	code := run([]string{"-json", "-checks", "guarded-by", dir}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exited %d, want 1; stderr: %s", code, errOut.String())
 	}
@@ -67,7 +67,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("expected findings in JSON output")
 	}
 	for _, f := range findings {
-		if f.Check != "nil-safe" || f.Line == 0 || f.File == "" {
+		if f.Check != "guarded-by" || f.Line == 0 || f.File == "" {
 			t.Errorf("malformed finding: %+v", f)
 		}
 	}

@@ -211,6 +211,11 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 	for _, i := range c.drainers {
 		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
+			if c.o != nil {
+				inner := ch.bir[i] + ch.bio[i]
+				c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: int(i),
+					OldRate: inner + c.gqRate[i], NewRate: inner, Rule: "global-drain"})
+			}
 			c.gqRate[i] = 0
 			ch.touch(i)
 			c.draining.Remove(int(i))

@@ -149,10 +149,12 @@ func runObservedSingle(t *testing.T, alloc sim.Allocator, p SingleParams) (*coll
 	return c, res
 }
 
-// checkSingleEvents holds the assertions shared by the single-session
-// policies: renegotiations carry session 0 and a rule, rates move in the
-// advertised direction, and the stage-reset trace agrees with Stats.
-func checkSingleEvents(t *testing.T, c *collect, resets int) {
+// checkSingleEvents holds the assertions on a single-session run's
+// trace: renegotiations carry session 0 and a rule, rates move in the
+// advertised direction, the stage-reset trace agrees with Stats, and
+// there is exactly one renegotiation per allocation change the run
+// counted — the paper's cost measure, event for event.
+func checkSingleEvents(t *testing.T, c *collect, resets int, res *sim.Result) {
 	t.Helper()
 	if len(c.events) == 0 {
 		t.Fatal("single-session run emitted no events")
@@ -162,6 +164,9 @@ func checkSingleEvents(t *testing.T, c *collect, resets int) {
 	}
 	if got, want := c.count(obs.EventStageReset), resets; got != want {
 		t.Errorf("stage_reset events = %d, policy counted %d resets", got, want)
+	}
+	if got, want := c.count(obs.EventRenegotiateUp)+c.count(obs.EventRenegotiateDown), res.Report.Changes; got != want {
+		t.Errorf("renegotiation events = %d, run counted %d changes", got, want)
 	}
 	for _, e := range c.events {
 		switch e.Type {
@@ -185,8 +190,8 @@ func checkSingleEvents(t *testing.T, c *collect, resets int) {
 func TestSingleSessionEmitsEvents(t *testing.T) {
 	p := singleParams()
 	alg := MustNewSingleSession(p)
-	c, _ := runObservedSingle(t, alg, p)
-	checkSingleEvents(t, c, alg.Stats().Resets)
+	c, res := runObservedSingle(t, alg, p)
+	checkSingleEvents(t, c, alg.Stats().Resets, res)
 }
 
 // TestSingleObserverNoBehaviorChange mirrors the multi-session overhead

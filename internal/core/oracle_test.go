@@ -12,7 +12,8 @@ import (
 // bodies of Phased, Continuous and Combined (with innerPhased and
 // innerContinuous) exactly as they were when every round streamed over
 // all k sessions, under dense* names. TestSparseMatchesDense runs both on
-// the same traces and requires the same rates, stats and events.
+// the same traces and requires the same rates, stats and events. The one
+// later edit, made in both, is Combined's global-drain event.
 
 // densePhased is Phased as it stood before the sparse form: every loop
 // runs over all k sessions.
@@ -405,6 +406,11 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 		}
 		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
+			if c.o != nil {
+				inner := c.bir[i] + c.bio[i]
+				c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,
+					OldRate: inner + c.gqRate[i], NewRate: inner, Rule: "global-drain"})
+			}
 			c.gqRate[i] = 0
 		}
 	}

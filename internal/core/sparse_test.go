@@ -139,7 +139,10 @@ func oracleTrace(shape string, src *rng.Source, arrived []bw.Bits, t, do bw.Tick
 // the same order — through the dense Rates entry, and through RatesActive
 // driven the way the step kernel drives it: against the applied vector,
 // reporting exactly the sessions whose rate moved, each once, with the
-// rates that bring that vector to the reference's.
+// rates that bring that vector to the reference's. On every tick the
+// sparse instance's events must also account for the rates that moved
+// (checkEmitOnChange): the paper's cost measure is the number of
+// changes, so a change without its event is invisible to the trace.
 func TestSparseMatchesDense(t *testing.T) {
 	const do = bw.Tick(8)
 	for _, oc := range oracleCases(do) {
@@ -172,6 +175,7 @@ func TestSparseMatchesDense(t *testing.T) {
 							t.Fatalf("tick %d: Rates differs from the reference\n got %v\nwant %v", tick, got, want)
 						}
 						active, a, q := in.Collect(arrived, queued)
+						seen := len(viaSparse.log.events)
 						changed, rates := sparse.RatesActive(tick, active, a, q, applied)
 						var moved []int32
 						for i, r := range want {
@@ -179,6 +183,7 @@ func TestSparseMatchesDense(t *testing.T) {
 								moved = append(moved, int32(i))
 							}
 						}
+						checkEmitOnChange(t, tick, moved, viaSparse.log.events[seen:])
 						sorted := slices.Clone(changed)
 						slices.Sort(sorted)
 						if !slices.Equal(sorted, moved) {
@@ -213,14 +218,46 @@ func TestSparseMatchesDense(t *testing.T) {
 		need := map[string][]string{
 			"phased":              {"phase-raise", "phase-spill", "phase-drain", "stage-reset"},
 			"continuous":          {"test-spill", "reduce", "stage-reset"},
-			"combined":            {"phase-raise", "phase-drain", "local-reset", "global-reset", "bon-grow"},
-			"combined-continuous": {"test-spill", "reduce", "local-reset", "global-reset", "bon-grow"},
+			"combined":            {"phase-raise", "phase-drain", "local-reset", "global-reset", "bon-grow", "global-drain"},
+			"combined-continuous": {"test-spill", "reduce", "local-reset", "global-reset", "bon-grow", "global-drain"},
 		}[oc.name]
 		for _, rule := range need {
 			if rules[rule] == 0 {
 				t.Errorf("%s: no trace produced a %q event (saw %v)", oc.name, rule, rules)
 			}
 		}
+	}
+}
+
+// checkEmitOnChange holds one tick's events to the paper's cost measure:
+// every session whose rate moved is named by a renegotiation, and every
+// renegotiation names a session whose rate moved. Two rules bound it. A
+// stage event (Session -1) rewrites rates wholesale, so at its tick
+// neither direction is required; and the first round applies the
+// constructor's initial stage, which emits nothing by design.
+func checkEmitOnChange(t *testing.T, tick bw.Tick, moved []int32, events []obs.Event) {
+	t.Helper()
+	stage := false
+	named := map[int]bool{}
+	for _, e := range events {
+		switch e.Type {
+		case obs.EventStageReset:
+			stage = stage || e.Session == -1
+		case obs.EventRenegotiateUp, obs.EventRenegotiateDown:
+			named[e.Session] = true
+		}
+	}
+	if stage {
+		return
+	}
+	for _, i := range moved {
+		if tick > 0 && !named[int(i)] {
+			t.Fatalf("tick %d: session %d's rate moved with no renegotiation event (events %v)", tick, i, events)
+		}
+		delete(named, int(i))
+	}
+	for i := range named {
+		t.Fatalf("tick %d: session %d renegotiated with no net rate change and no stage event (events %v)", tick, i, events)
 	}
 }
 

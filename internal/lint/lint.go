@@ -1,19 +1,12 @@
 // Package lint is the project-specific static-analysis suite behind
 // cmd/bwlint. It loads every package of the module with the standard
-// library's go/parser + go/types (no external tooling) and runs a
-// pluggable set of checks that machine-verify the repo's core
-// invariants:
+// library's go/parser + go/types (no external tooling) and runs the
+// checks that only a linter can make, because they hold on paths no
+// test exercises:
 //
-//   - emit-on-change: allocation changes are the paper's cost measure,
-//     so a core policy that mutates its allocation fields must emit an
-//     observer event on the same path — silent writes corrupt every
-//     competitive-ratio measurement.
 //   - guarded-by: struct fields annotated "guarded by <mu>" may only
 //     be touched while that mutex is held (or from constructors and
 //     functions that document the lock as a precondition).
-//   - nil-safe: exported methods of obs instrument types documented as
-//     nil-receiver-safe must actually begin with a nil-receiver guard,
-//     because the metrics registry is optional everywhere.
 //   - unit-hygiene: bw.Rate, bw.Bits and bw.Tick are int64 aliases the
 //     compiler cannot tell apart; crossings (rate x ticks, bits /
 //     ticks, mixed comparisons) must go through the units.go helpers.
@@ -22,9 +15,12 @@
 //     math/rand source, or range over maps unordered.
 //
 // Every check walks one package's syntax and types at a time; there is
-// no whole-program call graph. The zero-allocation discipline of the
-// hot paths is not a lint: the testing.AllocsPerRun assertions run the
-// code (`make zeroalloc`; DESIGN §7 has the table of what runs where).
+// no whole-program call graph. Invariants a test can run are tests, not
+// lints: zero allocation on the hot paths (`make zeroalloc`), nil-safe
+// observability types (obs TestNilReceiversNoPanic) and an event for
+// every allocation change (core TestSparseMatchesDense and
+// TestSingleSessionEmitsEvents, route TestEventsReplayToLoads); DESIGN §7
+// has the table of what runs where.
 //
 // Each finding is reported as "file:line:col: [check] message"; any
 // finding makes the driver exit non-zero, which is how CI enforces the
@@ -77,9 +73,7 @@ type Stater interface {
 func Checks() []Check {
 	return []Check{
 		NewDeterminism(),
-		NewEmitOnChange(),
 		NewGuardedBy(),
-		NewNilSafe(),
 		NewUnitHygiene(),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,9 +19,7 @@ var goldenDirs = []struct {
 	dir   string
 	check string
 }{
-	{"emit", "emit-on-change"},
 	{"guarded", "guarded-by"},
-	{"nilsafe", "nil-safe"},
 	{"units", "unit-hygiene"},
 	{"determ", "determinism"},
 }
@@ -127,15 +126,15 @@ func TestSelect(t *testing.T) {
 		names[i] = c.Name()
 	}
 	sort.Strings(names)
-	if len(names) < 4 {
-		t.Fatalf("expected at least 4 checks, got %v", names)
+	if want := []string{"determinism", "guarded-by", "unit-hygiene"}; !slices.Equal(names, want) {
+		t.Fatalf("checks %v, want exactly %v", names, want)
 	}
 
-	got, err := lint.Select(all, "unit-hygiene, emit-on-change")
+	got, err := lint.Select(all, "unit-hygiene, determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name() != "unit-hygiene" || got[1].Name() != "emit-on-change" {
+	if len(got) != 2 || got[0].Name() != "unit-hygiene" || got[1].Name() != "determinism" {
 		t.Fatalf("Select returned %v", checkNames(got))
 	}
 

@@ -174,23 +174,6 @@ func TestRecorderStartCloseAndManualFreeze(t *testing.T) {
 	}
 }
 
-func TestRecorderNilSafe(t *testing.T) {
-	var rec *Recorder
-	rec.Start()
-	rec.Record()
-	rec.Freeze("x")
-	rec.Close()
-	if rec.Total() != 0 {
-		t.Error("nil Recorder retained state")
-	}
-	if fr, reason := rec.Frozen(); fr != nil || reason != "" {
-		t.Error("nil Recorder froze")
-	}
-	if err := rec.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Errorf("nil Recorder WriteJSONL: %v", err)
-	}
-}
-
 func TestGrowthTriggerThreshold(t *testing.T) {
 	tr := GrowthTrigger("t", "k", 3)
 	if _, fire := tr.Fire(map[string]int64{"k": 10}, map[string]int64{"k": 12}); fire {

@@ -172,21 +172,6 @@ func TestSpanRingConcurrentSampleDrain(t *testing.T) {
 	}
 }
 
-func TestSpanRingNilSafe(t *testing.T) {
-	var r *SpanRing
-	r.Push(Span{Trace: 1})
-	if r.Total() != 0 || r.Dropped() != 0 || r.Snapshot() != nil || r.Drain() != nil {
-		t.Error("nil SpanRing retained state")
-	}
-	if r.StageNames() != nil || r.NextTrace(3) != 0 {
-		t.Error("nil SpanRing returned non-zero metadata")
-	}
-	if err := r.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Errorf("nil SpanRing WriteJSONL: %v", err)
-	}
-	r.Instrument(nil)
-}
-
 func TestSamplerHitsEveryN(t *testing.T) {
 	s := NewSampler(4, 2)
 	hits := 0
@@ -254,16 +239,6 @@ func TestSamplerEveryOneSamplesAll(t *testing.T) {
 		if !s.Hit(0) {
 			t.Fatalf("call %d not sampled at 1-in-1", i)
 		}
-	}
-}
-
-func TestSamplerNilSafe(t *testing.T) {
-	var s *Sampler
-	if s.Hit(0) {
-		t.Error("nil Sampler sampled")
-	}
-	if s.Every() != 0 {
-		t.Error("nil Sampler reported a period")
 	}
 }
 

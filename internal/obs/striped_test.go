@@ -22,20 +22,6 @@ func TestStripedCounterSumsStripes(t *testing.T) {
 	}
 }
 
-func TestStripedCounterNilSafe(t *testing.T) {
-	var s *Striped
-	s.Inc(0)
-	s.Add(3, 7)
-	if s.Value() != 0 || s.Stripes() != 0 {
-		t.Error("nil Striped retained state")
-	}
-	var h *StripedHistogram
-	h.Observe(1, 42)
-	if snap := h.Snapshot(); snap.Count() != 0 {
-		t.Error("nil StripedHistogram retained samples")
-	}
-}
-
 func TestStripedCounterConcurrent(t *testing.T) {
 	s := NewStriped(8)
 	var wg sync.WaitGroup
@@ -180,18 +166,6 @@ func TestShardedRingConcurrentStripes(t *testing.T) {
 			t.Fatalf("Seq gap: %d then %d", snap[i-1].Seq, snap[i].Seq)
 		}
 	}
-}
-
-func TestShardedRingNilSafe(t *testing.T) {
-	var r *ShardedRing
-	r.Event(Event{Type: EventSessionOpen})
-	if r.Total() != 0 || r.Dropped() != 0 || r.Snapshot() != nil {
-		t.Error("nil ShardedRing retained state")
-	}
-	if err := r.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Errorf("nil ShardedRing WriteJSONL: %v", err)
-	}
-	r.Instrument(nil)
 }
 
 func TestRingInstrumentExportsDrops(t *testing.T) {

@@ -189,7 +189,8 @@ func (p *Policy) fits(l LinkID, rate, headroom bw.Rate) bool {
 }
 
 // place applies a reservation. Callers must hold mu; every calling
-// method emits through an emit* helper (the emit-on-change invariant).
+// method emits through an emit* helper, so the event stream replays to
+// the loads (TestEventsReplayToLoads).
 func (p *Policy) place(s Session, l LinkID) {
 	p.load[l] += s.Rate
 	p.num[l]++
@@ -197,7 +198,7 @@ func (p *Policy) place(s Session, l LinkID) {
 }
 
 // remove undoes a reservation. Callers must hold mu; every calling
-// method emits through an emit* helper.
+// method emits through an emit* helper, as for place.
 func (p *Policy) remove(id int) (placement, bool) {
 	pl, ok := p.wher[id]
 	if !ok {
