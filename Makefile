@@ -41,21 +41,23 @@ bench:
 # active: the place to bisect a change in what a round costs. ns/round
 # leaves out the feeding; idle and 40 run on the tick loop, the other two
 # fan out to the tick workers. live_B/slot is the table's live heap,
-# measured once on the first run against a heap taken before any gateway
-# was built: about 125 B a slot, 155 B in the dense case, whose round
-# scratch has grown to every slot (2 vCPU Xeon, go1.24).
+# measured on the first run of each -count against a heap taken before
+# any gateway was built: about 125 B a slot, 155 B in the dense case,
+# whose round scratch has grown to every slot (2 vCPU Xeon, go1.24).
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 
 # One short untraced pass each of the repository benchmark's sparse
-# 100k-slot workload (the round path) and its batch-1k workload (the
-# batched wire path under a running clock). They are correctness runs, not
-# measurements: a pass fails unless every bit sent was served, nothing is
-# left queued, Close() agrees with the per-session sweep, and (manual
-# clock) MaxDelay <= 2*D_O.
+# 100k-slot workload (the round path), its batch-1k workload (the batched
+# wire path under a running clock) and its live-100k workload (the same
+# path on 8 shards, DATA and STATS grouped per shard). They are
+# correctness runs, not measurements: a pass fails unless every bit sent
+# was served, nothing is left queued, Close() agrees with the per-session
+# sweep, and (manual clock) MaxDelay <= 2*D_O.
 dynbench:
 	$(GO) run ./benchmarks/dynbench -workload sparse-100k -seconds 2 -trace 0
 	$(GO) run ./benchmarks/dynbench -workload batch-1k -seconds 2 -trace 0
+	$(GO) run ./benchmarks/dynbench -workload live-100k -seconds 2 -trace 0
 
 # Every package's benchmarks.
 bench-all:

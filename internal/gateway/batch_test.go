@@ -1,15 +1,21 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/obs"
+	"dynbw/internal/sim"
 )
 
 // batchFrame assembles a BATCH wire frame: type byte, big-endian uint16
@@ -227,14 +233,14 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	t.Run("empty batch is a no-op", func(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
-		if err := g.handleMessage(bytes.NewReader(batchFrame(0)), io.Discard, cs); err != nil {
+		if err := g.handleMessage(wireReader(batchFrame(0)), io.Discard, cs); err != nil {
 			t.Fatalf("empty batch: %v", err)
 		}
 	})
 	t.Run("truncated count is a read error", func(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
-		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0}), io.Discard, cs)
+		err := g.handleMessage(wireReader([]byte{typeBatch, 0}), io.Discard, cs)
 		if err == nil || errors.Is(err, errProtocol) {
 			t.Fatalf("truncated count: got %v, want plain read error", err)
 		}
@@ -242,7 +248,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	t.Run("oversized count is a protocol violation", func(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
-		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0xff, 0xff}), io.Discard, cs)
+		err := g.handleMessage(wireReader([]byte{typeBatch, 0xff, 0xff}), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("count 0xffff: got %v, want errProtocol", err)
 		}
@@ -250,7 +256,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	t.Run("nested batch is a protocol violation", func(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
-		err := g.handleMessage(bytes.NewReader(batchFrame(1, batchFrame(0))), io.Discard, cs)
+		err := g.handleMessage(wireReader(batchFrame(1, batchFrame(0))), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("nested batch: got %v, want errProtocol", err)
 		}
@@ -259,7 +265,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
 		in := append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 1}, batchFrame(0)...)
-		err := g.handleMessage(bytes.NewReader(in), io.Discard, cs)
+		err := g.handleMessage(wireReader(in), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("TRACE-wrapped batch: got %v, want errProtocol", err)
 		}
@@ -269,7 +275,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		cs := g.getConnState(0, 0)
 		var w bytes.Buffer
 		in := batchFrame(3, open, data, data)
-		if err := g.handleMessage(bytes.NewReader(in), &w, cs); err != nil {
+		if err := g.handleMessage(wireReader(in), &w, cs); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := cs.owned[0]; !ok {
@@ -290,7 +296,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
 		in := batchFrame(3, open, data, fuzzSeed(typeClose, 0))
-		if err := g.handleMessage(bytes.NewReader(in), io.Discard, cs); err != nil {
+		if err := g.handleMessage(wireReader(in), io.Discard, cs); err != nil {
 			t.Fatal(err)
 		}
 		if len(cs.owned) != 0 {
@@ -312,7 +318,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		cs := g.getConnState(0, 0)
 		bad := fuzzSeed(typeData, 3, 64) // unowned session
 		in := batchFrame(3, open, data, bad)
-		err := g.handleMessage(bytes.NewReader(in), io.Discard, cs)
+		err := g.handleMessage(wireReader(in), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("got %v, want errProtocol", err)
 		}
@@ -378,43 +384,268 @@ func TestBatchTraceEnvelope(t *testing.T) {
 	}
 }
 
-// TestHandleBatchDataZeroAlloc is the batched-path overhead contract:
-// with metrics, sampler, and span ring attached, a 64-DATA BATCH frame
-// whose messages are not sampled must not allocate at all relative to
-// the uninstrumented gateway — groups, span scratch, and buffers all
-// live in the pooled connState.
+// TestHandleBatchDataZeroAlloc is the batched-path overhead contract: a
+// 64-DATA frame, a 64-STATS frame and a frame of 32 DATA then 32 STATS
+// allocate nothing, on a bare gateway and with metrics, sampler and span
+// ring attached and the messages not sampled — the DATA groups, the
+// STATS run, the span scratch and the buffers all live in the pooled
+// connState.
 func TestHandleBatchDataZeroAlloc(t *testing.T) {
-	bare := newBare(4)
-	instr := newBare(4)
-	instr.m = newGWMetrics(obs.NewRegistry(), "test", 1)
-	instr.spans = obs.NewSpanRing(64, StageNames())
-	instr.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)
-
 	const n = 64
-	msgs := make([][]byte, n)
-	for i := range msgs {
-		msgs[i] = fuzzSeed(typeData, 0, 64)
+	frame := func(data, stats int) []byte {
+		var msgs [][]byte
+		for range data {
+			msgs = append(msgs, fuzzSeed(typeData, 0, 64))
+		}
+		for range stats {
+			msgs = append(msgs, fuzzSeed(typeStats, 0))
+		}
+		return batchFrame(data+stats, msgs...)
 	}
-	frame := batchFrame(n, msgs...)
-	measure := func(g *Gateway) float64 {
-		cs := g.getConnState(0, 0)
-		cs.owned[0] = struct{}{}
-		g.shards[0].used.Add(0)
-		g.shards[0].inUse = 1
-		r := bytes.NewReader(nil)
-		return testing.AllocsPerRun(512, func() {
-			r.Reset(frame)
-			if err := g.handleMessage(r, io.Discard, cs); err != nil {
-				t.Fatal(err)
+	for _, f := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"64 DATA", frame(n, 0)},
+		{"64 STATS", frame(0, n)},
+		{"32 DATA + 32 STATS", frame(n/2, n/2)},
+	} {
+		if base, got := unitAllocs(t, newBare(4), f.frame), unitAllocs(t, newInstrumented(4), f.frame); base != 0 || got != 0 {
+			t.Errorf("a frame of %s allocates %.2f/op bare and %.2f/op instrumented, want 0 and 0", f.name, base, got)
+		}
+	}
+}
+
+// newInstrumented is newBare with metrics, a span ring and a sampler at
+// the default period attached.
+func newInstrumented(k int) *Gateway {
+	g := newBare(k)
+	g.m = newGWMetrics(obs.NewRegistry(), "test", 1)
+	g.spans = obs.NewSpanRing(64, StageNames())
+	g.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)
+	return g
+}
+
+// unitAllocs is what one handleMessage of unit allocates on g, warm, on a
+// connection that owns session 0.
+func unitAllocs(t *testing.T, g *Gateway, unit []byte) float64 {
+	t.Helper()
+	cs := g.getConnState(0, 0)
+	cs.owned[0] = struct{}{}
+	g.shards[0].used.Add(0)
+	g.shards[0].inUse = 1
+	src := bytes.NewReader(nil)
+	r := bufio.NewReaderSize(src, connReadBufSize)
+	return testing.AllocsPerRun(512, func() {
+		src.Reset(unit)
+		r.Reset(src)
+		if err := g.handleMessage(r, io.Discard, cs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBatchedEqualsUnbatched: a BATCH frame does what its messages do
+// when each is sent as a unit of its own — the same reply bytes, the same
+// slot state, the same message counters — whichever shards its sessions
+// live on and whichever of its messages are timed. A frame that hits a
+// protocol error mid-way does what the batched path always has: the
+// messages ahead of the error are applied, except the untimed DATA not
+// yet applied at a barrier, which die with the connection, and the STATS
+// already read are answered.
+func TestBatchedEqualsUnbatched(t *testing.T) {
+	// Eight sessions, IDs 0..7, two on each of four shards or all on one.
+	// A CLOSE lets the next OPEN take the slot under the next tag: the
+	// closed session 4 (index 4, 3 index bits) is followed by ID 1<<3|4.
+	const k, reopened = 8, 1<<3 | 4
+	data := func(id int, bits uint64) []byte { return fuzzSeed(typeData, uint64(id), bits) }
+	stats := func(id int) []byte { return fuzzSeed(typeStats, uint64(id)) }
+	closing := func(id int) []byte { return fuzzSeed(typeClose, uint64(id)) }
+	traced := func(msg []byte) []byte { return append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 7}, msg...) }
+	open := fuzzSeed(typeOpen)
+	var everySession [][]byte
+	for id := range k {
+		everySession = append(everySession, data(id, uint64(id+1)), stats((id+3)%k))
+	}
+	tests := []struct {
+		name string
+		msgs [][]byte
+		// bad, with wantErr, is the index of the message that is a
+		// protocol violation; messages follow it.
+		wantErr bool
+		bad     int
+	}{
+		{name: "DATA then STATS on one session", msgs: [][]byte{data(0, 100), stats(0), data(0, 5), stats(0)}},
+		{name: "STATS then DATA on one session", msgs: [][]byte{stats(1), data(1, 64), data(1, 64), stats(1), stats(2)}},
+		{name: "a CLOSE between DATA and STATS", msgs: [][]byte{data(2, 10), stats(2), data(2, 6), data(3, 4), closing(2), stats(3), data(3, 1)}},
+		{name: "an OPEN takes the closed slot", msgs: [][]byte{data(4, 50), stats(4), closing(4), open, data(reopened, 7), stats(reopened), open}},
+		{name: "TRACE-wrapped messages", msgs: [][]byte{traced(data(5, 9)), stats(5), traced(stats(6)), data(6, 3), data(5, 2), traced(closing(7)), stats(0)}},
+		{name: "every session", msgs: everySession},
+		{name: "an unowned ID mid-frame", msgs: [][]byte{data(0, 8), stats(1), data(1, 8), data(2, 3), data(reopened, 8), stats(2), data(0, 1)}, wantErr: true, bad: 4},
+		{name: "negative bits mid-frame", msgs: [][]byte{stats(0), data(0, 5), stats(1), data(3, 6), data(1, 1<<63), stats(1)}, wantErr: true, bad: 4},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, every := range []int{1, 1024} {
+			for _, tt := range tests {
+				t.Run(fmt.Sprintf("shards=%d/every=%d/%s", shards, every, tt.name), func(t *testing.T) {
+					batched, bcs := equivFixture(t, k, shards, every)
+					single, scs := equivFixture(t, k, shards, every)
+					var got, want bytes.Buffer
+					err := batched.handleMessage(wireReader(batchFrame(len(tt.msgs), tt.msgs...)), &got, bcs)
+					ref := tt.msgs
+					if tt.wantErr {
+						if !errors.Is(err, errProtocol) {
+							t.Fatalf("frame: got %v, want errProtocol", err)
+						}
+						ref = ref[:tt.bad]
+						// No message of this table is sampled at 1 in 1024,
+						// so the DATA after the last barrier is still grouped.
+						for every != 1 && len(ref) > 0 && ref[len(ref)-1][0] == typeData {
+							ref = ref[:len(ref)-1]
+						}
+					} else if err != nil {
+						t.Fatalf("frame: %v", err)
+					}
+					for _, m := range ref {
+						if err := single.handleMessage(wireReader(m), &want, scs); err != nil {
+							t.Fatalf("message %x alone: %v", m, err)
+						}
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Errorf("replies\n batched   %x\n unbatched %x", got.Bytes(), want.Bytes())
+					}
+					if b, s := tableState(batched), tableState(single); b != s {
+						t.Errorf("slot state\n batched   %+v\n unbatched %+v", b, s)
+					}
+					if !maps.Equal(bcs.owned, scs.owned) {
+						t.Errorf("owned: batched %v, unbatched %v", bcs.owned, scs.owned)
+					}
+					if tt.wantErr {
+						return // what the connection's last unit counted is moot
+					}
+					for typ, c := range single.m.messages {
+						if b, s := batched.m.messages[typ].Value(), c.Value(); typ != int(typeBatch) && b != s {
+							t.Errorf("message counter %d: batched %d, unbatched %d", typ, b, s)
+						}
+					}
+					if n := batched.m.messages[typeBatch].Value(); n != 1 {
+						t.Errorf("%d BATCH frames counted, want 1", n)
+					}
+				})
 			}
-		})
+		}
 	}
-	base := measure(bare)
-	got := measure(instr)
-	if base > 0 {
-		t.Errorf("bare batched DATA allocates %.2f/op, want 0", base)
+}
+
+// equivFixture is a gateway of k slots over the given shards, sampling 1
+// in every, whose connection has opened k sessions (one unit each), sent
+// each a different number of bits and let two rounds serve part of them,
+// so that STATS replies differ from session to session.
+func equivFixture(t *testing.T, k, shards, every int) (*Gateway, *connState) {
+	g := newRounds(t, "phased", k, shards, 4)
+	g.sampler = obs.NewSampler(uint64(every), g.m.connStripes)
+	cs := g.getConnState(0, 0)
+	for id := range k {
+		if err := g.handleMessage(wireReader(fuzzSeed(typeOpen)), io.Discard, cs); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.handleMessage(wireReader(fuzzSeed(typeData, uint64(id), uint64(40*id+90))), io.Discard, cs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got > base {
-		t.Errorf("instrumented batched DATA allocates %.2f/op vs %.2f/op bare; instrumentation must add 0", got, base)
+	g.round(0)
+	g.round(1)
+	return g, cs
+}
+
+// slotState is what a STATS reply, a round or a CLOSE can read of a slot.
+type slotState struct {
+	used                    bool
+	pending, queued, served bw.Bits
+	maxDelay                bw.Tick
+	changes                 int
+	rate                    bw.Rate
+}
+
+// tableView is the whole table's state, comparable with ==.
+type tableView struct {
+	slots [8]slotState
+	past  [4]sim.Tenancy
+	inUse [4]int
+}
+
+// tableState reads the table of an equivFixture gateway.
+func tableState(g *Gateway) (v tableView) {
+	for _, sh := range g.shards {
+		v.past[sh.idx], v.inUse[sh.idx] = sh.past, sh.inUse
+		for slot := range sh.n {
+			q := sh.slots.Queue(slot)
+			v.slots[sh.index(slot)] = slotState{
+				used: sh.used.Has(slot), pending: sh.slots.Pending(slot),
+				queued: q.Bits(), served: q.Served(), maxDelay: q.MaxDelay(),
+				changes: sh.slots.Changes(slot), rate: sh.slots.Rate(slot),
+			}
+		}
+	}
+	return v
+}
+
+// BenchmarkBatchFrames times handleMessage alone — no sockets — on the
+// repository benchmark's live-100k shape: a 100 000-slot, 8-shard table
+// with a registry, a span ring and the default sampler, one connection
+// owning 50 000 sessions, and each operation a 64-DATA frame then a
+// 64-STATS frame for the same 64 sessions, drawn at random, the
+// replies written to a buffered discard. A round runs every 200
+// operations, outside the timer, so the queues stay short. It is the
+// place to bisect a change in what a frame costs the gateway.
+func BenchmarkBatchFrames(b *testing.B) {
+	const k, nshards, owned, frames = 100_000, 8, 50_000, 2000
+	g := newRounds(b, "phased", k, nshards, 8)
+	g.spans = obs.NewSpanRing(obs.DefaultSpanRingSize, StageNames())
+	g.sampler = obs.NewSampler(obs.DefaultSampleEvery, g.m.connStripes)
+	cs := g.getConnState(0, 0)
+	src := bytes.NewReader(bytes.Repeat(fuzzSeed(typeOpen), owned))
+	r := bufio.NewReaderSize(src, connReadBufSize)
+	for range owned {
+		if err := g.handleMessage(r, io.Discard, cs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ids := make([]uint32, 0, owned)
+	for id := range cs.owned {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	rng := rand.New(rand.NewPCG(1, 2))
+	var stream []byte
+	for range frames {
+		var data, stats [][]byte
+		for range 64 {
+			id := uint64(ids[rng.IntN(len(ids))])
+			data, stats = append(data, fuzzSeed(typeData, id, 8)), append(stats, fuzzSeed(typeStats, id))
+		}
+		stream = append(append(stream, batchFrame(64, data...)...), batchFrame(64, stats...)...)
+	}
+	w := bufio.NewWriterSize(io.Discard, connWriteBufSize)
+	var tick bw.Tick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if i%frames == 0 {
+			src.Reset(stream)
+			r.Reset(src)
+		}
+		for range 2 {
+			if err := g.handleMessage(r, w, cs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		w.Flush()
+		if i%200 == 199 {
+			b.StopTimer()
+			g.round(tick)
+			tick++
+			b.StartTimer()
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -22,6 +23,12 @@ func newBare(k int) *Gateway {
 	// Panics are contained; count them where a test can see.
 	g.m.roundPanics, g.m.handlerPanics = new(obs.Counter), new(obs.Counter)
 	return g
+}
+
+// wireReader puts wire bytes behind the buffered reader handleMessage
+// reads from, sized as a connection's.
+func wireReader(b []byte) *bufio.Reader {
+	return bufio.NewReaderSize(bytes.NewReader(b), connReadBufSize)
 }
 
 // fuzzSeed assembles a request message for the corpus: the type byte, a
@@ -269,15 +276,20 @@ func FuzzHandleMessage(f *testing.F) {
 			}
 		}
 
-		r := bytes.NewReader(in)
+		// The stream reaches handleMessage through a 16-byte buffer, the
+		// smallest bufio allows, so messages straddle its refills. A unit's
+		// bytes are the ones the reader moved past.
+		src := bytes.NewReader(in)
+		r := bufio.NewReaderSize(src, 16)
+		pos := func() int { return len(in) - src.Len() - r.Buffered() }
 		var reply bytes.Buffer
 		cur := 0
-		for r.Len() > 0 {
+		for pos() < len(in) {
 			clear(served)
 			for id := range model.live {
 				served[id] = sh.slots.Queue(sh.slot(id)).Served()
 			}
-			at := len(in) - r.Len()
+			at := pos()
 			switch op := in[at]; {
 			case op >= fuzzRounds && op < fuzzRounds+4:
 				r.ReadByte()
@@ -303,7 +315,7 @@ func FuzzHandleMessage(f *testing.F) {
 				}
 				continue
 			}
-			model.accepted(t, cur, in[at:len(in)-r.Len()], reply.Bytes(), served)
+			model.accepted(t, cur, in[at:pos()], reply.Bytes(), served)
 			check("an accepted unit")
 		}
 

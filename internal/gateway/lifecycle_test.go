@@ -33,7 +33,7 @@ func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
 	send := func(t *testing.T, g *Gateway, cs *connState, msg []byte) ([]byte, error) {
 		t.Helper()
 		var reply bytes.Buffer
-		err := g.handleMessage(bytes.NewReader(msg), &reply, cs)
+		err := g.handleMessage(wireReader(msg), &reply, cs)
 		return reply.Bytes(), err
 	}
 	open := func(t *testing.T, g *Gateway, cs *connState) int {
@@ -327,8 +327,8 @@ func TestPooledConnStateShedsAGrownMap(t *testing.T) {
 	for _, n := range []int{pooledOwnedMax, pooledOwnedMax + 1} {
 		g := newBare(n)
 		cs := g.getConnState(0, 0)
-		r := bytes.NewReader(bytes.Repeat(fuzzSeed(typeOpen), n))
-		for r.Len() > 0 {
+		r := wireReader(bytes.Repeat(fuzzSeed(typeOpen), n))
+		for range n {
 			if err := g.handleMessage(r, io.Discard, cs); err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,8 @@ import (
 type gwMetrics struct {
 	accepts      *obs.Counter
 	acceptErrors *obs.Counter
-	// messages is indexed by the wire type byte; index 0 is the "unknown"
-	// series, which every type without a label shares.
+	// messages is indexed by the wire type byte (msgIndex); index 0 is the
+	// "unknown" series, which every type without a label shares.
 	messages     [typeBatch + 1]*obs.Striped
 	errors       map[string]*obs.Counter
 	openFails    *obs.Counter
@@ -180,4 +180,24 @@ func (m *gwMetrics) message(t byte) *obs.Striped {
 		return m.messages[t]
 	}
 	return m.messages[0]
+}
+
+// msgIndex maps a wire type byte to its index in gwMetrics.messages and
+// connState.counts: the byte itself, or 0 past the last type.
+func msgIndex(t byte) int {
+	if t <= typeBatch {
+		return int(t)
+	}
+	return 0
+}
+
+// count adds a unit's per-type message tallies to the counters, one
+// striped add per type present, and clears them.
+func (m *gwMetrics) count(stripe int, counts *[typeBatch + 1]int64) {
+	for t, n := range counts {
+		if n != 0 {
+			m.message(byte(t)).Add(stripe, n)
+			counts[t] = 0
+		}
+	}
 }

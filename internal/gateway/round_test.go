@@ -28,12 +28,17 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 		sh.serve(newPolicy(tb, policy, sh.n, bw.Rate(sh.n)*16, do))
 	}
 	g.startTickWorkers()
-	tb.Cleanup(func() { // stop the workers, unless a tick loop the test ran has
+	// Stop the workers, unless a tick loop the test ran has. The cleanup
+	// holds the two channels, not g: testing keeps a benchmark's last
+	// cleanup reachable after it ran, and BenchmarkRound's live heap must
+	// not count the gateway of the run before.
+	done, tickCh := g.done, g.tickCh
+	tb.Cleanup(func() {
 		select {
-		case <-g.done:
+		case <-done:
 		default:
-			if g.tickCh != nil {
-				close(g.tickCh)
+			if tickCh != nil {
+				close(tickCh)
 			}
 		}
 	})
@@ -50,10 +55,11 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // The feeding is outside the ns/round figure and inside allocs/op, which
 // is 0 once the round's scratch lists have grown to the active count.
 // live_B/slot is the table's live heap, a slot's share: the slot state,
-// the policies' and the round's scratch. It is measured once, on the
-// first run (b.N = 1), against a heap taken before any gateway was built,
-// and reported with every run: a later run's baseline would count a
-// gateway the run before left reachable.
+// the policies' and the round's scratch. It is measured on the first run
+// of each -count (b.N = 1), when the gateway of the run before is
+// garbage (newRounds), against a heap taken before any gateway was
+// built, and reported with every run: a later run's baseline would count
+// a gateway the run before left reachable.
 func BenchmarkRound(b *testing.B) {
 	const k, nshards = 100_000, 8
 	base := liveHeap()

@@ -121,9 +121,9 @@ func (sh *shard) release(id int) (dropped bw.Bits) {
 
 // add applies one DATA message for the live session a wire ID names and
 // returns the bits the kernel policed away. The lock wait is the timed
-// message's dispatch stage. add, addGroup and stats release the lock on
-// every way out: a panic under it must leave the handler's deferred
-// release, and the shard's rounds, a lock they can take.
+// message's dispatch stage. add, addGroup, stats and statsGroup release
+// the lock on every way out: a panic under it must leave the handler's
+// deferred release, and the shard's rounds, a lock they can take.
 func (sh *shard) add(cs *connState, id int, bits bw.Bits) (policed bw.Bits) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -147,13 +147,29 @@ func (sh *shard) addGroup(grp []pendingAdd) (policed bw.Bits) {
 
 // stats reads what a STATS reply carries for the live session a wire ID
 // names.
-func (sh *shard) stats(cs *connState, id int) (served, queued bw.Bits, maxDelay bw.Tick, changes int) {
+func (sh *shard) stats(cs *connState, id int) statsReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.g.spanMark(cs, stageDispatch)
+	return sh.read(id)
+}
+
+// statsGroup reads a run of STATS for this shard under one lock
+// acquisition, each into its place in the run's replies.
+func (sh *shard) statsGroup(grp []pendingStats, run []statsReply) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, p := range grp {
+		run[p.at] = sh.read(int(p.id))
+	}
+}
+
+// read is the STATS reply for a live session's wire ID. Callers must
+// hold sh.mu.
+func (sh *shard) read(id int) statsReply {
 	slot := sh.slot(id)
 	q := sh.slots.Queue(slot)
-	return q.Served(), q.Bits(), q.MaxDelay(), sh.slots.Changes(slot)
+	return statsReply{served: q.Served(), queued: q.Bits(), maxDelay: q.MaxDelay(), changes: sh.slots.Changes(slot)}
 }
 
 // openCount reports the open-slot count (the per-shard sessions gauge).

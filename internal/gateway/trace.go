@@ -14,11 +14,12 @@ import (
 // dynbw_gateway_exchange_latency_ns and dynbw_gateway_stage_ns
 // histograms and, with a span ring attached, pushes one span — the same
 // decision serves both. An untimed message reads no clock and takes no
-// histogram mutex: it pays the sampler's striped atomic add and one bool
-// check per stage boundary, and nothing is allocated either way — the
-// scratch state lives inside connState, allocated once per connection.
-// The per-type message counters are not part of this: they count every
-// message.
+// histogram mutex: it pays its share of the sampler's striped atomic add
+// (one a wire unit, whatever its message count), one position test and
+// one bool check per stage boundary, and nothing is allocated either way
+// — the scratch state lives inside connState, allocated once per
+// connection. The per-type message counters are not part of this: they
+// count every message.
 
 // Wire-path stages, in pipeline order. Every message visits a subset:
 // read (body bytes off the wire), dispatch (session validation, shard
@@ -69,22 +70,28 @@ type pendingTrace struct {
 	set bool
 }
 
-// spanBegin decides whether the message is timed and, if so, arms the
-// stage clock: when the local sampler fires, or when the client sent a
-// TRACE envelope (the peer asked, so it bypasses the sampler). With
-// neither metrics nor a span ring attached there is no sampler and
-// nothing is ever timed.
-func (g *Gateway) spanBegin(cs *connState, typ byte) {
+// spanDecide decides whether the unit's next message is timed: when the
+// client sent a TRACE envelope for it (the peer asked, so it bypasses the
+// sampler), or when the sampler selects the message's position — every
+// message takes one, a client-traced one too. With neither metrics nor a
+// span ring attached there is no sampler and nothing is ever timed.
+func (g *Gateway) spanDecide(cs *connState) bool {
 	sp := &cs.span
 	switch {
 	case cs.pending.set:
 		sp.trace, sp.client, sp.sampled = cs.pending.id, true, g.sampler != nil
 		cs.pending = pendingTrace{}
-	case g.sampler.Hit(cs.mstripe):
+	case g.sampler.At(cs.sample):
 		sp.trace, sp.client, sp.sampled = g.spans.NextTrace(cs.mstripe), false, true
 	default:
 		sp.sampled = false
 	}
+	return sp.sampled
+}
+
+// spanBegin arms the stage clock of a timed message.
+func (g *Gateway) spanBegin(cs *connState, typ byte) {
+	sp := &cs.span
 	if !sp.sampled {
 		return
 	}

@@ -276,7 +276,7 @@ func TestNestedTraceEnvelopeIsProtocolViolation(t *testing.T) {
 	in.Write(tb[:])
 	in.WriteByte(typeTrace) // nested envelope
 	in.Write(tb[:])
-	err := g.handleMessage(bytes.NewReader(in.Bytes()), io.Discard, cs)
+	err := g.handleMessage(wireReader(in.Bytes()), io.Discard, cs)
 	if err == nil || !strings.Contains(err.Error(), "TRACE") {
 		t.Fatalf("nested envelope error = %v", err)
 	}
@@ -376,27 +376,8 @@ func TestProfileSnapshot(t *testing.T) {
 // attached when the message does not get sampled — the span scratch lives
 // in connState and the stage clock is plain time arithmetic.
 func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
-	bare := newBare(4)
-	instr := newBare(4)
-	instr.m = newGWMetrics(obs.NewRegistry(), "test", 1)
-	instr.spans = obs.NewSpanRing(64, StageNames())
-	instr.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)
-
 	for _, msg := range [][]byte{fuzzSeed(typeData, 0, 64), fuzzSeed(typeStats, 0)} {
-		measure := func(g *Gateway) float64 {
-			cs := g.getConnState(0, 0)
-			cs.owned[0] = struct{}{}
-			g.shards[0].used.Add(0)
-			g.shards[0].inUse = 1
-			r := bytes.NewReader(nil)
-			return testing.AllocsPerRun(512, func() {
-				r.Reset(msg)
-				if err := g.handleMessage(r, io.Discard, cs); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		if base, got := measure(bare), measure(instr); base != 0 || got != 0 {
+		if base, got := unitAllocs(t, newBare(4), msg), unitAllocs(t, newInstrumented(4), msg); base != 0 || got != 0 {
 			t.Errorf("message type %d allocates %.2f/op bare and %.2f/op instrumented, want 0 and 0", msg[0], base, got)
 		}
 	}

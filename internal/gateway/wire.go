@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"dynbw/internal/bw"
 	"dynbw/internal/obs"
 	"dynbw/internal/route"
 )
@@ -51,20 +52,56 @@ type connState struct {
 	// SetDeadline syscall is refreshed only once deadlineStale says a
 	// meaningful fraction of idleTimeout has passed.
 	armedAt time.Time
-	// groups accumulates batched DATA updates per shard, so one BATCH
-	// frame takes each shard lock once instead of once per message.
-	groups [][]pendingAdd
-	// scratch backs every header/body read and reply assembly on the
-	// wire path. Reading into a function-local array through the
-	// io.Reader interface makes the array escape — one heap allocation
-	// per message; reading into connection state costs nothing.
+	// A unit's deferred work (handleUnit): groups holds its DATA per
+	// shard, data updates in all; statsGroups holds the reads of its
+	// pending run of STATS per shard, and statsRun their replies in
+	// stream order. Each is bounded by MaxBatch and keeps its capacity in
+	// the pool.
+	groups      [][]pendingAdd
+	data        int
+	statsGroups [][]pendingStats
+	statsRun    []statsReply
+	// in reads the current unit (handleMessage); counts tallies its
+	// messages by counter index (msgIndex), which reach the striped
+	// counters once, when the unit ends; sample is the sampler position
+	// of its next message.
+	in     unitReader
+	counts [typeBatch + 1]int64
+	sample uint64
+	// scratch assembles every reply on the wire path. A function-local
+	// array written through the io.Writer interface would escape — one
+	// heap allocation per message; connection state costs nothing.
 	scratch [statsReplyLen]byte
 }
 
-// pendingAdd is one batched DATA update awaiting its shard-group apply.
+// pendingAdd is one grouped DATA update awaiting its shard-group apply.
 type pendingAdd struct {
 	id   uint32 // wire session ID
 	bits int64
+}
+
+// pendingStats is one grouped STATS read awaiting its shard-group read:
+// the session, and the index of its reply in the run.
+type pendingStats struct {
+	id uint32 // wire session ID
+	at int32
+}
+
+// statsReply is what a STATSR reply carries.
+type statsReply struct {
+	served, queued bw.Bits
+	maxDelay       bw.Tick
+	changes        int
+}
+
+// put encodes the reply into b and returns the wire message.
+func (st statsReply) put(b *[statsReplyLen]byte) []byte {
+	b[0] = typeStatsR
+	binary.BigEndian.PutUint64(b[1:], uint64(st.served))
+	binary.BigEndian.PutUint64(b[9:], uint64(st.queued))
+	binary.BigEndian.PutUint64(b[17:], uint64(st.maxDelay))
+	binary.BigEndian.PutUint64(b[25:], uint64(st.changes))
+	return b[:]
 }
 
 // getConnState checks a recycled connState out of the pool (or builds a
@@ -73,10 +110,11 @@ func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 	cs, _ := g.csPool.Get().(*connState)
 	if cs == nil {
 		cs = &connState{
-			owned:  make(map[uint32]struct{}),
-			rd:     bufio.NewReaderSize(nil, connReadBufSize),
-			wr:     bufio.NewWriterSize(nil, connWriteBufSize),
-			groups: make([][]pendingAdd, len(g.shards)),
+			owned:       make(map[uint32]struct{}),
+			rd:          bufio.NewReaderSize(nil, connReadBufSize),
+			wr:          bufio.NewWriterSize(nil, connWriteBufSize),
+			groups:      make([][]pendingAdd, len(g.shards)),
+			statsGroups: make([][]pendingStats, len(g.shards)),
 		}
 	}
 	cs.stripe, cs.mstripe = stripe, mstripe
@@ -102,12 +140,23 @@ func (g *Gateway) putConnState(cs *connState) {
 	cs.span = spanScratch{}
 	cs.pending = pendingTrace{}
 	cs.armedAt = time.Time{}
-	for i := range cs.groups {
-		cs.groups[i] = cs.groups[i][:0]
+	cs.dropData()
+	for i := range cs.statsGroups {
+		cs.statsGroups[i] = cs.statsGroups[i][:0]
 	}
+	cs.statsRun = cs.statsRun[:0]
+	cs.counts = [len(cs.counts)]int64{}
 	cs.rd.Reset(nil)
 	cs.wr.Reset(io.Discard)
 	g.csPool.Put(cs)
+}
+
+// dropData discards the grouped DATA updates, unapplied.
+func (cs *connState) dropData() {
+	for i := range cs.groups {
+		cs.groups[i] = cs.groups[i][:0]
+	}
+	cs.data = 0
 }
 
 // logSession picks a representative session ID for diagnostics: the
@@ -321,124 +370,254 @@ func (g *Gateway) releaseAll(cs *connState) {
 // violation) means the connection must be dropped. The function is the
 // entire wire-facing surface of the gateway and is fuzzed by
 // FuzzHandleMessage.
-func (g *Gateway) handleMessage(r io.Reader, w io.Writer, cs *connState) error {
-	if _, err := io.ReadFull(r, cs.scratch[:1]); err != nil {
+//
+// It is the gateway's one decoder: every message is parsed where it lies
+// in r's buffer (unitReader), which is refilled only when a message
+// straddles its end. The unit's messages are counted once per type when
+// it ends.
+func (g *Gateway) handleMessage(r *bufio.Reader, w io.Writer, cs *connState) error {
+	cs.in = unitReader{r: r}
+	defer cs.in.done()
+	b, err := cs.in.peek(1)
+	if err != nil {
 		return err
 	}
-	typ := cs.scratch[0]
-	if typ == typeBatch {
-		return g.handleBatch(r, w, cs)
+	n := 1
+	if b[0] == typeBatch {
+		if b, err = cs.in.take(3); err != nil {
+			return err
+		}
+		if n = int(binary.BigEndian.Uint16(b[1:])); n > MaxBatch {
+			return fmt.Errorf("%w: BATCH count %d exceeds %d", errProtocol, n, MaxBatch)
+		}
+		cs.counts[typeBatch]++
 	}
-	return g.handleOne(r, w, cs, typ, false)
+	err = g.handleUnit(w, cs, n)
+	g.m.count(cs.mstripe, &cs.counts)
+	return err
 }
 
-// handleOne handles one logical message whose type byte has been read,
-// unwrapping a TRACE envelope if present. Inside a BATCH frame
-// (inBatch) a plain DATA message is not applied immediately: it is
-// accumulated into the per-shard groups and applied by the next
-// flushBatchData call, so one batch takes each shard lock once. A timed
-// DATA (sampled or client-traced) skips the group, so its stage
-// observations and span show a real dispatch and apply; that is safe
-// because DATA updates commute — ordering only matters against non-DATA
-// messages, which flush first.
-func (g *Gateway) handleOne(r io.Reader, w io.Writer, cs *connState, typ byte, inBatch bool) error {
-	if typ == typeTrace {
-		// A TRACE envelope is not a message: read the trace ID, then
-		// require the real message immediately behind it. Nesting
-		// envelopes — or wrapping a BATCH frame — is a protocol violation.
-		if _, err := io.ReadFull(r, cs.scratch[:8]); err != nil {
-			return err
+// unitReader reads a wire unit in place in a bufio.Reader's buffer: it
+// holds a window on the buffered bytes and how far the unit has read
+// into it, so a message costs a bounds check and a slice. The buffer is
+// refilled only when a message straddles the window's end, and what the
+// unit read is discarded from the reader then and when the unit is done.
+type unitReader struct {
+	r   *bufio.Reader
+	buf []byte
+	off int
+}
+
+// take returns the unit's next n bytes and moves past them. They are
+// valid until the next take: a refill may move the buffer's contents.
+func (u *unitReader) take(n int) ([]byte, error) {
+	b, err := u.peek(n)
+	u.off += len(b)
+	return b, err
+}
+
+// peek returns the unit's next n bytes without moving past them. A
+// message is far smaller than the smallest buffer bufio allows, so n
+// always fits; a stream that ends part way is io.ErrUnexpectedEOF, as
+// io.ReadFull has it.
+func (u *unitReader) peek(n int) ([]byte, error) {
+	if len(u.buf)-u.off < n {
+		u.done()
+		if _, err := u.r.Peek(n); err != nil {
+			if err == io.EOF && u.r.Buffered() > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		g.m.message(typeTrace).Inc(cs.mstripe)
-		cs.pending = pendingTrace{id: binary.BigEndian.Uint64(cs.scratch[:8]), set: true}
-		if _, err := io.ReadFull(r, cs.scratch[:1]); err != nil {
-			return err
-		}
-		if cs.scratch[0] == typeTrace {
-			return fmt.Errorf("%w: nested TRACE envelope", errProtocol)
-		}
-		if cs.scratch[0] == typeBatch {
-			return fmt.Errorf("%w: TRACE envelope wrapping a BATCH frame", errProtocol)
-		}
-		typ = cs.scratch[0]
+		u.buf, _ = u.r.Peek(u.r.Buffered())
 	}
-	g.m.message(typ).Inc(cs.mstripe)
-	if inBatch && typ != typeData {
-		// Ordering barrier: a non-DATA message must observe every batched
-		// DATA update that preceded it in the stream (e.g. DATA then
-		// CLOSE on the same session).
-		g.flushBatchData(cs)
+	return u.buf[u.off : u.off+n], nil
+}
+
+// done discards what the unit read from the reader and empties the
+// window.
+func (u *unitReader) done() {
+	if u.off > 0 {
+		u.r.Discard(u.off)
+	}
+	u.buf, u.off = nil, 0
+}
+
+// handleUnit handles the n logical messages of one unit in stream order.
+// The unit takes its n sampler positions with one atomic add. When it
+// holds more than one message, untimed DATA and STATS are grouped per
+// shard, so a BATCH frame takes each shard lock once per group instead
+// of once per message; a lone message is applied on arrival, where a
+// group of one would only add the group's clock reads. What is left
+// grouped when the unit ends is applied then. On a protocol error the
+// rest of the unit is void: grouped DATA is discarded with the
+// connection, and the STATS already read are answered, as they would
+// have been on arrival.
+func (g *Gateway) handleUnit(w io.Writer, cs *connState, n int) error {
+	if n > 0 {
+		cs.sample = g.sampler.Reserve(cs.mstripe, n)
+	}
+	for i := 0; i < n; i++ {
+		if err := g.handleOne(w, cs, n > 1); err != nil {
+			cs.dropData()
+			g.answerStats(w, cs)
+			return err
+		}
+		cs.sample++
+	}
+	return g.settle(w, cs)
+}
+
+// handleOne handles one logical message of a unit. grouped says the unit
+// has company for it: an untimed DATA then joins its shard's group, and
+// an untimed STATS the pending run. The groups keep the stream's order
+// where it can be seen:
+//   - a STATS run is answered before any later DATA is applied, and
+//     grouped DATA is applied before any later STATS is read — DATA
+//     updates commute with one another, not with STATS;
+//   - every other message — OPEN, CLOSE, an unknown type, or a timed
+//     message of any type — first flushes both, so it observes every
+//     message ahead of it (DATA then CLOSE on one session lands in
+//     order), and runs alone on its per-message path, where its stage
+//     marks show a real dispatch and apply. A timed DATA flushes only the
+//     STATS run: the DATA grouped ahead of it commutes with it.
+func (g *Gateway) handleOne(w io.Writer, cs *connState, grouped bool) error {
+	typ, err := g.readType(cs)
+	if err != nil {
+		return err
+	}
+	cs.counts[msgIndex(typ)]++
+	timed := g.spanDecide(cs)
+	switch {
+	case grouped && !timed && typ == typeData:
+		return g.groupData(cs)
+	case grouped && !timed && typ == typeStats:
+		if cs.data > 0 {
+			if err := g.settle(w, cs); err != nil {
+				return err
+			}
+		}
+		return g.groupStats(cs)
+	case typ == typeData:
+		err = g.answerStats(w, cs)
+	default:
+		err = g.settle(w, cs)
+	}
+	if err != nil {
+		return err
 	}
 	g.spanBegin(cs, typ)
-	var err error
-	if inBatch && typ == typeData && !cs.span.sampled {
-		err = g.batchData(r, cs)
-	} else {
-		err = g.applyMessage(r, w, cs, typ)
-	}
+	err = g.applyMessage(w, cs, typ)
 	g.spanEnd(cs, err)
 	return err
 }
 
-// handleBatch drains one BATCH frame: a big-endian uint16 count of
-// logical messages (TRACE envelopes ride in front of the message they
-// wrap and do not count), each handled in stream order with DATA
-// grouped per shard, then one flush applying every group under a single
-// lock acquisition per shard. An empty batch is a legal no-op; a count
-// above MaxBatch or a nested BATCH is a protocol violation. On a
-// mid-batch error the unapplied groups are discarded — the connection
-// is dropped, voiding the rest of the batch.
-func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
-	if _, err := io.ReadFull(r, cs.scratch[:2]); err != nil {
-		return err
+// readType reads the type byte of the unit's next message, unwrapping a
+// TRACE envelope in front of it. An envelope is not a message: it is
+// counted, its trace ID is left pending for the message, and that
+// message must follow at once — another envelope, or a BATCH frame, is a
+// protocol violation, as is a BATCH frame inside a frame.
+func (g *Gateway) readType(cs *connState) (byte, error) {
+	b, err := cs.in.take(1)
+	if err != nil {
+		return 0, err
 	}
-	n := int(binary.BigEndian.Uint16(cs.scratch[:2]))
-	if n > MaxBatch {
-		return fmt.Errorf("%w: BATCH count %d exceeds %d", errProtocol, n, MaxBatch)
-	}
-	g.m.message(typeBatch).Inc(cs.mstripe)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, cs.scratch[:1]); err != nil {
-			return err
+	typ := b[0]
+	if typ == typeTrace {
+		if b, err = cs.in.take(8); err != nil {
+			return 0, err
 		}
-		typ := cs.scratch[0]
-		if typ == typeBatch {
-			return fmt.Errorf("%w: nested BATCH frame", errProtocol)
+		cs.counts[typeTrace]++
+		cs.pending = pendingTrace{id: binary.BigEndian.Uint64(b), set: true}
+		if b, err = cs.in.take(1); err != nil {
+			return 0, err
 		}
-		if err := g.handleOne(r, w, cs, typ, true); err != nil {
-			return err
+		switch typ = b[0]; typ {
+		case typeTrace:
+			return 0, fmt.Errorf("%w: nested TRACE envelope", errProtocol)
+		case typeBatch:
+			return 0, fmt.Errorf("%w: TRACE envelope wrapping a BATCH frame", errProtocol)
 		}
 	}
-	g.flushBatchData(cs)
-	return nil
+	if typ == typeBatch {
+		return 0, fmt.Errorf("%w: nested BATCH frame", errProtocol)
+	}
+	return typ, nil
 }
 
-// batchData parses one DATA message inside a BATCH frame and appends it
-// to its shard's group, deferring the shard-lock acquisition to the next
-// flushBatchData call. Validation happens here, at parse time, by the
-// parser the unbatched path uses.
-func (g *Gateway) batchData(r io.Reader, cs *connState) error {
-	id, bits, err := g.readData(r, cs)
+// groupData parses one DATA message and appends it to its shard's
+// group, deferring the shard lock to the next flushBatchData.
+// Validation happens here, at parse time, by the parser the per-message
+// path uses.
+func (g *Gateway) groupData(cs *connState) error {
+	id, bits, err := g.readData(cs)
 	if err != nil {
 		return err
 	}
 	si := g.shardOf(id).idx
 	cs.groups[si] = append(cs.groups[si], pendingAdd{id: uint32(id), bits: bits})
-	g.spanMark(cs, stageDispatch)
+	cs.data++
+	return nil
+}
+
+// groupStats parses one STATS message and adds it to the pending run:
+// its read to its shard's group, a place for its reply to the run.
+func (g *Gateway) groupStats(cs *connState) error {
+	id, err := g.readSession(cs, "STATS")
+	if err != nil {
+		return err
+	}
+	si := g.shardOf(id).idx
+	cs.statsGroups[si] = append(cs.statsGroups[si], pendingStats{id: uint32(id), at: int32(len(cs.statsRun))})
+	cs.statsRun = append(cs.statsRun, statsReply{})
+	return nil
+}
+
+// settle answers the pending STATS run, then applies the grouped DATA:
+// the run, when both are pending, is the older (handleOne).
+func (g *Gateway) settle(w io.Writer, cs *connState) error {
+	if err := g.answerStats(w, cs); err != nil {
+		return err
+	}
+	g.flushBatchData(cs)
+	return nil
+}
+
+// answerStats answers the pending STATS run: one lock acquisition per
+// shard with reads in it (shard.statsGroup), then the replies in stream
+// order.
+func (g *Gateway) answerStats(w io.Writer, cs *connState) error {
+	if len(cs.statsRun) == 0 {
+		return nil
+	}
+	for si, grp := range cs.statsGroups {
+		if len(grp) > 0 {
+			g.shards[si].statsGroup(grp, cs.statsRun)
+			cs.statsGroups[si] = grp[:0]
+		}
+	}
+	run := cs.statsRun
+	cs.statsRun = run[:0]
+	for _, st := range run {
+		if _, err := w.Write(st.put(&cs.scratch)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // readData reads the body of one DATA message and validates it: the
 // session must be one this connection owns and the bit count may not be
-// negative. Batched and unbatched DATA both come through here.
-func (g *Gateway) readData(r io.Reader, cs *connState) (id int, bits int64, err error) {
-	if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+// negative. Grouped and per-message DATA both come through here.
+func (g *Gateway) readData(cs *connState) (id int, bits int64, err error) {
+	b, err := cs.in.take(12)
+	if err != nil {
 		return 0, 0, err
 	}
 	g.spanMark(cs, stageRead)
-	wire := binary.BigEndian.Uint32(cs.scratch[0:])
+	wire := binary.BigEndian.Uint32(b)
 	id = int(wire)
-	bits = int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
+	bits = int64(binary.BigEndian.Uint64(b[4:]))
 	if _, ok := cs.owned[wire]; !ok || bits < 0 {
 		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
 	}
@@ -446,34 +625,56 @@ func (g *Gateway) readData(r io.Reader, cs *connState) (id int, bits int64, err 
 	return id, bits, nil
 }
 
-// flushBatchData applies every accumulated batched-DATA group, one
-// shard-lock acquisition per shard with entries (shard.addGroup). The
-// per-group apply duration lands in the apply-stage histogram once per
-// group — batched messages share the lock round, so they share its
-// stage sample, and two clock reads per group (not per message) keep the
-// lock wait of the untimed majority visible.
+// readSession reads the body of a STATS or CLOSE message (what names
+// it) and validates it: the session must be one this connection owns.
+func (g *Gateway) readSession(cs *connState, what string) (int, error) {
+	b, err := cs.in.take(4)
+	if err != nil {
+		return 0, err
+	}
+	g.spanMark(cs, stageRead)
+	wire := binary.BigEndian.Uint32(b)
+	id := int(wire)
+	if _, ok := cs.owned[wire]; !ok {
+		return 0, fmt.Errorf("%w: %s session=%d (owns %d sessions)", errProtocol, what, id, len(cs.owned))
+	}
+	cs.span.sess = id
+	return id, nil
+}
+
+// flushBatchData applies the grouped DATA, one shard-lock acquisition
+// per shard with entries (shard.addGroup). The per-group apply duration
+// lands in the apply-stage histogram once per group — grouped messages
+// share the lock round, so they share its stage sample, and one clock
+// read per group (a group ends where the next one starts), not per
+// message, keeps the lock wait of the untimed majority visible.
 func (g *Gateway) flushBatchData(cs *connState) {
-	for si := range cs.groups {
-		grp := cs.groups[si]
+	if cs.data == 0 {
+		return
+	}
+	var last time.Time
+	if g.m.exchange != nil {
+		last = time.Now()
+	}
+	for si, grp := range cs.groups {
 		if len(grp) == 0 {
 			continue
 		}
-		var start time.Time
-		if g.m.exchange != nil {
-			start = time.Now()
-		}
 		g.m.policedBits.Add(cs.mstripe, g.shards[si].addGroup(grp))
 		if g.m.exchange != nil {
-			g.m.stages[stageApply].Observe(cs.mstripe, int64(time.Since(start)))
+			now := time.Now()
+			g.m.stages[stageApply].Observe(cs.mstripe, int64(now.Sub(last)))
+			last = now
 		}
 		cs.groups[si] = grp[:0]
 	}
+	cs.data = 0
 }
 
-// applyMessage dispatches one message whose type byte has been read,
+// applyMessage runs one message whose type byte has been read on its own,
 // marking the wire-path stages on cs's span clock as it goes (no-ops
 // unless the message is timed).
-func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte) error {
+func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 	switch typ {
 	case typeOpen:
 		id, err := g.openSession(cs.stripe)
@@ -484,7 +685,8 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 			// connection so it can retry after backoff.
 			g.m.openFails.Inc()
 			g.emitAt(cs.stripe, obs.Event{Type: obs.EventOpenFail, Session: -1})
-			if _, werr := w.Write([]byte{typeOpenFail}); werr != nil {
+			cs.scratch[0] = typeOpenFail
+			if _, werr := w.Write(cs.scratch[:1]); werr != nil {
 				return werr
 			}
 			g.spanMark(cs, stageWrite)
@@ -501,52 +703,36 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		}
 		g.spanMark(cs, stageWrite)
 	case typeData:
-		id, bits, err := g.readData(r, cs)
+		id, bits, err := g.readData(cs)
 		if err != nil {
 			return err
 		}
 		g.m.policedBits.Add(cs.mstripe, g.shardOf(id).add(cs, id, bits))
 		g.spanMark(cs, stageApply)
 	case typeStats:
-		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {
+		id, err := g.readSession(cs, "STATS")
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		wire := binary.BigEndian.Uint32(cs.scratch[:4])
-		id := int(wire)
-		if _, ok := cs.owned[wire]; !ok {
-			return fmt.Errorf("%w: STATS session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
-		}
-		cs.span.sess = id
-		served, queued, maxDelay, changes := g.shardOf(id).stats(cs, id)
+		st := g.shardOf(id).stats(cs, id)
 		g.spanMark(cs, stageApply)
-		cs.scratch[0] = typeStatsR
-		binary.BigEndian.PutUint64(cs.scratch[1:], uint64(served))
-		binary.BigEndian.PutUint64(cs.scratch[9:], uint64(queued))
-		binary.BigEndian.PutUint64(cs.scratch[17:], uint64(maxDelay))
-		binary.BigEndian.PutUint64(cs.scratch[25:], uint64(changes))
-		if _, err := w.Write(cs.scratch[:statsReplyLen]); err != nil {
+		if _, err := w.Write(st.put(&cs.scratch)); err != nil {
 			return err
 		}
 		g.spanMark(cs, stageWrite)
 	case typeClose:
-		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {
+		id, err := g.readSession(cs, "CLOSE")
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		wire := binary.BigEndian.Uint32(cs.scratch[:4])
-		id := int(wire)
-		if _, ok := cs.owned[wire]; !ok {
-			return fmt.Errorf("%w: CLOSE session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
-		}
-		cs.span.sess = id
 		// Release before replying: a client that has read CLOSED may dial
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)
-		delete(cs.owned, wire)
+		delete(cs.owned, uint32(id))
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionClose, Session: id})
 		g.spanMark(cs, stageApply)
-		if _, err := w.Write([]byte{typeClosed}); err != nil {
+		cs.scratch[0] = typeClosed
+		if _, err := w.Write(cs.scratch[:1]); err != nil {
 			return err
 		}
 		g.spanMark(cs, stageWrite)

@@ -10,14 +10,15 @@ import (
 )
 
 // span.go is the wire-path tracing half of the second observability
-// layer: a Sampler decides (at striped-atomic cost) which messages are
-// timed, and a SpanRing retains the timed messages' spans for the admin
-// /spans endpoint. The unsampled path pays one striped counter add and
-// nothing else — no clock read. The instrumented component feeds its
-// latency histograms (the gateway's dynbw_gateway_stage_ns) from the
-// same sampled messages, so those hold a uniform 1-in-N sample per
-// stripe: quantiles stay per-message estimates, the histogram count is
-// messages timed, and exact per-message totals live in plain counters.
+// layer: a Sampler decides (at striped-atomic cost: one add per message,
+// or per BATCH frame) which messages are timed, and a SpanRing retains
+// the timed messages' spans for the admin /spans endpoint. The unsampled
+// path pays its share of one striped counter add and nothing else — no
+// clock read. The instrumented component feeds its latency histograms
+// (the gateway's dynbw_gateway_stage_ns) from the same sampled messages,
+// so those hold a uniform 1-in-N sample per stripe: quantiles stay
+// per-message estimates, the histogram count is messages timed, and
+// exact per-message totals live in plain counters.
 
 // MaxSpanStages bounds the per-span stage vector so a Span is a flat
 // value type: recording a span never allocates, it copies one struct
@@ -205,18 +206,25 @@ func (r *SpanRing) Instrument(reg *Registry) {
 		func() int64 { return int64(r.Dropped()) })
 }
 
-// Sampler is a 1-in-N decision maker for message timing: Hit increments a
-// lock-striped counter and reports true for exactly one call in every
-// block of N consecutive calls on a stripe, so the unsampled path costs
-// one uncontended atomic add and the decision needs no randomness
-// (deterministic under test). The position of the sampled call moves from
-// block to block (see Hit), so traffic that repeats with a period
-// dividing N — a client looping over 64 DATA then 64 STATS against the
-// default 1024 — has every part of its cycle sampled in turn, not one
-// message of it every time. The nil *Sampler is a valid no-op that never
-// samples.
+// Sampler is a 1-in-N decision maker for message timing. Each stripe
+// numbers its events 0, 1, 2, … and samples exactly one position in every
+// block of N consecutive positions, so the decision needs no randomness
+// (deterministic under test). An event takes its position one of two
+// ways: Hit takes the next one and decides it, at the cost of one
+// uncontended atomic add; Reserve takes n at once with the same one add —
+// a BATCH frame reserves a position for each of its messages — and At
+// decides each reserved position exactly as Hit would have decided it.
+// The sampled position moves from block to block (see At), so traffic
+// that repeats with a period dividing N — a client looping over 64 DATA
+// then 64 STATS against the default 1024 — has every part of its cycle
+// sampled in turn, not one message of it every time. The nil *Sampler is
+// a valid no-op that never samples.
 type Sampler struct {
-	every   uint64
+	every uint64
+	// pow2 says every is a power of two, 2^shift — the default period
+	// is — so that At shifts and masks where it would divide.
+	pow2    bool
+	shift   uint
 	stripes []stripe64
 }
 
@@ -234,20 +242,47 @@ func NewSampler(n uint64, stripes int) *Sampler {
 	if stripes < 1 {
 		stripes = 1
 	}
-	return &Sampler{every: n, stripes: make([]stripe64, stripes)}
+	return &Sampler{
+		every:   n,
+		pow2:    n&(n-1) == 0,
+		shift:   uint(bits.TrailingZeros64(n)),
+		stripes: make([]stripe64, stripes),
+	}
 }
 
-// Hit counts one event on the given stripe (reduced modulo the stripe
-// count) and reports whether it should be sampled: the stripe's calls are
-// cut into consecutive blocks of N, and block b samples its call number
-// N-1-offset(b), where offset is a Fibonacci hash of b scaled into
-// [0, N). Block 0 has offset 0, so the first sample is the N-th call.
+// Hit takes the next position on the given stripe (reduced modulo the
+// stripe count) and reports whether it is sampled: At(Reserve(stripe, 1)).
 func (s *Sampler) Hit(stripe int) bool {
 	if s == nil {
 		return false
 	}
-	n := uint64(s.stripes[uint(stripe)%uint(len(s.stripes))].v.Add(1)) - 1
-	block, pos := n/s.every, n%s.every
+	return s.At(s.Reserve(stripe, 1))
+}
+
+// Reserve takes the next n positions on the given stripe (reduced modulo
+// the stripe count) with one atomic add and returns the first; the
+// caller decides them with At. The nil sampler reserves nothing and
+// returns 0.
+func (s *Sampler) Reserve(stripe, n int) uint64 {
+	if s == nil {
+		return 0
+	}
+	return uint64(s.stripes[uint(stripe)%uint(len(s.stripes))].v.Add(int64(n)) - int64(n))
+}
+
+// At reports whether position i is sampled: positions are cut into
+// consecutive blocks of N, and block b samples its position number
+// N-1-offset(b), where offset is a Fibonacci hash of b scaled into
+// [0, N). Block 0 has offset 0, so the first sample is the N-th
+// position. The nil sampler samples no position.
+func (s *Sampler) At(i uint64) bool {
+	if s == nil {
+		return false
+	}
+	block, pos := i>>s.shift, i&(s.every-1)
+	if !s.pow2 {
+		block, pos = i/s.every, i%s.every
+	}
 	offset, _ := bits.Mul64(block*0x9E3779B97F4A7C15, s.every)
 	return pos == s.every-1-offset
 }

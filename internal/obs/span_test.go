@@ -242,6 +242,41 @@ func TestSamplerEveryOneSamplesAll(t *testing.T) {
 	}
 }
 
+// TestSamplerReserveMatchesHit: a sampler whose positions are taken in
+// frames — Reserve(n), then At on each position — samples exactly the
+// positions that n calls of Hit sample on a twin sampler, for frames of
+// assorted sizes dealt round-robin over several stripes, at periods that
+// are powers of two (At shifts) and one that is not (At divides); the nil
+// sampler samples nothing either way.
+func TestSamplerReserveMatchesHit(t *testing.T) {
+	const stripes = 3
+	sizes := []int{1, 64, 0, 7, 4096, 3, 1023, 128, 2}
+	for _, every := range []uint64{1, 8, 1000, 1024} {
+		hit, res := NewSampler(every, stripes), NewSampler(every, stripes)
+		sampled := 0
+		for f := 0; f < 40; f++ {
+			stripe, n := f%stripes, sizes[f%len(sizes)]
+			base := res.Reserve(stripe, n)
+			for i := 0; i < n; i++ {
+				got, want := res.At(base+uint64(i)), hit.Hit(stripe)
+				if got != want {
+					t.Fatalf("every %d, stripe %d, frame %d: position %d of %d sampled %v, Hit says %v", every, stripe, f, i, n, got, want)
+				}
+				if got {
+					sampled++
+				}
+			}
+		}
+		if sampled == 0 {
+			t.Errorf("every %d: no position sampled", every)
+		}
+	}
+	var none *Sampler
+	if base := none.Reserve(0, 64); base != 0 || none.At(base) || none.At(1023) || none.Hit(0) {
+		t.Error("the nil sampler sampled")
+	}
+}
+
 func TestSpanRingNextTraceTagsStripe(t *testing.T) {
 	r := NewSpanRing(4, nil)
 	a, b := r.NextTrace(3), r.NextTrace(3)
