@@ -42,8 +42,10 @@ bench:
 # leaves out the feeding; idle and 40 run on the tick loop, the other two
 # fan out to the tick workers. live_B/slot is the table's live heap,
 # measured on the first run of each -count against a heap taken before
-# any gateway was built: about 125 B a slot, 155 B in the dense case,
-# whose round scratch has grown to every slot (2 vCPU Xeon, go1.24).
+# any gateway was built: about 133 B a slot, 163 B in the dense case,
+# whose round scratch has grown to every slot (2 vCPU Xeon, go1.24); the
+# table opens no session, so it includes the 8 B owner word of each free
+# slot and no ownership beyond it.
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 

@@ -278,7 +278,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if err := g.handleMessage(wireReader(in), &w, cs); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := cs.owned[0]; !ok {
+		if _, ok := ownedBy(g, cs)[0]; !ok {
 			t.Fatal("OPEN inside batch did not register session 0")
 		}
 		sh := g.shards[0]
@@ -299,8 +299,8 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if err := g.handleMessage(wireReader(in), io.Discard, cs); err != nil {
 			t.Fatal(err)
 		}
-		if len(cs.owned) != 0 {
-			t.Fatalf("owned = %v after CLOSE", cs.owned)
+		if owned := ownedBy(g, cs); len(owned) != 0 {
+			t.Fatalf("owned = %v after CLOSE", owned)
 		}
 		sh := g.shards[0]
 		if sh.inUse != 0 {
@@ -431,9 +431,9 @@ func newInstrumented(k int) *Gateway {
 func unitAllocs(t *testing.T, g *Gateway, unit []byte) float64 {
 	t.Helper()
 	cs := g.getConnState(0, 0)
-	cs.owned[0] = struct{}{}
-	g.shards[0].used.Add(0)
-	g.shards[0].inUse = 1
+	if err := g.handleMessage(wireReader(fuzzSeed(typeOpen)), io.Discard, cs); err != nil {
+		t.Fatal(err)
+	}
 	src := bytes.NewReader(nil)
 	r := bufio.NewReaderSize(src, connReadBufSize)
 	return testing.AllocsPerRun(512, func() {
@@ -517,8 +517,8 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 					if b, s := tableState(batched), tableState(single); b != s {
 						t.Errorf("slot state\n batched   %+v\n unbatched %+v", b, s)
 					}
-					if !maps.Equal(bcs.owned, scs.owned) {
-						t.Errorf("owned: batched %v, unbatched %v", bcs.owned, scs.owned)
+					if b, s := ownedBy(batched, bcs), ownedBy(single, scs); !maps.Equal(b, s) {
+						t.Errorf("owned: batched %v, unbatched %v", b, s)
 					}
 					if tt.wantErr {
 						return // what the connection's last unit counted is moot
@@ -612,7 +612,7 @@ func BenchmarkBatchFrames(b *testing.B) {
 		}
 	}
 	ids := make([]uint32, 0, owned)
-	for id := range cs.owned {
+	for id := range ownedBy(g, cs) {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)

@@ -25,6 +25,19 @@ func newBare(k int) *Gateway {
 	return g
 }
 
+// ownedBy lists the sessions cs owns as the owner words record them:
+// the wire ID in every slot's word that carries cs's serial, found by a
+// scan of the whole table rather than the gateway's own walk.
+func ownedBy(g *Gateway, cs *connState) map[uint32]struct{} {
+	owned := make(map[uint32]struct{})
+	for i := range g.owners {
+		if w := g.owners[i].Load(); w != 0 && uint32(w>>32) == cs.serial {
+			owned[uint32(w)] = struct{}{}
+		}
+	}
+	return owned
+}
+
 // wireReader puts wire bytes behind the buffered reader handleMessage
 // reads from, sized as a connection's.
 func wireReader(b []byte) *bufio.Reader {
@@ -245,13 +258,14 @@ func FuzzHandleMessage(f *testing.F) {
 		}
 		check := func(step string) {
 			t.Helper()
-			if sh.inUse != len(model.live) || len(conns[0].owned)+len(conns[1].owned) != len(model.live) {
+			owned := [2]map[uint32]struct{}{ownedBy(g, conns[0]), ownedBy(g, conns[1])}
+			if sh.inUse != len(model.live) || len(owned[0])+len(owned[1]) != len(model.live) {
 				t.Fatalf("after %s: %d slots in use, connections own %d+%d sessions, model has %d live",
-					step, sh.inUse, len(conns[0].owned), len(conns[1].owned), len(model.live))
+					step, sh.inUse, len(owned[0]), len(owned[1]), len(model.live))
 			}
 			taken := make(map[int]bool)
 			for id, s := range model.live {
-				if _, ok := conns[s.conn].owned[uint32(id)]; !ok {
+				if _, ok := owned[s.conn][uint32(id)]; !ok {
 					t.Fatalf("after %s: session %#x missing from connection %d's owned set", step, id, s.conn)
 				}
 				slot := sh.slot(id)

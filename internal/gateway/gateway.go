@@ -237,12 +237,19 @@ type Config struct {
 // one shard unless configured otherwise; with a router, a routing policy
 // chooses the shard at OPEN time.
 type Gateway struct {
-	ln          net.Listener
-	k           int // total slots
-	spp         int // slots per shard (k/len(shards))
-	indexBits   int // a wire session ID is tag<<indexBits | index: the width of k-1
-	indexMask   int // selects the index of a wire session ID
-	shards      []*shard
+	ln        net.Listener
+	k         int // total slots
+	spp       int // slots per shard (k/len(shards))
+	indexBits int // a wire session ID is tag<<indexBits | index: the width of k-1
+	indexMask int // selects the index of a wire session ID
+	shards    []*shard
+	// owners is the ownership column of the slot table, one word per
+	// global slot: ownerWord(serial, id) of the live session and the
+	// connection that opened it, 0 while the slot is free. A shard writes
+	// its slots' words under its lock (open, release); the wire path reads
+	// them without it (owns).
+	owners      []atomic.Uint64
+	serials     serialPool   // live connections' serials, recycled
 	router      route.Router // places an OPEN on a shard; nil: home stripe first
 	ticks       <-chan time.Time
 	idleTimeout time.Duration
@@ -270,9 +277,9 @@ type Gateway struct {
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
 	routed   atomic.Int64 // routed OPENs begun: -routed is the next one's provisional router key
 
-	// csPool recycles connStates (owned map, buffered endpoints, batch
-	// group scratch) across connection churn, so accept/close cycles in a
-	// soak stop allocating per-connection state.
+	// csPool recycles connStates (buffered endpoints, batch group
+	// scratch) across connection churn, so accept/close cycles in a soak
+	// stop allocating per-connection state.
 	csPool sync.Pool
 
 	tickCh chan int       // shard indices fanned out to the tick workers (nil without workers: 1 shard)
@@ -369,6 +376,7 @@ func newGateway(k, nshards int) *Gateway {
 		m:          &gwMetrics{},
 	}
 	g.indexMask = 1<<g.indexBits - 1
+	g.owners = make([]atomic.Uint64, k)
 	g.shards = make([]*shard, nshards)
 	for i := range g.shards {
 		g.shards[i] = newShard(g, i, i*g.spp, g.spp)
@@ -384,13 +392,27 @@ func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
 // shardOf maps a wire session ID to its owning shard: the ID's index is
 // a global slot number on a sharded gateway, so the shard is index /
-// (k/shards). Callers must have validated the ID (it is one of the
-// connection's owned sessions).
+// (k/shards). Callers must have validated the ID (owns: it names a live
+// session of the connection).
 func (g *Gateway) shardOf(id int) *shard {
 	if len(g.shards) == 1 {
 		return g.shards[0]
 	}
 	return g.shards[(id&g.indexMask)/g.spp]
+}
+
+// ownerWord is what a slot's owner word holds while the session with
+// wire ID id, opened by the connection with the given serial, is its
+// tenant. A serial is never 0, so neither is the word.
+func ownerWord(serial, id uint32) uint64 { return uint64(serial)<<32 | uint64(id) }
+
+// owns reports whether a wire ID names a live session that the
+// connection with the given serial opened: one atomic load of the
+// slot's owner word and a compare, with no lock. A foreign connection's
+// session, a stale tag and an index past the last slot all fail it.
+func (g *Gateway) owns(serial, id uint32) bool {
+	i := uint(id) & uint(g.indexMask)
+	return i < uint(len(g.owners)) && g.owners[i].Load() == ownerWord(serial, id)
 }
 
 // emitAt forwards an event through the given shard's emission handle,

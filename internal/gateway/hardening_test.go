@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"strings"
@@ -528,7 +529,7 @@ func TestOpenIsFirstFit(t *testing.T) {
 	mustOpen := func() {
 		t.Helper()
 		want := lowestFree()
-		id, ok := sh.open()
+		id, ok := sh.open(1)
 		if !ok || id&g.indexMask != want {
 			t.Fatalf("open() = %#x, %v; first fit is slot %d", id, ok, want)
 		}
@@ -537,7 +538,7 @@ func TestOpenIsFirstFit(t *testing.T) {
 	for i := 0; i < k; i++ {
 		mustOpen()
 	}
-	if _, ok := sh.open(); ok {
+	if _, ok := sh.open(1); ok {
 		t.Fatal("open on a full table succeeded")
 	}
 	src := rng.New(5)
@@ -596,5 +597,68 @@ func TestShutdownIsNotAClientError(t *testing.T) {
 	}
 	if out := logged.String(); out != "" {
 		t.Errorf("clean shutdown logged: %s", out)
+	}
+}
+
+// TestIdleDisconnectNamesItsSession: the event an idle disconnect emits
+// names the connection's session when it owns exactly one, and is -1
+// when it owns two. Each connection first closes the session on slot 0,
+// so the one it keeps is not slot 0's.
+func TestIdleDisconnectNamesItsSession(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sessions=%d", n), func(t *testing.T) {
+			ring := obs.NewRing(64)
+			g, err := NewWithConfig(Config{
+				Addr:        "127.0.0.1:0",
+				Slots:       4,
+				Alloc:       perSlotAlloc{cap: 4},
+				Ticks:       newManualTicks().ch,
+				IdleTimeout: 50 * time.Millisecond,
+				Observer:    ring,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			m, err := DialMux(g.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var ids []uint32
+			for range n + 1 {
+				id, err := m.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			if err := m.CloseSession(ids[0]); err != nil {
+				t.Fatal(err)
+			}
+			want := -1
+			if n == 1 {
+				want = int(ids[1])
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				var idle []obs.Event
+				for _, e := range ring.Snapshot() {
+					if e.Type == obs.EventIdleDisconnect {
+						idle = append(idle, e)
+					}
+				}
+				if len(idle) > 0 {
+					if len(idle) != 1 || idle[0].Session != want {
+						t.Fatalf("idle-disconnect events %+v, want one naming session %d", idle, want)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the idle connection was never disconnected")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -205,7 +205,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 					closing := -1
 					if tc.crossing {
 						var err error
-						if closing, err = g.openSession(0); err != nil || closing != 0 {
+						if closing, err = g.openSession(0, 1); err != nil || closing != 0 {
 							t.Fatalf("OPEN on an empty table = %d, %v", closing, err)
 						}
 					}
@@ -302,7 +302,7 @@ func routeSessions(t *testing.T, g *Gateway, m *trace.Multi) *trace.Multi {
 		slots[i] = silent
 	}
 	for j := 0; j < g.k*3/4; j++ {
-		id, err := g.openSession(j % n)
+		id, err := g.openSession(j%n, 1)
 		if err != nil {
 			t.Fatalf("routed OPEN %d: %v", j, err)
 		}

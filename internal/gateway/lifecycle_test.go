@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
-	"reflect"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,8 +105,9 @@ func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
 					}
 				}
 				g.releaseAll(f.me) // what Gateway.handle does with the error
-				if _, ok := them.owned[uint32(f.other)]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
-					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.inUse, them.owned)
+				owned := ownedBy(g, them)
+				if _, ok := owned[uint32(f.other)]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
+					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.inUse, owned)
 				}
 				if _, err := send(t, g, them, fuzzSeed(typeStats, uint64(f.other))); err != nil {
 					t.Errorf("bystander's STATS: %v", err)
@@ -319,31 +320,97 @@ func TestFreeSlotStageStartIsNotTheNextTenants(t *testing.T) {
 	}
 }
 
-// TestPooledConnStateShedsAGrownMap: a Go map never shrinks, so the
-// ownership map of a connection that held more than pooledOwnedMax
-// sessions at once is replaced, not cleared, when its state goes back to
-// the pool; a smaller one is kept. Either way the state comes back empty.
-func TestPooledConnStateShedsAGrownMap(t *testing.T) {
-	for _, n := range []int{pooledOwnedMax, pooledOwnedMax + 1} {
-		g := newBare(n)
-		cs := g.getConnState(0, 0)
-		r := wireReader(bytes.Repeat(fuzzSeed(typeOpen), n))
-		for range n {
-			if err := g.handleMessage(r, io.Discard, cs); err != nil {
-				t.Fatal(err)
+// TestOwnershipUnderChurn: on a two-slot gateway, connection A OPENs and
+// CLOSEs the same slot over and over while connection B, which holds the
+// other slot, checks every ID A was ever handed, through the lock-free
+// ownership check and through STATS on the wire. None ever reads as B's,
+// B's own session always does, and A's check holds exactly while its
+// session is live. Run it with -race.
+func TestOwnershipUnderChurn(t *testing.T) {
+	const churns = 2000
+	g := newBare(2)
+	a, b := g.getConnState(0, 0), g.getConnState(0, 0)
+	send := func(cs *connState, msg []byte) ([]byte, error) {
+		var reply bytes.Buffer
+		err := g.handleMessage(wireReader(msg), &reply, cs)
+		return reply.Bytes(), err
+	}
+	open := func(cs *connState) (uint32, error) {
+		reply, err := send(cs, fuzzSeed(typeOpen))
+		if err == nil && (len(reply) != 5 || reply[0] != typeOpened) {
+			err = fmt.Errorf("OPEN replied %x", reply)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(reply[1:]), nil
+	}
+	first, err := open(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := send(a, fuzzSeed(typeClose, uint64(first))); err != nil {
+		t.Fatal(err)
+	}
+
+	var handed [churns + 1]atomic.Uint32
+	var published atomic.Int64
+	handed[0].Store(first)
+	published.Store(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= churns; i++ {
+			id, err := open(a)
+			if err != nil {
+				t.Errorf("churn %d: %v", i, err)
+				return
+			}
+			if id&uint32(g.indexMask) != first&uint32(g.indexMask) {
+				t.Errorf("churn %d: OPEN took slot %d, want the churned slot", i, id&uint32(g.indexMask))
+				return
+			}
+			handed[i].Store(id)
+			published.Store(int64(i + 1))
+			if !g.owns(a.serial, id) {
+				t.Errorf("churn %d: A's live session %#x does not read as A's", i, id)
+			}
+			if _, err := send(a, fuzzSeed(typeStats, uint64(id))); err != nil {
+				t.Errorf("churn %d: A's STATS of its live session: %v", i, err)
+			}
+			if _, err := send(a, fuzzSeed(typeClose, uint64(id))); err != nil {
+				t.Errorf("churn %d: A's CLOSE: %v", i, err)
+				return
+			}
+			if g.owns(a.serial, id) {
+				t.Errorf("churn %d: A's session %#x still reads as A's after its CLOSE", i, id)
 			}
 		}
-		if len(cs.owned) != n || cs.peak != n {
-			t.Fatalf("%d OPENs: the connection owns %d sessions, peak %d", n, len(cs.owned), cs.peak)
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
 		}
-		g.releaseAll(cs) // as the handler's exit does
-		held := reflect.ValueOf(cs.owned).UnsafePointer()
-		g.putConnState(cs)
-		if kept := reflect.ValueOf(cs.owned).UnsafePointer() == held; kept != (n <= pooledOwnedMax) {
-			t.Errorf("peak of %d sessions: map kept = %v", n, kept)
+		for i := range published.Load() {
+			id := handed[i].Load()
+			if g.owns(b.serial, id) {
+				t.Fatalf("A's ID %#x reads as B's", id)
+			}
+			if reply, err := send(b, fuzzSeed(typeStats, uint64(id))); !errors.Is(err, errProtocol) {
+				t.Fatalf("B's STATS of A's ID %#x: reply %x, err %v; want errProtocol", id, reply, err)
+			}
 		}
-		if len(cs.owned) != 0 || cs.peak != 0 {
-			t.Errorf("peak of %d sessions: the pooled state owns %d sessions, peak %d", n, len(cs.owned), cs.peak)
+		if !g.owns(b.serial, mine) {
+			t.Fatalf("B's own session %#x does not read as B's", mine)
 		}
+	}
+	if n := published.Load(); n != churns+1 {
+		t.Fatalf("A was handed %d IDs, want %d", n, churns+1)
 	}
 }

@@ -173,11 +173,11 @@ func TestRoutedOpenFailsOnAFullShard(t *testing.T) {
 	router := route.NewGreedy(route.Uniform(2, 3)) // room for 3 a shard, 2 slots
 	g.router = router
 	for i := 0; i < 4; i++ {
-		if _, err := g.openSession(0); err != nil {
+		if _, err := g.openSession(0, 1); err != nil {
 			t.Fatalf("OPEN %d: %v", i, err)
 		}
 	}
-	if _, err := g.openSession(0); err != ErrSessionLimit {
+	if _, err := g.openSession(0, 1); err != ErrSessionLimit {
 		t.Fatalf("OPEN onto a full shard = %v, want ErrSessionLimit", err)
 	}
 	if n := router.SessionsOf(0) + router.SessionsOf(1); n != 4 {

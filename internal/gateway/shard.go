@@ -75,10 +75,12 @@ func (sh *shard) slot(id int) int { return id&sh.g.indexMask - sh.base }
 // of a local slot.
 func (sh *shard) index(slot int) int { return sh.base + slot }
 
-// open begins a session on the shard's lowest free slot and returns its
-// wire ID, or fails when every slot is taken. Rate changes the slot
-// collected while free go to past, not the session.
-func (sh *shard) open() (id int, ok bool) {
+// open begins a session on the shard's lowest free slot for the
+// connection with the given serial and returns its wire ID, or fails when
+// every slot is taken. The slot's owner word names the connection and the
+// ID from the same critical section that claims the slot. Rate changes
+// the slot collected while free go to past, not the session.
+func (sh *shard) open(serial uint32) (id int, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	slot := sh.used.NextClear(sh.free, sh.n)
@@ -90,11 +92,15 @@ func (sh *shard) open() (id int, ok bool) {
 	sh.inUse++
 	sh.free = slot + 1
 	sh.past.Add(sh.slots.Vacate(slot))
-	return int(sh.released<<sh.g.indexBits) | sh.index(slot), true
+	id = int(sh.released<<sh.g.indexBits) | sh.index(slot)
+	sh.g.owners[sh.index(slot)].Store(ownerWord(serial, uint32(id)))
+	return id, true
 }
 
-// release ends the live session a wire ID names and frees its slot: bits
-// still pending or queued are dropped (and returned, to be counted), the
+// release ends the live session a wire ID names and frees its slot: the
+// slot's owner word is cleared before the slot is, so it can only ever
+// name the slot's next tenant after this one's is gone; bits still
+// pending or queued are dropped (and returned, to be counted), the
 // policy is told, and what the session was served joins past. A routed
 // session's reservation is released after the slot and under the same
 // lock: the shard never holds more sessions than the router reserved on
@@ -104,6 +110,7 @@ func (sh *shard) release(id int) (dropped bw.Bits) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	slot := sh.slot(id)
+	sh.g.owners[sh.index(slot)].Store(0)
 	sh.used.Remove(slot)
 	sh.inUse--
 	sh.free = min(sh.free, slot)

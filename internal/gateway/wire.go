@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"dynbw/internal/bw"
@@ -25,19 +26,22 @@ const (
 	errClassIO       = "io"       // any other read/write failure
 )
 
-// connState is one connection's session-ownership state: the stripe it
-// was assigned at accept time (where metric updates land and where the
-// OPEN slot probe starts) and the set of sessions it has opened — a
-// connection may multiplex any number of them. connStates are recycled
-// through Gateway.csPool so connection churn stops allocating; getConnState
-// and putConnState own the reset protocol.
+// connState is one connection's state: the stripe it was assigned at
+// accept time (where metric updates land and where the OPEN slot probe
+// starts), the serial its sessions' owner words carry — a connection may
+// multiplex any number of sessions — and its wire-path scratch.
+// connStates are recycled through Gateway.csPool so connection churn
+// stops allocating; getConnState and putConnState own the reset protocol.
 type connState struct {
 	stripe  int // shard stripe: home shard, event-ring stripe
 	mstripe int // metrics stripe: striped counters/histograms, sampler
-	// owned is keyed by the wire ID, whose width it shares; peak is the
-	// most sessions it has held at once since the state left the pool.
-	owned map[uint32]struct{}
-	peak  int
+	// serial names the connection in the owner words of the sessions it
+	// opens (Gateway.owners); sessions counts those it owns, and lo and
+	// hi are the lowest and highest index it has opened since it last
+	// owned none. Nothing here grows with its sessions.
+	serial   uint32
+	sessions int
+	lo, hi   int
 	// span is the per-connection stage clock, armed for timed messages
 	// only; pending carries a client-sent TRACE envelope to the message
 	// that follows it.
@@ -104,13 +108,42 @@ func (st statsReply) put(b *[statsReplyLen]byte) []byte {
 	return b[:]
 }
 
+// serialPool hands each live connection a serial no other live
+// connection holds: a returned one if there is one, else the next unused,
+// counting from 1, so 0 is never a serial. A serial is returned only once
+// its connection's sessions are released (putConnState), when no owner
+// word carries it any more. Serials therefore stay at or below the most
+// connections ever live at once, far below the 2^32 that would wrap.
+type serialPool struct {
+	mu   sync.Mutex
+	free []uint32 // guarded by serialPool.mu
+	next uint32   // guarded by serialPool.mu; the serials handed out so far
+}
+
+func (p *serialPool) get() uint32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	p.next++
+	return p.next
+}
+
+func (p *serialPool) put(s uint32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, s)
+}
+
 // getConnState checks a recycled connState out of the pool (or builds a
-// fresh one) and binds it to a new connection's stripes.
+// fresh one) and binds it to a new connection's stripes and a serial.
 func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 	cs, _ := g.csPool.Get().(*connState)
 	if cs == nil {
 		cs = &connState{
-			owned:       make(map[uint32]struct{}),
 			rd:          bufio.NewReaderSize(nil, connReadBufSize),
 			wr:          bufio.NewWriterSize(nil, connWriteBufSize),
 			groups:      make([][]pendingAdd, len(g.shards)),
@@ -118,25 +151,17 @@ func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 		}
 	}
 	cs.stripe, cs.mstripe = stripe, mstripe
+	cs.serial = g.serials.get()
 	return cs
 }
 
-// pooledOwnedMax is the most sessions a pooled connState's ownership map
-// may have held and still be kept: a Go map never shrinks, so one that
-// served a connection of 50 000 sessions would otherwise park about 0.6 MB
-// in the pool for whichever connection comes next.
-const pooledOwnedMax = 1024
-
-// putConnState scrubs per-connection state and returns it to the pool.
-// The buffered endpoints keep their storage but drop the conn reference;
-// the ownership map is kept unless it grew past pooledOwnedMax.
+// putConnState ends every session the connection still owns, returns its
+// serial, scrubs per-connection state and returns it to the pool. The
+// buffered endpoints keep their storage but drop the conn reference.
 func (g *Gateway) putConnState(cs *connState) {
-	if cs.peak > pooledOwnedMax {
-		cs.owned = make(map[uint32]struct{})
-	} else {
-		clear(cs.owned)
-	}
-	cs.peak = 0
+	g.releaseAll(cs)
+	g.serials.put(cs.serial)
+	cs.serial = 0
 	cs.span = spanScratch{}
 	cs.pending = pendingTrace{}
 	cs.armedAt = time.Time{}
@@ -162,13 +187,27 @@ func (cs *connState) dropData() {
 // logSession picks a representative session ID for diagnostics: the
 // session when the connection owns exactly one (the common Client
 // case), -1 otherwise.
-func (cs *connState) logSession() int {
-	if len(cs.owned) == 1 {
-		for id := range cs.owned {
-			return int(id)
+func (g *Gateway) logSession(cs *connState) int {
+	id := -1
+	if cs.sessions == 1 {
+		g.eachSession(cs, func(s int) { id = s })
+	}
+	return id
+}
+
+// eachSession calls f with the wire ID of every session cs owns, in
+// index order: the owner words carrying its serial, found between the
+// lowest and highest index it has opened, and no further once all are
+// found. Words carrying cs's serial are written by cs's own handler
+// only, so the walk reads them exactly, without a lock.
+func (g *Gateway) eachSession(cs *connState, f func(id int)) {
+	left := cs.sessions
+	for i := cs.lo; left > 0 && i <= cs.hi; i++ {
+		if w := g.owners[i].Load(); uint32(w>>32) == cs.serial {
+			left--
+			f(int(uint32(w)))
 		}
 	}
-	return -1
 }
 
 // acceptLoop accepts client connections, backing off exponentially on
@@ -221,8 +260,8 @@ func (g *Gateway) acceptLoop() {
 // side would block (no complete pipelined input left), so a burst of
 // requests — or a BATCH frame — costs one reply write instead of one per
 // message. On exit every session the connection still owns is released
-// — also when the exit is a panic in the handler, which costs this
-// connection and nothing else.
+// (putConnState) — also when the exit is a panic in the handler, which
+// costs this connection and nothing else.
 func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 	defer g.wg.Done()
 	defer conn.Close()
@@ -232,14 +271,13 @@ func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 		if p := recover(); p != nil {
 			g.m.handlerPanics.Inc()
 			g.log.Log(slog.LevelError, "panic-handler", "gateway: connection handler panicked; connection dropped",
-				"remote", conn.RemoteAddr().String(), "sessions", len(cs.owned), "panic", p, "stack", string(debug.Stack()))
+				"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "panic", p, "stack", string(debug.Stack()))
 		}
-		g.releaseAll(cs)
+		g.putConnState(cs)
 		home.mu.Lock()
 		delete(home.conns, conn)
 		home.mu.Unlock()
 		g.m.conns.Add(-1)
-		g.putConnState(cs)
 	}()
 	cs.rd.Reset(conn)
 	cs.wr.Reset(conn)
@@ -292,29 +330,30 @@ func (g *Gateway) observeDisconnect(conn net.Conn, err error, cs *connState) {
 		g.m.errors[errClassEOF].Inc()
 	case errors.As(err, &nerr) && nerr.Timeout():
 		g.m.errors[errClassTimeout].Inc()
-		g.emitAt(cs.stripe, obs.Event{Type: obs.EventIdleDisconnect, Session: cs.logSession()})
+		g.emitAt(cs.stripe, obs.Event{Type: obs.EventIdleDisconnect, Session: g.logSession(cs)})
 		g.log.Log(slog.LevelWarn, "idle", "gateway: disconnecting idle client",
-			"remote", conn.RemoteAddr().String(), "sessions", len(cs.owned))
+			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions)
 	case errors.Is(err, errProtocol):
 		g.m.errors[errClassProtocol].Inc()
 		g.log.Log(slog.LevelWarn, "protocol", "gateway: protocol violation",
-			"remote", conn.RemoteAddr().String(), "sessions", len(cs.owned), "err", err)
+			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "err", err)
 	default:
 		g.m.errors[errClassIO].Inc()
 		g.log.Log(slog.LevelWarn, "io", "gateway: connection error",
-			"remote", conn.RemoteAddr().String(), "sessions", len(cs.owned), "err", err)
+			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "err", err)
 	}
 }
 
-// openSession begins a session and returns the ID handed to the client.
-// Without a router it probes the shards round-robin from the
-// connection's home stripe (first-fit within each shard).
-func (g *Gateway) openSession(start int) (int, error) {
+// openSession begins a session for the connection with the given serial
+// and returns the ID handed to the client. Without a router it probes the
+// shards round-robin from the connection's home stripe (first-fit within
+// each shard).
+func (g *Gateway) openSession(start int, serial uint32) (int, error) {
 	if g.router != nil {
-		return g.openRouted()
+		return g.openRouted(serial)
 	}
 	for p := 0; p < len(g.shards); p++ {
-		if id, ok := g.shards[(start+p)%len(g.shards)].open(); ok {
+		if id, ok := g.shards[(start+p)%len(g.shards)].open(serial); ok {
 			g.m.sessions.Add(1)
 			return id, nil
 		}
@@ -331,13 +370,13 @@ func (g *Gateway) openSession(start int) (int, error) {
 // the same shard lock as the slot, so the index is free in the router's
 // books. A shard holds no more sessions than the router reserved on it,
 // so open fails only when the router admits more than a shard's slots.
-func (g *Gateway) openRouted() (int, error) {
+func (g *Gateway) openRouted(serial uint32) (int, error) {
 	key := -int(g.routed.Add(1))
 	l := g.router.Place(route.Session{ID: key, Rate: 1})
 	if l == route.Blocked {
 		return 0, ErrSessionLimit
 	}
-	id, ok := g.shards[l].open()
+	id, ok := g.shards[l].open(serial)
 	if !ok {
 		g.router.Release(key)
 		return 0, ErrSessionLimit
@@ -357,19 +396,17 @@ func (g *Gateway) releaseSession(id int) {
 
 // releaseAll is a connection's death: every session it owns ends.
 func (g *Gateway) releaseAll(cs *connState) {
-	for id := range cs.owned {
-		g.releaseSession(int(id))
-	}
-	clear(cs.owned)
+	g.eachSession(cs, g.releaseSession)
+	cs.sessions = 0
 }
 
 // handleMessage reads exactly one wire unit from r — a single message,
 // or a whole BATCH frame — applies it, and writes any replies to w. cs
-// tracks the sessions owned by this connection; handleMessage updates it
-// on OPEN and CLOSE. A non-nil error (read failure or protocol
-// violation) means the connection must be dropped. The function is the
-// entire wire-facing surface of the gateway and is fuzzed by
-// FuzzHandleMessage.
+// is the connection, whose serial the sessions it OPENs carry in their
+// owner words; handleMessage updates its session count on OPEN and
+// CLOSE. A non-nil error (read failure or protocol violation) means the
+// connection must be dropped. The function is the entire wire-facing
+// surface of the gateway and is fuzzed by FuzzHandleMessage.
 //
 // It is the gateway's one decoder: every message is parsed where it lies
 // in r's buffer (unitReader), which is refilled only when a message
@@ -618,8 +655,8 @@ func (g *Gateway) readData(cs *connState) (id int, bits int64, err error) {
 	wire := binary.BigEndian.Uint32(b)
 	id = int(wire)
 	bits = int64(binary.BigEndian.Uint64(b[4:]))
-	if _, ok := cs.owned[wire]; !ok || bits < 0 {
-		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
+	if !g.owns(cs.serial, wire) || bits < 0 {
+		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, cs.sessions)
 	}
 	cs.span.sess = id
 	return id, bits, nil
@@ -635,8 +672,8 @@ func (g *Gateway) readSession(cs *connState, what string) (int, error) {
 	g.spanMark(cs, stageRead)
 	wire := binary.BigEndian.Uint32(b)
 	id := int(wire)
-	if _, ok := cs.owned[wire]; !ok {
-		return 0, fmt.Errorf("%w: %s session=%d (owns %d sessions)", errProtocol, what, id, len(cs.owned))
+	if !g.owns(cs.serial, wire) {
+		return 0, fmt.Errorf("%w: %s session=%d (owns %d sessions)", errProtocol, what, id, cs.sessions)
 	}
 	cs.span.sess = id
 	return id, nil
@@ -677,7 +714,7 @@ func (g *Gateway) flushBatchData(cs *connState) {
 func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 	switch typ {
 	case typeOpen:
-		id, err := g.openSession(cs.stripe)
+		id, err := g.openSession(cs.stripe, cs.serial)
 		g.spanMark(cs, stageApply)
 		if err != nil {
 			// Slot exhaustion is an expected steady-state condition under
@@ -692,8 +729,12 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 			g.spanMark(cs, stageWrite)
 			return nil
 		}
-		cs.owned[uint32(id)] = struct{}{}
-		cs.peak = max(cs.peak, len(cs.owned))
+		if i := id & g.indexMask; cs.sessions == 0 {
+			cs.lo, cs.hi = i, i
+		} else {
+			cs.lo, cs.hi = min(cs.lo, i), max(cs.hi, i)
+		}
+		cs.sessions++
 		cs.span.sess = id
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionOpen, Session: id})
 		cs.scratch[0] = typeOpened
@@ -728,7 +769,7 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 		// Release before replying: a client that has read CLOSED may dial
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)
-		delete(cs.owned, uint32(id))
+		cs.sessions--
 		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionClose, Session: id})
 		g.spanMark(cs, stageApply)
 		cs.scratch[0] = typeClosed

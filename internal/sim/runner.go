@@ -102,7 +102,7 @@ func NewMultiRunner() *MultiRunner { return &MultiRunner{} }
 
 // size readies the per-session storage for k sessions, growing if needed
 // and resetting whatever is reused, and returns the k slots to run on.
-func (r *MultiRunner) size(k int) Slots {
+func (r *MultiRunner) size(k int) *Slots {
 	if cap(r.schedStore) < k {
 		r.slots = NewSlots(k)
 		r.view = r.slots
@@ -116,7 +116,7 @@ func (r *MultiRunner) size(k int) Slots {
 	if r.view.Len() != k {
 		r.view = r.slots.prefix(k)
 	}
-	slots := r.view
+	slots := &r.view
 	slots.Reset()
 	r.hist.Reset()
 	r.schedStore = r.schedStore[:k]

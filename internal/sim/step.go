@@ -38,8 +38,9 @@ const MaxBacklog bw.Bits = 1 << 40
 // summary level, so a round costs what its busy sessions cost, whatever
 // the size of the table, and a round with none costs a few word reads.
 //
-// A Slots value is a view: copies and prefix views share storage. It is
-// not safe for concurrent use.
+// A Slots value is a view: copies and prefix views share storage. Its
+// methods take a *Slots, so a round, a DATA or a STATS read copies
+// nothing of it. It is not safe for concurrent use.
 type Slots struct {
 	queues  []queue.FIFO
 	rates   []bw.Rate
@@ -71,13 +72,13 @@ func NewSlots(k int) Slots {
 }
 
 // Len returns the number of slots in the view.
-func (s Slots) Len() int { return len(s.queues) }
+func (s *Slots) Len() int { return len(s.queues) }
 
 // prefix returns the view of the first k slots: a runner's table for a
 // run of fewer sessions than it has grown to. The view keeps its own
 // running total, so take it once and step it every round; stepping a
 // table through both a view and its parent is not supported.
-func (s Slots) prefix(k int) Slots {
+func (s *Slots) prefix(k int) Slots {
 	v := Slots{
 		queues:  s.queues[:k],
 		rates:   s.rates[:k],
@@ -93,23 +94,23 @@ func (s Slots) prefix(k int) Slots {
 }
 
 // Queue returns slot i's queue, for reading its counters.
-func (s Slots) Queue(i int) *queue.FIFO { return &s.queues[i] }
+func (s *Slots) Queue(i int) *queue.FIFO { return &s.queues[i] }
 
 // Pending returns the bits slot i was handed since the last round.
-func (s Slots) Pending(i int) bw.Bits { return s.pending[i] }
+func (s *Slots) Pending(i int) bw.Bits { return s.pending[i] }
 
 // Rate returns the rate applied to slot i on the most recent round.
-func (s Slots) Rate(i int) bw.Rate { return s.rates[i] }
+func (s *Slots) Rate(i int) bw.Rate { return s.rates[i] }
 
 // Changes returns how many times slot i's rate has changed.
-func (s Slots) Changes(i int) int { return s.changes[i] }
+func (s *Slots) Changes(i int) int { return s.changes[i] }
 
 // Add hands slot i bits that arrived since the last round; the next Step
 // moves them into its queue. At most MaxBacklog bits wait for a round:
 // what does not fit is dropped, and Add returns how much that was. (Step
 // polices the queue itself against the same cap, so that Add, which runs
 // for every DATA message, reads nothing but the pending cell.)
-func (s Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
+func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 	if room := MaxBacklog - s.pending[i]; bits > room {
 		dropped = bits - room
 		bits = room
@@ -122,7 +123,7 @@ func (s Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 }
 
 // Reset empties every slot while keeping the queues' storage.
-func (s Slots) Reset() {
+func (s *Slots) Reset() {
 	for i := range s.queues {
 		s.queues[i].Reset()
 	}
@@ -161,7 +162,7 @@ func (t *Tenancy) Add(u Tenancy) {
 // last-applied rate stays: it is the allocator's output for the slot, not
 // a property of the session. Only a service calls it: a simulated session
 // lasts the whole run.
-func (s Slots) Vacate(i int) Tenancy {
+func (s *Slots) Vacate(i int) Tenancy {
 	q := &s.queues[i]
 	t := Tenancy{
 		Served:   q.Served(),
@@ -210,7 +211,7 @@ type Round struct {
 // the round's arrivals are enqueued (and reported in Round.Arrived),
 // every slot keeps its previous rate and count, and every visited slot
 // stays backlogged.
-func (s Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
+func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
 	in.idx = s.active.AppendTo(in.idx, 0, len(s.queues))
