@@ -32,14 +32,14 @@ func batchFrame(count int, payload ...[]byte) []byte {
 	return b.Bytes()
 }
 
-// sendN submits a sequence of payloads to c's session through its Mux's
+// sendN submits a sequence of payloads to one session through its Mux's
 // SendBatch, as BATCH frames of DATA messages.
-func sendN(c *Client, bits []bw.Bits) error {
+func sendN(m *Mux, id uint32, bits []bw.Bits) error {
 	items := make([]BatchItem, len(bits))
 	for i, b := range bits {
-		items[i] = BatchItem{Session: c.session, Bits: b}
+		items[i] = BatchItem{Session: id, Bits: b}
 	}
-	return c.m.SendBatch(items)
+	return m.SendBatch(items)
 }
 
 // TestClientSendNRoundTrip: a batched single-session sender's bits land
@@ -47,7 +47,7 @@ func sendN(c *Client, bits []bw.Bits) error {
 func TestClientSendNRoundTrip(t *testing.T) {
 	g, ticks := startGateway(t, 2)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +58,16 @@ func TestClientSendNRoundTrip(t *testing.T) {
 		bits[i] = bw.Bits(i + 1)
 		want += bits[i]
 	}
-	if err := sendN(c, bits); err != nil {
+	if err := sendN(c, cID, bits); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(); err != nil { // sync: batch fully applied
+	if _, err := c.Stats(cID); err != nil { // sync: batch fully applied
 		t.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(cID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,10 @@ func TestClientSendNRoundTrip(t *testing.T) {
 		t.Errorf("served %d + queued %d != %d", st.Served, st.Queued, want)
 	}
 
-	if err := sendN(c, nil); err != nil {
+	if err := sendN(c, cID, nil); err != nil {
 		t.Errorf("empty SendBatch: %v", err)
 	}
-	if err := sendN(c, []bw.Bits{1, -1}); err == nil {
+	if err := sendN(c, cID, []bw.Bits{1, -1}); err == nil {
 		t.Error("negative payload accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestClientSendNRoundTrip(t *testing.T) {
 func TestClientSendNSplitsFrames(t *testing.T) {
 	g, _ := startGateway(t, 2)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestClientSendNSplitsFrames(t *testing.T) {
 	for i := range bits {
 		bits[i] = 3
 	}
-	if err := sendN(c, bits); err != nil {
+	if err := sendN(c, cID, bits); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(); err != nil { // sync: both frames applied
+	if _, err := c.Stats(cID); err != nil { // sync: both frames applied
 		t.Fatal(err)
 	}
-	if err := c.Release(); err != nil {
+	if err := c.CloseSession(cID); err != nil {
 		t.Fatal(err)
 	}
 	// No round ran: CLOSE dropped exactly what the two frames delivered.
@@ -290,9 +290,9 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("data before close is applied first", func(t *testing.T) {
-		// The ordering barrier: CLOSE (non-DATA) must flush the pending
-		// group before releasing the slot, or the DATA would land on a
-		// freed (or worse, re-opened) slot.
+		// The ordering barrier: CLOSE must flush the waiting lists before
+		// releasing the slot, or the DATA would land on a freed (or worse,
+		// re-opened) slot.
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
 		in := batchFrame(3, open, data, fuzzSeed(typeClose, 0))
@@ -313,7 +313,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 			t.Errorf("pending[0] = %d on a free slot", got)
 		}
 	})
-	t.Run("mid-batch error discards unapplied groups", func(t *testing.T) {
+	t.Run("a recycled connState carries no listed ops", func(t *testing.T) {
 		g := newBare(4)
 		cs := g.getConnState(0, 0)
 		bad := fuzzSeed(typeData, 3, 64) // unowned session
@@ -322,14 +322,17 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if !errors.Is(err, errProtocol) {
 			t.Fatalf("got %v, want errProtocol", err)
 		}
-		// The connection dies; the batched-but-unflushed DATA must not
-		// leak into the next connection that reuses the state.
+		// The connection dies; nothing its last unit listed may leak into
+		// the next connection that reuses the state.
 		g.putConnState(cs)
 		cs2 := g.getConnState(0, 0)
-		for i, grp := range cs2.groups {
-			if len(grp) != 0 {
-				t.Errorf("recycled connState carries %d pending adds for shard %d", len(grp), i)
+		for i, l := range cs2.lists {
+			if len(l) != 0 {
+				t.Errorf("recycled connState carries %d listed ops for shard %d", len(l), i)
 			}
+		}
+		if cs2.data != 0 || len(cs2.replies) != 0 {
+			t.Errorf("recycled connState counts %d DATA and %d replies", cs2.data, len(cs2.replies))
 		}
 		if got := g.shards[0].slots.Pending(0); got != 0 {
 			t.Errorf("aborted batch leaked pending = %d", got)
@@ -387,8 +390,8 @@ func TestBatchTraceEnvelope(t *testing.T) {
 // TestHandleBatchDataZeroAlloc is the batched-path overhead contract: a
 // 64-DATA frame, a 64-STATS frame and a frame of 32 DATA then 32 STATS
 // allocate nothing, on a bare gateway and with metrics, sampler and span
-// ring attached and the messages not sampled — the DATA groups, the
-// STATS run, the span scratch and the buffers all live in the pooled
+// ring attached and the messages not sampled — the shard lists, the
+// STATS replies, the span scratch and the buffers all live in the pooled
 // connState.
 func TestHandleBatchDataZeroAlloc(t *testing.T) {
 	const n = 64
@@ -449,10 +452,8 @@ func unitAllocs(t *testing.T, g *Gateway, unit []byte) float64 {
 // when each is sent as a unit of its own — the same reply bytes, the same
 // slot state, the same message counters — whichever shards its sessions
 // live on and whichever of its messages are timed. A frame that hits a
-// protocol error mid-way does what the batched path always has: the
-// messages ahead of the error are applied, except the untimed DATA not
-// yet applied at a barrier, which die with the connection, and the STATS
-// already read are answered.
+// protocol error mid-way does what the messages ahead of the error do
+// sent alone: they are applied and answered.
 func TestBatchedEqualsUnbatched(t *testing.T) {
 	// Eight sessions, IDs 0..7, two on each of four shards or all on one.
 	// A CLOSE lets the next OPEN take the slot under the next tag: the
@@ -463,9 +464,10 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 	closing := func(id int) []byte { return fuzzSeed(typeClose, uint64(id)) }
 	traced := func(msg []byte) []byte { return append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 7}, msg...) }
 	open := fuzzSeed(typeOpen)
-	var everySession [][]byte
+	var everySession, alternating [][]byte
 	for id := range k {
 		everySession = append(everySession, data(id, uint64(id+1)), stats((id+3)%k))
+		alternating = append(alternating, data(id, uint64(2*id+1)), stats(id))
 	}
 	tests := []struct {
 		name string
@@ -481,6 +483,8 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 		{name: "an OPEN takes the closed slot", msgs: [][]byte{data(4, 50), stats(4), closing(4), open, data(reopened, 7), stats(reopened), open}},
 		{name: "TRACE-wrapped messages", msgs: [][]byte{traced(data(5, 9)), stats(5), traced(stats(6)), data(6, 3), data(5, 2), traced(closing(7)), stats(0)}},
 		{name: "every session", msgs: everySession},
+		{name: "a timed DATA overtakes a listed STATS", msgs: [][]byte{stats(5), traced(data(5, 11)), stats(5), data(5, 2), stats(5)}},
+		{name: "DATA and STATS alternating across shards", msgs: alternating},
 		{name: "an unowned ID mid-frame", msgs: [][]byte{data(0, 8), stats(1), data(1, 8), data(2, 3), data(reopened, 8), stats(2), data(0, 1)}, wantErr: true, bad: 4},
 		{name: "negative bits mid-frame", msgs: [][]byte{stats(0), data(0, 5), stats(1), data(3, 6), data(1, 1<<63), stats(1)}, wantErr: true, bad: 4},
 	}
@@ -498,11 +502,6 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 							t.Fatalf("frame: got %v, want errProtocol", err)
 						}
 						ref = ref[:tt.bad]
-						// No message of this table is sampled at 1 in 1024,
-						// so the DATA after the last barrier is still grouped.
-						for every != 1 && len(ref) > 0 && ref[len(ref)-1][0] == typeData {
-							ref = ref[:len(ref)-1]
-						}
 					} else if err != nil {
 						t.Fatalf("frame: %v", err)
 					}
@@ -593,11 +592,14 @@ func tableState(g *Gateway) (v tableView) {
 // BenchmarkBatchFrames times handleMessage alone — no sockets — on the
 // repository benchmark's live-100k shape: a 100 000-slot, 8-shard table
 // with a registry, a span ring and the default sampler, one connection
-// owning 50 000 sessions, and each operation a 64-DATA frame then a
-// 64-STATS frame for the same 64 sessions, drawn at random, the
-// replies written to a buffered discard. A round runs every 200
-// operations, outside the timer, so the queues stay short. It is the
-// place to bisect a change in what a frame costs the gateway.
+// owning 50 000 sessions, and sessions drawn at random, the replies
+// written to a buffered discard. A round runs every 200 operations,
+// outside the timer, so the queues stay short. It is the place to bisect
+// a change in what a frame costs the gateway. Each operation of
+//   - split is a 64-DATA frame then a 64-STATS frame for the same 64
+//     sessions, the load engine's shape;
+//   - interleaved is one frame of 32 DATA,STATS pairs, each pair naming
+//     one session.
 func BenchmarkBatchFrames(b *testing.B) {
 	const k, nshards, owned, frames = 100_000, 8, 50_000, 2000
 	g := newRounds(b, "phased", k, nshards, 8)
@@ -617,35 +619,48 @@ func BenchmarkBatchFrames(b *testing.B) {
 	}
 	slices.Sort(ids)
 	rng := rand.New(rand.NewPCG(1, 2))
-	var stream []byte
+	var split, interleaved []byte
 	for range frames {
 		var data, stats [][]byte
 		for range 64 {
 			id := uint64(ids[rng.IntN(len(ids))])
 			data, stats = append(data, fuzzSeed(typeData, id, 8)), append(stats, fuzzSeed(typeStats, id))
 		}
-		stream = append(append(stream, batchFrame(64, data...)...), batchFrame(64, stats...)...)
+		split = append(append(split, batchFrame(64, data...)...), batchFrame(64, stats...)...)
+	}
+	for range frames {
+		var pairs [][]byte
+		for range 32 {
+			id := uint64(ids[rng.IntN(len(ids))])
+			pairs = append(pairs, fuzzSeed(typeData, id, 8), fuzzSeed(typeStats, id))
+		}
+		interleaved = append(interleaved, batchFrame(64, pairs...)...)
 	}
 	w := bufio.NewWriterSize(io.Discard, connWriteBufSize)
 	var tick bw.Tick
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := range b.N {
-		if i%frames == 0 {
-			src.Reset(stream)
-			r.Reset(src)
-		}
-		for range 2 {
-			if err := g.handleMessage(r, w, cs); err != nil {
-				b.Fatal(err)
+	run := func(stream []byte, units int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				if i%frames == 0 {
+					src.Reset(stream)
+					r.Reset(src)
+				}
+				for range units {
+					if err := g.handleMessage(r, w, cs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				w.Flush()
+				if i%200 == 199 {
+					b.StopTimer()
+					g.round(tick)
+					tick++
+					b.StartTimer()
+				}
 			}
 		}
-		w.Flush()
-		if i%200 == 199 {
-			b.StopTimer()
-			g.round(tick)
-			tick++
-			b.StartTimer()
-		}
 	}
+	b.Run("split", run(split, 2))
+	b.Run("interleaved", run(interleaved, 1))
 }

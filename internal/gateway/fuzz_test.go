@@ -208,6 +208,13 @@ func fuzzCorpus() (seeds [][]byte) {
 	add(join(fuzzSeed(typeOpen), fuzzSeed(typeOpen), fuzzSeed(typeData, 1, 500), []byte{fuzzRounds, fuzzHangUp, fuzzRounds + 3}))
 	add(join(fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), []byte{fuzzSwitch}, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 8)))
 	add(join(fuzzSeed(typeOpen), []byte{fuzzSwitch}, batchFrame(2, fuzzSeed(typeOpen), fuzzSeed(typeStats, 0))))
+	// A frame's DATA and STATS wait in one list per shard: a timed DATA
+	// overtaking the STATS listed ahead of it, and an interleaved frame
+	// whose last message names a session the connection does not own.
+	add(batchFrame(4, fuzzSeed(typeOpen), fuzzSeed(typeStats, 0),
+		append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...), fuzzSeed(typeStats, 0)))
+	add(batchFrame(6, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), fuzzSeed(typeStats, 0),
+		fuzzSeed(typeData, 0, 8), fuzzSeed(typeStats, 0), fuzzSeed(typeData, 3, 8)))
 	return seeds
 }
 

@@ -277,8 +277,8 @@ type Gateway struct {
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
 	routed   atomic.Int64 // routed OPENs begun: -routed is the next one's provisional router key
 
-	// csPool recycles connStates (buffered endpoints, batch group
-	// scratch) across connection churn, so accept/close cycles in a soak
+	// csPool recycles connStates (buffered endpoints, shard lists)
+	// across connection churn, so accept/close cycles in a soak
 	// stop allocating per-connection state.
 	csPool sync.Pool
 
@@ -290,13 +290,6 @@ type Gateway struct {
 	closing    chan struct{} // closed when the tick loop must exit
 	done       chan struct{}
 	closeOnce  sync.Once
-}
-
-// New starts a gateway with k session slots on addr, advancing the
-// allocator once per value received on ticks. It is shorthand for
-// NewWithConfig with no idle timeout.
-func New(addr string, k int, alloc sim.MultiAllocator, ticks <-chan time.Time) (*Gateway, error) {
-	return NewWithConfig(Config{Addr: addr, Slots: k, Alloc: alloc, Ticks: ticks})
 }
 
 // NewWithConfig starts a gateway from an explicit Config.

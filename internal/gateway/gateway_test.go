@@ -37,52 +37,68 @@ func startGateway(t *testing.T, k int) (*Gateway, *manualTicks) {
 	p := core.MultiParams{K: k, BO: bw.Rate(16 * k), DO: 4}
 	alloc := core.MustNewPhased(p)
 	ticks := newManualTicks()
-	g, err := New("127.0.0.1:0", k, alloc, ticks.ch)
+	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: k, Alloc: alloc, Ticks: ticks.ch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, ticks
 }
 
+// dialOpen connects to a gateway and opens one session on a Mux of its
+// own; a refused OPEN closes the Mux.
+func dialOpen(addr string, timeout time.Duration) (*Mux, uint32, error) {
+	m, err := DialMux(addr, timeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	id, err := m.Open()
+	if err != nil {
+		m.Close()
+		return nil, 0, err
+	}
+	return m, id, nil
+}
+
 func TestNewValidation(t *testing.T) {
 	ch := make(chan time.Time)
-	if _, err := New("127.0.0.1:0", 0, nil, ch); err == nil {
+	if _, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 0, Ticks: ch}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := New("127.0.0.1:0", 2, nil, ch); err == nil {
+	if _, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 2, Ticks: ch}); err == nil {
 		t.Error("nil allocator accepted")
 	}
 	p := core.MultiParams{K: 2, BO: 32, DO: 4}
-	if _, err := New("127.0.0.1:0", 2, core.MustNewPhased(p), nil); err == nil {
+	if _, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 2, Alloc: core.MustNewPhased(p)}); err == nil {
 		t.Error("nil ticks accepted")
 	}
 }
 
 func TestSessionLifecycle(t *testing.T) {
 	g, ticks := startGateway(t, 2)
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(64); err != nil {
+	if err := c.Send(cID, 64); err != nil {
 		t.Fatal(err)
 	}
 	// Stats round-trips through the same connection, so the DATA message
 	// is guaranteed processed before the STATS request.
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(cID); err != nil {
 		t.Fatal(err)
 	}
 	// Run enough ticks for the phased algorithm to serve 64 bits.
 	for i := 0; i < 40; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(cID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Served+st.Queued != 64 {
 		t.Errorf("served %d + queued %d != 64", st.Served, st.Queued)
 	}
+	c.CloseSession(cID)
 	c.Close()
 	stats := g.Close()
 	if stats.Served+stats.Queued+stats.Closed != 64 {
@@ -97,12 +113,12 @@ func TestSessionSlotsExhaustAndRecycle(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
 
-	first, err := DialSession(g.Addr(), time.Second)
+	first, _, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second open must fail (the gateway drops the connection).
-	if _, err := DialSession(g.Addr(), time.Second); err == nil {
+	if _, _, err := dialOpen(g.Addr(), time.Second); err == nil {
 		t.Fatal("second session on a 1-slot gateway accepted")
 	}
 	first.Close()
@@ -110,7 +126,7 @@ func TestSessionSlotsExhaustAndRecycle(t *testing.T) {
 	// retry briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		c, err := DialSession(g.Addr(), time.Second)
+		c, _, err := dialOpen(g.Addr(), time.Second)
 		if err == nil {
 			c.Close()
 			break
@@ -127,31 +143,31 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 	p := core.MultiParams{K: k, BO: 48, DO: 4}
 	alloc := core.MustNewPhased(p)
 	ticks := newManualTicks()
-	g, err := New("127.0.0.1:0", k, alloc, ticks.ch)
+	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: k, Alloc: alloc, Ticks: ticks.ch})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	clients := make([]*Client, k)
+	clients, ids := make([]*Mux, k), make([]uint32, k)
 	for i := range clients {
-		c, err := DialSession(g.Addr(), time.Second)
+		c, cID, err := dialOpen(g.Addr(), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		clients[i] = c
+		clients[i], ids[i] = c, cID
 	}
 	// Bursty rounds: each client sends a small burst, then ticks pass.
 	for round := 0; round < 20; round++ {
 		for i, c := range clients {
-			if err := c.Send(bw.Bits(4 + 2*i)); err != nil {
+			if err := c.Send(ids[i], bw.Bits(4+2*i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Synchronize: a stats round-trip per client guarantees the
 		// DATA messages are queued before the next tick.
-		for _, c := range clients {
-			if _, err := c.Stats(); err != nil {
+		for i, c := range clients {
+			if _, err := c.Stats(ids[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,12 +195,12 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 func TestClientSendValidation(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Send(-1); err == nil {
+	if err := c.Send(cID, -1); err == nil {
 		t.Error("negative send accepted")
 	}
 }

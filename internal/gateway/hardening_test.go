@@ -36,12 +36,13 @@ func startGatewayWithConfig(t *testing.T, k int, idle time.Duration) (*Gateway, 
 	return g, ticks
 }
 
-// TestClientConcurrentUse hammers one Client from many goroutines — the
-// mutex must serialize request/reply pairs on the shared connection.
+// TestClientConcurrentUse hammers one session of a Mux from many
+// goroutines — the mutex must serialize request/reply pairs on the shared
+// connection.
 // Run with -race.
 func TestClientConcurrentUse(t *testing.T) {
 	g, ticks := startGateway(t, 1)
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestClientConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				if w%2 == 0 {
-					if err := c.Send(3); err != nil {
+					if err := c.Send(cID, 3); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := c.Stats(); err != nil {
+				} else if _, err := c.Stats(cID); err != nil {
 					errs <- err
 					return
 				}
@@ -91,12 +92,12 @@ func TestClientConcurrentUse(t *testing.T) {
 	// Sync: a Stats round-trip on the shared conn guarantees every prior
 	// DATA message has been parsed into pending; two ticks then push
 	// pending into the queues so served+queued accounts for everything.
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(cID); err != nil {
 		t.Fatal(err)
 	}
 	ticks.tick()
 	ticks.tick()
-	st, err := c.Stats()
+	st, err := c.Stats(cID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +114,14 @@ func TestReleaseRecyclesSynchronously(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
 	for i := 0; i < 5; i++ {
-		c, err := DialSession(g.Addr(), time.Second)
+		c, cID, err := dialOpen(g.Addr(), time.Second)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if err := c.Release(); err != nil {
+		if err := c.CloseSession(cID); err != nil {
 			t.Fatalf("round %d release: %v", i, err)
 		}
-		if err := c.Release(); err != nil {
+		if err := c.CloseSession(cID); err != nil {
 			t.Fatalf("round %d second release not idempotent: %v", i, err)
 		}
 		c.Close()
@@ -132,17 +133,17 @@ func TestReleaseRecyclesSynchronously(t *testing.T) {
 func TestOpenFailReportsSessionLimit(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
-	first, err := DialSession(g.Addr(), time.Second)
+	first, firstID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DialSession(g.Addr(), time.Second); !errors.Is(err, ErrSessionLimit) {
+	if _, _, err := dialOpen(g.Addr(), time.Second); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("second open: %v, want ErrSessionLimit", err)
 	}
-	if err := first.Release(); err != nil {
+	if err := first.CloseSession(firstID); err != nil {
 		t.Fatal(err)
 	}
-	second, err := DialSession(g.Addr(), time.Second)
+	second, _, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatalf("open after release: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestOpenFailReportsSessionLimit(t *testing.T) {
 func TestIdleTimeoutRecyclesWedgedClient(t *testing.T) {
 	g, _ := startGatewayWithConfig(t, 1, 50*time.Millisecond)
 	defer g.Close()
-	wedged, err := DialSession(g.Addr(), time.Second)
+	wedged, _, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestIdleTimeoutRecyclesWedgedClient(t *testing.T) {
 	// Say nothing until the gateway cuts us off and frees the slot.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		c, err := DialSession(g.Addr(), time.Second)
+		c, _, err := dialOpen(g.Addr(), time.Second)
 		if err == nil {
 			c.Close()
 			break
@@ -180,21 +181,21 @@ func TestIdleTimeoutRecyclesWedgedClient(t *testing.T) {
 func TestStatsReportsLiveChanges(t *testing.T) {
 	g, ticks := startGateway(t, 1)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Send(64); err != nil {
+	if err := c.Send(cID, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(); err != nil { // sync the DATA message
+	if _, err := c.Stats(cID); err != nil { // sync the DATA message
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(cID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,21 +266,21 @@ func TestAllocatorContractViolationServesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := DialSession(g.Addr(), time.Second)
+			c, cID, err := dialOpen(g.Addr(), time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if err := c.Send(64); err != nil {
+			if err := c.Send(cID, 64); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Stats(); err != nil { // sync the DATA message
+			if _, err := c.Stats(cID); err != nil { // sync the DATA message
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
 				ticks.tick()
 			}
-			st, err := c.Stats()
+			st, err := c.Stats(cID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +294,7 @@ func TestAllocatorContractViolationServesNothing(t *testing.T) {
 			alloc.healed.Store(true)
 			ticks.tick()
 			ticks.tick()
-			if st, err = c.Stats(); err != nil {
+			if st, err = c.Stats(cID); err != nil {
 				t.Fatal(err)
 			}
 			if st.Served != 64 || st.Queued != 0 {
@@ -344,7 +345,7 @@ func TestStatsDeadlineOnDeadGateway(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Answer the OPEN so DialSession succeeds, then go mute.
+			// Answer the OPEN so dialOpen succeeds, then go mute.
 			go func(conn net.Conn) {
 				var typ [1]byte
 				if _, err := conn.Read(typ[:]); err != nil {
@@ -356,13 +357,13 @@ func TestStatsDeadlineOnDeadGateway(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c, err := DialSession(ln.Addr().String(), 200*time.Millisecond)
+	c, cID, err := dialOpen(ln.Addr().String(), 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	start := time.Now()
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Stats(cID); err == nil {
 		t.Fatal("Stats succeeded against a mute gateway")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -399,7 +400,7 @@ func TestActiveClientOutlivesIdleTimeout(t *testing.T) {
 	const idle = 120 * time.Millisecond
 	g, _ := startGatewayWithConfig(t, 1, idle)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +408,10 @@ func TestActiveClientOutlivesIdleTimeout(t *testing.T) {
 	// 4+ idle timeouts of traffic at ~idle/6 spacing.
 	deadline := time.Now().Add(5 * idle)
 	for time.Now().Before(deadline) {
-		if err := c.Send(1); err != nil {
+		if err := c.Send(cID, 1); err != nil {
 			t.Fatalf("active client dropped: %v", err)
 		}
-		if _, err := c.Stats(); err != nil {
+		if _, err := c.Stats(cID); err != nil {
 			t.Fatalf("active client dropped: %v", err)
 		}
 		time.Sleep(idle / 6)
@@ -456,7 +457,7 @@ func TestOverflowingDataNoPanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			victim, err := DialSession(g.Addr(), time.Second)
+			victim, victimID, err := dialOpen(g.Addr(), time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,10 +477,10 @@ func TestOverflowingDataNoPanic(t *testing.T) {
 			if got, want := reg.Snapshot()["dynbw_gateway_policed_bits_total"], int64(huge+(huge-sim.MaxBacklog)); got != want {
 				t.Errorf("policed %d bits, want %d", got, want)
 			}
-			if err := victim.Send(100); err != nil {
+			if err := victim.Send(victimID, 100); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := victim.Stats(); err != nil {
+			if _, err := victim.Stats(victimID); err != nil {
 				t.Fatal(err)
 			}
 			// Keep topping the full slot up while rounds run: the slower
@@ -492,7 +493,7 @@ func TestOverflowingDataNoPanic(t *testing.T) {
 			}
 			ticks.tick() // barrier: the previous round is complete
 
-			st, err := victim.Stats()
+			st, err := victim.Stats(victimID)
 			if err != nil {
 				t.Fatalf("gateway stopped answering: %v", err)
 			}

@@ -296,25 +296,26 @@ func TestTenantIsolation(t *testing.T) {
 func TestFreeSlotStageStartIsNotTheNextTenants(t *testing.T) {
 	const k = 2
 	ticks := newManualTicks()
-	g, err := New("127.0.0.1:0", k, core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 4}), ticks.ch)
+	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: k, Alloc: core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 4}), Ticks: ticks.ch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	roundWith(t, g, ticks) // the first stage starts: both slots go from 0 to B_O/k
-	c, err := DialSession(g.Addr(), time.Second)
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(cID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Changes != 0 {
 		t.Errorf("a session that has sent nothing reads %d changes", st.Changes)
 	}
-	if err := c.Close(); err != nil {
+	if err := c.CloseSession(cID); err != nil {
 		t.Fatal(err)
 	}
+	c.Close()
 	if total := g.Close(); total.SessionChanges != k {
 		t.Errorf("Close() counts %d changes, want the stage start's %d", total.SessionChanges, k)
 	}

@@ -44,7 +44,7 @@ type gwMetrics struct {
 	// messages counts the messages handled. exchange is the whole
 	// message, stages the wire-path pipeline by stage
 	// (read/dispatch/apply/write); the apply stage also takes one
-	// observation per batched-DATA shard group (flushBatchData).
+	// observation per shard list holding DATA in a BATCH frame (flush).
 	exchange *obs.StripedHistogram
 	stages   [numStages]*obs.StripedHistogram
 	// tickShard times each shard's allocation round; its stripes double

@@ -84,18 +84,18 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	}
 	defer g.Close()
 
-	clients := make([]*Client, links*m)
+	clients, ids := make([]*Mux, links*m), make([]uint32, links*m)
 	live := make(map[uint32]int)
 	for i := range clients {
-		c, err := DialSession(g.Addr(), time.Second)
+		c, cID, err := dialOpen(g.Addr(), time.Second)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
-		clients[i] = c
-		if j, dup := live[c.Session()]; dup {
-			t.Fatalf("sessions %d and %d are both live under wire ID %#x", j, i, c.Session())
+		clients[i], ids[i] = c, cID
+		if j, dup := live[cID]; dup {
+			t.Fatalf("sessions %d and %d are both live under wire ID %#x", j, i, cID)
 		}
-		live[c.Session()] = i
+		live[cID] = i
 	}
 	// Greedy spreads unit sessions evenly.
 	for l := route.LinkID(0); l < links; l++ {
@@ -112,21 +112,21 @@ func TestMultiLinkLifecycle(t *testing.T) {
 		}
 	}
 	// Capacity exhausted: the next OPEN fails.
-	if _, err := DialSession(g.Addr(), time.Second); err == nil {
+	if _, _, err := dialOpen(g.Addr(), time.Second); err == nil {
 		t.Fatal("open beyond capacity accepted")
 	}
 
 	// Traffic round-trips through whichever shard the session landed on.
-	if err := clients[3].Send(48); err != nil {
+	if err := clients[3].Send(ids[3], 48); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clients[3].Stats(); err != nil { // barrier: DATA processed
+	if _, err := clients[3].Stats(ids[3]); err != nil { // barrier: DATA processed
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		ticks.tick()
 	}
-	st, err := clients[3].Stats()
+	st, err := clients[3].Stats(ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +137,16 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	// Closing frees both the slot and the router reservation; the session
 	// that takes them gets an ID no session before it had, the closed one
 	// included.
-	if err := clients[0].Close(); err != nil {
+	if err := clients[0].CloseSession(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialSession(g.Addr(), time.Second)
+	clients[0].Close()
+	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, used := live[c.Session()]; used {
-		t.Fatalf("reopened session got wire ID %#x, which session %d had", c.Session(), j)
+	if j, used := live[cID]; used {
+		t.Fatalf("reopened session got wire ID %#x, which session %d had", cID, j)
 	}
 	c.Close()
 

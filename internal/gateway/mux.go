@@ -15,10 +15,10 @@ import (
 // Mux is the gateway's client: any number of sessions over one TCP
 // connection, and the one place the wire format is encoded client-side.
 // Hundreds of sessions on a single descriptor is what lets a 100k-session
-// soak fit inside an ordinary fd limit; a Client is the one-session case
-// on a Mux of its own. It is safe for concurrent use: a mutex serializes
-// every request/reply exchange on the shared connection, so goroutines
-// driving different sessions can share one Mux. Replies are read through
+// soak fit inside an ordinary fd limit, and one session is a Mux with one
+// Open. It is safe for concurrent use: a mutex serializes every
+// request/reply exchange on the shared connection, so goroutines driving
+// different sessions can share one Mux. Replies are read through
 // one buffered reader, so a StatsBatch pays a read or two for the whole
 // batch's replies. A failed exchange ends the Mux's useful life: every
 // later call returns that failure (Close still closes).
@@ -39,6 +39,16 @@ type Mux struct {
 type BatchItem struct {
 	Session uint32
 	Bits    bw.Bits
+}
+
+// SessionStats is one session's accounting, as a STATS reply carries it.
+type SessionStats struct {
+	Served   bw.Bits
+	Queued   bw.Bits
+	MaxDelay bw.Tick
+	// Changes counts this session's bandwidth renegotiations so far —
+	// the paper's cost measure, observable live.
+	Changes int64
 }
 
 // DialMux connects to a gateway without opening any session. The

@@ -25,7 +25,7 @@ type shard struct {
 	alloc sim.SparseAllocator
 	// work is an upper bound on the slots the next round will visit: the
 	// slots the last round left backlogged plus one for every DATA applied
-	// since. It is written with mu held — tick stores, the DATA paths add,
+	// since. It is written with mu held — tick stores, apply adds,
 	// inside the critical sections they have anyway — and read by the tick
 	// loop without it, to decide whether the round is worth a fan-out.
 	work atomic.Int64
@@ -126,49 +126,33 @@ func (sh *shard) release(id int) (dropped bw.Bits) {
 	return t.Dropped
 }
 
-// add applies one DATA message for the live session a wire ID names and
-// returns the bits the kernel policed away. The lock wait is the timed
-// message's dispatch stage. add, addGroup, stats and statsGroup release
-// the lock on every way out: a panic under it must leave the handler's
-// deferred release, and the shard's rounds, a lock they can take.
-func (sh *shard) add(cs *connState, id int, bits bw.Bits) (policed bw.Bits) {
+// apply runs a list of DATA and STATS for this shard under one lock
+// acquisition, in order: a DATA adds to its slot's pending arrivals, a
+// STATS reads its slot into its place in replies. It returns the bits
+// the kernel policed away and whether the list held a DATA. timed, when
+// not nil, is the connection of a timed message the list holds alone:
+// the lock wait is its dispatch stage. apply releases the lock on every
+// way out: a panic under it must leave the handler's deferred release,
+// and the shard's rounds, a lock they can take.
+func (sh *shard) apply(list []op, replies []statsReply, timed *connState) (policed bw.Bits, data bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.g.spanMark(cs, stageDispatch)
-	policed = sh.slots.Add(sh.slot(id), bits)
-	sh.work.Add(1)
-	return policed
-}
-
-// addGroup applies a BATCH frame's DATA for this shard under one lock
-// acquisition.
-func (sh *shard) addGroup(grp []pendingAdd) (policed bw.Bits) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, a := range grp {
-		policed += sh.slots.Add(sh.slot(int(a.id)), a.bits)
+	if timed != nil {
+		sh.g.spanMark(timed, stageDispatch)
 	}
-	sh.work.Add(int64(len(grp)))
-	return policed
-}
-
-// stats reads what a STATS reply carries for the live session a wire ID
-// names.
-func (sh *shard) stats(cs *connState, id int) statsReply {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.g.spanMark(cs, stageDispatch)
-	return sh.read(id)
-}
-
-// statsGroup reads a run of STATS for this shard under one lock
-// acquisition, each into its place in the run's replies.
-func (sh *shard) statsGroup(grp []pendingStats, run []statsReply) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, p := range grp {
-		run[p.at] = sh.read(int(p.id))
+	var adds int64
+	for _, o := range list {
+		if o.at < 0 {
+			policed += sh.slots.Add(sh.slot(int(o.id)), o.bits)
+			adds++
+		} else {
+			replies[o.at] = sh.read(int(o.id))
+		}
 	}
+	if adds > 0 {
+		sh.work.Add(adds)
+	}
+	return policed, adds > 0
 }
 
 // read is the STATS reply for a live session's wire ID. Callers must

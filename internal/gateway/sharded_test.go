@@ -187,7 +187,7 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 // accounting on the same trace.
 func TestOneShardThroughListMatchesAlloc(t *testing.T) {
 	ticks := newManualTicks()
-	g, err := New("127.0.0.1:0", 8, perSlotAlloc{cap: 4}, ticks.ch)
+	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 8, Alloc: perSlotAlloc{cap: 4}, Ticks: ticks.ch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,8 +204,9 @@ func TestTimedVersusCounted(t *testing.T) {
 		}
 	}
 	// A stage histogram holds at most the timed messages. Apply is also
-	// where flushBatchData records the frame's one shard group (the 48
-	// untimed DATA, applied under one lock).
+	// where flush records the DATA frame's one shard list (the 48 untimed
+	// DATA, applied under one lock); a list of STATS alone is not
+	// observed.
 	for stage, limit := range map[string]int64{"read": 2 * n / 4, "dispatch": 2 * n / 4, "apply": 2*n/4 + 1, "write": 2 * n / 4} {
 		if got := batch[stageCount(stage)]; got < 1 || got > limit {
 			t.Errorf("1-in-4: stage %s gained %d observations, want 1..%d", stage, got, limit)

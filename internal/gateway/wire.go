@@ -56,15 +56,13 @@ type connState struct {
 	// SetDeadline syscall is refreshed only once deadlineStale says a
 	// meaningful fraction of idleTimeout has passed.
 	armedAt time.Time
-	// A unit's deferred work (handleUnit): groups holds its DATA per
-	// shard, data updates in all; statsGroups holds the reads of its
-	// pending run of STATS per shard, and statsRun their replies in
-	// stream order. Each is bounded by MaxBatch and keeps its capacity in
-	// the pool.
-	groups      [][]pendingAdd
-	data        int
-	statsGroups [][]pendingStats
-	statsRun    []statsReply
+	// A unit's waiting work (handleUnit): lists holds its untimed DATA
+	// and STATS, one list per shard in stream order, data counts the DATA
+	// among them, and replies holds the STATS answers in stream order.
+	// Each is bounded by MaxBatch and keeps its capacity in the pool.
+	lists   [][]op
+	data    int
+	replies []statsReply
 	// in reads the current unit (handleMessage); counts tallies its
 	// messages by counter index (msgIndex), which reach the striped
 	// counters once, when the unit ends; sample is the sampler position
@@ -78,17 +76,13 @@ type connState struct {
 	scratch [statsReplyLen]byte
 }
 
-// pendingAdd is one grouped DATA update awaiting its shard-group apply.
-type pendingAdd struct {
+// op is one DATA or STATS waiting in its shard's list: the session, and
+// the bits of a DATA, or the index of a STATS reply in connState.replies
+// (at is -1 for a DATA).
+type op struct {
 	id   uint32 // wire session ID
+	at   int32
 	bits int64
-}
-
-// pendingStats is one grouped STATS read awaiting its shard-group read:
-// the session, and the index of its reply in the run.
-type pendingStats struct {
-	id uint32 // wire session ID
-	at int32
 }
 
 // statsReply is what a STATSR reply carries.
@@ -144,10 +138,9 @@ func (g *Gateway) getConnState(stripe, mstripe int) *connState {
 	cs, _ := g.csPool.Get().(*connState)
 	if cs == nil {
 		cs = &connState{
-			rd:          bufio.NewReaderSize(nil, connReadBufSize),
-			wr:          bufio.NewWriterSize(nil, connWriteBufSize),
-			groups:      make([][]pendingAdd, len(g.shards)),
-			statsGroups: make([][]pendingStats, len(g.shards)),
+			rd:    bufio.NewReaderSize(nil, connReadBufSize),
+			wr:    bufio.NewWriterSize(nil, connWriteBufSize),
+			lists: make([][]op, len(g.shards)),
 		}
 	}
 	cs.stripe, cs.mstripe = stripe, mstripe
@@ -165,28 +158,19 @@ func (g *Gateway) putConnState(cs *connState) {
 	cs.span = spanScratch{}
 	cs.pending = pendingTrace{}
 	cs.armedAt = time.Time{}
-	cs.dropData()
-	for i := range cs.statsGroups {
-		cs.statsGroups[i] = cs.statsGroups[i][:0]
+	for i := range cs.lists {
+		cs.lists[i] = cs.lists[i][:0]
 	}
-	cs.statsRun = cs.statsRun[:0]
+	cs.data = 0
+	cs.replies = cs.replies[:0]
 	cs.counts = [len(cs.counts)]int64{}
 	cs.rd.Reset(nil)
 	cs.wr.Reset(io.Discard)
 	g.csPool.Put(cs)
 }
 
-// dropData discards the grouped DATA updates, unapplied.
-func (cs *connState) dropData() {
-	for i := range cs.groups {
-		cs.groups[i] = cs.groups[i][:0]
-	}
-	cs.data = 0
-}
-
 // logSession picks a representative session ID for diagnostics: the
-// session when the connection owns exactly one (the common Client
-// case), -1 otherwise.
+// session when the connection owns exactly one, -1 otherwise.
 func (g *Gateway) logSession(cs *connState) int {
 	id := -1
 	if cs.sessions == 1 {
@@ -481,70 +465,61 @@ func (u *unitReader) done() {
 }
 
 // handleUnit handles the n logical messages of one unit in stream order.
-// The unit takes its n sampler positions with one atomic add. When it
-// holds more than one message, untimed DATA and STATS are grouped per
-// shard, so a BATCH frame takes each shard lock once per group instead
-// of once per message; a lone message is applied on arrival, where a
-// group of one would only add the group's clock reads. What is left
-// grouped when the unit ends is applied then. On a protocol error the
-// rest of the unit is void: grouped DATA is discarded with the
-// connection, and the STATS already read are answered, as they would
-// have been on arrival.
+// The unit takes its n sampler positions with one atomic add. Its
+// untimed DATA and STATS wait in one list per shard (handleOne) and are
+// applied when something must observe them, or when the unit ends — so a
+// BATCH frame takes each shard lock once, and a lone message is a list
+// of one. On an error the rest of the unit is void, and what was read
+// before it is applied, as it would have been had each message come
+// alone.
 func (g *Gateway) handleUnit(w io.Writer, cs *connState, n int) error {
 	if n > 0 {
 		cs.sample = g.sampler.Reserve(cs.mstripe, n)
 	}
 	for i := 0; i < n; i++ {
-		if err := g.handleOne(w, cs, n > 1); err != nil {
-			cs.dropData()
-			g.answerStats(w, cs)
+		if err := g.handleOne(w, cs); err != nil {
+			g.flush(w, cs, n > 1)
 			return err
 		}
 		cs.sample++
 	}
-	return g.settle(w, cs)
+	return g.flush(w, cs, n > 1)
 }
 
-// handleOne handles one logical message of a unit. grouped says the unit
-// has company for it: an untimed DATA then joins its shard's group, and
-// an untimed STATS the pending run. The groups keep the stream's order
-// where it can be seen:
-//   - a STATS run is answered before any later DATA is applied, and
-//     grouped DATA is applied before any later STATS is read — DATA
-//     updates commute with one another, not with STATS;
-//   - every other message — OPEN, CLOSE, an unknown type, or a timed
-//     message of any type — first flushes both, so it observes every
-//     message ahead of it (DATA then CLOSE on one session lands in
-//     order), and runs alone on its per-message path, where its stage
-//     marks show a real dispatch and apply. A timed DATA flushes only the
-//     STATS run: the DATA grouped ahead of it commutes with it.
-func (g *Gateway) handleOne(w io.Writer, cs *connState, grouped bool) error {
+// handleOne handles one logical message of a unit. DATA and STATS
+// commute between rounds: a DATA adds to its slot's pending arrivals,
+// which only a round moves on, and a STATS reads only what rounds write.
+// So an untimed DATA or STATS joins its shard's list whatever waits
+// there, and the lists keep the stream's order where it can be seen:
+//   - OPEN, CLOSE and an unknown type flush the lists first, so they
+//     observe every message ahead of them (DATA then CLOSE on one
+//     session lands in order) and their replies follow the earlier ones;
+//   - a timed message runs alone, so its span's dispatch and apply are
+//     its own. A timed STATS flushes first, its reply following the
+//     earlier ones; a timed DATA writes no reply and commutes with
+//     everything waiting, so it does not.
+func (g *Gateway) handleOne(w io.Writer, cs *connState) error {
 	typ, err := g.readType(cs)
 	if err != nil {
 		return err
 	}
 	cs.counts[msgIndex(typ)]++
 	timed := g.spanDecide(cs)
-	switch {
-	case grouped && !timed && typ == typeData:
-		return g.groupData(cs)
-	case grouped && !timed && typ == typeStats:
-		if cs.data > 0 {
-			if err := g.settle(w, cs); err != nil {
-				return err
-			}
-		}
-		return g.groupStats(cs)
-	case typ == typeData:
-		err = g.answerStats(w, cs)
-	default:
-		err = g.settle(w, cs)
+	listed := typ == typeData || typ == typeStats
+	if listed && !timed {
+		return g.list(w, cs, typ, false)
 	}
-	if err != nil {
-		return err
+	if typ != typeData {
+		if err := g.flush(w, cs, true); err != nil {
+			return err
+		}
 	}
 	g.spanBegin(cs, typ)
-	err = g.applyMessage(w, cs, typ)
+	if listed {
+		err = g.list(w, cs, typ, true)
+	} else {
+		err = g.applyMessage(w, cs, typ)
+	}
 	g.spanEnd(cs, err)
 	return err
 }
@@ -582,60 +557,96 @@ func (g *Gateway) readType(cs *connState) (byte, error) {
 	return typ, nil
 }
 
-// groupData parses one DATA message and appends it to its shard's
-// group, deferring the shard lock to the next flushBatchData.
-// Validation happens here, at parse time, by the parser the per-message
-// path uses.
-func (g *Gateway) groupData(cs *connState) error {
-	id, bits, err := g.readData(cs)
-	if err != nil {
-		return err
+// list reads one DATA or STATS where it lies and validates it: the
+// session must be one this connection owns, and a DATA's bits may not be
+// negative. An untimed one then waits in its shard's list; a timed one
+// is a list of its own, applied at once.
+func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
+	o := op{at: -1}
+	if typ == typeData {
+		b, err := cs.in.take(12)
+		if err != nil {
+			return err
+		}
+		o.id, o.bits = binary.BigEndian.Uint32(b), int64(binary.BigEndian.Uint64(b[4:]))
+	} else {
+		b, err := cs.in.take(4)
+		if err != nil {
+			return err
+		}
+		o.id, o.at = binary.BigEndian.Uint32(b), int32(len(cs.replies))
 	}
-	si := g.shardOf(id).idx
-	cs.groups[si] = append(cs.groups[si], pendingAdd{id: uint32(id), bits: bits})
-	cs.data++
-	return nil
-}
-
-// groupStats parses one STATS message and adds it to the pending run:
-// its read to its shard's group, a place for its reply to the run.
-func (g *Gateway) groupStats(cs *connState) error {
-	id, err := g.readSession(cs, "STATS")
-	if err != nil {
-		return err
+	g.spanMark(cs, stageRead)
+	if !g.owns(cs.serial, o.id) || o.bits < 0 {
+		return fmt.Errorf("%w: %s session=%d bits=%d (owns %d sessions)", errProtocol, kindName(typ), o.id, o.bits, cs.sessions)
 	}
-	si := g.shardOf(id).idx
-	cs.statsGroups[si] = append(cs.statsGroups[si], pendingStats{id: uint32(id), at: int32(len(cs.statsRun))})
-	cs.statsRun = append(cs.statsRun, statsReply{})
-	return nil
-}
-
-// settle answers the pending STATS run, then applies the grouped DATA:
-// the run, when both are pending, is the older (handleOne).
-func (g *Gateway) settle(w io.Writer, cs *connState) error {
-	if err := g.answerStats(w, cs); err != nil {
-		return err
+	sh := g.shardOf(int(o.id))
+	cs.span.sess = int(o.id)
+	if o.at >= 0 {
+		cs.replies = append(cs.replies, statsReply{})
 	}
-	g.flushBatchData(cs)
-	return nil
-}
-
-// answerStats answers the pending STATS run: one lock acquisition per
-// shard with reads in it (shard.statsGroup), then the replies in stream
-// order.
-func (g *Gateway) answerStats(w io.Writer, cs *connState) error {
-	if len(cs.statsRun) == 0 {
+	if !timed {
+		cs.lists[sh.idx] = append(cs.lists[sh.idx], o)
+		if o.at < 0 {
+			cs.data++
+		}
 		return nil
 	}
-	for si, grp := range cs.statsGroups {
-		if len(grp) > 0 {
-			g.shards[si].statsGroup(grp, cs.statsRun)
-			cs.statsGroups[si] = grp[:0]
-		}
+	alone := [1]op{o}
+	policed, _ := sh.apply(alone[:], cs.replies, cs)
+	g.m.policedBits.Add(cs.mstripe, policed)
+	g.spanMark(cs, stageApply)
+	if o.at < 0 {
+		return nil
 	}
-	run := cs.statsRun
-	cs.statsRun = run[:0]
-	for _, st := range run {
+	err := g.answer(w, cs)
+	g.spanMark(cs, stageWrite)
+	return err
+}
+
+// flush applies the waiting lists, one lock acquisition per shard with a
+// list (shard.apply), then writes the STATS replies in stream order.
+// With metrics attached and observe set, each list that holds DATA lands
+// once in the apply-stage histogram: its messages share the lock round,
+// so they share its sample, and one clock read per list (a list ends
+// where the next one starts), not per message, keeps the lock wait of the
+// untimed majority visible. A lone message's unit does not observe, so
+// an untimed lone message reads no clock.
+func (g *Gateway) flush(w io.Writer, cs *connState, observe bool) error {
+	if cs.data == 0 && len(cs.replies) == 0 {
+		return nil
+	}
+	observe = observe && cs.data > 0 && g.m.exchange != nil
+	var last time.Time
+	if observe {
+		last = time.Now()
+	}
+	var policed bw.Bits
+	for si, l := range cs.lists {
+		if len(l) == 0 {
+			continue
+		}
+		p, data := g.shards[si].apply(l, cs.replies, nil)
+		policed += p
+		if observe {
+			now := time.Now()
+			if data {
+				g.m.stages[stageApply].Observe(cs.mstripe, int64(now.Sub(last)))
+			}
+			last = now
+		}
+		cs.lists[si] = l[:0]
+	}
+	cs.data = 0
+	g.m.policedBits.Add(cs.mstripe, policed)
+	return g.answer(w, cs)
+}
+
+// answer writes the STATS replies in stream order and empties them.
+func (g *Gateway) answer(w io.Writer, cs *connState) error {
+	replies := cs.replies
+	cs.replies = replies[:0]
+	for _, st := range replies {
 		if _, err := w.Write(st.put(&cs.scratch)); err != nil {
 			return err
 		}
@@ -643,74 +654,9 @@ func (g *Gateway) answerStats(w io.Writer, cs *connState) error {
 	return nil
 }
 
-// readData reads the body of one DATA message and validates it: the
-// session must be one this connection owns and the bit count may not be
-// negative. Grouped and per-message DATA both come through here.
-func (g *Gateway) readData(cs *connState) (id int, bits int64, err error) {
-	b, err := cs.in.take(12)
-	if err != nil {
-		return 0, 0, err
-	}
-	g.spanMark(cs, stageRead)
-	wire := binary.BigEndian.Uint32(b)
-	id = int(wire)
-	bits = int64(binary.BigEndian.Uint64(b[4:]))
-	if !g.owns(cs.serial, wire) || bits < 0 {
-		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, cs.sessions)
-	}
-	cs.span.sess = id
-	return id, bits, nil
-}
-
-// readSession reads the body of a STATS or CLOSE message (what names
-// it) and validates it: the session must be one this connection owns.
-func (g *Gateway) readSession(cs *connState, what string) (int, error) {
-	b, err := cs.in.take(4)
-	if err != nil {
-		return 0, err
-	}
-	g.spanMark(cs, stageRead)
-	wire := binary.BigEndian.Uint32(b)
-	id := int(wire)
-	if !g.owns(cs.serial, wire) {
-		return 0, fmt.Errorf("%w: %s session=%d (owns %d sessions)", errProtocol, what, id, cs.sessions)
-	}
-	cs.span.sess = id
-	return id, nil
-}
-
-// flushBatchData applies the grouped DATA, one shard-lock acquisition
-// per shard with entries (shard.addGroup). The per-group apply duration
-// lands in the apply-stage histogram once per group — grouped messages
-// share the lock round, so they share its stage sample, and one clock
-// read per group (a group ends where the next one starts), not per
-// message, keeps the lock wait of the untimed majority visible.
-func (g *Gateway) flushBatchData(cs *connState) {
-	if cs.data == 0 {
-		return
-	}
-	var last time.Time
-	if g.m.exchange != nil {
-		last = time.Now()
-	}
-	for si, grp := range cs.groups {
-		if len(grp) == 0 {
-			continue
-		}
-		g.m.policedBits.Add(cs.mstripe, g.shards[si].addGroup(grp))
-		if g.m.exchange != nil {
-			now := time.Now()
-			g.m.stages[stageApply].Observe(cs.mstripe, int64(now.Sub(last)))
-			last = now
-		}
-		cs.groups[si] = grp[:0]
-	}
-	cs.data = 0
-}
-
-// applyMessage runs one message whose type byte has been read on its own,
-// marking the wire-path stages on cs's span clock as it goes (no-ops
-// unless the message is timed).
+// applyMessage runs an OPEN, a CLOSE or an unknown type whose type byte
+// has been read, on its own, marking the wire-path stages on cs's span
+// clock as it goes (no-ops unless the message is timed).
 func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 	switch typ {
 	case typeOpen:
@@ -743,29 +689,17 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 			return err
 		}
 		g.spanMark(cs, stageWrite)
-	case typeData:
-		id, bits, err := g.readData(cs)
-		if err != nil {
-			return err
-		}
-		g.m.policedBits.Add(cs.mstripe, g.shardOf(id).add(cs, id, bits))
-		g.spanMark(cs, stageApply)
-	case typeStats:
-		id, err := g.readSession(cs, "STATS")
-		if err != nil {
-			return err
-		}
-		st := g.shardOf(id).stats(cs, id)
-		g.spanMark(cs, stageApply)
-		if _, err := w.Write(st.put(&cs.scratch)); err != nil {
-			return err
-		}
-		g.spanMark(cs, stageWrite)
 	case typeClose:
-		id, err := g.readSession(cs, "CLOSE")
+		b, err := cs.in.take(4)
 		if err != nil {
 			return err
 		}
+		g.spanMark(cs, stageRead)
+		id := int(binary.BigEndian.Uint32(b))
+		if !g.owns(cs.serial, uint32(id)) {
+			return fmt.Errorf("%w: CLOSE session=%d (owns %d sessions)", errProtocol, id, cs.sessions)
+		}
+		cs.span.sess = id
 		// Release before replying: a client that has read CLOSED may dial
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)

@@ -395,6 +395,37 @@ func TestSlotsAddSaturates(t *testing.T) {
 	if d := s.Add(1, 7); d != 0 {
 		t.Errorf("the neighbour's Add dropped %d", d)
 	}
+
+	// Add touches the pending cell only: what a round writes — served,
+	// queued, max delay, changes, rate — reads the same before and after,
+	// so arrivals between rounds commute with reading the slot.
+	s = NewSlots(1)
+	s.Add(0, 30)
+	for tick := bw.Tick(0); tick < 3; tick++ {
+		if _, err := s.Step(tick, rateChange{&spy{rates: []bw.Rate{4}}, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type read struct {
+		served, queued bw.Bits
+		maxDelay       bw.Tick
+		changes        int
+		rate           bw.Rate
+	}
+	look := func() read {
+		q := s.Queue(0)
+		return read{q.Served(), q.Bits(), q.MaxDelay(), s.Changes(0), s.Rate(0)}
+	}
+	before := look()
+	if before.served == 0 || before.maxDelay == 0 || before.changes == 0 {
+		t.Fatalf("fixture reads %+v; want a slot served, queued, delayed and re-rated", before)
+	}
+	for _, bits := range []bw.Bits{7, 0, huge, huge} {
+		s.Add(0, bits)
+		if got := look(); got != before {
+			t.Errorf("Add(%d) changed the slot's reading from %+v to %+v", bits, before, got)
+		}
+	}
 }
 
 // TestSlotsVacate: ending a tenancy returns what it amounted to and
