@@ -86,6 +86,13 @@ func run(args []string, out io.Writer) error {
 			break
 		}
 	}
+	// Every section measures its sessions' flexible-window utilization
+	// over the window Theorem 6's algorithm is judged by under these
+	// flags, so that the sections compare.
+	var window bw.Tick
+	if s, err := core.NewSingleSession(single); err == nil {
+		window = s.Promise().UW
+	}
 
 	// A trace is read once and shared: trace.Multi is immutable during
 	// simulation, so concurrent policy runs may replay it. A planted
@@ -143,7 +150,7 @@ func run(args []string, out io.Writer) error {
 			return nil, err
 		}
 		var sb strings.Builder
-		report(&sb, name, pol, single, multi, res, offlineChanges)
+		report(&sb, name, pol, window, multi, res, offlineChanges)
 		if *plot || *seriesOut != "" {
 			err = plotTotal(&sb, *plot, *seriesOut, multi.Aggregate(), res.Total)
 		}
@@ -215,12 +222,10 @@ func readTrace(path string, ba, do int64) (*trace.Multi, error) {
 	return m, nil
 }
 
-// policy is a policy built for one run, with the guarantees it claims.
+// policy is a policy built for one run, with what it promises.
 type policy struct {
-	alloc sim.MultiAllocator
-	peak  bw.Rate // the bound on total bandwidth; 0 when none is claimed
-	paper bool    // one of the paper's: delay within 2*D_O
-	util  float64 // each session's flexible-window utilization floor; 0 when none is claimed
+	alloc   sim.MultiAllocator
+	promise sim.Promise // a zero field claims nothing
 }
 
 // sharesChannel reports whether the named policy shares one channel among
@@ -229,18 +234,26 @@ func sharesChannel(name string) bool {
 	return name == "phased" || name == "continuous" || name == "combined"
 }
 
+// promised is a paper policy with the promise it states.
+func promised[A interface {
+	sim.MultiAllocator
+	sim.Promiser
+}](a A, err error) (policy, error) {
+	if err != nil {
+		return policy{}, err
+	}
+	return policy{alloc: a, promise: a.Promise()}, nil
+}
+
 func makePolicy(name string, m *trace.Multi, bo, do int64, p core.SingleParams) (policy, error) {
 	k := m.K()
 	switch name {
 	case "phased":
-		a, err := core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do})
-		return policy{alloc: a, peak: 4*bo + int64(k), paper: true}, err
+		return promised(core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do}))
 	case "continuous":
-		a, err := core.NewContinuous(core.MultiParams{K: k, BO: bo, DO: do})
-		return policy{alloc: a, peak: 5*bo + int64(k), paper: true}, err
+		return promised(core.NewContinuous(core.MultiParams{K: k, BO: bo, DO: do}))
 	case "combined":
-		a, err := core.NewCombined(core.CombinedParams{K: k, BA: p.BA, DO: do, UO: p.UO, W: p.W})
-		return policy{alloc: a, peak: 7*(p.BA/8) + int64(k), paper: true}, err
+		return promised(core.NewCombined(core.CombinedParams{K: k, BA: p.BA, DO: do, UO: p.UO, W: p.W}))
 	}
 	sep := &sim.Separate{Allocs: make([]sim.Allocator, k)}
 	for i := range sep.Allocs {
@@ -266,19 +279,22 @@ func makePolicy(name string, m *trace.Multi, bo, do int64, p core.SingleParams) 
 			return policy{}, err
 		}
 	}
-	if name == "single" {
-		return policy{alloc: sep, peak: bw.Rate(k) * p.BA, paper: true, util: p.UA()}, nil
+	if s, ok := sep.Allocs[0].(*core.SingleSession); ok {
+		// Each session is served by its own copy: the copy's promise,
+		// k allocations side by side.
+		pr := s.Promise()
+		pr.BA *= bw.Rate(k)
+		return policy{alloc: sep, promise: pr}, nil
 	}
 	return policy{alloc: sep}, nil
 }
 
-// report renders one policy's result section.
-func report(out io.Writer, name string, pol policy, p core.SingleParams, multi *trace.Multi, res *sim.MultiResult, offlineChanges int) {
+// report renders one policy's result section. Each session's
+// flexible-window utilization is measured over window, the same for
+// every section, and left out when window is 0.
+func report(out io.Writer, name string, pol policy, window bw.Tick, multi *trace.Multi, res *sim.MultiResult, offlineChanges int) {
 	k := multi.K()
-	flex := 1.0
-	for i := 0; i < k; i++ {
-		flex = min(flex, metrics.FlexibleUtilizationMin(multi.Session(i), res.Sessions[i], 1, p.W+5*p.DO))
-	}
+	pr := pol.promise
 	fmt.Fprintf(out, "policy:            %s\n", name)
 	fmt.Fprintf(out, "sessions:          %d over %d ticks (%d run)\n", k, multi.Len(), res.Total.Len())
 	fmt.Fprintf(out, "arrived bits:      %d\n", res.Report.TotalArrivals)
@@ -289,11 +305,25 @@ func report(out io.Writer, name string, pol policy, p core.SingleParams, multi *
 			float64(res.SessionChanges())/float64(offlineChanges), offlineChanges, 3*k)
 	}
 	fmt.Fprintf(out, "\ntotal-bw changes:  %d\n", res.TotalChanges())
-	fmt.Fprintf(out, "peak total bw:     %d%s\n", res.MaxTotalRate(), claim(pol.peak > 0, "bound ~%d", pol.peak))
-	fmt.Fprintf(out, "max delay:         %d%s\n", res.Delay.Max, claim(pol.paper, "guarantee %d", p.DA()))
+	fmt.Fprintf(out, "peak total bw:     %d%s\n", res.MaxTotalRate(), claim(pr.BA > 0, "bound ~%d", pr.BA))
+	fmt.Fprintf(out, "max delay:         %d%s\n", res.Delay.Max, claim(pr.DA > 0, "guarantee %d", pr.DA))
 	fmt.Fprintf(out, "p50/p99 delay:     %d / %d\n", res.Delay.P50, res.Delay.P99)
 	fmt.Fprintf(out, "global util:       %.3f\n", res.Report.GlobalUtil)
-	fmt.Fprintf(out, "flex-window util:  %.3f%s\n", flex, claim(pol.util > 0, "guarantee %.3f", pol.util))
+	// A utilization floor is judged on the promising policy's total
+	// allocation against its total arrivals: each session's own for a
+	// policy per session, the aggregate for one shared channel.
+	shared := sharesChannel(name)
+	if window > 0 {
+		flex := 1.0
+		for i := 0; i < k; i++ {
+			flex = min(flex, metrics.FlexibleUtilizationMin(multi.Session(i), res.Sessions[i], 1, window))
+		}
+		fmt.Fprintf(out, "flex-window util:  %.3f%s\n", flex, claim(pr.UA > 0 && !shared, "guarantee %.3f", pr.UA))
+	}
+	if pr.UA > 0 && shared {
+		total := metrics.FlexibleUtilizationMin(multi.Aggregate(), res.Total, 1, pr.UW)
+		fmt.Fprintf(out, "total flex util:   %.3f (guarantee %.3f)\n", total, pr.UA)
+	}
 	for i, d := range res.SessionDelays {
 		fmt.Fprintf(out, "  session %2d: max delay %d, changes %d\n", i, d, res.Sessions[i].Changes())
 	}

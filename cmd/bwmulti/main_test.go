@@ -165,6 +165,51 @@ func TestRunAllPolicies(t *testing.T) {
 	}
 }
 
+// TestRunClaims pins the claim lines of each paper policy at -k 3: what
+// its Promise states beside what the run measured. Combined's
+// utilization floor sits beside the aggregate's flexible utilization,
+// never beside the per-session minimum; k single-session copies claim
+// k times one copy's bandwidth.
+func TestRunClaims(t *testing.T) {
+	tests := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-policy", "phased"}, []string{
+			"peak total bw:     116 (bound ~195)\n", "max delay:         9 (guarantee 16)\n",
+			"flex-window util:  0.031\n",
+		}},
+		{[]string{"-policy", "continuous"}, []string{
+			"peak total bw:     113 (bound ~243)\n", "max delay:         7 (guarantee 16)\n",
+			"flex-window util:  0.031\n",
+		}},
+		{[]string{"-policy", "combined"}, []string{
+			"peak total bw:     66 (bound ~227)\n", "max delay:         8 (guarantee 18)\n",
+			"flex-window util:  0.045\n", "total flex util:   0.273 (guarantee 0.167)\n",
+		}},
+		{[]string{"-policy", "single", "-workload", "onoff"}, []string{
+			"peak total bw:     512 (bound ~768)\n", "max delay:         10 (guarantee 16)\n",
+			"flex-window util:  0.508 (guarantee 0.167)\n",
+		}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.args[1], func(t *testing.T) {
+			var buf strings.Builder
+			if err := run(append([]string{"-k", "3"}, tc.args...), &buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(buf.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, buf.String())
+				}
+			}
+			if strings.Count(buf.String(), "(guarantee") != strings.Count(strings.Join(tc.want, ""), "(guarantee") {
+				t.Errorf("claims beyond the pinned ones:\n%s", buf.String())
+			}
+		})
+	}
+}
+
 // TestRunOneSessionPinned: at -k 1 a single-session policy reproduces
 // the single-session simulator's figures: a generated workload scaled to
 // B_A (pareto's bursts start at B_A, video's P frames are B_A/5) and a

@@ -57,7 +57,10 @@ func Example() {
 	}
 	for _, p := range []struct {
 		name  string
-		alloc sim.MultiAllocator
+		alloc interface {
+			sim.MultiAllocator
+			sim.Promiser
+		}
 	}{
 		{"phased", core.MustNewPhased(multi)},
 		{"continuous", core.MustNewContinuous(multi)},
@@ -68,7 +71,7 @@ func Example() {
 			return
 		}
 		fmt.Printf("isp   %-15s changes %4d (offline %d)  max delay %d (bound %d)  peak %d\n",
-			p.name, res.SessionChanges(), pl.LocalChanges(), res.Delay.Max, multi.DA(), res.MaxTotalRate())
+			p.name, res.SessionChanges(), pl.LocalChanges(), res.Delay.Max, p.alloc.Promise().DA, res.MaxTotalRate())
 	}
 
 	combined := core.CombinedParams{K: 6, BA: 512, DO: 8, UO: 0.5, W: 16}

@@ -112,8 +112,8 @@ func TestSlackSeparation(t *testing.T) {
 	if noSlackRatio < 4*paperRatio {
 		t.Errorf("no separation: no-slack ratio %.1f vs paper ratio %.1f", noSlackRatio, paperRatio)
 	}
-	if paper.Delay.Max > p.DA() {
-		t.Errorf("paper delay %d exceeded %d under adaptive attack", paper.Delay.Max, p.DA())
+	if da := paperAlg.Promise().DA; paper.Delay.Max > da {
+		t.Errorf("paper delay %d exceeded %d under adaptive attack", paper.Delay.Max, da)
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // sessions share a channel whose total size must satisfy a utilization
 // constraint, while every session's delay stays bounded. The offline
 // comparator serves the k streams with total bandwidth B_O, delay D_O and
-// combined utilization U_O; the online algorithm guarantees delay 2*D_O
-// and utilization U_O/3 using at most 7*B_O (phased inner algorithm) or
-// 8*B_O (continuous) total bandwidth.
+// combined utilization U_O; what the online algorithm guarantees in return
+// is its Promise.
 type CombinedParams struct {
 	// K is the number of sessions.
 	K int
@@ -40,12 +39,6 @@ func (p CombinedParams) Validate() error {
 	}
 	return nil
 }
-
-// DA returns the online delay guarantee, 2*DO.
-func (p CombinedParams) DA() bw.Tick { return 2 * p.DO }
-
-// UA returns the online utilization guarantee, UO/3.
-func (p CombinedParams) UA() float64 { return p.UO / 3 }
 
 // CombinedStats counts the structural events of the combined algorithm.
 type CombinedStats struct {
@@ -320,5 +313,15 @@ func (c *Combined) Leave(i int) {
 // Stats returns the structural counters accumulated so far.
 func (c *Combined) Stats() CombinedStats { return c.stats }
 
-// Params returns the configuration.
-func (c *Combined) Params() CombinedParams { return c.p }
+// Promise implements sim.Promiser: Section 4 with B_O = B_A/8. Bandwidth
+// 7·B_O (phased inner) or 8·B_O (continuous), plus a bit per session for
+// the rounded-up shares; delay 2·D_O plus 2 ticks of GLOBAL RESET handoff
+// (a tick for the new global stage to observe arrivals, one for its
+// estimate to take effect); Lemma 5's U_O/3 over W+5·D_O, on the aggregate.
+func (c *Combined) Promise() sim.Promise {
+	ba := 7 * (c.p.BA / 8)
+	if c.continuousInner {
+		ba = 8 * (c.p.BA / 8)
+	}
+	return sim.Promise{DA: 2*c.p.DO + 2, BA: ba + bw.Rate(c.p.K), UA: c.p.UO / 3, UW: c.p.W + 5*c.p.DO}
+}

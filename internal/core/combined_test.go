@@ -52,28 +52,21 @@ func TestCombinedDelayGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	// The combined algorithm inherits the 2*DO bound; allow the
-	// discretization slack of the global-reset handoff (one tick for the
-	// new global stage to observe arrivals, one for the estimate to
-	// take effect).
-	if limit := p.DA() + 2; res.Delay.Max > limit {
-		t.Errorf("max delay %d exceeds DA+2 = %d", res.Delay.Max, limit)
+	if limit := alg.Promise().DA; res.Delay.Max > limit {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, limit)
 	}
 }
 
 func TestCombinedBandwidthBound(t *testing.T) {
 	p := combinedParams()
 	pl := combinedWorkload(t, 2, p)
-	bo := p.BA / 8
 	alg := MustNewCombined(p)
 	res, err := sim.RunMulti(pl.Multi, alg, sim.Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	// Section 4: B_A = 7*B_O for the phased inner algorithm; allow the
-	// per-session ceil slack.
-	if limit := 7*bo + bw.Rate(p.K); res.MaxTotalRate() > limit {
-		t.Errorf("total bandwidth %d exceeds 7*BO(+k) = %d", res.MaxTotalRate(), limit)
+	if limit := alg.Promise().BA; res.MaxTotalRate() > limit {
+		t.Errorf("total bandwidth %d exceeds BA = %d", res.MaxTotalRate(), limit)
 	}
 }
 
@@ -85,10 +78,10 @@ func TestCombinedUtilizationGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	agg := pl.Multi.Aggregate()
-	got := metrics.FlexibleUtilizationMin(agg, res.Total, 1, p.W+5*p.DO)
-	if got < p.UA() {
-		t.Errorf("flexible utilization %v below UA = %v", got, p.UA())
+	pr := alg.Promise()
+	got := metrics.FlexibleUtilizationMin(pl.Multi.Aggregate(), res.Total, 1, pr.UW)
+	if got < pr.UA {
+		t.Errorf("flexible utilization %v below UA = %v", got, pr.UA)
 	}
 }
 
@@ -140,18 +133,17 @@ func TestCombinedIdle(t *testing.T) {
 func TestCombinedContinuousGuarantees(t *testing.T) {
 	p := combinedParams()
 	pl := combinedWorkload(t, 5, p)
-	bo := p.BA / 8
 	alg := MustNewCombinedContinuous(p)
 	res, err := sim.RunMulti(pl.Multi, alg, sim.Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	if limit := p.DA() + 2; res.Delay.Max > limit {
-		t.Errorf("max delay %d exceeds DA+2 = %d", res.Delay.Max, limit)
+	pr := alg.Promise()
+	if res.Delay.Max > pr.DA {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, pr.DA)
 	}
-	// Section 4: B_A = 8*B_O for the continuous inner algorithm.
-	if limit := 8*bo + bw.Rate(p.K); res.MaxTotalRate() > limit {
-		t.Errorf("total bandwidth %d exceeds 8*BO(+k) = %d", res.MaxTotalRate(), limit)
+	if res.MaxTotalRate() > pr.BA {
+		t.Errorf("total bandwidth %d exceeds BA = %d", res.MaxTotalRate(), pr.BA)
 	}
 	st := alg.Stats()
 	if st.GlobalStages != st.GlobalResets+1 {
@@ -167,10 +159,10 @@ func TestCombinedContinuousUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	agg := pl.Multi.Aggregate()
-	got := metrics.FlexibleUtilizationMin(agg, res.Total, 1, p.W+5*p.DO)
-	if got < p.UA()/2 {
-		t.Errorf("flexible utilization %v below UA/2 = %v", got, p.UA()/2)
+	pr := alg.Promise()
+	got := metrics.FlexibleUtilizationMin(pl.Multi.Aggregate(), res.Total, 1, pr.UW)
+	if got < pr.UA {
+		t.Errorf("flexible utilization %v below UA = %v", got, pr.UA)
 	}
 }
 

@@ -100,5 +100,8 @@ func (a *Continuous) Leave(i int) { a.ch.leave(i) }
 // Stats returns the structural counters accumulated so far.
 func (a *Continuous) Stats() MultiStats { return a.stats }
 
-// Params returns the configuration.
-func (a *Continuous) Params() MultiParams { return a.p }
+// Promise implements sim.Promiser, Theorem 17: delay 2·D_O and total
+// bandwidth 5·B_O, plus a bit per session for the rounded-up shares.
+func (a *Continuous) Promise() sim.Promise {
+	return sim.Promise{DA: 2 * a.p.DO, BA: 5*a.p.BO + bw.Rate(a.p.K)}
+}

@@ -28,7 +28,7 @@ func ExampleNewSingleSession() {
 		return
 	}
 	fmt.Printf("changes=%d maxDelay=%d (bound %d)\n",
-		res.Report.Changes, res.Delay.Max, params.DA())
+		res.Report.Changes, res.Delay.Max, alloc.Promise().DA)
 	// Output:
 	// changes=2 maxDelay=3 (bound 8)
 }
@@ -53,7 +53,7 @@ func ExampleNewPhased() {
 		return
 	}
 	fmt.Printf("served=%d maxDelay=%d (bound %d)\n",
-		res.Delay.Served, res.Delay.Max, params.DA())
+		res.Delay.Served, res.Delay.Max, alloc.Promise().DA)
 	// Output:
 	// served=80 maxDelay=0 (bound 8)
 }

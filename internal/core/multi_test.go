@@ -45,13 +45,12 @@ func TestPhasedGuarantees(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	if res.Delay.Max > p.DA() {
-		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
+	pr := alg.Promise()
+	if res.Delay.Max > pr.DA {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, pr.DA)
 	}
-	// B_A = 4*B_O plus the ceil-discretization slack of one bit per
-	// session on the overflow channel.
-	if limit := 4*p.BO + bw.Rate(p.K); res.MaxTotalRate() > limit {
-		t.Errorf("total bandwidth %d exceeds 4*BO(+k) = %d", res.MaxTotalRate(), limit)
+	if res.MaxTotalRate() > pr.BA {
+		t.Errorf("total bandwidth %d exceeds BA = %d", res.MaxTotalRate(), pr.BA)
 	}
 	if v := alg.Stats().OverflowViolations; v != 0 {
 		t.Errorf("overflow-empty invariant violated %d times", v)
@@ -66,11 +65,12 @@ func TestContinuousGuarantees(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	if res.Delay.Max > p.DA() {
-		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
+	pr := alg.Promise()
+	if res.Delay.Max > pr.DA {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, pr.DA)
 	}
-	if limit := 5*p.BO + bw.Rate(p.K); res.MaxTotalRate() > limit {
-		t.Errorf("total bandwidth %d exceeds 5*BO(+k) = %d", res.MaxTotalRate(), limit)
+	if res.MaxTotalRate() > pr.BA {
+		t.Errorf("total bandwidth %d exceeds BA = %d", res.MaxTotalRate(), pr.BA)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestPhasedSingleHotSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	if res.Delay.Max > p.DA() {
-		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
+	if da := alg.Promise().DA; res.Delay.Max > da {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, da)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestContinuousSingleHotSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	if res.Delay.Max > p.DA() {
-		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
+	if da := alg.Promise().DA; res.Delay.Max > da {
+		t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, da)
 	}
 }
 

@@ -28,18 +28,16 @@ import (
 // states guarantees in terms of the offline comparator's parameters, so
 // that is how configuration works here: the offline adversary serves the
 // stream with maximum bandwidth B_O = BA, delay DO and local utilization
-// UO over windows of size W; the online algorithm then guarantees delay
-// DA() = 2*DO and utilization UA() = UO/3 while making at most
-// log2(BA) times as many changes per offline change (Theorem 6).
+// UO over windows of size W; what the online algorithm guarantees in
+// return is its Promise, while it makes at most log2(BA) times as many
+// changes per offline change (Theorem 6).
 type SingleParams struct {
 	// BA is the maximum bandwidth the online algorithm may allocate. The
 	// paper assumes it is a power of two.
 	BA bw.Rate
-	// DO is the offline delay bound; the online algorithm guarantees
-	// delay at most 2*DO.
+	// DO is the offline delay bound.
 	DO bw.Tick
-	// UO is the offline local utilization bound in (0, 1]; the online
-	// algorithm guarantees utilization at least UO/3.
+	// UO is the offline local utilization bound in (0, 1].
 	UO float64
 	// W is the utilization window size. The paper assumes W >= DO.
 	W bw.Tick
@@ -67,24 +65,19 @@ func (p SingleParams) Validate() error {
 	return nil
 }
 
-// DA returns the online delay guarantee, 2*DO.
-func (p SingleParams) DA() bw.Tick { return 2 * p.DO }
-
-// UA returns the online utilization guarantee, UO/3.
-func (p SingleParams) UA() float64 { return p.UO / 3 }
-
 // LogBA returns log2(BA), the paper's per-stage change bound l_A.
 func (p SingleParams) LogBA() int { return bw.Log2Ceil(p.BA) }
 
 // MultiParams parameterizes the multi-session algorithms of Section 3.
 // The offline comparator is a (BO, DO)-algorithm: it serves all k sessions
-// with total bandwidth BO and per-bit delay at most DO.
+// with total bandwidth BO and per-bit delay at most DO. What the online
+// algorithm guarantees in return is its Promise.
 type MultiParams struct {
 	// K is the number of sessions (k >= 2 in the paper).
 	K int
 	// BO is the offline total bandwidth.
 	BO bw.Rate
-	// DO is the offline delay bound; the online guarantees 2*DO.
+	// DO is the offline delay bound.
 	DO bw.Tick
 }
 
@@ -102,9 +95,6 @@ func (p MultiParams) Validate() error {
 	}
 	return nil
 }
-
-// DA returns the online delay guarantee, 2*DO.
-func (p MultiParams) DA() bw.Tick { return 2 * p.DO }
 
 // Share returns the per-session regular-channel quantum BO/K, rounded up
 // so that k shares always cover BO.

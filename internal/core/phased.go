@@ -130,5 +130,8 @@ func (a *Phased) Leave(i int) { a.ch.leave(i) }
 // Stats returns the structural counters accumulated so far.
 func (a *Phased) Stats() MultiStats { return a.stats }
 
-// Params returns the configuration.
-func (a *Phased) Params() MultiParams { return a.p }
+// Promise implements sim.Promiser, Theorem 14: delay 2·D_O and total
+// bandwidth 4·B_O, plus a bit per session for the rounded-up shares.
+func (a *Phased) Promise() sim.Promise {
+	return sim.Promise{DA: 2 * a.p.DO, BA: 4*a.p.BO + bw.Rate(a.p.K)}
+}

@@ -11,6 +11,12 @@ import (
 	"dynbw/internal/traffic"
 )
 
+// promiser is a multi-session policy that states its promise.
+type promiser interface {
+	sim.MultiAllocator
+	sim.Promiser
+}
+
 // randomFeasibleTrace builds an arbitrary-but-feasible trace from raw
 // fuzz bytes: arbitrary burst amounts pushed through the feasibility
 // clamp for (BA, DO).
@@ -34,9 +40,9 @@ func randomFeasibleTrace(raw []uint8, p SingleParams) *trace.Trace {
 // paper's delay bound for every variant that promises it.
 func TestDelayGuaranteeProperty(t *testing.T) {
 	p := SingleParams{BA: 128, DO: 4, UO: 0.5, W: 8}
-	mk := map[string]func() sim.Allocator{
-		"single":     func() sim.Allocator { return MustNewSingleSession(p) },
-		"globalutil": func() sim.Allocator { return MustNewGlobalUtilSingle(p) },
+	mk := map[string]func(SingleParams) *SingleSession{
+		"single":     MustNewSingleSession,
+		"globalutil": MustNewGlobalUtilSingle,
 	}
 	for name, newAlloc := range mk {
 		t.Run(name, func(t *testing.T) {
@@ -45,14 +51,16 @@ func TestDelayGuaranteeProperty(t *testing.T) {
 					raw = raw[:300]
 				}
 				tr := randomFeasibleTrace(raw, p)
-				res, err := sim.Run(tr, newAlloc(), sim.Options{})
+				alg := newAlloc(p)
+				res, err := sim.Run(tr, alg, sim.Options{})
 				if err != nil {
 					return false
 				}
 				if res.Delay.Served != tr.Total() {
 					return false
 				}
-				return res.Delay.Max <= p.DA() && res.Schedule.MaxRate() <= p.BA
+				pr := alg.Promise()
+				return res.Delay.Max <= pr.DA && res.Schedule.MaxRate() <= pr.BA
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 				t.Error(err)
@@ -70,11 +78,13 @@ func TestUtilizationGuaranteeProperty(t *testing.T) {
 			raw = raw[:300]
 		}
 		tr := randomFeasibleTrace(raw, p)
-		res, err := sim.Run(tr, MustNewSingleSession(p), sim.Options{})
+		alg := MustNewSingleSession(p)
+		res, err := sim.Run(tr, alg, sim.Options{})
 		if err != nil {
 			return false
 		}
-		return metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO) >= p.UA()
+		pr := alg.Promise()
+		return metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, pr.UW) >= pr.UA
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -112,7 +122,7 @@ func TestStageAccountingProperty(t *testing.T) {
 }
 
 // TestMultiDelayProperty fuzzes per-session arrival patterns through the
-// multi-session algorithms and asserts the 2*D_O delay and bandwidth
+// multi-session algorithms and asserts their promised delay and bandwidth
 // bounds. Feasibility comes from clamping each session to its equal share
 // of B_O, which a (B_O, D_O)-offline serves trivially.
 func TestMultiDelayProperty(t *testing.T) {
@@ -123,12 +133,11 @@ func TestMultiDelayProperty(t *testing.T) {
 	p := MultiParams{K: k, BO: 48, DO: do}
 	share := p.BO / k
 	for _, tc := range []struct {
-		name    string
-		mk      func() sim.MultiAllocator
-		bwBound bw.Rate
+		name string
+		mk   func() promiser
 	}{
-		{"phased", func() sim.MultiAllocator { return MustNewPhased(p) }, 4*p.BO + k},
-		{"continuous", func() sim.MultiAllocator { return MustNewContinuous(p) }, 5*p.BO + k},
+		{"phased", func() promiser { return MustNewPhased(p) }},
+		{"continuous", func() promiser { return MustNewContinuous(p) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := func(raw []uint8) bool {
@@ -148,11 +157,13 @@ func TestMultiDelayProperty(t *testing.T) {
 					traces[i] = traffic.ClampTrace(trace.MustNew(arr), share, do)
 				}
 				m := trace.MustNewMulti(traces)
-				res, err := sim.RunMulti(m, tc.mk(), sim.Options{})
+				alg := tc.mk()
+				res, err := sim.RunMulti(m, alg, sim.Options{})
 				if err != nil {
 					return false
 				}
-				return res.Delay.Max <= p.DA() && res.MaxTotalRate() <= tc.bwBound
+				pr := alg.Promise()
+				return res.Delay.Max <= pr.DA && res.MaxTotalRate() <= pr.BA
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 				t.Error(err)
@@ -162,17 +173,17 @@ func TestMultiDelayProperty(t *testing.T) {
 }
 
 // TestCombinedDelayProperty fuzzes the Section 4 algorithm (both inner
-// variants) on planted-like feasible traffic and asserts the delay bound
-// with the documented 2-tick discrete handoff slack.
+// variants) on planted-like feasible traffic and asserts the promised
+// delay and bandwidth bounds.
 func TestCombinedDelayProperty(t *testing.T) {
 	p := CombinedParams{K: 3, BA: 128, DO: 4, UO: 0.5, W: 8}
 	share := bw.Rate(8)
 	for _, tc := range []struct {
 		name string
-		mk   func() sim.MultiAllocator
+		mk   func(CombinedParams) *Combined
 	}{
-		{"phased-inner", func() sim.MultiAllocator { return MustNewCombined(p) }},
-		{"continuous-inner", func() sim.MultiAllocator { return MustNewCombinedContinuous(p) }},
+		{"phased-inner", MustNewCombined},
+		{"continuous-inner", MustNewCombinedContinuous},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := func(raw []uint8) bool {
@@ -192,11 +203,13 @@ func TestCombinedDelayProperty(t *testing.T) {
 					traces[i] = traffic.ClampTrace(trace.MustNew(arr), share, p.DO)
 				}
 				m := trace.MustNewMulti(traces)
-				res, err := sim.RunMulti(m, tc.mk(), sim.Options{})
+				alg := tc.mk(p)
+				res, err := sim.RunMulti(m, alg, sim.Options{})
 				if err != nil {
 					return false
 				}
-				return res.Delay.Max <= p.DA()+2
+				pr := alg.Promise()
+				return res.Delay.Max <= pr.DA && res.MaxTotalRate() <= pr.BA
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 				t.Error(err)

@@ -30,11 +30,9 @@ import (
 // job is to re-establish an empty queue.
 type SingleSession struct {
 	p SingleParams
-	// quantize maps low(t) to the allocation level; the paper uses the
-	// smallest power of two at least low(t). The unquantized ablation
-	// variant uses the identity, trading many more changes for slightly
-	// better utilization (see NewUnquantizedSingle).
-	quantize func(bw.Rate) bw.Rate
+	// exact allocates low(t) itself, not the smallest power of two at
+	// least low(t): the unquantized ablation (NewUnquantizedSingle).
+	exact bool
 	// high computes high(t): the paper's local (sliding-window)
 	// utilization bound, a *HighTracker, or the global definition
 	// discussed at the end of Section 2, a *CumHighTracker (see
@@ -83,13 +81,13 @@ func NewSingleSession(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("single session: %w", err)
 	}
-	return newSingle(p, bw.NextPow2, NewHighTracker(p.W, p.UO, p.BA)), nil
+	return newSingle(p, false, NewHighTracker(p.W, p.UO, p.BA)), nil
 }
 
 // newSingle assembles a session from validated parameters, its allocation
 // grid and its utilization bound.
-func newSingle(p SingleParams, quantize func(bw.Rate) bw.Rate, high highBound) *SingleSession {
-	s := &SingleSession{p: p, quantize: quantize, high: high, low: NewLowTracker(p.DO)}
+func newSingle(p SingleParams, exact bool, high highBound) *SingleSession {
+	s := &SingleSession{p: p, exact: exact, high: high, low: NewLowTracker(p.DO)}
 	s.startStage()
 	return s
 }
@@ -106,8 +104,7 @@ func NewUnquantizedSingle(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("unquantized single session: %w", err)
 	}
-	identity := func(low bw.Rate) bw.Rate { return low }
-	return newSingle(p, identity, NewHighTracker(p.W, p.UO, p.BA)), nil
+	return newSingle(p, true, NewHighTracker(p.W, p.UO, p.BA)), nil
 }
 
 // NewGlobalUtilSingle returns the variant using the *global* utilization
@@ -121,7 +118,7 @@ func NewGlobalUtilSingle(p SingleParams) (*SingleSession, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("global-util single session: %w", err)
 	}
-	return newSingle(p, bw.NextPow2, NewCumHighTracker(p.W, p.UO, p.BA)), nil
+	return newSingle(p, false, NewCumHighTracker(p.W, p.UO, p.BA)), nil
 }
 
 // MustNewGlobalUtilSingle is NewGlobalUtilSingle but panics on error.
@@ -240,9 +237,11 @@ func (s *SingleSession) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 	}
 
 	if low > 0 {
-		if want := s.quantize(low); want > s.bon {
-			s.bon = want
+		want := low
+		if !s.exact {
+			want = bw.NextPow2(low)
 		}
+		s.bon = max(s.bon, want)
 	}
 	if s.bon > s.p.BA {
 		s.stats.InfeasibleTicks++
@@ -254,5 +253,19 @@ func (s *SingleSession) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 // Stats returns the structural counters accumulated so far.
 func (s *SingleSession) Stats() SingleStats { return s.stats }
 
-// Params returns the configuration.
-func (s *SingleSession) Params() SingleParams { return s.p }
+// Promise implements sim.Promiser. The Figure 3 algorithm is held to
+// Theorem 6: delay 2·D_O (Lemma 3), allocation within B_A, and
+// utilization U_O/3 over some window of up to W+5·D_O ticks ending at
+// every tick (Lemma 5). The paper proves that window floor for this
+// algorithm only, so its variants promise none; the unquantized one
+// loses the delay bound too (NewUnquantizedSingle).
+func (s *SingleSession) Promise() sim.Promise {
+	if s.exact {
+		return sim.Promise{BA: s.p.BA}
+	}
+	pr := sim.Promise{DA: 2 * s.p.DO, BA: s.p.BA}
+	if _, local := s.high.(*HighTracker); local {
+		pr.UA, pr.UW = s.p.UO/3, s.p.W+5*s.p.DO
+	}
+	return pr
+}

@@ -73,11 +73,12 @@ func TestSingleSessionDelayGuarantee(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if res.Delay.Max > p.DA() {
-				t.Errorf("max delay %d exceeds guarantee DA = %d", res.Delay.Max, p.DA())
+			pr := s.Promise()
+			if res.Delay.Max > pr.DA {
+				t.Errorf("max delay %d exceeds guarantee DA = %d", res.Delay.Max, pr.DA)
 			}
-			if got := res.Schedule.MaxRate(); got > p.BA {
-				t.Errorf("allocated %d exceeds BA %d", got, p.BA)
+			if got := res.Schedule.MaxRate(); got > pr.BA {
+				t.Errorf("allocated %d exceeds BA %d", got, pr.BA)
 			}
 			if st := s.Stats(); st.InfeasibleTicks > 0 {
 				t.Errorf("feasible workload flagged infeasible %d times", st.InfeasibleTicks)
@@ -95,11 +96,10 @@ func TestSingleSessionUtilizationGuarantee(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			// Lemma 5: for every t some window of size <= W + 5*DO has
-			// utilization at least UO/3 = UA.
-			got := metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)
-			if got < p.UA() {
-				t.Errorf("flexible utilization %v below guarantee UA = %v", got, p.UA())
+			pr := s.Promise()
+			got := metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, pr.UW)
+			if got < pr.UA {
+				t.Errorf("flexible utilization %v below guarantee UA = %v", got, pr.UA)
 			}
 		})
 	}

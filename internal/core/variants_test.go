@@ -54,11 +54,12 @@ func TestGlobalUtilSingleGuarantees(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if res.Delay.Max > p.DA() {
-				t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, p.DA())
+			pr := s.Promise()
+			if res.Delay.Max > pr.DA {
+				t.Errorf("max delay %d exceeds DA = %d", res.Delay.Max, pr.DA)
 			}
-			if got := res.Schedule.MaxRate(); got > p.BA {
-				t.Errorf("allocated %d exceeds BA %d", got, p.BA)
+			if got := res.Schedule.MaxRate(); got > pr.BA {
+				t.Errorf("allocated %d exceeds BA %d", got, pr.BA)
 			}
 		})
 	}
@@ -109,6 +110,10 @@ func TestUnquantizedGuaranteesAndCost(t *testing.T) {
 		t.Errorf("unquantized changes %d not above quantized %d — quantization is load-bearing",
 			exactRes.Report.Changes, quantRes.Report.Changes)
 	}
+	// ...and within the bandwidth it still promises.
+	if got, ba := exactRes.Schedule.MaxRate(), exact.Promise().BA; got > ba {
+		t.Errorf("unquantized allocated %d, above BA = %d", got, ba)
+	}
 }
 
 func TestUnquantizedLosesDelayGuaranteeOnSteadyTraffic(t *testing.T) {
@@ -124,17 +129,18 @@ func TestUnquantizedLosesDelayGuaranteeOnSteadyTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quantRes.Delay.Max > p.DA() {
-		t.Fatalf("quantized delay %d broke its own guarantee %d", quantRes.Delay.Max, p.DA())
+	da := quant.Promise().DA
+	if quantRes.Delay.Max > da {
+		t.Fatalf("quantized delay %d broke its own guarantee %d", quantRes.Delay.Max, da)
 	}
 	exact := MustNewUnquantizedSingle(p)
 	exactRes, err := sim.Run(tr, exact, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exactRes.Delay.Max <= p.DA() {
+	if exactRes.Delay.Max <= da {
 		t.Errorf("unquantized delay %d unexpectedly within DA = %d — the ablation should show the guarantee is lost",
-			exactRes.Delay.Max, p.DA())
+			exactRes.Delay.Max, da)
 	}
 }
 
@@ -159,10 +165,12 @@ func TestUnquantizedAllocationsNotPowersOfTwo(t *testing.T) {
 
 func TestVariantsUtilizationStaysMeasured(t *testing.T) {
 	// Both variants still produce sane flexible utilization (> 0) on
-	// bursty traffic; the paper only proves the local-window guarantee
-	// for the standard algorithm.
+	// bursty traffic, measured over the standard algorithm's window; the
+	// paper only proves the local-window guarantee for the standard
+	// algorithm, so neither variant promises it.
 	p := singleParams()
 	tr := feasibleWorkloads(p, 800)["onoff"]
+	window := MustNewSingleSession(p).Promise().UW
 	for _, tc := range []struct {
 		name  string
 		alloc sim.Allocator
@@ -174,7 +182,7 @@ func TestVariantsUtilizationStaysMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		util := metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)
+		util := metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, window)
 		if util <= 0 {
 			t.Errorf("%s: flexible utilization %v", tc.name, util)
 		}

@@ -182,13 +182,15 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 	if stats.Queued != 0 {
 		t.Fatalf("gateway did not drain: %+v", stats)
 	}
-	// The phased algorithm's delay bound (plus one tick because a DATA
-	// message lands between ticks and waits for the next one).
-	if stats.MaxDelay > p.DA()+1 {
-		t.Errorf("max delay %d exceeds %d", stats.MaxDelay, p.DA()+1)
+	// The phased algorithm's promise, plus the gateway's own tick: a
+	// DATA lands between rounds and waits for the next one.
+	const gatewayTick = 1
+	pr := alloc.Promise()
+	if limit := pr.DA + gatewayTick; stats.MaxDelay > limit {
+		t.Errorf("max delay %d exceeds %d", stats.MaxDelay, limit)
 	}
-	if limit := 4*p.BO + bw.Rate(k); stats.MaxTotalRate > limit {
-		t.Errorf("total bandwidth %d exceeds %d", stats.MaxTotalRate, limit)
+	if stats.MaxTotalRate > pr.BA {
+		t.Errorf("total bandwidth %d exceeds %d", stats.MaxTotalRate, pr.BA)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // algorithm loses nothing while the static-mean strawman overflows.
 func BufferSizing() (*Table, error) {
 	p := core.SingleParams{BA: 256, DO: 8, UO: 0.5, W: 16}
-	claim2 := bw.Volume(p.BA, p.DA())
+	pr := core.MustNewSingleSession(p).Promise()
+	claim2 := bw.Volume(pr.BA, pr.DA)
 	t := &Table{
 		ID:    "E17",
 		Title: "Buffer sizing: Claim 2's queue bound made operational",

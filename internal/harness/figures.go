@@ -4,7 +4,6 @@ import (
 	"dynbw/internal/baseline"
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
-	"dynbw/internal/metrics"
 	"dynbw/internal/sim"
 	"dynbw/internal/trace"
 )
@@ -84,9 +83,4 @@ func Fig2() (*Table, error) {
 // runSingleOn is shared by the single-session experiments.
 func runSingleOn(tr *trace.Trace, alloc sim.Allocator) (*sim.Result, error) {
 	return sim.Run(tr, alloc, sim.Options{})
-}
-
-// flexUtil measures the Lemma 5 utilization guarantee for a run.
-func flexUtil(tr *trace.Trace, res *sim.Result, p core.SingleParams) float64 {
-	return metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)
 }

@@ -239,22 +239,35 @@ func TestE3RatiosWithinTheorem6Bound(t *testing.T) {
 	}
 }
 
-func TestE7RatiosWithinTheorem14Bound(t *testing.T) {
-	tb, err := Thm14SweepK()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios := column(t, tb, "ratio")
-	bounds := column(t, tb, "bound_3k")
-	bwUsed := column(t, tb, "max_total_bw")
-	bwBound := column(t, tb, "bw_bound")
-	for i := range ratios {
-		if ratios[i] > bounds[i] {
-			t.Errorf("row %d: ratio %v exceeds 3k = %v", i, ratios[i], bounds[i])
-		}
-		if bwUsed[i] > bwBound[i] {
-			t.Errorf("row %d: bandwidth %v exceeds bound %v", i, bwUsed[i], bwBound[i])
-		}
+// TestMultiSweepsWithinTheirBounds holds E7 (Theorem 14) and E8
+// (Theorem 17) to their bounds: change ratio within 3k, peak total
+// bandwidth and max delay within the policy's promise.
+func TestMultiSweepsWithinTheirBounds(t *testing.T) {
+	for _, tc := range []struct {
+		id    string
+		sweep func() (*Table, error)
+	}{
+		{"E7", Thm14SweepK},
+		{"E8", Thm17SweepK},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			tb, err := tc.sweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ got, bound string }{
+				{"ratio", "bound_3k"},
+				{"max_total_bw", "bw_bound"},
+				{"max_delay", "bound_2DO"},
+			} {
+				got, bound := column(t, tb, c.got), column(t, tb, c.bound)
+				for i := range got {
+					if got[i] > bound[i] {
+						t.Errorf("row %d: %s %v exceeds %s %v", i, c.got, got[i], c.bound, bound[i])
+					}
+				}
+			}
+		})
 	}
 }
 

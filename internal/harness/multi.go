@@ -7,7 +7,6 @@ import (
 	"dynbw/internal/core"
 	"dynbw/internal/metrics"
 	"dynbw/internal/sim"
-	"dynbw/internal/trace"
 	"dynbw/internal/traffic"
 )
 
@@ -28,13 +27,7 @@ func Thm14SweepK() (*Table, error) {
 	return multiSweep("E7",
 		"Phased multi-session: change ratio vs k (Theorem 14)",
 		"bound: 3k changes per offline change; bandwidth <= 4*B_O (+k ceil slack); delay <= 2*D_O.",
-		4, func(p core.MultiParams) (sim.MultiAllocator, func() core.MultiStats, error) {
-			a, err := core.NewPhased(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return a, a.Stats, nil
-		})
+		func(p core.MultiParams) (multiPolicy, error) { return core.NewPhased(p) })
 }
 
 // Thm17SweepK is experiment E8: the continuous algorithm's competitive
@@ -44,17 +37,17 @@ func Thm17SweepK() (*Table, error) {
 	return multiSweep("E8",
 		"Continuous multi-session: change ratio vs k (Theorem 17)",
 		"bound: 3k changes per offline change; bandwidth <= 5*B_O (+k ceil slack); delay <= 2*D_O.",
-		5, func(p core.MultiParams) (sim.MultiAllocator, func() core.MultiStats, error) {
-			a, err := core.NewContinuous(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return a, a.Stats, nil
-		})
+		func(p core.MultiParams) (multiPolicy, error) { return core.NewContinuous(p) })
 }
 
-func multiSweep(id, title, note string, bwFactor int64,
-	mk func(core.MultiParams) (sim.MultiAllocator, func() core.MultiStats, error)) (*Table, error) {
+// multiPolicy is a Section 3 algorithm as multiSweep runs it.
+type multiPolicy interface {
+	sim.MultiAllocator
+	sim.Promiser
+	Stats() core.MultiStats
+}
+
+func multiSweep(id, title, note string, mk func(core.MultiParams) (multiPolicy, error)) (*Table, error) {
 	t := &Table{
 		ID:    id,
 		Title: title,
@@ -74,7 +67,7 @@ func multiSweep(id, title, note string, bwFactor int64,
 			return nil, fmt.Errorf("%s k=%d: %w", id, k, err)
 		}
 		p := core.MultiParams{K: k, BO: bo, DO: do}
-		alloc, stats, err := mk(p)
+		alloc, err := mk(p)
 		if err != nil {
 			return nil, fmt.Errorf("%s k=%d: %w", id, k, err)
 		}
@@ -84,13 +77,14 @@ func multiSweep(id, title, note string, bwFactor int64,
 		}
 		online := res.SessionChanges()
 		offline := pl.LocalChanges()
+		pr := alloc.Promise()
 		return [][]string{{
 			itoa(int64(k)),
 			itoa(online), itoa(offline), f2(ratio(online, offline)),
-			itoa(int64(3*k)),
-			itoa(res.MaxTotalRate()), itoa(bwFactor*bo+bw.Rate(k)),
-			itoa(res.Delay.Max), itoa(p.DA()),
-			itoa(int64(stats().Stages)),
+			itoa(int64(3 * k)),
+			itoa(res.MaxTotalRate()), itoa(pr.BA),
+			itoa(res.Delay.Max), itoa(pr.DA),
+			itoa(int64(alloc.Stats().Stages)),
 		}}, nil
 	})
 	if err != nil {
@@ -167,12 +161,11 @@ func Combined() (*Table, error) {
 			return nil, fmt.Errorf("E10 k=%d: %w", k, err)
 		}
 		variants := []struct {
-			name     string
-			alloc    *core.Combined
-			bwFactor int64
+			name  string
+			alloc *core.Combined
 		}{
-			{name: "phased", alloc: core.MustNewCombined(p), bwFactor: 7},
-			{name: "continuous", alloc: core.MustNewCombinedContinuous(p), bwFactor: 8},
+			{name: "phased", alloc: core.MustNewCombined(p)},
+			{name: "continuous", alloc: core.MustNewCombinedContinuous(p)},
 		}
 		agg := pl.Multi.Aggregate()
 		logBA := bw.Log2Ceil(p.BA)
@@ -187,13 +180,14 @@ func Combined() (*Table, error) {
 			// with every local change, which the paper counts as local).
 			st := v.alloc.Stats()
 			globalChanges := st.BonChanges + st.GlobalResets
+			pr := v.alloc.Promise()
 			t.AddRow(
 				itoa(int64(k)), v.name,
 				f2(ratio(globalChanges, pl.GlobalChanges())), itoa(int64(logBA)),
 				f2(ratio(res.SessionChanges(), pl.LocalChanges())), itoa(int64(3*k*logBA)),
-				itoa(res.Delay.Max), itoa(p.DA()+2),
-				itoa(res.MaxTotalRate()), itoa(v.bwFactor*bo+bw.Rate(k)),
-				f3(flexUtilMulti(agg, res, p)), f3(p.UA()),
+				itoa(res.Delay.Max), itoa(pr.DA),
+				itoa(res.MaxTotalRate()), itoa(pr.BA),
+				f3(metrics.FlexibleUtilizationMin(agg, res.Total, 1, pr.UW)), f3(pr.UA),
 			)
 		}
 	}
@@ -211,10 +205,4 @@ func fairnessOf(pl *traffic.Planted, res *sim.MultiResult) float64 {
 		allocs[i] = res.Sessions[i].Integral(0, res.Sessions[i].Len())
 	}
 	return metrics.JainFairness(metrics.SessionShares(demands, allocs))
-}
-
-// flexUtilMulti measures the Lemma 5 style utilization guarantee for a
-// multi-session run against the aggregate arrivals.
-func flexUtilMulti(agg *trace.Trace, res *sim.MultiResult, p core.CombinedParams) float64 {
-	return metrics.FlexibleUtilizationMin(agg, res.Total, 1, p.W+5*p.DO)
 }

@@ -5,6 +5,7 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
+	"dynbw/internal/metrics"
 	"dynbw/internal/offline"
 )
 
@@ -59,7 +60,7 @@ func Thm6SweepB() (*Table, error) {
 			itoa(res.Report.Changes), itoa(greedy.Changes()), itoa(stageLB), itoa(int64(certLB)),
 			f2(ratio(res.Report.Changes, greedy.Changes())),
 			f2(ratio(res.Report.Changes, certLB)),
-			itoa(res.Delay.Max), itoa(p.DA()),
+			itoa(res.Delay.Max), itoa(alg.Promise().DA),
 		}}, nil
 	})
 	if err != nil {
@@ -164,13 +165,15 @@ func Guarantees() (*Table, error) {
 		},
 	}
 	for _, w := range workloadMatrix(p, 2048) {
-		res, err := runSingleOn(w.Trace, core.MustNewSingleSession(p))
+		alg := core.MustNewSingleSession(p)
+		res, err := runSingleOn(w.Trace, alg)
 		if err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", w.Name, err)
 		}
+		pr := alg.Promise()
 		t.AddRow(w.Name, "single",
-			itoa(res.Delay.Max), itoa(p.DA()),
-			f3(flexUtil(w.Trace, res, p)), f3(p.UA()),
+			itoa(res.Delay.Max), itoa(pr.DA),
+			f3(metrics.FlexibleUtilizationMin(w.Trace, res.Schedule, 1, pr.UW)), f3(pr.UA),
 			f3(res.Report.GlobalUtil))
 	}
 	return t, nil

@@ -41,12 +41,13 @@ func WindowSweep() (*Table, error) {
 			return nil, fmt.Errorf("E19 W=%d: %w", w, err)
 		}
 		avgRate := float64(res.Report.TotalAllocated) / float64(res.Schedule.Len())
+		pr := alg.Promise()
 		return [][]string{{
 			itoa(w),
 			itoa(res.Report.Changes),
 			itoa(int64(alg.Stats().Stages)),
-			itoa(res.Delay.Max), itoa(p.DA()),
-			f3(metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)),
+			itoa(res.Delay.Max), itoa(pr.DA),
+			f3(metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, pr.UW)),
 			f3(res.Report.GlobalUtil),
 			f2(avgRate),
 		}}, nil
@@ -92,12 +93,13 @@ func SlackSweep() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E20 DO=%d: %w", do, err)
 		}
+		pr := alg.Promise()
 		return [][]string{{
-			itoa(do), itoa(p.DA()),
+			itoa(do), itoa(pr.DA),
 			itoa(res.Report.Changes),
 			itoa(int64(alg.Stats().Stages)),
 			itoa(res.Delay.Max),
-			f3(metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, p.W+5*p.DO)),
+			f3(metrics.FlexibleUtilizationMin(tr, res.Schedule, 1, pr.UW)),
 			f3(res.Report.GlobalUtil),
 		}}, nil
 	})
