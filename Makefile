@@ -26,9 +26,10 @@ race:
 # every testing.AllocsPerRun assertion, by name, without -race (its
 # instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
 # new one joins that table and, if its name is new, this pattern. Beside
-# them runs the per-slot byte budget of a 100k-slot table (DESIGN §8).
+# them run the per-slot byte budget of a 100k-slot table and the sizes of
+# the kernel's and the policies' per-slot records (DESIGN §8).
 zeroalloc:
-	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes' ./internal/...
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the
@@ -38,28 +39,32 @@ bench:
 
 # One allocation round of a 100k-slot, 8-shard gateway, called directly
 # (no tick channel, no sockets), idle and with 40, 1000 and 100 000 slots
-# active: the place to bisect a change in what a round costs. ns/round
-# leaves out the feeding; idle and 40 run on the tick loop, the other two
-# fan out to the tick workers. live_B/slot is the table's live heap,
-# measured on the first run of each -count against a heap taken before
-# any gateway was built: about 133 B a slot, 163 B in the dense case,
-# whose round scratch has grown to every slot (2 vCPU Xeon, go1.24); the
-# table opens no session, so it includes the 8 B owner word of each free
-# slot and no ownership beyond it.
+# active, and drain: 3 500 scattered slots draining a burst over rounds
+# that receive nothing, the shape of dense-100k's median round. The
+# place to bisect a change in what a round costs. ns/round leaves out
+# the feeding (and drain's feeding round); idle and 40 run on the tick
+# loop, the other three fan out to the tick workers. live_B/slot is the
+# table's live heap, measured on the first run of each -count against a
+# heap taken before any gateway was built: about 130 B a slot, 160 B in
+# the dense case, whose round scratch has grown to every slot (2 vCPU
+# Xeon, go1.24); the table opens no session, so it includes the 8 B
+# owner word of each free slot and no ownership beyond it.
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 
 # One short untraced pass each of the repository benchmark's sparse
 # 100k-slot workload (the round path), its batch-1k workload (the batched
-# wire path under a running clock) and its live-100k workload (the same
-# path on 8 shards, DATA and STATS grouped per shard). They are
-# correctness runs, not measurements: a pass fails unless every bit sent
-# was served, nothing is left queued, Close() agrees with the per-session
-# sweep, and (manual clock) MaxDelay <= 2*D_O.
+# wire path under a running clock), its live-100k workload (the same
+# path on 8 shards, DATA and STATS grouped per shard) and its dense-100k
+# workload (the round path with every slot busy). They are correctness
+# runs, not measurements: a pass fails unless every bit sent was served,
+# nothing is left queued, Close() agrees with the per-session sweep, and
+# (manual clock) MaxDelay <= 2*D_O.
 dynbench:
 	$(GO) run ./benchmarks/dynbench -workload sparse-100k -seconds 2 -trace 0
 	$(GO) run ./benchmarks/dynbench -workload batch-1k -seconds 2 -trace 0
 	$(GO) run ./benchmarks/dynbench -workload live-100k -seconds 2 -trace 0
+	$(GO) run ./benchmarks/dynbench -workload dense-100k -seconds 2 -trace 0
 
 # Every package's benchmarks.
 bench-all:

@@ -14,7 +14,8 @@ import (
 // queue on each — and with it the steps of Figures 4 and 5 that work on
 // that state (PHASE, TEST, REDUCE, the spill), which Phased and
 // Continuous run with B_O fixed and Combined runs inside each global
-// stage with B_O = Bon.
+// stage with B_O = Bon. A session's four words are one 32-byte record,
+// so a step that reads a scattered session touches one cache line.
 //
 // Between stage events (RESET, global reset, bon-grow — the rare events
 // the theorems count, which rewrite every session and stay O(k)) only a
@@ -28,9 +29,8 @@ import (
 // observer events come out exactly as they did when every loop ran over
 // all k sessions.
 type channels struct {
-	do       bw.Tick
-	bir, bio []bw.Rate
-	qr, qo   []bw.Bits
+	do   bw.Tick
+	sess []session
 	// sumBir is Σ bir, kept on every write.
 	sumBir bw.Rate
 	// live holds every session with qr, qo or bio above zero. Sessions
@@ -56,13 +56,16 @@ type channels struct {
 	in sim.Compact
 }
 
+// session is one session's record, 32 bytes (TestSlotRecordSizes).
+type session struct {
+	bir, bio bw.Rate
+	qr, qo   bw.Bits
+}
+
 func newChannels(k int, do bw.Tick) channels {
 	return channels{
 		do:      do,
-		bir:     make([]bw.Rate, k),
-		bio:     make([]bw.Rate, k),
-		qr:      make([]bw.Bits, k),
-		qo:      make([]bw.Bits, k),
+		sess:    make([]session, k),
 		live:    bitset.New(k),
 		touched: bitset.New(k),
 		reduce:  newReduceWheel(do),
@@ -72,16 +75,16 @@ func newChannels(k int, do bw.Tick) channels {
 // setShares starts a stage: every session's regular allocation becomes
 // share.
 func (c *channels) setShares(share bw.Rate) {
-	for i := range c.bir {
-		c.bir[i] = share
+	for i := range c.sess {
+		c.sess[i].bir = share
 	}
-	c.sumBir = share * bw.Rate(len(c.bir))
+	c.sumBir = share * bw.Rate(len(c.sess))
 	c.stale = true
 }
 
 // raise grants session i one more share of the regular channel.
 func (c *channels) raise(i int32, share bw.Rate) {
-	c.bir[i] += share
+	c.sess[i].bir += share
 	c.sumBir += share
 }
 
@@ -93,7 +96,7 @@ func (c *channels) touch(i int32) {
 // list returns the live sessions in ascending order; the list is valid
 // until the next call.
 func (c *channels) list() []int32 {
-	c.members = c.live.AppendTo(c.members[:0], 0, len(c.bir))
+	c.members = c.live.AppendTo(c.members[:0], 0, len(c.sess))
 	return c.members
 }
 
@@ -101,7 +104,7 @@ func (c *channels) list() []int32 {
 func (c *channels) arrive(active []int32, arrived []bw.Bits) {
 	for j, i := range active {
 		if a := arrived[j]; a != 0 {
-			c.qr[i] += a
+			c.sess[i].qr += a
 			c.live.Add(int(i))
 		}
 	}
@@ -113,7 +116,7 @@ func (c *channels) arrive(active []int32, arrived []bw.Bits) {
 // finds the queue drained, the REDUCE already on the wheel — exactly as if
 // they had been served, so a session's departure is not a stage event.
 func (c *channels) leave(i int) {
-	c.qr[i], c.qo[i] = 0, 0
+	c.sess[i].qr, c.sess[i].qo = 0, 0
 }
 
 // phase is the PHASE step of Figure 4 over the live sessions, decided on
@@ -125,34 +128,35 @@ func (c *channels) leave(i int) {
 // queued, which Claim 8 says is none.
 func (c *channels) phase(t bw.Tick, share bw.Rate, o obs.Observer) (violations int) {
 	for _, i := range c.list() {
-		old := c.bir[i] + c.bio[i]
-		if c.qr[i] <= bw.Volume(c.bir[i], c.do) {
-			if c.qo[i] > 0 {
+		s := &c.sess[i]
+		old := s.bir + s.bio
+		if s.qr <= bw.Volume(s.bir, c.do) {
+			if s.qo > 0 {
 				violations++
 			}
-			if c.bio[i] == 0 {
+			if s.bio == 0 {
 				continue
 			}
-			c.bio[i] = 0
+			s.bio = 0
 			c.touch(i)
 			if o != nil {
 				o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: int(i),
-					OldRate: old, NewRate: c.bir[i], Rule: "phase-drain"})
+					OldRate: old, NewRate: s.bir, Rule: "phase-drain"})
 			}
 			continue
 		}
-		hadOverflow := c.bio[i] > 0
+		hadOverflow := s.bio > 0
 		c.raise(i, share)
-		c.qo[i] += c.qr[i]
-		c.qr[i] = 0
-		c.bio[i] = bw.RateOver(c.qo[i], c.do)
+		s.qo += s.qr
+		s.qr = 0
+		s.bio = bw.RateOver(s.qo, c.do)
 		c.touch(i)
 		if o != nil {
 			o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: int(i),
-				OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "phase-raise"})
-			if !hadOverflow && c.bio[i] > 0 {
+				OldRate: old, NewRate: s.bir + s.bio, Rule: "phase-raise"})
+			if !hadOverflow && s.bio > 0 {
 				o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: int(i),
-					NewRate: c.bio[i], Rule: "phase-spill"})
+					NewRate: s.bio, Rule: "phase-spill"})
 			}
 		}
 	}
@@ -165,23 +169,25 @@ func (c *channels) phase(t bw.Tick, share bw.Rate, o obs.Observer) (violations i
 // would leave it so; the stage start that follows rewrites every rate.
 func (c *channels) flush() {
 	for _, i := range c.list() {
-		c.qo[i] += c.qr[i]
-		c.qr[i] = 0
-		c.bio[i] = bw.RateOver(c.qo[i], c.do)
+		s := &c.sess[i]
+		s.qo += s.qr
+		s.qr = 0
+		s.bio = bw.RateOver(s.qo, c.do)
 	}
 }
 
 // spill moves session i's regular queue to the overflow channel and
 // grants a temporary overflow allocation, withdrawn D_O ticks later.
 func (c *channels) spill(i int32, t bw.Tick) {
-	q := c.qr[i]
+	s := &c.sess[i]
+	q := s.qr
 	if q == 0 {
 		return
 	}
-	c.qo[i] += q
-	c.qr[i] = 0
+	s.qo += q
+	s.qr = 0
 	grant := bw.RateOver(q, c.do)
-	c.bio[i] += grant
+	s.bio += grant
 	c.touch(i)
 	c.reduce.add(i, grant, t+c.do)
 }
@@ -198,15 +204,16 @@ func (c *channels) spillAll(t bw.Tick) {
 func (c *channels) withdraw(t bw.Tick, o obs.Observer) {
 	for _, e := range c.reduce.take(t) {
 		i := e.session
-		old := c.bir[i] + c.bio[i]
-		c.bio[i] -= e.amt
-		if c.bio[i] < 0 {
-			c.bio[i] = 0
+		s := &c.sess[i]
+		old := s.bir + s.bio
+		s.bio -= e.amt
+		if s.bio < 0 {
+			s.bio = 0
 		}
 		c.touch(i)
 		if o != nil {
 			o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: int(i),
-				OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "reduce"})
+				OldRate: old, NewRate: s.bir + s.bio, Rule: "reduce"})
 		}
 	}
 }
@@ -220,22 +227,23 @@ func (c *channels) test(t bw.Tick, share bw.Rate, active []int32, arrived []bw.B
 		if arrived[j] == 0 {
 			continue
 		}
-		c.qr[i] += arrived[j]
+		s := &c.sess[i]
+		s.qr += arrived[j]
 		c.live.Add(int(i))
-		if c.qr[i] <= bw.Volume(c.bir[i], c.do) {
+		if s.qr <= bw.Volume(s.bir, c.do) {
 			continue
 		}
-		old := c.bir[i] + c.bio[i]
-		hadOverflow := c.bio[i] > 0
+		old := s.bir + s.bio
+		hadOverflow := s.bio > 0
 		c.raise(i, share)
 		c.spill(i, t)
 		grew = true
 		if o != nil {
 			o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: int(i),
-				OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "test-spill"})
-			if !hadOverflow && c.bio[i] > 0 {
+				OldRate: old, NewRate: s.bir + s.bio, Rule: "test-spill"})
+			if !hadOverflow && s.bio > 0 {
 				o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: int(i),
-					NewRate: c.bio[i], Rule: "test-spill"})
+					NewRate: s.bio, Rule: "test-spill"})
 			}
 		}
 	}
@@ -246,9 +254,10 @@ func (c *channels) test(t bw.Tick, share bw.Rate, active []int32, arrived []bw.B
 // own, and retires the sessions left with nothing.
 func (c *channels) advance() {
 	for _, i := range c.list() {
-		c.qo[i] -= bw.Min(c.qo[i], c.bio[i])
-		c.qr[i] -= bw.Min(c.qr[i], c.bir[i])
-		if c.qr[i] == 0 && c.qo[i] == 0 && c.bio[i] == 0 {
+		s := &c.sess[i]
+		s.qo -= bw.Min(s.qo, s.bio)
+		s.qr -= bw.Min(s.qr, s.bir)
+		if s.qr == 0 && s.qo == 0 && s.bio == 0 {
 			c.live.Remove(int(i))
 		}
 	}
@@ -261,14 +270,14 @@ func (c *channels) advance() {
 func (c *channels) finish(extra, applied []bw.Rate) ([]int32, []bw.Rate) {
 	c.changed, c.moved = c.changed[:0], c.moved[:0]
 	if c.stale {
-		for i := range c.bir {
+		for i := range c.sess {
 			c.settle(int32(i), extra, applied)
 		}
-		c.touched.ClearRange(0, len(c.bir))
+		c.touched.ClearRange(0, len(c.sess))
 		c.stale = false
 		return c.changed, c.moved
 	}
-	c.members = c.touched.AppendTo(c.members[:0], 0, len(c.bir))
+	c.members = c.touched.AppendTo(c.members[:0], 0, len(c.sess))
 	for _, i := range c.members {
 		c.touched.Remove(int(i))
 		c.settle(i, extra, applied)
@@ -277,7 +286,7 @@ func (c *channels) finish(extra, applied []bw.Rate) ([]int32, []bw.Rate) {
 }
 
 func (c *channels) settle(i int32, extra, applied []bw.Rate) {
-	r := c.bir[i] + c.bio[i]
+	r := c.sess[i].bir + c.sess[i].bio
 	if extra != nil {
 		r += extra[i]
 	}
@@ -291,7 +300,7 @@ func (c *channels) settle(i int32, extra, applied []bw.Rate) {
 // kernel's, allocating it on the first call.
 func (c *channels) dense() []bw.Rate {
 	if c.out == nil {
-		c.out = make([]bw.Rate, len(c.bir))
+		c.out = make([]bw.Rate, len(c.sess))
 	}
 	return c.out
 }

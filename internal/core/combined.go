@@ -170,7 +170,9 @@ func (c *Combined) startGlobalStage(t bw.Tick) {
 func (c *Combined) startLocalStage(t bw.Tick) {
 	c.ch.setShares(c.share())
 	if !c.continuousInner {
-		clear(c.ch.bio)
+		for i := range c.ch.sess {
+			c.ch.sess[i].bio = 0
+		}
 	}
 	c.localResetTick = t
 	c.stats.LocalStages++
@@ -205,7 +207,7 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
 			if c.o != nil {
-				inner := ch.bir[i] + ch.bio[i]
+				inner := ch.sess[i].bir + ch.sess[i].bio
 				c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: int(i),
 					OldRate: inner + c.gqRate[i], NewRate: inner, Rule: "global-drain"})
 			}
@@ -227,8 +229,8 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 		// channel (drained within DO) and start a fresh global stage
 		// immediately.
 		for i := range c.gq {
-			c.gq[i] += ch.qr[i] + ch.qo[i]
-			ch.qr[i], ch.qo[i] = 0, 0
+			c.gq[i] += ch.sess[i].qr + ch.sess[i].qo
+			ch.sess[i].qr, ch.sess[i].qo = 0, 0
 			if c.gq[i] > 0 {
 				c.gqRate[i] = bw.RateOver(c.gq[i], c.p.DO)
 				c.draining.Add(i)

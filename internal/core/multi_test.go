@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/sim"
@@ -267,5 +268,14 @@ func TestLeaveForgetsTheDepartedSessionsBits(t *testing.T) {
 				t.Errorf("telling the policy changed nothing: %v", told)
 			}
 		})
+	}
+}
+
+// TestSlotRecordSizes pins a session's record in the policies' shared
+// state to half a cache line: its two allocations and two virtual
+// queues. (The kernel's slot record has the same test in internal/sim.)
+func TestSlotRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(session{}); got != 32 {
+		t.Errorf("the policies' session record is %d B, want 32", got)
 	}
 }

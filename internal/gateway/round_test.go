@@ -12,6 +12,7 @@ import (
 
 	"dynbw/internal/bw"
 	"dynbw/internal/obs"
+	"dynbw/internal/rng"
 	"dynbw/internal/sim"
 )
 
@@ -51,37 +52,78 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // attached. Before each round `active` sessions, spread evenly over the
 // shards, receive a share's worth of bits, which the round serves whole:
 // every round visits exactly that many slots and leaves none backlogged,
-// so idle and active=40 run on the tick loop and the other two fan out.
-// The feeding is outside the ns/round figure and inside allocs/op, which
-// is 0 once the round's scratch lists have grown to the active count.
-// live_B/slot is the table's live heap, a slot's share: the slot state,
-// the policies' and the round's scratch. It is measured on the first run
-// of each -count (b.N = 1), when the gateway of the run before is
-// garbage (newRounds), against a heap taken before any gateway was
-// built, and reported with every run: a later run's baseline would count
-// a gateway the run before left reachable.
+// so idle and active=40 run on the tick loop and the others fan out.
+//
+// drain is the shape of dense-100k's median round: a burst drained over
+// rounds that receive nothing. Every drainCycle rounds, drainSlots slots
+// drawn at random, one from each stretch of the table, receive
+// drainCycle shares' worth of bits — half what a phase lets a session
+// queue, so no session is raised and every one drains in drainCycle
+// rounds. Only the drainCycle-1 rounds after the feeding one are timed,
+// each visiting every drawn slot and nothing else, so a slot's cost is
+// the cache lines its scattered state spans.
+//
+// The feeding (and drain's feeding round) is outside the ns/round figure
+// and inside allocs/op, which is 0 once the round's scratch lists have
+// grown to the active count. live_B/slot is the table's live heap, a
+// slot's share: the slot state, the policies' and the round's scratch.
+// It is measured on the first run of each -count (b.N = 1), when the
+// gateway of the run before is garbage (newRounds), against a heap taken
+// before any gateway was built, and reported with every run: a later
+// run's baseline would count a gateway the run before left reachable.
 func BenchmarkRound(b *testing.B) {
-	const k, nshards = 100_000, 8
+	const (
+		k, nshards = 100_000, 8
+		do         = bw.Tick(32)
+		share      = 16 // bits a slot a round: B_O = 16 a slot
+		drainCycle = 16
+		drainSlots = 3500
+	)
 	base := liveHeap()
-	for _, active := range []int{0, 40, 1000, 100_000} {
-		name := fmt.Sprintf("active=%d", active)
-		if active == 0 {
-			name = "idle"
-		}
+	for _, bc := range []struct {
+		name   string
+		active int
+		drain  bool
+	}{
+		{"idle", 0, false},
+		{"active=40", 40, false},
+		{"active=1000", 1000, false},
+		{"active=100000", 100_000, false},
+		{"drain", drainSlots, true},
+	} {
+		active := bc.active
 		var perSlot float64
-		b.Run(name, func(b *testing.B) {
-			g := newRounds(b, "phased", k, nshards, 32)
+		b.Run(bc.name, func(b *testing.B) {
+			g := newRounds(b, "phased", k, nshards, do)
+			src := rng.New(37)
 			var tick bw.Tick
 			var spent time.Duration
-			step := func() {
-				for j := 0; j < active; j++ {
-					feed(g, j*(k/active), 16)
-				}
+			round := func() time.Duration {
 				start := time.Now()
 				g.round(tick)
-				spent += time.Since(start)
+				took := time.Since(start)
 				g.now.Add(1)
 				tick++
+				return took
+			}
+			// step runs one timed round and the feeding it needs.
+			step := func() {
+				switch {
+				case !bc.drain:
+					for j := 0; j < active; j++ {
+						feed(g, j*(k/active), share)
+					}
+				case tick%drainCycle == 0:
+					for j := 0; j < active; j++ {
+						lo, hi := j*k/active, (j+1)*k/active
+						feed(g, lo+src.Intn(hi-lo), drainCycle*share)
+					}
+					round()
+				}
+				spent += round()
+				if got := g.m.activeSlots.Value(); got != int64(active) {
+					b.Fatalf("round %d visited %d slots, want %d", tick-1, got, active)
+				}
 			}
 			for tick < 80 {
 				step()
@@ -98,9 +140,6 @@ func BenchmarkRound(b *testing.B) {
 				perSlot = (float64(liveHeap()) - float64(base)) / k
 			}
 			b.ReportMetric(perSlot, "live_B/slot")
-			if got := g.m.activeSlots.Value(); got != int64(active) {
-				b.Errorf("the last round visited %d slots, want %d", got, active)
-			}
 			wantFanout := active >= inlineBelow
 			if fanned := g.m.roundsFanout.Value() > 0; fanned != wantFanout || (g.m.roundsInline.Value() > 0) == wantFanout {
 				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v",

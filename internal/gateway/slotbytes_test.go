@@ -26,7 +26,7 @@ func TestSlotBytes(t *testing.T) {
 		k, nshards = 100_000, 8
 		do         = bw.Tick(8)
 		rounds     = 100
-		openedB    = 120
+		openedB    = 117
 		busyB      = 64
 	)
 	// What the test holds itself is allocated before the baseline.

@@ -32,6 +32,13 @@ const MaxBacklog bw.Bits = 1 << 40
 // analysis state (full schedules, the aggregate) on the rates Step
 // returns.
 //
+// A slot's queue, pending bits and change count sit together in one
+// 64-byte record, so a round that visits a scattered slot touches one
+// cache line of the record vector (Go page-aligns an allocation over
+// 32 KB, so on any table that size the records align to lines) and one
+// of the rate vector. The rates stay a vector of their own: Round.Rates
+// hands it out whole, and the policies read it as the rates applied.
+//
 // Beside the per-slot state sits the active set: one bit per slot, set
 // while the slot has pending arrivals or a non-empty queue. Step visits
 // the active slots and nothing else, and finds them through the set's
@@ -42,13 +49,21 @@ const MaxBacklog bw.Bits = 1 << 40
 // methods take a *Slots, so a round, a DATA or a STATS read copies
 // nothing of it. It is not safe for concurrent use.
 type Slots struct {
-	queues  []queue.FIFO
-	rates   []bw.Rate
-	changes []int
-	pending []bw.Bits
+	slots []slot
+	rates []bw.Rate
 	// active is the whole table's set; slot i is bit i.
 	active bitset.Set
 	run    *running
+}
+
+// slot is the record of one slot's own words: 48 bytes of queue and two
+// words beside it, 64 bytes (TestSlotRecordSizes).
+type slot struct {
+	q queue.FIFO
+	// pending is the bits handed to the slot since the last round.
+	pending bw.Bits
+	// changes counts the slot's rate changes.
+	changes int
 }
 
 // running is what a view carries from round to round besides the slots.
@@ -62,17 +77,15 @@ type running struct {
 // NewSlots returns k empty slots.
 func NewSlots(k int) Slots {
 	return Slots{
-		queues:  make([]queue.FIFO, k),
-		rates:   make([]bw.Rate, k),
-		changes: make([]int, k),
-		pending: make([]bw.Bits, k),
-		active:  bitset.New(k),
-		run:     &running{},
+		slots:  make([]slot, k),
+		rates:  make([]bw.Rate, k),
+		active: bitset.New(k),
+		run:    &running{},
 	}
 }
 
 // Len returns the number of slots in the view.
-func (s *Slots) Len() int { return len(s.queues) }
+func (s *Slots) Len() int { return len(s.slots) }
 
 // prefix returns the view of the first k slots: a runner's table for a
 // run of fewer sessions than it has grown to. The view keeps its own
@@ -80,12 +93,10 @@ func (s *Slots) Len() int { return len(s.queues) }
 // table through both a view and its parent is not supported.
 func (s *Slots) prefix(k int) Slots {
 	v := Slots{
-		queues:  s.queues[:k],
-		rates:   s.rates[:k],
-		changes: s.changes[:k],
-		pending: s.pending[:k],
-		active:  s.active,
-		run:     &running{},
+		slots:  s.slots[:k],
+		rates:  s.rates[:k],
+		active: s.active,
+		run:    &running{},
 	}
 	for _, r := range v.rates {
 		v.run.total += r
@@ -94,16 +105,16 @@ func (s *Slots) prefix(k int) Slots {
 }
 
 // Queue returns slot i's queue, for reading its counters.
-func (s *Slots) Queue(i int) *queue.FIFO { return &s.queues[i] }
+func (s *Slots) Queue(i int) *queue.FIFO { return &s.slots[i].q }
 
 // Pending returns the bits slot i was handed since the last round.
-func (s *Slots) Pending(i int) bw.Bits { return s.pending[i] }
+func (s *Slots) Pending(i int) bw.Bits { return s.slots[i].pending }
 
 // Rate returns the rate applied to slot i on the most recent round.
 func (s *Slots) Rate(i int) bw.Rate { return s.rates[i] }
 
 // Changes returns how many times slot i's rate has changed.
-func (s *Slots) Changes(i int) int { return s.changes[i] }
+func (s *Slots) Changes(i int) int { return s.slots[i].changes }
 
 // Add hands slot i bits that arrived since the last round; the next Step
 // moves them into its queue. At most MaxBacklog bits wait for a round:
@@ -111,12 +122,13 @@ func (s *Slots) Changes(i int) int { return s.changes[i] }
 // polices the queue itself against the same cap, so that Add, which runs
 // for every DATA message, reads nothing but the pending cell.)
 func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
-	if room := MaxBacklog - s.pending[i]; bits > room {
+	sl := &s.slots[i]
+	if room := MaxBacklog - sl.pending; bits > room {
 		dropped = bits - room
 		bits = room
 	}
 	if bits > 0 {
-		s.pending[i] += bits
+		sl.pending += bits
 		s.active.Add(i)
 	}
 	return dropped
@@ -124,13 +136,13 @@ func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 
 // Reset empties every slot while keeping the queues' storage.
 func (s *Slots) Reset() {
-	for i := range s.queues {
-		s.queues[i].Reset()
+	for i := range s.slots {
+		sl := &s.slots[i]
+		sl.q.Reset()
+		sl.pending, sl.changes = 0, 0
 	}
 	clear(s.rates)
-	clear(s.changes)
-	clear(s.pending)
-	s.active.ClearRange(0, len(s.queues))
+	s.active.ClearRange(0, len(s.slots))
 	s.run.total = 0
 }
 
@@ -163,15 +175,15 @@ func (t *Tenancy) Add(u Tenancy) {
 // a property of the session. Only a service calls it: a simulated session
 // lasts the whole run.
 func (s *Slots) Vacate(i int) Tenancy {
-	q := &s.queues[i]
+	sl := &s.slots[i]
 	t := Tenancy{
-		Served:   q.Served(),
-		Dropped:  s.pending[i] + q.Bits(),
-		MaxDelay: q.MaxDelay(),
-		Changes:  s.changes[i],
+		Served:   sl.q.Served(),
+		Dropped:  sl.pending + sl.q.Bits(),
+		MaxDelay: sl.q.MaxDelay(),
+		Changes:  sl.changes,
 	}
-	q.Reset()
-	s.pending[i], s.changes[i] = 0, 0
+	sl.q.Reset()
+	sl.pending, sl.changes = 0, 0
 	s.active.Remove(i)
 	return t
 }
@@ -214,18 +226,19 @@ type Round struct {
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	in := &s.run.in
 	in.reset()
-	in.idx = s.active.AppendTo(in.idx, 0, len(s.queues))
+	in.idx = s.active.AppendTo(in.idx, 0, len(s.slots))
 	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx), Backlogged: len(in.idx)}
 	for _, i := range in.idx {
-		a := s.pending[i]
-		s.pending[i] = 0
-		if room := MaxBacklog - s.queues[i].Bits(); a > room {
+		sl := &s.slots[i]
+		a := sl.pending
+		sl.pending = 0
+		if room := MaxBacklog - sl.q.Bits(); a > room {
 			r.Policed += a - room
 			a = room
 		}
-		s.queues[i].Push(t, a)
+		sl.q.Push(t, a)
 		in.arrived = append(in.arrived, a)
-		in.queued = append(in.queued, s.queues[i].Bits())
+		in.queued = append(in.queued, sl.q.Bits())
 		r.Arrived += a
 	}
 	changed, rates := alloc.RatesActive(t, in.idx, in.arrived, in.queued, s.rates)
@@ -244,13 +257,13 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		if rate := rates[j]; rate != s.rates[i] {
 			s.run.total += rate - s.rates[i]
 			s.rates[i] = rate
-			s.changes[i]++
+			s.slots[i].changes++
 			r.Changes++
 		}
 	}
 	r.Total = s.run.total
 	for _, i := range in.idx {
-		q := &s.queues[i]
+		q := &s.slots[i].q
 		r.Served += q.Serve(t, s.rates[i])
 		if q.Bits() == 0 {
 			s.active.Remove(int(i))

@@ -3,8 +3,10 @@ package sim
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/queue"
 	"dynbw/internal/rng"
 	"dynbw/internal/trace"
 )
@@ -32,6 +34,19 @@ func TestSlotsChangesEqualScheduleChanges(t *testing.T) {
 	}
 	if total == 0 || total != res.SessionChanges() {
 		t.Errorf("slot changes sum to %d, SessionChanges() = %d", total, res.SessionChanges())
+	}
+}
+
+// TestSlotRecordSizes pins a slot's record to one cache line: 48 bytes
+// of queue and the pending and change words. A field added to the FIFO
+// fails here instead of adding a line to every busy slot. (The policies'
+// session record has the same test in internal/core.)
+func TestSlotRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(queue.FIFO{}); got != 48 {
+		t.Errorf("queue.FIFO is %d B, want 48", got)
+	}
+	if got := unsafe.Sizeof(slot{}); got != 64 {
+		t.Errorf("the kernel's slot record is %d B, want 64", got)
 	}
 }
 
