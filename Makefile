@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race zeroalloc bench bench-round bench-all dynbench fuzz load loc experiments examples cover clean
+.PHONY: all build test lint race zeroalloc bench bench-round bench-round-pairs bench-all dynbench fuzz load loc experiments examples cover clean
 
 all: build lint test
 
@@ -39,11 +39,14 @@ bench:
 
 # One allocation round of a 100k-slot, 8-shard gateway, called directly
 # (no tick channel, no sockets), idle and with 40, 1000 and 100 000 slots
-# active, and drain: 3 500 scattered slots draining a burst over rounds
-# that receive nothing, the shape of dense-100k's median round. The
-# place to bisect a change in what a round costs. ns/round leaves out
-# the feeding (and drain's feeding round); idle and 40 run on the tick
-# loop, the other three fan out to the tick workers. live_B/slot is the
+# active; drain: 3 500 scattered slots draining a burst over rounds that
+# receive nothing, the shape of dense-100k's median round; and burst: a
+# whole dense-100k cycle, every slot bursting once every D_O rounds, with
+# the median and 90th percentile of the rounds that drain it
+# (p50_ns/round, p90_ns/round). The place to bisect a change in what a
+# round costs. ns/round leaves out the feeding (and drain's and burst's
+# feeding rounds); idle and 40 run on the tick loop, 1000, 100 000 and
+# drain fan out to the tick workers, burst does both. live_B/slot is the
 # table's live heap, measured on the first run of each -count against a
 # heap taken before any gateway was built: about 130 B a slot, 160 B in
 # the dense case, whose round scratch has grown to every slot (2 vCPU
@@ -51,6 +54,48 @@ bench:
 # owner word of each free slot and no ownership beyond it.
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
+
+# BenchmarkRound at two revisions, in alternating pairs on one box: the
+# gateway test binary is built from `git archive $(BASE)` under $TMPDIR
+# and from the working tree, the two binaries' BenchmarkRound runs
+# alternate N times (base first), and each case's per-round figures
+# (ns/round, and burst's p50 and p90) are printed as the two medians,
+# their ratio, the range of the pairs' own ratios and the pairs in which
+# head was lower. A claim about a
+# round's cost rests on this, not on one run: absolute figures move by
+# the day and by the neighbours on a shared box. A case only head has is
+# printed with head's median alone. BENCHFLAGS passes more flags to both
+# binaries, e.g. BENCHFLAGS="-test.bench='BenchmarkRound/(drain|burst)'"
+# to run two cases (a later -test.bench wins).
+BASE ?= HEAD
+N ?= 10
+BENCHFLAGS ?=
+bench-round-pairs:
+	@set -e; tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/bench-round-pairs.XXXXXX"); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" ./internal/gateway/); \
+	$(GO) test -c -o "$$tmp/head.test" ./internal/gateway/; \
+	echo "BenchmarkRound, $(N) alternating pairs: base $(BASE), head the working tree"; \
+	for i in $$(seq $(N)); do for side in base head; do \
+		"$$tmp/$$side.test" -test.run '^$$' -test.bench BenchmarkRound -test.timeout 30m $(BENCHFLAGS) | \
+		awk -v side=$$side -v pair=$$i '/^BenchmarkRound/ { \
+			for (f = 3; f < NF; f++) if ($$(f+1) ~ /ns\/round$$/) print side, pair, $$1, $$(f+1), $$f }'; \
+	done; done > "$$tmp/runs"; \
+	awk ' \
+		function median(key, side,   n, i, j, v, a) { \
+			for (i = 1; i <= $(N); i++) if ((key, side, i) in val) a[++n] = val[key, side, i]; \
+			for (i = 2; i <= n; i++) { v = a[i]; for (j = i - 1; j > 0 && a[j] > v; j--) a[j+1] = a[j]; a[j+1] = v; } \
+			return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2; } \
+		{ key = $$3 " " $$4; val[key, $$1, $$2] = $$5; if (!(key in seen)) { seen[key] = 1; order[++nkeys] = key; } } \
+		END { printf "%-34s %-14s %12s %12s %7s %-13s %s\n", "case", "metric", "base", "head", "ratio", "pair ratios", "head lower"; \
+			for (k = 1; k <= nkeys; k++) { key = order[k]; lower = 0; pairs = 0; lo = 0; hi = 0; \
+				for (p = 1; p <= $(N); p++) if (((key, "base", p) in val) && ((key, "head", p) in val)) { \
+					x = val[key, "head", p] / val[key, "base", p]; if (!pairs || x < lo) lo = x; if (!pairs || x > hi) hi = x; \
+					pairs++; if (x < 1) lower++; } \
+				b = median(key, "base"); h = median(key, "head"); split(key, kc, " "); \
+				if (pairs) printf "%-34s %-14s %12.0f %12.0f %7.3f %.2f..%.2f    %d of %d\n", kc[1], kc[2], b, h, h / b, lo, hi, lower, pairs; \
+				else printf "%-34s %-14s %12s %12.0f %7s %-13s (head only)\n", kc[1], kc[2], "-", h, "-", "-"; } }' "$$tmp/runs"
 
 # One short untraced pass each of the repository benchmark's sparse
 # 100k-slot workload (the round path), its batch-1k workload (the batched

@@ -168,8 +168,9 @@ func (c *Combined) startGlobalStage(t bw.Tick) {
 }
 
 func (c *Combined) startLocalStage(t bw.Tick) {
-	c.ch.setShares(c.share())
+	c.ch.setShares(t, c.share())
 	if !c.continuousInner {
+		// The epoch is t, where a line is its queue whatever the rate.
 		for i := range c.ch.sess {
 			c.ch.sess[i].bio = 0
 		}
@@ -190,16 +191,17 @@ func (c *Combined) share() bw.Rate {
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
 func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	active, arr, q := c.ch.in.Collect(arrived, queued)
-	return c.ch.fold(c.RatesActive(t, active, arr, q, c.ch.dense()))
+	sessions, bits := c.ch.in.Collect(arrived)
+	return c.ch.fold(c.RatesActive(t, sessions, bits, c.ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. The global overflow channel
 // drains over the sessions it holds, the inner algorithm runs over its
 // live sessions; a global reset, a grown estimate and the end of a local
 // stage walk all k.
-func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	ch := &c.ch
+	ch.begin(t)
 
 	// Drain the global overflow channel.
 	c.drainers = c.draining.AppendTo(c.drainers[:0], 0, c.p.K)
@@ -219,7 +221,7 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 
 	// Global stage bookkeeping on the aggregate stream.
 	var agg bw.Bits
-	for _, a := range arrived {
+	for _, a := range bits {
 		agg += a
 	}
 	glow := c.glow.Observe(agg)
@@ -229,8 +231,10 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 		// channel (drained within DO) and start a fresh global stage
 		// immediately.
 		for i := range c.gq {
-			c.gq[i] += ch.sess[i].qr + ch.sess[i].qo
-			ch.sess[i].qr, ch.sess[i].qo = 0, 0
+			s := &ch.sess[i]
+			qr, qo := ch.at(s)
+			c.gq[i] += qr + qo
+			s.vr, s.vo = 0, 0
 			if c.gq[i] > 0 {
 				c.gqRate[i] = bw.RateOver(c.gq[i], c.p.DO)
 				c.draining.Add(i)
@@ -257,12 +261,11 @@ func (c *Combined) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, 
 	}
 
 	if c.continuousInner {
-		c.innerContinuous(t, active, arrived)
+		c.innerContinuous(t, arrived, bits)
 	} else {
 		c.innerPhased(t)
-		ch.arrive(active, arrived)
+		ch.arrive(arrived, bits)
 	}
-	ch.advance()
 	return ch.finish(c.gqRate, applied)
 }
 
@@ -274,7 +277,7 @@ func (c *Combined) innerPhased(t bw.Tick) {
 	}
 	ch.phase(t, c.share(), c.o)
 	if ch.sumBir > 2*c.bon {
-		ch.flush()
+		ch.flush(t)
 		c.startLocalStage(t)
 		if c.o != nil {
 			c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
@@ -287,14 +290,14 @@ func (c *Combined) innerPhased(t bw.Tick) {
 // session's regular queue on demand and withdraw the overflow grant D_O
 // ticks later. Until there is an estimate to share out, arrivals only
 // queue.
-func (c *Combined) innerContinuous(t bw.Tick, active []int32, arrived []bw.Bits) {
+func (c *Combined) innerContinuous(t bw.Tick, arrived []int32, bits []bw.Bits) {
 	ch := &c.ch
 	ch.withdraw(t, c.o)
 	if c.bon == 0 {
-		ch.arrive(active, arrived)
+		ch.arrive(arrived, bits)
 		return
 	}
-	if ch.test(t, c.share(), active, arrived, c.o) && ch.sumBir > 2*c.bon {
+	if ch.test(t, c.share(), arrived, bits, c.o) && ch.sumBir > 2*c.bon {
 		ch.spillAll(t)
 		c.startLocalStage(t)
 		if c.o != nil {

@@ -41,7 +41,7 @@ func NewContinuous(p MultiParams) (*Continuous, error) {
 		return nil, fmt.Errorf("continuous: %w", err)
 	}
 	a := &Continuous{p: p, ch: newChannels(p.K, p.DO)}
-	a.reset()
+	a.reset(0)
 	return a, nil
 }
 
@@ -58,38 +58,38 @@ func MustNewContinuous(p MultiParams) *Continuous {
 // Call it before the first Rates call.
 func (a *Continuous) SetObserver(o obs.Observer) { a.o = o }
 
-func (a *Continuous) reset() {
-	a.ch.setShares(a.p.Share())
+func (a *Continuous) reset(t bw.Tick) {
+	a.ch.setShares(t, a.p.Share())
 	a.stats.Stages++
 }
 
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
 func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	active, arr, q := a.ch.in.Collect(arrived, queued)
-	return a.ch.fold(a.RatesActive(t, active, arr, q, a.ch.dense()))
+	sessions, bits := a.ch.in.Collect(arrived)
+	return a.ch.fold(a.RatesActive(t, sessions, bits, a.ch.dense()))
 }
 
-// RatesActive implements sim.SparseAllocator. REDUCEs come off the wheel,
-// TEST runs on the sessions with arrivals, the queue accounting on the
-// live ones; only the end of a stage walks all k sessions.
-func (a *Continuous) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+// RatesActive implements sim.SparseAllocator. REDUCEs come off the wheel
+// and TEST runs on the sessions with arrivals; the end of a stage walks
+// the live sessions and then all k.
+func (a *Continuous) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	c := &a.ch
+	c.begin(t)
 
 	// Apply matured REDUCE operations first, then TEST(i) on every
 	// arrival batch.
 	c.withdraw(t, a.o)
-	if c.test(t, a.p.Share(), active, arrived, a.o) && c.sumBir > 2*a.p.BO {
+	if c.test(t, a.p.Share(), arrived, bits, a.o) && c.sumBir > 2*a.p.BO {
 		c.spillAll(t)
 		a.stats.Resets++
-		a.reset()
+		a.reset(t)
 		if a.o != nil {
 			a.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
 				Rule: "stage-reset"})
 		}
 	}
 
-	c.advance()
 	return c.finish(nil, applied)
 }
 

@@ -83,7 +83,7 @@ func (a *Phased) SetObserver(o obs.Observer) { a.o = o }
 // reset starts a new stage at tick t: every session gets the base regular
 // share and phases restart.
 func (a *Phased) reset(t bw.Tick) {
-	a.ch.setShares(a.p.Share())
+	a.ch.setShares(t, a.p.Share())
 	a.resetTick = t
 	a.stats.Stages++
 }
@@ -91,15 +91,16 @@ func (a *Phased) reset(t bw.Tick) {
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
 func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	active, arr, q := a.ch.in.Collect(arrived, queued)
-	return a.ch.fold(a.RatesActive(t, active, arr, q, a.ch.dense()))
+	sessions, bits := a.ch.in.Collect(arrived)
+	return a.ch.fold(a.RatesActive(t, sessions, bits, a.ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. Only a RESET walks all k
-// sessions; a phase boundary and the per-tick queue accounting walk the
-// live ones.
-func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+// sessions; a phase boundary walks the live ones, and any other tick
+// reaches the sessions with arrivals alone.
+func (a *Phased) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	c := &a.ch
+	c.begin(t)
 
 	// PHASE boundary: every DO ticks starting DO after the RESET, decided
 	// on the queue state at the end of the previous phase (before this
@@ -108,7 +109,7 @@ func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, ap
 		a.stats.OverflowViolations += c.phase(t, a.p.Share(), a.o)
 		if c.sumBir > 2*a.p.BO {
 			// Stage ends: flush every regular queue to overflow and RESET.
-			c.flush()
+			c.flush(t)
 			a.stats.Resets++
 			a.reset(t)
 			if a.o != nil {
@@ -118,8 +119,7 @@ func (a *Phased) RatesActive(t bw.Tick, active []int32, arrived, _ []bw.Bits, ap
 		}
 	}
 
-	c.arrive(active, arrived)
-	c.advance()
+	c.arrive(arrived, bits)
 	return c.finish(nil, applied)
 }
 

@@ -37,13 +37,15 @@ func observed(a interface {
 // policy for one configuration.
 type oracleCase struct {
 	name  string
-	build func(k int, dense bool) policyUnderTest
+	build func(k int, share bw.Rate, dense bool) policyUnderTest
 }
 
+// oracleCases builds each policy with B_O = share·k: share is the
+// per-session regular quantum.
 func oracleCases(do bw.Tick) []oracleCase {
-	multi := func(k int) MultiParams { return MultiParams{K: k, BO: 16 * bw.Rate(k), DO: do} }
-	combined := func(k int) CombinedParams {
-		return CombinedParams{K: k, BA: bw.NextPow2(8 * 16 * bw.Rate(k)), DO: do, UO: 0.5, W: 2 * do}
+	multi := func(k int, share bw.Rate) MultiParams { return MultiParams{K: k, BO: share * bw.Rate(k), DO: do} }
+	combined := func(k int, share bw.Rate) CombinedParams {
+		return CombinedParams{K: k, BA: bw.NextPow2(8 * share * bw.Rate(k)), DO: do, UO: 0.5, W: 2 * do}
 	}
 	must := func(err error) {
 		if err != nil {
@@ -51,40 +53,40 @@ func oracleCases(do bw.Tick) []oracleCase {
 		}
 	}
 	return []oracleCase{
-		{"phased", func(k int, dense bool) policyUnderTest {
+		{"phased", func(k int, share bw.Rate, dense bool) policyUnderTest {
 			if dense {
-				a, err := newDensePhased(multi(k))
+				a, err := newDensePhased(multi(k, share))
 				must(err)
 				return observed(a, func() any { return a.Stats() })
 			}
-			a := MustNewPhased(multi(k))
+			a := MustNewPhased(multi(k, share))
 			return observed(a, func() any { return a.Stats() })
 		}},
-		{"continuous", func(k int, dense bool) policyUnderTest {
+		{"continuous", func(k int, share bw.Rate, dense bool) policyUnderTest {
 			if dense {
-				a, err := newDenseContinuous(multi(k))
+				a, err := newDenseContinuous(multi(k, share))
 				must(err)
 				return observed(a, func() any { return a.Stats() })
 			}
-			a := MustNewContinuous(multi(k))
+			a := MustNewContinuous(multi(k, share))
 			return observed(a, func() any { return a.Stats() })
 		}},
-		{"combined", func(k int, dense bool) policyUnderTest {
+		{"combined", func(k int, share bw.Rate, dense bool) policyUnderTest {
 			if dense {
-				a, err := newDenseCombined(combined(k))
+				a, err := newDenseCombined(combined(k, share))
 				must(err)
 				return observed(a, func() any { return a.Stats() })
 			}
-			a := MustNewCombined(combined(k))
+			a := MustNewCombined(combined(k, share))
 			return observed(a, func() any { return a.Stats() })
 		}},
-		{"combined-continuous", func(k int, dense bool) policyUnderTest {
+		{"combined-continuous", func(k int, share bw.Rate, dense bool) policyUnderTest {
 			if dense {
-				a, err := newDenseCombinedContinuous(combined(k))
+				a, err := newDenseCombinedContinuous(combined(k, share))
 				must(err)
 				return observed(a, func() any { return a.Stats() })
 			}
-			a := MustNewCombinedContinuous(combined(k))
+			a := MustNewCombinedContinuous(combined(k, share))
 			return observed(a, func() any { return a.Stats() })
 		}},
 	}
@@ -133,7 +135,10 @@ func oracleTrace(shape string, src *rng.Source, arrived []bw.Bits, t, do bw.Tick
 }
 
 // TestSparseMatchesDense is the oracle test of the sparse policies: on
-// seeded traces of three shapes and four table sizes, each policy must
+// seeded traces of three shapes and four table sizes, and on one more run
+// that starts at tick 2^40 with shares of 2^24 bits a tick (where a rate
+// times the tick overflows an int64: the policies' drain lines must count
+// from a recent epoch, not from tick 0), each policy must
 // hand out the rates the dense reference (oracle_test.go) hands out on
 // every tick, end with the same stats and have emitted the same events in
 // the same order — through the dense Rates entry, and through RatesActive
@@ -147,72 +152,87 @@ func TestSparseMatchesDense(t *testing.T) {
 	const do = bw.Tick(8)
 	for _, oc := range oracleCases(do) {
 		rules := map[string]int{}
+		type row struct {
+			k     int
+			shape string
+			start bw.Tick
+			share bw.Rate
+		}
+		var rows []row
 		for _, k := range []int{1, 7, 64, 1000} {
 			for _, shape := range []string{"sparse", "dense", "bursty"} {
-				name := fmt.Sprintf("%s/k=%d/%s", oc.name, k, shape)
-				t.Run(name, func(t *testing.T) {
-					ticks := bw.Tick(60 * do)
-					if k == 1000 {
-						ticks = 24 * do
-					}
-					ref := oc.build(k, true)
-					viaDense := oc.build(k, false)
-					viaSparse := oc.build(k, false)
-					sparse := viaSparse.alloc.(sim.SparseAllocator)
-
-					src := rng.New(uint64(k)*31 + uint64(len(shape)))
-					arrived := make([]bw.Bits, k)
-					queued := make([]bw.Bits, k)  // the real FIFO queues, as the kernel keeps them
-					applied := make([]bw.Rate, k) // the kernel's vector, written only here
-					var in sim.Compact
-					for tick := bw.Tick(0); tick < ticks; tick++ {
-						oracleTrace(shape, src, arrived, tick, do, 16)
-						for i, a := range arrived {
-							queued[i] += a
-						}
-						want := ref.alloc.Rates(tick, arrived, queued)
-						if got := viaDense.alloc.Rates(tick, arrived, queued); !slices.Equal(got, want) {
-							t.Fatalf("tick %d: Rates differs from the reference\n got %v\nwant %v", tick, got, want)
-						}
-						active, a, q := in.Collect(arrived, queued)
-						seen := len(viaSparse.log.events)
-						changed, rates := sparse.RatesActive(tick, active, a, q, applied)
-						var moved []int32
-						for i, r := range want {
-							if r != applied[i] {
-								moved = append(moved, int32(i))
-							}
-						}
-						checkEmitOnChange(t, tick, moved, viaSparse.log.events[seen:])
-						sorted := slices.Clone(changed)
-						slices.Sort(sorted)
-						if !slices.Equal(sorted, moved) {
-							t.Fatalf("tick %d: changed = %v, rates moved for %v", tick, sorted, moved)
-						}
-						for j, i := range changed {
-							applied[i] = rates[j]
-						}
-						if !slices.Equal(applied, want) {
-							t.Fatalf("tick %d: RatesActive's changes differ from the reference\n got %v\nwant %v", tick, applied, want)
-						}
-						for i, r := range want {
-							queued[i] -= bw.Min(queued[i], r)
-						}
-					}
-					for _, p := range []policyUnderTest{viaDense, viaSparse} {
-						if got, want := p.stats(), ref.stats(); got != want {
-							t.Errorf("stats %+v, reference %+v", got, want)
-						}
-						if !slices.Equal(p.log.events, ref.log.events) {
-							t.Errorf("%d events, reference %d; first difference at %d",
-								len(p.log.events), len(ref.log.events), firstDiff(p.log.events, ref.log.events))
-						}
-					}
-					for _, e := range ref.log.events {
-						rules[e.Rule]++
-					}
-				})
+				rows = append(rows, row{k, shape, 0, 16})
 			}
+		}
+		rows = append(rows, row{64, "bursty", 1 << 40, 1 << 24})
+		for _, rw := range rows {
+			k, shape, start, share := rw.k, rw.shape, rw.start, rw.share
+			name := fmt.Sprintf("%s/k=%d/%s", oc.name, k, shape)
+			if start != 0 {
+				name += "/from=2^40/share=2^24"
+			}
+			t.Run(name, func(t *testing.T) {
+				ticks := bw.Tick(60 * do)
+				if k == 1000 {
+					ticks = 24 * do
+				}
+				ref := oc.build(k, share, true)
+				viaDense := oc.build(k, share, false)
+				viaSparse := oc.build(k, share, false)
+				sparse := viaSparse.alloc.(sim.SparseAllocator)
+
+				src := rng.New(uint64(k)*31 + uint64(len(shape)))
+				arrived := make([]bw.Bits, k)
+				queued := make([]bw.Bits, k)  // the real FIFO queues, as the kernel keeps them
+				applied := make([]bw.Rate, k) // the kernel's vector, written only here
+				var in sim.Compact
+				for tick := start; tick < start+ticks; tick++ {
+					oracleTrace(shape, src, arrived, tick, do, share)
+					for i, a := range arrived {
+						queued[i] += a
+					}
+					want := ref.alloc.Rates(tick, arrived, queued)
+					if got := viaDense.alloc.Rates(tick, arrived, queued); !slices.Equal(got, want) {
+						t.Fatalf("tick %d: Rates differs from the reference\n got %v\nwant %v", tick, got, want)
+					}
+					sessions, bits := in.Collect(arrived)
+					seen := len(viaSparse.log.events)
+					changed, rates := sparse.RatesActive(tick, sessions, bits, applied)
+					var moved []int32
+					for i, r := range want {
+						if r != applied[i] {
+							moved = append(moved, int32(i))
+						}
+					}
+					checkEmitOnChange(t, tick, tick == start, moved, viaSparse.log.events[seen:])
+					sorted := slices.Clone(changed)
+					slices.Sort(sorted)
+					if !slices.Equal(sorted, moved) {
+						t.Fatalf("tick %d: changed = %v, rates moved for %v", tick, sorted, moved)
+					}
+					for j, i := range changed {
+						applied[i] = rates[j]
+					}
+					if !slices.Equal(applied, want) {
+						t.Fatalf("tick %d: RatesActive's changes differ from the reference\n got %v\nwant %v", tick, applied, want)
+					}
+					for i, r := range want {
+						queued[i] -= bw.Min(queued[i], r)
+					}
+				}
+				for _, p := range []policyUnderTest{viaDense, viaSparse} {
+					if got, want := p.stats(), ref.stats(); got != want {
+						t.Errorf("stats %+v, reference %+v", got, want)
+					}
+					if !slices.Equal(p.log.events, ref.log.events) {
+						t.Errorf("%d events, reference %d; first difference at %d",
+							len(p.log.events), len(ref.log.events), firstDiff(p.log.events, ref.log.events))
+					}
+				}
+				for _, e := range ref.log.events {
+					rules[e.Rule]++
+				}
+			})
 		}
 		// The comparison above proves nothing about a branch no trace took.
 		need := map[string][]string{
@@ -235,7 +255,7 @@ func TestSparseMatchesDense(t *testing.T) {
 // stage event (Session -1) rewrites rates wholesale, so at its tick
 // neither direction is required; and the first round applies the
 // constructor's initial stage, which emits nothing by design.
-func checkEmitOnChange(t *testing.T, tick bw.Tick, moved []int32, events []obs.Event) {
+func checkEmitOnChange(t *testing.T, tick bw.Tick, first bool, moved []int32, events []obs.Event) {
 	t.Helper()
 	stage := false
 	named := map[int]bool{}
@@ -251,7 +271,7 @@ func checkEmitOnChange(t *testing.T, tick bw.Tick, moved []int32, events []obs.E
 		return
 	}
 	for _, i := range moved {
-		if tick > 0 && !named[int(i)] {
+		if !first && !named[int(i)] {
 			t.Fatalf("tick %d: session %d's rate moved with no renegotiation event (events %v)", tick, i, events)
 		}
 		delete(named, int(i))
@@ -284,7 +304,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 	)
 	for _, oc := range oracleCases(do) {
 		for _, entry := range []string{"Rates", "RatesActive", "Slots.Step"} {
-			p := oc.build(k, false)
+			p := oc.build(k, 16, false)
 			p.alloc.(obs.Observable).SetObserver(nil)
 			src := rng.New(7)
 			arrived := make([]bw.Bits, k)
@@ -307,8 +327,8 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 					for i, a := range arrived {
 						queued[i] += a
 					}
-					active, a, q := in.Collect(arrived, queued)
-					changed, rates := p.alloc.(sim.SparseAllocator).RatesActive(tick, active, a, q, applied)
+					sessions, bits := in.Collect(arrived)
+					changed, rates := p.alloc.(sim.SparseAllocator).RatesActive(tick, sessions, bits, applied)
 					for j, i := range changed {
 						applied[i] = rates[j]
 					}

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,6 +64,18 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // each visiting every drawn slot and nothing else, so a slot's cost is
 // the cache lines its scattered state spans.
 //
+// burst is the shape of a whole dense-100k cycle: every burstCycle
+// rounds — D_O, as there — every slot receives one seeded burst of 48 to
+// 256 bits, which its share drains in 3 to 16 rounds (no phase raises
+// it). The burstCycle-1 rounds after the feeding one are timed: a few
+// with most of the table still draining, fewer and fewer slots, then
+// idle ones. Besides the mean it reports the median and the 90th
+// percentile of those rounds (p50_ns/round, p90_ns/round), the figures
+// dense-100k's op_p50_us and its p90 round stand for; each round must
+// visit exactly the slots whose burst its share has not yet drained.
+// active=100000 is not this shape: there every slot arrives and drains
+// every round.
+//
 // The feeding (and drain's feeding round) is outside the ns/round figure
 // and inside allocs/op, which is 0 once the round's scratch lists have
 // grown to the active count. live_B/slot is the table's live heap, a
@@ -78,18 +91,21 @@ func BenchmarkRound(b *testing.B) {
 		share      = 16 // bits a slot a round: B_O = 16 a slot
 		drainCycle = 16
 		drainSlots = 3500
+		burstCycle = do
 	)
 	base := liveHeap()
 	for _, bc := range []struct {
 		name   string
 		active int
 		drain  bool
+		burst  bool
 	}{
-		{"idle", 0, false},
-		{"active=40", 40, false},
-		{"active=1000", 1000, false},
-		{"active=100000", 100_000, false},
-		{"drain", drainSlots, true},
+		{"idle", 0, false, false},
+		{"active=40", 40, false, false},
+		{"active=1000", 1000, false, false},
+		{"active=100000", 100_000, false, false},
+		{"drain", drainSlots, true, false},
+		{"burst", k, false, true},
 	} {
 		active := bc.active
 		var perSlot float64
@@ -98,6 +114,10 @@ func BenchmarkRound(b *testing.B) {
 			src := rng.New(37)
 			var tick bw.Tick
 			var spent time.Duration
+			// visits[j] is how many slots the burst case's round j after
+			// the feeding one must visit; times holds its timed rounds.
+			var visits [burstCycle]int64
+			var times []time.Duration
 			round := func() time.Duration {
 				start := time.Now()
 				g.round(tick)
@@ -108,7 +128,21 @@ func BenchmarkRound(b *testing.B) {
 			}
 			// step runs one timed round and the feeding it needs.
 			step := func() {
+				want := int64(active)
 				switch {
+				case bc.burst:
+					if tick%burstCycle == 0 {
+						clear(visits[:])
+						for i := 0; i < k; i++ {
+							bits := 48 + src.Int64n(256-48+1)
+							feed(g, i, bits)
+							for j := int64(1); j < int64(burstCycle) && bits > j*share; j++ {
+								visits[j]++
+							}
+						}
+						round()
+					}
+					want = visits[tick%burstCycle]
 				case !bc.drain:
 					for j := 0; j < active; j++ {
 						feed(g, j*(k/active), share)
@@ -120,15 +154,22 @@ func BenchmarkRound(b *testing.B) {
 					}
 					round()
 				}
-				spent += round()
-				if got := g.m.activeSlots.Value(); got != int64(active) {
-					b.Fatalf("round %d visited %d slots, want %d", tick-1, got, active)
+				took := round()
+				spent += took
+				if bc.burst && len(times) < cap(times) {
+					times = append(times, took)
+				}
+				if got := g.m.activeSlots.Value(); got != want {
+					b.Fatalf("round %d visited %d slots, want %d", tick-1, got, want)
 				}
 			}
 			for tick < 80 {
 				step()
 			}
 			spent = 0
+			if bc.burst {
+				times = make([]time.Duration, 0, b.N)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -136,14 +177,23 @@ func BenchmarkRound(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
+			if bc.burst {
+				slices.Sort(times)
+				b.ReportMetric(float64(times[len(times)/2].Nanoseconds()), "p50_ns/round")
+				b.ReportMetric(float64(times[len(times)*9/10].Nanoseconds()), "p90_ns/round")
+			}
 			if b.N == 1 {
 				perSlot = (float64(liveHeap()) - float64(base)) / k
 			}
 			b.ReportMetric(perSlot, "live_B/slot")
-			wantFanout := active >= inlineBelow
-			if fanned := g.m.roundsFanout.Value() > 0; fanned != wantFanout || (g.m.roundsInline.Value() > 0) == wantFanout {
-				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v",
-					g.m.roundsInline.Value(), g.m.roundsFanout.Value(), wantFanout)
+			inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value()
+			switch wantFanout := active >= inlineBelow; {
+			case bc.burst:
+				if inline == 0 || fanout == 0 { // the busy rounds fan out, the drained ones do not
+					b.Errorf("%d rounds ran inline and %d fanned out; want both", inline, fanout)
+				}
+			case (fanout > 0) != wantFanout || (inline > 0) == wantFanout:
+				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v", inline, fanout, wantFanout)
 			}
 		})
 	}
@@ -156,11 +206,11 @@ type panicsOn struct {
 	from bw.Tick
 }
 
-func (a panicsOn) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+func (a panicsOn) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
 	if t >= a.from && t < a.from+3 {
 		panic(fmt.Sprintf("allocator bug at tick %d", t))
 	}
-	return a.SparseAllocator.RatesActive(t, active, arrived, queued, applied)
+	return a.SparseAllocator.RatesActive(t, arrived, bits, applied)
 }
 
 // TestRoundNoPanic: an allocator that panics costs its shard the rounds

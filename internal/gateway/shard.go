@@ -64,7 +64,7 @@ func newShard(g *Gateway, idx, base, n int) *shard {
 func (sh *shard) serve(alloc sim.MultiAllocator) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.alloc = sim.Sparse(alloc, sh.n)
+	sh.alloc = sim.Sparse(alloc, &sh.slots)
 }
 
 // slot maps a wire session ID that names one of this shard's live

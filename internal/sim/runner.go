@@ -158,7 +158,7 @@ func (r *MultiRunner) run(sessions []*trace.Trace, alloc MultiAllocator, opts Op
 	slots := r.size(k)
 	sparse, ok := alloc.(SparseAllocator)
 	if !ok {
-		r.dense.reset(alloc, k)
+		r.dense.reset(alloc, slots)
 		sparse = &r.dense
 	}
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
@@ -41,9 +42,13 @@ const MaxBacklog bw.Bits = 1 << 40
 //
 // Beside the per-slot state sits the active set: one bit per slot, set
 // while the slot has pending arrivals or a non-empty queue. Step visits
-// the active slots and nothing else, and finds them through the set's
-// summary level, so a round costs what its busy sessions cost, whatever
-// the size of the table, and a round with none costs a few word reads.
+// the active slots and nothing else, finding them through the set's
+// summary level, and tells the allocator of the ones with arrivals
+// alone. A slot that only drains is served and nothing else: a policy
+// that holds a session's allocation fixed between its events knows the
+// queue's course from its own accounting. So a round costs its arrivals
+// and its busy slots' serve, whatever the size of the table, and a round
+// with neither costs a few word reads.
 //
 // A Slots value is a view: copies and prefix views share storage. Its
 // methods take a *Slots, so a round, a DATA or a STATS read copies
@@ -70,8 +75,11 @@ type slot struct {
 type running struct {
 	// total is the sum of the view's applied rates, kept on every change.
 	total bw.Rate
-	// in is the round's compact input to the allocator.
-	in Compact
+	// visit lists the active slots for the round's two passes, and in is
+	// its compact input to the allocator: the slots that received bits,
+	// and the bits each received.
+	visit []int32
+	in    Compact
 }
 
 // NewSlots returns k empty slots.
@@ -209,12 +217,13 @@ type Round struct {
 	Backlogged int
 }
 
-// Step runs the round for tick t over the active slots: each one's
-// pending arrivals move into its queue, as far as MaxBacklog lets them;
-// alloc, told of those slots only, picks the rates; the rates that
-// changed are applied and counted; each active queue is served at its
-// rate, and a slot whose queue empties leaves the active set. Ticks must
-// be nondecreasing across calls.
+// Step runs the round for tick t in two walks over the active slots.
+// The first moves each one's pending arrivals into its queue, as far as
+// MaxBacklog lets them. alloc, told of the slots that received bits and
+// nothing else, picks the rates; the rates that changed are applied and
+// counted. The second serves each active queue at its rate, and a slot
+// whose queue empties leaves the active set. Ticks must be nondecreasing
+// across calls.
 //
 // An allocator that breaks its contract — a change of a session the
 // view does not have, a negative rate, or a different number of
@@ -224,51 +233,80 @@ type Round struct {
 // every slot keeps its previous rate and count, and every visited slot
 // stays backlogged.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
-	in := &s.run.in
-	in.reset()
-	in.idx = s.active.AppendTo(in.idx, 0, len(s.slots))
-	r := Round{Rates: s.rates, Total: s.run.total, Active: len(in.idx), Backlogged: len(in.idx)}
-	for _, i := range in.idx {
-		sl := &s.slots[i]
+	run, slots, applied := s.run, s.slots, s.rates
+	run.visit = s.active.AppendTo(run.visit[:0], 0, len(slots))
+	r := Round{Rates: applied, Total: run.total, Active: len(run.visit), Backlogged: len(run.visit)}
+	// The walks keep their sums and lists in locals: a store through a
+	// slot could alias a field, so the compiler would write each back
+	// every slot.
+	arrived, policed, sessions, got := bw.Bits(0), bw.Bits(0), run.in.idx[:0], run.in.bits[:0]
+	for _, i := range run.visit {
+		sl := &slots[i]
 		a := sl.pending
+		if a == 0 {
+			continue // draining: nothing for the allocator
+		}
 		sl.pending = 0
 		if room := MaxBacklog - sl.q.Bits(); a > room {
-			r.Policed += a - room
+			policed += a - room
 			a = room
 		}
+		if a == 0 {
+			continue // policed whole: the queue is full
+		}
 		sl.q.Push(t, a)
-		in.arrived = append(in.arrived, a)
-		in.queued = append(in.queued, sl.q.Bits())
-		r.Arrived += a
+		sessions = append(sessions, i)
+		got = append(got, a)
+		arrived += a
 	}
-	changed, rates := alloc.RatesActive(t, in.idx, in.arrived, in.queued, s.rates)
+	run.in.idx, run.in.bits = sessions, got
+	r.Arrived, r.Policed = arrived, policed
+	changed, rates := alloc.RatesActive(t, sessions, got, applied)
 	if len(rates) != len(changed) {
 		return r, fmt.Errorf("sim: allocator reports %d rates for %d changed sessions at tick %d", len(rates), len(changed), t)
 	}
 	for j, i := range changed {
-		if uint(i) >= uint(len(s.rates)) {
-			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(s.rates), t)
+		if uint(i) >= uint(len(applied)) {
+			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(applied), t)
 		}
 		if rates[j] < 0 {
 			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[j], t)
 		}
 	}
 	for j, i := range changed {
-		if rate := rates[j]; rate != s.rates[i] {
-			s.run.total += rate - s.rates[i]
-			s.rates[i] = rate
-			s.slots[i].changes++
+		if rate := rates[j]; rate != applied[i] {
+			run.total += rate - applied[i]
+			applied[i] = rate
+			slots[i].changes++
 			r.Changes++
 		}
 	}
-	r.Total = s.run.total
-	for _, i := range in.idx {
-		q := &s.slots[i].q
-		r.Served += q.Serve(t, s.rates[i])
+	r.Total = run.total
+	// The visited slots come in ascending order, so the ones a word of
+	// the active set loses leave it in one write.
+	served, w, drained := bw.Bits(0), 0, uint64(0)
+	for _, i := range run.visit {
+		if int(i)>>6 != w {
+			r.Backlogged -= s.retire(w, drained)
+			w, drained = int(i)>>6, 0
+		}
+		q := &slots[i].q
+		served += q.Serve(t, applied[i])
 		if q.Bits() == 0 {
-			s.active.Remove(int(i))
-			r.Backlogged--
+			drained |= 1 << (uint(i) & 63)
 		}
 	}
+	r.Backlogged -= s.retire(w, drained)
+	r.Served = served
 	return r, nil
+}
+
+// retire takes the slots drained, word w's members as bits, out of the
+// active set and returns how many they were.
+func (s *Slots) retire(w int, drained uint64) int {
+	if drained == 0 {
+		return 0
+	}
+	s.active.RemoveWord(w, drained)
+	return bits.OnesCount64(drained)
 }

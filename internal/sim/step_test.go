@@ -60,7 +60,7 @@ func TestSlotsStepRound(t *testing.T) {
 			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
 		}
 		return []bw.Rate{4, 3}
-	}), 2)
+	}), &s)
 	r, err := s.Step(0, alloc)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSlotsStepRound(t *testing.T) {
 			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
 		}
 		return []bw.Rate{4, 3}
-	}), 2)
+	}), &s)
 	// A fresh adapter diffs against zero rates; the kernel must still
 	// count no change, since it compares with what it applied.
 	if r, err = s.Step(1, alloc); err != nil || r.Arrived != 0 || r.Served != 4 || r.Total != 7 || r.Changes != 0 || r.Active != 1 {
@@ -104,7 +104,7 @@ func TestSlotsStepContractViolation(t *testing.T) {
 		s.Add(0, 8)
 		s.Add(1, 8)
 		rates := tc.rates
-		alloc := Sparse(multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate { return rates }), 2)
+		alloc := Sparse(multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate { return rates }), &s)
 		for tick := bw.Tick(0); tick < 2; tick++ { // a standing violation is reported every round
 			r, err := s.Step(tick, alloc)
 			if err == nil {
@@ -131,7 +131,7 @@ func TestSlotsStepContractViolation(t *testing.T) {
 // ragged reports more sessions than rates.
 type ragged struct{}
 
-func (ragged) RatesActive(bw.Tick, []int32, []bw.Bits, []bw.Bits, []bw.Rate) ([]int32, []bw.Rate) {
+func (ragged) RatesActive(bw.Tick, []int32, []bw.Bits, []bw.Rate) ([]int32, []bw.Rate) {
 	return []int32{0, 1}, []bw.Rate{5}
 }
 
@@ -154,19 +154,20 @@ func TestSlotsStepRejectsRaggedAnswer(t *testing.T) {
 func TestSlotsSliceAndMove(t *testing.T) {
 	const k = 200 // a view of 100 slots: its bound splits word 1 of the set
 	s := NewSlots(k)
-	constant := func(n int, rate func(bw.Tick) bw.Rate) SparseAllocator {
+	constant := func(v *Slots, rate func(bw.Tick) bw.Rate) SparseAllocator {
 		return Sparse(multiAllocFunc(func(tk bw.Tick, _, _ []bw.Bits) []bw.Rate {
-			out := make([]bw.Rate, n)
+			out := make([]bw.Rate, v.Len())
 			for i := range out {
 				out[i] = rate(tk)
 			}
 			return out
-		}), n)
+		}), v)
 	}
 	s.Add(99, 3)   // the view's last slot
 	s.Add(100, 20) // the first one past it
 	s.Add(163, 1)
-	low, lowAlloc := s.prefix(100), constant(100, func(bw.Tick) bw.Rate { return 2 })
+	low := s.prefix(100)
+	lowAlloc := constant(&low, func(bw.Tick) bw.Rate { return 2 })
 	if r, err := low.Step(0, lowAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 || r.Changes != 100 {
 		t.Fatalf("view tick 0: round = %+v, %v", r, err)
 	}
@@ -183,7 +184,7 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	// The whole table: the slots past the old view are visited, and the
 	// round's total counts the 100 rates the view applied.
 	whole := s.prefix(k)
-	r, err := whole.Step(2, constant(k, func(tk bw.Tick) bw.Rate { return 5 + tk }))
+	r, err := whole.Step(2, constant(&whole, func(tk bw.Tick) bw.Rate { return 5 + tk }))
 	if err != nil || r.Active != 2 || r.Arrived != 21 || r.Served != 8 || r.Backlogged != 1 || r.Total != 7*k || r.Changes != k {
 		t.Fatalf("whole table: round = %+v, %v", r, err)
 	}
@@ -193,21 +194,24 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	}
 }
 
-// spy is a sparse allocator that records what the kernel told it and
-// reports no change. rates is what the allocators built on it hand out.
+// spy is a sparse allocator that records which sessions the kernel told
+// it of and reports no change. rates is what the allocators built on it
+// hand out.
 type spy struct {
-	rates  []bw.Rate
-	active []int32
+	rates []bw.Rate
+	told  []int32
 }
 
-func (a *spy) RatesActive(_ bw.Tick, active []int32, _, _ []bw.Bits, _ []bw.Rate) ([]int32, []bw.Rate) {
-	a.active = append(a.active[:0], active...)
+func (a *spy) RatesActive(_ bw.Tick, arrived []int32, _ []bw.Bits, _ []bw.Rate) ([]int32, []bw.Rate) {
+	a.told = append(a.told[:0], arrived...)
 	return nil, nil
 }
 
-// TestSlotsActiveSet: Round.Active is the number of slots with arrivals
-// or a backlog, the allocator is told of exactly those, and a round over
-// an idle table — whatever its size — visits nothing and allocates
+// TestSlotsActiveSet: the allocator is told of exactly the slots that
+// received bits since the last round; Round.Active counts the slots the
+// round visited — those, and the ones with bits queued from before —
+// and Round.Backlogged the ones it left with bits queued; and a round
+// over an idle table, whatever its size, visits nothing and allocates
 // nothing.
 func TestSlotsActiveSet(t *testing.T) {
 	const k = 100_000
@@ -215,34 +219,48 @@ func TestSlotsActiveSet(t *testing.T) {
 	a := &spy{rates: make([]bw.Rate, k)}
 	idle := func() {
 		r, err := s.Step(0, a)
-		if err != nil || r.Active != 0 || len(a.active) != 0 {
-			t.Fatalf("idle round = %+v, %v; allocator told of %v", r, err, a.active)
+		if err != nil || r.Active != 0 || r.Backlogged != 0 || len(a.told) != 0 {
+			t.Fatalf("idle round = %+v, %v; allocator told of %v", r, err, a.told)
 		}
 	}
 	if avg := testing.AllocsPerRun(10, idle); avg != 0 {
 		t.Errorf("idle round over %d slots allocates %.1f objects", k, avg)
 	}
 
-	// Rate 0 everywhere: what arrives stays queued, so the backlogged
-	// slots are exactly the ones that ever received bits.
+	// Rate 0 everywhere: what arrives stays queued, so the visited slots
+	// are exactly the ones that ever received bits, while the allocator
+	// hears of each only in the round its bits arrive.
 	want := []int32{0, 63, 64, 4097, k - 1}
 	for _, i := range want {
 		s.Add(int(i), 5)
 	}
 	for tick := bw.Tick(1); tick < 4; tick++ {
+		told := want
+		if tick > 1 {
+			told = nil
+		}
 		r, err := s.Step(tick, a)
-		if err != nil || r.Active != len(want) || !slices.Equal(a.active, want) {
-			t.Fatalf("tick %d: round = %+v, %v; allocator told of %v, want %v", tick, r, err, a.active, want)
+		if err != nil || r.Active != len(want) || r.Backlogged != len(want) || !slices.Equal(a.told, told) {
+			t.Fatalf("tick %d: round = %+v, %v; allocator told of %v, want %v", tick, r, err, a.told, told)
 		}
 	}
-	// Serve slot 64 dry: it leaves the set, the others stay.
-	a.rates[64] = 5
-	if _, err := s.Step(4, rateChange{a, 64}); err != nil {
-		t.Fatal(err)
+	// Bits for one queued slot and one idle one: the allocator hears of
+	// those two, the round visits all six.
+	s.Add(63, 1)
+	s.Add(5000, 2)
+	r, err := s.Step(4, a)
+	if told := []int32{63, 5000}; err != nil || r.Active != 6 || r.Backlogged != 6 || !slices.Equal(a.told, told) {
+		t.Fatalf("tick 4: round = %+v, %v; allocator told of %v, want %v", r, err, a.told, told)
 	}
-	r, err := s.Step(5, a)
-	if want := []int32{0, 63, 4097, k - 1}; err != nil || r.Active != 4 || !slices.Equal(a.active, want) {
-		t.Errorf("after slot 64 drained: round = %+v, %v; allocator told of %v", r, err, a.active)
+	// Serve slot 64 dry: the round that does so still visits it, and it
+	// leaves the set; the others stay, and the allocator hears of none.
+	a.rates[64] = 5
+	if r, err := s.Step(5, rateChange{a, 64}); err != nil || r.Active != 6 || r.Backlogged != 5 || len(a.told) != 0 {
+		t.Fatalf("tick 5: round = %+v, %v; allocator told of %v", r, err, a.told)
+	}
+	r, err = s.Step(6, a)
+	if err != nil || r.Active != 5 || len(a.told) != 0 {
+		t.Errorf("after slot 64 drained: round = %+v, %v; allocator told of %v", r, err, a.told)
 	}
 	backlogged := 0
 	for i := 0; i < k; i++ {
@@ -250,8 +268,8 @@ func TestSlotsActiveSet(t *testing.T) {
 			backlogged++
 		}
 	}
-	if r.Active != backlogged {
-		t.Errorf("Round.Active = %d, %d slots are backlogged", r.Active, backlogged)
+	if r.Active != backlogged || r.Backlogged != backlogged {
+		t.Errorf("Round.Active = %d, Round.Backlogged = %d, %d slots are backlogged", r.Active, r.Backlogged, backlogged)
 	}
 }
 
@@ -267,8 +285,8 @@ type everyRate struct {
 
 func newEveryRate(rate bw.Rate) *everyRate { return &everyRate{rate: rate} }
 
-func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
-	a.spy.RatesActive(t, active, arrived, queued, applied)
+func (a *everyRate) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.spy.RatesActive(t, arrived, bits, applied)
 	a.changed, a.moved = a.changed[:0], a.moved[:0]
 	for i, r := range applied {
 		if r != a.rate {
@@ -280,19 +298,20 @@ func (a *everyRate) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.
 }
 
 // TestSlotsViewsShareTheActiveSet: a prefix view reads the table's own
-// active set, through both of the set's levels. On a table wide enough
-// for three summary words, views whose bounds fall inside member words
-// and straddle summary words are taken one after another, as a runner
-// takes one per run, in random order. Under each, random Adds (through
-// the table and through the view), Vacates, the view's Reset and rounds
-// that drain slots leave every round visiting exactly the view's slots
-// that hold bits — the reference is a walk over them — and reporting how
-// many it left backlogged. Slots past a view keep their bits and their
-// place in the set, and the next wider view visits them. (That a summary
-// bit is set exactly while its word is non-zero is bitset's own test; the
-// kernel writes the set through Add, Remove and ClearRange alone. A
-// summary bit cleared too early would hide a slot with work from a view
-// here.)
+// pending and active sets, through both levels of each. On a table wide
+// enough for three summary words, views whose bounds fall inside member
+// words and straddle summary words are taken one after another, as a
+// runner takes one per run, in random order. Under each, random Adds
+// (through the table and through the view), Vacates, the view's Reset
+// and rounds that drain slots leave every round telling the allocator of
+// exactly the view's slots with bits pending, visiting exactly its slots
+// that hold bits — the references are walks over them — and reporting
+// how many it left backlogged. Slots past a view keep their bits and
+// their place in the sets, and the next wider view visits them. (That a
+// summary bit is set exactly while its word is non-zero is bitset's own
+// test; the kernel writes the sets through Add, Remove and ClearRange
+// alone. A summary bit cleared too early would hide a slot with work
+// from a view here.)
 func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 	const k = 2*64*64 + 500
 	cuts := []int{3000, 6000, k}
@@ -330,16 +349,20 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 			case op == 5 && step%97 == 0:
 				v.Reset()
 			default:
-				var want []int32
+				var told []int32
+				visits := 0
 				for i := 0; i < n; i++ {
+					if s.Pending(i) > 0 {
+						told = append(told, int32(i))
+					}
 					if hasWork(i) {
-						want = append(want, int32(i))
+						visits++
 					}
 				}
 				r, err := v.Step(tick, alloc)
 				tick++
-				if err != nil || r.Active != len(want) || !slices.Equal(alloc.active, want) {
-					t.Fatalf("phase %d, step %d, view of %d: round = %+v, %v; allocator told of %v, want %v", phase, step, n, r, err, alloc.active, want)
+				if err != nil || r.Active != visits || !slices.Equal(alloc.told, told) {
+					t.Fatalf("phase %d, step %d, view of %d: round = %+v, %v, want %d visits; allocator told of %v, want %v", phase, step, n, r, err, visits, alloc.told, told)
 				}
 				left := 0
 				for i := 0; i < n; i++ {
@@ -350,7 +373,7 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 				if r.Backlogged != left {
 					t.Fatalf("phase %d, step %d, view of %d: Round.Backlogged = %d, %d slots hold bits", phase, step, n, r.Backlogged, left)
 				}
-				if len(want) > 0 {
+				if visits > 0 {
 					rounds++
 				}
 			}
@@ -368,8 +391,8 @@ type rateChange struct {
 	session int32
 }
 
-func (a rateChange) RatesActive(t bw.Tick, active []int32, arrived, queued []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
-	a.spy.RatesActive(t, active, arrived, queued, applied)
+func (a rateChange) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.spy.RatesActive(t, arrived, bits, applied)
 	if r := a.rates[a.session]; r != applied[a.session] {
 		return []int32{a.session}, []bw.Rate{r}
 	}
@@ -468,14 +491,16 @@ func TestSlotsVacate(t *testing.T) {
 	if got := s.Vacate(0); got != (Tenancy{}) {
 		t.Errorf("a second Vacate finds %+v", got)
 	}
+	// The vacated slot's pending bits are gone with it: the round visits
+	// slot 1's backlog alone and tells the allocator of no arrival.
 	r, err := s.Step(3, a)
-	if want := []int32{1}; err != nil || r.Active != 1 || !slices.Equal(a.active, want) {
-		t.Errorf("round after Vacate = %+v, %v; allocator told of %v, want %v", r, err, a.active, want)
+	if err != nil || r.Active != 1 || r.Arrived != 0 || len(a.told) != 0 {
+		t.Errorf("round after Vacate = %+v, %v; allocator told of %v, want none", r, err, a.told)
 	}
 	// The next tenant's first bit is served on arrival.
 	s.Add(0, 3)
-	if _, err := s.Step(4, a); err != nil {
-		t.Fatal(err)
+	if r, err := s.Step(4, a); err != nil || r.Active != 2 || !slices.Equal(a.told, []int32{0}) {
+		t.Fatalf("next tenant's round = %+v, %v; allocator told of %v, want [0]", r, err, a.told)
 	}
 	if q := s.Queue(0); q.Served() != 3 || q.MaxDelay() != 0 {
 		t.Errorf("next tenant: served %d, max delay %d", q.Served(), q.MaxDelay())
