@@ -6,20 +6,14 @@
 // that costs a bit, not a word, per slot.
 //
 // The set has two levels. Above the members' words sits a summary, one
-// bit per word, set exactly while that word is non-zero; every write
-// keeps it so. AppendTo reads the summary first and visits only the
-// words it names, so listing an empty range of 12 500 slots reads 4
+// bit per word, set exactly while that word is non-zero; Add, Remove and
+// ClearRange keep it so. AppendTo reads the summary first and visits only
+// the words it names, so listing an empty range of 12 500 slots reads 4
 // words instead of 196, and listing a sparse one costs what its members'
 // words cost: an idle shard of a large table is a few word reads to the
 // kernel and to each policy, every round. The summary is one word per
 // 4 096 members. NextClear looks for a word that is not full, which the
 // summary says nothing about, and scans the words as before.
-//
-// Writes can take a word at a time: AddList inserts a list of members
-// with one word write for each run of them that shares a word, and
-// RemoveWord deletes any of one word's members at once. A round that
-// moves thousands of slots in or out of a set does not pay a
-// read-modify-write of the same word per slot.
 //
 // bwlint:deterministic
 package bitset
@@ -61,32 +55,6 @@ func (s Set) Remove(i int) {
 	}
 }
 
-// AddList inserts every member of list. It is correct in any order and
-// cheapest in ascending order, where it writes each word once.
-func (s Set) AddList(list []int32) {
-	for len(list) > 0 {
-		var w int
-		var m uint64
-		w, m, list = run(list)
-		word := s.words[w]
-		s.words[w] = word | m
-		if word == 0 {
-			s.sum[w>>6] |= 1 << (uint(w) & 63)
-		}
-	}
-}
-
-// run returns the word of list[0], the mask of the members at the head
-// of list that share it, and the rest of list.
-func run(list []int32) (w int, m uint64, rest []int32) {
-	w = int(list[0]) >> 6
-	j := 0
-	for ; j < len(list) && int(list[j])>>6 == w; j++ {
-		m |= 1 << (uint(list[j]) & 63)
-	}
-	return w, m, list[j:]
-}
-
 // Has reports whether i is a member.
 func (s Set) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -104,17 +72,6 @@ func span(w, lo, hi int) uint64 {
 	return mask
 }
 
-// RemoveWord deletes the members m of word w, member w·64+b as bit b: a
-// caller that walked a list of members in ascending order removes what
-// it found done with one write a word.
-func (s Set) RemoveWord(w int, m uint64) {
-	word := s.words[w] &^ m
-	s.words[w] = word
-	if word == 0 {
-		s.sum[w>>6] &^= 1 << (uint(w) & 63)
-	}
-}
-
 // AppendTo appends the members in [lo, hi) to dst in ascending order.
 // Callers iterate the returned list, so they may add and remove members
 // as they go.
@@ -124,16 +81,9 @@ func (s Set) AppendTo(dst []int32, lo, hi int) []int32 {
 	}
 	wlo, whi := lo>>6, (hi-1)>>6+1 // the words that overlap the range
 	for sw := wlo >> 6; sw <= (whi-1)>>6; sw++ {
-		if s.sum[sw] == 0 {
-			continue // an idle stretch costs a word read, not a mask
-		}
 		for live := s.sum[sw] & span(sw, wlo, whi); live != 0; live &= live - 1 {
 			w := sw<<6 + bits.TrailingZeros64(live)
-			word := s.words[w]
-			if w == wlo || w == whi-1 { // only the range's end words are cut
-				word &= span(w, lo, hi)
-			}
-			for ; word != 0; word &= word - 1 {
+			for word := s.words[w] & span(w, lo, hi); word != 0; word &= word - 1 {
 				dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
 			}
 		}
@@ -160,6 +110,10 @@ func (s Set) ClearRange(lo, hi int) {
 		return
 	}
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		s.RemoveWord(w, span(w, lo, hi))
+		word := s.words[w] &^ span(w, lo, hi)
+		s.words[w] = word
+		if word == 0 {
+			s.sum[w>>6] &^= 1 << (uint(w) & 63)
+		}
 	}
 }

@@ -39,47 +39,13 @@ func TestAgainstMap(t *testing.T) {
 		}
 		return (src.Intn(3)*(64*64+700) + src.Intn(200)) % n
 	}
-	// list is a few members, ascending when sorted is set, as a round
-	// hands them to AddList and RemoveList.
-	list := func(sorted bool) []int32 {
-		var l []int32
-		for n := src.Intn(12); len(l) < n; {
-			l = append(l, int32(member()))
-		}
-		if sorted {
-			slices.Sort(l)
-		}
-		return l
-	}
 	for step := 0; step < 6000; step++ {
 		i := member()
-		switch src.Intn(5) {
+		switch src.Intn(3) {
 		case 0:
 			s.Remove(i)
 			delete(ref, i)
 			checkSummary(t, s, "Remove")
-		case 1:
-			l := list(src.Intn(4) != 0)
-			s.AddList(l)
-			for _, j := range l {
-				ref[int(j)] = true
-			}
-			checkSummary(t, s, "AddList")
-		case 2:
-			// Remove some members of each word of a list, one
-			// RemoveWord a word, as the kernel's serve pass does.
-			l := list(true)
-			for j := 0; j < len(l); {
-				w, drop := int(l[j])>>6, uint64(0)
-				for ; j < len(l) && int(l[j])>>6 == w; j++ {
-					if src.Intn(2) == 0 {
-						drop |= 1 << (uint(l[j]) & 63)
-						delete(ref, int(l[j]))
-					}
-				}
-				s.RemoveWord(w, drop)
-				checkSummary(t, s, "RemoveWord")
-			}
 		default:
 			s.Add(i)
 			ref[i] = true

@@ -178,8 +178,8 @@ func (c *channels) arrive(arrived []int32, bits []bw.Bits) {
 	for j, i := range arrived {
 		s := &sess[i]
 		s.vr = bw.Max(s.vr, bw.Volume(s.bir, since)) + bits[j]
+		c.live.Add(int(i))
 	}
-	c.live.AddList(arrived)
 }
 
 // leave empties session i's virtual queues: the session ended and the

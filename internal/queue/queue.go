@@ -107,14 +107,6 @@ func (m *backlog) append(c chunk) {
 // number served. Delay of a bit served at tick t is t minus its arrival
 // tick (a bit served in its arrival tick has delay 0).
 func (q *FIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
-	if n := q.bits; n > 0 && bw.Volume(rate, 1) >= n && q.more == nil {
-		// One arrival tick's bits, all served, and no histogram to tell:
-		// a round's common case, with no chunk to walk.
-		q.maxDelay = max(q.maxDelay, t-q.head.arrived)
-		q.head, q.bits = chunk{}, 0
-		q.served += n
-		return n
-	}
 	if rate < 0 {
 		panic(fmt.Sprintf("queue: Serve negative rate %d", rate))
 	}

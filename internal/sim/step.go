@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
@@ -282,31 +281,15 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		}
 	}
 	r.Total = run.total
-	// The visited slots come in ascending order, so the ones a word of
-	// the active set loses leave it in one write.
-	served, w, drained := bw.Bits(0), 0, uint64(0)
+	served, backlogged := bw.Bits(0), r.Backlogged
 	for _, i := range run.visit {
-		if int(i)>>6 != w {
-			r.Backlogged -= s.retire(w, drained)
-			w, drained = int(i)>>6, 0
-		}
 		q := &slots[i].q
 		served += q.Serve(t, applied[i])
 		if q.Bits() == 0 {
-			drained |= 1 << (uint(i) & 63)
+			s.active.Remove(int(i))
+			backlogged--
 		}
 	}
-	r.Backlogged -= s.retire(w, drained)
-	r.Served = served
+	r.Served, r.Backlogged = served, backlogged
 	return r, nil
-}
-
-// retire takes the slots drained, word w's members as bits, out of the
-// active set and returns how many they were.
-func (s *Slots) retire(w int, drained uint64) int {
-	if drained == 0 {
-		return 0
-	}
-	s.active.RemoveWord(w, drained)
-	return bits.OnesCount64(drained)
 }

@@ -298,20 +298,20 @@ func (a *everyRate) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appl
 }
 
 // TestSlotsViewsShareTheActiveSet: a prefix view reads the table's own
-// pending and active sets, through both levels of each. On a table wide
-// enough for three summary words, views whose bounds fall inside member
-// words and straddle summary words are taken one after another, as a
-// runner takes one per run, in random order. Under each, random Adds
-// (through the table and through the view), Vacates, the view's Reset
-// and rounds that drain slots leave every round telling the allocator of
-// exactly the view's slots with bits pending, visiting exactly its slots
-// that hold bits — the references are walks over them — and reporting
-// how many it left backlogged. Slots past a view keep their bits and
-// their place in the sets, and the next wider view visits them. (That a
-// summary bit is set exactly while its word is non-zero is bitset's own
-// test; the kernel writes the sets through Add, Remove and ClearRange
-// alone. A summary bit cleared too early would hide a slot with work
-// from a view here.)
+// active set, through both of its levels. On a table wide enough for
+// three summary words, views whose bounds fall inside member words and
+// straddle summary words are taken one after another, as a runner takes
+// one per run, in random order. Under each, random Adds (through the
+// table and through the view), Vacates, the view's Reset and rounds that
+// drain slots leave every round telling the allocator of exactly the
+// view's slots with Pending > 0, visiting exactly its slots that hold
+// bits — the references are walks over them — and reporting how many it
+// left backlogged. Slots past a view keep their bits and their place in
+// the set, and the next wider view visits them. (That a summary bit is
+// set exactly while its word is non-zero is bitset's own test; the
+// kernel writes the set through Add, Remove and ClearRange alone. A
+// summary bit cleared too early would hide a slot with work from a view
+// here.)
 func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 	const k = 2*64*64 + 500
 	cuts := []int{3000, 6000, k}
