@@ -55,20 +55,23 @@ bench:
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 
-# BenchmarkRound at two revisions, in alternating pairs on one box: the
-# gateway test binary is built from `git archive $(BASE)` under $TMPDIR
-# and from the working tree, the two binaries' BenchmarkRound runs
-# alternate N times (base first), and each case's per-round figures
-# (ns/round, and burst's p50 and p90) are printed as the two medians,
+# A gateway benchmark at two revisions, in alternating pairs on one box:
+# the gateway test binary is built from `git archive $(BASE)` under
+# $TMPDIR and from the working tree, the two binaries' BENCH runs
+# (BenchmarkRound unless set) alternate N times (base first), and each
+# case's ns/... figures (BenchmarkRound's ns/round, and burst's p50 and
+# p90; BenchmarkBatchFrames' ns/op) are printed as the two medians,
 # their ratio, the range of the pairs' own ratios and the pairs in which
-# head was lower. A claim about a
-# round's cost rests on this, not on one run: absolute figures move by
-# the day and by the neighbours on a shared box. A case only head has is
-# printed with head's median alone. BENCHFLAGS passes more flags to both
-# binaries, e.g. BENCHFLAGS="-test.bench='BenchmarkRound/(drain|burst)'"
-# to run two cases (a later -test.bench wins).
+# head was lower. A claim about a round's or a frame's cost rests on
+# this, not on one run: absolute figures move by the day and by the
+# neighbours on a shared box. A case only head has is printed with
+# head's median alone. BENCHFLAGS passes more flags to both binaries,
+# e.g. BENCHFLAGS="-test.bench='BenchmarkRound/(drain|burst)'" to run
+# two cases (a later -test.bench wins); BENCH=BenchmarkBatchFrames pairs
+# the wire path.
 BASE ?= HEAD
 N ?= 10
+BENCH ?= BenchmarkRound
 BENCHFLAGS ?=
 bench-round-pairs:
 	@set -e; tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/bench-round-pairs.XXXXXX"); \
@@ -76,11 +79,11 @@ bench-round-pairs:
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" ./internal/gateway/); \
 	$(GO) test -c -o "$$tmp/head.test" ./internal/gateway/; \
-	echo "BenchmarkRound, $(N) alternating pairs: base $(BASE), head the working tree"; \
+	echo "$(BENCH), $(N) alternating pairs: base $(BASE), head the working tree"; \
 	for i in $$(seq $(N)); do for side in base head; do \
-		"$$tmp/$$side.test" -test.run '^$$' -test.bench BenchmarkRound -test.timeout 30m $(BENCHFLAGS) | \
-		awk -v side=$$side -v pair=$$i '/^BenchmarkRound/ { \
-			for (f = 3; f < NF; f++) if ($$(f+1) ~ /ns\/round$$/) print side, pair, $$1, $$(f+1), $$f }'; \
+		"$$tmp/$$side.test" -test.run '^$$' -test.bench '$(BENCH)' -test.timeout 30m $(BENCHFLAGS) | \
+		awk -v side=$$side -v pair=$$i '/^Benchmark/ { \
+			for (f = 3; f < NF; f++) if ($$(f+1) ~ /ns\//) print side, pair, $$1, $$(f+1), $$f }'; \
 	done; done > "$$tmp/runs"; \
 	awk ' \
 		function median(key, side,   n, i, j, v, a) { \

@@ -455,18 +455,20 @@ func unitAllocs(t *testing.T, g *Gateway, unit []byte) float64 {
 // protocol error mid-way does what the messages ahead of the error do
 // sent alone: they are applied and answered.
 func TestBatchedEqualsUnbatched(t *testing.T) {
-	// Eight sessions, IDs 0..7, two on each of four shards or all on one.
-	// A CLOSE lets the next OPEN take the slot under the next tag: the
-	// closed session 4 (index 4, 3 index bits) is followed by ID 1<<3|4.
-	const k, reopened = 8, 1<<3 | 4
+	// Twelve slots, three on each of four shards or all on one: the
+	// connection's eleven sessions, IDs 0..10, and another connection's,
+	// ID 11. Twelve slots take four index bits, so indexes 12..15 name
+	// no slot. A CLOSE lets the next OPEN take the slot under the next
+	// tag: the closed session 4 is followed by ID 1<<4|4.
+	const k, mine, foreign, reopened = 12, 11, 11, 1<<4 | 4
 	data := func(id int, bits uint64) []byte { return fuzzSeed(typeData, uint64(id), bits) }
 	stats := func(id int) []byte { return fuzzSeed(typeStats, uint64(id)) }
 	closing := func(id int) []byte { return fuzzSeed(typeClose, uint64(id)) }
 	traced := func(msg []byte) []byte { return append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 7}, msg...) }
 	open := fuzzSeed(typeOpen)
 	var everySession, alternating [][]byte
-	for id := range k {
-		everySession = append(everySession, data(id, uint64(id+1)), stats((id+3)%k))
+	for id := range mine {
+		everySession = append(everySession, data(id, uint64(id+1)), stats((id+3)%mine))
 		alternating = append(alternating, data(id, uint64(2*id+1)), stats(id))
 	}
 	tests := []struct {
@@ -487,13 +489,19 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 		{name: "DATA and STATS alternating across shards", msgs: alternating},
 		{name: "an unowned ID mid-frame", msgs: [][]byte{data(0, 8), stats(1), data(1, 8), data(2, 3), data(reopened, 8), stats(2), data(0, 1)}, wantErr: true, bad: 4},
 		{name: "negative bits mid-frame", msgs: [][]byte{stats(0), data(0, 5), stats(1), data(3, 6), data(1, 1<<63), stats(1)}, wantErr: true, bad: 4},
+		// The ownership of what waits is checked before a timed DATA applies
+		// on its own: it may not overtake the unowned ID read before it.
+		{name: "an unowned ID before a traced DATA", msgs: [][]byte{data(0, 8), stats(1), data(reopened, 8), traced(data(1, 5)), stats(1)}, wantErr: true, bad: 2},
+		{name: "another connection's session mid-frame", msgs: [][]byte{stats(2), data(0, 5), data(3, 7), stats(foreign), data(1, 4), stats(0)}, wantErr: true, bad: 3},
+		// Index 13 would pick the fifth of four shards.
+		{name: "an index past the table mid-frame", msgs: [][]byte{data(0, 8), stats(5), data(13, 8), stats(0)}, wantErr: true, bad: 2},
 	}
 	for _, shards := range []int{1, 4} {
 		for _, every := range []int{1, 1024} {
 			for _, tt := range tests {
 				t.Run(fmt.Sprintf("shards=%d/every=%d/%s", shards, every, tt.name), func(t *testing.T) {
-					batched, bcs := equivFixture(t, k, shards, every)
-					single, scs := equivFixture(t, k, shards, every)
+					batched, bcs := equivFixture(t, k, mine, shards, every)
+					single, scs := equivFixture(t, k, mine, shards, every)
 					var got, want bytes.Buffer
 					err := batched.handleMessage(wireReader(batchFrame(len(tt.msgs), tt.msgs...)), &got, bcs)
 					ref := tt.msgs
@@ -537,18 +545,23 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 }
 
 // equivFixture is a gateway of k slots over the given shards, sampling 1
-// in every, whose connection has opened k sessions (one unit each), sent
-// each a different number of bits and let two rounds serve part of them,
-// so that STATS replies differ from session to session.
-func equivFixture(t *testing.T, k, shards, every int) (*Gateway, *connState) {
+// in every, whose connection has opened the first mine sessions and
+// another connection the rest (one unit each), has sent each a different
+// number of bits and let two rounds serve part of them, so that STATS
+// replies differ from session to session.
+func equivFixture(t *testing.T, k, mine, shards, every int) (*Gateway, *connState) {
 	g := newRounds(t, "phased", k, shards, 4)
 	g.sampler = obs.NewSampler(uint64(every), g.m.connStripes)
-	cs := g.getConnState(0, 0)
+	cs, other := g.getConnState(0, 0), g.getConnState(0, 0)
 	for id := range k {
-		if err := g.handleMessage(wireReader(fuzzSeed(typeOpen)), io.Discard, cs); err != nil {
+		owner := cs
+		if id >= mine {
+			owner = other
+		}
+		if err := g.handleMessage(wireReader(fuzzSeed(typeOpen)), io.Discard, owner); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.handleMessage(wireReader(fuzzSeed(typeData, uint64(id), uint64(40*id+90))), io.Discard, cs); err != nil {
+		if err := g.handleMessage(wireReader(fuzzSeed(typeData, uint64(id), uint64(40*id+90))), io.Discard, owner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,7 +581,7 @@ type slotState struct {
 
 // tableView is the whole table's state, comparable with ==.
 type tableView struct {
-	slots [8]slotState
+	slots [12]slotState
 	past  [4]sim.Tenancy
 	inUse [4]int
 }

@@ -1,10 +1,14 @@
 package gateway
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,5 +157,116 @@ func TestFailedExchangePoisonsMux(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Errorf("Close on a poisoned mux: %v", err)
+	}
+}
+
+// TestMuxSessionSet: the mux's set of held sessions, over IDs that span
+// tags and the edges of its 64-bit words, handed out in turn by a stub
+// gateway. Open and CloseSession move Sessions() by one; once a session
+// is closed, each call that names it fails on the client side while the
+// others' sessions stay usable; and a word leaves the set with its last
+// session.
+func TestMuxSessionSet(t *testing.T) {
+	ids := []uint32{0, 63, 64, 1<<17 | 5, 1 << 31, math.MaxUint32}
+	client, server := net.Pipe()
+	go stubGateway(server, ids)
+	m := newMux(client, 5*time.Second)
+	defer m.Close()
+	for i, want := range ids {
+		if id, err := m.Open(); err != nil || id != want {
+			t.Fatalf("Open %d: %#x, %v; want %#x", i, id, err, want)
+		}
+		if n := m.Sessions(); n != i+1 {
+			t.Fatalf("Sessions() = %d after %d Opens", n, i+1)
+		}
+	}
+	if len(m.open) != 5 {
+		t.Errorf("%d words hold %d sessions, want 5 (0 and 63 share one)", len(m.open), len(ids))
+	}
+	unowned := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "unowned session") {
+			t.Errorf("%s: %v, want an unowned-session error", what, err)
+		}
+	}
+	for i, id := range ids {
+		if err := m.CloseSession(id); err != nil {
+			t.Fatalf("CloseSession(%#x): %v", id, err)
+		}
+		live := ids[i+1:]
+		if n := m.Sessions(); n != len(live) {
+			t.Errorf("Sessions() = %d after closing %#x, want %d", n, id, len(live))
+		}
+		unowned("Send", m.Send(id, 1))
+		unowned("SendBatch", m.SendBatch([]BatchItem{{Session: id, Bits: 1}}))
+		_, err := m.Stats(id)
+		unowned("Stats", err)
+		_, err = m.StatsBatch([]uint32{id})
+		unowned("StatsBatch", err)
+		if err := m.CloseSession(id); err != nil {
+			t.Errorf("CloseSession(%#x) a second time: %v, want a no-op", id, err)
+		}
+		shared := false
+		for _, l := range live {
+			if err := m.Send(l, 1); err != nil {
+				t.Fatalf("Send(%#x) after closing %#x: %v", l, id, err)
+			}
+			if _, err := m.Stats(l); err != nil {
+				t.Fatalf("Stats(%#x) after closing %#x: %v", l, id, err)
+			}
+			shared = shared || l>>6 == id>>6
+		}
+		if _, ok := m.open[id>>6]; ok != shared {
+			t.Errorf("after closing %#x: word %#x in the set is %v, want %v", id, id>>6, ok, shared)
+		}
+	}
+	if len(m.open) != 0 {
+		t.Errorf("%d words left with no session held", len(m.open))
+	}
+}
+
+// stubGateway answers a mux on conn as a gateway would, handing its
+// OPENs the given session IDs in turn and owning nothing itself: every
+// STATS reads zero. It returns when conn closes.
+func stubGateway(conn net.Conn, ids []uint32) {
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	var msg func() error
+	msg = func() error {
+		typ, err := r.ReadByte()
+		if err != nil {
+			return err
+		}
+		var reply []byte
+		switch typ {
+		case typeOpen:
+			reply = binary.BigEndian.AppendUint32([]byte{typeOpened}, ids[0])
+			ids = ids[1:]
+		case typeData:
+			_, err = r.Discard(12)
+		case typeStats:
+			_, err = r.Discard(4)
+			reply = make([]byte, statsReplyLen)
+			reply[0] = typeStatsR
+		case typeClose:
+			_, err = r.Discard(4)
+			reply = []byte{typeClosed}
+		case typeBatch:
+			var n [2]byte
+			if _, err = io.ReadFull(r, n[:]); err != nil {
+				return err
+			}
+			for range binary.BigEndian.Uint16(n[:]) {
+				if err := msg(); err != nil {
+					return err
+				}
+			}
+		}
+		if err == nil && reply != nil {
+			_, err = conn.Write(reply)
+		}
+		return err
+	}
+	for msg() == nil {
 	}
 }

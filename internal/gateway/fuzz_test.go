@@ -215,6 +215,16 @@ func fuzzCorpus() (seeds [][]byte) {
 		append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 64)...), fuzzSeed(typeStats, 0)))
 	add(batchFrame(6, fuzzSeed(typeOpen), fuzzSeed(typeData, 0, 64), fuzzSeed(typeStats, 0),
 		fuzzSeed(typeData, 0, 8), fuzzSeed(typeStats, 0), fuzzSeed(typeData, 3, 8)))
+	// The waiting IDs' ownership is checked in one pass, before anything
+	// after them applies: an unowned ID (index 0 under tag 1) ahead of a
+	// traced DATA, the other connection's session mid-frame, and an ID
+	// whose index names no slot on a larger table (13; on these four
+	// slots, index 1 under tag 3).
+	add(join(fuzzSeed(typeOpen), batchFrame(5, fuzzSeed(typeData, 0, 8), fuzzSeed(typeStats, 0), fuzzSeed(typeData, second, 8),
+		append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 9}, fuzzSeed(typeData, 0, 5)...), fuzzSeed(typeStats, 0))))
+	add(join(fuzzSeed(typeOpen), []byte{fuzzSwitch}, fuzzSeed(typeOpen), []byte{fuzzSwitch},
+		batchFrame(4, fuzzSeed(typeStats, 0), fuzzSeed(typeData, 0, 5), fuzzSeed(typeStats, 1), fuzzSeed(typeData, 0, 4))))
+	add(join(fuzzSeed(typeOpen), batchFrame(3, fuzzSeed(typeData, 0, 8), fuzzSeed(typeData, 13, 8), fuzzSeed(typeStats, 0))))
 	return seeds
 }
 

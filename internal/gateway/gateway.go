@@ -402,7 +402,11 @@ func ownerWord(serial, id uint32) uint64 { return uint64(serial)<<32 | uint64(id
 // owns reports whether a wire ID names a live session that the
 // connection with the given serial opened: one atomic load of the
 // slot's owner word and a compare, with no lock. A foreign connection's
-// session, a stale tag and an index past the last slot all fail it.
+// session, a stale tag and an index past the last slot all fail it. It
+// is the gateway's one ownership predicate: a CLOSE and a timed DATA or
+// STATS call it where they are parsed, and check calls it on a unit's
+// waiting DATA and STATS in one pass, so that their loads' cache misses
+// overlap.
 func (g *Gateway) owns(serial, id uint32) bool {
 	i := uint(id) & uint(g.indexMask)
 	return i < uint(len(g.owners)) && g.owners[i].Load() == ownerWord(serial, id)

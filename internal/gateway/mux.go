@@ -22,11 +22,20 @@ import (
 // one buffered reader, so a StatsBatch pays a read or two for the whole
 // batch's replies. A failed exchange ends the Mux's useful life: every
 // later call returns that failure (Close still closes).
+//
+// Every call that names a session first checks that the Mux holds it.
+// The sessions it holds are a set of 64-bit words keyed by ID>>6, a bit
+// per ID. An ID is a slot index under a tag, so sessions on nearby slots
+// share a word: 50 000 sessions on a 100 000-slot table fill about 1 600
+// words, few enough to stay in cache where a map entry per session
+// missed on a random one. A word whose last session closes leaves the
+// map, so the set stays bounded by the sessions held.
 type Mux struct {
 	mu     sync.Mutex
-	cc     clientConn          // guarded by mu
-	open   map[uint32]struct{} // guarded by mu; sessions this conn holds
-	closed bool                // guarded by mu
+	cc     clientConn        // guarded by mu
+	open   map[uint32]uint64 // guarded by mu; the sessions held: bit id&63 of the word keyed id>>6
+	held   int               // guarded by mu; the bits set in open
+	closed bool              // guarded by mu
 
 	traceEvery uint64   // guarded by mu; 0 disables client-side tracing
 	exchanges  uint64   // guarded by mu; requests sent since TraceEvery was set
@@ -64,7 +73,30 @@ func DialMux(addr string, timeout time.Duration) (*Mux, error) {
 
 // newMux wraps an established connection.
 func newMux(conn net.Conn, timeout time.Duration) *Mux {
-	return &Mux{cc: newClientConn(conn, timeout), open: make(map[uint32]struct{})}
+	return &Mux{cc: newClientConn(conn, timeout), open: make(map[uint32]uint64)}
+}
+
+// holds reports whether the mux holds the session. Callers hold m.mu.
+func (m *Mux) holds(id uint32) bool { return m.open[id>>6]&(1<<(id&63)) != 0 }
+
+// hold adds a session the gateway has just opened for the mux. Callers
+// hold m.mu.
+func (m *Mux) hold(id uint32) {
+	if !m.holds(id) {
+		m.held++
+	}
+	m.open[id>>6] |= 1 << (id & 63)
+}
+
+// drop removes a held session, and its word once it holds no other.
+// Callers hold m.mu.
+func (m *Mux) drop(id uint32) {
+	if w := m.open[id>>6] &^ (1 << (id & 63)); w != 0 {
+		m.open[id>>6] = w
+	} else {
+		delete(m.open, id>>6)
+	}
+	m.held--
 }
 
 // TraceEvery asks the gateway to trace every n-th request sent through
@@ -118,7 +150,7 @@ func (m *Mux) Open() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.open[id] = struct{}{}
+	m.hold(id)
 	return id, nil
 }
 
@@ -129,7 +161,7 @@ func (m *Mux) Send(session uint32, bits bw.Bits) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.open[session]; !ok {
+	if !m.holds(session) {
 		return fmt.Errorf("gateway: send on unowned session %d", session)
 	}
 	var msg [13]byte
@@ -157,7 +189,7 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 		if it.Bits < 0 {
 			return fmt.Errorf("gateway: negative send %d", it.Bits)
 		}
-		if _, ok := m.open[it.Session]; !ok {
+		if !m.holds(it.Session) {
 			return fmt.Errorf("gateway: send on unowned session %d", it.Session)
 		}
 	}
@@ -204,7 +236,7 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, s := range sessions {
-		if _, ok := m.open[s]; !ok {
+		if !m.holds(s) {
 			return nil, fmt.Errorf("gateway: stats on unowned session %d", s)
 		}
 	}
@@ -245,7 +277,7 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 func (m *Mux) Stats(session uint32) (SessionStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.open[session]; !ok {
+	if !m.holds(session) {
 		return SessionStats{}, fmt.Errorf("gateway: stats on unowned session %d", session)
 	}
 	var req [5]byte
@@ -267,7 +299,7 @@ func (m *Mux) Stats(session uint32) (SessionStats, error) {
 func (m *Mux) CloseSession(session uint32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.open[session]; !ok {
+	if !m.holds(session) {
 		return nil
 	}
 	var req [5]byte
@@ -283,7 +315,7 @@ func (m *Mux) CloseSession(session uint32) error {
 	if err := m.cc.readClosed(); err != nil {
 		return err
 	}
-	delete(m.open, session)
+	m.drop(session)
 	return nil
 }
 
@@ -291,7 +323,7 @@ func (m *Mux) CloseSession(session uint32) error {
 func (m *Mux) Sessions() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.open)
+	return m.held
 }
 
 // Close tears down the connection. Sessions still open are released by

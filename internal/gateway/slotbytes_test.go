@@ -46,9 +46,9 @@ func TestSlotBytes(t *testing.T) {
 	}
 	restore := func() {
 		for c, m := range muxes {
-			m.open = make(map[uint32]struct{}, len(ids[c]))
+			m.open, m.held = make(map[uint32]uint64), 0
 			for _, id := range ids[c] {
-				m.open[id] = struct{}{}
+				m.hold(id)
 			}
 		}
 	}

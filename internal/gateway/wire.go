@@ -58,11 +58,14 @@ type connState struct {
 	armedAt time.Time
 	// A unit's waiting work (handleUnit): lists holds its untimed DATA
 	// and STATS, one list per shard in stream order, data counts the DATA
-	// among them, and replies holds the STATS answers in stream order.
-	// Each is bounded by MaxBatch and keeps its capacity in the pool.
+	// among them, and replies holds the STATS answers in stream order;
+	// ids holds the session IDs of those whose ownership is still to be
+	// checked (check), in stream order. Each is bounded by MaxBatch and
+	// keeps its capacity in the pool.
 	lists   [][]op
 	data    int
 	replies []statsReply
+	ids     []uint32
 	// in reads the current unit (handleMessage); counts tallies its
 	// messages by counter index (msgIndex), which reach the striped
 	// counters once, when the unit ends; sample is the sampler position
@@ -163,6 +166,7 @@ func (g *Gateway) putConnState(cs *connState) {
 	}
 	cs.data = 0
 	cs.replies = cs.replies[:0]
+	cs.ids = cs.ids[:0]
 	cs.counts = [len(cs.counts)]int64{}
 	cs.rd.Reset(nil)
 	cs.wr.Reset(io.Discard)
@@ -471,14 +475,18 @@ func (u *unitReader) done() {
 // BATCH frame takes each shard lock once, and a lone message is a list
 // of one. On an error the rest of the unit is void, and what was read
 // before it is applied, as it would have been had each message come
-// alone.
+// alone. A waiting ID that the connection does not own is such an error
+// where it lies in the stream (check), so it wins over any error read
+// after it.
 func (g *Gateway) handleUnit(w io.Writer, cs *connState, n int) error {
 	if n > 0 {
 		cs.sample = g.sampler.Reserve(cs.mstripe, n)
 	}
 	for i := 0; i < n; i++ {
 		if err := g.handleOne(w, cs); err != nil {
-			g.flush(w, cs, n > 1)
+			if ferr := g.flush(w, cs, n > 1); errors.Is(ferr, errProtocol) {
+				err = ferr
+			}
 			return err
 		}
 		cs.sample++
@@ -497,7 +505,8 @@ func (g *Gateway) handleUnit(w io.Writer, cs *connState, n int) error {
 //   - a timed message runs alone, so its span's dispatch and apply are
 //     its own. A timed STATS flushes first, its reply following the
 //     earlier ones; a timed DATA writes no reply and commutes with
-//     everything waiting, so it does not.
+//     everything waiting, so it does not, but it has the waiting IDs'
+//     ownership checked first: an unowned ID read before it voids it.
 func (g *Gateway) handleOne(w io.Writer, cs *connState) error {
 	typ, err := g.readType(cs)
 	if err != nil {
@@ -509,10 +518,13 @@ func (g *Gateway) handleOne(w io.Writer, cs *connState) error {
 	if listed && !timed {
 		return g.list(w, cs, typ, false)
 	}
-	if typ != typeData {
-		if err := g.flush(w, cs, true); err != nil {
-			return err
-		}
+	if typ == typeData {
+		err = g.check(cs)
+	} else {
+		err = g.flush(w, cs, true)
+	}
+	if err != nil {
+		return err
 	}
 	g.spanBegin(cs, typ)
 	if listed {
@@ -557,10 +569,12 @@ func (g *Gateway) readType(cs *connState) (byte, error) {
 	return typ, nil
 }
 
-// list reads one DATA or STATS where it lies and validates it: the
-// session must be one this connection owns, and a DATA's bits may not be
-// negative. An untimed one then waits in its shard's list; a timed one
-// is a list of its own, applied at once.
+// list reads one DATA or STATS where it lies and validates what needs
+// no memory read: a DATA's bits may not be negative, and the session's
+// index must name a slot, since shardOf picks the shard by it. An
+// untimed one then waits in its shard's list, its ownership checked with
+// the others' before any of them applies (check); a timed one must be
+// one this connection owns, and is a list of its own, applied at once.
 func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 	o := op{at: -1}
 	if typ == typeData {
@@ -577,8 +591,8 @@ func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 		o.id, o.at = binary.BigEndian.Uint32(b), int32(len(cs.replies))
 	}
 	g.spanMark(cs, stageRead)
-	if !g.owns(cs.serial, o.id) || o.bits < 0 {
-		return fmt.Errorf("%w: %s session=%d bits=%d (owns %d sessions)", errProtocol, kindName(typ), o.id, o.bits, cs.sessions)
+	if o.bits < 0 || uint(o.id)&uint(g.indexMask) >= uint(len(g.owners)) || timed && !g.owns(cs.serial, o.id) {
+		return refused(cs, o)
 	}
 	sh := g.shardOf(int(o.id))
 	cs.span.sess = int(o.id)
@@ -587,6 +601,7 @@ func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 	}
 	if !timed {
 		cs.lists[sh.idx] = append(cs.lists[sh.idx], o)
+		cs.ids = append(cs.ids, o.id)
 		if o.at < 0 {
 			cs.data++
 		}
@@ -604,8 +619,58 @@ func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 	return err
 }
 
-// flush applies the waiting lists, one lock acquisition per shard with a
-// list (shard.apply), then writes the STATS replies in stream order.
+// refused is the protocol error of a DATA or STATS the connection may
+// not send.
+func refused(cs *connState, o op) error {
+	typ := byte(typeData)
+	if o.at >= 0 {
+		typ = typeStats
+	}
+	return fmt.Errorf("%w: %s session=%d bits=%d (owns %d sessions)", errProtocol, kindName(typ), o.id, o.bits, cs.sessions)
+}
+
+// check is the ownership check of the waiting DATA and STATS, run before
+// anything after them applies: one pass over their IDs, an owns test of
+// each one's owner word. On a large table each word is a cache miss of
+// its own; no load depends on another, so in one tight pass their misses
+// overlap, where a check beside each message's parse took them one after
+// another. No owner word the connection could pass changes in between:
+// only its own OPEN and CLOSE write one, and they flush first. At the
+// first ID that fails, its op and every later one leave the lists, their
+// replies with them, and its error is returned: what came before it
+// still applies, as it would have alone.
+func (g *Gateway) check(cs *connState) error {
+	ids := cs.ids
+	cs.ids = ids[:0]
+	bad := len(ids)
+	for j, id := range ids {
+		if !g.owns(cs.serial, id) {
+			bad = j
+			break
+		}
+	}
+	if bad == len(ids) {
+		return nil
+	}
+	// Walked from the end, each voided op is the last in its shard's list.
+	var o op
+	for j := len(ids) - 1; j >= bad; j-- {
+		si := g.shardOf(int(ids[j])).idx
+		l := cs.lists[si]
+		o, cs.lists[si] = l[len(l)-1], l[:len(l)-1]
+		if o.at < 0 {
+			cs.data--
+		} else {
+			cs.replies = cs.replies[:o.at]
+		}
+	}
+	return refused(cs, o)
+}
+
+// flush checks the waiting lists (check) and applies what passes, one
+// lock acquisition per shard with a list (shard.apply), then writes the
+// STATS replies in stream order. It returns check's error if there is
+// one, else the write's.
 // With metrics attached and observe set, each list that holds DATA lands
 // once in the apply-stage histogram: its messages share the lock round,
 // so they share its sample, and one clock read per list (a list ends
@@ -616,6 +681,7 @@ func (g *Gateway) flush(w io.Writer, cs *connState, observe bool) error {
 	if cs.data == 0 && len(cs.replies) == 0 {
 		return nil
 	}
+	err := g.check(cs)
 	observe = observe && cs.data > 0 && g.m.exchange != nil
 	var last time.Time
 	if observe {
@@ -639,7 +705,10 @@ func (g *Gateway) flush(w io.Writer, cs *connState, observe bool) error {
 	}
 	cs.data = 0
 	g.m.policedBits.Add(cs.mstripe, policed)
-	return g.answer(w, cs)
+	if werr := g.answer(w, cs); err == nil {
+		err = werr
+	}
+	return err
 }
 
 // answer writes the STATS replies in stream order and empties them.
