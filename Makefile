@@ -55,12 +55,13 @@ bench:
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkRound' -benchmem ./internal/gateway/
 
-# A gateway benchmark at two revisions, in alternating pairs on one box:
-# the gateway test binary is built from `git archive $(BASE)` under
-# $TMPDIR and from the working tree, the two binaries' BENCH runs
-# (BenchmarkRound unless set) alternate N times (base first), and each
-# case's ns/... figures (BenchmarkRound's ns/round, and burst's p50 and
-# p90; BenchmarkBatchFrames' ns/op) are printed as the two medians,
+# A benchmark at two revisions, in alternating pairs on one box: the
+# test binary of PKG (./internal/gateway/ unless set) is built from `git
+# archive $(BASE)` under $TMPDIR and from the working tree, the two
+# binaries' BENCH runs (BenchmarkRound unless set) alternate N times
+# (base first), and each case's ns/... figures (BenchmarkRound's
+# ns/round, and burst's p50 and p90; BenchmarkBatchFrames' ns/op) are
+# printed as the two medians,
 # their ratio, the range of the pairs' own ratios and the pairs in which
 # head was lower. A claim about a round's or a frame's cost rests on
 # this, not on one run: absolute figures move by the day and by the
@@ -68,18 +69,20 @@ bench-round:
 # head's median alone. BENCHFLAGS passes more flags to both binaries,
 # e.g. BENCHFLAGS="-test.bench='BenchmarkRound/(drain|burst)'" to run
 # two cases (a later -test.bench wins); BENCH=BenchmarkBatchFrames pairs
-# the wire path.
+# the wire path, and PKG=. BENCH='BenchmarkRunnerReuse$' a one-session
+# simulator run (the root package's bench_test.go).
 BASE ?= HEAD
 N ?= 10
+PKG ?= ./internal/gateway/
 BENCH ?= BenchmarkRound
 BENCHFLAGS ?=
 bench-round-pairs:
 	@set -e; tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/bench-round-pairs.XXXXXX"); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
-	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" ./internal/gateway/); \
-	$(GO) test -c -o "$$tmp/head.test" ./internal/gateway/; \
-	echo "$(BENCH), $(N) alternating pairs: base $(BASE), head the working tree"; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" $(PKG)); \
+	$(GO) test -c -o "$$tmp/head.test" $(PKG); \
+	echo "$(PKG) $(BENCH), $(N) alternating pairs: base $(BASE), head the working tree"; \
 	for i in $$(seq $(N)); do for side in base head; do \
 		"$$tmp/$$side.test" -test.run '^$$' -test.bench '$(BENCH)' -test.timeout 30m $(BENCHFLAGS) | \
 		awk -v side=$$side -v pair=$$i '/^Benchmark/ { \

@@ -41,7 +41,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 	var (
 		slots    = sim.NewSlots(1)
 		q        = slots.Queue(0)
-		step     = sim.Sparse(&sim.Separate{Allocs: []sim.Allocator{alloc}}, &slots)
+		step     = &sim.Separate{Allocs: []sim.Allocator{alloc}}
 		hist     queue.DelayHist
 		sched    bw.Schedule
 		arrivals []bw.Bits

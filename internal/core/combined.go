@@ -52,6 +52,8 @@ type CombinedStats struct {
 	LocalStages int
 	// BonChanges counts changes of the global bandwidth estimate.
 	BonChanges int
+	// OverflowViolations is MultiStats' Claim 8 count, phased inner only.
+	OverflowViolations int
 }
 
 // Combined is the hybrid algorithm of Section 4. It runs the single-
@@ -275,7 +277,7 @@ func (c *Combined) innerPhased(t bw.Tick) {
 	if c.bon == 0 || t <= c.localResetTick || (t-c.localResetTick)%c.p.DO != 0 {
 		return
 	}
-	ch.phase(t, c.share(), c.o)
+	c.stats.OverflowViolations += ch.phase(t, c.share(), c.o)
 	if ch.sumBir > 2*c.bon {
 		ch.flush(t)
 		c.startLocalStage(t)

@@ -483,6 +483,9 @@ func (c *denseCombined) innerPhased(t bw.Tick) {
 		for i := 0; i < k; i++ {
 			old := c.bir[i] + c.bio[i]
 			if c.qr[i] <= bw.Volume(c.bir[i], do) {
+				if c.qo[i] > 0 {
+					c.stats.OverflowViolations++
+				}
 				c.bio[i] = 0
 				if c.o != nil && old > c.bir[i] {
 					c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: i,

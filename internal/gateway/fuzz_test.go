@@ -19,7 +19,7 @@ import (
 // is served by a stateless policy until the test serves it another.
 func newBare(k int) *Gateway {
 	g := newGateway(k, 1)
-	g.shards[0].serve(perSlotAlloc{cap: 4})
+	g.shards[0].alloc = perSlotAlloc(k, 4)
 	// Panics are contained; count them where a test can see.
 	g.m.roundPanics, g.m.handlerPanics = new(obs.Counter), new(obs.Counter)
 	return g
@@ -244,7 +244,7 @@ func FuzzHandleMessage(f *testing.F) {
 		const k = 4
 		g := newBare(k)
 		sh := g.shards[0]
-		sh.serve(core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 2}))
+		sh.alloc = core.MustNewPhased(core.MultiParams{K: k, BO: 16 * k, DO: 2})
 		conns := [2]*connState{g.getConnState(0, 0), g.getConnState(0, 0)}
 		model := fuzzModel{live: make(map[int]*fuzzSession)}
 		var tick bw.Tick

@@ -169,13 +169,14 @@ type Config struct {
 	// Alloc divides the shared pool among the slots once per tick. It is
 	// shorthand for a one-element list: the gateway runs one allocator
 	// list, one entry per shard, read from ShardAllocs, else Alloc alone.
+	// Each must also be a sim.SparseAllocator, the form the kernel runs.
 	Alloc sim.MultiAllocator
 	// Shards splits the slot table into that many independently locked
 	// shards (Slots must divide evenly; zero means one), each served by
 	// its own allocator from ShardAllocs over Slots/Shards slots.
 	Shards int
 	// ShardAllocs holds one allocator per shard. Each divides its shard's
-	// bandwidth share among Slots/Shards slots.
+	// bandwidth share among Slots/Shards slots, and serves no other shard.
 	ShardAllocs []sim.MultiAllocator
 	// Router, when set, places each OPEN on a shard. Its K() must equal
 	// Shards and its capacities are in slot units (Slots/Shards a shard).
@@ -317,8 +318,8 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: %d allocators for %d shards", len(allocs), nshards)
 	}
 	for i, a := range allocs {
-		if a == nil {
-			return nil, fmt.Errorf("gateway: allocator %d of %d is nil", i, nshards)
+		if _, ok := a.(sim.SparseAllocator); !ok {
+			return nil, fmt.Errorf("gateway: allocator %d of %d is %T, not a sim.SparseAllocator", i, nshards, a)
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -329,7 +330,7 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	g.ln = ln
 	g.router = cfg.Router
 	for i, sh := range g.shards {
-		sh.serve(allocs[i])
+		sh.alloc = allocs[i].(sim.SparseAllocator)
 		g.shardObs[i] = obs.StripeOf(cfg.Observer, i)
 	}
 	g.ticks = cfg.Ticks

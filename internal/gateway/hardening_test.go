@@ -204,26 +204,36 @@ func TestStatsReportsLiveChanges(t *testing.T) {
 	}
 }
 
-// brokenAlloc breaks the MultiAllocator contract in the way its mode
-// says until healed, then serves every queue in full.
+// brokenAlloc breaks the sim.SparseAllocator contract in the way its
+// mode says until healed — a negative rate, or fewer rates than
+// sessions — then serves every slot at 32 bits a tick.
 type brokenAlloc struct {
-	mode   string
-	healed atomic.Bool
+	mode    string
+	healed  atomic.Bool
+	changed []int32
+	rates   []bw.Rate
 }
 
-func (a *brokenAlloc) Rates(_ bw.Tick, _, queued []bw.Bits) []bw.Rate {
-	rates := make([]bw.Rate, len(queued))
-	for i, q := range queued {
-		rates[i] = bw.Rate(q)
+func (a *brokenAlloc) RatesActive(_ bw.Tick, _ []int32, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.changed, a.rates = a.changed[:0], a.rates[:0]
+	for i := range applied {
+		a.changed = append(a.changed, int32(i))
+		a.rates = append(a.rates, 32)
 	}
 	if a.healed.Load() {
-		return rates
+		return a.changed, a.rates
 	}
 	if a.mode == "negative" {
-		rates[len(rates)-1] = -1
-		return rates
+		a.rates[len(a.rates)-1] = -1
+		return a.changed, a.rates
 	}
-	return rates[:len(rates)-1]
+	return a.changed, a.rates[:len(a.rates)-1]
+}
+
+// Rates is there for Config.Alloc's type; the kernel runs RatesActive
+// alone.
+func (a *brokenAlloc) Rates(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
+	panic("brokenAlloc: dense entry")
 }
 
 // lockedBuffer is a log sink the tick goroutine writes and the test reads.
@@ -294,6 +304,7 @@ func TestAllocatorContractViolationServesNothing(t *testing.T) {
 			alloc.healed.Store(true)
 			ticks.tick()
 			ticks.tick()
+			waitRounds(g, 5) // the healed allocator serves 32 a round: both rounds, not just the first
 			if st, err = c.Stats(cID); err != nil {
 				t.Fatal(err)
 			}
@@ -612,7 +623,7 @@ func TestIdleDisconnectNamesItsSession(t *testing.T) {
 			g, err := NewWithConfig(Config{
 				Addr:        "127.0.0.1:0",
 				Slots:       4,
-				Alloc:       perSlotAlloc{cap: 4},
+				Alloc:       perSlotAlloc(4, 4),
 				Ticks:       newManualTicks().ch,
 				IdleTimeout: 50 * time.Millisecond,
 				Observer:    ring,

@@ -14,12 +14,19 @@ import (
 	"dynbw/internal/traffic"
 )
 
+// paperPolicy is one of the paper's multi-session policies, which
+// implement both forms.
+type paperPolicy interface {
+	sim.MultiAllocator
+	sim.SparseAllocator
+}
+
 // newPolicy builds one of the paper's multi-session policies the way
 // load.NewPolicy does (which this package cannot import).
-func newPolicy(t testing.TB, name string, k int, bo bw.Rate, do bw.Tick) sim.MultiAllocator {
+func newPolicy(t testing.TB, name string, k int, bo bw.Rate, do bw.Tick) paperPolicy {
 	t.Helper()
 	var (
-		a   sim.MultiAllocator
+		a   paperPolicy
 		err error
 	)
 	switch name {
@@ -39,19 +46,39 @@ func newPolicy(t testing.TB, name string, k int, bo bw.Rate, do bw.Tick) sim.Mul
 }
 
 // partitioned is the simulator-side image of a sharded gateway: one
-// allocator per contiguous slot range, their rates concatenated.
+// allocator per contiguous slot range, each told of its range's arrivals
+// and its range's applied rates, its changes moved back to table
+// indices.
 type partitioned struct {
-	parts []sim.MultiAllocator
-	rates []bw.Rate
+	parts   []sim.SparseAllocator
+	local   []int32
+	changed []int32
+	rates   []bw.Rate
 }
 
-func (p *partitioned) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	m := len(arrived) / len(p.parts)
-	p.rates = p.rates[:0]
-	for i, a := range p.parts {
-		p.rates = append(p.rates, a.Rates(t, arrived[i*m:(i+1)*m], queued[i*m:(i+1)*m])...)
+func (p *partitioned) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	m := len(applied) / len(p.parts)
+	p.changed, p.rates = p.changed[:0], p.rates[:0]
+	j := 0
+	for n, a := range p.parts {
+		base := int32(n * m)
+		p.local = p.local[:0]
+		for ; j < len(arrived) && arrived[j] < base+int32(m); j++ {
+			p.local = append(p.local, arrived[j]-base)
+		}
+		changed, rates := a.RatesActive(t, p.local, bits[j-len(p.local):j], applied[base:base+int32(m)])
+		for x, i := range changed {
+			p.changed = append(p.changed, base+i)
+			p.rates = append(p.rates, rates[x])
+		}
 	}
-	return p.rates
+	return p.changed, p.rates
+}
+
+// Rates is there for sim.RunMulti's parameter type; the kernel runs
+// RatesActive alone.
+func (p *partitioned) Rates(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
+	panic("partitioned: dense entry")
 }
 
 // feed hands slot i of a bare gateway the bits that arrived for it, as a
@@ -75,8 +102,7 @@ func feed(g *Gateway, id int, bits bw.Bits) {
 // unsharded, with the table split over four shards, and on four shards
 // a p2c router placed the sessions on: three quarters of the slots are
 // opened through it, and the simulator runs the same partition with the
-// other slots silent. One more row runs each policy behind sim.Sparse's
-// dense adapter, which must agree on every number with the sparse form.
+// other slots silent.
 //
 // Three traces: on/off sources on every session of a small table; a
 // table of 400 where each D_O cycle a rotating 1 % of the sessions
@@ -156,12 +182,11 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 	// Every trace runs on one shard and on four. The on/off one also runs
 	// on four shards a p2c router places it on: its sessions are clamped
 	// to their shares, so whatever the placement, every shard's input is
-	// one its policy's B_O serves. The rotating one also runs on four
-	// shards whose policies the gateway runs behind the dense adapter.
+	// one its policy's B_O serves.
 	type row struct {
-		nshards       int
-		variant       string
-		routed, dense bool
+		nshards int
+		variant string
+		routed  bool
 	}
 	plain := []row{{nshards: 1}, {nshards: 4}}
 	for _, tc := range []struct {
@@ -170,8 +195,8 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 		crossing bool
 		rows     []row
 	}{
-		{"", onOff(), false, append(plain, row{4, "/p2c", true, false})},
-		{"-rotating-1pct", rotating(), false, append(plain, row{4, "/dense", false, true})},
+		{"", onOff(), false, append(plain, row{4, "/p2c", true})},
+		{"-rotating-1pct", rotating(), false, plain},
 		{"-crossing", crossing(), true, plain},
 	} {
 		k := tc.m.K()
@@ -180,24 +205,16 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 				nshards := r.nshards
 				t.Run(fmt.Sprintf("%s%s/shards=%d%s", policy, tc.suffix, nshards, r.variant), func(t *testing.T) {
 					per := k / nshards
-					build := func() []sim.MultiAllocator {
-						allocs := make([]sim.MultiAllocator, nshards)
-						for i := range allocs {
-							allocs[i] = newPolicy(t, policy, per, bw.Rate(per)*share, do)
-						}
-						return allocs
+					parts := make([]sim.SparseAllocator, nshards)
+					for i := range parts {
+						parts[i] = newPolicy(t, policy, per, bw.Rate(per)*share, do)
 					}
-					g := newRounds(t, policy, k, nshards, do) // the same policies as build()'s
-					if r.dense {
-						for i, a := range build() {
-							g.shards[i].serve(denseOnly{a})
-						}
-					}
+					g := newRounds(t, policy, k, nshards, do) // the same policies as parts
 					m := tc.m
 					if r.routed {
 						m = routeSessions(t, g, m)
 					}
-					res, err := sim.RunMulti(m, &partitioned{parts: build()}, sim.Options{})
+					res, err := sim.RunMulti(m, &partitioned{parts: parts}, sim.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -282,10 +299,6 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 	}
 }
 
-// denseOnly hides a policy's sparse form, so the gateway runs it through
-// sim.Sparse's diffing adapter as it would a foreign allocator.
-type denseOnly struct{ sim.MultiAllocator }
-
 // routeSessions opens three quarters of a bare gateway's slots through a
 // p2c router over its shards, the OPENs striped over the shards as
 // connections are, and returns the trace that gives the j-th session to
@@ -318,15 +331,21 @@ func routeSessions(t *testing.T, g *Gateway, m *trace.Multi) *trace.Multi {
 	return trace.MustNewMulti(slots)
 }
 
-// flipAlloc hands back one retained slice with every rate toggled each
-// round: the worst case for any per-slot state that records changes.
-type flipAlloc struct{ rates []bw.Rate }
+// flipAlloc toggles every slot's rate each round, reporting all of them
+// in retained lists: the worst case for any per-slot state that records
+// changes.
+type flipAlloc struct {
+	changed []int32
+	rates   []bw.Rate
+}
 
-func (a *flipAlloc) Rates(t bw.Tick, _, _ []bw.Bits) []bw.Rate {
-	for i := range a.rates {
-		a.rates[i] = 1 + bw.Rate(t%2)
+func (a *flipAlloc) RatesActive(t bw.Tick, _ []int32, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.changed, a.rates = a.changed[:0], a.rates[:0]
+	for i := range applied {
+		a.changed = append(a.changed, int32(i))
+		a.rates = append(a.rates, 1+bw.Rate(t%2))
 	}
-	return a.rates
+	return a.changed, a.rates
 }
 
 // TestTickBoundedLiveState: a slot holds nothing that grows with uptime.
@@ -344,7 +363,7 @@ func TestTickBoundedLiveState(t *testing.T) {
 	)
 	g := newGateway(k, 1)
 	sh := g.shards[0]
-	sh.serve(&flipAlloc{rates: make([]bw.Rate, k)})
+	sh.alloc = &flipAlloc{}
 	fresh := liveHeap()
 	tick := bw.Tick(0)
 	round := func() {
@@ -372,4 +391,39 @@ func TestTickBoundedLiveState(t *testing.T) {
 		t.Errorf("slot 0 counts %d changes over %d flipping rounds", got, tick)
 	}
 	runtime.KeepAlive(g)
+}
+
+// TestCloseEmptiesSeparateQueue: a CLOSE tells a shard's sim.Separate
+// that the session left, so the policy's first call for the slot's next
+// tenant is handed that tenant's bits alone, not what the last one left
+// queued.
+func TestCloseEmptiesSeparateQueue(t *testing.T) {
+	g := newBare(2)
+	var seen [2]bw.Bits
+	slow := sim.AllocatorFunc(func(_ bw.Tick, arrived, queued bw.Bits) bw.Rate {
+		seen = [2]bw.Bits{arrived, queued}
+		return 1
+	})
+	idle := sim.AllocatorFunc(func(bw.Tick, bw.Bits, bw.Bits) bw.Rate { return 0 })
+	g.shards[0].alloc = &sim.Separate{Allocs: []sim.Allocator{slow, idle}}
+	first, err := g.openSession(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(g, first, 10)
+	g.round(0)
+	g.round(1)
+	if seen != [2]bw.Bits{0, 9} {
+		t.Fatalf("first tenant: policy handed arrived, queued %v, want [0 9]", seen)
+	}
+	g.releaseSession(first)
+	next, err := g.openSession(0, 1)
+	if err != nil || next&g.indexMask != first&g.indexMask {
+		t.Fatalf("reopen = %d, %v; want slot %d", next, err, first&g.indexMask)
+	}
+	feed(g, next, 3)
+	g.round(2)
+	if seen != [2]bw.Bits{3, 3} {
+		t.Errorf("next tenant's first call handed arrived, queued %v, want [3 3]", seen)
+	}
 }

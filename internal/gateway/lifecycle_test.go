@@ -129,7 +129,7 @@ func startRouted(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTick
 		Slots:       k,
 		Shards:      shards,
 		Router:      router,
-		ShardAllocs: perSlotAllocs(shards, perSlotCap),
+		ShardAllocs: perSlotAllocs(shards, k, perSlotCap),
 		Ticks:       ticks.ch,
 	})
 	if err != nil {

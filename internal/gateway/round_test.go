@@ -27,7 +27,7 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 	g := newGateway(k, nshards)
 	g.m = newGWMetrics(obs.NewRegistry(), policy, nshards)
 	for _, sh := range g.shards {
-		sh.serve(newPolicy(tb, policy, sh.n, bw.Rate(sh.n)*16, do))
+		sh.alloc = newPolicy(tb, policy, sh.n, bw.Rate(sh.n)*16, do)
 	}
 	g.startTickWorkers()
 	// Stop the workers, unless a tick loop the test ran has. The cleanup

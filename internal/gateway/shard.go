@@ -45,7 +45,7 @@ type shard struct {
 }
 
 // newShard builds the slot state for n slots starting at global index
-// base. The allocator is filled in by the caller, through serve.
+// base. The caller sets alloc before the shard's first round.
 func newShard(g *Gateway, idx, base, n int) *shard {
 	return &shard{
 		g:     g,
@@ -56,15 +56,6 @@ func newShard(g *Gateway, idx, base, n int) *shard {
 		used:  bitset.New(n),
 		conns: make(map[net.Conn]struct{}),
 	}
-}
-
-// serve sets the allocator over the shard's slots. A policy that is not
-// a sim.SparseAllocator is wrapped here, once, so that the round has a
-// single form to run.
-func (sh *shard) serve(alloc sim.MultiAllocator) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.alloc = sim.Sparse(alloc, &sh.slots)
 }
 
 // slot maps a wire session ID that names one of this shard's live

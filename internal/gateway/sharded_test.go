@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,31 +12,26 @@ import (
 	"dynbw/internal/sim"
 )
 
-// perSlotAlloc serves each slot independently at up to cap per tick —
-// rates depend only on the slot's own queue, so partitioning the slot
-// table across shards cannot change any slot's trace. That makes it the
-// reference allocator for sharded-vs-unsharded equivalence tests.
-type perSlotAlloc struct {
-	cap bw.Rate
-}
-
-func (a perSlotAlloc) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	rates := make([]bw.Rate, len(queued))
-	for i, q := range queued {
-		r := bw.Rate(q)
-		if r > a.cap {
-			r = a.cap
-		}
-		rates[i] = r
+// perSlotAlloc serves each of n slots independently at up to cap per
+// tick — a sim.Separate over one stateless policy, so a slot's rate
+// depends only on its own queue and partitioning the slot table across
+// shards cannot change any slot's trace. That makes it the reference
+// allocator for sharded-vs-unsharded equivalence tests.
+func perSlotAlloc(n int, cap bw.Rate) *sim.Separate {
+	serve := sim.AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate { return min(bw.Rate(queued), cap) })
+	allocs := make([]sim.Allocator, n)
+	for i := range allocs {
+		allocs[i] = serve
 	}
-	return rates
+	return &sim.Separate{Allocs: allocs}
 }
 
-// perSlotAllocs is an allocator list of n perSlotAllocs.
-func perSlotAllocs(n int, perSlotCap bw.Rate) []sim.MultiAllocator {
+// perSlotAllocs is the allocator list of k slots over n shards, a
+// perSlotAlloc on each.
+func perSlotAllocs(n, k int, perSlotCap bw.Rate) []sim.MultiAllocator {
 	allocs := make([]sim.MultiAllocator, n)
 	for i := range allocs {
-		allocs[i] = perSlotAlloc{cap: perSlotCap}
+		allocs[i] = perSlotAlloc(k/n, perSlotCap)
 	}
 	return allocs
 }
@@ -48,7 +44,7 @@ func startSharded(t *testing.T, k, nshards int, perSlotCap bw.Rate) (*Gateway, *
 	ticks := newManualTicks()
 	g, err := NewWithConfig(Config{
 		Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch,
-		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, perSlotCap),
+		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, k, perSlotCap),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,32 +52,35 @@ func startSharded(t *testing.T, k, nshards int, perSlotCap bw.Rate) (*Gateway, *
 	return g, ticks
 }
 
+// denseOnly hides an allocator's sparse form.
+type denseOnly struct{ sim.MultiAllocator }
+
 func TestShardedConfigValidation(t *testing.T) {
 	ch := make(chan time.Time)
-	alloc := perSlotAlloc{cap: 8}
 	base := Config{Addr: "127.0.0.1:0", Slots: 8, Ticks: ch}
+	alloc := func(n int) sim.MultiAllocator { return perSlotAlloc(n, 8) }
 
 	cfg := base
 	cfg.Shards = 3
-	cfg.ShardAllocs = []sim.MultiAllocator{alloc, alloc, alloc}
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc(2), alloc(2), alloc(2)}
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("8 slots over 3 shards accepted")
 	}
 	cfg = base
 	cfg.Shards = 4
-	cfg.ShardAllocs = []sim.MultiAllocator{alloc}
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc(2)}
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("1 allocator for 4 shards accepted")
 	}
 	cfg = base
 	cfg.Shards = 2
-	cfg.ShardAllocs = []sim.MultiAllocator{alloc, nil}
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc(4), nil}
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("nil shard allocator accepted")
 	}
 	cfg = base
 	cfg.Shards = 2
-	cfg.ShardAllocs = []sim.MultiAllocator{alloc, alloc}
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc(4), alloc(4)}
 	cfg.Router = route.NewP2C(route.Uniform(4, 2), 1)
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("a router over 4 links accepted for 2 shards")
@@ -91,18 +90,24 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Error("no allocator under either name accepted")
 	}
 	cfg = base
-	cfg.Alloc = alloc
+	cfg.Alloc = alloc(8)
 	cfg.Shards = 2
 	if _, err := NewWithConfig(cfg); err == nil {
 		t.Error("Alloc alone accepted for 2 shards")
+	}
+	cfg = base
+	cfg.Shards = 2
+	cfg.ShardAllocs = []sim.MultiAllocator{alloc(4), denseOnly{alloc(4)}}
+	if _, err := NewWithConfig(cfg); err == nil || !strings.Contains(err.Error(), "gateway.denseOnly") {
+		t.Errorf("a dense-only allocator: err = %v, want one naming gateway.denseOnly", err)
 	}
 
 	// One is a count: a one-element list, for one shard, routed or not,
 	// is the gateway Alloc builds.
 	accepted := map[string]Config{
-		"Shards 0, one ShardAlloc": {ShardAllocs: []sim.MultiAllocator{alloc}},
-		"Shards 1, one ShardAlloc": {Shards: 1, ShardAllocs: []sim.MultiAllocator{alloc}},
-		"Shards 1, router, Alloc":  {Shards: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc},
+		"Shards 0, one ShardAlloc": {ShardAllocs: []sim.MultiAllocator{alloc(8)}},
+		"Shards 1, one ShardAlloc": {Shards: 1, ShardAllocs: []sim.MultiAllocator{alloc(8)}},
+		"Shards 1, router, Alloc":  {Shards: 1, Router: route.NewGreedy(route.Uniform(1, 8)), Alloc: alloc(8)},
 	}
 	for name, c := range accepted {
 		c.Addr, c.Slots, c.Ticks = base.Addr, base.Slots, base.Ticks
@@ -187,7 +192,7 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 // accounting on the same trace.
 func TestOneShardThroughListMatchesAlloc(t *testing.T) {
 	ticks := newManualTicks()
-	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 8, Alloc: perSlotAlloc{cap: 4}, Ticks: ticks.ch})
+	g, err := NewWithConfig(Config{Addr: "127.0.0.1:0", Slots: 8, Alloc: perSlotAlloc(8, 4), Ticks: ticks.ch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dynbw/internal/obs"
-	"dynbw/internal/sim"
 )
 
 // startTraced launches a sharded gateway with a metrics registry and a
@@ -23,7 +22,7 @@ func startTraced(t *testing.T, k, nshards, sampleEvery int) (*Gateway, *manualTi
 	cfg := Config{
 		Addr: "127.0.0.1:0", Slots: k, Ticks: ticks.ch,
 		Metrics: reg, Spans: ring, SpanSampleEvery: sampleEvery,
-		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, 16),
+		Shards: nshards, ShardAllocs: perSlotAllocs(nshards, k, 16),
 	}
 	g, err := NewWithConfig(cfg)
 	if err != nil {
@@ -289,10 +288,7 @@ func TestTickProfilingMetrics(t *testing.T) {
 	cfg := Config{
 		Addr: "127.0.0.1:0", Slots: 8, Shards: 4, Ticks: ticks.ch,
 		Metrics: reg, TickBudget: time.Nanosecond, // every round overruns
-		ShardAllocs: []sim.MultiAllocator{
-			perSlotAlloc{cap: 16}, perSlotAlloc{cap: 16},
-			perSlotAlloc{cap: 16}, perSlotAlloc{cap: 16},
-		},
+		ShardAllocs: perSlotAllocs(4, 8, 16),
 	}
 	g, err := NewWithConfig(cfg)
 	if err != nil {

@@ -164,7 +164,7 @@ func TestRecorderStartCloseAndManualFreeze(t *testing.T) {
 	}
 	rec.Freeze("manual")
 	rec.Close()
-	rec.Close() // idempotent
+	rec.Close()          // idempotent
 	if rec.Total() < 3 { // >= 2 periodic + 1 final on Close
 		t.Fatalf("Total = %d, want >= 3", rec.Total())
 	}

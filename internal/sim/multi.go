@@ -9,8 +9,7 @@ import (
 // MultiAllocator is a bandwidth allocation policy for k sessions sharing a
 // channel (Section 3 of the paper). Rates is called once per tick, after
 // arrivals have been enqueued, and returns the per-session allocations.
-// The paper's policies also implement SparseAllocator, the form the step
-// kernel runs; any other MultiAllocator is run through Sparse's adapter.
+// The kernel runs one that is also a SparseAllocator, and rejects others.
 type MultiAllocator interface {
 	// Rates returns the per-session allocations at tick t. arrived[i] and
 	// queued[i] describe session i. The returned slice must have length k

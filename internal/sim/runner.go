@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/metrics"
@@ -20,11 +21,10 @@ import (
 // need the schedule beyond that must copy it. The zero value is ready to
 // use; a Runner must not be used from multiple goroutines at once.
 type Runner struct {
-	m     MultiRunner
-	in    [1]*trace.Trace
-	alloc [1]Allocator
-	sep   Separate
-	res   Result
+	m   MultiRunner
+	in  [1]*trace.Trace
+	sep Separate
+	res Result
 }
 
 // NewRunner returns an empty Runner. The zero value works too; the
@@ -35,15 +35,15 @@ func NewRunner() *Runner { return &Runner{} }
 // no Reset first; it is exported so a Runner can drop its references to
 // a trace and a policy between unrelated experiments.
 func (r *Runner) Reset() {
-	r.in[0], r.alloc[0], r.res = nil, nil, Result{}
+	r.in[0], r.res = nil, Result{}
+	clear(r.sep.Allocs)
 }
 
 // Run simulates the allocator on the trace, exactly like the package
 // function Run but reusing the Runner's storage. See Run for the tick
 // semantics and error conditions.
 func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, error) {
-	r.in[0], r.alloc[0] = tr, alloc
-	r.sep.Allocs = r.alloc[:]
+	r.in[0], r.sep.Allocs = tr, append(r.sep.Allocs[:0], alloc)
 	res, err := r.m.run(r.in[:], &r.sep, opts)
 	if err != nil {
 		return nil, err
@@ -58,22 +58,65 @@ func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, e
 	return &r.res, nil
 }
 
-// Separate runs one single-session policy per session: session i is
-// served by Allocs[i] alone. Each policy is asked every tick, busy or
-// idle, because a single-session policy keeps time by its calls. A
-// single-session run is Separate over one policy.
+// Separate runs one single-session policy per session, session i by
+// Allocs[i] alone, asking each every tick, busy or idle: a single-session
+// policy keeps time by its calls. The kernel does not pass queues, so
+// Separate keeps each as its FIFO does — arrivals in, min(queue, rate)
+// out, nothing on a round the kernel rejects for a negative rate — exact
+// while Separate alone serves the table, a slot a policy. A call at tick
+// 0 starts a run with every queue empty; Leave empties one.
 type Separate struct {
-	Allocs []Allocator
-	rates  []bw.Rate
+	Allocs       []Allocator
+	queued       []bw.Bits
+	rates, moved []bw.Rate
+	changed      []int32
 }
 
-// Rates implements MultiAllocator.
+// Rates implements MultiAllocator, from the caller's queue lengths.
 func (s *Separate) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	s.rates = s.rates[:0]
 	for i, a := range s.Allocs {
 		s.rates = append(s.rates, a.Rate(t, arrived[i], queued[i]))
 	}
 	return s.rates
+}
+
+// RatesActive implements SparseAllocator.
+func (s *Separate) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	s.changed, s.moved, s.rates = s.changed[:0], s.moved[:0], s.rates[:0]
+	if len(s.Allocs) != len(applied) { // a session outside the table: the kernel rejects the round
+		return append(s.changed, int32(len(applied))), append(s.moved, 0)
+	}
+	if n := len(applied); len(s.queued) != n || t == 0 {
+		s.queued = slices.Grow(s.queued[:0], n)[:n]
+		clear(s.queued)
+	}
+	for i, a := range s.Allocs {
+		var in bw.Bits
+		if len(arrived) > 0 && int(arrived[0]) == i {
+			in, arrived, bits = bits[0], arrived[1:], bits[1:]
+		}
+		s.queued[i] += in
+		s.rates = append(s.rates, a.Rate(t, in, s.queued[i]))
+	}
+	if i := slices.IndexFunc(s.rates, func(r bw.Rate) bool { return r < 0 }); i >= 0 {
+		return append(s.changed, int32(i)), append(s.moved, s.rates[i])
+	}
+	for i, r := range s.rates {
+		s.queued[i] -= min(s.queued[i], r)
+		if r != applied[i] {
+			s.changed = append(s.changed, int32(i))
+			s.moved = append(s.moved, r)
+		}
+	}
+	return s.changed, s.moved
+}
+
+// Leave empties session i's queue, for a session that ended.
+func (s *Separate) Leave(i int) {
+	if i < len(s.queued) {
+		s.queued[i] = 0
+	}
 }
 
 // MultiRunner is the k-session counterpart of Runner: the slots, the
@@ -91,8 +134,7 @@ type MultiRunner struct {
 	scheds     []*bw.Schedule
 	delays     []bw.Tick
 	total      bw.Schedule
-	in         []*trace.Trace // the sessions of the last Run
-	dense      denseAdapter
+	in         []*trace.Trace  // the sessions of the last Run
 	hist       queue.DelayHist // attached to every queue of slots
 	res        MultiResult
 }
@@ -147,20 +189,18 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 
 // run is the simulator's only tick loop: each tick is one Slots.Step —
 // the round the live gateway runs — with the per-session schedules
-// recorded from the rates it returns. A policy that is not a
-// SparseAllocator runs behind the runner's own dense adapter. The
-// sessions' traces have equal lengths; the caller fills in the report,
-// against whichever aggregate trace it holds.
+// recorded from the rates it returns. The sessions' traces have equal
+// lengths; the caller fills in the report, against whichever aggregate
+// trace it holds.
 func (r *MultiRunner) run(sessions []*trace.Trace, alloc MultiAllocator, opts Options) (*MultiResult, error) {
+	sparse, ok := alloc.(SparseAllocator)
+	if !ok {
+		return nil, fmt.Errorf("sim: %T is not a sim.SparseAllocator", alloc)
+	}
 	k := len(sessions)
 	n := sessions[0].Len()
 	limit := n + opts.drainBudget(n)
 	slots := r.size(k)
-	sparse, ok := alloc.(SparseAllocator)
-	if !ok {
-		r.dense.reset(alloc, slots)
-		sparse = &r.dense
-	}
 
 	var (
 		left      bw.Bits // queued across all sessions after the last step

@@ -149,7 +149,7 @@ func TestMultiRunQuantiles(t *testing.T) {
 	a, b := runnerTrace(1, 200), runnerTrace(2, 200)
 	r := NewMultiRunner()
 	for _, sessions := range [][]*trace.Trace{{a, b}, {a}, {a, b}} {
-		res, err := r.Run(trace.MustNewMulti(sessions), &perSessionAlloc{cap: 64}, Options{})
+		res, err := r.Run(trace.MustNewMulti(sessions), perSession(len(sessions), 64), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 	mr := NewMultiRunner()
 	perRun := func(n bw.Tick) float64 {
 		m := trace.MustNewMulti([]*trace.Trace{runnerTrace(1, n), runnerTrace(2, n), runnerTrace(3, n)})
-		malloc := &perSessionAlloc{cap: 256}
+		malloc := perSession(3, 256)
 		run := func() {
 			if _, err := mr.Run(m, malloc, Options{}); err != nil {
 				t.Error(err)
@@ -263,25 +263,14 @@ func TestRunnerErrorLeavesReusable(t *testing.T) {
 	sameResult(t, got, want)
 }
 
-// perSessionAlloc serves each session's queue, capped, reusing one rates
-// slice as the MultiAllocator contract permits.
-type perSessionAlloc struct {
-	cap   bw.Rate
-	rates []bw.Rate
-}
-
-func (a *perSessionAlloc) Rates(_ bw.Tick, _, queued []bw.Bits) []bw.Rate {
-	if len(a.rates) != len(queued) {
-		a.rates = make([]bw.Rate, len(queued))
+// perSession serves each of k sessions its whole queue, capped: a
+// Separate over one stateless policy.
+func perSession(k int, cap bw.Rate) *Separate {
+	allocs := make([]Allocator, k)
+	for i := range allocs {
+		allocs[i] = thresholdAlloc(cap)
 	}
-	for i, q := range queued {
-		r := bw.Rate(q)
-		if r > a.cap {
-			r = a.cap
-		}
-		a.rates[i] = r
-	}
-	return a.rates
+	return &Separate{Allocs: allocs}
 }
 
 // TestMultiRunnerMatchesRunMulti reuses one MultiRunner across varying
@@ -294,11 +283,11 @@ func TestMultiRunnerMatchesRunMulti(t *testing.T) {
 			sessions[i] = runnerTrace(uint64(10*k+i), 96)
 		}
 		m := trace.MustNewMulti(sessions)
-		got, err := r.Run(m, &perSessionAlloc{cap: 256}, Options{})
+		got, err := r.Run(m, perSession(k, 256), Options{})
 		if err != nil {
 			t.Fatalf("k=%d: MultiRunner.Run: %v", k, err)
 		}
-		want, err := RunMulti(m, &perSessionAlloc{cap: 256}, Options{})
+		want, err := RunMulti(m, perSession(k, 256), Options{})
 		if err != nil {
 			t.Fatalf("k=%d: RunMulti: %v", k, err)
 		}
@@ -322,5 +311,115 @@ func TestMultiRunnerMatchesRunMulti(t *testing.T) {
 					k, i, got.SessionDelays[i], want.SessionDelays[i])
 			}
 		}
+	}
+}
+
+// TestSeparateLeaveEmptiesTheQueue: a busy slot served by Separate is
+// vacated and its session leaves; the policy's first call for the slot's
+// next tenant is handed that tenant's bits alone.
+func TestSeparateLeaveEmptiesTheQueue(t *testing.T) {
+	s := NewSlots(2)
+	var seen [2]bw.Bits
+	slow := AllocatorFunc(func(_ bw.Tick, arrived, queued bw.Bits) bw.Rate {
+		seen = [2]bw.Bits{arrived, queued}
+		return 1
+	})
+	sep := &Separate{Allocs: []Allocator{slow, fixedRate(0)}}
+	s.Add(0, 10)
+	for tick := bw.Tick(0); tick < 3; tick++ {
+		if _, err := s.Step(tick, sep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Queue(0).Bits() != 7 || seen != [2]bw.Bits{0, 8} {
+		t.Fatalf("first tenant: %d bits queued, policy handed %v", s.Queue(0).Bits(), seen)
+	}
+	s.Vacate(0)
+	sep.Leave(0)
+	s.Add(0, 3)
+	if _, err := s.Step(3, sep); err != nil {
+		t.Fatal(err)
+	}
+	if seen != [2]bw.Bits{3, 3} {
+		t.Errorf("next tenant's first call handed arrived, queued %v, want [3 3]", seen)
+	}
+}
+
+// TestSeparateReusedStartsEmpty: a Separate run again starts with every
+// queue empty, also after a run that failed with bits queued — one that
+// never drained, and one whose policy broke the contract at its first
+// bits — and so gives what a fresh one gives.
+func TestSeparateReusedStartsEmpty(t *testing.T) {
+	m := trace.MustNewMulti([]*trace.Trace{runnerTrace(7, 120), runnerTrace(8, 120)})
+	want, err := RunMulti(m, perSession(2, 16), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail func(queued bw.Bits) bw.Rate // nil: the policy serves
+	policy := AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate {
+		if fail != nil {
+			return fail(queued)
+		}
+		return min(bw.Rate(queued), 16)
+	})
+	sep := &Separate{Allocs: []Allocator{policy, policy}}
+	r := NewMultiRunner()
+	for _, tc := range []struct {
+		name string
+		fail func(queued bw.Bits) bw.Rate
+		opts Options
+	}{
+		{"never drained", func(bw.Bits) bw.Rate { return 0 }, Options{DrainBudget: 4}},
+		{"negative rate", func(queued bw.Bits) bw.Rate { return -min(bw.Rate(queued), 1) }, Options{}},
+	} {
+		fail = tc.fail
+		if _, err := r.Run(m, sep, tc.opts); err == nil {
+			t.Fatalf("%s: the failing run succeeded", tc.name)
+		}
+		fail = nil
+		got, err := r.Run(m, sep, Options{})
+		if err != nil {
+			t.Fatalf("after %s: %v", tc.name, err)
+		}
+		for i := range want.Sessions {
+			if !got.Sessions[i].Equal(want.Sessions[i]) {
+				t.Errorf("after %s: session %d's schedule differs from a fresh Separate's", tc.name, i)
+			}
+		}
+		if got.Delay != want.Delay {
+			t.Errorf("after %s: delay %+v, a fresh Separate's %+v", tc.name, got.Delay, want.Delay)
+		}
+	}
+}
+
+// TestSeparateKeepsQueuesThroughARejectedRound: a round the kernel
+// rejects for one policy's negative rate serves no session, so
+// Separate's copies keep what arrived, and the next round hands every
+// policy the queue the kernel holds.
+func TestSeparateKeepsQueuesThroughARejectedRound(t *testing.T) {
+	s := NewSlots(2)
+	var seen bw.Bits
+	serve := AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate {
+		seen = queued
+		return 4
+	})
+	broken := true
+	other := AllocatorFunc(func(bw.Tick, bw.Bits, bw.Bits) bw.Rate {
+		if broken {
+			return -1
+		}
+		return 0
+	})
+	sep := &Separate{Allocs: []Allocator{serve, other}}
+	s.Add(0, 10)
+	if _, err := s.Step(0, sep); err == nil {
+		t.Fatal("a negative rate accepted")
+	}
+	broken = false
+	if _, err := s.Step(1, sep); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 10 || s.Queue(0).Bits() != 6 {
+		t.Errorf("after the rejected round: policy handed %d bits, the kernel held 10 and now %d", seen, s.Queue(0).Bits())
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dynbw/internal/bw"
@@ -107,16 +108,13 @@ func TestRunMulti(t *testing.T) {
 		trace.MustNew([]bw.Bits{4, 0, 0, 0}),
 		trace.MustNew([]bw.Bits{0, 0, 6, 0}),
 	})
-	alloc := multiAllocFunc(func(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-		rates := make([]bw.Rate, len(queued))
-		for i, q := range queued {
-			if q > 0 {
-				rates[i] = 2
-			}
+	busy := AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate {
+		if queued > 0 {
+			return 2
 		}
-		return rates
+		return 0
 	})
-	res, err := RunMulti(m, alloc, Options{})
+	res, err := RunMulti(m, &Separate{Allocs: []Allocator{busy, busy}}, Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
@@ -141,9 +139,7 @@ func TestRunMulti(t *testing.T) {
 
 func TestRunMultiWrongRateCount(t *testing.T) {
 	m := trace.MustNewMulti([]*trace.Trace{trace.MustNew([]bw.Bits{1})})
-	alloc := multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
-		return []bw.Rate{1, 1}
-	})
+	alloc := &Separate{Allocs: []Allocator{fixedRate(1), fixedRate(1)}}
 	if _, err := RunMulti(m, alloc, Options{}); err == nil {
 		t.Fatal("wrong rate count accepted")
 	}
@@ -151,27 +147,29 @@ func TestRunMultiWrongRateCount(t *testing.T) {
 
 func TestRunMultiNegativeRate(t *testing.T) {
 	m := trace.MustNewMulti([]*trace.Trace{trace.MustNew([]bw.Bits{1})})
-	alloc := multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
-		return []bw.Rate{-3}
-	})
-	if _, err := RunMulti(m, alloc, Options{}); err == nil {
+	if _, err := RunMulti(m, &Separate{Allocs: []Allocator{fixedRate(-3)}}, Options{}); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 }
 
 func TestRunMultiNeverDrains(t *testing.T) {
 	m := trace.MustNewMulti([]*trace.Trace{trace.MustNew([]bw.Bits{5})})
-	alloc := multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate {
-		return []bw.Rate{0}
-	})
-	_, err := RunMulti(m, alloc, Options{DrainBudget: 8})
+	_, err := RunMulti(m, &Separate{Allocs: []Allocator{fixedRate(0)}}, Options{DrainBudget: 8})
 	if !errors.Is(err, ErrQueueNeverDrained) {
 		t.Fatalf("err = %v, want ErrQueueNeverDrained", err)
 	}
 }
 
-type multiAllocFunc func(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate
+// denseOnly hides an allocator's sparse form.
+type denseOnly struct{ MultiAllocator }
 
-func (f multiAllocFunc) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	return f(t, arrived, queued)
+// TestRunMultiRejectsDenseOnly: the kernel runs one form of policy, and
+// a run handed only the dense one fails before its first tick, naming
+// the allocator's type.
+func TestRunMultiRejectsDenseOnly(t *testing.T) {
+	m := trace.MustNewMulti([]*trace.Trace{trace.MustNew([]bw.Bits{5})})
+	_, err := NewMultiRunner().Run(m, denseOnly{perSession(1, 8)}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "sim.denseOnly") {
+		t.Fatalf("err = %v, want one naming sim.denseOnly", err)
+	}
 }

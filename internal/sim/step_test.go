@@ -21,7 +21,7 @@ func TestSlotsChangesEqualScheduleChanges(t *testing.T) {
 		sessions[i] = runnerTrace(uint64(40+i), 200)
 	}
 	r := NewMultiRunner()
-	res, err := r.Run(trace.MustNewMulti(sessions), &perSessionAlloc{cap: 96}, Options{})
+	res, err := r.Run(trace.MustNewMulti(sessions), perSession(k, 96), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +55,20 @@ func TestSlotsStepRound(t *testing.T) {
 	if dropped := s.Add(0, 10); dropped != 0 {
 		t.Fatalf("Add dropped %d bits", dropped)
 	}
-	alloc := Sparse(multiAllocFunc(func(_ bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-		if arrived[0] != 10 || queued[0] != 10 || arrived[1] != 0 {
-			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
-		}
-		return []bw.Rate{4, 3}
-	}), &s)
+	var seen [2][2]bw.Bits // each policy's last arrived and queued
+	policy := func(i int, rate bw.Rate) Allocator {
+		return AllocatorFunc(func(_ bw.Tick, arrived, queued bw.Bits) bw.Rate {
+			seen[i] = [2]bw.Bits{arrived, queued}
+			return rate
+		})
+	}
+	alloc := &Separate{Allocs: []Allocator{policy(0, 4), policy(1, 3)}}
 	r, err := s.Step(0, alloc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seen != [2][2]bw.Bits{{10, 10}, {0, 0}} {
+		t.Errorf("policies saw arrived, queued %v", seen)
 	}
 	if r.Arrived != 10 || r.Served != 4 || r.Total != 7 || r.Changes != 2 || r.Active != 1 || len(r.Rates) != 2 {
 		t.Errorf("round = %+v", r)
@@ -73,40 +78,44 @@ func TestSlotsStepRound(t *testing.T) {
 			s.Queue(0).Bits(), s.Rate(0), s.Rate(1), s.Changes(0), s.Changes(1))
 	}
 	// The second round finds nothing pending: slot 0 is visited for its
-	// backlog alone, and the total carries over unchanged.
-	alloc = Sparse(multiAllocFunc(func(_ bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-		if arrived[0] != 0 || queued[0] != 6 {
-			t.Errorf("allocator saw arrived %v queued %v", arrived, queued)
-		}
-		return []bw.Rate{4, 3}
-	}), &s)
-	// A fresh adapter diffs against zero rates; the kernel must still
-	// count no change, since it compares with what it applied.
+	// backlog alone, no rate moves, and the total carries over unchanged.
 	if r, err = s.Step(1, alloc); err != nil || r.Arrived != 0 || r.Served != 4 || r.Total != 7 || r.Changes != 0 || r.Active != 1 {
 		t.Errorf("second round = %+v, %v", r, err)
 	}
+	if seen != [2][2]bw.Bits{{0, 6}, {0, 0}} {
+		t.Errorf("second round: policies saw arrived, queued %v", seen)
+	}
 }
 
-// TestSlotsStepContractViolation: a bad rate vector is an error, the
-// arrivals are still enqueued, and nothing is served or recounted — not
-// even the slots ahead of the offending one. The next round, with the
+// answer is a sparse allocator whose every round reports the same
+// changes.
+type answer struct {
+	changed []int32
+	rates   []bw.Rate
+}
+
+func (a *answer) RatesActive(bw.Tick, []int32, []bw.Bits, []bw.Rate) ([]int32, []bw.Rate) {
+	return a.changed, a.rates
+}
+
+// TestSlotsStepContractViolation: a bad answer is an error, the arrivals
+// are still enqueued, and nothing is served or recounted — not even the
+// slots whose reported rates were fine. The next round, with the
 // allocator mended, serves them.
 func TestSlotsStepContractViolation(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		rates []bw.Rate
+		name string
+		bad  SparseAllocator
 	}{
-		{"short", []bw.Rate{5}},
-		{"long", []bw.Rate{5, 5, 5}},
-		{"negative", []bw.Rate{5, -1}},
+		{"ragged", ragged{}},
+		{"outside", &answer{[]int32{0, 2}, []bw.Rate{5, 5}}},
+		{"negative", &answer{[]int32{0, 1}, []bw.Rate{5, -1}}},
 	} {
 		s := NewSlots(2)
 		s.Add(0, 8)
 		s.Add(1, 8)
-		rates := tc.rates
-		alloc := Sparse(multiAllocFunc(func(bw.Tick, []bw.Bits, []bw.Bits) []bw.Rate { return rates }), &s)
 		for tick := bw.Tick(0); tick < 2; tick++ { // a standing violation is reported every round
-			r, err := s.Step(tick, alloc)
+			r, err := s.Step(tick, tc.bad)
 			if err == nil {
 				t.Errorf("%s: accepted at tick %d", tc.name, tick)
 				continue
@@ -121,8 +130,8 @@ func TestSlotsStepContractViolation(t *testing.T) {
 				}
 			}
 		}
-		rates = []bw.Rate{5, 5}
-		if r, err := s.Step(2, alloc); err != nil || r.Served != 10 || r.Changes != 2 || r.Total != 10 {
+		mended := &answer{[]int32{0, 1}, []bw.Rate{5, 5}}
+		if r, err := s.Step(2, mended); err != nil || r.Served != 10 || r.Changes != 2 || r.Total != 10 {
 			t.Errorf("%s: mended round = %+v, %v", tc.name, r, err)
 		}
 	}
@@ -154,20 +163,11 @@ func TestSlotsStepRejectsRaggedAnswer(t *testing.T) {
 func TestSlotsSliceAndMove(t *testing.T) {
 	const k = 200 // a view of 100 slots: its bound splits word 1 of the set
 	s := NewSlots(k)
-	constant := func(v *Slots, rate func(bw.Tick) bw.Rate) SparseAllocator {
-		return Sparse(multiAllocFunc(func(tk bw.Tick, _, _ []bw.Bits) []bw.Rate {
-			out := make([]bw.Rate, v.Len())
-			for i := range out {
-				out[i] = rate(tk)
-			}
-			return out
-		}), v)
-	}
 	s.Add(99, 3)   // the view's last slot
 	s.Add(100, 20) // the first one past it
 	s.Add(163, 1)
 	low := s.prefix(100)
-	lowAlloc := constant(&low, func(bw.Tick) bw.Rate { return 2 })
+	lowAlloc := newEveryRate(2)
 	if r, err := low.Step(0, lowAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 || r.Changes != 100 {
 		t.Fatalf("view tick 0: round = %+v, %v", r, err)
 	}
@@ -184,7 +184,7 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	// The whole table: the slots past the old view are visited, and the
 	// round's total counts the 100 rates the view applied.
 	whole := s.prefix(k)
-	r, err := whole.Step(2, constant(&whole, func(tk bw.Tick) bw.Rate { return 5 + tk }))
+	r, err := whole.Step(2, newEveryRate(7))
 	if err != nil || r.Active != 2 || r.Arrived != 21 || r.Served != 8 || r.Backlogged != 1 || r.Total != 7*k || r.Changes != k {
 		t.Fatalf("whole table: round = %+v, %v", r, err)
 	}
