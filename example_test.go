@@ -111,5 +111,5 @@ func Example() {
 	// isp   phased          changes   37 (offline 84)  max delay 9 (bound 16)  peak 232
 	// isp   continuous      changes   50 (offline 84)  max delay 6 (bound 16)  peak 229
 	// bill  static split    allocated 783360  changes   6  max delay  0  bill 795.36
-	// bill  combined        allocated 122334  changes 106  max delay 12  bill 334.33
+	// bill  combined        allocated 122774  changes 121  max delay  9  bill 364.77
 }

@@ -9,12 +9,12 @@ import (
 	"dynbw/internal/sim"
 )
 
-// channels is the per-session state the three multi-session policies
-// share: each session's regular and overflow allocation and the virtual
-// queue on each — and with it the steps of Figures 4 and 5 that work on
-// that state (PHASE, TEST, REDUCE, the spill), which Phased and
-// Continuous run with B_O fixed and Combined runs inside each global
-// stage with B_O = Bon. A session's four words are one 32-byte record,
+// channels is the per-session state of the multi-session policies: each
+// session's regular and overflow allocation and the virtual queue on
+// each — and with it the steps of Figures 4 and 5 that work on that state
+// (PHASE, TEST, REDUCE, the spill), which Phased and Continuous run, with
+// B_O fixed or, inside Combined, re-staged with B_O = Bon at each local
+// stage. A session's four words are one 32-byte record,
 // so a step that reads a scattered session touches one cache line.
 //
 // Between its events a session's allocation is fixed, so its virtual
@@ -226,8 +226,11 @@ func (c *channels) phase(t bw.Tick, share bw.Rate, o obs.Observer) (violations i
 		c.put(s, 0, qo)
 		c.touch(i)
 		if o != nil {
-			o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: int(i),
-				OldRate: old, NewRate: s.bir + s.bio, Rule: "phase-raise"})
+			// The raise can come with a smaller overflow grant than the
+			// one it replaces, so the net rate moves either way, or not.
+			if r := s.bir + s.bio; r != old {
+				o.Event(renegotiation(t, int(i), old, r, "phase-raise"))
+			}
 			if !hadOverflow && s.bio > 0 {
 				o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: int(i),
 					NewRate: s.bio, Rule: "phase-spill"})

@@ -46,13 +46,13 @@ type CombinedStats struct {
 	// machinery applied to the aggregate arrival stream: each global
 	// reset forces at least one *global* offline change.
 	GlobalStages, GlobalResets int
-	// LocalStages counts local stage starts: the inner multi-session
-	// RESETs (each forces at least one *local* offline change by
-	// Lemma 13) plus restarts caused by the global estimate growing.
+	// LocalStages is the inner algorithm's Stages: its own stage ends
+	// (each forces at least one *local* offline change by Lemma 13), and
+	// a restart at each global stage and each growth of the estimate.
 	LocalStages int
 	// BonChanges counts changes of the global bandwidth estimate.
 	BonChanges int
-	// OverflowViolations is MultiStats' Claim 8 count, phased inner only.
+	// OverflowViolations is the inner algorithm's Claim 8 count.
 	OverflowViolations int
 }
 
@@ -60,30 +60,27 @@ type CombinedStats struct {
 // session stage machinery on the aggregate arrival stream to maintain a
 // total bandwidth estimate Bon (low/high trackers, power-of-two levels,
 // global stages ended when high < low), and inside each global stage runs
-// a multi-session algorithm of Section 3 with B_O = Bon — the phased one
-// (B_A = 7*B_O) by default, or the continuous one (B_A = 8*B_O) via
-// NewCombinedContinuous. A local stage ends when (1) a GLOBAL RESET
-// starts, (2) Bon grows, or (3) the inner algorithm's total regular
-// allocation exceeds 2*Bon.
+// a multi-session algorithm of Section 3 with B_O = Bon — a Phased
+// (B_A = 7*B_O) by default, or a Continuous (B_A = 8*B_O) via
+// NewCombinedContinuous, re-staged at each local stage. A local stage
+// ends when (1) a GLOBAL RESET starts, (2) Bon grows, or (3) the inner
+// algorithm's own stage ends: its total regular allocation exceeds
+// 2*Bon. Until the first estimate the inner stage has B_O = 0 and only
+// queues arrivals.
 //
-// On a GLOBAL RESET the sessions' virtual queues move to a global
-// overflow channel that drains them within D_O ticks, while a new global
-// stage starts immediately (unlike the single-session RESET, which waits
-// for the queue to empty).
+// On a GLOBAL RESET the sessions' virtual queues, with the reset tick's
+// arrivals, move to a global overflow channel that drains them within
+// D_O ticks, while a new global stage starts immediately (unlike the
+// single-session RESET, which waits for the queue to empty).
 type Combined struct {
 	p CombinedParams
-	// continuousInner selects the Section 3.2 inner algorithm (spill on
-	// demand with delayed REDUCE) instead of the phased one.
-	continuousInner bool
 
 	// Global stage state.
 	glow  *LowTracker
 	ghigh *HighTracker
 	bon   bw.Rate
 
-	// Inner multi-session state (B_O = bon), shared by both variants.
-	localResetTick bw.Tick
-	ch             channels
+	inner inner // the Section 3 algorithm, with B_O = bon
 
 	// Global overflow channel: per-session flushed queues and the
 	// temporary rates draining them. draining holds the sessions with
@@ -97,19 +94,43 @@ type Combined struct {
 	stats CombinedStats
 }
 
+// inner is what Combined runs of a Phased or a Continuous: their state,
+// a stage start under a given B_O, and a tick between begin and finish.
+type inner interface {
+	chans() *channels
+	restage(t bw.Tick, bo bw.Rate)
+	step(t bw.Tick, arrived []int32, bits []bw.Bits)
+	SetObserver(o obs.Observer)
+	Stats() MultiStats
+}
+
 var (
 	_ sim.MultiAllocator  = (*Combined)(nil)
 	_ sim.SparseAllocator = (*Combined)(nil)
 )
 
 // NewCombined returns the combined algorithm configured by p.
-func NewCombined(p CombinedParams) (*Combined, error) {
+func NewCombined(p CombinedParams) (*Combined, error) { return newCombined(p, false) }
+
+// NewCombinedContinuous returns the Section 4 algorithm with the
+// continuous multi-session algorithm (Section 3.2) inside each global
+// stage, matching the paper's B_A = 8*B_O variant.
+func NewCombinedContinuous(p CombinedParams) (*Combined, error) { return newCombined(p, true) }
+
+func newCombined(p CombinedParams, continuous bool) (*Combined, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("combined: %w", err)
 	}
+	m := MultiParams{K: p.K, DO: p.DO} // B_O is set by each restage
+	var in inner
+	if continuous {
+		in = &Continuous{p: m, ch: newChannels(p.K, p.DO)}
+	} else {
+		in = &Phased{p: m, ch: newChannels(p.K, p.DO)}
+	}
 	c := &Combined{
 		p:        p,
-		ch:       newChannels(p.K, p.DO),
+		inner:    in,
 		gq:       make([]bw.Bits, p.K),
 		gqRate:   make([]bw.Rate, p.K),
 		draining: bitset.New(p.K),
@@ -120,39 +141,18 @@ func NewCombined(p CombinedParams) (*Combined, error) {
 	return c, nil
 }
 
-// NewCombinedContinuous returns the Section 4 algorithm with the
-// continuous multi-session algorithm (Section 3.2) inside each global
-// stage, matching the paper's B_A = 8*B_O variant.
-func NewCombinedContinuous(p CombinedParams) (*Combined, error) {
-	c, err := NewCombined(p)
-	if err != nil {
-		return nil, err
-	}
-	c.continuousInner = true
-	return c, nil
-}
-
 // MustNewCombinedContinuous is NewCombinedContinuous but panics on error.
-func MustNewCombinedContinuous(p CombinedParams) *Combined {
-	c, err := NewCombinedContinuous(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+func MustNewCombinedContinuous(p CombinedParams) *Combined { return must(NewCombinedContinuous(p)) }
 
 // MustNewCombined is NewCombined but panics on error.
-func MustNewCombined(p CombinedParams) *Combined {
-	c, err := NewCombined(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+func MustNewCombined(p CombinedParams) *Combined { return must(NewCombined(p)) }
 
-// SetObserver attaches an allocation-event observer (nil disables).
-// Call it before the first Rates call.
-func (c *Combined) SetObserver(o obs.Observer) { c.o = o }
+// SetObserver attaches an allocation-event observer (nil disables), to
+// the inner algorithm too. Call it before the first Rates call.
+func (c *Combined) SetObserver(o obs.Observer) {
+	c.o = o
+	c.inner.SetObserver(o)
+}
 
 func (c *Combined) startGlobalStage(t bw.Tick) {
 	c.glow.Reset()
@@ -166,43 +166,22 @@ func (c *Combined) startGlobalStage(t bw.Tick) {
 		c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
 			Rule: "global-reset"})
 	}
-	c.startLocalStage(t)
-}
-
-func (c *Combined) startLocalStage(t bw.Tick) {
-	c.ch.setShares(t, c.share())
-	if !c.continuousInner {
-		// The epoch is t, where a line is its queue whatever the rate.
-		for i := range c.ch.sess {
-			c.ch.sess[i].bio = 0
-		}
-	}
-	c.localResetTick = t
-	c.stats.LocalStages++
-}
-
-// share returns the per-session regular quantum Bon/k (at least 1 once
-// any bandwidth is needed).
-func (c *Combined) share() bw.Rate {
-	if c.bon == 0 {
-		return 0
-	}
-	return bw.CeilDiv(c.bon, int64(c.p.K))
+	c.inner.restage(t, 0)
 }
 
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
 func (c *Combined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
-	sessions, bits := c.ch.in.Collect(arrived)
-	return c.ch.fold(c.RatesActive(t, sessions, bits, c.ch.dense()))
+	ch := c.inner.chans()
+	sessions, bits := ch.in.Collect(arrived)
+	return ch.fold(c.RatesActive(t, sessions, bits, ch.dense()))
 }
 
 // RatesActive implements sim.SparseAllocator. The global overflow channel
-// drains over the sessions it holds, the inner algorithm runs over its
-// live sessions; a global reset, a grown estimate and the end of a local
-// stage walk all k.
+// drains over the sessions it holds, the inner algorithm runs its tick;
+// a global reset and a grown estimate walk all k.
 func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
-	ch := &c.ch
+	ch := c.inner.chans()
 	ch.begin(t)
 
 	// Drain the global overflow channel.
@@ -211,9 +190,9 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
 			if c.o != nil {
-				inner := ch.sess[i].bir + ch.sess[i].bio
+				r := ch.sess[i].bir + ch.sess[i].bio
 				c.o.Event(obs.Event{Type: obs.EventRenegotiateDown, Tick: t, Session: int(i),
-					OldRate: inner + c.gqRate[i], NewRate: inner, Rule: "global-drain"})
+					OldRate: r + c.gqRate[i], NewRate: r, Rule: "global-drain"})
 			}
 			c.gqRate[i] = 0
 			ch.touch(i)
@@ -229,14 +208,25 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 	glow := c.glow.Observe(agg)
 	ghigh := c.ghigh.Observe(agg)
 	if ghigh < glow {
-		// GLOBAL RESET: flush every session queue to the global overflow
-		// channel (drained within DO) and start a fresh global stage
-		// immediately.
+		// GLOBAL RESET: every session's queues move to the global overflow
+		// channel, which drains them within D_O, and a fresh global stage
+		// starts at once. The tick's arrivals go with them: the old
+		// stage's trackers observed them, and the new stage, whose B_O is
+		// 0 until it has an estimate, would hold them unserved. The phased
+		// inner algorithm has no REDUCE, so the flush takes its overflow
+		// allocations too.
+		for j, i := range arrived {
+			c.gq[i] += bits[j]
+		}
+		_, phased := c.inner.(*Phased)
 		for i := range c.gq {
 			s := &ch.sess[i]
 			qr, qo := ch.at(s)
 			c.gq[i] += qr + qo
 			s.vr, s.vo = 0, 0
+			if phased {
+				s.bio = 0
+			}
 			if c.gq[i] > 0 {
 				c.gqRate[i] = bw.RateOver(c.gq[i], c.p.DO)
 				c.draining.Add(i)
@@ -244,6 +234,7 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 		}
 		c.stats.GlobalResets++
 		c.startGlobalStage(t)
+		arrived, bits = nil, nil
 	} else if glow > 0 {
 		want := bw.NextPow2(glow)
 		if want > c.p.BA {
@@ -254,7 +245,7 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 			old := c.bon
 			c.bon = want
 			c.stats.BonChanges++
-			c.startLocalStage(t)
+			c.inner.restage(t, want)
 			if c.o != nil {
 				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
 					OldRate: old, NewRate: want, Rule: "bon-grow"})
@@ -262,72 +253,33 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 		}
 	}
 
-	if c.continuousInner {
-		c.innerContinuous(t, arrived, bits)
-	} else {
-		c.innerPhased(t)
-		ch.arrive(arrived, bits)
-	}
+	c.inner.step(t, arrived, bits)
 	return ch.finish(c.gqRate, applied)
-}
-
-// innerPhased is the Figure 4 inner algorithm with B_O = bon.
-func (c *Combined) innerPhased(t bw.Tick) {
-	ch := &c.ch
-	if c.bon == 0 || t <= c.localResetTick || (t-c.localResetTick)%c.p.DO != 0 {
-		return
-	}
-	c.stats.OverflowViolations += ch.phase(t, c.share(), c.o)
-	if ch.sumBir > 2*c.bon {
-		ch.flush(t)
-		c.startLocalStage(t)
-		if c.o != nil {
-			c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-				Rule: "local-reset"})
-		}
-	}
-}
-
-// innerContinuous is the Figure 5 inner algorithm with B_O = bon: spill a
-// session's regular queue on demand and withdraw the overflow grant D_O
-// ticks later. Until there is an estimate to share out, arrivals only
-// queue.
-func (c *Combined) innerContinuous(t bw.Tick, arrived []int32, bits []bw.Bits) {
-	ch := &c.ch
-	ch.withdraw(t, c.o)
-	if c.bon == 0 {
-		ch.arrive(arrived, bits)
-		return
-	}
-	if ch.test(t, c.share(), arrived, bits, c.o) && ch.sumBir > 2*c.bon {
-		ch.spillAll(t)
-		c.startLocalStage(t)
-		if c.o != nil {
-			c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-				Rule: "local-reset"})
-		}
-	}
 }
 
 // Leave tells the policy that session i ended with bits undelivered: no
 // later round reserves bandwidth for them, on the inner channels or the
 // global overflow channel.
 func (c *Combined) Leave(i int) {
-	c.ch.leave(i)
+	c.inner.chans().leave(i)
 	c.gq[i] = 0
 }
 
 // Stats returns the structural counters accumulated so far.
-func (c *Combined) Stats() CombinedStats { return c.stats }
+func (c *Combined) Stats() CombinedStats {
+	st, in := c.stats, c.inner.Stats()
+	st.LocalStages, st.OverflowViolations = in.Stages, in.OverflowViolations
+	return st
+}
 
 // Promise implements sim.Promiser: Section 4 with B_O = B_A/8. Bandwidth
 // 7·B_O (phased inner) or 8·B_O (continuous), plus a bit per session for
-// the rounded-up shares; delay 2·D_O plus 2 ticks of GLOBAL RESET handoff
-// (a tick for the new global stage to observe arrivals, one for its
-// estimate to take effect); Lemma 5's U_O/3 over W+5·D_O, on the aggregate.
+// the rounded-up shares; delay 2·D_O plus 2 ticks of handoff, for bits
+// queued across a GLOBAL RESET or a growth of the estimate (DESIGN.md
+// §2.2); Lemma 5's U_O/3 over W+5·D_O, on the aggregate.
 func (c *Combined) Promise() sim.Promise {
 	ba := 7 * (c.p.BA / 8)
-	if c.continuousInner {
+	if _, ok := c.inner.(*Continuous); ok {
 		ba = 8 * (c.p.BA / 8)
 	}
 	return sim.Promise{DA: 2*c.p.DO + 2, BA: ba + bw.Rate(c.p.K), UA: c.p.UO / 3, UW: c.p.W + 5*c.p.DO}

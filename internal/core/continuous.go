@@ -46,13 +46,7 @@ func NewContinuous(p MultiParams) (*Continuous, error) {
 }
 
 // MustNewContinuous is NewContinuous but panics on error.
-func MustNewContinuous(p MultiParams) *Continuous {
-	a, err := NewContinuous(p)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
+func MustNewContinuous(p MultiParams) *Continuous { return must(NewContinuous(p)) }
 
 // SetObserver attaches an allocation-event observer (nil disables).
 // Call it before the first Rates call.
@@ -62,6 +56,15 @@ func (a *Continuous) reset(t bw.Tick) {
 	a.ch.setShares(t, a.p.Share())
 	a.stats.Stages++
 }
+
+// restage starts a new stage at tick t under B_O = bo: Combined's local
+// stage, whose B_O is its global estimate.
+func (a *Continuous) restage(t bw.Tick, bo bw.Rate) {
+	a.p.BO = bo
+	a.reset(t)
+}
+
+func (a *Continuous) chans() *channels { return &a.ch }
 
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
@@ -74,12 +77,21 @@ func (a *Continuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // and TEST runs on the sessions with arrivals; the end of a stage walks
 // the live sessions and then all k.
 func (a *Continuous) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
-	c := &a.ch
-	c.begin(t)
+	a.ch.begin(t)
+	a.step(t, arrived, bits)
+	return a.ch.finish(nil, applied)
+}
 
-	// Apply matured REDUCE operations first, then TEST(i) on every
-	// arrival batch.
+// step is tick t of Figure 5 between begin and finish: matured REDUCE
+// operations first, then TEST(i) on every arrival batch. A stage whose
+// B_O is 0 only queues arrivals.
+func (a *Continuous) step(t bw.Tick, arrived []int32, bits []bw.Bits) {
+	c := &a.ch
 	c.withdraw(t, a.o)
+	if a.p.BO == 0 {
+		c.arrive(arrived, bits)
+		return
+	}
 	if c.test(t, a.p.Share(), arrived, bits, a.o) && c.sumBir > 2*a.p.BO {
 		c.spillAll(t)
 		a.stats.Resets++
@@ -89,8 +101,6 @@ func (a *Continuous) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, app
 				Rule: "stage-reset"})
 		}
 	}
-
-	return c.finish(nil, applied)
 }
 
 // Leave tells the policy that session i ended with bits undelivered: no

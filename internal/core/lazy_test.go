@@ -38,7 +38,7 @@ func TestQuietTickWritesNothing(t *testing.T) {
 			case *Continuous:
 				ch = &a.ch
 			case *Combined:
-				ch = &a.ch
+				ch = a.inner.chans()
 			}
 			applied := make([]bw.Rate, k)
 			step := func(tick bw.Tick, arrived []int32, bits []bw.Bits) int {

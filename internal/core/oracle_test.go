@@ -9,11 +9,16 @@ import (
 )
 
 // This file is the reference the sparse policies are tested against: the
-// bodies of Phased, Continuous and Combined (with innerPhased and
-// innerContinuous) exactly as they were when every round streamed over
-// all k sessions, under dense* names. TestSparseMatchesDense runs both on
-// the same traces and requires the same rates, stats and events. The one
-// later edit, made in both, is Combined's global-drain event.
+// bodies of Phased, Continuous and Combined (with its two inner
+// algorithms) as they were when every round streamed over all k sessions,
+// under dense* names. TestSparseMatchesDense runs both on the same traces
+// and requires the same rates, stats and events. The later edits, each
+// made in both: Combined's global-drain event; a PHASE raise's event
+// names the direction the net rate moved, and none is emitted when it
+// did not move; a GLOBAL RESET's flush takes the tick's arrivals (and the
+// phased inner algorithm's overflow allocations); a local stage start
+// keeps the overflow allocations; and the inner stage's end is the
+// inner algorithm's "stage-reset".
 
 // densePhased is Phased as it stood before the sparse form: every loop
 // runs over all k sessions.
@@ -95,13 +100,17 @@ func (a *densePhased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 				a.qo[i] += a.qr[i]
 				a.qr[i] = 0
 				a.bio[i] = bw.RateOver(a.qo[i], do)
-				if a.o != nil {
-					a.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-						OldRate: old, NewRate: a.bir[i] + a.bio[i], Rule: "phase-raise"})
-					if !hadOverflow && a.bio[i] > 0 {
-						a.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-							NewRate: a.bio[i], Rule: "phase-spill"})
+				if r := a.bir[i] + a.bio[i]; a.o != nil && r != old {
+					typ := obs.EventRenegotiateUp
+					if r < old {
+						typ = obs.EventRenegotiateDown
 					}
+					a.o.Event(obs.Event{Type: typ, Tick: t, Session: i,
+						OldRate: old, NewRate: r, Rule: "phase-raise"})
+				}
+				if a.o != nil && !hadOverflow && a.bio[i] > 0 {
+					a.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
+						NewRate: a.bio[i], Rule: "phase-spill"})
 				}
 			}
 			totalRegular += a.bir[i]
@@ -298,11 +307,11 @@ type denseCombined struct {
 	bon   bw.Rate
 
 	// Inner multi-session state (B_O = bon), shared by both variants.
-	localResetTick bw.Tick
-	bir            []bw.Rate
-	bio            []bw.Rate
-	qr             []bw.Bits
-	qo             []bw.Bits
+	resetTick bw.Tick
+	bir       []bw.Rate
+	bio       []bw.Rate
+	qr        []bw.Bits
+	qo        []bw.Bits
 
 	// Global overflow channel: per-session flushed queues and the
 	// temporary rates draining them.
@@ -369,18 +378,15 @@ func (c *denseCombined) startGlobalStage(t bw.Tick) {
 		c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
 			Rule: "global-reset"})
 	}
-	c.startLocalStage(t)
+	c.restage(t)
 }
 
-func (c *denseCombined) startLocalStage(t bw.Tick) {
+func (c *denseCombined) restage(t bw.Tick) {
 	share := c.share()
 	for i := range c.bir {
 		c.bir[i] = share
-		if !c.continuousInner {
-			c.bio[i] = 0
-		}
 	}
-	c.localResetTick = t
+	c.resetTick = t
 	c.stats.LocalStages++
 }
 
@@ -423,18 +429,24 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	glow := c.glow.Observe(agg)
 	ghigh := c.ghigh.Observe(agg)
 	if ghigh < glow {
-		// GLOBAL RESET: flush every session queue to the global overflow
-		// channel (drained within DO) and start a fresh global stage
-		// immediately.
+		// GLOBAL RESET: flush every session queue, with this tick's
+		// arrivals, to the global overflow channel (drained within DO)
+		// and start a fresh global stage immediately, which sees no
+		// arrivals this tick. The phased inner algorithm's overflow
+		// allocations go with the flush.
 		for i := 0; i < k; i++ {
-			c.gq[i] += c.qr[i] + c.qo[i]
+			c.gq[i] += c.qr[i] + c.qo[i] + arrived[i]
 			c.qr[i], c.qo[i] = 0, 0
+			if !c.continuousInner {
+				c.bio[i] = 0
+			}
 			if c.gq[i] > 0 {
 				c.gqRate[i] = bw.RateOver(c.gq[i], do)
 			}
 		}
 		c.stats.GlobalResets++
 		c.startGlobalStage(t)
+		arrived = make([]bw.Bits, k)
 	} else if glow > 0 {
 		want := bw.NextPow2(glow)
 		if want > c.p.BA {
@@ -445,7 +457,7 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 			old := c.bon
 			c.bon = want
 			c.stats.BonChanges++
-			c.startLocalStage(t)
+			c.restage(t)
 			if c.o != nil {
 				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
 					OldRate: old, NewRate: want, Rule: "bon-grow"})
@@ -454,9 +466,9 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	}
 
 	if c.continuousInner {
-		c.innerContinuous(t, arrived)
+		c.continuousStep(t, arrived)
 	} else {
-		c.innerPhased(t)
+		c.phasedStep(t)
 	}
 
 	out := make([]bw.Rate, k)
@@ -474,11 +486,11 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	return out
 }
 
-// innerPhased is the Figure 4 inner algorithm with B_O = bon.
-func (c *denseCombined) innerPhased(t bw.Tick) {
+// phasedStep is the Figure 4 inner algorithm with B_O = bon.
+func (c *denseCombined) phasedStep(t bw.Tick) {
 	k := c.p.K
 	do := c.p.DO
-	if c.bon > 0 && t > c.localResetTick && (t-c.localResetTick)%do == 0 {
+	if c.bon > 0 && t > c.resetTick && (t-c.resetTick)%do == 0 {
 		var totalRegular bw.Rate
 		for i := 0; i < k; i++ {
 			old := c.bir[i] + c.bio[i]
@@ -497,13 +509,17 @@ func (c *denseCombined) innerPhased(t bw.Tick) {
 				c.qo[i] += c.qr[i]
 				c.qr[i] = 0
 				c.bio[i] = bw.RateOver(c.qo[i], do)
-				if c.o != nil {
-					c.o.Event(obs.Event{Type: obs.EventRenegotiateUp, Tick: t, Session: i,
-						OldRate: old, NewRate: c.bir[i] + c.bio[i], Rule: "phase-raise"})
-					if !hadOverflow && c.bio[i] > 0 {
-						c.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
-							NewRate: c.bio[i], Rule: "phase-spill"})
+				if r := c.bir[i] + c.bio[i]; c.o != nil && r != old {
+					typ := obs.EventRenegotiateUp
+					if r < old {
+						typ = obs.EventRenegotiateDown
 					}
+					c.o.Event(obs.Event{Type: typ, Tick: t, Session: i,
+						OldRate: old, NewRate: r, Rule: "phase-raise"})
+				}
+				if c.o != nil && !hadOverflow && c.bio[i] > 0 {
+					c.o.Event(obs.Event{Type: obs.EventOverflow, Tick: t, Session: i,
+						NewRate: c.bio[i], Rule: "phase-spill"})
 				}
 			}
 			totalRegular += c.bir[i]
@@ -514,19 +530,19 @@ func (c *denseCombined) innerPhased(t bw.Tick) {
 				c.qr[i] = 0
 				c.bio[i] = bw.RateOver(c.qo[i], do)
 			}
-			c.startLocalStage(t)
+			c.restage(t)
 			if c.o != nil {
 				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-					Rule: "local-reset"})
+					Rule: "stage-reset"})
 			}
 		}
 	}
 }
 
-// innerContinuous is the Figure 5 inner algorithm with B_O = bon: spill a
+// continuousStep is the Figure 5 inner algorithm with B_O = bon: spill a
 // session's regular queue on demand and withdraw the overflow grant D_O
 // ticks later.
-func (c *denseCombined) innerContinuous(t bw.Tick, arrived []bw.Bits) {
+func (c *denseCombined) continuousStep(t bw.Tick, arrived []bw.Bits) {
 	k := c.p.K
 	do := c.p.DO
 	for i := 0; i < k; i++ {
@@ -574,10 +590,10 @@ func (c *denseCombined) innerContinuous(t bw.Tick, arrived []bw.Bits) {
 			for i := 0; i < k; i++ {
 				c.spillContinuous(i, t)
 			}
-			c.startLocalStage(t)
+			c.restage(t)
 			if c.o != nil {
 				c.o.Event(obs.Event{Type: obs.EventStageReset, Tick: t, Session: -1,
-					Rule: "local-reset"})
+					Rule: "stage-reset"})
 			}
 		}
 	}

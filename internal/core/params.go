@@ -48,6 +48,14 @@ var (
 	ErrBadParams = errors.New("core: invalid parameters")
 )
 
+// must is what the MustNew constructors return: v, or a panic with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // Validate checks the parameter constraints the paper assumes.
 func (p SingleParams) Validate() error {
 	switch {

@@ -67,13 +67,7 @@ func NewPhased(p MultiParams) (*Phased, error) {
 }
 
 // MustNewPhased is NewPhased but panics on error.
-func MustNewPhased(p MultiParams) *Phased {
-	a, err := NewPhased(p)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
+func MustNewPhased(p MultiParams) *Phased { return must(NewPhased(p)) }
 
 // SetObserver attaches an allocation-event observer (nil disables).
 // Call it before the first Rates call; the policy is not otherwise safe
@@ -88,6 +82,15 @@ func (a *Phased) reset(t bw.Tick) {
 	a.stats.Stages++
 }
 
+// restage starts a new stage at tick t under B_O = bo: Combined's local
+// stage, whose B_O is its global estimate.
+func (a *Phased) restage(t bw.Tick, bo bw.Rate) {
+	a.p.BO = bo
+	a.reset(t)
+}
+
+func (a *Phased) chans() *channels { return &a.ch }
+
 // Rates implements sim.MultiAllocator: the dense entry to RatesActive.
 // The returned slice is the policy's own and valid until the next call.
 func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
@@ -99,13 +102,19 @@ func (a *Phased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 // sessions; a phase boundary walks the live ones, and any other tick
 // reaches the sessions with arrivals alone.
 func (a *Phased) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
-	c := &a.ch
-	c.begin(t)
+	a.ch.begin(t)
+	a.step(t, arrived, bits)
+	return a.ch.finish(nil, applied)
+}
 
+// step is tick t of Figure 4 between begin and finish. A stage whose B_O
+// is 0 only queues arrivals.
+func (a *Phased) step(t bw.Tick, arrived []int32, bits []bw.Bits) {
+	c := &a.ch
 	// PHASE boundary: every DO ticks starting DO after the RESET, decided
 	// on the queue state at the end of the previous phase (before this
 	// tick's arrivals).
-	if t > a.resetTick && (t-a.resetTick)%a.p.DO == 0 {
+	if a.p.BO > 0 && t > a.resetTick && (t-a.resetTick)%a.p.DO == 0 {
 		a.stats.OverflowViolations += c.phase(t, a.p.Share(), a.o)
 		if c.sumBir > 2*a.p.BO {
 			// Stage ends: flush every regular queue to overflow and RESET.
@@ -118,9 +127,7 @@ func (a *Phased) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied
 			}
 		}
 	}
-
 	c.arrive(arrived, bits)
-	return c.finish(nil, applied)
 }
 
 // Leave tells the policy that session i ended with bits undelivered: no

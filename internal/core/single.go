@@ -122,31 +122,13 @@ func NewGlobalUtilSingle(p SingleParams) (*SingleSession, error) {
 }
 
 // MustNewGlobalUtilSingle is NewGlobalUtilSingle but panics on error.
-func MustNewGlobalUtilSingle(p SingleParams) *SingleSession {
-	s, err := NewGlobalUtilSingle(p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func MustNewGlobalUtilSingle(p SingleParams) *SingleSession { return must(NewGlobalUtilSingle(p)) }
 
 // MustNewUnquantizedSingle is NewUnquantizedSingle but panics on error.
-func MustNewUnquantizedSingle(p SingleParams) *SingleSession {
-	s, err := NewUnquantizedSingle(p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func MustNewUnquantizedSingle(p SingleParams) *SingleSession { return must(NewUnquantizedSingle(p)) }
 
 // MustNewSingleSession is NewSingleSession but panics on error.
-func MustNewSingleSession(p SingleParams) *SingleSession {
-	s, err := NewSingleSession(p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func MustNewSingleSession(p SingleParams) *SingleSession { return must(NewSingleSession(p)) }
 
 func (s *SingleSession) startStage() {
 	s.inReset = false
@@ -190,17 +172,22 @@ func (s *SingleSession) resetRate(queued bw.Bits) bw.Rate {
 // for concurrent mutation.
 func (s *SingleSession) SetObserver(o obs.Observer) { s.o = o }
 
+// renegotiation is the event of session i's rate moving from old to r,
+// r != old: up or down by the sign of the change.
+func renegotiation(t bw.Tick, i int, old, r bw.Rate, rule string) obs.Event {
+	typ := obs.EventRenegotiateUp
+	if r < old {
+		typ = obs.EventRenegotiateDown
+	}
+	return obs.Event{Type: typ, Tick: t, Session: i, OldRate: old, NewRate: r, Rule: rule}
+}
+
 // emitRate reports this tick's allocation, emitting a renegotiation
 // event when it differs from the previous tick's — exactly the changes
 // the paper's cost measure counts — and returns it.
 func (s *SingleSession) emitRate(t bw.Tick, r bw.Rate, rule string) bw.Rate {
 	if s.o != nil && r != s.last {
-		typ := obs.EventRenegotiateUp
-		if r < s.last {
-			typ = obs.EventRenegotiateDown
-		}
-		s.o.Event(obs.Event{Type: typ, Tick: t, Session: 0,
-			OldRate: s.last, NewRate: r, Rule: rule})
+		s.o.Event(renegotiation(t, 0, s.last, r, rule))
 	}
 	s.last = r
 	return r

@@ -238,8 +238,8 @@ func TestSparseMatchesDense(t *testing.T) {
 		need := map[string][]string{
 			"phased":              {"phase-raise", "phase-spill", "phase-drain", "stage-reset"},
 			"continuous":          {"test-spill", "reduce", "stage-reset"},
-			"combined":            {"phase-raise", "phase-drain", "local-reset", "global-reset", "bon-grow", "global-drain"},
-			"combined-continuous": {"test-spill", "reduce", "local-reset", "global-reset", "bon-grow", "global-drain"},
+			"combined":            {"phase-raise", "phase-drain", "stage-reset", "global-reset", "bon-grow", "global-drain"},
+			"combined-continuous": {"test-spill", "reduce", "stage-reset", "global-reset", "bon-grow", "global-drain"},
 		}[oc.name]
 		for _, rule := range need {
 			if rules[rule] == 0 {
@@ -250,8 +250,9 @@ func TestSparseMatchesDense(t *testing.T) {
 }
 
 // checkEmitOnChange holds one tick's events to the paper's cost measure:
-// every session whose rate moved is named by a renegotiation, and every
-// renegotiation names a session whose rate moved. Two rules bound it. A
+// every session whose rate moved is named by a renegotiation, every
+// renegotiation names a session whose rate moved, and its type (up or
+// down) agrees with its own old and new rates. Two rules bound it. A
 // stage event (Session -1) rewrites rates wholesale, so at its tick
 // neither direction is required; and the first round applies the
 // constructor's initial stage, which emits nothing by design.
@@ -264,6 +265,9 @@ func checkEmitOnChange(t *testing.T, tick bw.Tick, first bool, moved []int32, ev
 		case obs.EventStageReset:
 			stage = stage || e.Session == -1
 		case obs.EventRenegotiateUp, obs.EventRenegotiateDown:
+			if up := e.Type == obs.EventRenegotiateUp; e.NewRate == e.OldRate || up != (e.NewRate > e.OldRate) {
+				t.Fatalf("tick %d: a %v event takes session %d from %d to %d (%s)", tick, e.Type, e.Session, e.OldRate, e.NewRate, e.Rule)
+			}
 			named[e.Session] = true
 		}
 	}

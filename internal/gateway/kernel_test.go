@@ -179,10 +179,12 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 		return trace.MustNewMulti(sessions)
 	}
 
-	// Every trace runs on one shard and on four. The on/off one also runs
-	// on four shards a p2c router places it on: its sessions are clamped
-	// to their shares, so whatever the placement, every shard's input is
-	// one its policy's B_O serves.
+	// Every trace runs on one shard and on four. The on/off and rotating
+	// ones also run on four shards a p2c router places their sessions on.
+	// The on/off sessions are clamped to their shares, so whatever the
+	// placement, every shard's input is one its policy's B_O serves. The
+	// rotating bursts, so placed, end combined's global stages on ticks
+	// with arrivals, whose bits must drain like any others.
 	type row struct {
 		nshards int
 		variant string
@@ -196,7 +198,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 		rows     []row
 	}{
 		{"", onOff(), false, append(plain, row{4, "/p2c", true})},
-		{"-rotating-1pct", rotating(), false, plain},
+		{"-rotating-1pct", rotating(), false, append(plain, row{4, "/p2c", true})},
 		{"-crossing", crossing(), true, plain},
 	} {
 		k := tc.m.K()
