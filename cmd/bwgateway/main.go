@@ -71,6 +71,7 @@ import (
 	"dynbw/internal/load"
 	"dynbw/internal/obs"
 	"dynbw/internal/route"
+	"dynbw/internal/sim"
 )
 
 func main() {
@@ -237,8 +238,8 @@ func run(args []string, out, errw io.Writer) error {
 	fmt.Fprintf(out, "bits served:     %d (%d still queued, %d dropped with their sessions)\n", stats.Served, stats.Queued, stats.Closed)
 	fmt.Fprintf(out, "session changes: %d\n", stats.SessionChanges)
 	fmt.Fprintf(out, "peak total bw:   %d\n", stats.MaxTotalRate)
-	fmt.Fprintf(out, "max delay:       %d ticks (2*D_O guarantee: %d, +arrival alignment)\n",
-		stats.MaxDelay, 2**do)
+	fmt.Fprintf(out, "max delay:       %d ticks (%s guarantee: %d, +arrival alignment)\n",
+		stats.MaxDelay, *policy, allocs[0].(sim.Promiser).Promise().DA)
 	fmt.Fprintf(out, "events traced:   %d (%d dropped)\n", ring.Total(), ring.Dropped())
 	if spanRing != nil {
 		fmt.Fprintf(out, "spans sampled:   %d (%d dropped)\n", spanRing.Total(), spanRing.Dropped())

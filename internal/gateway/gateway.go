@@ -182,7 +182,7 @@ type Config struct {
 	// Shards and its capacities are in slot units (Slots/Shards a shard).
 	// Nil tries the connection's home shard first and spills over to the
 	// next. Attach observers/metrics to it before starting.
-	Router route.Router
+	Router *route.Policy
 	// Ticks advances the allocator: one allocation round per value.
 	Ticks <-chan time.Time
 	// IdleTimeout, when positive, bounds how long a connection may sit
@@ -250,8 +250,8 @@ type Gateway struct {
 	// its slots' words under its lock (open, release); the wire path reads
 	// them without it (owns).
 	owners      []atomic.Uint64
-	serials     serialPool   // live connections' serials, recycled
-	router      route.Router // places an OPEN on a shard; nil: home stripe first
+	serials     serialPool    // live connections' serials, recycled
+	router      *route.Policy // places an OPEN on a shard; nil: home stripe first
 	ticks       <-chan time.Time
 	idleTimeout time.Duration
 

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -294,6 +295,103 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 					}
 					if st.SessionChanges == 0 || st.MaxDelay == 0 {
 						t.Errorf("degenerate run, nothing compared: %+v", st)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGatewayMatchesRouteRun is TestGatewayMatchesSimulator with
+// departures. One churn workload goes through route.Run and, tick by
+// tick, through a bare gateway whose shards are route.Run's links: each
+// OPEN through a router built as route.Run's, each session's bits through
+// feed, each departure through releaseSession, then g.round. Both sides
+// run a link as phased over its cap/Rate slots, so the changes, the bits
+// served and dropped, the worst delay and the blocked OPENs must be
+// equal. DAR is left out: the gateway places under provisional keys, and
+// DAR's home link is the key mod k.
+func TestGatewayMatchesRouteRun(t *testing.T) {
+	const (
+		capacity = bw.Rate(64)
+		rate     = bw.Rate(16)
+		per      = int(capacity / rate)
+		do       = bw.Tick(8)
+	)
+	routers := map[string]func([]bw.Rate) *route.Policy{
+		"greedy": route.NewGreedy,
+		"p2c":    func(caps []bw.Rate) *route.Policy { return route.NewP2C(caps, 211) },
+	}
+	phased := func(k int, c bw.Rate) (sim.SparseAllocator, error) {
+		p, err := core.NewPhased(core.MultiParams{K: k, BO: c, DO: do})
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	for _, name := range []string{"greedy", "p2c"} {
+		for _, n := range []int{1, 4} {
+			for _, kind := range []string{"mmpp", "heavytail"} {
+				t.Run(fmt.Sprintf("%s/links=%d/%s", name, n, kind), func(t *testing.T) {
+					// Offered nominal load a little above the links' capacity.
+					w := traffic.Churn{Seed: 42, Horizon: 1024, MeanGap: 10 / float64(n), MeanHold: 48, Rate: rate, Traffic: kind}
+					res, err := route.Run(w, route.Config{Router: routers[name](route.Uniform(n, capacity)), Alloc: phased})
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					g := newRounds(t, "phased", n*per, n, do) // each shard phased, K = per, B_O = capacity
+					g.router = routers[name](route.Uniform(n, bw.Rate(per)))
+					sessions, err := w.Sessions()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var lastEnd bw.Tick
+					for _, s := range sessions {
+						lastEnd = max(lastEnd, s.End)
+					}
+					ids := make([]int, len(sessions)) // wire IDs of the opened sessions
+					var active []int                  // opened sessions, in arrival order
+					blocked, next := 0, 0
+					for tick := bw.Tick(0); tick <= lastEnd; tick++ {
+						keep := active[:0]
+						for _, j := range active {
+							if sessions[j].End > tick {
+								keep = append(keep, j)
+								continue
+							}
+							g.releaseSession(ids[j])
+						}
+						active = keep
+						for ; next < len(sessions) && sessions[next].Arr == tick; next++ {
+							id, err := g.openSession(0, 1)
+							if errors.Is(err, ErrSessionLimit) {
+								blocked++
+								continue
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							ids[next] = id
+							active = append(active, next)
+						}
+						for _, j := range active {
+							feed(g, ids[j], sessions[j].Bits[tick-sessions[j].Arr])
+						}
+						g.round(tick)
+						g.now.Add(1)
+					}
+
+					st := g.stats()
+					if st.SessionChanges != res.Changes || st.Served != res.Served || st.Closed != res.Dropped ||
+						st.MaxDelay != res.MaxDelay || blocked != res.Blocked || st.Queued != 0 {
+						t.Errorf("gateway: %d changes, %d served, %d dropped, %d queued, max delay %d, %d blocked\n"+
+							"route.Run: %d changes, %d served, %d dropped, max delay %d, %d blocked",
+							st.SessionChanges, st.Served, st.Closed, st.Queued, st.MaxDelay, blocked,
+							res.Changes, res.Served, res.Dropped, res.MaxDelay, res.Blocked)
+					}
+					if res.Changes == 0 || res.Dropped == 0 || res.Served == 0 || res.Blocked == 0 {
+						t.Errorf("degenerate run, nothing compared: %+v", res)
 					}
 				})
 			}

@@ -2,44 +2,75 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
 	"dynbw/internal/metrics"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
+	"dynbw/internal/traffic"
 )
 
-// The routing experiments (E23-E25) exercise the two-level system of
-// ROADMAP item 4: a routing tier places sessions across k backend
-// links (internal/route) and each link serves its routed stream with
-// the paper's single-session algorithm. They compare the three
-// placement policies of the balanced-allocation literature — greedy
-// least-loaded, DAR with trunk reservation, and power-of-two-choices —
-// on blocking, balance, and the combined change+reroute cost.
+// The routing experiments (E23-E25) exercise the two-level system: a
+// routing tier places sessions across k backend links (internal/route)
+// and each link runs as a gateway shard does, its sessions' slots under
+// the paper's k-session phased algorithm, with sessions arriving and
+// departing. They compare the three placement policies of the
+// balanced-allocation literature — greedy least-loaded, DAR with trunk
+// reservation, and power-of-two-choices — on blocking, balance, and the
+// combined change+reroute cost.
 
-// routeAlloc is the per-link allocation policy every routing experiment
-// replays through: the paper's single-session algorithm with B_A equal
-// to the link capacity.
-func routeAlloc(cap bw.Rate) (sim.Allocator, error) {
-	return core.NewSingleSession(core.SingleParams{BA: cap, DO: 8, UO: 0.5, W: 16})
+// routeAlloc is the policy every routing experiment runs on each link:
+// the paper's phased algorithm over the link's k session slots, with B_O
+// equal to the link capacity.
+func routeAlloc(k int, cap bw.Rate) (sim.SparseAllocator, error) {
+	p, err := core.NewPhased(core.MultiParams{K: k, BO: cap, DO: 8})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// routePolicies is the fixed policy grid. Reserve is one session's
-// nominal rate; seeds are per-policy constants so every sweep point is
-// self-contained.
+// routePolicies is the fixed policy grid.
 var routePolicies = []string{"greedy", "dar", "p2c"}
 
-func routeRouter(policy string, caps []bw.Rate, reserve bw.Rate) (route.Router, error) {
+// routeRun runs one cell of a routing experiment: the named placement
+// policy over links of capacity 64, each under routeAlloc, rebalancing
+// every `every` ticks (0: never) by at most two moves a pass. DAR's
+// reserve is one session's nominal rate; seeds are per-policy constants
+// so every sweep point is self-contained.
+func routeRun(policy string, links int, w traffic.Churn, every bw.Tick) (*route.Result, error) {
+	caps := route.Uniform(links, 64)
+	var r *route.Policy
 	switch policy {
 	case "greedy":
-		return route.NewGreedy(caps), nil
+		r = route.NewGreedy(caps)
 	case "dar":
-		return route.NewDAR(caps, reserve, 101), nil
+		r = route.NewDAR(caps, w.Rate, 101)
 	case "p2c":
-		return route.NewP2C(caps, 211), nil
+		r = route.NewP2C(caps, 211)
+	default:
+		return nil, fmt.Errorf("unknown route policy %q", policy)
 	}
-	return nil, fmt.Errorf("unknown route policy %q", policy)
+	return route.Run(w, route.Config{Router: r, Alloc: routeAlloc, RebalanceEvery: every, RebalanceLimit: 2})
+}
+
+// linkShares lists each link's routed bits, for Jain's index, and
+// their total.
+func linkShares(res *route.Result) (shares []float64, total float64) {
+	for _, b := range res.LinkBits {
+		shares = append(shares, float64(b))
+		total += float64(b)
+	}
+	return shares, total
+}
+
+// droppedShare is the fraction of the routed bits that departed with
+// their sessions unserved.
+func droppedShare(res *route.Result) string {
+	_, routed := linkShares(res)
+	return f3(float64(res.Dropped) / max(routed, 1))
 }
 
 // RoutingBlocking is experiment E23: blocking probability and overflow
@@ -53,10 +84,12 @@ func RoutingBlocking() (*Table, error) {
 			"Expected: greedy blocks least (full information), DAR pays for trunk " +
 			"reservation with extra blocking but shields direct traffic, p2c sits " +
 			"between with two probes; overflow ticks track how bursty traffic " +
-			"escapes the nominal reservation.",
+			"escapes the nominal reservation. Each link runs phased over its 4 " +
+			"slots; dropped is the fraction of routed bits still queued when " +
+			"their session left.",
 		Headers: []string{
 			"traffic", "policy", "offered", "placed", "blocked", "block_rate",
-			"overflow_ticks", "changes", "max_delay",
+			"overflow_ticks", "changes", "max_delay", "dropped",
 		},
 	}
 	type cell struct{ traffic, policy string }
@@ -68,16 +101,11 @@ func RoutingBlocking() (*Table, error) {
 	}
 	err := ParRows(t, len(grid), func(i int) ([][]string, error) {
 		c := grid[i]
-		caps := route.Uniform(4, 64)
-		r, err := routeRouter(c.policy, caps, 16)
-		if err != nil {
-			return nil, err
-		}
-		w := route.Workload{
+		w := traffic.Churn{
 			Seed: 23, Horizon: 2048, MeanGap: 2, MeanHold: 48,
 			Rate: 16, Traffic: c.traffic,
 		}
-		res, err := route.Run(w, route.Config{Router: r, Caps: caps, Alloc: routeAlloc})
+		res, err := routeRun(c.policy, 4, w, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E23 %s/%s: %w", c.traffic, c.policy, err)
 		}
@@ -86,6 +114,7 @@ func RoutingBlocking() (*Table, error) {
 			itoa(res.Offered), itoa(res.Placed), itoa(res.Blocked),
 			f3(float64(res.Blocked) / float64(res.Offered)),
 			itoa(res.OverflowTicks), itoa(res.Changes), itoa(res.MaxDelay),
+			droppedShare(res),
 		}}, nil
 	})
 	if err != nil {
@@ -122,32 +151,18 @@ func RoutingBalance() (*Table, error) {
 	}
 	err := ParRows(t, len(grid), func(i int) ([][]string, error) {
 		c := grid[i]
-		caps := route.Uniform(c.k, 64)
-		r, err := routeRouter(c.policy, caps, 8)
-		if err != nil {
-			return nil, err
-		}
-		w := route.Workload{
+		w := traffic.Churn{
 			Seed: 24, Horizon: 4096, MeanGap: 2, MeanHold: 32,
 			Rate: 8, Traffic: "mmpp",
 		}
-		res, err := route.Run(w, route.Config{Router: r, Caps: caps, Alloc: routeAlloc})
+		res, err := routeRun(c.policy, c.k, w, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E24 k=%d/%s: %w", c.k, c.policy, err)
 		}
-		shares := make([]float64, len(res.LinkBits))
-		var total bw.Bits
-		for _, b := range res.LinkBits {
-			total += b
-		}
+		shares, total := linkShares(res)
 		maxShare := 0.0
-		for j, b := range res.LinkBits {
-			shares[j] = float64(b)
-			if total > 0 {
-				if s := float64(b) / float64(total); s > maxShare {
-					maxShare = s
-				}
-			}
+		if total > 0 {
+			maxShare = slices.Max(shares) / total
 		}
 		return [][]string{{
 			itoa(c.k), c.policy,
@@ -174,10 +189,12 @@ func RoutingCost() (*Table, error) {
 		Note: "total_cost = allocation changes (paper's measure, summed over links) " +
 			"+ reroutes (one per migration). interval 0 never rebalances. " +
 			"Expected: frequent rebalance improves jain_bits but pays reroutes; " +
-			"the cost-optimal cadence is policy-dependent.",
+			"the cost-optimal cadence is policy-dependent. A reroute carries the " +
+			"session's backlog to the new link; dropped is the fraction of routed " +
+			"bits still queued when their session left.",
 		Headers: []string{
 			"policy", "interval", "placed", "reroutes", "changes", "total_cost",
-			"jain_bits", "max_delay",
+			"jain_bits", "max_delay", "dropped",
 		},
 	}
 	type cell struct {
@@ -192,30 +209,19 @@ func RoutingCost() (*Table, error) {
 	}
 	err := ParRows(t, len(grid), func(i int) ([][]string, error) {
 		c := grid[i]
-		caps := route.Uniform(4, 64)
-		r, err := routeRouter(c.policy, caps, 8)
-		if err != nil {
-			return nil, err
-		}
-		w := route.Workload{
+		w := traffic.Churn{
 			Seed: 25, Horizon: 4096, MeanGap: 2, MeanHold: 40,
 			Rate: 8, Traffic: "heavytail",
 		}
-		res, err := route.Run(w, route.Config{
-			Router: r, Caps: caps, Alloc: routeAlloc,
-			RebalanceEvery: c.interval, RebalanceLimit: 2,
-		})
+		res, err := routeRun(c.policy, 4, w, c.interval)
 		if err != nil {
 			return nil, fmt.Errorf("E25 %s/%d: %w", c.policy, c.interval, err)
 		}
-		shares := make([]float64, len(res.LinkBits))
-		for j, b := range res.LinkBits {
-			shares[j] = float64(b)
-		}
+		shares, _ := linkShares(res)
 		return [][]string{{
 			c.policy, itoa(c.interval),
 			itoa(res.Placed), itoa(res.Reroutes), itoa(res.Changes), itoa(res.TotalCost),
-			f3(metrics.JainFairness(shares)), itoa(res.MaxDelay),
+			f3(metrics.JainFairness(shares)), itoa(res.MaxDelay), droppedShare(res),
 		}}, nil
 	})
 	if err != nil {

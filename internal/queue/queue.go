@@ -169,5 +169,9 @@ func (q *FIFO) Bits() bw.Bits { return q.bits }
 // MaxDelay returns the largest delay of any bit served so far.
 func (q *FIFO) MaxDelay() bw.Tick { return q.maxDelay }
 
+// Oldest returns the arrival tick of the oldest queued bit, and false
+// when the queue is empty.
+func (q *FIFO) Oldest() (bw.Tick, bool) { return q.head.arrived, q.head.bits > 0 }
+
 // Served returns the total number of bits served so far.
 func (q *FIFO) Served() bw.Bits { return q.served }

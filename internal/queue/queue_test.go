@@ -572,3 +572,22 @@ func TestFIFOZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+func TestOldest(t *testing.T) {
+	var q FIFO
+	if _, ok := q.Oldest(); ok {
+		t.Fatal("an empty queue reports an oldest bit")
+	}
+	q.Push(3, 2)
+	q.Push(5, 4)
+	for _, step := range []struct {
+		serve bw.Rate
+		at    bw.Tick
+		ok    bool
+	}{{0, 3, true}, {1, 3, true}, {1, 5, true}, {4, 0, false}} {
+		q.Serve(6, step.serve)
+		if at, ok := q.Oldest(); ok != step.ok || (ok && at != step.at) {
+			t.Fatalf("after serving %d with %d queued: Oldest() = %d, %v; want %d, %v", step.serve, q.Bits(), at, ok, step.at, step.ok)
+		}
+	}
+}

@@ -1,83 +1,6 @@
 package route
 
-import (
-	"testing"
-
-	"dynbw/internal/bw"
-	"dynbw/internal/sim"
-)
-
-// TestLinkResetEquivalence checks the reuse contract: a Link that has
-// been through a full accumulate/simulate cycle and then Reset must
-// behave exactly like a fresh Link — same schedule, same delays, same
-// overflow count — when fed the same arrivals again.
-func TestLinkResetEquivalence(t *testing.T) {
-	feed := func(l *Link) {
-		for tick := bw.Tick(0); tick < 96; tick++ {
-			l.Add(tick, bw.Bits(7*(int(tick)%13)))
-		}
-		l.Add(20, 900) // overflow spike
-	}
-	simulate := func(l *Link) (*sim.Result, int) {
-		alloc, err := testAlloc(l.Cap())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := l.Simulate(alloc, sim.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, l.OverflowTicks()
-	}
-
-	fresh := NewLink(0, 64)
-	feed(fresh)
-	wantRes, wantOverflow := simulate(fresh)
-	wantChanges := wantRes.Report.Changes
-	wantDelay := wantRes.Delay.Max
-	wantSched := wantRes.Schedule.Rates()
-
-	reused := NewLink(0, 64)
-	// Dirty the link with a different stream first.
-	for tick := bw.Tick(0); tick < 200; tick++ {
-		reused.Add(tick, 33)
-	}
-	if _, err := reused.Simulate(mustAlloc(t), sim.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	reused.Reset()
-	if reused.Horizon() != 0 || reused.Total() != 0 {
-		t.Fatalf("Reset left %d ticks / %d bits", reused.Horizon(), reused.Total())
-	}
-
-	feed(reused)
-	gotRes, gotOverflow := simulate(reused)
-	if gotRes.Report.Changes != wantChanges || gotRes.Delay.Max != wantDelay {
-		t.Fatalf("reused link diverged: changes %d/%d, max delay %d/%d",
-			gotRes.Report.Changes, wantChanges, gotRes.Delay.Max, wantDelay)
-	}
-	if gotOverflow != wantOverflow {
-		t.Fatalf("overflow ticks %d, want %d", gotOverflow, wantOverflow)
-	}
-	got := gotRes.Schedule.Rates()
-	if len(got) != len(wantSched) {
-		t.Fatalf("schedule length %d, want %d", len(got), len(wantSched))
-	}
-	for i := range got {
-		if got[i] != wantSched[i] {
-			t.Fatalf("schedule diverged at tick %d: %d vs %d", i, got[i], wantSched[i])
-		}
-	}
-}
-
-func mustAlloc(t *testing.T) sim.Allocator {
-	t.Helper()
-	a, err := testAlloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
+import "testing"
 
 // TestPolicyResetEquivalence runs a full routing simulation twice on the
 // same router instance with a Reset in between; blocked/placed/reroute
@@ -86,7 +9,7 @@ func mustAlloc(t *testing.T) sim.Allocator {
 func TestPolicyResetEquivalence(t *testing.T) {
 	caps := Uniform(3, 64)
 	p := NewDAR(caps, 8, 21)
-	cfg := testConfig(p, caps)
+	cfg := testConfig(p)
 	cfg.RebalanceEvery = 32
 	cfg.RebalanceLimit = 2
 	w := testWorkload("heavytail")

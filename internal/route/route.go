@@ -1,8 +1,8 @@
 // Package route is the multi-link routing tier: it places sessions onto
-// one of k backend links, each of which then runs one of the existing
-// single-link allocation policies (internal/core, internal/baseline) —
-// the two-level system of ROADMAP item 4. The paper's k-session theorems
-// all share one link; this tier turns them into route-then-allocate.
+// one of k backend links. In the live gateway a link is a shard; in the
+// routing simulation (Run) each link is run as a shard is, a slot table
+// under one of the paper's k-session policies, so the tier turns the
+// paper's one-link theorems into route-then-allocate.
 //
 // Three placement policies are provided, following the balanced-
 // allocation literature retrieved in PAPERS.md:
@@ -29,6 +29,7 @@ package route
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"dynbw/internal/bw"
@@ -52,34 +53,6 @@ type Session struct {
 	Rate bw.Rate
 }
 
-// Router places sessions onto links. Implementations are safe for
-// concurrent use.
-type Router interface {
-	// Name returns the policy label used in metrics and events.
-	Name() string
-	// K returns the number of links.
-	K() int
-	// Place chooses a link for the session and reserves its rate there,
-	// or returns Blocked. A session ID must not be placed twice without
-	// an intervening Release.
-	Place(s Session) LinkID
-	// Release frees the session's reservation. Unknown IDs are no-ops.
-	Release(id int)
-	// Rekey files the reservation placed under ID from under ID to, for a
-	// caller that learns a session's lasting ID only once it has placed
-	// it. Unknown from is a no-op; to must not be placed.
-	Rekey(from, to int)
-}
-
-// Rebalancer is implemented by routers that can migrate live sessions to
-// even out link loads. Each returned Move has already been applied to
-// the router's own bookkeeping; the caller must mirror it in whatever
-// state it keeps per link (queues, traces), and account one reroute per
-// move — the b-matching reconfiguration cost.
-type Rebalancer interface {
-	Rebalance(limit int) []Move
-}
-
 // Move records one session migration.
 type Move struct {
 	Session  int
@@ -97,10 +70,10 @@ type placement struct {
 // must only read the policy state; the caller applies the reservation.
 type chooseFunc func(p *Policy, s Session) LinkID
 
-// Policy is the shared machinery behind every Router in this package:
-// per-link capacity and load bookkeeping, placement via a strategy
-// function, release, and load-evening rebalance. Construct one with
-// NewGreedy, NewDAR or NewP2C.
+// Policy is a router: per-link capacity and load bookkeeping, placement
+// via a strategy function, release, and load-evening rebalance. Construct
+// one with NewGreedy, NewDAR or NewP2C. A Policy is safe for concurrent
+// use.
 type Policy struct {
 	name   string
 	choose chooseFunc
@@ -116,14 +89,9 @@ type Policy struct {
 
 	reserve bw.Rate // DAR trunk reservation headroom, 0 otherwise
 
-	o obs.Observer
-	m *Metrics
+	o               obs.Observer
+	placed, blocked *obs.Counter // Instrument's; nil counts nothing
 }
-
-var (
-	_ Router     = (*Policy)(nil)
-	_ Rebalancer = (*Policy)(nil)
-)
 
 // newPolicy builds the shared state for k links with the given
 // capacities.
@@ -154,18 +122,48 @@ func Uniform(k int, cap bw.Rate) []bw.Rate {
 	return caps
 }
 
-// Name implements Router.
+// Name returns the policy label used in metrics and events.
 func (p *Policy) Name() string { return p.name }
 
-// K implements Router.
+// K returns the number of links.
 func (p *Policy) K() int { return len(p.caps) }
-
-// Cap returns link l's capacity.
-func (p *Policy) Cap(l LinkID) bw.Rate { return p.caps[l] }
 
 // SetObserver attaches an event observer (nil disables). Call before
 // routing starts.
 func (p *Policy) SetObserver(o obs.Observer) { p.o = o }
+
+// Instrument registers the routing metric families for this policy on
+// the registry and attaches them, replacing any previous instruments:
+//
+//	dynbw_route_placements_total{policy}  sessions placed on a link
+//	dynbw_route_blocked_total{policy}     sessions no link could admit
+//	dynbw_route_link_load{link}           reserved nominal rate per link
+//	dynbw_route_link_sessions{link}       session count per link
+//
+// All series exist (at zero) from the moment this returns, so scrapes
+// see the full family before any traffic arrives. A nil registry
+// detaches metrics: the nil counters count nothing.
+func (p *Policy) Instrument(r *obs.Registry) {
+	if r == nil {
+		p.placed, p.blocked = nil, nil
+		return
+	}
+	pl := obs.L("policy", p.name)
+	p.placed = r.Counter("dynbw_route_placements_total",
+		"Sessions the routing tier placed on a backend link.", pl)
+	p.blocked = r.Counter("dynbw_route_blocked_total",
+		"Sessions the routing tier rejected because no link could admit them.", pl)
+	for l := 0; l < len(p.caps); l++ {
+		l := LinkID(l)
+		ll := obs.L("link", strconv.Itoa(int(l)))
+		r.GaugeFunc("dynbw_route_link_load",
+			"Reserved nominal rate on each backend link.",
+			func() int64 { return int64(p.LoadOf(l)) }, ll)
+		r.GaugeFunc("dynbw_route_link_sessions",
+			"Sessions currently routed to each backend link.",
+			func() int64 { return int64(p.SessionsOf(l)) }, ll)
+	}
+}
 
 // Reset returns the router to its just-constructed state — empty links,
 // forgotten DAR alternatives, re-seeded randomness — while keeping the
@@ -210,7 +208,9 @@ func (p *Policy) remove(id int) (placement, bool) {
 	return pl, true
 }
 
-// Place implements Router.
+// Place chooses a link for the session and reserves its rate there, or
+// returns Blocked. A session ID must not be placed twice without an
+// intervening Release.
 func (p *Policy) Place(s Session) LinkID {
 	if s.Rate < 0 {
 		panic(fmt.Sprintf("route: negative session rate %d", s.Rate))
@@ -233,7 +233,7 @@ func (p *Policy) Place(s Session) LinkID {
 	return l
 }
 
-// Release implements Router.
+// Release frees the session's reservation. Unknown IDs are no-ops.
 func (p *Policy) Release(id int) {
 	p.mu.Lock()
 	pl, ok := p.remove(id)
@@ -243,7 +243,10 @@ func (p *Policy) Release(id int) {
 	}
 }
 
-// Rekey implements Router. It moves no load, so it emits nothing.
+// Rekey files the reservation placed under ID from under ID to, for a
+// caller that learns a session's lasting ID only once it has placed it.
+// Unknown from is a no-op; to must not be placed. It moves no load, so it
+// emits nothing.
 func (p *Policy) Rekey(from, to int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -258,10 +261,13 @@ func (p *Policy) Rekey(from, to int) {
 	p.wher[to] = pl
 }
 
-// Rebalance implements Rebalancer: while the spread between the most-
-// and least-loaded links can be strictly reduced by moving one session,
-// move the smallest such session, up to limit moves. Each move is one
-// reroute. The selection is deterministic (fraction-of-capacity
+// Rebalance migrates live sessions to even out link loads: while the
+// spread between the most- and least-loaded links can be strictly
+// reduced by moving one session, it moves the smallest such session, up
+// to limit moves. Each returned Move is already applied to the policy's
+// own bookkeeping; the caller mirrors it in whatever it keeps per link
+// and accounts one reroute per move — the b-matching reconfiguration
+// cost. The selection is deterministic (fraction-of-capacity
 // extremes with lowest-index ties, smallest rate then smallest ID among
 // candidate sessions), so simulations rebalance identically on every
 // run and at any sweep parallelism.
@@ -371,7 +377,7 @@ func (p *Policy) emitPlace(s Session, l LinkID) {
 		p.o.Event(obs.Event{Type: obs.EventRoutePlace, Session: s.ID,
 			Link: int(l), FromLink: -1, NewRate: s.Rate, Rule: p.name})
 	}
-	p.m.place()
+	p.placed.Inc()
 }
 
 // emitBlock reports a rejected placement.
@@ -380,7 +386,7 @@ func (p *Policy) emitBlock(s Session) {
 		p.o.Event(obs.Event{Type: obs.EventRouteBlock, Session: s.ID,
 			Link: -1, FromLink: -1, NewRate: s.Rate, Rule: p.name})
 	}
-	p.m.block()
+	p.blocked.Inc()
 }
 
 // emitRelease reports a departed session.
@@ -397,5 +403,4 @@ func (p *Policy) emitReroute(mv Move) {
 		p.o.Event(obs.Event{Type: obs.EventRouteReroute, Session: mv.Session,
 			Link: int(mv.To), FromLink: int(mv.From), NewRate: mv.Rate, Rule: p.name})
 	}
-	p.m.reroute()
 }

@@ -264,7 +264,6 @@ func TestEventsAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		`dynbw_route_placements_total{policy="greedy"} 3`,
 		`dynbw_route_blocked_total{policy="greedy"} 1`,
-		`dynbw_route_reroutes_total{policy="greedy"}`,
 		`dynbw_route_link_load{link="0"}`,
 		`dynbw_route_link_sessions{link="1"}`,
 	} {

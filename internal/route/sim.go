@@ -3,51 +3,23 @@ package route
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/rng"
 	"dynbw/internal/sim"
 	"dynbw/internal/traffic"
 )
 
-// Workload describes the loss-network-style session process of a routing
-// run: sessions arrive with exponential gaps, declare a nominal Rate
-// (what the router reserves), hold for an exponential time, and emit
-// actual bits drawn from one of the session traffic models. Everything
-// is derived from Seed, so a Workload is a pure value: the same workload
-// against the same Config yields bit-identical results at any sweep
-// parallelism.
-type Workload struct {
-	Seed uint64
-	// Horizon is the tick after which no new sessions arrive (departures
-	// still play out past it).
-	Horizon bw.Tick
-	// MeanGap is the mean number of ticks between session arrivals.
-	MeanGap float64
-	// MeanHold is the mean session holding time in ticks.
-	MeanHold float64
-	// Rate is the nominal per-session rate the router reserves.
-	Rate bw.Rate
-	// Traffic selects the within-session bit process: "cbr" (exactly the
-	// nominal rate), "mmpp" (3-state chain around the nominal rate), or
-	// "heavytail" (Pareto bursts with nominal mean).
-	Traffic string
-}
-
-// Config wires a routing run: the placement policy under test, the link
-// capacities, the per-link allocation policy, and the optional rebalance
-// cadence.
+// Config wires a routing run: the placement policy under test, the
+// per-link allocation policy, and the optional rebalance cadence.
 type Config struct {
-	// Router places sessions; if it also implements Rebalancer and
-	// RebalanceEvery is positive, live sessions are migrated.
-	Router Router
-	// Caps are the link capacities; len(Caps) must equal Router.K().
-	Caps []bw.Rate
-	// Alloc builds the allocation policy each link replays its routed
-	// stream through.
-	Alloc func(cap bw.Rate) (sim.Allocator, error)
-	// Opts configures each link's replay.
-	Opts sim.Options
+	// Router places sessions on its links, whose capacities it holds, and
+	// when RebalanceEvery is positive migrates live ones. It must hold no
+	// placements: Run places session i under ID i.
+	Router *Policy
+	// Alloc builds the k-session policy a link runs over its k = cap/Rate
+	// slots, as a gateway shard runs one over its slots.
+	Alloc func(k int, cap bw.Rate) (sim.SparseAllocator, error)
 	// RebalanceEvery, when positive, runs a rebalance pass every that
 	// many ticks (at most RebalanceLimit moves per pass).
 	RebalanceEvery bw.Tick
@@ -66,165 +38,194 @@ type Result struct {
 	// OverflowTicks counts link-ticks where routed arrivals exceeded the
 	// link's full-capacity service for one tick.
 	OverflowTicks int
-	// Changes sums allocation changes across all link replays.
+	// Changes sums the rate changes of every link's slots.
 	Changes int
-	// MaxDelay is the worst per-bit delay across links.
+	// Served is the bits transmitted; Dropped the bits still pending or
+	// queued when their session departed (and any the kernel policed),
+	// which no link serves. Together they are every routed bit.
+	Served, Dropped bw.Bits
+	// MaxDelay is the worst per-bit delay across links. A bit a reroute
+	// moved counts the wait before the move as well as after it.
 	MaxDelay bw.Tick
-	// LinkBits is the total bits routed to each link, for balance
-	// metrics.
+	// LinkBits is the bits sessions emitted on each link, for balance
+	// metrics; a reroute's backlog counts on the link it arrived on.
 	LinkBits []bw.Bits
 	// TotalCost is Changes + Reroutes.
 	TotalCost int
 }
 
-// session is one workload session's lifecycle state.
-type session struct {
-	id       int
-	arr, end bw.Tick
-	bits     []bw.Bits // realized per-tick bits for [arr, end)
-	link     LinkID
+// link is one backend link as a gateway shard runs it: a slot table of
+// cap/Rate slots under a k-session policy.
+type link struct {
+	slots sim.Slots
+	alloc sim.SparseAllocator
+	held  []bool  // slot i has a tenant
+	in    bw.Bits // the bits sessions emitted on the link this tick
 }
 
-// sessionGen builds the within-session bit process. The nominal rate is
-// the mean in every model; the models differ in how the bits spread.
-func sessionGen(kind string, rate bw.Rate, seed uint64) (traffic.Generator, error) {
-	switch kind {
-	case "cbr":
-		return traffic.CBR{Rate: rate}, nil
-	case "mmpp":
-		return traffic.MMPP{
-			Seed:     seed,
-			Rates:    []bw.Rate{rate / 2, rate, 2 * rate},
-			StayProb: 0.9,
-		}, nil
-	case "heavytail":
-		// Pareto(1.5) bursts of mean 3*MinBurst = 6R every ~7 ticks keep
-		// the long-run mean near the nominal rate with heavy-tailed
-		// spikes.
-		return traffic.ParetoBurst{
-			Seed:        seed,
-			Alpha:       1.5,
-			MinBurst:    bw.Volume(2*rate, 1),
-			MeanGap:     6,
-			SpreadTicks: 2,
-		}, nil
+// tenant is a placed session's place and, after a reroute, what it
+// carried: the age its backlog's oldest bit had at the move, and how
+// many of the slot's first served bits are that backlog.
+type tenant struct {
+	link  LinkID
+	slot  int
+	carry bw.Tick
+	owe   bw.Bits
+}
+
+// Run plays the churn workload against the router and runs every link as
+// a gateway shard: an arriving session takes its link's lowest free slot,
+// every link steps its slots each tick, and a departure empties the slot
+// and tells the link's policy. Within a tick the order is departures,
+// arrivals, rebalance, bit emission, then the links' rounds, and the
+// active-session list stays in arrival order, so runs are deterministic.
+func Run(w traffic.Churn, cfg Config) (*Result, error) {
+	sessions, err := w.Sessions()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("route: unknown session traffic %q", kind)
+	return run(sessions, w.Rate, cfg)
 }
 
-// Run plays the workload against the router, feeds each link's routed
-// bits through its allocation policy, and aggregates the two-level
-// costs. Within a tick the order is departures, arrivals, rebalance,
-// then bit emission, and the active-session list stays in arrival
-// order, so runs are deterministic.
-func Run(w Workload, cfg Config) (*Result, error) {
+// run is Run over realised sessions, each placed with the nominal rate.
+func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) {
 	if cfg.Router == nil {
 		return nil, errors.New("route: Config.Router is nil")
-	}
-	if len(cfg.Caps) != cfg.Router.K() {
-		return nil, fmt.Errorf("route: %d caps for %d links", len(cfg.Caps), cfg.Router.K())
 	}
 	if cfg.Alloc == nil {
 		return nil, errors.New("route: Config.Alloc is nil")
 	}
-	if w.Horizon <= 0 || w.MeanGap <= 0 || w.MeanHold <= 0 || w.Rate <= 0 {
-		return nil, fmt.Errorf("route: bad workload %+v", w)
-	}
-
-	// Realize the whole session process up front: arrival times, holding
-	// times, and each session's bit trace.
-	src := rng.New(w.Seed)
-	var sessions []*session
-	var lastEnd bw.Tick
-	for t := bw.Tick(src.Exp(w.MeanGap)) + 1; t < w.Horizon; t += bw.Tick(src.Exp(w.MeanGap)) + 1 {
-		hold := bw.Tick(src.Exp(w.MeanHold)) + 1
-		gen, err := sessionGen(w.Traffic, w.Rate, src.Uint64())
+	caps := cfg.Router.caps
+	links := make([]link, len(caps))
+	for i, c := range caps {
+		k := int(c / rate)
+		alloc, err := cfg.Alloc(k, c)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("route: link %d allocator: %w", i, err)
 		}
-		s := &session{
-			id:   len(sessions),
-			arr:  t,
-			end:  t + hold,
-			bits: gen.Generate(hold).Arrivals(),
-			link: Blocked,
-		}
-		sessions = append(sessions, s)
-		if s.end > lastEnd {
-			lastEnd = s.end
-		}
+		links[i] = link{slots: sim.NewSlots(k), alloc: alloc, held: make([]bool, k)}
 	}
-
-	links := make([]*Link, len(cfg.Caps))
-	for i, c := range cfg.Caps {
-		links[i] = NewLink(LinkID(i), c)
+	var lastEnd bw.Tick
+	for _, s := range sessions {
+		lastEnd = max(lastEnd, s.End)
 	}
-	limit := cfg.RebalanceLimit
-	if limit <= 0 {
-		limit = 1
-	}
-	rb, canRebalance := cfg.Router.(Rebalancer)
+	limit := max(cfg.RebalanceLimit, 1)
 
 	res := &Result{LinkBits: make([]bw.Bits, len(links))}
-	byID := make(map[int]*session, len(sessions))
-	var active []*session
+	ten := make([]tenant, len(sessions))
+	var active []int // placed sessions, in arrival order
 	next := 0
 	for t := bw.Tick(0); t <= lastEnd; t++ {
 		keep := active[:0]
-		for _, s := range active {
-			if s.end <= t {
-				cfg.Router.Release(s.id)
-				delete(byID, s.id)
+		for _, id := range active {
+			if sessions[id].End > t {
+				keep = append(keep, id)
 				continue
 			}
-			keep = append(keep, s)
+			cfg.Router.Release(id)
+			res.Dropped += res.vacate(links, &ten[id]).Dropped
 		}
 		active = keep
 
-		for next < len(sessions) && sessions[next].arr == t {
-			s := sessions[next]
+		for next < len(sessions) && sessions[next].Arr == t {
+			id := next
 			next++
 			res.Offered++
-			s.link = cfg.Router.Place(Session{ID: s.id, Rate: w.Rate})
-			if s.link == Blocked {
+			l := cfg.Router.Place(Session{ID: id, Rate: rate})
+			if l == Blocked {
 				res.Blocked++
 				continue
 			}
 			res.Placed++
-			active = append(active, s)
-			byID[s.id] = s
+			ten[id] = take(links, l)
+			active = append(active, id)
 		}
 
-		if canRebalance && cfg.RebalanceEvery > 0 && t > 0 && t%cfg.RebalanceEvery == 0 {
-			for _, mv := range rb.Rebalance(limit) {
-				if s, ok := byID[mv.Session]; ok {
-					s.link = mv.To
-				}
+		if cfg.RebalanceEvery > 0 && t > 0 && t%cfg.RebalanceEvery == 0 {
+			for _, mv := range cfg.Router.Rebalance(limit) {
 				res.Reroutes++
+				res.move(links, &ten[mv.Session], mv.To, t)
 			}
 		}
 
-		for _, s := range active {
-			links[s.link].Add(t, s.bits[t-s.arr])
+		for _, id := range active {
+			tn := &ten[id]
+			l := &links[tn.link]
+			if q := l.slots.Queue(tn.slot); tn.owe > 0 && q.Served() >= tn.owe {
+				// The backlog the move carried is served: fold its delay
+				// before later bits share the counter.
+				res.MaxDelay = max(res.MaxDelay, q.MaxDelay()+tn.carry)
+				tn.owe = 0
+			}
+			s := &sessions[id]
+			b := s.Bits[t-s.Arr]
+			l.in += b
+			res.LinkBits[tn.link] += b
+			res.Dropped += l.slots.Add(tn.slot, b)
 		}
-	}
 
-	for i, l := range links {
-		alloc, err := cfg.Alloc(l.Cap())
-		if err != nil {
-			return nil, fmt.Errorf("route: link %d allocator: %w", i, err)
+		for i := range links {
+			l := &links[i]
+			if l.in > bw.Volume(caps[i], 1) {
+				res.OverflowTicks++
+			}
+			l.in = 0
+			r, err := l.slots.Step(t, l.alloc)
+			if err != nil {
+				return nil, fmt.Errorf("route: link %d: %w", i, err)
+			}
+			res.Changes += r.Changes
+			res.Served += r.Served
+			res.Dropped += r.Policed
 		}
-		r, err := l.Simulate(alloc, cfg.Opts)
-		if err != nil {
-			return nil, fmt.Errorf("route: link %d replay: %w", i, err)
-		}
-		res.Changes += r.Report.Changes
-		if r.Delay.Max > res.MaxDelay {
-			res.MaxDelay = r.Delay.Max
-		}
-		res.OverflowTicks += l.OverflowTicks()
-		res.LinkBits[i] = l.Total()
 	}
 	res.TotalCost = res.Changes + res.Reroutes
 	return res, nil
+}
+
+// take seats a session placed on link l in the link's lowest free slot.
+// The router admits no more sessions of one rate than cap/Rate, so there
+// is one.
+func take(links []link, l LinkID) tenant {
+	slot := slices.Index(links[l].held, false)
+	links[l].held[slot] = true
+	return tenant{link: l, slot: slot}
+}
+
+// vacate ends a tenant's tenancy of its slot as a gateway shard's release
+// does: the link's policy is told, the slot is emptied and freed, and the
+// tenancy's delays join MaxDelay. While a moved backlog is still being
+// served, every bit the slot served is one of it, and none of those
+// waited more than carry ticks beyond what its stamp on this link says.
+func (res *Result) vacate(links []link, tn *tenant) sim.Tenancy {
+	l := &links[tn.link]
+	if p, ok := l.alloc.(interface{ Leave(i int) }); ok {
+		p.Leave(tn.slot)
+	}
+	u := l.slots.Vacate(tn.slot)
+	l.held[tn.slot] = false
+	if tn.owe > 0 && u.Served > 0 {
+		u.MaxDelay += tn.carry
+	}
+	res.MaxDelay = max(res.MaxDelay, u.MaxDelay)
+	return u
+}
+
+// move reroutes a tenant to link to at tick t: its backlog leaves the old
+// slot and is handed to a free slot on the new link, whose policy hears
+// it as the tick's arrivals. The move keeps the age of the backlog's
+// oldest bit, which the new link's queue stamps as arriving at t.
+func (res *Result) move(links []link, tn *tenant, to LinkID, t bw.Tick) {
+	q := links[tn.link].slots.Queue(tn.slot)
+	var carry bw.Tick
+	if at, ok := q.Oldest(); ok {
+		carry = t - at
+		if tn.owe > q.Served() {
+			carry += tn.carry // the oldest bit is one an earlier move carried
+		}
+	}
+	backlog := res.vacate(links, tn).Dropped
+	*tn = take(links, to)
+	res.Dropped += links[to].slots.Add(tn.slot, backlog)
+	tn.carry, tn.owe = carry, backlog
 }
