@@ -143,7 +143,7 @@ func run(args []string, out, errw io.Writer) error {
 		layout += fmt.Sprintf(" over %d shards", n)
 	}
 	if *routeName != "" {
-		router, err := makeRouter(*routeName, n, *k/n, *reserve, *seed)
+		router, err := route.New(*routeName, route.Uniform(n, bw.Rate(*k/n)), bw.Rate(*reserve), *seed)
 		if err != nil {
 			return err
 		}
@@ -275,20 +275,5 @@ func printProfile(out io.Writer, p gateway.Profile) {
 	}
 	if p.TickRound.Count() > 0 {
 		fmt.Fprintf(out, "active slots in the last round: %d\n", p.ActiveSlots)
-	}
-}
-
-// makeRouter builds the placement policy over n shards of m slots each.
-func makeRouter(name string, n, m int, reserve int64, seed uint64) (*route.Policy, error) {
-	caps := route.Uniform(n, bw.Rate(m))
-	switch name {
-	case "greedy":
-		return route.NewGreedy(caps), nil
-	case "dar":
-		return route.NewDAR(caps, bw.Rate(reserve), seed), nil
-	case "p2c":
-		return route.NewP2C(caps, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown route policy %q", name)
 	}
 }

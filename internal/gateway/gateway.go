@@ -276,7 +276,7 @@ type Gateway struct {
 
 	now      atomic.Int64 // completed allocation rounds
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
-	routed   atomic.Int64 // routed OPENs begun: -routed is the next one's provisional router key
+	routed   atomic.Int64 // routed OPENs begun, the next one's router key
 
 	// csPool recycles connStates (buffered endpoints, shard lists)
 	// across connection churn, so accept/close cycles in a soak

@@ -309,8 +309,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 // feed, each departure through releaseSession, then g.round. Both sides
 // run a link as phased over its cap/Rate slots, so the changes, the bits
 // served and dropped, the worst delay and the blocked OPENs must be
-// equal. DAR is left out: the gateway places under provisional keys, and
-// DAR's home link is the key mod k.
+// equal. Both sides key the i-th OPEN i, so DAR picks the same home links.
 func TestGatewayMatchesRouteRun(t *testing.T) {
 	const (
 		capacity = bw.Rate(64)
@@ -318,9 +317,14 @@ func TestGatewayMatchesRouteRun(t *testing.T) {
 		per      = int(capacity / rate)
 		do       = bw.Tick(8)
 	)
-	routers := map[string]func([]bw.Rate) *route.Policy{
-		"greedy": route.NewGreedy,
-		"p2c":    func(caps []bw.Rate) *route.Policy { return route.NewP2C(caps, 211) },
+	// route.Run reserves rate per session, the gateway one slot: DAR's
+	// trunk reservation is one session's worth on either side.
+	router := func(t *testing.T, name string, n int, unit bw.Rate) *route.Policy {
+		r, err := route.New(name, route.Uniform(n, bw.Rate(per)*unit), unit, 211)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	phased := func(k int, c bw.Rate) (sim.SparseAllocator, error) {
 		p, err := core.NewPhased(core.MultiParams{K: k, BO: c, DO: do})
@@ -329,19 +333,19 @@ func TestGatewayMatchesRouteRun(t *testing.T) {
 		}
 		return p, nil
 	}
-	for _, name := range []string{"greedy", "p2c"} {
+	for _, name := range []string{"greedy", "p2c", "dar"} {
 		for _, n := range []int{1, 4} {
 			for _, kind := range []string{"mmpp", "heavytail"} {
 				t.Run(fmt.Sprintf("%s/links=%d/%s", name, n, kind), func(t *testing.T) {
 					// Offered nominal load a little above the links' capacity.
 					w := traffic.Churn{Seed: 42, Horizon: 1024, MeanGap: 10 / float64(n), MeanHold: 48, Rate: rate, Traffic: kind}
-					res, err := route.Run(w, route.Config{Router: routers[name](route.Uniform(n, capacity)), Alloc: phased})
+					res, err := route.Run(w, route.Config{Router: router(t, name, n, rate), Alloc: phased})
 					if err != nil {
 						t.Fatal(err)
 					}
 
 					g := newRounds(t, "phased", n*per, n, do) // each shard phased, K = per, B_O = capacity
-					g.router = routers[name](route.Uniform(n, bw.Rate(per)))
+					g.router = router(t, name, n, 1)
 					sessions, err := w.Sessions()
 					if err != nil {
 						t.Fatal(err)

@@ -268,9 +268,13 @@ func TestTenantIsolation(t *testing.T) {
 			if mask := uint32(g.indexMask); b == a || b&mask != a&mask {
 				t.Fatalf("second tenant got ID %#x after %#x: want the same index under a new tag", b, a)
 			}
-			if router != nil && (router.Where(int(b)&g.indexMask) != 1 || router.SessionsOf(0) != 1 || router.SessionsOf(1) != 1) {
-				t.Fatalf("second tenant's reservation on link %d, links hold %d/%d sessions; want it on 1, and 1/1",
-					router.Where(int(b)&g.indexMask), router.SessionsOf(0), router.SessionsOf(1))
+			if sh := g.shardOf(int(b)).idx; router != nil && sh != 1 {
+				t.Fatalf("second tenant on shard %d, want 1", sh)
+			}
+			for l := 0; router != nil && l < 2; l++ {
+				if n, open := router.SessionsOf(route.LinkID(l)), g.shards[l].openCount(); n != 1 || open != 1 {
+					t.Fatalf("link %d: the router holds %d sessions, its shard %d; want 1 and 1", l, n, open)
+				}
 			}
 			for _, bits := range arrivals {
 				roundWith(t, g, ticks, busy(), burst{tm, b, bits})

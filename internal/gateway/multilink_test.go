@@ -103,12 +103,10 @@ func TestMultiLinkLifecycle(t *testing.T) {
 			t.Fatalf("link %d holds %d sessions, want %d", l, n, m)
 		}
 	}
-	// Each reservation is filed under its session's index, on the shard
-	// that holds the session's slot.
-	for id := range live {
-		index := int(id) & g.indexMask
-		if l := router.Where(index); l != route.LinkID(index/m) {
-			t.Fatalf("session %#x: the router has it on link %d, its slot is on shard %d", id, l, index/m)
+	// Each link's reservations are its shard's open slots.
+	for l := route.LinkID(0); l < links; l++ {
+		if n, open := router.SessionsOf(l), g.shards[l].openCount(); int64(n) != open {
+			t.Fatalf("link %d: the router holds %d sessions, its shard %d", l, n, open)
 		}
 	}
 	// Capacity exhausted: the next OPEN fails.

@@ -7,6 +7,7 @@ import (
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
+	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
@@ -93,10 +94,9 @@ func (sh *shard) open(serial uint32) (id int, ok bool) {
 // name the slot's next tenant after this one's is gone; bits still
 // pending or queued are dropped (and returned, to be counted), the
 // policy is told, and what the session was served joins past. A routed
-// session's reservation is released after the slot and under the same
-// lock: the shard never holds more sessions than the router reserved on
-// it, and the slot's next tenant cannot file its reservation under the
-// index before this one's is gone.
+// session's reservation goes back to this shard's link after the slot is
+// freed, so the shard never holds more sessions than the router reserved
+// on it.
 func (sh *shard) release(id int) (dropped bw.Bits) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,7 +106,7 @@ func (sh *shard) release(id int) (dropped bw.Bits) {
 	sh.inUse--
 	sh.free = min(sh.free, slot)
 	if r := sh.g.router; r != nil {
-		r.Release(id & sh.g.indexMask)
+		r.Release(route.Session{ID: id & sh.g.indexMask, Rate: 1}, route.LinkID(sh.idx))
 	}
 	sh.released++
 	if p, ok := sh.alloc.(interface{ Leave(i int) }); ok {

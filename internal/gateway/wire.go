@@ -349,27 +349,21 @@ func (g *Gateway) openSession(start int, serial uint32) (int, error) {
 	return 0, ErrSessionLimit
 }
 
-// openRouted lets the router choose the shard. The router records a
-// session under an ID, but the session's index is its slot, which the
-// chosen shard picks only after the placement: the reservation is made
-// under a provisional key — negative, so no index can collide with it,
-// and unique to this OPEN — and filed under the index once the shard has
-// claimed a slot. That slot's last tenant released its reservation under
-// the same shard lock as the slot, so the index is free in the router's
-// books. A shard holds no more sessions than the router reserved on it,
-// so open fails only when the router admits more than a shard's slots.
+// openRouted lets the router choose the shard, keying each OPEN by the
+// count of routed OPENs before it (DAR's home link is the key mod k). A
+// shard holds no more sessions than the router reserved on it, so open
+// fails only when the router admits more than a shard's slots.
 func (g *Gateway) openRouted(serial uint32) (int, error) {
-	key := -int(g.routed.Add(1))
-	l := g.router.Place(route.Session{ID: key, Rate: 1})
+	s := route.Session{ID: int(g.routed.Add(1) - 1), Rate: 1}
+	l := g.router.Place(s)
 	if l == route.Blocked {
 		return 0, ErrSessionLimit
 	}
 	id, ok := g.shards[l].open(serial)
 	if !ok {
-		g.router.Release(key)
+		g.router.Release(s, l)
 		return 0, ErrSessionLimit
 	}
-	g.router.Rekey(key, id&g.indexMask)
 	g.m.sessions.Add(1)
 	return id, nil
 }

@@ -5,7 +5,6 @@ import (
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
 	"dynbw/internal/sim"
-	"dynbw/internal/trace"
 )
 
 // Fig1 regenerates the paper's Figure 1 — "an example of a stream of bits
@@ -78,9 +77,4 @@ func Fig2() (*Table, error) {
 			itoa(res.Report.MaxRate))
 	}
 	return t, nil
-}
-
-// runSingleOn is shared by the single-session experiments.
-func runSingleOn(tr *trace.Trace, alloc sim.Allocator) (*sim.Result, error) {
-	return sim.Run(tr, alloc, sim.Options{})
 }

@@ -35,23 +35,18 @@ func routeAlloc(k int, cap bw.Rate) (sim.SparseAllocator, error) {
 // routePolicies is the fixed policy grid.
 var routePolicies = []string{"greedy", "dar", "p2c"}
 
+// routeSeeds are the per-policy router seeds (greedy draws none).
+var routeSeeds = map[string]uint64{"dar": 101, "p2c": 211}
+
 // routeRun runs one cell of a routing experiment: the named placement
 // policy over links of capacity 64, each under routeAlloc, rebalancing
 // every `every` ticks (0: never) by at most two moves a pass. DAR's
 // reserve is one session's nominal rate; seeds are per-policy constants
 // so every sweep point is self-contained.
 func routeRun(policy string, links int, w traffic.Churn, every bw.Tick) (*route.Result, error) {
-	caps := route.Uniform(links, 64)
-	var r *route.Policy
-	switch policy {
-	case "greedy":
-		r = route.NewGreedy(caps)
-	case "dar":
-		r = route.NewDAR(caps, w.Rate, 101)
-	case "p2c":
-		r = route.NewP2C(caps, 211)
-	default:
-		return nil, fmt.Errorf("unknown route policy %q", policy)
+	r, err := route.New(policy, route.Uniform(links, 64), w.Rate, routeSeeds[policy])
+	if err != nil {
+		return nil, err
 	}
 	return route.Run(w, route.Config{Router: r, Alloc: routeAlloc, RebalanceEvery: every, RebalanceLimit: 2})
 }

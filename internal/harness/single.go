@@ -7,6 +7,7 @@ import (
 	"dynbw/internal/core"
 	"dynbw/internal/metrics"
 	"dynbw/internal/offline"
+	"dynbw/internal/sim"
 )
 
 // Thm6SweepB is experiment E3: the single-session competitive ratio as a
@@ -36,7 +37,7 @@ func Thm6SweepB() (*Table, error) {
 		p := core.SingleParams{BA: ba, DO: 8, UO: 0.5, W: 16}
 		tr := feasibleBursty(300, p, 2048)
 		alg := core.MustNewSingleSession(p)
-		res, err := runSingleOn(tr, alg)
+		res, err := sim.Run(tr, alg, sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E3 BA=%d: %w", ba, err)
 		}
@@ -87,7 +88,7 @@ func Thm6Stages() (*Table, error) {
 	}
 	for _, w := range workloadMatrix(p, 2048) {
 		alg := core.MustNewSingleSession(p)
-		res, err := runSingleOn(w.Trace, alg)
+		res, err := sim.Run(w.Trace, alg, sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s: %w", w.Name, err)
 		}
@@ -127,7 +128,7 @@ func Thm7SweepU() (*Table, error) {
 		tr := staircase(2, 32768, p.W, 8192)
 
 		alg := core.MustNewSingleSession(p)
-		res, err := runSingleOn(tr, alg)
+		res, err := sim.Run(tr, alg, sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E5 UO=%v: %w", uo, err)
 		}
@@ -166,7 +167,7 @@ func Guarantees() (*Table, error) {
 	}
 	for _, w := range workloadMatrix(p, 2048) {
 		alg := core.MustNewSingleSession(p)
-		res, err := runSingleOn(w.Trace, alg)
+		res, err := sim.Run(w.Trace, alg, sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", w.Name, err)
 		}

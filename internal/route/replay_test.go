@@ -16,11 +16,10 @@ func (l *eventLog) Event(e obs.Event) { l.events = append(l.events, e) }
 
 // TestEventsReplayToLoads: the event stream is the trace of the routing
 // tier's bookkeeping, so replaying it must rebuild that bookkeeping. For
-// each policy, a seeded sequence of Place, Release, Rekey and Rebalance
-// runs, and after every operation the events so far, replayed into
-// per-link load and session counts, must equal Loads() and SessionsOf.
-// One rule is the test's own: Rekey moves no load and emits nothing, so
-// the replay files the reservation under its new key itself.
+// each policy, a seeded sequence of Place, Release and Rebalance runs
+// against the test's own books of live sessions and their links, and
+// after every operation the events so far, replayed into per-link load
+// and session counts, must equal LoadOf and SessionsOf on every link.
 func TestEventsReplayToLoads(t *testing.T) {
 	const k = 4
 	for _, p := range []*Policy{
@@ -66,51 +65,33 @@ func TestEventsReplayToLoads(t *testing.T) {
 			}
 
 			src := rng.New(uint64(len(p.Name())))
-			var live []int // IDs the test placed and has not released
-			next := 0
+			var live []Placed // sessions the test placed and has not released
 			for step := 0; step < 2000; step++ {
 				seen := len(log.events)
 				var op string
 				switch r := src.Intn(10); {
 				case r < 5:
 					op = "Place"
-					if l := p.Place(Session{ID: next, Rate: 1 + src.Int64n(8)}); l != Blocked {
-						live = append(live, next)
+					s := Session{ID: step, Rate: 1 + src.Int64n(8)}
+					if l := p.Place(s); l != Blocked {
+						live = append(live, Placed{s, l})
 					}
-					next++
-				case r < 7 && len(live) > 0:
+				case r < 8 && len(live) > 0:
 					op = "Release"
 					j := src.Intn(len(live))
-					p.Release(live[j])
+					p.Release(live[j].Session, live[j].Link)
 					live = slices.Delete(live, j, j+1)
-				case r < 8 && len(live) > 0:
-					op = "Rekey"
-					j := src.Intn(len(live))
-					h, ok := where[live[j]]
-					p.Rekey(live[j], next)
-					if len(log.events) != seen {
-						t.Fatalf("step %d: Rekey emitted %v", step, log.events[seen:])
-					}
-					if ok {
-						delete(where, live[j])
-						where[next] = h
-					}
-					live[j] = next
-					next++
-				case r < 9:
-					op = "Rebalance"
-					p.Rebalance(1 + src.Intn(3))
 				default:
-					op = "Release of an unknown ID"
-					p.Release(-1 - step)
+					op = "Rebalance"
+					p.Rebalance(1+src.Intn(3), live)
 				}
 				for _, e := range log.events[seen:] {
 					replay(op, e)
 				}
-				if got := p.Loads(); !slices.Equal(got, load) {
-					t.Fatalf("step %d (%s): Loads() = %v, replayed events give %v", step, op, got, load)
-				}
 				for l := range num {
+					if got := p.LoadOf(LinkID(l)); got != load[l] {
+						t.Fatalf("step %d (%s): LoadOf(%d) = %d, replayed events give %d", step, op, l, got, load[l])
+					}
 					if got := p.SessionsOf(LinkID(l)); got != num[l] {
 						t.Fatalf("step %d (%s): SessionsOf(%d) = %d, replayed events give %d", step, op, l, got, num[l])
 					}

@@ -43,14 +43,22 @@ type LinkID int
 // Blocked is returned by Place when no link can admit the session.
 const Blocked LinkID = -1
 
-// Session is a placement request: a session identifier (Release and
-// Rebalance refer to it; Rekey changes it) and the nominal rate the
-// admission rule reserves on the chosen link. The live gateway places
-// slots with Rate 1 on its shards, against slot-count capacities; the
-// routing simulation places declared bandwidths against link capacities.
+// Session is a placement request: a session identifier (the key DAR
+// takes a home link from, and the name events report) and the nominal
+// rate the admission rule reserves on the chosen link. The live gateway
+// places slots with Rate 1 on its shards, against slot-count capacities;
+// the routing simulation places declared bandwidths against link
+// capacities.
 type Session struct {
 	ID   int
 	Rate bw.Rate
+}
+
+// Placed is a live session and the link that holds it, as the caller
+// keeps them: the router keeps only per-link loads.
+type Placed struct {
+	Session
+	Link LinkID
 }
 
 // Move records one session migration.
@@ -60,32 +68,25 @@ type Move struct {
 	From, To LinkID
 }
 
-// placement is one routed session's bookkeeping entry.
-type placement struct {
-	link LinkID
-	rate bw.Rate
-}
-
 // chooseFunc is a placement strategy. It is called with p.mu held and
 // must only read the policy state; the caller applies the reservation.
 type chooseFunc func(p *Policy, s Session) LinkID
 
 // Policy is a router: per-link capacity and load bookkeeping, placement
-// via a strategy function, release, and load-evening rebalance. Construct
-// one with NewGreedy, NewDAR or NewP2C. A Policy is safe for concurrent
-// use.
+// via a strategy function, release, and load-evening rebalance. It keeps
+// nothing per session: the caller knows which link holds each one.
+// Construct one with New, NewGreedy, NewDAR or NewP2C. A Policy is safe
+// for concurrent use.
 type Policy struct {
 	name   string
 	choose chooseFunc
-	seed   uint64
 
 	mu   sync.Mutex
-	caps []bw.Rate         // immutable after construction
-	load []bw.Rate         // guarded by mu; reserved nominal rate per link
-	num  []int             // guarded by mu; sessions per link
-	alt  []LinkID          // guarded by mu; DAR's sticky alternative per home link
-	wher map[int]placement // guarded by mu; session id -> placement
-	src  *rng.Source       // guarded by mu; randomness for p2c sampling / DAR re-pick
+	caps []bw.Rate   // immutable after construction
+	load []bw.Rate   // guarded by mu; reserved nominal rate per link
+	num  []int       // guarded by mu; sessions per link
+	alt  []LinkID    // guarded by mu; DAR's sticky alternative per home link
+	src  *rng.Source // guarded by mu; randomness for p2c sampling / DAR re-pick
 
 	reserve bw.Rate // DAR trunk reservation headroom, 0 otherwise
 
@@ -99,18 +100,31 @@ func newPolicy(name string, caps []bw.Rate, seed uint64, choose chooseFunc) *Pol
 	p := &Policy{
 		name:   name,
 		choose: choose,
-		seed:   seed,
 		caps:   append([]bw.Rate(nil), caps...),
 		load:   make([]bw.Rate, len(caps)),
 		num:    make([]int, len(caps)),
 		alt:    make([]LinkID, len(caps)),
-		wher:   make(map[int]placement),
 		src:    rng.New(seed),
 	}
 	for i := range p.alt {
 		p.alt[i] = Blocked
 	}
 	return p
+}
+
+// New returns the named router — greedy, dar or p2c — over links of the
+// given capacities. reserve is DAR's trunk reservation and seed the
+// randomness of dar and p2c; the others ignore them.
+func New(name string, caps []bw.Rate, reserve bw.Rate, seed uint64) (*Policy, error) {
+	switch name {
+	case "greedy":
+		return NewGreedy(caps), nil
+	case "dar":
+		return NewDAR(caps, reserve, seed), nil
+	case "p2c":
+		return NewP2C(caps, seed), nil
+	}
+	return nil, fmt.Errorf("route: unknown policy %q", name)
 }
 
 // Uniform returns k equal link capacities, the common experiment setup.
@@ -165,64 +179,24 @@ func (p *Policy) Instrument(r *obs.Registry) {
 	}
 }
 
-// Reset returns the router to its just-constructed state — empty links,
-// forgotten DAR alternatives, re-seeded randomness — while keeping the
-// allocated storage, mirroring the sim.Runner reuse contract.
-func (p *Policy) Reset() {
-	p.mu.Lock()
-	clear(p.load)
-	clear(p.num)
-	for i := range p.alt {
-		p.alt[i] = Blocked
-	}
-	clear(p.wher)
-	p.src = rng.New(p.seed)
-	p.mu.Unlock()
-}
-
 // fits reports whether link l can admit rate with the given headroom
 // kept free. Callers must hold mu.
 func (p *Policy) fits(l LinkID, rate, headroom bw.Rate) bool {
 	return p.load[l]+rate <= p.caps[l]-headroom
 }
 
-// place applies a reservation. Callers must hold mu; every calling
-// method emits through an emit* helper, so the event stream replays to
-// the loads (TestEventsReplayToLoads).
-func (p *Policy) place(s Session, l LinkID) {
-	p.load[l] += s.Rate
-	p.num[l]++
-	p.wher[s.ID] = placement{link: l, rate: s.Rate}
-}
-
-// remove undoes a reservation. Callers must hold mu; every calling
-// method emits through an emit* helper, as for place.
-func (p *Policy) remove(id int) (placement, bool) {
-	pl, ok := p.wher[id]
-	if !ok {
-		return placement{}, false
-	}
-	p.load[pl.link] -= pl.rate
-	p.num[pl.link]--
-	delete(p.wher, id)
-	return pl, true
-}
-
 // Place chooses a link for the session and reserves its rate there, or
-// returns Blocked. A session ID must not be placed twice without an
-// intervening Release.
+// returns Blocked. The router records no session ID: the caller keeps
+// the link, and hands it back to Release.
 func (p *Policy) Place(s Session) LinkID {
 	if s.Rate < 0 {
 		panic(fmt.Sprintf("route: negative session rate %d", s.Rate))
 	}
 	p.mu.Lock()
-	if _, dup := p.wher[s.ID]; dup {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("route: session %d placed twice", s.ID))
-	}
 	l := p.choose(p, s)
 	if l != Blocked {
-		p.place(s, l)
+		p.load[l] += s.Rate
+		p.num[l]++
 	}
 	p.mu.Unlock()
 	if l == Blocked {
@@ -233,45 +207,36 @@ func (p *Policy) Place(s Session) LinkID {
 	return l
 }
 
-// Release frees the session's reservation. Unknown IDs are no-ops.
-func (p *Policy) Release(id int) {
+// Release returns the session's rate to link l, which the caller says
+// holds it. It panics if l holds no session or less than s.Rate: a
+// release of what was never placed would drive the link's load negative.
+func (p *Policy) Release(s Session, l LinkID) {
 	p.mu.Lock()
-	pl, ok := p.remove(id)
-	p.mu.Unlock()
+	n, load := p.num[l], p.load[l]
+	ok := n > 0 && load >= s.Rate
 	if ok {
-		p.emitRelease(id, pl.link)
+		p.load[l] -= s.Rate
+		p.num[l]--
 	}
-}
-
-// Rekey files the reservation placed under ID from under ID to, for a
-// caller that learns a session's lasting ID only once it has placed it.
-// Unknown from is a no-op; to must not be placed. It moves no load, so it
-// emits nothing.
-func (p *Policy) Rekey(from, to int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pl, ok := p.wher[from]
+	p.mu.Unlock()
 	if !ok {
-		return
+		panic(fmt.Sprintf("route: release of session %d (rate %d) from link %d, which holds %d sessions at load %d",
+			s.ID, s.Rate, l, n, load))
 	}
-	if _, dup := p.wher[to]; dup {
-		panic(fmt.Sprintf("route: session %d rekeyed onto live session %d", from, to))
-	}
-	delete(p.wher, from)
-	p.wher[to] = pl
+	p.emitRelease(s.ID, l)
 }
 
-// Rebalance migrates live sessions to even out link loads: while the
-// spread between the most- and least-loaded links can be strictly
-// reduced by moving one session, it moves the smallest such session, up
-// to limit moves. Each returned Move is already applied to the policy's
-// own bookkeeping; the caller mirrors it in whatever it keeps per link
-// and accounts one reroute per move — the b-matching reconfiguration
-// cost. The selection is deterministic (fraction-of-capacity
-// extremes with lowest-index ties, smallest rate then smallest ID among
-// candidate sessions), so simulations rebalance identically on every
-// run and at any sweep parallelism.
-func (p *Policy) Rebalance(limit int) []Move {
+// Rebalance migrates live sessions, the caller's, to even out link
+// loads: while the spread between the most- and least-loaded links can
+// be strictly reduced by moving one session, it moves the smallest such
+// session, up to limit moves. Each returned Move is already applied to
+// the link loads and to live, in place; the caller mirrors it in
+// whatever else it keeps per session and accounts one reroute per move —
+// the b-matching reconfiguration cost. The selection is deterministic
+// (fraction-of-capacity extremes with lowest-index ties, smallest rate
+// then smallest ID among candidate sessions), so simulations rebalance
+// identically on every run and at any sweep parallelism.
+func (p *Policy) Rebalance(limit int, live []Placed) []Move {
 	var moves []Move
 	p.mu.Lock()
 	for len(moves) < limit {
@@ -291,24 +256,24 @@ func (p *Policy) Rebalance(limit int) []Move {
 		// the pair maximum: after the move hi drops and lo stays below
 		// hi's old load, so repeated passes cannot oscillate.
 		best := -1
-		var bestRate bw.Rate
-		for id, pl := range p.wher {
-			if pl.link != hi || !p.fits(lo, pl.rate, 0) {
+		for i, pl := range live {
+			if pl.Link != hi || !p.fits(lo, pl.Rate, 0) || pl.Rate >= p.load[hi]-p.load[lo] {
 				continue
 			}
-			if pl.rate >= p.load[hi]-p.load[lo] {
-				continue
-			}
-			if best < 0 || pl.rate < bestRate || (pl.rate == bestRate && id < best) {
-				best, bestRate = id, pl.rate
+			if best < 0 || pl.Rate < live[best].Rate || (pl.Rate == live[best].Rate && pl.ID < live[best].ID) {
+				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		pl, _ := p.remove(best)
-		p.place(Session{ID: best, Rate: pl.rate}, lo)
-		moves = append(moves, Move{Session: best, Rate: pl.rate, From: hi, To: lo})
+		s := live[best].Session
+		p.load[hi] -= s.Rate
+		p.num[hi]--
+		p.load[lo] += s.Rate
+		p.num[lo]++
+		live[best].Link = lo
+		moves = append(moves, Move{Session: s.ID, Rate: s.Rate, From: hi, To: lo})
 	}
 	p.mu.Unlock()
 	for _, mv := range moves {
@@ -338,23 +303,6 @@ func (p *Policy) SessionsOf(l LinkID) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.num[l]
-}
-
-// Loads returns a snapshot of every link's reserved rate.
-func (p *Policy) Loads() []bw.Rate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]bw.Rate(nil), p.load...)
-}
-
-// Where returns the link currently holding the session, or Blocked.
-func (p *Policy) Where(id int) LinkID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pl, ok := p.wher[id]; ok {
-		return pl.link
-	}
-	return Blocked
 }
 
 // randomOther picks a uniformly random link other than not. Callers

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestGreedyBalancesAndBlocks(t *testing.T) {
 		t.Fatalf("placement on full links: got %d, want Blocked", l)
 	}
 	// Freeing one reservation re-admits exactly there.
-	p.Release(4)
+	p.Release(Session{ID: 4, Rate: 5}, 1)
 	if l := p.Place(Session{ID: 7, Rate: 5}); l != LinkID(1) {
 		t.Fatalf("after release: placed on %d, want 1", l)
 	}
@@ -93,10 +94,8 @@ func TestP2CDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestPlacePanicsOnDuplicateAndNegative(t *testing.T) {
+func TestPlacePanicsOnNegativeRate(t *testing.T) {
 	p := NewGreedy(Uniform(2, 10))
-	p.Place(Session{ID: 1, Rate: 1})
-	mustPanic(t, "duplicate id", func() { p.Place(Session{ID: 1, Rate: 1}) })
 	mustPanic(t, "negative rate", func() { p.Place(Session{ID: 2, Rate: -1}) })
 }
 
@@ -110,122 +109,104 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestReleaseUnknownIsNoop(t *testing.T) {
+// TestReleaseUnplacedPanics: the router keeps no session IDs, so a
+// release it cannot cover — from a link with no session, or of more rate
+// than the link holds — is the caller's bookkeeping gone wrong, and it
+// panics rather than drive a load negative. The loads are left as they
+// were.
+func TestReleaseUnplacedPanics(t *testing.T) {
 	p := NewGreedy(Uniform(2, 10))
-	p.Release(42) // must not panic or disturb state
-	if got := p.LoadOf(0) + p.LoadOf(1); got != 0 {
-		t.Fatalf("load after bogus release: %d, want 0", got)
+	mustPanic(t, "release from an empty link", func() { p.Release(Session{ID: 42, Rate: 1}, 0) })
+	l := p.Place(Session{ID: 0, Rate: 3})
+	mustPanic(t, "release of more than the link holds", func() { p.Release(Session{ID: 0, Rate: 4}, l) })
+	if p.LoadOf(l) != 3 || p.SessionsOf(l) != 1 || p.LoadOf(1-l) != 0 {
+		t.Fatalf("loads after refused releases: %d on %d, %d on %d; want 3 with 1 session, and 0",
+			p.LoadOf(l), l, p.LoadOf(1-l), 1-l)
 	}
 }
 
-// TestRekey: a reservation placed under a provisional key is filed under
-// the session's lasting ID without moving load, the provisional key is
-// forgotten, an unknown key is a no-op, and rekeying onto a live session
-// panics.
-func TestRekey(t *testing.T) {
-	p := NewGreedy(Uniform(2, 10))
-	p.Place(Session{ID: 0, Rate: 3})
-	l := p.Place(Session{ID: -5, Rate: 4})
-	p.Rekey(-5, 7)
-	if p.Where(7) != l || p.Where(-5) != Blocked || p.LoadOf(l) != 4 || p.SessionsOf(l) != 1 {
-		t.Fatalf("after rekey: session 7 on %d, -5 on %d, link %d load %d with %d sessions; want %d, Blocked, 4, 1",
-			p.Where(7), p.Where(-5), l, p.LoadOf(l), p.SessionsOf(l), l)
-	}
-	p.Rekey(-6, 8) // never placed
-	if p.Where(8) != Blocked {
-		t.Fatal("rekeying an unknown key placed a session")
-	}
-	p.Release(7)
-	if p.LoadOf(l) != 0 {
-		t.Fatalf("release under the new key left load %d", p.LoadOf(l))
-	}
-	p.Place(Session{ID: -1, Rate: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("rekeying onto a live session did not panic")
+// placeAll places the sessions in order and returns them with their
+// links, the books a caller keeps for Release and Rebalance.
+func placeAll(t *testing.T, p *Policy, ss ...Session) []Placed {
+	t.Helper()
+	var live []Placed
+	for _, s := range ss {
+		l := p.Place(s)
+		if l == Blocked {
+			t.Fatalf("session %d blocked", s.ID)
 		}
-	}()
-	p.Rekey(-1, 0)
+		live = append(live, Placed{s, l})
+	}
+	return live
 }
 
-func TestRebalanceEvensLoad(t *testing.T) {
-	p := NewGreedy(Uniform(2, 100))
-	// Pile sessions onto link 0 by hand: place while link 1 is
-	// artificially busy, then free it.
-	p.Place(Session{ID: 100, Rate: 90}) // link 0 (ties go low)
-	for i := 0; i < 4; i++ {
-		p.Place(Session{ID: i, Rate: 10}) // link 1 now less loaded... verify below
-	}
-	// Whatever the exact split, rebalance must strictly shrink the
-	// spread and report each move coherently.
-	before := p.Loads()
-	moves := p.Rebalance(10)
-	after := p.Loads()
-	if spread(after) > spread(before) {
-		t.Fatalf("rebalance widened spread: %v -> %v", before, after)
-	}
+// checkMoves fails unless each move is reflected in live, and the
+// sessions live puts on each link add up to the router's loads.
+func checkMoves(t *testing.T, p *Policy, live []Placed, moves []Move) {
+	t.Helper()
 	for _, mv := range moves {
 		if mv.From == mv.To {
 			t.Fatalf("self-move: %+v", mv)
 		}
-		if p.Where(mv.Session) != mv.To {
-			t.Fatalf("move %+v not reflected in Where", mv)
+		i := slices.IndexFunc(live, func(pl Placed) bool { return pl.ID == mv.Session })
+		if i < 0 || live[i].Link != mv.To || live[i].Rate != mv.Rate {
+			t.Fatalf("move %+v not reflected in live %v", mv, live)
 		}
 	}
-	// A second pass from the evened state must be idempotent-ish: it can
-	// only return moves that keep shrinking the spread, and with equal
-	// loads it returns none.
-	if spread(after) == 0 {
-		if extra := p.Rebalance(10); len(extra) != 0 {
-			t.Fatalf("rebalance of balanced state moved %d sessions", len(extra))
+	for l := range LinkID(p.K()) {
+		var load bw.Rate
+		n := 0
+		for _, pl := range live {
+			if pl.Link == l {
+				load += pl.Rate
+				n++
+			}
 		}
+		if p.LoadOf(l) != load || p.SessionsOf(l) != n {
+			t.Fatalf("link %d: router holds %d sessions at load %d, live %d at %d",
+				l, p.SessionsOf(l), p.LoadOf(l), n, load)
+		}
+	}
+}
+
+func TestRebalanceEvensLoad(t *testing.T) {
+	p := NewGreedy(Uniform(2, 100))
+	// One big session on link 0 (ties go low), then four small ones that
+	// greedy puts on link 1, the less loaded.
+	live := placeAll(t, p, Session{ID: 100, Rate: 90},
+		Session{ID: 0, Rate: 10}, Session{ID: 1, Rate: 10}, Session{ID: 2, Rate: 10}, Session{ID: 3, Rate: 10})
+	// Free the big one: link 1 holds all 40, and two moves even it out.
+	p.Release(live[0].Session, live[0].Link)
+	live = live[1:]
+	moves := p.Rebalance(10, live)
+	if len(moves) != 2 || p.LoadOf(0) != 20 || p.LoadOf(1) != 20 {
+		t.Fatalf("rebalance made %d moves to loads %d/%d; want 2 to 20/20", len(moves), p.LoadOf(0), p.LoadOf(1))
+	}
+	// The smallest rate, then the lowest ID, moves first.
+	if moves[0].Session != 0 || moves[1].Session != 1 {
+		t.Fatalf("moves %v: want sessions 0 then 1", moves)
+	}
+	checkMoves(t, p, live, moves)
+	// From the evened state a second pass moves nothing.
+	if extra := p.Rebalance(10, live); len(extra) != 0 {
+		t.Fatalf("rebalance of balanced state moved %d sessions", len(extra))
 	}
 }
 
 func TestRebalanceRespectsLimit(t *testing.T) {
 	p := NewGreedy([]bw.Rate{100, 100})
-	// Force all sessions to link 0 by filling link 1 first.
-	p.Place(Session{ID: 99, Rate: 100}) // link 0
+	// Fill link 0 first, so every small session lands on link 1.
+	live := placeAll(t, p, Session{ID: 99, Rate: 100})
 	for i := 0; i < 8; i++ {
-		p.Place(Session{ID: i, Rate: 10}) // link 1
+		live = append(live, placeAll(t, p, Session{ID: i, Rate: 10})...)
 	}
-	p.Release(99) // link 0 empty, link 1 holds 80
-	if moves := p.Rebalance(2); len(moves) > 2 {
+	p.Release(live[0].Session, live[0].Link) // link 0 empty, link 1 holds 80
+	live = live[1:]
+	moves := p.Rebalance(2, live)
+	if len(moves) != 2 {
 		t.Fatalf("limit 2 produced %d moves", len(moves))
 	}
-}
-
-func spread(loads []bw.Rate) bw.Rate {
-	lo, hi := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	return hi - lo
-}
-
-func TestResetRestoresConstructionState(t *testing.T) {
-	p := NewP2C(Uniform(3, 50), 11)
-	first := make([]LinkID, 30)
-	for i := range first {
-		first[i] = p.Place(Session{ID: i, Rate: 3})
-	}
-	p.Reset()
-	for l := LinkID(0); l < 3; l++ {
-		if p.LoadOf(l) != 0 || p.SessionsOf(l) != 0 {
-			t.Fatalf("link %d not empty after Reset", l)
-		}
-	}
-	// Same seed, same decisions — the reuse contract.
-	for i := range first {
-		if got := p.Place(Session{ID: i, Rate: 3}); got != first[i] {
-			t.Fatalf("session %d after Reset: %d, want %d", i, got, first[i])
-		}
-	}
+	checkMoves(t, p, live, moves)
 }
 
 func TestEventsAndMetrics(t *testing.T) {
@@ -238,9 +219,10 @@ func TestEventsAndMetrics(t *testing.T) {
 	p.Place(Session{ID: 0, Rate: 10}) // link 0
 	p.Place(Session{ID: 1, Rate: 10}) // link 1
 	p.Place(Session{ID: 2, Rate: 1})  // blocked
-	p.Release(0)
+	p.Release(Session{ID: 0, Rate: 10}, 0)
 	p.Place(Session{ID: 3, Rate: 2}) // link 0
-	p.Rebalance(1)                   // moves 3? only if it shrinks spread
+	// Moving session 1 would not lower the pair maximum: no reroute.
+	p.Rebalance(1, []Placed{{Session{ID: 1, Rate: 10}, 1}, {Session{ID: 3, Rate: 2}, 0}})
 
 	var types []string
 	for _, e := range ring.Snapshot() {
@@ -277,12 +259,12 @@ func TestRerouteEventCarriesBothLinks(t *testing.T) {
 	p := NewGreedy([]bw.Rate{100, 100})
 	ring := obs.NewRing(64)
 	p.SetObserver(ring)
-	p.Place(Session{ID: 9, Rate: 100}) // fill link 0
+	live := placeAll(t, p, Session{ID: 9, Rate: 100}) // fill link 0
 	for i := 0; i < 6; i++ {
-		p.Place(Session{ID: i, Rate: 10}) // link 1
+		live = append(live, placeAll(t, p, Session{ID: i, Rate: 10})...) // link 1
 	}
-	p.Release(9)
-	if moves := p.Rebalance(3); len(moves) == 0 {
+	p.Release(live[0].Session, live[0].Link)
+	if moves := p.Rebalance(3, live[1:]); len(moves) == 0 {
 		t.Fatal("expected at least one move")
 	}
 	found := false

@@ -14,8 +14,9 @@ import (
 // per-link allocation policy, and the optional rebalance cadence.
 type Config struct {
 	// Router places sessions on its links, whose capacities it holds, and
-	// when RebalanceEvery is positive migrates live ones. It must hold no
-	// placements: Run places session i under ID i.
+	// when RebalanceEvery is positive migrates live ones. It must have no
+	// load on it: Run places session i under ID i and releases every
+	// session it placed.
 	Router *Policy
 	// Alloc builds the k-session policy a link runs over its k = cap/Rate
 	// slots, as a gateway shard runs one over its slots.
@@ -96,6 +97,11 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 		return nil, errors.New("route: Config.Alloc is nil")
 	}
 	caps := cfg.Router.caps
+	for l := range caps {
+		if n := cfg.Router.SessionsOf(LinkID(l)); n != 0 {
+			return nil, fmt.Errorf("route: Config.Router holds %d sessions on link %d", n, l)
+		}
+	}
 	links := make([]link, len(caps))
 	for i, c := range caps {
 		k := int(c / rate)
@@ -113,7 +119,8 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 
 	res := &Result{LinkBits: make([]bw.Bits, len(links))}
 	ten := make([]tenant, len(sessions))
-	var active []int // placed sessions, in arrival order
+	var active []int  // placed sessions, in arrival order
+	var live []Placed // active, with their links, for each rebalance pass
 	next := 0
 	for t := bw.Tick(0); t <= lastEnd; t++ {
 		keep := active[:0]
@@ -122,7 +129,7 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 				keep = append(keep, id)
 				continue
 			}
-			cfg.Router.Release(id)
+			cfg.Router.Release(Session{ID: id, Rate: rate}, ten[id].link)
 			res.Dropped += res.vacate(links, &ten[id]).Dropped
 		}
 		active = keep
@@ -142,7 +149,11 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 		}
 
 		if cfg.RebalanceEvery > 0 && t > 0 && t%cfg.RebalanceEvery == 0 {
-			for _, mv := range cfg.Router.Rebalance(limit) {
+			live = live[:0]
+			for _, id := range active {
+				live = append(live, Placed{Session{ID: id, Rate: rate}, ten[id].link})
+			}
+			for _, mv := range cfg.Router.Rebalance(limit, live) {
 				res.Reroutes++
 				res.move(links, &ten[mv.Session], mv.To, t)
 			}

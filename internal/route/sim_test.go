@@ -128,6 +128,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad, testConfig(NewGreedy(caps))); err == nil {
 		t.Fatal("zero mean gap accepted")
 	}
+	busy := NewGreedy(caps)
+	busy.Place(Session{ID: 0, Rate: 1})
+	if _, err := Run(testWorkload("cbr"), testConfig(busy)); err == nil {
+		t.Fatal("router with load on it accepted")
+	}
 }
 
 // TestRunConservesBits: every bit a session emits on a link is served
