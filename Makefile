@@ -45,7 +45,8 @@ bench:
 # the median and 90th percentile of the rounds that drain it
 # (p50_ns/round, p90_ns/round). The place to bisect a change in what a
 # round costs. ns/round leaves out the feeding (and drain's and burst's
-# feeding rounds); idle and 40 run on the tick loop, 1000, 100 000 and
+# feeding rounds) and averages the gateway's timed rounds (1 in 13, its
+# own round profile) with the untimed ones, which read no clock; idle and 40 run on the tick loop, 1000, 100 000 and
 # drain fan out to the tick workers, burst does both. live_B/slot is the
 # table's live heap, measured on the first run of each -count against a
 # heap taken before any gateway was built: about 130 B a slot, 160 B in
@@ -68,7 +69,8 @@ bench-round:
 # neighbours on a shared box. A case only head has is printed with
 # head's median alone. BENCHFLAGS passes more flags to both binaries,
 # e.g. BENCHFLAGS="-test.bench='BenchmarkRound/(drain|burst)'" to run
-# two cases (a later -test.bench wins); BENCH=BenchmarkBatchFrames pairs
+# two cases (a later -test.bench wins; make expands a `$`, so an anchor
+# is written `$$`: BENCHFLAGS="-test.bench='BenchmarkRound/(idle|drain)$$'"); BENCH=BenchmarkBatchFrames pairs
 # the wire path, and PKG=. BENCH='BenchmarkRunnerReuse$' a one-session
 # simulator run (the root package's bench_test.go).
 BASE ?= HEAD

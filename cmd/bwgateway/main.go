@@ -251,8 +251,8 @@ func run(args []string, out, errw io.Writer) error {
 // printProfile renders the gateway's latency profile for the shutdown
 // summary: per-stage wire-path p50/p99 and whole-exchange p50/p99 over
 // the timed messages (stage lines carry their own count), the
-// per-shard allocation-tick p99s, and how many slots the last round had
-// work for.
+// per-shard allocation-tick p50/p99s over the timed rounds (1 in 13),
+// and how many slots the last round had work for.
 func printProfile(out io.Writer, p gateway.Profile) {
 	if p.Exchange.Count() > 0 {
 		fmt.Fprintf(out, "exchange p50/p99: %v / %v (%d timed messages)\n",
@@ -270,7 +270,7 @@ func printProfile(out io.Writer, p gateway.Profile) {
 		if h.Count() == 0 {
 			continue
 		}
-		fmt.Fprintf(out, "shard %d tick p50/p99: %v / %v (%d rounds)\n",
+		fmt.Fprintf(out, "shard %d tick p50/p99: %v / %v (%d timed)\n",
 			i, time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)), h.Count())
 	}
 	if p.TickRound.Count() > 0 {

@@ -313,14 +313,14 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 	}
 	sort.Strings(shardKeys)
 	if len(shardKeys) > 0 {
-		fmt.Fprintf(w, "shard tick p99 over window\n")
+		fmt.Fprintf(w, "shard tick p99 over window (timed rounds: 1 in 13, tick %% 13 == 0)\n")
 		for _, key := range shardKeys {
 			d := delta(prev.hists[key], cur.hists[key])
 			if d == nil || d.count <= 0 {
 				continue
 			}
 			shard := strings.TrimSuffix(strings.TrimPrefix(key, `dynbw_gateway_shard_tick_ns{shard="`), `"}`)
-			fmt.Fprintf(w, "  shard %-3s  %v  (%d rounds)\n", shard, time.Duration(d.quantile(0.99)), d.count)
+			fmt.Fprintf(w, "  shard %-3s  %v  (%d timed)\n", shard, time.Duration(d.quantile(0.99)), d.count)
 		}
 	}
 	if g, ok := cur.scalars["dynbw_go_goroutines"]; ok {

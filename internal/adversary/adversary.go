@@ -45,6 +45,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 		hist     queue.DelayHist
 		sched    bw.Schedule
 		arrivals []bw.Bits
+		round    sim.Round
 	)
 	hist.Attach(q)
 	limit := n + 4*n + 1024
@@ -63,8 +64,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 		} else if q.Bits() == 0 {
 			break
 		}
-		round, err := slots.Step(t, step)
-		if err != nil {
+		if err := slots.Step(t, step, &round); err != nil {
 			return nil, fmt.Errorf("adversary: %w", err)
 		}
 		if over+round.Policed > 0 {

@@ -316,6 +316,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 			applied := make([]bw.Rate, k)
 			var in sim.Compact
 			slots := sim.NewSlots(k)
+			var r sim.Round
 			tick := bw.Tick(0)
 			round := func() {
 				oracleTrace("bursty", src, arrived, tick, do, 16)
@@ -343,7 +344,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 					for i, a := range arrived {
 						slots.Add(i, a)
 					}
-					if _, err := slots.Step(tick, p.alloc.(sim.SparseAllocator)); err != nil {
+					if err := slots.Step(tick, p.alloc.(sim.SparseAllocator), &r); err != nil {
 						t.Fatal(err)
 					}
 				}

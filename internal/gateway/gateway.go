@@ -262,10 +262,15 @@ type Gateway struct {
 	spans      *obs.SpanRing // spans of timed messages (nil disables)
 	sampler    *obs.Sampler  // 1-in-N timing decisions, striped like gwMetrics.connStripes
 	tickBudget time.Duration
+	// timed says whether the current round is profiled (roundSampleEvery):
+	// written by the tick loop before the round's fan-out send, read by
+	// the workers after their receive.
+	timed bool
 	// roundDur and roundRate are the current round's per-shard duration
-	// (ns) and allotted bandwidth; written by whoever runs the shard's
-	// round — the tick loop, or a tick worker — and read by the tick loop
-	// after the join (the WaitGroup orders a worker's accesses).
+	// (ns; timed rounds only) and allotted bandwidth; written by whoever
+	// runs the shard's round — the tick loop, or a tick worker — and read
+	// by the tick loop after the join (the WaitGroup orders a worker's
+	// accesses).
 	roundDur  []int64
 	roundRate []bw.Rate
 	imbalEwma int64 // tick-loop only: EWMA of max/mean shard duration, permille

@@ -47,8 +47,9 @@ type gwMetrics struct {
 	// observation per shard list holding DATA in a BATCH frame (flush).
 	exchange *obs.StripedHistogram
 	stages   [numStages]*obs.StripedHistogram
-	// tickShard times each shard's allocation round; its stripes double
-	// as the per-shard dynbw_gateway_shard_tick_ns series.
+	// tickShard times each shard's allocation round, in the timed rounds
+	// (roundSampleEvery) as the three beside it; its stripes double as
+	// the per-shard dynbw_gateway_shard_tick_ns series.
 	tickShard    *obs.StripedHistogram
 	tickRound    *obs.LiveHistogram // whole round, fan-out to join
 	joinWait     *obs.LiveHistogram // slowest minus fastest shard per round
@@ -147,20 +148,22 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 			h.Snapshot, obs.L("stage", stageNames[i]))
 		m.stages[i] = h
 	}
+	// The round profile holds the timed rounds only (roundSampleEvery).
+	timed := "over the timed rounds (1 in " + strconv.Itoa(roundSampleEvery) + "; the count is rounds timed)"
 	m.tickShard = obs.NewStripedHistogram(stripes)
 	for i := 0; i < stripes; i++ {
 		i := i
 		reg.HistogramFunc("dynbw_gateway_shard_tick_ns",
-			"Allocation-round duration per shard, nanoseconds.",
+			"Allocation-round duration per shard, nanoseconds, "+timed+".",
 			func() metrics.Histogram { return m.tickShard.StripeSnapshot(i) },
 			obs.L("shard", strconv.Itoa(i)))
 	}
 	m.tickRound = reg.Histogram("dynbw_gateway_tick_round_ns",
-		"Whole allocation-round duration (fan-out to join), nanoseconds.")
+		"Whole allocation-round duration (fan-out to join), nanoseconds, "+timed+".")
 	m.joinWait = reg.Histogram("dynbw_gateway_tick_join_wait_ns",
-		"Straggler wait per round: slowest minus fastest shard, nanoseconds (sharded only).")
+		"Straggler wait per round: slowest minus fastest shard, nanoseconds (sharded only), "+timed+".")
 	m.imbalance = reg.Gauge("dynbw_gateway_tick_imbalance_permille",
-		"EWMA of slowest-shard round duration over the mean, permille (1000 = balanced).")
+		"EWMA of slowest-shard round duration over the mean, permille (1000 = balanced), over the timed rounds.")
 	m.tickOverruns = reg.Counter("dynbw_gateway_tick_overruns_total",
 		"Allocation rounds that exceeded the configured tick budget.")
 	const roundsHelp = "Allocation rounds by the path they took: run by the tick loop itself (a small round, or a one-shard gateway), or fanned out to the tick workers."

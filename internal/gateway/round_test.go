@@ -76,6 +76,12 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // active=100000 is not this shape: there every slot arrives and drains
 // every round.
 //
+// ns/round is the benchmark's own clock around every round it times. The
+// gateway profiles one round in roundSampleEvery itself (those with
+// t % 13 == 0, which read the clock once a shard and fill the tick
+// histograms; the others read no clock), so the figure is the mean over
+// both kinds in the proportion a running gateway pays them.
+//
 // The feeding (and drain's feeding round) is outside the ns/round figure
 // and inside allocs/op, which is 0 once the round's scratch lists have
 // grown to the active count. live_B/slot is the table's live heap, a
@@ -196,6 +202,54 @@ func BenchmarkRound(b *testing.B) {
 				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v", inline, fanout, wantFanout)
 			}
 		})
+	}
+}
+
+// TestRoundAllocatesNothing: a whole allocation round — Gateway.round
+// on a served gateway's shape (newRounds: registry attached, tick
+// workers running), four shards — allocates nothing, timed or untimed,
+// idle on the tick loop or fed inlineBelow slots and fanned out, with
+// and without a tick budget. Each measured run is one sampling period,
+// roundSampleEvery rounds holding exactly one timed round, so a single
+// allocation in either kind of round reads as one a run.
+func TestRoundAllocatesNothing(t *testing.T) {
+	const (
+		k, nshards = 4 * inlineBelow, 4
+		do         = bw.Tick(8)
+		share      = 16 // bits a slot a round: B_O = 16 a slot
+		periods    = 2
+	)
+	for _, busy := range []int{0, inlineBelow} {
+		for _, budget := range []time.Duration{0, time.Nanosecond} {
+			t.Run(fmt.Sprintf("busy=%d/budget=%v", busy, budget), func(t *testing.T) {
+				g := newRounds(t, "phased", k, nshards, do)
+				g.tickBudget = budget
+				tick := bw.Tick(0)
+				period := func() {
+					for range roundSampleEvery {
+						for j := 0; j < busy; j++ {
+							feed(g, j*(k/busy), share)
+						}
+						g.round(tick)
+						g.now.Add(1)
+						tick++
+					}
+				}
+				period() // grows the round's scratch lists
+				if avg := testing.AllocsPerRun(periods, period); avg != 0 {
+					t.Errorf("%.2f allocations per %d rounds, want 0", avg, roundSampleEvery)
+				}
+				// AllocsPerRun runs the period once more to warm up.
+				runs := int64(tick) / roundSampleEvery
+				if h := g.m.tickRound.Snapshot(); h.Count() != runs {
+					t.Errorf("%d rounds timed in %d, want %d", h.Count(), tick, runs)
+				}
+				inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value()
+				if wantFanout := busy >= inlineBelow; inline+fanout != int64(tick) || (fanout > 0) != wantFanout || (inline > 0) == wantFanout {
+					t.Errorf("%d rounds inline, %d fanned out of %d; want fan-out = %v", inline, fanout, tick, wantFanout)
+				}
+			})
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ type shard struct {
 
 	mu    sync.Mutex
 	slots sim.Slots  // guarded by shard.mu; what the kernel keeps per slot
+	round sim.Round  // guarded by shard.mu; the last round's Step, reused
 	used  bitset.Set // guarded by shard.mu; slots taken by an open session
 	// free is a slot below which every slot is taken: the first-fit scan
 	// starts there instead of at slot 0, and a release below it lowers it.

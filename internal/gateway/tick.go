@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/sim"
 )
 
 // tickLoop owns the gateway clock: each received tick runs one
@@ -45,6 +44,19 @@ func (g *Gateway) tickLoop() {
 // the benchmark's 100k-slot workloads run fanned out.
 const inlineBelow = 512
 
+// roundSampleEvery is the period of the round profile: the rounds with
+// t % roundSampleEvery == 0 are timed, on either path, and the others
+// read no clock and observe no histogram, as the wire path times 1
+// message in its sampling period. Every counter stays exact. Clock reads
+// and histogram observations were most of an idle round's cost
+// (DESIGN.md §10). The period is prime, so a load that repeats every D_O
+// ticks (a power of two in every workload here) is timed at every phase
+// of its cycle, and short enough that any 13 consecutive rounds hold a
+// timed one: the shortest window the repository benchmark reads the
+// profile over is 22 rounds of a 5 ms clock. It is a constant, not a
+// knob, like inlineBelow.
+const roundSampleEvery = 13
+
 // startTickWorkers starts the pool that rounds with inlineBelow slots of
 // work or more fan out to, one worker per core up to one per shard. A
 // gateway of one shard has no use for it; one whose workers were never
@@ -76,17 +88,23 @@ func (g *Gateway) knownWork() (n int64) {
 // every round is — and every round of a gateway without tick workers
 // (one shard) runs on the tick loop itself, shard after shard; any other
 // is fanned out to the workers and joined. The fold is the same either
-// way: the shards' allotted bandwidth summed into the running peak
-// Shutdown reports, and the round profile (whole-round and per-shard
-// durations, the spread between the slowest and the fastest shard — the
-// straggler cost of a join — a shard imbalance EWMA, and overruns of the
-// configured tick budget).
+// way: each shard folds its counters as its round ends (shard.tick), and
+// the shards' allotted bandwidth is summed into the running peak
+// Shutdown reports. A timed round (one in roundSampleEvery) adds the
+// round profile: whole-round and per-shard durations, the spread between
+// the slowest and the fastest shard — the straggler cost of a join — and
+// a shard imbalance EWMA. Every round is checked against the configured
+// tick budget, which is the only clock an untimed round reads.
 func (g *Gateway) round(t bw.Tick) {
-	start := time.Now()
+	g.timed = t%roundSampleEvery == 0
+	var start time.Time
+	if g.timed || g.tickBudget > 0 {
+		start = time.Now()
+	}
 	end := start
 	if g.tickCh == nil || g.knownWork() < inlineBelow {
-		// One shard's round ends where the next one's starts: a clock
-		// read a shard, not two, which is a third of an idle round.
+		// Timed, one shard's round ends where the next one's starts: a
+		// clock read a shard, not two.
 		for _, sh := range g.shards {
 			end = g.shardRound(sh, t, end)
 		}
@@ -98,9 +116,10 @@ func (g *Gateway) round(t bw.Tick) {
 		}
 		g.tickWG.Wait()
 		g.m.roundsFanout.Inc()
-		end = time.Now()
+		if g.timed {
+			end = time.Now()
+		}
 	}
-	round := end.Sub(start)
 	var total bw.Rate
 	for _, r := range g.roundRate {
 		total += r
@@ -108,9 +127,15 @@ func (g *Gateway) round(t bw.Tick) {
 	if total > g.maxTotalRate {
 		g.maxTotalRate = total
 	}
-	g.m.tickRound.Observe(int64(round))
-	if len(g.shards) > 1 {
-		g.observeRoundSpread()
+	var round time.Duration
+	if g.timed {
+		round = end.Sub(start)
+		g.m.tickRound.Observe(int64(round))
+		if len(g.shards) > 1 {
+			g.observeRoundSpread()
+		}
+	} else if g.tickBudget > 0 {
+		round = time.Since(start)
 	}
 	if g.tickBudget > 0 && round > g.tickBudget {
 		g.m.tickOverruns.Inc()
@@ -153,48 +178,43 @@ func (g *Gateway) tickWorker(w int) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("dynbw", "tick-worker", "worker", strconv.Itoa(w))))
 	for idx := range g.tickCh {
-		g.shardRound(g.shards[idx], bw.Tick(g.now.Load()), time.Now())
+		var start time.Time
+		if g.timed {
+			start = time.Now()
+		}
+		g.shardRound(g.shards[idx], bw.Tick(g.now.Load()), start)
 		g.tickWG.Done()
 	}
 }
 
-// shardRound runs one allocation round on one shard, started at start,
-// folds the result into the shard's stripe of the gateway counters, and
-// records the shard's round duration and allotted bandwidth (its tick
-// histogram stripe; roundDur and roundRate for round's fold — the
-// WaitGroup join orders a worker's writes before the reads). A shard with
-// nothing to do reports zeros, which are not added. It returns when the
-// shard's round ended.
+// shardRound runs one allocation round on one shard, started at start.
+// Untimed, that is all, and it returns start. Timed, it records the
+// shard's round duration (its tick histogram stripe, and roundDur for
+// round's fold — the WaitGroup join orders a worker's writes before the
+// reads) and returns when the round ended.
 func (g *Gateway) shardRound(sh *shard, t bw.Tick, start time.Time) time.Time {
-	r, err := g.tickContained(sh, t)
-	if err != nil {
+	if err := g.tickContained(sh, t); err != nil {
 		g.log.Log(slog.LevelError, "alloc", "gateway: allocator broke its contract; shard not served this round",
 			"shard", sh.idx, "err", err)
 	}
-	if r.Active != 0 {
-		g.m.arrivedBits.Add(sh.idx, int64(r.Arrived))
-		g.m.servedBits.Add(sh.idx, int64(r.Served))
-		g.m.policedBits.Add(sh.idx, int64(r.Policed))
+	if !g.timed {
+		return start
 	}
-	if r.Changes != 0 { // a PHASE or a REDUCE moves rates on a round that visits no slot
-		g.m.allocChanges.Add(sh.idx, int64(r.Changes))
-	}
-	g.m.activeSlots.Set(sh.idx, int64(r.Active))
 	end := time.Now()
 	d := int64(end.Sub(start))
 	g.m.tickShard.Observe(sh.idx, d)
 	g.roundDur[sh.idx] = d
-	g.roundRate[sh.idx] = r.Total
 	return end
 }
 
 // tickContained is sh.tick with a panic under it — the allocator's code
 // runs there, on a tick worker or on the clock's own goroutine —
 // contained to this shard's round, which is abandoned where it stood and
-// reported as empty: queues and rates stay as the kernel left them, as
-// for a contract violation, tick has unlocked the shard on its way out,
-// and the clock and the other shards go on.
-func (g *Gateway) tickContained(sh *shard, t bw.Tick) (r sim.Round, err error) {
+// folds nothing: queues and rates stay as the kernel left them, as for a
+// contract violation, the shard's gauges keep the last round's figures,
+// tick has unlocked the shard on its way out, and the clock and the
+// other shards go on.
+func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			g.m.roundPanics.Inc()
@@ -207,23 +227,38 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (r sim.Round, err error) {
 
 // tick runs one allocation round over this shard's slots: one kernel
 // step (sim.Slots.Step — the round the simulator verifies the theorems
-// on) under the shard's allocator. The step visits the slots with
-// pending or queued bits and no others, so the lock is held for as long
-// as the busy sessions take.
+// on) under the shard's allocator, into the shard's own Round. The step
+// visits the slots with pending or queued bits and no others, so the
+// lock is held for as long as the busy sessions take.
 //
 // An allocator that breaks its contract (wrong rate count, negative
 // rate) serves nothing this round — the arrivals stay queued and the
 // rates stand — and the violation is returned for the caller to log
 // outside the lock.
 //
-// On the way out the shard's work estimate becomes the slots the round
-// left backlogged; the DATA applied from here to the next round adds to
-// it. A round that panics stores nothing, and the estimate it started
-// with still bounds the slots it leaves active.
-func (sh *shard) tick(t bw.Tick) (sim.Round, error) {
+// Before it unlocks, tick folds the round into the shard's stripe of the
+// gateway counters (a shard with nothing to do reports zeros, which are
+// not added), its allotted bandwidth into roundRate, and the shard's
+// work estimate becomes the slots the round left backlogged; the DATA
+// applied from here to the next round adds to it. A round that panics
+// stores nothing, and the estimate it started with still bounds the
+// slots it leaves active.
+func (sh *shard) tick(t bw.Tick) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, err := sh.slots.Step(t, sh.alloc)
+	r := &sh.round
+	err := sh.slots.Step(t, sh.alloc, r)
 	sh.work.Store(int64(r.Backlogged))
-	return r, err
+	m := sh.g.m
+	if r.Active != 0 {
+		m.arrivedBits.Add(sh.idx, int64(r.Arrived))
+		m.servedBits.Add(sh.idx, int64(r.Served))
+		m.policedBits.Add(sh.idx, int64(r.Policed))
+	}
+	if r.Changes != 0 { // a PHASE or a REDUCE moves rates on a round that visits no slot
+		m.allocChanges.Add(sh.idx, int64(r.Changes))
+	}
+	m.activeSlots.Set(sh.idx, int64(r.Active))
+	sh.g.roundRate[sh.idx] = r.Total
+	return err
 }

@@ -282,7 +282,13 @@ func TestNestedTraceEnvelopeIsProtocolViolation(t *testing.T) {
 	}
 }
 
+// TestTickProfilingMetrics pins the round profile's sampling rule: of
+// ticks 0 to 2·roundSampleEvery the three with t % roundSampleEvery == 0
+// are timed — the whole-round, join-wait and every shard's histogram
+// count exactly those — while every round is checked against the tick
+// budget.
 func TestTickProfilingMetrics(t *testing.T) {
+	const rounds = 2*roundSampleEvery + 1 // ticks 0 .. 26: timed at 0, 13 and 26
 	ticks := newManualTicks()
 	reg := obs.NewRegistry()
 	cfg := Config{
@@ -295,27 +301,28 @@ func TestTickProfilingMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < rounds; i++ {
 		ticks.tick()
 	}
-	ticks.tick() // guarantees the first three rounds completed
+	ticks.tick() // guarantees the first rounds completed; its own (tick 27) is not timed
 	snap := reg.Snapshot()
-	if c := snap["dynbw_gateway_tick_round_ns:count"]; c < 3 {
-		t.Errorf("tick_round count = %d, want >= 3", c)
+	const timed = 3
+	if c := snap["dynbw_gateway_tick_round_ns:count"]; c != timed {
+		t.Errorf("tick_round count = %d, want %d", c, timed)
 	}
-	if c := snap["dynbw_gateway_tick_join_wait_ns:count"]; c < 3 {
-		t.Errorf("join_wait count = %d, want >= 3", c)
+	if c := snap["dynbw_gateway_tick_join_wait_ns:count"]; c != timed {
+		t.Errorf("join_wait count = %d, want %d", c, timed)
 	}
-	if c := snap["dynbw_gateway_tick_overruns_total"]; c < 3 {
-		t.Errorf("tick_overruns = %d with a 1ns budget, want >= 3", c)
+	if c := snap["dynbw_gateway_tick_overruns_total"]; c < rounds {
+		t.Errorf("tick_overruns = %d with a 1ns budget, want >= %d: every round is checked", c, rounds)
 	}
 	if v := snap["dynbw_gateway_tick_imbalance_permille"]; v < 0 {
 		t.Errorf("imbalance = %d", v)
 	}
 	for shard := 0; shard < 4; shard++ {
 		key := `dynbw_gateway_shard_tick_ns{shard="` + string(rune('0'+shard)) + `"}:count`
-		if c := snap[key]; c < 3 {
-			t.Errorf("%s = %d, want >= 3", key, c)
+		if c := snap[key]; c != timed {
+			t.Errorf("%s = %d, want %d", key, c, timed)
 		}
 	}
 }

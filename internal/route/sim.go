@@ -121,6 +121,7 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 	ten := make([]tenant, len(sessions))
 	var active []int  // placed sessions, in arrival order
 	var live []Placed // active, with their links, for each rebalance pass
+	var r sim.Round   // each link's round, in turn
 	next := 0
 	for t := bw.Tick(0); t <= lastEnd; t++ {
 		keep := active[:0]
@@ -181,8 +182,7 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 				res.OverflowTicks++
 			}
 			l.in = 0
-			r, err := l.slots.Step(t, l.alloc)
-			if err != nil {
+			if err := l.slots.Step(t, l.alloc, &r); err != nil {
 				return nil, fmt.Errorf("route: link %d: %w", i, err)
 			}
 			res.Changes += r.Changes

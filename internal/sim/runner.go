@@ -136,6 +136,7 @@ type MultiRunner struct {
 	total      bw.Schedule
 	in         []*trace.Trace  // the sessions of the last Run
 	hist       queue.DelayHist // attached to every queue of slots
+	round      Round           // each tick's Step
 	res        MultiResult
 }
 
@@ -227,8 +228,8 @@ func (r *MultiRunner) run(sessions []*trace.Trace, alloc MultiAllocator, opts Op
 				over += slots.Add(i, a)
 			}
 		}
-		round, err := slots.Step(t, sparse)
-		if err != nil {
+		round := &r.round
+		if err := slots.Step(t, sparse, round); err != nil {
 			return nil, err
 		}
 		if over+round.Policed > 0 {

@@ -327,7 +327,7 @@ func TestSeparateLeaveEmptiesTheQueue(t *testing.T) {
 	sep := &Separate{Allocs: []Allocator{slow, fixedRate(0)}}
 	s.Add(0, 10)
 	for tick := bw.Tick(0); tick < 3; tick++ {
-		if _, err := s.Step(tick, sep); err != nil {
+		if err := s.Step(tick, sep, new(Round)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestSeparateLeaveEmptiesTheQueue(t *testing.T) {
 	s.Vacate(0)
 	sep.Leave(0)
 	s.Add(0, 3)
-	if _, err := s.Step(3, sep); err != nil {
+	if err := s.Step(3, sep, new(Round)); err != nil {
 		t.Fatal(err)
 	}
 	if seen != [2]bw.Bits{3, 3} {
@@ -412,11 +412,11 @@ func TestSeparateKeepsQueuesThroughARejectedRound(t *testing.T) {
 	})
 	sep := &Separate{Allocs: []Allocator{serve, other}}
 	s.Add(0, 10)
-	if _, err := s.Step(0, sep); err == nil {
+	if err := s.Step(0, sep, new(Round)); err == nil {
 		t.Fatal("a negative rate accepted")
 	}
 	broken = false
-	if _, err := s.Step(1, sep); err != nil {
+	if err := s.Step(1, sep, new(Round)); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 10 || s.Queue(0).Bits() != 6 {

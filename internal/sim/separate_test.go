@@ -65,7 +65,7 @@ func TestSeparateHandsEachPolicyItsQueue(t *testing.T) {
 					slots.Add(i, added[i])
 				}
 			}
-			if _, err := slots.Step(tick, sep); err != nil {
+			if err := slots.Step(tick, sep, new(sim.Round)); err != nil {
 				t.Fatalf("k=%d, tick %d: %v", k, tick, err)
 			}
 		}

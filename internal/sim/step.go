@@ -195,7 +195,8 @@ func (s *Slots) Vacate(i int) Tenancy {
 	return t
 }
 
-// Round is what one Step did, summed over the slots.
+// Round is what one Step did, summed over the slots. The caller owns
+// it and hands the same one to every Step, which overwrites every field.
 type Round struct {
 	// Rates is the rate applied to each slot. It is the kernel's own
 	// vector, valid until the next Step.
@@ -216,7 +217,8 @@ type Round struct {
 	Backlogged int
 }
 
-// Step runs the round for tick t in two walks over the active slots.
+// Step runs the round for tick t in two walks over the active slots and
+// reports it in r.
 // The first moves each one's pending arrivals into its queue, as far as
 // MaxBacklog lets them. alloc, told of the slots that received bits and
 // nothing else, picks the rates; the rates that changed are applied and
@@ -231,10 +233,13 @@ type Round struct {
 // the round's arrivals are enqueued (and reported in Round.Arrived),
 // every slot keeps its previous rate and count, and every visited slot
 // stays backlogged.
-func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
+func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	run, slots, applied := s.run, s.slots, s.rates
 	run.visit = s.active.AppendTo(run.visit[:0], 0, len(slots))
-	r := Round{Rates: applied, Total: run.total, Active: len(run.visit), Backlogged: len(run.visit)}
+	// r is reused from round to round: every field is written, here or
+	// below, before the round can fail.
+	r.Rates, r.Total, r.Changes, r.Served = applied, run.total, 0, 0
+	r.Active, r.Backlogged = len(run.visit), len(run.visit)
 	// The walks keep their sums and lists in locals: a store through a
 	// slot could alias a field, so the compiler would write each back
 	// every slot.
@@ -262,25 +267,26 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 	r.Arrived, r.Policed = arrived, policed
 	changed, rates := alloc.RatesActive(t, sessions, got, applied)
 	if len(rates) != len(changed) {
-		return r, fmt.Errorf("sim: allocator reports %d rates for %d changed sessions at tick %d", len(rates), len(changed), t)
+		return fmt.Errorf("sim: allocator reports %d rates for %d changed sessions at tick %d", len(rates), len(changed), t)
 	}
 	for j, i := range changed {
 		if uint(i) >= uint(len(applied)) {
-			return r, fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(applied), t)
+			return fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(applied), t)
 		}
 		if rates[j] < 0 {
-			return r, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[j], t)
+			return fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[j], t)
 		}
 	}
+	moved := 0
 	for j, i := range changed {
 		if rate := rates[j]; rate != applied[i] {
 			run.total += rate - applied[i]
 			applied[i] = rate
 			slots[i].changes++
-			r.Changes++
+			moved++
 		}
 	}
-	r.Total = run.total
+	r.Total, r.Changes = run.total, moved
 	served, backlogged := bw.Bits(0), r.Backlogged
 	for _, i := range run.visit {
 		q := &slots[i].q
@@ -291,5 +297,5 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator) (Round, error) {
 		}
 	}
 	r.Served, r.Backlogged = served, backlogged
-	return r, nil
+	return nil
 }

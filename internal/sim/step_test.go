@@ -63,7 +63,8 @@ func TestSlotsStepRound(t *testing.T) {
 		})
 	}
 	alloc := &Separate{Allocs: []Allocator{policy(0, 4), policy(1, 3)}}
-	r, err := s.Step(0, alloc)
+	var r Round
+	err := s.Step(0, alloc, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSlotsStepRound(t *testing.T) {
 	}
 	// The second round finds nothing pending: slot 0 is visited for its
 	// backlog alone, no rate moves, and the total carries over unchanged.
-	if r, err = s.Step(1, alloc); err != nil || r.Arrived != 0 || r.Served != 4 || r.Total != 7 || r.Changes != 0 || r.Active != 1 {
+	if err = s.Step(1, alloc, &r); err != nil || r.Arrived != 0 || r.Served != 4 || r.Total != 7 || r.Changes != 0 || r.Active != 1 {
 		t.Errorf("second round = %+v, %v", r, err)
 	}
 	if seen != [2][2]bw.Bits{{0, 6}, {0, 0}} {
@@ -114,8 +115,10 @@ func TestSlotsStepContractViolation(t *testing.T) {
 		s := NewSlots(2)
 		s.Add(0, 8)
 		s.Add(1, 8)
+		// One Round for every step, as a caller keeps it: each overwrites it.
+		var r Round
 		for tick := bw.Tick(0); tick < 2; tick++ { // a standing violation is reported every round
-			r, err := s.Step(tick, tc.bad)
+			err := s.Step(tick, tc.bad, &r)
 			if err == nil {
 				t.Errorf("%s: accepted at tick %d", tc.name, tick)
 				continue
@@ -131,7 +134,7 @@ func TestSlotsStepContractViolation(t *testing.T) {
 			}
 		}
 		mended := &answer{[]int32{0, 1}, []bw.Rate{5, 5}}
-		if r, err := s.Step(2, mended); err != nil || r.Served != 10 || r.Changes != 2 || r.Total != 10 {
+		if err := s.Step(2, mended, &r); err != nil || r.Served != 10 || r.Changes != 2 || r.Total != 10 {
 			t.Errorf("%s: mended round = %+v, %v", tc.name, r, err)
 		}
 	}
@@ -150,7 +153,8 @@ func (ragged) RatesActive(bw.Tick, []int32, []bw.Bits, []bw.Rate) ([]int32, []bw
 func TestSlotsStepRejectsRaggedAnswer(t *testing.T) {
 	s := NewSlots(2)
 	s.Add(0, 8)
-	if r, err := s.Step(0, ragged{}); err == nil || r.Served != 0 || r.Changes != 0 || s.Rate(0) != 0 {
+	var r Round
+	if err := s.Step(0, ragged{}, &r); err == nil || r.Served != 0 || r.Changes != 0 || s.Rate(0) != 0 {
 		t.Errorf("round = %+v, %v; slot 0 rate %d", r, err, s.Rate(0))
 	}
 }
@@ -168,10 +172,11 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	s.Add(163, 1)
 	low := s.prefix(100)
 	lowAlloc := newEveryRate(2)
-	if r, err := low.Step(0, lowAlloc); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 || r.Changes != 100 {
+	var r Round
+	if err := low.Step(0, lowAlloc, &r); err != nil || r.Active != 1 || r.Arrived != 3 || r.Served != 2 || r.Total != 200 || r.Changes != 100 {
 		t.Fatalf("view tick 0: round = %+v, %v", r, err)
 	}
-	if r, err := low.Step(1, lowAlloc); err != nil || r.Active != 1 || r.Served != 1 || r.Backlogged != 0 || r.Total != 200 {
+	if err := low.Step(1, lowAlloc, &r); err != nil || r.Active != 1 || r.Served != 1 || r.Backlogged != 0 || r.Total != 200 {
 		t.Fatalf("view tick 1: round = %+v, %v", r, err)
 	}
 	for _, i := range []int{100, 163} {
@@ -184,7 +189,7 @@ func TestSlotsSliceAndMove(t *testing.T) {
 	// The whole table: the slots past the old view are visited, and the
 	// round's total counts the 100 rates the view applied.
 	whole := s.prefix(k)
-	r, err := whole.Step(2, newEveryRate(7))
+	err := whole.Step(2, newEveryRate(7), &r)
 	if err != nil || r.Active != 2 || r.Arrived != 21 || r.Served != 8 || r.Backlogged != 1 || r.Total != 7*k || r.Changes != k {
 		t.Fatalf("whole table: round = %+v, %v", r, err)
 	}
@@ -218,7 +223,8 @@ func TestSlotsActiveSet(t *testing.T) {
 	s := NewSlots(k)
 	a := &spy{rates: make([]bw.Rate, k)}
 	idle := func() {
-		r, err := s.Step(0, a)
+		var r Round
+		err := s.Step(0, a, &r)
 		if err != nil || r.Active != 0 || r.Backlogged != 0 || len(a.told) != 0 {
 			t.Fatalf("idle round = %+v, %v; allocator told of %v", r, err, a.told)
 		}
@@ -239,7 +245,8 @@ func TestSlotsActiveSet(t *testing.T) {
 		if tick > 1 {
 			told = nil
 		}
-		r, err := s.Step(tick, a)
+		var r Round
+		err := s.Step(tick, a, &r)
 		if err != nil || r.Active != len(want) || r.Backlogged != len(want) || !slices.Equal(a.told, told) {
 			t.Fatalf("tick %d: round = %+v, %v; allocator told of %v, want %v", tick, r, err, a.told, told)
 		}
@@ -248,17 +255,18 @@ func TestSlotsActiveSet(t *testing.T) {
 	// those two, the round visits all six.
 	s.Add(63, 1)
 	s.Add(5000, 2)
-	r, err := s.Step(4, a)
+	var r Round
+	err := s.Step(4, a, &r)
 	if told := []int32{63, 5000}; err != nil || r.Active != 6 || r.Backlogged != 6 || !slices.Equal(a.told, told) {
 		t.Fatalf("tick 4: round = %+v, %v; allocator told of %v, want %v", r, err, a.told, told)
 	}
 	// Serve slot 64 dry: the round that does so still visits it, and it
 	// leaves the set; the others stay, and the allocator hears of none.
 	a.rates[64] = 5
-	if r, err := s.Step(5, rateChange{a, 64}); err != nil || r.Active != 6 || r.Backlogged != 5 || len(a.told) != 0 {
+	if err := s.Step(5, rateChange{a, 64}, &r); err != nil || r.Active != 6 || r.Backlogged != 5 || len(a.told) != 0 {
 		t.Fatalf("tick 5: round = %+v, %v; allocator told of %v", r, err, a.told)
 	}
-	r, err = s.Step(6, a)
+	err = s.Step(6, a, &r)
 	if err != nil || r.Active != 5 || len(a.told) != 0 {
 		t.Errorf("after slot 64 drained: round = %+v, %v; allocator told of %v", r, err, a.told)
 	}
@@ -359,7 +367,8 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 						visits++
 					}
 				}
-				r, err := v.Step(tick, alloc)
+				var r Round
+				err := v.Step(tick, alloc, &r)
 				tick++
 				if err != nil || r.Active != visits || !slices.Equal(alloc.told, told) {
 					t.Fatalf("phase %d, step %d, view of %d: round = %+v, %v, want %d visits; allocator told of %v, want %v", phase, step, n, r, err, visits, alloc.told, told)
@@ -412,7 +421,8 @@ func TestSlotsAddSaturates(t *testing.T) {
 		t.Errorf("Add to a full pending cell dropped %d, want all %d", d, huge)
 	}
 	a := &spy{rates: []bw.Rate{0, 0}}
-	r, err := s.Step(0, a)
+	var r Round
+	err := s.Step(0, a, &r)
 	if err != nil || r.Arrived != MaxBacklog || r.Policed != 0 || s.Queue(0).Bits() != MaxBacklog {
 		t.Fatalf("round = %+v, %v; queued %d", r, err, s.Queue(0).Bits())
 	}
@@ -422,7 +432,8 @@ func TestSlotsAddSaturates(t *testing.T) {
 		if d := s.Add(0, huge); d != huge-MaxBacklog {
 			t.Errorf("tick %d: Add dropped %d, want %d", tick, d, huge-MaxBacklog)
 		}
-		r, err := s.Step(tick, a)
+		var r Round
+		err := s.Step(tick, a, &r)
 		if err != nil || r.Arrived != 0 || r.Policed != MaxBacklog {
 			t.Fatalf("tick %d: round = %+v, %v", tick, r, err)
 		}
@@ -440,7 +451,7 @@ func TestSlotsAddSaturates(t *testing.T) {
 	s = NewSlots(1)
 	s.Add(0, 30)
 	for tick := bw.Tick(0); tick < 3; tick++ {
-		if _, err := s.Step(tick, rateChange{&spy{rates: []bw.Rate{4}}, 0}); err != nil {
+		if err := s.Step(tick, rateChange{&spy{rates: []bw.Rate{4}}, 0}, new(Round)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,7 +487,7 @@ func TestSlotsVacate(t *testing.T) {
 	s.Add(0, 30)
 	s.Add(1, 30)
 	for tick := bw.Tick(0); tick < 3; tick++ {
-		if _, err := s.Step(tick, rateChange{a, 0}); err != nil {
+		if err := s.Step(tick, rateChange{a, 0}, new(Round)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -493,13 +504,14 @@ func TestSlotsVacate(t *testing.T) {
 	}
 	// The vacated slot's pending bits are gone with it: the round visits
 	// slot 1's backlog alone and tells the allocator of no arrival.
-	r, err := s.Step(3, a)
+	var r Round
+	err := s.Step(3, a, &r)
 	if err != nil || r.Active != 1 || r.Arrived != 0 || len(a.told) != 0 {
 		t.Errorf("round after Vacate = %+v, %v; allocator told of %v, want none", r, err, a.told)
 	}
 	// The next tenant's first bit is served on arrival.
 	s.Add(0, 3)
-	if r, err := s.Step(4, a); err != nil || r.Active != 2 || !slices.Equal(a.told, []int32{0}) {
+	if err := s.Step(4, a, &r); err != nil || r.Active != 2 || !slices.Equal(a.told, []int32{0}) {
 		t.Fatalf("next tenant's round = %+v, %v; allocator told of %v, want [0]", r, err, a.told)
 	}
 	if q := s.Queue(0); q.Served() != 3 || q.MaxDelay() != 0 {
