@@ -1,9 +1,9 @@
 // Package bitset is a fixed-size set of small non-negative integers, one
-// bit each. The step kernel, the three multi-session policies and the
-// gateway's slot table keep their "has work" and "in use" sets in it: a
-// set that is iterated in index order — which an append list is not, and
-// the policies' observer events must come out in session order — and
-// that costs a bit, not a word, per slot.
+// bit each. The step kernel keeps its "has work" and "seated" sets in it,
+// and the three multi-session policies theirs: a set that is iterated in
+// index order — which an append list is not, and the policies' observer
+// events must come out in session order — and that costs a bit, not a
+// word, per slot.
 //
 // The set has two levels. Above the members' words sits a summary, one
 // bit per word, set exactly while that word is non-zero; Add, Remove and

@@ -303,8 +303,8 @@ func TestBatchWireEdgeCases(t *testing.T) {
 			t.Fatalf("owned = %v after CLOSE", owned)
 		}
 		sh := g.shards[0]
-		if sh.inUse != 0 {
-			t.Errorf("inUse = %d after CLOSE", sh.inUse)
+		if sh.slots.Tenants() != 0 {
+			t.Errorf("Tenants() = %d after CLOSE", sh.slots.Tenants())
 		}
 		if got := sh.past.Dropped; got != 64 {
 			t.Errorf("CLOSE dropped %d bits, want the 64 applied before release", got)
@@ -581,19 +581,19 @@ type slotState struct {
 
 // tableView is the whole table's state, comparable with ==.
 type tableView struct {
-	slots [12]slotState
-	past  [4]sim.Tenancy
-	inUse [4]int
+	slots   [12]slotState
+	past    [4]sim.Tenancy
+	tenants [4]int
 }
 
 // tableState reads the table of an equivFixture gateway.
 func tableState(g *Gateway) (v tableView) {
 	for _, sh := range g.shards {
-		v.past[sh.idx], v.inUse[sh.idx] = sh.past, sh.inUse
-		for slot := range sh.n {
+		v.past[sh.idx], v.tenants[sh.idx] = sh.past, sh.slots.Tenants()
+		for slot := range sh.slots.Len() {
 			q := sh.slots.Queue(slot)
 			v.slots[sh.index(slot)] = slotState{
-				used: sh.used.Has(slot), pending: sh.slots.Pending(slot),
+				used: sh.slots.Seated(slot), pending: sh.slots.Pending(slot),
 				queued: q.Bits(), served: q.Served(), maxDelay: q.MaxDelay(),
 				changes: sh.slots.Changes(slot), rate: sh.slots.Rate(slot),
 			}

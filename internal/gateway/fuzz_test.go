@@ -276,9 +276,9 @@ func FuzzHandleMessage(f *testing.F) {
 		check := func(step string) {
 			t.Helper()
 			owned := [2]map[uint32]struct{}{ownedBy(g, conns[0]), ownedBy(g, conns[1])}
-			if sh.inUse != len(model.live) || len(owned[0])+len(owned[1]) != len(model.live) {
+			if sh.slots.Tenants() != len(model.live) || len(owned[0])+len(owned[1]) != len(model.live) {
 				t.Fatalf("after %s: %d slots in use, connections own %d+%d sessions, model has %d live",
-					step, sh.inUse, len(owned[0]), len(owned[1]), len(model.live))
+					step, sh.slots.Tenants(), len(owned[0]), len(owned[1]), len(model.live))
 			}
 			taken := make(map[int]bool)
 			for id, s := range model.live {
@@ -286,7 +286,7 @@ func FuzzHandleMessage(f *testing.F) {
 					t.Fatalf("after %s: session %#x missing from connection %d's owned set", step, id, s.conn)
 				}
 				slot := sh.slot(id)
-				if taken[slot] || !sh.used.Has(slot) {
+				if taken[slot] || !sh.slots.Seated(slot) {
 					t.Fatalf("after %s: session %#x on slot %d, which is free or shared", step, id, slot)
 				}
 				taken[slot] = true

@@ -565,8 +565,8 @@ func TestOpenIsFirstFit(t *testing.T) {
 		for n := src.Intn(40); n > 0 && len(open) < k; n-- {
 			mustOpen()
 		}
-		if sh.inUse != len(open) {
-			t.Fatalf("inUse = %d, %d sessions open", sh.inUse, len(open))
+		if sh.slots.Tenants() != len(open) {
+			t.Fatalf("Tenants() = %d, %d sessions open", sh.slots.Tenants(), len(open))
 		}
 	}
 }

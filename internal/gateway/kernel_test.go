@@ -244,7 +244,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 								break
 							}
 							visits := int64(0)
-							for i := 0; i < sh.n; i++ {
+							for i := 0; i < sh.slots.Len(); i++ {
 								if sh.slots.Pending(i) > 0 || sh.slots.Queue(i).Bits() > 0 {
 									visits++
 								}

@@ -106,8 +106,8 @@ func TestWireRejectsIDsThatAreNotYours(t *testing.T) {
 				}
 				g.releaseAll(f.me) // what Gateway.handle does with the error
 				owned := ownedBy(g, them)
-				if _, ok := owned[uint32(f.other)]; !ok || sh.inUse != 1 || !sh.used.Has(sh.slot(f.other)) {
-					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.inUse, owned)
+				if _, ok := owned[uint32(f.other)]; !ok || sh.slots.Tenants() != 1 || !sh.slots.Seated(sh.slot(f.other)) {
+					t.Errorf("after the connection dropped: %d slots in use, bystander owns %v; want its one session only", sh.slots.Tenants(), owned)
 				}
 				if _, err := send(t, g, them, fuzzSeed(typeStats, uint64(f.other))); err != nil {
 					t.Errorf("bystander's STATS: %v", err)

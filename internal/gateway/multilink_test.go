@@ -167,7 +167,7 @@ func TestMultiLinkLifecycle(t *testing.T) {
 func TestRoutedOpenFailsOnAFullShard(t *testing.T) {
 	g := newGateway(4, 2)
 	for _, sh := range g.shards {
-		sh.alloc = perSlotAlloc(sh.n, 4)
+		sh.alloc = perSlotAlloc(sh.slots.Len(), 4)
 	}
 	router := route.NewGreedy(route.Uniform(2, 3)) // room for 3 a shard, 2 slots
 	g.router = router

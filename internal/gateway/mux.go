@@ -115,18 +115,25 @@ func (m *Mux) TraceEvery(n int) {
 	m.exchanges = 0
 }
 
-// writeMsg sends one request, prefixing a TRACE envelope on every
-// traceEvery-th request — assembled into the scratch buffer so envelope
-// and request leave in a single Write. Callers hold m.mu.
-func (m *Mux) writeMsg(op string, msg []byte) error {
+// appendTrace counts one request and, on every traceEvery-th, appends
+// its TRACE envelope to buf. Callers hold m.mu.
+func (m *Mux) appendTrace(buf []byte) []byte {
 	if m.traceEvery > 0 {
 		if m.exchanges++; m.exchanges%m.traceEvery == 0 {
 			m.nextTrace++
-			buf := m.scratch[:0]
 			buf = append(buf, typeTrace)
 			buf = binary.BigEndian.AppendUint64(buf, 1<<63|m.nextTrace)
-			msg = append(buf, msg...)
 		}
+	}
+	return buf
+}
+
+// writeMsg sends one request, behind its TRACE envelope when one is due
+// — assembled into the scratch buffer so envelope and request leave in a
+// single Write. Callers hold m.mu.
+func (m *Mux) writeMsg(op string, msg []byte) error {
+	if env := m.appendTrace(m.scratch[:0]); len(env) > 0 {
+		msg = append(env, msg...)
 	}
 	return m.cc.write(op, msg)
 }
@@ -206,13 +213,7 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 		buf = append(buf, typeBatch)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(n))
 		for _, it := range items[:n] {
-			if m.traceEvery > 0 {
-				if m.exchanges++; m.exchanges%m.traceEvery == 0 {
-					m.nextTrace++
-					buf = append(buf, typeTrace)
-					buf = binary.BigEndian.AppendUint64(buf, 1<<63|m.nextTrace)
-				}
-			}
+			buf = m.appendTrace(buf)
 			buf = append(buf, typeData)
 			buf = binary.BigEndian.AppendUint32(buf, it.Session)
 			buf = binary.BigEndian.AppendUint64(buf, uint64(it.Bits))

@@ -27,7 +27,7 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 	g := newGateway(k, nshards)
 	g.m = newGWMetrics(obs.NewRegistry(), policy, nshards)
 	for _, sh := range g.shards {
-		sh.alloc = newPolicy(tb, policy, sh.n, bw.Rate(sh.n)*16, do)
+		sh.alloc = newPolicy(tb, policy, sh.slots.Len(), bw.Rate(sh.slots.Len())*16, do)
 	}
 	g.startTickWorkers()
 	// Stop the workers, unless a tick loop the test ran has. The cleanup
@@ -375,7 +375,7 @@ func TestHandlerNoPanic(t *testing.T) {
 		<-drained
 
 		sh.mu.Lock()
-		inUse, conns := sh.inUse, len(sh.conns)
+		inUse, conns := sh.slots.Tenants(), len(sh.conns)
 		sh.mu.Unlock()
 		if inUse != 0 || conns != 0 {
 			t.Fatalf("seed %d: the handler left %d slots in use and %d connections on the shard", n, inUse, conns)
@@ -473,7 +473,7 @@ func TestHandlerLockedNoPanic(t *testing.T) {
 			}
 			within(t, "the shard's next round", func() { sh.tick(0) })
 			sh.mu.Lock()
-			inUse, conns := sh.inUse, len(sh.conns)
+			inUse, conns := sh.slots.Tenants(), len(sh.conns)
 			sh.mu.Unlock()
 			if inUse != 0 || conns != 0 {
 				t.Errorf("the handler left %d slots in use and %d connections on the shard", inUse, conns)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
@@ -13,16 +12,15 @@ import (
 
 // shard owns a contiguous range of the gateway's slot table behind its
 // own mutex: the per-slot state of the step kernel (sim.Slots: queue,
-// pending arrivals, last rate, change count, and the set of slots with
-// work), the allocator serving that range, and the set of connections
-// striped onto it. A single-shard gateway is exactly the classic design;
-// sharding only splits the lock and the allocator's input, never the
-// wire protocol or the accounting.
+// pending arrivals, last rate, change count, and the sets of slots with
+// work and with a tenant), the allocator serving that range, and the set
+// of connections striped onto it. A single-shard gateway is exactly the
+// classic design; sharding only splits the lock and the allocator's
+// input, never the wire protocol or the accounting.
 type shard struct {
 	g     *Gateway
 	idx   int // shard index (metrics stripe, ring stripe)
 	base  int // first global slot owned by this shard
-	n     int // slots owned
 	alloc sim.SparseAllocator
 	// work is an upper bound on the slots the next round will visit: the
 	// slots the last round left backlogged plus one for every DATA applied
@@ -32,13 +30,8 @@ type shard struct {
 	work atomic.Int64
 
 	mu    sync.Mutex
-	slots sim.Slots  // guarded by shard.mu; what the kernel keeps per slot
-	round sim.Round  // guarded by shard.mu; the last round's Step, reused
-	used  bitset.Set // guarded by shard.mu; slots taken by an open session
-	// free is a slot below which every slot is taken: the first-fit scan
-	// starts there instead of at slot 0, and a release below it lowers it.
-	free  int                   // guarded by shard.mu
-	inUse int                   // guarded by shard.mu; open-slot count
+	slots sim.Slots             // guarded by shard.mu; what the kernel keeps per slot, and which slots are seated
+	round sim.Round             // guarded by shard.mu; the last round's Step, reused
 	conns map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
 	// released counts the sessions ended and tags the next IDs: a slot is
 	// re-let only after a release, so its tenants never share an ID.
@@ -53,9 +46,7 @@ func newShard(g *Gateway, idx, base, n int) *shard {
 		g:     g,
 		idx:   idx,
 		base:  base,
-		n:     n,
 		slots: sim.NewSlots(n),
-		used:  bitset.New(n),
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -76,44 +67,33 @@ func (sh *shard) index(slot int) int { return sh.base + slot }
 func (sh *shard) open(serial uint32) (id int, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot := sh.used.NextClear(sh.free, sh.n)
-	if slot < 0 {
-		sh.free = sh.n
+	slot, free, ok := sh.slots.Seat()
+	if !ok {
 		return 0, false
 	}
-	sh.used.Add(slot)
-	sh.inUse++
-	sh.free = slot + 1
-	sh.past.Add(sh.slots.Vacate(slot))
+	sh.past.Add(free)
 	id = int(sh.released<<sh.g.indexBits) | sh.index(slot)
 	sh.g.owners[sh.index(slot)].Store(ownerWord(serial, uint32(id)))
 	return id, true
 }
 
-// release ends the live session a wire ID names and frees its slot: the
-// slot's owner word is cleared before the slot is, so it can only ever
-// name the slot's next tenant after this one's is gone; bits still
-// pending or queued are dropped (and returned, to be counted), the
-// policy is told, and what the session was served joins past. A routed
-// session's reservation goes back to this shard's link after the slot is
-// freed, so the shard never holds more sessions than the router reserved
-// on it.
+// release ends the live session a wire ID names: the slot's owner word
+// is cleared before the slot is freed, so it can only ever name the
+// slot's next tenant after this one's is gone; the kernel unseats the
+// session (bits still pending or queued are dropped, and returned to be
+// counted), and its tenancy joins past. A routed session's reservation
+// goes back to this shard's link under the same lock a routed OPEN seats
+// under, so the shard never holds more sessions than the router reserved.
 func (sh *shard) release(id int) (dropped bw.Bits) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	slot := sh.slot(id)
 	sh.g.owners[sh.index(slot)].Store(0)
-	sh.used.Remove(slot)
-	sh.inUse--
-	sh.free = min(sh.free, slot)
 	if r := sh.g.router; r != nil {
 		r.Release(route.Session{ID: id & sh.g.indexMask, Rate: 1}, route.LinkID(sh.idx))
 	}
 	sh.released++
-	if p, ok := sh.alloc.(interface{ Leave(i int) }); ok {
-		p.Leave(slot) // a policy with per-session state is told
-	}
-	t := sh.slots.Vacate(slot)
+	t := sh.slots.Unseat(slot, sh.alloc)
 	sh.past.Add(t)
 	return t.Dropped
 }
@@ -159,5 +139,5 @@ func (sh *shard) read(id int) statsReply {
 func (sh *shard) openCount() int64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return int64(sh.inUse)
+	return int64(sh.slots.Tenants())
 }

@@ -76,7 +76,7 @@ func (g *Gateway) stats() Stats {
 	for _, sh := range g.shards {
 		sh.mu.Lock()
 		life.Add(sh.past)
-		for i := 0; i < sh.n; i++ {
+		for i := range sh.slots.Len() {
 			q := sh.slots.Queue(i)
 			life.Add(sim.Tenancy{Served: q.Served(), MaxDelay: q.MaxDelay(), Changes: sh.slots.Changes(i)})
 			st.Queued += q.Bits()
@@ -109,12 +109,12 @@ func (g *Gateway) Sessions() []SessionInfo {
 	out := make([]SessionInfo, 0, g.k)
 	for _, sh := range g.shards {
 		sh.mu.Lock()
-		for i := 0; i < sh.n; i++ {
+		for i := range sh.slots.Len() {
 			q := sh.slots.Queue(i)
 			out = append(out, SessionInfo{
 				Slot:     sh.index(i),
 				Shard:    sh.idx,
-				Open:     sh.used.Has(i),
+				Open:     sh.slots.Seated(i),
 				Rate:     sh.slots.Rate(i),
 				Queued:   q.Bits(),
 				Served:   q.Served(),

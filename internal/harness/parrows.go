@@ -3,102 +3,54 @@ package harness
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// parConfig is the process-wide sweep parallelism setting, written by
-// bwmulti's -j flag (and tests) and read by every ParRows call.
-type parConfig struct {
-	mu sync.Mutex
-	// n is the configured worker count; 0 means "use GOMAXPROCS".
-	n int // guarded by mu
-}
-
-var parCfg parConfig
+// parCfg is the process-wide sweep parallelism setting, written by
+// bwmulti's -j flag (and tests) and read by every ParRows call: the
+// configured worker count, 0 meaning "use GOMAXPROCS".
+var parCfg atomic.Int64
 
 // SetParallelism fixes the number of worker goroutines ParRows fans
 // sweep points across. n < 1 restores the default (GOMAXPROCS).
-func SetParallelism(n int) {
-	parCfg.mu.Lock()
-	defer parCfg.mu.Unlock()
-	if n < 1 {
-		n = 0
-	}
-	parCfg.n = n
-}
+func SetParallelism(n int) { parCfg.Store(int64(max(n, 0))) }
 
 // Parallelism returns the worker count ParRows will use.
 func Parallelism() int {
-	parCfg.mu.Lock()
-	defer parCfg.mu.Unlock()
-	if parCfg.n > 0 {
-		return parCfg.n
+	if n := parCfg.Load(); n > 0 {
+		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// dispenser hands out sweep-point indices to workers, one at a time, so
-// slow points do not stall the remaining work behind a fixed slicing.
-type dispenser struct {
-	mu sync.Mutex
-	// next is the next undispatched point index. guarded by mu
-	next  int
-	limit int
-}
-
-// take returns the next point index, or false when the sweep is drained.
-func (d *dispenser) take() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.next >= d.limit {
-		return 0, false
-	}
-	i := d.next
-	d.next++
-	return i, true
-}
-
 // ParRows evaluates n independent sweep points and appends each point's
 // rows to t in point order, fanning the points across Parallelism()
-// worker goroutines. The output — row order and bytes — is identical for
-// every worker count; on failure the returned error is the one from the
-// lowest-indexed failing point, again regardless of scheduling.
+// worker goroutines. Each worker takes the next undispatched index in
+// turn, so slow points do not stall the rest behind a fixed slicing. The
+// output — row order and bytes — is identical for every worker count; on
+// failure the returned error is the one from the lowest-indexed failing
+// point, again regardless of scheduling.
 //
 // point(i) must be self-contained: it may only read shared state that is
 // immutable for the duration of the sweep (traces with precomputed
 // prefix sums qualify; see DESIGN.md §8) and must construct its own
-// allocators, runners, and RNGs. It is called at most once per index.
+// allocators, runners, and RNGs. It is called exactly once per index.
 func ParRows(t *Table, n int, point func(i int) ([][]string, error)) error {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
 	rows := make([][][]string, n)
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if rows[i], errs[i] = point(i); errs[i] != nil {
-				return errs[i]
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(Parallelism(), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				rows[i], errs[i] = point(i)
 			}
-		}
-	} else {
-		d := dispenser{limit: n}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i, ok := d.take()
-					if !ok {
-						return
-					}
-					rows[i], errs[i] = point(i)
-				}
-			}()
-		}
-		wg.Wait()
+		}()
 	}
-	for i := 0; i < n; i++ {
+	wg.Wait()
+	for i := range n {
 		if errs[i] != nil {
 			return errs[i]
 		}

@@ -145,7 +145,7 @@ type Recorder struct {
 	rearmAt      uint64        // guarded by mu; suppress triggers until q.total reaches this
 
 	stop     chan struct{}
-	done     chan struct{}
+	loop     sync.WaitGroup // the Start loop, while it runs
 	stopOnce sync.Once
 }
 
@@ -164,7 +164,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		triggers: cfg.Triggers,
 		q:        newRing[RegSnapshot](cfg.Capacity),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -173,8 +172,9 @@ func (rec *Recorder) Start() {
 	if rec == nil {
 		return
 	}
+	rec.loop.Add(1)
 	go func() {
-		defer close(rec.done)
+		defer rec.loop.Done()
 		t := time.NewTicker(rec.interval)
 		defer t.Stop()
 		for {
@@ -196,7 +196,7 @@ func (rec *Recorder) Close() {
 	}
 	rec.stopOnce.Do(func() {
 		close(rec.stop)
-		<-rec.done
+		rec.loop.Wait() // returns at once when Start never ran
 		rec.Record()
 	})
 }

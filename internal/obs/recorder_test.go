@@ -187,3 +187,24 @@ func TestGrowthTriggerThreshold(t *testing.T) {
 		t.Error("fired on absent key")
 	}
 }
+
+// TestRecorderCloseWithoutStart: a recorder driven by Record alone, the
+// manual cadence NewRecorder offers, closes at once and takes its final
+// snapshot.
+func TestRecorderCloseWithoutStart(t *testing.T) {
+	rec := NewRecorder(RecorderConfig{Registry: NewRegistry(), Capacity: 4})
+	rec.Record()
+	closed := make(chan struct{})
+	go func() {
+		rec.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked: it waits for a Start loop that never ran")
+	}
+	if got := rec.Total(); got != 2 {
+		t.Errorf("%d snapshots after Record and Close, want 2", got)
+	}
+}

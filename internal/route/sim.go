@@ -3,7 +3,6 @@ package route
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/sim"
@@ -60,7 +59,6 @@ type Result struct {
 type link struct {
 	slots sim.Slots
 	alloc sim.SparseAllocator
-	held  []bool  // slot i has a tenant
 	in    bw.Bits // the bits sessions emitted on the link this tick
 }
 
@@ -109,7 +107,7 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 		if err != nil {
 			return nil, fmt.Errorf("route: link %d allocator: %w", i, err)
 		}
-		links[i] = link{slots: sim.NewSlots(k), alloc: alloc, held: make([]bool, k)}
+		links[i] = link{slots: sim.NewSlots(k), alloc: alloc}
 	}
 	var lastEnd bw.Tick
 	for _, s := range sessions {
@@ -145,7 +143,10 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 				continue
 			}
 			res.Placed++
-			ten[id] = take(links, l)
+			// The router admits at most cap/Rate sessions: a slot is free,
+			// and its rate changes while free are in the rounds' count.
+			slot, _, _ := links[l].slots.Seat()
+			ten[id] = tenant{link: l, slot: slot}
 			active = append(active, id)
 		}
 
@@ -194,27 +195,14 @@ func run(sessions []traffic.Session, rate bw.Rate, cfg Config) (*Result, error) 
 	return res, nil
 }
 
-// take seats a session placed on link l in the link's lowest free slot.
-// The router admits no more sessions of one rate than cap/Rate, so there
-// is one.
-func take(links []link, l LinkID) tenant {
-	slot := slices.Index(links[l].held, false)
-	links[l].held[slot] = true
-	return tenant{link: l, slot: slot}
-}
-
 // vacate ends a tenant's tenancy of its slot as a gateway shard's release
-// does: the link's policy is told, the slot is emptied and freed, and the
-// tenancy's delays join MaxDelay. While a moved backlog is still being
-// served, every bit the slot served is one of it, and none of those
-// waited more than carry ticks beyond what its stamp on this link says.
+// does, and the tenancy's delays join MaxDelay. While a moved backlog is
+// still being served, every bit the slot served is one of it, and none of
+// those waited more than carry ticks beyond what its stamp on this link
+// says.
 func (res *Result) vacate(links []link, tn *tenant) sim.Tenancy {
 	l := &links[tn.link]
-	if p, ok := l.alloc.(interface{ Leave(i int) }); ok {
-		p.Leave(tn.slot)
-	}
-	u := l.slots.Vacate(tn.slot)
-	l.held[tn.slot] = false
+	u := l.slots.Unseat(tn.slot, l.alloc)
 	if tn.owe > 0 && u.Served > 0 {
 		u.MaxDelay += tn.carry
 	}
@@ -236,7 +224,8 @@ func (res *Result) move(links []link, tn *tenant, to LinkID, t bw.Tick) {
 		}
 	}
 	backlog := res.vacate(links, tn).Dropped
-	*tn = take(links, to)
+	slot, _, _ := links[to].slots.Seat()
+	*tn = tenant{link: to, slot: slot}
 	res.Dropped += links[to].slots.Add(tn.slot, backlog)
 	tn.carry, tn.owe = carry, backlog
 }

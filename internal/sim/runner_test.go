@@ -334,7 +334,7 @@ func TestSeparateLeaveEmptiesTheQueue(t *testing.T) {
 	if s.Queue(0).Bits() != 7 || seen != [2]bw.Bits{0, 8} {
 		t.Fatalf("first tenant: %d bits queued, policy handed %v", s.Queue(0).Bits(), seen)
 	}
-	s.Vacate(0)
+	s.vacate(0)
 	sep.Leave(0)
 	s.Add(0, 3)
 	if err := s.Step(3, sep, new(Round)); err != nil {

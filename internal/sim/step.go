@@ -49,15 +49,19 @@ const MaxBacklog bw.Bits = 1 << 40
 // and its busy slots' serve, whatever the size of the table, and a round
 // with neither costs a few word reads.
 //
+// A service seats its sessions (Seat, Unseat), so a gateway shard and a
+// route.Run link pick a slot and end a tenancy by the same code; a
+// simulation seats no one, its k sessions holding slots 0..k-1 throughout.
+//
 // A Slots value is a view: copies and prefix views share storage. Its
 // methods take a *Slots, so a round, a DATA or a STATS read copies
 // nothing of it. It is not safe for concurrent use.
 type Slots struct {
 	slots []slot
 	rates []bw.Rate
-	// active is the whole table's set; slot i is bit i.
-	active bitset.Set
-	run    *running
+	// active and seated are the whole table's sets; slot i is bit i.
+	active, seated bitset.Set
+	run            *running
 }
 
 // slot is the record of one slot's own words: 48 bytes of queue and two
@@ -74,6 +78,10 @@ type slot struct {
 type running struct {
 	// total is the sum of the view's applied rates, kept on every change.
 	total bw.Rate
+	// tenants counts the seated slots, and free is a slot below which
+	// every slot is seated: Seat's first-fit scan starts there, and an
+	// Unseat below it lowers it.
+	tenants, free int
 	// visit lists the active slots for the round's two passes, and in is
 	// its compact input to the allocator: the slots that received bits,
 	// and the bits each received.
@@ -87,6 +95,7 @@ func NewSlots(k int) Slots {
 		slots:  make([]slot, k),
 		rates:  make([]bw.Rate, k),
 		active: bitset.New(k),
+		seated: bitset.New(k),
 		run:    &running{},
 	}
 }
@@ -96,13 +105,14 @@ func (s *Slots) Len() int { return len(s.slots) }
 
 // prefix returns the view of the first k slots: a runner's table for a
 // run of fewer sessions than it has grown to. The view keeps its own
-// running total, so take it once and step it every round; stepping a
-// table through both a view and its parent is not supported.
+// running total and seat count, so take it once and step it every round;
+// stepping a table through both a view and its parent is not supported.
 func (s *Slots) prefix(k int) Slots {
 	v := Slots{
 		slots:  s.slots[:k],
 		rates:  s.rates[:k],
 		active: s.active,
+		seated: s.seated,
 		run:    &running{},
 	}
 	for _, r := range v.rates {
@@ -141,7 +151,7 @@ func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 	return dropped
 }
 
-// Reset empties every slot while keeping the queues' storage.
+// Reset empties and unseats every slot while keeping the queues' storage.
 func (s *Slots) Reset() {
 	for i := range s.slots {
 		sl := &s.slots[i]
@@ -150,7 +160,8 @@ func (s *Slots) Reset() {
 	}
 	clear(s.rates)
 	s.active.ClearRange(0, len(s.slots))
-	s.run.total = 0
+	s.seated.ClearRange(0, len(s.slots))
+	s.run.total, s.run.tenants, s.run.free = 0, 0, 0
 }
 
 // Tenancy is what a slot accrued since it was last vacated: under one
@@ -174,14 +185,46 @@ func (t *Tenancy) Add(u Tenancy) {
 	}
 }
 
-// Vacate ends slot i's tenancy and returns what it amounted to: the bits
+// Seat gives a new tenant the lowest free slot i, vacated, and returns
+// what the slot accrued while it stood free: rate changes only, which a
+// stage start made and which are not the tenant's. ok is false when every
+// slot is seated.
+func (s *Slots) Seat() (i int, free Tenancy, ok bool) {
+	run := s.run
+	if i = s.seated.NextClear(run.free, len(s.slots)); i < 0 {
+		run.free = len(s.slots)
+		return 0, Tenancy{}, false
+	}
+	s.seated.Add(i)
+	run.tenants, run.free = run.tenants+1, i+1
+	return i, s.vacate(i), true
+}
+
+// Unseat ends the tenancy of seated slot i and returns what it amounted
+// to: the slot is freed, alloc is told Leave(i) when it keeps state per
+// session, and the slot is vacated.
+func (s *Slots) Unseat(i int, alloc SparseAllocator) Tenancy {
+	s.seated.Remove(i)
+	s.run.tenants, s.run.free = s.run.tenants-1, min(s.run.free, i)
+	if p, ok := alloc.(interface{ Leave(i int) }); ok {
+		p.Leave(i)
+	}
+	return s.vacate(i)
+}
+
+// Seated reports whether slot i has a tenant.
+func (s *Slots) Seated(i int) bool { return s.seated.Has(i) }
+
+// Tenants returns the number of seated slots.
+func (s *Slots) Tenants() int { return s.run.tenants }
+
+// vacate ends slot i's tenancy and returns what it amounted to: the bits
 // still pending or queued are dropped, the served, max-delay and change
 // counters return to zero and the slot leaves the active set, so the next
 // session to take the slot starts with nothing of this one's. The
 // last-applied rate stays: it is the allocator's output for the slot, not
-// a property of the session. Only a service calls it: a simulated session
-// lasts the whole run.
-func (s *Slots) Vacate(i int) Tenancy {
+// a property of the session.
+func (s *Slots) vacate(i int) Tenancy {
 	sl := &s.slots[i]
 	t := Tenancy{
 		Served:   sl.q.Served(),

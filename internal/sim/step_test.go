@@ -310,7 +310,7 @@ func (a *everyRate) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appl
 // three summary words, views whose bounds fall inside member words and
 // straddle summary words are taken one after another, as a runner takes
 // one per run, in random order. Under each, random Adds (through the
-// table and through the view), Vacates, the view's Reset and rounds that
+// table and through the view), vacates, the view's Reset and rounds that
 // drain slots leave every round telling the allocator of exactly the
 // view's slots with Pending > 0, visiting exactly its slots that hold
 // bits — the references are walks over them — and reporting how many it
@@ -353,7 +353,7 @@ func TestSlotsViewsShareTheActiveSet(t *testing.T) {
 					s.Add(i, bits)
 				}
 			case op == 4:
-				s.Vacate(slot())
+				s.vacate(slot())
 			case op == 5 && step%97 == 0:
 				v.Reset()
 			default:
@@ -492,22 +492,22 @@ func TestSlotsVacate(t *testing.T) {
 		}
 	}
 	s.Add(0, 7) // pending at the end, on top of 18 queued
-	if got, want := s.Vacate(0), (Tenancy{Served: 12, Dropped: 25, MaxDelay: 2, Changes: 1}); got != want {
-		t.Errorf("Vacate = %+v, want %+v", got, want)
+	if got, want := s.vacate(0), (Tenancy{Served: 12, Dropped: 25, MaxDelay: 2, Changes: 1}); got != want {
+		t.Errorf("vacate = %+v, want %+v", got, want)
 	}
 	if q := s.Queue(0); s.Pending(0) != 0 || q.Bits() != 0 || q.Served() != 0 || q.MaxDelay() != 0 || s.Changes(0) != 0 || s.Rate(0) != 4 {
 		t.Errorf("vacated slot: pending %d queued %d served %d max delay %d changes %d rate %d",
 			s.Pending(0), q.Bits(), q.Served(), q.MaxDelay(), s.Changes(0), s.Rate(0))
 	}
-	if got := s.Vacate(0); got != (Tenancy{}) {
-		t.Errorf("a second Vacate finds %+v", got)
+	if got := s.vacate(0); got != (Tenancy{}) {
+		t.Errorf("a second vacate finds %+v", got)
 	}
 	// The vacated slot's pending bits are gone with it: the round visits
 	// slot 1's backlog alone and tells the allocator of no arrival.
 	var r Round
 	err := s.Step(3, a, &r)
 	if err != nil || r.Active != 1 || r.Arrived != 0 || len(a.told) != 0 {
-		t.Errorf("round after Vacate = %+v, %v; allocator told of %v, want none", r, err, a.told)
+		t.Errorf("round after vacate = %+v, %v; allocator told of %v, want none", r, err, a.told)
 	}
 	// The next tenant's first bit is served on arrival.
 	s.Add(0, 3)
@@ -523,5 +523,106 @@ func TestSlotsVacate(t *testing.T) {
 	sum.Add(Tenancy{Served: 3, MaxDelay: 4, Changes: 1})
 	if want := (Tenancy{Served: 8, Dropped: 1, MaxDelay: 7, Changes: 3}); sum != want {
 		t.Errorf("Tenancy.Add = %+v, want %+v", sum, want)
+	}
+}
+
+// leaver is rateChange with state per session: it records every Leave.
+type leaver struct {
+	rateChange
+	left []int
+}
+
+func (a *leaver) Leave(i int) { a.left = append(a.left, i) }
+
+// seatOp is one step of a TestSlotsSeat script: S seats, U unseats slot
+// i, A adds bits to slot i, R runs a round and Z resets the table.
+type seatOp struct {
+	do   byte
+	i    int
+	bits bw.Bits
+}
+
+// TestSlotsSeat pins the seat decision the gateway's shards and
+// route.Run share: a Seat takes the lowest free slot, below the hint when
+// an Unseat freed one, and fails on a full table; it returns what the
+// slot accrued while free, and an Unseat tells the policy Leave once and
+// returns the tenancy, the bits it dropped with it. After every script,
+// Seated and Tenants agree with a model of the seats taken.
+func TestSlotsSeat(t *testing.T) {
+	seat, round, reset := seatOp{do: 'S'}, seatOp{do: 'R'}, seatOp{do: 'Z'}
+	unseat := func(i int) seatOp { return seatOp{do: 'U', i: i} }
+	add := func(i int, bits bw.Bits) seatOp { return seatOp{do: 'A', i: i, bits: bits} }
+	for _, tc := range []struct {
+		name string
+		k    int
+		rate bw.Rate // the rate the policy gives slot 0
+		ops  []seatOp
+		// seats is each Seat's slot, -1 where it failed; leaves the
+		// policy's Leave calls; last what the script's last Seat or
+		// Unseat returned.
+		seats, leaves []int
+		last          Tenancy
+	}{
+		{name: "lowest free first", k: 3, ops: []seatOp{seat, seat, seat}, seats: []int{0, 1, 2}},
+		{name: "reuse below the hint", k: 4,
+			ops:   []seatOp{seat, seat, seat, unseat(1), seat, seat},
+			seats: []int{0, 1, 2, 1, 3}, leaves: []int{1}},
+		{name: "full table", k: 2,
+			ops:   []seatOp{seat, seat, seat, unseat(0), seat, seat},
+			seats: []int{0, 1, -1, 0, -1}, leaves: []int{0}},
+		{name: "changes accrued while free", k: 2, rate: 5,
+			ops: []seatOp{round, seat}, seats: []int{0}, last: Tenancy{Changes: 1}},
+		{name: "unseat drops the backlog", k: 2, rate: 4,
+			ops:   []seatOp{seat, add(0, 10), round, add(0, 3), unseat(0)},
+			seats: []int{0}, leaves: []int{0}, last: Tenancy{Served: 4, Dropped: 9, Changes: 1}},
+		{name: "reset clears every seat", k: 3,
+			ops: []seatOp{seat, seat, seat, reset, seat}, seats: []int{0, 1, 2, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSlots(tc.k)
+			a := &leaver{rateChange: rateChange{&spy{rates: []bw.Rate{tc.rate}}, 0}}
+			model := make([]bool, tc.k)
+			var seats []int
+			var last Tenancy
+			for tick, op := range tc.ops {
+				switch op.do {
+				case 'S':
+					i, free, ok := s.Seat()
+					if !ok {
+						i = -1
+					} else {
+						model[i] = true
+					}
+					seats, last = append(seats, i), free
+				case 'U':
+					model[op.i] = false
+					last = s.Unseat(op.i, a)
+				case 'A':
+					s.Add(op.i, op.bits)
+				case 'R':
+					if err := s.Step(bw.Tick(tick), a, new(Round)); err != nil {
+						t.Fatal(err)
+					}
+				case 'Z':
+					s.Reset()
+					clear(model)
+				}
+			}
+			if !slices.Equal(seats, tc.seats) || !slices.Equal(a.left, tc.leaves) || last != tc.last {
+				t.Errorf("seats %v, leaves %v, last %+v; want %v, %v, %+v", seats, a.left, last, tc.seats, tc.leaves, tc.last)
+			}
+			tenants := 0
+			for i, seated := range model {
+				if s.Seated(i) != seated {
+					t.Errorf("Seated(%d) = %v, want %v", i, s.Seated(i), seated)
+				}
+				if seated {
+					tenants++
+				}
+			}
+			if s.Tenants() != tenants {
+				t.Errorf("Tenants() = %d, want %d", s.Tenants(), tenants)
+			}
+		})
 	}
 }
