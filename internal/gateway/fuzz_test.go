@@ -21,7 +21,7 @@ func newBare(k int) *Gateway {
 	g := newGateway(k, 1)
 	g.shards[0].alloc = perSlotAlloc(k, 4)
 	// Panics are contained; count them where a test can see.
-	g.m.roundPanics, g.m.handlerPanics = new(obs.Counter), new(obs.Counter)
+	g.m.roundPanics, g.m.handlerPanics = obs.NewCounter(1), obs.NewCounter(1)
 	return g
 }
 

@@ -8,36 +8,36 @@ import (
 	"dynbw/internal/obs"
 )
 
-// gwMetrics holds the gateway's registered instruments. Hot-path
-// counters touched by handlers and tick workers are lock-striped per
-// shard (obs.Striped / obs.StripedHistogram) and exported through
-// CounterFunc/HistogramFunc, which merge the stripes at scrape time —
-// so concurrent shards never contend on a metrics mutex. With no
-// registry attached every field is nil, and the nil-safe instrument
-// methods make each hot-path update a no-op.
+// gwMetrics holds the gateway's registered instruments. The hot-path
+// ones, touched by handlers and tick workers, have a stripe per shard or
+// per connection stripe, merged at scrape time, so concurrent shards
+// never contend on a metrics cache line or mutex; the rest have one
+// stripe and are updated on stripe 0. With no registry attached every
+// field is nil, and the nil-safe instrument methods make each hot-path
+// update a no-op.
 type gwMetrics struct {
 	accepts      *obs.Counter
 	acceptErrors *obs.Counter
-	// messages is indexed by the wire type byte (msgIndex); index 0 is the
-	// "unknown" series, which every type without a label shares.
-	messages     [typeBatch + 1]*obs.Striped
+	// messages is indexed by the wire type byte (msgIndex); every index
+	// without a label in typeNames holds the one "unknown" series.
+	messages     [typeBatch + 1]*obs.Counter
 	errors       map[string]*obs.Counter
 	openFails    *obs.Counter
 	sessions     *obs.Gauge
 	conns        *obs.Gauge
 	ticks        *obs.Counter
-	arrivedBits  *obs.Striped
-	servedBits   *obs.Striped
-	allocChanges *obs.Striped
+	arrivedBits  *obs.Counter
+	servedBits   *obs.Counter
+	allocChanges *obs.Counter
 	// policedBits counts arrivals dropped because a slot's pending cell
 	// (handlers, on their connection stripe) or queue (the round, on its
 	// shard stripe) stood at sim.MaxBacklog.
-	policedBits *obs.Striped
+	policedBits *obs.Counter
 	// closedBits counts bits dropped by sessions ending, by shard stripe.
-	closedBits *obs.Striped
+	closedBits *obs.Counter
 	// activeSlots is the number of slots the last round visited, one
 	// level per shard: the k that actually has work.
-	activeSlots *obs.StripedGauge
+	activeSlots *obs.Gauge
 	// exchange and stages hold the timed messages only — 1 in
 	// Config.SpanSampleEvery per connection stripe plus every
 	// client-traced one (trace.go) — so their counts are messages timed;
@@ -45,16 +45,16 @@ type gwMetrics struct {
 	// message, stages the wire-path pipeline by stage
 	// (read/dispatch/apply/write); the apply stage also takes one
 	// observation per shard list holding DATA in a BATCH frame (flush).
-	exchange *obs.StripedHistogram
-	stages   [numStages]*obs.StripedHistogram
+	exchange *obs.Histogram
+	stages   [numStages]*obs.Histogram
 	// tickShard times each shard's allocation round, in the timed rounds
 	// (roundSampleEvery) as the three beside it; its stripes double as
 	// the per-shard dynbw_gateway_shard_tick_ns series.
-	tickShard    *obs.StripedHistogram
-	tickRound    *obs.LiveHistogram // whole round, fan-out to join
-	joinWait     *obs.LiveHistogram // slowest minus fastest shard per round
-	imbalance    *obs.Gauge         // EWMA max/mean shard duration, permille
-	tickOverruns *obs.Counter       // rounds exceeding Config.TickBudget
+	tickShard    *obs.Histogram
+	tickRound    *obs.Histogram // whole round, fan-out to join
+	joinWait     *obs.Histogram // slowest minus fastest shard per round
+	imbalance    *obs.Gauge     // EWMA max/mean shard duration, permille
+	tickOverruns *obs.Counter   // rounds exceeding Config.TickBudget
 	// roundsInline and roundsFanout count the rounds by the path they
 	// took (Gateway.round); tick-loop only, and they sum to ticks.
 	roundsInline, roundsFanout *obs.Counter
@@ -91,66 +91,45 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	if policy == "" {
 		policy = "unknown"
 	}
-	m.accepts = reg.Counter("dynbw_gateway_accepts_total", "Connections accepted.")
-	m.acceptErrors = reg.Counter("dynbw_gateway_accept_errors_total", "Accept failures (each backs off the accept loop).")
-	for _, mt := range []struct {
-		typ   byte
-		label string
-	}{
-		{typeOpen, "open"},
-		{typeData, "data"},
-		{typeStats, "stats"},
-		{typeClose, "close"},
-		{typeTrace, "trace"},
-		{typeBatch, "batch"},
-		{0, "unknown"},
-	} {
-		s := obs.NewStriped(m.connStripes)
-		reg.CounterFunc("dynbw_gateway_messages_total", "Wire messages handled, by type.", s.Value, obs.L("type", mt.label))
-		m.messages[mt.typ] = s
+	m.accepts = reg.Counter("dynbw_gateway_accepts_total", "Connections accepted.", 1)
+	m.acceptErrors = reg.Counter("dynbw_gateway_accept_errors_total", "Accept failures (each backs off the accept loop).", 1)
+	for t := range m.messages {
+		m.messages[t] = reg.Counter("dynbw_gateway_messages_total", "Wire messages handled, by type.",
+			m.connStripes, obs.L("type", typeName(byte(t))))
 	}
 	m.errors = map[string]*obs.Counter{}
 	for _, class := range []string{errClassEOF, errClassTimeout, errClassProtocol, errClassIO} {
-		m.errors[class] = reg.Counter("dynbw_gateway_errors_total", "Connection handler terminations, by class.", obs.L("class", class))
+		m.errors[class] = reg.Counter("dynbw_gateway_errors_total", "Connection handler terminations, by class.", 1, obs.L("class", class))
 	}
-	m.openFails = reg.Counter("dynbw_gateway_open_fails_total", "OPEN requests rejected with OPENFAIL (slot exhaustion).")
-	m.sessions = reg.Gauge("dynbw_gateway_active_sessions", "Session slots currently open.")
-	m.conns = reg.Gauge("dynbw_gateway_active_conns", "TCP connections currently served.")
-	m.ticks = reg.Counter("dynbw_gateway_ticks_total", "Allocation rounds run.")
-	m.arrivedBits = obs.NewStriped(stripes)
-	reg.CounterFunc("dynbw_gateway_arrived_bits_total", "Bits accepted into session queues.", m.arrivedBits.Value)
-	m.servedBits = obs.NewStriped(stripes)
-	reg.CounterFunc("dynbw_gateway_served_bits_total", "Bits served out of session queues.", m.servedBits.Value)
-	m.allocChanges = obs.NewStriped(stripes)
-	reg.CounterFunc("dynbw_gateway_allocation_changes_total",
+	m.openFails = reg.Counter("dynbw_gateway_open_fails_total", "OPEN requests rejected with OPENFAIL (slot exhaustion).", 1)
+	m.sessions = reg.Gauge("dynbw_gateway_active_sessions", "Session slots currently open.", 1)
+	m.conns = reg.Gauge("dynbw_gateway_active_conns", "TCP connections currently served.", 1)
+	m.ticks = reg.Counter("dynbw_gateway_ticks_total", "Allocation rounds run.", 1)
+	m.arrivedBits = reg.Counter("dynbw_gateway_arrived_bits_total", "Bits accepted into session queues.", stripes)
+	m.servedBits = reg.Counter("dynbw_gateway_served_bits_total", "Bits served out of session queues.", stripes)
+	m.allocChanges = reg.Counter("dynbw_gateway_allocation_changes_total",
 		"Per-session bandwidth allocation changes — the paper's cost measure, live.",
-		m.allocChanges.Value, obs.L("policy", policy))
-	m.policedBits = obs.NewStriped(m.connStripes)
-	reg.CounterFunc("dynbw_gateway_policed_bits_total",
+		stripes, obs.L("policy", policy))
+	m.policedBits = reg.Counter("dynbw_gateway_policed_bits_total",
 		"Arrived bits dropped because the session's backlog stood at the per-slot cap.",
-		m.policedBits.Value)
-	m.closedBits = obs.NewStriped(stripes)
-	reg.CounterFunc("dynbw_gateway_closed_bits_total",
+		m.connStripes)
+	m.closedBits = reg.Counter("dynbw_gateway_closed_bits_total",
 		"Bits dropped undelivered because their session ended (CLOSE or connection death) with them pending or queued.",
-		m.closedBits.Value)
-	m.activeSlots = obs.NewStripedGauge(stripes)
-	reg.GaugeFunc("dynbw_gateway_active_slots",
+		stripes)
+	m.activeSlots = reg.Gauge("dynbw_gateway_active_slots",
 		"Slots the last allocation round visited: those with arrivals or queued bits.",
-		m.activeSlots.Value)
-	m.exchange = obs.NewStripedHistogram(m.connStripes)
-	reg.HistogramFunc("dynbw_gateway_exchange_latency_ns",
+		stripes)
+	m.exchange = reg.Histogram("dynbw_gateway_exchange_latency_ns",
 		"Handling latency of the timed messages (1 in the sampling period, plus client-traced ones), first byte read to reply written, nanoseconds.",
-		m.exchange.Snapshot)
-	for i := 0; i < numStages; i++ {
-		h := obs.NewStripedHistogram(m.connStripes)
-		reg.HistogramFunc("dynbw_gateway_stage_ns",
+		m.connStripes)
+	for i := range m.stages {
+		m.stages[i] = reg.Histogram("dynbw_gateway_stage_ns",
 			"Wire-path stage latency of the timed messages, nanoseconds, by pipeline stage.",
-			h.Snapshot, obs.L("stage", stageNames[i]))
-		m.stages[i] = h
+			m.connStripes, obs.L("stage", stageNames[i]))
 	}
 	// The round profile holds the timed rounds only (roundSampleEvery).
 	timed := "over the timed rounds (1 in " + strconv.Itoa(roundSampleEvery) + "; the count is rounds timed)"
-	m.tickShard = obs.NewStripedHistogram(stripes)
+	m.tickShard = obs.NewHistogram(stripes)
 	for i := 0; i < stripes; i++ {
 		i := i
 		reg.HistogramFunc("dynbw_gateway_shard_tick_ns",
@@ -159,34 +138,41 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 			obs.L("shard", strconv.Itoa(i)))
 	}
 	m.tickRound = reg.Histogram("dynbw_gateway_tick_round_ns",
-		"Whole allocation-round duration (fan-out to join), nanoseconds, "+timed+".")
+		"Whole allocation-round duration (fan-out to join), nanoseconds, "+timed+".", 1)
 	m.joinWait = reg.Histogram("dynbw_gateway_tick_join_wait_ns",
-		"Straggler wait per round: slowest minus fastest shard, nanoseconds (sharded only), "+timed+".")
+		"Straggler wait per round: slowest minus fastest shard, nanoseconds (sharded only), "+timed+".", 1)
 	m.imbalance = reg.Gauge("dynbw_gateway_tick_imbalance_permille",
-		"EWMA of slowest-shard round duration over the mean, permille (1000 = balanced), over the timed rounds.")
+		"EWMA of slowest-shard round duration over the mean, permille (1000 = balanced), over the timed rounds.", 1)
 	m.tickOverruns = reg.Counter("dynbw_gateway_tick_overruns_total",
-		"Allocation rounds that exceeded the configured tick budget.")
+		"Allocation rounds that exceeded the configured tick budget.", 1)
 	const roundsHelp = "Allocation rounds by the path they took: run by the tick loop itself (a small round, or a one-shard gateway), or fanned out to the tick workers."
-	m.roundsInline = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, obs.L("path", "inline"))
-	m.roundsFanout = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, obs.L("path", "fanout"))
+	m.roundsInline = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, 1, obs.L("path", "inline"))
+	m.roundsFanout = reg.Counter("dynbw_gateway_tick_rounds_total", roundsHelp, 1, obs.L("path", "fanout"))
 	const panicsHelp = "Panics contained: under a shard's allocation round (that shard's round is abandoned) or in a connection handler (the connection is dropped)."
-	m.roundPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, obs.L("where", "round"))
-	m.handlerPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, obs.L("where", "handler"))
+	m.roundPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, 1, obs.L("where", "round"))
+	m.handlerPanics = reg.Counter("dynbw_gateway_panics_total", panicsHelp, 1, obs.L("where", "handler"))
 	return m
 }
 
-// message returns the striped counter for a wire message type — the
-// "unknown" series for a byte without one of its own; nil (a no-op) with
-// no registry attached.
-func (m *gwMetrics) message(t byte) *obs.Striped {
-	if int(t) < len(m.messages) && m.messages[t] != nil {
-		return m.messages[t]
-	}
-	return m.messages[0]
+// typeNames labels the wire type bytes a client sends: span kinds,
+// refused errors and the messages_total{type} series read it. "" is
+// "unknown": a reply's byte, which no client sends, or no type at all.
+var typeNames = [typeBatch + 1]string{
+	typeOpen: "open", typeData: "data", typeStats: "stats",
+	typeClose: "close", typeTrace: "trace", typeBatch: "batch",
 }
 
-// msgIndex maps a wire type byte to its index in gwMetrics.messages and
-// connState.counts: the byte itself, or 0 past the last type.
+// typeName returns a wire type byte's label, "unknown" for one without.
+func typeName(t byte) string {
+	if name := typeNames[msgIndex(t)]; name != "" {
+		return name
+	}
+	return "unknown"
+}
+
+// msgIndex maps a wire type byte to its index in typeNames,
+// gwMetrics.messages and connState.counts: the byte itself, or 0 past
+// the last type.
 func msgIndex(t byte) int {
 	if t <= typeBatch {
 		return int(t)
@@ -199,7 +185,7 @@ func msgIndex(t byte) int {
 func (m *gwMetrics) count(stripe int, counts *[typeBatch + 1]int64) {
 	for t, n := range counts {
 		if n != 0 {
-			m.message(byte(t)).Add(stripe, n)
+			m.messages[t].Add(stripe, n)
 			counts[t] = 0
 		}
 	}

@@ -30,7 +30,7 @@ func (g *Gateway) tickLoop() {
 		case <-g.ticks:
 			g.round(bw.Tick(g.now.Load()))
 			g.now.Add(1)
-			g.m.ticks.Inc()
+			g.m.ticks.Inc(0)
 		}
 	}
 }
@@ -108,14 +108,14 @@ func (g *Gateway) round(t bw.Tick) {
 		for _, sh := range g.shards {
 			end = g.shardRound(sh, t, end)
 		}
-		g.m.roundsInline.Inc()
+		g.m.roundsInline.Inc(0)
 	} else {
 		g.tickWG.Add(len(g.shards))
 		for i := range g.shards {
 			g.tickCh <- i
 		}
 		g.tickWG.Wait()
-		g.m.roundsFanout.Inc()
+		g.m.roundsFanout.Inc(0)
 		if g.timed {
 			end = time.Now()
 		}
@@ -130,7 +130,7 @@ func (g *Gateway) round(t bw.Tick) {
 	var round time.Duration
 	if g.timed {
 		round = end.Sub(start)
-		g.m.tickRound.Observe(int64(round))
+		g.m.tickRound.Observe(0, int64(round))
 		if len(g.shards) > 1 {
 			g.observeRoundSpread()
 		}
@@ -138,7 +138,7 @@ func (g *Gateway) round(t bw.Tick) {
 		round = time.Since(start)
 	}
 	if g.tickBudget > 0 && round > g.tickBudget {
-		g.m.tickOverruns.Inc()
+		g.m.tickOverruns.Inc(0)
 	}
 }
 
@@ -159,11 +159,11 @@ func (g *Gateway) observeRoundSpread() {
 		}
 		sum += d
 	}
-	g.m.joinWait.Observe(maxD - minD)
+	g.m.joinWait.Observe(0, maxD-minD)
 	if mean := sum / int64(len(g.roundDur)); mean > 0 {
 		cur := maxD * 1000 / mean
 		g.imbalEwma += (cur - g.imbalEwma) / 8
-		g.m.imbalance.Set(g.imbalEwma)
+		g.m.imbalance.Set(0, g.imbalEwma)
 	}
 }
 
@@ -217,7 +217,7 @@ func (g *Gateway) shardRound(sh *shard, t bw.Tick, start time.Time) time.Time {
 func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			g.m.roundPanics.Inc()
+			g.m.roundPanics.Inc(0)
 			g.log.Log(slog.LevelError, "panic-round", "gateway: allocation round panicked; the shard's round is abandoned",
 				"shard", sh.idx, "tick", t, "panic", p, "stack", string(debug.Stack()))
 		}

@@ -141,7 +141,7 @@ func (g *Gateway) spanEnd(cs *connState, err error) {
 	}
 	s := obs.Span{
 		Trace:   sp.trace,
-		Kind:    kindName(sp.kind),
+		Kind:    typeName(sp.kind),
 		Shard:   shard,
 		Session: sp.sess,
 		TotalNs: total,
@@ -152,22 +152,6 @@ func (g *Gateway) spanEnd(cs *connState, err error) {
 		s.Err = err.Error()
 	}
 	g.spans.Push(s)
-}
-
-// kindName maps a wire type byte to its span label.
-func kindName(t byte) string {
-	switch t {
-	case typeOpen:
-		return "open"
-	case typeData:
-		return "data"
-	case typeStats:
-		return "stats"
-	case typeClose:
-		return "close"
-	default:
-		return "unknown"
-	}
 }
 
 // Profile is a point-in-time latency profile of the gateway: per-stage

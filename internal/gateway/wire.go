@@ -214,7 +214,7 @@ func (g *Gateway) acceptLoop() {
 				return
 			default:
 			}
-			g.m.acceptErrors.Inc()
+			g.m.acceptErrors.Inc(0)
 			g.log.Log(slog.LevelWarn, "accept", "gateway: accept failed", "err", err, "backoff", backoff)
 			if backoff == 0 {
 				backoff = time.Millisecond
@@ -232,8 +232,8 @@ func (g *Gateway) acceptLoop() {
 		n := int(g.nextConn.Add(1) - 1)
 		stripe := n % len(g.shards)
 		sh := g.shards[stripe]
-		g.m.accepts.Inc()
-		g.m.conns.Add(1)
+		g.m.accepts.Inc(0)
+		g.m.conns.Add(0, 1)
 		sh.mu.Lock()
 		sh.conns[conn] = struct{}{}
 		sh.mu.Unlock()
@@ -257,7 +257,7 @@ func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 	home := g.shards[stripe]
 	defer func() {
 		if p := recover(); p != nil {
-			g.m.handlerPanics.Inc()
+			g.m.handlerPanics.Inc(0)
 			g.log.Log(slog.LevelError, "panic-handler", "gateway: connection handler panicked; connection dropped",
 				"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "panic", p, "stack", string(debug.Stack()))
 		}
@@ -265,7 +265,7 @@ func (g *Gateway) handle(conn net.Conn, stripe, mstripe int) {
 		home.mu.Lock()
 		delete(home.conns, conn)
 		home.mu.Unlock()
-		g.m.conns.Add(-1)
+		g.m.conns.Add(0, -1)
 	}()
 	cs.rd.Reset(conn)
 	cs.wr.Reset(conn)
@@ -315,18 +315,18 @@ func (g *Gateway) observeDisconnect(conn net.Conn, err error, cs *connState) {
 	switch {
 	case errors.Is(err, net.ErrClosed):
 	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-		g.m.errors[errClassEOF].Inc()
+		g.m.errors[errClassEOF].Inc(0)
 	case errors.As(err, &nerr) && nerr.Timeout():
-		g.m.errors[errClassTimeout].Inc()
+		g.m.errors[errClassTimeout].Inc(0)
 		g.emitAt(cs.stripe, obs.Event{Type: obs.EventIdleDisconnect, Session: g.logSession(cs)})
 		g.log.Log(slog.LevelWarn, "idle", "gateway: disconnecting idle client",
 			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions)
 	case errors.Is(err, errProtocol):
-		g.m.errors[errClassProtocol].Inc()
+		g.m.errors[errClassProtocol].Inc(0)
 		g.log.Log(slog.LevelWarn, "protocol", "gateway: protocol violation",
 			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "err", err)
 	default:
-		g.m.errors[errClassIO].Inc()
+		g.m.errors[errClassIO].Inc(0)
 		g.log.Log(slog.LevelWarn, "io", "gateway: connection error",
 			"remote", conn.RemoteAddr().String(), "sessions", cs.sessions, "err", err)
 	}
@@ -342,7 +342,7 @@ func (g *Gateway) openSession(start int, serial uint32) (int, error) {
 	}
 	for p := 0; p < len(g.shards); p++ {
 		if id, ok := g.shards[(start+p)%len(g.shards)].open(serial); ok {
-			g.m.sessions.Add(1)
+			g.m.sessions.Add(0, 1)
 			return id, nil
 		}
 	}
@@ -364,7 +364,7 @@ func (g *Gateway) openRouted(serial uint32) (int, error) {
 		g.router.Release(s, l)
 		return 0, ErrSessionLimit
 	}
-	g.m.sessions.Add(1)
+	g.m.sessions.Add(0, 1)
 	return id, nil
 }
 
@@ -373,7 +373,7 @@ func (g *Gateway) openRouted(serial uint32) (int, error) {
 func (g *Gateway) releaseSession(id int) {
 	sh := g.shardOf(id)
 	g.m.closedBits.Add(sh.idx, int64(sh.release(id)))
-	g.m.sessions.Add(-1)
+	g.m.sessions.Add(0, -1)
 }
 
 // releaseAll is a connection's death: every session it owns ends.
@@ -620,7 +620,7 @@ func refused(cs *connState, o op) error {
 	if o.at >= 0 {
 		typ = typeStats
 	}
-	return fmt.Errorf("%w: %s session=%d bits=%d (owns %d sessions)", errProtocol, kindName(typ), o.id, o.bits, cs.sessions)
+	return fmt.Errorf("%w: %s session=%d bits=%d (owns %d sessions)", errProtocol, typeName(typ), o.id, o.bits, cs.sessions)
 }
 
 // check is the ownership check of the waiting DATA and STATS, run before
@@ -729,7 +729,7 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 			// Slot exhaustion is an expected steady-state condition under
 			// load, not a protocol violation: tell the client and keep the
 			// connection so it can retry after backoff.
-			g.m.openFails.Inc()
+			g.m.openFails.Inc(0)
 			g.emitAt(cs.stripe, obs.Event{Type: obs.EventOpenFail, Session: -1})
 			cs.scratch[0] = typeOpenFail
 			if _, werr := w.Write(cs.scratch[:1]); werr != nil {

@@ -69,8 +69,8 @@ func await[T any](ctx context.Context, ch <-chan T) bool {
 // that did not open carry the reason; a failed exchange after that ends
 // the connection, and every session on it carries that.
 func (c *conn) run(ctx context.Context, start time.Time, opened *sync.WaitGroup) {
-	c.swarm.active.Add(int64(len(c.sess)))
-	defer c.swarm.active.Add(-int64(len(c.sess)))
+	c.swarm.active.Add(0, int64(len(c.sess)))
+	defer c.swarm.active.Add(0, -int64(len(c.sess)))
 	err := c.openAll(ctx, start)
 	opened.Done()
 	if c.m != nil {
@@ -130,13 +130,13 @@ func (c *conn) openOne(ctx context.Context) (uint32, error) {
 		t0 := time.Now()
 		var slot uint32
 		if slot, err = c.m.Open(); err == nil {
-			c.swarm.opens.Observe(int64(time.Since(t0)))
+			c.swarm.opens.Observe(0, int64(time.Since(t0)))
 			return slot, nil
 		}
 		switch {
 		case errors.Is(err, gateway.ErrSessionLimit):
-			c.swarm.openFailed.Inc()
-			c.swarm.openFails.Inc()
+			c.swarm.openFailed.Inc(0)
+			c.swarm.openFails.Inc(0)
 			c.swarm.emit(obs.EventOpenFail, -1)
 		case retryable(err) && len(c.live) == 0:
 			c.m.Close()
@@ -233,8 +233,8 @@ func (c *conn) send(t bw.Tick) error {
 		if err := c.m.SendBatch(c.items); err != nil {
 			return fmt.Errorf("send tick %d: %w", t, err)
 		}
-		c.swarm.bursts.Add(int64(len(c.items)))
-		c.swarm.bitsSent.Add(int64(bits))
+		c.swarm.bursts.Add(0, int64(len(c.items)))
+		c.swarm.bitsSent.Add(0, int64(bits))
 	}
 	return c.poll(false)
 }
@@ -259,8 +259,8 @@ func (c *conn) poll(all bool) error {
 		return fmt.Errorf("stats: %w", err)
 	}
 	now := time.Now()
-	c.swarm.rtts.Observe(int64(now.Sub(t0)))
-	c.swarm.rtt.Observe(int64(now.Sub(t0)))
+	c.swarm.rtts.Observe(0, int64(now.Sub(t0)))
+	c.swarm.rtt.Observe(0, int64(now.Sub(t0)))
 	polled := 0 // stats is in the order the scan above met the sessions
 	for i := range c.live {
 		if r := &c.sess[i]; all || r.Delivered < r.Bursts {
@@ -279,12 +279,12 @@ func (c *conn) poll(all bool) error {
 			continue
 		}
 		lat := now.Sub(p.sent)
-		c.swarm.deliveries.Observe(int64(lat))
-		c.swarm.delivery.Observe(int64(lat))
+		c.swarm.deliveries.Observe(0, int64(lat))
+		c.swarm.delivery.Observe(0, int64(lat))
 		r.Delivered++
 		r.MaxDelivery = max(r.MaxDelivery, lat)
 	}
-	c.swarm.delivered.Add(int64(len(c.pending) - len(kept)))
+	c.swarm.delivered.Add(0, int64(len(c.pending)-len(kept)))
 	c.pending = kept
 	return nil
 }

@@ -182,25 +182,27 @@ type swarmObs struct {
 	bitsSent  *obs.Counter
 	errors    *obs.Counter
 	openFails *obs.Counter
-	delivery  *obs.LiveHistogram
-	rtt       *obs.LiveHistogram
+	delivery  *obs.Histogram
+	rtt       *obs.Histogram
 
-	openFailed              obs.Counter
-	deliveries, rtts, opens obs.LiveHistogram
+	openFailed              *obs.Counter
+	deliveries, rtts, opens *obs.Histogram
 }
 
 func newSwarmObs(reg *obs.Registry, label string, o obs.Observer) *swarmObs {
 	l := obs.L("policy", label)
 	return &swarmObs{
 		o:         o,
-		active:    reg.Gauge("dynbw_load_sessions_active", "Swarm sessions currently running.", l),
-		bursts:    reg.Counter("dynbw_load_bursts_total", "Bursts sent by the swarm.", l),
-		delivered: reg.Counter("dynbw_load_delivered_total", "Bursts observed fully served.", l),
-		bitsSent:  reg.Counter("dynbw_load_bits_sent_total", "Bits offered by the swarm.", l),
-		errors:    reg.Counter("dynbw_load_session_errors_total", "Sessions that ended with a fatal error.", l),
-		openFails: reg.Counter("dynbw_load_open_fails_total", "OPENFAIL retries observed while dialing.", l),
-		delivery:  reg.Histogram("dynbw_load_delivery_ns", "End-to-end burst delivery latency, nanoseconds.", l),
-		rtt:       reg.Histogram("dynbw_load_rtt_ns", "STATS request/reply round-trip time, nanoseconds.", l),
+		active:    reg.Gauge("dynbw_load_sessions_active", "Swarm sessions currently running.", 1, l),
+		bursts:    reg.Counter("dynbw_load_bursts_total", "Bursts sent by the swarm.", 1, l),
+		delivered: reg.Counter("dynbw_load_delivered_total", "Bursts observed fully served.", 1, l),
+		bitsSent:  reg.Counter("dynbw_load_bits_sent_total", "Bits offered by the swarm.", 1, l),
+		errors:    reg.Counter("dynbw_load_session_errors_total", "Sessions that ended with a fatal error.", 1, l),
+		openFails: reg.Counter("dynbw_load_open_fails_total", "OPENFAIL retries observed while dialing.", 1, l),
+		delivery:  reg.Histogram("dynbw_load_delivery_ns", "End-to-end burst delivery latency, nanoseconds.", 1, l),
+		rtt:       reg.Histogram("dynbw_load_rtt_ns", "STATS request/reply round-trip time, nanoseconds.", 1, l),
+
+		openFailed: obs.NewCounter(1), deliveries: obs.NewHistogram(1), rtts: obs.NewHistogram(1), opens: obs.NewHistogram(1),
 	}
 }
 
@@ -367,7 +369,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		s := &res.PerSession[i]
 		if s.Err != nil {
 			res.Failed++
-			swarm.errors.Inc()
+			swarm.errors.Inc(0)
 		}
 		if s.Released {
 			res.Released++

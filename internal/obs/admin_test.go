@@ -26,7 +26,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, strin
 
 func TestAdminMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dynbw_admin_total", "h", L("policy", "phased")).Add(7)
+	reg.Counter("dynbw_admin_total", "h", 1, L("policy", "phased")).Add(0, 7)
 	srv := httptest.NewServer((&Admin{Registry: reg}).Handler())
 	defer srv.Close()
 
@@ -154,7 +154,7 @@ func TestAdminSpans(t *testing.T) {
 
 func TestAdminSnapshots(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dynbw_t_snap_total", "h").Add(3)
+	reg.Counter("dynbw_t_snap_total", "h", 1).Add(0, 3)
 	rec := NewRecorder(RecorderConfig{Registry: reg, Capacity: 4})
 	rec.Record()
 	srv := httptest.NewServer((&Admin{Snapshots: rec}).Handler())
@@ -197,7 +197,7 @@ func TestAdminPprof(t *testing.T) {
 
 func TestStartAdminServes(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("dynbw_up", "h").Set(1)
+	reg.Gauge("dynbw_up", "h", 1).Set(0, 1)
 	s, err := StartAdmin("127.0.0.1:0", &Admin{Registry: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -19,16 +19,13 @@ import (
 var nilSafe = []reflect.Type{
 	reflect.TypeFor[*Counter](),
 	reflect.TypeFor[*Gauge](),
-	reflect.TypeFor[*LiveHistogram](),
+	reflect.TypeFor[*Histogram](),
 	reflect.TypeFor[*RateLimited](),
 	reflect.TypeFor[*Recorder](),
 	reflect.TypeFor[*Registry](),
 	reflect.TypeFor[*Ring](),
 	reflect.TypeFor[*Sampler](),
 	reflect.TypeFor[*SpanRing](),
-	reflect.TypeFor[*Striped](),
-	reflect.TypeFor[*StripedGauge](),
-	reflect.TypeFor[*StripedHistogram](),
 }
 
 // TestNilReceiversNoPanic calls every exported method of every nil-safe

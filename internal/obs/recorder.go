@@ -5,8 +5,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"dynbw/internal/metrics"
 )
 
 // recorder.go is the flight recorder: a fixed-size ring of periodic
@@ -36,51 +34,20 @@ func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	type reading struct {
-		name, labels string
-		scalar       func() int64
-		hist         func() metrics.Histogram
-	}
-	// Collect the readers under the lock, read outside it: func-backed
-	// series (striped counters, merged histograms) may themselves take
-	// locks and must not run under r.mu.
-	r.mu.Lock()
-	var reads []reading
-	for name, f := range r.families {
-		for _, key := range f.order {
-			s := f.series[key]
-			rd := reading{name: name, labels: s.labels}
-			switch {
-			case s.c != nil:
-				rd.scalar = s.c.Value
-			case s.g != nil:
-				rd.scalar = s.g.Value
-			case s.cf != nil:
-				rd.scalar = s.cf
-			case s.gf != nil:
-				rd.scalar = s.gf
-			case s.h != nil:
-				rd.hist = s.h.Snapshot
-			case s.hf != nil:
-				rd.hist = s.hf
+	out := make(map[string]int64)
+	for _, f := range r.sorted() {
+		for _, s := range f.series {
+			key := f.name + s.labels
+			if s.hist == nil {
+				out[key] = s.value()
+				continue
 			}
-			reads = append(reads, rd)
+			h := s.hist()
+			out[key+":count"] = h.Count()
+			out[key+":sum"] = h.Sum()
+			out[key+":p50"] = h.Quantile(0.50)
+			out[key+":p99"] = h.Quantile(0.99)
 		}
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]int64, len(reads))
-	for _, rd := range reads {
-		key := rd.name + rd.labels
-		if rd.scalar != nil {
-			out[key] = rd.scalar()
-			continue
-		}
-		h := rd.hist()
-		out[key+":count"] = h.Count()
-		out[key+":sum"] = h.Sum()
-		out[key+":p50"] = h.Quantile(0.50)
-		out[key+":p99"] = h.Quantile(0.99)
 	}
 	return out
 }
@@ -228,17 +195,6 @@ func (rec *Recorder) Record() {
 			return
 		}
 	}
-}
-
-// Freeze captures the current window under an explicit reason — the
-// manual counterpart of a firing trigger.
-func (rec *Recorder) Freeze(reason string) {
-	if rec == nil {
-		return
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.freezeLocked(reason, time.Now())
 }
 
 // freezeLocked copies the ring (oldest first) into the frozen window

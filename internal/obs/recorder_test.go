@@ -2,39 +2,88 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestRegistrySnapshotFlattensAllKinds: both readers of a series — the
+// flight recorder's Snapshot and the /metrics exposition — report the
+// same merged value for every kind of series at one stripe and at four,
+// and an update on a stripe past the count lands on it modulo the count.
+// Stripe i takes the value 1<<i, and stripe n takes 1<<n, which lands on
+// stripe 0: the merged value is 2^(n+1)-1, and stripe 0 alone holds
+// 1+2^n.
 func TestRegistrySnapshotFlattensAllKinds(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("dynbw_t_c_total", "h").Add(7)
-	reg.Gauge("dynbw_t_g", "h", L("x", "1")).Set(-3)
-	reg.CounterFunc("dynbw_t_cf_total", "h", func() int64 { return 42 })
-	reg.GaugeFunc("dynbw_t_gf", "h", func() int64 { return 5 })
-	h := reg.Histogram("dynbw_t_ns", "h")
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
+	// Each kind registers one series of n stripes labeled x="1" and
+	// returns its update and its read of one stripe alone.
+	kinds := []struct {
+		name     string
+		hist     bool
+		register func(reg *Registry, n int) (update func(stripe int, v int64), stripe func(i int) int64)
+	}{
+		{"counter", false, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			c := reg.Counter("dynbw_t", "h", n, L("x", "1"))
+			return c.Add, func(i int) int64 { return c.s[i].v.Load() }
+		}},
+		{"gauge", false, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			g := reg.Gauge("dynbw_t", "h", n, L("x", "1"))
+			return g.Add, func(i int) int64 { return g.s[i].v.Load() }
+		}},
+		{"histogram", true, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			h := reg.Histogram("dynbw_t", "h", n, L("x", "1"))
+			return h.Observe, func(i int) int64 { s := h.StripeSnapshot(i); return s.Sum() }
+		}},
+		{"counter func", false, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			c := NewCounter(n)
+			reg.CounterFunc("dynbw_t", "h", c.Value, L("x", "1"))
+			return c.Add, func(i int) int64 { return c.s[i].v.Load() }
+		}},
+		{"gauge func", false, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			g := NewGauge(n)
+			reg.GaugeFunc("dynbw_t", "h", g.Value, L("x", "1"))
+			return g.Add, func(i int) int64 { return g.s[i].v.Load() }
+		}},
+		{"histogram func", true, func(reg *Registry, n int) (func(int, int64), func(int) int64) {
+			h := NewHistogram(n)
+			reg.HistogramFunc("dynbw_t", "h", h.Snapshot, L("x", "1"))
+			return h.Observe, func(i int) int64 { s := h.StripeSnapshot(i); return s.Sum() }
+		}},
 	}
-	snap := reg.Snapshot()
-	if snap["dynbw_t_c_total"] != 7 {
-		t.Errorf("counter = %d", snap["dynbw_t_c_total"])
-	}
-	if snap[`dynbw_t_g{x="1"}`] != -3 {
-		t.Errorf("labeled gauge = %d (keys %v)", snap[`dynbw_t_g{x="1"}`], snap)
-	}
-	if snap["dynbw_t_cf_total"] != 42 || snap["dynbw_t_gf"] != 5 {
-		t.Errorf("func-backed series: %v", snap)
-	}
-	if snap["dynbw_t_ns:count"] != 100 || snap["dynbw_t_ns:sum"] != 5050 {
-		t.Errorf("histogram count/sum: %v", snap)
-	}
-	if p50 := snap["dynbw_t_ns:p50"]; p50 < 50 || p50 > 56 {
-		t.Errorf("p50 = %d, want ~50", p50)
-	}
-	if p99 := snap["dynbw_t_ns:p99"]; p99 < 99 || p99 > 104 {
-		t.Errorf("p99 = %d, want ~99", p99)
+	for _, k := range kinds {
+		for _, n := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/stripes=%d", k.name, n), func(t *testing.T) {
+				reg := NewRegistry()
+				update, stripe := k.register(reg, n)
+				for i := 0; i <= n; i++ {
+					update(i, 1<<i)
+				}
+				if got, want := stripe(0), int64(1+1<<n); got != want {
+					t.Errorf("stripe 0 holds %d, want %d: stripe %d did not land on it", got, want, n)
+				}
+				want := int64(1<<(n+1) - 1)
+				key, exposed := `dynbw_t{x="1"}`, `dynbw_t{x="1"}`
+				if k.hist {
+					key, exposed = key+":sum", `dynbw_t_sum{x="1"}`
+				}
+				snap := reg.Snapshot()
+				if snap[key] != want {
+					t.Errorf("Snapshot %s = %d, want %d (all of %v)", key, snap[key], want, snap)
+				}
+				if line := fmt.Sprintf("%s %d\n", exposed, want); !strings.Contains(render(t, reg), line) {
+					t.Errorf("exposition lacks %q:\n%s", line, render(t, reg))
+				}
+				if k.hist {
+					if c := snap[`dynbw_t{x="1"}:count`]; c != int64(n+1) {
+						t.Errorf("Snapshot count = %d, want %d", c, n+1)
+					}
+					if p50, p99 := snap[`dynbw_t{x="1"}:p50`], snap[`dynbw_t{x="1"}:p99`]; p50 < 1 || p50 > p99 || p99 > 1<<n+1<<n/8 {
+						t.Errorf("Snapshot p50 %d, p99 %d, of samples 1..%d", p50, p99, 1<<n)
+					}
+				}
+			})
+		}
 	}
 	var nilReg *Registry
 	if nilReg.Snapshot() != nil {
@@ -44,7 +93,7 @@ func TestRegistrySnapshotFlattensAllKinds(t *testing.T) {
 
 func TestRecorderRingAndGrowthTrigger(t *testing.T) {
 	reg := NewRegistry()
-	fails := reg.Counter("dynbw_t_fails_total", "h")
+	fails := reg.Counter("dynbw_t_fails_total", "h", 1)
 	rec := NewRecorder(RecorderConfig{
 		Registry: reg,
 		Capacity: 4,
@@ -56,7 +105,7 @@ func TestRecorderRingAndGrowthTrigger(t *testing.T) {
 	if frozen, _ := rec.Frozen(); frozen != nil {
 		t.Fatal("trigger fired with a flat counter")
 	}
-	fails.Add(2)
+	fails.Add(0, 2)
 	rec.Record()
 	frozen, reason := rec.Frozen()
 	if len(frozen) != 4 {
@@ -80,20 +129,20 @@ func TestRecorderRingAndGrowthTrigger(t *testing.T) {
 
 func TestRecorderRearmSuppressesRetrigger(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("dynbw_t_grow_total", "h")
+	c := reg.Counter("dynbw_t_grow_total", "h", 1)
 	rec := NewRecorder(RecorderConfig{
 		Registry: reg,
 		Capacity: 3,
 		Triggers: []Trigger{GrowthTrigger("growth", "dynbw_t_grow_total", 1)},
 	})
 	rec.Record()
-	c.Inc()
+	c.Inc(0)
 	rec.Record() // fires; freezes a window ending at seq 1
 	first, _ := rec.Frozen()
 	// Keep growing: within the re-arm window the frozen dump must not move.
-	c.Inc()
+	c.Inc(0)
 	rec.Record()
-	c.Inc()
+	c.Inc(0)
 	rec.Record()
 	second, _ := rec.Frozen()
 	if first[len(first)-1].Seq != second[len(second)-1].Seq {
@@ -101,7 +150,7 @@ func TestRecorderRearmSuppressesRetrigger(t *testing.T) {
 	}
 	// After a full ring of further snapshots the trigger re-arms.
 	rec.Record()
-	c.Inc()
+	c.Inc(0)
 	rec.Record()
 	third, _ := rec.Frozen()
 	if third[len(third)-1].Seq == first[len(first)-1].Seq {
@@ -111,14 +160,14 @@ func TestRecorderRearmSuppressesRetrigger(t *testing.T) {
 
 func TestRecorderWriteJSONL(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("dynbw_t_x_total", "h")
+	c := reg.Counter("dynbw_t_x_total", "h", 1)
 	rec := NewRecorder(RecorderConfig{
 		Registry: reg,
 		Capacity: 2,
 		Triggers: []Trigger{GrowthTrigger("x", "dynbw_t_x_total", 1)},
 	})
 	rec.Record()
-	c.Inc()
+	c.Inc(0)
 	rec.Record() // fires: 2 frozen + 2 live
 	var b strings.Builder
 	if err := rec.WriteJSONL(&b); err != nil {
@@ -153,16 +202,19 @@ func TestRecorderWriteJSONL(t *testing.T) {
 	}
 }
 
+// TestRecorderStartCloseAndManualFreeze: the Start loop records until
+// Close, which is idempotent and takes a final snapshot, and a trigger
+// that fires on the loop's first pair freezes the window.
 func TestRecorderStartCloseAndManualFreeze(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dynbw_t_y_total", "h").Inc()
-	rec := NewRecorder(RecorderConfig{Registry: reg, Capacity: 8, Interval: time.Millisecond})
+	reg.Counter("dynbw_t_y_total", "h", 1).Inc(0)
+	manual := Trigger{Name: "manual", Fire: func(_, _ map[string]int64) (string, bool) { return "manual", true }}
+	rec := NewRecorder(RecorderConfig{Registry: reg, Capacity: 8, Interval: time.Millisecond, Triggers: []Trigger{manual}})
 	rec.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for rec.Total() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	rec.Freeze("manual")
 	rec.Close()
 	rec.Close()          // idempotent
 	if rec.Total() < 3 { // >= 2 periodic + 1 final on Close

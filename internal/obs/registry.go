@@ -7,18 +7,18 @@
 // for hot-path error diagnostics, and an admin HTTP server exposing
 // /metrics, /healthz, /sessions, /events and net/http/pprof.
 //
-// Everything is stdlib-only and safe for concurrent use. Counter, Gauge
-// and LiveHistogram methods are nil-receiver-safe so instrumented code
-// reads the same whether or not a registry is attached.
+// Everything is stdlib-only and safe for concurrent use. The three
+// instruments, Counter, Gauge and Histogram, are each striped by a count
+// (one stripe is the plain case) and nil-receiver-safe, so instrumented
+// code reads the same whether or not a registry is attached.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dynbw/internal/metrics"
 )
@@ -32,113 +32,23 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing metric. The nil *Counter is a
-// valid no-op, so call sites need no registry guards.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.Add(1)
-}
-
-// Add adds n (negative deltas are ignored: counters only go up).
-func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down. The nil *Gauge is a valid
-// no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// LiveHistogram is a mutex-wrapped metrics.Histogram — the
-// concurrency-safe variant for shared hot paths (per-exchange gateway
-// latency, swarm-wide delivery latency). The nil *LiveHistogram is a
-// valid no-op.
-type LiveHistogram struct {
-	mu sync.Mutex
-	h  metrics.Histogram // guarded by mu
-}
-
-// Observe records one sample.
-func (l *LiveHistogram) Observe(v int64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.h.Observe(v)
-	l.mu.Unlock()
-}
-
-// Snapshot returns a point-in-time copy of the underlying histogram.
-func (l *LiveHistogram) Snapshot() metrics.Histogram {
-	if l == nil {
-		return metrics.Histogram{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out metrics.Histogram
-	out.Merge(&l.h)
-	return out
-}
-
-// series is one labeled time series within a family.
+// series is one labeled time series within a family, read at scrape
+// time through value (counters, gauges) or hist (histograms). inst is
+// the instrument the registry built for it, nil for a func-backed
+// series: a second registration returns it.
 type series struct {
 	labels string // rendered {k="v",...} or ""
-	c      *Counter
-	g      *Gauge
-	cf     func() int64
-	gf     func() int64
-	h      *LiveHistogram
-	hf     func() metrics.Histogram
+	inst   any
+	value  func() int64
+	hist   func() metrics.Histogram
 }
 
-// family is one named metric with HELP/TYPE and its series.
+// family is one named metric with HELP/TYPE and its series, in
+// registration order.
 type family struct {
 	name, help, typ string
-	order           []string
-	series          map[string]*series
+	series          []*series
+	byLabels        map[string]*series
 }
 
 // Registry holds metric families and renders them in the Prometheus text
@@ -156,107 +66,88 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// get returns the family, creating it with the given type on first use.
-// A type clash on an existing name panics: it is a programming error
-// that would silently corrupt the exposition otherwise. Callers must
-// hold r.mu.
-func (r *Registry) get(name, help, typ string) *family {
+// add registers s under name and its label set, creating the family with
+// the given type on first use, and returns the instrument of the series
+// registered there first — s's own on the first registration. A type
+// clash on an existing name panics: it is a programming error that would
+// silently corrupt the exposition otherwise.
+func (r *Registry) add(name, help, typ string, labels []Label, s series) any {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
+		f = &family{name: name, help: help, typ: typ, byLabels: make(map[string]*series)}
 		r.families[name] = f
-		return f
-	}
-	if f.typ != typ {
+	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
 	}
-	return f
+	s.labels = renderLabels(labels)
+	if old, ok := f.byLabels[s.labels]; ok {
+		return old.inst
+	}
+	f.byLabels[s.labels] = &s
+	f.series = append(f.series, &s)
+	return s.inst
 }
 
-// sel returns the family's series for the label set, creating it via
-// mk on first use.
-func (f *family) sel(labels []Label, mk func() *series) *series {
-	key := renderLabels(labels)
-	s, ok := f.series[key]
-	if !ok {
-		s = mk()
-		s.labels = key
-		f.series[key] = s
-		f.order = append(f.order, key)
-	}
-	return s
+// Counter registers (or returns) a counter series of n stripes.
+func (r *Registry) Counter(name, help string, n int, labels ...Label) *Counter {
+	c := NewCounter(n)
+	c, _ = r.add(name, help, "counter", labels, series{inst: c, value: c.Value}).(*Counter)
+	return c
 }
 
-// Counter registers (or returns) a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.get(name, help, "counter")
-	return f.sel(labels, func() *series { return &series{c: &Counter{}} }).c
+// Gauge registers (or returns) a gauge series of n stripes.
+func (r *Registry) Gauge(name, help string, n int, labels ...Label) *Gauge {
+	g := NewGauge(n)
+	g, _ = r.add(name, help, "gauge", labels, series{inst: g, value: g.Value}).(*Gauge)
+	return g
 }
 
-// Gauge registers (or returns) a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.get(name, help, "gauge")
-	return f.sel(labels, func() *series { return &series{g: &Gauge{}} }).g
-}
-
-// GaugeFunc registers a gauge series whose value is read from fn at
-// scrape time — for values owned elsewhere (queue depths, pool sizes).
-func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.get(name, help, "gauge")
-	f.sel(labels, func() *series { return &series{gf: fn} })
+// Histogram registers (or returns) a histogram series of n stripes.
+func (r *Registry) Histogram(name, help string, n int, labels ...Label) *Histogram {
+	h := NewHistogram(n)
+	h, _ = r.add(name, help, "histogram", labels, series{inst: h, hist: h.Snapshot}).(*Histogram)
+	return h
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// scrape time — for counts aggregated elsewhere (lock-striped shard
-// counters merged on demand, event-ring totals).
+// scrape time — for counts kept elsewhere (event-ring and span totals).
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.get(name, help, "counter")
-	f.sel(labels, func() *series { return &series{cf: fn} })
+	r.add(name, help, "counter", labels, series{value: fn})
 }
 
-// Histogram registers (or returns) a live histogram series rendered
-// with internal/metrics.Histogram's log-spaced buckets.
-func (r *Registry) Histogram(name, help string, labels ...Label) *LiveHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.get(name, help, "histogram")
-	return f.sel(labels, func() *series { return &series{h: &LiveHistogram{}} }).h
+// GaugeFunc registers a gauge series whose value is read from fn at
+// scrape time — for values owned elsewhere (runtime metrics, link loads,
+// shard occupancy).
+func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
+	r.add(name, help, "gauge", labels, series{value: fn})
 }
 
 // HistogramFunc registers a histogram series whose snapshot is produced
-// by fn at scrape time — for histograms striped or merged elsewhere
-// (StripedHistogram.Snapshot).
+// by fn at scrape time — for histograms kept elsewhere (runtime metrics,
+// one stripe of a Histogram).
 func (r *Registry) HistogramFunc(name, help string, fn func() metrics.Histogram, labels ...Label) {
-	if r == nil {
-		return
-	}
+	r.add(name, help, "histogram", labels, series{hist: fn})
+}
+
+// sorted copies every family, sorted by name, with its series list as it
+// stands: the readers then run outside r.mu, since a func-backed one may
+// take locks of its own.
+func (r *Registry) sorted() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.get(name, help, "histogram")
-	f.sel(labels, func() *series { return &series{hf: fn} })
+	out := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		c := *f
+		c.series = slices.Clone(f.series)
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b family) int { return strings.Compare(a.name, b.name) })
+	return out
 }
 
 // WritePrometheus renders every family in the text exposition format
@@ -265,45 +156,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.sorted() {
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
-		r.mu.Lock()
-		order := append([]string(nil), f.order...)
-		ss := make([]*series, len(order))
-		for i, key := range order {
-			ss[i] = f.series[key]
-		}
-		r.mu.Unlock()
-		for _, s := range ss {
-			switch {
-			case s.c != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case s.g != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.g.Value())
-			case s.cf != nil, s.gf != nil:
-				fn := s.cf
-				if fn == nil {
-					fn = s.gf
-				}
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, fn())
-			case s.h != nil:
-				writeHistogram(&b, f.name, s.labels, s.h.Snapshot())
-			case s.hf != nil:
-				writeHistogram(&b, f.name, s.labels, s.hf())
+		for _, s := range f.series {
+			if s.hist != nil {
+				writeHistogram(&b, f.name, s.labels, s.hist())
+			} else {
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.value())
 			}
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {
@@ -341,7 +202,7 @@ func renderLabels(labels []Label) string {
 		return ""
 	}
 	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, l := range ls {

@@ -18,13 +18,13 @@ func render(t *testing.T, r *Registry) string {
 
 func TestCounterAndGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("dynbw_test_total", "Test counter.")
-	c.Inc()
-	c.Add(4)
-	c.Add(-7) // ignored: counters only go up
-	g := r.Gauge("dynbw_test_depth", "Test gauge.")
-	g.Set(10)
-	g.Add(-3)
+	c := r.Counter("dynbw_test_total", "Test counter.", 1)
+	c.Inc(0)
+	c.Add(0, 4)
+	c.Add(0, -7) // ignored: counters only go up
+	g := r.Gauge("dynbw_test_depth", "Test gauge.", 1)
+	g.Set(0, 10)
+	g.Add(0, -3)
 	r.GaugeFunc("dynbw_test_fn", "Func gauge.", func() int64 { return 42 })
 
 	out := render(t, r)
@@ -46,13 +46,13 @@ func TestLabelsSortedAndEscaped(t *testing.T) {
 	r := NewRegistry()
 	// Keys given out of order must render sorted so the series identity
 	// is stable regardless of call-site ordering.
-	c1 := r.Counter("dynbw_lbl_total", "h", L("zeta", "1"), L("alpha", "2"))
-	c2 := r.Counter("dynbw_lbl_total", "h", L("alpha", "2"), L("zeta", "1"))
+	c1 := r.Counter("dynbw_lbl_total", "h", 1, L("zeta", "1"), L("alpha", "2"))
+	c2 := r.Counter("dynbw_lbl_total", "h", 1, L("alpha", "2"), L("zeta", "1"))
 	if c1 != c2 {
 		t.Error("same label set in different order produced distinct series")
 	}
-	c1.Inc()
-	r.Counter("dynbw_lbl_total", "h", L("alpha", "a\"b\\c\nd")).Add(2)
+	c1.Inc(0)
+	r.Counter("dynbw_lbl_total", "h", 1, L("alpha", "a\"b\\c\nd")).Add(0, 2)
 
 	out := render(t, r)
 	if !strings.Contains(out, `dynbw_lbl_total{alpha="2",zeta="1"} 1`) {
@@ -65,32 +65,32 @@ func TestLabelsSortedAndEscaped(t *testing.T) {
 
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("dynbw_idem_total", "h", L("k", "v"))
-	b := r.Counter("dynbw_idem_total", "ignored on re-register", L("k", "v"))
+	a := r.Counter("dynbw_idem_total", "h", 1, L("k", "v"))
+	b := r.Counter("dynbw_idem_total", "ignored on re-register", 4, L("k", "v"))
 	if a != b {
 		t.Error("re-registration returned a new counter")
 	}
-	if h1, h2 := r.Histogram("dynbw_idem_ns", "h"), r.Histogram("dynbw_idem_ns", "h"); h1 != h2 {
+	if h1, h2 := r.Histogram("dynbw_idem_ns", "h", 2), r.Histogram("dynbw_idem_ns", "h", 2); h1 != h2 {
 		t.Error("re-registration returned a new histogram")
 	}
 }
 
 func TestTypeClashPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dynbw_clash", "h")
+	r.Counter("dynbw_clash", "h", 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("registering a gauge over a counter did not panic")
 		}
 	}()
-	r.Gauge("dynbw_clash", "h")
+	r.Gauge("dynbw_clash", "h", 1)
 }
 
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("dynbw_lat_ns", "Latency.", L("policy", "phased"))
+	h := r.Histogram("dynbw_lat_ns", "Latency.", 1, L("policy", "phased"))
 	for _, v := range []int64{1, 1, 5, 100} {
-		h.Observe(v)
+		h.Observe(0, v)
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "# TYPE dynbw_lat_ns histogram") {
@@ -127,15 +127,15 @@ func TestHistogramExposition(t *testing.T) {
 
 func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "h")
-	g := r.Gauge("x2", "h")
-	h := r.Histogram("x3", "h")
+	c := r.Counter("x", "h", 1)
+	g := r.Gauge("x2", "h", 1)
+	h := r.Histogram("x3", "h", 1)
 	r.GaugeFunc("x4", "h", func() int64 { return 1 })
-	c.Inc()
-	c.Add(3)
-	g.Set(2)
-	g.Add(1)
-	h.Observe(5)
+	c.Inc(0)
+	c.Add(0, 3)
+	g.Set(0, 2)
+	g.Add(0, 1)
+	h.Observe(0, 5)
 	snap := h.Snapshot()
 	if c.Value() != 0 || g.Value() != 0 || snap.Count() != 0 {
 		t.Error("nil instruments retained values")
@@ -153,8 +153,8 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				r.Counter("dynbw_conc_total", "h", L("w", fmt.Sprint(id%4))).Inc()
-				r.Histogram("dynbw_conc_ns", "h").Observe(int64(j))
+				r.Counter("dynbw_conc_total", "h", 1, L("w", fmt.Sprint(id%4))).Inc(0)
+				r.Histogram("dynbw_conc_ns", "h", 4).Observe(id, int64(j))
 				render(t, r)
 			}
 		}(i)

@@ -45,6 +45,3 @@ func (r *ring[T]) appendTo(dst []T) []T {
 	dst = append(dst, r.buf[r.next:]...)
 	return append(dst, r.buf[:r.next]...)
 }
-
-// reset forgets the retained entries; capacity and counters stay.
-func (r *ring[T]) reset() { r.buf, r.next = r.buf[:0], 0 }

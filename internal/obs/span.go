@@ -52,7 +52,7 @@ type Span struct {
 type SpanRing struct {
 	mu     sync.Mutex
 	names  []string
-	q      ring[Span] // guarded by mu; dropped counts spans overwritten before any dump or drain
+	q      ring[Span] // guarded by mu; dropped counts spans overwritten before any dump
 	traces atomic.Uint64
 }
 
@@ -73,14 +73,6 @@ func NewSpanRing(n int, stageNames []string) *SpanRing {
 		names: append([]string(nil), stageNames...),
 		q:     newRing[Span](n),
 	}
-}
-
-// StageNames returns the stage labels dumps use for the stage vector.
-func (r *SpanRing) StageNames() []string {
-	if r == nil {
-		return nil
-	}
-	return r.names
 }
 
 // NextTrace mints a locally unique trace ID for a sampled span. IDs are
@@ -117,8 +109,8 @@ func (r *SpanRing) Total() uint64 {
 	return r.q.total
 }
 
-// Dropped returns how many spans were overwritten before any dump or
-// drain could retain them.
+// Dropped returns how many spans were overwritten before any dump could
+// retain them.
 func (r *SpanRing) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -136,20 +128,6 @@ func (r *SpanRing) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.q.appendTo(nil)
-}
-
-// Drain returns the retained spans, oldest first, and empties the ring
-// (capacity kept). Pollers that must not re-read spans use Drain;
-// dashboards that only peek use Snapshot.
-func (r *SpanRing) Drain() []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.q.appendTo(nil)
-	r.q.reset()
-	return out
 }
 
 // spanMeta is the header line of a JSONL span dump.
@@ -209,11 +187,9 @@ func (r *SpanRing) Instrument(reg *Registry) {
 // Sampler is a 1-in-N decision maker for message timing. Each stripe
 // numbers its events 0, 1, 2, … and samples exactly one position in every
 // block of N consecutive positions, so the decision needs no randomness
-// (deterministic under test). An event takes its position one of two
-// ways: Hit takes the next one and decides it, at the cost of one
-// uncontended atomic add; Reserve takes n at once with the same one add —
-// a BATCH frame reserves a position for each of its messages — and At
-// decides each reserved position exactly as Hit would have decided it.
+// (deterministic under test). Reserve takes the next n positions with
+// one uncontended atomic add — a message takes one, a BATCH frame one
+// for each of its messages — and At decides each reserved position.
 // The sampled position moves from block to block (see At), so traffic
 // that repeats with a period dividing N — a client looping over 64 DATA
 // then 64 STATS against the default 1024 — has every part of its cycle
@@ -232,7 +208,7 @@ type Sampler struct {
 // given a non-positive period.
 const DefaultSampleEvery = 1024
 
-// NewSampler returns a sampler firing once per n Hits per stripe
+// NewSampler returns a sampler firing once per n positions per stripe
 // (minimum 1 stripe; a non-positive n uses DefaultSampleEvery, and
 // n == 1 samples everything).
 func NewSampler(n uint64, stripes int) *Sampler {
@@ -248,15 +224,6 @@ func NewSampler(n uint64, stripes int) *Sampler {
 		shift:   uint(bits.TrailingZeros64(n)),
 		stripes: make([]stripe64, stripes),
 	}
-}
-
-// Hit takes the next position on the given stripe (reduced modulo the
-// stripe count) and reports whether it is sampled: At(Reserve(stripe, 1)).
-func (s *Sampler) Hit(stripe int) bool {
-	if s == nil {
-		return false
-	}
-	return s.At(s.Reserve(stripe, 1))
 }
 
 // Reserve takes the next n positions on the given stripe (reduced modulo
@@ -285,12 +252,4 @@ func (s *Sampler) At(i uint64) bool {
 	}
 	offset, _ := bits.Mul64(block*0x9E3779B97F4A7C15, s.every)
 	return pos == s.every-1-offset
-}
-
-// Every returns the sampling period (0 for the nil no-op sampler).
-func (s *Sampler) Every() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.every
 }

@@ -74,31 +74,11 @@ func TestSpanRingWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestSpanRingDrain(t *testing.T) {
-	r := NewSpanRing(4, nil)
-	for i := 0; i < 3; i++ {
-		r.Push(Span{Trace: uint64(i)})
-	}
-	got := r.Drain()
-	if len(got) != 3 {
-		t.Fatalf("Drain len = %d, want 3", len(got))
-	}
-	if again := r.Drain(); len(again) != 0 {
-		t.Fatalf("second Drain returned %d spans, want 0", len(again))
-	}
-	// The ring keeps its capacity and stays usable after a drain.
-	r.Push(Span{Trace: 9})
-	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Trace != 9 {
-		t.Fatalf("post-drain Snapshot = %+v", snap)
-	}
-	if r.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", r.Total())
-	}
-}
-
-// TestSpanRingConcurrentSampleDrain races pushers against drains and
-// snapshot dumps — the live /spans serving pattern — and checks no span
-// is both drained twice and none disappears beyond ring capacity.
+// TestSpanRingConcurrentSampleDrain races pushers against the snapshot
+// and JSONL dumps that drain the ring to readers — the live /spans
+// serving pattern — and checks that every dump is a run of whole spans,
+// each at most once, and that what the ring retains and what it dropped
+// add up to what was pushed.
 func TestSpanRingConcurrentSampleDrain(t *testing.T) {
 	const (
 		pushers  = 4
@@ -116,8 +96,6 @@ func TestSpanRingConcurrentSampleDrain(t *testing.T) {
 			}
 		}(w)
 	}
-	seen := make(map[uint64]int)
-	var seenMu sync.Mutex
 	stop := make(chan struct{})
 	var drainers sync.WaitGroup
 	drainers.Add(2)
@@ -129,10 +107,14 @@ func TestSpanRingConcurrentSampleDrain(t *testing.T) {
 				return
 			default:
 			}
-			for _, s := range r.Drain() {
-				seenMu.Lock()
-				seen[s.Trace]++
-				seenMu.Unlock()
+			snap := r.Snapshot()
+			seen := make(map[uint64]bool, len(snap))
+			for _, s := range snap {
+				if s.Kind != "data" || seen[s.Trace] {
+					t.Errorf("snapshot of %d spans holds %+v twice or torn", len(snap), s)
+					return
+				}
+				seen[s.Trace] = true
 			}
 		}
 	}()
@@ -155,28 +137,21 @@ func TestSpanRingConcurrentSampleDrain(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	drainers.Wait()
-	for _, s := range r.Drain() {
-		seen[s.Trace]++
-	}
-	for trace, n := range seen {
-		if n != 1 {
-			t.Fatalf("trace %d drained %d times", trace, n)
-		}
-	}
-	total, dropped := r.Total(), r.Dropped()
+	total, dropped, retained := r.Total(), r.Dropped(), len(r.Snapshot())
 	if total != pushers*perG {
 		t.Fatalf("Total = %d, want %d", total, pushers*perG)
 	}
-	if got := uint64(len(seen)) + dropped; got != total {
-		t.Fatalf("drained %d + dropped %d != total %d", len(seen), dropped, total)
+	if retained != capacity || uint64(retained)+dropped != total {
+		t.Fatalf("retained %d + dropped %d != total %d", retained, dropped, total)
 	}
 }
 
 func TestSamplerHitsEveryN(t *testing.T) {
 	s := NewSampler(4, 2)
+	hit := func(stripe int) bool { return s.At(s.Reserve(stripe, 1)) }
 	hits := 0
 	for i := 0; i < 40; i++ {
-		if s.Hit(0) {
+		if hit(0) {
 			hits++
 		}
 	}
@@ -184,14 +159,11 @@ func TestSamplerHitsEveryN(t *testing.T) {
 		t.Errorf("stripe 0: %d hits over 40 calls at 1-in-4, want 10", hits)
 	}
 	// Stripes count independently.
-	if s.Hit(1) || s.Hit(1) || s.Hit(1) {
+	if hit(1) || hit(1) || hit(1) {
 		t.Error("stripe 1 sampled before its 4th hit")
 	}
-	if !s.Hit(1) {
+	if !hit(1) {
 		t.Error("stripe 1 did not sample on its 4th hit")
-	}
-	if s.Every() != 4 {
-		t.Errorf("Every = %d, want 4", s.Every())
 	}
 }
 
@@ -207,7 +179,7 @@ func TestSamplerCoversPeriodicTraffic(t *testing.T) {
 	for b := 0; b < blocks; b++ {
 		hits := 0
 		for i := 0; i < every; i++ {
-			if s.Hit(0) {
+			if s.At(s.Reserve(0, 1)) {
 				hits++
 				seen[(b*every+i)%cycle]++
 			}
@@ -236,7 +208,7 @@ func TestSamplerCoversPeriodicTraffic(t *testing.T) {
 func TestSamplerEveryOneSamplesAll(t *testing.T) {
 	s := NewSampler(1, 1)
 	for i := 0; i < 5; i++ {
-		if !s.Hit(0) {
+		if !s.At(s.Reserve(0, 1)) {
 			t.Fatalf("call %d not sampled at 1-in-1", i)
 		}
 	}
@@ -244,10 +216,11 @@ func TestSamplerEveryOneSamplesAll(t *testing.T) {
 
 // TestSamplerReserveMatchesHit: a sampler whose positions are taken in
 // frames — Reserve(n), then At on each position — samples exactly the
-// positions that n calls of Hit sample on a twin sampler, for frames of
-// assorted sizes dealt round-robin over several stripes, at periods that
-// are powers of two (At shifts) and one that is not (At divides); the nil
-// sampler samples nothing either way.
+// positions that n one-position reservations, At(Reserve(stripe, 1)),
+// sample on a twin sampler, for frames of assorted sizes dealt
+// round-robin over several stripes, at periods that are powers of two
+// (At shifts) and one that is not (At divides); the nil sampler samples
+// nothing either way.
 func TestSamplerReserveMatchesHit(t *testing.T) {
 	const stripes = 3
 	sizes := []int{1, 64, 0, 7, 4096, 3, 1023, 128, 2}
@@ -258,9 +231,9 @@ func TestSamplerReserveMatchesHit(t *testing.T) {
 			stripe, n := f%stripes, sizes[f%len(sizes)]
 			base := res.Reserve(stripe, n)
 			for i := 0; i < n; i++ {
-				got, want := res.At(base+uint64(i)), hit.Hit(stripe)
+				got, want := res.At(base+uint64(i)), hit.At(hit.Reserve(stripe, 1))
 				if got != want {
-					t.Fatalf("every %d, stripe %d, frame %d: position %d of %d sampled %v, Hit says %v", every, stripe, f, i, n, got, want)
+					t.Fatalf("every %d, stripe %d, frame %d: position %d of %d sampled %v, one at a time %v", every, stripe, f, i, n, got, want)
 				}
 				if got {
 					sampled++
@@ -272,7 +245,7 @@ func TestSamplerReserveMatchesHit(t *testing.T) {
 		}
 	}
 	var none *Sampler
-	if base := none.Reserve(0, 64); base != 0 || none.At(base) || none.At(1023) || none.Hit(0) {
+	if base := none.Reserve(0, 64); base != 0 || none.At(base) || none.At(1023) {
 		t.Error("the nil sampler sampled")
 	}
 }

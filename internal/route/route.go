@@ -158,15 +158,11 @@ func (p *Policy) SetObserver(o obs.Observer) { p.o = o }
 // see the full family before any traffic arrives. A nil registry
 // detaches metrics: the nil counters count nothing.
 func (p *Policy) Instrument(r *obs.Registry) {
-	if r == nil {
-		p.placed, p.blocked = nil, nil
-		return
-	}
 	pl := obs.L("policy", p.name)
 	p.placed = r.Counter("dynbw_route_placements_total",
-		"Sessions the routing tier placed on a backend link.", pl)
+		"Sessions the routing tier placed on a backend link.", 1, pl)
 	p.blocked = r.Counter("dynbw_route_blocked_total",
-		"Sessions the routing tier rejected because no link could admit them.", pl)
+		"Sessions the routing tier rejected because no link could admit them.", 1, pl)
 	for l := 0; l < len(p.caps); l++ {
 		l := LinkID(l)
 		ll := obs.L("link", strconv.Itoa(int(l)))
@@ -325,7 +321,7 @@ func (p *Policy) emitPlace(s Session, l LinkID) {
 		p.o.Event(obs.Event{Type: obs.EventRoutePlace, Session: s.ID,
 			Link: int(l), FromLink: -1, NewRate: s.Rate, Rule: p.name})
 	}
-	p.placed.Inc()
+	p.placed.Inc(0)
 }
 
 // emitBlock reports a rejected placement.
@@ -334,7 +330,7 @@ func (p *Policy) emitBlock(s Session) {
 		p.o.Event(obs.Event{Type: obs.EventRouteBlock, Session: s.ID,
 			Link: -1, FromLink: -1, NewRate: s.Rate, Rule: p.name})
 	}
-	p.blocked.Inc()
+	p.blocked.Inc(0)
 }
 
 // emitRelease reports a departed session.

@@ -240,13 +240,6 @@ func (tr *Trace) ServeableWith(b bw.Rate, d bw.Tick) bool {
 	return head == len(q)
 }
 
-// FeasibleSingle reports whether the trace can be served by a session with
-// maximum bandwidth maxB and delay bound d — the paper's standing
-// feasibility assumption for the single-session algorithm.
-func (tr *Trace) FeasibleSingle(maxB bw.Rate, d bw.Tick) bool {
-	return tr.ServeableWith(maxB, d)
-}
-
 // SatisfiesClaim9 reports whether the aggregate arrivals satisfy the
 // necessary condition of Claim 9: for every interval [t, t+delta), at most
 // (delta + d) * b bits arrive. Any input that some (b, d)-offline algorithm
