@@ -406,6 +406,19 @@ func (w *reduceWheel) add(i int32, amt bw.Rate, due bw.Tick) {
 	*b = append(*b, reduction{session: i, amt: amt})
 }
 
+// next returns the earliest tick after t whose bucket holds a REDUCE, or
+// t+D_O+1 when none does. Every REDUCE still held matures within D_O
+// ticks of the last take, tick t's.
+func (w *reduceWheel) next(t bw.Tick) bw.Tick {
+	n := bw.Tick(len(w.buckets))
+	for d := bw.Tick(1); d <= n; d++ {
+		if len(w.buckets[(t+d)%n]) > 0 {
+			return t + d
+		}
+	}
+	return t + n + 1
+}
+
 // take empties tick t's bucket and returns its REDUCEs in session order,
 // those of one session merged into one. The result is valid until the
 // next take.

@@ -107,6 +107,16 @@ func (a *Continuous) step(t bw.Tick, arrived []int32, bits []bw.Bits) {
 // later round reserves bandwidth for them.
 func (a *Continuous) Leave(i int) { a.ch.leave(i) }
 
+// Next implements the kernel's optional Next (sim.SparseAllocator): with
+// no arrivals only a REDUCE writes an allocation, so the rates after tick
+// t can next move at the earliest REDUCE due. The wheel holds each REDUCE
+// in the bucket of its due tick mod D_O and is read on that tick alone,
+// and begin's sweep, which keeps the drain lines within D_O+1 ticks of
+// their epoch, runs on the first tick past that: whichever comes first.
+func (a *Continuous) Next(t bw.Tick) bw.Tick {
+	return min(a.ch.reduce.next(t), a.ch.epoch+a.p.DO+1)
+}
+
 // Stats returns the structural counters accumulated so far.
 func (a *Continuous) Stats() MultiStats { return a.stats }
 

@@ -134,6 +134,17 @@ func (a *Phased) step(t bw.Tick, arrived []int32, bits []bw.Bits) {
 // later round reserves bandwidth for them.
 func (a *Phased) Leave(i int) { a.ch.leave(i) }
 
+// Next implements the kernel's optional Next (sim.SparseAllocator): with
+// no arrivals only a PHASE boundary writes an allocation, so the rates
+// after tick t can next move at the boundary after t. A stage whose B_O
+// is 0 has no boundaries, and is asked every tick.
+func (a *Phased) Next(t bw.Tick) bw.Tick {
+	if a.p.BO == 0 {
+		return t + 1
+	}
+	return a.resetTick + a.p.DO*((t-a.resetTick)/a.p.DO+1)
+}
+
 // Stats returns the structural counters accumulated so far.
 func (a *Phased) Stats() MultiStats { return a.stats }
 

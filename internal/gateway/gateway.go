@@ -290,6 +290,7 @@ type Gateway struct {
 
 	tickCh chan int       // shard indices fanned out to the tick workers (nil without workers: 1 shard)
 	tickWG sync.WaitGroup // joins one allocation round across shards
+	fanned []int          // tick-loop only: the shards a fanned-out round sends
 
 	wg         sync.WaitGroup
 	acceptStop chan struct{} // closed when the listener stops accepting
@@ -383,6 +384,7 @@ func newGateway(k, nshards int) *Gateway {
 	g.shardObs = make([]obs.Observer, nshards)
 	g.roundDur = make([]int64, nshards)
 	g.roundRate = make([]bw.Rate, nshards)
+	g.fanned = make([]int, 0, nshards)
 	return g
 }
 

@@ -15,6 +15,7 @@ import (
 	"dynbw/internal/obs"
 	"dynbw/internal/rng"
 	"dynbw/internal/sim"
+	"dynbw/internal/traffic"
 )
 
 // newRounds builds a bare gateway — slot state, allocators, no listener —
@@ -76,6 +77,15 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // active=100000 is not this shape: there every slot arrives and drains
 // every round.
 //
+// sparse is the same cycle over 1 % of the table, the shape of a whole
+// sparse-100k cycle: every burstCycle rounds a rotating hundredth of the
+// slots (every 100th, from an offset that moves by one each cycle) gets
+// a burst drawn as sparse-100k draws them (sparseBursts: 16 to 256 bits,
+// median 53), and the rest of the table idles. A burst drains within 16
+// rounds, so about half of the timed rounds find every shard quiet and
+// skip it; the median falls where the last few dozen bursts still
+// drain. It reports the same three figures as burst.
+//
 // ns/round is the benchmark's own clock around every round it times. The
 // gateway profiles one round in roundSampleEvery itself (those with
 // t % 13 == 0, which read the clock once a shard and fill the tick
@@ -112,6 +122,7 @@ func BenchmarkRound(b *testing.B) {
 		{"active=100000", 100_000, false, false},
 		{"drain", drainSlots, true, false},
 		{"burst", k, false, true},
+		{"sparse", k / 100, false, true},
 	} {
 		active := bc.active
 		var perSlot float64
@@ -124,6 +135,11 @@ func BenchmarkRound(b *testing.B) {
 			// the feeding one must visit; times holds its timed rounds.
 			var visits [burstCycle]int64
 			var times []time.Duration
+			var sizes []bw.Bits // sparse's bursts, drawn in order
+			drawn := 0
+			if bc.name == "sparse" {
+				sizes = sparseBursts(share, burstCycle)
+			}
 			round := func() time.Duration {
 				start := time.Now()
 				g.round(tick)
@@ -139,8 +155,12 @@ func BenchmarkRound(b *testing.B) {
 				case bc.burst:
 					if tick%burstCycle == 0 {
 						clear(visits[:])
-						for i := 0; i < k; i++ {
+						stride := k / active
+						for i := int(tick/burstCycle) % stride; i < k; i += stride {
 							bits := 48 + src.Int64n(256-48+1)
+							if sizes != nil {
+								bits, drawn = sizes[drawn%len(sizes)], drawn+1
+							}
 							feed(g, i, bits)
 							for j := int64(1); j < int64(burstCycle) && bits > j*share; j++ {
 								visits[j]++
@@ -205,11 +225,30 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
+// sparseBursts returns the burst sizes of the repository benchmark's
+// manual-clock workloads (benchmarks/dynbench arrivalPool): a share a
+// tick plus a heavy-tailed burst of at least two ticks' share, capped at
+// what the share serves in half a cycle of do ticks.
+func sparseBursts(share bw.Rate, do bw.Tick) []bw.Bits {
+	src := traffic.Composite{Parts: []traffic.Generator{
+		traffic.CBR{Rate: share},
+		traffic.ParetoBurst{Seed: 37, Alpha: 1.5, MinBurst: bw.Volume(share, 2), MeanGap: 1, SpreadTicks: 1},
+	}}
+	return traffic.ClampTrace(src.Generate(4096), bw.RateOver(bw.Volume(share, do)/2, 1), 0).Arrivals()
+}
+
 // TestRoundAllocatesNothing: a whole allocation round — Gateway.round
 // on a served gateway's shape (newRounds: registry attached, tick
 // workers running), four shards — allocates nothing, timed or untimed,
-// idle on the tick loop or fed inlineBelow slots and fanned out, with
-// and without a tick budget. Each measured run is one sampling period,
+// on the tick loop or fanned out, with and without a tick budget, and
+// whichever shards it skips. The rows feed every round: nothing (idle,
+// on the tick loop), 40 slots of shard 0 (on the tick loop), all
+// inlineBelow slots of shard 0 (fanned out to one worker), or
+// inlineBelow slots spread over the table (fanned out to all four). A
+// shard with nothing fed must run only on the timed rounds and at its
+// policy's phase boundaries, every D_O ticks, and skip the others; a fed
+// shard runs every round (and every shard the round after the first,
+// which moved every rate). Each measured run is one sampling period,
 // roundSampleEvery rounds holding exactly one timed round, so a single
 // allocation in either kind of round reads as one a run.
 func TestRoundAllocatesNothing(t *testing.T) {
@@ -219,18 +258,57 @@ func TestRoundAllocatesNothing(t *testing.T) {
 		share      = 16 // bits a slot a round: B_O = 16 a slot
 		periods    = 2
 	)
-	for _, busy := range []int{0, inlineBelow} {
+	spread := make([]int, inlineBelow)
+	for j := range spread {
+		spread[j] = j * (k / inlineBelow)
+	}
+	shard0 := make([]int, inlineBelow) // k/nshards = inlineBelow: every slot of shard 0
+	for j := range shard0 {
+		shard0[j] = j
+	}
+	for _, row := range []struct {
+		name   string
+		fed    []int
+		fanout bool
+	}{
+		{"busy=0", nil, false},
+		{"busy=40,shard=0", shard0[:40], false},
+		{"busy=512,shard=0", shard0, true},
+		{"busy=512", spread, true},
+	} {
 		for _, budget := range []time.Duration{0, time.Nanosecond} {
-			t.Run(fmt.Sprintf("busy=%d/budget=%v", busy, budget), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/budget=%v", row.name, budget), func(t *testing.T) {
 				g := newRounds(t, "phased", k, nshards, do)
 				g.tickBudget = budget
+				fed := make([]bool, nshards)
+				for _, i := range row.fed {
+					fed[g.shardOf(i).idx] = true
+				}
 				tick := bw.Tick(0)
+				var ran, want [nshards]int64
 				period := func() {
 					for range roundSampleEvery {
-						for j := 0; j < busy; j++ {
-							feed(g, j*(k/busy), share)
+						for _, i := range row.fed {
+							feed(g, i, share)
+						}
+						for _, sh := range g.shards { // a round that runs the shard rewrites it
+							sh.mu.Lock()
+							sh.round.Active = -1
+							sh.mu.Unlock()
 						}
 						g.round(tick)
+						for i, sh := range g.shards {
+							sh.mu.Lock()
+							if sh.round.Active >= 0 {
+								ran[i]++
+							}
+							sh.mu.Unlock()
+							// Round 0 sets the stage's shares, a rate change, so
+							// round 1 asks the policy again.
+							if fed[i] || tick%roundSampleEvery == 0 || tick%do == 0 || tick == 1 {
+								want[i]++
+							}
+						}
 						g.now.Add(1)
 						tick++
 					}
@@ -244,9 +322,12 @@ func TestRoundAllocatesNothing(t *testing.T) {
 				if h := g.m.tickRound.Snapshot(); h.Count() != runs {
 					t.Errorf("%d rounds timed in %d, want %d", h.Count(), tick, runs)
 				}
+				if ran != want {
+					t.Errorf("in %d rounds the shards ran %v times, want %v", tick, ran, want)
+				}
 				inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value()
-				if wantFanout := busy >= inlineBelow; inline+fanout != int64(tick) || (fanout > 0) != wantFanout || (inline > 0) == wantFanout {
-					t.Errorf("%d rounds inline, %d fanned out of %d; want fan-out = %v", inline, fanout, tick, wantFanout)
+				if inline+fanout != int64(tick) || (fanout > 0) != row.fanout || (inline > 0) == row.fanout {
+					t.Errorf("%d rounds inline, %d fanned out of %d; want fan-out = %v", inline, fanout, tick, row.fanout)
 				}
 			})
 		}

@@ -28,6 +28,11 @@ type shard struct {
 	// inside the critical sections they have anyway — and read by the tick
 	// loop without it, to decide whether the round is worth a fan-out.
 	work atomic.Int64
+	// due is the last round's Round.Due: the first tick at which a round
+	// on this shard with no work must still ask the allocator. tick
+	// writes it, and the tick loop reads it between rounds, ordered after
+	// the write by running the round itself or by the tick workers' join.
+	due bw.Tick
 
 	mu    sync.Mutex
 	slots sim.Slots             // guarded by shard.mu; what the kernel keeps per slot, and which slots are seated
@@ -133,6 +138,15 @@ func (sh *shard) read(id int) statsReply {
 	slot := sh.slot(id)
 	q := sh.slots.Queue(slot)
 	return statsReply{served: q.Served(), queued: q.Bits(), maxDelay: q.MaxDelay(), changes: sh.slots.Changes(slot)}
+}
+
+// quiet reports whether the shard's round at tick t would do nothing: no
+// slot has work, as far as the lock-free estimate knows, and the kernel
+// has said its allocator moves no rate before due. Such a round is
+// skipped, lock and all. A DATA applied while the tick loop reads work
+// is served on the next round, as if the round had taken the lock first.
+func (sh *shard) quiet(t bw.Tick) bool {
+	return sh.work.Load() == 0 && t < sh.due
 }
 
 // openCount reports the open-slot count (the per-shard sessions gauge).

@@ -95,6 +95,13 @@ func (g *Gateway) knownWork() (n int64) {
 // the slowest and the fastest shard — the straggler cost of a join — and
 // a shard imbalance EWMA. Every round is checked against the configured
 // tick budget, which is the only clock an untimed round reads.
+//
+// An untimed round skips every quiet shard (shard.quiet: no work, and a
+// policy that moves no rate before the tick the kernel named) on either
+// path: no lock, no Step, nothing sent to a worker. Its round would
+// report what the last one did — nothing visited, no rate moved, the
+// same total — so the fold is unchanged. A timed round runs every shard,
+// so the round profile keeps measuring what a shard's round costs.
 func (g *Gateway) round(t bw.Tick) {
 	g.timed = t%roundSampleEvery == 0
 	var start time.Time
@@ -106,12 +113,21 @@ func (g *Gateway) round(t bw.Tick) {
 		// Timed, one shard's round ends where the next one's starts: a
 		// clock read a shard, not two.
 		for _, sh := range g.shards {
+			if !g.timed && sh.quiet(t) {
+				continue
+			}
 			end = g.shardRound(sh, t, end)
 		}
 		g.m.roundsInline.Inc(0)
 	} else {
-		g.tickWG.Add(len(g.shards))
-		for i := range g.shards {
+		g.fanned = g.fanned[:0]
+		for i, sh := range g.shards {
+			if g.timed || !sh.quiet(t) {
+				g.fanned = append(g.fanned, i)
+			}
+		}
+		g.tickWG.Add(len(g.fanned))
+		for _, i := range g.fanned {
 			g.tickCh <- i
 		}
 		g.tickWG.Wait()
@@ -240,15 +256,18 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 // gateway counters (a shard with nothing to do reports zeros, which are
 // not added), its allotted bandwidth into roundRate, and the shard's
 // work estimate becomes the slots the round left backlogged; the DATA
-// applied from here to the next round adds to it. A round that panics
-// stores nothing, and the estimate it started with still bounds the
-// slots it leaves active.
+// applied from here to the next round adds to it. due becomes the
+// round's Round.Due, the tick before which the round loop may skip the
+// shard while its estimate reads 0. A round that panics stores nothing,
+// and the estimate and due it started with still bound the slots it
+// leaves active and the tick it must run again.
 func (sh *shard) tick(t bw.Tick) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r := &sh.round
 	err := sh.slots.Step(t, sh.alloc, r)
 	sh.work.Store(int64(r.Backlogged))
+	sh.due = r.Due
 	m := sh.g.m
 	if r.Active != 0 {
 		m.arrivedBits.Add(sh.idx, int64(r.Arrived))

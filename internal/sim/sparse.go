@@ -7,6 +7,15 @@ import "dynbw/internal/bw"
 // only of the sessions that received bits, and the answer says which
 // rates moved, so a round over a table of mostly idle or draining
 // sessions costs what its arrivals cost.
+//
+// Two methods are optional. Leave(i int) tells a policy that keeps state
+// per session that session i ended (Slots.Unseat). Next(t bw.Tick)
+// bw.Tick names the earliest tick after t at which the policy's rates
+// can move if no bit arrives: after a round that visited no slot and
+// moved no rate, Step does not call the allocator again before that tick
+// unless bits arrive (Round.Due). A policy whose rates can move on quiet
+// ticks by a course it cannot name in advance leaves Next out and is
+// asked every tick.
 type SparseAllocator interface {
 	// RatesActive returns the rate changes at tick t. arrived lists, in
 	// ascending order, the sessions that received bits this tick, and

@@ -49,6 +49,9 @@ const MaxBacklog bw.Bits = 1 << 40
 // and its busy slots' serve, whatever the size of the table, and a round
 // with neither costs a few word reads.
 //
+// Nor need such a round ask a policy that names its next event (Next,
+// see SparseAllocator) before that tick: Round.Due.
+//
 // A service seats its sessions (Seat, Unseat), so a gateway shard and a
 // route.Run link pick a slot and end a tenancy by the same code; a
 // simulation seats no one, its k sessions holding slots 0..k-1 throughout.
@@ -78,6 +81,10 @@ type slot struct {
 type running struct {
 	// total is the sum of the view's applied rates, kept on every change.
 	total bw.Rate
+	// due is the first tick whose round must ask the allocator even if
+	// the active set is empty: the allocator's Next after a quiet round,
+	// the next tick after any other.
+	due bw.Tick
 	// tenants counts the seated slots, and free is a slot below which
 	// every slot is seated: Seat's first-fit scan starts there, and an
 	// Unseat below it lowers it.
@@ -161,7 +168,7 @@ func (s *Slots) Reset() {
 	clear(s.rates)
 	s.active.ClearRange(0, len(s.slots))
 	s.seated.ClearRange(0, len(s.slots))
-	s.run.total, s.run.tenants, s.run.free = 0, 0, 0
+	s.run.total, s.run.tenants, s.run.free, s.run.due = 0, 0, 0, 0
 }
 
 // Tenancy is what a slot accrued since it was last vacated: under one
@@ -258,6 +265,12 @@ type Round struct {
 	// Backlogged is how many of them the round left with bits queued:
 	// the slots the next round visits whatever arrives before it.
 	Backlogged int
+	// Due is the first tick at which a round with no slot to visit still
+	// asks the allocator: until then Step returns on an empty active set
+	// without calling it, since no rate can move. It is t+1 after a round
+	// that visited a slot, moved a rate or failed, and the allocator's
+	// Next(t) after a quiet one, when it has that method.
+	Due bw.Tick
 }
 
 // Step runs the round for tick t in two walks over the active slots and
@@ -276,13 +289,24 @@ type Round struct {
 // the round's arrivals are enqueued (and reported in Round.Arrived),
 // every slot keeps its previous rate and count, and every visited slot
 // stays backlogged.
+//
+// A round with no active slot before the last round's Due is quiet: it
+// reports nothing arrived, served or changed, and alloc is not called.
+// Due is alloc's, so slots go from one allocator to another only across
+// a Reset.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	run, slots, applied := s.run, s.slots, s.rates
 	run.visit = s.active.AppendTo(run.visit[:0], 0, len(slots))
 	// r is reused from round to round: every field is written, here or
 	// below, before the round can fail.
 	r.Rates, r.Total, r.Changes, r.Served = applied, run.total, 0, 0
-	r.Active, r.Backlogged = len(run.visit), len(run.visit)
+	r.Active, r.Backlogged, r.Due = len(run.visit), len(run.visit), run.due
+	if len(run.visit) == 0 && t < run.due {
+		r.Arrived, r.Policed = 0, 0
+		return nil
+	}
+	run.due = t + 1
+	r.Due = run.due
 	// The walks keep their sums and lists in locals: a store through a
 	// slot could alias a field, so the compiler would write each back
 	// every slot.
@@ -330,6 +354,12 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		}
 	}
 	r.Total, r.Changes = run.total, moved
+	if moved == 0 && len(run.visit) == 0 {
+		if n, ok := alloc.(interface{ Next(t bw.Tick) bw.Tick }); ok {
+			run.due = n.Next(t)
+			r.Due = run.due
+		}
+	}
 	served, backlogged := bw.Bits(0), r.Backlogged
 	for _, i := range run.visit {
 		q := &slots[i].q

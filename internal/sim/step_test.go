@@ -626,3 +626,90 @@ func TestSlotsSeat(t *testing.T) {
 		})
 	}
 }
+
+// every10 is a sparse allocator whose rates can move only every ten
+// ticks: it gives a slot with arrivals rate 100, takes it back at the
+// next multiple of ten, and names that tick as its Next.
+type every10 struct{ asked []bw.Tick }
+
+func (a *every10) RatesActive(t bw.Tick, arrived []int32, _ []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	a.asked = append(a.asked, t)
+	var changed []int32
+	var rates []bw.Rate
+	for i, r := range applied {
+		if r > 0 && t%10 == 0 {
+			changed, rates = append(changed, int32(i)), append(rates, 0)
+		}
+	}
+	for _, i := range arrived {
+		changed, rates = append(changed, i), append(rates, 100)
+	}
+	return changed, rates
+}
+
+func (a *every10) Next(t bw.Tick) bw.Tick { return (t/10 + 1) * 10 }
+
+// TestSlotsQuietRounds: a round with no slot to visit does not ask an
+// allocator with a Next before the tick it named, and reports a round
+// in which nothing arrived, was served or changed, every field written.
+// Round.Due is the allocator's Next after a round that visited no slot
+// and moved no rate, and the next tick after any other: one with
+// arrivals, one with a backlog, one where a rate moved though no slot
+// was visited. Reset forgets Due, and an allocator without Next is
+// asked every tick.
+func TestSlotsQuietRounds(t *testing.T) {
+	s := NewSlots(4)
+	a := &every10{}
+	var r Round
+	step := func(tick bw.Tick) {
+		t.Helper()
+		r = Round{Rates: nil, Arrived: -1, Served: -1, Policed: -1, Total: -1, Changes: -1, Active: -1, Backlogged: -1, Due: -1}
+		if err := s.Step(tick, a, &r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantDue := map[bw.Tick]bw.Tick{
+		0: 10, // quiet: the allocator's Next
+		3: 4,  // arrivals, served whole: the next tick
+		4: 10, // quiet again
+		// ticks 5 to 9 are not asked, and carry Due 10
+		10: 11, // nothing visited, but slot 2's rate fell back to 0
+		11: 20,
+	}
+	for tick := bw.Tick(0); tick < 15; tick++ {
+		if tick == 3 {
+			s.Add(2, 60)
+		}
+		step(tick)
+		total := bw.Rate(0)
+		if tick >= 3 && tick < 10 {
+			total = 100
+		}
+		if len(r.Rates) != 4 || r.Total != total || r.Policed != 0 || r.Backlogged != 0 {
+			t.Errorf("tick %d: round %+v, want 4 rates totalling %d, nothing policed or backlogged", tick, r, total)
+		}
+		if want, ok := wantDue[tick]; ok && r.Due != want || !ok && r.Due != (tick/10+1)*10 {
+			t.Errorf("tick %d: Due = %d", tick, r.Due)
+		}
+		if tick != 3 && (r.Arrived != 0 || r.Served != 0 || r.Active != 0) {
+			t.Errorf("tick %d: a round with nothing to visit reports %+v", tick, r)
+		}
+	}
+	if want := []bw.Tick{0, 3, 4, 10, 11}; !slices.Equal(a.asked, want) {
+		t.Errorf("the allocator was asked at ticks %v, want %v", a.asked, want)
+	}
+
+	s.Reset()
+	a.asked = a.asked[:0]
+	step(0)
+	if len(a.asked) != 1 || r.Due != 10 {
+		t.Errorf("after Reset: asked at %v, Due %d; want asked at 0, Due 10", a.asked, r.Due)
+	}
+
+	s, sp := NewSlots(4), &spy{}
+	for tick := bw.Tick(1); tick < 4; tick++ {
+		if err := s.Step(tick, sp, &r); err != nil || r.Due != tick+1 {
+			t.Errorf("tick %d without Next: Due %d, %v; want %d", tick, r.Due, err, tick+1)
+		}
+	}
+}
