@@ -40,14 +40,21 @@ bench:
 # One allocation round of a 100k-slot, 8-shard gateway, called directly
 # (no tick channel, no sockets), idle and with 40, 1000 and 100 000 slots
 # active; drain: 3 500 scattered slots draining a burst over rounds that
-# receive nothing, the shape of dense-100k's median round; and burst: a
-# whole dense-100k cycle, every slot bursting once every D_O rounds, with
-# the median and 90th percentile of the rounds that drain it
-# (p50_ns/round, p90_ns/round). The place to bisect a change in what a
-# round costs. ns/round leaves out the feeding (and drain's and burst's
-# feeding rounds) and averages the gateway's timed rounds (1 in 13, its
-# own round profile) with the untimed ones, which read no clock; idle and 40 run on the tick loop, 1000, 100 000 and
-# drain fan out to the tick workers, burst does both. live_B/slot is the
+# receive nothing, which the kernel serves by drain lines and visits only
+# in the round their queues empty; burst: a whole dense-100k cycle,
+# every slot bursting once every D_O rounds; and sparse: the same cycle
+# over a rotating 1 %. drain, burst and sparse report the median and
+# 90th percentile of their timed rounds (p50_ns/round, p90_ns/round),
+# burst and sparse also the median of those with work
+# (busy_p50_ns/round), since about half their rounds are idle and their
+# p50 sits at the boundary. The place to bisect a change in what a
+# round costs. ns/round leaves out the feeding (and the feeding rounds)
+# and averages the gateway's timed rounds (1 in 13, its own round
+# profile) with the untimed ones, which read no clock. Every round must
+# take the path the known work selects: idle and 40 run on the tick
+# loop, 1000 and 100 000 fan out to the tick workers, and drain, burst
+# and sparse fan out only where the slots fed and the slots emptying
+# reach 512. live_B/slot is the
 # table's live heap, measured on the first run of each -count against a
 # heap taken before any gateway was built: about 130 B a slot, 160 B in
 # the dense case, whose round scratch has grown to every slot (2 vCPU

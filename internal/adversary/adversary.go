@@ -40,14 +40,13 @@ type Result struct {
 func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Result, error) {
 	var (
 		slots    = sim.NewSlots(1)
-		q        = slots.Queue(0)
 		step     = &sim.Separate{Allocs: []sim.Allocator{alloc}}
 		hist     queue.DelayHist
 		sched    bw.Schedule
 		arrivals []bw.Bits
 		round    sim.Round
 	)
-	hist.Attach(q)
+	hist.Attach(slots.Queue(0))
 	limit := n + 4*n + 1024
 	if opts.DrainBudget > 0 {
 		limit = n + opts.DrainBudget
@@ -61,7 +60,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 			}
 			arrivals = append(arrivals, arrived)
 			over = slots.Add(0, arrived)
-		} else if q.Bits() == 0 {
+		} else if slots.Queue(0).Bits() == 0 { // Queue brings the slot up to the last round
 			break
 		}
 		if err := slots.Step(t, step, &round); err != nil {
@@ -72,6 +71,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 		}
 		sched.Set(t, slots.Rate(0))
 	}
+	q := slots.Queue(0)
 	if left := q.Bits(); left > 0 {
 		return nil, fmt.Errorf("adversary: %d bits left after %d ticks", left, limit)
 	}

@@ -41,6 +41,7 @@ func startGateway(t *testing.T, k int) (*Gateway, *manualTicks) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	return g, ticks
 }
 
@@ -147,6 +148,7 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 
 	clients, ids := make([]*Mux, k), make([]uint32, k)
 	for i := range clients {

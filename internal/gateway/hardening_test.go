@@ -33,6 +33,7 @@ func startGatewayWithConfig(t *testing.T, k int, idle time.Duration) (*Gateway, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	return g, ticks
 }
 
@@ -276,6 +277,7 @@ func TestAllocatorContractViolationServesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { g.Close() })
 			c, cID, err := dialOpen(g.Addr(), time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -589,6 +591,7 @@ func TestShutdownIsNotAClientError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	m, err := DialMux(g.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -135,6 +135,7 @@ func startRouted(t *testing.T, k int, perSlotCap bw.Rate) (*Gateway, *manualTick
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	return g, ticks, router
 }
 
@@ -304,6 +305,7 @@ func TestFreeSlotStageStartIsNotTheNextTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	roundWith(t, g, ticks) // the first stage starts: both slots go from 0 to B_O/k
 	c, cID, err := dialOpen(g.Addr(), time.Second)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"runtime/pprof"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,26 +58,24 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // every round visits exactly that many slots and leaves none backlogged,
 // so idle and active=40 run on the tick loop and the others fan out.
 //
-// drain is the shape of dense-100k's median round: a burst drained over
-// rounds that receive nothing. Every drainCycle rounds, drainSlots slots
-// drawn at random, one from each stretch of the table, receive
-// drainCycle shares' worth of bits — half what a phase lets a session
-// queue, so no session is raised and every one drains in drainCycle
-// rounds. Only the drainCycle-1 rounds after the feeding one are timed,
-// each visiting every drawn slot and nothing else, so a slot's cost is
-// the cache lines its scattered state spans.
+// drain is a burst drained over rounds that receive nothing. Every
+// drainCycle rounds, drainSlots slots drawn at random, one from each
+// stretch of the table, receive drainCycle shares' worth of bits — half
+// what a phase lets a session queue, so no session is raised and every
+// one drains in drainCycle rounds. Only the drainCycle-1 rounds after
+// the feeding one are timed. Each counts every drawn slot as backlogged,
+// and the kernel visits none of them but in the round their queues
+// empty, the last: the others serve them by their drain lines and cost
+// what the round's fixed work costs, on the tick loop.
 //
 // burst is the shape of a whole dense-100k cycle: every burstCycle
 // rounds — D_O, as there — every slot receives one seeded burst of 48 to
 // 256 bits, which its share drains in 3 to 16 rounds (no phase raises
 // it). The burstCycle-1 rounds after the feeding one are timed: a few
 // with most of the table still draining, fewer and fewer slots, then
-// idle ones. Besides the mean it reports the median and the 90th
-// percentile of those rounds (p50_ns/round, p90_ns/round), the figures
-// dense-100k's op_p50_us and its p90 round stand for; each round must
-// visit exactly the slots whose burst its share has not yet drained.
-// active=100000 is not this shape: there every slot arrives and drains
-// every round.
+// idle ones; each round must count exactly the slots whose burst its
+// share has not yet drained as having work. active=100000 is not this
+// shape: there every slot arrives and drains every round.
 //
 // sparse is the same cycle over 1 % of the table, the shape of a whole
 // sparse-100k cycle: every burstCycle rounds a rotating hundredth of the
@@ -83,8 +83,20 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // a burst drawn as sparse-100k draws them (sparseBursts: 16 to 256 bits,
 // median 53), and the rest of the table idles. A burst drains within 16
 // rounds, so about half of the timed rounds find every shard quiet and
-// skip it; the median falls where the last few dozen bursts still
-// drain. It reports the same three figures as burst.
+// skip it.
+//
+// Besides the mean, drain, burst and sparse report the median and the
+// 90th percentile of their timed rounds (p50_ns/round, p90_ns/round),
+// the figures dense-100k's op_p50_us and its p90 round stand for, and
+// burst and sparse the median of those of their timed rounds that have
+// work (busy_p50_ns/round): about half of their rounds are idle, so
+// their p50 falls at the boundary between busy and idle rounds, and a
+// change to a busy round's cost shows in busy_p50 alone.
+//
+// Every round, timed or not, must take the path the gateway's known work
+// selects: fanned out to the tick workers exactly when the slots fed
+// since the last round and the slots the kernel lists as emptying in
+// this one (sim.Slots.Completing), over all shards, reach inlineBelow.
 //
 // ns/round is the benchmark's own clock around every round it times. The
 // gateway profiles one round in roundSampleEvery itself (those with
@@ -132,20 +144,33 @@ func BenchmarkRound(b *testing.B) {
 			var tick bw.Tick
 			var spent time.Duration
 			// visits[j] is how many slots the burst case's round j after
-			// the feeding one must visit; times holds its timed rounds.
+			// the feeding one must count as having work; times holds the
+			// timed rounds of drain, burst and sparse, busy those of them
+			// with work.
 			var visits [burstCycle]int64
-			var times []time.Duration
+			var times, busy []time.Duration
 			var sizes []bw.Bits // sparse's bursts, drawn in order
 			drawn := 0
 			if bc.name == "sparse" {
 				sizes = sparseBursts(share, burstCycle)
 			}
+			// fed counts the slots fed since the last round.
+			fed := 0
 			round := func() time.Duration {
+				known := fed
+				for _, sh := range g.shards {
+					known += sh.slots.Completing(tick)
+				}
+				fanned := g.m.roundsFanout.Value()
 				start := time.Now()
 				g.round(tick)
 				took := time.Since(start)
+				if got := g.m.roundsFanout.Value() > fanned; got != (known >= inlineBelow) {
+					b.Fatalf("round %d fanned out = %v with %d slots fed and listed as emptying", tick, got, known)
+				}
 				g.now.Add(1)
 				tick++
+				fed = 0
 				return took
 			}
 			// step runs one timed round and the feeding it needs.
@@ -162,6 +187,7 @@ func BenchmarkRound(b *testing.B) {
 								bits, drawn = sizes[drawn%len(sizes)], drawn+1
 							}
 							feed(g, i, bits)
+							fed++
 							for j := int64(1); j < int64(burstCycle) && bits > j*share; j++ {
 								visits[j]++
 							}
@@ -173,29 +199,32 @@ func BenchmarkRound(b *testing.B) {
 					for j := 0; j < active; j++ {
 						feed(g, j*(k/active), share)
 					}
+					fed += active
 				case tick%drainCycle == 0:
 					for j := 0; j < active; j++ {
 						lo, hi := j*k/active, (j+1)*k/active
 						feed(g, lo+src.Intn(hi-lo), drainCycle*share)
 					}
+					fed += active
 					round()
 				}
 				took := round()
 				spent += took
-				if bc.burst && len(times) < cap(times) {
+				if bc.burst || bc.drain {
 					times = append(times, took)
+					if want > 0 {
+						busy = append(busy, took)
+					}
 				}
 				if got := g.m.activeSlots.Value(); got != want {
-					b.Fatalf("round %d visited %d slots, want %d", tick-1, got, want)
+					b.Fatalf("round %d counted %d slots with work, want %d", tick-1, got, want)
 				}
 			}
 			for tick < 80 {
 				step()
 			}
 			spent = 0
-			if bc.burst {
-				times = make([]time.Duration, 0, b.N)
-			}
+			times, busy = make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -203,23 +232,23 @@ func BenchmarkRound(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
-			if bc.burst {
-				slices.Sort(times)
-				b.ReportMetric(float64(times[len(times)/2].Nanoseconds()), "p50_ns/round")
-				b.ReportMetric(float64(times[len(times)*9/10].Nanoseconds()), "p90_ns/round")
+			quantile := func(d []time.Duration, q int) float64 {
+				slices.Sort(d)
+				return float64(d[len(d)*q/10].Nanoseconds())
+			}
+			if len(times) > 0 {
+				b.ReportMetric(quantile(times, 5), "p50_ns/round")
+				b.ReportMetric(quantile(times, 9), "p90_ns/round")
+			}
+			if bc.burst && len(busy) > 0 {
+				b.ReportMetric(quantile(busy, 5), "busy_p50_ns/round")
 			}
 			if b.N == 1 {
 				perSlot = (float64(liveHeap()) - float64(base)) / k
 			}
 			b.ReportMetric(perSlot, "live_B/slot")
-			inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value()
-			switch wantFanout := active >= inlineBelow; {
-			case bc.burst:
-				if inline == 0 || fanout == 0 { // the busy rounds fan out, the drained ones do not
-					b.Errorf("%d rounds ran inline and %d fanned out; want both", inline, fanout)
-				}
-			case (fanout > 0) != wantFanout || (inline > 0) == wantFanout:
-				b.Errorf("%d rounds ran inline and %d fanned out; want fan-out = %v", inline, fanout, wantFanout)
+			if inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); bc.drain && (inline == 0 || fanout == 0) {
+				b.Errorf("%d rounds ran inline and %d fanned out; want both", inline, fanout)
 			}
 		})
 	}
@@ -237,6 +266,34 @@ func sparseBursts(share bw.Rate, do bw.Tick) []bw.Bits {
 	return traffic.ClampTrace(src.Generate(4096), bw.RateOver(bw.Volume(share, do)/2, 1), 0).Arrivals()
 }
 
+// noStrayGateways fails the test while goroutines of a gateway an earlier
+// test built — tick loops and tick workers, the goroutines that carry the
+// "dynbw" pprof label — still run, listing them: testing.AllocsPerRun
+// counts every goroutine's allocations, so a round measured beside them
+// would be charged for theirs. A worker exits a moment after its
+// gateway's Close or cleanup, so they get a few seconds to go.
+func noStrayGateways(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var dump strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&dump, 1); err != nil {
+			t.Fatal(err)
+		}
+		var stray []string
+		for _, g := range strings.Split(dump.String(), "\n\n") {
+			if strings.Contains(g, `"dynbw":`) {
+				stray = append(stray, g)
+			}
+		}
+		if len(stray) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines of another gateway still run:\n%s", strings.Join(stray, "\n\n"))
+		}
+	}
+}
+
 // TestRoundAllocatesNothing: a whole allocation round — Gateway.round
 // on a served gateway's shape (newRounds: registry attached, tick
 // workers running), four shards — allocates nothing, timed or untimed,
@@ -252,6 +309,7 @@ func sparseBursts(share bw.Rate, do bw.Tick) []bw.Bits {
 // roundSampleEvery rounds holding exactly one timed round, so a single
 // allocation in either kind of round reads as one a run.
 func TestRoundAllocatesNothing(t *testing.T) {
+	noStrayGateways(t)
 	const (
 		k, nshards = 4 * inlineBelow, 4
 		do         = bw.Tick(8)

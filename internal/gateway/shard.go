@@ -22,17 +22,22 @@ type shard struct {
 	idx   int // shard index (metrics stripe, ring stripe)
 	base  int // first global slot owned by this shard
 	alloc sim.SparseAllocator
-	// work is an upper bound on the slots the next round will visit: the
-	// slots the last round left backlogged plus one for every DATA applied
-	// since. It is written with mu held — tick stores, apply adds,
+	// work is an upper bound on the slots with work in the next round:
+	// the slots the last round left backlogged plus one for every DATA
+	// applied since. It is written with mu held — tick stores, apply adds,
 	// inside the critical sections they have anyway — and read by the tick
-	// loop without it, to decide whether the round is worth a fan-out.
+	// loop without it, to decide whether the round is worth a fan-out and
+	// whether it can be skipped.
 	work atomic.Int64
 	// due is the last round's Round.Due: the first tick at which a round
-	// on this shard with no work must still ask the allocator. tick
-	// writes it, and the tick loop reads it between rounds, ordered after
-	// the write by running the round itself or by the tick workers' join.
-	due bw.Tick
+	// on this shard with no work must still ask the allocator. pass is
+	// how many of the slots the last round left backlogged the next round
+	// serves without a visit: those the kernel does not list as emptying
+	// then (sim.Slots.Completing). tick writes both, and the tick loop
+	// reads them between rounds, ordered after the write by running the
+	// round itself or by the tick workers' join.
+	due  bw.Tick
+	pass int64
 
 	mu    sync.Mutex
 	slots sim.Slots             // guarded by shard.mu; what the kernel keeps per slot, and which slots are seated

@@ -35,13 +35,12 @@ func (g *Gateway) tickLoop() {
 	}
 }
 
-// inlineBelow is the number of slots with work, as far as the gateway
-// knows before the round, under which the tick loop runs the round
+// inlineBelow is the number of slots the round will visit, as far as the
+// gateway knows before it, under which the tick loop runs the round
 // itself rather than wake the tick workers: waking two of them to visit
 // eight shards costs about 2 µs and pays for itself only once the round
 // has on the order of a thousand slots to serve (DESIGN.md §10 has the
-// measurements). It is a constant, not a knob: it sits below every round
-// the benchmark's 100k-slot workloads run fanned out.
+// measurements). It is a constant, not a knob.
 const inlineBelow = 512
 
 // roundSampleEvery is the period of the round profile: the rounds with
@@ -73,9 +72,13 @@ func (g *Gateway) startTickWorkers() {
 
 // knownWork adds up the shards' estimates of the slots the coming round
 // will visit, as far as inlineBelow: an upper bound, read without a lock.
+// A shard's is its DATA applied since its last round and the slots the
+// kernel lists as emptying in this one; a backlogged slot that only
+// drains is served without a visit, so a round whose backlogs drain and
+// few of them empty runs on the tick loop.
 func (g *Gateway) knownWork() (n int64) {
 	for _, sh := range g.shards {
-		if n += sh.work.Load(); n >= inlineBelow {
+		if n += sh.work.Load() - sh.pass; n >= inlineBelow {
 			break
 		}
 	}
@@ -256,18 +259,25 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 // gateway counters (a shard with nothing to do reports zeros, which are
 // not added), its allotted bandwidth into roundRate, and the shard's
 // work estimate becomes the slots the round left backlogged; the DATA
-// applied from here to the next round adds to it. due becomes the
-// round's Round.Due, the tick before which the round loop may skip the
-// shard while its estimate reads 0. A round that panics stores nothing,
-// and the estimate and due it started with still bound the slots it
-// leaves active and the tick it must run again.
+// applied from here to the next round adds to it. pass becomes those of
+// them the next round does not visit. due becomes the round's
+// Round.Due, the tick before which the round loop may skip the shard
+// while its estimate reads 0, or the next tick after a round with work,
+// so that the shard's gauges read a round with none before it is
+// skipped. A round that panics stores nothing, and the estimate and due
+// it started with still bound the slots it leaves with work and the
+// tick it must run again.
 func (sh *shard) tick(t bw.Tick) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r := &sh.round
 	err := sh.slots.Step(t, sh.alloc, r)
 	sh.work.Store(int64(r.Backlogged))
+	sh.pass = int64(r.Backlogged - sh.slots.Completing(t+1))
 	sh.due = r.Due
+	if r.Active != 0 {
+		sh.due = t + 1 // the next round runs, if only to report the work gone
+	}
 	m := sh.g.m
 	if r.Active != 0 {
 		m.arrivedBits.Add(sh.idx, int64(r.Arrived))

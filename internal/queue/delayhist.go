@@ -40,6 +40,18 @@ func (h *DelayHist) record(delay bw.Tick, bits bw.Bits) {
 	h.total += bits
 }
 
+// recordSpan records took bits served at rate a tick, the first of them
+// the bit at position pos of a span of ticks whose first tick is wait
+// ticks after the bits arrived: the bits at positions j·rate to
+// (j+1)·rate-1 went out j ticks into the span.
+func (h *DelayHist) recordSpan(wait bw.Tick, pos, took bw.Bits, rate bw.Rate) {
+	j := pos / rate
+	for end, next := pos+took, bw.Volume(rate, j+1); pos < end; j, next = j+1, next+bw.Volume(rate, 1) {
+		h.record(wait+j, bw.Min(end, next)-pos)
+		pos = next
+	}
+}
+
 // grow extends counts to cover idx, doubling from histMin up to histCap.
 // Growth reuses the existing prefix, so counts are preserved.
 func (h *DelayHist) grow(idx bw.Tick) {

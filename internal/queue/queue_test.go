@@ -460,7 +460,8 @@ func (q *sliceFIFO) Reset() {
 
 // TestFIFOMatchesSliceModel drives FIFO and the reference model through
 // the same seeded sequences of Push (several at one tick, some empty),
-// Serve, Reset and Attach, and after every step compares the counters
+// Serve, ServeSpan (the model serving each tick of the span), Reset and
+// Attach, and after every step compares the counters
 // and, while a histogram is attached, its quantiles.
 func TestFIFOMatchesSliceModel(t *testing.T) {
 	tests := []struct {
@@ -514,12 +515,23 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 					op = fmt.Sprintf("push(%d, %d)", now, bits)
 					got.Push(now, bits)
 					want.Push(now, bits)
-				case r < 90:
+				case r < 80:
 					rate := src.Int64n(tt.maxRate)
 					op = fmt.Sprintf("serve(%d, %d)", now, rate)
 					if g, w := got.Serve(now, rate), want.Serve(now, rate); g != w {
 						t.Fatalf("step %d %s: served %d, model %d", step, op, g, w)
 					}
+				case r < 90:
+					rate, span := src.Int64n(tt.maxRate), 1+bw.Tick(src.Intn(6))
+					op = fmt.Sprintf("serveSpan(%d, %d, %d)", now, now+span-1, rate)
+					g, w := got.ServeSpan(now, now+span-1, rate), bw.Bits(0)
+					for tick := now; tick < now+span; tick++ {
+						w += want.Serve(tick, rate)
+					}
+					if g != w {
+						t.Fatalf("step %d %s: served %d, model %d", step, op, g, w)
+					}
+					now += span
 				default:
 					op = "tick"
 					now += 1 + bw.Tick(src.Intn(3))
@@ -588,6 +600,112 @@ func TestOldest(t *testing.T) {
 		q.Serve(6, step.serve)
 		if at, ok := q.Oldest(); ok != step.ok || (ok && at != step.at) {
 			t.Fatalf("after serving %d with %d queued: Oldest() = %d, %v; want %d, %v", step.serve, q.Bits(), at, ok, step.at, step.ok)
+		}
+	}
+}
+
+// TestServeSpanMatchesServe: a bulk serve leaves the queue, its counters
+// and an attached histogram exactly as one Serve a tick over the same
+// span does, and returns the same total. Each case builds a queue by
+// pushes, serves part of it first when head is set (so the span starts
+// inside a chunk), and then serves span ticks from tick from at rate.
+func TestServeSpanMatchesServe(t *testing.T) {
+	type push struct {
+		at   bw.Tick
+		bits bw.Bits
+	}
+	tests := []struct {
+		name   string
+		pushes []push
+		head   bw.Rate // served at the last push's tick first
+		from   bw.Tick
+		span   bw.Tick
+		rate   bw.Rate
+		hist   bool
+	}{
+		{name: "one chunk", pushes: []push{{0, 40}}, from: 1, span: 3, rate: 7},
+		{name: "one chunk emptied", pushes: []push{{0, 40}}, from: 1, span: 10, rate: 7},
+		{name: "many chunks", pushes: []push{{0, 5}, {1, 9}, {2, 1}, {4, 30}, {5, 2}}, from: 6, span: 4, rate: 6},
+		{name: "many chunks, rate divides them", pushes: []push{{0, 8}, {1, 4}, {3, 12}}, from: 3, span: 5, rate: 4},
+		{name: "partial head", pushes: []push{{0, 10}, {2, 10}}, head: 3, from: 3, span: 3, rate: 5},
+		{name: "rate 0", pushes: []push{{0, 10}, {1, 3}}, from: 2, span: 6, rate: 0},
+		{name: "rate above the queue", pushes: []push{{0, 10}, {1, 3}}, from: 2, span: 6, rate: 100},
+		{name: "empty span", pushes: []push{{0, 10}}, from: 5, span: 0, rate: 3},
+		{name: "attached histogram", pushes: []push{{0, 7}, {1, 1}, {1, 5}, {3, 20}}, head: 2, from: 4, span: 6, rate: 3, hist: true},
+		{name: "attached histogram, one tick", pushes: []push{{0, 7}, {2, 5}}, from: 2, span: 1, rate: 9, hist: true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var bulk, loop FIFO
+			var bulkHist, loopHist DelayHist
+			if tt.hist {
+				bulkHist.Attach(&bulk)
+				loopHist.Attach(&loop)
+			}
+			for _, q := range []*FIFO{&bulk, &loop} {
+				for _, p := range tt.pushes {
+					q.Push(p.at, p.bits)
+				}
+				q.Serve(tt.pushes[len(tt.pushes)-1].at, tt.head)
+			}
+			got := bulk.ServeSpan(tt.from, tt.from+tt.span-1, tt.rate)
+			want := bw.Bits(0)
+			for tick := tt.from; tick < tt.from+tt.span; tick++ {
+				want += loop.Serve(tick, tt.rate)
+			}
+			if got != want {
+				t.Errorf("ServeSpan served %d, Serve a tick %d", got, want)
+			}
+			gat, gok := bulk.Oldest()
+			wat, wok := loop.Oldest()
+			if bulk.Bits() != loop.Bits() || bulk.Served() != loop.Served() || bulk.MaxDelay() != loop.MaxDelay() || gok != wok || gat != wat {
+				t.Errorf("bits/served/max delay/oldest %d/%d/%d/%d,%v, Serve a tick %d/%d/%d/%d,%v",
+					bulk.Bits(), bulk.Served(), bulk.MaxDelay(), gat, gok, loop.Bits(), loop.Served(), loop.MaxDelay(), wat, wok)
+			}
+			if fmt.Sprint(chunks(&bulk)) != fmt.Sprint(chunks(&loop)) {
+				t.Errorf("chunks %v, Serve a tick %v", chunks(&bulk), chunks(&loop))
+			}
+			if fmt.Sprint(bulkHist.counts, bulkHist.total) != fmt.Sprint(loopHist.counts, loopHist.total) {
+				t.Errorf("histogram %v (%d), Serve a tick %v (%d)", bulkHist.counts, bulkHist.total, loopHist.counts, loopHist.total)
+			}
+		})
+	}
+}
+
+// chunks lists a queue's chunks, oldest first.
+func chunks(q *FIFO) []chunk {
+	if q.head.bits == 0 {
+		return nil
+	}
+	out := []chunk{q.head}
+	if m := q.more; m != nil {
+		for j := range m.n {
+			out = append(out, m.ring[(m.start+j)&(len(m.ring)-1)])
+		}
+	}
+	return out
+}
+
+// TestServeSpanZeroAllocs: a bulk serve over a warm queue, bare or with
+// a histogram attached, allocates nothing.
+func TestServeSpanZeroAllocs(t *testing.T) {
+	for _, attached := range []bool{false, true} {
+		q := &FIFO{}
+		if attached {
+			new(DelayHist).Attach(q)
+		}
+		now := bw.Tick(0)
+		cycle := func() {
+			for i := 0; i < 8; i++ {
+				q.Push(now+bw.Tick(i), 5)
+			}
+			now += 8
+			q.ServeSpan(now, now+20, 3)
+			now += 21
+		}
+		cycle()
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("attached=%v: %.2f allocations per bulk serve on a warm queue, want 0", attached, avg)
 		}
 	}
 }

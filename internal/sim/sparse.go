@@ -11,9 +11,10 @@ import "dynbw/internal/bw"
 // Two methods are optional. Leave(i int) tells a policy that keeps state
 // per session that session i ended (Slots.Unseat). Next(t bw.Tick)
 // bw.Tick names the earliest tick after t at which the policy's rates
-// can move if no bit arrives: after a round that visited no slot and
-// moved no rate, Step does not call the allocator again before that tick
-// unless bits arrive (Round.Due). A policy whose rates can move on quiet
+// can move if no bit arrives: after a round with no arrival and no rate
+// moved, Step does not call the allocator again before that tick unless
+// bits arrive (Round.Due), whatever the slots' queues still drain, since
+// a policy keeps its own account of them. A policy whose rates can move on quiet
 // ticks by a course it cannot name in advance leaves Next out and is
 // asked every tick.
 type SparseAllocator interface {

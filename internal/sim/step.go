@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
@@ -32,25 +33,35 @@ const MaxBacklog bw.Bits = 1 << 40
 // analysis state (full schedules, the aggregate) on the rates Step
 // returns.
 //
-// A slot's queue, pending bits and change count sit together in one
-// 64-byte record, so a round that visits a scattered slot touches one
-// cache line of the record vector (Go page-aligns an allocation over
+// A slot's queue, pending bits, change count and drain line sit together
+// in one 64-byte record, so a round that visits a scattered slot touches
+// one cache line of the record vector (Go page-aligns an allocation over
 // 32 KB, so on any table that size the records align to lines) and one
 // of the rate vector. The rates stay a vector of their own: Round.Rates
 // hands it out whole, and the policies read it as the rates applied.
 //
 // Beside the per-slot state sits the active set: one bit per slot, set
-// while the slot has pending arrivals or a non-empty queue. Step visits
-// the active slots and nothing else, finding them through the set's
-// summary level, and tells the allocator of the ones with arrivals
-// alone. A slot that only drains is served and nothing else: a policy
-// that holds a session's allocation fixed between its events knows the
-// queue's course from its own accounting. So a round costs its arrivals
-// and its busy slots' serve, whatever the size of the table, and a round
-// with neither costs a few word reads.
+// while the slot has pending arrivals. Step visits those slots, finding
+// them through the set's summary level, and tells the allocator of them
+// alone. A backlogged slot with no arrival is a drain line: in the
+// paper's model queue Q is served at the allocated rate, and the rate
+// stands until the allocator moves it, so the slot's queue at any tick
+// follows from its queue at its last visit, the tick it was served
+// through then (its line) and its rate. Step visits such a slot only at
+// its events — bits arrive, its rate moves, or its queue empties, which
+// a completion wheel lists — and counts what the others serve from the
+// sum of their rates. So a round costs its arrivals, its rate changes
+// and the queues that empty in it, whatever the size of the table or its
+// backlog, and a round with none of them costs a few word reads.
 //
-// Nor need such a round ask a policy that names its next event (Next,
-// see SparseAllocator) before that tick: Round.Due.
+// A slot on a drain line is brought up to the last round's tick before
+// anything reads or ends it: Queue and Unseat do so, and with them every
+// reader of a slot's counters (STATS, the gateway's table, the
+// simulator's runner, route.Run, adversary.Duel). While any slot is
+// backlogged, Step must run every tick.
+//
+// Nor need a round ask a policy that names its next event (Next, see
+// SparseAllocator) before that tick when no bit arrives: Round.Due.
 //
 // A service seats its sessions (Seat, Unseat), so a gateway shard and a
 // route.Run link pick a slot and end a tenancy by the same code; a
@@ -65,45 +76,124 @@ type Slots struct {
 	// active and seated are the whole table's sets; slot i is bit i.
 	active, seated bitset.Set
 	run            *running
+	// lines is the table's: which view's rounds serve its drain lines.
+	lines *lines
 }
 
-// slot is the record of one slot's own words: 48 bytes of queue and two
-// words beside it, 64 bytes (TestSlotRecordSizes).
+// slot is the record of one slot's own words: 40 bytes of queue and
+// three words beside it, 64 bytes (TestSlotRecordSizes).
 type slot struct {
 	q queue.FIFO
+	// line is the tick through which the queue stands served. While the
+	// queue holds bits under a rate above 0 it is a drain line: the queue
+	// at a later tick is the one ServeSpan leaves from line+1 on, and it
+	// empties at tick line + DrainTicks(q.Bits(), rate).
+	line bw.Tick
 	// pending is the bits handed to the slot since the last round.
 	pending bw.Bits
 	// changes counts the slot's rate changes.
 	changes int
 }
 
+// A slot the round in progress has visited holds one of two marks for
+// its line, below any tick: visitKeep when the completion wheel already
+// lists it at or before the tick its new line will empty (it drained
+// under a rate the round kept or lowered), visitPush when the new line
+// needs an entry of its own. Either way the queue stands as served
+// through the tick before the round's.
+const (
+	visitKeep bw.Tick = math.MinInt64 + iota
+	visitPush
+)
+
 // running is what a view carries from round to round besides the slots.
 type running struct {
 	// total is the sum of the view's applied rates, kept on every change.
 	total bw.Rate
 	// due is the first tick whose round must ask the allocator even if
-	// the active set is empty: the allocator's Next after a quiet round,
-	// the next tick after any other.
-	due bw.Tick
+	// no bit arrived: the allocator's Next after a round with no arrival
+	// and no rate moved, the next tick after any other. next is that
+	// method, looked up once after a Reset (known says so): slots change
+	// allocators only across one, and a drain round would otherwise pay
+	// for the lookup every tick.
+	due   bw.Tick
+	next  interface{ Next(t bw.Tick) bw.Tick }
+	known bool
+	// backlogged counts the view's slots with bits queued, and drain
+	// sums the rates of those on a drain line: the bits they serve a tick.
+	backlogged int
+	drain      bw.Rate
 	// tenants counts the seated slots, and free is a slot below which
 	// every slot is seated: Seat's first-fit scan starts there, and an
 	// Unseat below it lowers it.
 	tenants, free int
-	// visit lists the active slots for the round's two passes, and in is
-	// its compact input to the allocator: the slots that received bits,
-	// and the bits each received.
-	visit []int32
-	in    Compact
+	// in is the round's compact input to the allocator: the slots that
+	// received bits, and the bits each received. Once the allocator has
+	// answered, the slots list goes on with the draining slots whose rate
+	// moved: every slot the round visits.
+	in Compact
+	// wheel lists the draining slots by the tick each queue empties. It
+	// comes last: a round with no backlog reads none of its 1.5 KB.
+	wheel wheel
+}
+
+// lines is what the views of one table share about its drain lines: the
+// view whose rounds serve them (nil after a Reset through another view),
+// how many slots that view has, and the tick of its last round. A
+// view's first round takes the lines over: it brings the last owner's
+// slots up to that tick, and restarts every line of its own slots from
+// the tick before its own, so a slot is served only by the rounds of a
+// view that holds it.
+type lines struct {
+	owner *running
+	span  int
+	last  bw.Tick
+}
+
+// wheelSpan is how many ticks ahead the completion wheel's buckets reach.
+const wheelSpan = 64
+
+// wheel is the completion wheel, in the manner of core's reduceWheel:
+// bucket d%wheelSpan lists the slots whose queues empty at tick d, or at
+// a tick a multiple of wheelSpan after it. An entry is checked against
+// the slot when its bucket comes round: a slot that empties then
+// completes, one whose line now ends later is moved to that tick's
+// bucket, and one on no line any more (vacated, or at rate 0) or on a
+// line that ended sooner (listed again for it) is dropped. A draining
+// slot always has an entry at or before the tick it empties, and a slot
+// gets a new entry only when it starts a line or a rate rise may end its
+// line sooner; so the wheel holds about one entry per draining slot,
+// however long the slots stay backlogged.
+type wheel struct {
+	// n counts the entries in the buckets.
+	n       int
+	buckets [wheelSpan][]int32
+}
+
+func (w *wheel) add(i int32, at bw.Tick) {
+	b := &w.buckets[at%wheelSpan]
+	*b = append(*b, i)
+	w.n++
+}
+
+// clear empties every bucket, keeping their storage.
+func (w *wheel) clear() {
+	for b := range w.buckets {
+		w.buckets[b] = w.buckets[b][:0]
+	}
+	w.n = 0
 }
 
 // NewSlots returns k empty slots.
 func NewSlots(k int) Slots {
+	run := &running{}
 	return Slots{
 		slots:  make([]slot, k),
 		rates:  make([]bw.Rate, k),
 		active: bitset.New(k),
 		seated: bitset.New(k),
-		run:    &running{},
+		run:    run,
+		lines:  &lines{owner: run, span: k, last: -1},
 	}
 }
 
@@ -112,8 +202,9 @@ func (s *Slots) Len() int { return len(s.slots) }
 
 // prefix returns the view of the first k slots: a runner's table for a
 // run of fewer sessions than it has grown to. The view keeps its own
-// running total and seat count, so take it once and step it every round;
-// stepping a table through both a view and its parent is not supported.
+// running total and seat count, so take it once and step it every round.
+// Its first round takes the table's drain lines over (lines): stepping a
+// table through both a view and its parent is not supported.
 func (s *Slots) prefix(k int) Slots {
 	v := Slots{
 		slots:  s.slots[:k],
@@ -121,6 +212,7 @@ func (s *Slots) prefix(k int) Slots {
 		active: s.active,
 		seated: s.seated,
 		run:    &running{},
+		lines:  s.lines,
 	}
 	for _, r := range v.rates {
 		v.run.total += r
@@ -128,8 +220,72 @@ func (s *Slots) prefix(k int) Slots {
 	return v
 }
 
-// Queue returns slot i's queue, for reading its counters.
-func (s *Slots) Queue(i int) *queue.FIFO { return &s.slots[i].q }
+// Queue returns slot i's queue, brought up to the last round's tick, for
+// reading its counters.
+func (s *Slots) Queue(i int) *queue.FIFO {
+	sl := &s.slots[i]
+	if l := s.lines; l.owner != nil && i < l.span && l.last > sl.line {
+		s.serveTo(i, l.last)
+	}
+	return &sl.q
+}
+
+// serveTo serves slot i's queue along its drain line through tick t, a
+// tick before the one it empties. A slot the round in progress has
+// visited stands as served through the tick before the round's and is
+// left as it is, as is one served through t already.
+func (s *Slots) serveTo(i int, t bw.Tick) {
+	if sl := &s.slots[i]; t > sl.line && sl.line > visitPush {
+		sl.q.ServeSpan(sl.line+1, t, s.rates[i])
+		sl.line = t
+	}
+}
+
+// ends returns the tick at which slot i's queue empties on its line.
+func (s *Slots) ends(i int32) bw.Tick {
+	sl := &s.slots[i]
+	return sl.line + bw.DrainTicks(sl.q.Bits(), s.rates[i])
+}
+
+// takeLines makes this view's rounds the ones that serve its slots'
+// drain lines, from its round at tick t on. The last owner's slots are
+// brought up to its last round and every line of this view restarts from
+// tick t-1, so no slot is served at a tick that no view holding it
+// stepped; the view's counts and wheel are rebuilt from its slots.
+func (s *Slots) takeLines(t bw.Tick) {
+	l, run := s.lines, s.run
+	s.releaseLines()
+	run.backlogged, run.drain = 0, 0
+	run.wheel.clear()
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.q.Bits() == 0 {
+			continue
+		}
+		run.backlogged++
+		sl.line = t - 1
+		if rate := s.rates[i]; rate > 0 {
+			run.drain += rate
+			run.wheel.add(int32(i), s.ends(int32(i)))
+		}
+	}
+	l.owner, l.span, l.last = run, len(s.slots), t-1
+}
+
+// releaseLines brings the slots of the view that owns the table's drain
+// lines up to its last round, where they stand until a view steps them,
+// and leaves the lines without an owner.
+func (s *Slots) releaseLines() {
+	l := s.lines
+	if l.owner == nil {
+		return
+	}
+	table := Slots{slots: s.slots[:l.span], rates: s.rates[:l.span]}
+	for i := range l.span {
+		table.serveTo(i, l.last)
+	}
+	l.owner = nil
+}
 
 // Pending returns the bits slot i was handed since the last round.
 func (s *Slots) Pending(i int) bw.Bits { return s.slots[i].pending }
@@ -160,6 +316,10 @@ func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 
 // Reset empties and unseats every slot while keeping the queues' storage.
 func (s *Slots) Reset() {
+	run := s.run
+	if s.lines.owner != run {
+		s.releaseLines() // the owner's slots past this view keep their queues
+	}
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.q.Reset()
@@ -168,7 +328,10 @@ func (s *Slots) Reset() {
 	clear(s.rates)
 	s.active.ClearRange(0, len(s.slots))
 	s.seated.ClearRange(0, len(s.slots))
-	s.run.total, s.run.tenants, s.run.free, s.run.due = 0, 0, 0, 0
+	run.total, run.tenants, run.free, run.due = 0, 0, 0, 0
+	run.next, run.known = nil, false
+	run.backlogged, run.drain = 0, 0
+	run.wheel.clear()
 }
 
 // Tenancy is what a slot accrued since it was last vacated: under one
@@ -227,19 +390,24 @@ func (s *Slots) Tenants() int { return s.run.tenants }
 
 // vacate ends slot i's tenancy and returns what it amounted to: the bits
 // still pending or queued are dropped, the served, max-delay and change
-// counters return to zero and the slot leaves the active set, so the next
-// session to take the slot starts with nothing of this one's. The
-// last-applied rate stays: it is the allocator's output for the slot, not
-// a property of the session.
+// counters return to zero and the slot leaves the active set and its
+// drain line, so the next session to take the slot starts with nothing
+// of this one's. The last-applied rate stays: it is the allocator's
+// output for the slot, not a property of the session.
 func (s *Slots) vacate(i int) Tenancy {
+	q := s.Queue(i)
 	sl := &s.slots[i]
 	t := Tenancy{
-		Served:   sl.q.Served(),
-		Dropped:  sl.pending + sl.q.Bits(),
-		MaxDelay: sl.q.MaxDelay(),
+		Served:   q.Served(),
+		Dropped:  sl.pending + q.Bits(),
+		MaxDelay: q.MaxDelay(),
 		Changes:  sl.changes,
 	}
-	sl.q.Reset()
+	if l := s.lines; q.Bits() > 0 && l.owner != nil && i < l.span {
+		l.owner.backlogged--
+		l.owner.drain -= s.rates[i]
+	}
+	q.Reset()
 	sl.pending, sl.changes = 0, 0
 	s.active.Remove(i)
 	return t
@@ -251,124 +419,289 @@ type Round struct {
 	// Rates is the rate applied to each slot. It is the kernel's own
 	// vector, valid until the next Step.
 	Rates []bw.Rate
-	// Arrived and Served are the bits enqueued and transmitted; Policed
-	// the pending bits dropped, not enqueued, because the slot's queue
-	// stood at MaxBacklog.
+	// Arrived and Served are the bits enqueued and transmitted at the
+	// round's tick, by every slot, visited or draining; Policed the
+	// pending bits dropped, not enqueued, because the slot's queue stood
+	// at MaxBacklog.
 	Arrived, Served, Policed bw.Bits
 	// Total is the bandwidth allotted this round, the sum of Rates.
 	Total bw.Rate
 	// Changes is the number of slots whose rate changed.
 	Changes int
-	// Active is the number of slots the round visited: those with
-	// arrivals since the last round or bits queued from before it.
+	// Active is the number of slots with work in the round: those with
+	// arrivals since the last round or bits queued from before it. It
+	// is a count, not a walk: a slot that only drains is served without
+	// a visit.
 	Active int
 	// Backlogged is how many of them the round left with bits queued:
-	// the slots the next round visits whatever arrives before it.
+	// the slots whose queues the next round serves whatever arrives
+	// before it.
 	Backlogged int
-	// Due is the first tick at which a round with no slot to visit still
-	// asks the allocator: until then Step returns on an empty active set
-	// without calling it, since no rate can move. It is t+1 after a round
-	// that visited a slot, moved a rate or failed, and the allocator's
-	// Next(t) after a quiet one, when it has that method.
+	// Due is the first tick at which a round with no arrival still asks
+	// the allocator: until then Step does not call it, since no rate can
+	// move, and a round with nothing queued either returns at once. It
+	// is t+1 after a round that had arrivals, moved a rate or failed, and
+	// the allocator's Next(t) after one that asked it and had neither,
+	// when it has that method. A round that does not ask leaves it as it
+	// was.
 	Due bw.Tick
 }
 
-// Step runs the round for tick t in two walks over the active slots and
-// reports it in r.
-// The first moves each one's pending arrivals into its queue, as far as
-// MaxBacklog lets them. alloc, told of the slots that received bits and
-// nothing else, picks the rates; the rates that changed are applied and
-// counted. The second serves each active queue at its rate, and a slot
-// whose queue empties leaves the active set. Ticks must be nondecreasing
-// across calls.
+// Step runs the round for tick t and reports it in r. It visits the
+// slots with pending arrivals, moving each one's bits into its queue as
+// far as MaxBacklog lets them. alloc, told of the slots that received
+// bits and nothing else, picks the rates; the rates that changed are
+// applied and counted, and a draining slot whose rate moved is visited.
+// Each visited slot is served at its rate and put (back) on its drain
+// line; the completion wheel's slots whose queues empty at t are served
+// their last bits and leave their lines; every other draining slot is
+// served its rate, counted from the lines' sum and not visited. Ticks
+// must increase from round to round, by one while any slot is
+// backlogged.
 //
 // An allocator that breaks its contract — a change of a session the
 // view does not have, a negative rate, or a different number of
-// sessions and rates — is reported as an error before any queue is
-// served. Every reported change is checked before any is applied, so
-// the round's arrivals are enqueued (and reported in Round.Arrived),
-// every slot keeps its previous rate and count, and every visited slot
-// stays backlogged.
+// sessions and rates — is reported as an error before any rate is
+// applied, and no queue is served at t: the round's arrivals are
+// enqueued (and reported in Round.Arrived), every slot keeps its
+// previous rate and count, and every backlogged slot stays backlogged,
+// its line a tick later.
 //
-// A round with no active slot before the last round's Due is quiet: it
-// reports nothing arrived, served or changed, and alloc is not called.
-// Due is alloc's, so slots go from one allocator to another only across
-// a Reset.
+// A round with no arrival before the last round's Due does not ask
+// alloc, and with nothing queued either it returns at once, reporting
+// nothing arrived, served or changed. Due is alloc's, so slots go from
+// one allocator to another only across a Reset.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	run, slots, applied := s.run, s.slots, s.rates
-	run.visit = s.active.AppendTo(run.visit[:0], 0, len(slots))
+	if s.lines.owner != run {
+		s.takeLines(t)
+	}
+	sessions := s.active.AppendTo(run.in.idx[:0], 0, len(slots))
+	run.in.idx = sessions
 	// r is reused from round to round: every field is written, here or
 	// below, before the round can fail.
-	r.Rates, r.Total, r.Changes, r.Served = applied, run.total, 0, 0
-	r.Active, r.Backlogged, r.Due = len(run.visit), len(run.visit), run.due
-	if len(run.visit) == 0 && t < run.due {
-		r.Arrived, r.Policed = 0, 0
+	r.Rates, r.Total, r.Changes = applied, run.total, 0
+	r.Arrived, r.Served, r.Policed = 0, 0, 0
+	r.Active, r.Backlogged, r.Due = run.backlogged, run.backlogged, run.due
+	ask, draining := len(sessions) > 0 || t >= run.due, run.backlogged > 0
+	if !ask && !draining {
 		return nil
 	}
-	run.due = t + 1
-	r.Due = run.due
 	// The walks keep their sums and lists in locals: a store through a
 	// slot could alias a field, so the compiler would write each back
-	// every slot.
-	arrived, policed, sessions, got := bw.Bits(0), bw.Bits(0), run.in.idx[:0], run.in.bits[:0]
-	for _, i := range run.visit {
+	// every slot. The slots that keep bits are compacted to the front of
+	// the list of those with arrivals.
+	arrived, policed, got, n := bw.Bits(0), bw.Bits(0), run.in.bits[:0], 0
+	backlogged, drain := run.backlogged, run.drain
+	for _, i := range sessions {
+		s.active.Remove(int(i))
 		sl := &slots[i]
 		a := sl.pending
-		if a == 0 {
-			continue // draining: nothing for the allocator
-		}
 		sl.pending = 0
-		if room := MaxBacklog - sl.q.Bits(); a > room {
+		b := sl.q.Bits()
+		if b > 0 && t-1 > sl.line {
+			s.serveTo(int(i), t-1)
+			b = sl.q.Bits()
+		}
+		if room := MaxBacklog - b; a > room {
 			policed += a - room
 			a = room
 		}
 		if a == 0 {
-			continue // policed whole: the queue is full
+			continue // policed whole: the queue is full, and stays on its line
+		}
+		switch {
+		case b == 0:
+			backlogged++
+			sl.line = visitPush
+		case applied[i] == 0:
+			sl.line = visitPush
+		default:
+			drain -= applied[i]
+			sl.line = visitKeep
 		}
 		sl.q.Push(t, a)
-		sessions = append(sessions, i)
+		sessions[n] = i
+		n++
 		got = append(got, a)
 		arrived += a
 	}
+	sessions = sessions[:n]
+	run.backlogged, run.drain = backlogged, drain
 	run.in.idx, run.in.bits = sessions, got
-	r.Arrived, r.Policed = arrived, policed
-	changed, rates := alloc.RatesActive(t, sessions, got, applied)
+	r.Arrived, r.Policed, r.Active, r.Backlogged = arrived, policed, backlogged, backlogged
+	if ask {
+		run.due = t + 1
+		r.Due = run.due
+		changed, rates := alloc.RatesActive(t, sessions, got, applied)
+		if err := checkAnswer(t, changed, rates, len(applied)); err != nil {
+			s.lines.last = t
+			s.stall(t)
+			return err
+		}
+		moved := 0
+		for j, i := range changed {
+			rate := rates[j]
+			if rate == applied[i] {
+				continue
+			}
+			sl := &slots[i]
+			if sl.line > visitPush && sl.q.Bits() > 0 {
+				s.serveTo(int(i), t-1) // the old rate's line ends at t-1
+				run.drain -= applied[i]
+				sl.line = visitKeep
+				if applied[i] == 0 {
+					sl.line = visitPush
+				}
+				run.in.idx = append(run.in.idx, i)
+			}
+			if rate > applied[i] && sl.line == visitKeep {
+				sl.line = visitPush // a faster line may end before its entry
+			}
+			run.total += rate - applied[i]
+			applied[i] = rate
+			sl.changes++
+			moved++
+		}
+		r.Total, r.Changes = run.total, moved
+		if moved == 0 && len(sessions) == 0 {
+			if !run.known {
+				run.next, _ = alloc.(interface{ Next(t bw.Tick) bw.Tick })
+				run.known = true
+			}
+			if run.next != nil {
+				run.due = run.next.Next(t)
+				r.Due = run.due
+			}
+		}
+	}
+	// Until here a reader (the allocator, say) finds every queue as it
+	// stood after tick t-1, with tick t's arrivals in.
+	s.lines.last = t
+	// The visited slots stand as served through t-1: serve each at t, or
+	// put it on a line from t-1 that serves it at t.
+	served, relined, emptied := bw.Bits(0), bw.Rate(0), 0
+	for _, i := range run.in.idx {
+		sl, rate := &slots[i], applied[i]
+		push := sl.line == visitPush
+		sl.line = t - 1
+		switch b := sl.q.Bits(); {
+		case rate == 0:
+		case b <= bw.Volume(rate, 1):
+			sl.q.Serve(t, rate)
+			served += b
+			emptied++
+		default:
+			served += bw.Volume(rate, 1)
+			relined += rate
+			if push {
+				run.wheel.add(i, s.ends(i))
+			}
+		}
+	}
+	run.backlogged -= emptied
+	// Every other line serves its rate at t, less what the queues that
+	// empty at t leave unused.
+	served += bw.Volume(run.drain, 1)
+	if draining && len(run.wheel.buckets[t%wheelSpan]) > 0 {
+		served -= s.complete(t) // only a line from before the round can end at t
+	}
+	run.drain += relined
+	if run.backlogged == 0 && run.wheel.n > 0 {
+		run.wheel.clear()
+	}
+	r.Served, r.Backlogged = served, run.backlogged
+	return nil
+}
+
+// checkAnswer reports an allocator's answer for a view of n sessions
+// that breaks its contract.
+func checkAnswer(t bw.Tick, changed []int32, rates []bw.Rate, n int) error {
 	if len(rates) != len(changed) {
 		return fmt.Errorf("sim: allocator reports %d rates for %d changed sessions at tick %d", len(rates), len(changed), t)
 	}
 	for j, i := range changed {
-		if uint(i) >= uint(len(applied)) {
-			return fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, len(applied), t)
+		if uint(i) >= uint(n) {
+			return fmt.Errorf("sim: allocator reports a change of session %d of %d at tick %d", i, n, t)
 		}
 		if rates[j] < 0 {
 			return fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rates[j], t)
 		}
 	}
-	moved := 0
-	for j, i := range changed {
-		if rate := rates[j]; rate != applied[i] {
-			run.total += rate - applied[i]
-			applied[i] = rate
-			slots[i].changes++
-			moved++
-		}
-	}
-	r.Total, r.Changes = run.total, moved
-	if moved == 0 && len(run.visit) == 0 {
-		if n, ok := alloc.(interface{ Next(t bw.Tick) bw.Tick }); ok {
-			run.due = n.Next(t)
-			r.Due = run.due
-		}
-	}
-	served, backlogged := bw.Bits(0), r.Backlogged
-	for _, i := range run.visit {
-		q := &slots[i].q
-		served += q.Serve(t, applied[i])
-		if q.Bits() == 0 {
-			s.active.Remove(int(i))
-			backlogged--
-		}
-	}
-	r.Served, r.Backlogged = served, backlogged
 	return nil
+}
+
+// complete takes tick t's bucket off the completion wheel: each slot
+// whose queue empties at t is served its last bits and leaves its line,
+// and complete returns the bits of rate those slots left unused at t. An entry
+// of a slot whose done is later moves to that tick's bucket; any other
+// is stale and dropped.
+func (s *Slots) complete(t bw.Tick) (unused bw.Bits) {
+	run := s.run
+	b := &run.wheel.buckets[t%wheelSpan]
+	run.wheel.n -= len(*b)
+	keep := (*b)[:0]
+	for _, i := range *b {
+		sl, rate := &s.slots[i], s.rates[i]
+		if rate == 0 || sl.q.Bits() == 0 {
+			continue
+		}
+		// left is what the line holds after tick t-1: the queue empties
+		// at t when that is more than nothing and at most a tick's rate.
+		switch left := sl.q.Bits() - bw.Volume(rate, t-1-sl.line); {
+		case left <= 0:
+		case left <= bw.Volume(rate, 1):
+			sl.q.ServeSpan(sl.line+1, t, rate)
+			unused += bw.Volume(rate, 1) - left
+			run.drain -= rate
+			run.backlogged--
+		default:
+			if end := s.ends(i); end%wheelSpan == t%wheelSpan {
+				keep = append(keep, i)
+			} else {
+				run.wheel.add(i, end)
+			}
+		}
+	}
+	*b = keep
+	run.wheel.n += len(keep)
+	return unused
+}
+
+// stall ends a round whose allocator failed without serving a queue at
+// t: the slots it visited go on lines from t, every other line moves a
+// tick later, and tick t's bucket moves on with them.
+func (s *Slots) stall(t bw.Tick) {
+	run := s.run
+	for _, i := range run.in.idx {
+		sl, rate := &s.slots[i], s.rates[i]
+		push := sl.line == visitPush
+		sl.line = t
+		if rate > 0 {
+			run.drain += rate
+			if push {
+				run.wheel.add(i, s.ends(i))
+			}
+		}
+	}
+	for b := range run.wheel.buckets {
+		for _, i := range run.wheel.buckets[b] {
+			if sl := &s.slots[i]; sl.line < t {
+				s.serveTo(int(i), t-1)
+				sl.line = t // a duplicate entry finds the line at t, and passes
+			}
+		}
+	}
+	s.complete(t)
+}
+
+// Completing returns an upper bound on the slots whose queues empty in a
+// round at t, a tick after the last round and within 64 of it — which
+// with its arrivals and rate changes are the slots that round visits:
+// the entries the completion wheel holds for t, or 0 with no backlog.
+func (s *Slots) Completing(t bw.Tick) int {
+	if s.run.backlogged == 0 {
+		return 0
+	}
+	return len(s.run.wheel.buckets[t%wheelSpan])
 }

@@ -37,13 +37,13 @@ func TestSlotsChangesEqualScheduleChanges(t *testing.T) {
 	}
 }
 
-// TestSlotRecordSizes pins a slot's record to one cache line: 48 bytes
-// of queue and the pending and change words. A field added to the FIFO
-// fails here instead of adding a line to every busy slot. (The policies'
-// session record has the same test in internal/core.)
+// TestSlotRecordSizes pins a slot's record to one cache line: 40 bytes
+// of queue and the drain-line, pending and change words. A field added
+// to the FIFO fails here instead of adding a line to every busy slot.
+// (The policies' session record has the same test in internal/core.)
 func TestSlotRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(queue.FIFO{}); got != 48 {
-		t.Errorf("queue.FIFO is %d B, want 48", got)
+	if got := unsafe.Sizeof(queue.FIFO{}); got != 40 {
+		t.Errorf("queue.FIFO is %d B, want 40", got)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 64 {
 		t.Errorf("the kernel's slot record is %d B, want 64", got)
@@ -711,5 +711,36 @@ func TestSlotsQuietRounds(t *testing.T) {
 		if err := s.Step(tick, sp, &r); err != nil || r.Due != tick+1 {
 			t.Errorf("tick %d without Next: Due %d, %v; want %d", tick, r.Due, err, tick+1)
 		}
+	}
+}
+
+// TestDrainRoundAllocatesNothing: on a warm table, a cycle of one round
+// that queues a burst on every slot and the rounds that drain it —
+// slots on drain lines, the completion wheel moving them on and emptying
+// them, a slot with a histogram served by spans — allocates nothing.
+func TestDrainRoundAllocatesNothing(t *testing.T) {
+	const k = 1000
+	s := NewSlots(k)
+	new(queue.DelayHist).Attach(s.Queue(0))
+	a := newEveryRate(5)
+	src := rng.New(3)
+	var r Round
+	tick := bw.Tick(0)
+	cycle := func() {
+		for i := range k {
+			s.Add(i, 1+src.Int64n(200))
+		}
+		for first := true; first || r.Backlogged > 0; first = false {
+			if err := s.Step(tick, a, &r); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+	}
+	for range 200 { // until each of the wheel's buckets has held its peak
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("a burst and the rounds that drain it allocate %.1f objects on a warm table", avg)
 	}
 }
