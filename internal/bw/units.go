@@ -8,7 +8,6 @@ package bw
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -49,23 +48,6 @@ func Volume(r Rate, d Tick) Bits {
 // Volume.
 func RateOver(q Bits, d Tick) Rate {
 	return CeilDiv(q, d)
-}
-
-// DrainTicks returns the ticks a rate r > 0 takes to move q bits,
-// ceil(q/r): the tick span of a backlog served at a fixed rate, the
-// other dual of Volume. The step kernel asks it once per backlog, so it
-// avoids the 64-bit divide where it can: a power-of-two rate (the
-// policies' shares and grants often are) shifts, and operands that fit
-// in 32 bits take the 32-bit divide, several times faster on x86.
-func DrainTicks(q Bits, r Rate) Tick {
-	switch {
-	case q <= 0 || r <= 0:
-	case r&(r-1) == 0:
-		return (q-1)>>bits.TrailingZeros64(uint64(r)) + 1
-	case q <= math.MaxUint32 && r <= math.MaxUint32:
-		return Tick(uint32(q-1)/uint32(r)) + 1
-	}
-	return CeilDiv(q, r)
 }
 
 // NextPow2 returns the smallest power of two that is >= v. NextPow2(0) = 1.

@@ -210,16 +210,3 @@ func TestRateOver(t *testing.T) {
 		t.Error("RateOver disagrees with CeilDiv")
 	}
 }
-
-// TestDrainTicksMatchesCeilDiv: the 32-bit divide DrainTicks takes for
-// small operands gives CeilDiv's answer, at and across the 32-bit edge.
-func TestDrainTicksMatchesCeilDiv(t *testing.T) {
-	const edge = 1 << 32
-	for _, q := range []Bits{0, 1, 2, 15, 16, 17, 255, 256, 257, edge - 2, edge - 1, edge, edge + 1, 1 << 40} {
-		for _, r := range []Rate{1, 2, 3, 16, 17, 1000, edge - 1, edge, edge + 1} {
-			if got, want := DrainTicks(q, r), CeilDiv(q, r); got != want {
-				t.Errorf("DrainTicks(%d, %d) = %d, CeilDiv %d", q, r, got, want)
-			}
-		}
-	}
-}

@@ -68,6 +68,18 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // empty, the last: the others serve them by their drain lines and cost
 // what the round's fixed work costs, on the tick loop.
 //
+// rerate is drain with a phase boundary in the middle of its lines:
+// every D_O rounds, half a phase in, drainSlots slots receive two
+// phases' shares, so at the boundary each one's regular queue is more
+// than its share drains in a phase and the policy raises its rate. That
+// round visits every fed slot for its rate change. It asks the
+// allocator (the policy names the boundary as its next event), so the
+// gateway counts every backlogged slot as work and fans it out. Every
+// round is timed; the boundary rounds must move at least drainSlots
+// rates, and their median is boundary_p50_ns/round. The slots with work
+// are not checked round by round here: the policy's raises set when
+// each queue empties.
+//
 // burst is the shape of a whole dense-100k cycle: every burstCycle
 // rounds — D_O, as there — every slot receives one seeded burst of 48 to
 // 256 bits, which its share drains in 3 to 16 rounds (no phase raises
@@ -94,9 +106,12 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // change to a busy round's cost shows in busy_p50 alone.
 //
 // Every round, timed or not, must take the path the gateway's known work
-// selects: fanned out to the tick workers exactly when the slots fed
-// since the last round and the slots the kernel lists as emptying in
-// this one (sim.Slots.Completing), over all shards, reach inlineBelow.
+// selects: fanned out to the tick workers exactly when, over all shards,
+// the slots reach inlineBelow that the round may visit as far as the
+// gateway can tell: a shard's fed slots and its backlog when the round
+// asks its allocator (bits were fed since its last round, or its Due
+// falls on the round), and otherwise the slots the kernel lists as
+// emptying (sim.Slots.Completing).
 //
 // ns/round is the benchmark's own clock around every round it times. The
 // gateway profiles one round in roundSampleEvery itself (those with
@@ -133,6 +148,7 @@ func BenchmarkRound(b *testing.B) {
 		{"active=1000", 1000, false, false},
 		{"active=100000", 100_000, false, false},
 		{"drain", drainSlots, true, false},
+		{"rerate", drainSlots, true, false},
 		{"burst", k, false, true},
 		{"sparse", k / 100, false, true},
 	} {
@@ -154,23 +170,34 @@ func BenchmarkRound(b *testing.B) {
 			if bc.name == "sparse" {
 				sizes = sparseBursts(share, burstCycle)
 			}
-			// fed counts the slots fed since the last round.
-			fed := 0
+			// fed counts the slots fed since the last round, a shard;
+			// boundary holds rerate's timed phase-boundary rounds.
+			fed := make([]int, nshards)
+			feedSlot := func(i int, bits bw.Bits) {
+				feed(g, i, bits)
+				fed[g.shardOf(i).idx]++
+			}
+			rerate := bc.name == "rerate"
+			var boundary []time.Duration
 			round := func() time.Duration {
-				known := fed
+				known := 0
 				for _, sh := range g.shards {
-					known += sh.slots.Completing(tick)
+					if fed[sh.idx] > 0 || tick >= sh.round.Due { // it asks the allocator
+						known += fed[sh.idx] + sh.round.Backlogged
+					} else {
+						known += sh.slots.Completing(tick)
+					}
 				}
 				fanned := g.m.roundsFanout.Value()
 				start := time.Now()
 				g.round(tick)
 				took := time.Since(start)
 				if got := g.m.roundsFanout.Value() > fanned; got != (known >= inlineBelow) {
-					b.Fatalf("round %d fanned out = %v with %d slots fed and listed as emptying", tick, got, known)
+					b.Fatalf("round %d fanned out = %v with %d slots fed, backlogged under an asked allocator and listed as emptying", tick, got, known)
 				}
 				g.now.Add(1)
 				tick++
-				fed = 0
+				clear(fed)
 				return took
 			}
 			// step runs one timed round and the feeding it needs.
@@ -186,8 +213,7 @@ func BenchmarkRound(b *testing.B) {
 							if sizes != nil {
 								bits, drawn = sizes[drawn%len(sizes)], drawn+1
 							}
-							feed(g, i, bits)
-							fed++
+							feedSlot(i, bits)
 							for j := int64(1); j < int64(burstCycle) && bits > j*share; j++ {
 								visits[j]++
 							}
@@ -197,18 +223,29 @@ func BenchmarkRound(b *testing.B) {
 					want = visits[tick%burstCycle]
 				case !bc.drain:
 					for j := 0; j < active; j++ {
-						feed(g, j*(k/active), share)
+						feedSlot(j*(k/active), share)
 					}
-					fed += active
-				case tick%drainCycle == 0:
+				case rerate && tick%do == do/2:
 					for j := 0; j < active; j++ {
 						lo, hi := j*k/active, (j+1)*k/active
-						feed(g, lo+src.Intn(hi-lo), drainCycle*share)
+						feedSlot(lo+src.Intn(hi-lo), 2*bw.Volume(share, do))
 					}
-					fed += active
+					round()
+				case !rerate && tick%drainCycle == 0:
+					for j := 0; j < active; j++ {
+						lo, hi := j*k/active, (j+1)*k/active
+						feedSlot(lo+src.Intn(hi-lo), drainCycle*share)
+					}
 					round()
 				}
+				atBoundary, changes := rerate && tick%do == 0, g.m.allocChanges.Value()
 				took := round()
+				if atBoundary {
+					if moved := g.m.allocChanges.Value() - changes; moved < int64(active) {
+						b.Fatalf("boundary round %d moved %d rates, want the %d fed slots' at least", tick-1, moved, active)
+					}
+					boundary = append(boundary, took)
+				}
 				spent += took
 				if bc.burst || bc.drain {
 					times = append(times, took)
@@ -216,7 +253,7 @@ func BenchmarkRound(b *testing.B) {
 						busy = append(busy, took)
 					}
 				}
-				if got := g.m.activeSlots.Value(); got != want {
+				if got := g.m.activeSlots.Value(); got != want && !rerate {
 					b.Fatalf("round %d counted %d slots with work, want %d", tick-1, got, want)
 				}
 			}
@@ -224,7 +261,7 @@ func BenchmarkRound(b *testing.B) {
 				step()
 			}
 			spent = 0
-			times, busy = make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
+			times, busy, boundary = make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N), boundary[:0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -243,11 +280,14 @@ func BenchmarkRound(b *testing.B) {
 			if bc.burst && len(busy) > 0 {
 				b.ReportMetric(quantile(busy, 5), "busy_p50_ns/round")
 			}
+			if len(boundary) > 0 {
+				b.ReportMetric(quantile(boundary, 5), "boundary_p50_ns/round")
+			}
 			if b.N == 1 {
 				perSlot = (float64(liveHeap()) - float64(base)) / k
 			}
 			b.ReportMetric(perSlot, "live_B/slot")
-			if inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); bc.drain && (inline == 0 || fanout == 0) {
+			if inline, fanout := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); bc.name == "drain" && (inline == 0 || fanout == 0) {
 				b.Errorf("%d rounds ran inline and %d fanned out; want both", inline, fanout)
 			}
 		})
@@ -418,65 +458,104 @@ func (a panicsOn) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applie
 // shard 0's, once its allocator answers again, since an abandoned round
 // keeps what the kernel had enqueued.
 func TestRoundNoPanic(t *testing.T) {
-	const (
-		per    = 400 // slots a shard
-		do     = bw.Tick(4)
-		badAt  = bw.Tick(2)
-		rounds = 12 * do
-	)
 	for _, nshards := range []int{1, 4} {
-		for _, busy := range []int{40, per} { // sessions a shard that send: 40 or 160 a round, or 400 or 1600
-			k := per * nshards
-			fanned := nshards > 1 && busy*nshards >= inlineBelow
+		for _, busy := range []int{40, panicPer} {
 			t.Run(fmt.Sprintf("shards=%d/busy=%d", nshards, busy), func(t *testing.T) {
-				g := newRounds(t, "phased", k, nshards, do)
-				// The flight recorder as cmd/bwgateway arms it.
-				reg := obs.NewRegistry()
-				g.m = newGWMetrics(reg, "phased", nshards)
-				rec := obs.NewRecorder(obs.RecorderConfig{Registry: reg, Triggers: []obs.Trigger{
-					obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1)}})
-				rec.Record()
-				sh0 := g.shards[0]
-				sh0.alloc = panicsOn{sh0.alloc, badAt}
-				ticks := make(chan time.Time)
-				g.ticks = ticks
-				go g.tickLoop()
-				sent := make([]bw.Bits, k)
-				for tick := bw.Tick(0); tick < rounds; tick++ {
-					if tick < 3*do {
-						for _, sh := range g.shards {
-							for i := 0; i < busy; i++ {
-								feed(g, sh.base+i, 24)
-								sent[sh.base+i] += 24
-							}
-						}
-					}
-					ticks <- time.Time{}
-					for g.now.Load() != int64(tick)+1 { // the round is over: the next feed is the next round's
-						runtime.Gosched()
-					}
-				}
-				close(g.closing)
-				<-g.done
-
-				if got := g.m.roundPanics.Value(); got != 3 {
-					t.Errorf("%d round panics counted, want 3", got)
-				}
-				rec.Record()
-				if window, reason := rec.Frozen(); len(window) == 0 {
-					t.Errorf("the flight recorder did not freeze on the panics (reason %q)", reason)
-				}
-				if in, out := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); in+out != int64(rounds) || (out > 0) != fanned {
-					t.Errorf("%d rounds inline, %d fanned out; want %d in all, fan-out = %v", in, out, rounds, fanned)
-				}
-				for _, s := range g.Sessions() { // takes every shard's lock
-					if s.Served != sent[s.Slot] || s.Queued != 0 {
-						t.Errorf("shard %d slot %d: served %d, queued %d, sent %d", s.Shard, s.Slot, s.Served, s.Queued, sent[s.Slot])
-					}
-				}
+				roundsWithPanics(t, nshards, busy, 3*panicDO)
 			})
 		}
 	}
+}
+
+// TestRoundPanicOnLastArrivals: as TestRoundNoPanic, but the sessions'
+// last bits arrive in the last round that panics, so no later arrival
+// visits their slots again. The rounds after it still serve every bit:
+// the served-bits counter adds up to what was sent, and every shard ends
+// with no work and no active slot, free to go quiet.
+func TestRoundPanicOnLastArrivals(t *testing.T) {
+	for _, nshards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
+			g, sent := roundsWithPanics(t, nshards, panicPer, panicAt+3)
+			var want bw.Bits
+			for _, b := range sent {
+				want += b
+			}
+			if got := g.m.servedBits.Value(); got != int64(want) {
+				t.Errorf("served-bits counter %d, %d bits sent", got, want)
+			}
+			for _, sh := range g.shards {
+				if w := sh.work.Load(); w != 0 {
+					t.Errorf("shard %d: work %d after the drain", sh.idx, w)
+				}
+			}
+			if got := g.m.activeSlots.Value(); got != 0 {
+				t.Errorf("%d active slots after the drain", got)
+			}
+		})
+	}
+}
+
+const (
+	panicPer = 400 // slots a shard
+	panicDO  = bw.Tick(4)
+	panicAt  = bw.Tick(2) // shard 0's allocator panics at this tick and the two after it
+)
+
+// roundsWithPanics runs 12·D_O rounds of a phased gateway of nshards
+// shards of panicPer slots whose shard 0 allocator panics at panicAt and
+// the two rounds after it. Each round before feedUntil, busy sessions a
+// shard send 24 bits. It checks what TestRoundNoPanic describes and
+// returns the closed gateway and the bits each slot was sent.
+func roundsWithPanics(t *testing.T, nshards, busy int, feedUntil bw.Tick) (*Gateway, []bw.Bits) {
+	const rounds = 12 * panicDO
+	k := panicPer * nshards
+	fanned := nshards > 1 && busy*nshards >= inlineBelow
+	g := newRounds(t, "phased", k, nshards, panicDO)
+	// The flight recorder as cmd/bwgateway arms it.
+	reg := obs.NewRegistry()
+	g.m = newGWMetrics(reg, "phased", nshards)
+	rec := obs.NewRecorder(obs.RecorderConfig{Registry: reg, Triggers: []obs.Trigger{
+		obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1)}})
+	rec.Record()
+	sh0 := g.shards[0]
+	sh0.alloc = panicsOn{sh0.alloc, panicAt}
+	ticks := make(chan time.Time)
+	g.ticks = ticks
+	go g.tickLoop()
+	sent := make([]bw.Bits, k)
+	for tick := bw.Tick(0); tick < rounds; tick++ {
+		if tick < feedUntil {
+			for _, sh := range g.shards {
+				for i := 0; i < busy; i++ {
+					feed(g, sh.base+i, 24)
+					sent[sh.base+i] += 24
+				}
+			}
+		}
+		ticks <- time.Time{}
+		for g.now.Load() != int64(tick)+1 { // the round is over: the next feed is the next round's
+			runtime.Gosched()
+		}
+	}
+	close(g.closing)
+	<-g.done
+
+	if got := g.m.roundPanics.Value(); got != 3 {
+		t.Errorf("%d round panics counted, want 3", got)
+	}
+	rec.Record()
+	if window, reason := rec.Frozen(); len(window) == 0 {
+		t.Errorf("the flight recorder did not freeze on the panics (reason %q)", reason)
+	}
+	if in, out := g.m.roundsInline.Value(), g.m.roundsFanout.Value(); in+out != int64(rounds) || (out > 0) != fanned {
+		t.Errorf("%d rounds inline, %d fanned out; want %d in all, fan-out = %v", in, out, rounds, fanned)
+	}
+	for _, s := range g.Sessions() { // takes every shard's lock
+		if s.Served != sent[s.Slot] || s.Queued != 0 {
+			t.Errorf("shard %d slot %d: served %d, queued %d, sent %d", s.Shard, s.Slot, s.Served, s.Queued, sent[s.Slot])
+		}
+	}
+	return g, sent
 }
 
 // panicObserver is an Observer with a bug.

@@ -71,14 +71,23 @@ func (g *Gateway) startTickWorkers() {
 }
 
 // knownWork adds up the shards' estimates of the slots the coming round
-// will visit, as far as inlineBelow: an upper bound, read without a lock.
-// A shard's is its DATA applied since its last round and the slots the
-// kernel lists as emptying in this one; a backlogged slot that only
-// drains is served without a visit, so a round whose backlogs drain and
-// few of them empty runs on the tick loop.
+// will visit, as far as inlineBelow, read without a lock. A backlogged
+// slot that only drains is served without a visit, so a shard that
+// received no DATA since its last round and whose allocator is not due
+// counts only the slots the kernel lists as emptying in this round, and
+// a round whose backlogs drain and few of them empty runs on the tick
+// loop. A shard whose round asks the allocator — DATA arrived, or its
+// next event (Round.Due) falls on the round — counts its DATA and every
+// backlogged slot, since the allocator may move any of their rates (a
+// phase boundary raises every backlog it finds too long) and the kernel
+// visits each slot whose rate moves.
 func (g *Gateway) knownWork() (n int64) {
 	for _, sh := range g.shards {
-		if n += sh.work.Load() - sh.pass; n >= inlineBelow {
+		w := sh.work.Load()
+		if w == sh.left {
+			w -= sh.pass
+		}
+		if n += w; n >= inlineBelow {
 			break
 		}
 	}
@@ -247,8 +256,8 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 // tick runs one allocation round over this shard's slots: one kernel
 // step (sim.Slots.Step — the round the simulator verifies the theorems
 // on) under the shard's allocator, into the shard's own Round. The step
-// visits the slots with pending or queued bits and no others, so the
-// lock is held for as long as the busy sessions take.
+// visits the slots with arrivals, a moved rate or a queue that empties,
+// and no others, so the lock is held for as long as those take.
 //
 // An allocator that breaks its contract (wrong rate count, negative
 // rate) serves nothing this round — the arrivals stay queued and the
@@ -259,8 +268,10 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 // gateway counters (a shard with nothing to do reports zeros, which are
 // not added), its allotted bandwidth into roundRate, and the shard's
 // work estimate becomes the slots the round left backlogged; the DATA
-// applied from here to the next round adds to it. pass becomes those of
-// them the next round does not visit. due becomes the round's
+// applied from here to the next round adds to it. left becomes that
+// count, and pass those of them the next round serves without a visit
+// if no DATA comes: none when the round's Round.Due says the next one
+// asks the allocator. due becomes the round's
 // Round.Due, the tick before which the round loop may skip the shard
 // while its estimate reads 0, or the next tick after a round with work,
 // so that the shard's gauges read a round with none before it is
@@ -273,7 +284,10 @@ func (sh *shard) tick(t bw.Tick) error {
 	r := &sh.round
 	err := sh.slots.Step(t, sh.alloc, r)
 	sh.work.Store(int64(r.Backlogged))
-	sh.pass = int64(r.Backlogged - sh.slots.Completing(t+1))
+	sh.left, sh.pass = int64(r.Backlogged), 0
+	if r.Due > t+1 {
+		sh.pass = sh.left - int64(sh.slots.Completing(t+1))
+	}
 	sh.due = r.Due
 	if r.Active != 0 {
 		sh.due = t + 1 // the next round runs, if only to report the work gone

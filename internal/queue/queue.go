@@ -155,7 +155,7 @@ func (q *FIFO) ServeSpan(from, through bw.Tick, rate bw.Rate) bw.Bits {
 	if ticks <= 0 || rate == 0 || total == 0 {
 		return 0
 	}
-	if ticks < bw.DrainTicks(total, rate) {
+	if ticks < bw.CeilDiv(total, rate) {
 		total = bw.Volume(rate, ticks)
 	}
 	// The bit at position p of the span goes out at tick from + p/rate.

@@ -126,11 +126,13 @@ func (o *oracle) Step(t bw.Tick, alloc sim.SparseAllocator, r *sim.Round) error 
 // churner is a seeded allocator that moves rates on its own: each round
 // a few sessions, arrivals or not, get a new rate, 0 among them, so
 // draining queues are re-rated, stopped and restarted mid-backlog. With
-// fail set, about one round in forty answers with a negative rate.
+// fail set, about one round in forty answers with a negative rate; with
+// panics set, about one in forty panics in place of an answer.
 type churner struct {
 	src     *rng.Source
 	k       int
 	fail    bool
+	panics  bool
 	changed []int32
 	rates   []bw.Rate
 }
@@ -155,7 +157,21 @@ func (c *churner) RatesActive(_ bw.Tick, arrived []int32, _ []bw.Bits, applied [
 	if c.fail && c.src.Intn(40) == 0 {
 		c.changed, c.rates = append(c.changed[:0], 0), append(c.rates[:0], -1)
 	}
+	if c.panics && c.src.Intn(40) == 0 {
+		panic("churner: allocator bug")
+	}
 	return c.changed, c.rates
+}
+
+// stepContained runs a Step as the gateway's round does: a panic under
+// it abandons the round and is reported, not raised.
+func stepContained(step func() error) (err error, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return step(), false
 }
 
 // kernelLane is one side of the comparison: the kernel or the oracle,
@@ -171,9 +187,12 @@ type kernelLane struct {
 // each under its own allocator from build, and fails on the first round
 // whose fields differ or after which a slot reads differently: its
 // queued, served and max-delay counters, its oldest bit, and the
-// quantiles of its delay histogram. With ends set, every k seated
+// quantiles of its delay histogram, each slot every readEvery rounds and
+// every slot at the end. With ends set, every k seated
 // sessions end one in twenty ticks on average, a random one, its slot
 // taken again at once (Unseat and Seat); the tenancies must agree too.
+// A round whose allocator panics is abandoned on both sides, and the
+// slots must still agree after it.
 func compareKernel(k int, ticks, drain bw.Tick, build func() sim.SparseAllocator,
 	input func(bw.Tick, []bw.Bits), ends *rng.Source, fail func(format string, args ...any)) {
 	slots, orc := sim.NewSlots(k), newOracle(k)
@@ -205,17 +224,25 @@ func compareKernel(k int, ticks, drain bw.Tick, build func() sim.SparseAllocator
 				return
 			}
 		}
-		err, oerr := slots.Step(tick, lanes[0].alloc, &lanes[0].round), orc.Step(tick, lanes[1].alloc, &lanes[1].round)
-		if (err == nil) != (oerr == nil) {
-			fail("tick %d: Step error %v, oracle %v", tick, err, oerr)
+		err, panicked := stepContained(func() error { return slots.Step(tick, lanes[0].alloc, &lanes[0].round) })
+		oerr, opanicked := stepContained(func() error { return orc.Step(tick, lanes[1].alloc, &lanes[1].round) })
+		if (err == nil) != (oerr == nil) || panicked != opanicked {
+			fail("tick %d: Step error %v, panicked %v; oracle %v, %v", tick, err, panicked, oerr, opanicked)
 			return
 		}
 		got, want := lanes[0].round, lanes[1].round
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if !panicked && fmt.Sprint(got) != fmt.Sprint(want) { // an abandoned round reports nothing
 			fail("tick %d: round %+v, oracle %+v", tick, got, want)
 			return
 		}
+		// Reading a slot brings its drain line up to date, so each is read
+		// every readEvery ticks, staggered, and all of them at the end:
+		// between reads a line spans several rounds and rate changes.
+		last := tick >= ticks && got.Backlogged == 0 && len(orc.visit) == 0 || tick == ticks+drain-1
 		for i := range k {
+			if !last && (int(tick)+i)%readEvery != 0 {
+				continue
+			}
 			q, o := slots.Queue(i), &orc.q[i]
 			at, ok := q.Oldest()
 			oat, ook := o.Oldest()
@@ -232,11 +259,15 @@ func compareKernel(k int, ticks, drain bw.Tick, build func() sim.SparseAllocator
 				}
 			}
 		}
-		if tick >= ticks && got.Backlogged == 0 && len(orc.visit) == 0 {
+		if last {
 			return
 		}
 	}
 }
+
+// readEvery is how many rounds compareKernel lets pass between two reads
+// of a slot.
+const readEvery = 3
 
 // kernelPolicies are the paper's policies at B_O = share·k.
 func kernelPolicies(do bw.Tick) map[string]func(k int, share bw.Rate) sim.SparseAllocator {
@@ -260,7 +291,8 @@ func kernelPolicies(do bw.Tick) map[string]func(k int, share bw.Rate) sim.Sparse
 // (the enumeration TestSkipMatchesAsking uses) and on E7's and E8's
 // planted workloads; a seeded churner that re-rates draining slots and
 // sets rate 0 runs on random bursts, with sessions ending and slots
-// taken again, with and without contract breaches.
+// taken again, with and without contract breaches, and with an
+// allocator that panics.
 func TestKernelMatchesOracle(t *testing.T) {
 	const (
 		smallDO    = bw.Tick(4)
@@ -309,8 +341,12 @@ func TestKernelMatchesOracle(t *testing.T) {
 			})
 		}
 	}
-	for _, fail := range []bool{false, true} {
-		t.Run(fmt.Sprintf("churner/fail=%v", fail), func(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		fail, panics bool
+		drain        bw.Tick
+	}{{"fail=false", false, false, 0}, {"fail=true", true, false, 0}, {"panics", false, true, 64}} {
+		t.Run("churner/"+c.name, func(t *testing.T) {
 			const kk, ticks = 12, 3000
 			src := rng.New(11)
 			input := func(_ bw.Tick, arrived []bw.Bits) {
@@ -323,9 +359,9 @@ func TestKernelMatchesOracle(t *testing.T) {
 			seed := uint64(0)
 			build := func() sim.SparseAllocator {
 				seed++ // the same seed for both lanes: build is called twice a run
-				return &churner{src: rng.New(100 + (seed+1)/2), k: kk, fail: fail}
+				return &churner{src: rng.New(100 + (seed+1)/2), k: kk, fail: c.fail, panics: c.panics}
 			}
-			compareKernel(kk, ticks, 0, build, input, rng.New(12), t.Fatalf)
+			compareKernel(kk, ticks, c.drain, build, input, rng.New(12), t.Fatalf)
 		})
 	}
 }

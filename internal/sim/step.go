@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"dynbw/internal/bitset"
 	"dynbw/internal/bw"
@@ -87,7 +86,7 @@ type slot struct {
 	// line is the tick through which the queue stands served. While the
 	// queue holds bits under a rate above 0 it is a drain line: the queue
 	// at a later tick is the one ServeSpan leaves from line+1 on, and it
-	// empties at tick line + DrainTicks(q.Bits(), rate).
+	// empties at tick line + ceil(q.Bits()/rate).
 	line bw.Tick
 	// pending is the bits handed to the slot since the last round.
 	pending bw.Bits
@@ -95,30 +94,14 @@ type slot struct {
 	changes int
 }
 
-// A slot the round in progress has visited holds one of two marks for
-// its line, below any tick: visitKeep when the completion wheel already
-// lists it at or before the tick its new line will empty (it drained
-// under a rate the round kept or lowered), visitPush when the new line
-// needs an entry of its own. Either way the queue stands as served
-// through the tick before the round's.
-const (
-	visitKeep bw.Tick = math.MinInt64 + iota
-	visitPush
-)
-
 // running is what a view carries from round to round besides the slots.
 type running struct {
 	// total is the sum of the view's applied rates, kept on every change.
 	total bw.Rate
 	// due is the first tick whose round must ask the allocator even if
 	// no bit arrived: the allocator's Next after a round with no arrival
-	// and no rate moved, the next tick after any other. next is that
-	// method, looked up once after a Reset (known says so): slots change
-	// allocators only across one, and a drain round would otherwise pay
-	// for the lookup every tick.
-	due   bw.Tick
-	next  interface{ Next(t bw.Tick) bw.Tick }
-	known bool
+	// and no rate moved, the next tick after any other.
+	due bw.Tick
 	// backlogged counts the view's slots with bits queued, and drain
 	// sums the rates of those on a drain line: the bits they serve a tick.
 	backlogged int
@@ -128,12 +111,11 @@ type running struct {
 	// Unseat below it lowers it.
 	tenants, free int
 	// in is the round's compact input to the allocator: the slots that
-	// received bits, and the bits each received. Once the allocator has
-	// answered, the slots list goes on with the draining slots whose rate
-	// moved: every slot the round visits.
+	// received bits, and the bits each received. It stands until the next
+	// round, which finds the new lines of a round that failed in it.
 	in Compact
 	// wheel lists the draining slots by the tick each queue empties. It
-	// comes last: a round with no backlog reads none of its 1.5 KB.
+	// comes last: a round with no backlog reads none of its 0.5 KB.
 	wheel wheel
 }
 
@@ -163,25 +145,61 @@ const wheelSpan = 64
 // slot always has an entry at or before the tick it empties, and a slot
 // gets a new entry only when it starts a line or a rate rise may end its
 // line sooner; so the wheel holds about one entry per draining slot,
-// however long the slots stay backlogged.
+// however long the slots stay backlogged. The buckets draw their entries
+// from one pool, so its storage is the most entries the wheel has held
+// at once, whichever buckets held them.
 type wheel struct {
 	// n counts the entries in the buckets.
-	n       int
-	buckets [wheelSpan][]int32
+	n int
+	// first[b] is bucket b's first entry, and count[b] how many it holds.
+	first, count [wheelSpan]int32
+	// pool holds the entries from index 1 on (0 is none): each lists a
+	// slot and the next entry of its bucket, or of the free list that
+	// starts at free.
+	pool []wheelEntry
+	free int32
 }
 
+type wheelEntry struct{ slot, next int32 }
+
 func (w *wheel) add(i int32, at bw.Tick) {
-	b := &w.buckets[at%wheelSpan]
-	*b = append(*b, i)
+	e := w.free
+	if e != 0 {
+		w.free = w.pool[e].next
+	} else {
+		if len(w.pool) == 0 {
+			w.pool = append(w.pool, wheelEntry{}) // entry 0 stands for none
+		}
+		e = int32(len(w.pool))
+		w.pool = append(w.pool, wheelEntry{})
+	}
+	b := at % wheelSpan
+	w.pool[e] = wheelEntry{slot: i, next: w.first[b]}
+	w.first[b] = e
+	w.count[b]++
 	w.n++
 }
 
-// clear empties every bucket, keeping their storage.
+// take empties bucket b and returns its first entry: the caller walks
+// the entries by their next links and hands each back (release) before
+// it adds the entry's slot again, if it does.
+func (w *wheel) take(b bw.Tick) int32 {
+	e := w.first[b]
+	w.n -= int(w.count[b])
+	w.first[b], w.count[b] = 0, 0
+	return e
+}
+
+// release returns entry e to the free list.
+func (w *wheel) release(e int32) {
+	w.pool[e].next = w.free
+	w.free = e
+}
+
+// clear empties every bucket, keeping the pool's storage.
 func (w *wheel) clear() {
-	for b := range w.buckets {
-		w.buckets[b] = w.buckets[b][:0]
-	}
-	w.n = 0
+	w.first, w.count = [wheelSpan]int32{}, [wheelSpan]int32{}
+	w.pool, w.free, w.n = w.pool[:min(len(w.pool), 1)], 0, 0
 }
 
 // NewSlots returns k empty slots.
@@ -224,18 +242,27 @@ func (s *Slots) prefix(k int) Slots {
 // reading its counters.
 func (s *Slots) Queue(i int) *queue.FIFO {
 	sl := &s.slots[i]
-	if l := s.lines; l.owner != nil && i < l.span && l.last > sl.line {
-		s.serveTo(i, l.last)
+	if s.lines.last > sl.line {
+		s.bringUp(i)
 	}
 	return &sl.q
 }
 
+// bringUp serves slot i's queue along its drain line through the last
+// round of the view that owns the lines, if that view has the slot: what
+// serveTo(i, last) does, kept out of Queue, which a STATS read inlines.
+func (s *Slots) bringUp(i int) {
+	if l := s.lines; l.owner != nil && i < l.span {
+		sl := &s.slots[i]
+		sl.q.ServeSpan(sl.line+1, l.last, s.rates[i])
+		sl.line = l.last
+	}
+}
+
 // serveTo serves slot i's queue along its drain line through tick t, a
-// tick before the one it empties. A slot the round in progress has
-// visited stands as served through the tick before the round's and is
-// left as it is, as is one served through t already.
+// tick before the one it empties, unless it stands served through t.
 func (s *Slots) serveTo(i int, t bw.Tick) {
-	if sl := &s.slots[i]; t > sl.line && sl.line > visitPush {
+	if sl := &s.slots[i]; t > sl.line {
 		sl.q.ServeSpan(sl.line+1, t, s.rates[i])
 		sl.line = t
 	}
@@ -244,7 +271,7 @@ func (s *Slots) serveTo(i int, t bw.Tick) {
 // ends returns the tick at which slot i's queue empties on its line.
 func (s *Slots) ends(i int32) bw.Tick {
 	sl := &s.slots[i]
-	return sl.line + bw.DrainTicks(sl.q.Bits(), s.rates[i])
+	return sl.line + bw.CeilDiv(sl.q.Bits(), s.rates[i])
 }
 
 // takeLines makes this view's rounds the ones that serve its slots'
@@ -329,7 +356,6 @@ func (s *Slots) Reset() {
 	s.active.ClearRange(0, len(s.slots))
 	s.seated.ClearRange(0, len(s.slots))
 	run.total, run.tenants, run.free, run.due = 0, 0, 0, 0
-	run.next, run.known = nil, false
 	run.backlogged, run.drain = 0, 0
 	run.wheel.clear()
 }
@@ -449,15 +475,15 @@ type Round struct {
 
 // Step runs the round for tick t and reports it in r. It visits the
 // slots with pending arrivals, moving each one's bits into its queue as
-// far as MaxBacklog lets them. alloc, told of the slots that received
-// bits and nothing else, picks the rates; the rates that changed are
-// applied and counted, and a draining slot whose rate moved is visited.
-// Each visited slot is served at its rate and put (back) on its drain
-// line; the completion wheel's slots whose queues empty at t are served
-// their last bits and leave their lines; every other draining slot is
-// served its rate, counted from the lines' sum and not visited. Ticks
-// must increase from round to round, by one while any slot is
-// backlogged.
+// far as MaxBacklog lets them; a slot whose queue was empty starts a
+// drain line. alloc, told of the slots that received bits and nothing
+// else, picks the rates; the rates that changed are applied and counted,
+// and a draining slot whose rate moved is visited and put on a new line.
+// A new line whose queue empties at t is served then; the completion
+// wheel's slots whose queues empty at t are served their last bits and
+// leave their lines; every other draining slot is served its rate,
+// counted from the lines' sum and not visited. Ticks must increase from
+// round to round, by one while any slot is backlogged.
 //
 // An allocator that breaks its contract — a change of a session the
 // view does not have, a negative rate, or a different number of
@@ -465,7 +491,10 @@ type Round struct {
 // applied, and no queue is served at t: the round's arrivals are
 // enqueued (and reported in Round.Arrived), every slot keeps its
 // previous rate and count, and every backlogged slot stays backlogged,
-// its line a tick later.
+// its line a tick later. Until the allocator has answered, every slot
+// stands on its line as after tick t-1 with tick t's arrivals in, so a
+// round whose allocator panics leaves the slots readable and counted;
+// the next Step ends that round as a failed one before its own.
 //
 // A round with no arrival before the last round's Due does not ask
 // alloc, and with nothing queued either it returns at once, reporting
@@ -473,8 +502,10 @@ type Round struct {
 // one allocator to another only across a Reset.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	run, slots, applied := s.run, s.slots, s.rates
-	if s.lines.owner != run {
+	if l := s.lines; l.owner != run {
 		s.takeLines(t)
+	} else if l.last < t-1 && run.backlogged > 0 {
+		s.stall(l.last + 1) // the round after the last did not end: its allocator panicked
 	}
 	sessions := s.active.AppendTo(run.in.idx[:0], 0, len(slots))
 	run.in.idx = sessions
@@ -510,15 +541,10 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		if a == 0 {
 			continue // policed whole: the queue is full, and stays on its line
 		}
-		switch {
-		case b == 0:
+		if b == 0 { // a new line, from t-1
 			backlogged++
-			sl.line = visitPush
-		case applied[i] == 0:
-			sl.line = visitPush
-		default:
-			drain -= applied[i]
-			sl.line = visitKeep
+			drain += applied[i]
+			sl.line = t - 1
 		}
 		sl.q.Push(t, a)
 		sessions[n] = i
@@ -535,78 +561,65 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		r.Due = run.due
 		changed, rates := alloc.RatesActive(t, sessions, got, applied)
 		if err := checkAnswer(t, changed, rates, len(applied)); err != nil {
-			s.lines.last = t
 			s.stall(t)
 			return err
 		}
 		moved := 0
 		for j, i := range changed {
-			rate := rates[j]
-			if rate == applied[i] {
+			rate, was := rates[j], applied[i]
+			if rate == was {
 				continue
 			}
 			sl := &slots[i]
-			if sl.line > visitPush && sl.q.Bits() > 0 {
+			backlog := sl.q.Bits() > 0
+			if backlog {
 				s.serveTo(int(i), t-1) // the old rate's line ends at t-1
-				run.drain -= applied[i]
-				sl.line = visitKeep
-				if applied[i] == 0 {
-					sl.line = visitPush
-				}
-				run.in.idx = append(run.in.idx, i)
+				run.drain += rate - was
 			}
-			if rate > applied[i] && sl.line == visitKeep {
-				sl.line = visitPush // a faster line may end before its entry
-			}
-			run.total += rate - applied[i]
+			run.total += rate - was
 			applied[i] = rate
 			sl.changes++
 			moved++
+			// The faster line may end before its entry; a new line goes on
+			// the wheel below, once every rate is known.
+			if at, _ := sl.q.Oldest(); backlog && rate > was && at != t {
+				run.wheel.add(i, s.ends(i))
+			}
 		}
 		r.Total, r.Changes = run.total, moved
 		if moved == 0 && len(sessions) == 0 {
-			if !run.known {
-				run.next, _ = alloc.(interface{ Next(t bw.Tick) bw.Tick })
-				run.known = true
-			}
-			if run.next != nil {
-				run.due = run.next.Next(t)
+			if nx, ok := alloc.(interface{ Next(t bw.Tick) bw.Tick }); ok {
+				run.due = nx.Next(t)
 				r.Due = run.due
 			}
 		}
 	}
-	// Until here a reader (the allocator, say) finds every queue as it
-	// stood after tick t-1, with tick t's arrivals in.
 	s.lines.last = t
-	// The visited slots stand as served through t-1: serve each at t, or
-	// put it on a line from t-1 that serves it at t.
-	served, relined, emptied := bw.Bits(0), bw.Rate(0), 0
-	for _, i := range run.in.idx {
+	// A new line that empties at t is served now; any other goes on the
+	// completion wheel. (A slot whose oldest bits arrived at t had none
+	// queued before them.)
+	served, drain, backlogged := bw.Bits(0), run.drain, run.backlogged
+	for _, i := range sessions {
 		sl, rate := &slots[i], applied[i]
-		push := sl.line == visitPush
-		sl.line = t - 1
-		switch b := sl.q.Bits(); {
-		case rate == 0:
-		case b <= bw.Volume(rate, 1):
+		if at, _ := sl.q.Oldest(); at != t || rate == 0 {
+			continue
+		}
+		if b := sl.q.Bits(); b <= bw.Volume(rate, 1) {
 			sl.q.Serve(t, rate)
 			served += b
-			emptied++
-		default:
-			served += bw.Volume(rate, 1)
-			relined += rate
-			if push {
-				run.wheel.add(i, s.ends(i))
-			}
+			drain -= rate
+			backlogged--
+		} else {
+			run.wheel.add(i, s.ends(i))
 		}
 	}
-	run.backlogged -= emptied
+	run.drain, run.backlogged = drain, backlogged
 	// Every other line serves its rate at t, less what the queues that
 	// empty at t leave unused.
-	served += bw.Volume(run.drain, 1)
-	if draining && len(run.wheel.buckets[t%wheelSpan]) > 0 {
-		served -= s.complete(t) // only a line from before the round can end at t
+	served += bw.Volume(drain, 1)
+	if backlogged > 0 && run.wheel.first[t%wheelSpan] != 0 {
+		served -= s.complete(t)
 	}
-	run.drain += relined
 	if run.backlogged == 0 && run.wheel.n > 0 {
 		run.wheel.clear()
 	}
@@ -633,15 +646,15 @@ func checkAnswer(t bw.Tick, changed []int32, rates []bw.Rate, n int) error {
 
 // complete takes tick t's bucket off the completion wheel: each slot
 // whose queue empties at t is served its last bits and leaves its line,
-// and complete returns the bits of rate those slots left unused at t. An entry
-// of a slot whose done is later moves to that tick's bucket; any other
-// is stale and dropped.
+// and complete returns the bits of rate those slots left unused at t. An
+// entry of a slot whose line ends later moves to that tick's bucket; any
+// other is stale and dropped.
 func (s *Slots) complete(t bw.Tick) (unused bw.Bits) {
-	run := s.run
-	b := &run.wheel.buckets[t%wheelSpan]
-	run.wheel.n -= len(*b)
-	keep := (*b)[:0]
-	for _, i := range *b {
+	w := &s.run.wheel
+	for e := w.take(t % wheelSpan); e != 0; {
+		i, next := w.pool[e].slot, w.pool[e].next
+		w.release(e)
+		e = next
 		sl, rate := &s.slots[i], s.rates[i]
 		if rate == 0 || sl.q.Bits() == 0 {
 			continue
@@ -653,45 +666,35 @@ func (s *Slots) complete(t bw.Tick) (unused bw.Bits) {
 		case left <= bw.Volume(rate, 1):
 			sl.q.ServeSpan(sl.line+1, t, rate)
 			unused += bw.Volume(rate, 1) - left
-			run.drain -= rate
-			run.backlogged--
+			s.run.drain -= rate
+			s.run.backlogged--
 		default:
-			if end := s.ends(i); end%wheelSpan == t%wheelSpan {
-				keep = append(keep, i)
-			} else {
-				run.wheel.add(i, end)
-			}
+			w.add(i, s.ends(i))
 		}
 	}
-	*b = keep
-	run.wheel.n += len(keep)
 	return unused
 }
 
-// stall ends a round whose allocator failed without serving a queue at
-// t: the slots it visited go on lines from t, every other line moves a
-// tick later, and tick t's bucket moves on with them.
+// stall ends the round at t, whose allocator failed or panicked, without
+// serving a queue at t: the round's new lines go on the completion
+// wheel, every line moves a tick later, and tick t's bucket moves on
+// with them.
 func (s *Slots) stall(t bw.Tick) {
-	run := s.run
-	for _, i := range run.in.idx {
-		sl, rate := &s.slots[i], s.rates[i]
-		push := sl.line == visitPush
-		sl.line = t
-		if rate > 0 {
-			run.drain += rate
-			if push {
-				run.wheel.add(i, s.ends(i))
-			}
+	w := &s.run.wheel
+	for _, i := range s.run.in.idx {
+		if at, ok := s.slots[i].q.Oldest(); ok && at == t && s.rates[i] > 0 {
+			w.add(i, s.ends(i))
 		}
 	}
-	for b := range run.wheel.buckets {
-		for _, i := range run.wheel.buckets[b] {
-			if sl := &s.slots[i]; sl.line < t {
-				s.serveTo(int(i), t-1)
+	for b := range w.first {
+		for e := w.first[b]; e != 0; e = w.pool[e].next {
+			if sl := &s.slots[w.pool[e].slot]; sl.line < t {
+				s.serveTo(int(w.pool[e].slot), t-1)
 				sl.line = t // a duplicate entry finds the line at t, and passes
 			}
 		}
 	}
+	s.lines.last = t
 	s.complete(t)
 }
 
@@ -703,5 +706,5 @@ func (s *Slots) Completing(t bw.Tick) int {
 	if s.run.backlogged == 0 {
 		return 0
 	}
-	return len(s.run.wheel.buckets[t%wheelSpan])
+	return int(s.run.wheel.count[t%wheelSpan])
 }

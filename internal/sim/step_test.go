@@ -737,10 +737,71 @@ func TestDrainRoundAllocatesNothing(t *testing.T) {
 			tick++
 		}
 	}
-	for range 200 { // until each of the wheel's buckets has held its peak
+	for range 10 { // until the scratch lists and the wheel's pool have grown to the burst
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Errorf("a burst and the rounds that drain it allocate %.1f objects on a warm table", avg)
+	}
+}
+
+// panicAt is everyRate with a bug: it panics in place of its answer at
+// tick at.
+type panicAt struct {
+	*everyRate
+	at bw.Tick
+}
+
+func (a panicAt) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, applied []bw.Rate) ([]int32, []bw.Rate) {
+	if t == a.at {
+		panic("allocator bug")
+	}
+	return a.everyRate.RatesActive(t, arrived, bits, applied)
+}
+
+// TestAbandonedRoundStrandsNothing: a round whose allocator panics, the
+// panic recovered by the caller as the gateway's round does, leaves every
+// slot served by the rounds after it. Slot 0 drains through the panic;
+// slot 1's last bits arrive in the panicking round; slot 2 receives bits
+// in it and again later, so its rate leaves and rejoins the drain lines.
+// Every queue empties, the table ends with nothing backlogged, and the
+// rounds' Served sums to what each slot's queue says it served, which is
+// every bit sent.
+func TestAbandonedRoundStrandsNothing(t *testing.T) {
+	const bad = bw.Tick(5)
+	s := NewSlots(3)
+	a := panicAt{newEveryRate(3), bad}
+	sends := map[bw.Tick][]bw.Bits{0: {40, 0, 0}, 2: {0, 0, 9}, bad: {0, 10, 20}, bad + 3: {0, 0, 7}}
+	var sent, served bw.Bits
+	var r Round
+	abandoned := func(tick bw.Tick) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		if err := s.Step(tick, a, &r); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		return false
+	}
+	for tick := bw.Tick(0); tick < 60; tick++ {
+		for i, b := range sends[tick] {
+			s.Add(i, b)
+			sent += b
+		}
+		if abandoned(tick) != (tick == bad) {
+			t.Fatalf("tick %d: the round panicked %v", tick, tick != bad)
+		}
+		if tick != bad {
+			served += r.Served
+		}
+	}
+	var queued, byQueue bw.Bits
+	for i := range 3 {
+		queued += s.Queue(i).Bits()
+		byQueue += s.Queue(i).Served()
+	}
+	if r.Backlogged != 0 || queued != 0 || s.Completing(60) != 0 {
+		t.Errorf("after the drain: %d slots backlogged, %d bits queued, %d completions listed", r.Backlogged, queued, s.Completing(60))
+	}
+	if served != sent || byQueue != sent {
+		t.Errorf("rounds served %d bits, queues %d; %d sent", served, byQueue, sent)
 	}
 }
