@@ -198,7 +198,8 @@ func (w *wheel) release(e int32) {
 
 // clear empties every bucket, keeping the pool's storage.
 func (w *wheel) clear() {
-	w.first, w.count = [wheelSpan]int32{}, [wheelSpan]int32{}
+	clear(w.first[:])
+	clear(w.count[:])
 	w.pool, w.free, w.n = w.pool[:min(len(w.pool), 1)], 0, 0
 }
 
@@ -501,28 +502,88 @@ type Round struct {
 // nothing arrived, served or changed. Due is alloc's, so slots go from
 // one allocator to another only across a Reset.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
-	run, slots, applied := s.run, s.slots, s.rates
+	run, applied := s.run, s.rates
 	if l := s.lines; l.owner != run {
 		s.takeLines(t)
 	} else if l.last < t-1 && run.backlogged > 0 {
 		s.stall(l.last + 1) // the round after the last did not end: its allocator panicked
 	}
-	sessions := s.active.AppendTo(run.in.idx[:0], 0, len(slots))
-	run.in.idx = sessions
+	sessions := s.active.AppendTo(run.in.idx[:0], 0, len(s.slots))
+	run.in.idx, run.in.bits = sessions, run.in.bits[:0]
 	// r is reused from round to round: every field is written, here or
 	// below, before the round can fail.
 	r.Rates, r.Total, r.Changes = applied, run.total, 0
 	r.Arrived, r.Served, r.Policed = 0, 0, 0
 	r.Active, r.Backlogged, r.Due = run.backlogged, run.backlogged, run.due
-	ask, draining := len(sessions) > 0 || t >= run.due, run.backlogged > 0
-	if !ask && !draining {
+	ask := len(sessions) > 0 || t >= run.due
+	if !ask && run.backlogged == 0 {
 		return nil
 	}
-	// The walks keep their sums and lists in locals: a store through a
-	// slot could alias a field, so the compiler would write each back
-	// every slot. The slots that keep bits are compacted to the front of
-	// the list of those with arrivals.
-	arrived, policed, got, n := bw.Bits(0), bw.Bits(0), run.in.bits[:0], 0
+	if len(sessions) > 0 {
+		sessions = s.enqueue(t, sessions, r)
+	}
+	if ask {
+		run.due = t + 1
+		r.Due = run.due
+		changed, rates := alloc.RatesActive(t, sessions, run.in.bits, applied)
+		if !fits(changed, rates, len(applied)) {
+			s.stall(t)
+			return checkAnswer(t, changed, rates, len(applied))
+		}
+		moved := 0
+		for j, i := range changed {
+			rate, was := rates[j], applied[i]
+			if rate == was {
+				continue
+			}
+			sl := &s.slots[i]
+			if sl.q.Bits() > 0 {
+				s.reline(i, t, rate)
+			}
+			run.total += rate - was
+			applied[i] = rate
+			sl.changes++
+			moved++
+		}
+		r.Total, r.Changes = run.total, moved
+		if moved == 0 && len(sessions) == 0 {
+			if nx, ok := alloc.(interface{ Next(t bw.Tick) bw.Tick }); ok {
+				run.due = nx.Next(t)
+				r.Due = run.due
+			}
+		}
+	}
+	s.lines.last = t
+	if len(sessions) > 0 {
+		r.Served = s.startLines(t, sessions)
+	}
+	// Every other line serves its rate at t, less what the queues that
+	// the wheel lists as emptying at t leave unused.
+	if run.backlogged > 0 {
+		r.Served += bw.Volume(run.drain, 1)
+		if run.wheel.first[t%wheelSpan] != 0 {
+			r.Served -= s.complete(t)
+		}
+	}
+	if run.backlogged == 0 && run.wheel.n > 0 {
+		run.wheel.clear()
+	}
+	r.Backlogged = run.backlogged
+	return nil
+}
+
+// enqueue moves the pending bits of the listed slots into their queues,
+// as far as MaxBacklog lets them, and reports them in r. A slot whose
+// queue was empty starts a drain line from t-1; one that was draining is
+// first served along its line through t-1. It returns the slots that
+// received bits, compacted to the front of the list, and appends the
+// bits each received to the round's input.
+func (s *Slots) enqueue(t bw.Tick, sessions []int32, r *Round) []int32 {
+	// The walk keeps its sums and lists in locals: a store through a slot
+	// could alias a field, so the compiler would write each back every
+	// slot.
+	run, slots, applied := s.run, s.slots, s.rates
+	arrived, policed, got, n := bw.Bits(0), bw.Bits(0), run.in.bits, 0
 	backlogged, drain := run.backlogged, run.drain
 	for _, i := range sessions {
 		s.active.Remove(int(i))
@@ -541,7 +602,7 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		if a == 0 {
 			continue // policed whole: the queue is full, and stays on its line
 		}
-		if b == 0 { // a new line, from t-1
+		if b == 0 {
 			backlogged++
 			drain += applied[i]
 			sl.line = t - 1
@@ -552,53 +613,35 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		got = append(got, a)
 		arrived += a
 	}
-	sessions = sessions[:n]
 	run.backlogged, run.drain = backlogged, drain
-	run.in.idx, run.in.bits = sessions, got
+	run.in.idx, run.in.bits = sessions[:n], got
 	r.Arrived, r.Policed, r.Active, r.Backlogged = arrived, policed, backlogged, backlogged
-	if ask {
-		run.due = t + 1
-		r.Due = run.due
-		changed, rates := alloc.RatesActive(t, sessions, got, applied)
-		if err := checkAnswer(t, changed, rates, len(applied)); err != nil {
-			s.stall(t)
-			return err
-		}
-		moved := 0
-		for j, i := range changed {
-			rate, was := rates[j], applied[i]
-			if rate == was {
-				continue
-			}
-			sl := &slots[i]
-			backlog := sl.q.Bits() > 0
-			if backlog {
-				s.serveTo(int(i), t-1) // the old rate's line ends at t-1
-				run.drain += rate - was
-			}
-			run.total += rate - was
-			applied[i] = rate
-			sl.changes++
-			moved++
-			// The faster line may end before its entry; a new line goes on
-			// the wheel below, once every rate is known.
-			if at, _ := sl.q.Oldest(); backlog && rate > was && at != t {
-				run.wheel.add(i, s.ends(i))
-			}
-		}
-		r.Total, r.Changes = run.total, moved
-		if moved == 0 && len(sessions) == 0 {
-			if nx, ok := alloc.(interface{ Next(t bw.Tick) bw.Tick }); ok {
-				run.due = nx.Next(t)
-				r.Due = run.due
-			}
+	return sessions[:n]
+}
+
+// reline puts backlogged slot i, whose rate moves to rate at t, on a new
+// line from t-1: the old rate's line ends there. A faster line may end
+// before its entry on the completion wheel, so it is listed again, but
+// for a new line (its oldest bits arrived at t), which startLines lists
+// once every rate is known.
+func (s *Slots) reline(i int32, t bw.Tick, rate bw.Rate) {
+	was := s.rates[i]
+	s.serveTo(int(i), t-1)
+	s.run.drain += rate - was
+	if sl := &s.slots[i]; rate > was {
+		if at, _ := sl.q.Oldest(); at != t {
+			s.run.wheel.add(i, sl.line+bw.CeilDiv(sl.q.Bits(), rate))
 		}
 	}
-	s.lines.last = t
-	// A new line that empties at t is served now; any other goes on the
-	// completion wheel. (A slot whose oldest bits arrived at t had none
-	// queued before them.)
-	served, drain, backlogged := bw.Bits(0), run.drain, run.backlogged
+}
+
+// startLines serves at t the new lines among the slots that received
+// bits (those whose oldest bits arrived at t) that empty then, returning
+// the bits it served, and lists every other new line on the completion
+// wheel, now that its rate is known.
+func (s *Slots) startLines(t bw.Tick, sessions []int32) (served bw.Bits) {
+	run, slots, applied := s.run, s.slots, s.rates
+	drain, backlogged := run.drain, run.backlogged
 	for _, i := range sessions {
 		sl, rate := &slots[i], applied[i]
 		if at, _ := sl.q.Oldest(); at != t || rate == 0 {
@@ -614,17 +657,23 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 		}
 	}
 	run.drain, run.backlogged = drain, backlogged
-	// Every other line serves its rate at t, less what the queues that
-	// empty at t leave unused.
-	served += bw.Volume(drain, 1)
-	if backlogged > 0 && run.wheel.first[t%wheelSpan] != 0 {
-		served -= s.complete(t)
+	return served
+}
+
+// fits reports whether an allocator's answer for a view of n sessions
+// keeps its contract: a rate for each change, each of a session the view
+// has, none negative. checkAnswer says how an answer that does not fit
+// breaks it; fits is the check a round makes, small enough to inline.
+func fits(changed []int32, rates []bw.Rate, n int) bool {
+	if len(rates) != len(changed) {
+		return false
 	}
-	if run.backlogged == 0 && run.wheel.n > 0 {
-		run.wheel.clear()
+	for j, i := range changed {
+		if uint(i) >= uint(n) || rates[j] < 0 {
+			return false
+		}
 	}
-	r.Served, r.Backlogged = served, run.backlogged
-	return nil
+	return true
 }
 
 // checkAnswer reports an allocator's answer for a view of n sessions
