@@ -69,16 +69,19 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // what the round's fixed work costs, on the tick loop.
 //
 // rerate is drain with a phase boundary in the middle of its lines:
-// every D_O rounds, half a phase in, drainSlots slots receive two
-// phases' shares, so at the boundary each one's regular queue is more
-// than its share drains in a phase and the policy raises its rate. That
-// round visits every fed slot for its rate change. It asks the
-// allocator (the policy names the boundary as its next event), so the
-// gateway counts every backlogged slot as work and fans it out. Every
-// round is timed; the boundary rounds must move at least drainSlots
-// rates, and their median is boundary_p50_ns/round. The slots with work
-// are not checked round by round here: the policy's raises set when
-// each queue empties.
+// every D_O rounds, half a phase in, drainSlots slots — one from each
+// stretch of the table, the next slot of the stretch each time —
+// receive four phases' shares. At the boundary each one's regular queue
+// is more than its share drains in a phase, so the policy raises its
+// rate, and that round visits every fed slot for its rate change. (A
+// slot comes round again after about 28 cycles, about when a stage
+// RESET puts every share back: raised at most once before, it is raised
+// again.) The gateway's known work counts no rate change, so the
+// boundary round runs on the tick loop. Every round is timed. The boundary
+// rounds' median is boundary_p50_ns/round and the rates they move, on
+// average, boundary_moves/round, which must exceed what a round runs
+// inline. The slots with work are not checked round by round here: the
+// policy's raises set when each queue empties.
 //
 // burst is the shape of a whole dense-100k cycle: every burstCycle
 // rounds — D_O, as there — every slot receives one seeded burst of 48 to
@@ -106,12 +109,9 @@ func newRounds(tb testing.TB, policy string, k, nshards int, do bw.Tick) *Gatewa
 // change to a busy round's cost shows in busy_p50 alone.
 //
 // Every round, timed or not, must take the path the gateway's known work
-// selects: fanned out to the tick workers exactly when, over all shards,
-// the slots reach inlineBelow that the round may visit as far as the
-// gateway can tell: a shard's fed slots and its backlog when the round
-// asks its allocator (bits were fed since its last round, or its Due
-// falls on the round), and otherwise the slots the kernel lists as
-// emptying (sim.Slots.Completing).
+// selects: fanned out to the tick workers exactly when the slots fed
+// since the last round and the slots the kernel lists as emptying in
+// this one (sim.Slots.Completing), over all shards, reach inlineBelow.
 //
 // ns/round is the benchmark's own clock around every round it times. The
 // gateway profiles one round in roundSampleEvery itself (those with
@@ -179,21 +179,18 @@ func BenchmarkRound(b *testing.B) {
 			}
 			rerate := bc.name == "rerate"
 			var boundary []time.Duration
+			var rerated int64 // rates the timed boundary rounds moved
 			round := func() time.Duration {
 				known := 0
 				for _, sh := range g.shards {
-					if fed[sh.idx] > 0 || tick >= sh.round.Due { // it asks the allocator
-						known += fed[sh.idx] + sh.round.Backlogged
-					} else {
-						known += sh.slots.Completing(tick)
-					}
+					known += fed[sh.idx] + sh.slots.Completing(tick)
 				}
 				fanned := g.m.roundsFanout.Value()
 				start := time.Now()
 				g.round(tick)
 				took := time.Since(start)
 				if got := g.m.roundsFanout.Value() > fanned; got != (known >= inlineBelow) {
-					b.Fatalf("round %d fanned out = %v with %d slots fed, backlogged under an asked allocator and listed as emptying", tick, got, known)
+					b.Fatalf("round %d fanned out = %v with %d slots fed and listed as emptying", tick, got, known)
 				}
 				g.now.Add(1)
 				tick++
@@ -228,7 +225,7 @@ func BenchmarkRound(b *testing.B) {
 				case rerate && tick%do == do/2:
 					for j := 0; j < active; j++ {
 						lo, hi := j*k/active, (j+1)*k/active
-						feedSlot(lo+src.Intn(hi-lo), 2*bw.Volume(share, do))
+						feedSlot(lo+int(tick/do)%(hi-lo), 4*bw.Volume(share, do))
 					}
 					round()
 				case !rerate && tick%drainCycle == 0:
@@ -241,10 +238,7 @@ func BenchmarkRound(b *testing.B) {
 				atBoundary, changes := rerate && tick%do == 0, g.m.allocChanges.Value()
 				took := round()
 				if atBoundary {
-					if moved := g.m.allocChanges.Value() - changes; moved < int64(active) {
-						b.Fatalf("boundary round %d moved %d rates, want the %d fed slots' at least", tick-1, moved, active)
-					}
-					boundary = append(boundary, took)
+					boundary, rerated = append(boundary, took), rerated+g.m.allocChanges.Value()-changes
 				}
 				spent += took
 				if bc.burst || bc.drain {
@@ -261,7 +255,7 @@ func BenchmarkRound(b *testing.B) {
 				step()
 			}
 			spent = 0
-			times, busy, boundary = make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N), boundary[:0]
+			times, busy, boundary, rerated = make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N), boundary[:0], 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -281,7 +275,12 @@ func BenchmarkRound(b *testing.B) {
 				b.ReportMetric(quantile(busy, 5), "busy_p50_ns/round")
 			}
 			if len(boundary) > 0 {
+				moves := float64(rerated) / float64(len(boundary))
 				b.ReportMetric(quantile(boundary, 5), "boundary_p50_ns/round")
+				b.ReportMetric(moves, "boundary_moves/round")
+				if moves < inlineBelow {
+					b.Errorf("the boundary rounds moved %.0f rates each, want more than a round runs inline (%d)", moves, inlineBelow)
+				}
 			}
 			if b.N == 1 {
 				perSlot = (float64(liveHeap()) - float64(base)) / k

@@ -30,16 +30,14 @@ type shard struct {
 	// whether it can be skipped.
 	work atomic.Int64
 	// due is the last round's Round.Due: the first tick at which a round
-	// on this shard with no work must still ask the allocator. left is
-	// how many slots the last round left backlogged, and pass how many of
-	// them the next round serves without a visit if no DATA comes before
-	// it: none when that round asks the allocator anyway, which may move
-	// any of their rates, and otherwise those the kernel does not list
-	// as emptying then (sim.Slots.Completing). tick writes all three, and
-	// the tick loop reads them between rounds, ordered after the write by
-	// running the round itself or by the tick workers' join.
-	due        bw.Tick
-	left, pass int64
+	// on this shard with no work must still ask the allocator. pass is
+	// how many of the slots the last round left backlogged the next round
+	// serves without a visit: those the kernel does not list as emptying
+	// then (sim.Slots.Completing). tick writes both, and the tick loop
+	// reads them between rounds, ordered after the write by running the
+	// round itself or by the tick workers' join.
+	due  bw.Tick
+	pass int64
 
 	mu    sync.Mutex
 	slots sim.Slots             // guarded by shard.mu; what the kernel keeps per slot, and which slots are seated

@@ -71,23 +71,19 @@ func (g *Gateway) startTickWorkers() {
 }
 
 // knownWork adds up the shards' estimates of the slots the coming round
-// will visit, as far as inlineBelow, read without a lock. A backlogged
-// slot that only drains is served without a visit, so a shard that
-// received no DATA since its last round and whose allocator is not due
-// counts only the slots the kernel lists as emptying in this round, and
-// a round whose backlogs drain and few of them empty runs on the tick
-// loop. A shard whose round asks the allocator — DATA arrived, or its
-// next event (Round.Due) falls on the round — counts its DATA and every
-// backlogged slot, since the allocator may move any of their rates (a
-// phase boundary raises every backlog it finds too long) and the kernel
-// visits each slot whose rate moves.
+// will visit, as far as inlineBelow, read without a lock. A shard's is
+// its DATA applied since its last round and the slots the kernel lists
+// as emptying in this one; a backlogged slot that only drains is served
+// without a visit, so a round whose backlogs drain and few of them empty
+// runs on the tick loop. The slots whose rate the round moves are not
+// counted, though the kernel visits each of them: no estimate is at hand
+// before the allocator answers. A phase boundary that raises thousands
+// of draining slots with no DATA before it therefore runs inline, at
+// about twice the cost of a fanned-out round (BenchmarkRound/rerate,
+// DESIGN.md §10).
 func (g *Gateway) knownWork() (n int64) {
 	for _, sh := range g.shards {
-		w := sh.work.Load()
-		if w == sh.left {
-			w -= sh.pass
-		}
-		if n += w; n >= inlineBelow {
+		if n += sh.work.Load() - sh.pass; n >= inlineBelow {
 			break
 		}
 	}
@@ -268,10 +264,8 @@ func (g *Gateway) tickContained(sh *shard, t bw.Tick) (err error) {
 // gateway counters (a shard with nothing to do reports zeros, which are
 // not added), its allotted bandwidth into roundRate, and the shard's
 // work estimate becomes the slots the round left backlogged; the DATA
-// applied from here to the next round adds to it. left becomes that
-// count, and pass those of them the next round serves without a visit
-// if no DATA comes: none when the round's Round.Due says the next one
-// asks the allocator. due becomes the round's
+// applied from here to the next round adds to it. pass becomes those of
+// them the next round does not visit. due becomes the round's
 // Round.Due, the tick before which the round loop may skip the shard
 // while its estimate reads 0, or the next tick after a round with work,
 // so that the shard's gauges read a round with none before it is
@@ -284,10 +278,7 @@ func (sh *shard) tick(t bw.Tick) error {
 	r := &sh.round
 	err := sh.slots.Step(t, sh.alloc, r)
 	sh.work.Store(int64(r.Backlogged))
-	sh.left, sh.pass = int64(r.Backlogged), 0
-	if r.Due > t+1 {
-		sh.pass = sh.left - int64(sh.slots.Completing(t+1))
-	}
+	sh.pass = int64(r.Backlogged - sh.slots.Completing(t+1))
 	sh.due = r.Due
 	if r.Active != 0 {
 		sh.due = t + 1 // the next round runs, if only to report the work gone

@@ -115,7 +115,7 @@ type running struct {
 	// round, which finds the new lines of a round that failed in it.
 	in Compact
 	// wheel lists the draining slots by the tick each queue empties. It
-	// comes last: a round with no backlog reads none of its 0.5 KB.
+	// comes last: a round with no backlog reads none of its 1.5 KB.
 	wheel wheel
 }
 
@@ -145,62 +145,25 @@ const wheelSpan = 64
 // slot always has an entry at or before the tick it empties, and a slot
 // gets a new entry only when it starts a line or a rate rise may end its
 // line sooner; so the wheel holds about one entry per draining slot,
-// however long the slots stay backlogged. The buckets draw their entries
-// from one pool, so its storage is the most entries the wheel has held
-// at once, whichever buckets held them.
+// however long the slots stay backlogged.
 type wheel struct {
 	// n counts the entries in the buckets.
-	n int
-	// first[b] is bucket b's first entry, and count[b] how many it holds.
-	first, count [wheelSpan]int32
-	// pool holds the entries from index 1 on (0 is none): each lists a
-	// slot and the next entry of its bucket, or of the free list that
-	// starts at free.
-	pool []wheelEntry
-	free int32
+	n       int
+	buckets [wheelSpan][]int32
 }
 
-type wheelEntry struct{ slot, next int32 }
-
 func (w *wheel) add(i int32, at bw.Tick) {
-	e := w.free
-	if e != 0 {
-		w.free = w.pool[e].next
-	} else {
-		if len(w.pool) == 0 {
-			w.pool = append(w.pool, wheelEntry{}) // entry 0 stands for none
-		}
-		e = int32(len(w.pool))
-		w.pool = append(w.pool, wheelEntry{})
-	}
-	b := at % wheelSpan
-	w.pool[e] = wheelEntry{slot: i, next: w.first[b]}
-	w.first[b] = e
-	w.count[b]++
+	b := &w.buckets[at%wheelSpan]
+	*b = append(*b, i)
 	w.n++
 }
 
-// take empties bucket b and returns its first entry: the caller walks
-// the entries by their next links and hands each back (release) before
-// it adds the entry's slot again, if it does.
-func (w *wheel) take(b bw.Tick) int32 {
-	e := w.first[b]
-	w.n -= int(w.count[b])
-	w.first[b], w.count[b] = 0, 0
-	return e
-}
-
-// release returns entry e to the free list.
-func (w *wheel) release(e int32) {
-	w.pool[e].next = w.free
-	w.free = e
-}
-
-// clear empties every bucket, keeping the pool's storage.
+// clear empties every bucket, keeping their storage.
 func (w *wheel) clear() {
-	clear(w.first[:])
-	clear(w.count[:])
-	w.pool, w.free, w.n = w.pool[:min(len(w.pool), 1)], 0, 0
+	for b := range w.buckets {
+		w.buckets[b] = w.buckets[b][:0]
+	}
+	w.n = 0
 }
 
 // NewSlots returns k empty slots.
@@ -561,7 +524,7 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	// the wheel lists as emptying at t leave unused.
 	if run.backlogged > 0 {
 		r.Served += bw.Volume(run.drain, 1)
-		if run.wheel.first[t%wheelSpan] != 0 {
+		if len(run.wheel.buckets[t%wheelSpan]) > 0 {
 			r.Served -= s.complete(t)
 		}
 	}
@@ -699,28 +662,32 @@ func checkAnswer(t bw.Tick, changed []int32, rates []bw.Rate, n int) error {
 // entry of a slot whose line ends later moves to that tick's bucket; any
 // other is stale and dropped.
 func (s *Slots) complete(t bw.Tick) (unused bw.Bits) {
-	w := &s.run.wheel
-	for e := w.take(t % wheelSpan); e != 0; {
-		i, next := w.pool[e].slot, w.pool[e].next
-		w.release(e)
-		e = next
+	run := s.run
+	b := &run.wheel.buckets[t%wheelSpan]
+	run.wheel.n -= len(*b)
+	keep := (*b)[:0]
+	for _, i := range *b {
 		sl, rate := &s.slots[i], s.rates[i]
 		if rate == 0 || sl.q.Bits() == 0 {
 			continue
 		}
-		// left is what the line holds after tick t-1: the queue empties
-		// at t when that is more than nothing and at most a tick's rate.
 		switch left := sl.q.Bits() - bw.Volume(rate, t-1-sl.line); {
 		case left <= 0:
 		case left <= bw.Volume(rate, 1):
 			sl.q.ServeSpan(sl.line+1, t, rate)
 			unused += bw.Volume(rate, 1) - left
-			s.run.drain -= rate
-			s.run.backlogged--
+			run.drain -= rate
+			run.backlogged--
 		default:
-			w.add(i, s.ends(i))
+			if end := s.ends(i); end%wheelSpan == t%wheelSpan {
+				keep = append(keep, i)
+			} else {
+				run.wheel.add(i, end)
+			}
 		}
 	}
+	*b = keep
+	run.wheel.n += len(keep)
 	return unused
 }
 
@@ -735,10 +702,10 @@ func (s *Slots) stall(t bw.Tick) {
 			w.add(i, s.ends(i))
 		}
 	}
-	for b := range w.first {
-		for e := w.first[b]; e != 0; e = w.pool[e].next {
-			if sl := &s.slots[w.pool[e].slot]; sl.line < t {
-				s.serveTo(int(w.pool[e].slot), t-1)
+	for b := range w.buckets {
+		for _, i := range w.buckets[b] {
+			if sl := &s.slots[i]; sl.line < t {
+				s.serveTo(int(i), t-1)
 				sl.line = t // a duplicate entry finds the line at t, and passes
 			}
 		}
@@ -755,5 +722,5 @@ func (s *Slots) Completing(t bw.Tick) int {
 	if s.run.backlogged == 0 {
 		return 0
 	}
-	return int(s.run.wheel.count[t%wheelSpan])
+	return len(s.run.wheel.buckets[t%wheelSpan])
 }
