@@ -612,6 +612,7 @@ func (s *Slots) startLines(t bw.Tick, sessions []int32) (served bw.Bits) {
 		}
 		if b := sl.q.Bits(); b <= bw.Volume(rate, 1) {
 			sl.q.Serve(t, rate)
+			sl.line = t // served through t: a read of the slot finds nothing to bring up
 			served += b
 			drain -= rate
 			backlogged--
@@ -671,10 +672,13 @@ func (s *Slots) complete(t bw.Tick) (unused bw.Bits) {
 		if rate == 0 || sl.q.Bits() == 0 {
 			continue
 		}
+		// left is what the line holds after tick t-1: the queue empties
+		// at t when that is more than nothing and at most a tick's rate.
 		switch left := sl.q.Bits() - bw.Volume(rate, t-1-sl.line); {
 		case left <= 0:
 		case left <= bw.Volume(rate, 1):
 			sl.q.ServeSpan(sl.line+1, t, rate)
+			sl.line = t
 			unused += bw.Volume(rate, 1) - left
 			run.drain -= rate
 			run.backlogged--
