@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race zeroalloc bench bench-round bench-round-pairs bench-all dynbench fuzz load loc loc-check experiments examples cover clean
+.PHONY: all build test lint race zeroalloc bench bench-round bench-round-pairs dynbench-pairs bench-all dynbench fuzz load loc loc-check experiments examples cover clean
 
 all: build lint test
 
@@ -26,10 +26,12 @@ race:
 # every testing.AllocsPerRun assertion, by name, without -race (its
 # instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
 # new one joins that table and, if its name is new, this pattern. Beside
-# them run the per-slot byte budget of a 100k-slot table and the sizes of
-# the kernel's and the policies' per-slot records (DESIGN §8).
+# them run the per-slot byte budget of a 100k-slot table, the sizes of
+# the kernel's and the policies' per-slot records (DESIGN §8), and the
+# gateway shard's layout: the words every round and DATA list write a
+# cache line from the header every message reads (TestShardHotWordsApart).
 zeroalloc:
-	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes' ./internal/...
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes|ShardHotWordsApart' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the
@@ -112,6 +114,71 @@ bench-round-pairs:
 				if (pairs) printf "%-34s %-14s %12.0f %12.0f %7.3f %.2f..%.2f    %d of %d\n", kc[1], kc[2], b, h, h / b, lo, hi, lower, pairs; \
 				else printf "%-34s %-14s %12s %12.0f %7s %-13s (head only)\n", kc[1], kc[2], "-", h, "-", "-"; } }' "$$tmp/runs"
 
+# The repository benchmark's workload W at two revisions, in alternating
+# pairs on one box: the end-to-end twin of bench-round-pairs. dynbench is
+# built from `git archive $(BASE)` under $TMPDIR and from the working
+# tree, and the two binaries' `-workload $(W) -trace 0 -seed $(SEED)
+# -seconds $(SECONDS)` runs alternate N times, the side that runs first
+# swapping from pair to pair (base first in odd pairs), each in its own
+# tree with its own BENCHMARK.json. Each run's last line, the JSON
+# result, is read with awk; for every end-to-end metric of
+# BENCHMARK.json the table prints each side's median and quartiles, the
+# pairs head won by the metric's `better` (ties count for neither), and
+# each pair's two values, then each side's failed operations and runs
+# that were not correct. A gain is claimed when head wins nine pairs in
+# ten and the medians differ by more than base's quartile spread. It
+# changes nothing under benchmarks/; the benchmark's own paired mode,
+# when it lands, replaces this target. E.g.
+# `TMPDIR=<scratch dir> make dynbench-pairs BASE=<parent rev> W=live-100k`.
+W ?=
+SEED ?= 1
+SECONDS ?= 10
+dynbench-pairs:
+	@set -e; test -n "$(W)" || { echo "usage: make dynbench-pairs BASE=<rev> W=<workload> [N=10 SEED=1 SECONDS=10]" >&2; exit 2; }; \
+	tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/dynbench-pairs.XXXXXX"); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/base.dynbench" ./benchmarks/dynbench); \
+	$(GO) build -o "$$tmp/head.dynbench" ./benchmarks/dynbench; \
+	echo "$(W), $(N) alternating pairs, seed $(SEED), $(SECONDS) s: base $(BASE), head the working tree"; \
+	for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir="$$tmp/base"; \
+			(cd "$$dir" && "$$tmp/$$side.dynbench" -workload $(W) -trace 0 -seed $(SEED) -seconds $(SECONDS) \
+				-out "$$tmp/out" >"$$tmp/log" 2>&1) || true; \
+			echo "$$side $$i $$(tail -n 1 "$$tmp/log")"; \
+		done; \
+	done > "$$tmp/runs"; \
+	awk ' \
+		function sorted(m, side,   n, i, j, v) { n = 0; \
+			for (i = 1; i <= $(N); i++) if ((m, side, i) in val) a[++n] = val[m, side, i]; \
+			for (i = 2; i <= n; i++) { v = a[i]; for (j = i - 1; j > 0 && a[j] > v; j--) a[j+1] = a[j]; a[j+1] = v; } \
+			return n; } \
+		function q(n, p,   h, l) { h = (n - 1) * p + 1; l = int(h); return l < n ? a[l] + (h - l) * (a[l+1] - a[l]) : a[l]; } \
+		function summary(m, side,   n) { n = sorted(m, side); \
+			return n ? sprintf("%.4g [%.4g, %.4g]", q(n, 0.5), q(n, 0.25), q(n, 0.75)) : "-"; } \
+		FNR == NR { if (/"end_to_end"/) e = 1; else if (/"per_layer"/) e = 0; \
+			if (e && /"name"/) { name = $$2; gsub(/[",]/, "", name); } \
+			if (e && /"better"/) { b = $$2; gsub(/[",]/, "", b); better[name] = b; order[++nm] = name; } \
+			next; } \
+		{ side = $$1; runs[side]++; \
+			if (!match($$0, /"failed":[0-9]+/)) { broken[side]++; next; } \
+			failed[side] += substr($$0, RSTART + 9, RLENGTH - 9); \
+			if ($$0 !~ /"correct":true/) broken[side]++; \
+			for (k = 1; k <= nm; k++) if (match($$0, "\"" order[k] "\":\\{\"value\":[-+0-9.eE]+")) { \
+				v = substr($$0, RSTART, RLENGTH); sub(/.*:/, "", v); val[order[k], side, $$2] = v + 0; } } \
+		END { printf "%-18s %-7s %-30s %-30s %s\n", "metric", "better", "base p50 [q1, q3]", "head p50 [q1, q3]", "head won"; \
+			for (k = 1; k <= nm; k++) { m = order[k]; won = 0; pairs = 0; list = ""; \
+				for (p = 1; p <= $(N); p++) if (((m, "base", p) in val) && ((m, "head", p) in val)) { \
+					bv = val[m, "base", p]; hv = val[m, "head", p]; pairs++; list = list sprintf(" %.4g/%.4g", bv, hv); \
+					if (better[m] == "lower" ? hv < bv : hv > bv) won++; } \
+				printf "%-18s %-7s %-30s %-30s %d of %d\n", m, better[m], summary(m, "base"), summary(m, "head"), won, pairs; \
+				printf "  pairs base/head:%s\n", list; } \
+			for (s = 1; s <= 2; s++) { side = s == 1 ? "base" : "head"; \
+				printf "%s: %d failed operations in %d runs, %d runs not correct\n", side, failed[side], runs[side], broken[side]; } }' \
+		BENCHMARK.json "$$tmp/runs"
+
 # One short untraced pass each of the repository benchmark's sparse
 # 100k-slot workload (the round path), its batch-1k workload (the batched
 # wire path under a running clock), its live-100k workload (the same
@@ -155,7 +222,7 @@ load:
 # (PR 24, the one load engine); internal/core <= 1,650 (PR 30).
 # internal/gateway <= 2,360 (the shard is the only partition).
 # internal/obs <= 1,562 (one instrument of each kind, striped by a count).
-# Two are missed: internal/gateway reads 2,624 and internal/core 1,729.
+# Two are missed: internal/gateway reads 2,675 and internal/core 1,729.
 # loc-check fails when a package passes one of the others, or one of them
 # is missing from the table.
 loc:

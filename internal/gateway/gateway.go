@@ -239,10 +239,11 @@ type Config struct {
 // chooses the shard at OPEN time.
 type Gateway struct {
 	ln        net.Listener
-	k         int // total slots
-	spp       int // slots per shard (k/len(shards))
-	indexBits int // a wire session ID is tag<<indexBits | index: the width of k-1
-	indexMask int // selects the index of a wire session ID
+	k         int    // total slots
+	spp       int    // slots per shard (k/len(shards))
+	sppInv    uint64 // reciprocal(spp), which shardIndex divides by
+	indexBits int    // a wire session ID is tag<<indexBits | index: the width of k-1
+	indexMask int    // selects the index of a wire session ID
 	shards    []*shard
 	// owners is the ownership column of the slot table, one word per
 	// global slot: ownerWord(serial, id) of the live session and the
@@ -376,6 +377,7 @@ func newGateway(k, nshards int) *Gateway {
 		m:          &gwMetrics{},
 	}
 	g.indexMask = 1<<g.indexBits - 1
+	g.sppInv = reciprocal(g.spp)
 	g.owners = make([]atomic.Uint64, k)
 	g.shards = make([]*shard, nshards)
 	for i := range g.shards {
@@ -391,16 +393,33 @@ func newGateway(k, nshards int) *Gateway {
 // Addr returns the gateway's listen address.
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
-// shardOf maps a wire session ID to its owning shard: the ID's index is
-// a global slot number on a sharded gateway, so the shard is index /
-// (k/shards). Callers must have validated the ID (owns: it names a live
-// session of the connection).
-func (g *Gateway) shardOf(id int) *shard {
-	if len(g.shards) == 1 {
-		return g.shards[0]
+// shardIndex maps a wire session ID to the index of its owning shard:
+// the ID's index is a global slot number, so the shard is index / spp.
+// The quotient is the high word of the index times spp's reciprocal
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation"),
+// exact for every 32-bit index, which is every index a wire ID carries,
+// when spp >= 2; at spp = 1 it is the index itself. Callers must have
+// validated the ID (its index names a slot).
+func (g *Gateway) shardIndex(id int) int {
+	i := uint64(id & g.indexMask)
+	if g.sppInv == 0 {
+		return int(i)
 	}
-	return g.shards[(id&g.indexMask)/g.spp]
+	q, _ := bits.Mul64(g.sppInv, i)
+	return int(q)
 }
+
+// reciprocal returns the multiplier shardIndex divides by d with:
+// ceil(2^64/d), or 0 for d = 1, whose reciprocal does not fit a word.
+func reciprocal(d int) uint64 {
+	if d == 1 {
+		return 0
+	}
+	return ^uint64(0)/uint64(d) + 1
+}
+
+// shardOf maps a wire session ID to its owning shard (shardIndex).
+func (g *Gateway) shardOf(id int) *shard { return g.shards[g.shardIndex(id)] }
 
 // ownerWord is what a slot's owner word holds while the session with
 // wire ID id, opened by the connection with the given serial, is its

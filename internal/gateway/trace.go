@@ -137,7 +137,7 @@ func (g *Gateway) spanEnd(cs *connState, err error) {
 	}
 	shard := cs.stripe
 	if sp.sess >= 0 {
-		shard = g.shardOf(sp.sess).idx
+		shard = g.shardIndex(sp.sess)
 	}
 	s := obs.Span{
 		Trace:   sp.trace,

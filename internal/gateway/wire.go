@@ -565,7 +565,7 @@ func (g *Gateway) readType(cs *connState) (byte, error) {
 
 // list reads one DATA or STATS where it lies and validates what needs
 // no memory read: a DATA's bits may not be negative, and the session's
-// index must name a slot, since shardOf picks the shard by it. An
+// index must name a slot, since shardIndex picks the shard by it. An
 // untimed one then waits in its shard's list, its ownership checked with
 // the others' before any of them applies (check); a timed one must be
 // one this connection owns, and is a list of its own, applied at once.
@@ -588,13 +588,13 @@ func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 	if o.bits < 0 || uint(o.id)&uint(g.indexMask) >= uint(len(g.owners)) || timed && !g.owns(cs.serial, o.id) {
 		return refused(cs, o)
 	}
-	sh := g.shardOf(int(o.id))
+	si := g.shardIndex(int(o.id))
 	cs.span.sess = int(o.id)
 	if o.at >= 0 {
 		cs.replies = append(cs.replies, statsReply{})
 	}
 	if !timed {
-		cs.lists[sh.idx] = append(cs.lists[sh.idx], o)
+		cs.lists[si] = append(cs.lists[si], o)
 		cs.ids = append(cs.ids, o.id)
 		if o.at < 0 {
 			cs.data++
@@ -602,7 +602,7 @@ func (g *Gateway) list(w io.Writer, cs *connState, typ byte, timed bool) error {
 		return nil
 	}
 	alone := [1]op{o}
-	policed, _ := sh.apply(alone[:], cs.replies, cs)
+	policed, _ := g.shards[si].apply(alone[:], cs.replies, cs)
 	g.m.policedBits.Add(cs.mstripe, policed)
 	g.spanMark(cs, stageApply)
 	if o.at < 0 {
@@ -649,7 +649,7 @@ func (g *Gateway) check(cs *connState) error {
 	// Walked from the end, each voided op is the last in its shard's list.
 	var o op
 	for j := len(ids) - 1; j >= bad; j-- {
-		si := g.shardOf(int(ids[j])).idx
+		si := g.shardIndex(int(ids[j]))
 		l := cs.lists[si]
 		o, cs.lists[si] = l[len(l)-1], l[:len(l)-1]
 		if o.at < 0 {
@@ -745,7 +745,7 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 		}
 		cs.sessions++
 		cs.span.sess = id
-		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionOpen, Session: id})
+		g.emitAt(g.shardIndex(id), obs.Event{Type: obs.EventSessionOpen, Session: id})
 		cs.scratch[0] = typeOpened
 		binary.BigEndian.PutUint32(cs.scratch[1:5], uint32(id))
 		if _, err := w.Write(cs.scratch[:5]); err != nil {
@@ -767,7 +767,7 @@ func (g *Gateway) applyMessage(w io.Writer, cs *connState, typ byte) error {
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)
 		cs.sessions--
-		g.emitAt(g.shardOf(id).idx, obs.Event{Type: obs.EventSessionClose, Session: id})
+		g.emitAt(g.shardIndex(id), obs.Event{Type: obs.EventSessionClose, Session: id})
 		g.spanMark(cs, stageApply)
 		cs.scratch[0] = typeClosed
 		if _, err := w.Write(cs.scratch[:1]); err != nil {

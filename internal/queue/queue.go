@@ -225,6 +225,9 @@ func (q *FIFO) Bits() bw.Bits {
 	return q.head.bits + q.more.rest
 }
 
+// Empty reports whether the queue holds no bits: one word, the head's.
+func (q *FIFO) Empty() bool { return q.head.bits == 0 }
+
 // MaxDelay returns the largest delay of any bit served so far.
 func (q *FIFO) MaxDelay() bw.Tick { return q.maxDelay }
 

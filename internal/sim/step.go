@@ -56,7 +56,8 @@ const MaxBacklog bw.Bits = 1 << 40
 // A slot on a drain line is brought up to the last round's tick before
 // anything reads or ends it: Queue and Unseat do so, and with them every
 // reader of a slot's counters (STATS, the gateway's table, the
-// simulator's runner, route.Run, adversary.Duel). While any slot is
+// simulator's runner, route.Run, adversary.Duel). An empty queue is on
+// no line, and a read of it moves nothing. While any slot is
 // backlogged, Step must run every tick.
 //
 // Nor need a round ask a policy that names its next event (Next, see
@@ -86,7 +87,8 @@ type slot struct {
 	// line is the tick through which the queue stands served. While the
 	// queue holds bits under a rate above 0 it is a drain line: the queue
 	// at a later tick is the one ServeSpan leaves from line+1 on, and it
-	// empties at tick line + ceil(q.Bits()/rate).
+	// empties at tick line + ceil(q.Bits()/rate). An empty queue is on no
+	// line, and nothing moves its line until bits arrive.
 	line bw.Tick
 	// pending is the bits handed to the slot since the last round.
 	pending bw.Bits
@@ -203,21 +205,27 @@ func (s *Slots) prefix(k int) Slots {
 }
 
 // Queue returns slot i's queue, brought up to the last round's tick, for
-// reading its counters.
-func (s *Slots) Queue(i int) *queue.FIFO {
-	sl := &s.slots[i]
-	if s.lines.last > sl.line {
+// reading its counters. A queue that holds bits is on a drain line and is
+// brought up before it is returned (bringUp); an empty one is on no line
+// — the round its next bits arrive in restarts one from the tick before
+// — so reading it touches its record alone: not the rate vector the
+// rounds write, nor the lines. The emptiness test is one word, the
+// queue's head, which keeps Queue inlined into a STATS read: written with
+// a named result, its inline cost is 79 of the compiler's budget of 80.
+func (s *Slots) Queue(i int) (q *queue.FIFO) {
+	if q = &s.slots[i].q; !q.Empty() {
 		s.bringUp(i)
 	}
-	return &sl.q
+	return
 }
 
-// bringUp serves slot i's queue along its drain line through the last
-// round of the view that owns the lines, if that view has the slot: what
-// serveTo(i, last) does, kept out of Queue, which a STATS read inlines.
+// bringUp serves slot i's queue, which holds bits, along its drain line
+// through the last round of the view that owns the lines, if that view
+// has the slot: what serveTo(i, last) does, kept out of Queue, which a
+// STATS read inlines.
 func (s *Slots) bringUp(i int) {
-	if l := s.lines; l.owner != nil && i < l.span {
-		sl := &s.slots[i]
+	sl := &s.slots[i]
+	if l := s.lines; l.owner != nil && i < l.span && l.last > sl.line {
 		sl.q.ServeSpan(sl.line+1, l.last, s.rates[i])
 		sl.line = l.last
 	}
