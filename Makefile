@@ -26,12 +26,10 @@ race:
 # every testing.AllocsPerRun assertion, by name, without -race (its
 # instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
 # new one joins that table and, if its name is new, this pattern. Beside
-# them run the per-slot byte budget of a 100k-slot table, the sizes of
-# the kernel's and the policies' per-slot records (DESIGN §8), and the
-# gateway shard's layout: the words every round and DATA list write a
-# cache line from the header every message reads (TestShardHotWordsApart).
+# them run the per-slot byte budget of a 100k-slot table and the sizes of
+# the kernel's and the policies' per-slot records (DESIGN §8).
 zeroalloc:
-	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes|ShardHotWordsApart' ./internal/...
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the
@@ -222,7 +220,7 @@ load:
 # (PR 24, the one load engine); internal/core <= 1,650 (PR 30).
 # internal/gateway <= 2,360 (the shard is the only partition).
 # internal/obs <= 1,562 (one instrument of each kind, striped by a count).
-# Two are missed: internal/gateway reads 2,675 and internal/core 1,729.
+# Two are missed: internal/gateway reads 2,648 and internal/core 1,729.
 # loc-check fails when a package passes one of the others, or one of them
 # is missing from the table.
 loc:

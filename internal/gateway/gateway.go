@@ -239,11 +239,10 @@ type Config struct {
 // chooses the shard at OPEN time.
 type Gateway struct {
 	ln        net.Listener
-	k         int    // total slots
-	spp       int    // slots per shard (k/len(shards))
-	sppInv    uint64 // reciprocal(spp), which shardIndex divides by
-	indexBits int    // a wire session ID is tag<<indexBits | index: the width of k-1
-	indexMask int    // selects the index of a wire session ID
+	k         int // total slots
+	spp       int // slots per shard (k/len(shards))
+	indexBits int // a wire session ID is tag<<indexBits | index: the width of k-1
+	indexMask int // selects the index of a wire session ID
 	shards    []*shard
 	// owners is the ownership column of the slot table, one word per
 	// global slot: ownerWord(serial, id) of the live session and the
@@ -377,7 +376,6 @@ func newGateway(k, nshards int) *Gateway {
 		m:          &gwMetrics{},
 	}
 	g.indexMask = 1<<g.indexBits - 1
-	g.sppInv = reciprocal(g.spp)
 	g.owners = make([]atomic.Uint64, k)
 	g.shards = make([]*shard, nshards)
 	for i := range g.shards {
@@ -394,28 +392,15 @@ func newGateway(k, nshards int) *Gateway {
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
 // shardIndex maps a wire session ID to the index of its owning shard:
-// the ID's index is a global slot number, so the shard is index / spp.
-// The quotient is the high word of the index times spp's reciprocal
-// (Lemire, Kaser and Kurz, "Faster remainder by direct computation"),
-// exact for every 32-bit index, which is every index a wire ID carries,
-// when spp >= 2; at spp = 1 it is the index itself. Callers must have
-// validated the ID (its index names a slot).
+// the ID's index is a global slot number on a sharded gateway, so the
+// shard is index / spp. The wire path keys its per-shard lists by it, so
+// a message reads no shard header. Callers must have validated the ID
+// (its index names a slot).
 func (g *Gateway) shardIndex(id int) int {
-	i := uint64(id & g.indexMask)
-	if g.sppInv == 0 {
-		return int(i)
-	}
-	q, _ := bits.Mul64(g.sppInv, i)
-	return int(q)
-}
-
-// reciprocal returns the multiplier shardIndex divides by d with:
-// ceil(2^64/d), or 0 for d = 1, whose reciprocal does not fit a word.
-func reciprocal(d int) uint64 {
-	if d == 1 {
+	if len(g.shards) == 1 {
 		return 0
 	}
-	return ^uint64(0)/uint64(d) + 1
+	return (id & g.indexMask) / g.spp
 }
 
 // shardOf maps a wire session ID to its owning shard (shardIndex).

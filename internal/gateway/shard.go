@@ -22,11 +22,6 @@ type shard struct {
 	idx   int // shard index (metrics stripe, ring stripe)
 	base  int // first global slot owned by this shard
 	alloc sim.SparseAllocator
-	// The words every DATA list and every round write stand a full cache
-	// line from the header above, which every message reads, and from mu:
-	// a shard is allocated at no particular alignment, so only a gap of a
-	// line keeps them off each other's lines (TestShardHotWordsApart).
-	_ [cacheLine]byte
 	// work is an upper bound on the slots with work in the next round:
 	// the slots the last round left backlogged plus one for every DATA
 	// applied since. It is written with mu held — tick stores, apply adds,
@@ -43,7 +38,6 @@ type shard struct {
 	// round itself or by the tick workers' join.
 	due  bw.Tick
 	pass int64
-	_    [cacheLine]byte
 
 	mu    sync.Mutex
 	slots sim.Slots             // guarded by shard.mu; what the kernel keeps per slot, and which slots are seated
@@ -54,10 +48,6 @@ type shard struct {
 	released uint32      // guarded by shard.mu
 	past     sim.Tenancy // guarded by shard.mu; what ended tenancies, and the gaps between, add up to
 }
-
-// cacheLine is the span, in bytes, of the cache line two words must not
-// share if one core writes either while others touch the other.
-const cacheLine = 64
 
 // newShard builds the slot state for n slots starting at global index
 // base. The caller sets alloc before the shard's first round.

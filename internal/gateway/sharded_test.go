@@ -2,14 +2,12 @@ package gateway
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dynbw/internal/bw"
-	"dynbw/internal/rng"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
@@ -342,67 +340,5 @@ func TestMuxValidation(t *testing.T) {
 	}
 	if _, err := m.Open(); err == nil {
 		t.Error("open on closed mux accepted")
-	}
-}
-
-// TestShardIndexMatchesDivide checks shardIndex's multiply by the
-// reciprocal against the divide it replaces, index / spp, with a tag
-// above the index, on the table the benchmark runs (100k × 8), one
-// shard, one slot a shard, a power-of-two shard, and the largest shard
-// a 32-bit index allows. The tables small enough to build are built
-// (newGateway) and every index is checked, shardOf too; on the largest
-// the reciprocal is set up as newGateway does, and the indices checked
-// are those around each shard's first slot, the last one, and a seeded
-// sample.
-func TestShardIndexMatchesDivide(t *testing.T) {
-	cases := []struct {
-		name      string
-		k, shards int
-	}{
-		{"100k×8", 100_000, 8},
-		{"one shard", 1000, 1},
-		{"one slot", 1, 1},
-		{"spp=1", 8, 8},
-		{"spp=4096", 1 << 16, 16},
-		{"spp=2^32-1", 1<<32 - 1, 1},
-		{"3 shards of 2^32/3", 1<<32 - 1, 3},
-	}
-	src := rng.New(1)
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			spp := c.k / c.shards
-			var g *Gateway
-			indices := []int{}
-			if c.k <= 1<<17 {
-				g = newGateway(c.k, c.shards)
-				for i := range c.k {
-					indices = append(indices, i)
-				}
-			} else {
-				g = &Gateway{spp: spp, indexBits: bits.Len(uint(c.k - 1)), sppInv: reciprocal(spp)}
-				g.indexMask = 1<<g.indexBits - 1
-				for s := range c.shards + 1 {
-					for d := -2; d <= 2; d++ {
-						if i := s*spp + d; i >= 0 && i < c.k {
-							indices = append(indices, i)
-						}
-					}
-				}
-				for range 1 << 16 {
-					indices = append(indices, src.Intn(c.k))
-				}
-			}
-			for _, i := range indices {
-				id := 3<<g.indexBits | i
-				if got, want := g.shardIndex(id), i/spp; got != want {
-					t.Fatalf("index %d of %d, spp %d: shardIndex %d, divide %d", i, c.k, spp, got, want)
-				}
-				if g.shards != nil {
-					if got := g.shardOf(id).idx; got != i/spp {
-						t.Fatalf("index %d of %d, spp %d: shardOf is shard %d, want %d", i, c.k, spp, got, i/spp)
-					}
-				}
-			}
-		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/sim"
@@ -132,44 +131,4 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
-}
-
-// TestShardHotWordsApart pins the shard's layout: the words every DATA
-// list and every round write (work, due, pass) share no 64-byte line
-// with the header every message reads (g, idx, base, alloc) nor with the
-// lock. A shard is allocated at no particular alignment, so two fields
-// stay off each other's lines only if a full line lies between them:
-// the last byte of one and the first of the other 64 bytes apart or
-// more. A field added between them fails here instead of costing every
-// STATS a line another core keeps writing.
-func TestShardHotWordsApart(t *testing.T) {
-	type field struct {
-		name      string
-		off, size uintptr
-	}
-	var sh shard
-	hot := []field{
-		{"work", unsafe.Offsetof(sh.work), unsafe.Sizeof(sh.work)},
-		{"due", unsafe.Offsetof(sh.due), unsafe.Sizeof(sh.due)},
-		{"pass", unsafe.Offsetof(sh.pass), unsafe.Sizeof(sh.pass)},
-	}
-	cold := []field{
-		{"g", unsafe.Offsetof(sh.g), unsafe.Sizeof(sh.g)},
-		{"idx", unsafe.Offsetof(sh.idx), unsafe.Sizeof(sh.idx)},
-		{"base", unsafe.Offsetof(sh.base), unsafe.Sizeof(sh.base)},
-		{"alloc", unsafe.Offsetof(sh.alloc), unsafe.Sizeof(sh.alloc)},
-		{"mu", unsafe.Offsetof(sh.mu), unsafe.Sizeof(sh.mu)},
-	}
-	for _, h := range hot {
-		for _, c := range cold {
-			lo, hi := c, h
-			if h.off < c.off {
-				lo, hi = h, c
-			}
-			if gap := int(hi.off) - int(lo.off+lo.size-1); gap < cacheLine {
-				t.Errorf("shard.%s (bytes %d..%d) and shard.%s (bytes %d..%d) can share a line: %d B apart, want %d",
-					h.name, h.off, h.off+h.size-1, c.name, c.off, c.off+c.size-1, gap, cacheLine)
-			}
-		}
-	}
 }
