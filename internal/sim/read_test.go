@@ -90,16 +90,16 @@ func (g *readRig) vacate(i int) {
 	}
 }
 
-// agree fails unless slot i, read through v, reads as the oracle's.
-func (g *readRig) agree(v *sim.Slots, i int) {
+// agree fails unless slot i reads as the oracle's.
+func (g *readRig) agree(i int) {
 	g.t.Helper()
-	q, o := v.Queue(i), &g.orc.q[i]
+	q, o := g.slots.Queue(i), &g.orc.q[i]
 	at, ok := q.Oldest()
 	oat, ook := o.Oldest()
 	if q.Bits() != o.Bits() || q.Served() != o.Served() || q.MaxDelay() != o.MaxDelay() || ok != ook || ok && at != oat ||
-		v.Changes(i) != g.orc.changes[i] {
+		g.slots.Changes(i) != g.orc.changes[i] {
 		g.t.Fatalf("tick %d: slot %d queued/served/max delay/oldest/changes %d/%d/%d/%d,%v/%d, oracle %d/%d/%d/%d,%v/%d", g.tick, i,
-			q.Bits(), q.Served(), q.MaxDelay(), at, ok, v.Changes(i), o.Bits(), o.Served(), o.MaxDelay(), oat, ook, g.orc.changes[i])
+			q.Bits(), q.Served(), q.MaxDelay(), at, ok, g.slots.Changes(i), o.Bits(), o.Served(), o.MaxDelay(), oat, ook, g.orc.changes[i])
 	}
 	if g.hist[0] == nil {
 		return
@@ -129,10 +129,8 @@ func TestQueueReadsIdleSlotInPlace(t *testing.T) {
 		// stale, when set, is how many rounds the line of the slot read
 		// first must stand behind the last round.
 		stale bw.Tick
-		// read is the slots read, through the view of the first prefix
-		// slots (the table itself when 0), which does not own the lines.
-		read   []int
-		prefix int
+		// read is the slots read.
+		read []int
 	}{
 		{name: "idle, line 1 round stale", rates: []bw.Rate{4, 1}, stale: 1, read: []int{0},
 			run: func(g *readRig) { g.add(0, 4); g.step(2) }},
@@ -150,8 +148,6 @@ func TestQueueReadsIdleSlotInPlace(t *testing.T) {
 			run: func(g *readRig) { g.add(0, 100); g.step(5); g.add(0, 7); g.step(3) }},
 		{name: "backlogged at rate 0", rates: []bw.Rate{3}, read: []int{0},
 			run: func(g *readRig) { g.add(0, 100); g.step(2); g.rate[0] = 0; g.step(4) }},
-		{name: "prefix view that does not own the lines", rates: []bw.Rate{3, 4, 2, 1}, read: []int{0, 1}, prefix: 2,
-			run: func(g *readRig) { g.add(0, 50); g.add(1, 4); g.add(3, 9); g.step(6) }},
 		{name: "attached DelayHist", rates: []bw.Rate{2, 5}, hist: true, read: []int{0, 1},
 			run: func(g *readRig) {
 				g.add(0, 9)
@@ -167,11 +163,6 @@ func TestQueueReadsIdleSlotInPlace(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			g := newReadRig(t, row.rates, row.hist)
 			row.run(g)
-			v := &g.slots
-			if row.prefix > 0 {
-				p := g.slots.Prefix(row.prefix)
-				v = &p
-			}
 			last := g.slots.LinesLast()
 			if q, line := g.slots.InPlace(row.read[0]); row.stale > 0 && (!q.Empty() || last-line != row.stale) {
 				t.Fatalf("slot %d holds %d bits, its line %d rounds behind the last; the row wants it idle, %d behind",
@@ -179,7 +170,7 @@ func TestQueueReadsIdleSlotInPlace(t *testing.T) {
 			}
 			for _, i := range row.read {
 				q, line := g.slots.InPlace(i)
-				g.agree(v, i)
+				g.agree(i)
 				after, afterLine := g.slots.InPlace(i)
 				switch {
 				case q.Empty() && (after != q || afterLine != line):
@@ -196,7 +187,7 @@ func TestQueueReadsIdleSlotInPlace(t *testing.T) {
 				g.step(1)
 			}
 			for i := range row.rates {
-				g.agree(&g.slots, i)
+				g.agree(i)
 			}
 		})
 	}

@@ -128,8 +128,7 @@ func (s *Separate) Leave(i int) {
 // the MultiRunner and valid only until the next Run. The zero value is
 // ready to use; not safe for concurrent use.
 type MultiRunner struct {
-	slots      Slots // grown to the largest k seen
-	view       Slots // the first k of slots, for the k of the last run
+	slots      Slots // grown to the largest k seen, k long for the last run
 	schedStore []bw.Schedule
 	scheds     []*bw.Schedule
 	delays     []bw.Tick
@@ -148,7 +147,6 @@ func NewMultiRunner() *MultiRunner { return &MultiRunner{} }
 func (r *MultiRunner) size(k int) *Slots {
 	if cap(r.schedStore) < k {
 		r.slots = NewSlots(k)
-		r.view = r.slots
 		r.schedStore = make([]bw.Schedule, k)
 		r.scheds = make([]*bw.Schedule, k)
 		r.delays = make([]bw.Tick, k)
@@ -156,11 +154,7 @@ func (r *MultiRunner) size(k int) *Slots {
 			r.hist.Attach(r.slots.Queue(i))
 		}
 	}
-	if r.view.Len() != k {
-		r.view = r.slots.prefix(k)
-	}
-	slots := &r.view
-	slots.Reset()
+	r.slots.Reset(k)
 	r.hist.Reset()
 	r.schedStore = r.schedStore[:k]
 	r.scheds = r.scheds[:k]
@@ -170,7 +164,7 @@ func (r *MultiRunner) size(k int) *Slots {
 		r.scheds[i] = &r.schedStore[i]
 	}
 	r.total.Reset()
-	return slots
+	return &r.slots
 }
 
 // Run simulates the allocator on k parallel sessions, exactly like the

@@ -197,7 +197,9 @@ func TestSeparateServesEachSessionAlone(t *testing.T) {
 // performs no heap allocations. A MultiRunner builds its report once per run (the
 // aggregate trace, the cursors that sum the schedules: a fixed handful of
 // objects); its tick loop allocates nothing, so a run of eight times the
-// ticks allocates exactly as often.
+// ticks allocates exactly as often, and a run whose session count differs
+// from the last one's, within the runner's capacity, as often as one at
+// a fixed count.
 func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 	trs := []*trace.Trace{runnerTrace(9, 512), runnerTrace(10, 512)}
 	alloc := thresholdAlloc(256)
@@ -229,19 +231,35 @@ func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	mr := NewMultiRunner()
-	perRun := func(n bw.Tick) float64 {
-		m := trace.MustNewMulti([]*trace.Trace{runnerTrace(1, n), runnerTrace(2, n), runnerTrace(3, n)})
-		malloc := perSession(3, 256)
+	multi := func(k int, n bw.Tick) *trace.Multi {
+		sessions := make([]*trace.Trace, k)
+		for i := range sessions {
+			sessions[i] = runnerTrace(uint64(i+1), n)
+		}
+		return trace.MustNewMulti(sessions)
+	}
+	// perRun returns what a cycle of runs, one over each of ms, allocates.
+	perRun := func(ms ...*trace.Multi) float64 {
+		allocs := make([]MultiAllocator, len(ms))
+		for j, m := range ms {
+			allocs[j] = perSession(m.K(), 256)
+		}
 		run := func() {
-			if _, err := mr.Run(m, malloc, Options{}); err != nil {
-				t.Error(err)
+			for j, m := range ms {
+				if _, err := mr.Run(m, allocs[j], Options{}); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 		run() // warm-up
 		return testing.AllocsPerRun(10, run)
 	}
-	if long, short := perRun(4096), perRun(512); long != short {
+	if long, short := perRun(multi(3, 4096)), perRun(multi(3, 512)); long != short {
 		t.Errorf("MultiRunner.Run allocates %.0f objects over 4096 ticks and %.0f over 512; its tick loop must add 0", long, short)
+	}
+	three, two := multi(3, 256), multi(2, 256)
+	if pair, fixed := perRun(three, two), perRun(three)+perRun(two); pair != fixed {
+		t.Errorf("MultiRunner.Run alternating 3 and 2 sessions allocates %.0f objects a pair of runs, %.0f at a fixed count", pair, fixed)
 	}
 }
 
@@ -275,14 +293,36 @@ func perSession(k int, cap bw.Rate) *Separate {
 
 // TestMultiRunnerMatchesRunMulti reuses one MultiRunner across varying
 // session counts and compares every field against fresh RunMulti calls.
+// A run that fails, its queues never drained, leaves bits in slots 2-4;
+// the narrower run after it and the wider one after that must match
+// fresh ones all the same.
 func TestMultiRunnerMatchesRunMulti(t *testing.T) {
 	r := NewMultiRunner()
-	for _, k := range []int{3, 1, 5, 2} {
+	for _, row := range []struct {
+		k    int
+		fail bool
+	}{{3, false}, {1, false}, {5, true}, {2, false}, {5, false}} {
+		k := row.k
 		sessions := make([]*trace.Trace, k)
 		for i := range sessions {
 			sessions[i] = runnerTrace(uint64(10*k+i), 96)
 		}
 		m := trace.MustNewMulti(sessions)
+		if row.fail {
+			stuck := perSession(k, 256)
+			for i := 2; i < k; i++ {
+				stuck.Allocs[i] = thresholdAlloc(0)
+			}
+			if _, err := r.Run(m, stuck, Options{DrainBudget: 4}); !errors.Is(err, ErrQueueNeverDrained) {
+				t.Fatalf("k=%d, slots 2-%d at rate 0: MultiRunner.Run returned %v, want %v", k, k-1, err, ErrQueueNeverDrained)
+			}
+			for i := 2; i < k; i++ {
+				if r.slots.Queue(i).Bits() == 0 {
+					t.Fatalf("k=%d: the failed run left slot %d empty", k, i)
+				}
+			}
+			continue
+		}
 		got, err := r.Run(m, perSession(k, 256), Options{})
 		if err != nil {
 			t.Fatalf("k=%d: MultiRunner.Run: %v", k, err)

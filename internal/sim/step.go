@@ -67,17 +67,16 @@ const MaxBacklog bw.Bits = 1 << 40
 // route.Run link pick a slot and end a tenancy by the same code; a
 // simulation seats no one, its k sessions holding slots 0..k-1 throughout.
 //
-// A Slots value is a view: copies and prefix views share storage. Its
-// methods take a *Slots, so a round, a DATA or a STATS read copies
-// nothing of it. It is not safe for concurrent use.
+// A Slots value is a table, and its one owner steps, reads and resets it:
+// a copy shares the table's storage. Its methods take a *Slots, so a
+// round, a DATA or a STATS read copies nothing of it. It is not safe for
+// concurrent use.
 type Slots struct {
 	slots []slot
 	rates []bw.Rate
-	// active and seated are the whole table's sets; slot i is bit i.
+	// active and seated are sized to the table's capacity; slot i is bit i.
 	active, seated bitset.Set
 	run            *running
-	// lines is the table's: which view's rounds serve its drain lines.
-	lines *lines
 }
 
 // slot is the record of one slot's own words: 40 bytes of queue and
@@ -96,15 +95,18 @@ type slot struct {
 	changes int
 }
 
-// running is what a view carries from round to round besides the slots.
+// running is what a table carries from round to round besides the slots.
 type running struct {
-	// total is the sum of the view's applied rates, kept on every change.
+	// total is the sum of the table's applied rates, kept on every change.
 	total bw.Rate
 	// due is the first tick whose round must ask the allocator even if
 	// no bit arrived: the allocator's Next after a round with no arrival
 	// and no rate moved, the next tick after any other.
 	due bw.Tick
-	// backlogged counts the view's slots with bits queued, and drain
+	// last is the tick of the last round that ended: the drain lines
+	// stand served through it.
+	last bw.Tick
+	// backlogged counts the table's slots with bits queued, and drain
 	// sums the rates of those on a drain line: the bits they serve a tick.
 	backlogged int
 	drain      bw.Rate
@@ -119,19 +121,6 @@ type running struct {
 	// wheel lists the draining slots by the tick each queue empties. It
 	// comes last: a round with no backlog reads none of its 1.5 KB.
 	wheel wheel
-}
-
-// lines is what the views of one table share about its drain lines: the
-// view whose rounds serve them (nil after a Reset through another view),
-// how many slots that view has, and the tick of its last round. A
-// view's first round takes the lines over: it brings the last owner's
-// slots up to that tick, and restarts every line of its own slots from
-// the tick before its own, so a slot is served only by the rounds of a
-// view that holds it.
-type lines struct {
-	owner *running
-	span  int
-	last  bw.Tick
 }
 
 // wheelSpan is how many ticks ahead the completion wheel's buckets reach.
@@ -168,50 +157,29 @@ func (w *wheel) clear() {
 	w.n = 0
 }
 
-// NewSlots returns k empty slots.
+// NewSlots returns a table of k empty slots, k its capacity too.
 func NewSlots(k int) Slots {
-	run := &running{}
 	return Slots{
 		slots:  make([]slot, k),
 		rates:  make([]bw.Rate, k),
 		active: bitset.New(k),
 		seated: bitset.New(k),
-		run:    run,
-		lines:  &lines{owner: run, span: k, last: -1},
+		run:    &running{last: -1},
 	}
 }
 
-// Len returns the number of slots in the view.
+// Len returns the number of slots in the table.
 func (s *Slots) Len() int { return len(s.slots) }
-
-// prefix returns the view of the first k slots: a runner's table for a
-// run of fewer sessions than it has grown to. The view keeps its own
-// running total and seat count, so take it once and step it every round.
-// Its first round takes the table's drain lines over (lines): stepping a
-// table through both a view and its parent is not supported.
-func (s *Slots) prefix(k int) Slots {
-	v := Slots{
-		slots:  s.slots[:k],
-		rates:  s.rates[:k],
-		active: s.active,
-		seated: s.seated,
-		run:    &running{},
-		lines:  s.lines,
-	}
-	for _, r := range v.rates {
-		v.run.total += r
-	}
-	return v
-}
 
 // Queue returns slot i's queue, brought up to the last round's tick, for
 // reading its counters. A queue that holds bits is on a drain line and is
 // brought up before it is returned (bringUp); an empty one is on no line
 // — the round its next bits arrive in restarts one from the tick before
 // — so reading it touches its record alone: not the rate vector the
-// rounds write, nor the lines. The emptiness test is one word, the
-// queue's head, which keeps Queue inlined into a STATS read: written with
-// a named result, its inline cost is 79 of the compiler's budget of 80.
+// rounds write, nor the last round's tick. The emptiness test is one
+// word, the queue's head, which keeps Queue inlined into a STATS read:
+// written with a named result, its inline cost is 79 of the compiler's
+// budget of 80.
 func (s *Slots) Queue(i int) (q *queue.FIFO) {
 	if q = &s.slots[i].q; !q.Empty() {
 		s.bringUp(i)
@@ -220,14 +188,12 @@ func (s *Slots) Queue(i int) (q *queue.FIFO) {
 }
 
 // bringUp serves slot i's queue, which holds bits, along its drain line
-// through the last round of the view that owns the lines, if that view
-// has the slot: what serveTo(i, last) does, kept out of Queue, which a
-// STATS read inlines.
+// through the table's last round: what serveTo(i, last) does, kept out
+// of Queue, which a STATS read inlines.
 func (s *Slots) bringUp(i int) {
-	sl := &s.slots[i]
-	if l := s.lines; l.owner != nil && i < l.span && l.last > sl.line {
-		sl.q.ServeSpan(sl.line+1, l.last, s.rates[i])
-		sl.line = l.last
+	if sl, last := &s.slots[i], s.run.last; last > sl.line {
+		sl.q.ServeSpan(sl.line+1, last, s.rates[i])
+		sl.line = last
 	}
 }
 
@@ -244,46 +210,6 @@ func (s *Slots) serveTo(i int, t bw.Tick) {
 func (s *Slots) ends(i int32) bw.Tick {
 	sl := &s.slots[i]
 	return sl.line + bw.CeilDiv(sl.q.Bits(), s.rates[i])
-}
-
-// takeLines makes this view's rounds the ones that serve its slots'
-// drain lines, from its round at tick t on. The last owner's slots are
-// brought up to its last round and every line of this view restarts from
-// tick t-1, so no slot is served at a tick that no view holding it
-// stepped; the view's counts and wheel are rebuilt from its slots.
-func (s *Slots) takeLines(t bw.Tick) {
-	l, run := s.lines, s.run
-	s.releaseLines()
-	run.backlogged, run.drain = 0, 0
-	run.wheel.clear()
-	for i := range s.slots {
-		sl := &s.slots[i]
-		if sl.q.Bits() == 0 {
-			continue
-		}
-		run.backlogged++
-		sl.line = t - 1
-		if rate := s.rates[i]; rate > 0 {
-			run.drain += rate
-			run.wheel.add(int32(i), s.ends(int32(i)))
-		}
-	}
-	l.owner, l.span, l.last = run, len(s.slots), t-1
-}
-
-// releaseLines brings the slots of the view that owns the table's drain
-// lines up to its last round, where they stand until a view steps them,
-// and leaves the lines without an owner.
-func (s *Slots) releaseLines() {
-	l := s.lines
-	if l.owner == nil {
-		return
-	}
-	table := Slots{slots: s.slots[:l.span], rates: s.rates[:l.span]}
-	for i := range l.span {
-		table.serveTo(i, l.last)
-	}
-	l.owner = nil
 }
 
 // Pending returns the bits slot i was handed since the last round.
@@ -313,12 +239,12 @@ func (s *Slots) Add(i int, bits bw.Bits) (dropped bw.Bits) {
 	return dropped
 }
 
-// Reset empties and unseats every slot while keeping the queues' storage.
-func (s *Slots) Reset() {
-	run := s.run
-	if s.lines.owner != run {
-		s.releaseLines() // the owner's slots past this view keep their queues
-	}
+// Reset empties and unseats every slot, keeping the queues' storage and
+// any DelayHist attached to them, and makes the table k slots long; k
+// above its capacity panics. The next round may be at any tick. Slots
+// past a table's length stand empty, so Reset empties the slots of the
+// length it had and no more.
+func (s *Slots) Reset(k int) {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.q.Reset()
@@ -327,7 +253,9 @@ func (s *Slots) Reset() {
 	clear(s.rates)
 	s.active.ClearRange(0, len(s.slots))
 	s.seated.ClearRange(0, len(s.slots))
-	run.total, run.tenants, run.free, run.due = 0, 0, 0, 0
+	s.slots, s.rates = s.slots[:k], s.rates[:k]
+	run := s.run
+	run.total, run.tenants, run.free, run.due, run.last = 0, 0, 0, 0, -1
 	run.backlogged, run.drain = 0, 0
 	run.wheel.clear()
 }
@@ -401,9 +329,9 @@ func (s *Slots) vacate(i int) Tenancy {
 		MaxDelay: q.MaxDelay(),
 		Changes:  sl.changes,
 	}
-	if l := s.lines; q.Bits() > 0 && l.owner != nil && i < l.span {
-		l.owner.backlogged--
-		l.owner.drain -= s.rates[i]
+	if q.Bits() > 0 {
+		s.run.backlogged--
+		s.run.drain -= s.rates[i]
 	}
 	q.Reset()
 	sl.pending, sl.changes = 0, 0
@@ -458,7 +386,7 @@ type Round struct {
 // round to round, by one while any slot is backlogged.
 //
 // An allocator that breaks its contract — a change of a session the
-// view does not have, a negative rate, or a different number of
+// table does not have, a negative rate, or a different number of
 // sessions and rates — is reported as an error before any rate is
 // applied, and no queue is served at t: the round's arrivals are
 // enqueued (and reported in Round.Arrived), every slot keeps its
@@ -474,10 +402,8 @@ type Round struct {
 // one allocator to another only across a Reset.
 func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 	run, applied := s.run, s.rates
-	if l := s.lines; l.owner != run {
-		s.takeLines(t)
-	} else if l.last < t-1 && run.backlogged > 0 {
-		s.stall(l.last + 1) // the round after the last did not end: its allocator panicked
+	if run.last < t-1 && run.backlogged > 0 {
+		s.stall(t - 1) // the round at t-1 did not end: its allocator panicked
 	}
 	sessions := s.active.AppendTo(run.in.idx[:0], 0, len(s.slots))
 	run.in.idx, run.in.bits = sessions, run.in.bits[:0]
@@ -524,7 +450,7 @@ func (s *Slots) Step(t bw.Tick, alloc SparseAllocator, r *Round) error {
 			}
 		}
 	}
-	s.lines.last = t
+	run.last = t
 	if len(sessions) > 0 {
 		r.Served = s.startLines(t, sessions)
 	}
@@ -632,8 +558,8 @@ func (s *Slots) startLines(t bw.Tick, sessions []int32) (served bw.Bits) {
 	return served
 }
 
-// fits reports whether an allocator's answer for a view of n sessions
-// keeps its contract: a rate for each change, each of a session the view
+// fits reports whether an allocator's answer for a table of n sessions
+// keeps its contract: a rate for each change, each of a session the table
 // has, none negative. checkAnswer says how an answer that does not fit
 // breaks it; fits is the check a round makes, small enough to inline.
 func fits(changed []int32, rates []bw.Rate, n int) bool {
@@ -648,7 +574,7 @@ func fits(changed []int32, rates []bw.Rate, n int) bool {
 	return true
 }
 
-// checkAnswer reports an allocator's answer for a view of n sessions
+// checkAnswer reports an allocator's answer for a table of n sessions
 // that breaks its contract.
 func checkAnswer(t bw.Tick, changed []int32, rates []bw.Rate, n int) error {
 	if len(rates) != len(changed) {
@@ -722,7 +648,7 @@ func (s *Slots) stall(t bw.Tick) {
 			}
 		}
 	}
-	s.lines.last = t
+	s.run.last = t
 	s.complete(t)
 }
 
