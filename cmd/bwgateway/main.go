@@ -3,7 +3,10 @@
 // sessions with one of the multi-session algorithms, while -k synthetic
 // clients (an internal/load run, a connection each) stream bursty
 // traffic at it in real time for -duration — or, with -duration 0, it
-// serves external clients (e.g. a bwload swarm) until interrupted.
+// serves external clients (e.g. a bwload swarm) until interrupted. The
+// gateway is a load.StartHost host, as bwload's and experiment E21's
+// are: a client that sends nothing for 30 s is disconnected and its
+// slots are freed.
 //
 // With -admin the gateway exposes a live observability endpoint:
 // Prometheus /metrics (including the allocation-changes counter, the
@@ -71,8 +74,11 @@ import (
 	"dynbw/internal/load"
 	"dynbw/internal/obs"
 	"dynbw/internal/route"
-	"dynbw/internal/sim"
 )
+
+// startHost is load.StartHost; tests wrap it to see the HostConfig a
+// flag set produces.
+var startHost = load.StartHost
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -105,6 +111,9 @@ func run(args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *tick <= 0 || *do < 1 {
+		return fmt.Errorf("-tick %v, -do %d: want both positive", *tick, *do)
+	}
 	if *bo == 0 {
 		*bo = int64(16 * *k)
 	}
@@ -118,47 +127,41 @@ func run(args []string, out, errw io.Writer) error {
 		spanRing = obs.NewSpanRing(*spans, gateway.StageNames())
 		spanRing.Instrument(reg)
 	}
-	cfg := gateway.Config{
-		Addr:            *addr,
-		Slots:           *k,
-		Ticks:           nil, // set below
-		Observer:        ring,
-		Metrics:         reg,
-		Policy:          *policy,
-		Spans:           spanRing,
-		SpanSampleEvery: *sample,
-		TickBudget:      *tick,
-		Log:             slog.New(slog.NewTextHandler(errw, nil)),
-	}
-	// One allocator per shard, each over an equal share of slots and
-	// bandwidth, each emitting through its shard's ring stripe.
 	n := max(*shards, 1)
-	allocs, err := load.NewPolicies(*policy, n, *k, *bo, *do, ring)
-	if err != nil {
-		return err
-	}
-	cfg.Shards, cfg.ShardAllocs = n, allocs
 	layout := fmt.Sprintf("%d slots", *k)
 	if n > 1 {
 		layout += fmt.Sprintf(" over %d shards", n)
 	}
+	var router *route.Policy
 	if *routeName != "" {
-		router, err := route.New(*routeName, route.Uniform(n, bw.Rate(*k/n)), bw.Rate(*reserve), *seed)
-		if err != nil {
+		var err error
+		if router, err = route.New(*routeName, route.Uniform(n, bw.Rate(*k/n)), bw.Rate(*reserve), *seed); err != nil {
 			return err
 		}
 		router.SetObserver(ring)
 		router.Instrument(reg)
-		cfg.Router = router
 		layout += fmt.Sprintf(" (route %s)", *routeName)
 	}
-	ticker := time.NewTicker(*tick)
-	defer ticker.Stop()
-	cfg.Ticks = ticker.C
-	gw, err := gateway.NewWithConfig(cfg)
+	host, err := startHost(load.HostConfig{
+		Addr:            *addr,
+		Policy:          *policy,
+		Slots:           *k,
+		Shards:          n,
+		BO:              bw.Rate(*bo),
+		DO:              *do,
+		Tick:            *tick,
+		Router:          router,
+		Registry:        reg,
+		Observer:        ring,
+		Spans:           spanRing,
+		SpanSampleEvery: *sample,
+		Log:             slog.New(slog.NewTextHandler(errw, nil)),
+	})
 	if err != nil {
 		return err
 	}
+	defer host.Close()
+	gw := host.GW
 	var rec *obs.Recorder
 	if *record > 0 {
 		rec = obs.NewRecorder(obs.RecorderConfig{
@@ -185,7 +188,6 @@ func run(args []string, out, errw io.Writer) error {
 			Snapshots: rec,
 		})
 		if err != nil {
-			gw.Close()
 			return err
 		}
 		defer adm.Close()
@@ -212,7 +214,6 @@ func run(args []string, out, errw io.Writer) error {
 			err = errors.Join(res.Errs()...)
 		}
 		if err != nil {
-			gw.Close()
 			return err
 		}
 		del := res.Delivery.Latency()
@@ -239,7 +240,7 @@ func run(args []string, out, errw io.Writer) error {
 	fmt.Fprintf(out, "session changes: %d\n", stats.SessionChanges)
 	fmt.Fprintf(out, "peak total bw:   %d\n", stats.MaxTotalRate)
 	fmt.Fprintf(out, "max delay:       %d ticks (%s guarantee: %d, +arrival alignment)\n",
-		stats.MaxDelay, *policy, allocs[0].(sim.Promiser).Promise().DA)
+		stats.MaxDelay, *policy, host.Promise.DA)
 	fmt.Fprintf(out, "events traced:   %d (%d dropped)\n", ring.Total(), ring.Dropped())
 	if spanRing != nil {
 		fmt.Fprintf(out, "spans sampled:   %d (%d dropped)\n", spanRing.Total(), spanRing.Dropped())

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dynbw/internal/load"
 )
 
 // syncBuf is a strings.Builder safe for concurrent Write and String —
@@ -57,9 +60,11 @@ func TestRunDemo(t *testing.T) {
 }
 
 func TestRunBadPolicy(t *testing.T) {
-	var buf, errBuf strings.Builder
-	if err := run([]string{"-policy", "nope", "-duration", "10ms"}, &buf, &errBuf); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, args := range [][]string{{"-policy", "nope"}, {"-do", "0"}, {"-tick", "0"}} {
+		var buf, errBuf strings.Builder
+		if err := run(append(args, "-duration", "10ms"), &buf, &errBuf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
@@ -267,5 +272,41 @@ func TestRunMultiLinkMetrics(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not exit after SIGINT")
+	}
+}
+
+// TestRunHostConfig: the gateway is a load.StartHost host, and the
+// flags reach it. The wrapped startHost starts the real host, reads the
+// address it bound, and fails the run, so no signal is needed.
+func TestRunHostConfig(t *testing.T) {
+	var (
+		got   load.HostConfig
+		bound string
+	)
+	stop := errors.New("stop after hosting")
+	startHost = func(cfg load.HostConfig) (*load.Host, error) {
+		got = cfg
+		h, err := load.StartHost(cfg)
+		if err != nil {
+			return nil, err
+		}
+		bound = h.GW.Addr()
+		h.Close()
+		return nil, stop
+	}
+	defer func() { startHost = load.StartHost }()
+	var buf, errBuf strings.Builder
+	err := run([]string{"-duration", "0", "-k", "8", "-shards", "4", "-route", "p2c", "-addr", "127.0.0.1:0"}, &buf, &errBuf)
+	if !errors.Is(err, stop) {
+		t.Fatalf("run: %v, want the wrapped startHost's error", err)
+	}
+	if got.Addr != "127.0.0.1:0" || got.Shards != 4 || got.Slots != 8 {
+		t.Errorf("host config Addr %q, Shards %d, Slots %d; want 127.0.0.1:0, 4, 8", got.Addr, got.Shards, got.Slots)
+	}
+	if got.Router == nil || got.Router.Name() != "p2c" || got.Router.K() != 4 {
+		t.Errorf("host config Router = %v, want p2c over 4 shards", got.Router)
+	}
+	if !strings.HasPrefix(bound, "127.0.0.1:") {
+		t.Errorf("host bound %q, want an address on 127.0.0.1", bound)
 	}
 }

@@ -179,7 +179,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			target = host.Addr()
+			target = host.GW.Addr()
 			curHost.Store(host)
 			fmt.Fprintf(out, "gateway %s: %d slots over %d shards, policy %s, tick %v\n",
 				target, *sessions, max(*shards, 1), name, *gwTick)

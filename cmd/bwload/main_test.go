@@ -115,7 +115,7 @@ func TestRunAttachMode(t *testing.T) {
 	defer host.Close()
 	var out strings.Builder
 	err = run([]string{
-		"-addr", host.Addr(), "-sessions", "4", "-duration", "60ms",
+		"-addr", host.GW.Addr(), "-sessions", "4", "-duration", "60ms",
 	}, &out)
 	if err != nil {
 		t.Fatalf("attach run: %v\noutput:\n%s", err, out.String())

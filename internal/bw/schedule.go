@@ -242,21 +242,6 @@ func (s *Schedule) MaxRate() Rate {
 	return m
 }
 
-// Rates expands the schedule into a per-tick rate slice of length Len().
-func (s *Schedule) Rates() []Rate {
-	out := make([]Rate, s.end)
-	for i, seg := range s.segs {
-		stop := s.end
-		if i+1 < len(s.segs) {
-			stop = s.segs[i+1].Start
-		}
-		for t := seg.Start; t < stop; t++ {
-			out[t] = seg.Rate
-		}
-	}
-	return out
-}
-
 // Sum returns the element-wise sum of the given schedules expanded to the
 // longest length, as a fresh Schedule. It is used to aggregate per-session
 // allocations into a total-bandwidth schedule.

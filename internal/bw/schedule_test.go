@@ -104,13 +104,12 @@ func TestScheduleSetOutOfOrderPanics(t *testing.T) {
 func TestScheduleRatesRoundTrip(t *testing.T) {
 	rates := []Rate{0, 3, 3, 0, 7, 7, 7, 1}
 	s := buildSchedule(rates)
-	got := s.Rates()
-	if len(got) != len(rates) {
-		t.Fatalf("Rates len = %d, want %d", len(got), len(rates))
+	if s.Len() != Tick(len(rates)) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(rates))
 	}
-	for i := range rates {
-		if got[i] != rates[i] {
-			t.Errorf("Rates[%d] = %d, want %d", i, got[i], rates[i])
+	for i, want := range rates {
+		if got := s.At(Tick(i)); got != want {
+			t.Errorf("At(%d) = %d, want %d", i, got, want)
 		}
 	}
 }

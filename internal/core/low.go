@@ -80,12 +80,6 @@ func (lt *LowTracker) Observe(arrived bw.Bits) bw.Rate {
 	return lt.low
 }
 
-// Low returns the current low value.
-func (lt *LowTracker) Low() bw.Rate { return lt.low }
-
-// Ticks returns how many ticks have been observed.
-func (lt *LowTracker) Ticks() bw.Tick { return lt.n }
-
 // pushHull adds point p, to the right of every point held, to the lower
 // hull.
 func (lt *LowTracker) pushHull(p hullPoint) {
@@ -179,24 +173,4 @@ func (lt *LowTracker) bestStart(q hullPoint) hullPoint {
 func betterStart(a, b, q hullPoint) bool {
 	// (q.y-b.y)/(q.x-b.x) > (q.y-a.y)/(q.x-a.x)
 	return cmp128(q.y-b.y, q.x-a.x, q.y-a.y, q.x-b.x) > 0
-}
-
-// naiveLow is the O(n) reference implementation used by tests: the maximum
-// over all windows ending at the last observed tick and all earlier ticks.
-func naiveLow(arrivals []bw.Bits, d bw.Tick) bw.Rate {
-	var low bw.Rate
-	n := bw.Tick(len(arrivals))
-	cum := make([]bw.Bits, n+1)
-	for i, a := range arrivals {
-		cum[i+1] = cum[i] + a
-	}
-	for t := bw.Tick(0); t < n; t++ {
-		for a := bw.Tick(0); a <= t; a++ {
-			in := cum[t+1] - cum[a]
-			if cand := bw.RateOver(in, t-a+1+d); cand > low {
-				low = cand
-			}
-		}
-	}
-	return low
 }

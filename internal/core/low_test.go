@@ -125,16 +125,16 @@ func TestLowTrackerMonotone(t *testing.T) {
 
 func TestLowTrackerTicks(t *testing.T) {
 	lt := NewLowTracker(2)
-	if lt.Ticks() != 0 {
-		t.Errorf("Ticks = %d", lt.Ticks())
+	if lt.n != 0 {
+		t.Errorf("Ticks = %d", lt.n)
 	}
 	lt.Observe(5)
 	lt.Observe(0)
-	if lt.Ticks() != 2 {
-		t.Errorf("Ticks = %d", lt.Ticks())
+	if lt.n != 2 {
+		t.Errorf("Ticks = %d", lt.n)
 	}
-	if lt.Low() != 2 { // 5/(1+2) = ceil(1.67) = 2
-		t.Errorf("Low = %d", lt.Low())
+	if lt.low != 2 { // 5/(1+2) = ceil(1.67) = 2
+		t.Errorf("Low = %d", lt.low)
 	}
 }
 
@@ -173,14 +173,14 @@ func TestLowTrackerFollowsItsHull(t *testing.T) {
 				t.Errorf("low after the burst = %d, want %d", got, tc.want)
 			}
 			if len(lt.hull) > 4 || cap(lt.hull) > 16 {
-				t.Errorf("%d hull points retained (cap %d) after %d ticks, want at most 4", len(lt.hull), cap(lt.hull), lt.Ticks())
+				t.Errorf("%d hull points retained (cap %d) after %d ticks, want at most 4", len(lt.hull), cap(lt.hull), lt.n)
 			}
 			if avg := testing.AllocsPerRun(10, func() {
 				lt.Reset()
 				lt.Observe(5)
 				lt.Observe(0)
-			}); avg != 0 || lt.Low() != 1 || lt.Ticks() != 2 {
-				t.Errorf("Reset and two ticks: %.1f allocations, low %d after %d ticks; want 0, 1, 2", avg, lt.Low(), lt.Ticks())
+			}); avg != 0 || lt.low != 1 || lt.n != 2 {
+				t.Errorf("Reset and two ticks: %.1f allocations, low %d after %d ticks; want 0, 1, 2", avg, lt.low, lt.n)
 			}
 		})
 	}
@@ -214,4 +214,24 @@ func TestLowTrackerScales(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("1M observations took %v; hull tracker should be near-linear", elapsed)
 	}
+}
+
+// naiveLow is the O(n) reference implementation used by tests: the maximum
+// over all windows ending at the last observed tick and all earlier ticks.
+func naiveLow(arrivals []bw.Bits, d bw.Tick) bw.Rate {
+	var low bw.Rate
+	n := bw.Tick(len(arrivals))
+	cum := make([]bw.Bits, n+1)
+	for i, a := range arrivals {
+		cum[i+1] = cum[i] + a
+	}
+	for t := bw.Tick(0); t < n; t++ {
+		for a := bw.Tick(0); a <= t; a++ {
+			in := cum[t+1] - cum[a]
+			if cand := bw.RateOver(in, t-a+1+d); cand > low {
+				low = cand
+			}
+		}
+	}
+	return low
 }

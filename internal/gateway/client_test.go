@@ -162,10 +162,9 @@ func TestFailedExchangePoisonsMux(t *testing.T) {
 
 // TestMuxSessionSet: the mux's set of held sessions, over IDs that span
 // tags and the edges of its 64-bit words, handed out in turn by a stub
-// gateway. Open and CloseSession move Sessions() by one; once a session
-// is closed, each call that names it fails on the client side while the
-// others' sessions stay usable; and a word leaves the set with its last
-// session.
+// gateway. Once a session is closed, each call that names it fails on
+// the client side while the others' sessions stay usable; and a word
+// leaves the set with its last session.
 func TestMuxSessionSet(t *testing.T) {
 	ids := []uint32{0, 63, 64, 1<<17 | 5, 1 << 31, math.MaxUint32}
 	client, server := net.Pipe()
@@ -175,9 +174,6 @@ func TestMuxSessionSet(t *testing.T) {
 	for i, want := range ids {
 		if id, err := m.Open(); err != nil || id != want {
 			t.Fatalf("Open %d: %#x, %v; want %#x", i, id, err, want)
-		}
-		if n := m.Sessions(); n != i+1 {
-			t.Fatalf("Sessions() = %d after %d Opens", n, i+1)
 		}
 	}
 	if len(m.open) != 5 {
@@ -194,9 +190,6 @@ func TestMuxSessionSet(t *testing.T) {
 			t.Fatalf("CloseSession(%#x): %v", id, err)
 		}
 		live := ids[i+1:]
-		if n := m.Sessions(); n != len(live) {
-			t.Errorf("Sessions() = %d after closing %#x, want %d", n, id, len(live))
-		}
 		unowned("Send", m.Send(id, 1))
 		unowned("SendBatch", m.SendBatch([]BatchItem{{Session: id, Bits: 1}}))
 		_, err := m.Stats(id)

@@ -30,12 +30,24 @@ import (
 // words, few enough to stay in cache where a map entry per session
 // missed on a random one. A word whose last session closes leaves the
 // map, so the set stays bounded by the sessions held.
+//
+// Replies carry no request ID: they are matched to requests by stream
+// order alone. So once an exchange fails after its request may have been
+// written — a timeout, a short read, a reply of the wrong type — a reply
+// still in flight would be taken for the answer to the next request.
+// The first such failure therefore poisons the connection: every later
+// exchange fails with it, and only closing remains.
 type Mux struct {
-	mu     sync.Mutex
-	cc     clientConn        // guarded by mu
-	open   map[uint32]uint64 // guarded by mu; the sessions held: bit id&63 of the word keyed id>>6
-	held   int               // guarded by mu; the bits set in open
-	closed bool              // guarded by mu
+	mu      sync.Mutex
+	conn    net.Conn
+	timeout time.Duration // bounds each exchange when positive
+	// rd reads every reply, sized to what the gateway writes in one go,
+	// so replies it wrote together cost one read; guarded by mu.
+	rd     *bufio.Reader
+	reply  [statsReplyLen]byte // guarded by mu; the reply being read
+	broken error               // guarded by mu; the first failed exchange, sticky
+	open   map[uint32]uint64   // guarded by mu; the sessions held: bit id&63 of the word keyed id>>6
+	closed bool                // guarded by mu
 
 	traceEvery uint64   // guarded by mu; 0 disables client-side tracing
 	exchanges  uint64   // guarded by mu; requests sent since TraceEvery was set
@@ -73,7 +85,12 @@ func DialMux(addr string, timeout time.Duration) (*Mux, error) {
 
 // newMux wraps an established connection.
 func newMux(conn net.Conn, timeout time.Duration) *Mux {
-	return &Mux{cc: newClientConn(conn, timeout), open: make(map[uint32]uint64)}
+	return &Mux{
+		conn:    conn,
+		timeout: timeout,
+		rd:      bufio.NewReaderSize(conn, connWriteBufSize),
+		open:    make(map[uint32]uint64),
+	}
 }
 
 // holds reports whether the mux holds the session. Callers hold m.mu.
@@ -81,12 +98,7 @@ func (m *Mux) holds(id uint32) bool { return m.open[id>>6]&(1<<(id&63)) != 0 }
 
 // hold adds a session the gateway has just opened for the mux. Callers
 // hold m.mu.
-func (m *Mux) hold(id uint32) {
-	if !m.holds(id) {
-		m.held++
-	}
-	m.open[id>>6] |= 1 << (id & 63)
-}
+func (m *Mux) hold(id uint32) { m.open[id>>6] |= 1 << (id & 63) }
 
 // drop removes a held session, and its word once it holds no other.
 // Callers hold m.mu.
@@ -96,7 +108,6 @@ func (m *Mux) drop(id uint32) {
 	} else {
 		delete(m.open, id>>6)
 	}
-	m.held--
 }
 
 // TraceEvery asks the gateway to trace every n-th request sent through
@@ -135,7 +146,7 @@ func (m *Mux) writeMsg(op string, msg []byte) error {
 	if env := m.appendTrace(m.scratch[:0]); len(env) > 0 {
 		msg = append(env, msg...)
 	}
-	return m.cc.write(op, msg)
+	return m.write(op, msg)
 }
 
 // Open performs an OPEN/OPENED exchange and returns the new session ID.
@@ -146,14 +157,14 @@ func (m *Mux) Open() (uint32, error) {
 	if m.closed {
 		return 0, fmt.Errorf("gateway: open on closed mux")
 	}
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return 0, err
 	}
-	defer m.cc.end()
+	defer m.end()
 	if err := m.writeMsg("open", []byte{typeOpen}); err != nil {
 		return 0, err
 	}
-	id, err := m.cc.readOpened()
+	id, err := m.readOpened()
 	if err != nil {
 		return 0, err
 	}
@@ -175,10 +186,10 @@ func (m *Mux) Send(session uint32, bits bw.Bits) error {
 	msg[0] = typeData
 	binary.BigEndian.PutUint32(msg[1:], session)
 	binary.BigEndian.PutUint64(msg[5:], uint64(bits))
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return err
 	}
-	defer m.cc.end()
+	defer m.end()
 	return m.writeMsg("send", msg[:])
 }
 
@@ -200,10 +211,10 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 			return fmt.Errorf("gateway: send on unowned session %d", it.Session)
 		}
 	}
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return err
 	}
-	defer m.cc.end()
+	defer m.end()
 	for len(items) > 0 {
 		n := len(items)
 		if n > MaxBatch {
@@ -219,7 +230,7 @@ func (m *Mux) SendBatch(items []BatchItem) error {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(it.Bits))
 		}
 		m.batch = buf // keep the grown capacity for the next call
-		if err := m.cc.write("send batch", buf); err != nil {
+		if err := m.write("send batch", buf); err != nil {
 			return err
 		}
 		items = items[n:]
@@ -241,10 +252,10 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 			return nil, fmt.Errorf("gateway: stats on unowned session %d", s)
 		}
 	}
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return nil, err
 	}
-	defer m.cc.end()
+	defer m.end()
 	out := make([]SessionStats, 0, len(sessions))
 	for len(sessions) > 0 {
 		n := len(sessions)
@@ -259,11 +270,11 @@ func (m *Mux) StatsBatch(sessions []uint32) ([]SessionStats, error) {
 			buf = binary.BigEndian.AppendUint32(buf, s)
 		}
 		m.batch = buf
-		if err := m.cc.write("stats batch", buf); err != nil {
+		if err := m.write("stats batch", buf); err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			st, err := m.cc.readStats()
+			st, err := m.readStats()
 			if err != nil {
 				return nil, fmt.Errorf("gateway: stats batch, reply %d: %w", i, err)
 			}
@@ -284,14 +295,14 @@ func (m *Mux) Stats(session uint32) (SessionStats, error) {
 	var req [5]byte
 	req[0] = typeStats
 	binary.BigEndian.PutUint32(req[1:], session)
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return SessionStats{}, err
 	}
-	defer m.cc.end()
+	defer m.end()
 	if err := m.writeMsg("stats", req[:]); err != nil {
 		return SessionStats{}, err
 	}
-	return m.cc.readStats()
+	return m.readStats()
 }
 
 // CloseSession returns one session's slot to the gateway with an
@@ -306,25 +317,18 @@ func (m *Mux) CloseSession(session uint32) error {
 	var req [5]byte
 	req[0] = typeClose
 	binary.BigEndian.PutUint32(req[1:], session)
-	if err := m.cc.begin(); err != nil {
+	if err := m.begin(); err != nil {
 		return err
 	}
-	defer m.cc.end()
+	defer m.end()
 	if err := m.writeMsg("close", req[:]); err != nil {
 		return err
 	}
-	if err := m.cc.readClosed(); err != nil {
+	if err := m.readClosed(); err != nil {
 		return err
 	}
 	m.drop(session)
 	return nil
-}
-
-// Sessions reports how many sessions the mux currently holds.
-func (m *Mux) Sessions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.held
 }
 
 // Close tears down the connection. Sessions still open are released by
@@ -335,122 +339,100 @@ func (m *Mux) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	return m.cc.conn.Close()
-}
-
-// clientConn is the client side of one gateway connection: the socket,
-// the one buffered reader every reply is read through (so replies the
-// gateway wrote together cost one read, not one each — its size matches
-// what the gateway writes in one go), the exchange deadline, and the
-// failure that ended the connection's useful life. The Mux serializes
-// access (Mux.mu).
-//
-// Replies carry no request ID: they are matched to requests by stream
-// order alone. So once an exchange fails after its request may have been
-// written — a timeout, a short read, a reply of the wrong type — a reply
-// still in flight would be taken for the answer to the next request.
-// The first such failure therefore poisons the connection: every later
-// exchange fails with it, and only closing remains.
-type clientConn struct {
-	conn    net.Conn
-	rd      *bufio.Reader
-	timeout time.Duration
-	broken  error // first failed exchange; sticky
-	reply   [statsReplyLen]byte
-}
-
-func newClientConn(conn net.Conn, timeout time.Duration) clientConn {
-	return clientConn{conn: conn, rd: bufio.NewReaderSize(conn, connWriteBufSize), timeout: timeout}
+	return m.conn.Close()
 }
 
 // begin opens one exchange: it reports the failure that poisoned the
 // connection, if any, and otherwise arms the deadline bounding the
 // exchange. Every begin that returns nil is paired with an end.
-func (c *clientConn) begin() error {
-	if c.broken != nil {
-		return fmt.Errorf("gateway: connection unusable after a failed exchange: %w", c.broken)
+// Callers hold m.mu.
+func (m *Mux) begin() error {
+	if m.broken != nil {
+		return fmt.Errorf("gateway: connection unusable after a failed exchange: %w", m.broken)
 	}
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	if m.timeout > 0 {
+		m.conn.SetDeadline(time.Now().Add(m.timeout))
 	}
 	return nil
 }
 
-// end clears the exchange deadline.
-func (c *clientConn) end() {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Time{})
+// end clears the exchange deadline. Callers hold m.mu.
+func (m *Mux) end() {
+	if m.timeout > 0 {
+		m.conn.SetDeadline(time.Time{})
 	}
 }
 
 // fail poisons the connection with err (the first failure wins) and
-// returns err.
-func (c *clientConn) fail(err error) error {
-	if c.broken == nil {
-		c.broken = err
+// returns err. Callers hold m.mu.
+func (m *Mux) fail(err error) error {
+	if m.broken == nil {
+		m.broken = err
 	}
 	return err
 }
 
 // write sends one request or frame in a single conn write.
-func (c *clientConn) write(op string, b []byte) error {
-	if _, err := c.conn.Write(b); err != nil {
-		return c.fail(fmt.Errorf("gateway: %s: %w", op, err))
+// Callers hold m.mu.
+func (m *Mux) write(op string, b []byte) error {
+	if _, err := m.conn.Write(b); err != nil {
+		return m.fail(fmt.Errorf("gateway: %s: %w", op, err))
 	}
 	return nil
 }
 
-// read fills c.reply[:n] with the next n reply bytes.
-func (c *clientConn) read(op string, n int) error {
-	if _, err := io.ReadFull(c.rd, c.reply[:n]); err != nil {
-		return c.fail(fmt.Errorf("gateway: %s reply: %w", op, err))
+// read fills m.reply[:n] with the next n reply bytes.
+// Callers hold m.mu.
+func (m *Mux) read(op string, n int) error {
+	if _, err := io.ReadFull(m.rd, m.reply[:n]); err != nil {
+		return m.fail(fmt.Errorf("gateway: %s reply: %w", op, err))
 	}
 	return nil
 }
 
 // readOpened reads the reply to an OPEN: the new session ID, or
 // ErrSessionLimit on OPENFAIL (a valid reply — the connection stays
-// usable).
-func (c *clientConn) readOpened() (uint32, error) {
-	if err := c.read("open", 1); err != nil {
+// usable). Callers hold m.mu.
+func (m *Mux) readOpened() (uint32, error) {
+	if err := m.read("open", 1); err != nil {
 		return 0, err
 	}
-	switch typ := c.reply[0]; typ {
+	switch typ := m.reply[0]; typ {
 	case typeOpened:
-		if err := c.read("open", 4); err != nil {
+		if err := m.read("open", 4); err != nil {
 			return 0, err
 		}
-		return binary.BigEndian.Uint32(c.reply[:4]), nil
+		return binary.BigEndian.Uint32(m.reply[:4]), nil
 	case typeOpenFail:
 		return 0, ErrSessionLimit
 	default:
-		return 0, c.fail(fmt.Errorf("gateway: unexpected open reply type %d", typ))
+		return 0, m.fail(fmt.Errorf("gateway: unexpected open reply type %d", typ))
 	}
 }
 
-// readStats reads one STATSR reply.
-func (c *clientConn) readStats() (SessionStats, error) {
-	if err := c.read("stats", statsReplyLen); err != nil {
+// readStats reads one STATSR reply. Callers hold m.mu.
+func (m *Mux) readStats() (SessionStats, error) {
+	if err := m.read("stats", statsReplyLen); err != nil {
 		return SessionStats{}, err
 	}
-	if c.reply[0] != typeStatsR {
-		return SessionStats{}, c.fail(fmt.Errorf("gateway: unexpected stats reply type %d", c.reply[0]))
+	if m.reply[0] != typeStatsR {
+		return SessionStats{}, m.fail(fmt.Errorf("gateway: unexpected stats reply type %d", m.reply[0]))
 	}
 	return SessionStats{
-		Served:   bw.Bits(binary.BigEndian.Uint64(c.reply[1:])),
-		Queued:   bw.Bits(binary.BigEndian.Uint64(c.reply[9:])),
-		MaxDelay: bw.Tick(binary.BigEndian.Uint64(c.reply[17:])),
-		Changes:  int64(binary.BigEndian.Uint64(c.reply[25:])),
+		Served:   bw.Bits(binary.BigEndian.Uint64(m.reply[1:])),
+		Queued:   bw.Bits(binary.BigEndian.Uint64(m.reply[9:])),
+		MaxDelay: bw.Tick(binary.BigEndian.Uint64(m.reply[17:])),
+		Changes:  int64(binary.BigEndian.Uint64(m.reply[25:])),
 	}, nil
 }
 
-// readClosed reads the reply to a CLOSE.
-func (c *clientConn) readClosed() error {
-	if err := c.read("close", 1); err != nil {
+// readClosed reads the reply to a CLOSE. Callers hold m.mu.
+func (m *Mux) readClosed() error {
+	if err := m.read("close", 1); err != nil {
 		return err
 	}
-	if c.reply[0] != typeClosed {
-		return c.fail(fmt.Errorf("gateway: unexpected close reply type %d", c.reply[0]))
+	if m.reply[0] != typeClosed {
+		return m.fail(fmt.Errorf("gateway: unexpected close reply type %d", m.reply[0]))
 	}
 	return nil
 }

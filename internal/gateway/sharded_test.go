@@ -332,9 +332,6 @@ func TestMuxValidation(t *testing.T) {
 	if err := m.Send(id, -1); err == nil {
 		t.Error("negative send accepted")
 	}
-	if n := m.Sessions(); n != 1 {
-		t.Errorf("Sessions = %d, want 1", n)
-	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestSlotBytes(t *testing.T) {
 	}
 	restore := func() {
 		for c, m := range muxes {
-			m.open, m.held = make(map[uint32]uint64), 0
+			m.open = make(map[uint32]uint64)
 			for _, id := range ids[c] {
 				m.hold(id)
 			}

@@ -52,12 +52,6 @@ func TestRegistryCompleteness(t *testing.T) {
 			t.Errorf("experiment %s incompletely registered", id)
 		}
 	}
-	if _, ok := ByID("E7"); !ok {
-		t.Error("ByID(E7) not found")
-	}
-	if _, ok := ByID("nope"); ok {
-		t.Error("ByID(nope) found something")
-	}
 }
 
 // update rewrites results/ from this run instead of comparing with it:

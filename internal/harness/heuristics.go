@@ -89,14 +89,3 @@ func All() []Experiment {
 		{ID: "E25", Title: "Routing-tier change+reroute cost", Reproduces: "ROADMAP item 4 (b-matching cost)", Run: RoutingCost},
 	}
 }
-
-// ByID returns the experiment with the given ID, searching both the
-// deterministic registry (All) and the wall-clock one (Live), or false.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range append(All(), Live()...) {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}

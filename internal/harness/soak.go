@@ -59,7 +59,7 @@ func soak(cfg soakConfig) (*Table, error) {
 			return nil, fmt.Errorf("E21 %s: host: %w", policy, err)
 		}
 		res, err := load.Run(context.Background(), load.Config{
-			Addr:     host.Addr(),
+			Addr:     host.GW.Addr(),
 			Sessions: cfg.Sessions,
 			Mode:     load.OpenLoop,
 			Duration: cfg.Duration,

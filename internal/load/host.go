@@ -3,19 +3,20 @@ package load
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
 	"dynbw/internal/gateway"
 	"dynbw/internal/obs"
+	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
-// NewPolicy builds a multi-session allocator by CLI name, with the same
-// defaults cmd/bwgateway uses: phased and continuous take the offline
-// resources (B_O, D_O) directly, combined derives B_A = nextpow2(8*B_O).
+// NewPolicy builds a multi-session allocator by CLI name, with the
+// defaults every hosted gateway uses: phased and continuous take the
+// offline resources (B_O, D_O) directly, combined derives
+// B_A = nextpow2(8*B_O).
 func NewPolicy(name string, k int, bo bw.Rate, do bw.Tick) (sim.MultiAllocator, error) {
 	switch name {
 	case "phased":
@@ -30,30 +31,14 @@ func NewPolicy(name string, k int, bo bw.Rate, do bw.Tick) (sim.MultiAllocator, 
 	}
 }
 
-// NewPolicies builds the allocators of a gateway of n shards: n
-// NewPolicy allocators, each over k/n slots and bo/n bandwidth. The i-th runs on its own tick worker, so it emits
-// through o's stripe i (obs.StripeOf) and emission never crosses lock
-// domains; a nil o leaves the allocators silent.
-func NewPolicies(name string, n, k int, bo bw.Rate, do bw.Tick, o obs.Observer) ([]sim.MultiAllocator, error) {
-	if n < 1 || k%n != 0 {
-		return nil, fmt.Errorf("load: %d slots do not divide %d ways", k, n)
-	}
-	allocs := make([]sim.MultiAllocator, n)
-	for i := range allocs {
-		alloc, err := NewPolicy(name, k/n, bo/bw.Rate(n), do)
-		if err != nil {
-			return nil, err
-		}
-		if a, ok := alloc.(obs.Observable); ok && o != nil {
-			a.SetObserver(obs.StripeOf(o, i))
-		}
-		allocs[i] = alloc
-	}
-	return allocs, nil
-}
+// idleTimeout is how long a host lets a client sit silent before it drops
+// it and frees its slots: clients may be untrusted. Tests shorten it.
+var idleTimeout = 30 * time.Second
 
-// HostConfig parameterizes a self-hosted gateway for a swarm run.
+// HostConfig parameterizes a self-hosted gateway.
 type HostConfig struct {
+	// Addr is the TCP listen address (default 127.0.0.1:0).
+	Addr string
 	// Policy is phased|continuous|combined.
 	Policy string
 	// Slots is the session slot count k.
@@ -68,8 +53,8 @@ type HostConfig struct {
 	DO bw.Tick
 	// Tick is the gateway's allocation interval (default 1ms).
 	Tick time.Duration
-	// IdleTimeout disconnects wedged clients (default 30s; <0 disables).
-	IdleTimeout time.Duration
+	// Router, when non-nil, places each OPEN on a shard (gateway.Config).
+	Router *route.Policy
 	// Registry, when non-nil, receives the gateway's live metrics
 	// (labeled with Policy); Observer receives allocation events from
 	// both the policies and the gateway — an *obs.Ring with one stripe
@@ -85,41 +70,54 @@ type HostConfig struct {
 	Log *slog.Logger
 }
 
-// Host is a self-hosted gateway plus its tick source — the "no external
-// gateway" mode of cmd/bwload and experiment E21.
+// Host is a self-hosted gateway plus its tick source: cmd/bwgateway's
+// gateway, and the "no external gateway" mode of cmd/bwload and
+// experiment E21.
 type Host struct {
-	GW    *gateway.Gateway
-	close func() gateway.Stats
+	GW *gateway.Gateway
+	// Promise is what each shard's policy guarantees.
+	Promise sim.Promise
+	ticker  *time.Ticker
 }
 
-// StartHost listens on 127.0.0.1:0 with a real wall-clock ticker.
+// StartHost listens on cfg.Addr with a real wall-clock ticker, and
+// disconnects a client silent for idleTimeout.
 func StartHost(cfg HostConfig) (*Host, error) {
 	if cfg.Slots < 1 {
 		return nil, fmt.Errorf("load: host slots = %d", cfg.Slots)
 	}
+	orDefault(&cfg.Addr, "127.0.0.1:0")
 	orDefault(&cfg.Policy, "phased")
 	orDefault(&cfg.BO, bw.Rate(16*cfg.Slots))
 	orDefault(&cfg.DO, 8)
 	orDefault(&cfg.Tick, time.Millisecond)
-	switch {
-	case cfg.IdleTimeout == 0:
-		cfg.IdleTimeout = 30 * time.Second
-	case cfg.IdleTimeout < 0:
-		cfg.IdleTimeout = 0
-	}
 	shards := max(cfg.Shards, 1)
-	allocs, err := NewPolicies(cfg.Policy, shards, cfg.Slots, cfg.BO, cfg.DO, cfg.Observer)
-	if err != nil {
-		return nil, err
+	if cfg.Slots%shards != 0 {
+		return nil, fmt.Errorf("load: %d slots do not divide %d ways", cfg.Slots, shards)
+	}
+	// One allocator per shard, over its share of the slots and of BO. The
+	// i-th runs on its own tick worker, so it emits through the observer's
+	// stripe i (obs.StripeOf) and emission never crosses lock domains.
+	allocs := make([]sim.MultiAllocator, shards)
+	for i := range allocs {
+		alloc, err := NewPolicy(cfg.Policy, cfg.Slots/shards, cfg.BO/bw.Rate(shards), cfg.DO)
+		if err != nil {
+			return nil, err
+		}
+		if a, ok := alloc.(obs.Observable); ok && cfg.Observer != nil {
+			a.SetObserver(obs.StripeOf(cfg.Observer, i))
+		}
+		allocs[i] = alloc
 	}
 	ticker := time.NewTicker(cfg.Tick)
 	gw, err := gateway.NewWithConfig(gateway.Config{
-		Addr:            "127.0.0.1:0",
+		Addr:            cfg.Addr,
 		Slots:           cfg.Slots,
 		Shards:          shards,
 		ShardAllocs:     allocs,
+		Router:          cfg.Router,
 		Ticks:           ticker.C,
-		IdleTimeout:     cfg.IdleTimeout,
+		IdleTimeout:     idleTimeout,
 		Observer:        cfg.Observer,
 		Metrics:         cfg.Registry,
 		Policy:          cfg.Policy,
@@ -132,16 +130,13 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		ticker.Stop()
 		return nil, err
 	}
-	return &Host{GW: gw, close: sync.OnceValue(func() gateway.Stats {
-		defer ticker.Stop()
-		return gw.Close()
-	})}, nil
+	return &Host{GW: gw, Promise: allocs[0].(sim.Promiser).Promise(), ticker: ticker}, nil
 }
-
-// Addr returns the hosted gateway's address.
-func (h *Host) Addr() string { return h.GW.Addr() }
 
 // Close stops the gateway and its ticker, returning the gateway's final
 // stats. It is idempotent; repeated calls return the first call's
 // snapshot.
-func (h *Host) Close() gateway.Stats { return h.close() }
+func (h *Host) Close() gateway.Stats {
+	defer h.ticker.Stop()
+	return h.GW.Close()
+}

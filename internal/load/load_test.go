@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"unsafe"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/gateway"
 	"dynbw/internal/obs"
 	"dynbw/internal/trace"
 	"dynbw/internal/traffic"
@@ -81,7 +83,7 @@ func TestRunTable(t *testing.T) {
 			t.Run(fmt.Sprintf("perconn%d_%s", perConn, mode), func(t *testing.T) {
 				h := startHost(t, "phased", sessions, 4, nil)
 				res, err := Run(context.Background(), Config{
-					Addr:     h.Addr(),
+					Addr:     h.GW.Addr(),
 					Sessions: sessions,
 					PerConn:  perConn,
 					Mode:     mode,
@@ -133,7 +135,7 @@ func TestSlotRecycling(t *testing.T) {
 	var charged int64
 	for round := 0; round < 2; round++ {
 		res, err := Run(context.Background(), Config{
-			Addr:     h.Addr(),
+			Addr:     h.GW.Addr(),
 			Sessions: slots,
 			Mode:     OpenLoop,
 			Tick:     time.Millisecond,
@@ -173,7 +175,7 @@ func TestSlotRecycling(t *testing.T) {
 func TestSwarmCustomGenerator(t *testing.T) {
 	h := startHost(t, "phased", 4, 1, nil)
 	res, err := Run(context.Background(), Config{
-		Addr:     h.Addr(),
+		Addr:     h.GW.Addr(),
 		Sessions: 4,
 		Mode:     OpenLoop,
 		Tick:     2 * time.Millisecond,
@@ -213,7 +215,7 @@ func TestSoakHoldsSessionsOnShardedHost(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := startHost(t, "phased", slots, 4, reg)
 	cfg := Config{
-		Addr:     h.Addr(),
+		Addr:     h.GW.Addr(),
 		Sessions: slots,
 		PerConn:  perConn,
 		Tick:     10 * time.Millisecond,
@@ -280,7 +282,7 @@ func TestSoakBatchedPlateau(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := startHost(t, "phased", slots, 4, reg)
 	res, err := Run(context.Background(), Config{
-		Addr:     h.Addr(),
+		Addr:     h.GW.Addr(),
 		Sessions: slots,
 		PerConn:  perConn,
 		Tick:     10 * time.Millisecond,
@@ -321,7 +323,7 @@ func TestRunGatewayDiesNoHang(t *testing.T) {
 	start := time.Now()
 	go func() {
 		res, err := Run(context.Background(), Config{
-			Addr:         h.Addr(),
+			Addr:         h.GW.Addr(),
 			Sessions:     sessions,
 			PerConn:      8,
 			Tick:         2 * time.Millisecond,
@@ -461,5 +463,47 @@ func TestNewPolicyUnknown(t *testing.T) {
 func TestStartHostShardValidation(t *testing.T) {
 	if _, err := StartHost(HostConfig{Policy: "phased", Slots: 10, Shards: 4}); err == nil {
 		t.Error("10 slots over 4 shards accepted")
+	}
+}
+
+// TestHostDropsSilentClient: a host disconnects a client that opens a
+// session and then says nothing, and its slot is free again, so a
+// silent tenant cannot hold its slots for the life of the process.
+func TestHostDropsSilentClient(t *testing.T) {
+	defer func(d time.Duration) { idleTimeout = d }(idleTimeout)
+	idleTimeout = 200 * time.Millisecond
+	h := startHost(t, "phased", 1, 1, nil)
+	silent, err := gateway.DialMux(h.GW.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	id, err := silent.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := gateway.DialMux(h.GW.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, err := other.Open(); !errors.Is(err, gateway.ErrSessionLimit) {
+		t.Fatalf("second Open on a 1-slot host: %v, want ErrSessionLimit", err)
+	}
+	// Each retry is traffic, so only the first client goes silent.
+	for deadline := time.Now().Add(10 * idleTimeout); ; time.Sleep(idleTimeout / 10) {
+		_, err := other.Open()
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, gateway.ErrSessionLimit) {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the silent client's slot is still held after %v", 10*idleTimeout)
+		}
+	}
+	if _, err := silent.Stats(id); err == nil {
+		t.Error("the silent client's connection still answers")
 	}
 }

@@ -109,14 +109,6 @@ func (h *Histogram) Count() int64 { return h.count }
 // Sum returns the sum of all recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 

@@ -10,7 +10,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Min() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0) != 0 {
 		t.Errorf("empty histogram not zeroed: %+v", h)
 	}
 	if q := h.Quantile(0.5); q != 0 {
@@ -26,8 +26,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	for v := int64(0); v < 16; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 16 || h.Min() != 0 || h.Max() != 15 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 16 || h.Quantile(0) != 0 || h.Max() != 15 {
+		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Quantile(0), h.Max())
 	}
 	// Values below 2^subBits are recorded exactly.
 	if q := h.Quantile(0.5); q != 7 {
@@ -104,7 +104,7 @@ func TestHistogramMerge(t *testing.T) {
 	var empty Histogram
 	a.Merge(&empty)
 	if a.Count() != whole.Count() || a.Sum() != whole.Sum() ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
+		a.Quantile(0) != whole.Quantile(0) || a.Max() != whole.Max() {
 		t.Fatalf("merge mismatch: %d/%d sum %d/%d", a.Count(), whole.Count(), a.Sum(), whole.Sum())
 	}
 	for _, p := range []float64{0.25, 0.5, 0.75, 0.99} {
@@ -115,8 +115,8 @@ func TestHistogramMerge(t *testing.T) {
 	// Merge into an empty histogram adopts min/max.
 	var fresh Histogram
 	fresh.Merge(&whole)
-	if fresh.Min() != whole.Min() || fresh.Max() != whole.Max() {
-		t.Errorf("fresh merge min/max = %d/%d", fresh.Min(), fresh.Max())
+	if fresh.Quantile(0) != whole.Quantile(0) || fresh.Max() != whole.Max() {
+		t.Errorf("fresh merge min/max = %d/%d", fresh.Quantile(0), fresh.Max())
 	}
 }
 
@@ -127,14 +127,14 @@ func TestHistogramMergeBucketConfigs(t *testing.T) {
 	allocSrc.Observe(5)
 	allocSrc.Observe(1 << 20)
 	nilDst.Merge(&allocSrc) // nil counts <- allocated
-	if nilDst.Count() != 2 || nilDst.Min() != 5 || nilDst.Max() != 1<<20 {
-		t.Fatalf("nil<-alloc: count=%d min=%d max=%d", nilDst.Count(), nilDst.Min(), nilDst.Max())
+	if nilDst.Count() != 2 || nilDst.Quantile(0) != 5 || nilDst.Max() != 1<<20 {
+		t.Fatalf("nil<-alloc: count=%d min=%d max=%d", nilDst.Count(), nilDst.Quantile(0), nilDst.Max())
 	}
 
 	var allocDst, nilSrc Histogram
 	allocDst.Observe(7)
 	allocDst.Merge(&nilSrc) // allocated <- nil counts (empty): no-op
-	if allocDst.Count() != 1 || allocDst.Min() != 7 || allocDst.Max() != 7 {
+	if allocDst.Count() != 1 || allocDst.Quantile(0) != 7 || allocDst.Max() != 7 {
 		t.Fatalf("alloc<-nil changed state: count=%d", allocDst.Count())
 	}
 
@@ -154,8 +154,8 @@ func TestHistogramMergeBucketConfigs(t *testing.T) {
 	x.Observe(100)
 	y.Observe(2)
 	x.Merge(&y)
-	if x.Min() != 2 || x.Max() != 100 {
-		t.Errorf("min/max after merge = %d/%d, want 2/100", x.Min(), x.Max())
+	if x.Quantile(0) != 2 || x.Max() != 100 {
+		t.Errorf("min/max after merge = %d/%d, want 2/100", x.Quantile(0), x.Max())
 	}
 }
 
@@ -234,8 +234,8 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-5)
 	h.Observe(10)
-	if h.Count() != 2 || h.Min() != 0 {
-		t.Errorf("count=%d min=%d after negative observe", h.Count(), h.Min())
+	if h.Count() != 2 || h.Quantile(0) != 0 {
+		t.Errorf("count=%d min=%d after negative observe", h.Count(), h.Quantile(0))
 	}
 }
 

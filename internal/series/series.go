@@ -1,7 +1,7 @@
 // Package series extracts per-tick time series from simulation runs —
 // demand, allocation, and queue occupancy — bucketed for plotting or
-// terminal display. It is the data layer behind the figure experiments
-// and bwmulti's -plot and -series flags.
+// terminal display. It is the data layer behind bwmulti's -plot and
+// -series flags.
 package series
 
 import (

@@ -17,8 +17,8 @@ import (
 // warm, a run allocates nothing.
 //
 // The returned Result, and the Schedule it points to, are owned by the
-// Runner and remain valid only until the next Run or Reset. Callers that
-// need the schedule beyond that must copy it. The zero value is ready to
+// Runner and remain valid only until the next Run. Callers that need the
+// schedule beyond that must copy it. The zero value is ready to
 // use; a Runner must not be used from multiple goroutines at once.
 type Runner struct {
 	m   MultiRunner
@@ -30,14 +30,6 @@ type Runner struct {
 // NewRunner returns an empty Runner. The zero value works too; the
 // constructor exists for symmetry with the rest of the package.
 func NewRunner() *Runner { return &Runner{} }
-
-// Reset forgets the last run while keeping all grown storage. Run needs
-// no Reset first; it is exported so a Runner can drop its references to
-// a trace and a policy between unrelated experiments.
-func (r *Runner) Reset() {
-	r.in[0], r.res = nil, Result{}
-	clear(r.sep.Allocs)
-}
 
 // Run simulates the allocator on the trace, exactly like the package
 // function Run but reusing the Runner's storage. See Run for the tick

@@ -112,14 +112,5 @@ func (m *Multi) Len() bw.Tick { return m.sessions[0].Len() }
 // Session returns session i's trace.
 func (m *Multi) Session(i int) *Trace { return m.sessions[i] }
 
-// At returns the arrivals of every session at tick t.
-func (m *Multi) At(t bw.Tick) []bw.Bits {
-	out := make([]bw.Bits, len(m.sessions))
-	for i, s := range m.sessions {
-		out[i] = s.At(t)
-	}
-	return out
-}
-
 // Aggregate returns the element-wise sum across sessions.
 func (m *Multi) Aggregate() *Trace { return Sum(m.sessions...) }

@@ -65,9 +65,8 @@ func TestMulti(t *testing.T) {
 	if m.K() != 2 || m.Len() != 3 {
 		t.Fatalf("K=%d Len=%d", m.K(), m.Len())
 	}
-	at := m.At(1)
-	if at[0] != 2 || at[1] != 5 {
-		t.Errorf("At(1) = %v", at)
+	if at0, at1 := m.Session(0).At(1), m.Session(1).At(1); at0 != 2 || at1 != 5 {
+		t.Errorf("sessions at tick 1 = %d, %d", at0, at1)
 	}
 	agg := m.Aggregate()
 	if agg.At(0) != 5 || agg.At(2) != 9 {

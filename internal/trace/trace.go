@@ -98,54 +98,11 @@ func (tr *Trace) MeanCeil() bw.Bits {
 	return bw.CeilDiv(tr.Total(), int64(len(tr.arrivals)))
 }
 
-// PeakRate returns, for the given window size w >= 1, the maximum arrivals
-// over any w consecutive ticks divided (ceiling) by w: the peak sustained
-// rate at that time scale.
-func (tr *Trace) PeakRate(w bw.Tick) bw.Rate {
-	if w < 1 {
-		panic("trace: PeakRate window < 1")
-	}
-	var peak bw.Bits
-	for t := bw.Tick(0); t < tr.Len(); t++ {
-		if s := tr.Window(t, t+w); s > peak {
-			peak = s
-		}
-	}
-	return bw.RateOver(peak, w)
-}
-
 // Arrivals returns a copy of the per-tick arrival counts.
 func (tr *Trace) Arrivals() []bw.Bits {
 	out := make([]bw.Bits, len(tr.arrivals))
 	copy(out, tr.arrivals)
 	return out
-}
-
-// Slice returns the sub-trace of ticks [a, b), clamped.
-func (tr *Trace) Slice(a, b bw.Tick) *Trace {
-	if a < 0 {
-		a = 0
-	}
-	if b > tr.Len() {
-		b = tr.Len()
-	}
-	if a >= b {
-		return MustNew(nil)
-	}
-	return MustNew(tr.arrivals[a:b])
-}
-
-// Concat returns the concatenation of the given traces.
-func Concat(traces ...*Trace) *Trace {
-	var n int
-	for _, t := range traces {
-		n += len(t.arrivals)
-	}
-	all := make([]bw.Bits, 0, n)
-	for _, t := range traces {
-		all = append(all, t.arrivals...)
-	}
-	return MustNew(all)
 }
 
 // Sum returns the element-wise sum of the given traces, extended with zeros

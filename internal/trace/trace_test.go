@@ -73,38 +73,6 @@ func TestPeakAndMean(t *testing.T) {
 	}
 }
 
-func TestPeakRate(t *testing.T) {
-	tr := MustNew([]bw.Bits{0, 10, 0, 0, 10, 10})
-	if got := tr.PeakRate(1); got != 10 {
-		t.Errorf("PeakRate(1) = %d", got)
-	}
-	if got := tr.PeakRate(2); got != 10 { // ticks 4,5 = 20/2
-		t.Errorf("PeakRate(2) = %d", got)
-	}
-	if got := tr.PeakRate(3); got != 7 { // ticks 3..5 = 20/3 -> ceil 7
-		t.Errorf("PeakRate(3) = %d", got)
-	}
-}
-
-func TestSliceAndConcat(t *testing.T) {
-	tr := MustNew([]bw.Bits{1, 2, 3, 4})
-	s := tr.Slice(1, 3)
-	if s.Len() != 2 || s.At(0) != 2 || s.At(1) != 3 {
-		t.Errorf("Slice wrong: %v", s.Arrivals())
-	}
-	c := Concat(s, s)
-	want := []bw.Bits{2, 3, 2, 3}
-	got := c.Arrivals()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Concat[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if empty := tr.Slice(3, 1); empty.Len() != 0 {
-		t.Error("inverted Slice should be empty")
-	}
-}
-
 func TestSum(t *testing.T) {
 	a := MustNew([]bw.Bits{1, 1})
 	b := MustNew([]bw.Bits{2, 2, 2})
