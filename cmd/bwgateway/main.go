@@ -111,9 +111,6 @@ func run(args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tick <= 0 || *do < 1 {
-		return fmt.Errorf("-tick %v, -do %d: want both positive", *tick, *do)
-	}
 	if *bo == 0 {
 		*bo = int64(16 * *k)
 	}
@@ -168,11 +165,11 @@ func run(args []string, out, errw io.Writer) error {
 			Registry: reg,
 			Interval: *record,
 			Triggers: []obs.Trigger{
-				obs.GrowthTrigger("openfail-spike", "dynbw_gateway_open_fails_total", 1),
-				obs.GrowthTrigger("events-dropped", "dynbw_events_dropped_total", 1),
-				obs.GrowthTrigger("tick-overrun", "dynbw_gateway_tick_overruns_total", 1),
-				obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1),
-				obs.GrowthTrigger("handler-panic", `dynbw_gateway_panics_total{where="handler"}`, 1),
+				{Name: "openfail-spike", Key: "dynbw_gateway_open_fails_total"},
+				{Name: "events-dropped", Key: "dynbw_events_dropped_total"},
+				{Name: "tick-overrun", Key: "dynbw_gateway_tick_overruns_total"},
+				{Name: "round-panic", Key: `dynbw_gateway_panics_total{where="round"}`},
+				{Name: "handler-panic", Key: `dynbw_gateway_panics_total{where="handler"}`},
 			},
 		})
 		rec.Start()

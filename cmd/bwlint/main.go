@@ -4,20 +4,18 @@
 //
 // Usage:
 //
-//	bwlint [-checks list] [-json] [-github] [-list] [-v] [patterns ...]
+//	bwlint [-checks list] [-github] [-list] [-v] [patterns ...]
 //
 // Patterns are package directories relative to the module root, with
 // "./..." expansion; the default is the whole module. Output is text
-// (file:line:col), -json (a findings array), or -github (::error
-// workflow-command annotations so findings surface inline on pull
-// requests). -v prints load/analysis timing and each check's
-// escape-hatch statistics to stderr. The exit code is 0 when clean, 1
-// when findings were reported, 2 on usage or load errors — so CI can
-// gate merges on `go run ./cmd/bwlint ./...`.
+// (file:line:col), or with -github ::error workflow-command annotations
+// so findings surface inline on pull requests. -v prints load/analysis
+// timing and each check's escape-hatch statistics to stderr. The exit
+// code is 0 when clean, 1 when findings were reported, 2 on usage or
+// load errors — so CI can gate merges on `go run ./cmd/bwlint ./...`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -39,20 +37,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		checksFlag = fs.String("checks", "", "comma-separated check names to run (default: all)")
-		jsonFlag   = fs.Bool("json", false, "emit findings as a JSON array instead of text")
 		githubFlag = fs.Bool("github", false, "emit findings as GitHub ::error workflow commands instead of text")
 		listFlag   = fs.Bool("list", false, "list available checks and exit")
 		verbose    = fs.Bool("v", false, "print timing and check statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bwlint [-checks list] [-json] [-github] [-list] [-v] [patterns ...]\n")
+		fmt.Fprintf(stderr, "usage: bwlint [-checks list] [-github] [-list] [-v] [patterns ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonFlag && *githubFlag {
-		fmt.Fprintln(stderr, "bwlint: -json and -github are mutually exclusive")
 		return 2
 	}
 
@@ -80,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// One load serves every check and output format; -v reports how the
-	// wall clock split between type-checking and analysis.
+	// One load serves every check; -v reports how the wall clock split
+	// between type-checking and analysis.
 	loadStart := time.Now()
 	prog, err := lint.LoadProgram(root, fs.Args())
 	if err != nil {
@@ -104,24 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	switch {
-	case *jsonFlag:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "bwlint:", err)
-			return 2
-		}
-	case *githubFlag:
-		for _, f := range findings {
+	for _, f := range findings {
+		if *githubFlag {
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d::[%s] %s\n",
 				relPath(root, f.File), f.Line, f.Col, f.Check, githubEscape(f.Message))
-		}
-	default:
-		for _, f := range findings {
+		} else {
 			fmt.Fprintln(stdout, f)
 		}
 	}

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"dynbw/internal/lint"
 )
 
 func TestList(t *testing.T) {
@@ -52,27 +49,6 @@ func TestFindingsExit1(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	dir := filepath.Join("internal", "lint", "testdata", "src", "guarded")
-	var out, errOut strings.Builder
-	code := run([]string{"-json", "-checks", "guarded-by", dir}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exited %d, want 1; stderr: %s", code, errOut.String())
-	}
-	var findings []lint.Finding
-	if err := json.Unmarshal([]byte(out.String()), &findings); err != nil {
-		t.Fatalf("output is not a JSON finding array: %v\n%s", err, out.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("expected findings in JSON output")
-	}
-	for _, f := range findings {
-		if f.Check != "guarded-by" || f.Line == 0 || f.File == "" {
-			t.Errorf("malformed finding: %+v", f)
-		}
-	}
-}
-
 func TestGitHubOutput(t *testing.T) {
 	dir := filepath.Join("internal", "lint", "testdata", "src", "units")
 	var out, errOut strings.Builder
@@ -86,16 +62,6 @@ func TestGitHubOutput(t *testing.T) {
 		if !annRe.MatchString(line) {
 			t.Errorf("line is not a workflow-command annotation: %q", line)
 		}
-	}
-}
-
-func TestExclusiveOutputFlags(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-json", "-github"}, &out, &errOut); code != 2 {
-		t.Errorf("-json -github exited %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "mutually exclusive") {
-		t.Errorf("stderr missing diagnosis: %s", errOut.String())
 	}
 }
 

@@ -108,7 +108,7 @@ func TestRunMultiPolicyWritesReports(t *testing.T) {
 }
 
 func TestRunAttachMode(t *testing.T) {
-	host, err := load.StartHost(load.HostConfig{Policy: "phased", Slots: 4})
+	host, err := load.StartHost(load.HostConfig{Policy: "phased", Slots: 4, DO: 8, Tick: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +287,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-sessions", "8", "-batch", "8"},
 		{"-policy", "tokenring", "-sessions", "2", "-duration", "20ms"},
 		{"-addr", "127.0.0.1:1", "-policy", "a,b"},
+		// A self-hosted gateway takes no zero for a default.
+		{"-gwtick", "0", "-sessions", "2", "-duration", "20ms"},
+		{"-do", "0", "-sessions", "2", "-duration", "20ms"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -25,6 +25,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"dynbw/internal/metrics"
 )
 
 func main() {
@@ -84,33 +86,26 @@ func scrapeURL(url string) (*scrape, error) {
 }
 
 // scrape is one parsed exposition: scalar series keyed name{labels},
-// histogram series keyed the same (without the le label) as cumulative
-// buckets plus sum and count.
+// histogram series keyed the same (without the le label).
 type scrape struct {
 	at      time.Time
 	scalars map[string]int64
-	hists   map[string]*hist
+	hists   map[string]buckets
 }
 
-// hist is one histogram series as exposed: buckets cumulative in le
-// order, le == math.MaxInt64 for the +Inf bucket.
-type hist struct {
-	buckets []bucket
-	sum     int64
-	count   int64
-}
-
-type bucket struct {
-	le  int64
-	cum int64
-}
+// buckets is one histogram series as exposed: the count of each bucket
+// by its upper bound (le), the +Inf bucket left out. The registry renders
+// only non-empty buckets, so a bound missing from a scrape held nothing.
+type buckets map[int64]int64
 
 // parseProm parses the subset of the Prometheus text format the obs
-// registry emits: integer samples, histogram buckets with the le label
-// rendered last, _sum/_count suffix lines following their buckets.
-// Unparseable lines are skipped — a dashboard should degrade, not die.
+// registry emits: integer samples, cumulative histogram buckets in
+// increasing le order with the le label rendered last, _sum/_count
+// suffix lines following their buckets. Unparseable lines are skipped —
+// a dashboard should degrade, not die.
 func parseProm(text string, at time.Time) *scrape {
-	s := &scrape{at: at, scalars: map[string]int64{}, hists: map[string]*hist{}}
+	s := &scrape{at: at, scalars: map[string]int64{}, hists: map[string]buckets{}}
+	cum := map[string]int64{} // each histogram's cumulative count so far
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -128,25 +123,20 @@ func parseProm(text string, at time.Time) *scrape {
 		name, labels := splitNameLabels(key)
 		if le, rest, ok := stripLE(labels); ok && strings.HasSuffix(name, "_bucket") {
 			base := strings.TrimSuffix(name, "_bucket") + rest
-			h := s.hists[base]
-			if h == nil {
-				h = &hist{}
-				s.hists[base] = h
+			if s.hists[base] == nil {
+				s.hists[base] = buckets{}
 			}
-			h.buckets = append(h.buckets, bucket{le: le, cum: val})
+			if le != math.MaxInt64 {
+				s.hists[base][le] = val - cum[base]
+				cum[base] = val
+			}
 			continue
 		}
-		if base, ok := strings.CutSuffix(name, "_sum"); ok {
-			if h := s.hists[base+labels]; h != nil {
-				h.sum = val
-				continue
-			}
+		if base, ok := strings.CutSuffix(name, "_sum"); ok && s.hists[base+labels] != nil {
+			continue
 		}
-		if base, ok := strings.CutSuffix(name, "_count"); ok {
-			if h := s.hists[base+labels]; h != nil {
-				h.count = val
-				continue
-			}
+		if base, ok := strings.CutSuffix(name, "_count"); ok && s.hists[base+labels] != nil {
+			continue
 		}
 		s.scalars[key] = val
 	}
@@ -191,62 +181,15 @@ func stripLE(labels string) (int64, string, bool) {
 	return le, rest, true
 }
 
-// delta subtracts prev's cumulative buckets from cur's, aligning by le
-// (buckets prev had not seen yet count from zero), yielding the
-// histogram of observations inside the scrape window.
-func delta(prev, cur *hist) *hist {
-	if cur == nil {
-		return nil
+// since returns the observations cur holds beyond prev, bucket by
+// bucket, at the registry's own resolution: its quantiles are the upper
+// bounds of the buckets they fall in. A nil prev returns all of cur.
+func since(prev, cur buckets) *metrics.Histogram {
+	var d metrics.Histogram
+	for le, n := range cur {
+		d.ObserveN(le, n-prev[le])
 	}
-	if prev == nil {
-		return cur
-	}
-	pc := make(map[int64]int64, len(prev.buckets))
-	for _, b := range prev.buckets {
-		pc[b.le] = b.cum
-	}
-	d := &hist{sum: cur.sum - prev.sum, count: cur.count - prev.count}
-	for _, b := range cur.buckets {
-		d.buckets = append(d.buckets, bucket{le: b.le, cum: b.cum - pc[b.le]})
-	}
-	return d
-}
-
-// quantile reads q from the cumulative buckets by linear interpolation
-// inside the bucket where the rank falls; the +Inf bucket reports its
-// lower bound. An empty histogram reports 0.
-func (h *hist) quantile(q float64) int64 {
-	if h == nil || h.count <= 0 || len(h.buckets) == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var lower int64
-	for _, b := range h.buckets {
-		if float64(b.cum) >= rank {
-			if b.le == math.MaxInt64 {
-				return lower
-			}
-			return lower + int64(float64(b.le-lower)*boundedFrac(rank, b.cum))
-		}
-		lower = b.le
-	}
-	return lower
-}
-
-// boundedFrac clamps rank/cum into [0,1] — cumulative counts from two
-// racing stripe scrapes can be momentarily inconsistent.
-func boundedFrac(rank float64, cum int64) float64 {
-	if cum <= 0 {
-		return 1
-	}
-	f := rank / float64(cum)
-	if f > 1 {
-		return 1
-	}
-	if f < 0 {
-		return 0
-	}
-	return f
+	return &d
 }
 
 // dashboard renders the one-screen view: rates from counter deltas over
@@ -291,19 +234,16 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 		cur.scalars["dynbw_spans_dropped_total"]-prev.scalars["dynbw_spans_dropped_total"])
 
 	fmt.Fprintf(w, "stage p50/p99 over window (timed messages: 1 in the gateway's -sample period, plus client-traced)\n")
-	for _, stage := range []string{"read", "dispatch", "apply", "write"} {
-		key := `dynbw_gateway_stage_ns{stage="` + stage + `"}`
-		d := delta(prev.hists[key], cur.hists[key])
-		if d == nil || d.count <= 0 {
-			continue
+	stage := func(label, key string) {
+		if d := since(prev.hists[key], cur.hists[key]); d.Count() > 0 {
+			fmt.Fprintf(w, "  %-10s %v / %v  (%d timed)\n",
+				label, time.Duration(d.Quantile(0.50)), time.Duration(d.Quantile(0.99)), d.Count())
 		}
-		fmt.Fprintf(w, "  %-10s %v / %v  (%d timed)\n",
-			stage, time.Duration(d.quantile(0.50)), time.Duration(d.quantile(0.99)), d.count)
 	}
-	if d := delta(prev.hists["dynbw_gateway_exchange_latency_ns"], cur.hists["dynbw_gateway_exchange_latency_ns"]); d != nil && d.count > 0 {
-		fmt.Fprintf(w, "  %-10s %v / %v  (%d timed)\n",
-			"exchange", time.Duration(d.quantile(0.50)), time.Duration(d.quantile(0.99)), d.count)
+	for _, s := range []string{"read", "dispatch", "apply", "write"} {
+		stage(s, `dynbw_gateway_stage_ns{stage="`+s+`"}`)
 	}
+	stage("exchange", "dynbw_gateway_exchange_latency_ns")
 
 	var shardKeys []string
 	for key := range cur.hists {
@@ -315,18 +255,16 @@ func dashboard(w io.Writer, addr string, window time.Duration, prev, cur *scrape
 	if len(shardKeys) > 0 {
 		fmt.Fprintf(w, "shard tick p99 over window (timed rounds: 1 in 13, tick %% 13 == 0)\n")
 		for _, key := range shardKeys {
-			d := delta(prev.hists[key], cur.hists[key])
-			if d == nil || d.count <= 0 {
-				continue
+			if d := since(prev.hists[key], cur.hists[key]); d.Count() > 0 {
+				shard := strings.TrimSuffix(strings.TrimPrefix(key, `dynbw_gateway_shard_tick_ns{shard="`), `"}`)
+				fmt.Fprintf(w, "  shard %-3s  %v  (%d timed)\n", shard, time.Duration(d.Quantile(0.99)), d.Count())
 			}
-			shard := strings.TrimSuffix(strings.TrimPrefix(key, `dynbw_gateway_shard_tick_ns{shard="`), `"}`)
-			fmt.Fprintf(w, "  shard %-3s  %v  (%d timed)\n", shard, time.Duration(d.quantile(0.99)), d.count)
 		}
 	}
 	if g, ok := cur.scalars["dynbw_go_goroutines"]; ok {
 		fmt.Fprintf(w, "go          %d goroutines  heap %s  gc pause p99 %v\n",
 			g, byteSize(cur.scalars["dynbw_go_heap_bytes"]),
-			time.Duration(cur.hists["dynbw_go_gc_pause_ns"].quantile(0.99)))
+			time.Duration(since(nil, cur.hists["dynbw_go_gc_pause_ns"]).Quantile(0.99)))
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dynbw/internal/obs"
 )
 
 // promA and promB are two consecutive scrapes of a small gateway: 100
 // DATA messages and 200 ticks happen in between, and the read-stage
-// histogram gains 100 observations across two buckets.
+// histogram gains 100 observations across three buckets.
 const promA = `# HELP dynbw_gateway_messages_total Wire messages handled, by type.
 # TYPE dynbw_gateway_messages_total counter
 dynbw_gateway_messages_total{type="data"} 1000
@@ -24,11 +26,13 @@ dynbw_gateway_allocation_changes_total{policy="phased"} 40
 # TYPE dynbw_gateway_stage_ns histogram
 dynbw_gateway_stage_ns_bucket{stage="read",le="100"} 500
 dynbw_gateway_stage_ns_bucket{stage="read",le="200"} 900
+dynbw_gateway_stage_ns_bucket{stage="read",le="400"} 1000
 dynbw_gateway_stage_ns_bucket{stage="read",le="+Inf"} 1000
 dynbw_gateway_stage_ns_sum{stage="read"} 120000
 dynbw_gateway_stage_ns_count{stage="read"} 1000
 # TYPE dynbw_gateway_shard_tick_ns histogram
 dynbw_gateway_shard_tick_ns_bucket{shard="0",le="1000"} 900
+dynbw_gateway_shard_tick_ns_bucket{shard="0",le="2000"} 1000
 dynbw_gateway_shard_tick_ns_bucket{shard="0",le="+Inf"} 1000
 dynbw_gateway_shard_tick_ns_sum{shard="0"} 700000
 dynbw_gateway_shard_tick_ns_count{shard="0"} 1000
@@ -43,11 +47,12 @@ dynbw_gateway_arrived_bits_total 6000
 dynbw_gateway_allocation_changes_total{policy="phased"} 60
 dynbw_gateway_stage_ns_bucket{stage="read",le="100"} 550
 dynbw_gateway_stage_ns_bucket{stage="read",le="200"} 990
-dynbw_gateway_stage_ns_bucket{stage="read",le="400"} 1090
+dynbw_gateway_stage_ns_bucket{stage="read",le="400"} 1100
 dynbw_gateway_stage_ns_bucket{stage="read",le="+Inf"} 1100
 dynbw_gateway_stage_ns_sum{stage="read"} 135000
 dynbw_gateway_stage_ns_count{stage="read"} 1100
 dynbw_gateway_shard_tick_ns_bucket{shard="0",le="1000"} 1080
+dynbw_gateway_shard_tick_ns_bucket{shard="0",le="2000"} 1200
 dynbw_gateway_shard_tick_ns_bucket{shard="0",le="+Inf"} 1200
 dynbw_gateway_shard_tick_ns_sum{shard="0"} 840000
 dynbw_gateway_shard_tick_ns_count{shard="0"} 1200
@@ -61,15 +66,10 @@ func TestParseProm(t *testing.T) {
 	if got := s.scalars["dynbw_gateway_active_sessions"]; got != 10 {
 		t.Errorf("sessions = %d, want 10", got)
 	}
+	// Cumulative buckets are read back to each bucket's own count.
 	h := s.hists[`dynbw_gateway_stage_ns{stage="read"}`]
-	if h == nil {
-		t.Fatal("read-stage histogram not parsed")
-	}
-	if h.count != 1000 || h.sum != 120000 {
-		t.Errorf("read stage count/sum = %d/%d, want 1000/120000", h.count, h.sum)
-	}
-	if len(h.buckets) != 3 || h.buckets[0].le != 100 || h.buckets[2].le != math.MaxInt64 {
-		t.Errorf("read stage buckets = %+v", h.buckets)
+	if len(h) != 3 || h[100] != 500 || h[200] != 400 || h[400] != 100 {
+		t.Errorf("read stage buckets = %v, want 500 at 100, 400 at 200, 100 at 400", h)
 	}
 	// Histogram helper lines must not leak into the scalar map.
 	for _, key := range []string{
@@ -102,35 +102,52 @@ func TestStripLE(t *testing.T) {
 	}
 }
 
+// TestDeltaAndQuantile reads window percentiles from two real registry
+// scrapes. The window adds 5 samples at 100 ns, 5 at 200 ns and 10 at
+// 400 ns, the last in a bucket the first scrape did not render: the
+// window's bucket is its 10 samples, not its whole history, and the
+// percentiles are the upper bounds of the registry's buckets they fall
+// in (103, 207 and 415 ns).
 func TestDeltaAndQuantile(t *testing.T) {
-	a := parseProm(promA, time.Unix(0, 0))
-	b := parseProm(promB, time.Unix(2, 0))
-	key := `dynbw_gateway_stage_ns{stage="read"}`
-	d := delta(a.hists[key], b.hists[key])
-	if d.count != 100 {
-		t.Fatalf("window count = %d, want 100", d.count)
+	reg := obs.NewRegistry()
+	read := reg.Histogram("dynbw_gateway_stage_ns", "h", 1, obs.L("stage", "read"))
+	observe := func(v int64, n int) {
+		for i := 0; i < n; i++ {
+			read.Observe(0, v)
+		}
 	}
-	// Window: 50 obs <=100, 40 in (100,200], 10 in (200,400] — the new
-	// le=400 bucket has no prev counterpart and must count from zero.
-	p50 := d.quantile(0.50)
-	if p50 != 100 {
-		t.Errorf("p50 = %d, want 100 (50th obs closes the first bucket)", p50)
+	scrapeReg := func(at int64) *scrape {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return parseProm(b.String(), time.Unix(at, 0))
 	}
-	p99 := d.quantile(0.99)
-	if p99 <= 200 || p99 > 400 {
-		t.Errorf("p99 = %d, want in (200,400]", p99)
+	observe(100, 50)
+	observe(200, 40)
+	a := scrapeReg(0)
+	observe(100, 5)
+	observe(200, 5)
+	observe(400, 10)
+	b := scrapeReg(2)
+
+	var sb strings.Builder
+	dashboard(&sb, "test:1", 2*time.Second, a, b)
+	if want := "  read       207ns / 415ns  (20 timed)\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("dashboard lacks %q:\n%s", want, sb.String())
 	}
-	if q := (&hist{}).quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %d, want 0", q)
+	d := since(a.hists[`dynbw_gateway_stage_ns{stage="read"}`], b.hists[`dynbw_gateway_stage_ns{stage="read"}`])
+	for _, q := range []struct {
+		p    float64
+		want int64
+	}{{0.25, 103}, {0.5, 207}, {0.9, 415}, {0.99, 415}} {
+		if got := d.Quantile(q.p); got != q.want {
+			t.Errorf("window p%v = %d ns, want %d", 100*q.p, got, q.want)
+		}
 	}
-	var nilH *hist
-	if q := nilH.quantile(0.5); q != 0 {
-		t.Errorf("nil histogram quantile = %d, want 0", q)
-	}
-	// +Inf-only mass reports the highest finite bound.
-	inf := delta(a.hists[`dynbw_gateway_shard_tick_ns{shard="0"}`], b.hists[`dynbw_gateway_shard_tick_ns{shard="0"}`])
-	if q := inf.quantile(0.99); q != 1000 {
-		t.Errorf("+Inf-bucket p99 = %d, want the 1000 lower bound", q)
+	// Without an earlier scrape the window is the whole history.
+	if got := since(nil, b.hists[`dynbw_gateway_stage_ns{stage="read"}`]).Count(); got != 110 {
+		t.Errorf("whole-history count = %d, want 110", got)
 	}
 }
 
@@ -209,8 +226,8 @@ func TestTicksLine(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prev := &scrape{scalars: tc.prev, hists: map[string]*hist{}}
-			cur := &scrape{scalars: tc.cur, hists: map[string]*hist{}}
+			prev := &scrape{scalars: tc.prev}
+			cur := &scrape{scalars: tc.cur}
 			var sb strings.Builder
 			dashboard(&sb, "test:1", 2*time.Second, prev, cur)
 			var got string

@@ -37,7 +37,7 @@ type Result struct {
 // period. Each tick is one step of a one-slot sim.Slots with the policy
 // behind sim.Separate, exactly as sim.Run steps it, so a duel and a
 // replay of its realized trace agree by construction.
-func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Result, error) {
+func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick) (*Result, error) {
 	var (
 		slots    = sim.NewSlots(1)
 		step     = &sim.Separate{Allocs: []sim.Allocator{alloc}}
@@ -47,10 +47,7 @@ func Duel(alloc sim.Allocator, adv Adversary, n bw.Tick, opts sim.Options) (*Res
 		round    sim.Round
 	)
 	hist.Attach(slots.Queue(0))
-	limit := n + 4*n + 1024
-	if opts.DrainBudget > 0 {
-		limit = n + opts.DrainBudget
-	}
+	limit := n + sim.DrainTicks(n)
 	for t := bw.Tick(0); t < limit; t++ {
 		var over bw.Bits
 		if t < n {

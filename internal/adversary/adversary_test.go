@@ -15,7 +15,7 @@ func TestDuelBasics(t *testing.T) {
 	alloc := sim.AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate {
 		return bw.CeilDiv(queued, 2)
 	})
-	res, err := Duel(alloc, adv, 200, sim.Options{})
+	res, err := Duel(alloc, adv, 200)
 	if err != nil {
 		t.Fatalf("Duel: %v", err)
 	}
@@ -46,11 +46,11 @@ func TestDuelAdaptivity(t *testing.T) {
 		return 8 // never drops to the threshold
 	})
 	advFast := mk()
-	if _, err := Duel(dropFast, advFast, 400, sim.Options{}); err != nil {
+	if _, err := Duel(dropFast, advFast, 400); err != nil {
 		t.Fatal(err)
 	}
 	advHold := mk()
-	if _, err := Duel(holder, advHold, 400, sim.Options{}); err != nil {
+	if _, err := Duel(holder, advHold, 400); err != nil {
 		t.Fatal(err)
 	}
 	if advFast.Fired() <= advHold.Fired() {
@@ -62,7 +62,7 @@ func TestDuelAdaptivity(t *testing.T) {
 func TestDuelRejectsNegativeRate(t *testing.T) {
 	adv := &DropSpiker{Spike: 8, MinGap: 1, MaxGap: 4}
 	alloc := sim.AllocatorFunc(func(bw.Tick, bw.Bits, bw.Bits) bw.Rate { return -1 })
-	if _, err := Duel(alloc, adv, 10, sim.Options{}); err == nil {
+	if _, err := Duel(alloc, adv, 10); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestDuelRejectsNegativeRate(t *testing.T) {
 func TestDuelNeverDrains(t *testing.T) {
 	adv := &DropSpiker{Spike: 8, MinGap: 1, MaxGap: 4}
 	alloc := sim.AllocatorFunc(func(bw.Tick, bw.Bits, bw.Bits) bw.Rate { return 0 })
-	if _, err := Duel(alloc, adv, 10, sim.Options{DrainBudget: 16}); err == nil {
+	if _, err := Duel(alloc, adv, 10); err == nil {
 		t.Fatal("undrained duel accepted")
 	}
 }
@@ -87,12 +87,12 @@ func TestSlackSeparation(t *testing.T) {
 		return &DropSpiker{Spike: 128, Threshold: 0, MinGap: p.DO, MaxGap: p.W}
 	}
 
-	noSlack, err := Duel(&baseline.PerTick{D: p.DO}, mkAdv(), n, sim.Options{})
+	noSlack, err := Duel(&baseline.PerTick{D: p.DO}, mkAdv(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	paperAlg := core.MustNewSingleSession(p)
-	paper, err := Duel(paperAlg, mkAdv(), n, sim.Options{})
+	paper, err := Duel(paperAlg, mkAdv(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDuelZeroTicks(t *testing.T) {
 	alloc := sim.AllocatorFunc(func(_ bw.Tick, _, queued bw.Bits) bw.Rate {
 		return bw.CeilDiv(queued, 2)
 	})
-	res, err := Duel(alloc, adv, 0, sim.Options{})
+	res, err := Duel(alloc, adv, 0)
 	if err != nil {
 		t.Fatalf("zero-tick Duel: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestDuelSilentAdversary(t *testing.T) {
 		}
 		return r
 	})
-	res, err := Duel(alloc, silent{}, 256, sim.Options{})
+	res, err := Duel(alloc, silent{}, 256)
 	if err != nil {
 		t.Fatalf("silent Duel: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestDuelSilentAdversary(t *testing.T) {
 // made (no free changes charged to an idle session).
 func TestDuelSilentAgainstPaperAlgorithm(t *testing.T) {
 	alloc := core.MustNewSingleSession(core.SingleParams{BA: 256, DO: 8, UO: 0.5, W: 16})
-	res, err := Duel(alloc, silent{}, 256, sim.Options{})
+	res, err := Duel(alloc, silent{}, 256)
 	if err != nil {
 		t.Fatalf("silent Duel: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestDuelSilentAgainstPaperAlgorithm(t *testing.T) {
 func TestDuelMatchesReplay(t *testing.T) {
 	p := core.SingleParams{BA: 256, DO: 8, UO: 0.5, W: 16}
 	adv := &DropSpiker{Spike: 128, Threshold: 0, MinGap: p.DO, MaxGap: p.W}
-	duel, err := Duel(core.MustNewSingleSession(p), adv, 1024, sim.Options{})
+	duel, err := Duel(core.MustNewSingleSession(p), adv, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

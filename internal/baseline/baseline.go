@@ -72,7 +72,7 @@ func (p *PerTick) Rate(t bw.Tick, arrived, _ bw.Bits) bw.Rate {
 	budget := need
 	for budget > 0 && p.head < len(p.chunks) {
 		c := &p.chunks[p.head]
-		took := bw.Min(budget, c.bits)
+		took := min(budget, c.bits)
 		c.bits -= took
 		budget -= took
 		if c.bits == 0 {
@@ -119,7 +119,7 @@ func (p *Periodic) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 		}
 		sustain := bw.RateOver(p.arrived, period)
 		clear := bw.RateOver(queued, d)
-		p.rate = bw.Max(sustain, clear)
+		p.rate = max(sustain, clear)
 		p.arrived = 0
 		p.lastRenew = t
 		p.started = true

@@ -78,19 +78,3 @@ func Log2Floor(v int64) int {
 	}
 	return bits.Len64(uint64(v)) - 1
 }
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -156,21 +156,6 @@ func TestLog2Floor(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if got := Min(3, 5); got != 3 {
-		t.Errorf("Min(3,5) = %d", got)
-	}
-	if got := Min(5, 3); got != 3 {
-		t.Errorf("Min(5,3) = %d", got)
-	}
-	if got := Max(3, 5); got != 5 {
-		t.Errorf("Max(3,5) = %d", got)
-	}
-	if got := Max(-1, -7); got != -1 {
-		t.Errorf("Max(-1,-7) = %d", got)
-	}
-}
-
 func TestVolume(t *testing.T) {
 	tests := []struct {
 		r    Rate

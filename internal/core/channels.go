@@ -112,7 +112,7 @@ func (c *channels) begin(t bw.Tick) {
 
 // at returns session s's virtual queues at the start of the current tick.
 func (c *channels) at(s *session) (qr, qo bw.Bits) {
-	return bw.Max(0, s.vr-bw.Volume(s.bir, c.since)), bw.Max(0, s.vo-bw.Volume(s.bio, c.since))
+	return max(0, s.vr-bw.Volume(s.bir, c.since)), max(0, s.vo-bw.Volume(s.bio, c.since))
 }
 
 // put writes session s's virtual queues as qr and qo at the current
@@ -177,7 +177,7 @@ func (c *channels) arrive(arrived []int32, bits []bw.Bits) {
 	sess, since := c.sess, c.since // not reloaded after every store
 	for j, i := range arrived {
 		s := &sess[i]
-		s.vr = bw.Max(s.vr, bw.Volume(s.bir, since)) + bits[j]
+		s.vr = max(s.vr, bw.Volume(s.bir, since)) + bits[j]
 		c.live.Add(int(i))
 	}
 }
@@ -284,7 +284,7 @@ func (c *channels) withdraw(t bw.Tick, o obs.Observer) {
 		s := &c.sess[i]
 		qr, qo := c.at(s)
 		old := s.bir + s.bio
-		s.bio = bw.Max(0, s.bio-e.amt)
+		s.bio = max(0, s.bio-e.amt)
 		c.put(s, qr, qo)
 		c.touch(i)
 		if o != nil {

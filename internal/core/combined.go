@@ -187,7 +187,7 @@ func (c *Combined) RatesActive(t bw.Tick, arrived []int32, bits []bw.Bits, appli
 	// Drain the global overflow channel.
 	c.drainers = c.draining.AppendTo(c.drainers[:0], 0, c.p.K)
 	for _, i := range c.drainers {
-		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
+		c.gq[i] -= min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
 			if c.o != nil {
 				r := ch.sess[i].bir + ch.sess[i].bio

@@ -137,8 +137,8 @@ func (a *densePhased) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	}
 	// Advance the virtual queues: each channel serves its own queue.
 	for i := 0; i < k; i++ {
-		a.qo[i] -= bw.Min(a.qo[i], a.bio[i])
-		a.qr[i] -= bw.Min(a.qr[i], a.bir[i])
+		a.qo[i] -= min(a.qo[i], a.bio[i])
+		a.qr[i] -= min(a.qr[i], a.bir[i])
 	}
 	out := make([]bw.Rate, k)
 	copy(out, a.rates)
@@ -282,8 +282,8 @@ func (a *denseContinuous) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate 
 	}
 	// Advance the virtual queues: each channel serves its own queue.
 	for i := 0; i < k; i++ {
-		a.qo[i] -= bw.Min(a.qo[i], a.bio[i])
-		a.qr[i] -= bw.Min(a.qr[i], a.bir[i])
+		a.qo[i] -= min(a.qo[i], a.bio[i])
+		a.qr[i] -= min(a.qr[i], a.bir[i])
 	}
 	out := make([]bw.Rate, k)
 	copy(out, a.rates)
@@ -410,7 +410,7 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 			c.gqRate[i] = 0
 			continue
 		}
-		c.gq[i] -= bw.Min(c.gq[i], c.gqRate[i])
+		c.gq[i] -= min(c.gq[i], c.gqRate[i])
 		if c.gq[i] == 0 {
 			if c.o != nil {
 				inner := c.bir[i] + c.bio[i]
@@ -480,8 +480,8 @@ func (c *denseCombined) Rates(t bw.Tick, arrived, queued []bw.Bits) []bw.Rate {
 	}
 	// Advance the virtual queues.
 	for i := 0; i < k; i++ {
-		c.qo[i] -= bw.Min(c.qo[i], c.bio[i])
-		c.qr[i] -= bw.Min(c.qr[i], c.bir[i])
+		c.qo[i] -= min(c.qo[i], c.bio[i])
+		c.qr[i] -= min(c.qr[i], c.bir[i])
 	}
 	return out
 }

@@ -217,7 +217,7 @@ func TestSparseMatchesDense(t *testing.T) {
 						t.Fatalf("tick %d: RatesActive's changes differ from the reference\n got %v\nwant %v", tick, applied, want)
 					}
 					for i, r := range want {
-						queued[i] -= bw.Min(queued[i], r)
+						queued[i] -= min(queued[i], r)
 					}
 				}
 				for _, p := range []policyUnderTest{viaDense, viaSparse} {
@@ -326,7 +326,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 						queued[i] += a
 					}
 					for i, r := range p.alloc.Rates(tick, arrived, queued) {
-						queued[i] -= bw.Min(queued[i], r)
+						queued[i] -= min(queued[i], r)
 					}
 				case "RatesActive":
 					for i, a := range arrived {
@@ -338,7 +338,7 @@ func TestRatesActiveAllocatesNothing(t *testing.T) {
 						applied[i] = rates[j]
 					}
 					for i, r := range applied {
-						queued[i] -= bw.Min(queued[i], r)
+						queued[i] -= min(queued[i], r)
 					}
 				default:
 					for i, a := range arrived {

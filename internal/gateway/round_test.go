@@ -514,7 +514,7 @@ func roundsWithPanics(t *testing.T, nshards, busy int, feedUntil bw.Tick) (*Gate
 	reg := obs.NewRegistry()
 	g.m = newGWMetrics(reg, "phased", nshards)
 	rec := obs.NewRecorder(obs.RecorderConfig{Registry: reg, Triggers: []obs.Trigger{
-		obs.GrowthTrigger("round-panic", `dynbw_gateway_panics_total{where="round"}`, 1)}})
+		{Name: "round-panic", Key: `dynbw_gateway_panics_total{where="round"}`}}})
 	rec.Record()
 	sh0 := g.shards[0]
 	sh0.alloc = panicsOn{sh0.alloc, panicAt}

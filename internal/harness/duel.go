@@ -42,7 +42,7 @@ func AdaptiveAdversary() (*Table, error) {
 		}
 		for _, pol := range policies {
 			adv := &adversary.DropSpiker{Spike: 128, Threshold: 0, MinGap: p.DO, MaxGap: p.W}
-			res, err := adversary.Duel(pol.mk(), adv, n, sim.Options{})
+			res, err := adversary.Duel(pol.mk(), adv, n)
 			if err != nil {
 				return nil, fmt.Errorf("E16 n=%d %s: %w", n, pol.name, err)
 			}

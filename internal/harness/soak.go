@@ -53,6 +53,7 @@ func soak(cfg soakConfig) (*Table, error) {
 		host, err := load.StartHost(load.HostConfig{
 			Policy: policy,
 			Slots:  cfg.Sessions,
+			DO:     8,
 			Tick:   500 * time.Microsecond,
 		})
 		if err != nil {

@@ -36,11 +36,11 @@ import (
 
 // Finding is one reported invariant violation.
 type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 // String renders the finding in the canonical file:line:col form.

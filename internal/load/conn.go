@@ -105,6 +105,11 @@ func (c *conn) openAll(ctx context.Context, start time.Time) error {
 	return nil
 }
 
+// dialTimeout bounds a dial and every request/reply exchange after it;
+// an open is retried dialRetries times (a redial after a transient
+// network failure, a new OPEN after ErrSessionLimit). Tests shorten both.
+var dialTimeout, dialRetries = 5 * time.Second, 10
+
 // openOne opens the connection's next session, dialing first if the
 // connection is not up, and backs off exponentially between retries. An
 // OPENFAIL is retried on the same connection (slots recycle while earlier
@@ -113,13 +118,13 @@ func (c *conn) openAll(ctx context.Context, start time.Time) error {
 func (c *conn) openOne(ctx context.Context) (uint32, error) {
 	backoff := 5 * time.Millisecond
 	var err error
-	for attempt := 0; attempt <= c.cfg.DialRetries && ctx.Err() == nil; attempt++ {
+	for attempt := 0; attempt <= dialRetries && ctx.Err() == nil; attempt++ {
 		if attempt > 0 {
 			await(ctx, time.After(backoff))
 			backoff = min(2*backoff, 500*time.Millisecond)
 		}
 		if c.m == nil {
-			if c.m, err = gateway.DialMux(c.cfg.Addr, c.cfg.DialTimeout); err != nil {
+			if c.m, err = gateway.DialMux(c.cfg.Addr, dialTimeout); err != nil {
 				if retryable(err) {
 					continue
 				}

@@ -48,10 +48,10 @@ type HostConfig struct {
 	// allocator over Slots/Shards slots with BO/Shards bandwidth.
 	Shards int
 	// BO is the offline bandwidth pool (default 16*Slots); DO the
-	// offline delay bound in ticks (default 8).
+	// offline delay bound in ticks (required, at least 1).
 	BO bw.Rate
 	DO bw.Tick
-	// Tick is the gateway's allocation interval (default 1ms).
+	// Tick is the gateway's allocation interval (required, positive).
 	Tick time.Duration
 	// Router, when non-nil, places each OPEN on a shard (gateway.Config).
 	Router *route.Policy
@@ -83,14 +83,12 @@ type Host struct {
 // StartHost listens on cfg.Addr with a real wall-clock ticker, and
 // disconnects a client silent for idleTimeout.
 func StartHost(cfg HostConfig) (*Host, error) {
-	if cfg.Slots < 1 {
-		return nil, fmt.Errorf("load: host slots = %d", cfg.Slots)
+	if cfg.Slots < 1 || cfg.Tick <= 0 || cfg.DO < 1 {
+		return nil, fmt.Errorf("load: host slots %d, tick %v, D_O %d: want all positive", cfg.Slots, cfg.Tick, cfg.DO)
 	}
 	orDefault(&cfg.Addr, "127.0.0.1:0")
 	orDefault(&cfg.Policy, "phased")
 	orDefault(&cfg.BO, bw.Rate(16*cfg.Slots))
-	orDefault(&cfg.DO, 8)
-	orDefault(&cfg.Tick, time.Millisecond)
 	shards := max(cfg.Shards, 1)
 	if cfg.Slots%shards != 0 {
 		return nil, fmt.Errorf("load: %d slots do not divide %d ways", cfg.Slots, shards)

@@ -83,18 +83,10 @@ type Config struct {
 	Seed uint64
 	// Gen builds session id's traffic generator; the session replays
 	// Gen(id).Generate(Duration/Tick), a trace it may share (KeepWarm).
-	// Default: seeded on/off bursts with mean rate MeanRate;
-	// traffic.Scaled replays simulation-scale generators at wall-clock ticks.
+	// Default: seeded on/off bursts with mean rate MeanRate.
 	Gen func(id int) traffic.Generator
 	// MeanRate is the default generator's mean bits per tick (default 32).
 	MeanRate bw.Rate
-	// DialTimeout bounds the dial and every request/reply exchange
-	// (default 5s).
-	DialTimeout time.Duration
-	// DialRetries is how many times a session's open is retried — a
-	// redial after a transient network failure, a new OPEN after
-	// ErrSessionLimit — with exponential backoff (default 10).
-	DialRetries int
 	// DrainTimeout bounds how long a connection waits after its sending
 	// window for the gateway to serve everything it sent (default 5s).
 	DrainTimeout time.Duration
@@ -128,8 +120,6 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.Tick, time.Millisecond)
 	orDefault(&c.Duration, time.Second)
 	orDefault(&c.MeanRate, 32)
-	orDefault(&c.DialTimeout, 5*time.Second)
-	orDefault(&c.DialRetries, 10)
 	orDefault(&c.DrainTimeout, 5*time.Second)
 	orDefault(&c.MetricsLabel, "swarm")
 	if c.Gen == nil {

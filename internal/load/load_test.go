@@ -46,8 +46,8 @@ func TestRunValidation(t *testing.T) {
 	}
 	// A dead gateway is not a configuration error: the run completes and
 	// every session carries the dial failure.
-	res, err := Run(ctx, Config{Addr: "127.0.0.1:1", Sessions: 4, PerConn: 2,
-		DialRetries: 1, DialTimeout: 200 * time.Millisecond})
+	shortenDials(t)
+	res, err := Run(ctx, Config{Addr: "127.0.0.1:1", Sessions: 4, PerConn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,18 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// shortenDials retries an open once, and gives up on a dial after
+// 200ms, for the rest of the test.
+func shortenDials(t *testing.T) {
+	retries, timeout := dialRetries, dialTimeout
+	dialRetries, dialTimeout = 1, 200*time.Millisecond
+	t.Cleanup(func() { dialRetries, dialTimeout = retries, timeout })
+}
+
 // startHost self-hosts a gateway for tests and returns its teardown.
 func startHost(t *testing.T, policy string, slots, shards int, reg *obs.Registry) *Host {
 	t.Helper()
-	h, err := StartHost(HostConfig{Policy: policy, Slots: slots, Shards: shards, Tick: 500 * time.Microsecond, Registry: reg})
+	h, err := StartHost(HostConfig{Policy: policy, Slots: slots, Shards: shards, DO: 8, Tick: 500 * time.Microsecond, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +140,8 @@ func TestRunTable(t *testing.T) {
 func TestSlotRecycling(t *testing.T) {
 	const slots = 16
 	h := startHost(t, "phased", slots, 1, nil)
+	// No retries: round 2 must find the slots already free.
+	shortenDials(t)
 	var charged int64
 	for round := 0; round < 2; round++ {
 		res, err := Run(context.Background(), Config{
@@ -141,8 +151,6 @@ func TestSlotRecycling(t *testing.T) {
 			Tick:     time.Millisecond,
 			Duration: 60 * time.Millisecond,
 			Seed:     uint64(round),
-			// No retries: round 2 must find the slots already free.
-			DialRetries: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -170,8 +178,8 @@ func TestSlotRecycling(t *testing.T) {
 	}
 }
 
-// TestSwarmCustomGenerator exercises the Gen hook with a rate-scaled
-// CBR stream: deterministic volume in, identical volume served.
+// TestSwarmCustomGenerator exercises the Gen hook with a CBR stream:
+// deterministic volume in, identical volume served.
 func TestSwarmCustomGenerator(t *testing.T) {
 	h := startHost(t, "phased", 4, 1, nil)
 	res, err := Run(context.Background(), Config{
@@ -181,9 +189,7 @@ func TestSwarmCustomGenerator(t *testing.T) {
 		Tick:     2 * time.Millisecond,
 		Duration: 100 * time.Millisecond,
 		Gen: func(id int) traffic.Generator {
-			// A simulation-scale 320 bits/tick stream replayed at a tenth
-			// of its authored rate.
-			return traffic.Scaled{Source: traffic.CBR{Rate: 320}, Factor: 0.1}
+			return traffic.GeneratorFunc(traffic.CBR{Rate: 32}.Generate)
 		},
 	})
 	if err != nil {
@@ -461,7 +467,7 @@ func TestNewPolicyUnknown(t *testing.T) {
 }
 
 func TestStartHostShardValidation(t *testing.T) {
-	if _, err := StartHost(HostConfig{Policy: "phased", Slots: 10, Shards: 4}); err == nil {
+	if _, err := StartHost(HostConfig{Policy: "phased", Slots: 10, Shards: 4, DO: 8, Tick: time.Millisecond}); err == nil {
 		t.Error("10 slots over 4 shards accepted")
 	}
 }

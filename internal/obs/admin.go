@@ -29,9 +29,6 @@ type Admin struct {
 	// recorder_meta header, the frozen anomaly window if any trigger
 	// fired, then the live snapshot ring).
 	Snapshots *Recorder
-	// Health backs /healthz: nil (or a nil func) reports healthy; an
-	// error reports 503 with the error text.
-	Health func() error
 }
 
 // Handler returns the admin mux: /metrics, /healthz, /sessions,
@@ -43,12 +40,6 @@ func (a *Admin) Handler() http.Handler {
 		a.Registry.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if a.Health != nil {
-			if err := a.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})

@@ -52,36 +52,19 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// Trigger is one anomaly detector evaluated against consecutive
-// registry snapshots. Fire returns a human-readable reason and true to
-// freeze the recorder's current window.
+// Trigger freezes the recorder's current window when the value under
+// Key grows between consecutive snapshots — the shape of every "this
+// counter should stay flat" anomaly (OPENFAILs, dropped events, tick
+// overruns, panics). A key absent from a snapshot reads as zero.
 type Trigger struct {
 	Name string
-	Fire func(prev, cur map[string]int64) (string, bool)
-}
-
-// GrowthTrigger fires when the value under key grows by at least min
-// between consecutive snapshots — the shape of every "this counter
-// should stay flat" anomaly (OPENFAILs, dropped events, tick overruns).
-func GrowthTrigger(name, key string, min int64) Trigger {
-	if min < 1 {
-		min = 1
-	}
-	return Trigger{Name: name, Fire: func(prev, cur map[string]int64) (string, bool) {
-		d := cur[key] - prev[key]
-		if d >= min {
-			return name + ": " + key + " grew", true
-		}
-		return "", false
-	}}
+	Key  string
 }
 
 // RecorderConfig parameterizes a flight recorder.
 type RecorderConfig struct {
 	// Registry is the snapshot source (required).
 	Registry *Registry
-	// Capacity is the snapshot ring size (default DefaultRecorderCap).
-	Capacity int
 	// Interval is the snapshot cadence for Start (default 500ms).
 	Interval time.Duration
 	// Triggers are evaluated against each consecutive snapshot pair;
@@ -89,9 +72,8 @@ type RecorderConfig struct {
 	Triggers []Trigger
 }
 
-// DefaultRecorderCap is the snapshot ring capacity used when
-// RecorderConfig leaves Capacity unset.
-const DefaultRecorderCap = 240
+// recorderCap is the snapshot ring's capacity.
+const recorderCap = 240
 
 // Recorder is the flight recorder. Record (or the Start loop) appends
 // one registry snapshot per call; a firing trigger freezes a copy of
@@ -118,10 +100,11 @@ type Recorder struct {
 
 // NewRecorder builds a recorder; call Start for the periodic loop or
 // Record directly for manual cadence (tests, one-shot tools).
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultRecorderCap
-	}
+func NewRecorder(cfg RecorderConfig) *Recorder { return newRecorder(cfg, recorderCap) }
+
+// newRecorder is NewRecorder with a ring of capacity snapshots; tests
+// shrink it.
+func newRecorder(cfg RecorderConfig, capacity int) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
@@ -129,7 +112,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		reg:      cfg.Registry,
 		interval: cfg.Interval,
 		triggers: cfg.Triggers,
-		q:        newRing[RegSnapshot](cfg.Capacity),
+		q:        newRing[RegSnapshot](capacity),
 		stop:     make(chan struct{}),
 	}
 }
@@ -187,11 +170,8 @@ func (rec *Recorder) Record() {
 		return
 	}
 	for _, tr := range rec.triggers {
-		if tr.Fire == nil {
-			continue
-		}
-		if reason, fire := tr.Fire(prev, snap.Values); fire {
-			rec.freezeLocked(reason, snap.Time)
+		if snap.Values[tr.Key] > prev[tr.Key] {
+			rec.freezeLocked(tr.Name+": "+tr.Key+" grew", snap.Time)
 			return
 		}
 	}

@@ -94,11 +94,10 @@ func TestRegistrySnapshotFlattensAllKinds(t *testing.T) {
 func TestRecorderRingAndGrowthTrigger(t *testing.T) {
 	reg := NewRegistry()
 	fails := reg.Counter("dynbw_t_fails_total", "h", 1)
-	rec := NewRecorder(RecorderConfig{
+	rec := newRecorder(RecorderConfig{
 		Registry: reg,
-		Capacity: 4,
-		Triggers: []Trigger{GrowthTrigger("openfail-spike", "dynbw_t_fails_total", 1)},
-	})
+		Triggers: []Trigger{{"openfail-spike", "dynbw_t_fails_total"}},
+	}, 4)
 	for i := 0; i < 3; i++ {
 		rec.Record()
 	}
@@ -130,11 +129,10 @@ func TestRecorderRingAndGrowthTrigger(t *testing.T) {
 func TestRecorderRearmSuppressesRetrigger(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("dynbw_t_grow_total", "h", 1)
-	rec := NewRecorder(RecorderConfig{
+	rec := newRecorder(RecorderConfig{
 		Registry: reg,
-		Capacity: 3,
-		Triggers: []Trigger{GrowthTrigger("growth", "dynbw_t_grow_total", 1)},
-	})
+		Triggers: []Trigger{{"growth", "dynbw_t_grow_total"}},
+	}, 3)
 	rec.Record()
 	c.Inc(0)
 	rec.Record() // fires; freezes a window ending at seq 1
@@ -161,11 +159,10 @@ func TestRecorderRearmSuppressesRetrigger(t *testing.T) {
 func TestRecorderWriteJSONL(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("dynbw_t_x_total", "h", 1)
-	rec := NewRecorder(RecorderConfig{
+	rec := newRecorder(RecorderConfig{
 		Registry: reg,
-		Capacity: 2,
-		Triggers: []Trigger{GrowthTrigger("x", "dynbw_t_x_total", 1)},
-	})
+		Triggers: []Trigger{{"x", "dynbw_t_x_total"}},
+	}, 2)
 	rec.Record()
 	c.Inc(0)
 	rec.Record() // fires: 2 frozen + 2 live
@@ -202,41 +199,69 @@ func TestRecorderWriteJSONL(t *testing.T) {
 	}
 }
 
-// TestRecorderStartCloseAndManualFreeze: the Start loop records until
-// Close, which is idempotent and takes a final snapshot, and a trigger
-// that fires on the loop's first pair freezes the window.
+// TestRecorderStartCloseAndManualFreeze: the Start loop records until Close,
+// which is idempotent and takes a final snapshot, and a counter that
+// grows while the loop runs freezes the window.
 func TestRecorderStartCloseAndManualFreeze(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dynbw_t_y_total", "h", 1).Inc(0)
-	manual := Trigger{Name: "manual", Fire: func(_, _ map[string]int64) (string, bool) { return "manual", true }}
-	rec := NewRecorder(RecorderConfig{Registry: reg, Capacity: 8, Interval: time.Millisecond, Triggers: []Trigger{manual}})
+	c := reg.Counter("dynbw_t_y_total", "h", 1)
+	rec := NewRecorder(RecorderConfig{Registry: reg, Interval: time.Millisecond, Triggers: []Trigger{{"y", "dynbw_t_y_total"}}})
 	rec.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for rec.Total() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// The loop records one snapshot at a time, so once two more have
+	// landed after the increment, some consecutive pair straddles it.
+	waitTotal := func(n uint64) {
+		for deadline := time.Now().Add(2 * time.Second); rec.Total() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Total = %d after 2s, want %d", rec.Total(), n)
+			}
+		}
 	}
+	waitTotal(1)
+	n := rec.Total()
+	c.Inc(0)
+	waitTotal(n + 2)
 	rec.Close()
-	rec.Close()          // idempotent
-	if rec.Total() < 3 { // >= 2 periodic + 1 final on Close
-		t.Fatalf("Total = %d, want >= 3", rec.Total())
+	rec.Close()                        // idempotent
+	if got := rec.Total(); got < n+3 { // + 1 final on Close
+		t.Fatalf("Total = %d, want >= %d", got, n+3)
 	}
 	frozen, reason := rec.Frozen()
-	if len(frozen) == 0 || reason != "manual" {
+	if len(frozen) == 0 || reason != "y: dynbw_t_y_total grew" {
 		t.Errorf("frozen = %d snapshots, reason %q", len(frozen), reason)
 	}
 }
 
+// TestGrowthTriggerThreshold: a trigger fires when its key grows by 1,
+// not while it stays flat or falls, and an absent key reads as zero.
 func TestGrowthTriggerThreshold(t *testing.T) {
-	tr := GrowthTrigger("t", "k", 3)
-	if _, fire := tr.Fire(map[string]int64{"k": 10}, map[string]int64{"k": 12}); fire {
-		t.Error("fired below threshold")
-	}
-	if reason, fire := tr.Fire(map[string]int64{"k": 10}, map[string]int64{"k": 13}); !fire || reason == "" {
-		t.Error("did not fire at threshold")
-	}
-	// Missing keys read as zero on both sides.
-	if _, fire := tr.Fire(map[string]int64{}, map[string]int64{}); fire {
-		t.Error("fired on absent key")
+	for _, tc := range []struct {
+		name      string
+		prev, cur int64 // -1: key absent
+		fire      bool
+	}{
+		{"flat", 10, 10, false},
+		{"fell", 10, 9, false},
+		{"grew by one", 10, 11, true},
+		{"absent on both sides", -1, -1, false},
+		{"appeared at zero", -1, 0, false},
+		{"appeared at one", -1, 1, true},
+	} {
+		reg := NewRegistry()
+		v := tc.prev
+		register := func() { reg.GaugeFunc("dynbw_t_k", "h", func() int64 { return v }) }
+		rec := newRecorder(RecorderConfig{Registry: reg, Triggers: []Trigger{{"t", "dynbw_t_k"}}}, 4)
+		if v >= 0 {
+			register()
+		}
+		rec.Record()
+		if v < 0 && tc.cur >= 0 {
+			register()
+		}
+		v = tc.cur
+		rec.Record()
+		if frozen, _ := rec.Frozen(); (frozen != nil) != tc.fire {
+			t.Errorf("%s: fired %v, want %v", tc.name, frozen != nil, tc.fire)
+		}
 	}
 }
 
@@ -244,7 +269,7 @@ func TestGrowthTriggerThreshold(t *testing.T) {
 // manual cadence NewRecorder offers, closes at once and takes its final
 // snapshot.
 func TestRecorderCloseWithoutStart(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Registry: NewRegistry(), Capacity: 4})
+	rec := NewRecorder(RecorderConfig{Registry: NewRegistry()})
 	rec.Record()
 	closed := make(chan struct{})
 	go func() {

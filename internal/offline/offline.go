@@ -222,7 +222,7 @@ func serveSegment(tr *trace.Trace, p Params, s, end bw.Tick, carry []chunk, rate
 		budget := rate
 		for budget > 0 && head < len(q) {
 			c := &q[head]
-			took := bw.Min(budget, c.bits)
+			took := min(budget, c.bits)
 			c.bits -= took
 			budget -= took
 			if c.bits == 0 {
@@ -264,7 +264,7 @@ func finalDrainEnd(tr *trace.Trace, s, n bw.Tick, carry []chunk, rate bw.Rate) b
 		if t < n {
 			backlog += tr.At(t)
 		}
-		take := bw.Min(rate, backlog)
+		take := min(rate, backlog)
 		backlog -= take
 		pending -= take
 		t++
@@ -278,7 +278,7 @@ func finalDrainEnd(tr *trace.Trace, s, n bw.Tick, carry []chunk, rate bw.Rate) b
 }
 
 func pendingDrainCap(rate bw.Rate, total bw.Bits) bw.Tick {
-	return bw.Tick(total/bw.Max(rate, 1)) + 16
+	return bw.Tick(total/max(rate, 1)) + 16
 }
 
 // VerifySchedule checks that the schedule serves the trace within the
@@ -306,7 +306,7 @@ func VerifySchedule(tr *trace.Trace, sched *bw.Schedule, p Params) error {
 		budget := cur.At(t)
 		for budget > 0 && head < len(q) {
 			c := &q[head]
-			took := bw.Min(budget, c.bits)
+			took := min(budget, c.bits)
 			c.bits -= took
 			budget -= took
 			if c.bits == 0 {

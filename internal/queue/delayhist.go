@@ -47,7 +47,7 @@ func (h *DelayHist) record(delay bw.Tick, bits bw.Bits) {
 func (h *DelayHist) recordSpan(wait bw.Tick, pos, took bw.Bits, rate bw.Rate) {
 	j := pos / rate
 	for end, next := pos+took, bw.Volume(rate, j+1); pos < end; j, next = j+1, next+bw.Volume(rate, 1) {
-		h.record(wait+j, bw.Min(end, next)-pos)
+		h.record(wait+j, min(end, next)-pos)
 		pos = next
 	}
 }

@@ -121,10 +121,10 @@ func (q *FIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
 	if rate < 0 {
 		panic(fmt.Sprintf("queue: Serve negative rate %d", rate))
 	}
-	budget := bw.Min(rate, q.Bits())
+	budget := min(rate, q.Bits())
 	servedNow := budget
 	for budget > 0 {
-		took := bw.Min(budget, q.head.bits)
+		took := min(budget, q.head.bits)
 		q.head.bits -= took
 		budget -= took
 		q.recordServed(t-q.head.arrived, took)
@@ -161,7 +161,7 @@ func (q *FIFO) ServeSpan(from, through bw.Tick, rate bw.Rate) bw.Bits {
 	// The bit at position p of the span goes out at tick from + p/rate.
 	for pos := bw.Bits(0); pos < total; {
 		c := q.head
-		took := bw.Min(total-pos, c.bits)
+		took := min(total-pos, c.bits)
 		// A chunk's last bit served waited longest; the division is
 		// needed only when even the span's last tick would raise the max.
 		if through-c.arrived > q.maxDelay {

@@ -432,11 +432,11 @@ func (q *sliceFIFO) Push(t bw.Tick, bits bw.Bits) {
 }
 
 func (q *sliceFIFO) Serve(t bw.Tick, rate bw.Rate) bw.Bits {
-	budget := bw.Min(rate, q.bits)
+	budget := min(rate, q.bits)
 	servedNow := budget
 	for budget > 0 {
 		c := &q.chunks[q.head]
-		took := bw.Min(budget, c.bits)
+		took := min(budget, c.bits)
 		c.bits -= took
 		budget -= took
 		if delay := t - c.arrived; delay > q.maxDelay {

@@ -186,7 +186,7 @@ func (r *MultiRunner) run(sessions []*trace.Trace, alloc MultiAllocator, opts Op
 	}
 	k := len(sessions)
 	n := sessions[0].Len()
-	limit := n + opts.drainBudget(n)
+	limit := n + DrainTicks(n)
 	slots := r.size(k)
 
 	var (

@@ -77,7 +77,7 @@ func sessionModel(tr *trace.Trace, alloc Allocator) (*Result, error) {
 	)
 	hist.Attach(&q)
 	n := tr.Len()
-	limit := n + Options{}.drainBudget(n)
+	limit := n + DrainTicks(n)
 	var peak bw.Bits
 	for t := bw.Tick(0); t < limit; t++ {
 		if t >= n && q.Bits() == 0 {
@@ -269,7 +269,7 @@ func TestRunnerErrorLeavesReusable(t *testing.T) {
 	r := NewRunner()
 	bad := trace.MustNew([]bw.Bits{10})
 	if _, err := r.Run(bad, AllocatorFunc(func(bw.Tick, bw.Bits, bw.Bits) bw.Rate { return 0 }),
-		Options{DrainBudget: 8}); err == nil {
+		Options{}); err == nil {
 		t.Fatal("expected drain failure")
 	}
 	tr := runnerTrace(2, 64)
@@ -313,7 +313,7 @@ func TestMultiRunnerMatchesRunMulti(t *testing.T) {
 			for i := 2; i < k; i++ {
 				stuck.Allocs[i] = thresholdAlloc(0)
 			}
-			if _, err := r.Run(m, stuck, Options{DrainBudget: 4}); !errors.Is(err, ErrQueueNeverDrained) {
+			if _, err := r.Run(m, stuck, Options{}); !errors.Is(err, ErrQueueNeverDrained) {
 				t.Fatalf("k=%d, slots 2-%d at rate 0: MultiRunner.Run returned %v, want %v", k, k-1, err, ErrQueueNeverDrained)
 			}
 			for i := 2; i < k; i++ {
@@ -409,7 +409,7 @@ func TestSeparateReusedStartsEmpty(t *testing.T) {
 		fail func(queued bw.Bits) bw.Rate
 		opts Options
 	}{
-		{"never drained", func(bw.Bits) bw.Rate { return 0 }, Options{DrainBudget: 4}},
+		{"never drained", func(bw.Bits) bw.Rate { return 0 }, Options{}},
 		{"negative rate", func(queued bw.Bits) bw.Rate { return -min(bw.Rate(queued), 1) }, Options{}},
 	} {
 		fail = tc.fail

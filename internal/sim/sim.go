@@ -48,7 +48,7 @@ func (f AllocatorFunc) Rate(t bw.Tick, arrived, queued bw.Bits) bw.Rate {
 var _ Allocator = AllocatorFunc(nil)
 
 // ErrQueueNeverDrained is returned when, after the trace ends, the
-// allocator fails to drain the remaining queue within the drain budget.
+// allocator fails to drain the remaining queue within DrainTicks.
 var ErrQueueNeverDrained = errors.New("sim: queue never drained after trace end")
 
 // Result is the outcome of a single-session run.
@@ -68,10 +68,6 @@ type Result struct {
 
 // Options configures a run.
 type Options struct {
-	// DrainBudget bounds how many ticks past the end of the trace the
-	// simulator runs to let the allocator drain the queue. Zero means
-	// 4*len(trace) + 1024.
-	DrainBudget bw.Tick
 	// QueueCap, when positive, bounds each session's sending-end buffer:
 	// arrivals that would push its queue beyond the cap are dropped and
 	// counted in Dropped. The paper assumes unbounded queues (Section 1,
@@ -81,12 +77,9 @@ type Options struct {
 	QueueCap bw.Bits
 }
 
-func (o Options) drainBudget(n bw.Tick) bw.Tick {
-	if o.DrainBudget > 0 {
-		return o.DrainBudget
-	}
-	return 4*n + 1024
-}
+// DrainTicks is how many ticks past the end of an n-tick trace a run
+// keeps stepping to let the allocator drain its queues.
+func DrainTicks(n bw.Tick) bw.Tick { return 4*n + 1024 }
 
 // Run simulates the allocator on the trace and returns the recorded
 // schedule and metrics. After the trace ends the simulator keeps ticking

@@ -39,7 +39,7 @@ func TestRunFixedRateDrains(t *testing.T) {
 
 func TestRunZeroRateFailsToDrain(t *testing.T) {
 	tr := trace.MustNew([]bw.Bits{1})
-	_, err := Run(tr, fixedRate(0), Options{DrainBudget: 16})
+	_, err := Run(tr, fixedRate(0), Options{})
 	if !errors.Is(err, ErrQueueNeverDrained) {
 		t.Fatalf("err = %v, want ErrQueueNeverDrained", err)
 	}
@@ -154,7 +154,7 @@ func TestRunMultiNegativeRate(t *testing.T) {
 
 func TestRunMultiNeverDrains(t *testing.T) {
 	m := trace.MustNewMulti([]*trace.Trace{trace.MustNew([]bw.Bits{5})})
-	_, err := RunMulti(m, &Separate{Allocs: []Allocator{fixedRate(0)}}, Options{DrainBudget: 8})
+	_, err := RunMulti(m, &Separate{Allocs: []Allocator{fixedRate(0)}}, Options{})
 	if !errors.Is(err, ErrQueueNeverDrained) {
 		t.Fatalf("err = %v, want ErrQueueNeverDrained", err)
 	}

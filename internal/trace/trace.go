@@ -177,11 +177,11 @@ func (tr *Trace) ServeableWith(b bw.Rate, d bw.Tick) bool {
 			q = append(q, chunk{arrived: t, bits: a})
 			queue += a
 		}
-		serve := bw.Min(b, queue)
+		serve := min(b, queue)
 		queue -= serve
 		for serve > 0 && head < len(q) {
 			c := &q[head]
-			took := bw.Min(serve, c.bits)
+			took := min(serve, c.bits)
 			c.bits -= took
 			serve -= took
 			if c.bits == 0 {

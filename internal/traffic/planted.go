@@ -109,7 +109,7 @@ func NewPlanted(p PlantedParams) (*Planted, error) {
 		if phase > 0 {
 			if p.GlobalLevels && src.Bool(0.5) {
 				if level == p.BO {
-					level = bw.Max(p.BO/2, int64(2*k))
+					level = max(p.BO/2, int64(2*k))
 				} else {
 					level = p.BO
 				}
@@ -129,7 +129,7 @@ func NewPlanted(p PlantedParams) (*Planted, error) {
 			// Alternate base+d, base-d without ever exceeding rates[i],
 			// so the planted schedule serves every tick's arrivals in the
 			// same tick (delay 0).
-			d := bw.Min(base, bw.Volume(rates[i], 1)-base)
+			d := min(base, bw.Volume(rates[i], 1)-base)
 			for t := start; t < start+p.PhaseLen; t++ {
 				a := base
 				if d > 0 {

@@ -141,7 +141,7 @@ func (g ParetoBurst) Generate(n bw.Tick) *trace.Trace {
 		burst := bw.Bits(src.Pareto(g.Alpha, float64(g.MinBurst)))
 		per := bw.RateOver(burst, spread)
 		for j := bw.Tick(0); j < spread && t+j < n && burst > 0; j++ {
-			amt := bw.Min(bw.Volume(per, 1), burst)
+			amt := min(bw.Volume(per, 1), burst)
 			arrivals[t+j] += amt
 			burst -= amt
 		}
@@ -165,29 +165,12 @@ func (g Composite) Generate(n bw.Tick) *trace.Trace {
 	return trace.Sum(traces...)
 }
 
-// Clamp wraps a generator so its output is guaranteed serveable with
-// constant bandwidth B and per-bit delay D — the paper's standing
-// feasibility assumption. It enforces the exact feasibility condition
-// IN[a..t] <= B*(t-a+1+D) for every window by capping arrivals with a
-// token-bucket recursion (excess E(t) = max(E(t-1),0) + a(t) - B must stay
-// <= B*D).
-type Clamp struct {
-	Source Generator
-	B      bw.Rate
-	D      bw.Tick
-}
-
-var _ Generator = Clamp{}
-
-// Generate implements Generator.
-func (g Clamp) Generate(n bw.Tick) *trace.Trace {
-	raw := g.Source.Generate(n)
-	return ClampTrace(raw, g.B, g.D)
-}
-
 // ClampTrace caps the arrivals of tr so the result is serveable with
-// constant bandwidth b and delay d. Bits that do not fit are dropped
-// (the paper ignores data loss; see Section 1).
+// constant bandwidth b and delay d — the paper's standing feasibility
+// assumption. It enforces the exact condition IN[a..t] <= b*(t-a+1+d)
+// for every window by a token-bucket recursion (excess
+// E(t) = max(E(t-1),0) + a(t) - b must stay <= b*d). Bits that do not
+// fit are dropped (the paper ignores data loss; see Section 1).
 func ClampTrace(tr *trace.Trace, b bw.Rate, d bw.Tick) *trace.Trace {
 	n := tr.Len()
 	arrivals := make([]bw.Bits, n)

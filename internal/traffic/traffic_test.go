@@ -126,8 +126,7 @@ func TestClampMakesFeasible(t *testing.T) {
 		}
 		return trace.MustNew(arrivals)
 	})
-	g := Clamp{Source: raw, B: 8, D: 4}
-	tr := g.Generate(50)
+	tr := ClampTrace(raw.Generate(50), 8, 4)
 	if !tr.ServeableWith(8, 4) {
 		t.Fatal("clamped trace not serveable with (8, 4)")
 	}
