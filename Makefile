@@ -26,10 +26,11 @@ race:
 # every testing.AllocsPerRun assertion, by name, without -race (its
 # instrumentation allocates). DESIGN §7 maps hot paths to assertions; a
 # new one joins that table and, if its name is new, this pattern. Beside
-# them run the per-slot byte budget of a 100k-slot table and the sizes of
-# the kernel's and the policies' per-slot records (DESIGN §8).
+# them run the per-slot byte budget of a 100k-slot table, the sizes of
+# the kernel's and the policies' per-slot records (DESIGN §8) and those
+# of the event and span rings' records (DESIGN §6, §12).
 zeroalloc:
-	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes' ./internal/...
+	$(GO) test -count=1 -run 'ZeroAllocs?$$|AllocatesNothing|TickBoundedLiveState|SlotsActiveSet|LowTrackerFollowsItsHull|SlotBytes|SlotRecordSizes|RingRecordSizes' ./internal/...
 
 # The root micro-benchmarks of the building blocks (bench_test.go), for
 # use while working on one of them. Performance claims rest on the

@@ -38,6 +38,10 @@ const (
 // by the stage constants.
 var stageNames = [numStages]string{"read", "dispatch", "apply", "write"}
 
+// A span carries every stage: the build fails here, on a negative array
+// length, once numStages outgrows obs.MaxSpanStages.
+var _ [obs.MaxSpanStages - numStages]struct{}
+
 // StageNames returns the gateway's wire-path stage labels in pipeline
 // order — the stage vector layout of every span the gateway records, fit
 // for obs.NewSpanRing.
@@ -56,10 +60,8 @@ type spanScratch struct {
 	kind    byte   // wire type of the current message
 	sess    int    // session the message named, -1 when none
 	start   time.Time
-	last    time.Time // previous stage boundary
-	// stages uses the span layout directly (MaxSpanStages >= numStages)
-	// so spanEnd copies it into the ring without repacking.
-	stages [obs.MaxSpanStages]int64
+	last    time.Time                // previous stage boundary
+	stages  [obs.MaxSpanStages]int64 // the span's layout: spanEnd copies it as is
 }
 
 // pendingTrace holds a client-sent TRACE envelope between the envelope

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -54,18 +55,14 @@ func (a *Admin) Handler() http.Handler {
 		}
 		json.NewEncoder(w).Encode(snap)
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		a.Ring.WriteJSONL(w)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		a.Spans.WriteJSONL(w)
-	})
-	mux.HandleFunc("/snapshots", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		a.Snapshots.WriteJSONL(w)
-	})
+	for path, dump := range map[string]func(io.Writer) error{
+		"/events": a.Ring.WriteJSONL, "/spans": a.Spans.WriteJSONL, "/snapshots": a.Snapshots.WriteJSONL,
+	} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			dump(w)
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -87,13 +84,9 @@ func StartAdmin(addr string, a *Admin) (*AdminServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: admin listen: %w", err)
 	}
-	srv := &http.Server{
-		Handler:           a.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	s := &AdminServer{ln: ln, srv: srv}
+	srv := &http.Server{Handler: a.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
-	return s, nil
+	return &AdminServer{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the server's listen address.

@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,36 +51,19 @@ const (
 	EventRouteRelease
 )
 
+// eventNames spells each event type in JSONL.
+var eventNames = [...]string{EventSessionOpen: "session_open", EventSessionClose: "session_close",
+	EventOpenFail: "open_fail", EventIdleDisconnect: "idle_disconnect", EventRenegotiateUp: "renegotiate_up",
+	EventRenegotiateDown: "renegotiate_down", EventOverflow: "overflow", EventStageReset: "stage_reset",
+	EventRoutePlace: "route_place", EventRouteBlock: "route_block", EventRouteReroute: "route_reroute",
+	EventRouteRelease: "route_release"}
+
 // String returns the JSONL spelling of the event type.
 func (t EventType) String() string {
-	switch t {
-	case EventSessionOpen:
-		return "session_open"
-	case EventSessionClose:
-		return "session_close"
-	case EventOpenFail:
-		return "open_fail"
-	case EventIdleDisconnect:
-		return "idle_disconnect"
-	case EventRenegotiateUp:
-		return "renegotiate_up"
-	case EventRenegotiateDown:
-		return "renegotiate_down"
-	case EventOverflow:
-		return "overflow"
-	case EventStageReset:
-		return "stage_reset"
-	case EventRoutePlace:
-		return "route_place"
-	case EventRouteBlock:
-		return "route_block"
-	case EventRouteReroute:
-		return "route_reroute"
-	case EventRouteRelease:
-		return "route_release"
-	default:
-		return fmt.Sprintf("event_%d", uint8(t))
+	if t > 0 && int(t) < len(eventNames) {
+		return eventNames[t]
 	}
+	return fmt.Sprintf("event_%d", uint8(t))
 }
 
 // MarshalJSON renders the type as its string spelling.
@@ -145,8 +129,27 @@ type ShardedRing = Ring
 // keeps adjacent stripes' mutexes off a shared cache line.
 type ringStripe struct {
 	mu sync.Mutex
-	q  ring[Event] // guarded by mu
+	q  ring[eventRec] // guarded by mu
 	_  [64]byte
+}
+
+// eventRec is an Event as the ring stores it: 80 bytes where an Event
+// is 104 (TestRingRecordSizes). Time is kept as Unix nanoseconds, which
+// drops its monotonic clock reading and its zone but not the instant,
+// and the links as int32.
+type eventRec struct {
+	seq               uint64
+	at, session, tick int64
+	oldRate, newRate  bw.Rate
+	rule              string
+	link, fromLink    int32
+	typ               EventType
+}
+
+// event rebuilds the packed Event, its Time in the local zone.
+func (r *eventRec) event() Event {
+	return Event{Seq: r.seq, Time: time.Unix(0, r.at), Type: r.typ, Session: int(r.session), Tick: r.tick,
+		OldRate: r.oldRate, NewRate: r.newRate, Link: int(r.link), FromLink: int(r.fromLink), Rule: r.rule}
 }
 
 // DefaultRingSize is the event capacity used when a ring is built with a
@@ -164,13 +167,11 @@ func NewShardedRing(n, stripes int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
+	stripes = max(stripes, 1)
 	per := (n + stripes - 1) / stripes
 	r := &Ring{stripes: make([]ringStripe, stripes)}
 	for i := range r.stripes {
-		r.stripes[i].q = newRing[Event](per)
+		r.stripes[i].q = newRing[eventRec](per)
 	}
 	return r
 }
@@ -222,9 +223,11 @@ func (r *Ring) eventAt(idx int, e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
+	rec := eventRec{0, e.Time.UnixNano(), int64(e.Session), e.Tick, e.OldRate, e.NewRate,
+		e.Rule, int32(e.Link), int32(e.FromLink), e.Type}
 	s.mu.Lock()
-	e.Seq = r.seq.Add(1) - 1
-	s.q.push(e)
+	rec.seq = r.seq.Add(1) - 1
+	s.q.push(rec)
 	s.mu.Unlock()
 }
 
@@ -259,14 +262,18 @@ func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
+	var recs []eventRec
 	for i := range r.stripes {
 		s := &r.stripes[i]
 		s.mu.Lock()
-		out = s.q.appendTo(out)
+		recs = s.q.appendTo(recs)
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(recs, func(a, b eventRec) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Event, len(recs))
+	for i := range recs {
+		out[i] = recs[i].event()
+	}
 	return out
 }
 
@@ -278,16 +285,7 @@ func (r *Ring) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	events := r.Snapshot()
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(ringMeta{RingMeta: true, Total: r.Total(), Retained: len(events), Dropped: r.Dropped()}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSONL(w, ringMeta{RingMeta: true, Total: r.Total(), Retained: len(events), Dropped: r.Dropped()}, events)
 }
 
 // Instrument exports the ring's totals on reg: dynbw_events_total and

@@ -125,6 +125,11 @@ func TestEventTypeStrings(t *testing.T) {
 		EventRenegotiateDown: "renegotiate_down",
 		EventOverflow:        "overflow",
 		EventStageReset:      "stage_reset",
+		EventRoutePlace:      "route_place",
+		EventRouteBlock:      "route_block",
+		EventRouteReroute:    "route_reroute",
+		EventRouteRelease:    "route_release",
+		EventType(0):         "event_0",
 		EventType(99):        "event_99",
 	}
 	for typ, s := range want {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 	"time"
@@ -218,10 +217,11 @@ type recorderMeta struct {
 	FrozenAt     time.Time `json:"frozen_at,omitempty"`
 }
 
-// frozenSnap marks frozen-window lines in a dump.
-type frozenSnap struct {
+// snapLine is one snapshot line of a dump, marked when it belongs to
+// the frozen window.
+type snapLine struct {
 	RegSnapshot
-	Frozen bool `json:"frozen"`
+	Frozen bool `json:"frozen,omitempty"`
 }
 
 // WriteJSONL dumps a recorder_meta header line, the frozen window (if a
@@ -232,28 +232,18 @@ func (rec *Recorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	rec.mu.Lock()
-	live := rec.q.appendTo(nil)
-	frozen := append([]RegSnapshot(nil), rec.frozen...)
+	lines := make([]snapLine, 0, len(rec.frozen)+len(rec.q.buf))
+	for _, s := range rec.frozen {
+		lines = append(lines, snapLine{s, true})
+	}
+	for _, s := range rec.q.appendTo(nil) {
+		lines = append(lines, snapLine{RegSnapshot: s})
+	}
 	meta := recorderMeta{
-		RecorderMeta: true, Total: rec.q.total, Retained: len(live),
-		IntervalNs: int64(rec.interval), Frozen: len(frozen),
+		RecorderMeta: true, Total: rec.q.total, Retained: len(rec.q.buf),
+		IntervalNs: int64(rec.interval), Frozen: len(rec.frozen),
 		Reason: rec.frozenReason, FrozenAt: rec.frozenAt,
 	}
 	rec.mu.Unlock()
-
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(meta); err != nil {
-		return err
-	}
-	for _, s := range frozen {
-		if err := enc.Encode(frozenSnap{RegSnapshot: s, Frozen: true}); err != nil {
-			return err
-		}
-	}
-	for _, s := range live {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSONL(w, meta, lines)
 }

@@ -159,7 +159,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range r.sorted() {
 		b.Reset()
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.typ)
 		for _, s := range f.series {
 			if s.hist != nil {
 				writeHistogram(&b, f.name, s.labels, s.hist())
@@ -209,20 +209,15 @@ func renderLabels(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, l.Key, escapeValue(l.Value))
+		fmt.Fprintf(&b, `%s="%s"`, l.Key, valueEscaper.Replace(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeValue escapes a label value per the text exposition format.
-func escapeValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// escapeHelp escapes a HELP string per the text exposition format.
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
-}
+// valueEscaper and helpEscaper escape a label value and a HELP string
+// per the text exposition format.
+var (
+	valueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)

@@ -1,6 +1,10 @@
 package obs
 
-import "slices"
+import (
+	"encoding/json"
+	"io"
+	"slices"
+)
 
 // ring is the package's one overwrite-oldest buffer: its capacity is
 // allocated once at construction, and a push into a full ring replaces
@@ -44,4 +48,14 @@ func (r *ring[T]) appendTo(dst []T) []T {
 	dst = slices.Grow(dst, len(r.buf))
 	dst = append(dst, r.buf[r.next:]...)
 	return append(dst, r.buf[:r.next]...)
+}
+
+// writeJSONL writes head and then each row, one JSON object a line.
+func writeJSONL[T any](w io.Writer, head any, rows []T) error {
+	enc := json.NewEncoder(w)
+	err := enc.Encode(head)
+	for i := 0; err == nil && i < len(rows); i++ {
+		err = enc.Encode(rows[i])
+	}
+	return err
 }

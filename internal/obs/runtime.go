@@ -61,11 +61,7 @@ func readRuntimeGauge(name string) int64 {
 	if s[0].Value.Kind() != rm.KindUint64 {
 		return 0
 	}
-	v := s[0].Value.Uint64()
-	if v > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(v)
+	return int64(min(s[0].Value.Uint64(), math.MaxInt64))
 }
 
 // readRuntimeHistogram folds a runtime Float64Histogram of seconds into
@@ -100,11 +96,7 @@ func readRuntimeHistogram(name string) metrics.Histogram {
 		default:
 			rep = (lo + hi) / 2
 		}
-		n := int64(math.MaxInt64)
-		if c < math.MaxInt64 {
-			n = int64(c)
-		}
-		out.ObserveN(int64(rep*1e9), n)
+		out.ObserveN(int64(rep*1e9), int64(min(c, math.MaxInt64)))
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"fmt"
 	"io"
 	"math/bits"
 	"sync"
@@ -22,8 +22,8 @@ import (
 
 // MaxSpanStages bounds the per-span stage vector so a Span is a flat
 // value type: recording a span never allocates, it copies one struct
-// into the ring.
-const MaxSpanStages = 8
+// into the ring. It is the gateway's four wire stages.
+const MaxSpanStages = 4
 
 // Span is one traced message: a trace ID, the message kind, where it
 // ran, and how its wall time divided across the component's stages
@@ -52,8 +52,26 @@ type Span struct {
 type SpanRing struct {
 	mu     sync.Mutex
 	names  []string
-	q      ring[Span] // guarded by mu; dropped counts spans overwritten before any dump
+	q      ring[spanRec] // guarded by mu; dropped counts spans overwritten before any dump
 	traces atomic.Uint64
+}
+
+// spanRec is a Span as the ring stores it: 104 bytes where a Span is 128
+// (TestRingRecordSizes), its Time as Unix nanoseconds (the instant
+// without the monotonic reading or the zone) and its shard as int32.
+type spanRec struct {
+	trace                uint64
+	kind, err            string
+	session, at, totalNs int64
+	stages               [MaxSpanStages]int64
+	shard                int32
+	client               bool
+}
+
+// span rebuilds the packed Span, its Time in the local zone.
+func (r *spanRec) span() Span {
+	return Span{Trace: r.trace, Kind: r.kind, Shard: int(r.shard), Session: int(r.session), Time: time.Unix(0, r.at),
+		TotalNs: r.totalNs, Client: r.client, Err: r.err, Stages: r.stages}
 }
 
 // DefaultSpanRingSize is the span capacity used when NewSpanRing is
@@ -61,17 +79,18 @@ type SpanRing struct {
 const DefaultSpanRingSize = 2048
 
 // NewSpanRing returns a ring holding the last n spans whose stage
-// vectors are labeled by stageNames (at most MaxSpanStages are kept).
+// vectors are labeled by stageNames. More than MaxSpanStages names
+// panics: a dump would lose the stages past it.
 func NewSpanRing(n int, stageNames []string) *SpanRing {
 	if n <= 0 {
 		n = DefaultSpanRingSize
 	}
 	if len(stageNames) > MaxSpanStages {
-		stageNames = stageNames[:MaxSpanStages]
+		panic(fmt.Sprintf("obs: %d span stages, at most %d", len(stageNames), MaxSpanStages))
 	}
 	return &SpanRing{
 		names: append([]string(nil), stageNames...),
-		q:     newRing[Span](n),
+		q:     newRing[spanRec](n),
 	}
 }
 
@@ -94,8 +113,9 @@ func (r *SpanRing) Push(s Span) {
 	if s.Time.IsZero() {
 		s.Time = time.Now()
 	}
+	rec := spanRec{s.Trace, s.Kind, s.Err, int64(s.Session), s.Time.UnixNano(), s.TotalNs, s.Stages, int32(s.Shard), s.Client}
 	r.mu.Lock()
-	r.q.push(s)
+	r.q.push(rec)
 	r.mu.Unlock()
 }
 
@@ -126,8 +146,13 @@ func (r *SpanRing) Snapshot() []Span {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.q.appendTo(nil)
+	recs := r.q.appendTo(nil)
+	r.mu.Unlock()
+	out := make([]Span, len(recs))
+	for i := range recs {
+		out[i] = recs[i].span()
+	}
+	return out
 }
 
 // spanMeta is the header line of a JSONL span dump.
@@ -153,23 +178,15 @@ func (r *SpanRing) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	spans := r.Snapshot()
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(spanMeta{
-		SpanMeta: true, Total: r.Total(), Retained: len(spans),
-		Dropped: r.Dropped(), Stages: r.names,
-	}); err != nil {
-		return err
-	}
-	for _, s := range spans {
-		out := spanJSON{Span: s, StageNs: make(map[string]int64, len(r.names))}
-		for i, name := range r.names {
-			out.StageNs[name] = s.Stages[i]
-		}
-		if err := enc.Encode(out); err != nil {
-			return err
+	rows := make([]spanJSON, len(spans))
+	for i, s := range spans {
+		rows[i] = spanJSON{Span: s, StageNs: make(map[string]int64, len(r.names))}
+		for j, name := range r.names {
+			rows[i].StageNs[name] = s.Stages[j]
 		}
 	}
-	return nil
+	return writeJSONL(w, spanMeta{SpanMeta: true, Total: r.Total(), Retained: len(spans),
+		Dropped: r.Dropped(), Stages: r.names}, rows)
 }
 
 // Instrument exports the ring's totals on reg: dynbw_spans_total and
@@ -215,14 +232,11 @@ func NewSampler(n uint64, stripes int) *Sampler {
 	if n == 0 {
 		n = DefaultSampleEvery
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
 	return &Sampler{
 		every:   n,
 		pow2:    n&(n-1) == 0,
 		shift:   uint(bits.TrailingZeros64(n)),
-		stripes: make([]stripe64, stripes),
+		stripes: make([]stripe64, max(stripes, 1)),
 	}
 }
 

@@ -32,6 +32,17 @@ func TestSpanRingRetainsAndWraps(t *testing.T) {
 	}
 }
 
+// TestSpanRingRejectsExtraStages: a stage name past MaxSpanStages would
+// be lost from every dump, so the ring refuses it at construction.
+func TestSpanRingRejectsExtraStages(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSpanRing took more stage names than MaxSpanStages")
+		}
+	}()
+	NewSpanRing(8, make([]string, MaxSpanStages+1))
+}
+
 func TestSpanRingWriteJSONL(t *testing.T) {
 	r := NewSpanRing(8, []string{"read", "dispatch", "apply", "write"})
 	r.Push(Span{Trace: 7, Kind: "stats", Shard: 2, Session: 11, TotalNs: 100,
